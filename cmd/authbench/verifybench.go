@@ -291,8 +291,9 @@ func runVerifyBench(args []string) error {
 }
 
 // runVerifyChecks is the equivalence oracle: the scheme self-test
-// (Jacobian vs library arithmetic, wNAF vs ScalarMult, fast vs
-// portable on crafted batches), accept/reject agreement on real
+// (limb field vs math/big, Jacobian arithmetic, point decoding and
+// hash-to-curve vs crypto/elliptic, fast vs portable on crafted
+// batches), accept/reject agreement on real
 // answers including a tampered one, and byte-identical signatures from
 // fast and portable signer instances.
 func runVerifyChecks(res *verifyBenchResult, pub sigagg.PublicKey, batch []*core.Answer, ranges []core.Range, cfg core.Config) error {
@@ -389,11 +390,21 @@ func (d *detRandReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// Floors for -validate, at well under half of what the limb kernel
+// measures (warm 88x, cold 7.7x on the 2-core reference box; math/big
+// field arithmetic measured 14x and 1.04x): a kernel regression trips
+// them, a slow CI host does not.
+const (
+	minWarmSpeedup = 25
+	minColdSpeedup = 3
+)
+
 // checkVerifyJSON validates a BENCH_verify.json for CI: well-formed,
-// every mode measured, the warm fast path at least 5x the portable
-// oracle on the same host, and the equivalence evidence present. The
-// speedup gate is relative (same-host portable vs warm), so it holds
-// on any machine.
+// every mode measured, the fast path at least minWarmSpeedup (caches
+// warm) and minColdSpeedup (caches empty) times the portable oracle on
+// the same host, and the equivalence evidence present. The speedup
+// gates are relative (same-host portable vs fast), so they hold on any
+// machine.
 func checkVerifyJSON(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -406,8 +417,11 @@ func checkVerifyJSON(path string) error {
 	if res.PortableAnswersPerSec <= 0 || res.ColdAnswersPerSec <= 0 || res.WarmAnswersPerSec <= 0 {
 		return fmt.Errorf("verify: %s: non-positive throughput %+v", path, res)
 	}
-	if res.WarmSpeedup < 5 {
-		return fmt.Errorf("verify: %s: warm speedup %.2fx < 5x over the portable oracle", path, res.WarmSpeedup)
+	if res.WarmSpeedup < minWarmSpeedup {
+		return fmt.Errorf("verify: %s: warm speedup %.2fx < %dx over the portable oracle", path, res.WarmSpeedup, minWarmSpeedup)
+	}
+	if res.ColdSpeedup < minColdSpeedup {
+		return fmt.Errorf("verify: %s: cold speedup %.2fx < %dx over the portable oracle", path, res.ColdSpeedup, minColdSpeedup)
 	}
 	if res.Verify == nil || res.Verify.FastVerifies == 0 || res.Verify.H2CCacheHits == 0 {
 		return fmt.Errorf("verify: %s: no evidence the fast path ran (%+v)", path, res.Verify)

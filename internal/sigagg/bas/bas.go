@@ -50,7 +50,8 @@ type Scheme struct {
 	pairingCost int
 
 	// Verification fast path state (see fastpath.go). portable routes
-	// verification through the historical affine path instead.
+	// verification through the crypto/elliptic oracle (portable.go)
+	// instead.
 	portable bool
 	cache    *pointCache
 	tables   *tableCache
@@ -69,10 +70,10 @@ type options struct {
 }
 
 // WithPortableVerify routes verification through the portable slow
-// path — affine curve.Add accumulation, per-call hash-to-curve, no
-// caches or precomputation tables. It is the cross-check oracle for the
-// fast path: both produce identical accept/reject decisions and
-// byte-identical signatures.
+// path — crypto/elliptic and math/big throughout: affine curve.Add
+// accumulation, per-call hash-to-curve, no caches or precomputation
+// tables, none of the limb kernel. It is the cross-check oracle for the
+// fast path: both produce identical accept/reject decisions.
 func WithPortableVerify() Option {
 	return func(o *options) { o.portable = true }
 }
@@ -83,9 +84,11 @@ func WithCacheEntries(n int) Option {
 	return func(o *options) { o.cacheEntries = n }
 }
 
-// defaultCacheEntries bounds the point cache at roughly 16 MB: enough
-// for the full digest working set of the committed benchmarks with room
-// to spare, small enough to be irrelevant next to the catalog itself.
+// defaultCacheEntries bounds the point cache at about 15 MB when full
+// (measured; 6.4 MB of that is the 34-byte keys and 64-byte points, the
+// rest the maps' own slack): enough for the full digest working set of
+// the committed benchmarks with room to spare, small enough to be
+// irrelevant next to the catalog itself.
 const defaultCacheEntries = 1 << 16
 
 // New returns a BAS scheme whose emulated pairing burns pairingCost
@@ -102,8 +105,7 @@ func New(pairingCost int, opts ...Option) *Scheme {
 		cache:       newPointCache(o.cacheEntries),
 		tables:      newTableCache(),
 	}
-	p := s.curve.Params().P
-	s.scratch.New = func() any { return newVerifyScratch(p) }
+	s.scratch.New = func() any { return &verifyScratch{idx: make(map[cacheKey]int32)} }
 	return s
 }
 
@@ -115,7 +117,7 @@ func init() {
 func (s *Scheme) Name() string { return "bas" }
 
 // SignatureSize implements sigagg.Scheme: a compressed P-256 point.
-func (s *Scheme) SignatureSize() int { return 33 }
+func (s *Scheme) SignatureSize() int { return pointLen }
 
 // PairingCost reports the configured per-pairing work factor.
 func (s *Scheme) PairingCost() int { return s.pairingCost }
@@ -160,22 +162,6 @@ func (s *Scheme) KeyGen(rnd io.Reader) (sigagg.PrivateKey, sigagg.PublicKey, err
 	}
 }
 
-// hashToCurve maps a digest to a P-256 point by try-and-increment: the
-// candidate x-coordinate is derived from SHA-256(tag || digest || ctr)
-// and accepted when x^3 - 3x + b is a quadratic residue mod p. (A
-// Jacobi-symbol pre-filter before the ModSqrt was measured and
-// rejected: for p ≡ 3 mod 4 the sqrt is one fast Exp, cheaper than
-// big.Jacobi's allocation-heavy binary GCD.)
-//
-// This one-shot form allocates fresh results; the hot paths go through
-// hashToCurveScratch (same candidate derivation, reused temporaries) or
-// hashToCurveCached (adds the digest→point cache). See h2c.go.
-func (s *Scheme) hashToCurve(digest []byte) (x, y *big.Int) {
-	var sc h2cScratch
-	hx, hy := s.hashToCurveScratch(&sc, digest)
-	return new(big.Int).Set(hx), new(big.Int).Set(hy)
-}
-
 func (s *Scheme) priv(k sigagg.PrivateKey) (*PrivateKey, error) {
 	p, ok := k.(*PrivateKey)
 	if !ok {
@@ -207,37 +193,42 @@ func (s *Scheme) isIdentity(sig sigagg.Signature) bool {
 	return true
 }
 
-func (s *Scheme) decode(sig sigagg.Signature) (x, y *big.Int, err error) {
-	if len(sig) != s.SignatureSize() {
-		return nil, nil, fmt.Errorf("%w: length %d, want %d",
-			sigagg.ErrBadSignature, len(sig), s.SignatureSize())
+// checkFrame checks a signature's length and reports whether it is the
+// identity.
+func (s *Scheme) checkFrame(sig sigagg.Signature) (identity bool, err error) {
+	if len(sig) != pointLen {
+		return false, fmt.Errorf("%w: length %d, want %d",
+			sigagg.ErrBadSignature, len(sig), pointLen)
 	}
-	if s.isIdentity(sig) {
-		return nil, nil, nil // point at infinity
-	}
-	x, y = elliptic.UnmarshalCompressed(s.curve, sig)
-	if x == nil {
-		return nil, nil, fmt.Errorf("%w: not a curve point", sigagg.ErrBadSignature)
-	}
-	return x, y, nil
+	return s.isIdentity(sig), nil
 }
 
-func (s *Scheme) encode(x, y *big.Int) sigagg.Signature {
-	if x == nil || (x.Sign() == 0 && y.Sign() == 0) {
-		return s.identity()
+// decode decodes a signature into a and reports whether it was the
+// identity, in which case a is left alone.
+func (s *Scheme) decode(a *affPoint, sig sigagg.Signature) (identity bool, err error) {
+	if identity, err = s.checkFrame(sig); err != nil || identity {
+		return identity, err
 	}
-	return sigagg.Signature(elliptic.MarshalCompressed(s.curve, x, y))
+	if !decompress(a, sig) {
+		return false, fmt.Errorf("%w: not a curve point", sigagg.ErrBadSignature)
+	}
+	return false, nil
 }
 
-// addPoints adds two points where either may be the identity (nil x).
-func (s *Scheme) addPoints(ax, ay, bx, by *big.Int) (*big.Int, *big.Int) {
-	if ax == nil {
-		return bx, by
+// encodeInto writes j's encoding into dst when it has capacity,
+// allocating otherwise.
+func encodeInto(dst sigagg.Signature, j *jacPoint) sigagg.Signature {
+	if cap(dst) < pointLen {
+		dst = make(sigagg.Signature, pointLen)
 	}
-	if bx == nil {
-		return ax, ay
+	dst = dst[:pointLen]
+	var a affPoint
+	if j.toAffine(&a) {
+		compress(dst, &a)
+	} else {
+		clear(dst) // the identity
 	}
-	return s.curve.Add(ax, ay, bx, by)
+	return dst
 }
 
 // Sign implements sigagg.Scheme: sig = x·H(digest).
@@ -247,38 +238,42 @@ func (s *Scheme) addPoints(ax, ay, bx, by *big.Int) (*big.Int, *big.Int) {
 // an in-process benchmark's "cold verification" numbers silently ride
 // on signing-time work.
 func (s *Scheme) Sign(priv sigagg.PrivateKey, digest []byte) (sigagg.Signature, error) {
-	p, err := s.priv(priv)
+	sigs, err := s.SignBatch(priv, [][]byte{digest})
 	if err != nil {
 		return nil, err
 	}
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	hx, hy := s.hashToCurveScratch(&sc.h2c, digest)
-	sx, sy := s.curve.ScalarMult(hx, hy, p.x.Bytes())
-	return s.encode(sx, sy), nil
+	return sigs[0], nil
 }
 
 // SignBatch implements sigagg.BatchSigner: the signing scalar is
 // serialized once and every signature is encoded into one shared
-// backing array, against the per-call conversions and allocations of
-// the one-shot Sign. The per-message curve work (hash-to-curve plus one
-// scalar multiplication) is irreducible; batching strips everything
-// around it.
+// backing array. The per-message curve work is hash-to-curve on the
+// limb kernel plus one scalar multiplication; the multiplication takes
+// the secret scalar, so it stays on crypto/elliptic's constant-time
+// nistec backend — the variable-time kernel never sees a secret.
 func (s *Scheme) SignBatch(priv sigagg.PrivateKey, digests [][]byte) ([]sigagg.Signature, error) {
 	p, err := s.priv(priv)
 	if err != nil {
 		return nil, err
 	}
 	xb := p.x.Bytes()
-	size := s.SignatureSize()
 	out := make([]sigagg.Signature, len(digests))
-	backing := make([]byte, len(digests)*size)
-	sc := s.getScratch()
-	defer s.putScratch(sc)
+	backing := make([]byte, len(digests)*pointLen)
+	var (
+		msg    []byte
+		h      affPoint
+		hb     [64]byte
+		hx, hy big.Int
+	)
 	for i, d := range digests {
-		hx, hy := s.hashToCurveScratch(&sc.h2c, d)
-		sx, sy := s.curve.ScalarMult(hx, hy, xb)
-		out[i] = s.encodeInto(backing[i*size:(i+1)*size:(i+1)*size], sx, sy)
+		hashToCurve(&h, &msg, d)
+		feBytes(hb[:32], &h.x)
+		feBytes(hb[32:], &h.y)
+		sx, sy := s.curve.ScalarMult(hx.SetBytes(hb[:32]), hy.SetBytes(hb[32:]), xb)
+		sig := backing[i*pointLen : (i+1)*pointLen : (i+1)*pointLen]
+		sig[0] = byte(2 + sy.Bit(0)) // compressed-point tag: 02 even y, 03 odd y
+		sx.FillBytes(sig[1:])
+		out[i] = sig
 	}
 	return out, nil
 }
@@ -290,102 +285,82 @@ func (s *Scheme) Verify(pub sigagg.PublicKey, digest []byte, sig sigagg.Signatur
 
 // Aggregate implements sigagg.Scheme: the sum of signature points.
 func (s *Scheme) Aggregate(sigs []sigagg.Signature) (sigagg.Signature, error) {
-	var ax, ay *big.Int
-	for _, sig := range sigs {
-		px, py, err := s.decode(sig)
-		if err != nil {
-			return nil, err
-		}
-		ax, ay = s.addPoints(ax, ay, px, py)
-	}
-	return s.encode(ax, ay), nil
+	return s.AggregateInto(nil, sigs)
 }
 
 // AggregateInto implements sigagg.BatchAggregator: each input is decoded
 // once, summed in Jacobian coordinates (one inversion for the whole sum
-// instead of crypto/elliptic's per-Add affine round-trip), and the
-// result is encoded once into dst (reused when it has capacity). Inputs
-// are decoded without the point cache: proof construction sweeps huge
+// instead of an affine round-trip per addition), and the result is
+// encoded once into dst (reused when it has capacity). Inputs are
+// decoded without the point cache: proof construction sweeps huge
 // leaf-signature sets that would thrash a cache sized for the verifier's
 // answer working set.
 func (s *Scheme) AggregateInto(dst sigagg.Signature, sigs []sigagg.Signature) (sigagg.Signature, error) {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	sc.agg.setInfinity()
+	var (
+		sum jacPoint
+		pt  affPoint
+	)
 	for _, sig := range sigs {
-		px, py, err := s.decode(sig)
+		identity, err := s.decode(&pt, sig)
 		if err != nil {
 			return nil, err
 		}
-		if px != nil {
-			sc.agg.mixedAdd(&sc.fp, px, py)
+		if !identity {
+			sum.mixedAdd(&pt)
 		}
 	}
-	ax, ay := sc.agg.toAffine(&sc.fp)
-	return s.encodeInto(dst, ax, ay), nil
-}
-
-// encodeInto writes the compressed encoding of (x, y) into dst when it
-// has capacity, allocating otherwise.
-func (s *Scheme) encodeInto(dst sigagg.Signature, x, y *big.Int) sigagg.Signature {
-	size := s.SignatureSize()
-	if cap(dst) < size {
-		dst = make(sigagg.Signature, size)
-	}
-	dst = dst[:size]
-	if x == nil || (x.Sign() == 0 && y.Sign() == 0) {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return dst
-	}
-	dst[0] = byte(2 + y.Bit(0)) // compressed-point tag: 02 even y, 03 odd y
-	x.FillBytes(dst[1:])
-	return dst
+	return encodeInto(dst, &sum), nil
 }
 
 // Add implements sigagg.Scheme. Operands decode through the aggregate
 // point cache and the result is inserted under its own encoding: the
 // aggregation tree rebuilds bottom-up, so a parent's operands are
 // exactly the sums this method just produced one level down, and the
-// whole rebuild pays ModSqrt only for leaves it has never seen.
+// whole rebuild pays a square root only for leaves it has never seen.
 func (s *Scheme) Add(agg, sig sigagg.Signature) (sigagg.Signature, error) {
-	ax, ay, err := s.decodeCached(agg)
-	if err != nil {
-		return nil, err
+	var (
+		sum jacPoint
+		pt  affPoint
+	)
+	for _, operand := range [2]sigagg.Signature{agg, sig} {
+		identity, err := s.decodeCached(&pt, operand)
+		if err != nil {
+			return nil, err
+		}
+		if !identity {
+			sum.mixedAdd(&pt)
+		}
 	}
-	px, py, err := s.decodeCached(sig)
-	if err != nil {
-		return nil, err
-	}
-	rx, ry := s.addPoints(ax, ay, px, py)
-	out := s.encode(rx, ry)
-	if rx != nil && !s.isIdentity(out) {
+	out := s.identity()
+	if sum.toAffine(&pt) {
+		compress(out, &pt)
 		k := aggKey(out)
-		s.cache.put(&k, cachedPoint{x: rx, y: ry})
+		s.cache.put(&k, &pt)
 	}
 	return out, nil
 }
 
 // Remove implements sigagg.Scheme: agg + (-sig).
 func (s *Scheme) Remove(agg, sig sigagg.Signature) (sigagg.Signature, error) {
-	ax, ay, err := s.decode(agg)
+	var (
+		sum jacPoint
+		pt  affPoint
+	)
+	identity, err := s.decode(&pt, agg)
 	if err != nil {
 		return nil, err
 	}
-	px, py, err := s.decode(sig)
-	if err != nil {
+	if !identity {
+		sum.setAffine(&pt)
+	}
+	if identity, err = s.decode(&pt, sig); err != nil {
 		return nil, err
 	}
-	if px != nil {
-		py = new(big.Int).Sub(s.curve.Params().P, py) // negate
-		py.Mod(py, s.curve.Params().P)
+	if !identity {
+		feNeg(&pt.y, &pt.y)
+		sum.mixedAdd(&pt)
 	}
-	rx, ry := s.addPoints(ax, ay, px, py)
-	// If the result is the identity (points cancelled), Add returns the
-	// nil encoding path only when rx is an actual infinity; curve.Add on
-	// inverse points yields (0,0) in crypto/elliptic.
-	return s.encode(rx, ry), nil
+	return encodeInto(nil, &sum), nil
 }
 
 // emulatePairing burns the calibrated EC work of one pairing evaluation.
@@ -407,43 +382,13 @@ func (s *Scheme) emulatePairing() {
 
 // AggregateVerify implements sigagg.Scheme. Real BAS evaluates t+1
 // pairings for t digests; we charge the emulated pairing cost t+1 times
-// and check the trapdoor relation agg == x·Σ H(digest_i). Verification
-// dispatches to the precomputed fast path (fastpath.go) unless the
-// scheme was built WithPortableVerify.
+// and check the trapdoor relation agg == x·Σ H(digest_i).
 func (s *Scheme) AggregateVerify(pub sigagg.PublicKey, digests [][]byte, agg sigagg.Signature) error {
-	p, err := s.pub(pub)
+	_, ok, err := s.verifyJobs(pub, []sigagg.VerifyJob{{Digests: digests, Agg: agg}})
 	if err != nil {
 		return err
 	}
-	if !s.portable {
-		s.fastVerifies.Add(1)
-		_, ok, err := s.verifyJobsFast(p, []sigagg.VerifyJob{{Digests: digests, Agg: agg}})
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("%w: BAS mismatch over %d digests",
-				sigagg.ErrVerify, len(digests))
-		}
-		return nil
-	}
-	s.portableVerifies.Add(1)
-	ax, ay, err := s.decode(agg)
-	if err != nil {
-		return err
-	}
-	var hx, hy *big.Int
-	for _, d := range digests {
-		px, py := s.hashToCurve(d)
-		hx, hy = s.addPoints(hx, hy, px, py)
-		s.emulatePairing()
-	}
-	s.emulatePairing() // the e(agg, g2) side
-	var ex, ey *big.Int
-	if hx != nil {
-		ex, ey = s.curve.ScalarMult(hx, hy, p.Trapdoor.Bytes())
-	}
-	if !pointsEqual(ax, ay, ex, ey) {
+	if !ok {
 		return fmt.Errorf("%w: BAS mismatch over %d digests",
 			sigagg.ErrVerify, len(digests))
 	}
@@ -461,49 +406,32 @@ func (s *Scheme) AggregateVerify(pub sigagg.PublicKey, digests [][]byte, agg sig
 // preserved. A single tampered member anywhere makes the sums differ
 // and fails the whole batch.
 func (s *Scheme) VerifyJobs(pub sigagg.PublicKey, jobs []sigagg.VerifyJob) error {
-	p, err := s.pub(pub)
+	total, ok, err := s.verifyJobs(pub, jobs)
 	if err != nil {
 		return err
 	}
-	if !s.portable {
-		s.fastVerifies.Add(1)
-		total, ok, err := s.verifyJobsFast(p, jobs)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("%w: BAS batch mismatch over %d jobs (%d digests)",
-				sigagg.ErrVerify, len(jobs), total)
-		}
-		return nil
-	}
-	s.portableVerifies.Add(1)
-	var ax, ay *big.Int // sum of the aggregates
-	var hx, hy *big.Int // sum of the hashed digests
-	total := 0
-	for _, j := range jobs {
-		jx, jy, err := s.decode(j.Agg)
-		if err != nil {
-			return err
-		}
-		ax, ay = s.addPoints(ax, ay, jx, jy)
-		for _, d := range j.Digests {
-			px, py := s.hashToCurve(d)
-			hx, hy = s.addPoints(hx, hy, px, py)
-			s.emulatePairing()
-			total++
-		}
-		s.emulatePairing() // the e(agg_i, g2) side of job i
-	}
-	var ex, ey *big.Int
-	if hx != nil {
-		ex, ey = s.curve.ScalarMult(hx, hy, p.Trapdoor.Bytes())
-	}
-	if !pointsEqual(ax, ay, ex, ey) {
+	if !ok {
 		return fmt.Errorf("%w: BAS batch mismatch over %d jobs (%d digests)",
 			sigagg.ErrVerify, len(jobs), total)
 	}
 	return nil
+}
+
+// verifyJobs checks the batch relation on the limb kernel
+// (fastpath.go), or on crypto/elliptic (portable.go) when the scheme
+// was built WithPortableVerify. It returns the total digest count and
+// whether the relation held.
+func (s *Scheme) verifyJobs(pub sigagg.PublicKey, jobs []sigagg.VerifyJob) (total int, ok bool, err error) {
+	p, err := s.pub(pub)
+	if err != nil {
+		return 0, false, err
+	}
+	if s.portable {
+		s.portableVerifies.Add(1)
+		return s.verifyJobsPortable(p, jobs)
+	}
+	s.fastVerifies.Add(1)
+	return s.verifyJobsFast(p, jobs)
 }
 
 // VerifyStats implements sigagg.VerifyStatsProvider: the fast path's
@@ -519,13 +447,4 @@ func (s *Scheme) VerifyStats() sigagg.VerifyStats {
 		FastVerifies:     s.fastVerifies.Load(),
 		PortableVerifies: s.portableVerifies.Load(),
 	}
-}
-
-func pointsEqual(ax, ay, bx, by *big.Int) bool {
-	aInf := ax == nil || (ax.Sign() == 0 && ay.Sign() == 0)
-	bInf := bx == nil || (bx.Sign() == 0 && by.Sign() == 0)
-	if aInf || bInf {
-		return aInf == bInf
-	}
-	return ax.Cmp(bx) == 0 && ay.Cmp(by) == 0
 }

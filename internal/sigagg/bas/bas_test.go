@@ -2,6 +2,7 @@ package bas
 
 import (
 	"crypto/rand"
+	"errors"
 	"testing"
 	"time"
 
@@ -9,24 +10,28 @@ import (
 	"authdb/internal/sigagg"
 )
 
-func TestHashToCurvePointsOnCurve(t *testing.T) {
+// TestHashToCurveMatchesPortable: the kernel's try-and-increment map
+// lands on the curve and on the very point the math/big original picks
+// (same candidate, same one of the two roots), for 32-byte digests and
+// for the odd lengths the cache hashes down.
+func TestHashToCurveMatchesPortable(t *testing.T) {
 	s := New(0)
-	for i := 0; i < 50; i++ {
+	var msg []byte
+	for i := 0; i < 200; i++ {
 		d := digest.Sum([]byte{byte(i), byte(i >> 4)})
-		x, y := s.hashToCurve(d[:])
+		in := d[:]
+		if i%5 == 4 {
+			in = d[:i%len(d)] // short, including empty
+		}
+		var h affPoint
+		hashToCurve(&h, &msg, in)
+		x, y := feToBig(&h.x), feToBig(&h.y)
 		if !s.curve.IsOnCurve(x, y) {
 			t.Fatalf("hashToCurve output %d not on P-256", i)
 		}
-	}
-}
-
-func TestHashToCurveDeterministic(t *testing.T) {
-	s := New(0)
-	d := digest.Sum([]byte("m"))
-	x1, y1 := s.hashToCurve(d[:])
-	x2, y2 := s.hashToCurve(d[:])
-	if x1.Cmp(x2) != 0 || y1.Cmp(y2) != 0 {
-		t.Fatal("hashToCurve not deterministic")
+		if wx, wy := s.hashToCurvePortable(in); x.Cmp(wx) != 0 || y.Cmp(wy) != 0 {
+			t.Fatalf("hashToCurve(%x) = (%x, %x), math/big original says (%x, %x)", in, x, y, wx, wy)
+		}
 	}
 }
 
@@ -36,9 +41,9 @@ func TestIdentityEncoding(t *testing.T) {
 	if !s.isIdentity(id) {
 		t.Fatal("identity not recognized")
 	}
-	x, y, err := s.decode(id)
-	if err != nil || x != nil || y != nil {
-		t.Fatalf("identity decode: %v %v %v", x, y, err)
+	var pt affPoint
+	if identity, err := s.decode(&pt, id); err != nil || !identity {
+		t.Fatalf("identity decode: identity=%v err=%v", identity, err)
 	}
 }
 
@@ -61,18 +66,15 @@ func TestRemoveToIdentity(t *testing.T) {
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	s := New(0)
-	if _, _, err := s.decode(make(sigagg.Signature, 5)); err == nil {
-		t.Fatal("short signature accepted")
+	var pt affPoint
+	if _, err := s.decode(&pt, make(sigagg.Signature, 5)); !errors.Is(err, sigagg.ErrBadSignature) {
+		t.Fatalf("short signature: %v", err)
 	}
 	bad := make(sigagg.Signature, s.SignatureSize())
-	bad[0] = 0x02
-	bad[5] = 0xFF // almost surely not a valid x-coordinate pairing
-	if _, _, err := s.decode(bad); err == nil {
-		// A random x may decode; flip the tag to an invalid value.
-		bad[0] = 0x07
-		if _, _, err := s.decode(bad); err == nil {
-			t.Fatal("invalid point encoding accepted")
-		}
+	bad[0] = 0x07 // no such tag
+	bad[5] = 0xFF
+	if _, err := s.decode(&pt, bad); !errors.Is(err, sigagg.ErrBadSignature) {
+		t.Fatalf("invalid point encoding: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package bas
 
 import (
 	"bytes"
+	"crypto/elliptic"
 	"crypto/sha256"
 	"fmt"
 	"math/big"
@@ -11,6 +12,15 @@ import (
 
 	"authdb/internal/sigagg"
 )
+
+// marshalPortable encodes (x, y) with crypto/elliptic, (0, 0) and nil
+// standing for the identity.
+func marshalPortable(s *Scheme, x, y *big.Int) sigagg.Signature {
+	if isInfinityPortable(x, y) {
+		return s.identity()
+	}
+	return elliptic.MarshalCompressed(s.curve, x, y)
+}
 
 // detRand is a deterministic io.Reader for reproducible key material.
 type detRand struct{ r *rand.Rand }
@@ -40,174 +50,6 @@ func testDigests(n int, seed byte) [][]byte {
 func TestSelfTest(t *testing.T) {
 	if err := New(0).SelfTest(newDetRand(1), 6); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestJacobianMatchesCurve drives the Jacobian formulas through random
-// add/double chains and checks every intermediate against
-// crypto/elliptic's affine arithmetic.
-func TestJacobianMatchesCurve(t *testing.T) {
-	s := New(0)
-	f := &fp{p: s.curve.Params().P}
-	rnd := newDetRand(2)
-	// Random walk: start at k·G, repeatedly either double or add a
-	// fresh random point, comparing after every step.
-	kx, ky := s.curve.ScalarBaseMult([]byte{7})
-	var j jacPoint
-	j.setAffine(kx, ky)
-	for step := 0; step < 60; step++ {
-		if step%3 == 2 {
-			j.double(f)
-			kx, ky = s.curve.Double(kx, ky)
-		} else {
-			var buf [32]byte
-			rnd.Read(buf[:])
-			px, py := s.curve.ScalarBaseMult(buf[:])
-			j.mixedAdd(f, px, py)
-			kx, ky = s.curve.Add(kx, ky, px, py)
-		}
-		if !j.equalsAffine(f, kx, ky) {
-			t.Fatalf("step %d: jacobian walk diverged from crypto/elliptic", step)
-		}
-		ax, ay := j.toAffine(f)
-		if ax.Cmp(kx) != 0 || ay.Cmp(ky) != 0 {
-			t.Fatalf("step %d: toAffine disagrees with equalsAffine", step)
-		}
-	}
-}
-
-// TestJacobianFullAddMatchesCurve covers addJac (Jacobian + Jacobian),
-// including doubling and cancellation cases.
-func TestJacobianFullAddMatchesCurve(t *testing.T) {
-	s := New(0)
-	params := s.curve.Params()
-	f := &fp{p: params.P}
-	ax, ay := s.curve.ScalarBaseMult([]byte{5})
-	bx, by := s.curve.ScalarBaseMult([]byte{9})
-
-	// Give both operands non-trivial Z by doubling Jacobian-side.
-	var a, b jacPoint
-	a.setAffine(ax, ay)
-	a.double(f)
-	b.setAffine(bx, by)
-	b.double(f)
-	dax, day := s.curve.Double(ax, ay)
-	dbx, dby := s.curve.Double(bx, by)
-	wantX, wantY := s.curve.Add(dax, day, dbx, dby)
-	a.addJac(f, &b)
-	if !a.equalsAffine(f, wantX, wantY) {
-		t.Fatal("addJac diverges from curve.Add")
-	}
-
-	// Same point: addJac must double.
-	a.setAffine(ax, ay)
-	a.double(f)
-	b.set(&a)
-	a.addJac(f, &b)
-	qx, qy := s.curve.Double(dax, day)
-	if !a.equalsAffine(f, qx, qy) {
-		t.Fatal("addJac same-point case diverges from curve.Double")
-	}
-
-	// Inverse points: must cancel to infinity.
-	a.setAffine(ax, ay)
-	negY := new(big.Int).Sub(params.P, ay)
-	b.setAffine(ax, negY)
-	b.double(f) // non-trivial Z for -2P
-	a.double(f)
-	a.addJac(f, &b)
-	if !a.isInfinity() {
-		t.Fatal("addJac 2P + (-2P) not infinity")
-	}
-
-	// Infinity operands.
-	a.setInfinity()
-	b.setAffine(bx, by)
-	a.addJac(f, &b)
-	if !a.equalsAffine(f, bx, by) {
-		t.Fatal("∞ + P != P")
-	}
-	b.setInfinity()
-	a.addJac(f, &b)
-	if !a.equalsAffine(f, bx, by) {
-		t.Fatal("P + ∞ != P")
-	}
-}
-
-// TestWNAFEdgeScalars pins the windowed multiplication on the edge
-// scalars the issue calls out: 0, 1, n−1, and small/structured values,
-// plus the point at infinity as the base.
-func TestWNAFEdgeScalars(t *testing.T) {
-	s := New(0)
-	params := s.curve.Params()
-	f := &fp{p: params.P}
-	px, py := s.curve.ScalarBaseMult([]byte{42})
-	scalars := []*big.Int{
-		big.NewInt(0),
-		big.NewInt(1),
-		big.NewInt(2),
-		big.NewInt(31),
-		big.NewInt(32),
-		new(big.Int).Sub(params.N, big.NewInt(1)),
-		new(big.Int).Rsh(params.N, 1),
-	}
-	rnd := newDetRand(3)
-	for i := 0; i < 20; i++ {
-		var buf [32]byte
-		rnd.Read(buf[:])
-		k := new(big.Int).SetBytes(buf[:])
-		k.Mod(k, params.N)
-		scalars = append(scalars, k)
-	}
-	for _, k := range scalars {
-		naf := wnafRecode(k, wnafWindow)
-		var j jacPoint
-		wnafMul(f, &j, naf, px, py)
-		if k.Sign() == 0 {
-			if !j.isInfinity() {
-				t.Fatalf("0·P != ∞")
-			}
-			continue
-		}
-		wx, wy := s.curve.ScalarMult(px, py, k.Bytes())
-		if !j.equalsAffine(f, wx, wy) {
-			t.Fatalf("wnafMul(%v) diverges from curve.ScalarMult", k)
-		}
-		wnafMul(f, &j, naf, nil, nil)
-		if !j.isInfinity() {
-			t.Fatalf("k·∞ != ∞")
-		}
-	}
-}
-
-// TestWNAFRecodeRoundTrip checks that the digit string evaluates back
-// to the scalar: Σ naf[i]·2^i == k.
-func TestWNAFRecodeRoundTrip(t *testing.T) {
-	rnd := newDetRand(4)
-	n := New(0).curve.Params().N
-	for i := 0; i < 50; i++ {
-		var buf [32]byte
-		rnd.Read(buf[:])
-		k := new(big.Int).SetBytes(buf[:])
-		k.Mod(k, n)
-		naf := wnafRecode(k, wnafWindow)
-		got := new(big.Int)
-		for i := len(naf) - 1; i >= 0; i-- {
-			got.Lsh(got, 1)
-			got.Add(got, big.NewInt(int64(naf[i])))
-		}
-		if got.Cmp(k) != 0 {
-			t.Fatalf("wNAF round trip: got %v want %v", got, k)
-		}
-		// w-NAF invariants: nonzero digits odd and < 2^(w-1) in magnitude.
-		for _, d := range naf {
-			if d == 0 {
-				continue
-			}
-			if d%2 == 0 || d > 31 || d < -31 {
-				t.Fatalf("invalid wNAF digit %d", d)
-			}
-		}
 	}
 }
 
@@ -496,8 +338,8 @@ func TestSigningDoesNotWarmCache(t *testing.T) {
 
 // TestAddCachedMatchesDirect: Add decodes its operands through the
 // aggregate point cache and inserts each sum back under its own
-// encoding. The results must stay byte-identical to the uncached
-// decode + curve.Add + encode path across a bottom-up tree rebuild —
+// encoding. The results must stay byte-identical to crypto/elliptic's
+// decode + curve.Add + encode across a bottom-up tree rebuild —
 // including re-adds whose operands are now cache hits — and identity
 // operands must pass through untouched.
 func TestAddCachedMatchesDirect(t *testing.T) {
@@ -508,16 +350,16 @@ func TestAddCachedMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	directAdd := func(agg, sig sigagg.Signature) sigagg.Signature {
-		ax, ay, err := direct.decode(agg)
+		ax, ay, err := direct.decodePortable(agg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		px, py, err := direct.decode(sig)
+		px, py, err := direct.decodePortable(sig)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rx, ry := direct.addPoints(ax, ay, px, py)
-		return direct.encode(rx, ry)
+		rx, ry := direct.addPortable(ax, ay, px, py)
+		return marshalPortable(direct, rx, ry)
 	}
 	leaves := make([]sigagg.Signature, 16)
 	for i, d := range testDigests(len(leaves), 0xAD) {
@@ -563,5 +405,93 @@ func TestAddCachedMatchesDirect(t *testing.T) {
 	}
 	if got, err := cached.Add(id, id); err != nil || !bytes.Equal(got, id) {
 		t.Fatalf("Add(0,0) = %x, err=%v", got, err)
+	}
+}
+
+// TestTableKeyedOnTrapdoor is the regression test for the per-key table
+// being keyed on the public point alone: after one verification under
+// (X, Y, x), a key (X, Y, x+1) found the first key's cached scalar, so
+// the fast path accepted what the portable path rejects. Both paths
+// must give the same decision for both keys, in either order.
+func TestTableKeyedOnTrapdoor(t *testing.T) {
+	fast := New(0)
+	portable := New(0, WithPortableVerify())
+	priv, pub, err := fast.KeyGen(newDetRand(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := pub.(*PublicKey)
+	forged := &PublicKey{X: good.X, Y: good.Y, Trapdoor: new(big.Int).Add(good.Trapdoor, big.NewInt(1))}
+	d := testDigests(1, 16)[0]
+	sig, err := fast.Sign(priv, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		for _, k := range []struct {
+			name   string
+			pub    *PublicKey
+			wantOK bool
+		}{{"genuine", good, true}, {"forged trapdoor", forged, false}} {
+			ferr, perr := fast.Verify(k.pub, d, sig), portable.Verify(k.pub, d, sig)
+			if (ferr == nil) != k.wantOK || (perr == nil) != k.wantOK {
+				t.Fatalf("round %d, %s key: fast=%v portable=%v, want ok=%v", round, k.name, ferr, perr, k.wantOK)
+			}
+		}
+	}
+	if got := fast.VerifyStats().TableBuilds; got != 2 {
+		t.Fatalf("TableBuilds = %d, want one per distinct key (2)", got)
+	}
+	// A key no KeyGen produces is an error, not a panic.
+	huge := &PublicKey{X: good.X, Y: good.Y, Trapdoor: new(big.Int).Lsh(big.NewInt(1), 300)}
+	if err := fast.Verify(huge, d, sig); err == nil {
+		t.Fatal("oversized trapdoor accepted")
+	}
+}
+
+// TestCachePutResidentKeepsShardFull is the regression test for put
+// evicting a victim even when the key was already resident: two
+// goroutines that miss on the same digest both put it, and each repeat
+// cost a full shard one entry.
+func TestCachePutResidentKeepsShardFull(t *testing.T) {
+	c := newPointCache(0) // clamps to 8 per shard
+	var pt affPoint
+	keys := make([]cacheKey, c.perShard)
+	for i := range keys {
+		keys[i] = digestKey([]byte{0, byte(i)}) // first byte 0: all in shard 0
+		c.put(&keys[i], &pt)
+	}
+	for i := 0; i < 10; i++ {
+		c.put(&keys[0], &pt)
+	}
+	if n := len(c.shards[0].m); n != c.perShard {
+		t.Fatalf("re-putting a resident key left %d of %d entries", n, c.perShard)
+	}
+	if ev := c.evictions.Load(); ev != 0 {
+		t.Fatalf("%d evictions without a new key", ev)
+	}
+	extra := digestKey([]byte{0, 0xff, 1})
+	c.put(&extra, &pt)
+	if n, ev := len(c.shards[0].m), c.evictions.Load(); n != c.perShard || ev != 1 {
+		t.Fatalf("a new key in a full shard: %d entries, %d evictions; want %d and 1", n, ev, c.perShard)
+	}
+}
+
+// TestDigestKeyInjective: digests that differ only in length, or only
+// in trailing zeros, or only past the 32 bytes stored verbatim, get
+// different cache keys, and never an aggregate's key.
+func TestDigestKeyInjective(t *testing.T) {
+	long := make([]byte, 40)
+	long2 := append(bytes.Clone(long[:39]), 1)
+	seen := map[cacheKey]int{}
+	for i, d := range [][]byte{nil, {0}, {0, 0}, make([]byte, 20), make([]byte, 32), make([]byte, 33), long, long2} {
+		k := digestKey(d)
+		if j, dup := seen[k]; dup {
+			t.Fatalf("digests %d and %d share a cache key", j, i)
+		}
+		seen[k] = i
+	}
+	if _, dup := seen[aggKey(make([]byte, pointLen))]; dup {
+		t.Fatal("an aggregate key collides with a digest key")
 	}
 }

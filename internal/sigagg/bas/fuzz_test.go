@@ -7,9 +7,60 @@ import (
 	"authdb/internal/sigagg"
 )
 
-// FuzzPrecompTable fuzzes w-NAF table construction: any scalar bytes
-// must recode to a digit string that evaluates back to the scalar and
-// multiplies identically to crypto/elliptic's ScalarMult.
+// FuzzFieldMul: for any two 32-byte strings, read as integers mod p,
+// every field operation agrees with math/big.
+func FuzzFieldMul(f *testing.F) {
+	pm1 := new(big.Int).Sub(p256P, big.NewInt(1)).Bytes()
+	ones := bytesOf(0xff, 32)
+	f.Add(make([]byte, 32), make([]byte, 32))
+	f.Add(pm1, pm1)
+	f.Add(p256P.Bytes(), pm1)
+	f.Add(ones, ones)
+	f.Add(ones, bytesOf(0x01, 32))
+	f.Add(bytesOf(0x80, 1), bytesOf(0xff, 8))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		want := new(big.Int)
+		x := new(big.Int).SetBytes(a)
+		y := new(big.Int).SetBytes(b)
+		if err := fieldAgrees(p256P, x.Mod(x, p256P), y.Mod(y, p256P), want); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzDecompress: for any byte string, decompress and
+// elliptic.UnmarshalCompressed agree on whether it is a point and on
+// which one.
+func FuzzDecompress(f *testing.F) {
+	s := New(0)
+	gx, gy := s.curve.Params().Gx, s.curve.Params().Gy
+	good := marshalPortable(s, gx, gy)
+	odd := good.Clone()
+	odd[0] ^= 1
+	f.Add([]byte(good))
+	f.Add([]byte(odd))
+	f.Add(append([]byte{2}, p256P.Bytes()...))     // x = p
+	f.Add(append([]byte{3}, bytesOf(0xff, 32)...)) // x = 2²⁵⁶−1
+	f.Add(append([]byte{4}, good[1:]...))          // bad tag
+	f.Add([]byte(good[:32]))                       // truncated
+	f.Add(make([]byte, pointLen))                  // the identity encoding is not a point
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, enc []byte) {
+		checkDecompress(t, s, enc)
+	})
+}
+
+func bytesOf(b byte, n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = b
+	}
+	return out
+}
+
+// FuzzPrecompTable fuzzes w-NAF recoding and multiplication: any scalar
+// bytes must recode to a digit string that evaluates back to the scalar
+// and multiplies identically to crypto/elliptic's ScalarMult.
 func FuzzPrecompTable(f *testing.F) {
 	s := New(0)
 	n := s.curve.Params().N
@@ -18,6 +69,9 @@ func FuzzPrecompTable(f *testing.F) {
 	f.Add(new(big.Int).Sub(n, big.NewInt(1)).Bytes())
 	f.Add(n.Bytes())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	px, py := s.curve.ScalarBaseMult([]byte{3})
+	var base jacPoint
+	base.setAffine(affFromBig(px, py))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 64 {
 			raw = raw[:64]
@@ -35,18 +89,9 @@ func FuzzPrecompTable(f *testing.F) {
 			t.Fatalf("recode(%v) evaluates to %v", k, got)
 		}
 		// And multiply to the same point as the assembly path.
-		fp := &fp{p: s.curve.Params().P}
-		px, py := s.curve.ScalarBaseMult([]byte{3})
 		var j jacPoint
-		wnafMul(fp, &j, naf, px, py)
-		if k.Sign() == 0 {
-			if !j.isInfinity() {
-				t.Fatal("0·P != ∞")
-			}
-			return
-		}
-		wx, wy := s.curve.ScalarMult(px, py, k.Bytes())
-		if !j.equalsAffine(fp, wx, wy) {
+		wnafMul(&j, naf, &base)
+		if !j.equalsBig(s.curve.ScalarMult(px, py, k.Bytes())) {
 			t.Fatalf("wnafMul(%v) diverges from curve.ScalarMult", k)
 		}
 	})

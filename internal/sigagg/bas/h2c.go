@@ -3,54 +3,37 @@ package bas
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"math/big"
 	"sync"
 	"sync/atomic"
 )
 
-// h2cScratch holds the try-and-increment temporaries for hashToCurve.
-// The one-shot path allocated ~5 big.Ints plus a sha256.New per
-// candidate (~4.9k allocs per verified answer at 20 records/answer);
-// with the scratch hoisted here the loop allocates only what
-// math/big's Exp/ModSqrt internals need. Not safe for concurrent use.
-type h2cScratch struct {
-	msg            []byte // "bas-h2c" || digest || ctr, patched in place
-	cand, rhs, tmp big.Int
-	y              big.Int
-}
-
 const h2cTag = "bas-h2c"
 
-var three = big.NewInt(3)
-
-// hashToCurveScratch is hashToCurve with caller-provided scratch. The
-// returned points alias sc and are valid only until the next call; the
-// caller clones them before retention (the cache does). The candidate
-// derivation is bit-identical to the historical one-shot path, so
-// signatures stay byte-identical across both.
-func (s *Scheme) hashToCurveScratch(sc *h2cScratch, digest []byte) (x, y *big.Int) {
-	params := s.curve.Params()
-	p := params.P
-	sc.msg = append(sc.msg[:0], h2cTag...)
-	sc.msg = append(sc.msg, digest...)
-	sc.msg = append(sc.msg, 0, 0, 0, 0)
-	ctrOff := len(sc.msg) - 4
-	for ctr := uint32(0); ; ctr++ {
-		binary.BigEndian.PutUint32(sc.msg[ctrOff:], ctr)
-		h := sha256.Sum256(sc.msg)
-		sc.cand.SetBytes(h[:])
-		sc.cand.Mod(&sc.cand, p)
-		// rhs = x³ - 3x + b mod p
-		sc.rhs.Exp(&sc.cand, three, p)
-		sc.tmp.Lsh(&sc.cand, 1)
-		sc.tmp.Add(&sc.tmp, &sc.cand) // 3x
-		sc.rhs.Sub(&sc.rhs, &sc.tmp)
-		sc.rhs.Add(&sc.rhs, params.B)
-		sc.rhs.Mod(&sc.rhs, p)
-		if sc.y.ModSqrt(&sc.rhs, p) == nil {
-			continue
+// hashToCurve maps a digest to a P-256 point by try-and-increment: the
+// candidate x-coordinate is SHA-256(tag || digest || ctr) mod p, accepted
+// when x³ − 3x + b is a quadratic residue mod p; y is the root
+// (x³ − 3x + b)^((p+1)/4). Two candidates are tried on average, each one
+// fixed square-root exponentiation on the limb field.
+//
+// msg is the caller's reusable buffer for tag || digest || ctr, so the
+// loop allocates nothing once it has grown. The map is bit-identical to
+// the math/big original (hashToCurvePortable), so signatures made
+// before and after the kernel agree byte for byte.
+func hashToCurve(a *affPoint, msg *[]byte, digest []byte) {
+	m := append((*msg)[:0], h2cTag...)
+	m = append(m, digest...)
+	m = append(m, 0, 0, 0, 0)
+	*msg = m
+	ctr := m[len(m)-4:]
+	var rhs fe
+	for i := uint32(0); ; i++ {
+		binary.BigEndian.PutUint32(ctr, i)
+		h := sha256.Sum256(m)
+		feSetBytes(&a.x, h[:])
+		curveRHS(&rhs, &a.x)
+		if feSqrt(&a.y, &rhs) {
+			return
 		}
-		return &sc.cand, &sc.y
 	}
 }
 
@@ -58,15 +41,17 @@ func (s *Scheme) hashToCurveScratch(sc *h2cScratch, digest []byte) (x, y *big.In
 // over and over — overlapping ranges share boundary records, hot ranges
 // are re-verified every freshness window, and fleet clients re-check the
 // same catalog on every replica — so the digest→H(d) map (two square
-// roots on average, ~45µs) and the compressed-aggregate decode (one
-// square root, ~21µs) are both memoized. Both functions are pure, so
-// the cache is correctness-neutral; it only ever stores points that
-// decoded/mapped successfully.
+// roots on average) and the compressed-aggregate decode (one square
+// root) are both memoized. Both functions are pure, so the cache is
+// correctness-neutral; it only ever stores points that decoded/mapped
+// successfully. Entries are affPoint values, already in Montgomery form:
+// a hit is a map lookup and a 64-byte copy, with no pointer for the
+// collector to trace.
 
 const (
 	cacheShards = 64
-	// keyLen namespaces the two kinds of entries: tag byte + up to 33
-	// bytes of payload (32-byte digest zero-padded, or 33-byte
+	// cacheKeyLen namespaces the two kinds of entries: tag byte + 33
+	// bytes of payload (a digest and its length, or a 33-byte
 	// compressed signature).
 	cacheKeyLen = 34
 
@@ -76,13 +61,9 @@ const (
 
 type cacheKey [cacheKeyLen]byte
 
-type cachedPoint struct {
-	x, y *big.Int // immutable once inserted
-}
-
 type cacheShard struct {
 	mu sync.RWMutex
-	m  map[cacheKey]cachedPoint
+	m  map[cacheKey]affPoint
 }
 
 // pointCache is a sharded, size-bounded map from cache keys to curve
@@ -103,22 +84,25 @@ func newPointCache(entries int) *pointCache {
 		c.perShard = 8
 	}
 	for i := range c.shards {
-		c.shards[i].m = make(map[cacheKey]cachedPoint)
+		c.shards[i].m = make(map[cacheKey]affPoint)
 	}
 	return c
 }
 
-// digestKey builds the cache key for a record digest. Digests are
-// 32 bytes throughout the system; anything else is hashed down so
-// distinct inputs can never collide across lengths.
+// digestKey builds the cache key for a record digest. A digest of up to
+// 32 bytes (the system's are 20) is stored as it is, zero-padded, with
+// its length in the last byte; a longer one is hashed down and marked
+// with a length no short digest has, so distinct inputs never collide.
 func digestKey(d []byte) cacheKey {
 	var k cacheKey
 	k[0] = tagDigest
-	if len(d) == 32 {
+	if len(d) <= 32 {
 		copy(k[1:], d)
+		k[cacheKeyLen-1] = byte(len(d))
 	} else {
 		h := sha256.Sum256(d)
 		copy(k[1:], h[:])
+		k[cacheKeyLen-1] = 0xff
 	}
 	return k
 }
@@ -135,39 +119,42 @@ func (c *pointCache) shard(k *cacheKey) *cacheShard {
 	return &c.shards[k[1]&(cacheShards-1)]
 }
 
-func (c *pointCache) get(k *cacheKey) (cachedPoint, bool) {
+func (c *pointCache) get(k *cacheKey, a *affPoint) bool {
 	sh := c.shard(k)
 	sh.mu.RLock()
 	pt, ok := sh.m[*k]
 	sh.mu.RUnlock()
-	return pt, ok
+	if ok {
+		*a = pt
+	}
+	return ok
 }
 
-func (c *pointCache) put(k *cacheKey, pt cachedPoint) {
+// put inserts k. A victim is evicted only to make room for a key the
+// shard does not hold yet: two goroutines that missed on the same digest
+// both put it, and the second must not cost the shard an entry.
+func (c *pointCache) put(k *cacheKey, a *affPoint) {
 	sh := c.shard(k)
 	sh.mu.Lock()
-	if len(sh.m) >= c.perShard {
+	if _, resident := sh.m[*k]; !resident && len(sh.m) >= c.perShard {
 		for victim := range sh.m {
 			delete(sh.m, victim)
 			c.evictions.Add(1)
 			break
 		}
 	}
-	sh.m[*k] = pt
+	sh.m[*k] = *a
 	sh.mu.Unlock()
 }
 
-// hashToCurveCached returns H(digest) through the cache. The returned
-// points are shared and must not be mutated.
-func (s *Scheme) hashToCurveCached(sc *h2cScratch, digest []byte) (x, y *big.Int) {
-	k := digestKey(digest)
-	if pt, ok := s.cache.get(&k); ok {
+// hashToCurveCached sets a = H(digest) through the cache; k is
+// digestKey(digest), which the caller already has.
+func (s *Scheme) hashToCurveCached(a *affPoint, msg *[]byte, k *cacheKey, digest []byte) {
+	if s.cache.get(k, a) {
 		s.cache.h2cHits.Add(1)
-		return pt.x, pt.y
+		return
 	}
 	s.cache.h2cMisses.Add(1)
-	hx, hy := s.hashToCurveScratch(sc, digest)
-	pt := cachedPoint{x: new(big.Int).Set(hx), y: new(big.Int).Set(hy)}
-	s.cache.put(&k, pt)
-	return pt.x, pt.y
+	hashToCurve(a, msg, digest)
+	s.cache.put(k, a)
 }
