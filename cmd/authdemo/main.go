@@ -16,7 +16,7 @@
 //	delete <key>        remove a record
 //	tick                close the current ρ-period (publish a summary)
 //	tamper <lo> <hi>    run a query and forge a value before verifying
-//	stats               server/cache statistics
+//	stats               server statistics
 //	quit
 package main
 
@@ -177,7 +177,7 @@ func main() {
 				fmt.Println("BUG: tampering went unnoticed!")
 			}
 		case "stats":
-			fmt.Printf("server: %d records; cache: %+v\n", sys.QS.Len(), sys.QS.CacheStats())
+			fmt.Printf("server: %d records in %d shards\n", sys.QS.Len(), sys.QS.Shards())
 		case "quit", "exit":
 			return
 		default:

@@ -1,24 +1,29 @@
 // Command authserve runs the untrusted publishing server of the
-// three-party protocol as a network daemon: it loads a relation from
-// the trusted data aggregator, serves verifiable range selections over
-// TCP (length-prefixed wire frames, pipelined, zero-copy from the
-// answer cache), streams certified freshness summaries, and keeps the
-// relation live with a background update/ρ-period writer.
+// three-party protocol as a network daemon. Every authserve is a
+// catalog of 1..k named relations (-catalog, default one): each relation
+// is loaded from the trusted data aggregator under its own key, kept
+// live by a background update/ρ-period writer, and carried from owner to
+// server by one relation runtime (internal/wal.Runtime). The listener
+// serves verifiable range selections on the first relation and
+// select-project-join plans across all of them over TCP
+// (length-prefixed wire frames, pipelined, zero-copy from the answer
+// caches) and streams certified freshness summaries.
 //
 // With -data <dir> the pipeline is durable: every dissemination
-// message is write-ahead logged (group-committed fsyncs; period closes
-// fenced eagerly) and the catalog is periodically snapshotted with log
-// truncation, so a killed server — SIGKILL included — reboots from the
-// directory to its exact pre-crash state without re-contacting the
-// owner (see internal/wal and DESIGN.md "Durability & recovery").
+// message is write-ahead logged under <dir>/<relation> (group-committed
+// fsyncs; period closes fenced eagerly) and each relation is
+// periodically snapshotted in the background with log truncation, so a
+// killed server — SIGKILL included — reboots from the directory to its
+// exact pre-crash state without re-contacting the owner (see
+// DESIGN.md "Durability & recovery").
 //
-// The serve mode also feeds replication: followers started with
-// `authserve follow -primary <addr>` bootstrap a full catalog image
-// off the primary (snapshot + WAL tail) and then mirror its update
-// stream, serving verifying clients themselves. Replication is an
-// availability mechanism only — a follower holds no keys, and clients
-// verify every answer against the owner's signatures no matter which
-// replica produced it (DESIGN.md "Replication & the untrusted fleet").
+// A one-relation catalog also feeds replication: followers started with
+// `authserve follow -primary <addr>` bootstrap a full image off the
+// primary (snapshot + WAL tail) and then mirror its update stream,
+// serving verifying clients themselves. Replication is an availability
+// mechanism only — a follower holds no keys, and clients verify every
+// answer against the owner's signatures no matter which replica
+// produced it (DESIGN.md "Replication & the untrusted fleet").
 // `authserve query -addr a,b,c` treats the comma-separated list as a
 // fleet: it fails over on faults and quarantines replicas caught
 // misbehaving.
@@ -29,10 +34,11 @@
 //	authserve follow [flags]   run a replica off a primary's feed
 //	authserve query [flags]    connect as a verifying client
 //
-// The demo derives the aggregator's key pair deterministically from
-// -keyseed so a remote `authserve query` with the same seed can verify
-// answers without a key-distribution protocol; production deployments
-// distribute the public key out of band instead.
+// The demo derives each relation's key pair deterministically from
+// keyseed:scheme:relation, so a remote `authserve query` (or follow)
+// given the same -keyseed, -scheme and -catalog verifies answers without
+// a key-distribution protocol; production deployments distribute the
+// public keys out of band instead.
 package main
 
 import (
@@ -41,25 +47,22 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/signal"
+	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"authdb/internal/client"
 	"authdb/internal/core"
+	"authdb/internal/join"
+	"authdb/internal/query"
 	"authdb/internal/replica"
 	"authdb/internal/server"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/sigagg/crsa"
 	"authdb/internal/sigagg/xortest"
-	"authdb/internal/wal"
-	"authdb/internal/workload"
+	"authdb/internal/wire"
 )
 
 func main() {
@@ -141,325 +144,12 @@ func schemeByName(name string) (sigagg.Scheme, error) {
 	return nil, fmt.Errorf("unknown scheme %q", name)
 }
 
-func runServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:7845", "listen address")
-	schemeName := fs.String("scheme", "bas", "scheme (bas, crsa, xortest)")
-	keyseed := fs.String("keyseed", "demo", "deterministic demo key seed (share with clients)")
-	n := fs.Int("n", 100_000, "synthetic relation size")
-	shards := fs.Int("shards", 64, "QueryServer key-range shards")
-	cacheMB := fs.Int64("cache-mb", 64, "answer-cache budget (MiB; 0 = uncached)")
-	updEveryMS := fs.Float64("update-every", 50, "background writer cadence (ms; 0 = static relation)")
-	sumEvery := fs.Int("summary-every", 20, "close a ρ-period every k updates (0 = never)")
-	maxConns := fs.Int("max-conns", 1024, "concurrent connection cap (0 = unlimited)")
-	maxFrame := fs.Int("max-frame", 1<<20, "request frame size cap (bytes)")
-	idleSec := fs.Int("idle-timeout", 300, "drop connections idle for this many seconds (0 = never)")
-	readSec := fs.Int("read-timeout", 30, "cut off peers that announce a frame and stall its payload (seconds; 0 = never)")
-	writeSec := fs.Int("write-timeout", 30, "cut off peers that stop draining responses (seconds; 0 = never)")
-	maxInflight := fs.Int("max-inflight", 0, "admission control: concurrent requests executing (0 = unlimited)")
-	maxPending := fs.Int("max-pending", 0, "admission control: requests queued beyond the in-flight cap before shedding (with -max-inflight)")
-	seed := fs.Int64("seed", 1, "relation generator seed")
-	statsAddr := fs.String("stats-addr", "", "serve Prometheus text metrics at this address (empty = off)")
-	repl := fs.Bool("repl", true, "serve the replication feed to `authserve follow` replicas")
-	dataDir := fs.String("data", "", "durable state directory (write-ahead log + snapshots; empty = in-memory only)")
-	snapEvery := fs.Int("snap-every", 2000, "background snapshot + log truncation every k logged messages (0 = initial snapshot only)")
-	groupCommit := fs.Duration("group-commit", 2*time.Millisecond, "WAL fsync batching window (0 = fsync every append)")
-	noSync := fs.Bool("nosync", false, "skip WAL fsync entirely (throwaway data only)")
-	catalog := fs.String("catalog", "", "comma-separated relation names for a multi-relation catalog with plan queries (first = outer; empty = single-relation mode)")
-	joinEvery := fs.Int("join-every", 3, "with -catalog: inner relations hold every k-th outer key")
-	filterBits := fs.Float64("filter-bits", 8, "with -catalog: Bloom bits per key for certified join filters")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if names := splitList(*catalog); len(names) > 0 {
-		if *joinEvery < 2 {
-			return fmt.Errorf("-join-every must be at least 2")
-		}
-		return runServeCatalog(catalogParams{
-			addr: *addr, schemeName: *schemeName, keyseed: *keyseed,
-			names: names, n: *n, joinEvery: *joinEvery,
-			shards: *shards, cacheMB: *cacheMB, filterBits: *filterBits,
-			updEveryMS: *updEveryMS, sumEvery: *sumEvery,
-			maxConns: *maxConns, idleSec: *idleSec, readSec: *readSec, writeSec: *writeSec,
-			statsAddr: *statsAddr, dataDir: *dataDir, snapEvery: *snapEvery,
-			groupCommit: *groupCommit, noSync: *noSync,
-		})
-	}
-
-	scheme, err := schemeByName(*schemeName)
-	if err != nil {
-		return err
-	}
-	sys, err := core.NewSystemWithRand(scheme, core.DefaultConfig(), newDetRand(*keyseed+":"+*schemeName),
-		core.WithShards(*shards))
-	if err != nil {
-		return err
-	}
-
-	var store *wal.Store
-	if *dataDir != "" {
-		store, err = wal.Open(*dataDir, wal.Options{GroupCommit: *groupCommit, NoSync: *noSync})
-		if err != nil {
-			return fmt.Errorf("open durable state %s: %w", *dataDir, err)
-		}
-		defer store.Close()
-	}
-
-	var keys []int64
-	baseTS := int64(1)
-	if store != nil && !store.Empty() {
-		// Restart: snapshot + log tail, no owner round trip, no signing.
-		stats, err := store.Recover(sys.DA, sys.QS)
-		if err != nil {
-			return fmt.Errorf("recover %s: %w", *dataDir, err)
-		}
-		st := sys.QS.Snapshot()
-		keys = make([]int64, len(st.Records))
-		for i, sr := range st.Records {
-			keys[i] = sr.Rec.Key
-			if sr.Rec.TS > baseTS {
-				baseTS = sr.Rec.TS
-			}
-		}
-		for _, s := range st.Summaries {
-			if s.TS > baseTS {
-				baseTS = s.TS
-			}
-		}
-		fmt.Printf("authserve: recovered %d records, %d summaries from %s (snapshot lsn %d, %d replayed, %d overlap-skipped)\n",
-			len(st.Records), len(st.Summaries), *dataDir, stats.SnapshotLSN, stats.Replayed, stats.Skipped)
-		if stats.Replayed > 0 || stats.Skipped > 0 {
-			// Fold the just-replayed tail into a fresh snapshot so a
-			// crash-restart loop never replays an ever-growing log:
-			// without this, a server that keeps dying before the next
-			// -snap-every threshold re-replays the same tail (plus new
-			// messages) on every boot.
-			snap, err := wal.Capture(sys.DA, sys.QS, store.LastLSN(), baseTS)
-			if err != nil {
-				return err
-			}
-			if err := store.WriteSnapshot(snap); err != nil {
-				return err
-			}
-		}
-	} else {
-		fmt.Printf("authserve: loading %d records under %s (keyseed %q)...\n", *n, sys.Scheme.Name(), *keyseed)
-		recs := workload.Records(workload.Config{N: *n, RecLen: 512, Seed: *seed})
-		keys = workload.Keys(recs)
-		msg, err := sys.DA.Load(recs, 1)
-		if err != nil {
-			return err
-		}
-		if err := sys.QS.Apply(msg); err != nil {
-			return err
-		}
-		if store != nil {
-			// The bulk load becomes the initial snapshot rather than one
-			// giant log record.
-			snap, err := wal.Capture(sys.DA, sys.QS, store.LastLSN(), 1)
-			if err != nil {
-				return err
-			}
-			if err := store.WriteSnapshot(snap); err != nil {
-				return err
-			}
-			fmt.Printf("authserve: wrote initial snapshot to %s\n", *dataDir)
-		}
-	}
-	if len(keys) == 0 {
-		return fmt.Errorf("authserve: empty catalog")
-	}
-	if *cacheMB > 0 {
-		if err := server.EnableCache(sys.QS, *cacheMB<<20); err != nil {
-			return err
-		}
-	}
-
-	srv := server.NewNetServer(sys.QS, server.NetConfig{
-		MaxConns:     *maxConns,
-		MaxFrame:     *maxFrame,
-		IdleTimeout:  time.Duration(*idleSec) * time.Second,
-		ReadTimeout:  time.Duration(*readSec) * time.Second,
-		WriteTimeout: time.Duration(*writeSec) * time.Second,
-		MaxInflight:  *maxInflight,
-		MaxPending:   *maxPending,
-	})
-	ln, err := srv.Listen(*addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("authserve: listening on %s (keys [%d,%d], %d shards)\n",
-		ln.Addr(), keys[0], keys[len(keys)-1], sys.QS.Shards())
-
-	var src *replica.Source
-	if *repl {
-		// Followers subscribe over the same listener ('R' frames); with a
-		// durable store they can catch up from the WAL tail, otherwise
-		// every (re)subscription costs a full bootstrap image.
-		var replLog *wal.Log
-		if store != nil {
-			replLog = store.Log()
-		}
-		src = replica.NewSource(sys.QS, replLog, replica.SourceConfig{
-			WriteTimeout: time.Duration(*writeSec) * time.Second,
-		})
-		srv.EnableReplication(src)
-		fmt.Printf("authserve: replication feed enabled (run: authserve follow -primary %s)\n", ln.Addr())
-	}
-	if *statsAddr != "" {
-		fns := []server.MetricFn{srv.Metrics, server.VerifyMetrics(scheme)}
-		if store != nil {
-			fns = append(fns, server.WalMetrics(store))
-		}
-		if src != nil {
-			fns = append(fns, sourceMetrics(src))
-		}
-		bound, stopStats, err := server.ServeMetrics(*statsAddr, fns...)
-		if err != nil {
-			return fmt.Errorf("stats listener: %w", err)
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			stopStats(ctx)
-		}()
-		fmt.Printf("authserve: metrics on http://%s/metrics\n", bound)
-	}
-
-	// Background writer: the trusted aggregator keeps updating hot
-	// records and closing ρ-periods, so remote clients see a live
-	// freshness stream. Timestamps are logical milliseconds since load
-	// (offset past whatever the recovered state already reached). With a
-	// durable store every message is logged before it is applied —
-	// write-ahead — with period closes fsynced eagerly: a certified
-	// summary a client may anchor freshness on must never be lost to the
-	// group-commit window.
-	stopWriter := make(chan struct{})
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		if *updEveryMS <= 0 {
-			return
-		}
-		var snapWG sync.WaitGroup
-		var snapBusy atomic.Bool
-		defer snapWG.Wait()
-		sinceSnap := int64(0)
-		memLSN := uint64(0) // feed LSNs when there is no WAL to assign them
-		logMsg := func(msg *core.UpdateMsg) (uint64, error) {
-			if store == nil {
-				memLSN++
-				return memLSN, nil
-			}
-			lsn, err := store.AppendMsg(msg)
-			if err != nil {
-				return 0, err
-			}
-			sinceSnap++
-			if msg.Summary != nil {
-				return lsn, store.Sync()
-			}
-			return lsn, nil
-		}
-		gen := workload.NewUpdateGen(keys, *seed+7)
-		tick := time.NewTicker(time.Duration(*updEveryMS * float64(time.Millisecond)))
-		defer tick.Stop()
-		start := time.Now()
-		updates := int64(0)
-		for {
-			select {
-			case <-stopWriter:
-				return
-			case <-tick.C:
-			}
-			ts := baseTS + int64(time.Since(start).Milliseconds()) + 2
-			key := gen.Next()
-			msg, err := sys.DA.Update(key, [][]byte{[]byte(fmt.Sprintf("u-%d", ts))}, ts)
-			if err != nil {
-				continue // e.g. non-monotonic ts under a coarse clock; skip the beat
-			}
-			lsn, err := logMsg(msg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "authserve: wal append: %v\n", err)
-				return
-			}
-			if err := sys.QS.Apply(msg); err != nil {
-				fmt.Fprintf(os.Stderr, "authserve: apply: %v\n", err)
-				return
-			}
-			if src != nil {
-				// Publish strictly after apply: that ordering is what makes
-				// a bootstrap image captured at any instant consistent with
-				// the LSN it claims.
-				src.Publish(lsn, msg)
-			}
-			updates++
-			if *sumEvery > 0 && updates%int64(*sumEvery) == 0 {
-				if msg, err := sys.DA.ClosePeriod(ts + 1); err == nil {
-					lsn, err := logMsg(msg)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "authserve: wal append: %v\n", err)
-						return
-					}
-					if err := sys.QS.Apply(msg); err != nil {
-						fmt.Fprintf(os.Stderr, "authserve: apply summary: %v\n", err)
-						return
-					}
-					if src != nil {
-						src.Publish(lsn, msg)
-					}
-				}
-			}
-			if store != nil && *snapEvery > 0 && sinceSnap >= int64(*snapEvery) &&
-				snapBusy.CompareAndSwap(false, true) {
-				// Capture here, on the single writer, between messages —
-				// the one place the owner/server pair is a consistent
-				// cut. The (slow) encode + fsync + truncate runs in the
-				// background; appends race it safely (records past the
-				// watermark live in segments truncation never touches).
-				snap, err := wal.Capture(sys.DA, sys.QS, store.LastLSN(), ts)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "authserve: snapshot capture: %v\n", err)
-					snapBusy.Store(false)
-				} else {
-					sinceSnap = 0
-					snapWG.Add(1)
-					go func() {
-						defer snapWG.Done()
-						defer snapBusy.Store(false)
-						if err := store.WriteSnapshot(snap); err != nil {
-							fmt.Fprintf(os.Stderr, "authserve: snapshot write: %v\n", err)
-						}
-					}()
-				}
-			}
-		}
-	}()
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		fmt.Printf("authserve: %v: draining...\n", s)
-	case err := <-serveErr:
-		close(stopWriter)
-		<-writerDone
-		return err
-	}
-	close(stopWriter)
-	<-writerDone
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "authserve: forced shutdown: %v\n", err)
-	}
-	<-serveErr
-	st := srv.Stats()
-	fmt.Printf("authserve: served %d queries, %d summary fetches, %d MiB across %d conns\n",
-		st.Queries, st.Summaries, st.BytesOut>>20, st.Conns)
-	return nil
+// relKeyRand derives one relation's deterministic demo key stream:
+// keyseed:scheme:rel. Folding the relation name in gives every relation
+// its own key pair (cryptographic domain separation) that serve, follow
+// and query all re-derive the same way.
+func relKeyRand(keyseed, schemeName, rel string) *detRand {
+	return newDetRand(keyseed + ":" + schemeName + ":" + rel)
 }
 
 // sourceMetrics adapts the primary's replication-hub counters for a
@@ -519,10 +209,11 @@ func runFollow(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Same demo key derivation as query: the replica never signs, but
-	// its QueryServer builds aggregation structures under the bound
-	// scheme so answers carry the exact proofs clients expect.
-	_, pub, err := scheme.KeyGen(newDetRand(*keyseed + ":" + *schemeName))
+	// The feed carries the primary's one relation, under the default
+	// name. The replica never signs, but its QueryServer builds
+	// aggregation structures under the bound scheme so answers carry the
+	// exact proofs clients expect.
+	_, pub, err := scheme.KeyGen(relKeyRand(*keyseed, *schemeName, core.DefaultRelation))
 	if err != nil {
 		return err
 	}
@@ -569,11 +260,7 @@ func runFollow(args []string) error {
 		if err != nil {
 			return fmt.Errorf("stats listener: %w", err)
 		}
-		defer func() {
-			sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer scancel()
-			stopStats(sctx)
-		}()
+		defer stopMetrics(stopStats)
 		fmt.Printf("authserve follow: metrics on http://%s/metrics\n", bound)
 	}
 	fmt.Printf("authserve follow: listening on %s, replicating from %s\n", ln.Addr(), *primary)
@@ -593,28 +280,14 @@ func runFollow(args []string) error {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		fmt.Printf("authserve follow: %v: draining...\n", s)
-	case err := <-serveErr:
+	return serveUntilSignal("authserve follow", srv, serveErr, func() {
 		cancel()
 		<-runDone
-		return err
-	}
-	cancel()
-	<-runDone
-	sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer scancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		fmt.Fprintf(os.Stderr, "authserve follow: forced shutdown: %v\n", err)
-	}
-	<-serveErr
-	st, fst := srv.Stats(), fl.Stats()
-	fmt.Printf("authserve follow: served %d queries, %d summary fetches across %d conns; applied %d records, %d bootstraps, %d reconnects, final lag %d\n",
-		st.Queries, st.Summaries, st.Conns, fst.Records, fst.Bootstraps, fst.Reconnects, fst.Lag)
-	return nil
+	}, func() {
+		st, fst := srv.Stats(), fl.Stats()
+		fmt.Printf("authserve follow: served %d queries, %d summary fetches across %d conns; applied %d records, %d bootstraps, %d reconnects, final lag %d\n",
+			st.Queries, st.Summaries, st.Conns, fst.Records, fst.Bootstraps, fst.Reconnects, fst.Lag)
+	})
 }
 
 func runQuery(args []string) error {
@@ -627,11 +300,11 @@ func runQuery(args []string) error {
 	count := fs.Int("count", 1, "repeat the query this many times (pipelined)")
 	retries := fs.Int("retries", 3, "attempts per request across reconnects/backoff (1 = fail fast)")
 	reqSec := fs.Int("request-timeout", 30, "per-request deadline (seconds; 0 = none)")
-	catalog := fs.String("catalog", "", "comma-separated relation names of the server's catalog (must match the server's -catalog)")
-	rel := fs.String("rel", "", "with -catalog: outer relation of the plan query (default: first catalog relation)")
-	joinRel := fs.String("join", "", "with -catalog: equi-join the selection against this relation")
+	catalog := fs.String("catalog", core.DefaultRelation, "comma-separated relation names of the server's catalog (must match the server's -catalog)")
+	rel := fs.String("rel", "", "plan query: relation to select from (default: first catalog relation)")
+	joinRel := fs.String("join", "", "plan query: equi-join the selection against this relation")
 	method := fs.String("method", "bf", "join non-match proof method: bf (certified Bloom filter) or bv (boundary values)")
-	attrsFlag := fs.String("attrs", "", "comma-separated attribute slots to project (empty = full records)")
+	attrsFlag := fs.String("attrs", "", "plan query: comma-separated attribute slots to project (empty = the chained records)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -641,34 +314,26 @@ func runQuery(args []string) error {
 		return err
 	}
 	names := splitList(*catalog)
-	var relations map[string]sigagg.PublicKey
-	keySuffix := ":" + *schemeName
-	if len(names) > 0 {
-		// Catalog session: per-relation demo keys; the base key pair is
-		// the outer relation's (the plain range protocol serves it too).
-		if relations, err = catalogPublicKeys(scheme, *keyseed, *schemeName, names); err != nil {
-			return err
-		}
-		if *rel == "" {
-			*rel = names[0]
-		}
-		keySuffix = ":" + *schemeName + ":" + names[0]
+	if len(names) == 0 {
+		return fmt.Errorf("-catalog names no relation")
 	}
-	// Re-derive the demo key pair; only the public half is used.
-	_, pub, err := scheme.KeyGen(newDetRand(*keyseed + keySuffix))
-	if err != nil {
-		return err
+	// Re-derive every relation's demo key pair (only the public halves
+	// are used); the session's base key is the first relation's, which
+	// the plain range protocol serves.
+	relations := make(map[string]sigagg.PublicKey, len(names))
+	for _, name := range names {
+		_, pub, err := scheme.KeyGen(relKeyRand(*keyseed, *schemeName, name))
+		if err != nil {
+			return fmt.Errorf("keygen for relation %q: %w", name, err)
+		}
+		relations[name] = pub
 	}
+	pub := relations[names[0]]
 	bound, err := sigagg.Bind(scheme, pub)
 	if err != nil {
 		return err
 	}
-	var addrs []string
-	for _, a := range strings.Split(*addr, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
+	addrs := splitList(*addr)
 	// A one-element fleet behaves exactly like a plain Dial; with more,
 	// the client fails over on faults and quarantines any replica whose
 	// answers fail verification.
@@ -684,8 +349,11 @@ func runQuery(args []string) error {
 		return err
 	}
 	defer cl.Close()
-	if len(names) > 0 {
-		return runPlanQuery(cl, names, *rel, *joinRel, *method, *attrsFlag, *lo, *hi, *count)
+	if *rel != "" || *joinRel != "" || *attrsFlag != "" {
+		if *rel == "" {
+			*rel = names[0]
+		}
+		return runPlanQuery(cl, *rel, *joinRel, *method, *attrsFlag, *lo, *hi, *count)
 	}
 
 	ingested, err := cl.SyncSummaries(0)
@@ -703,13 +371,9 @@ func runQuery(args []string) error {
 		return err
 	}
 	rtt := time.Since(t0)
-	sigSize := bound.SignatureSize()
-	for i, ans := range answers {
-		if i > 0 {
-			continue // identical pipelined repeats; report the first
-		}
+	if len(answers) > 0 { // the pipelined repeats are identical: report the first
 		fmt.Printf("authserve query: [%d,%d] -> %d records, VO %d bytes, staleness bound %dms — VERIFIED (authenticity, completeness, freshness)\n",
-			*lo, *hi, len(ans.Chain.Records), ans.VOSize(sigSize), reports[i].MaxStaleness)
+			*lo, *hi, len(answers[0].Chain.Records), answers[0].VOSize(bound.SignatureSize()), reports[0].MaxStaleness)
 	}
 	st := cl.Stats()
 	fmt.Printf("authserve query: %d answers verified in %v (%d bytes in, %d summaries held)\n",
@@ -724,4 +388,55 @@ func runQuery(args []string) error {
 	return nil
 }
 
-var _ io.Reader = (*detRand)(nil)
+// runPlanQuery issues -count select-project-join plan queries and
+// reports the verified composite answers.
+func runPlanQuery(cl *client.Client, rel, joinRel, method, attrsFlag string, lo, hi int64, count int) error {
+	spec := &query.Spec{Rel: rel, Lo: lo, Hi: hi}
+	for _, a := range splitList(attrsFlag) {
+		slot, err := strconv.Atoi(a)
+		if err != nil || slot < 0 {
+			return fmt.Errorf("bad attribute slot %q", a)
+		}
+		spec.Attrs = append(spec.Attrs, slot)
+	}
+	if joinRel != "" {
+		js := &query.JoinSpec{Rel: joinRel}
+		switch strings.ToLower(strings.TrimSpace(method)) {
+		case "bf":
+			js.Method = join.BF
+		case "bv":
+			js.Method = join.BV
+		default:
+			return fmt.Errorf("unknown join method %q (want bf or bv)", method)
+		}
+		spec.Join = js
+	}
+	t0 := time.Now()
+	var comp *wire.Composite
+	var err error
+	for i := 0; i < count; i++ {
+		if comp, err = cl.QueryPlan(spec); err != nil {
+			return err
+		}
+	}
+	rtt := time.Since(t0)
+	line := fmt.Sprintf("authserve query: σ[%d,%d](%s)", lo, hi, rel)
+	if spec.Attrs != nil {
+		line = fmt.Sprintf("%s π%v", line, spec.Attrs)
+	}
+	if spec.Join != nil {
+		line = fmt.Sprintf("%s ⋈ %s (%s)", line, joinRel, strings.ToLower(method))
+	}
+	fmt.Printf("%s -> %d records", line, len(comp.Outer.Records))
+	if comp.Proj != nil {
+		fmt.Printf(", %d projected rows", len(comp.Proj.Rows))
+	}
+	if comp.Join != nil {
+		fmt.Printf(", %d matches + %d non-match proofs", len(comp.Join.Matches), len(comp.Join.Unmatched))
+	}
+	fmt.Printf(" — VERIFIED (chain, projection aggregate, join coverage, freshness)\n")
+	st := cl.Stats()
+	fmt.Printf("authserve query: %d plans verified in %v (%d join matches, %d Bloom negatives, %d Bloom fallbacks, %d boundary proofs, %d attribute signatures)\n",
+		st.Plans, rtt, st.JoinMatches, st.JoinBFNegs, st.JoinBFFalls, st.JoinBounds, st.AttrSigsVerif)
+	return nil
+}

@@ -1,0 +1,213 @@
+package main
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"authdb/internal/client"
+	"authdb/internal/core"
+	"authdb/internal/server"
+	"authdb/internal/sigagg"
+	"authdb/internal/wal"
+)
+
+// bootTest boots a catalog from command-line flags on an ephemeral port
+// and starts serving; the returned stop drains the listener and closes
+// the runtimes (a clean shutdown, which — like a crash — writes no
+// snapshot).
+func bootTest(t *testing.T, args ...string) (*catalogServer, func()) {
+	t.Helper()
+	f, err := parseServeFlags(append([]string{"-addr", "127.0.0.1:0", "-scheme", "xortest", "-keyseed", "t", "-update-every", "0"}, args...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := boot(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- s.srv.Serve(s.ln) }()
+	var once sync.Once
+	stop := func() {
+		once.Do(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			s.srv.Shutdown(ctx)
+			<-serveErr
+			s.close()
+		})
+	}
+	t.Cleanup(stop)
+	return s, stop
+}
+
+// beats drives the background writer by hand for n ticks.
+func beats(t *testing.T, s *catalogServer, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := s.beat(s.ts() + 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// clientQuery runs the real `authserve query` against s.
+func clientQuery(s *catalogServer, args ...string) error {
+	return runQuery(append([]string{"-addr", s.srv.Addr().String(), "-scheme", "xortest", "-keyseed", "t",
+		"-catalog", strings.Join(s.f.names, ",")}, args...))
+}
+
+// TestCatalogRecoversPerRelation: a two-relation catalog comes back
+// from its per-relation stores — outer updates, a dripped inner key and
+// the period closes on both all replayed — and a BF join, a projection
+// and a plain range verify through a loopback client afterwards.
+func TestCatalogRecoversPerRelation(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-catalog", "o,i", "-n", "300", "-data", dir, "-summary-every", "5", "-snap-every", "0"}
+	s, stop := bootTest(t, args...)
+	beats(t, s, 23)
+	want := [2]int{s.rts[0].QS.Len(), s.rts[1].QS.Len()}
+	if want[1] != 300/3+4 {
+		t.Fatalf("inner relation holds %d records, want the load plus 4 dripped keys", want[1])
+	}
+	ts := s.ts()
+	stop()
+
+	s, _ = bootTest(t, args...)
+	if got := [2]int{s.rts[0].QS.Len(), s.rts[1].QS.Len()}; got != want {
+		t.Fatalf("recovered %v records, want %v", got, want)
+	}
+	if s.ts() != ts {
+		t.Fatalf("recovered at ts %d, want %d", s.ts(), ts)
+	}
+	beats(t, s, 7) // the recovered owners keep certifying
+	for _, q := range [][]string{
+		{"-join", "i", "-method", "bf", "-attrs", "0", "-lo", "100", "-hi", "2500", "-count", "2"},
+		{"-join", "i", "-method", "bv", "-lo", "100", "-hi", "900"},
+		{"-attrs", "0,1", "-lo", "100", "-hi", "2500"},
+		{"-rel", "i", "-lo", "0", "-hi", "5000"},
+		{"-lo", "0", "-hi", "5000"},
+	} {
+		if err := clientQuery(s, q...); err != nil {
+			t.Errorf("query %v after recovery: %v", q, err)
+		}
+	}
+}
+
+// TestCatalogSnapshotStampedAtItsCut: every relation of a catalog takes
+// its periodic snapshots at the logical time of the cut, not of boot,
+// so the image on disk says how fresh it is.
+func TestCatalogSnapshotStampedAtItsCut(t *testing.T) {
+	dir := t.TempDir()
+	s, stop := bootTest(t, "-catalog", "o,i", "-n", "90", "-data", dir, "-summary-every", "2", "-snap-every", "4")
+	bootTS := s.ts()
+	beats(t, s, 40)
+	last := s.ts()
+	stop()
+	for _, name := range []string{"o", "i"} {
+		store, err := wal.Open(dir+"/"+name, wal.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := store.LoadSnapshot()
+		store.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.LSN <= 1 || snap.TS <= bootTS || snap.TS > last {
+			t.Errorf("relation %q: snapshot at lsn %d stamped ts %d; boot was ts %d, the writer reached %d",
+				name, snap.LSN, snap.TS, bootTS, last)
+		}
+	}
+}
+
+// TestCatalogNetFlagsTakeEffect: the listener's limits reach a
+// multi-relation catalog. With one execution slot and no queue,
+// concurrent clients see requests shed with the overload code; a frame
+// over -max-frame is refused.
+func TestCatalogNetFlagsTakeEffect(t *testing.T) {
+	s, _ := bootTest(t, "-catalog", "a,b", "-n", "2000", "-max-inflight", "1", "-max-pending", "0", "-max-frame", "64")
+	scheme, err := schemeByName("xortest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pub, err := scheme.KeyGen(relKeyRand("t", "xortest", "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := sigagg.Bind(scheme, pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	shed := 0
+	deadline := time.Now().Add(10 * time.Second)
+	for c := 0; c < 6; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl, err := client.Dial(s.srv.Addr().String(), client.Config{Scheme: bound, Pub: pub, DialTimeout: 5 * time.Second})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer cl.Close()
+			ranges := []core.Range{{Lo: 0, Hi: 20000}, {Lo: 0, Hi: 20000}}
+			for time.Now().Before(deadline) {
+				mu.Lock()
+				done := shed > 0
+				mu.Unlock()
+				if done {
+					return
+				}
+				if _, err := cl.FetchBatch(ranges); errors.Is(err, client.ErrOverloaded) {
+					mu.Lock()
+					shed++
+					mu.Unlock()
+				} else if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if shed == 0 || s.srv.Stats().Shed == 0 {
+		t.Fatalf("-max-inflight 1 shed nothing under 6 concurrent clients (clients saw %d, server counted %d)", shed, s.srv.Stats().Shed)
+	}
+
+	// 64 bytes fit a range request but not a plan projecting 100 slots.
+	err = clientQuery(s, "-attrs", strings.TrimSuffix(strings.Repeat("0,", 100), ","), "-lo", "0", "-hi", "10")
+	if err == nil || s.srv.Stats().Malformed == 0 {
+		t.Fatalf("a frame over -max-frame was served (err %v, malformed %d)", err, s.srv.Stats().Malformed)
+	}
+}
+
+// TestCatalogMetricsCoverEveryStore: -stats-addr exports WAL gauges for
+// each relation's store, and none without -data.
+func TestCatalogMetricsCoverEveryStore(t *testing.T) {
+	scrape := func(s *catalogServer) string {
+		var m server.MetricsBuf
+		for _, fn := range s.metricFns() {
+			fn(&m)
+		}
+		return string(m.Bytes())
+	}
+	s, _ := bootTest(t, "-catalog", "o,i", "-n", "60", "-data", t.TempDir())
+	beats(t, s, 20)
+	out := scrape(s)
+	for _, want := range []string{`authdb_wal_last_lsn{rel="o"} 22`, `authdb_wal_last_lsn{rel="i"} 3`, `authdb_wal_durable_lsn{rel="i"}`, "authdb_query_plans_total"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("scrape lacks %q:\n%s", want, out)
+		}
+	}
+	mem, _ := bootTest(t, "-n", "60")
+	if out := scrape(mem); strings.Contains(out, "authdb_wal_") || !strings.Contains(out, "authdb_repl_last_lsn 1") {
+		t.Errorf("in-memory one-relation scrape should carry the feed's gauges and no WAL ones:\n%s", out)
+	}
+}

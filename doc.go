@@ -21,9 +21,10 @@
 // the same leaf signatures, so building the aggregate signature for a
 // range proof costs O(log n) Combine operations per overlapped shard —
 // assembled concurrently — instead of one aggregation per result
-// record. A SigCache (internal/sigcache, §4 of the paper) can be pinned
-// over a frozen population as an additional fast path; its tree
-// mechanics live in aggtree too, as a pinned-frontier structure.
+// record. The paper's SigCache (§4) is reproduced on its own in
+// internal/sigcache, behind the fig6/fig10 experiments and the
+// ablations; its tree mechanics live in aggtree too, as a
+// pinned-frontier structure.
 //
 // In front of the tree walk sits a serving layer (internal/anscache +
 // QueryServer.Serve): a sharded, epoch-versioned cache of fully
@@ -47,12 +48,26 @@
 // loopback sockets with full client-side verification (BENCH_net.json);
 // examples/remote is the end-to-end walkthrough.
 //
+// Every served relation is run by one relation runtime (internal/wal,
+// wal.Runtime): it recovers the owner/server pair from a snapshot plus
+// the write-ahead log tail or loads it, and carries every dissemination
+// message append → fsync-if-summary → apply → publish to the replication
+// feed (internal/replica), snapshotting in the background at the cut
+// between two messages. A server is a catalog of 1..k such relations
+// (core.Catalog; core.System is the one-relation case) under one
+// streaming select-project-join planner (internal/query) whose
+// composite answers the client verifies per relation. authserve, the
+// chaos and fleet soaks and the serving benchmarks all run that one
+// pipeline; in memory and unreplicated are its nil-store and nil-feed
+// cases.
+//
 // Aggregate-signature schemes live under internal/sigagg: bilinear
 // aggregate signatures (sigagg/bas), condensed RSA (sigagg/crsa) and a
 // zero-cost counting scheme for experiments (sigagg/xortest), all
 // behind one Scheme interface with a batched, allocation-lean
 // AggregateInto fast path. internal/wire carries the DA→server and
-// server→user messages with pooled encode buffers.
+// server→user messages with pooled encode buffers; its frame kinds are
+// named constants in one table (wire.Kinds).
 //
 // The implementation inventory is in DESIGN.md and README.md; runnable
 // examples are under examples/, and cmd/authbench regenerates every

@@ -245,43 +245,6 @@ func (f *Frontier) cover(node Node, lo, hi int64, count bool, st *CoverStats) (s
 	}
 }
 
-// CoverOps reports the aggregation operations a Cover of [lo, hi] would
-// spend right now (including pending lazy refreshes of the pinned
-// aggregates it would touch) without performing any of them — a dry run
-// for callers choosing between this frontier and another proof path.
-func (f *Frontier) CoverOps(lo, hi int64) int {
-	if lo < 0 || hi >= f.n || lo > hi {
-		return 0
-	}
-	ops, _ := f.coverOps(Node{Level: f.levels, Pos: 0}, lo, hi)
-	return ops
-}
-
-func (f *Frontier) coverOps(node Node, lo, hi int64) (ops int, present bool) {
-	nlo, nhi := node.Span()
-	if nhi < lo || nlo > hi {
-		return 0, false
-	}
-	if lo <= nlo && nhi <= hi {
-		if e, ok := f.entries[node]; ok {
-			return 2 * len(e.pending), true
-		}
-		if node.Level == 0 {
-			return 0, true
-		}
-	}
-	if node.Level == 0 {
-		return 0, true
-	}
-	lops, lpresent := f.coverOps(Node{Level: node.Level - 1, Pos: node.Pos * 2}, lo, hi)
-	rops, rpresent := f.coverOps(Node{Level: node.Level - 1, Pos: node.Pos*2 + 1}, lo, hi)
-	ops = lops + rops
-	if lpresent && rpresent {
-		ops++
-	}
-	return ops, lpresent || rpresent
-}
-
 // refresh applies any pending lazy deltas to a pinned entry, returning
 // the operations spent.
 func (f *Frontier) refresh(e *fentry) (int, error) {

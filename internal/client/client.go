@@ -469,9 +469,9 @@ func decodeAnswerFrame(data []byte) (*core.Answer, error) {
 		return nil, err
 	}
 	switch kind {
-	case 'A':
+	case wire.KindAnswer:
 		return wire.DecodeAnswer(data)
-	case 'E':
+	case wire.KindError:
 		return nil, decodeErrorFrame(data)
 	default:
 		return nil, fmt.Errorf("%w: unexpected response kind %q", wire.ErrCorrupt, kind)
@@ -847,7 +847,7 @@ func (c *Client) fetchSummaries(since int64) ([]freshness.Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	if kind == 'E' {
+	if kind == wire.KindError {
 		return nil, decodeErrorFrame(data)
 	}
 	return wire.DecodeSummaries(data)

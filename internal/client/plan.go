@@ -107,9 +107,9 @@ func (c *Client) QueryPlan(spec *query.Spec) (*wire.Composite, error) {
 func (c *Client) fetchPlan(planBytes []byte, spec *query.Spec) (*wire.Composite, error) {
 	c.armDeadline()
 	defer c.clearDeadline()
-	kind := byte('P')
+	kind := wire.KindPlanSelect
 	if spec.Join != nil {
-		kind = 'J'
+		kind = wire.KindPlanJoin
 	}
 	// Advertise, per touched relation, the newest certified summary this
 	// session holds, so tails carry only deltas.
@@ -152,9 +152,9 @@ func (c *Client) fetchPlan(planBytes []byte, spec *query.Spec) (*wire.Composite,
 		return nil, err
 	}
 	switch fk {
-	case 'C':
+	case wire.KindComposite:
 		return wire.DecodeComposite(data)
-	case 'E':
+	case wire.KindError:
 		return nil, decodeErrorFrame(data)
 	default:
 		return nil, fmt.Errorf("%w: unexpected response kind %q", wire.ErrCorrupt, fk)
@@ -442,7 +442,7 @@ func (c *Client) fetchRelSummaries(rel string, sinceSeq uint64) ([]freshness.Sum
 	if err != nil {
 		return nil, err
 	}
-	if kind == 'E' {
+	if kind == wire.KindError {
 		return nil, decodeErrorFrame(data)
 	}
 	return wire.DecodeSummaries(data)

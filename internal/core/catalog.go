@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"authdb/internal/sigagg"
 )
@@ -123,12 +122,4 @@ func (c *Catalog) PublicKeys() map[string]sigagg.PublicKey {
 		out[name] = rel.Pub
 	}
 	return out
-}
-
-// SortedNames is Relations in lexical order, for deterministic iteration
-// in encoders and logs.
-func (c *Catalog) SortedNames() []string {
-	names := c.Relations()
-	sort.Strings(names)
-	return names
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"authdb/internal/sigagg/xortest"
-	"authdb/internal/sigcache"
 )
 
 // TestConcurrentQueriesAndUpdates exercises the server-side concurrency
@@ -16,9 +15,6 @@ import (
 func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	sys := newSystem(t, xortest.New())
 	load(t, sys, 512)
-	if err := sys.QS.EnableSigCache(sigcache.Uniform, 8, sigcache.Lazy); err != nil {
-		t.Fatal(err)
-	}
 
 	// The DA is single-writer by design; serialize its operations and
 	// fan the resulting messages into the concurrently-queried server.
@@ -69,7 +65,6 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 					return
 				}
 				_ = sys.QS.Len()
-				_ = sys.QS.CacheStats()
 			}
 		}(int64(r))
 	}
@@ -86,7 +81,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 }
 
 // TestConcurrentServeWithAnswerCache races Serve (through the answer
-// cache), Apply (invalidating updates), EnableSigCache, and — the
+// cache), Apply (invalidating updates), and — the
 // recovery boundary — periodic Snapshot/Restore cycles, asserting the
 // epoch check's core guarantee: no served answer is older than any
 // intersecting update that completed before the serve began. A Restore
@@ -135,26 +130,6 @@ func TestConcurrentServeWithAnswerCache(t *testing.T) {
 					t.Error(err)
 					return
 				}
-			}
-		}
-	}()
-
-	wg.Add(1)
-	go func() { // periodically rebuild the SigCache under traffic
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			strategy := sigcache.Lazy
-			if i%2 == 1 {
-				strategy = sigcache.Eager
-			}
-			if err := sys.QS.EnableSigCache(sigcache.Uniform, 8, strategy); err != nil {
-				t.Error(err)
-				return
 			}
 		}
 	}()

@@ -3,8 +3,9 @@
 // key, an untrusted QueryServer that answers range selections with
 // correctness proofs, and a user-side Verifier that checks authenticity,
 // completeness (signature chaining, §3.3) and freshness (certified
-// update summaries, §3.1). The server can employ SigCache (§4) to
-// accelerate proof construction.
+// update summaries, §3.1). The server builds range aggregates from
+// per-shard aggregation trees; the paper's SigCache (§4) is reproduced
+// separately in internal/sigcache.
 //
 // The DataAggregator produces explicit UpdateMsg values that the caller
 // delivers to the QueryServer (and the summaries within them to
@@ -14,7 +15,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"io"
 
 	"authdb/internal/chain"
@@ -74,15 +74,16 @@ func recordDigest(rec *Record, left, right chain.Ref) []byte {
 	return d[:]
 }
 
-// System bundles a freshly keyed DA/QS/Verifier trio sharing one
-// scheme, for examples and tests.
-type System struct {
-	DA       *DataAggregator
-	QS       *QueryServer
-	Verifier *Verifier
-	Scheme   sigagg.Scheme
-	Pub      sigagg.PublicKey
-}
+// System is the one-relation case of a Catalog: a freshly keyed
+// DA/QS/Verifier trio sharing one scheme. It is the Relation that
+// NewSystem's private one-relation catalog holds, so everything that
+// works on a catalog member works on a System.
+type System = Relation
+
+// DefaultRelation names the relation of a one-relation catalog — what
+// NewSystem creates and what `authserve` serves (and derives its demo
+// key for) when no -catalog is given.
+const DefaultRelation = "r"
 
 // NewSystem generates a key pair for the scheme and wires the three
 // parties. The scheme is bound to the signer where required (condensed
@@ -99,32 +100,9 @@ func NewSystem(scheme sigagg.Scheme, cfg Config, qsOpts ...Option) (*System, err
 // protocol; production deployments distribute the public key out of
 // band instead.
 func NewSystemWithRand(scheme sigagg.Scheme, cfg Config, rnd io.Reader, qsOpts ...Option) (*System, error) {
-	priv, pub, err := scheme.KeyGen(rnd)
-	if err != nil {
-		return nil, fmt.Errorf("core: keygen: %w", err)
-	}
-	bound, err := sigagg.Bind(scheme, pub)
+	cat, err := NewCatalog(scheme, cfg, 0)
 	if err != nil {
 		return nil, err
 	}
-	da, err := NewDataAggregator(bound, priv, cfg)
-	if err != nil {
-		return nil, err
-	}
-	qs := NewQueryServer(bound, qsOpts...)
-	v := NewVerifier(bound, pub, cfg)
-	return &System{DA: da, QS: qs, Verifier: v, Scheme: bound, Pub: pub}, nil
-}
-
-// Deliver applies a DA message to the server and the verifier's summary
-// checker (the user receives summaries from the server on log-in or
-// alongside answers; delivering eagerly models a subscribed user).
-func (s *System) Deliver(msg *UpdateMsg) error {
-	if msg == nil {
-		return nil
-	}
-	if err := s.QS.Apply(msg); err != nil {
-		return err
-	}
-	return nil
+	return cat.AddRelation(DefaultRelation, rnd, nil, qsOpts)
 }

@@ -9,8 +9,6 @@ import (
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/sigagg/crsa"
-	"authdb/internal/sigagg/xortest"
-	"authdb/internal/sigcache"
 )
 
 func newSystem(t *testing.T, scheme sigagg.Scheme) *System {
@@ -297,66 +295,6 @@ func TestActiveRenewal(t *testing.T) {
 	_, renewed3, _ := sys.DA.RenewOld(now, 100)
 	if renewed3 != 10 { // only 10 old records left
 		t.Fatalf("third renewal = %d, want 10", renewed3)
-	}
-}
-
-func TestSigCacheIntegration(t *testing.T) {
-	sys := newSystem(t, xortest.New())
-	load(t, sys, 256)
-	baseline, err := sys.QS.Query(10, 1280) // ~128 records
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.QS.EnableSigCache(sigcache.Uniform, 8, sigcache.Lazy); err != nil {
-		t.Fatal(err)
-	}
-	cached, err := sys.QS.Query(10, 1280)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.Ops >= baseline.Ops {
-		t.Fatalf("cached ops %d not below baseline %d", cached.Ops, baseline.Ops)
-	}
-	if _, err := sys.Verifier.VerifyAnswer(cached, 10, 1280, 200); err != nil {
-		t.Fatalf("cached answer fails verification: %v", err)
-	}
-	// Updates flow through the cache.
-	msg, err := sys.DA.Update(500, [][]byte{[]byte("v2")}, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Deliver(msg); err != nil {
-		t.Fatal(err)
-	}
-	afterUpd, err := sys.QS.Query(10, 1280)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Verifier.VerifyAnswer(afterUpd, 10, 1280, 400); err != nil {
-		t.Fatalf("post-update cached answer: %v", err)
-	}
-}
-
-func TestSigCacheDisabledOnInsert(t *testing.T) {
-	sys := newSystem(t, xortest.New())
-	load(t, sys, 64)
-	if err := sys.QS.EnableSigCache(sigcache.Uniform, 4, sigcache.Eager); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := sys.DA.Insert(&Record{Key: 55}, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Deliver(msg); err != nil {
-		t.Fatal(err)
-	}
-	// Queries still work and verify after the cache is dropped.
-	ans, err := sys.QS.Query(10, 640)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Verifier.VerifyAnswer(ans, 10, 640, 300); err != nil {
-		t.Fatal(err)
 	}
 }
 

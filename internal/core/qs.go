@@ -12,7 +12,6 @@ import (
 	"authdb/internal/chain"
 	"authdb/internal/freshness"
 	"authdb/internal/sigagg"
-	"authdb/internal/sigcache"
 	"authdb/internal/storage"
 )
 
@@ -23,7 +22,7 @@ type Answer struct {
 	Chain     *chain.Answer
 	Summaries []freshness.Summary // summaries published since the oldest result signature
 	// Ops is the number of aggregation operations spent building the
-	// proof (the SigCache cost unit). With the aggregation tree this is
+	// proof (the paper's §4 cost unit). With the aggregation tree this is
 	// O(log n) per shard touched, never linear in the result size.
 	Ops int
 	// OldestSigTS is the oldest signature timestamp among the answer's
@@ -91,11 +90,9 @@ type AttrSide struct {
 // paper's ASign B+-tree (records, boundaries, neighbours) with an
 // aggtree.Tree over the same leaf signatures, so a range proof costs
 // O(log n) aggregation operations per overlapped shard plus one combine
-// per extra shard — there is no linear-aggregation fallback. A SigCache
-// (§4) can additionally be pinned over a frozen population as a
-// fast path for ranges its positions still cover.
+// per extra shard — there is no linear-aggregation fallback.
 //
-// Lock order: topo → routing → shards (ascending) → cacheMu → sumMu.
+// Lock order: topo → routing → shards (ascending) → sumMu.
 // The answer cache's own shard mutexes are independent leaves: the
 // cache is never locked while a core lock is held (Serve's build
 // callback runs outside the cache locks), and epoch stamps are plain
@@ -135,11 +132,6 @@ type QueryServer struct {
 
 	sumMu     sync.RWMutex
 	summaries []freshness.Summary
-
-	cacheMu     sync.RWMutex
-	cache       *sigcache.Cache
-	cachePos    map[int64]int64 // frozen key -> leaf position
-	cacheFrozen bool            // positions valid for the current population
 }
 
 // Option configures a QueryServer.
@@ -428,7 +420,6 @@ func (qs *QueryServer) Apply(msg *UpdateMsg) error {
 		delete(sh.recs, key)
 		delete(sh.side, key)
 		delete(qs.keyOf, rid)
-		qs.invalidateCacheStructure()
 	}
 	for _, sr := range msg.Upserts {
 		rec := sr.Rec
@@ -442,18 +433,12 @@ func (qs *QueryServer) Apply(msg *UpdateMsg) error {
 			}
 			delete(oldSh.recs, oldKey)
 			delete(oldSh.side, oldKey)
-			qs.invalidateCacheStructure()
 		}
 		sh := qs.shards[qs.shardOf(rec.Key)]
-		if sh.index.Update(rec.Key, sr.Sig) {
-			if err := qs.refreshCacheLeaf(rec.Key, sr.Sig); err != nil {
-				return err
-			}
-		} else {
+		if !sh.index.Update(rec.Key, sr.Sig) {
 			if err := sh.index.Insert(btree.Entry{Key: rec.Key, RID: rec.RID, Sig: sr.Sig}); err != nil {
 				return fmt.Errorf("core: apply upsert: %w", err)
 			}
-			qs.invalidateCacheStructure()
 		}
 		if !qs.linear {
 			if _, _, err := sh.agg.Upsert(aggtree.Entry{Key: rec.Key, RID: rec.RID, Sig: sr.Sig}); err != nil {
@@ -533,114 +518,4 @@ func (qs *QueryServer) applyBulk(msg *UpdateMsg) error {
 	}
 	qs.appendSummary(msg.Summary)
 	return nil
-}
-
-// invalidateCacheStructure disables the SigCache when the key
-// population changes (SigCache positions are frozen over a static
-// population, per §4.1's setting of in-place record modifications).
-func (qs *QueryServer) invalidateCacheStructure() {
-	qs.cacheMu.Lock()
-	if qs.cacheFrozen {
-		qs.cache = nil
-		qs.cachePos = nil
-		qs.cacheFrozen = false
-	}
-	qs.cacheMu.Unlock()
-}
-
-// refreshCacheLeaf folds an in-place signature change into the frozen
-// SigCache, if one is active and covers the key. A failed refresh can
-// leave a pinned aggregate half-updated (eager maintenance applies a
-// Remove then an Add), so on error the cache is dropped before the
-// error propagates — better no fast path than a corrupt one.
-func (qs *QueryServer) refreshCacheLeaf(key int64, sig sigagg.Signature) error {
-	qs.cacheMu.RLock()
-	cache, frozen := qs.cache, qs.cacheFrozen
-	var pos int64
-	ok := false
-	if frozen && cache != nil {
-		pos, ok = qs.cachePos[key]
-	}
-	qs.cacheMu.RUnlock()
-	if !ok {
-		return nil
-	}
-	if _, err := cache.UpdateLeaf(pos, sig); err != nil {
-		qs.cacheMu.Lock()
-		qs.cache = nil
-		qs.cachePos = nil
-		qs.cacheFrozen = false
-		qs.cacheMu.Unlock()
-		return err
-	}
-	return nil
-}
-
-// EnableSigCache builds a SigCache over the current key population
-// (padded conceptually to the next power of two with identity leaves)
-// and pins the nodes chosen by Algorithm 1 for the distribution. The
-// cache accelerates ranges whose frozen positions it still covers; all
-// other ranges use the aggregation tree.
-func (qs *QueryServer) EnableSigCache(dist sigcache.Dist, maxPairs int, strategy sigcache.Strategy) error {
-	qs.topo.RLock()
-	defer qs.topo.RUnlock()
-	qs.lockAll()
-	defer qs.unlockAll()
-	n := 0
-	for _, sh := range qs.shards {
-		n += sh.index.Len()
-	}
-	if n < 2 {
-		return fmt.Errorf("core: relation too small for SigCache")
-	}
-	pow := 1
-	for pow < n {
-		pow *= 2
-	}
-	leaves := make([]sigagg.Signature, pow)
-	cachePos := make(map[int64]int64, n)
-	identity, err := qs.scheme.Aggregate(nil)
-	if err != nil {
-		return err
-	}
-	pos := int64(0)
-	for _, sh := range qs.shards {
-		sh.index.Scan(func(e btree.Entry) bool {
-			leaves[pos] = e.Sig
-			cachePos[e.Key] = pos
-			pos++
-			return true
-		})
-	}
-	for i := int(pos); i < pow; i++ {
-		leaves[i] = identity
-	}
-	cache, err := sigcache.NewCache(qs.scheme, leaves, strategy)
-	if err != nil {
-		return err
-	}
-	analyzer, err := sigcache.NewAnalyzer(pow, dist)
-	if err != nil {
-		return err
-	}
-	sel := analyzer.Select(maxPairs)
-	if err := cache.Pin(sel.Nodes); err != nil {
-		return err
-	}
-	qs.cacheMu.Lock()
-	qs.cache = cache
-	qs.cachePos = cachePos
-	qs.cacheFrozen = true
-	qs.cacheMu.Unlock()
-	return nil
-}
-
-// CacheStats exposes the SigCache counters (zero value when disabled).
-func (qs *QueryServer) CacheStats() sigcache.Stats {
-	qs.cacheMu.RLock()
-	defer qs.cacheMu.RUnlock()
-	if qs.cache == nil {
-		return sigcache.Stats{}
-	}
-	return qs.cache.Stats()
 }

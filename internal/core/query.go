@@ -285,41 +285,11 @@ func (qs *QueryServer) queryWindow(loS, hiS, s, t int, lo, hi int64, attachSums 
 	return ans, false, false, nil
 }
 
-// aggregateRuns builds the range aggregate: through the SigCache when
-// the whole run maps onto contiguous frozen positions and the pinned
-// cover is estimated to beat the aggregation trees, otherwise from
-// per-shard aggregation-tree partials (concurrently when more than one
-// shard participates), otherwise — in the linear baseline mode — by
-// folding every signature.
+// aggregateRuns builds the range aggregate from per-shard
+// aggregation-tree partials (concurrently when more than one shard
+// participates), or — in the linear baseline mode — by folding every
+// signature.
 func (qs *QueryServer) aggregateRuns(runs []shardRun, lo, hi int64, total int) (sigagg.Signature, int, error) {
-	first := runs[0].entries[0]
-	lastRun := runs[len(runs)-1].entries
-	last := lastRun[len(lastRun)-1]
-	qs.cacheMu.RLock()
-	if qs.cache != nil && qs.cacheFrozen {
-		loPos, okLo := qs.cachePos[first.Key]
-		hiPos, okHi := qs.cachePos[last.Key]
-		if okLo && okHi && hiPos-loPos == int64(total-1) {
-			cache := qs.cache
-			qs.cacheMu.RUnlock()
-			take := qs.linear // vs a linear fold the pinned cover always wins
-			if !take {
-				cacheOps, err := cache.EstimateOps(loPos, hiPos)
-				if err != nil {
-					return nil, 0, err
-				}
-				take = cacheOps <= qs.treeOpsEstimate(runs)
-			}
-			if take {
-				return cache.AggregateRange(loPos, hiPos)
-			}
-		} else {
-			qs.cacheMu.RUnlock()
-		}
-	} else {
-		qs.cacheMu.RUnlock()
-	}
-
 	if qs.linear {
 		sigs := make([]sigagg.Signature, 0, total)
 		for _, run := range runs {
@@ -374,18 +344,6 @@ func (qs *QueryServer) aggregateRuns(runs []shardRun, lo, hi int64, total int) (
 		return nil, ops, err
 	}
 	return agg, ops + len(partials) - 1, nil
-}
-
-// treeOpsEstimate approximates what the per-shard aggregation trees
-// would spend on a range: a few combines per level on each overlapped
-// shard plus the cross-shard folds. Only used to pick the cheaper of
-// cache and tree, so precision is not critical.
-func (qs *QueryServer) treeOpsEstimate(runs []shardRun) int {
-	est := len(runs) - 1
-	for _, run := range runs {
-		est += 3 * qs.shards[run.shard].agg.Height()
-	}
-	return est
 }
 
 // group is a minimal errgroup: bounded fan-out, first error wins.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"authdb/internal/anscache"
-	"authdb/internal/sigcache"
 )
 
 // AnswerCodec materializes the wire encoding of an answer for the
@@ -158,18 +157,16 @@ func (qs *QueryServer) Serve(lo, hi int64) (Served, error) {
 	return Served{Answer: e.Value.(*Answer), Data: e.Wire, Source: src, entry: e}, nil
 }
 
-// ServingStats unifies the serving layer's counters: the answer cache's
-// hit/coalesce/invalidation accounting and the SigCache's
-// aggregation-cost accounting, in one snapshot.
+// ServingStats is the serving layer's counter snapshot: the answer
+// cache's hit/coalesce/invalidation accounting.
 type ServingStats struct {
 	Answers anscache.Stats
-	Sig     sigcache.Stats
 }
 
-// ServingStats snapshots both cache layers (zero values for a layer
-// that is not enabled).
+// ServingStats snapshots the answer cache (zero when it is not
+// enabled).
 func (qs *QueryServer) ServingStats() ServingStats {
-	st := ServingStats{Sig: qs.CacheStats()}
+	var st ServingStats
 	if s := qs.serving.Load(); s != nil {
 		st.Answers = s.cache.Stats()
 	}

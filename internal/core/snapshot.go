@@ -212,8 +212,7 @@ func (qs *QueryServer) Snapshot() *ServerState {
 // non-empty server: the whole swap happens under the exclusive topology
 // lock, every data epoch and the summary epoch are bumped — never reset
 // — so answer-cache entries stamped before the restore can never be
-// served again, and any frozen SigCache is dropped (its positions
-// described the pre-restore population).
+// served again.
 func (qs *QueryServer) Restore(st *ServerState) error {
 	for i := 1; i < len(st.Records); i++ {
 		if st.Records[i].Rec.Key <= st.Records[i-1].Rec.Key {
@@ -268,12 +267,5 @@ func (qs *QueryServer) Restore(st *ServerState) error {
 	qs.summaries = append([]freshness.Summary(nil), st.Summaries...)
 	qs.sumEpoch.Add(1)
 	qs.sumMu.Unlock()
-	// The frozen SigCache described the old population; no fast path is
-	// better than a wrong one.
-	qs.cacheMu.Lock()
-	qs.cache = nil
-	qs.cachePos = nil
-	qs.cacheFrozen = false
-	qs.cacheMu.Unlock()
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"authdb/internal/sigagg/xortest"
-	"authdb/internal/sigcache"
 )
 
 // TestOwnerSnapshotRestoreRoundtrip: a restored owner is operationally
@@ -73,14 +72,11 @@ func TestOwnerSnapshotRestoreRoundtrip(t *testing.T) {
 
 // TestServerRestoreInvalidatesCaches: Restore on a live server must
 // advance every epoch (so answer-cache entries stamped pre-restore can
-// never serve again) and drop the frozen SigCache.
+// never serve again).
 func TestServerRestoreInvalidatesCaches(t *testing.T) {
 	sys := newSystem(t, xortest.New())
 	load(t, sys, 256)
 	if err := sys.QS.EnableAnswerCache(testCodec(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.QS.EnableSigCache(sigcache.Uniform, 8, sigcache.Lazy); err != nil {
 		t.Fatal(err)
 	}
 
@@ -106,9 +102,6 @@ func TestServerRestoreInvalidatesCaches(t *testing.T) {
 	}
 	if sys.QS.SummaryEpoch() <= sumBefore {
 		t.Fatal("summary epoch did not advance across Restore")
-	}
-	if got := sys.QS.CacheStats(); got != (sigcache.Stats{}) {
-		t.Fatalf("SigCache survived Restore: %+v", got)
 	}
 	// The cached answer must be rebuilt, not served stale.
 	sv2, err := sys.QS.Serve(10, 500)

@@ -263,7 +263,7 @@ func (f *Follower) apply(frame []byte) error {
 		return err
 	}
 	switch kind {
-	case 'B':
+	case wire.KindReplBootstrap:
 		lsn, st, err := wire.DecodeBootstrap(frame)
 		if err != nil {
 			return err
@@ -275,7 +275,7 @@ func (f *Follower) apply(frame []byte) error {
 		f.observePrimary(lsn)
 		f.bootstraps.Add(1)
 		return nil
-	case 'W':
+	case wire.KindReplRecord:
 		lsn, primaryLSN, msg, err := wire.DecodeWalRecord(frame)
 		if err != nil {
 			return err
@@ -294,14 +294,14 @@ func (f *Follower) apply(frame []byte) error {
 		f.applied.Store(lsn)
 		f.records.Add(1)
 		return nil
-	case 'H':
+	case wire.KindReplHeartbeat:
 		lsn, err := wire.DecodeReplHeartbeat(frame)
 		if err != nil {
 			return err
 		}
 		f.observePrimary(lsn)
 		return nil
-	case 'E':
+	case wire.KindError:
 		code, msg, err := wire.DecodeErrorCode(frame)
 		if err != nil {
 			return err

@@ -17,18 +17,19 @@ import (
 )
 
 // primaryFixture is a loaded primary serving both queries and the
-// replication feed, with a single-writer publish helper that keeps the
-// WAL (optional), QueryServer, and Source in the required
-// append → apply → publish order.
+// replication feed. Every message — the load included, so a WAL-backed
+// primary's log is its whole history — goes through the relation
+// runtime, which keeps the WAL (optional), QueryServer, and Source in
+// the required append → apply → publish order.
 type primaryFixture struct {
-	sys     *core.System
-	store   *wal.Store
-	src     *replica.Source
-	srv     *server.NetServer
-	addr    string
-	ts      int64
-	nextLSN uint64
-	keys    []int64
+	sys   *core.System
+	rt    *wal.Runtime
+	store *wal.Store
+	src   *replica.Source
+	srv   *server.NetServer
+	addr  string
+	ts    int64
+	keys  []int64
 }
 
 func newPrimary(t *testing.T, n int, withLog bool) (*primaryFixture, func()) {
@@ -45,11 +46,8 @@ func newPrimary(t *testing.T, n int, withLog bool) (*primaryFixture, func()) {
 		}
 		f.store = store
 	}
-	var log *wal.Log
-	if f.store != nil {
-		log = f.store.Log()
-	}
-	f.src = replica.NewSource(sys.QS, log, replica.SourceConfig{Heartbeat: 20 * time.Millisecond})
+	f.rt = wal.NewRuntime(sys.DA, sys.QS, f.store, 0)
+	f.src = replica.NewSource(f.rt, replica.SourceConfig{Heartbeat: 20 * time.Millisecond})
 
 	recs := workload.Records(workload.Config{N: n, RecLen: 32, Seed: 7})
 	f.keys = workload.Keys(recs)
@@ -77,30 +75,18 @@ func newPrimary(t *testing.T, n int, withLog bool) (*primaryFixture, func()) {
 		if err := <-serveErr; !errors.Is(err, server.ErrServerClosed) {
 			t.Errorf("serve returned %v", err)
 		}
-		if f.store != nil {
-			f.store.Close()
+		if err := f.rt.Close(); err != nil {
+			t.Errorf("runtime close: %v", err)
 		}
 	}
 }
 
-// publish routes one dissemination message through the fixture's
-// single-writer pipeline.
+// publish routes one dissemination message through the runtime.
 func (f *primaryFixture) publish(t *testing.T, msg *core.UpdateMsg) {
 	t.Helper()
-	var lsn uint64
-	if f.store != nil {
-		var err error
-		if lsn, err = f.store.AppendMsg(msg); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		f.nextLSN++
-		lsn = f.nextLSN
-	}
-	if err := f.sys.QS.Apply(msg); err != nil {
+	if err := f.rt.Deliver(msg); err != nil {
 		t.Fatal(err)
 	}
-	f.src.Publish(lsn, msg)
 }
 
 // update mutates one key and closes a ρ-period, publishing both.

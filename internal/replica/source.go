@@ -46,9 +46,10 @@ type SourceConfig struct {
 	SubBuffer int
 }
 
-// Source is the primary-side replication hub. The primary's single
-// writer calls Publish after each (log append, QueryServer apply) pair;
-// Source fans the encoded message out to every subscribed follower.
+// Source is the primary-side replication hub. The primary's runtime
+// (wal.Runtime.Deliver) calls Publish after each log append and
+// QueryServer apply; Source fans the encoded message out to every
+// subscribed follower.
 // ServeConn runs one follower's stream and is called by the network
 // front end when a connection's first frame is an 'R' subscription.
 type Source struct {
@@ -80,30 +81,29 @@ type streamFrame struct {
 	data []byte
 }
 
-// NewSource builds the replication hub over the primary's live
-// QueryServer. log, when non-nil, is the primary's WAL: it lets a
-// briefly-disconnected follower catch up from the log tail instead of
-// re-bootstrapping a full image.
-func NewSource(qs *core.QueryServer, log *wal.Log, cfg SourceConfig) *Source {
+// NewSource builds the replication hub over a booted primary runtime
+// and attaches itself as the runtime's feed, so every Deliver from here
+// on is published. The hub starts at the runtime's LSN; when the
+// runtime has a WAL, a briefly-disconnected follower catches up from
+// the log tail instead of re-bootstrapping a full image.
+func NewSource(rt *wal.Runtime, cfg SourceConfig) *Source {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 500 * time.Millisecond
 	}
 	if cfg.SubBuffer <= 0 {
 		cfg.SubBuffer = 4096
 	}
-	s := &Source{qs: qs, log: log, cfg: cfg, subs: make(map[*subscriber]struct{})}
-	if log != nil {
-		s.lastLSN = log.LastLSN()
-	}
+	s := &Source{qs: rt.QS, log: rt.Log(), cfg: cfg, lastLSN: rt.LSN(), subs: make(map[*subscriber]struct{})}
+	rt.SetFeed(s)
 	return s
 }
 
-// Publish fans one applied dissemination message out to the
-// subscribers. The caller is the primary's single writer and must call
-// Publish after the message is (a) appended to the WAL as lsn and (b)
-// applied to the QueryServer, in ascending LSN order — the
-// apply-before-publish ordering is what makes a bootstrap image
-// captured at any point consistent with the LSN it claims.
+// Publish implements wal.Feed: it fans one applied dissemination
+// message out to the subscribers. The runtime calls it after the
+// message is (a) appended to the WAL as lsn and (b) applied to the
+// QueryServer, in ascending LSN order — the apply-before-publish
+// ordering is what makes a bootstrap image captured at any point
+// consistent with the LSN it claims.
 func (s *Source) Publish(lsn uint64, msg *core.UpdateMsg) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,10 +1,11 @@
 package server
 
-// The chaos soak: the full stack — durable owner pipeline (WAL +
-// snapshot), networked server, verifying clients — driven through
-// injected network faults, forced server kills with recovery, and
-// admission-control overload, while asserting the protocol's safety
-// invariants hold under every regime:
+// The chaos soak: the full stack — the durable relation runtime
+// authserve runs (wal.Runtime: WAL + background snapshots), networked
+// server, verifying clients — driven through injected network faults,
+// forced server kills with recovery, and admission-control overload,
+// while asserting the protocol's safety invariants hold under every
+// regime:
 //
 //   - every answer the harness accepts passed full verification
 //     (authenticity, completeness, freshness) — faults fail requests,
@@ -117,18 +118,17 @@ type ChaosReport struct {
 }
 
 // chaosBench owns the durable world under test: one aggregator key pair
-// that outlives every server incarnation, the WAL store, and the proxy
-// every client dials through.
+// that outlives every server incarnation, the relation runtime over the
+// durable state directory, and the proxy every client dials through.
 type chaosBench struct {
 	cfg    ChaosConfig
 	scheme sigagg.Scheme // bound
 	priv   sigagg.PrivateKey
 	pub    sigagg.PublicKey
 
-	da     *core.DataAggregator
-	qs     *core.QueryServer
-	store  *wal.Store
-	tmpDir string // deleted on teardown when we created it
+	rt     *wal.Runtime // this incarnation's owner → log → server pipeline
+	dir    string       // durable state directory, outlives every incarnation
+	tmpDir string       // deleted on teardown when we created it
 
 	srv      *NetServer
 	serveErr chan error
@@ -215,7 +215,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 
 	if cfg.Check {
-		verified, stale, err := b.sweepDirect()
+		// against the final incarnation, with no proxy in the way
+		verified, stale, err := sweepRuntime(b.rt, b.scheme, b.pub, b.srv.Addr().String(), b.catalog, &b.ts)
 		if err != nil {
 			return nil, err
 		}
@@ -243,31 +244,27 @@ func (b *chaosBench) setup() error {
 	}
 	b.scheme, b.priv, b.pub = bound, priv, pub
 
-	dir := b.cfg.WALDir
-	if dir == "" {
-		d, err := os.MkdirTemp("", "authdb-chaos-")
-		if err != nil {
+	b.dir = b.cfg.WALDir
+	if b.dir == "" {
+		if b.tmpDir, err = os.MkdirTemp("", "authdb-chaos-"); err != nil {
 			return err
 		}
-		b.tmpDir = d
-		dir = d
+		b.dir = b.tmpDir
 	}
-	b.store, err = wal.Open(dir, wal.Options{NoSync: true})
-	if err != nil {
+	if recovered, err := b.boot(); err != nil {
 		return err
-	}
-	if err := b.newParties(); err != nil {
-		return err
+	} else if recovered {
+		return fmt.Errorf("server: chaos state directory %s is not empty", b.dir)
 	}
 
 	fmt.Printf("chaos: loading %d records under %s...\n", b.cfg.N, b.scheme.Name())
 	recs := workload.Records(workload.Config{N: b.cfg.N, RecLen: 256, Seed: b.cfg.Seed})
 	keys := workload.Keys(recs)
-	msg, err := b.da.Load(recs, 1)
+	msg, err := b.rt.DA.Load(recs, 1)
 	if err != nil {
 		return err
 	}
-	if err := b.logAndApply(msg); err != nil {
+	if err := b.rt.Load(msg); err != nil {
 		return err
 	}
 	b.catalog = workload.NewHotRangeCatalog(keys, b.cfg.Ranges, b.cfg.SF, b.cfg.Seed+101)
@@ -280,27 +277,30 @@ func (b *chaosBench) setup() error {
 	return err
 }
 
-func (b *chaosBench) newParties() error {
+// chaosSnapEvery keeps background snapshots (and the log truncation
+// behind them) landing inside every phase, under client traffic.
+const chaosSnapEvery = 100
+
+// boot opens the state directory and brings fresh parties up over it
+// the way authserve does, reporting whether there was state to recover.
+func (b *chaosBench) boot() (bool, error) {
 	da, err := core.NewDataAggregator(b.scheme, b.priv, core.DefaultConfig())
 	if err != nil {
-		return err
+		return false, err
 	}
-	b.da = da
-	b.qs = core.NewQueryServer(b.scheme, core.WithShards(16))
-	return nil
-}
-
-func (b *chaosBench) logAndApply(msg *core.UpdateMsg) error {
-	if _, err := b.store.AppendMsg(msg); err != nil {
-		return err
+	store, err := wal.Open(b.dir, wal.Options{NoSync: true})
+	if err != nil {
+		return false, err
 	}
-	return b.qs.Apply(msg)
+	b.rt = wal.NewRuntime(da, core.NewQueryServer(b.scheme, core.WithShards(16)), store, chaosSnapEvery)
+	_, recovered, err := b.rt.Recover()
+	return recovered, err
 }
 
 // startServer boots a hardened NetServer incarnation over the current
 // query server.
 func (b *chaosBench) startServer() error {
-	b.srv = NewNetServer(b.qs, NetConfig{
+	b.srv = NewNetServer(b.rt.QS, NetConfig{
 		MaxConns:    4 * b.cfg.Clients,
 		IdleTimeout: 30 * time.Second,
 		ReadTimeout: 5 * time.Second,
@@ -326,39 +326,19 @@ func (b *chaosBench) killServer() {
 	<-b.serveErr
 }
 
-// restartServer is one crash/recover cycle: kill the incarnation,
-// reopen the durable state, replay it into fresh parties, and re-point
-// the proxy so surviving clients fail over. Every other cycle writes a
-// snapshot first, so both recovery paths (snapshot+tail and pure log
-// replay) stay exercised.
+// restartServer is one crash/recover cycle: kill the incarnation, drop
+// its parties, recover fresh ones from the state directory (snapshot +
+// log tail, folded into a fresh snapshot), and re-point the proxy so
+// surviving clients fail over.
 func (b *chaosBench) restartServer(cycle int) error {
-	if cycle%2 == 1 {
-		snap, err := wal.Capture(b.da, b.qs, b.store.LastLSN(), b.ts)
-		if err != nil {
-			return err
-		}
-		if err := b.store.WriteSnapshot(snap); err != nil {
-			return err
-		}
-	}
 	b.killServer()
-	if err := b.store.Sync(); err != nil {
+	if err := b.rt.Close(); err != nil {
 		return err
 	}
-	dir := b.store.Dir()
-	if err := b.store.Close(); err != nil {
-		return err
-	}
-	store, err := wal.Open(dir, wal.Options{NoSync: true})
-	if err != nil {
-		return err
-	}
-	b.store = store
-	if err := b.newParties(); err != nil {
-		return err
-	}
-	if _, err := b.store.Recover(b.da, b.qs); err != nil {
+	if recovered, err := b.boot(); err != nil {
 		return fmt.Errorf("server: chaos recovery cycle %d: %w", cycle, err)
+	} else if !recovered {
+		return fmt.Errorf("server: chaos recovery cycle %d found no durable state", cycle)
 	}
 	if err := b.startServer(); err != nil {
 		return err
@@ -391,17 +371,22 @@ func (b *chaosBench) runPhase(prof faultnet.Profile, restarts int) (*ChaosPhase,
 	defer b.proxy.SetProfile(faultnet.Profile{})
 
 	ph := &ChaosPhase{Profile: prof.Name, Restarts: restarts}
-	stopWriter := startHotWriter(b.sysView(), b.catalog, b.cfg.Theta, b.cfg.Seed+999,
-		b.cfg.UpdateEvery, b.cfg.SummaryEvery, &b.ts, b.logWriterMsg)
-	writerStopped := false
+	// The writer runs over the current incarnation's runtime; each
+	// restart stops it and starts a new one over the recovered runtime.
+	var stopWriter func() (int64, int64, error)
+	startW := func(seed int64) {
+		stopWriter = startHotWriter(b.rt, b.catalog, b.cfg.Theta, seed,
+			b.cfg.UpdateEvery, b.cfg.SummaryEvery, &b.ts)
+	}
 	stopW := func() error {
-		if writerStopped {
+		if stopWriter == nil {
 			return nil
 		}
-		writerStopped = true
 		_, _, err := stopWriter()
+		stopWriter = nil
 		return err
 	}
+	startW(b.cfg.Seed + 999)
 
 	deadline := time.Now().Add(b.cfg.Duration)
 	var wg sync.WaitGroup
@@ -429,17 +414,7 @@ func (b *chaosBench) runPhase(prof faultnet.Profile, restarts int) (*ChaosPhase,
 			restartErr = err
 			break
 		}
-		writerStopped = false
-		stopWriter = startHotWriter(b.sysView(), b.catalog, b.cfg.Theta, b.cfg.Seed+999+int64(r),
-			b.cfg.UpdateEvery, b.cfg.SummaryEvery, &b.ts, b.logWriterMsg)
-		stopW = func() error {
-			if writerStopped {
-				return nil
-			}
-			writerStopped = true
-			_, _, err := stopWriter()
-			return err
-		}
+		startW(b.cfg.Seed + 999 + int64(r))
 	}
 	wg.Wait()
 	if err := stopW(); err != nil {
@@ -559,7 +534,7 @@ func (b *chaosBench) recoverSession(cl *client.Client) {
 // server incarnation over the same live query server, no fault proxy)
 // and requires actual shedding plus continued verified goodput.
 func (b *chaosBench) runOverloadPhase() (*ChaosPhase, uint64, error) {
-	tiny := NewNetServer(b.qs, NetConfig{MaxInflight: 1, MaxPending: 1})
+	tiny := NewNetServer(b.rt.QS, NetConfig{MaxInflight: 1, MaxPending: 1})
 	ln, err := tiny.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, 0, err
@@ -719,37 +694,6 @@ func (b *chaosBench) runOverloadPhase() (*ChaosPhase, uint64, error) {
 	return ph, tiny.Stats().Shed, nil
 }
 
-// sysView packages the durable parties as a core.System so the shared
-// writer/sweep helpers apply.
-func (b *chaosBench) sysView() *core.System {
-	return &core.System{DA: b.da, QS: b.qs, Scheme: b.scheme, Pub: b.pub}
-}
-
-// logWriterMsg is the writer's WAL hook: every mutation is logged
-// before it is applied, so any kill is recoverable.
-func (b *chaosBench) logWriterMsg(msg *core.UpdateMsg) error {
-	_, err := b.store.AppendMsg(msg)
-	return err
-}
-
-// sweepDirect runs the netbench verification sweep against the final
-// incarnation with no proxy in the way: every catalog range verifies,
-// and freshly-invalidated ranges must come back with the new record —
-// the zero-silent-freshness-violations check.
-func (b *chaosBench) sweepDirect() (int, int, error) {
-	nb := &netBench{
-		cfg:      NetBenchConfig{Scheme: b.cfg.Scheme},
-		sys:      b.sysView(),
-		srv:      b.srv,
-		addr:     b.srv.Addr().String(),
-		catalog:  b.catalog,
-		updateTS: b.ts,
-	}
-	verified, stale, err := nb.sweep()
-	b.ts = nb.updateTS
-	return verified, stale, err
-}
-
 // teardown releases the world.
 func (b *chaosBench) teardown() {
 	if b.srv != nil {
@@ -763,8 +707,8 @@ func (b *chaosBench) teardown() {
 	if b.proxy != nil {
 		b.proxy.Close()
 	}
-	if b.store != nil {
-		b.store.Close()
+	if b.rt != nil {
+		b.rt.Close()
 	}
 	if b.tmpDir != "" {
 		os.RemoveAll(b.tmpDir)

@@ -28,7 +28,6 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"authdb/internal/client"
@@ -161,9 +160,7 @@ type fleetBench struct {
 	priv   sigagg.PrivateKey
 	pub    sigagg.PublicKey
 
-	da     *core.DataAggregator
-	qs     *core.QueryServer
-	store  *wal.Store
+	rt     *wal.Runtime // the primary's owner → log → server → feed pipeline
 	tmpDir string
 	src    *replica.Source
 
@@ -261,7 +258,7 @@ func RunFleetChaos(cfg FleetConfig) (*FleetReport, error) {
 			return nil, err
 		}
 		rep.FollowersVerified = n
-		verified, stale, err := b.sweepPrimary()
+		verified, stale, err := sweepRuntime(b.rt, b.scheme, b.pub, b.addr, b.catalog, &b.ts)
 		if err != nil {
 			return nil, err
 		}
@@ -313,51 +310,43 @@ func (b *fleetBench) setup() error {
 		return err
 	}
 	b.tmpDir = dir
-	if b.store, err = wal.Open(dir, wal.Options{NoSync: true}); err != nil {
+	da, err := core.NewDataAggregator(b.scheme, b.priv, core.DefaultConfig())
+	if err != nil {
 		return err
 	}
-	if b.da, err = core.NewDataAggregator(b.scheme, b.priv, core.DefaultConfig()); err != nil {
+	store, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
 		return err
 	}
-	b.qs = core.NewQueryServer(b.scheme, core.WithShards(16))
+	b.rt = wal.NewRuntime(da, core.NewQueryServer(b.scheme, core.WithShards(16)), store, 0)
 
 	fmt.Printf("fleet: loading %d records under %s...\n", b.cfg.N, b.scheme.Name())
 	recs := workload.Records(workload.Config{N: b.cfg.N, RecLen: 256, Seed: b.cfg.Seed})
 	keys := workload.Keys(recs)
-	msg, err := b.da.Load(recs, 1)
+	msg, err := da.Load(recs, 1)
 	if err != nil {
 		return err
 	}
-	if err := b.emit(msg); err != nil {
-		return err
-	}
-	// One certified period before anything else, so every session that
-	// anchors holds summary #1 — the fork-detection baseline.
+	// One certified period rides with the load, so every session that
+	// anchors holds summary #1 — the fork-detection baseline. The load
+	// lives in the runtime's first snapshot, not the log, so every
+	// follower must come up via the 'B' bootstrap path.
 	b.ts++
-	if msg, err = b.da.ClosePeriod(b.ts); err != nil {
+	closed, err := da.ClosePeriod(b.ts)
+	if err != nil {
 		return err
 	}
-	if err := b.emit(msg); err != nil {
+	if err := b.rt.Load(msg, closed); err != nil {
 		return err
 	}
 	b.catalog = workload.NewHotRangeCatalog(keys, b.cfg.Ranges, b.cfg.SF, b.cfg.Seed+101)
-	b.earlyState = b.qs.Snapshot()
+	b.earlyState = b.rt.QS.Snapshot()
 
-	// Snapshot + truncate the log so every follower must come up via
-	// the 'B' bootstrap path, not a full-log tail.
-	snap, err := wal.Capture(b.da, b.qs, b.store.LastLSN(), b.ts)
-	if err != nil {
-		return err
-	}
-	if err := b.store.WriteSnapshot(snap); err != nil {
-		return err
-	}
-
-	b.src = replica.NewSource(b.qs, b.store.Log(), replica.SourceConfig{
+	b.src = replica.NewSource(b.rt, replica.SourceConfig{
 		Heartbeat:    25 * time.Millisecond,
 		WriteTimeout: 2 * time.Second,
 	})
-	b.srv = NewNetServer(b.qs, NetConfig{
+	b.srv = NewNetServer(b.rt.QS, NetConfig{
 		MaxConns:    8 * (b.cfg.Clients + b.cfg.Replicas + 2),
 		IdleTimeout: 30 * time.Second,
 		ReadTimeout: 5 * time.Second,
@@ -398,78 +387,6 @@ func (b *fleetBench) setup() error {
 		}
 	}
 	return b.waitCaughtUp(b.byzFl, 10*time.Second)
-}
-
-// emit is the primary's single-writer publication path. The ordering
-// is the replication consistency invariant: append to the WAL, apply
-// to the live QueryServer, and only then publish to the feed — a
-// bootstrap image captured at any moment holds every LSN it claims.
-func (b *fleetBench) emit(msg *core.UpdateMsg) error {
-	lsn, err := b.store.AppendMsg(msg)
-	if err != nil {
-		return err
-	}
-	if err := b.qs.Apply(msg); err != nil {
-		return err
-	}
-	if b.src != nil { // during setup's load the hub does not exist yet;
-		// NewSource seeds its LSN from the log, so nothing is missed
-		b.src.Publish(lsn, msg)
-	}
-	return nil
-}
-
-// startFleetWriter runs the zipfian hot-head update stream through the
-// emit path (startHotWriter is unusable here: its log hook runs before
-// the apply, which would let a bootstrap image claim an LSN it does
-// not contain).
-func (b *fleetBench) startFleetWriter(seed int64) func() error {
-	stop := make(chan struct{})
-	var done sync.WaitGroup
-	var werr error
-	done.Add(1)
-	go func() {
-		defer done.Done()
-		gen := workload.NewHotRangeGen(b.catalog, b.cfg.Theta, seed)
-		tick := time.NewTicker(b.cfg.UpdateEvery)
-		defer tick.Stop()
-		var updates int64
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-			}
-			q := gen.Next()
-			b.ts++
-			msg, err := b.da.Update(q.Lo, [][]byte{[]byte(fmt.Sprintf("u-%d", b.ts))}, b.ts)
-			if err != nil {
-				werr = fmt.Errorf("server: fleet writer update: %w", err)
-				return
-			}
-			if err := b.emit(msg); err != nil {
-				werr = fmt.Errorf("server: fleet writer emit: %w", err)
-				return
-			}
-			if updates++; b.cfg.SummaryEvery > 0 && updates%int64(b.cfg.SummaryEvery) == 0 {
-				b.ts++
-				msg, err := b.da.ClosePeriod(b.ts)
-				if err != nil {
-					werr = fmt.Errorf("server: fleet writer close: %w", err)
-					return
-				}
-				if err := b.emit(msg); err != nil {
-					werr = fmt.Errorf("server: fleet writer emit: %w", err)
-					return
-				}
-			}
-		}
-	}()
-	return func() error {
-		close(stop)
-		done.Wait()
-		return werr
-	}
 }
 
 // startReplica boots one follower: feed loop against the primary plus
@@ -618,7 +535,8 @@ func (b *fleetBench) runWindow(name, byz string) (*FleetWindow, error) {
 	defer b.front.SetMode(byzNone)
 
 	win := &FleetWindow{Name: name, ByzMode: byz}
-	stopWriter := b.startFleetWriter(b.cfg.Seed + 999 + int64(len(name)))
+	stopWriter := startHotWriter(b.rt, b.catalog, b.cfg.Theta, b.cfg.Seed+999+int64(len(name)),
+		b.cfg.UpdateEvery, b.cfg.SummaryEvery, &b.ts)
 	deadline := time.Now().Add(b.cfg.Window)
 
 	var faultErr error
@@ -645,7 +563,7 @@ func (b *fleetBench) runWindow(name, byz string) (*FleetWindow, error) {
 	}()
 	wg.Wait()
 	<-faultDone
-	werr := stopWriter()
+	_, _, werr := stopWriter()
 
 	if name == "lag" {
 		// Writer stopped: the held replica's distance to the primary is
@@ -953,47 +871,14 @@ func (b *fleetBench) verifyFollowers() (int, error) {
 			cl.Close()
 			return verified, err
 		}
-		const batch = 32
-		for at := 0; at < len(b.catalog); at += batch {
-			end := at + batch
-			if end > len(b.catalog) {
-				end = len(b.catalog)
-			}
-			ranges := make([]core.Range, 0, end-at)
-			for _, q := range b.catalog[at:end] {
-				ranges = append(ranges, core.Range{Lo: q.Lo, Hi: q.Hi})
-			}
-			answers, err := cl.FetchBatch(ranges)
-			if err != nil {
-				cl.Close()
-				return verified, fmt.Errorf("server: follower %d sweep at %d: %w", i, at, err)
-			}
-			if _, _, err := verifyWithRequery(cl, answers, ranges); err != nil {
-				cl.Close()
-				return verified, fmt.Errorf("server: follower %d failed verification at %d: %w", i, at, err)
-			}
+		if _, _, err := sweepCatalog(cl, b.catalog); err != nil {
+			cl.Close()
+			return verified, fmt.Errorf("server: follower %d failed verification: %w", i, err)
 		}
 		cl.Close()
 		verified++
 	}
 	return verified, nil
-}
-
-// sweepPrimary is the zero-silent-freshness-violations check against
-// the primary itself: every catalog range verifies, and
-// freshly-invalidated ranges come back with the new record.
-func (b *fleetBench) sweepPrimary() (int, int, error) {
-	nb := &netBench{
-		cfg:      NetBenchConfig{Scheme: b.cfg.Scheme},
-		sys:      &core.System{DA: b.da, QS: b.qs, Scheme: b.scheme, Pub: b.pub},
-		srv:      b.srv,
-		addr:     b.addr,
-		catalog:  b.catalog,
-		updateTS: b.ts,
-	}
-	verified, stale, err := nb.sweep()
-	b.ts = nb.updateTS
-	return verified, stale, err
 }
 
 // teardown releases the fleet.
@@ -1024,8 +909,8 @@ func (b *fleetBench) teardown() {
 			<-b.serveErr
 		}
 	}
-	if b.store != nil {
-		b.store.Close()
+	if b.rt != nil {
+		b.rt.Close()
 	}
 	if b.tmpDir != "" {
 		os.RemoveAll(b.tmpDir)
@@ -1055,8 +940,6 @@ type byzFront struct {
 	mu    sync.Mutex
 	mode  byzMode
 	cache map[string][]byte
-
-	attempts atomic.Int64 // tampered or replayed responses actually served
 }
 
 func newByzFront(upstream string, scheme sigagg.Scheme, priv sigagg.PrivateKey) (*byzFront, error) {
@@ -1077,8 +960,6 @@ func (f *byzFront) SetMode(m byzMode) {
 	f.cache = make(map[string][]byte)
 	f.mu.Unlock()
 }
-
-func (f *byzFront) Attempts() int64 { return f.attempts.Load() }
 
 func (f *byzFront) Close() { f.ln.Close() }
 
@@ -1116,7 +997,6 @@ func (f *byzFront) serve(down net.Conn) {
 		if replayed != nil {
 			// Pure replay: the upstream is never asked; the client gets
 			// yesterday's truth, faithfully signed.
-			f.attempts.Add(1)
 			if err := wire.WriteFrame(down, replayed); err != nil {
 				return
 			}
@@ -1160,7 +1040,7 @@ func (f *byzFront) mutate(mode byzMode, frame []byte) []byte {
 		return frame
 	}
 	switch {
-	case mode == byzSigFlip && kind == 'A':
+	case mode == byzSigFlip && kind == wire.KindAnswer:
 		ans, err := wire.DecodeAnswer(frame)
 		if err != nil || len(ans.Chain.Agg) == 0 {
 			return frame
@@ -1170,9 +1050,8 @@ func (f *byzFront) mutate(mode byzMode, frame []byte) []byte {
 		if err != nil {
 			return frame
 		}
-		f.attempts.Add(1)
 		return out
-	case mode == byzForkSum && kind == 'A':
+	case mode == byzForkSum && kind == wire.KindAnswer:
 		ans, err := wire.DecodeAnswer(frame)
 		if err != nil || !f.forge(ans.Summaries) {
 			return frame
@@ -1181,14 +1060,12 @@ func (f *byzFront) mutate(mode byzMode, frame []byte) []byte {
 		if err != nil {
 			return frame
 		}
-		f.attempts.Add(1)
 		return out
-	case mode == byzForkSum && kind == 'F':
+	case mode == byzForkSum && kind == wire.KindSummaries:
 		sums, err := wire.DecodeSummaries(frame)
 		if err != nil || !f.forge(sums) {
 			return frame
 		}
-		f.attempts.Add(1)
 		return wire.AppendSummaries(nil, sums)
 	default:
 		return frame

@@ -445,7 +445,7 @@ func (s *NetServer) handle(conn net.Conn) {
 			w.flush()
 			return
 		}
-		if kind == 'R' {
+		if kind == wire.KindReplSubscribe {
 			// A replication subscription takes the connection over for
 			// its remaining life; it is a long-lived stream, not a
 			// request, so it bypasses the admission gate.
@@ -465,13 +465,13 @@ func (s *NetServer) handle(conn net.Conn) {
 			continue
 		}
 		switch kind {
-		case 'Q':
+		case wire.KindQuery:
 			err = s.serveQuery(w, frame)
-		case 'S':
+		case wire.KindSummariesReq:
 			err = s.serveSummaries(w, frame)
-		case 'J', 'P':
+		case wire.KindPlanJoin, wire.KindPlanSelect:
 			err = s.servePlan(w, frame)
-		case 'T':
+		case wire.KindRelSummaries:
 			err = s.serveRelSummaries(w, frame)
 		default:
 			err = s.writeError(w, fmt.Errorf("server: unsupported request kind %q", kind))

@@ -12,6 +12,7 @@ import (
 	"authdb/internal/core"
 	"authdb/internal/freshness"
 	"authdb/internal/sigagg"
+	"authdb/internal/wal"
 	"authdb/internal/workload"
 )
 
@@ -114,10 +115,15 @@ type NetReport struct {
 	Verify *sigagg.VerifyStats `json:"verify,omitempty"`
 }
 
-// netBench owns the system under test for one RunNet.
+// netBench owns the system under test for one RunNet: the relation's
+// runtime (in memory here; the chaos and fleet soaks lend it their
+// durable ones for the final sweep) and the key material clients verify
+// under.
 type netBench struct {
 	cfg      NetBenchConfig
-	sys      *core.System
+	rt       *wal.Runtime
+	scheme   sigagg.Scheme // bound
+	pub      sigagg.PublicKey
 	srv      *NetServer
 	addr     string
 	catalog  []workload.RangeQuery
@@ -129,8 +135,8 @@ type netBench struct {
 // per-core verification scaling sweep.
 func (b *netBench) clientConfig() client.Config {
 	return client.Config{
-		Scheme:        b.sys.Scheme,
-		Pub:           b.sys.Pub,
+		Scheme:        b.scheme,
+		Pub:           b.pub,
 		DialTimeout:   5 * time.Second,
 		VerifyWorkers: 1,
 	}
@@ -154,7 +160,7 @@ func RunNet(cfg NetBenchConfig) (*NetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.sys = sys
+	b.rt, b.scheme, b.pub = wal.NewRuntime(sys.DA, sys.QS, nil, 0), sys.Scheme, sys.Pub
 	fmt.Printf("net: loading %d records under %s...\n", cfg.N, sys.Scheme.Name())
 	recs := workload.Records(workload.Config{N: cfg.N, RecLen: 512, Seed: cfg.Seed})
 	keys := workload.Keys(recs)
@@ -162,7 +168,7 @@ func RunNet(cfg NetBenchConfig) (*NetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.QS.Apply(msg); err != nil {
+	if err := b.rt.Load(msg); err != nil {
 		return nil, err
 	}
 	b.catalog = workload.NewHotRangeCatalog(keys, cfg.Ranges, cfg.SF, cfg.Seed+101)
@@ -244,14 +250,15 @@ func RunNet(cfg NetBenchConfig) (*NetReport, error) {
 	return rep, nil
 }
 
-// startHotWriter launches the single-writer stream both serving
-// benchmarks share: zipfian hot-head updates at the given cadence,
-// optionally closing a ρ-period every summaryEvery updates. ts is the
-// bench's logical clock, owned exclusively by the writer until the
-// returned stop function (which reports updates, periods closed, and
+// startHotWriter launches the single-writer stream every driver
+// shares: zipfian hot-head updates at the given cadence, optionally
+// closing a ρ-period every summaryEvery updates, each message carried to
+// the server by the relation's runtime — the pipeline authserve runs.
+// ts is the bench's logical clock, owned exclusively by the writer until
+// the returned stop function (which reports updates, periods closed, and
 // any writer error) has been called.
-func startHotWriter(sys *core.System, catalog []workload.RangeQuery, theta float64, seed int64,
-	every time.Duration, summaryEvery int, ts *int64, logFn func(*core.UpdateMsg) error) func() (int64, int64, error) {
+func startHotWriter(rt *wal.Runtime, catalog []workload.RangeQuery, theta float64, seed int64,
+	every time.Duration, summaryEvery int, ts *int64) func() (int64, int64, error) {
 	if every <= 0 {
 		return func() (int64, int64, error) { return 0, 0, nil }
 	}
@@ -273,37 +280,25 @@ func startHotWriter(sys *core.System, catalog []workload.RangeQuery, theta float
 			}
 			q := gen.Next()
 			*ts++
-			msg, err := sys.DA.Update(q.Lo, [][]byte{[]byte(fmt.Sprintf("u-%d", *ts))}, *ts)
+			msg, err := rt.DA.Update(q.Lo, [][]byte{[]byte(fmt.Sprintf("u-%d", *ts))}, *ts)
 			if err != nil {
 				werr = fmt.Errorf("server: writer update: %w", err)
 				return
 			}
-			if logFn != nil {
-				if err := logFn(msg); err != nil {
-					werr = fmt.Errorf("server: writer wal: %w", err)
-					return
-				}
-			}
-			if err := sys.QS.Apply(msg); err != nil {
-				werr = fmt.Errorf("server: writer apply: %w", err)
+			if err := rt.Deliver(msg); err != nil {
+				werr = fmt.Errorf("server: writer deliver: %w", err)
 				return
 			}
 			updates++
 			if summaryEvery > 0 && updates%int64(summaryEvery) == 0 {
 				*ts++
-				msg, err := sys.DA.ClosePeriod(*ts)
+				msg, err := rt.DA.ClosePeriod(*ts)
 				if err != nil {
 					werr = fmt.Errorf("server: close period: %w", err)
 					return
 				}
-				if logFn != nil {
-					if err := logFn(msg); err != nil {
-						werr = fmt.Errorf("server: writer wal: %w", err)
-						return
-					}
-				}
-				if err := sys.QS.Apply(msg); err != nil {
-					werr = fmt.Errorf("server: apply summary: %w", err)
+				if err := rt.Deliver(msg); err != nil {
+					werr = fmt.Errorf("server: writer deliver summary: %w", err)
 					return
 				}
 				periods++
@@ -322,8 +317,8 @@ func startHotWriter(sys *core.System, catalog []workload.RangeQuery, theta float
 // VerifyEvery-th batch in the loop (staleness detections trigger the
 // protocol's re-query and count separately).
 func (b *netBench) runNetPoint(clients int) (*NetPoint, error) {
-	stopWriter := startHotWriter(b.sys, b.catalog, b.cfg.Theta, b.cfg.Seed+999,
-		b.cfg.UpdateEvery, b.cfg.SummaryEvery, &b.updateTS, nil)
+	stopWriter := startHotWriter(b.rt, b.catalog, b.cfg.Theta, b.cfg.Seed+999,
+		b.cfg.UpdateEvery, b.cfg.SummaryEvery, &b.updateTS)
 	deadline := time.Now().Add(b.cfg.Duration)
 
 	type clientResult struct {
@@ -428,6 +423,42 @@ func verifyWithRequery(cl *client.Client, answers []*core.Answer, ranges []core.
 	}
 }
 
+// sweepCatalog fetches every catalog range over cl's session in batches
+// and fully verifies each answer, re-querying on proven staleness.
+func sweepCatalog(cl *client.Client, catalog []workload.RangeQuery) (verified, stale int, err error) {
+	const sweepBatch = 32
+	for at := 0; at < len(catalog); at += sweepBatch {
+		end := min(at+sweepBatch, len(catalog))
+		ranges := make([]core.Range, 0, end-at)
+		for _, q := range catalog[at:end] {
+			ranges = append(ranges, core.Range{Lo: q.Lo, Hi: q.Hi})
+		}
+		answers, err := cl.FetchBatch(ranges)
+		if err != nil {
+			return verified, stale, err
+		}
+		n, s, err := verifyWithRequery(cl, answers, ranges)
+		if err != nil {
+			return verified, stale, fmt.Errorf("server: sweep batch at %d: %w", at, err)
+		}
+		verified += n
+		stale += s
+	}
+	return verified, stale, nil
+}
+
+// sweepRuntime runs the sweep below for a soak that owns a runtime and a
+// live server over it at addr, advancing the soak's clock ts: every
+// catalog range verifies, and freshly-invalidated ranges must come back
+// with the new record — the zero-silent-freshness-violations check.
+func sweepRuntime(rt *wal.Runtime, scheme sigagg.Scheme, pub sigagg.PublicKey, addr string,
+	catalog []workload.RangeQuery, ts *int64) (int, int, error) {
+	nb := &netBench{rt: rt, scheme: scheme, pub: pub, addr: addr, catalog: catalog, updateTS: *ts}
+	verified, stale, err := nb.sweep()
+	*ts = nb.updateTS
+	return verified, stale, err
+}
+
 // sweep is the full client-side verification sweep: a fresh verifying
 // client fetches every catalog range over the socket and verifies each
 // answer's correctness, completeness and freshness; then invalidating
@@ -443,26 +474,8 @@ func (b *netBench) sweep() (verified, stale int, err error) {
 	if _, err := cl.SyncSummaries(0); err != nil {
 		return 0, 0, err
 	}
-	const sweepBatch = 32
-	for at := 0; at < len(b.catalog); at += sweepBatch {
-		end := at + sweepBatch
-		if end > len(b.catalog) {
-			end = len(b.catalog)
-		}
-		ranges := make([]core.Range, 0, end-at)
-		for _, q := range b.catalog[at:end] {
-			ranges = append(ranges, core.Range{Lo: q.Lo, Hi: q.Hi})
-		}
-		answers, err := cl.FetchBatch(ranges)
-		if err != nil {
-			return verified, stale, err
-		}
-		n, s, err := verifyWithRequery(cl, answers, ranges)
-		if err != nil {
-			return verified, stale, fmt.Errorf("server: sweep batch at %d: %w", at, err)
-		}
-		verified += n
-		stale += s
+	if verified, stale, err = sweepCatalog(cl, b.catalog); err != nil {
+		return verified, stale, err
 	}
 	// Invalidating updates with a summary close: the next serve must
 	// carry the fresh record and still verify end to end.
@@ -470,19 +483,19 @@ func (b *netBench) sweep() (verified, stale int, err error) {
 		q := b.catalog[i]
 		b.updateTS++
 		want := b.updateTS
-		msg, err := b.sys.DA.Update(q.Lo, [][]byte{[]byte(fmt.Sprintf("inval-%d", want))}, want)
+		msg, err := b.rt.DA.Update(q.Lo, [][]byte{[]byte(fmt.Sprintf("inval-%d", want))}, want)
 		if err != nil {
 			return verified, stale, err
 		}
-		if err := b.sys.QS.Apply(msg); err != nil {
+		if err := b.rt.Deliver(msg); err != nil {
 			return verified, stale, err
 		}
 		b.updateTS++
-		msg, err = b.sys.DA.ClosePeriod(b.updateTS)
+		msg, err = b.rt.DA.ClosePeriod(b.updateTS)
 		if err != nil {
 			return verified, stale, err
 		}
-		if err := b.sys.QS.Apply(msg); err != nil {
+		if err := b.rt.Deliver(msg); err != nil {
 			return verified, stale, err
 		}
 		ans, _, err := cl.Query(q.Lo, q.Hi)

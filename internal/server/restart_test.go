@@ -39,13 +39,36 @@ func newDurableWorld(t *testing.T) *durableWorld {
 	return &durableWorld{t: t, scheme: bound, priv: priv, pub: pub, cfg: core.DefaultConfig()}
 }
 
-func (w *durableWorld) newParties() (*core.DataAggregator, *core.QueryServer) {
+// newRuntime brings fresh parties up over the state directory dir
+// ("" = in memory): recovered when it holds state, empty otherwise.
+func (w *durableWorld) newRuntime(dir string) *wal.Runtime {
 	w.t.Helper()
 	da, err := core.NewDataAggregator(w.scheme, w.priv, w.cfg)
 	if err != nil {
 		w.t.Fatal(err)
 	}
-	return da, core.NewQueryServer(w.scheme, core.WithShards(8))
+	var store *wal.Store
+	if dir != "" {
+		if store, err = wal.Open(dir, wal.Options{NoSync: true}); err != nil {
+			w.t.Fatal(err)
+		}
+	}
+	rt := wal.NewRuntime(da, core.NewQueryServer(w.scheme, core.WithShards(8)), store, 0)
+	if _, _, err := rt.Recover(); err != nil {
+		w.t.Fatal(err)
+	}
+	return rt
+}
+
+// deliver certifies one owner operation's message through the runtime.
+func (w *durableWorld) deliver(rt *wal.Runtime, msg *core.UpdateMsg, err error) {
+	w.t.Helper()
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	if err := rt.Deliver(msg); err != nil {
+		w.t.Fatal(err)
+	}
 }
 
 func (w *durableWorld) startServer(qs *core.QueryServer) (string, func()) {
@@ -65,50 +88,30 @@ func (w *durableWorld) startServer(qs *core.QueryServer) (string, func()) {
 	}
 }
 
-// loadAndRun seeds the relation and applies a short update/period
-// stream, logging every message when store is non-nil.
-func (w *durableWorld) loadAndRun(da *core.DataAggregator, qs *core.QueryServer,
-	store *wal.Store, hotKey int64, ts *int64) {
+// loadAndRun seeds the relation and delivers a short update/period
+// stream through the runtime.
+func (w *durableWorld) loadAndRun(rt *wal.Runtime, hotKey int64, ts *int64) {
 	w.t.Helper()
-	apply := func(msg *core.UpdateMsg) {
-		if store != nil {
-			if _, err := store.AppendMsg(msg); err != nil {
-				w.t.Fatal(err)
-			}
-		}
-		if err := qs.Apply(msg); err != nil {
-			w.t.Fatal(err)
-		}
-	}
 	recs := make([]*core.Record, 300)
 	for i := range recs {
 		recs[i] = &core.Record{Key: int64(i+1) * 10, Attrs: [][]byte{[]byte("seed")}}
 	}
-	msg, err := da.Load(recs, 1)
+	msg, err := rt.DA.Load(recs, 1)
 	if err != nil {
 		w.t.Fatal(err)
 	}
 	*ts = 1
-	apply(msg)
+	if err := rt.Load(msg); err != nil {
+		w.t.Fatal(err)
+	}
 	for i := 0; i < 30; i++ {
 		*ts++
-		msg, err := da.Update(hotKey, [][]byte{[]byte(fmt.Sprintf("v-%d", *ts))}, *ts)
-		if err != nil {
-			w.t.Fatal(err)
-		}
-		apply(msg)
+		msg, err := rt.DA.Update(hotKey, [][]byte{[]byte(fmt.Sprintf("v-%d", *ts))}, *ts)
+		w.deliver(rt, msg, err)
 		if i%10 == 9 {
 			*ts++
-			msg, err := da.ClosePeriod(*ts)
-			if err != nil {
-				w.t.Fatal(err)
-			}
-			apply(msg)
-		}
-	}
-	if store != nil {
-		if err := store.Sync(); err != nil {
-			w.t.Fatal(err)
+			msg, err := rt.DA.ClosePeriod(*ts)
+			w.deliver(rt, msg, err)
 		}
 	}
 }
@@ -120,15 +123,10 @@ func (w *durableWorld) loadAndRun(da *core.DataAggregator, qs *core.QueryServer,
 func TestNetRestartDurableBridges(t *testing.T) {
 	w := newDurableWorld(t)
 	dir := t.TempDir()
-	store, err := wal.Open(dir, wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	da1, qs1 := w.newParties()
+	rt1 := w.newRuntime(dir)
 	var ts int64
-	w.loadAndRun(da1, qs1, store, 50, &ts)
-	addr1, stop1 := w.startServer(qs1)
+	w.loadAndRun(rt1, 50, &ts)
+	addr1, stop1 := w.startServer(rt1.QS)
 
 	cl, err := client.Dial(addr1, client.Config{Scheme: w.scheme, Pub: w.pub, DialTimeout: 5 * time.Second})
 	if err != nil {
@@ -146,46 +144,23 @@ func TestNetRestartDurableBridges(t *testing.T) {
 		t.Fatalf("pre-restart query: %v", err)
 	}
 
-	// Crash the server; only the store survives.
+	// Crash the server; only the state directory survives.
 	stop1()
-	if err := store.Close(); err != nil {
+	if err := rt1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	store2, err := wal.Open(dir, wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	da2, qs2 := w.newParties()
-	if _, err := store2.Recover(da2, qs2); err != nil {
-		t.Fatal(err)
-	}
+	rt2 := w.newRuntime(dir)
+	defer rt2.Close()
 	// The recovered owner keeps publishing: the post-restart stream must
 	// chain onto what the client already holds.
 	ts += 10
-	msg, err := da2.Update(50, [][]byte{[]byte("post-restart")}, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store2.AppendMsg(msg); err != nil {
-		t.Fatal(err)
-	}
-	if err := qs2.Apply(msg); err != nil {
-		t.Fatal(err)
-	}
+	msg, err := rt2.DA.Update(50, [][]byte{[]byte("post-restart")}, ts)
+	w.deliver(rt2, msg, err)
 	ts++
-	msg, err = da2.ClosePeriod(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store2.AppendMsg(msg); err != nil {
-		t.Fatal(err)
-	}
-	if err := qs2.Apply(msg); err != nil {
-		t.Fatal(err)
-	}
-	addr2, stop2 := w.startServer(qs2)
+	msg, err = rt2.DA.ClosePeriod(ts)
+	w.deliver(rt2, msg, err)
+	addr2, stop2 := w.startServer(rt2.QS)
 	defer stop2()
 
 	if err := cl.Reconnect(addr2); err != nil {
@@ -222,10 +197,10 @@ func TestNetRestartDurableBridges(t *testing.T) {
 // of rolled-back data.
 func TestNetRestartRollbackDetected(t *testing.T) {
 	w := newDurableWorld(t)
-	da1, qs1 := w.newParties()
+	rt1 := w.newRuntime("")
 	var ts int64
-	w.loadAndRun(da1, qs1, nil, 50, &ts) // world 1 updates key 50
-	addr1, stop1 := w.startServer(qs1)
+	w.loadAndRun(rt1, 50, &ts) // world 1 updates key 50
+	addr1, stop1 := w.startServer(rt1.QS)
 
 	cl, err := client.Dial(addr1, client.Config{Scheme: w.scheme, Pub: w.pub, DialTimeout: 5 * time.Second})
 	if err != nil {
@@ -243,9 +218,9 @@ func TestNetRestartRollbackDetected(t *testing.T) {
 	// World 2: same key pair, no recovery — the catalog reloads from
 	// scratch and updates a DIFFERENT key, so its summary sequence
 	// contradicts what the session verified.
-	da2, qs2 := w.newParties()
-	w.loadAndRun(da2, qs2, nil, 70, &ts)
-	addr2, stop2 := w.startServer(qs2)
+	rt2 := w.newRuntime("")
+	w.loadAndRun(rt2, 70, &ts)
+	addr2, stop2 := w.startServer(rt2.QS)
 	defer stop2()
 
 	// Reconnect re-anchors the summary stream automatically, so the

@@ -68,8 +68,8 @@ type Config struct {
 	Shards      int           // QueryServer key-range shards (epoch granularity)
 	Seed        int64
 
-	// WALDir, when non-empty, write-ahead logs the writer's update
-	// stream to that directory (group-committed per WALCommit, default
+	// WALDir, when non-empty, gives the relation's runtime a durable
+	// store in that directory (group-committed per WALCommit, default
 	// 2ms), so the benchmark reports serving throughput under the same
 	// durability regime authserve -data runs with.
 	WALDir    string
@@ -181,11 +181,11 @@ type sample struct {
 type bench struct {
 	cfg      Config
 	sys      *core.System
+	rt       *wal.Runtime // carries the writer's stream to sys.QS (durable with cfg.WALDir)
 	keys     []int64
 	catalog  []workload.RangeQuery
 	codec    core.AnswerCodec
 	updateTS int64
-	logMsg   func(*core.UpdateMsg) error // WAL hook for the writer (nil = in-memory)
 }
 
 // Run executes the full sweep and returns the report. Progress lines go
@@ -215,45 +215,25 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.QS.Apply(msg); err != nil {
-		return nil, err
-	}
+	var store *wal.Store
 	if cfg.WALDir != "" {
 		commit := cfg.WALCommit
 		if commit <= 0 {
 			commit = 2 * time.Millisecond
 		}
-		store, err := wal.Open(cfg.WALDir, wal.Options{GroupCommit: commit})
-		if err != nil {
+		if store, err = wal.Open(cfg.WALDir, wal.Options{GroupCommit: commit}); err != nil {
 			return nil, fmt.Errorf("server: wal: %w", err)
 		}
-		defer store.Close()
-		// Log the (untimed) load in batches: one frame per chunk keeps
-		// every record far from the frame cap regardless of n or scheme.
-		const loadChunk = 4096
-		for lo := 0; lo < len(msg.Upserts); lo += loadChunk {
-			hi := lo + loadChunk
-			if hi > len(msg.Upserts) {
-				hi = len(msg.Upserts)
-			}
-			if _, err := store.AppendMsg(&core.UpdateMsg{TS: msg.TS, Upserts: msg.Upserts[lo:hi]}); err != nil {
-				return nil, err
-			}
-		}
-		b.logMsg = func(m *core.UpdateMsg) error {
-			if _, err := store.AppendMsg(m); err != nil {
-				return err
-			}
-			if m.Summary != nil {
-				return store.Sync() // certified summaries outlive any crash
-			}
-			return nil
-		}
+	}
+	b.rt = wal.NewRuntime(sys.DA, sys.QS, store, 0)
+	defer b.rt.Close()
+	if err := b.rt.Load(msg); err != nil {
+		return nil, err
 	}
 	b.catalog = workload.NewHotRangeCatalog(b.keys, cfg.Ranges, cfg.SF, cfg.Seed+101)
 
 	rep := &Report{
-		WAL:        b.logMsg != nil,
+		WAL:        store != nil,
 		Scheme:     sys.Scheme.Name(),
 		N:          cfg.N,
 		Ranges:     cfg.Ranges,
@@ -319,8 +299,8 @@ func (b *bench) runPoint(clients int, cached bool) (*Point, error) {
 	// Writer: single goroutine (the DA is single-writer) updating keys
 	// drawn from the catalog's hot head, so invalidations land on the
 	// very ranges the cache is serving.
-	stopWriter := startHotWriter(b.sys, b.catalog, b.cfg.Theta, b.cfg.Seed+999,
-		b.cfg.UpdateEvery, 0, &b.updateTS, b.logMsg)
+	stopWriter := startHotWriter(b.rt, b.catalog, b.cfg.Theta, b.cfg.Seed+999,
+		b.cfg.UpdateEvery, 0, &b.updateTS)
 
 	ops := make([][]opRecord, clients)
 	samples := make([][]sample, clients)
@@ -472,7 +452,7 @@ func (b *bench) checkCorrectness() error {
 		if err != nil {
 			return err
 		}
-		if err := qs.Apply(msg); err != nil {
+		if err := b.rt.Deliver(msg); err != nil {
 			return err
 		}
 		dec, err := verifyServe(q, "post-update")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sort"
 	"strings"
 	"time"
 
@@ -72,9 +73,6 @@ func (s *NetServer) Metrics(m *MetricsBuf) {
 	m.Counter("authdb_anscache_evictions_total", "Answer-cache entries dropped by the size bound.", sv.Answers.Evictions)
 	m.Gauge("authdb_anscache_bytes", "Resident answer-cache wire bytes.", float64(sv.Answers.Bytes))
 	m.Gauge("authdb_anscache_entries", "Resident answer-cache entries.", float64(sv.Answers.Entries))
-	m.Counter("authdb_sigcache_hits_total", "Cached signature aggregates used by queries.", sv.Sig.Hits)
-	m.Counter("authdb_sigcache_query_ops_total", "Aggregation ops spent building query aggregates.", sv.Sig.QueryOps)
-	m.Counter("authdb_sigcache_refresh_ops_total", "Aggregation ops spent refreshing cached aggregates.", sv.Sig.RefreshOps)
 }
 
 // QueryMetrics adapts the plan engine's execution counters for a
@@ -121,13 +119,28 @@ func VerifyMetrics(scheme sigagg.Scheme) MetricFn {
 	}
 }
 
-// WalMetrics adapts a durable store's log positions for a scrape.
-func WalMetrics(store *wal.Store) MetricFn {
+// WalMetrics adapts every relation's write-ahead log positions for a
+// scrape, one sample per relation under a rel label.
+func WalMetrics(logs map[string]*wal.Log) MetricFn {
+	rels := make([]string, 0, len(logs))
+	for rel := range logs {
+		rels = append(rels, rel)
+	}
+	sort.Strings(rels)
 	return func(m *MetricsBuf) {
-		log := store.Log()
-		m.Gauge("authdb_wal_last_lsn", "Last LSN appended to the write-ahead log.", float64(log.LastLSN()))
-		m.Gauge("authdb_wal_durable_lsn", "Last fsynced LSN.", float64(log.DurableLSN()))
-		m.Gauge("authdb_wal_first_lsn", "First LSN still held by the log (0 = empty).", float64(log.FirstLSN()))
+		for _, g := range []struct {
+			name, help string
+			lsn        func(*wal.Log) uint64
+		}{
+			{"authdb_wal_last_lsn", "Last LSN appended to the write-ahead log.", (*wal.Log).LastLSN},
+			{"authdb_wal_durable_lsn", "Last fsynced LSN.", (*wal.Log).DurableLSN},
+			{"authdb_wal_first_lsn", "First LSN still held by the log (0 = empty).", (*wal.Log).FirstLSN},
+		} {
+			fmt.Fprintf(&m.b, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name)
+			for _, rel := range rels {
+				fmt.Fprintf(&m.b, "%s{rel=%q} %d\n", g.name, rel, g.lsn(logs[rel]))
+			}
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ func TestServeMetricsScrape(t *testing.T) {
 		"authdb_net_conns_total", "authdb_net_queries_total",
 		"authdb_net_shed_total", "authdb_net_fair_shed_total",
 		"authdb_net_repl_streams_total", "authdb_anscache_hits_total",
-		"authdb_sigcache_hits_total", "authdb_test_gauge",
+		"authdb_test_gauge",
 	} {
 		if _, ok := before[name]; !ok {
 			t.Fatalf("scrape missing %s", name)

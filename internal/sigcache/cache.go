@@ -148,18 +148,6 @@ func (c *Cache) AggregateRange(lo, hi int64) (sigagg.Signature, int, error) {
 	return sig, st.Ops, nil
 }
 
-// EstimateOps reports what AggregateRange(lo, hi) would cost right now
-// in aggregation operations, without performing any — used by the query
-// server to take the cache only when it beats the aggregation tree.
-func (c *Cache) EstimateOps(lo, hi int64) (int, error) {
-	if lo < 0 || hi >= c.frontier.N() || lo > hi {
-		return 0, fmt.Errorf("sigcache: bad range [%d,%d] over %d leaves", lo, hi, c.frontier.N())
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.frontier.CoverOps(lo, hi), nil
-}
-
 // UpdateLeaf installs a new signature for leaf idx and maintains the
 // affected cached aggregates per the configured strategy. It returns
 // the aggregation operations spent inside the update (zero under Lazy).

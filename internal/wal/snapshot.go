@@ -359,10 +359,6 @@ func Open(dir string, opts Options) (*Store, error) {
 // Log exposes the underlying write-ahead log.
 func (s *Store) Log() *Log { return s.log }
 
-// Dir reports the store's directory, so a crash/reopen cycle can be
-// driven from the handle alone.
-func (s *Store) Dir() string { return s.dir }
-
 // LastLSN reports the last assigned log sequence number.
 func (s *Store) LastLSN() uint64 { return s.log.LastLSN() }
 

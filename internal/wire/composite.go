@@ -34,7 +34,7 @@ type RelSince struct {
 // join) or 'P' (select-project only), the planner's canonical plan
 // encoding, and the client's per-relation summary positions.
 func AppendPlanReq(buf []byte, kind byte, plan []byte, rels []RelSince) ([]byte, error) {
-	if kind != 'J' && kind != 'P' {
+	if kind != KindPlanJoin && kind != KindPlanSelect {
 		return nil, fmt.Errorf("wire: bad plan request kind %q", kind)
 	}
 	w := &writer{buf: buf}
@@ -63,7 +63,7 @@ func DecodePlanReq(data []byte) (plan []byte, rels []RelSince, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if k != 'J' && k != 'P' {
+	if k != KindPlanJoin && k != KindPlanSelect {
 		return nil, nil, fmt.Errorf("%w: message kind %q, want 'J' or 'P'", ErrCorrupt, k)
 	}
 	if plan, err = r.bytes(); err != nil {
@@ -125,7 +125,7 @@ func AppendCompositeCore(buf []byte, c *Composite) ([]byte, error) {
 	}
 	w := &writer{buf: buf}
 	w.u8(Version)
-	w.u8('C')
+	w.u8(KindComposite)
 	putAnswerBody(w, c.Outer)
 	var flags byte
 	if c.Proj != nil {
@@ -163,7 +163,7 @@ func AppendRelTails(buf []byte, tails []RelTail) []byte {
 // DecodeComposite parses a complete 'C' message (core plus tails).
 func DecodeComposite(data []byte) (*Composite, error) {
 	r := &reader{buf: data}
-	if err := header(r, 'C'); err != nil {
+	if err := header(r, KindComposite); err != nil {
 		return nil, err
 	}
 	outer, err := getAnswerBody(r)
@@ -417,7 +417,7 @@ func getJoin(r *reader) (*join.Answer, error) {
 func AppendRelSumsReq(buf []byte, rel string, sinceSeq uint64, oldestTS int64) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)
-	w.u8('T')
+	w.u8(KindRelSummaries)
 	w.bytes([]byte(rel))
 	w.u64(sinceSeq)
 	w.i64(oldestTS)
@@ -427,7 +427,7 @@ func AppendRelSumsReq(buf []byte, rel string, sinceSeq uint64, oldestTS int64) [
 // DecodeRelSumsReq parses a 'T' request.
 func DecodeRelSumsReq(data []byte) (rel string, sinceSeq uint64, oldestTS int64, err error) {
 	r := &reader{buf: data}
-	if err = header(r, 'T'); err != nil {
+	if err = header(r, KindRelSummaries); err != nil {
 		return "", 0, 0, err
 	}
 	name, err := r.bytes()

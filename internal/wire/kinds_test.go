@@ -1,0 +1,61 @@
+package wire
+
+import (
+	"testing"
+
+	"authdb/internal/chain"
+	"authdb/internal/core"
+	"authdb/internal/sigagg"
+)
+
+// TestKindsTable: no two rows of the table share a kind byte, and one
+// encoded frame per kind reports exactly that kind — so the table, the
+// constants and the codecs cannot drift apart.
+func TestKindsTable(t *testing.T) {
+	ans := &chain.Answer{Lo: 1, Hi: 2, Left: chain.MinRef, Right: chain.MaxRef, Agg: sigagg.Signature("a"),
+		Records: []*chain.Record{{RID: 1, Key: 1, TS: 1}}}
+	must := func(b []byte, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	frames := map[byte][]byte{
+		KindQuery:         AppendQueryReq(nil, 1, 2, 0),
+		KindSummariesReq:  AppendSummariesReq(nil, 0),
+		KindAnswer:        must(AppendAnswer(nil, &core.Answer{Chain: ans})),
+		KindSummaries:     AppendSummaries(nil, nil),
+		KindError:         AppendError(nil, "x"),
+		KindUpdate:        AppendUpdateMsg(nil, &core.UpdateMsg{TS: 1}),
+		KindPlanJoin:      must(AppendPlanReq(nil, KindPlanJoin, []byte("p"), nil)),
+		KindPlanSelect:    must(AppendPlanReq(nil, KindPlanSelect, []byte("p"), nil)),
+		KindComposite:     must(AppendCompositeCore(nil, &Composite{Outer: ans})),
+		KindRelSummaries:  AppendRelSumsReq(nil, "r", 0, 0),
+		KindReplSubscribe: AppendReplSubReq(nil, 0),
+		KindReplBootstrap: AppendBootstrap(nil, 0, &core.ServerState{}),
+		KindReplRecord:    AppendWalRecord(nil, 1, 1, AppendUpdateMsg(nil, &core.UpdateMsg{TS: 1})),
+		KindReplHeartbeat: AppendReplHeartbeat(nil, 1),
+	}
+	seen := map[byte]bool{}
+	for _, row := range Kinds {
+		if seen[row.Kind] {
+			t.Errorf("kind %q appears twice in the table", row.Kind)
+		}
+		seen[row.Kind] = true
+		if row.From == "" || row.To == "" || row.Meaning == "" {
+			t.Errorf("kind %q: incomplete row %+v", row.Kind, row)
+		}
+		frame, ok := frames[row.Kind]
+		if !ok {
+			t.Errorf("kind %q: no encoder exercised", row.Kind)
+			continue
+		}
+		if got, err := Kind(frame); err != nil || got != row.Kind {
+			t.Errorf("kind %q: encoded frame reports %q, %v", row.Kind, got, err)
+		}
+	}
+	if len(seen) != len(frames) {
+		t.Errorf("table has %d kinds, encoders cover %d", len(seen), len(frames))
+	}
+}

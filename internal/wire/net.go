@@ -115,7 +115,7 @@ func Kind(data []byte) (byte, error) {
 func AppendQueryReq(buf []byte, lo, hi int64, sinceSeq uint64) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)
-	w.u8('Q')
+	w.u8(KindQuery)
 	w.i64(lo)
 	w.i64(hi)
 	w.u64(sinceSeq)
@@ -125,7 +125,7 @@ func AppendQueryReq(buf []byte, lo, hi int64, sinceSeq uint64) []byte {
 // DecodeQueryReq parses a range-query request.
 func DecodeQueryReq(data []byte) (lo, hi int64, sinceSeq uint64, err error) {
 	r := &reader{buf: data}
-	if err = header(r, 'Q'); err != nil {
+	if err = header(r, KindQuery); err != nil {
 		return 0, 0, 0, err
 	}
 	if lo, err = r.i64(); err != nil {
@@ -147,7 +147,7 @@ func DecodeQueryReq(data []byte) (lo, hi int64, sinceSeq uint64, err error) {
 func AppendSummariesReq(buf []byte, since int64) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)
-	w.u8('S')
+	w.u8(KindSummariesReq)
 	w.i64(since)
 	return w.buf
 }
@@ -155,7 +155,7 @@ func AppendSummariesReq(buf []byte, since int64) []byte {
 // DecodeSummariesReq parses a summaries-since request.
 func DecodeSummariesReq(data []byte) (int64, error) {
 	r := &reader{buf: data}
-	if err := header(r, 'S'); err != nil {
+	if err := header(r, KindSummariesReq); err != nil {
 		return 0, err
 	}
 	since, err := r.i64()
@@ -172,7 +172,7 @@ func DecodeSummariesReq(data []byte) (int64, error) {
 func AppendSummaries(buf []byte, sums []freshness.Summary) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)
-	w.u8('F')
+	w.u8(KindSummaries)
 	w.u64(uint64(len(sums)))
 	for i := range sums {
 		putSummary(w, &sums[i])
@@ -183,7 +183,7 @@ func AppendSummaries(buf []byte, sums []freshness.Summary) []byte {
 // DecodeSummaries parses a summary batch.
 func DecodeSummaries(data []byte) ([]freshness.Summary, error) {
 	r := &reader{buf: data}
-	if err := header(r, 'F'); err != nil {
+	if err := header(r, KindSummaries); err != nil {
 		return nil, err
 	}
 	n, err := r.u64()
@@ -235,7 +235,7 @@ func AppendError(buf []byte, msg string) []byte {
 func AppendErrorCode(buf []byte, code byte, msg string) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)
-	w.u8('E')
+	w.u8(KindError)
 	w.u8(code)
 	w.bytes([]byte(msg))
 	return w.buf
@@ -251,7 +251,7 @@ func DecodeError(data []byte) (string, error) {
 // DecodeErrorCode parses an error response into its code and message.
 func DecodeErrorCode(data []byte) (byte, string, error) {
 	r := &reader{buf: data}
-	if err := header(r, 'E'); err != nil {
+	if err := header(r, KindError); err != nil {
 		return 0, "", err
 	}
 	code, err := r.u8()

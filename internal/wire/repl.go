@@ -31,7 +31,7 @@ import (
 func AppendReplSubReq(buf []byte, afterLSN uint64) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)
-	w.u8('R')
+	w.u8(KindReplSubscribe)
 	w.u64(afterLSN)
 	return w.buf
 }
@@ -39,7 +39,7 @@ func AppendReplSubReq(buf []byte, afterLSN uint64) []byte {
 // DecodeReplSubReq parses a replication subscription request.
 func DecodeReplSubReq(data []byte) (uint64, error) {
 	r := &reader{buf: data}
-	if err := header(r, 'R'); err != nil {
+	if err := header(r, KindReplSubscribe); err != nil {
 		return 0, err
 	}
 	after, err := r.u64()
@@ -57,7 +57,7 @@ func DecodeReplSubReq(data []byte) (uint64, error) {
 func AppendBootstrap(buf []byte, lsn uint64, st *core.ServerState) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)
-	w.u8('B')
+	w.u8(KindReplBootstrap)
 	w.u64(lsn)
 	w.u64(uint64(len(st.Records)))
 	for _, sr := range st.Records {
@@ -74,7 +74,7 @@ func AppendBootstrap(buf []byte, lsn uint64, st *core.ServerState) []byte {
 // DecodeBootstrap parses a bootstrap image.
 func DecodeBootstrap(data []byte) (uint64, *core.ServerState, error) {
 	r := &reader{buf: data}
-	if err := header(r, 'B'); err != nil {
+	if err := header(r, KindReplBootstrap); err != nil {
 		return 0, nil, err
 	}
 	lsn, err := r.u64()
@@ -130,7 +130,7 @@ func DecodeBootstrap(data []byte) (uint64, *core.ServerState, error) {
 func AppendWalRecord(buf []byte, lsn, primaryLSN uint64, msgData []byte) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)
-	w.u8('W')
+	w.u8(KindReplRecord)
 	w.u64(lsn)
 	w.u64(primaryLSN)
 	w.bytes(msgData)
@@ -140,7 +140,7 @@ func AppendWalRecord(buf []byte, lsn, primaryLSN uint64, msgData []byte) []byte 
 // DecodeWalRecord parses one replicated WAL record.
 func DecodeWalRecord(data []byte) (lsn, primaryLSN uint64, msg *core.UpdateMsg, err error) {
 	r := &reader{buf: data}
-	if err = header(r, 'W'); err != nil {
+	if err = header(r, KindReplRecord); err != nil {
 		return 0, 0, nil, err
 	}
 	if lsn, err = r.u64(); err != nil {
@@ -170,7 +170,7 @@ func DecodeWalRecord(data []byte) (lsn, primaryLSN uint64, msg *core.UpdateMsg, 
 func AppendReplHeartbeat(buf []byte, primaryLSN uint64) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)
-	w.u8('H')
+	w.u8(KindReplHeartbeat)
 	w.u64(primaryLSN)
 	return w.buf
 }
@@ -178,7 +178,7 @@ func AppendReplHeartbeat(buf []byte, primaryLSN uint64) []byte {
 // DecodeReplHeartbeat parses a replication heartbeat.
 func DecodeReplHeartbeat(data []byte) (uint64, error) {
 	r := &reader{buf: data}
-	if err := header(r, 'H'); err != nil {
+	if err := header(r, KindReplHeartbeat); err != nil {
 		return 0, err
 	}
 	lsn, err := r.u64()

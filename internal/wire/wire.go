@@ -226,7 +226,7 @@ func EncodeUpdateMsg(msg *core.UpdateMsg) []byte {
 func AppendUpdateMsg(buf []byte, msg *core.UpdateMsg) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)
-	w.u8('U')
+	w.u8(KindUpdate)
 	w.i64(msg.TS)
 	w.u64(uint64(len(msg.Upserts)))
 	for _, sr := range msg.Upserts {
@@ -264,7 +264,7 @@ func AppendUpdateMsg(buf []byte, msg *core.UpdateMsg) []byte {
 // DecodeUpdateMsg parses a dissemination message.
 func DecodeUpdateMsg(data []byte) (*core.UpdateMsg, error) {
 	r := &reader{buf: data}
-	if err := header(r, 'U'); err != nil {
+	if err := header(r, KindUpdate); err != nil {
 		return nil, err
 	}
 	msg := &core.UpdateMsg{}
@@ -402,7 +402,7 @@ func AppendAnswerCore(buf []byte, ans *core.Answer) ([]byte, error) {
 	}
 	w := &writer{buf: buf}
 	w.u8(Version)
-	w.u8('A')
+	w.u8(KindAnswer)
 	putAnswerBody(w, ans.Chain)
 	return w.buf, nil
 }
@@ -498,7 +498,7 @@ func AppendSummaryTail(buf []byte, sums []freshness.Summary) []byte {
 // DecodeAnswer parses a verifiable query answer.
 func DecodeAnswer(data []byte) (*core.Answer, error) {
 	r := &reader{buf: data}
-	if err := header(r, 'A'); err != nil {
+	if err := header(r, KindAnswer); err != nil {
 		return nil, err
 	}
 	ca, err := getAnswerBody(r)

@@ -8,7 +8,6 @@ import (
 
 	"authdb/internal/core"
 	"authdb/internal/sigagg/bas"
-	"authdb/internal/sigcache"
 )
 
 // system builds a loaded core.System for end-to-end wire tests.
@@ -203,28 +202,6 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWireWithSigCacheAnswers(t *testing.T) {
-	sys := system(t, 256)
-	if err := sys.QS.EnableSigCache(sigcache.Uniform, 4, sigcache.Eager); err != nil {
-		t.Fatal(err)
-	}
-	ans, err := sys.QS.Query(10, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodeAnswer(ans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeAnswer(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Verifier.VerifyAnswer(got, 10, 2000, 100); err != nil {
 		t.Fatal(err)
 	}
 }
