@@ -51,7 +51,7 @@ bench:
 proof:
 	$(GO) run ./cmd/authbench proof -n $(BENCH_N) -k 10000
 
-# Emit BENCH_ingest.json (pipelined vs serial signing, batch verification).
+# Emit BENCH_ingest.json (pipelined vs serial signing).
 ingest:
 	$(GO) run ./cmd/authbench ingest -n $(BENCH_N)
 

@@ -41,47 +41,25 @@ type ingestPoint struct {
 	WalRecovered      bool    `json:"wal_recovered,omitempty"`
 }
 
-// verifyPoint is one serial-vs-batched VerifyAnswer(s) throughput
-// measurement.
-type verifyPoint struct {
-	Scheme              string  `json:"scheme"`
-	Answers             int     `json:"answers"`
-	RecordsPerAnswer    int     `json:"records_per_answer"`
-	SerialAnswersPerSec float64 `json:"serial_answers_per_sec"`
-	BatchAnswersPerSec  float64 `json:"batch_answers_per_sec"`
-	Speedup             float64 `json:"speedup"`
-	SerialAllocsPerAns  uint64  `json:"serial_allocs_per_answer"`
-	SerialBytesPerAns   uint64  `json:"serial_alloc_bytes_per_answer"`
-	BatchedAllocsPerAns uint64  `json:"batch_allocs_per_answer"`
-	BatchedBytesPerAns  uint64  `json:"batch_alloc_bytes_per_answer"`
-
-	// Batched verification re-run at each worker count 1..GOMAXPROCS
-	// (doubling); a single row on a one-core host.
-	Sweep []verifySweepPoint `json:"sweep,omitempty"`
-}
-
 // ingestResult is the BENCH_ingest.json document, extending the perf
-// trajectory started by BENCH_proof.json to the owner (signing) and
-// verifier (batch verification) sides of the protocol.
+// trajectory started by BENCH_proof.json to the owner (signing) side of
+// the protocol. Verification throughput is BENCH_verify.json's.
 type ingestResult struct {
 	Workers int           `json:"workers"`
 	Points  []ingestPoint `json:"points"`
-	Verify  []verifyPoint `json:"verify"`
 }
 
 // runIngest measures DataAggregator.Load through the signing pipeline
-// against the WithSerialSigning baseline, and Verifier.VerifyAnswers
-// against per-answer VerifyAnswer, writing BENCH_ingest.json. Every
-// pipelined signature is checked byte-identical to its serial
-// counterpart AND round-tripped through Verifier.VerifyAnswer via a
+// against the WithSerialSigning baseline, writing BENCH_ingest.json.
+// Every pipelined signature is checked byte-identical to its serial
+// counterpart AND round-tripped through Verifier.VerifyAnswers via a
 // full-coverage query sweep.
 func runIngest(args []string) error {
 	fs := newFlags("ingest")
 	nList := fs.String("n", "100000", "comma-separated relation sizes")
 	schemes := fs.String("schemes", "bas,crsa", "comma-separated schemes (bas, crsa)")
-	answers := fs.Int("answers", 128, "answers per verification batch")
-	k := fs.Int("k", 20, "records per verified answer (small answers: the many-users regime batching targets)")
-	short := fs.Bool("short", false, "CI smoke mode: small n, few answers")
+	k := fs.Int("k", 20, "records per answer of the full-coverage verification sweep")
+	short := fs.Bool("short", false, "CI smoke mode: small n")
 	walMode := fs.Bool("wal", false, "also measure the durable (write-ahead logged) pipelined load")
 	walBatch := fs.Int("wal-batch", 1024, "records per WAL append in -wal mode (the streaming-ingest batch size)")
 	walCommit := fs.Duration("wal-commit", 2*time.Millisecond, "WAL group-commit window in -wal mode")
@@ -96,7 +74,7 @@ func runIngest(args []string) error {
 		return checkIngestJSON(*check)
 	}
 	if *short {
-		*nList, *answers, *k = "5000", 16, 10
+		*nList, *k = "5000", 10
 	}
 
 	res := ingestResult{Workers: runtime.GOMAXPROCS(0)}
@@ -115,7 +93,7 @@ func runIngest(args []string) error {
 			if err != nil || n < 2 {
 				return fmt.Errorf("ingest: bad relation size %q", ns)
 			}
-			pt, vp, err := measureIngest(raw, n, *answers, *k)
+			pt, err := measureIngest(raw, n, *k)
 			if err != nil {
 				return err
 			}
@@ -125,7 +103,6 @@ func runIngest(args []string) error {
 				}
 			}
 			res.Points = append(res.Points, pt)
-			res.Verify = append(res.Verify, vp)
 		}
 	}
 
@@ -138,11 +115,6 @@ func runIngest(args []string) error {
 			fmt.Printf("  wal    %-5s n=%-8d durable %9d ns/rec  overhead %.2fx  %d B/rec on disk  recovered=%v\n",
 				p.Scheme, p.N, p.WalNsPerRecord, p.WalOverhead, p.WalBytesPerRecord, p.WalRecovered)
 		}
-	}
-	for _, v := range res.Verify {
-		fmt.Printf("  verify %-5s %d answers x %d recs: serial %8.1f ans/s (%d allocs/ans)  batch %8.1f ans/s (%d allocs/ans)  speedup %.2fx\n",
-			v.Scheme, v.Answers, v.RecordsPerAnswer, v.SerialAnswersPerSec, v.SerialAllocsPerAns,
-			v.BatchAnswersPerSec, v.BatchedAllocsPerAns, v.Speedup)
 	}
 	if *out != "" {
 		data, err := json.MarshalIndent(res, "", "  ")
@@ -257,23 +229,22 @@ func ingestRecords(n int) []*core.Record {
 	return recs
 }
 
-func measureIngest(raw sigagg.Scheme, n, answers, k int) (ingestPoint, verifyPoint, error) {
+func measureIngest(raw sigagg.Scheme, n, k int) (ingestPoint, error) {
 	var pt ingestPoint
-	var vp verifyPoint
 	priv, pub, err := raw.KeyGen(nil)
 	if err != nil {
-		return pt, vp, err
+		return pt, err
 	}
 	bound, err := sigagg.Bind(raw, pub)
 	if err != nil {
-		return pt, vp, err
+		return pt, err
 	}
 	cfg := core.DefaultConfig()
 
 	fmt.Printf("ingest: %s n=%d serial load...\n", raw.Name(), n)
 	serialDA, err := core.NewDataAggregator(bound, priv, cfg, core.WithSerialSigning())
 	if err != nil {
-		return pt, vp, err
+		return pt, err
 	}
 	// Workload generation stays outside the alloc window, so the
 	// counters charge only the Load pipelines.
@@ -288,13 +259,13 @@ func measureIngest(raw sigagg.Scheme, n, answers, k int) (ingestPoint, verifyPoi
 		return err
 	})
 	if err != nil {
-		return pt, vp, err
+		return pt, err
 	}
 
 	fmt.Printf("ingest: %s n=%d pipelined load...\n", raw.Name(), n)
 	pipeDA, err := core.NewDataAggregator(bound, priv, cfg)
 	if err != nil {
-		return pt, vp, err
+		return pt, err
 	}
 	pipeRecs := ingestRecords(n)
 	var pipeNs int64
@@ -307,7 +278,7 @@ func measureIngest(raw sigagg.Scheme, n, answers, k int) (ingestPoint, verifyPoi
 		return err
 	})
 	if err != nil {
-		return pt, vp, err
+		return pt, err
 	}
 
 	// The pipeline must emit exactly the serial baseline's signatures
@@ -317,7 +288,7 @@ func measureIngest(raw sigagg.Scheme, n, answers, k int) (ingestPoint, verifyPoi
 		identical = string(serialMsg.Upserts[i].Sig) == string(pipeMsg.Upserts[i].Sig)
 	}
 	if !identical {
-		return pt, vp, fmt.Errorf("ingest: %s pipelined signatures differ from serial baseline", raw.Name())
+		return pt, fmt.Errorf("ingest: %s pipelined signatures differ from serial baseline", raw.Name())
 	}
 
 	// Round-trip every signature through Verifier.VerifyAnswer: a
@@ -325,7 +296,7 @@ func measureIngest(raw sigagg.Scheme, n, answers, k int) (ingestPoint, verifyPoi
 	// load, batch-verified.
 	qs := core.NewQueryServer(bound)
 	if err := qs.Apply(pipeMsg); err != nil {
-		return pt, vp, err
+		return pt, err
 	}
 	verifier := core.NewVerifier(bound, pub, cfg)
 	var sweep []*core.Answer
@@ -339,17 +310,17 @@ func measureIngest(raw sigagg.Scheme, n, answers, k int) (ingestPoint, verifyPoi
 		r := core.Range{Lo: int64(lo+1) * 10, Hi: int64(hi) * 10}
 		ans, err := qs.Query(r.Lo, r.Hi)
 		if err != nil {
-			return pt, vp, err
+			return pt, err
 		}
 		verified += len(ans.Chain.Records)
 		sweep = append(sweep, ans)
 		ranges = append(ranges, r)
 	}
 	if verified != n {
-		return pt, vp, fmt.Errorf("ingest: sweep covered %d of %d records", verified, n)
+		return pt, fmt.Errorf("ingest: sweep covered %d of %d records", verified, n)
 	}
 	if _, err := verifier.VerifyAnswers(sweep, ranges, 5); err != nil {
-		return pt, vp, fmt.Errorf("ingest: full-coverage verification failed: %w", err)
+		return pt, fmt.Errorf("ingest: full-coverage verification failed: %w", err)
 	}
 
 	pt = ingestPoint{
@@ -366,126 +337,12 @@ func measureIngest(raw sigagg.Scheme, n, answers, k int) (ingestPoint, verifyPoi
 		AnswersVerified:          true,
 	}
 
-	// Verification throughput: the same answers checked one at a time
-	// vs in one batched call — best of three passes each, so a stray
-	// scheduling hiccup does not decide the comparison. Small answers
-	// are the regime batching targets (heavy point/short-range traffic,
-	// where the per-answer modexp / scalar multiplication dominates).
-	// Every measured pass runs a FRESH scheme instance: the signing
-	// scheme above has been through a full verification sweep, and with
-	// the BAS fast path that would leave its digest cache warm — these
-	// columns are the cold numbers (authbench verify owns the warm
-	// regime).
-	if answers > len(sweep) {
-		answers = len(sweep)
-	}
-	batch, batchRanges := sweep[:answers], ranges[:answers]
-	const passes = 3
-	var serialVerifyNs, batchVerifyNs int64
-	var serialVAllocs, serialVBytes, batchVAllocs, batchVBytes uint64
-	for p := 0; p < passes; p++ {
-		serialBound, err := sigagg.Bind(freshScheme(raw), pub)
-		if err != nil {
-			return pt, vp, err
-		}
-		serialV := core.NewVerifier(serialBound, pub, cfg)
-		serialV.SetParallelism(1)
-		var ns int64
-		allocs, bytes, err := measureAllocs(func() error {
-			start := time.Now()
-			for i, ans := range batch {
-				if _, err := serialV.VerifyAnswer(ans, batchRanges[i].Lo, batchRanges[i].Hi, 5); err != nil {
-					return err
-				}
-			}
-			ns = time.Since(start).Nanoseconds()
-			return nil
-		})
-		if err != nil {
-			return pt, vp, err
-		}
-		if p == 0 || ns < serialVerifyNs {
-			serialVerifyNs, serialVAllocs, serialVBytes = ns, allocs, bytes
-		}
-		batchBound, err := sigagg.Bind(freshScheme(raw), pub)
-		if err != nil {
-			return pt, vp, err
-		}
-		batchV := core.NewVerifier(batchBound, pub, cfg)
-		allocs, bytes, err = measureAllocs(func() error {
-			start := time.Now()
-			_, err := batchV.VerifyAnswers(batch, batchRanges, 5)
-			ns = time.Since(start).Nanoseconds()
-			return err
-		})
-		if err != nil {
-			return pt, vp, err
-		}
-		if p == 0 || ns < batchVerifyNs {
-			batchVerifyNs, batchVAllocs, batchVBytes = ns, allocs, bytes
-		}
-	}
-
-	// Multi-core scaling of the batched path: re-run at each worker
-	// count, fresh scheme per point so every row is equally cold.
-	var sweepPts []verifySweepPoint
-	for w := 1; ; w *= 2 {
-		if w > runtime.GOMAXPROCS(0) {
-			w = runtime.GOMAXPROCS(0)
-		}
-		sweepBound, err := sigagg.Bind(freshScheme(raw), pub)
-		if err != nil {
-			return pt, vp, err
-		}
-		sweepV := core.NewVerifier(sweepBound, pub, cfg)
-		sweepV.SetParallelism(w)
-		start := time.Now()
-		if _, err := sweepV.VerifyAnswers(batch, batchRanges, 5); err != nil {
-			return pt, vp, err
-		}
-		ns := time.Since(start).Nanoseconds()
-		sweepPts = append(sweepPts, verifySweepPoint{
-			Workers:       w,
-			AnswersPerSec: float64(answers) / (float64(ns) / 1e9),
-		})
-		if w >= runtime.GOMAXPROCS(0) {
-			break
-		}
-	}
-
-	na := uint64(answers)
-	vp = verifyPoint{
-		Scheme:              raw.Name(),
-		Answers:             answers,
-		RecordsPerAnswer:    k,
-		SerialAnswersPerSec: float64(answers) / (float64(serialVerifyNs) / 1e9),
-		BatchAnswersPerSec:  float64(answers) / (float64(batchVerifyNs) / 1e9),
-		Speedup:             float64(serialVerifyNs) / float64(batchVerifyNs),
-		SerialAllocsPerAns:  serialVAllocs / na,
-		SerialBytesPerAns:   serialVBytes / na,
-		BatchedAllocsPerAns: batchVAllocs / na,
-		BatchedBytesPerAns:  batchVBytes / na,
-		Sweep:               sweepPts,
-	}
-	return pt, vp, nil
-}
-
-// freshScheme builds a new instance of the named scheme so measured
-// verification starts from empty caches; signer-side state never leaks
-// into the verify columns. Schemes without instance state pass through.
-func freshScheme(s sigagg.Scheme) sigagg.Scheme {
-	switch s.Name() {
-	case "bas":
-		return bas.New(0)
-	case "crsa":
-		return crsa.New(crsa.DefaultBits)
-	}
-	return s
+	return pt, nil
 }
 
 // checkIngestJSON validates that a BENCH_ingest.json is well-formed:
-// parseable, at least one load point and one verify point, positive
-// timings, and every point verified. Used by the CI smoke step.
+// parseable, at least one load point, positive timings, and every point
+// verified. Used by the CI smoke step.
 func checkIngestJSON(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -498,8 +355,8 @@ func checkIngestJSON(path string) error {
 	if res.Workers < 1 {
 		return fmt.Errorf("ingest: %s: workers %d < 1", path, res.Workers)
 	}
-	if len(res.Points) == 0 || len(res.Verify) == 0 {
-		return fmt.Errorf("ingest: %s: missing load or verify points", path)
+	if len(res.Points) == 0 {
+		return fmt.Errorf("ingest: %s: missing load points", path)
 	}
 	for _, p := range res.Points {
 		if p.SerialNsPerRecord <= 0 || p.PipelinedNsPerRecord <= 0 || p.Speedup <= 0 {
@@ -514,12 +371,6 @@ func checkIngestJSON(path string) error {
 			return fmt.Errorf("ingest: %s: bad wal point %+v", path, p)
 		}
 	}
-	for _, v := range res.Verify {
-		if v.SerialAnswersPerSec <= 0 || v.BatchAnswersPerSec <= 0 {
-			return fmt.Errorf("ingest: %s: non-positive verify throughput %+v", path, v)
-		}
-	}
-	fmt.Printf("ingest: %s is well-formed (%d load points, %d verify points)\n",
-		path, len(res.Points), len(res.Verify))
+	fmt.Printf("ingest: %s is well-formed (%d load points)\n", path, len(res.Points))
 	return nil
 }

@@ -19,9 +19,11 @@
 // ASign B+-tree (internal/btree — records, boundaries, neighbours) with
 // an incrementally maintained aggregation tree (internal/aggtree) over
 // the same leaf signatures, so building the aggregate signature for a
-// range proof costs O(log n) Combine operations per overlapped shard —
-// assembled concurrently — instead of one aggregation per result
-// record. The paper's SigCache (§4) is reproduced on its own in
+// range proof costs O(log n) Combine operations per overlapped shard
+// instead of one aggregation per result record. The tree holds its
+// signatures decoded and its subtree aggregates un-normalised
+// (sigagg.Folder), so an operation is one group addition and an answer
+// is normalised and encoded once. The paper's SigCache (§4) is reproduced on its own in
 // internal/sigcache, behind the fig6/fig10 experiments and the
 // ablations; its tree mechanics live in aggtree too, as a
 // pinned-frontier structure.
@@ -65,7 +67,8 @@
 // aggregate signatures (sigagg/bas), condensed RSA (sigagg/crsa) and a
 // zero-cost counting scheme for experiments (sigagg/xortest), all
 // behind one Scheme interface with a batched, allocation-lean
-// AggregateInto fast path. internal/wire carries the DA→server and
+// AggregateInto fast path and, for the serving side, Folder: stored
+// signatures prepared once, running sums encoded once. internal/wire carries the DA→server and
 // server→user messages with pooled encode buffers; its frame kinds are
 // named constants in one table (wire.Kinds).
 //

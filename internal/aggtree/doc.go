@@ -4,12 +4,15 @@
 // Two structures are exported:
 //
 //   - Tree: a self-balancing search tree over ⟨key, rid, signature⟩
-//     leaves where every node additionally stores the aggregate
-//     signature of its subtree. Any range aggregate [lo, hi] costs
-//     O(log n) Combine operations, and an upsert or delete maintains the
-//     aggregates incrementally in O(log n) operations — no full rebuild,
-//     ever. This is the structure each QueryServer shard queries on the
-//     hot path.
+//     leaves where every node additionally stores the aggregate of its
+//     subtree. Any range aggregate [lo, hi] costs O(log n) Combine
+//     operations, and an upsert or delete maintains the aggregates
+//     incrementally in O(log n) operations — no full rebuild, ever.
+//     Signatures are held decoded (sigagg.Folder) and subtree aggregates
+//     as un-normalised sums, so an operation is an addition and nothing
+//     else; a range is folded into the caller's accumulator and
+//     normalised once, there. This is the structure each QueryServer
+//     shard queries on the hot path.
 //
 //   - Frontier: the conceptual binary signature tree of SigCache (§4)
 //     with only a *pinned frontier* of node aggregates materialized.

@@ -15,18 +15,24 @@ type Entry struct {
 }
 
 // Tree is a weight-balanced search tree over entries ordered by key,
-// where every node also stores the aggregate signature of its subtree.
-// Range aggregates and incremental maintenance (upsert, delete) both
-// cost O(log n) aggregation operations. The zero value is not usable;
-// call New or BulkLoad.
+// where every node also stores the aggregate of its subtree. Range
+// aggregates and incremental maintenance (upsert, delete) both cost
+// O(log n) aggregation operations. The zero value is not usable; call
+// New or BulkLoad.
+//
+// Nodes hold their signatures decoded (sigagg.Folder): the leaf
+// signature is prepared once, when it enters the tree, and the subtree
+// aggregate is kept as an un-normalised sum that is never encoded — it
+// only ever feeds other sums. Maintenance and range folds therefore cost
+// additions alone; the one normalisation of an answer happens in the
+// accumulator the range was folded into.
 //
 // Tree performs no locking. Mutations must be externally serialized;
-// read operations (Get, AggRange, Scan, Len, Height) never mutate the
-// tree and may run concurrently with each other.
+// read operations (Get, FoldRange, AggRange, Scan, Len, Height) never
+// mutate the tree and may run concurrently with each other.
 type Tree struct {
-	scheme  sigagg.Scheme
-	root    *node
-	scratch []sigagg.Signature // pull assembly buffer (mutation paths only)
+	folder sigagg.Folder
+	root   *node
 }
 
 type node struct {
@@ -34,8 +40,9 @@ type node struct {
 	size        int
 	key         int64
 	rid         uint64
-	sig         sigagg.Signature // the leaf signature stored at this node
-	agg         sigagg.Signature // aggregate over the whole subtree
+	sig         sigagg.Signature // the leaf signature as signed, for Get and Scan
+	leaf        sigagg.Operand   // sig, prepared
+	sum         sigagg.Sum       // un-normalised aggregate over the whole subtree
 }
 
 func (n *node) sz() int {
@@ -57,7 +64,7 @@ func weight(n *node) int { return n.sz() + 1 }
 
 // New returns an empty tree aggregating under scheme.
 func New(scheme sigagg.Scheme) *Tree {
-	return &Tree{scheme: scheme}
+	return &Tree{folder: sigagg.FolderFor(scheme)}
 }
 
 // Len returns the number of entries.
@@ -113,317 +120,248 @@ func scan(n *node, fn func(Entry) bool) bool {
 	return scan(n.right, fn)
 }
 
-// pull recomputes n's size and aggregate from its children, returning
-// the aggregation operations spent. Aggregates are always written to
-// fresh storage: previously returned range aggregates may alias node
-// aggregates and must never be mutated behind the caller's back.
-func (t *Tree) pull(n *node) (int, error) {
-	n.size = 1 + n.left.sz() + n.right.sz()
-	t.scratch = t.scratch[:0]
-	if n.left != nil {
-		t.scratch = append(t.scratch, n.left.agg)
-	}
-	t.scratch = append(t.scratch, n.sig)
-	if n.right != nil {
-		t.scratch = append(t.scratch, n.right.agg)
-	}
-	if len(t.scratch) == 1 {
-		n.agg = n.sig
-		return 0, nil
-	}
-	agg, err := sigagg.AggregateInto(t.scheme, nil, t.scratch)
+// prepare decodes e's signature — the only step of any mutation that
+// can fail, taken before the tree is touched.
+func (t *Tree) prepare(e Entry) (sigagg.Operand, error) {
+	leaf, err := t.folder.Prepare(e.Sig)
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("aggtree: key %d: %w", e.Key, err)
 	}
-	n.agg = agg
-	return len(t.scratch) - 1, nil
+	return leaf, nil
 }
 
-func (t *Tree) rotateLeft(n *node) (*node, int, error) {
+// newNode returns a node holding e, whose prepared signature is leaf;
+// its size and sum are for the caller's pull to fill.
+func (t *Tree) newNode(e Entry, leaf sigagg.Operand) *node {
+	return &node{key: e.Key, rid: e.RID, sig: e.Sig, leaf: leaf, sum: t.folder.NewSum()}
+}
+
+// pull recomputes n's size and subtree sum from its children, in place,
+// returning the aggregation operations spent: one per child folded into
+// the node's own leaf.
+func pull(n *node) int {
+	n.size = 1 + n.left.sz() + n.right.sz()
+	n.sum.Reset()
+	ops := 0
+	if n.left != nil {
+		n.sum.Merge(n.left.sum)
+		ops++
+	}
+	n.sum.Fold(n.leaf)
+	if n.right != nil {
+		n.sum.Merge(n.right.sum)
+		ops++
+	}
+	return ops
+}
+
+func rotateLeft(n *node) (*node, int) {
 	r := n.right
 	n.right = r.left
-	ops, err := t.pull(n)
-	if err != nil {
-		return nil, ops, err
-	}
+	ops := pull(n)
 	r.left = n
-	more, err := t.pull(r)
-	return r, ops + more, err
+	return r, ops + pull(r)
 }
 
-func (t *Tree) rotateRight(n *node) (*node, int, error) {
+func rotateRight(n *node) (*node, int) {
 	l := n.left
 	n.left = l.right
-	ops, err := t.pull(n)
-	if err != nil {
-		return nil, ops, err
-	}
+	ops := pull(n)
 	l.right = n
-	more, err := t.pull(l)
-	return l, ops + more, err
+	return l, ops + pull(l)
 }
 
 // balance restores the weight invariant at n after one child changed by
-// a single insertion or deletion. n's size and aggregate must already be
+// a single insertion or deletion. n's size and sum must already be
 // current (pull before balance).
-func (t *Tree) balance(n *node) (*node, int, error) {
+func balance(n *node) (*node, int) {
 	lw, rw := weight(n.left), weight(n.right)
 	switch {
 	case lw+rw <= 2: // at most one entry below
-		return n, 0, nil
+		return n, 0
 	case rw > wDelta*lw:
 		ops := 0
 		if weight(n.right.left) >= wRatio*weight(n.right.right) {
-			nr, rops, err := t.rotateRight(n.right)
-			if err != nil {
-				return nil, rops, err
-			}
-			n.right = nr
-			ops = rops
+			n.right, ops = rotateRight(n.right)
 		}
-		root, rops, err := t.rotateLeft(n)
-		return root, ops + rops, err
+		root, rops := rotateLeft(n)
+		return root, ops + rops
 	case lw > wDelta*rw:
 		ops := 0
 		if weight(n.left.right) >= wRatio*weight(n.left.left) {
-			nl, rops, err := t.rotateLeft(n.left)
-			if err != nil {
-				return nil, rops, err
-			}
-			n.left = nl
-			ops = rops
+			n.left, ops = rotateLeft(n.left)
 		}
-		root, rops, err := t.rotateRight(n)
-		return root, ops + rops, err
+		root, rops := rotateRight(n)
+		return root, ops + rops
 	default:
-		return n, 0, nil
+		return n, 0
 	}
 }
 
 // Upsert inserts the entry or replaces the signature (and rid) stored
 // under its key. It returns whether an existing entry was replaced and
-// the aggregation operations spent on maintenance.
+// the aggregation operations spent on maintenance. A malformed
+// signature is rejected with the tree unchanged.
 func (t *Tree) Upsert(e Entry) (replaced bool, ops int, err error) {
-	root, replaced, ops, err := t.upsert(t.root, e)
+	leaf, err := t.prepare(e)
 	if err != nil {
-		return false, ops, err
+		return false, 0, err
 	}
-	t.root = root
+	t.root, replaced, ops = t.upsert(t.root, e, leaf)
 	return replaced, ops, nil
 }
 
-func (t *Tree) upsert(n *node, e Entry) (*node, bool, int, error) {
+func (t *Tree) upsert(n *node, e Entry, leaf sigagg.Operand) (*node, bool, int) {
 	if n == nil {
-		return &node{size: 1, key: e.Key, rid: e.RID, sig: e.Sig, agg: e.Sig}, false, 0, nil
+		n = t.newNode(e, leaf)
+		pull(n)
+		return n, false, 0
 	}
 	var (
 		replaced bool
-		child    *node
 		ops      int
-		err      error
 	)
 	switch {
 	case e.Key < n.key:
-		child, replaced, ops, err = t.upsert(n.left, e)
-		n.left = child
+		n.left, replaced, ops = t.upsert(n.left, e, leaf)
 	case e.Key > n.key:
-		child, replaced, ops, err = t.upsert(n.right, e)
-		n.right = child
+		n.right, replaced, ops = t.upsert(n.right, e, leaf)
 	default:
-		n.rid, n.sig = e.RID, e.Sig
-		pops, perr := t.pull(n)
-		return n, true, pops, perr
+		n.rid, n.sig, n.leaf = e.RID, e.Sig, leaf
+		return n, true, pull(n)
 	}
-	if err != nil {
-		return nil, replaced, ops, err
-	}
-	pops, err := t.pull(n)
-	ops += pops
-	if err != nil {
-		return nil, replaced, ops, err
-	}
+	ops += pull(n)
 	if replaced {
 		// Size unchanged: the weight invariant still holds.
-		return n, true, ops, nil
+		return n, true, ops
 	}
-	root, bops, err := t.balance(n)
-	return root, replaced, ops + bops, err
+	root, bops := balance(n)
+	return root, false, ops + bops
 }
 
 // Delete removes the entry stored under key, returning whether it
 // existed and the aggregation operations spent on maintenance.
-func (t *Tree) Delete(key int64) (deleted bool, ops int, err error) {
-	root, deleted, ops, err := t.delete(t.root, key)
-	if err != nil {
-		return false, ops, err
-	}
-	t.root = root
-	return deleted, ops, nil
+func (t *Tree) Delete(key int64) (deleted bool, ops int) {
+	t.root, deleted, ops = del(t.root, key)
+	return deleted, ops
 }
 
-func (t *Tree) delete(n *node, key int64) (*node, bool, int, error) {
+func del(n *node, key int64) (*node, bool, int) {
 	if n == nil {
-		return nil, false, 0, nil
+		return nil, false, 0
 	}
 	var (
 		deleted bool
-		child   *node
 		ops     int
-		err     error
 	)
 	switch {
 	case key < n.key:
-		child, deleted, ops, err = t.delete(n.left, key)
-		n.left = child
+		n.left, deleted, ops = del(n.left, key)
 	case key > n.key:
-		child, deleted, ops, err = t.delete(n.right, key)
-		n.right = child
+		n.right, deleted, ops = del(n.right, key)
 	default:
 		if n.left == nil {
-			return n.right, true, 0, nil
+			return n.right, true, 0
 		}
 		if n.right == nil {
-			return n.left, true, 0, nil
+			return n.left, true, 0
 		}
 		// Replace n's payload with the successor (min of right subtree).
-		min, rest, mops, merr := t.deleteMin(n.right)
-		if merr != nil {
-			return nil, true, mops, merr
-		}
-		n.key, n.rid, n.sig = min.key, min.rid, min.sig
-		n.right = rest
-		deleted, ops, err = true, mops, nil
+		var min *node
+		min, n.right, ops = deleteMin(n.right)
+		n.key, n.rid, n.sig, n.leaf = min.key, min.rid, min.sig, min.leaf
+		deleted = true
 	}
-	if err != nil || !deleted {
-		return n, deleted, ops, err
+	if !deleted {
+		return n, false, ops
 	}
-	pops, err := t.pull(n)
-	ops += pops
-	if err != nil {
-		return nil, deleted, ops, err
-	}
-	root, bops, err := t.balance(n)
-	return root, deleted, ops + bops, err
+	ops += pull(n)
+	root, bops := balance(n)
+	return root, true, ops + bops
 }
 
-func (t *Tree) deleteMin(n *node) (min *node, rest *node, ops int, err error) {
+func deleteMin(n *node) (min, rest *node, ops int) {
 	if n.left == nil {
-		return n, n.right, 0, nil
+		return n, n.right, 0
 	}
-	min, child, ops, err := t.deleteMin(n.left)
-	if err != nil {
-		return nil, nil, ops, err
-	}
-	n.left = child
-	pops, err := t.pull(n)
-	ops += pops
-	if err != nil {
-		return nil, nil, ops, err
-	}
-	root, bops, err := t.balance(n)
-	return min, root, ops + bops, err
+	min, n.left, ops = deleteMin(n.left)
+	ops += pull(n)
+	root, bops := balance(n)
+	return min, root, ops + bops
 }
 
-// AggRange returns the aggregate signature over every entry with
-// lo <= key <= hi, and the number of aggregation operations spent —
-// O(log n), the point of the structure. A range containing no entries
-// yields a nil signature. The returned signature may alias internal
-// storage and must not be mutated.
-func (t *Tree) AggRange(lo, hi int64) (sigagg.Signature, int, error) {
+// FoldRange folds the aggregate over every entry with lo <= key <= hi
+// into acc — at most 2·log n leaf operands and subtree sums, the point
+// of the structure — and returns how many pieces it folded (0 when the
+// range holds no entry). Folding k pieces into an empty accumulator is
+// k-1 aggregation operations; a caller covering several trees with one
+// accumulator counts across them.
+func (t *Tree) FoldRange(acc sigagg.Sum, lo, hi int64) (pieces int, err error) {
 	if lo > hi {
-		return nil, 0, fmt.Errorf("aggtree: inverted range [%d,%d]", lo, hi)
+		return 0, fmt.Errorf("aggtree: inverted range [%d,%d]", lo, hi)
 	}
-	ra := rangeAgg{scheme: t.scheme}
-	if err := ra.split(t.root, lo, hi); err != nil {
-		return nil, ra.ops, err
-	}
-	return ra.acc, ra.ops, nil
-}
-
-type rangeAgg struct {
-	scheme sigagg.Scheme
-	acc    sigagg.Signature
-	ops    int
-}
-
-func (ra *rangeAgg) add(sig sigagg.Signature) error {
-	if sig == nil {
-		return nil
-	}
-	if ra.acc == nil {
-		ra.acc = sig
-		return nil
-	}
-	var err error
-	ra.acc, err = ra.scheme.Add(ra.acc, sig)
-	ra.ops++
-	return err
-}
-
-// split descends to the topmost node inside [lo, hi], then covers the
-// two flanks with geometrically growing whole subtrees.
-func (ra *rangeAgg) split(n *node, lo, hi int64) error {
-	for n != nil {
-		switch {
-		case n.key < lo:
-			n = n.right
-		case n.key > hi:
-			n = n.left
-		default:
-			if err := ra.coverGE(n.left, lo); err != nil {
-				return err
-			}
-			if err := ra.add(n.sig); err != nil {
-				return err
-			}
-			return ra.coverLE(n.right, hi)
-		}
-	}
-	return nil
-}
-
-// coverGE aggregates every entry of n's subtree with key >= lo.
-func (ra *rangeAgg) coverGE(n *node, lo int64) error {
-	for n != nil {
+	// Descend to the topmost node inside [lo, hi], then cover the two
+	// flanks with geometrically growing whole subtrees.
+	n := t.root
+	for n != nil && (n.key < lo || n.key > hi) {
 		if n.key < lo {
 			n = n.right
+		} else {
+			n = n.left
+		}
+	}
+	if n == nil {
+		return 0, nil
+	}
+	acc.Fold(n.leaf)
+	pieces = 1
+	// Every entry of the left subtree with key >= lo.
+	for l := n.left; l != nil; {
+		if l.key < lo {
+			l = l.right
 			continue
 		}
-		if err := ra.add(n.sig); err != nil {
-			return err
+		acc.Fold(l.leaf)
+		pieces++
+		if l.right != nil {
+			acc.Merge(l.right.sum)
+			pieces++
 		}
-		if n.right != nil {
-			if err := ra.add(n.right.agg); err != nil {
-				return err
-			}
-		}
-		n = n.left
+		l = l.left
 	}
-	return nil
+	// Every entry of the right subtree with key <= hi.
+	for r := n.right; r != nil; {
+		if r.key > hi {
+			r = r.left
+			continue
+		}
+		acc.Fold(r.leaf)
+		pieces++
+		if r.left != nil {
+			acc.Merge(r.left.sum)
+			pieces++
+		}
+		r = r.right
+	}
+	return pieces, nil
 }
 
-// coverLE aggregates every entry of n's subtree with key <= hi.
-func (ra *rangeAgg) coverLE(n *node, hi int64) error {
-	for n != nil {
-		if n.key > hi {
-			n = n.left
-			continue
-		}
-		if err := ra.add(n.sig); err != nil {
-			return err
-		}
-		if n.left != nil {
-			if err := ra.add(n.left.agg); err != nil {
-				return err
-			}
-		}
-		n = n.right
+// AggRange returns the encoded aggregate signature over every entry
+// with lo <= key <= hi and the number of aggregation operations spent.
+// A range containing no entries yields a nil signature. It is FoldRange
+// into a fresh accumulator, encoded.
+func (t *Tree) AggRange(lo, hi int64) (sigagg.Signature, int, error) {
+	acc := t.folder.NewSum()
+	pieces, err := t.FoldRange(acc, lo, hi)
+	if err != nil || pieces == 0 {
+		return nil, 0, err
 	}
-	return nil
+	sig, err := acc.Encode(nil)
+	return sig, pieces - 1, err
 }
 
 // BulkLoad builds a perfectly balanced tree from entries strictly sorted
-// by key, computing every subtree aggregate bottom-up in Θ(n) total
+// by key, computing every subtree sum bottom-up in Θ(n) total
 // aggregation operations (vs Θ(n log n) for n incremental upserts). It
 // returns the tree and the operations spent.
 func BulkLoad(scheme sigagg.Scheme, entries []Entry) (*Tree, int, error) {
@@ -446,24 +384,17 @@ func (t *Tree) build(entries []Entry) (*node, int, error) {
 		return nil, 0, nil
 	}
 	mid := len(entries) / 2
-	e := entries[mid]
-	n := &node{key: e.Key, rid: e.RID, sig: e.Sig}
-	var ops int
-	left, lops, err := t.build(entries[:mid])
-	ops += lops
+	leaf, err := t.prepare(entries[mid])
 	if err != nil {
-		return nil, ops, err
+		return nil, 0, err
 	}
-	right, rops, err := t.build(entries[mid+1:])
-	ops += rops
-	if err != nil {
-		return nil, ops, err
+	n := t.newNode(entries[mid], leaf)
+	var lops, rops int
+	if n.left, lops, err = t.build(entries[:mid]); err != nil {
+		return nil, lops, err
 	}
-	n.left, n.right = left, right
-	pops, err := t.pull(n)
-	ops += pops
-	if err != nil {
-		return nil, ops, err
+	if n.right, rops, err = t.build(entries[mid+1:]); err != nil {
+		return nil, lops + rops, err
 	}
-	return n, ops, nil
+	return n, lops + rops + pull(n), nil
 }

@@ -69,14 +69,15 @@ func (o *oracle) aggRange(t *testing.T, lo, hi int64) sigagg.Signature {
 }
 
 // validate checks the BST ordering, the size fields, the weight-balance
-// invariant and every subtree aggregate against a recomputation.
-func (tr *Tree) validate(t *testing.T) {
+// invariant and every subtree sum — encoded — against the aggregate of
+// the subtree's leaf signatures.
+func (tr *Tree) validate(t *testing.T, scheme sigagg.Scheme) {
 	t.Helper()
 	var prev *int64
-	var walk func(n *node) int
-	walk = func(n *node) int {
+	var walk func(n *node) []sigagg.Signature
+	walk = func(n *node) []sigagg.Signature {
 		if n == nil {
-			return 0
+			return nil
 		}
 		ls := walk(n.left)
 		if prev != nil && n.key <= *prev {
@@ -85,31 +86,28 @@ func (tr *Tree) validate(t *testing.T) {
 		k := n.key
 		prev = &k
 		rs := walk(n.right)
-		if n.size != ls+rs+1 {
-			t.Fatalf("size mismatch at key %d: %d != %d", n.key, n.size, ls+rs+1)
+		if n.size != len(ls)+len(rs)+1 {
+			t.Fatalf("size mismatch at key %d: %d != %d", n.key, n.size, len(ls)+len(rs)+1)
 		}
-		if ls+rs >= 2 {
-			lw, rw := ls+1, rs+1
+		if len(ls)+len(rs) >= 2 {
+			lw, rw := len(ls)+1, len(rs)+1
 			if lw > wDelta*rw || rw > wDelta*lw {
 				t.Fatalf("weight invariant violated at key %d: %d vs %d", n.key, lw, rw)
 			}
 		}
-		// Aggregate must equal the combination of the subtree parts.
-		parts := []sigagg.Signature{n.sig}
-		if n.left != nil {
-			parts = append(parts, n.left.agg)
-		}
-		if n.right != nil {
-			parts = append(parts, n.right.agg)
-		}
-		want, err := tr.scheme.Aggregate(parts)
+		sigs := append(append(ls, n.sig), rs...)
+		want, err := scheme.Aggregate(sigs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(want) != string(n.agg) {
-			t.Fatalf("aggregate mismatch at key %d", n.key)
+		got, err := n.sum.Encode(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return n.size
+		if string(want) != string(got) {
+			t.Fatalf("subtree sum mismatch at key %d", n.key)
+		}
+		return sigs
 	}
 	walk(tr.root)
 }
@@ -128,10 +126,7 @@ func TestRandomInterleavedOpsVsOracle(t *testing.T) {
 		switch rng.Intn(10) {
 		case 0, 1: // delete
 			wantDel := o.delete(key)
-			gotDel, _, err := tr.Delete(key)
-			if err != nil {
-				t.Fatal(err)
-			}
+			gotDel, _ := tr.Delete(key)
 			if gotDel != wantDel {
 				t.Fatalf("step %d: Delete(%d) = %v, oracle %v", i, key, gotDel, wantDel)
 			}
@@ -146,7 +141,7 @@ func TestRandomInterleavedOpsVsOracle(t *testing.T) {
 			t.Fatalf("step %d: Len = %d, oracle %d", i, tr.Len(), len(o.entries))
 		}
 		if i%250 == 0 {
-			tr.validate(t)
+			tr.validate(t, scheme)
 		}
 		// Random range check against linear aggregation.
 		lo := rng.Int63n(keySpace)
@@ -160,7 +155,7 @@ func TestRandomInterleavedOpsVsOracle(t *testing.T) {
 			t.Fatalf("step %d: AggRange(%d,%d) mismatch", i, lo, hi)
 		}
 	}
-	tr.validate(t)
+	tr.validate(t, scheme)
 }
 
 func TestAggRangeOpsLogarithmic(t *testing.T) {
@@ -224,11 +219,7 @@ func TestMaintenanceOpsLogarithmic(t *testing.T) {
 		if ops > bound {
 			t.Fatalf("upsert ops %d exceeds bound %d", ops, bound)
 		}
-		_, ops, err = tr.Delete(rng.Int63n(2 * n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ops > bound {
+		if _, ops = tr.Delete(rng.Int63n(2 * n)); ops > bound {
 			t.Fatalf("delete ops %d exceeds bound %d", ops, bound)
 		}
 	}
@@ -262,7 +253,7 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 			t.Fatalf("bulk and incremental aggregates differ on [%d,%d]", r[0], r[1])
 		}
 	}
-	bulk.validate(t)
+	bulk.validate(t, scheme)
 }
 
 func TestBulkLoadRejectsUnsorted(t *testing.T) {

@@ -1,18 +1,20 @@
 // Package nocachesign implements the authlint analyzer keeping the
-// signer/verifier separation of the PR 8 BAS fast path honest:
-// Sign, SignBatch and AggregateInto must never reach the verification
-// caches (the digest→point / aggregate-decode cache `cache` and the
-// per-public-key precomputation tables `tables`). If signer-side work
-// warmed or read those caches, the verification benchmarks would be
-// measuring signer state, and — worse — proof construction sweeping
-// millions of leaf signatures would thrash a cache sized for the
-// verifier's working set.
+// signer/verifier separation of the PR 8 BAS fast path honest: signing
+// (Sign, SignBatch) and proof construction (AggregateInto, Add, Remove
+// and the sigagg.Folder methods Prepare, NewSum, Fold, Merge, Reset,
+// Encode) must never reach the verification caches (the digest→point /
+// aggregate-decode cache `cache` and the per-public-key precomputation
+// tables `tables`). If signer-side work warmed or read those caches,
+// the verification benchmarks would be measuring signer state, and —
+// worse — proof construction sweeping millions of leaf signatures would
+// thrash a cache sized for the verifier's working set and evict what a
+// verifier sharing the instance wants.
 //
 // The check is a static intra-package call-graph reachability: from
-// each signer entry point, any path (direct calls, one package deep)
-// to a function whose body touches the cache/tables fields is
-// reported with the offending call chain. The analyzer applies only to
-// packages named "bas".
+// each entry point (matched by name, on any receiver), any path (direct
+// calls, one package deep) to a function whose body touches the
+// cache/tables fields is reported with the offending call chain. The
+// analyzer applies only to packages named "bas".
 package nocachesign
 
 import (
@@ -28,13 +30,17 @@ import (
 // Analyzer is the nocachesign pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "nocachesign",
-	Doc:  "check that Sign/SignBatch/AggregateInto never reach the verifier caches or per-key tables",
+	Doc:  "check that signing and proof construction (Sign/SignBatch/AggregateInto/Add/Remove and the Folder methods) never reach the verifier caches or per-key tables",
 	Run:  run,
 }
 
-// entryPoints are the signer-side functions under the no-cache
-// contract.
-var entryPoints = map[string]bool{"Sign": true, "SignBatch": true, "AggregateInto": true}
+// entryPoints are the signing and proof-construction functions under
+// the no-cache contract.
+var entryPoints = map[string]bool{
+	"Sign": true, "SignBatch": true,
+	"AggregateInto": true, "Add": true, "Remove": true,
+	"Prepare": true, "NewSum": true, "Fold": true, "Merge": true, "Reset": true, "Encode": true,
+}
 
 // cacheFields are the verifier-state fields signers must not touch.
 var cacheFields = []string{"cache", "tables"}

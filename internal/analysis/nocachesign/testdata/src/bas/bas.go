@@ -1,7 +1,7 @@
 // Fixtures for the nocachesign analyzer: the PR 8 BAS fast path keeps
-// verifier cache state (fields named cache / tables) out of the signer
-// entry points Sign / SignBatch / AggregateInto, directly and
-// transitively.
+// verifier cache state (fields named cache / tables) out of signing
+// (Sign / SignBatch) and proof construction (AggregateInto / Add /
+// Remove and the Folder methods), directly and transitively.
 package bas
 
 type pointCache struct{ m map[string]int }
@@ -21,9 +21,38 @@ func (s *Scheme) decodeCached(x int) int {
 	return x
 }
 
-// Add is a verification-path function; it may use the cache.
-func (s *Scheme) Add(x int) int {
+// Add is proof construction. Reading operands through the cache and
+// caching every intermediate sum is the shape it had until aggtree
+// stopped rebuilding through it: tens of thousands of garbage puts per
+// second on a serving process.
+func (s *Scheme) Add(x int) int { // want `signer entry point reaches verifier cache state: Add → decodeCached touches`
 	return s.decodeCached(x)
+}
+
+// Remove folds without the cache: no finding.
+func (s *Scheme) Remove(x int) int { return hashOnly(x) - x }
+
+// sum is the Folder accumulator; its methods are entry points whatever
+// the receiver.
+type sum struct {
+	s   *Scheme
+	acc int
+}
+
+// Prepare decodes without the cache: no finding.
+func (s *Scheme) Prepare(x int) int { return hashOnly(x) }
+
+func (a *sum) Fold(x int) { a.acc += x }
+
+// Merge looks the other sum's encoding up in the point cache.
+func (a *sum) Merge(o *sum) { // want `signer entry point reaches verifier cache state: Merge → decodeCached touches`
+	a.acc += a.s.decodeCached(o.acc)
+}
+
+// Encode inserts the finished sum into the cache directly.
+func (a *sum) Encode() int { // want `signer entry point reaches verifier cache state: Encode touches`
+	a.s.cache.m["sum"] = a.acc
+	return a.acc
 }
 
 // Sign reaches the cache transitively through decodeCached.

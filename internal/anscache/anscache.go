@@ -29,7 +29,9 @@
 //     entry (aging the survivors); a new entry whose observed demand
 //     (1 + coalesced waiters) is below the victim's kept frequency is
 //     not admitted at all, so a scan of cold ranges cannot wash out the
-//     hot head.
+//     hot head. Each admission also reclaims the cold-tail entry when
+//     its stamp has gone stale, so invalidated entries nobody requests
+//     again do not sit on their bytes until the budget is reached.
 //
 // Entries are reference counted: the cache holds one reference while an
 // entry is resident, and every lookup hands the caller another. When
@@ -484,6 +486,16 @@ func (c *Cache) admit(sh *cshard, e *Entry, demand uint64) {
 	if e.size > sh.max {
 		c.rejected.Add(1)
 		return
+	}
+	// A cold-tail entry whose stamp has gone stale can never be served
+	// again. Reclaim it now: left alone it holds its bytes until the size
+	// bound is reached, and a once-popular one would out-vote live
+	// newcomers in the bias below. One per admission keeps the dead
+	// residue from growing under update-heavy traffic.
+	if t := sh.tail; t != nil && !t.Stamp.Valid(c.src) {
+		sh.drop(t)
+		c.invalidations.Add(1)
+		t.Release()
 	}
 	need := sh.bytes + e.size - sh.max
 	var victims []*Entry

@@ -398,3 +398,46 @@ func TestClearReleasesResidency(t *testing.T) {
 		t.Fatalf("buffer not recycled after last release (freed=%d)", freed.Load())
 	}
 }
+
+// TestAdmitReclaimsStaleTail: entries invalidated by an epoch bump and
+// never requested again do not stay resident until the size bound is
+// hit — each later admission reclaims the stale cold-tail entry, so the
+// dead residue shrinks instead of growing.
+func TestAdmitReclaimsStaleTail(t *testing.T) {
+	src := &fakeEpochs{}
+	c := New(src, WithShards(1))
+	put := func(lo int64) {
+		t.Helper()
+		key := Key{Lo: lo, Hi: lo}
+		e, _, err := c.Do(key, func() (*Entry, error) {
+			return entryFor(key, src.stampFor(0, 0), "v"), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Release()
+	}
+	for lo := int64(0); lo < 8; lo++ {
+		put(lo)
+	}
+	if c.Len() != 8 {
+		t.Fatalf("resident %d, want 8", c.Len())
+	}
+	src.data[0].Add(1) // all eight are stale now, and nobody asks for them again
+	for lo := int64(100); lo < 108; lo++ {
+		put(lo)
+	}
+	if c.Len() != 8 {
+		t.Fatalf("resident %d after eight admissions over eight stale entries, want 8 live ones", c.Len())
+	}
+	if st := c.Stats(); st.Invalidations != 8 || st.Evictions != 0 {
+		t.Fatalf("stats: %+v, want 8 invalidations and no evictions", st)
+	}
+	for lo := int64(100); lo < 108; lo++ {
+		e, ok := c.Get(Key{Lo: lo, Hi: lo})
+		if !ok {
+			t.Fatalf("live entry %d was reclaimed", lo)
+		}
+		e.Release()
+	}
+}

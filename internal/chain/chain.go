@@ -235,25 +235,37 @@ func (a *Answer) checkStructure() error {
 }
 
 // VerifyBatch checks authenticity and completeness of many answers in
-// one pass: structural checks run per answer, the chained digests are
-// recomputed in parallel on up to par goroutines, and the aggregates
-// are verified through the scheme's batched primitives (one combined
-// number-theoretic check per worker chunk — see sigagg.BatchVerifier)
-// instead of one full verification per answer.
+// one pass: Jobs runs the structural checks and recomputes the chained
+// digests, and the aggregates are verified through the scheme's batched
+// primitives (one combined number-theoretic check per worker chunk — see
+// sigagg.BatchVerifier) instead of one full verification per answer.
 //
 // An error means at least one answer is invalid; batch verification
 // attests the set without attributing the failure, so callers needing
 // the culprit fall back to Verify answer by answer.
 func VerifyBatch(scheme sigagg.Scheme, pub sigagg.PublicKey, answers []*Answer, par int) error {
+	jobs, err := Jobs(answers, par)
+	if err != nil {
+		return err
+	}
+	return sigagg.NewPool(scheme, par).VerifyAll(pub, jobs)
+}
+
+// Jobs is the part of VerifyBatch that needs no key: the structural
+// checks run per answer, the chained digests are recomputed in parallel
+// on up to par goroutines (0 = GOMAXPROCS), and answers stating the
+// identical claim share one job. A caller holding further claims under
+// the same signer appends them and closes everything with one batch.
+func Jobs(answers []*Answer, par int) ([]sigagg.VerifyJob, error) {
 	if len(answers) == 0 {
-		return nil
+		return nil, nil
 	}
 	for _, a := range answers {
 		if a == nil {
-			return fmt.Errorf("%w: nil answer", sigagg.ErrVerify)
+			return nil, fmt.Errorf("%w: nil answer", sigagg.ErrVerify)
 		}
 		if err := a.checkStructure(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if par <= 0 {
@@ -263,16 +275,15 @@ func VerifyBatch(scheme sigagg.Scheme, pub sigagg.PublicKey, answers []*Answer, 
 	if len(answers) == 1 {
 		// A single answer parallelizes inside its own digest list.
 		jobs[0] = sigagg.VerifyJob{Digests: answers[0].DigestsParallel(par), Agg: answers[0].Agg}
-	} else {
-		sigagg.ForChunks(len(answers), par, 1, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				jobs[i] = sigagg.VerifyJob{Digests: answers[i].Digests(), Agg: answers[i].Agg}
-			}
-			return nil
-		})
-		jobs = dedupJobs(jobs)
+		return jobs, nil
 	}
-	return sigagg.NewPool(scheme, par).VerifyAll(pub, jobs)
+	sigagg.ForChunks(len(answers), par, 1, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			jobs[i] = sigagg.VerifyJob{Digests: answers[i].Digests(), Agg: answers[i].Agg}
+		}
+		return nil
+	})
+	return dedupJobs(jobs), nil
 }
 
 // dedupJobs collapses verification jobs that state the exact same claim

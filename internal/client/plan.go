@@ -1,12 +1,12 @@
 package client
 
 import (
+	"bytes"
 	"fmt"
 
 	"authdb/internal/core"
 	"authdb/internal/freshness"
 	"authdb/internal/join"
-	"authdb/internal/projection"
 	"authdb/internal/query"
 	"authdb/internal/sigagg"
 	"authdb/internal/wire"
@@ -161,8 +161,48 @@ func (c *Client) fetchPlan(planBytes []byte, spec *query.Spec) (*wire.Composite,
 	}
 }
 
+// keyBatch collects the signature claims of one composite answer that
+// fall under one signer key, each labelled with the section it came
+// from, so the key is closed with a single batch verification.
+type keyBatch struct {
+	rs       *relSession
+	jobs     []sigagg.VerifyJob
+	sections []string // sections[i] names the part of the answer jobs[i] proves
+}
+
+func (b *keyBatch) add(section string, jobs ...sigagg.VerifyJob) {
+	for _, j := range jobs {
+		b.jobs = append(b.jobs, j)
+		b.sections = append(b.sections, section)
+	}
+}
+
+// close verifies every collected claim with one batch. The batch has
+// set semantics (sigagg.BatchVerifier): a failure says some claim is
+// false, not which, so the failed batch is re-verified claim by claim
+// and the error names the first section that does not stand on its own.
+func (b *keyBatch) close() error {
+	err := b.rs.verifier.VerifyJobs(b.jobs)
+	if err == nil {
+		return nil
+	}
+	for i, j := range b.jobs {
+		if jerr := b.rs.scheme.AggregateVerify(b.rs.pub, j.Digests, j.Agg); jerr != nil {
+			return fmt.Errorf("client: %s: %w", b.sections[i], jerr)
+		}
+	}
+	return fmt.Errorf("client: %s: %w", b.sections[0], err)
+}
+
 // verifyComposite checks every section of a composite answer. Nothing
 // in comp is trusted before this returns nil.
+//
+// Every section is first checked for everything that needs no key and
+// reduced to signature claims; the claims are then closed once per
+// signer key — outer chain and projection under the outer relation's,
+// matches, boundary proofs and each distinct certified Bloom partition
+// under the inner relation's — instead of once per section. Freshness is
+// judged last, on records the closed batches have authenticated.
 func (c *Client) verifyComposite(spec *query.Spec, comp *wire.Composite, outerRS, innerRS *relSession) error {
 	if comp.Outer == nil {
 		return fmt.Errorf("%w: no outer answer", ErrComposite)
@@ -178,24 +218,79 @@ func (c *Client) verifyComposite(spec *query.Spec, comp *wire.Composite, outerRS
 			return err
 		}
 	}
-	now := c.cfg.Now()
 	// 2. Outer chain: authenticity + completeness over the selected
-	// range, freshness per record.
-	if _, err := outerRS.verifier.VerifyAnswers(
-		[]*core.Answer{{Chain: comp.Outer}},
-		[]core.Range{{Lo: spec.Lo, Hi: spec.Hi}}, now); err != nil {
+	// range.
+	outerAns := []*core.Answer{{Chain: comp.Outer}}
+	outerBatch := &keyBatch{rs: outerRS}
+	jobs, err := outerRS.verifier.Jobs(outerAns, []core.Range{{Lo: spec.Lo, Hi: spec.Hi}})
+	if err != nil {
 		return fmt.Errorf("client: outer relation %q: %w", spec.Rel, err)
 	}
+	outerBatch.add(fmt.Sprintf("outer relation %q", spec.Rel), jobs...)
 	// 3. Projection: present exactly when requested, rows 1:1 with the
 	// chained records, aggregate over the owner's attribute signatures.
-	if err := c.verifyProjection(spec, comp, outerRS); err != nil {
+	if err := c.projectionJobs(spec, comp, outerBatch); err != nil {
 		return err
 	}
-	// 4. Join: per outer key exactly one proof, each verified.
-	return c.verifyJoin(spec, comp, innerRS, now)
+	// 4. Join: per outer key exactly one proof. A self-join's claims fall
+	// under the outer key too.
+	innerBatch := outerBatch
+	if innerRS != outerRS {
+		innerBatch = &keyBatch{rs: innerRS}
+	}
+	proofs, err := c.joinJobs(spec, comp, innerBatch)
+	if err != nil {
+		return err
+	}
+	// 5. One closing verification per signer key.
+	if err := outerBatch.close(); err != nil {
+		return err
+	}
+	if innerBatch != outerBatch && len(innerBatch.jobs) > 0 {
+		if err := innerBatch.close(); err != nil {
+			return err
+		}
+	}
+	// 6. Freshness of every disclosed record — boundary anchors included
+	// — against the per-relation summary streams.
+	now := c.cfg.Now()
+	if _, err := outerRS.verifier.Freshness(outerAns, now); err != nil {
+		return fmt.Errorf("client: outer relation %q: %w", spec.Rel, err)
+	}
+	if spec.Join != nil {
+		if _, err := innerRS.verifier.Freshness(proofs.chains, now); err != nil {
+			return fmt.Errorf("client: join against %q: %w", spec.Join.Rel, err)
+		}
+		// Bloom negatives prove absence only as of the filter
+		// certification: bound its age against the inner relation's newest
+		// certified summary, which this answer's tail just delivered. One ρ
+		// is the protocol's staleness unit; an older filter means the
+		// server skipped re-certification past a summary close and its
+		// negatives may hide newer inserts.
+		if proofs.bfNegs > 0 {
+			latest, ok := innerRS.verifier.LatestSummary()
+			if !ok {
+				return fmt.Errorf("%w: Bloom negatives without any certified summary for %q", ErrComposite, spec.Join.Rel)
+			}
+			if lag := latest.TS - comp.Join.FilterTS; lag > c.cfg.Protocol.Rho {
+				return fmt.Errorf("%w: join filter for %q certified at %d is %d behind the summary stream (ρ=%d)",
+					freshness.ErrStale, spec.Join.Rel, comp.Join.FilterTS, lag, c.cfg.Protocol.Rho)
+			}
+		}
+	}
+	if comp.Proj != nil {
+		c.stats.AttrSigsVerif += uint64(len(comp.Proj.Rows) * len(comp.Proj.AttrIdxs))
+	}
+	c.stats.JoinMatches += proofs.matches
+	c.stats.JoinBFNegs += proofs.bfNegs
+	c.stats.JoinBFFalls += proofs.bfFalls
+	c.stats.JoinBounds += proofs.bounds
+	return nil
 }
 
-func (c *Client) verifyProjection(spec *query.Spec, comp *wire.Composite, outerRS *relSession) error {
+// projectionJobs checks the projection section's shape against the plan
+// and the outer chain and adds its aggregate claim to the outer batch.
+func (c *Client) projectionJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatch) error {
 	if spec.Attrs == nil {
 		if comp.Proj != nil {
 			return fmt.Errorf("%w: unrequested projection section", ErrComposite)
@@ -218,7 +313,7 @@ func (c *Client) verifyProjection(spec *query.Spec, comp *wire.Composite, outerR
 		return fmt.Errorf("%w: %d projected rows for %d records", ErrComposite, len(p.Rows), len(comp.Outer.Records))
 	}
 	// Row identity is pinned to the chain: same RID and same certified
-	// timestamp, in the same order. The chain proof already authenticated
+	// timestamp, in the same order. The chain proof authenticates
 	// (RID, key, TS); the projection aggregate binds (RID, slot, value,
 	// TS); together a swapped or stale value cannot survive both.
 	for i, rec := range comp.Outer.Records {
@@ -227,27 +322,40 @@ func (c *Client) verifyProjection(spec *query.Spec, comp *wire.Composite, outerR
 				ErrComposite, i, p.Rows[i].RID, rec.RID, p.Rows[i].TS, rec.TS)
 		}
 	}
-	if err := projection.Verify(outerRS.scheme, outerRS.pub, p); err != nil {
-		return fmt.Errorf("client: projection over %q: %w", spec.Rel, err)
+	ds, err := p.Digests()
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrComposite, err)
 	}
-	c.stats.AttrSigsVerif += uint64(len(p.Rows) * len(p.AttrIdxs))
+	batch.add(fmt.Sprintf("projection over %q", spec.Rel), sigagg.VerifyJob{Digests: ds, Agg: p.Agg})
 	return nil
 }
 
-func (c *Client) verifyJoin(spec *query.Spec, comp *wire.Composite, innerRS *relSession, now int64) error {
+// joinProofs is what joinJobs found in a join section: the chain-backed
+// proofs, whose records still need their freshness judged once the
+// batch has closed, and the per-kind counts for the session stats.
+type joinProofs struct {
+	chains                           []*core.Answer
+	matches, bfNegs, bfFalls, bounds uint64
+}
+
+// joinJobs checks the join section's shape and coverage and adds its
+// signature claims to the inner batch.
+func (c *Client) joinJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatch) (joinProofs, error) {
+	var out joinProofs
 	if spec.Join == nil {
 		if comp.Join != nil {
-			return fmt.Errorf("%w: unrequested join section", ErrComposite)
+			return out, fmt.Errorf("%w: unrequested join section", ErrComposite)
 		}
-		return nil
+		return out, nil
 	}
 	j := comp.Join
 	if j == nil {
-		return fmt.Errorf("%w: join section missing", ErrComposite)
+		return out, fmt.Errorf("%w: join section missing", ErrComposite)
 	}
 	if j.Method != spec.Join.Method {
-		return fmt.Errorf("%w: join used method %v, requested %v", ErrComposite, j.Method, spec.Join.Method)
+		return out, fmt.Errorf("%w: join used method %v, requested %v", ErrComposite, j.Method, spec.Join.Method)
 	}
+	section := fmt.Sprintf("join against %q", spec.Join.Rel)
 	// Coverage: each outer key must be resolved exactly once, and no
 	// proof may reference a key outside the outer answer — a server must
 	// not be able to drop a non-match proof (claiming fewer results) or
@@ -268,95 +376,94 @@ func (c *Client) verifyJoin(spec *query.Spec, comp *wire.Composite, innerRS *rel
 		return nil
 	}
 
-	// Chain-backed proofs (matches and boundary non-matches) batch
-	// through the inner verifier: authenticity, completeness for the
-	// point range [v, v], and freshness of every disclosed record —
-	// boundary anchors included.
-	var chainAnswers []*core.Answer
+	// Chain-backed proofs (matches and boundary non-matches): structure
+	// and completeness for the point range [v, v].
 	var chainRanges []core.Range
-	var matches, bfNegs, bfFalls, bounds uint64
 	for _, m := range j.Matches {
 		if m == nil || len(m.Records) == 0 {
-			return fmt.Errorf("%w: match proof with no records", ErrComposite)
+			return out, fmt.Errorf("%w: match proof with no records", ErrComposite)
 		}
 		if m.Lo != m.Hi {
-			return fmt.Errorf("%w: match proof covers [%d,%d], not a point", ErrComposite, m.Lo, m.Hi)
+			return out, fmt.Errorf("%w: match proof covers [%d,%d], not a point", ErrComposite, m.Lo, m.Hi)
 		}
 		if err := claim(m.Lo); err != nil {
-			return err
+			return out, err
 		}
-		chainAnswers = append(chainAnswers, &core.Answer{Chain: m})
+		out.chains = append(out.chains, &core.Answer{Chain: m})
 		chainRanges = append(chainRanges, core.Range{Lo: m.Lo, Hi: m.Hi})
-		matches++
+		out.matches++
 	}
+	// Bloom negatives: every probe is checked against the partition it
+	// carries, but the many probes that fall into one partition share its
+	// one certification claim. certified maps a partition's bounds to the
+	// first proof that presented it.
+	certified := make(map[[2]int64]*join.UnmatchedProof)
 	for i := range j.Unmatched {
 		up := &j.Unmatched[i]
 		if err := claim(up.RA); err != nil {
-			return err
+			return out, err
 		}
 		switch {
 		case up.Boundary != nil:
 			if len(up.Boundary.Records) != 0 {
-				return fmt.Errorf("%w: non-match proof for %d contains records", ErrComposite, up.RA)
+				return out, fmt.Errorf("%w: non-match proof for %d contains records", ErrComposite, up.RA)
 			}
 			if up.Boundary.Lo != up.RA || up.Boundary.Hi != up.RA {
-				return fmt.Errorf("%w: boundary proof for %d covers [%d,%d]", ErrComposite, up.RA, up.Boundary.Lo, up.Boundary.Hi)
+				return out, fmt.Errorf("%w: boundary proof for %d covers [%d,%d]", ErrComposite, up.RA, up.Boundary.Lo, up.Boundary.Hi)
 			}
-			chainAnswers = append(chainAnswers, &core.Answer{Chain: up.Boundary})
+			out.chains = append(out.chains, &core.Answer{Chain: up.Boundary})
 			chainRanges = append(chainRanges, core.Range{Lo: up.RA, Hi: up.RA})
 			if j.Method == join.BF {
-				bfFalls++
+				out.bfFalls++
 			} else {
-				bounds++
+				out.bounds++
 			}
 		case up.Partition != nil:
 			if j.Method != join.BF {
-				return fmt.Errorf("%w: Bloom proof for %d in a BV join", ErrComposite, up.RA)
+				return out, fmt.Errorf("%w: Bloom proof for %d in a BV join", ErrComposite, up.RA)
 			}
-			if err := join.VerifyPartitionProof(innerRS.scheme, innerRS.pub, up, j.FilterTS); err != nil {
-				return fmt.Errorf("client: join against %q: %w", spec.Join.Rel, err)
+			if err := join.CheckPartitionProbe(up); err != nil {
+				return out, fmt.Errorf("client: %s: %w", section, err)
 			}
-			bfNegs++
+			bounds := [2]int64{up.Partition.Lo, up.Partition.Hi}
+			first, seen := certified[bounds]
+			if seen && first.Partition.Filter.Equal(up.Partition.Filter) {
+				// The same partition again. Certification is deterministic,
+				// so a second, different signature for it cannot also be
+				// valid — and under set semantics two proofs trading their
+				// signatures would otherwise cancel out.
+				if !bytes.Equal(first.PartSig, up.PartSig) {
+					return out, fmt.Errorf("%w: %s: partition [%d,%d) presented with two different certifications",
+						ErrComposite, section, bounds[0], bounds[1])
+				}
+			} else {
+				if !seen {
+					certified[bounds] = up
+				}
+				batch.add(fmt.Sprintf("%s: partition cert for %d", section, up.RA),
+					join.PartitionJob(up.Partition, up.PartSig, j.FilterTS))
+			}
+			out.bfNegs++
 		default:
-			return fmt.Errorf("%w: key %d unmatched without proof", ErrComposite, up.RA)
+			return out, fmt.Errorf("%w: key %d unmatched without proof", ErrComposite, up.RA)
 		}
 	}
 	for v, done := range resolved {
 		if !done {
-			return fmt.Errorf("%w: outer key %d has no join proof", ErrComposite, v)
+			return out, fmt.Errorf("%w: outer key %d has no join proof", ErrComposite, v)
 		}
 	}
-	if len(chainAnswers) > 0 {
-		if _, err := innerRS.verifier.VerifyAnswers(chainAnswers, chainRanges, now); err != nil {
-			return fmt.Errorf("client: join against %q: %w", spec.Join.Rel, err)
-		}
+	jobs, err := batch.rs.verifier.Jobs(out.chains, chainRanges)
+	if err != nil {
+		return out, fmt.Errorf("client: %s: %w", section, err)
 	}
-	// Bloom negatives prove absence only as of the filter certification:
-	// bound its age against the inner relation's newest certified
-	// summary, which this answer's tail just delivered. One ρ is the
-	// protocol's staleness unit; an older filter means the server skipped
-	// re-certification past a summary close and its negatives may hide
-	// newer inserts.
-	if bfNegs > 0 {
-		latest, ok := innerRS.verifier.LatestSummary()
-		if !ok {
-			return fmt.Errorf("%w: Bloom negatives without any certified summary for %q", ErrComposite, spec.Join.Rel)
-		}
-		if lag := latest.TS - j.FilterTS; lag > c.cfg.Protocol.Rho {
-			return fmt.Errorf("%w: join filter for %q certified at %d is %d behind the summary stream (ρ=%d)",
-				freshness.ErrStale, spec.Join.Rel, j.FilterTS, lag, c.cfg.Protocol.Rho)
-		}
-	}
-	c.stats.JoinMatches += matches
-	c.stats.JoinBFNegs += bfNegs
-	c.stats.JoinBFFalls += bfFalls
-	c.stats.JoinBounds += bounds
-	return nil
+	batch.add(section, jobs...)
+	return out, nil
 }
 
 // relIngest folds one relation's summary tail into its verifier,
 // cross-checking re-sent sequence numbers (rollback evidence) and
-// bridging sequence gaps with 'T' fetches.
+// bridging sequence gaps with paged 'T' fetches.
 func (c *Client) relIngest(rel string, rs *relSession, sums []freshness.Summary) error {
 	held := uint64(0)
 	if latest, ok := rs.verifier.LatestSummary(); ok {
@@ -370,13 +477,17 @@ func (c *Client) relIngest(rel string, rs *relSession, sums []freshness.Summary)
 			}
 			continue
 		}
-		if s.Seq > held+1 {
-			// The tail skipped sequence numbers (e.g. a capped response):
-			// fetch the missing stretch explicitly before continuing.
+		// The tail skipped sequence numbers (a cold session's tail starts
+		// at the answer's oldest signature): fetch the missing stretch
+		// first. The server caps each reply, so page from the newest
+		// summary held until the stretch is contiguous, giving up only
+		// when a reply brings nothing new.
+		for held+1 < s.Seq {
 			fetched, err := c.fetchRelSummariesRetry(rel, held)
 			if err != nil {
 				return err
 			}
+			before := held
 			for k := range fetched {
 				f := &fetched[k]
 				if f.Seq <= held {
@@ -394,7 +505,7 @@ func (c *Client) relIngest(rel string, rs *relSession, sums []freshness.Summary)
 				held = f.Seq
 				c.stats.Summaries++
 			}
-			if held+1 != s.Seq {
+			if held == before {
 				return fmt.Errorf("%w: relation %q summaries %d..%d unavailable", wire.ErrCorrupt, rel, held+1, s.Seq-1)
 			}
 		}

@@ -31,11 +31,20 @@ type planFixture struct {
 	outer, inner *core.Relation
 	eng          *query.Engine
 	addr         string
+	newScheme    func() sigagg.Scheme
 }
 
 func newPlanFixture(t *testing.T) *planFixture {
 	t.Helper()
-	cat, err := core.NewCatalog(xortest.New(), core.DefaultConfig(), 2)
+	return newPlanFixtureOn(t, func() sigagg.Scheme { return xortest.New() }, server.NetConfig{})
+}
+
+// newPlanFixtureOn builds the fixture on the scheme newScheme makes —
+// server and each dialed client get an instance of their own — behind a
+// NetServer with the given configuration.
+func newPlanFixtureOn(t testing.TB, newScheme func() sigagg.Scheme, netCfg server.NetConfig) *planFixture {
+	t.Helper()
+	cat, err := core.NewCatalog(newScheme(), core.DefaultConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +98,7 @@ func newPlanFixture(t *testing.T) *planFixture {
 	if err := eng.SetFilter("i", fc); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.NewNetServer(outer.QS, server.NetConfig{})
+	srv := server.NewNetServer(outer.QS, netCfg)
 	srv.EnablePlans(eng)
 	ln, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -101,15 +110,24 @@ func newPlanFixture(t *testing.T) *planFixture {
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	return &planFixture{cat: cat, outer: outer, inner: inner, eng: eng, addr: ln.Addr().String()}
+	return &planFixture{cat: cat, outer: outer, inner: inner, eng: eng, addr: ln.Addr().String(), newScheme: newScheme}
 }
 
-func (fx *planFixture) dial(t *testing.T, addr string) *client.Client {
+func (fx *planFixture) dial(t testing.TB, addr string) *client.Client {
+	t.Helper()
+	return fx.dialWith(t, addr, fx.newScheme(), 0)
+}
+
+// dialWith opens a session verifying on the given scheme instance — so
+// a test can read that instance's counters — with the given number of
+// verification workers (0 = GOMAXPROCS).
+func (fx *planFixture) dialWith(t testing.TB, addr string, scheme sigagg.Scheme, workers int) *client.Client {
 	t.Helper()
 	cl, err := client.Dial(addr, client.Config{
-		Scheme:    xortest.New(),
-		Pub:       fx.outer.Pub,
-		Relations: fx.cat.PublicKeys(),
+		Scheme:        scheme,
+		Pub:           fx.outer.Pub,
+		Relations:     fx.cat.PublicKeys(),
+		VerifyWorkers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,8 +295,9 @@ type compTamperSrv struct {
 	ln       net.Listener
 	upstream string
 
-	mu   sync.Mutex
-	mode compTamperMode
+	mu     sync.Mutex
+	mode   compTamperMode
+	mutate func(*wire.Composite) // when set, replaces mode's forgery
 }
 
 func newCompTamperSrv(t *testing.T, upstream string) *compTamperSrv {
@@ -298,6 +317,14 @@ func (ts *compTamperSrv) Addr() string { return ts.ln.Addr().String() }
 func (ts *compTamperSrv) SetMode(m compTamperMode) {
 	ts.mu.Lock()
 	ts.mode = m
+	ts.mu.Unlock()
+}
+
+// SetMutator installs an arbitrary forgery applied to every decoded
+// composite (nil restores honest relaying).
+func (ts *compTamperSrv) SetMutator(fn func(*wire.Composite)) {
+	ts.mu.Lock()
+	ts.mutate = fn
 	ts.mu.Unlock()
 }
 
@@ -330,23 +357,27 @@ func (ts *compTamperSrv) serve(down net.Conn) {
 			return
 		}
 		ts.mu.Lock()
-		mode := ts.mode
+		mode, fn := ts.mode, ts.mutate
 		ts.mu.Unlock()
-		out := ts.mutate(mode, resp)
+		out := ts.forge(mode, fn, resp)
 		if err := wire.WriteFrame(down, out); err != nil {
 			return
 		}
 	}
 }
 
-func (ts *compTamperSrv) mutate(mode compTamperMode, frame []byte) []byte {
+func (ts *compTamperSrv) forge(mode compTamperMode, fn func(*wire.Composite), frame []byte) []byte {
 	kind, err := wire.Kind(frame)
-	if err != nil || kind != 'C' || mode == compTamperNone {
+	if err != nil || kind != 'C' || (mode == compTamperNone && fn == nil) {
 		return frame
 	}
 	comp, err := wire.DecodeComposite(frame)
 	if err != nil {
 		return frame
+	}
+	if fn != nil {
+		fn(comp)
+		mode = compTamperNone
 	}
 	switch mode {
 	case compTamperRowSwap:

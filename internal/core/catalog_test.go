@@ -75,20 +75,15 @@ func TestProjectionModeEndToEnd(t *testing.T) {
 	// …and every row's per-slot signatures under projection.Verify, for a
 	// projection onto the second attribute only.
 	prows := make([]projection.Row, len(rows))
+	ops := make([][]sigagg.Operand, len(rows))
 	for i, r := range rows {
 		if r.RID != ans.Chain.Records[i].RID || r.TS != ans.Chain.Records[i].TS {
 			t.Fatalf("row %d misaligned with chained record", i)
 		}
 		prows[i] = projection.Row{RID: r.RID, TS: r.TS, Values: [][]byte{r.Vals[1]}}
+		ops[i] = r.Ops
 	}
-	pans, err := projection.Build(rel.Scheme, []int{1}, prows, func(rid uint64) ([]sigagg.Signature, error) {
-		for _, r := range rows {
-			if r.RID == rid {
-				return r.Sigs, nil
-			}
-		}
-		return nil, fmt.Errorf("no sideband for rid %d", rid)
-	})
+	pans, err := projection.Build(rel.Scheme, []int{1}, prows, ops)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -75,11 +74,26 @@ type shard struct {
 
 // AttrSide is the projection-mode sideband stored next to a record: the
 // attribute values at the record's certified timestamp and one owner
-// signature per attribute slot (§3.4). Ordinary relations never populate
-// it.
+// signature per attribute slot (§3.4), each also held prepared so a
+// projection proof folds them without decoding. Ordinary relations never
+// populate it.
 type AttrSide struct {
 	Vals [][]byte
 	Sigs []sigagg.Signature
+	ops  []sigagg.Operand // Sigs, prepared
+}
+
+// attrSide builds a disseminated record's sideband, or nil when it
+// carries none.
+func (qs *QueryServer) attrSide(sr *SignedRecord) (*AttrSide, error) {
+	if sr.AttrVals == nil && sr.AttrSigs == nil {
+		return nil, nil
+	}
+	ops, err := sigagg.PrepareAll(qs.folder, sr.AttrSigs)
+	if err != nil {
+		return nil, fmt.Errorf("core: attribute signatures of rid %d: %w", sr.Rec.RID, err)
+	}
+	return &AttrSide{Vals: sr.AttrVals, Sigs: sr.AttrSigs, ops: ops}, nil
 }
 
 // QueryServer is the untrusted server: it stores the records,
@@ -99,9 +113,9 @@ type AttrSide struct {
 // atomics that impose no ordering.
 type QueryServer struct {
 	scheme sigagg.Scheme
-	linear bool // baseline mode: aggregate result signatures linearly
-	par    int  // max goroutines for the parallel proof builder
-	nset   int  // configured shard count (construction only)
+	folder sigagg.Folder // scheme's decoded-operand aggregation (proof construction)
+	linear bool          // baseline mode: aggregate result signatures linearly
+	nset   int           // configured shard count (construction only)
 
 	// topo guards the shard boundaries: shared by every operation,
 	// exclusive only during the one-off seeding that splits the
@@ -146,16 +160,6 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithParallelism caps the goroutines the proof builder fans out to
-// (default GOMAXPROCS). 1 forces sequential partial aggregation.
-func WithParallelism(n int) Option {
-	return func(qs *QueryServer) {
-		if n >= 1 {
-			qs.par = n
-		}
-	}
-}
-
 // WithLinearAggregation disables the aggregation tree and reverts to
 // linearly aggregating every result signature — the pre-aggtree
 // baseline, kept for benchmarks and ablations.
@@ -167,7 +171,7 @@ func WithLinearAggregation() Option {
 func NewQueryServer(scheme sigagg.Scheme, opts ...Option) *QueryServer {
 	qs := &QueryServer{
 		scheme: scheme,
-		par:    runtime.GOMAXPROCS(0),
+		folder: sigagg.FolderFor(scheme),
 		nset:   DefaultShards,
 		keyOf:  make(map[uint64]int64),
 	}
@@ -311,6 +315,33 @@ func (qs *QueryServer) maybeSeed(msg *UpdateMsg) error {
 	return nil
 }
 
+// stageBulk turns key-sorted signed records into bulkFill's inputs —
+// aggregation-tree entries, record bodies, prepared sidebands — and
+// routes their rids. Caller holds routing.
+func (qs *QueryServer) stageBulk(srs []SignedRecord) ([]aggtree.Entry, map[int64]*Record, map[int64]*AttrSide, error) {
+	entries := make([]aggtree.Entry, len(srs))
+	recs := make(map[int64]*Record, len(srs))
+	var side map[int64]*AttrSide
+	for i := range srs {
+		sr := &srs[i]
+		rec := sr.Rec
+		entries[i] = aggtree.Entry{Key: rec.Key, RID: rec.RID, Sig: sr.Sig}
+		recs[rec.Key] = rec
+		as, err := qs.attrSide(sr)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if as != nil {
+			if side == nil {
+				side = make(map[int64]*AttrSide, len(srs))
+			}
+			side[rec.Key] = as
+		}
+		qs.keyOf[rec.RID] = rec.Key
+	}
+	return entries, recs, side, nil
+}
+
 // bulkFill distributes sorted entries across the (empty) shards,
 // building each shard's B+-tree and aggregation tree bottom-up. Caller
 // must hold either topo exclusively or all shard write locks.
@@ -413,23 +444,24 @@ func (qs *QueryServer) Apply(msg *UpdateMsg) error {
 		sh := qs.shards[qs.shardOf(key)]
 		sh.index.Delete(key)
 		if !qs.linear {
-			if _, _, err := sh.agg.Delete(key); err != nil {
-				return fmt.Errorf("core: apply delete: %w", err)
-			}
+			sh.agg.Delete(key)
 		}
 		delete(sh.recs, key)
 		delete(sh.side, key)
 		delete(qs.keyOf, rid)
 	}
-	for _, sr := range msg.Upserts {
+	for i := range msg.Upserts {
+		sr := &msg.Upserts[i]
 		rec := sr.Rec
+		as, err := qs.attrSide(sr)
+		if err != nil {
+			return err
+		}
 		if oldKey, ok := qs.keyOf[rec.RID]; ok && oldKey != rec.Key {
 			oldSh := qs.shards[qs.shardOf(oldKey)]
 			oldSh.index.Delete(oldKey)
 			if !qs.linear {
-				if _, _, err := oldSh.agg.Delete(oldKey); err != nil {
-					return fmt.Errorf("core: apply move: %w", err)
-				}
+				oldSh.agg.Delete(oldKey)
 			}
 			delete(oldSh.recs, oldKey)
 			delete(oldSh.side, oldKey)
@@ -446,8 +478,8 @@ func (qs *QueryServer) Apply(msg *UpdateMsg) error {
 			}
 		}
 		sh.recs[rec.Key] = rec
-		if sr.AttrVals != nil || sr.AttrSigs != nil {
-			sh.side[rec.Key] = &AttrSide{Vals: sr.AttrVals, Sigs: sr.AttrSigs}
+		if as != nil {
+			sh.side[rec.Key] = as
 		}
 		qs.keyOf[rec.RID] = rec.Key
 	}
@@ -495,20 +527,9 @@ func (qs *QueryServer) bulkApply(msg *UpdateMsg) bool {
 func (qs *QueryServer) applyBulk(msg *UpdateMsg) error {
 	qs.lockAll()
 	defer qs.unlockAll()
-	entries := make([]aggtree.Entry, len(msg.Upserts))
-	recs := make(map[int64]*Record, len(msg.Upserts))
-	var side map[int64]*AttrSide
-	for i, sr := range msg.Upserts {
-		rec := sr.Rec
-		entries[i] = aggtree.Entry{Key: rec.Key, RID: rec.RID, Sig: sr.Sig}
-		recs[rec.Key] = rec
-		if sr.AttrVals != nil || sr.AttrSigs != nil {
-			if side == nil {
-				side = make(map[int64]*AttrSide, len(msg.Upserts))
-			}
-			side[rec.Key] = &AttrSide{Vals: sr.AttrVals, Sigs: sr.AttrSigs}
-		}
-		qs.keyOf[rec.RID] = rec.Key
+	entries, recs, side, err := qs.stageBulk(msg.Upserts)
+	if err != nil {
+		return err
 	}
 	if err := qs.bulkFill(entries, recs, side); err != nil {
 		return err

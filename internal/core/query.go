@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"authdb/internal/anscache"
 	"authdb/internal/btree"
@@ -60,10 +59,10 @@ func entryRef(e btree.Entry) chain.Ref { return chain.Ref{Key: e.Key, RID: e.RID
 
 // Query answers the range selection σ_{lo<=Aind<=hi}, constructing the
 // §3.3 proof and attaching the summaries published since the oldest
-// signature in the answer. The aggregate is assembled from per-shard
-// aggregation-tree partials — O(log n) Combine operations per shard
-// overlapped, computed concurrently — and never by linearly folding the
-// result signatures.
+// signature in the answer. The aggregate is folded from the overlapped
+// shards' aggregation-tree covers — O(log n) additions per shard, one
+// normalisation per answer — and never by linearly folding the result
+// signatures.
 func (qs *QueryServer) Query(lo, hi int64) (*Answer, error) {
 	ans, _, err := qs.queryStamped(lo, hi, false, nil)
 	return ans, err
@@ -80,14 +79,15 @@ func (qs *QueryServer) QueryStamped(lo, hi int64) (*Answer, anscache.Stamp, erro
 
 // AttrRow is one answered record's projection sideband: its identity,
 // the attribute values at its certified timestamp, and the per-slot
-// owner signatures (§3.4). Rows align 1:1, in order, with the
+// owner signatures (§3.4) as prepared operands of the relation's scheme
+// (sigagg.FolderFor), ready to fold. Rows align 1:1, in order, with the
 // accompanying answer's Chain.Records; the anchor of an empty answer
 // contributes no row.
 type AttrRow struct {
 	RID  uint64
 	TS   int64
 	Vals [][]byte
-	Sigs []sigagg.Signature
+	Ops  []sigagg.Operand
 }
 
 // QueryProj is QueryStamped for a projection-mode relation: alongside
@@ -253,7 +253,7 @@ func (qs *QueryServer) queryWindow(loS, hiS, s, t int, lo, hi int64, attachSums 
 					if !ok {
 						return nil, false, false, fmt.Errorf("core: key %d has no attribute sideband (relation is not projection-mode)", e.Key)
 					}
-					*attrs = append(*attrs, AttrRow{RID: rec.RID, TS: rec.TS, Vals: as.Vals, Sigs: as.Sigs})
+					*attrs = append(*attrs, AttrRow{RID: rec.RID, TS: rec.TS, Vals: as.Vals, Ops: as.ops})
 				}
 				if oldestTS == -1 || rec.TS < oldestTS {
 					oldestTS = rec.TS
@@ -285,10 +285,9 @@ func (qs *QueryServer) queryWindow(loS, hiS, s, t int, lo, hi int64, attachSums 
 	return ans, false, false, nil
 }
 
-// aggregateRuns builds the range aggregate from per-shard
-// aggregation-tree partials (concurrently when more than one shard
-// participates), or — in the linear baseline mode — by folding every
-// signature.
+// aggregateRuns builds the range aggregate by folding each overlapped
+// shard's aggregation-tree cover into one running sum, encoded once —
+// or, in the linear baseline mode, by folding every signature.
 func (qs *QueryServer) aggregateRuns(runs []shardRun, lo, hi int64, total int) (sigagg.Signature, int, error) {
 	if qs.linear {
 		sigs := make([]sigagg.Signature, 0, total)
@@ -304,78 +303,23 @@ func (qs *QueryServer) aggregateRuns(runs []shardRun, lo, hi int64, total int) (
 		return agg, total - 1, nil
 	}
 
-	partials := make([]sigagg.Signature, len(runs))
-	partialOps := make([]int, len(runs))
-	aggOne := func(i int) error {
-		sig, ops, err := qs.shards[runs[i].shard].agg.AggRange(lo, hi)
+	acc := qs.folder.NewSum()
+	pieces := 0
+	for _, run := range runs {
+		n, err := qs.shards[run.shard].agg.FoldRange(acc, lo, hi)
 		if err != nil {
-			return err
-		}
-		if sig == nil {
-			return fmt.Errorf("core: shard %d aggregation tree out of sync", runs[i].shard)
-		}
-		partials[i], partialOps[i] = sig, ops
-		return nil
-	}
-	if len(runs) > 1 && qs.par > 1 {
-		g := newGroup(min(qs.par, len(runs)))
-		for i := range runs {
-			g.Go(func() error { return aggOne(i) })
-		}
-		if err := g.Wait(); err != nil {
 			return nil, 0, err
 		}
-	} else {
-		for i := range runs {
-			if err := aggOne(i); err != nil {
-				return nil, 0, err
-			}
+		if n == 0 {
+			return nil, 0, fmt.Errorf("core: shard %d aggregation tree out of sync", run.shard)
 		}
+		pieces += n
 	}
-	ops := 0
-	for _, o := range partialOps {
-		ops += o
-	}
-	if len(partials) == 1 {
-		return partials[0], ops, nil
-	}
-	agg, err := sigagg.AggregateInto(qs.scheme, nil, partials)
+	agg, err := acc.Encode(nil)
 	if err != nil {
-		return nil, ops, err
+		return nil, 0, err
 	}
-	return agg, ops + len(partials) - 1, nil
-}
-
-// group is a minimal errgroup: bounded fan-out, first error wins.
-type group struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
-	mu  sync.Mutex
-	err error
-}
-
-func newGroup(limit int) *group { return &group{sem: make(chan struct{}, limit)} }
-
-// Go runs fn concurrently, blocking while the limit is saturated.
-func (g *group) Go(fn func() error) {
-	g.wg.Add(1)
-	g.sem <- struct{}{}
-	go func() {
-		defer g.wg.Done()
-		defer func() { <-g.sem }()
-		if err := fn(); err != nil {
-			g.mu.Lock()
-			if g.err == nil {
-				g.err = err
-			}
-			g.mu.Unlock()
-		}
-	}()
-}
-
-func (g *group) Wait() error {
-	g.wg.Wait()
-	return g.err
+	return agg, pieces - 1, nil
 }
 
 // SummariesSince returns the stored summaries published at or after ts

@@ -146,11 +146,11 @@ func TestWideningAcrossEmptiedShards(t *testing.T) {
 	}
 }
 
-// TestParallelProofBuilder forces the concurrent partial-aggregation
-// path (this box may have GOMAXPROCS=1, where it would otherwise stay
-// sequential) while updates land concurrently. Run with -race.
-func TestParallelProofBuilder(t *testing.T) {
-	sys, err := NewSystem(xortest.New(), DefaultConfig(), WithShards(8), WithParallelism(4))
+// TestMultiShardProofUnderUpdates runs concurrent queries whose one
+// running sum folds several shards' covers while updates land on those
+// shards. Run with -race.
+func TestMultiShardProofUnderUpdates(t *testing.T) {
+	sys, err := NewSystem(xortest.New(), DefaultConfig(), WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestParallelProofBuilder(t *testing.T) {
 				}
 				v := NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())
 				if _, err := v.VerifyAnswer(ans, lo, lo+900, 10_000); err != nil {
-					t.Errorf("parallel answer failed verification: %v", err)
+					t.Errorf("multi-shard answer failed verification: %v", err)
 					return
 				}
 			}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"authdb/internal/aggtree"
 	"authdb/internal/btree"
 	"authdb/internal/freshness"
 	"authdb/internal/storage"
@@ -231,20 +230,9 @@ func (qs *QueryServer) Restore(st *ServerState) error {
 	qs.seeded = false
 	qs.keyOf = make(map[uint64]int64, len(st.Records))
 
-	entries := make([]aggtree.Entry, len(st.Records))
-	recs := make(map[int64]*Record, len(st.Records))
-	var side map[int64]*AttrSide
-	for i, sr := range st.Records {
-		rec := sr.Rec
-		entries[i] = aggtree.Entry{Key: rec.Key, RID: rec.RID, Sig: sr.Sig}
-		recs[rec.Key] = rec
-		if sr.AttrVals != nil || sr.AttrSigs != nil {
-			if side == nil {
-				side = make(map[int64]*AttrSide, len(st.Records))
-			}
-			side[rec.Key] = &AttrSide{Vals: sr.AttrVals, Sigs: sr.AttrSigs}
-		}
-		qs.keyOf[rec.RID] = rec.Key
+	entries, recs, side, err := qs.stageBulk(st.Records)
+	if err != nil {
+		return err
 	}
 	// Re-derive balanced shard boundaries exactly as the one-off seeding
 	// would have (keys are already sorted and unique).

@@ -113,8 +113,8 @@ func (v *Verifier) VerifyAnswer(ans *Answer, lo, hi int64, now int64) (*Freshnes
 // verifier session that issued (or subscribed to) many queries does
 // once per round-trip instead of once per answer. The chained record
 // digests of all answers are recomputed in parallel and the aggregates
-// are verified through the scheme's batched primitives
-// (chain.VerifyBatch); freshness is then checked per record as usual.
+// are verified through the scheme's batched primitives (Jobs, then
+// VerifyJobs); freshness is then checked per record as usual.
 // ranges[i] is the selection answer i must cover. On success the i-th
 // report corresponds to the i-th answer.
 //
@@ -123,22 +123,12 @@ func (v *Verifier) VerifyAnswer(ans *Answer, lo, hi int64, now int64) (*Freshnes
 // sigagg.BatchVerifier), so callers needing the culprit fall back to
 // per-answer VerifyAnswer calls.
 func (v *Verifier) VerifyAnswers(answers []*Answer, ranges []Range, now int64) ([]*FreshnessReport, error) {
-	if len(answers) != len(ranges) {
-		return nil, fmt.Errorf("core: %d answers but %d ranges", len(answers), len(ranges))
-	}
-	chains := make([]*chain.Answer, len(answers))
-	for i, ans := range answers {
-		if ans == nil || ans.Chain == nil {
-			return nil, fmt.Errorf("%w: empty answer", sigagg.ErrVerify)
-		}
-		if ans.Chain.Lo != ranges[i].Lo || ans.Chain.Hi != ranges[i].Hi {
-			return nil, fmt.Errorf("%w: answer is for range [%d,%d], not [%d,%d]",
-				sigagg.ErrVerify, ans.Chain.Lo, ans.Chain.Hi, ranges[i].Lo, ranges[i].Hi)
-		}
-		chains[i] = ans.Chain
-	}
 	// 1. Authenticity and completeness (§3.3), batched.
-	if err := chain.VerifyBatch(v.scheme, v.pub, chains, v.par); err != nil {
+	jobs, err := v.Jobs(answers, ranges)
+	if err != nil {
+		return nil, err
+	}
+	if err := v.VerifyJobs(jobs); err != nil {
 		return nil, err
 	}
 	// 2. Ingest any new summaries (they are individually certified).
@@ -159,8 +149,49 @@ func (v *Verifier) VerifyAnswers(answers []*Answer, ranges []Range, now int64) (
 			held = s.Seq
 		}
 	}
-	// 3. Freshness per record (§3.1). The anchor of an empty answer is a
-	// disclosed record and is checked too.
+	// 3. Freshness per record (§3.1).
+	return v.Freshness(answers, now)
+}
+
+// Jobs is the keyless half of step 1: it checks that answer i claims
+// ranges[i], runs the structural checks and recomputes the chained
+// digests (chain.Jobs), returning the signature claims still to be
+// verified under this verifier's key. VerifyAnswers closes them on their
+// own; a caller holding more claims under the same key — the sections of
+// a composite answer — appends those and closes the lot with one
+// VerifyJobs. Nothing in the answers is authenticated until that
+// returns nil.
+func (v *Verifier) Jobs(answers []*Answer, ranges []Range) ([]sigagg.VerifyJob, error) {
+	if len(answers) != len(ranges) {
+		return nil, fmt.Errorf("core: %d answers but %d ranges", len(answers), len(ranges))
+	}
+	chains := make([]*chain.Answer, len(answers))
+	for i, ans := range answers {
+		if ans == nil || ans.Chain == nil {
+			return nil, fmt.Errorf("%w: empty answer", sigagg.ErrVerify)
+		}
+		if ans.Chain.Lo != ranges[i].Lo || ans.Chain.Hi != ranges[i].Hi {
+			return nil, fmt.Errorf("%w: answer is for range [%d,%d], not [%d,%d]",
+				sigagg.ErrVerify, ans.Chain.Lo, ans.Chain.Hi, ranges[i].Lo, ranges[i].Hi)
+		}
+		chains[i] = ans.Chain
+	}
+	return chain.Jobs(chains, v.par)
+}
+
+// VerifyJobs closes a batch of signature claims under the verifier's
+// key through the scheme's batched primitives: one closing operation
+// per worker chunk. Set semantics apply (sigagg.BatchVerifier): an error
+// says some job is invalid, not which.
+func (v *Verifier) VerifyJobs(jobs []sigagg.VerifyJob) error {
+	return sigagg.NewPool(v.scheme, v.par).VerifyAll(v.pub, jobs)
+}
+
+// Freshness bounds every disclosed record of already-authenticated
+// answers against the certified summaries held (§3.1). The anchor of an
+// empty answer is a disclosed record and is checked too. The i-th report
+// corresponds to the i-th answer.
+func (v *Verifier) Freshness(answers []*Answer, now int64) ([]*FreshnessReport, error) {
 	reports := make([]*FreshnessReport, len(answers))
 	for i, ans := range answers {
 		report := &FreshnessReport{}

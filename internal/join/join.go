@@ -213,28 +213,45 @@ func CertifyKeys(pool *sigagg.Pool, priv sigagg.PrivateKey, keys []int64,
 	return &FilterCert{PF: pf, TS: ts, Sigs: sigs}, nil
 }
 
-// VerifyPartitionProof checks one Bloom-negative unmatched proof: the
-// certified partition covers the value, the certification signature is
-// the owner's over the partition contents at filterTS, and the probe is
-// genuinely negative. Exported so composite-VO verifiers can check
-// partition proofs individually while batching the chain-backed proofs
-// elsewhere.
-func VerifyPartitionProof(scheme sigagg.Scheme, pub sigagg.PublicKey,
-	up *UnmatchedProof, filterTS int64) error {
-
+// CheckPartitionProbe runs the keyless checks of one Bloom-negative
+// unmatched proof: a partition is present, it covers the value, and the
+// probe is genuinely negative. What remains is the owner's certification
+// of that partition — PartitionJob.
+func CheckPartitionProbe(up *UnmatchedProof) error {
 	if up.Partition == nil {
 		return fmt.Errorf("%w: unmatched value %d without partition", sigagg.ErrVerify, up.RA)
 	}
 	if up.RA < up.Partition.Lo || up.RA >= up.Partition.Hi {
 		return fmt.Errorf("%w: partition does not cover %d", sigagg.ErrVerify, up.RA)
 	}
-	d := partitionCertDigest(up.Partition, filterTS)
-	if err := scheme.Verify(pub, d[:], up.PartSig); err != nil {
-		return fmt.Errorf("partition cert for %d: %w", up.RA, err)
-	}
 	if up.Partition.Filter.MayContainUint64(uint64(up.RA)) {
 		return fmt.Errorf("%w: filter probe positive for %d without boundary proof",
 			sigagg.ErrVerify, up.RA)
+	}
+	return nil
+}
+
+// PartitionJob states the certification claim of one partition as a
+// verification job: sig is the owner's signature over the partition's
+// boundaries and filter contents at filterTS. Composite-VO verifiers
+// batch one such job per distinct partition with the chain-backed
+// proofs under the same key.
+func PartitionJob(p *bloom.Partition, sig sigagg.Signature, filterTS int64) sigagg.VerifyJob {
+	d := partitionCertDigest(p, filterTS)
+	return sigagg.VerifyJob{Digests: [][]byte{d[:]}, Agg: sig}
+}
+
+// VerifyPartitionProof checks one Bloom-negative unmatched proof on its
+// own: the probe checks, then the partition's certification.
+func VerifyPartitionProof(scheme sigagg.Scheme, pub sigagg.PublicKey,
+	up *UnmatchedProof, filterTS int64) error {
+
+	if err := CheckPartitionProbe(up); err != nil {
+		return err
+	}
+	job := PartitionJob(up.Partition, up.PartSig, filterTS)
+	if err := scheme.AggregateVerify(pub, job.Digests, job.Agg); err != nil {
+		return fmt.Errorf("partition cert for %d: %w", up.RA, err)
 	}
 	return nil
 }

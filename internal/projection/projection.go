@@ -59,30 +59,26 @@ type Answer struct {
 	Agg      sigagg.Signature
 }
 
-// Build constructs the answer for the given rows, aggregating the
-// matching attribute signatures. attrSigs(rid) must return the record's
-// per-attribute signature slice.
-func Build(scheme sigagg.Scheme, attrIdxs []int, rows []Row,
-	attrSigs func(rid uint64) ([]sigagg.Signature, error)) (*Answer, error) {
-
-	agg, err := scheme.Aggregate(nil)
-	if err != nil {
-		return nil, err
+// Build constructs the answer for the given rows by folding the matching
+// attribute signatures into one aggregate, encoded once. attrOps[i]
+// holds row i's per-attribute signatures as prepared operands of scheme
+// (sigagg.FolderFor), indexed by attribute position.
+func Build(scheme sigagg.Scheme, attrIdxs []int, rows []Row, attrOps [][]sigagg.Operand) (*Answer, error) {
+	if len(attrOps) != len(rows) {
+		return nil, fmt.Errorf("projection: %d rows but %d signature sets", len(rows), len(attrOps))
 	}
-	for _, row := range rows {
-		sigs, err := attrSigs(row.RID)
-		if err != nil {
-			return nil, fmt.Errorf("projection: rid %d: %w", row.RID, err)
-		}
+	sum := sigagg.FolderFor(scheme).NewSum()
+	for i, row := range rows {
 		for _, idx := range attrIdxs {
-			if idx < 0 || idx >= len(sigs) {
+			if idx < 0 || idx >= len(attrOps[i]) {
 				return nil, fmt.Errorf("projection: attribute %d out of range for rid %d", idx, row.RID)
 			}
-			agg, err = scheme.Add(agg, sigs[idx])
-			if err != nil {
-				return nil, err
-			}
+			sum.Fold(attrOps[i][idx])
 		}
+	}
+	agg, err := sum.Encode(nil)
+	if err != nil {
+		return nil, err
 	}
 	return &Answer{AttrIdxs: attrIdxs, Rows: rows, Agg: agg}, nil
 }

@@ -400,7 +400,7 @@ func (e *Engine) probe(rv *relView, method join.Method, fc *join.FilterCert,
 // values with one aggregate over the owner's attribute-level signatures.
 func (e *Engine) project(outer *relView, attrs []int, keep []*chain.Record, rows []core.AttrRow) (*projection.Answer, error) {
 	prows := make([]projection.Row, len(keep))
-	sigsByRID := make(map[uint64][]sigagg.Signature, len(rows))
+	ops := make([][]sigagg.Operand, len(keep))
 	for i := range keep {
 		row := rows[i]
 		vals := make([][]byte, len(attrs))
@@ -412,17 +412,10 @@ func (e *Engine) project(outer *relView, attrs []int, keep []*chain.Record, rows
 			vals[j] = row.Vals[a]
 		}
 		prows[i] = projection.Row{RID: row.RID, TS: row.TS, Values: vals}
-		sigsByRID[row.RID] = row.Sigs
+		ops[i] = row.Ops
 	}
 	e.projRows.Add(uint64(len(prows)))
-	return projection.Build(outer.qs.Scheme(), append([]int(nil), attrs...), prows,
-		func(rid uint64) ([]sigagg.Signature, error) {
-			sigs, ok := sigsByRID[rid]
-			if !ok {
-				return nil, fmt.Errorf("query: no attribute sideband for rid %d", rid)
-			}
-			return sigs, nil
-		})
+	return projection.Build(outer.qs.Scheme(), append([]int(nil), attrs...), prows, ops)
 }
 
 // ---- serving ----
@@ -455,7 +448,7 @@ func (e *Engine) ServePlan(planBytes []byte, since []wire.RelSince) (body, tails
 			wire.PutBuffer(buf)
 			return nil, nil, nil, err
 		}
-		tailBuf, err := e.tails(r, since)
+		tailBuf, err := e.tails(r.RelOldest, since)
 		if err != nil {
 			wire.PutBuffer(buf)
 			return nil, nil, nil, err
@@ -463,6 +456,10 @@ func (e *Engine) ServePlan(planBytes []byte, since []wire.RelSince) (body, tails
 		return buf, tailBuf, func() { wire.PutBuffer(buf); wire.PutBuffer(tailBuf) }, nil
 	}
 
+	// A cached entry keeps the encoded answer and what the tails need —
+	// each touched relation's oldest proof timestamp — not the composite
+	// it was encoded from: that object graph is as large again as the
+	// bytes and nothing reads it back.
 	entry, _, err := e.cache.Do(key, func() (*anscache.Entry, error) {
 		r, stamp, err := e.exec(n, e.par)
 		if err != nil {
@@ -473,13 +470,12 @@ func (e *Engine) ServePlan(planBytes []byte, since []wire.RelSince) (body, tails
 			wire.PutBuffer(data)
 			return nil, err
 		}
-		return &anscache.Entry{Key: key, Value: r, Wire: data, Stamp: stamp, Free: wire.PutBuffer}, nil
+		return &anscache.Entry{Key: key, Value: r.RelOldest, Wire: data, Stamp: stamp, Free: wire.PutBuffer}, nil
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	res := entry.Value.(*Result)
-	tailBuf, err := e.tails(res, since)
+	tailBuf, err := e.tails(entry.Value.(map[string]int64), since)
 	if err != nil {
 		entry.Release()
 		return nil, nil, nil, err
@@ -488,10 +484,11 @@ func (e *Engine) ServePlan(planBytes []byte, since []wire.RelSince) (body, tails
 }
 
 // tails encodes one summary tail per touched relation, resuming each
-// client from the sequence number it already holds.
-func (e *Engine) tails(res *Result, since []wire.RelSince) ([]byte, error) {
-	names := make([]string, 0, len(res.RelOldest))
-	for name := range res.RelOldest {
+// client from the sequence number it already holds; relOldest is the
+// executed plan's Result.RelOldest.
+func (e *Engine) tails(relOldest map[string]int64, since []wire.RelSince) ([]byte, error) {
+	names := make([]string, 0, len(relOldest))
+	for name := range relOldest {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -507,7 +504,7 @@ func (e *Engine) tails(res *Result, since []wire.RelSince) ([]byte, error) {
 				sinceSeq = rs.SinceSeq
 			}
 		}
-		out = append(out, wire.RelTail{Rel: name, Summaries: rv.qs.SummariesTail(sinceSeq, res.RelOldest[name])})
+		out = append(out, wire.RelTail{Rel: name, Summaries: rv.qs.SummariesTail(sinceSeq, relOldest[name])})
 	}
 	return wire.AppendRelTails(wire.GetBuffer(), out), nil
 }

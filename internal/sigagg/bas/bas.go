@@ -178,12 +178,9 @@ func (s *Scheme) pub(k sigagg.PublicKey) (*PublicKey, error) {
 	return p, nil
 }
 
-// identity is the encoding of the point at infinity: a single zero tag
-// padded to SignatureSize (MarshalCompressed cannot represent infinity).
-func (s *Scheme) identity() sigagg.Signature {
-	return make(sigagg.Signature, s.SignatureSize())
-}
-
+// isIdentity reports whether sig is the encoding of the point at
+// infinity: all zeros, SignatureSize long (MarshalCompressed cannot
+// represent infinity).
 func (s *Scheme) isIdentity(sig sigagg.Signature) bool {
 	for _, b := range sig {
 		if b != 0 {
@@ -312,32 +309,11 @@ func (s *Scheme) AggregateInto(dst sigagg.Signature, sigs []sigagg.Signature) (s
 	return encodeInto(dst, &sum), nil
 }
 
-// Add implements sigagg.Scheme. Operands decode through the aggregate
-// point cache and the result is inserted under its own encoding: the
-// aggregation tree rebuilds bottom-up, so a parent's operands are
-// exactly the sums this method just produced one level down, and the
-// whole rebuild pays a square root only for leaves it has never seen.
+// Add implements sigagg.Scheme: a two-operand AggregateInto. Like every
+// aggregation entry point it stays clear of the point cache, which is
+// the verifier's (authlint nocachesign).
 func (s *Scheme) Add(agg, sig sigagg.Signature) (sigagg.Signature, error) {
-	var (
-		sum jacPoint
-		pt  affPoint
-	)
-	for _, operand := range [2]sigagg.Signature{agg, sig} {
-		identity, err := s.decodeCached(&pt, operand)
-		if err != nil {
-			return nil, err
-		}
-		if !identity {
-			sum.mixedAdd(&pt)
-		}
-	}
-	out := s.identity()
-	if sum.toAffine(&pt) {
-		compress(out, &pt)
-		k := aggKey(out)
-		s.cache.put(&k, &pt)
-	}
-	return out, nil
+	return s.AggregateInto(nil, []sigagg.Signature{agg, sig})
 }
 
 // Remove implements sigagg.Scheme: agg + (-sig).

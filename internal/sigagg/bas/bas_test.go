@@ -10,6 +10,12 @@ import (
 	"authdb/internal/sigagg"
 )
 
+// identity is the encoding of the point at infinity, the empty
+// aggregate.
+func (s *Scheme) identity() sigagg.Signature {
+	return make(sigagg.Signature, s.SignatureSize())
+}
+
 // TestHashToCurveMatchesPortable: the kernel's try-and-increment map
 // lands on the curve and on the very point the math/big original picks
 // (same candidate, same one of the two roots), for 32-byte digests and

@@ -61,7 +61,9 @@ type Scheme interface {
 	// input yields the scheme's identity aggregate.
 	Aggregate(sigs []Signature) (Signature, error)
 
-	// Add folds one more signature (or aggregate) into agg.
+	// Add folds one more signature (or aggregate) into agg: the
+	// two-operand Aggregate. Proof construction that adds the same stored
+	// signatures again and again uses a Folder instead (FolderFor).
 	Add(agg, sig Signature) (Signature, error)
 
 	// Remove cancels sig out of agg, so that
