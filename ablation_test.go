@@ -18,9 +18,9 @@ import (
 
 	"authdb/internal/bitmap"
 	"authdb/internal/digest"
+	"authdb/internal/repro/sigcache"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
-	"authdb/internal/sigcache"
 )
 
 // ---- closed-form vs naive node probability ----

@@ -20,15 +20,15 @@ import (
 	"authdb/internal/chain"
 	"authdb/internal/core"
 	"authdb/internal/digest"
-	"authdb/internal/embtree"
 	"authdb/internal/freshness"
 	"authdb/internal/join"
+	"authdb/internal/repro/embtree"
+	"authdb/internal/repro/sigcache"
+	"authdb/internal/repro/sim"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/sigagg/crsa"
 	"authdb/internal/sigagg/xortest"
-	"authdb/internal/sigcache"
-	"authdb/internal/sim"
 	"authdb/internal/storage"
 	"authdb/internal/workload"
 )

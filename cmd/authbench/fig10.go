@@ -5,11 +5,11 @@ import (
 	"math/rand"
 
 	"authdb/internal/digest"
+	"authdb/internal/repro/sigcache"
+	"authdb/internal/repro/sim"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/sigagg/xortest"
-	"authdb/internal/sigcache"
-	"authdb/internal/sim"
 )
 
 // runFig10 regenerates Figure 10: overall response time versus SigCache

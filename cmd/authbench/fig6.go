@@ -3,8 +3,8 @@ package main
 import (
 	"fmt"
 
+	"authdb/internal/repro/sigcache"
 	"authdb/internal/sigagg/bas"
-	"authdb/internal/sigcache"
 )
 
 // runFig6 regenerates Figure 6: the expected VO-construction cost per

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"authdb/internal/sim"
+	"authdb/internal/repro/sim"
 )
 
 // runFig7 regenerates Figure 7: overall response time (query and

@@ -8,10 +8,13 @@
 //	authbench <experiment> [flags]
 //
 // Experiments: table1 table3 table4 fig4 fig6 fig7 fig8 fig9 fig10
-// fig11 proof ingest serve net chaos all
+// fig11 all
 //
 // Absolute numbers depend on the host; the substitutions versus the
-// paper's testbed are catalogued in DESIGN.md.
+// paper's testbed are catalogued in DESIGN.md. This command is the
+// paper and nothing else: throughput, latency, bytes and RSS of the
+// service are benchmark/run.sh's, and safety, equivalence, chaos and
+// fleet checks are go test's.
 package main
 
 import (
@@ -20,12 +23,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
-
-	"authdb/internal/sigagg"
-	"authdb/internal/sigagg/bas"
-	"authdb/internal/sigagg/crsa"
-	"authdb/internal/sigagg/xortest"
 )
 
 type experiment struct {
@@ -45,14 +42,6 @@ var experiments = []experiment{
 	{"fig9", "response time vs arrival rate, range ops (sf=1e-3)", runFig9},
 	{"fig10", "SigCache effectiveness vs cache size, Eager vs Lazy", runFig10},
 	{"fig11", "equi-join VO size: BV vs BF across α, m/IB, IB/p, selectivity", runFig11},
-	{"proof", "aggregation-tree vs linear proof construction (writes BENCH_proof.json)", runProof},
-	{"ingest", "pipelined vs serial signing & batch verification (writes BENCH_ingest.json)", runIngest},
-	{"serve", "answer cache + coalescing serving layer, cold vs cached (writes BENCH_serve.json)", runServe},
-	{"net", "networked serving: verifying clients over loopback TCP (writes BENCH_net.json)", runNet},
-	{"chaos", "hostile-network soak: faults, kills, overload shedding (writes BENCH_chaos.json)", runChaos},
-	{"fleet", "untrusted replica fleet soak: failover, Byzantine replica detection (writes BENCH_fleet.json)", runFleet},
-	{"verify", "BAS verification fast path vs portable oracle (writes BENCH_verify.json)", runVerifyBench},
-	{"query", "select-project-join plans: verified wire traffic + planner speedup (writes BENCH_query.json)", runQueryBench},
 }
 
 func main() {
@@ -103,8 +92,7 @@ func usage() {
 
 // benchFlags wraps a FlagSet so every subcommand carries the shared
 // profiling flags: Parse starts the CPU profile after the flags are in,
-// and main's exit path flushes both profiles. The next perf PR starts
-// from `authbench <cmd> -cpuprofile cpu.pb.gz`, not a guess.
+// and main's exit path flushes both profiles.
 type benchFlags struct {
 	*flag.FlagSet
 }
@@ -160,25 +148,10 @@ func stopProfiles() {
 }
 
 // newFlags builds a FlagSet that errors instead of exiting, so `all`
-// can pass nil args. Every subcommand gets -cpuprofile/-memprofile.
+// can pass nil args. Every experiment gets -cpuprofile/-memprofile.
 func newFlags(name string) *benchFlags {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.StringVar(&cpuProfilePath, "cpuprofile", "", "write a CPU profile of this run to the given file")
 	fs.StringVar(&memProfilePath, "memprofile", "", "write a heap profile on exit to the given file")
 	return &benchFlags{FlagSet: fs}
-}
-
-// schemeFromFlag resolves the -scheme flag the serving benchmarks
-// share: bas with zero pairing cost (raw curve speed), condensed RSA,
-// or the zero-cost counting scheme.
-func schemeFromFlag(name string) (sigagg.Scheme, error) {
-	switch strings.TrimSpace(name) {
-	case "bas":
-		return bas.New(0), nil
-	case "crsa":
-		return crsa.New(crsa.DefaultBits), nil
-	case "xortest":
-		return xortest.New(), nil
-	}
-	return nil, fmt.Errorf("unknown scheme %q", name)
 }

@@ -6,7 +6,7 @@ import (
 
 	"authdb/internal/core"
 	"authdb/internal/digest"
-	"authdb/internal/embtree"
+	"authdb/internal/repro/embtree"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/storage"

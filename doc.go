@@ -24,9 +24,11 @@
 // signatures decoded and its subtree aggregates un-normalised
 // (sigagg.Folder), so an operation is one group addition and an answer
 // is normalised and encoded once. The paper's SigCache (§4) is reproduced on its own in
-// internal/sigcache, behind the fig6/fig10 experiments and the
+// internal/repro/sigcache, behind the fig6/fig10 experiments and the
 // ablations; its tree mechanics live in aggtree too, as a
-// pinned-frontier structure.
+// pinned-frontier structure. Everything under internal/repro (sigcache,
+// the §5 simulator, the EMB-tree baseline) serves the paper
+// reproduction only; the service does not import it.
 //
 // In front of the tree walk sits a serving layer (internal/anscache +
 // QueryServer.Serve): a sharded, epoch-versioned cache of fully
@@ -36,8 +38,7 @@
 // Updates bump per-shard epoch counters and thereby invalidate exactly
 // the cached ranges they intersect; hot-range hits are O(1) and perform
 // zero aggregation operations. internal/server pairs the cache with the
-// wire codec and drives the closed-loop zipfian serving benchmark
-// (BENCH_serve.json).
+// wire codec.
 //
 // The network front end turns the library into a deployable system:
 // server.NetServer (daemon: cmd/authserve) exposes the wire protocol
@@ -46,9 +47,8 @@
 // shutdown — and internal/client is the remote user: it pipelines range
 // queries, recomputes every chain digest, batch-verifies aggregates and
 // tracks the certified freshness summary stream, trusting only the
-// aggregator's public key. authbench net measures the path over real
-// loopback sockets with full client-side verification (BENCH_net.json);
-// examples/remote is the end-to-end walkthrough.
+// aggregator's public key. examples/remote is the end-to-end
+// walkthrough.
 //
 // Every served relation is run by one relation runtime (internal/wal,
 // wal.Runtime): it recovers the owner/server pair from a snapshot plus
@@ -59,9 +59,9 @@
 // (core.Catalog; core.System is the one-relation case) under one
 // streaming select-project-join planner (internal/query) whose
 // composite answers the client verifies per relation. authserve, the
-// chaos and fleet soaks and the serving benchmarks all run that one
-// pipeline; in memory and unreplicated are its nil-store and nil-feed
-// cases.
+// chaos and fleet soaks (tests of internal/server) and the repo
+// benchmark all run that one pipeline; in memory and unreplicated are its
+// nil-store and nil-feed cases.
 //
 // Aggregate-signature schemes live under internal/sigagg: bilinear
 // aggregate signatures (sigagg/bas), condensed RSA (sigagg/crsa) and a
@@ -73,10 +73,13 @@
 // named constants in one table (wire.Kinds).
 //
 // The implementation inventory is in DESIGN.md and README.md; runnable
-// examples are under examples/, and cmd/authbench regenerates every
-// table and figure of the paper plus the proof-construction benchmark
-// (BENCH_proof.json). The root package carries the module documentation
-// and the per-experiment benchmark suite (bench_test.go), including
-// BenchmarkQuery, the n=1M/k=10k headline comparison of tree versus
-// linear proof construction.
+// examples are under examples/. Three harnesses, one question each:
+// benchmark/ (its own module, BENCHMARK.json) measures the service's
+// throughput, latency, bytes and memory per workload and per layer;
+// go test decides safety — verification, equivalence of every fast
+// path with its reference, the chaos and fleet soaks; and cmd/authbench
+// regenerates the tables and figures of the paper. The root package
+// carries the module documentation and the per-experiment benchmark
+// suite (bench_test.go), including BenchmarkQuery, the n=1M/k=10k
+// headline comparison of tree versus linear proof construction.
 package authdb

@@ -12,9 +12,9 @@ import (
 	"math/rand"
 
 	"authdb/internal/core"
+	"authdb/internal/repro/sigcache"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
-	"authdb/internal/sigcache"
 )
 
 func main() {

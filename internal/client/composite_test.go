@@ -170,7 +170,10 @@ func TestAdversaryCompositeUnderBatching(t *testing.T) {
 
 // TestCompositeClosesOncePerKey: a verified BF plan costs one closing
 // verification per signer key — outer and inner — however many sections
-// and Bloom probes it carries.
+// and Bloom probes it carries. It is also the gate that a session on the
+// default scheme verifies on the fast path, plans and range queries
+// alike: fast verifications counted, cached hash-to-curve points reused
+// on a repeat, and not one portable verification.
 func TestCompositeClosesOncePerKey(t *testing.T) {
 	fx := newPlanFixtureOn(t, basScheme, server.NetConfig{})
 	scheme := bas.New(0)
@@ -192,8 +195,21 @@ func TestCompositeClosesOncePerKey(t *testing.T) {
 	if d := after.FastVerifies - before.FastVerifies; d < 1 || d > 3 {
 		t.Fatalf("one BF plan cost %d closing verifications, want at most 3", d)
 	}
-	if after.PortableVerifies != 0 {
-		t.Fatalf("%d portable verifications on the fast path", after.PortableVerifies)
+	if after.H2CCacheHits == before.H2CCacheHits {
+		t.Fatal("a repeated plan reused no cached hash-to-curve point")
+	}
+	// Range queries share the plan session's connection and its verifier.
+	for i := 0; i < 2; i++ {
+		if _, _, err := cl.Query(105, 695); err != nil {
+			t.Fatal(err)
+		}
+	}
+	final := scheme.VerifyStats()
+	if final.FastVerifies == after.FastVerifies || final.H2CCacheHits == after.H2CCacheHits {
+		t.Fatalf("range queries bypassed the fast path: %+v -> %+v", after, final)
+	}
+	if final.PortableVerifies != 0 {
+		t.Fatalf("%d portable verifications on the fast path", final.PortableVerifies)
 	}
 }
 

@@ -123,14 +123,24 @@ func TestRetryGivesUpWhenServerGone(t *testing.T) {
 	}
 	defer cl.Close()
 	cl.SetSleep(func(time.Duration) {})
-	// Partition: sever live pipes and point new ones at a dead port.
+	// Partition: sever live pipes and point new ones at a port that
+	// stays bound for the test's life (so no other package's listener can
+	// land on it) and hangs up on every connection.
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
-	proxy.SetUpstream(deadAddr)
+	defer dead.Close()
+	go func() {
+		for {
+			c, err := dead.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+	proxy.SetUpstream(dead.Addr().String())
 	proxy.DropAll()
 	if _, err := cl.Fetch(1, 2); err == nil {
 		t.Fatal("fetch through a dead proxy succeeded")

@@ -5,7 +5,7 @@
 // completeness (signature chaining, §3.3) and freshness (certified
 // update summaries, §3.1). The server builds range aggregates from
 // per-shard aggregation trees; the paper's SigCache (§4) is reproduced
-// separately in internal/sigcache.
+// separately in internal/repro/sigcache.
 //
 // The DataAggregator produces explicit UpdateMsg values that the caller
 // delivers to the QueryServer (and the summaries within them to

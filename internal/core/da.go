@@ -25,7 +25,7 @@ import (
 // sigagg.BatchSigner) and the results are applied in one pass. The
 // pre-pipeline behaviour — one Sign per record on the calling
 // goroutine, one B+-tree probe per insertion — survives behind
-// WithSerialSigning as the reproducible baseline, mirroring
+// withSerialSigning as the reproducible baseline, mirroring
 // WithLinearAggregation on the query side.
 type DataAggregator struct {
 	scheme   sigagg.Scheme
@@ -51,12 +51,13 @@ type DataAggregator struct {
 // DAOption configures a DataAggregator.
 type DAOption func(*DataAggregator)
 
-// WithSerialSigning reverts to the pre-pipeline baseline: every record
+// withSerialSigning reverts to the pre-pipeline baseline: every record
 // is signed one at a time on the calling goroutine with the scheme's
 // one-shot Sign, and loads insert into the B+-tree record by record.
-// Kept so perf comparisons against the pipelined path stay
-// reproducible (the ingest benchmark's serial column).
-func WithSerialSigning() DAOption {
+// Unexported: it is the reference the package's tests hold the
+// pipelined path to (byte-identical signatures), not a deployment
+// choice.
+func withSerialSigning() DAOption {
 	return func(da *DataAggregator) { da.serial = true }
 }
 
@@ -330,7 +331,7 @@ func (da *DataAggregator) resignBatch(keys []int64, ts int64, out *[]SignedRecor
 // The pipelined path fixes the sorted order, computes every chained
 // digest (each record's neighbours are then known), signs them all on
 // the worker pool, and bulk-loads the B+-tree bottom-up in one sorted
-// pass. WithSerialSigning restores the per-record sign-and-insert loop.
+// pass. withSerialSigning restores the per-record sign-and-insert loop.
 func (da *DataAggregator) Load(recs []*Record, ts int64) (*UpdateMsg, error) {
 	sorted := recs
 	if !keysAscending(recs) {

@@ -45,7 +45,7 @@ func TestPipelinedLoadMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serialDA, err := NewDataAggregator(bound, priv, DefaultConfig(), WithSerialSigning())
+			serialDA, err := NewDataAggregator(bound, priv, DefaultConfig(), withSerialSigning())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestPipelinedLoadVerifies(t *testing.T) {
 // spanning the seam verify. (The seed chained such batches against
 // batch-internal sentinels, which could never verify.)
 func TestPipelinedLoadIntoPopulatedRelation(t *testing.T) {
-	for _, opts := range [][]DAOption{nil, {WithSerialSigning()}} {
+	for _, opts := range [][]DAOption{nil, {withSerialSigning()}} {
 		da, qs, v := newParties(t, xortest.New(), opts...)
 		msg1, err := da.Load(mkRecords(50, 10), 100) // keys 10..500
 		if err != nil {

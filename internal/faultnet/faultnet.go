@@ -5,7 +5,8 @@
 // the repo's adversary tests to the wire boundary — the paper's server
 // is untrusted, and the network around it is no better — so the serving
 // edge (server.NetServer + the verifying client) can be soaked under
-// hostile conditions both in unit tests and via `authbench chaos`.
+// hostile conditions, in unit tests and in internal/server's chaos and
+// fleet soaks.
 //
 // Fault decisions are drawn from a per-connection math/rand stream
 // seeded from (profile seed, connection index), so a given topology

@@ -160,41 +160,44 @@ func TestBandwidthCapPaces(t *testing.T) {
 	}
 }
 
+// echoServer echoes every read back with suffix appended, until stop.
+func echoServer(t *testing.T, suffix byte) (addr string, stop func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) {
+				defer c.Close()
+				buf := make([]byte, 256)
+				for {
+					n, err := c.Read(buf)
+					if n > 0 {
+						c.Write(append(buf[:n:n], suffix))
+					}
+					if err != nil {
+						return
+					}
+				}
+			}(c)
+		}
+	}()
+	return ln.Addr().String(), func() { ln.Close() }
+}
+
 // TestProxyRelaysAndRetargets: a transparent proxy round-trips bytes
 // to an echo server, and SetUpstream points new connections at a
 // different server.
 func TestProxyRelaysAndRetargets(t *testing.T) {
-	echo := func(suffix byte) (string, func()) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			for {
-				c, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				go func(c net.Conn) {
-					defer c.Close()
-					buf := make([]byte, 256)
-					for {
-						n, err := c.Read(buf)
-						if n > 0 {
-							c.Write(append(buf[:n:n], suffix))
-						}
-						if err != nil {
-							return
-						}
-					}
-				}(c)
-			}
-		}()
-		return ln.Addr().String(), func() { ln.Close() }
-	}
-	addr1, stop1 := echo('1')
+	addr1, stop1 := echoServer(t, '1')
 	defer stop1()
-	addr2, stop2 := echo('2')
+	addr2, stop2 := echoServer(t, '2')
 	defer stop2()
 
 	p, err := NewProxy(addr1, Profile{}, 99)
@@ -272,5 +275,33 @@ func TestProxyDropAllSevers(t *testing.T) {
 	defer c2.Close()
 	if _, err := c2.Write([]byte("again")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProxyPartitionRightAfterDial: a partition (SetUpstream to nowhere,
+// then DropAll) issued the moment a dial returns must still cut that
+// connection — its relay may not have reached the old server yet, and a
+// pipe that DropAll missed would keep talking to it.
+func TestProxyPartitionRightAfterDial(t *testing.T) {
+	addr, stop := echoServer(t, '!')
+	defer stop()
+	for i := 0; i < 200; i++ {
+		p, err := NewProxy(addr, Profile{}, int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := net.Dial("tcp", p.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetUpstream("127.0.0.1:1")
+		p.DropAll()
+		c.Write([]byte("ping")) // may already fail; the read decides
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := c.Read(make([]byte, 8)); err == nil {
+			t.Fatalf("round %d: partitioned connection still echoed %d bytes", i, n)
+		}
+		c.Close()
+		p.Close()
 	}
 }

@@ -114,43 +114,46 @@ func (p *Proxy) acceptLoop() {
 		i := p.n
 		p.n++
 		up := p.upstream
-		prof := p.prof
+		// Registered under the lock that read the upstream: a DropAll
+		// that follows a SetUpstream then cannot miss a pipe still being
+		// set up towards the old server.
+		faulty := Wrap(down, p.prof, connSeed(p.seed, i))
+		p.conns[faulty] = struct{}{}
 		p.mu.Unlock()
 		p.wg.Add(1)
-		go p.relay(down, up, prof, i)
+		go p.relay(faulty, up)
 	}
 }
 
-// track registers c for Close/DropAll teardown; the returned func
-// unregisters it.
-func (p *Proxy) track(c net.Conn) func() {
+// track registers c for Close/DropAll teardown.
+func (p *Proxy) track(c net.Conn) {
 	p.mu.Lock()
 	p.conns[c] = struct{}{}
 	p.mu.Unlock()
-	return func() {
-		p.mu.Lock()
-		delete(p.conns, c)
-		p.mu.Unlock()
-	}
 }
 
-// relay pumps one downstream connection to the upstream and back, with
-// faults injected on the downstream side so both requests and
-// responses cross the hostile stream.
-func (p *Proxy) relay(down net.Conn, upstream string, prof Profile, i int64) {
+func (p *Proxy) untrack(c net.Conn) {
+	p.mu.Lock()
+	delete(p.conns, c)
+	p.mu.Unlock()
+}
+
+// relay pumps one downstream connection (already registered, and
+// wrapped so faults are injected on the downstream side and both
+// requests and responses cross the hostile stream) to the upstream and
+// back.
+func (p *Proxy) relay(faulty net.Conn, upstream string) {
 	defer p.wg.Done()
-	faulty := Wrap(down, prof, connSeed(p.seed, i))
 	defer faulty.Close()
-	untrack := p.track(faulty)
-	defer untrack()
+	defer p.untrack(faulty)
 
 	up, err := net.DialTimeout("tcp", upstream, p.dialWait)
 	if err != nil {
 		return // downstream sees a reset: the "server unreachable" fault
 	}
 	defer up.Close()
-	untrackUp := p.track(up)
-	defer untrackUp()
+	p.track(up)
+	defer p.untrack(up)
 
 	var pumps sync.WaitGroup
 	pumps.Add(2)

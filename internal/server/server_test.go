@@ -2,58 +2,11 @@ package server
 
 import (
 	"testing"
-	"time"
 
 	"authdb/internal/core"
 	"authdb/internal/sigagg/xortest"
 	"authdb/internal/workload"
 )
-
-// smokeConfig is a seconds-scale run over the zero-cost scheme.
-func smokeConfig() Config {
-	cfg := DefaultConfig(xortest.New())
-	cfg.N = 2_000
-	cfg.Ranges = 32
-	cfg.SF = 0.005
-	cfg.Clients = []int{1, 2}
-	cfg.Duration = 60 * time.Millisecond
-	cfg.UpdateEvery = 3 * time.Millisecond
-	cfg.VerifyEvery = 8
-	return cfg
-}
-
-func TestRunSmoke(t *testing.T) {
-	rep, err := Run(smokeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.CorrectnessChecked {
-		t.Fatal("correctness sweep did not run")
-	}
-	if len(rep.Points) != 4 { // {1,2} clients × {cold, cached}
-		t.Fatalf("expected 4 points, got %d", len(rep.Points))
-	}
-	var hits uint64
-	for _, p := range rep.Points {
-		if p.QPS <= 0 || p.Total.Count == 0 {
-			t.Fatalf("empty point %+v", p)
-		}
-		if p.Cached {
-			hits += p.CacheHits
-		} else if p.CacheHits != 0 || p.CacheBuilt != 0 {
-			t.Fatalf("cold point used the cache: %+v", p)
-		}
-		if p.Verified == 0 {
-			t.Fatalf("point verified no answers: %+v", p)
-		}
-	}
-	if hits == 0 {
-		t.Fatal("cached points never hit the cache")
-	}
-	if rep.ColdQPS <= 0 || rep.CachedQPS <= 0 {
-		t.Fatalf("headline QPS missing: %+v", rep)
-	}
-}
 
 // TestServeReflectsUpdates drives the real wire codec end to end: a
 // cached range, an intersecting update, and the requirement that the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -145,9 +146,11 @@ func WalMetrics(logs map[string]*wal.Log) MetricFn {
 }
 
 // ServeMetrics exposes the composed metric fns over HTTP at addr
-// (GET /metrics, with / aliased for convenience). It returns the bound
-// address — pass ":0" for an ephemeral port — and a shutdown func.
-// Observability is a side channel: nothing served here is
+// (GET /metrics, with / aliased for convenience) and the runtime's
+// profiles under /debug/pprof/ — the way to profile a serving process:
+// `go tool pprof http://<addr>/debug/pprof/profile?seconds=10`. It
+// returns the bound address — pass ":0" for an ephemeral port — and a
+// shutdown func. Observability is a side channel: nothing served here is
 // authenticated, and clients must never treat it as a substitute for
 // the verified answer path.
 func ServeMetrics(addr string, fns ...MetricFn) (string, func(context.Context) error, error) {
@@ -166,6 +169,11 @@ func ServeMetrics(addr string, fns ...MetricFn) (string, func(context.Context) e
 	}
 	mux.HandleFunc("/metrics", handler)
 	mux.HandleFunc("/", handler)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln)
 	return ln.Addr().String(), srv.Shutdown, nil

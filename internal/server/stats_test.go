@@ -92,6 +92,24 @@ func TestServeMetricsScrape(t *testing.T) {
 	if after["authdb_net_conns_total"] < 1 {
 		t.Fatal("conns_total never counted the client")
 	}
+
+	// The same listener is the profiling entry point of a serving
+	// process: the index lists the runtime's profiles and a named one
+	// comes back non-empty.
+	for path, want := range map[string]string{
+		"/debug/pprof/":                  "goroutine",
+		"/debug/pprof/goroutine?debug=1": "goroutine profile:",
+	} {
+		resp, err := http.Get("http://" + maddr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Fatalf("GET %s: status %d, err %v, body lacks %q", path, resp.StatusCode, err, want)
+		}
+	}
 }
 
 // TestMetricsBufFormat pins the exposition framing: HELP, TYPE, sample,

@@ -69,12 +69,13 @@ type options struct {
 	cacheEntries int
 }
 
-// WithPortableVerify routes verification through the portable slow
+// withPortableVerify routes verification through the portable slow
 // path — crypto/elliptic and math/big throughout: affine curve.Add
 // accumulation, per-call hash-to-curve, no caches or precomputation
 // tables, none of the limb kernel. It is the cross-check oracle for the
-// fast path: both produce identical accept/reject decisions.
-func WithPortableVerify() Option {
+// fast path: both produce identical accept/reject decisions. Unexported:
+// SelfTest and the package's tests are its only callers.
+func withPortableVerify() Option {
 	return func(o *options) { o.portable = true }
 }
 
@@ -395,7 +396,7 @@ func (s *Scheme) VerifyJobs(pub sigagg.PublicKey, jobs []sigagg.VerifyJob) error
 
 // verifyJobs checks the batch relation on the limb kernel
 // (fastpath.go), or on crypto/elliptic (portable.go) when the scheme
-// was built WithPortableVerify. It returns the total digest count and
+// was built withPortableVerify. It returns the total digest count and
 // whether the relation held.
 func (s *Scheme) verifyJobs(pub sigagg.PublicKey, jobs []sigagg.VerifyJob) (total int, ok bool, err error) {
 	p, err := s.pub(pub)

@@ -300,7 +300,7 @@ func (s *Scheme) SelfTest(rnd io.Reader, iters int) error {
 	}
 
 	// 4. Fast vs portable verification, valid and tampered.
-	portable := New(0, WithPortableVerify())
+	portable := New(0, withPortableVerify())
 	priv, pubk, err := s.KeyGen(rnd)
 	if err != nil {
 		return err

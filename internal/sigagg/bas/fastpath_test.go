@@ -45,8 +45,7 @@ func testDigests(n int, seed byte) [][]byte {
 	return ds
 }
 
-// TestSelfTest runs the package's own equivalence oracle — the same
-// check CI's `authbench verify -check` runs.
+// TestSelfTest runs the package's own equivalence oracle.
 func TestSelfTest(t *testing.T) {
 	if err := New(0).SelfTest(newDetRand(1), 6); err != nil {
 		t.Fatal(err)
@@ -58,7 +57,7 @@ func TestSelfTest(t *testing.T) {
 // reject for each class of tampering.
 func TestFastMatchesPortable(t *testing.T) {
 	fast := New(0)
-	portable := New(0, WithPortableVerify())
+	portable := New(0, withPortableVerify())
 	rnd := newDetRand(5)
 	priv, pub, err := fast.KeyGen(rnd)
 	if err != nil {
@@ -412,7 +411,7 @@ func TestAddMatchesDirect(t *testing.T) {
 // must give the same decision for both keys, in either order.
 func TestTableKeyedOnTrapdoor(t *testing.T) {
 	fast := New(0)
-	portable := New(0, WithPortableVerify())
+	portable := New(0, withPortableVerify())
 	priv, pub, err := fast.KeyGen(newDetRand(12))
 	if err != nil {
 		t.Fatal(err)

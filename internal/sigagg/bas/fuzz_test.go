@@ -102,7 +102,7 @@ func FuzzPrecompTable(f *testing.F) {
 // and portable paths must return the same accept/reject decision.
 func FuzzFastVerifyAgreesWithPortable(f *testing.F) {
 	fast := New(0)
-	portable := New(0, WithPortableVerify())
+	portable := New(0, withPortableVerify())
 	priv, pub, err := fast.KeyGen(newDetRand(99))
 	if err != nil {
 		f.Fatal(err)

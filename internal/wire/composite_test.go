@@ -33,12 +33,16 @@ func TestPlanReqRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCompositeRoundTrip(t *testing.T) {
+// testComposite is a composite answer with every section present: a
+// projection, a join carrying a match, a Bloom-partition non-match and a
+// boundary non-match, and two summary tails.
+func testComposite(t testing.TB) *Composite {
+	t.Helper()
 	pf, err := bloom.BuildPartitioned([]int64{5, 10, 15, 20}, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Composite{
+	return &Composite{
 		Outer: &chain.Answer{
 			Lo: 1, Hi: 9,
 			Records: []*chain.Record{{RID: 1, Key: 2, TS: 3, Attrs: [][]byte{[]byte("x")}}},
@@ -74,6 +78,10 @@ func TestCompositeRoundTrip(t *testing.T) {
 			{Rel: "outer"},
 		},
 	}
+}
+
+func TestCompositeRoundTrip(t *testing.T) {
+	c := testComposite(t)
 	buf, err := AppendCompositeCore(GetBuffer(), c)
 	if err != nil {
 		t.Fatal(err)

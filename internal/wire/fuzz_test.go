@@ -2,10 +2,10 @@ package wire
 
 // Fuzz targets for every decoder that faces untrusted bytes. The seed
 // corpus (valid encodings plus systematic mutations) runs as normal
-// tests in CI — `go test` executes every f.Add seed without -fuzz — so
-// the no-panic and bounded-allocation guarantees are regression-checked
-// on every push, and `go test -fuzz=Fuzz... ./internal/wire/` explores
-// further locally.
+// tests — `go test` executes every f.Add seed without -fuzz — so the
+// no-panic and bounded-allocation guarantees are regression-checked on
+// every push; CI then gives each target a 10 s `-fuzz` budget, and
+// `go test -fuzz='^Fuzz...$' ./internal/wire/` explores further locally.
 
 import (
 	"bytes"
@@ -34,9 +34,24 @@ func seedFrames(t testing.TB) [][]byte {
 		t.Fatal(err)
 	}
 	sums := sys.QS.SummariesSince(0)
+	comp := testComposite(t)
+	compBytes, err := AppendCompositeCore(nil, comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joinReq, err := AppendPlanReq(nil, KindPlanJoin, []byte("plan-bytes"), []RelSince{{Name: "outer", SinceSeq: 7}, {Name: "inner"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return [][]byte{
 		ansBytes,
 		EncodeUpdateMsg(closeMsg),
+		AppendRelTails(compBytes, comp.Tails),
+		AppendBootstrap(nil, 42, sys.QS.Snapshot()),
+		AppendWalRecord(nil, 11, 15, EncodeUpdateMsg(closeMsg)),
+		joinReq,
+		AppendRelSumsReq(nil, "inner", 42, -1),
+		AppendReplSubReq(nil, 12345),
 		AppendSummaries(nil, sums),
 		AppendSummaries(nil, []freshness.Summary{}),
 		AppendQueryReq(nil, -5, 1<<40, 9),
@@ -137,5 +152,44 @@ func FuzzDecodeRequests(f *testing.F) {
 		DecodeQueryReq(data)
 		DecodeSummariesReq(data)
 		DecodeErrorCode(data)
+		DecodePlanReq(data)
+		DecodeRelSumsReq(data)
+		DecodeReplSubReq(data)
+	})
+}
+
+// FuzzDecodeComposite: the plan-answer decoder (what a client runs on a
+// replica's 'C' frame) against arbitrary bytes.
+func FuzzDecodeComposite(f *testing.F) {
+	mutate(f, seedFrames(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := DecodeComposite(data)
+		if err == nil && c == nil {
+			t.Fatal("nil composite without error")
+		}
+	})
+}
+
+// FuzzDecodeBootstrap: the snapshot-image decoder (what a follower runs
+// on a primary's 'B' frame) against arbitrary bytes.
+func FuzzDecodeBootstrap(f *testing.F) {
+	mutate(f, seedFrames(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, st, err := DecodeBootstrap(data)
+		if err == nil && st == nil {
+			t.Fatal("nil state without error")
+		}
+	})
+}
+
+// FuzzDecodeWalRecord: the replication-stream decoder (a follower, on
+// each 'W' frame) against arbitrary bytes.
+func FuzzDecodeWalRecord(f *testing.F) {
+	mutate(f, seedFrames(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _, msg, err := DecodeWalRecord(data)
+		if err == nil && msg == nil {
+			t.Fatal("nil message without error")
+		}
 	})
 }
