@@ -47,7 +47,10 @@
 // shutdown — and internal/client is the remote user: it pipelines range
 // queries, recomputes every chain digest, batch-verifies aggregates and
 // tracks the certified freshness summary stream, trusting only the
-// aggregator's public key. examples/remote is the end-to-end
+// aggregator's public key. A decoded answer aliases the frame it arrived
+// in (the client reads each into a buffer of its own), so an answer byte
+// is touched once between the socket and the hash; only what a session
+// retains, the certified summaries, is copied. examples/remote is the end-to-end
 // walkthrough.
 //
 // Every served relation is run by one relation runtime (internal/wal,

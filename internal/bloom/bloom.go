@@ -158,6 +158,12 @@ func Unmarshal(data []byte) (*Filter, error) {
 	m := binary.BigEndian.Uint64(data[0:8])
 	k := int(binary.BigEndian.Uint64(data[8:16]))
 	n := int(binary.BigEndian.Uint64(data[16:24]))
+	// New would round m = 0 and k < 1 up to 1: a filter Marshal never
+	// wrote, and for m = 0 one word longer than the data. An m beyond the
+	// bits present would overflow the word count below.
+	if m == 0 || k < 1 || m > 8*uint64(len(data)) {
+		return nil, fmt.Errorf("bloom: filter with m=%d, k=%d in %d bytes", m, k, len(data))
+	}
 	words := int((m + 63) / 64)
 	if len(data) != 24+words*8 {
 		return nil, fmt.Errorf("bloom: filter length %d inconsistent with m=%d", len(data), m)

@@ -91,6 +91,21 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	if _, err := Unmarshal(data[:len(data)-1]); err == nil {
 		t.Fatal("short input must fail")
 	}
+	// m = 0 used to index past the data; k = 0 decoded to a filter that
+	// marshals differently. Neither is a filter Marshal writes.
+	if _, err := Unmarshal(make([]byte, 24)); err == nil {
+		t.Fatal("m = 0 must fail")
+	}
+	wrapped := make([]byte, 24)
+	copy(wrapped, "\xff\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00\x01")
+	if _, err := Unmarshal(wrapped); err == nil {
+		t.Fatal("m = 2^64-1 in 24 bytes must fail")
+	}
+	noHash := New(64, 1).Marshal()
+	noHash[15] = 0
+	if _, err := Unmarshal(noHash); err == nil {
+		t.Fatal("k = 0 must fail")
+	}
 }
 
 func TestDigestBindsContents(t *testing.T) {

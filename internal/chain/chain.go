@@ -64,7 +64,24 @@ func (r *Record) Ref() Ref { return Ref{Key: r.Key, RID: r.RID} }
 // h(rid | Aind | A1..AM | ts | left | right), the message the data
 // aggregator signs for record r with neighbours left and right.
 func Digest(r *Record, left, right Ref) digest.Digest {
-	w := digest.NewWriter(64 + 16*len(r.Attrs))
+	return digestWith(digest.NewWriter(preimageLen(r)), r, left, right)
+}
+
+// preimageLen is the exact length of the byte string Digest hashes for
+// r. A Writer sized by it copies the record's bytes once, not once per
+// buffer growth.
+func preimageLen(r *Record) int {
+	n := 64 + 8*len(r.Attrs) // rid, key, count, ts, two refs; a length per attribute
+	for _, a := range r.Attrs {
+		n += len(a)
+	}
+	return n
+}
+
+// digestWith is Digest through a caller-owned Writer, which it resets:
+// a run of records shares one buffer instead of allocating one each.
+func digestWith(w *digest.Writer, r *Record, left, right Ref) digest.Digest {
+	w.Reset()
 	w.PutUint64(r.RID)
 	w.PutInt64(r.Key)
 	w.PutUint64(uint64(len(r.Attrs)))
@@ -99,7 +116,8 @@ type Answer struct {
 }
 
 // Digests reconstructs the chained digests the aggregate signature must
-// cover, in answer order.
+// cover, in answer order. The returned slices are views of one flat
+// digest array per answer.
 func (a *Answer) Digests() [][]byte {
 	if len(a.Records) == 0 {
 		if a.Anchor == nil {
@@ -108,15 +126,29 @@ func (a *Answer) Digests() [][]byte {
 		d := Digest(a.Anchor, a.AnchorLeft, a.Right)
 		return [][]byte{d[:]}
 	}
-	out := make([][]byte, len(a.Records))
-	a.digestInto(out, 0, len(a.Records))
+	flat := make([]digest.Digest, len(a.Records))
+	a.digestInto(flat, 0, len(a.Records))
+	return views(flat)
+}
+
+// views returns flat's digests as the byte slices verification takes.
+func views(flat []digest.Digest) [][]byte {
+	out := make([][]byte, len(flat))
+	for i := range flat {
+		out[i] = flat[i][:]
+	}
 	return out
 }
 
-// digestInto fills out[lo:hi] with the chained digests of records
-// lo..hi-1. Each record's neighbour references come from the answer
-// itself, so disjoint chunks can be computed concurrently.
-func (a *Answer) digestInto(out [][]byte, lo, hi int) {
+// digestInto fills flat[lo:hi] with the chained digests of records
+// lo..hi-1, hashing them through one reused buffer. Each record's
+// neighbour references come from the answer itself, so disjoint chunks
+// can be computed concurrently.
+func (a *Answer) digestInto(flat []digest.Digest, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	w := digest.NewWriter(preimageLen(a.Records[lo]))
 	for i := lo; i < hi; i++ {
 		left := a.Left
 		if i > 0 {
@@ -126,8 +158,7 @@ func (a *Answer) digestInto(out [][]byte, lo, hi int) {
 		if i < len(a.Records)-1 {
 			right = a.Records[i+1].Ref()
 		}
-		d := Digest(a.Records[i], left, right)
-		out[i] = d[:]
+		flat[i] = digestWith(w, a.Records[i], left, right)
 	}
 }
 
@@ -142,12 +173,12 @@ func (a *Answer) DigestsParallel(par int) [][]byte {
 	if par <= 1 || len(a.Records) < 2*digestChunk {
 		return a.Digests()
 	}
-	out := make([][]byte, len(a.Records))
+	flat := make([]digest.Digest, len(a.Records))
 	sigagg.ForChunks(len(a.Records), par, digestChunk, func(lo, hi int) error {
-		a.digestInto(out, lo, hi)
+		a.digestInto(flat, lo, hi)
 		return nil
 	})
-	return out
+	return views(flat)
 }
 
 // VOSizeBytes reports the proof size beyond the records themselves: one

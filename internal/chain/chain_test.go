@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"authdb/internal/digest"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 )
@@ -311,5 +312,24 @@ func TestVOSize(t *testing.T) {
 	// answer cardinality (§3.3).
 	if got := a.VOSizeBytes(f.scheme); got != f.scheme.SignatureSize()+24 {
 		t.Fatalf("VO size = %d", got)
+	}
+}
+
+// TestDigestPreimageSizedExactly: Digest sizes its buffer by preimageLen,
+// so a record's bytes are copied once; a drifted length would bring the
+// per-record buffer growths back without failing anything else.
+func TestDigestPreimageSizedExactly(t *testing.T) {
+	for _, r := range []*Record{
+		{RID: 1, Key: 2, TS: 3},
+		{RID: 1, Key: 2, TS: 3, Attrs: [][]byte{nil, []byte("a"), make([]byte, 512)}},
+	} {
+		w := digest.NewWriter(preimageLen(r))
+		d := digestWith(w, r, MinRef, MaxRef)
+		if n := preimageLen(r); len(w.Bytes()) != n || cap(w.Bytes()) != n {
+			t.Fatalf("preimageLen = %d, the preimage is %d bytes in a buffer of %d", n, len(w.Bytes()), cap(w.Bytes()))
+		}
+		if d != Digest(r, MinRef, MaxRef) {
+			t.Fatal("digestWith and Digest disagree")
+		}
 	}
 }

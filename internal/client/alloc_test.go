@@ -1,0 +1,95 @@
+package client_test
+
+import (
+	"testing"
+
+	"authdb/internal/core"
+	"authdb/internal/sigagg/bas"
+	"authdb/internal/wire"
+	"authdb/internal/workload"
+)
+
+// answerFrame returns the encoded 'A' frame of a 50-record × 512 B answer
+// under bas, the range it covers, and a single-threaded verifier that has
+// already verified it once (so hash-to-curve points, the aggregate decode
+// and the key's precomputation table are warm).
+func answerFrame(tb testing.TB) ([]byte, core.Range, *core.Verifier) {
+	tb.Helper()
+	sys, err := core.NewSystem(bas.New(0), core.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	recs := workload.Records(workload.Config{N: 120, RecLen: 512, Seed: 3})
+	keys := workload.Keys(recs)
+	msg, err := sys.DA.Load(recs, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := sys.QS.Apply(msg); err != nil {
+		tb.Fatal(err)
+	}
+	rg := core.Range{Lo: keys[30], Hi: keys[79]}
+	ans, err := sys.QS.Query(rg.Lo, rg.Hi)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(ans.Chain.Records) != 50 {
+		tb.Fatalf("fixture answer has %d records, want 50", len(ans.Chain.Records))
+	}
+	frame, err := wire.EncodeAnswer(ans)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v := core.NewVerifier(sys.Scheme, sys.Pub, core.DefaultConfig())
+	v.SetParallelism(1)
+	if err := decodeVerify(frame, rg, v); err != nil {
+		tb.Fatal(err)
+	}
+	return frame, rg, v
+}
+
+// decodeVerify is the client's per-answer path after the socket read: a
+// frame buffer of its own (what readFrame allocates), the aliasing decode,
+// full verification.
+func decodeVerify(frame []byte, rg core.Range, v *core.Verifier) error {
+	own := append([]byte(nil), frame...)
+	ans, err := wire.DecodeAnswer(own)
+	if err != nil {
+		return err
+	}
+	_, err = v.VerifyAnswers([]*core.Answer{ans}, []core.Range{rg}, 1<<62)
+	return err
+}
+
+// TestDecodeVerifyAllocBudget pins what the path allocates instead of how
+// long it takes: O(1) objects per answer plus at most one per record (its
+// Attrs header). A per-record copy, digest or scratch buffer creeping
+// back in costs 50 and fails it; the path before frames were aliased and
+// digests streamed needed over 300.
+func TestDecodeVerifyAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	frame, rg, v := answerFrame(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := decodeVerify(frame, rg, v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per 50-record answer", allocs)
+	if allocs > 80 {
+		t.Fatalf("decode + verify of a 50-record answer allocates %.0f objects, budget 80", allocs)
+	}
+}
+
+func BenchmarkDecodeVerifyAnswer(b *testing.B) {
+	frame, rg, v := answerFrame(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(frame)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := decodeVerify(frame, rg, v); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

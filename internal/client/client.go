@@ -118,7 +118,6 @@ type Client struct {
 	br       *bufio.Reader
 	bw       *bufio.Writer
 	verifier *core.Verifier
-	frame    []byte // reusable response frame buffer
 	rng      *rand.Rand
 	sleep    func(time.Duration) // indirection for deterministic tests
 	stats    Stats
@@ -392,14 +391,16 @@ func (c *Client) clearDeadline() {
 	}
 }
 
-// readFrame reads one response frame into the client's reusable buffer.
-// The result is valid until the next read.
+// readFrame reads one response frame into a buffer of its own, sized to
+// the payload the header announced (and bounded by MaxFrame before it is
+// allocated). The client never writes to it again: an answer or composite
+// decoded from it aliases it and keeps it alive, and the collector frees
+// the two together.
 func (c *Client) readFrame() ([]byte, error) {
-	data, err := wire.ReadFrame(c.br, c.frame, c.cfg.MaxFrame)
+	data, err := wire.ReadFrame(c.br, nil, c.cfg.MaxFrame)
 	if err != nil {
 		return nil, err
 	}
-	c.frame = data
 	c.stats.BytesIn += uint64(len(data)) + 4
 	return data, nil
 }
@@ -514,6 +515,12 @@ func (c *Client) Fetch(lo, hi int64) (*core.Answer, error) {
 // one round trip — and decodes the in-order answers. If the server
 // reported errors for some queries, every response is still drained
 // (the connection stays usable) and the first error is returned.
+//
+// Each answer owns the frame it arrived in: its records, attribute
+// values and aggregate are views of that frame (wire.DecodeAnswer), so
+// nothing is copied between the socket and the hash, and holding any
+// record of an answer holds the whole frame. The certified summaries an
+// answer carries are copies, because the session keeps them.
 func (c *Client) FetchBatch(ranges []core.Range) ([]*core.Answer, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

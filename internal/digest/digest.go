@@ -66,6 +66,10 @@ func NewWriter(n int) *Writer {
 	return &Writer{buf: make([]byte, 0, n)}
 }
 
+// Reset empties the Writer, keeping its buffer, so one Writer can hash a
+// run of messages with no allocation once it has grown to the largest.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
 // PutUint64 appends a fixed-width unsigned integer.
 func (w *Writer) PutUint64(v uint64) {
 	var b [8]byte

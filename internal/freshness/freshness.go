@@ -287,11 +287,19 @@ func (p *Publisher) ReplaySummary(s Summary) (multi []int, applied bool, err err
 
 // Checker is the user side: it validates incoming summaries and answers
 // freshness checks against them.
+//
+// Index invariant: newest[slot] is the sequence number of the newest
+// summary ever ingested whose bitmap marks slot (0 = none). Period
+// starts rise with the sequence, so that summary has the latest period
+// start of any that mark the slot, and "some held summary whose period
+// began after recTS marks the slot" is one comparison. Trim leaves the
+// index alone: when the newest summary to mark a slot has been dropped,
+// no summary still held marks it, and CheckFresh passes over the entry.
 type Checker struct {
 	scheme sigagg.Scheme
 	pub    sigagg.PublicKey
 	sums   []Summary
-	maps   []*bitmap.Bitmap // decompressed, parallel to sums
+	newest []uint64 // per slot, see the index invariant
 }
 
 // NewChecker creates a checker trusting the data aggregator's public
@@ -308,6 +316,10 @@ func (c *Checker) Add(s Summary) error {
 	if err := c.scheme.Verify(c.pub, d[:], s.Sig); err != nil {
 		return fmt.Errorf("freshness: summary %d signature: %w", s.Seq, err)
 	}
+	// What the index invariant rests on; no Publisher emits otherwise.
+	if s.Seq == 0 || s.PeriodStart > s.TS {
+		return fmt.Errorf("freshness: summary %d covers (%d, %d]: not a period", s.Seq, s.PeriodStart, s.TS)
+	}
 	if len(c.sums) > 0 {
 		last := c.sums[len(c.sums)-1]
 		if s.Seq != last.Seq+1 {
@@ -323,7 +335,13 @@ func (c *Checker) Add(s Summary) error {
 		return fmt.Errorf("freshness: summary %d bitmap: %w", s.Seq, err)
 	}
 	c.sums = append(c.sums, s)
-	c.maps = append(c.maps, bm)
+	marked := bm.Ones() // ascending
+	if n := len(marked); n > 0 && marked[n-1] >= len(c.newest) {
+		c.newest = append(c.newest, make([]uint64, marked[n-1]+1-len(c.newest))...)
+	}
+	for _, slot := range marked {
+		c.newest[slot] = s.Seq
+	}
 	return nil
 }
 
@@ -357,7 +375,6 @@ func (c *Checker) BySeq(seq uint64) (Summary, bool) {
 func (c *Checker) Trim(ts int64) {
 	i := sort.Search(len(c.sums), func(i int) bool { return c.sums[i].TS >= ts })
 	c.sums = c.sums[i:]
-	c.maps = c.maps[i:]
 }
 
 // CheckFresh verifies the freshness of the record in the given slot,
@@ -368,8 +385,11 @@ func (c *Checker) Trim(ts int64) {
 // summary proves a newer version exists, and a generic error when the
 // checker lacks the summaries needed to decide.
 func (c *Checker) CheckFresh(slot int, recTS int64, now int64, rho int64) (int64, error) {
-	latest, ok := c.Latest()
-	if !ok || recTS > latest.TS {
+	if len(c.sums) == 0 {
+		return rho, nil
+	}
+	latest := &c.sums[len(c.sums)-1]
+	if recTS > latest.TS {
 		// Newer than every summary: fresh by construction, worst case
 		// out of date by now - recTS < ρ.
 		return rho, nil
@@ -382,13 +402,14 @@ func (c *Checker) CheckFresh(slot int, recTS int64, now int64, rho int64) (int64
 	// after the record's certification marks the slot: the mark then
 	// refers to a strictly newer version. A mark in the record's own
 	// certification period (recTS >= PeriodStart) is the record itself.
-	for i, s := range c.sums {
-		if s.TS < recTS {
-			continue
-		}
-		if c.maps[i].Get(slot) && recTS < s.PeriodStart {
+	// The newest summary marking the slot decides for all of them (see
+	// the index invariant).
+	if slot >= 0 && slot < len(c.newest) {
+		// Unsigned: a summary Trim dropped lies below sums[0].Seq and
+		// wraps out of range, as does 0, "never marked".
+		if i := c.newest[slot] - c.sums[0].Seq; i < uint64(len(c.sums)) && recTS < c.sums[i].PeriodStart {
 			return 0, fmt.Errorf("%w: slot %d re-certified during period ending %d (record signed %d)",
-				ErrStale, slot, s.TS, recTS)
+				ErrStale, slot, c.sums[i].TS, recTS)
 		}
 	}
 	// Fresh. Records certified in the most recent closed period could

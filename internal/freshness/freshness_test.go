@@ -3,10 +3,14 @@ package freshness
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
+	mrand "math/rand"
 	"testing"
 
+	"authdb/internal/bitmap"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
+	"authdb/internal/sigagg/xortest"
 )
 
 func newPair(t *testing.T, slots int) (*Publisher, *Checker) {
@@ -387,5 +391,146 @@ func TestReplaySummaryIdempotent(t *testing.T) {
 	gap.Seq = 5
 	if _, _, err := r.ReplaySummary(gap); err == nil {
 		t.Fatal("sequence gap replayed silently")
+	}
+}
+
+// scanFresh is the linear scan CheckFresh ran before the per-slot index:
+// every held summary is consulted for every record. It is the reference
+// the index is held to.
+func scanFresh(sums []Summary, maps []*bitmap.Bitmap, slot int, recTS, rho int64) (int64, error) {
+	if len(sums) == 0 || recTS > sums[len(sums)-1].TS {
+		return rho, nil
+	}
+	if recTS < sums[0].PeriodStart {
+		return 0, fmt.Errorf("freshness: record certified at %d predates available summaries (from %d)",
+			recTS, sums[0].PeriodStart)
+	}
+	for i, s := range sums {
+		if s.TS < recTS {
+			continue
+		}
+		if maps[i].Get(slot) && recTS < s.PeriodStart {
+			return 0, fmt.Errorf("%w: slot %d re-certified during period ending %d (record signed %d)",
+				ErrStale, slot, s.TS, recTS)
+		}
+	}
+	if recTS > sums[len(sums)-1].PeriodStart {
+		return 2 * rho, nil
+	}
+	return rho, nil
+}
+
+// TestIndexMatchesLinearScan drives the checker and the reference scan
+// with the same seeded summary streams — hot slots marked in many
+// periods, slots never marked, inserts growing the bitmap, a Trim in the
+// middle — and probes every slot (some beyond the bitmap) at every
+// period edge ±1, before the history and after it. Outcome, bound and
+// error class must agree on every probe.
+func TestIndexMatchesLinearScan(t *testing.T) {
+	scheme := xortest.New()
+	var stale, undecidable, twoRho, fresh int
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := mrand.New(mrand.NewSource(seed))
+		priv, pub, err := scheme.KeyGen(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const slots = 48
+		start := int64(rng.Intn(50))
+		p := NewPublisher(scheme, priv, slots, start, 0)
+		c := NewChecker(scheme, pub)
+		var sums []Summary
+		var maps []*bitmap.Bitmap
+		ts := start
+		periods := 5 + rng.Intn(25)
+		trimAt := rng.Intn(periods)
+		for k := 0; k < periods; k++ {
+			for j := rng.Intn(6); j > 0; j-- {
+				switch rng.Intn(4) {
+				case 0:
+					p.MarkUpdated(rng.Intn(4)) // hot: marked in most periods
+				case 1:
+					p.MarkUpdated(slots + rng.Intn(8)) // an insert past the bitmap
+				default:
+					p.MarkUpdated(4 + rng.Intn(slots-8)) // the last 4 stay unmarked
+				}
+			}
+			ts += 1 + int64(rng.Intn(9))
+			s, _, err := p.Publish(ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Add(s); err != nil {
+				t.Fatal(err)
+			}
+			bm, err := bitmap.Decompress(s.Compressed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sums, maps = append(sums, s), append(maps, bm)
+			if k == trimAt {
+				cut := sums[rng.Intn(len(sums))].TS + int64(rng.Intn(2))
+				c.Trim(cut)
+				for len(sums) > 0 && sums[0].TS < cut {
+					sums, maps = sums[1:], maps[1:]
+				}
+				if c.Len() != len(sums) {
+					t.Fatalf("seed %d: checker holds %d summaries after Trim(%d), reference %d", seed, c.Len(), cut, len(sums))
+				}
+			}
+			probes := []int64{start - 1, start, ts + 1, ts + 100}
+			for _, s := range sums {
+				probes = append(probes, s.PeriodStart-1, s.PeriodStart, s.PeriodStart+1, s.TS-1, s.TS, s.TS+1)
+			}
+			for slot := 0; slot < slots+12; slot++ {
+				for _, recTS := range probes {
+					want, wantErr := scanFresh(sums, maps, slot, recTS, 10)
+					got, gotErr := c.CheckFresh(slot, recTS, ts+1, 10)
+					if got != want || (gotErr == nil) != (wantErr == nil) ||
+						errors.Is(gotErr, ErrStale) != errors.Is(wantErr, ErrStale) {
+						t.Fatalf("seed %d period %d slot %d recTS %d: index says (%d, %v), scan says (%d, %v)",
+							seed, k, slot, recTS, got, gotErr, want, wantErr)
+					}
+					switch {
+					case errors.Is(wantErr, ErrStale):
+						stale++
+					case wantErr != nil:
+						undecidable++
+					case want == 20:
+						twoRho++
+					default:
+						fresh++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("probes: %d stale, %d predating the history, %d fresh at 2ρ, %d fresh at ρ", stale, undecidable, twoRho, fresh)
+	if stale == 0 || undecidable == 0 || twoRho == 0 || fresh == 0 {
+		t.Fatal("the streams left an outcome unprobed")
+	}
+}
+
+// TestAddRejectsNonPeriod: the index invariant rests on period starts
+// rising with the sequence; a certified summary that ends before it
+// starts, or numbered 0 (the index's "never marked"), is refused.
+func TestAddRejectsNonPeriod(t *testing.T) {
+	scheme := xortest.New()
+	priv, pub, err := scheme.KeyGen(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Summary{
+		{Seq: 1, PeriodStart: 20, TS: 10},
+		{Seq: 0, PeriodStart: 0, TS: 10},
+	} {
+		s.Compressed = bitmap.New(8).Compress()
+		d := s.Digest()
+		if s.Sig, err = scheme.Sign(priv, d[:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewChecker(scheme, pub).Add(s); err == nil {
+			t.Fatalf("summary %d covering (%d, %d] ingested", s.Seq, s.PeriodStart, s.TS)
+		}
 	}
 }

@@ -74,13 +74,14 @@ type options struct {
 // accumulation, per-call hash-to-curve, no caches or precomputation
 // tables, none of the limb kernel. It is the cross-check oracle for the
 // fast path: both produce identical accept/reject decisions. Unexported:
-// SelfTest and the package's tests are its only callers.
+// the package's tests are its only callers.
 func withPortableVerify() Option {
 	return func(o *options) { o.portable = true }
 }
 
 // WithCacheEntries bounds the digest→point / aggregate-decode cache
-// (default defaultCacheEntries). Values < cacheShards·8 are clamped.
+// (default defaultCacheEntries; one entry in aggShare is an aggregate
+// decode's). Values < cacheShards·8 are clamped.
 func WithCacheEntries(n int) Option {
 	return func(o *options) { o.cacheEntries = n }
 }

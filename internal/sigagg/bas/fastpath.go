@@ -1,10 +1,7 @@
 package bas
 
 import (
-	"bytes"
-	"crypto/elliptic"
 	"fmt"
-	"io"
 	"math/big"
 
 	"authdb/internal/sigagg"
@@ -147,8 +144,8 @@ func (s *Scheme) sumJobs(sc *verifyScratch, jobs []sigagg.VerifyJob) (total int,
 }
 
 // Bridges between the kernel's types and math/big: the closing
-// ScalarMult takes and returns big.Ints, and SelfTest and the tests
-// compare against math/big and crypto/elliptic.
+// ScalarMult takes and returns big.Ints, and the tests compare against
+// math/big and crypto/elliptic.
 
 func feFromBig(v *big.Int) (x fe) {
 	var b [32]byte
@@ -173,246 +170,4 @@ func (j *jacPoint) equalsBig(x, y *big.Int) bool {
 		return j.isInfinity()
 	}
 	return j.equalsAffine(affFromBig(x, y))
-}
-
-// SelfTest holds the kernel to independent implementations and reports
-// the first disagreement: field arithmetic against math/big, Jacobian
-// add/double/mixed-add and point (de)compression against
-// crypto/elliptic, hash-to-curve against its math/big original, and
-// fast-path verification against the portable path on valid and
-// tampered inputs. It is cheap enough to run at startup or in CI
-// (-check) as the equivalence oracle.
-func (s *Scheme) SelfTest(rnd io.Reader, iters int) error {
-	if iters <= 0 {
-		iters = 8
-	}
-	params := s.curve.Params()
-	randBelow := func(m *big.Int) (*big.Int, error) {
-		buf := make([]byte, 40) // 64 spare bits: the bias is negligible
-		if _, err := io.ReadFull(rnd, buf); err != nil {
-			return nil, fmt.Errorf("bas: selftest entropy: %w", err)
-		}
-		k := new(big.Int).SetBytes(buf)
-		return k.Mod(k, m), nil
-	}
-	randPoint := func() (*big.Int, *big.Int, error) {
-		for {
-			k, err := randBelow(params.N)
-			if err != nil {
-				return nil, nil, err
-			}
-			if k.Sign() == 0 {
-				continue
-			}
-			x, y := s.curve.ScalarBaseMult(k.Bytes())
-			return x, y, nil
-		}
-	}
-
-	// 1. Field arithmetic vs math/big, on random operands and the edges.
-	operands := []*big.Int{
-		big.NewInt(0), big.NewInt(1),
-		new(big.Int).Sub(params.P, big.NewInt(1)),
-		new(big.Int).Sub(params.P, big.NewInt(2)),
-	}
-	for i := 0; i < 2*iters; i++ {
-		v, err := randBelow(params.P)
-		if err != nil {
-			return err
-		}
-		operands = append(operands, v)
-	}
-	want := new(big.Int)
-	for _, a := range operands {
-		for _, b := range operands {
-			if err := fieldAgrees(params.P, a, b, want); err != nil {
-				return err
-			}
-		}
-	}
-
-	// 2. Jacobian arithmetic vs crypto/elliptic.
-	for i := 0; i < iters; i++ {
-		ax, ay, err := randPoint()
-		if err != nil {
-			return err
-		}
-		bx, by, err := randPoint()
-		if err != nil {
-			return err
-		}
-		a, b := affFromBig(ax, ay), affFromBig(bx, by)
-		var j, o jacPoint
-		j.setAffine(a)
-		j.mixedAdd(b)
-		sx, sy := s.curve.Add(ax, ay, bx, by)
-		if !j.equalsBig(sx, sy) {
-			return fmt.Errorf("bas: selftest: jacobian mixed add diverges from curve.Add")
-		}
-		dx, dy := s.curve.Double(ax, ay)
-		o.setAffine(a)
-		o.double()
-		if !o.equalsBig(dx, dy) {
-			return fmt.Errorf("bas: selftest: jacobian double diverges from curve.Double")
-		}
-		// (a+b) + 2a with both operands off Z = 1.
-		j.addJac(&o)
-		tx, ty := s.curve.Add(sx, sy, dx, dy)
-		if !j.equalsBig(tx, ty) {
-			return fmt.Errorf("bas: selftest: jacobian full add diverges from curve.Add")
-		}
-		var back affPoint
-		if !j.toAffine(&back) || feToBig(&back.x).Cmp(tx) != 0 || feToBig(&back.y).Cmp(ty) != 0 {
-			return fmt.Errorf("bas: selftest: toAffine diverges from curve.Add")
-		}
-		// P + P via mixed add must match doubling.
-		j.setAffine(a)
-		j.mixedAdd(a)
-		if !j.equalsBig(dx, dy) {
-			return fmt.Errorf("bas: selftest: jacobian P+P diverges from curve.Double")
-		}
-		// P + (-P) must be infinity.
-		neg := *a
-		feNeg(&neg.y, &neg.y)
-		j.setAffine(a)
-		j.mixedAdd(&neg)
-		if !j.isInfinity() {
-			return fmt.Errorf("bas: selftest: jacobian P+(-P) not infinity")
-		}
-
-		// 3. Point encoding and hash-to-curve vs their oracles.
-		enc := elliptic.MarshalCompressed(s.curve, ax, ay)
-		var dec affPoint
-		if !decompress(&dec, enc) || dec != *a {
-			return fmt.Errorf("bas: selftest: decompress diverges from elliptic.UnmarshalCompressed")
-		}
-		var re [pointLen]byte
-		compress(re[:], &dec)
-		if !bytes.Equal(re[:], enc) {
-			return fmt.Errorf("bas: selftest: compress diverges from elliptic.MarshalCompressed")
-		}
-		var h affPoint
-		var msg []byte
-		hashToCurve(&h, &msg, enc)
-		if hx, hy := s.hashToCurvePortable(enc); h != *affFromBig(hx, hy) {
-			return fmt.Errorf("bas: selftest: hash-to-curve diverges from its math/big original")
-		}
-	}
-
-	// 4. Fast vs portable verification, valid and tampered.
-	portable := New(0, withPortableVerify())
-	priv, pubk, err := s.KeyGen(rnd)
-	if err != nil {
-		return err
-	}
-	digests := make([][]byte, 6)
-	for i := range digests {
-		digests[i] = []byte(fmt.Sprintf("selftest-digest-%d-aaaaaaaaaaaaaa", i))
-	}
-	sigs, err := s.SignBatch(priv, digests)
-	if err != nil {
-		return err
-	}
-	for i := range sigs {
-		one, err := s.Sign(priv, digests[i])
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(sigs[i], one) {
-			return fmt.Errorf("bas: selftest: SignBatch and Sign disagree on digest %d", i)
-		}
-	}
-	agg, err := s.Aggregate(sigs)
-	if err != nil {
-		return err
-	}
-	jobs := []sigagg.VerifyJob{
-		{Digests: digests[:3], Agg: mustAgg(s, sigs[:3])},
-		{Digests: digests[3:], Agg: mustAgg(s, sigs[3:])},
-		{Digests: digests, Agg: agg}, // duplicates digests across jobs
-	}
-	if err := s.VerifyJobs(pubk, jobs); err != nil {
-		return fmt.Errorf("bas: selftest: fast path rejected valid batch: %w", err)
-	}
-	if err := portable.VerifyJobs(pubk, jobs); err != nil {
-		return fmt.Errorf("bas: selftest: portable path rejected valid batch: %w", err)
-	}
-	// Tamper: flip a bit in one aggregate; both paths must reject.
-	bad := agg.Clone()
-	bad[5] ^= 0x40
-	badJobs := []sigagg.VerifyJob{{Digests: digests, Agg: bad}}
-	fastErr := s.VerifyJobs(pubk, badJobs)
-	portErr := portable.VerifyJobs(pubk, badJobs)
-	if (fastErr == nil) != (portErr == nil) {
-		return fmt.Errorf("bas: selftest: fast/portable disagree on tampered aggregate (fast=%v portable=%v)", fastErr, portErr)
-	}
-	if fastErr == nil {
-		return fmt.Errorf("bas: selftest: tampered aggregate accepted")
-	}
-	// Tamper: drop a digest.
-	shortJobs := []sigagg.VerifyJob{{Digests: digests[:5], Agg: agg}}
-	if s.VerifyJobs(pubk, shortJobs) == nil || portable.VerifyJobs(pubk, shortJobs) == nil {
-		return fmt.Errorf("bas: selftest: aggregate over missing digest accepted")
-	}
-	return nil
-}
-
-// fieldAgrees checks every field operation on (a, b), both below p,
-// against math/big. want is scratch.
-func fieldAgrees(p, a, b, want *big.Int) error {
-	x, y := feFromBig(a), feFromBig(b)
-	var z fe
-	check := func(op string) error {
-		if got := feToBig(&z); got.Cmp(want) != 0 {
-			return fmt.Errorf("bas: selftest: field %s(%x, %x) = %x, math/big says %x", op, a, b, got, want)
-		}
-		return nil
-	}
-	feMul(&z, &x, &y)
-	want.Mul(a, b).Mod(want, p)
-	if err := check("mul"); err != nil {
-		return err
-	}
-	feSqr(&z, &x)
-	want.Mul(a, a).Mod(want, p)
-	if err := check("sqr"); err != nil {
-		return err
-	}
-	feAdd(&z, &x, &y)
-	want.Add(a, b).Mod(want, p)
-	if err := check("add"); err != nil {
-		return err
-	}
-	feSub(&z, &x, &y)
-	want.Sub(a, b).Mod(want, p)
-	if err := check("sub"); err != nil {
-		return err
-	}
-	feNeg(&z, &x)
-	want.Neg(a).Mod(want, p)
-	if err := check("neg"); err != nil {
-		return err
-	}
-	feInv(&z, &x)
-	if want.ModInverse(a, p) == nil {
-		want.SetInt64(0) // a = 0
-	}
-	if err := check("inv"); err != nil {
-		return err
-	}
-	isSquare := feSqrt(&z, &x)
-	if root := want.ModSqrt(a, p); (root != nil) != isSquare {
-		return fmt.Errorf("bas: selftest: field sqrt(%x) square=%v, math/big disagrees", a, isSquare)
-	} else if root != nil {
-		return check("sqrt")
-	}
-	return nil
-}
-
-func mustAgg(s *Scheme, sigs []sigagg.Signature) sigagg.Signature {
-	a, err := s.Aggregate(sigs)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }

@@ -45,11 +45,226 @@ func testDigests(n int, seed byte) [][]byte {
 	return ds
 }
 
-// TestSelfTest runs the package's own equivalence oracle.
+// TestSelfTest holds the kernel to independent implementations: field
+// arithmetic against math/big, Jacobian add/double/mixed-add and point
+// (de)compression against crypto/elliptic, hash-to-curve against its
+// math/big original, and fast-path verification against the portable
+// path on valid and tampered inputs.
 func TestSelfTest(t *testing.T) {
-	if err := New(0).SelfTest(newDetRand(1), 6); err != nil {
+	const iters = 6
+	s, rnd := New(0), newDetRand(1)
+	params := s.curve.Params()
+	randBelow := func(m *big.Int) *big.Int {
+		buf := make([]byte, 40) // 64 spare bits: the bias is negligible
+		rnd.Read(buf)
+		k := new(big.Int).SetBytes(buf)
+		return k.Mod(k, m)
+	}
+	randPoint := func() (*big.Int, *big.Int) {
+		for {
+			k := randBelow(params.N)
+			if k.Sign() == 0 {
+				continue
+			}
+			return s.curve.ScalarBaseMult(k.Bytes())
+		}
+	}
+
+	// 1. Field arithmetic vs math/big, on random operands and the edges.
+	operands := []*big.Int{
+		big.NewInt(0), big.NewInt(1),
+		new(big.Int).Sub(params.P, big.NewInt(1)),
+		new(big.Int).Sub(params.P, big.NewInt(2)),
+	}
+	for i := 0; i < 2*iters; i++ {
+		operands = append(operands, randBelow(params.P))
+	}
+	want := new(big.Int)
+	for _, a := range operands {
+		for _, b := range operands {
+			if err := fieldAgrees(params.P, a, b, want); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// 2. Jacobian arithmetic vs crypto/elliptic.
+	for i := 0; i < iters; i++ {
+		ax, ay := randPoint()
+		bx, by := randPoint()
+		a, b := affFromBig(ax, ay), affFromBig(bx, by)
+		var j, o jacPoint
+		j.setAffine(a)
+		j.mixedAdd(b)
+		sx, sy := s.curve.Add(ax, ay, bx, by)
+		if !j.equalsBig(sx, sy) {
+			t.Fatalf("jacobian mixed add diverges from curve.Add")
+		}
+		dx, dy := s.curve.Double(ax, ay)
+		o.setAffine(a)
+		o.double()
+		if !o.equalsBig(dx, dy) {
+			t.Fatalf("jacobian double diverges from curve.Double")
+		}
+		// (a+b) + 2a with both operands off Z = 1.
+		j.addJac(&o)
+		tx, ty := s.curve.Add(sx, sy, dx, dy)
+		if !j.equalsBig(tx, ty) {
+			t.Fatalf("jacobian full add diverges from curve.Add")
+		}
+		var back affPoint
+		if !j.toAffine(&back) || feToBig(&back.x).Cmp(tx) != 0 || feToBig(&back.y).Cmp(ty) != 0 {
+			t.Fatalf("toAffine diverges from curve.Add")
+		}
+		// P + P via mixed add must match doubling.
+		j.setAffine(a)
+		j.mixedAdd(a)
+		if !j.equalsBig(dx, dy) {
+			t.Fatalf("jacobian P+P diverges from curve.Double")
+		}
+		// P + (-P) must be infinity.
+		neg := *a
+		feNeg(&neg.y, &neg.y)
+		j.setAffine(a)
+		j.mixedAdd(&neg)
+		if !j.isInfinity() {
+			t.Fatalf("jacobian P+(-P) not infinity")
+		}
+
+		// 3. Point encoding and hash-to-curve vs their oracles.
+		enc := elliptic.MarshalCompressed(s.curve, ax, ay)
+		var dec affPoint
+		if !decompress(&dec, enc) || dec != *a {
+			t.Fatalf("decompress diverges from elliptic.UnmarshalCompressed")
+		}
+		var re [pointLen]byte
+		compress(re[:], &dec)
+		if !bytes.Equal(re[:], enc) {
+			t.Fatalf("compress diverges from elliptic.MarshalCompressed")
+		}
+		var h affPoint
+		var msg []byte
+		hashToCurve(&h, &msg, enc)
+		if hx, hy := s.hashToCurvePortable(enc); h != *affFromBig(hx, hy) {
+			t.Fatalf("hash-to-curve diverges from its math/big original")
+		}
+	}
+
+	// 4. Fast vs portable verification, valid and tampered.
+	portable := New(0, withPortableVerify())
+	priv, pubk, err := s.KeyGen(rnd)
+	if err != nil {
 		t.Fatal(err)
 	}
+	digests := make([][]byte, 6)
+	for i := range digests {
+		digests[i] = []byte(fmt.Sprintf("selftest-digest-%d-aaaaaaaaaaaaaa", i))
+	}
+	sigs, err := s.SignBatch(priv, digests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sigs {
+		one, err := s.Sign(priv, digests[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sigs[i], one) {
+			t.Fatalf("SignBatch and Sign disagree on digest %d", i)
+		}
+	}
+	agg, err := s.Aggregate(sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []sigagg.VerifyJob{
+		{Digests: digests[:3], Agg: mustAgg(s, sigs[:3])},
+		{Digests: digests[3:], Agg: mustAgg(s, sigs[3:])},
+		{Digests: digests, Agg: agg}, // duplicates digests across jobs
+	}
+	if err := s.VerifyJobs(pubk, jobs); err != nil {
+		t.Fatalf("fast path rejected valid batch: %v", err)
+	}
+	if err := portable.VerifyJobs(pubk, jobs); err != nil {
+		t.Fatalf("portable path rejected valid batch: %v", err)
+	}
+	// Tamper: flip a bit in one aggregate; both paths must reject.
+	bad := agg.Clone()
+	bad[5] ^= 0x40
+	badJobs := []sigagg.VerifyJob{{Digests: digests, Agg: bad}}
+	fastErr := s.VerifyJobs(pubk, badJobs)
+	portErr := portable.VerifyJobs(pubk, badJobs)
+	if (fastErr == nil) != (portErr == nil) {
+		t.Fatalf("fast/portable disagree on tampered aggregate (fast=%v portable=%v)", fastErr, portErr)
+	}
+	if fastErr == nil {
+		t.Fatalf("tampered aggregate accepted")
+	}
+	// Tamper: drop a digest.
+	shortJobs := []sigagg.VerifyJob{{Digests: digests[:5], Agg: agg}}
+	if s.VerifyJobs(pubk, shortJobs) == nil || portable.VerifyJobs(pubk, shortJobs) == nil {
+		t.Fatalf("aggregate over missing digest accepted")
+	}
+}
+
+// fieldAgrees checks every field operation on (a, b), both below p,
+// against math/big. want is scratch.
+func fieldAgrees(p, a, b, want *big.Int) error {
+	x, y := feFromBig(a), feFromBig(b)
+	var z fe
+	check := func(op string) error {
+		if got := feToBig(&z); got.Cmp(want) != 0 {
+			return fmt.Errorf("bas: selftest: field %s(%x, %x) = %x, math/big says %x", op, a, b, got, want)
+		}
+		return nil
+	}
+	feMul(&z, &x, &y)
+	want.Mul(a, b).Mod(want, p)
+	if err := check("mul"); err != nil {
+		return err
+	}
+	feSqr(&z, &x)
+	want.Mul(a, a).Mod(want, p)
+	if err := check("sqr"); err != nil {
+		return err
+	}
+	feAdd(&z, &x, &y)
+	want.Add(a, b).Mod(want, p)
+	if err := check("add"); err != nil {
+		return err
+	}
+	feSub(&z, &x, &y)
+	want.Sub(a, b).Mod(want, p)
+	if err := check("sub"); err != nil {
+		return err
+	}
+	feNeg(&z, &x)
+	want.Neg(a).Mod(want, p)
+	if err := check("neg"); err != nil {
+		return err
+	}
+	feInv(&z, &x)
+	if want.ModInverse(a, p) == nil {
+		want.SetInt64(0) // a = 0
+	}
+	if err := check("inv"); err != nil {
+		return err
+	}
+	isSquare := feSqrt(&z, &x)
+	if root := want.ModSqrt(a, p); (root != nil) != isSquare {
+		return fmt.Errorf("bas: selftest: field sqrt(%x) square=%v, math/big disagrees", a, isSquare)
+	} else if root != nil {
+		return check("sqrt")
+	}
+	return nil
+}
+
+func mustAgg(s *Scheme, sigs []sigagg.Signature) sigagg.Signature {
+	a, err := s.Aggregate(sigs)
+	if err != nil {
+		panic(err)
+	}
+	return a
 }
 
 // TestFastMatchesPortable is the end-to-end equivalence property: for
@@ -259,7 +474,7 @@ func TestCacheEvictionBounded(t *testing.T) {
 	total := 0
 	for i := range s.cache.shards {
 		s.cache.shards[i].mu.RLock()
-		total += len(s.cache.shards[i].m)
+		total += len(s.cache.shards[i].m[tagDigest]) + len(s.cache.shards[i].m[tagAgg])
 		s.cache.shards[i].mu.RUnlock()
 	}
 	if max := cacheShards * 8 * 2; total > max {
@@ -450,26 +665,92 @@ func TestTableKeyedOnTrapdoor(t *testing.T) {
 // goroutines that miss on the same digest both put it, and each repeat
 // cost a full shard one entry.
 func TestCachePutResidentKeepsShardFull(t *testing.T) {
-	c := newPointCache(0) // clamps to 8 per shard
+	c := newPointCache(0) // clamps to 8 per shard, 7 of them digests
 	var pt affPoint
-	keys := make([]cacheKey, c.perShard)
+	full := c.perShard[tagDigest]
+	keys := make([]cacheKey, full)
 	for i := range keys {
-		keys[i] = digestKey([]byte{0, byte(i)}) // first byte 0: all in shard 0
+		keys[i] = digestKey([]byte{byte(i), 0}) // second byte 0: all in shard 0
 		c.put(&keys[i], &pt)
 	}
 	for i := 0; i < 10; i++ {
 		c.put(&keys[0], &pt)
 	}
-	if n := len(c.shards[0].m); n != c.perShard {
-		t.Fatalf("re-putting a resident key left %d of %d entries", n, c.perShard)
+	if n := len(c.shards[0].m[tagDigest]); n != full {
+		t.Fatalf("re-putting a resident key left %d of %d entries", n, full)
 	}
 	if ev := c.evictions.Load(); ev != 0 {
 		t.Fatalf("%d evictions without a new key", ev)
 	}
-	extra := digestKey([]byte{0, 0xff, 1})
+	extra := digestKey([]byte{0xff, 0, 1})
 	c.put(&extra, &pt)
-	if n, ev := len(c.shards[0].m), c.evictions.Load(); n != c.perShard || ev != 1 {
-		t.Fatalf("a new key in a full shard: %d entries, %d evictions; want %d and 1", n, ev, c.perShard)
+	if n, ev := len(c.shards[0].m[tagDigest]), c.evictions.Load(); n != full || ev != 1 {
+		t.Fatalf("a new key in a full shard: %d entries, %d evictions; want %d and 1", n, ev, full)
+	}
+}
+
+// TestAggKeysSpreadOverShards: every compressed point opens with its
+// 0x02/0x03 sign byte, and sharding on it put every aggregate-decode
+// entry in two of the 64 shards. Real signatures must spread.
+func TestAggKeysSpreadOverShards(t *testing.T) {
+	s := New(0)
+	priv, _, err := s.KeyGen(newDetRand(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newPointCache(0)
+	used := map[*cacheShard]bool{}
+	for i := 0; i < 1000; i++ {
+		d := sha256.Sum256([]byte{byte(i), byte(i >> 8)})
+		sig, err := s.Sign(priv, d[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := aggKey(sig)
+		used[c.shard(&k)] = true
+	}
+	if len(used) < 48 {
+		t.Fatalf("1000 random aggregate keys landed in %d of %d shards", len(used), cacheShards)
+	}
+}
+
+// TestAggFloodEvictsNoDigest: a stream of never-repeating aggregates
+// (cold_scan's shape) fills the aggregates' share of every shard and
+// from then on evicts aggregates only. Under the sign-byte sharding it
+// emptied shards 2 and 3 of their digests; sharing one map per shard it
+// would cost every shard's digests alike.
+func TestAggFloodEvictsNoDigest(t *testing.T) {
+	c := newPointCache(cacheShards * 64)
+	var pt affPoint
+	// Fill every shard's digest share.
+	var resident []cacheKey
+	for i, full := 0, 0; full < cacheShards; i++ {
+		d := sha256.Sum256([]byte{'d', byte(i), byte(i >> 8), byte(i >> 16)})
+		k := digestKey(d[:20])
+		if m := c.shard(&k).m[tagDigest]; len(m) < c.perShard[tagDigest] {
+			resident = append(resident, k)
+			c.put(&k, &pt)
+			if len(m) == c.perShard[tagDigest] {
+				full++
+			}
+		}
+	}
+	// The flood: four times the cache's whole capacity in distinct
+	// compressed points.
+	for i := 0; i < 4*cacheShards*64; i++ {
+		h := sha256.Sum256([]byte{'a', byte(i), byte(i >> 8), byte(i >> 16)})
+		k := aggKey(append([]byte{2 + byte(i&1)}, h[:]...))
+		c.put(&k, &pt)
+	}
+	for i := range resident {
+		if !c.get(&resident[i], &pt) {
+			t.Fatalf("the aggregate flood evicted digest %d of %d", i, len(resident))
+		}
+	}
+	for i := range c.shards {
+		if n := len(c.shards[i].m[tagAgg]); n != c.perShard[tagAgg] {
+			t.Fatalf("shard %d holds %d aggregates after the flood, its share is %d", i, n, c.perShard[tagAgg])
+		}
 	}
 }
 

@@ -54,24 +54,40 @@ const (
 	// bytes of payload (a digest and its length, or a 33-byte
 	// compressed signature).
 	cacheKeyLen = 34
+)
 
-	tagDigest = 'd'
-	tagAgg    = 'a'
+// Entry kinds, the first byte of a key. A shard keeps one map per kind,
+// each with its own bound: an answer brings one aggregate and many
+// digests, and a stream of never-repeating aggregates (uniformly placed
+// ranges) must only ever evict other aggregates, not the digests that
+// every later answer over the same records hits.
+const (
+	tagDigest = iota
+	tagAgg
+	numTags
 )
 
 type cacheKey [cacheKeyLen]byte
 
+// aggShare is the part of the cache's entries reserved for aggregate
+// decodes: one in aggShare, 8,192 by default. Measured on the repo
+// benchmark's plan_join (a few thousand live match and boundary
+// aggregates, re-signed at 100 inserts/s): half of that loses a tenth of
+// the verified plans per second, while all 65,536 entries verify no more
+// and cost the client 15 MB once never-repeating aggregates fill them.
+const aggShare = 8
+
 type cacheShard struct {
 	mu sync.RWMutex
-	m  map[cacheKey]affPoint
+	m  [numTags]map[cacheKey]affPoint
 }
 
 // pointCache is a sharded, size-bounded map from cache keys to curve
-// points. Eviction is random-victim (Go map iteration order) per shard,
-// which is cheap and good enough for a memoization cache.
+// points. Eviction is random-victim (Go map iteration order) per shard
+// and kind, which is cheap and good enough for a memoization cache.
 type pointCache struct {
 	shards   [cacheShards]cacheShard
-	perShard int // max entries per shard
+	perShard [numTags]int // max entries per shard, by kind
 
 	h2cHits, h2cMisses atomic.Uint64
 	aggHits, aggMisses atomic.Uint64
@@ -79,12 +95,17 @@ type pointCache struct {
 }
 
 func newPointCache(entries int) *pointCache {
-	c := &pointCache{perShard: entries / cacheShards}
-	if c.perShard < 8 {
-		c.perShard = 8
+	per := entries / cacheShards
+	if per < 8 {
+		per = 8
 	}
+	c := &pointCache{}
+	c.perShard[tagAgg] = per / aggShare
+	c.perShard[tagDigest] = per - c.perShard[tagAgg]
 	for i := range c.shards {
-		c.shards[i].m = make(map[cacheKey]affPoint)
+		for kind := range c.shards[i].m {
+			c.shards[i].m[kind] = make(map[cacheKey]affPoint)
+		}
 	}
 	return c
 }
@@ -115,14 +136,18 @@ func aggKey(sig []byte) cacheKey {
 	return k
 }
 
+// shard picks by the second payload byte, which is uniform for both key
+// kinds: a digest byte, or a byte of the signature's x-coordinate. The
+// first is not — a compressed point opens with its 0x02/0x03 sign prefix,
+// which would put every aggregate in two shards.
 func (c *pointCache) shard(k *cacheKey) *cacheShard {
-	return &c.shards[k[1]&(cacheShards-1)]
+	return &c.shards[k[2]&(cacheShards-1)]
 }
 
 func (c *pointCache) get(k *cacheKey, a *affPoint) bool {
 	sh := c.shard(k)
 	sh.mu.RLock()
-	pt, ok := sh.m[*k]
+	pt, ok := sh.m[k[0]][*k]
 	sh.mu.RUnlock()
 	if ok {
 		*a = pt
@@ -130,20 +155,21 @@ func (c *pointCache) get(k *cacheKey, a *affPoint) bool {
 	return ok
 }
 
-// put inserts k. A victim is evicted only to make room for a key the
-// shard does not hold yet: two goroutines that missed on the same digest
-// both put it, and the second must not cost the shard an entry.
+// put inserts k. A victim of k's kind is evicted only to make room for a
+// key the shard does not hold yet: two goroutines that missed on the same
+// digest both put it, and the second must not cost the shard an entry.
 func (c *pointCache) put(k *cacheKey, a *affPoint) {
 	sh := c.shard(k)
 	sh.mu.Lock()
-	if _, resident := sh.m[*k]; !resident && len(sh.m) >= c.perShard {
-		for victim := range sh.m {
-			delete(sh.m, victim)
+	m := sh.m[k[0]]
+	if _, resident := m[*k]; !resident && len(m) >= c.perShard[k[0]] {
+		for victim := range m {
+			delete(m, victim)
 			c.evictions.Add(1)
 			break
 		}
 	}
-	sh.m[*k] = *a
+	m[*k] = *a
 	sh.mu.Unlock()
 }
 

@@ -13,8 +13,8 @@ import (
 // The portable verification path: the trapdoor relation checked with
 // crypto/elliptic and math/big only — affine curve.Add, ModSqrt
 // hash-to-curve, UnmarshalCompressed — sharing no arithmetic with the
-// limb kernel. It is what withPortableVerify selects and what SelfTest
-// and the tests hold the kernel to.
+// limb kernel. It is what withPortableVerify selects and what the tests
+// hold the kernel to.
 
 // hashToCurvePortable is hashToCurve on math/big.
 func (s *Scheme) hashToCurvePortable(digest []byte) (x, y *big.Int) {

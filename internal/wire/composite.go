@@ -160,9 +160,11 @@ func AppendRelTails(buf []byte, tails []RelTail) []byte {
 	return w.buf
 }
 
-// DecodeComposite parses a complete 'C' message (core plus tails).
+// DecodeComposite parses a complete 'C' message (core plus tails). Like
+// DecodeAnswer's, the proof objects alias data and the summaries in the
+// tails are copies.
 func DecodeComposite(data []byte) (*Composite, error) {
-	r := &reader{buf: data}
+	r := &reader{buf: data, alias: true}
 	if err := header(r, KindComposite); err != nil {
 		return nil, err
 	}
@@ -266,11 +268,17 @@ func getProjection(r *reader) (*projection.Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nRows > maxLen {
-		return nil, fmt.Errorf("%w: row count %d", ErrCorrupt, nRows)
+	// As for records: a row costs at least its 24 fixed bytes and a value
+	// its 8-byte length prefix, which bounds both counts before they size
+	// anything.
+	if nRows > uint64(r.remaining()/24) {
+		return nil, fmt.Errorf("%w: row count %d in %d bytes", ErrCorrupt, nRows, r.remaining())
 	}
-	for i := uint64(0); i < nRows; i++ {
-		var row projection.Row
+	if nRows > 0 {
+		p.Rows = make([]projection.Row, nRows)
+	}
+	for i := range p.Rows {
+		row := &p.Rows[i]
 		if row.RID, err = r.u64(); err != nil {
 			return nil, err
 		}
@@ -281,17 +289,17 @@ func getProjection(r *reader) (*projection.Answer, error) {
 		if err != nil {
 			return nil, err
 		}
-		if nVals > maxLen {
-			return nil, fmt.Errorf("%w: value count %d", ErrCorrupt, nVals)
+		if nVals > uint64(r.remaining()/8) {
+			return nil, fmt.Errorf("%w: value count %d in %d bytes", ErrCorrupt, nVals, r.remaining())
 		}
-		for j := uint64(0); j < nVals; j++ {
-			v, err := r.bytes()
-			if err != nil {
+		if nVals > 0 {
+			row.Values = make([][]byte, nVals)
+		}
+		for j := range row.Values {
+			if row.Values[j], err = r.bytes(); err != nil {
 				return nil, err
 			}
-			row.Values = append(row.Values, v)
 		}
-		p.Rows = append(p.Rows, row)
 	}
 	agg, err := r.bytes()
 	if err != nil {

@@ -9,8 +9,11 @@ package wire
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
+	"authdb/internal/chain"
+	"authdb/internal/core"
 	"authdb/internal/freshness"
 )
 
@@ -111,14 +114,92 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodeAnswer: the full answer decoder against arbitrary bytes.
+// allocatedBy reports the heap bytes fn allocated. Fuzz inputs run one
+// at a time, so nothing else allocates meanwhile.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// checkDecodeAlloc: the aliasing decoders size arrays by counts read from
+// the input, so whatever the counts claim, a decode may allocate only a
+// small multiple of the bytes actually present (the widest blow-up is a
+// 24-byte slice header per 8-byte empty attribute). The fixed allowance
+// covers what the fuzzing harness itself allocates around a call.
+func checkDecodeAlloc(t *testing.T, data []byte, decode func()) {
+	t.Helper()
+	if got, max := allocatedBy(decode), uint64(8*len(data)+64<<10); got > max {
+		t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), got, max)
+	}
+}
+
+// chainViews lists the byte slices of a decoded chained answer that must
+// alias its frame.
+func chainViews(views [][]byte, ca *chain.Answer) [][]byte {
+	recs := ca.Records
+	if ca.Anchor != nil {
+		recs = append(recs[:len(recs):len(recs)], ca.Anchor)
+	}
+	for _, rec := range recs {
+		views = append(views, rec.Attrs...)
+	}
+	return append(views, ca.Agg)
+}
+
+// checkCustody scribbles over every byte of the frame an accepted decode
+// was given: each view must change with it (it aliases the frame — a copy
+// here is the per-record allocation the decoders exist to avoid), and no
+// certified summary may (a session retains those, so they are copies).
+func checkCustody(t *testing.T, data []byte, views [][]byte, sums []freshness.Summary) {
+	t.Helper()
+	was := make([][]byte, len(views))
+	for i, v := range views {
+		was[i] = bytes.Clone(v)
+	}
+	type kept struct{ compressed, sig []byte }
+	held := make([]kept, len(sums))
+	for i := range sums {
+		held[i] = kept{bytes.Clone(sums[i].Compressed), bytes.Clone(sums[i].Sig)}
+	}
+	for i := range data {
+		data[i] ^= 0xff
+	}
+	for i, v := range views {
+		if len(v) > 0 && bytes.Equal(v, was[i]) {
+			t.Fatalf("decoded field %d (%d bytes) is a copy, not a view of the frame", i, len(v))
+		}
+	}
+	for i := range sums {
+		if !bytes.Equal(sums[i].Compressed, held[i].compressed) || !bytes.Equal(sums[i].Sig, held[i].sig) {
+			t.Fatalf("summary %d aliases the frame: a session holding it would pin the whole answer", sums[i].Seq)
+		}
+	}
+}
+
+// FuzzDecodeAnswer: the full answer decoder against arbitrary bytes. An
+// accepted frame is canonical (it re-encodes to the input), decoding
+// allocates in proportion to the bytes present, and the result aliases
+// the frame except for its summaries.
 func FuzzDecodeAnswer(f *testing.F) {
 	mutate(f, seedFrames(f))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ans, err := DecodeAnswer(data)
-		if err == nil && ans == nil {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		data := bytes.Clone(in) // the decode takes the frame over; in is the fuzzer's
+		var ans *core.Answer
+		var err error
+		checkDecodeAlloc(t, data, func() { ans, err = DecodeAnswer(data) })
+		if err != nil {
+			return
+		}
+		if ans == nil {
 			t.Fatal("nil answer without error")
 		}
+		if re, err := EncodeAnswer(ans); err != nil || !bytes.Equal(re, data) {
+			t.Fatalf("accepted frame does not re-encode to itself (err %v)", err)
+		}
+		checkCustody(t, data, chainViews(nil, ans.Chain), ans.Summaries)
 	})
 }
 
@@ -159,14 +240,49 @@ func FuzzDecodeRequests(f *testing.F) {
 }
 
 // FuzzDecodeComposite: the plan-answer decoder (what a client runs on a
-// replica's 'C' frame) against arbitrary bytes.
+// replica's 'C' frame) against arbitrary bytes, held to the same three
+// properties as FuzzDecodeAnswer.
 func FuzzDecodeComposite(f *testing.F) {
 	mutate(f, seedFrames(f))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := DecodeComposite(data)
-		if err == nil && c == nil {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		data := bytes.Clone(in)
+		var c *Composite
+		var err error
+		checkDecodeAlloc(t, data, func() { c, err = DecodeComposite(data) })
+		if err != nil {
+			return
+		}
+		if c == nil {
 			t.Fatal("nil composite without error")
 		}
+		re, err := AppendCompositeCore(nil, c)
+		if err != nil || !bytes.Equal(AppendRelTails(re, c.Tails), data) {
+			t.Fatalf("accepted frame does not re-encode to itself (err %v)", err)
+		}
+		views := chainViews(nil, c.Outer)
+		if c.Proj != nil {
+			for i := range c.Proj.Rows {
+				views = append(views, c.Proj.Rows[i].Values...)
+			}
+			views = append(views, c.Proj.Agg)
+		}
+		if c.Join != nil {
+			for _, m := range c.Join.Matches {
+				views = chainViews(views, m)
+			}
+			for i := range c.Join.Unmatched {
+				if up := &c.Join.Unmatched[i]; up.Boundary != nil {
+					views = chainViews(views, up.Boundary)
+				} else {
+					views = append(views, up.PartSig)
+				}
+			}
+		}
+		var sums []freshness.Summary
+		for _, tail := range c.Tails {
+			sums = append(sums, tail.Summaries...)
+		}
+		checkCustody(t, data, views, sums)
 	})
 }
 

@@ -19,6 +19,7 @@ package wire
 import (
 	"fmt"
 
+	"authdb/internal/chain"
 	"authdb/internal/core"
 	"authdb/internal/sigagg"
 )
@@ -90,8 +91,8 @@ func DecodeBootstrap(data []byte) (uint64, *core.ServerState, error) {
 	}
 	st := &core.ServerState{}
 	for i := uint64(0); i < nRecs; i++ {
-		rec, err := getRecord(r)
-		if err != nil {
+		rec := &chain.Record{}
+		if err := getRecord(r, rec); err != nil {
 			return 0, nil, err
 		}
 		sig, err := r.bytes()

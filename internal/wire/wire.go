@@ -6,8 +6,15 @@
 // in any language can parse it, and so corrupted or truncated inputs
 // fail loudly before any cryptographic check.
 //
-// Encoding never allocates surprises into the decoded structures:
-// decoded byte slices are copies, so a received buffer can be reused.
+// Custody of decoded bytes: DecodeAnswer and DecodeComposite return
+// records, attribute values and aggregates that alias the frame they
+// were given, and the frame belongs to the result from then on — the
+// verifying client reads each answer frame into a buffer of its own and
+// never writes to it again. Whatever outlives the answer is copied where
+// it is retained: certified summaries, which a session keeps, are copied
+// out of every frame. The dissemination, bootstrap and WAL decoders
+// (DecodeUpdateMsg, DecodeBootstrap, DecodeWalRecord), whose records a
+// server stores, copy everything, so their input buffer can be reused.
 package wire
 
 import (
@@ -72,7 +79,14 @@ func (w *writer) bytes(p []byte) {
 type reader struct {
 	buf []byte
 	off int
+	// alias makes bytes return views of buf instead of copies; the answer
+	// and composite decoders set it (see the package comment).
+	alias bool
 }
+
+// remaining is the number of unread bytes, the bound on any count the
+// input may claim before a decoder allocates by it.
+func (r *reader) remaining() int { return len(r.buf) - r.off }
 
 func (r *reader) u8() (byte, error) {
 	if r.off+1 > len(r.buf) {
@@ -97,7 +111,9 @@ func (r *reader) i64() (int64, error) {
 	return int64(v), err
 }
 
-func (r *reader) bytes() ([]byte, error) {
+// view returns the next length-prefixed field as a slice of buf, capped
+// so that appending to it cannot reach the bytes that follow.
+func (r *reader) view() ([]byte, error) {
 	n, err := r.u64()
 	if err != nil {
 		return nil, err
@@ -108,9 +124,30 @@ func (r *reader) bytes() ([]byte, error) {
 	if r.off+int(n) > len(r.buf) {
 		return nil, fmt.Errorf("%w: truncated field (%d bytes)", ErrCorrupt, n)
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:r.off+int(n)])
-	r.off += int(n)
+	end := r.off + int(n)
+	out := r.buf[r.off:end:end]
+	r.off = end
+	return out, nil
+}
+
+// bytes returns the next length-prefixed field under the reader's
+// custody: a view of buf when aliasing, a copy otherwise.
+func (r *reader) bytes() ([]byte, error) {
+	if r.alias {
+		return r.view()
+	}
+	return r.owned()
+}
+
+// owned returns the next length-prefixed field as a copy, whatever the
+// reader's custody: for values the receiver retains past the message.
+func (r *reader) owned() ([]byte, error) {
+	v, err := r.view()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(v))
+	copy(out, v)
 	return out, nil
 }
 
@@ -133,33 +170,38 @@ func putRecord(w *writer, rec *chain.Record) {
 	}
 }
 
-func getRecord(r *reader) (*chain.Record, error) {
-	rec := &chain.Record{}
+// getRecord decodes one record into rec; its attribute values follow
+// the reader's custody.
+func getRecord(r *reader, rec *chain.Record) error {
 	var err error
 	if rec.RID, err = r.u64(); err != nil {
-		return nil, err
+		return err
 	}
 	if rec.Key, err = r.i64(); err != nil {
-		return nil, err
+		return err
 	}
 	if rec.TS, err = r.i64(); err != nil {
-		return nil, err
+		return err
 	}
 	nAttrs, err := r.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if nAttrs > maxLen {
-		return nil, fmt.Errorf("%w: attr count %d", ErrCorrupt, nAttrs)
+	// Every attribute costs at least its 8-byte length prefix: a count the
+	// bytes present cannot hold is refused before anything is sized by it.
+	if nAttrs > uint64(r.remaining()/8) {
+		return fmt.Errorf("%w: attr count %d in %d bytes", ErrCorrupt, nAttrs, r.remaining())
 	}
-	for i := uint64(0); i < nAttrs; i++ {
-		a, err := r.bytes()
-		if err != nil {
-			return nil, err
+	if nAttrs == 0 {
+		return nil // Attrs stays nil, as it encodes
+	}
+	rec.Attrs = make([][]byte, nAttrs)
+	for i := range rec.Attrs {
+		if rec.Attrs[i], err = r.bytes(); err != nil {
+			return err
 		}
-		rec.Attrs = append(rec.Attrs, a)
 	}
-	return rec, nil
+	return nil
 }
 
 func putRef(w *writer, ref chain.Ref) {
@@ -201,10 +243,12 @@ func getSummary(r *reader) (freshness.Summary, error) {
 	if s.TS, err = r.i64(); err != nil {
 		return s, err
 	}
-	if s.Compressed, err = r.bytes(); err != nil {
+	// A session holds certified summaries long after the answer that
+	// carried them: copied, or each would pin a whole answer frame.
+	if s.Compressed, err = r.owned(); err != nil {
 		return s, err
 	}
-	sig, err := r.bytes()
+	sig, err := r.owned()
 	if err != nil {
 		return s, err
 	}
@@ -280,8 +324,8 @@ func DecodeUpdateMsg(data []byte) (*core.UpdateMsg, error) {
 		return nil, fmt.Errorf("%w: upsert count %d", ErrCorrupt, nUp)
 	}
 	for i := uint64(0); i < nUp; i++ {
-		rec, err := getRecord(r)
-		if err != nil {
+		rec := &chain.Record{}
+		if err := getRecord(r, rec); err != nil {
 			return nil, err
 		}
 		sig, err := r.bytes()
@@ -443,15 +487,21 @@ func getAnswerBody(r *reader) (*chain.Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nRecs > maxLen {
-		return nil, fmt.Errorf("%w: record count %d", ErrCorrupt, nRecs)
+	// A record costs at least its 32 fixed bytes (rid, key, ts, attribute
+	// count), so the bytes present bound the count before it sizes the one
+	// array the answer's records share.
+	if nRecs > uint64(r.remaining()/32) {
+		return nil, fmt.Errorf("%w: record count %d in %d bytes", ErrCorrupt, nRecs, r.remaining())
 	}
-	for i := uint64(0); i < nRecs; i++ {
-		rec, err := getRecord(r)
-		if err != nil {
-			return nil, err
+	if nRecs > 0 {
+		recs := make([]chain.Record, nRecs)
+		ca.Records = make([]*chain.Record, nRecs)
+		for i := range recs {
+			if err := getRecord(r, &recs[i]); err != nil {
+				return nil, err
+			}
+			ca.Records[i] = &recs[i]
 		}
-		ca.Records = append(ca.Records, rec)
 	}
 	if ca.Left, err = getRef(r); err != nil {
 		return nil, err
@@ -465,7 +515,8 @@ func getAnswerBody(r *reader) (*chain.Answer, error) {
 	}
 	switch hasAnchor {
 	case 1:
-		if ca.Anchor, err = getRecord(r); err != nil {
+		ca.Anchor = &chain.Record{}
+		if err = getRecord(r, ca.Anchor); err != nil {
 			return nil, err
 		}
 		if ca.AnchorLeft, err = getRef(r); err != nil {
@@ -495,9 +546,11 @@ func AppendSummaryTail(buf []byte, sums []freshness.Summary) []byte {
 	return w.buf
 }
 
-// DecodeAnswer parses a verifiable query answer.
+// DecodeAnswer parses a verifiable query answer. The answer's records,
+// attribute values and aggregate alias data, which belongs to the
+// result from here on; its certified summaries are copies.
 func DecodeAnswer(data []byte) (*core.Answer, error) {
-	r := &reader{buf: data}
+	r := &reader{buf: data, alias: true}
 	if err := header(r, KindAnswer); err != nil {
 		return nil, err
 	}

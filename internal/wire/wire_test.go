@@ -194,6 +194,36 @@ func TestDecodeRejectsLengthBombs(t *testing.T) {
 	}
 }
 
+// TestDecodeBoundsCountsByBytesPresent: the answer decoders size arrays
+// by the record and attribute counts they read, so a count that passes
+// the global limit but that the bytes present cannot hold must be refused
+// before anything is allocated by it — 2^24 records would be 1 GiB.
+func TestDecodeBoundsCountsByBytesPresent(t *testing.T) {
+	count := []byte{0, 0, 0, 0, 1, 0, 0, 0}                               // 2^24, under maxLen
+	lyingRecs := append([]byte{Version, KindAnswer}, make([]byte, 16)...) // lo, hi
+	lyingRecs = append(lyingRecs, count...)
+	lyingRecs = append(lyingRecs, make([]byte, 256)...)
+	lyingAttrs := append([]byte{Version, KindAnswer}, make([]byte, 16)...)
+	lyingAttrs = append(lyingAttrs, 0, 0, 0, 0, 0, 0, 0, 1) // one record
+	lyingAttrs = append(lyingAttrs, make([]byte, 24)...)    // rid, key, ts
+	lyingAttrs = append(lyingAttrs, count...)
+	lyingAttrs = append(lyingAttrs, make([]byte, 256)...)
+	for name, frame := range map[string][]byte{"records": lyingRecs, "attrs": lyingAttrs} {
+		var err error
+		allocated := allocatedBy(func() { _, err = DecodeAnswer(frame) })
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: lying count accepted (err %v)", name, err)
+		}
+		if allocated > 64<<10 {
+			t.Fatalf("%s: refusing a %d-byte frame allocated %d bytes", name, len(frame), allocated)
+		}
+		frame[1] = KindComposite
+		if _, err := DecodeComposite(frame); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: lying count accepted in a composite (err %v)", name, err)
+		}
+	}
+}
+
 func TestQuickDecodeNeverPanics(t *testing.T) {
 	prop := func(data []byte) bool {
 		// Any input either decodes or errors; panics fail the test run.
