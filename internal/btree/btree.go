@@ -333,14 +333,25 @@ func (t *Tree) RangeWithBoundaries(lo, hi int64) (entries []Entry, left, right *
 			}
 		}
 	}
+	// Size the result once: count the run leaf by leaf (untouched — the
+	// copy below charges each visited page), then copy whole leaf slices.
+	n := 0
+	for c, from := lf, i; c != nil; c, from = c.next, 0 {
+		past := upperBound(c.entries[from:], hi)
+		n += past
+		if from+past < len(c.entries) {
+			break
+		}
+	}
+	if n > 0 {
+		entries = make([]Entry, 0, n)
+	}
 	for lf != nil {
-		for ; i < len(lf.entries); i++ {
-			e := lf.entries[i]
-			if e.Key > hi {
-				right = &e
-				return entries, left, right
-			}
-			entries = append(entries, e)
+		end := i + upperBound(lf.entries[i:], hi)
+		entries = append(entries, lf.entries[i:end]...)
+		if end < len(lf.entries) {
+			e := lf.entries[end]
+			return entries, left, &e
 		}
 		lf = lf.next
 		if lf != nil {
@@ -349,6 +360,11 @@ func (t *Tree) RangeWithBoundaries(lo, hi int64) (entries []Entry, left, right *
 		i = 0
 	}
 	return entries, left, nil
+}
+
+// upperBound is the number of leading entries with Key <= hi.
+func upperBound(entries []Entry, hi int64) int {
+	return sort.Search(len(entries), func(i int) bool { return entries[i].Key > hi })
 }
 
 // Predecessor returns the entry with the largest key < key.

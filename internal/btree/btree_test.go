@@ -194,6 +194,30 @@ func TestRangeBoundaryAcrossLeaves(t *testing.T) {
 	}
 }
 
+// TestRangeAllocs: a range costs its result slice and the two boundary
+// copies, not an Entry per row (the loop variable whose address became the
+// right boundary used to escape on every iteration, on top of the slice
+// doubling from nil).
+func TestRangeAllocs(t *testing.T) {
+	tr := New(storage.DefaultPageConfig())
+	for i := 0; i < 5000; i++ {
+		if err := tr.Insert(Entry{Key: int64(2 * i), RID: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var entries []Entry
+	var left, right *Entry
+	allocs := testing.AllocsPerRun(50, func() {
+		entries, left, right = tr.RangeWithBoundaries(4000, 4198)
+	})
+	if len(entries) != 100 || left == nil || left.Key != 3998 || right == nil || right.Key != 4200 {
+		t.Fatalf("%d entries, boundaries %v and %v", len(entries), left, right)
+	}
+	if allocs > 3 {
+		t.Fatalf("a 100-row range allocates %v times, want at most 3", allocs)
+	}
+}
+
 func TestPredecessorSuccessor(t *testing.T) {
 	tr := testTree(t, 3, 3)
 	for _, k := range []int64{10, 20, 30, 40} {

@@ -115,7 +115,7 @@ type Client struct {
 	cfg      Config
 	addr     string // last dialed address, the retry reconnect target
 	conn     net.Conn
-	br       *bufio.Reader
+	in       frameSource
 	bw       *bufio.Writer
 	verifier *core.Verifier
 	rng      *rand.Rand
@@ -187,8 +187,30 @@ func Dial(addr string, cfg Config) (*Client, error) {
 }
 
 func (c *Client) resetBuffers() {
-	c.br = bufio.NewReaderSize(c.conn, 64<<10)
+	c.in = frameSource{head: bufio.NewReaderSize(c.conn, headBuf), conn: c.conn}
 	c.bw = bufio.NewWriterSize(c.conn, 16<<10)
+}
+
+// headBuf is the buffer frame headers are read through: small frames
+// (summaries, errors, a pipelined batch of them) arrive whole in one read,
+// and of a large one at most this much is copied twice.
+const headBuf = 4 << 10
+
+// frameSource is the connection's read side. A frame's 4-byte header is
+// read through head; its payload through Read, which hands out what the
+// header's read left in head and from then on reads the conn directly —
+// the kernel copies an answer's bytes into the frame that will own them,
+// not into a buffer they are copied out of again.
+type frameSource struct {
+	head *bufio.Reader
+	conn net.Conn
+}
+
+func (r *frameSource) Read(p []byte) (int, error) {
+	if n := r.head.Buffered(); n > 0 {
+		return r.head.Read(p[:min(n, len(p))])
+	}
+	return r.conn.Read(p)
 }
 
 // Close tears the connection down. The verifier state (ingested
@@ -397,7 +419,11 @@ func (c *Client) clearDeadline() {
 // decoded from it aliases it and keeps it alive, and the collector frees
 // the two together.
 func (c *Client) readFrame() ([]byte, error) {
-	data, err := wire.ReadFrame(c.br, nil, c.cfg.MaxFrame)
+	n, err := wire.ReadFrameHeader(c.in.head, c.cfg.MaxFrame)
+	if err != nil {
+		return nil, err
+	}
+	data, err := wire.ReadFramePayload(&c.in, nil, n)
 	if err != nil {
 		return nil, err
 	}

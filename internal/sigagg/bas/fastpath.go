@@ -3,6 +3,7 @@ package bas
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"authdb/internal/sigagg"
 )
@@ -11,51 +12,54 @@ import (
 // Σ agg_i == x · Σ_ij H(d_ij) — so a batch reduces to summing points
 // and one closing scalar multiplication. The sums run in Jacobian
 // coordinates on the limb kernel (field.go, point.go) with cached H(d)
-// points and cached aggregate decodes, and digests repeated inside a
-// batch are folded by multiplicity with a Pippenger-style bucket
-// accumulation instead of re-added. With both caches warm the whole
-// summation is map lookups and stack arithmetic: it allocates nothing.
+// points and cached aggregate decodes (h2c.go: one flat table per kind,
+// probed a block at a time under one read lock), and digests repeated
+// inside a batch are folded by multiplicity with a Pippenger-style bucket
+// accumulation instead of re-added. With both tables warm the whole
+// summation is table probes and stack arithmetic: it allocates nothing.
 // The emulated pairing cost is still charged once per digest plus once
 // per job, exactly as the portable path does, so the simulated Table 3
 // cost shape is unchanged when pairingCost > 0.
 
 // verifyScratch is the per-call working state, pooled on the Scheme.
 type verifyScratch struct {
-	msg     []byte   // hash-to-curve input buffer
-	agg     jacPoint // Σ aggregates
-	hs      jacPoint // Σ hashed digests, multiplicity-weighted
-	idx     map[cacheKey]int32
-	ents    []digestEntry
-	buckets []jacPoint
+	msg     []byte       // hash-to-curve input buffer
+	agg     jacPoint     // Σ aggregates
+	hs      jacPoint     // Σ hashed digests, multiplicity-weighted
+	ents    []probeEntry // the call's cache lookups, in job order
+	dedupe  []int32      // open-addressed by probeEntry.hash: index into ents + 1
+	miss    []int32      // the entries the cache did not hold
+	missPts []affPoint   // and their points, computed outside the lock
+	buckets []jacPoint   // Σ H(d) by digest multiplicity
+	sink    uint64       // keeps locateBlock's loads alive
 }
 
-// digestEntry is one unique digest in a batch and how many times the
-// batch references it. The digest bytes are borrowed from the caller's
-// jobs and never retained past the call.
-type digestEntry struct {
+// probeEntry is one cache lookup of a batch: a unique digest and how many
+// times the batch references it, or one job's aggregate (count 0). The
+// bytes are borrowed from the caller's jobs and never retained past the
+// call.
+type probeEntry struct {
 	key   cacheKey
+	hash  uint64 // pointCache.hash(&key)
 	d     []byte
 	count int32
+	slot  int32 // candidate slot from pointTable.locate, -1 for none
 }
 
-// decodeCached is decode through the aggregate cache: a hit skips the
-// square root. Only valid curve points are ever cached.
-func (s *Scheme) decodeCached(a *affPoint, sig sigagg.Signature) (identity bool, err error) {
-	if len(sig) != pointLen || s.isIdentity(sig) {
-		return s.decode(a, sig) // an error or the identity: neither is cached
+// sumFor is the running sum e's point belongs in: Σ agg for an aggregate,
+// the bucket of its multiplicity for a digest.
+func (sc *verifyScratch) sumFor(e *probeEntry) *jacPoint {
+	if e.count == 0 {
+		return &sc.agg
 	}
-	k := aggKey(sig)
-	if s.cache.get(&k, a) {
-		s.cache.aggHits.Add(1)
-		return false, nil
-	}
-	s.cache.aggMisses.Add(1)
-	if _, err := s.decode(a, sig); err != nil {
-		return false, err
-	}
-	s.cache.put(&k, a)
-	return false, nil
+	return &sc.buckets[e.count-1]
 }
+
+// probeBlock is how many entries sumJobs locates before it starts adding
+// them: enough independent loads in flight to cover the latency of a slot
+// that has left the cache, few enough that the block's slots (three lines
+// each) are still in L1 when the additions reach them.
+const probeBlock = 32
 
 // verifyJobsFast checks Σ agg_i == x·Σ_ij H(d_ij) for the whole batch.
 // It returns the total digest count and whether the relation held;
@@ -86,58 +90,110 @@ func (s *Scheme) verifyJobsFast(p *PublicKey, jobs []sigagg.VerifyJob) (total in
 // sumJobs leaves Σ agg_i in sc.agg and Σ_ij H(d_ij) in sc.hs and
 // returns the digest count.
 func (s *Scheme) sumJobs(sc *verifyScratch, jobs []sigagg.VerifyJob) (total int, err error) {
-	sc.agg.setInfinity()
-	clear(sc.idx)
-	sc.ents = sc.ents[:0]
-
-	// Pass 1: fold the aggregates, count digest multiplicities, charge
-	// the emulated pairings.
-	var pt affPoint
+	c := s.cache
 	for _, j := range jobs {
-		identity, err := s.decodeCached(&pt, j.Agg)
-		if err != nil {
-			return 0, err
-		}
-		if !identity {
-			sc.agg.mixedAdd(&pt)
-		}
-		for _, d := range j.Digests {
-			k := digestKey(d)
-			if i, dup := sc.idx[k]; dup {
-				sc.ents[i].count++
-			} else {
-				sc.idx[k] = int32(len(sc.ents))
-				sc.ents = append(sc.ents, digestEntry{key: k, d: d, count: 1})
+		total += len(j.Digests)
+	}
+	sc.agg.setInfinity()
+	sc.ents, sc.miss, sc.missPts = sc.ents[:0], sc.miss[:0], sc.missPts[:0]
+	logLen := max(4, bits.Len(uint(2*total)))
+	if len(sc.dedupe) < 1<<logLen {
+		sc.dedupe = make([]int32, 1<<logLen)
+	}
+	dedupe := sc.dedupe[:1<<logLen]
+	clear(dedupe)
+
+	// Pass 1, no lock: key and hash every lookup once, count digest
+	// multiplicities, charge the emulated pairings.
+	var pt affPoint
+	aggs, maxCount := 0, int32(0)
+	for _, j := range jobs {
+		if len(j.Agg) != pointLen || s.isIdentity(j.Agg) {
+			// An error or the identity: neither is cached.
+			if _, err := s.decode(&pt, j.Agg); err != nil {
+				return 0, err
 			}
+		} else {
+			k := aggKey(j.Agg)
+			sc.ents = append(sc.ents, probeEntry{key: k, hash: c.hash(&k), d: j.Agg})
+			aggs++
+		}
+	digests:
+		for _, d := range j.Digests {
 			s.emulatePairing()
-			total++
+			k := digestKey(d)
+			h := c.hash(&k)
+			i := h >> (64 - logLen)
+			for ; dedupe[i] != 0; i = (i + 1) & (1<<logLen - 1) {
+				if e := &sc.ents[dedupe[i]-1]; e.hash == h && e.key == k {
+					e.count++
+					maxCount = max(maxCount, e.count)
+					continue digests
+				}
+			}
+			sc.ents = append(sc.ents, probeEntry{key: k, hash: h, d: d, count: 1})
+			dedupe[i] = int32(len(sc.ents))
+			maxCount = max(maxCount, 1)
 		}
 		s.emulatePairing() // the e(agg_i, g2) side of job i
-	}
-
-	// Pass 2: Σ count·H(d) by multiplicity buckets. Each unique digest
-	// is hashed-to-curve once (usually a cache hit) and mixed-added into
-	// the bucket for its multiplicity; the buckets then combine with the
-	// standard suffix-sum so a digest shared by c jobs costs one add,
-	// not c.
-	maxCount := int32(0)
-	for i := range sc.ents {
-		maxCount = max(maxCount, sc.ents[i].count)
 	}
 	for len(sc.buckets) < int(maxCount) {
 		sc.buckets = append(sc.buckets, jacPoint{})
 	}
-	buckets := sc.buckets[:maxCount]
-	clear(buckets)
-	for i := range sc.ents {
-		e := &sc.ents[i]
-		s.hashToCurveCached(&pt, &sc.msg, &e.key, e.d)
-		buckets[e.count-1].mixedAdd(&pt)
+	clear(sc.buckets[:maxCount])
+
+	// Pass 2, one read lock: Σ agg_i and Σ count·H(d) over the entries the
+	// cache holds, a block at a time — locate the block's slots, then add
+	// each point straight from its slot. A unique digest goes into the
+	// bucket for its multiplicity; the buckets then combine with the
+	// standard suffix-sum, so a digest shared by c jobs costs one add, not
+	// c.
+	c.mu.RLock()
+	for lo := 0; lo < len(sc.ents); lo += probeBlock {
+		block := sc.ents[lo:min(lo+probeBlock, len(sc.ents))]
+		sc.sink += c.locateBlock(block)
+		for i := range block {
+			if hit := c.confirm(&block[i]); hit != nil {
+				sc.sumFor(&block[i]).mixedAdd(hit)
+			} else {
+				sc.miss = append(sc.miss, int32(lo+i))
+			}
+		}
 	}
+	c.mu.RUnlock()
+
+	// The misses, outside the lock: decode or hash-to-curve, add, and
+	// remember the point for the one write lock that stores them all.
+	aggMisses := 0
+	for _, i := range sc.miss {
+		e := &sc.ents[i]
+		if e.count == 0 {
+			if _, err := s.decode(&pt, e.d); err != nil {
+				return 0, err
+			}
+			aggMisses++
+		} else {
+			hashToCurve(&pt, &sc.msg, e.d)
+		}
+		sc.sumFor(e).mixedAdd(&pt)
+		sc.missPts = append(sc.missPts, pt)
+	}
+	if len(sc.miss) > 0 {
+		c.mu.Lock()
+		for n, i := range sc.miss {
+			c.put(sc.ents[i].hash, &sc.ents[i].key, &sc.missPts[n])
+		}
+		c.mu.Unlock()
+	}
+	c.aggHits.Add(uint64(aggs - aggMisses))
+	c.aggMisses.Add(uint64(aggMisses))
+	c.h2cHits.Add(uint64(len(sc.ents) - aggs - (len(sc.miss) - aggMisses)))
+	c.h2cMisses.Add(uint64(len(sc.miss) - aggMisses))
+
 	sc.hs.setInfinity()
 	var run jacPoint // suffix sum of the buckets
 	for c := maxCount; c >= 1; c-- {
-		run.addJac(&buckets[c-1])
+		run.addJac(&sc.buckets[c-1])
 		sc.hs.addJac(&run)
 	}
 	return total, nil

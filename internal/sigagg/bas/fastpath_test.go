@@ -347,6 +347,9 @@ func TestFastMatchesPortable(t *testing.T) {
 
 	// Aggregate over zero digests with identity aggregate is valid.
 	check("empty-job", []sigagg.VerifyJob{{Agg: fast.identity()}}, true)
+	// A cold aggregate with no digest beside it (the misses of a call are
+	// aggregates only) is not.
+	check("agg-without-digests", []sigagg.VerifyJob{{Agg: sigs[23]}}, false)
 }
 
 // TestAggregateVerifySingleFast pins the single-job path (Verify /
@@ -439,46 +442,6 @@ func TestTableReuse(t *testing.T) {
 	}
 	if got := s.VerifyStats().TableBuilds; got != 2 {
 		t.Fatalf("TableBuilds = %d after two keys, want 2", got)
-	}
-}
-
-// TestCacheEvictionBounded forces the point cache past its bound and
-// checks correctness survives eviction (entries are re-derived, never
-// assumed).
-func TestCacheEvictionBounded(t *testing.T) {
-	s := New(0, WithCacheEntries(1)) // clamps to 8 per shard × 64 shards
-	priv, pub, err := s.KeyGen(newDetRand(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	digests := testDigests(3000, 13)
-	sigs, err := s.SignBatch(priv, digests)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := make([]sigagg.VerifyJob, len(digests))
-	for i := range digests {
-		jobs[i] = sigagg.VerifyJob{Digests: digests[i : i+1], Agg: sigs[i]}
-	}
-	if err := s.VerifyJobs(pub, jobs); err != nil {
-		t.Fatal(err)
-	}
-	// Re-verify: some hits, some evicted and recomputed, same answer.
-	if err := s.VerifyJobs(pub, jobs); err != nil {
-		t.Fatal(err)
-	}
-	st := s.VerifyStats()
-	if st.CacheEvictions == 0 {
-		t.Fatalf("expected evictions with %d digests in a clamped cache: %+v", len(digests), st)
-	}
-	total := 0
-	for i := range s.cache.shards {
-		s.cache.shards[i].mu.RLock()
-		total += len(s.cache.shards[i].m[tagDigest]) + len(s.cache.shards[i].m[tagAgg])
-		s.cache.shards[i].mu.RUnlock()
-	}
-	if max := cacheShards * 8 * 2; total > max {
-		t.Fatalf("cache grew to %d entries, bound ~%d", total, max)
 	}
 }
 
@@ -657,100 +620,6 @@ func TestTableKeyedOnTrapdoor(t *testing.T) {
 	huge := &PublicKey{X: good.X, Y: good.Y, Trapdoor: new(big.Int).Lsh(big.NewInt(1), 300)}
 	if err := fast.Verify(huge, d, sig); err == nil {
 		t.Fatal("oversized trapdoor accepted")
-	}
-}
-
-// TestCachePutResidentKeepsShardFull is the regression test for put
-// evicting a victim even when the key was already resident: two
-// goroutines that miss on the same digest both put it, and each repeat
-// cost a full shard one entry.
-func TestCachePutResidentKeepsShardFull(t *testing.T) {
-	c := newPointCache(0) // clamps to 8 per shard, 7 of them digests
-	var pt affPoint
-	full := c.perShard[tagDigest]
-	keys := make([]cacheKey, full)
-	for i := range keys {
-		keys[i] = digestKey([]byte{byte(i), 0}) // second byte 0: all in shard 0
-		c.put(&keys[i], &pt)
-	}
-	for i := 0; i < 10; i++ {
-		c.put(&keys[0], &pt)
-	}
-	if n := len(c.shards[0].m[tagDigest]); n != full {
-		t.Fatalf("re-putting a resident key left %d of %d entries", n, full)
-	}
-	if ev := c.evictions.Load(); ev != 0 {
-		t.Fatalf("%d evictions without a new key", ev)
-	}
-	extra := digestKey([]byte{0xff, 0, 1})
-	c.put(&extra, &pt)
-	if n, ev := len(c.shards[0].m[tagDigest]), c.evictions.Load(); n != full || ev != 1 {
-		t.Fatalf("a new key in a full shard: %d entries, %d evictions; want %d and 1", n, ev, full)
-	}
-}
-
-// TestAggKeysSpreadOverShards: every compressed point opens with its
-// 0x02/0x03 sign byte, and sharding on it put every aggregate-decode
-// entry in two of the 64 shards. Real signatures must spread.
-func TestAggKeysSpreadOverShards(t *testing.T) {
-	s := New(0)
-	priv, _, err := s.KeyGen(newDetRand(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newPointCache(0)
-	used := map[*cacheShard]bool{}
-	for i := 0; i < 1000; i++ {
-		d := sha256.Sum256([]byte{byte(i), byte(i >> 8)})
-		sig, err := s.Sign(priv, d[:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := aggKey(sig)
-		used[c.shard(&k)] = true
-	}
-	if len(used) < 48 {
-		t.Fatalf("1000 random aggregate keys landed in %d of %d shards", len(used), cacheShards)
-	}
-}
-
-// TestAggFloodEvictsNoDigest: a stream of never-repeating aggregates
-// (cold_scan's shape) fills the aggregates' share of every shard and
-// from then on evicts aggregates only. Under the sign-byte sharding it
-// emptied shards 2 and 3 of their digests; sharing one map per shard it
-// would cost every shard's digests alike.
-func TestAggFloodEvictsNoDigest(t *testing.T) {
-	c := newPointCache(cacheShards * 64)
-	var pt affPoint
-	// Fill every shard's digest share.
-	var resident []cacheKey
-	for i, full := 0, 0; full < cacheShards; i++ {
-		d := sha256.Sum256([]byte{'d', byte(i), byte(i >> 8), byte(i >> 16)})
-		k := digestKey(d[:20])
-		if m := c.shard(&k).m[tagDigest]; len(m) < c.perShard[tagDigest] {
-			resident = append(resident, k)
-			c.put(&k, &pt)
-			if len(m) == c.perShard[tagDigest] {
-				full++
-			}
-		}
-	}
-	// The flood: four times the cache's whole capacity in distinct
-	// compressed points.
-	for i := 0; i < 4*cacheShards*64; i++ {
-		h := sha256.Sum256([]byte{'a', byte(i), byte(i >> 8), byte(i >> 16)})
-		k := aggKey(append([]byte{2 + byte(i&1)}, h[:]...))
-		c.put(&k, &pt)
-	}
-	for i := range resident {
-		if !c.get(&resident[i], &pt) {
-			t.Fatalf("the aggregate flood evicted digest %d of %d", i, len(resident))
-		}
-	}
-	for i := range c.shards {
-		if n := len(c.shards[i].m[tagAgg]); n != c.perShard[tagAgg] {
-			t.Fatalf("shard %d holds %d aggregates after the flood, its share is %d", i, n, c.perShard[tagAgg])
-		}
 	}
 }
 

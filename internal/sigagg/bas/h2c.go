@@ -3,6 +3,7 @@ package bas
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -44,23 +45,65 @@ func hashToCurve(a *affPoint, msg *[]byte, digest []byte) {
 // roots on average) and the compressed-aggregate decode (one square
 // root) are both memoized. Both functions are pure, so the cache is
 // correctness-neutral; it only ever stores points that decoded/mapped
-// successfully. Entries are affPoint values, already in Montgomery form:
-// a hit is a map lookup and a 64-byte copy, with no pointer for the
-// collector to trace.
+// successfully, and a hit compares the whole 34-byte key.
+//
+// A hit is memory latency, not arithmetic: with 20,000 digests resident
+// the points alone are 2 MB, so every lookup leaves L1 and, beside a
+// process that streams answers through the same core, usually L2. The
+// layout is therefore built to make the misses few and to let the misses
+// of one batch overlap:
+//
+//   - One pointTable per entry kind. Its slots — point and key side by
+//     side, 104 bytes — are a dense array that only ever grows (by
+//     doubling, up to the kind's bound) and whose entries are overwritten
+//     in place, never emptied. A full table is exactly bound slots: there
+//     is no load-factor slack on the 104-byte side.
+//   - Beside it a small open-addressed index of uint32s, at most half
+//     full: 8 bits of fingerprint and 24 of slot number, linear probing
+//     from a home position taken from the top bits of a seeded mix of the
+//     key's first eight payload bytes (already uniform: a digest, or a
+//     signature's x-coordinate). A slot is touched only on a fingerprint
+//     match, so a hit is one index line and the slot's own lines.
+//   - Nothing is evicted before a kind holds bound entries, and putting a
+//     resident key again changes nothing. At the bound a new key
+//     overwrites a randomly chosen slot of its own kind: the victim's
+//     index entry is removed by backward-shift deletion (probe chains stay
+//     intact, no tombstones) and the new key's inserted. An answer brings
+//     one aggregate and many digests, and a stream of never-repeating
+//     aggregates (uniformly placed ranges) therefore only ever evicts
+//     other aggregates, not the digests that every later answer over the
+//     same records hits.
+//   - The seed is drawn per cache, so a peer who chooses record contents
+//     cannot aim digests at one home position of a cache it cannot see;
+//     digests that do share one cost a longer probe, never a wrong point.
+//   - One RWMutex, taken once per verification call, not per digest
+//     (sumJobs): lock atomics order memory, and a pair around every lookup
+//     keeps the core from overlapping one digest's cache misses with the
+//     next one's. Under the one read lock sumJobs first locates a block of
+//     entries (locateBlock) — index probe, then a load from each candidate
+//     slot's lines, all independent — and only then compares keys and adds. H(d) for the
+//     misses is computed with no lock held and stored under one write
+//     lock; the hit and miss counters are added once per call.
 
 const (
-	cacheShards = 64
 	// cacheKeyLen namespaces the two kinds of entries: tag byte + 33
 	// bytes of payload (a digest and its length, or a 33-byte
 	// compressed signature).
 	cacheKeyLen = 34
+
+	// An index entry is fingerprint<<slotBits | slot+1; zero is empty.
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+
+	// minCacheEntries is the smallest cache New builds.
+	minCacheEntries = 512
+
+	// Odd multipliers of pointCache.hash's two rounds.
+	hashMul1 = 0x9e3779b97f4a7c15
+	hashMul2 = 0xd6e8feb86659fd93
 )
 
-// Entry kinds, the first byte of a key. A shard keeps one map per kind,
-// each with its own bound: an answer brings one aggregate and many
-// digests, and a stream of never-repeating aggregates (uniformly placed
-// ranges) must only ever evict other aggregates, not the digests that
-// every later answer over the same records hits.
+// Entry kinds, the first byte of a key; each has a pointTable of its own.
 const (
 	tagDigest = iota
 	tagAgg
@@ -74,40 +117,204 @@ type cacheKey [cacheKeyLen]byte
 // benchmark's plan_join (a few thousand live match and boundary
 // aggregates, re-signed at 100 inserts/s): half of that loses a tenth of
 // the verified plans per second, while all 65,536 entries verify no more
-// and cost the client 15 MB once never-repeating aggregates fill them.
+// and cost the client memory once never-repeating aggregates fill them.
 const aggShare = 8
 
-type cacheShard struct {
-	mu sync.RWMutex
-	m  [numTags]map[cacheKey]affPoint
+// tableSlot is one resident entry. No pointers: the collector skips the
+// slot arrays.
+type tableSlot struct {
+	pt  affPoint
+	key cacheKey
 }
 
-// pointCache is a sharded, size-bounded map from cache keys to curve
-// points. Eviction is random-victim (Go map iteration order) per shard
-// and kind, which is cheap and good enough for a memoization cache.
+// pointTable holds one kind's entries; see the comment above.
+type pointTable struct {
+	index []uint32 // len a power of two ≥ 2·cap(slots)
+	shift uint     // 64 − log2(len(index))
+	slots []tableSlot
+	bound int
+}
+
+// pointCache is the two tables, their lock, the placement seed and the
+// counters VerifyStats reports.
 type pointCache struct {
-	shards   [cacheShards]cacheShard
-	perShard [numTags]int // max entries per shard, by kind
+	mu     sync.RWMutex
+	tables [numTags]pointTable
+	seed   uint64
+	rng    uint64 // victim choice; guarded by mu held for writing
 
 	h2cHits, h2cMisses atomic.Uint64
 	aggHits, aggMisses atomic.Uint64
 	evictions          atomic.Uint64
 }
 
-func newPointCache(entries int) *pointCache {
-	per := entries / cacheShards
-	if per < 8 {
-		per = 8
-	}
-	c := &pointCache{}
-	c.perShard[tagAgg] = per / aggShare
-	c.perShard[tagDigest] = per - c.perShard[tagAgg]
-	for i := range c.shards {
-		for kind := range c.shards[i].m {
-			c.shards[i].m[kind] = make(map[cacheKey]affPoint)
-		}
+func newPointCache(entries int, seed uint64) *pointCache {
+	entries = min(max(entries, minCacheEntries), slotMask)
+	c := &pointCache{seed: seed, rng: seed | 1}
+	c.tables[tagAgg].bound = entries / aggShare
+	c.tables[tagDigest].bound = entries - entries/aggShare
+	for i := range c.tables {
+		c.tables[i].grow(c)
 	}
 	return c
+}
+
+// hash is the 64 bits that place k: home position from the top, index
+// fingerprint from the middle (and sumJobs' per-call dedupe from the top
+// again). Two multiply rounds over the seeded word, so that neither the
+// position nor the fingerprint is a function of a few key bits.
+func (c *pointCache) hash(k *cacheKey) uint64 {
+	x := (binary.LittleEndian.Uint64(k[1:9]) ^ c.seed) * hashMul1
+	x ^= x >> 32
+	x *= hashMul2
+	return x ^ x>>32
+}
+
+func fingerprint(h uint64) uint32 { return uint32(h) &^ slotMask }
+
+// locate returns the slot of the first index entry on h's probe chain
+// that carries h's fingerprint, or -1 when the chain has none — in which
+// case no key hashing to h is resident. The caller compares the key.
+// (find without its comparison, apart so that it inlines into
+// locateBlock's loop.)
+func (t *pointTable) locate(h uint64) int32 {
+	mask := uint32(len(t.index) - 1)
+	fp := fingerprint(h)
+	for i := uint32(h >> t.shift); ; i = (i + 1) & mask {
+		e := t.index[i]
+		if e == 0 {
+			return -1
+		}
+		if e&^slotMask == fp {
+			return int32(e&slotMask) - 1
+		}
+	}
+}
+
+// locateBlock sets every entry's candidate slot and loads from each
+// candidate's cache lines (a 104-byte slot spans up to three). The loads
+// of different entries do not depend on one another, so their misses are
+// in flight together; the returned sum only keeps them alive. The caller
+// holds c.mu for reading, here and in confirm.
+func (c *pointCache) locateBlock(block []probeEntry) (sink uint64) {
+	for i := range block {
+		e := &block[i]
+		t := &c.tables[e.key[0]]
+		if e.slot = t.locate(e.hash); e.slot >= 0 {
+			sl := &t.slots[e.slot]
+			sink += sl.pt.x[0] + sl.pt.y[3] + uint64(sl.key[cacheKeyLen-1])
+		}
+	}
+	return sink
+}
+
+// confirm turns the candidate locateBlock left in e into e's point, or
+// nil for a miss: the candidate's unless it was another key's
+// fingerprint, which costs a second walk down the chain. The point is the
+// table's own, valid while the read lock is held.
+func (c *pointCache) confirm(e *probeEntry) *affPoint {
+	t := &c.tables[e.key[0]]
+	if e.slot >= 0 && t.slots[e.slot].key != e.key {
+		e.slot = t.find(e.hash, &e.key)
+	}
+	if e.slot < 0 {
+		return nil
+	}
+	return &t.slots[e.slot].pt
+}
+
+// find returns the slot holding k, or -1.
+func (t *pointTable) find(h uint64, k *cacheKey) int32 {
+	mask := uint32(len(t.index) - 1)
+	fp := fingerprint(h)
+	for i := uint32(h >> t.shift); ; i = (i + 1) & mask {
+		e := t.index[i]
+		if e == 0 {
+			return -1
+		}
+		if e&^slotMask == fp {
+			if s := int32(e&slotMask) - 1; t.slots[s].key == *k {
+				return s
+			}
+		}
+	}
+}
+
+// enter records in the index that slot s holds a key hashing to h.
+func (t *pointTable) enter(h uint64, s int) {
+	mask := uint32(len(t.index) - 1)
+	i := uint32(h >> t.shift)
+	for t.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.index[i] = fingerprint(h) | uint32(s+1)
+}
+
+// leave removes slot s's index entry (h is its key's hash) and closes
+// the gap by backward shift: a later entry of the run moves into the hole
+// when the hole lies on its own probe path, so every remaining entry is
+// still reachable from its home position.
+func (t *pointTable) leave(c *pointCache, h uint64, s int) {
+	mask := uint32(len(t.index) - 1)
+	i := uint32(h >> t.shift)
+	for t.index[i]&slotMask != uint32(s+1) {
+		if t.index[i] == 0 {
+			panic("bas: point table index lost a resident slot")
+		}
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
+		home := uint32(c.hash(&t.slots[t.index[j]&slotMask-1].key) >> t.shift)
+		if (j-home)&mask >= (j-i)&mask {
+			t.index[i] = t.index[j]
+			i = j
+		}
+	}
+	t.index[i] = 0
+}
+
+// grow doubles the slot array, up to the bound, and rebuilds the index
+// at no more than half full for the new capacity.
+func (t *pointTable) grow(c *pointCache) {
+	n := min(max(2*cap(t.slots), 64), t.bound)
+	slots := make([]tableSlot, len(t.slots), n)
+	copy(slots, t.slots)
+	t.slots = slots
+	logLen := uint(bits.Len(uint(2*n - 1)))
+	t.index = make([]uint32, 1<<logLen)
+	t.shift = 64 - logLen
+	for s := range t.slots {
+		t.enter(c.hash(&t.slots[s].key), s)
+	}
+}
+
+// put stores k → a in k's table; h is c.hash(k). The caller holds c.mu
+// for writing. A resident key is left as it is (two goroutines that
+// missed on the same digest both put it, and the second must not cost the
+// table an entry); a victim is overwritten only once the table holds
+// bound entries.
+func (c *pointCache) put(h uint64, k *cacheKey, a *affPoint) {
+	t := &c.tables[k[0]]
+	if t.find(h, k) >= 0 {
+		return
+	}
+	s := len(t.slots)
+	if s < t.bound {
+		if s == cap(t.slots) {
+			t.grow(c)
+		}
+		t.slots = t.slots[:s+1]
+	} else {
+		c.rng ^= c.rng << 13
+		c.rng ^= c.rng >> 7
+		c.rng ^= c.rng << 17
+		hi, _ := bits.Mul64(c.rng, uint64(t.bound))
+		s = int(hi)
+		t.leave(c, c.hash(&t.slots[s].key), s)
+		c.evictions.Add(1)
+	}
+	t.slots[s] = tableSlot{pt: *a, key: *k}
+	t.enter(h, s)
 }
 
 // digestKey builds the cache key for a record digest. A digest of up to
@@ -134,53 +341,4 @@ func aggKey(sig []byte) cacheKey {
 	k[0] = tagAgg
 	copy(k[1:], sig) // compressed points are exactly 33 bytes
 	return k
-}
-
-// shard picks by the second payload byte, which is uniform for both key
-// kinds: a digest byte, or a byte of the signature's x-coordinate. The
-// first is not — a compressed point opens with its 0x02/0x03 sign prefix,
-// which would put every aggregate in two shards.
-func (c *pointCache) shard(k *cacheKey) *cacheShard {
-	return &c.shards[k[2]&(cacheShards-1)]
-}
-
-func (c *pointCache) get(k *cacheKey, a *affPoint) bool {
-	sh := c.shard(k)
-	sh.mu.RLock()
-	pt, ok := sh.m[k[0]][*k]
-	sh.mu.RUnlock()
-	if ok {
-		*a = pt
-	}
-	return ok
-}
-
-// put inserts k. A victim of k's kind is evicted only to make room for a
-// key the shard does not hold yet: two goroutines that missed on the same
-// digest both put it, and the second must not cost the shard an entry.
-func (c *pointCache) put(k *cacheKey, a *affPoint) {
-	sh := c.shard(k)
-	sh.mu.Lock()
-	m := sh.m[k[0]]
-	if _, resident := m[*k]; !resident && len(m) >= c.perShard[k[0]] {
-		for victim := range m {
-			delete(m, victim)
-			c.evictions.Add(1)
-			break
-		}
-	}
-	m[*k] = *a
-	sh.mu.Unlock()
-}
-
-// hashToCurveCached sets a = H(digest) through the cache; k is
-// digestKey(digest), which the caller already has.
-func (s *Scheme) hashToCurveCached(a *affPoint, msg *[]byte, k *cacheKey, digest []byte) {
-	if s.cache.get(k, a) {
-		s.cache.h2cHits.Add(1)
-		return
-	}
-	s.cache.h2cMisses.Add(1)
-	hashToCurve(a, msg, digest)
-	s.cache.put(k, a)
 }
