@@ -201,7 +201,7 @@ func TestCatalogMetricsCoverEveryStore(t *testing.T) {
 	s, _ := bootTest(t, "-catalog", "o,i", "-n", "60", "-data", t.TempDir())
 	beats(t, s, 20)
 	out := scrape(s)
-	for _, want := range []string{`authdb_wal_last_lsn{rel="o"} 22`, `authdb_wal_last_lsn{rel="i"} 3`, `authdb_wal_durable_lsn{rel="i"}`, "authdb_query_plans_total"} {
+	for _, want := range []string{`authdb_wal_last_lsn{rel="o"} 22`, `authdb_wal_last_lsn{rel="i"} 3`, `authdb_wal_durable_lsn{rel="i"}`, "authdb_query_plans_total", "authdb_query_stamp_shards_total"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape lacks %q:\n%s", want, out)
 		}

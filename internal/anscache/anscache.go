@@ -92,8 +92,13 @@ type Stamp struct {
 // RelStamp is one relation's contribution to a composite stamp: the
 // epochs of exactly the data shards the plan consulted, sparse because
 // join probes touch scattered shards rather than a contiguous window.
-// A producer merging probe stamps must keep the LOWER epoch when the
-// same shard is seen twice: the stamp must never claim a version newer
+// The producer is query.Engine.exec: the outer scan's window as it
+// stands, and for the inner relation the union of the windows its
+// probes returned (plus the owning shard of each Bloom-negative key and
+// the filter pseudo-shard) — never the whole relation, so an update to
+// a shard no probe read leaves the entry serving. A producer merging
+// probe stamps must keep the LOWER epoch when the same shard is seen
+// twice (query's readSet): the stamp must never claim a version newer
 // than the oldest data actually read, or a concurrent update could be
 // masked.
 type RelStamp struct {

@@ -68,6 +68,51 @@ func TestDigestsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// Jobs digests a chunk of answers through shared buffers; what each job
+// carries must be exactly what its answer's own Digests returns, for
+// records and for an empty answer's anchor, however the batch is split
+// across workers — and no job may be able to grow into its neighbour's
+// views.
+func TestJobsDigestsMatchPerAnswer(t *testing.T) {
+	var answers []*Answer
+	for i := 0; i < 9; i++ {
+		base := int64(1000 * (i + 1))
+		n := 1 + (i*5)%7
+		recs := make([]*Record, n)
+		for j := range recs {
+			recs[j] = &Record{RID: uint64(base) + uint64(j+1), Key: base + int64(j)*10, Attrs: [][]byte{bytes.Repeat([]byte{byte(i)}, 3+40*j)}, TS: 7}
+		}
+		a := &Answer{Lo: base, Hi: base + int64(n-1)*10, Records: recs,
+			Left: Ref{Key: base - 10, RID: 1}, Right: Ref{Key: base + int64(n)*10, RID: 2}, Agg: sigagg.Signature{byte(i)}}
+		if i%4 == 3 { // an empty answer, anchored left of its range
+			a = &Answer{Lo: base, Hi: base + 5, Anchor: recs[0], AnchorLeft: MinRef, Right: Ref{Key: base + 10, RID: 2}, Agg: sigagg.Signature{byte(i)}}
+			a.Anchor.Key = base - 1
+		}
+		answers = append(answers, a)
+	}
+	for _, par := range []int{1, 2, 4, 16} {
+		jobs, err := Jobs(answers, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(jobs) != len(answers) {
+			t.Fatalf("par=%d: %d jobs for %d distinct answers", par, len(jobs), len(answers))
+		}
+		for i, a := range answers {
+			want := a.Digests()
+			got := jobs[i].Digests
+			if len(got) != len(want) || cap(got) != len(got) {
+				t.Fatalf("par=%d answer %d: %d digests (cap %d), want %d", par, i, len(got), cap(got), len(want))
+			}
+			for j := range want {
+				if !bytes.Equal(got[j], want[j]) {
+					t.Fatalf("par=%d answer %d: digest %d differs", par, i, j)
+				}
+			}
+		}
+	}
+}
+
 func TestVerifyBatchAcceptsValidAnswers(t *testing.T) {
 	scheme := bas.New(0)
 	priv, pub, err := scheme.KeyGen(nil)

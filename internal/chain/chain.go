@@ -119,16 +119,30 @@ type Answer struct {
 // cover, in answer order. The returned slices are views of one flat
 // digest array per answer.
 func (a *Answer) Digests() [][]byte {
-	if len(a.Records) == 0 {
-		if a.Anchor == nil {
-			return nil
-		}
-		d := Digest(a.Anchor, a.AnchorLeft, a.Right)
-		return [][]byte{d[:]}
+	n := a.digestCount()
+	if n == 0 {
+		return nil
 	}
-	flat := make([]digest.Digest, len(a.Records))
-	a.digestInto(flat, 0, len(a.Records))
+	flat := make([]digest.Digest, n)
+	a.digestInto(digest.NewWriter(a.preimageHint()), flat, 0, n)
 	return views(flat)
+}
+
+// digestCount is the number of digests the aggregate covers: one per
+// record, or the anchor's alone for an empty answer.
+func (a *Answer) digestCount() int {
+	if len(a.Records) == 0 && a.Anchor != nil {
+		return 1
+	}
+	return len(a.Records)
+}
+
+// preimageHint sizes a Writer for the answer's first digest.
+func (a *Answer) preimageHint() int {
+	if len(a.Records) == 0 {
+		return preimageLen(a.Anchor)
+	}
+	return preimageLen(a.Records[0])
 }
 
 // views returns flat's digests as the byte slices verification takes.
@@ -140,15 +154,17 @@ func views(flat []digest.Digest) [][]byte {
 	return out
 }
 
-// digestInto fills flat[lo:hi] with the chained digests of records
-// lo..hi-1, hashing them through one reused buffer. Each record's
-// neighbour references come from the answer itself, so disjoint chunks
-// can be computed concurrently.
-func (a *Answer) digestInto(flat []digest.Digest, lo, hi int) {
-	if lo >= hi {
+// digestInto fills flat[lo:hi] with digests lo..hi-1 of the answer's
+// digestCount, hashing them through w. Each record's neighbour
+// references come from the answer itself, so disjoint chunks can be
+// computed concurrently, each with a Writer of its own.
+func (a *Answer) digestInto(w *digest.Writer, flat []digest.Digest, lo, hi int) {
+	if len(a.Records) == 0 {
+		if lo < hi {
+			flat[lo] = digestWith(w, a.Anchor, a.AnchorLeft, a.Right)
+		}
 		return
 	}
-	w := digest.NewWriter(preimageLen(a.Records[lo]))
 	for i := lo; i < hi; i++ {
 		left := a.Left
 		if i > 0 {
@@ -175,7 +191,7 @@ func (a *Answer) DigestsParallel(par int) [][]byte {
 	}
 	flat := make([]digest.Digest, len(a.Records))
 	sigagg.ForChunks(len(a.Records), par, digestChunk, func(lo, hi int) error {
-		a.digestInto(flat, lo, hi)
+		a.digestInto(digest.NewWriter(preimageLen(a.Records[lo])), flat, lo, hi)
 		return nil
 	})
 	return views(flat)
@@ -308,9 +324,24 @@ func Jobs(answers []*Answer, par int) ([]sigagg.VerifyJob, error) {
 		jobs[0] = sigagg.VerifyJob{Digests: answers[0].DigestsParallel(par), Agg: answers[0].Agg}
 		return jobs, nil
 	}
+	// One Writer, one flat digest array and one view array per chunk of
+	// answers, sub-sliced per answer: a composite's hundred-odd
+	// one-record probe proofs cost three allocations, not three each.
+	// (checkStructure passed, so every answer has at least one digest.)
 	sigagg.ForChunks(len(answers), par, 1, func(lo, hi int) error {
+		total := 0
+		for _, a := range answers[lo:hi] {
+			total += a.digestCount()
+		}
+		flat := make([]digest.Digest, total)
+		vs := views(flat)
+		w := digest.NewWriter(answers[lo].preimageHint())
+		off := 0
 		for i := lo; i < hi; i++ {
-			jobs[i] = sigagg.VerifyJob{Digests: answers[i].Digests(), Agg: answers[i].Agg}
+			a, n := answers[i], answers[i].digestCount()
+			a.digestInto(w, flat[off:off+n], 0, n)
+			jobs[i] = sigagg.VerifyJob{Digests: vs[off : off+n : off+n], Agg: a.Agg}
+			off += n
 		}
 		return nil
 	})

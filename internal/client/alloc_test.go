@@ -3,8 +3,10 @@ package client_test
 import (
 	"testing"
 
+	"authdb/internal/chain"
 	"authdb/internal/core"
 	"authdb/internal/sigagg/bas"
+	"authdb/internal/sigagg/xortest"
 	"authdb/internal/wire"
 	"authdb/internal/workload"
 )
@@ -91,5 +93,47 @@ func BenchmarkDecodeVerifyAnswer(b *testing.B) {
 		if err := decodeVerify(frame, rg, v); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestJobsBatchAllocBudget pins the keyless half of composite
+// verification: a batch of one-record probe proofs is digested through
+// one Writer into one digest array with one view array, not three
+// allocations per proof (197 for this batch before they were shared).
+// What remains is per batch: the jobs, those three, the dedup pass's
+// hash state and map.
+func TestJobsBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	sys, err := core.NewSystem(xortest.New(), core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := workload.Records(workload.Config{N: 64, RecLen: 64, Seed: 3})
+	msg, err := sys.DA.Load(recs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.QS.Apply(msg); err != nil {
+		t.Fatal(err)
+	}
+	var answers []*chain.Answer
+	for _, k := range workload.Keys(recs) {
+		hit, err := sys.QS.Query(k, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers = append(answers, hit.Chain)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		jobs, err := chain.Jobs(answers, 1)
+		if err != nil || len(jobs) != len(answers) {
+			t.Fatalf("%d jobs, %v", len(jobs), err)
+		}
+	})
+	t.Logf("%.0f allocations per %d-answer batch", allocs, len(answers))
+	if allocs > 12 {
+		t.Fatalf("digesting %d one-record answers allocates %.0f objects, budget 12", len(answers), allocs)
 	}
 }

@@ -190,6 +190,17 @@ func NewQueryServer(scheme sigagg.Scheme, opts ...Option) *QueryServer {
 // data shard i.
 func (qs *QueryServer) DataEpoch(i int) uint64 { return qs.epochs[i].Load() }
 
+// KeyEpoch returns the data shard that owns key and that shard's
+// current epoch. A planner executor stamps with it an answer that
+// depends on key's absence without having scanned for it (a certified
+// Bloom negative), so inserting the key invalidates the answer.
+func (qs *QueryServer) KeyEpoch(key int64) (shard int, epoch uint64) {
+	qs.topo.RLock()
+	defer qs.topo.RUnlock()
+	shard = qs.shardOf(key)
+	return shard, qs.epochs[shard].Load()
+}
+
 // SummaryEpoch implements anscache.EpochSource: the version counter of
 // the certified-summary stream.
 func (qs *QueryServer) SummaryEpoch() uint64 { return qs.sumEpoch.Load() }

@@ -51,6 +51,7 @@ type Engine struct {
 	bfNegatives atomic.Uint64
 	bfFallbacks atomic.Uint64
 	projRows    atomic.Uint64
+	stampShards atomic.Uint64
 }
 
 // EngineOption configures an Engine.
@@ -221,6 +222,73 @@ func relStampOf(name string, st anscache.Stamp) anscache.RelStamp {
 	return rs
 }
 
+// readSet merges the shard epochs one execution's join probes read from
+// the inner relation into that relation's sparse stamp. A shard seen
+// twice keeps the LOWER epoch: the stamp may never claim a version
+// newer than the oldest data some probe actually read, or an update
+// landing between two probes would be masked. Probes run on several
+// workers, hence the mutex.
+type readSet struct {
+	mu     sync.Mutex
+	seen   []bool
+	epochs []uint64
+}
+
+func newReadSet(shards int) *readSet {
+	return &readSet{seen: make([]bool, shards), epochs: make([]uint64, shards)}
+}
+
+// add records that shards first, first+1, … were read at the given
+// epochs.
+func (r *readSet) add(first int, epochs ...uint64) {
+	r.mu.Lock()
+	for i, e := range epochs {
+		if s := first + i; !r.seen[s] || e < r.epochs[s] {
+			r.seen[s], r.epochs[s] = true, e
+		}
+	}
+	r.mu.Unlock()
+}
+
+// appendTo appends the merged shards, ascending, to rs and reports how
+// many there were.
+func (r *readSet) appendTo(rs *anscache.RelStamp) (n int) {
+	for s, ok := range r.seen {
+		if ok {
+			rs.Shards = append(rs.Shards, s)
+			rs.Epochs = append(rs.Epochs, r.epochs[s])
+			n++
+		}
+	}
+	return n
+}
+
+// exec runs the plan and returns, beside the result, the stamp a cached
+// copy of it is valid under. The rule: a composite is stale only where
+// its execution read. Per relation the stamp lists
+//
+//   - outer: the scan's own stamp — the shard window QueryStamped /
+//     QueryProj held read locks on, epochs read under those locks;
+//   - inner, BF joins: the filter epoch (FilterShard), read together
+//     with the certificate before any data, so a re-certification during
+//     execution reads as stale. It covers every byte of a Bloom-negative
+//     proof (partition + signature come from the certificate alone);
+//   - inner, every live probe (a match, a BV boundary, a BF false
+//     positive's fallback): the stamp QueryStamped(v, v) returns. Its
+//     window spans every shard the point scan, its predecessor/successor
+//     walk and the anchor's own neighbours looked into — empty shards
+//     crossed on the way to a neighbouring shard's boundary record
+//     included — so any update that can change one byte of that proof
+//     (the record, a neighbour reference, the anchor) write-locks a
+//     shard inside the window and bumps its epoch there (core.Apply);
+//     reseeding, Restore and the bulk load bump every shard;
+//   - inner, every Bloom negative: the epoch of the shard owning the
+//     outer key. The proof itself read no inner data, but inserting a
+//     key a cached plan proved absent must retire that plan without
+//     waiting for the next re-certification.
+//
+// Nothing else of the inner relation is stamped: an update to a shard no
+// probe read cannot change the composite's bytes, and leaves it serving.
 func (e *Engine) exec(n *Node, workers int) (*Result, anscache.Stamp, error) {
 	var zero anscache.Stamp
 	s, err := analyze(n)
@@ -233,13 +301,6 @@ func (e *Engine) exec(n *Node, workers int) (*Result, anscache.Stamp, error) {
 	}
 	e.planQueries.Add(1)
 
-	// For a join, snapshot the inner relation's full epoch vector (plus
-	// the filter epoch) BEFORE any data is read. Bloom-negative probes
-	// never touch the inner server, yet an insert anywhere in the inner
-	// relation can turn such a non-match into a match — so the stamp
-	// must cover every inner shard, and pessimistically: an update
-	// landing during execution must read as "stamp stale", never as
-	// "stamp current".
 	var (
 		inner      *relView
 		fc         *join.FilterCert
@@ -260,10 +321,6 @@ func (e *Engine) exec(n *Node, workers int) (*Result, anscache.Stamp, error) {
 		if s.jn.Method == join.BF {
 			innerStamp.Shards = append(innerStamp.Shards, FilterShard)
 			innerStamp.Epochs = append(innerStamp.Epochs, fcEpoch)
-		}
-		for i := 0; i < inner.qs.Shards(); i++ {
-			innerStamp.Shards = append(innerStamp.Shards, i)
-			innerStamp.Epochs = append(innerStamp.Epochs, inner.qs.DataEpoch(i))
 		}
 	}
 
@@ -301,7 +358,8 @@ func (e *Engine) exec(n *Node, workers int) (*Result, anscache.Stamp, error) {
 	relStamps := []anscache.RelStamp{relStampOf(outer.name, stamp)}
 
 	if s.jn != nil {
-		ja, innerOldest, err := e.probe(inner, s.jn.Method, fc, keep, workers)
+		read := newReadSet(inner.qs.Shards())
+		ja, innerOldest, err := e.probe(inner, s.jn.Method, fc, keep, workers, read)
 		if err != nil {
 			return nil, zero, err
 		}
@@ -309,6 +367,7 @@ func (e *Engine) exec(n *Node, workers int) (*Result, anscache.Stamp, error) {
 		if cur, ok := relOldest[inner.name]; !ok || innerOldest < cur {
 			relOldest[inner.name] = innerOldest
 		}
+		e.stampShards.Add(uint64(read.appendTo(&innerStamp)))
 		relStamps = append(relStamps, innerStamp)
 	}
 
@@ -325,11 +384,12 @@ func (e *Engine) exec(n *Node, workers int) (*Result, anscache.Stamp, error) {
 
 // probe resolves each outer key against the inner relation: for BF
 // joins a certified-filter negative proves absence without touching the
-// server at all; positives (and every BV probe) run a live point scan
-// whose chained answer is either the match proof or — on a Bloom false
-// positive — the boundary fallback.
+// server's data at all; positives (and every BV probe) run a live point
+// scan whose chained answer is either the match proof or — on a Bloom
+// false positive — the boundary fallback. What each resolution read is
+// recorded in read (see exec).
 func (e *Engine) probe(rv *relView, method join.Method, fc *join.FilterCert,
-	outer []*chain.Record, workers int) (*join.Answer, int64, error) {
+	outer []*chain.Record, workers int, read *readSet) (*join.Answer, int64, error) {
 
 	ja := &join.Answer{Method: method}
 	if method == join.BF {
@@ -355,14 +415,16 @@ func (e *Engine) probe(rv *relView, method join.Method, fc *join.FilterCert,
 				if !part.Filter.MayContainUint64(uint64(v)) {
 					e.bfNegatives.Add(1)
 					outs[i].un = &join.UnmatchedProof{RA: v, Partition: part, PartSig: fc.Sigs[idx]}
+					read.add(rv.qs.KeyEpoch(v))
 					continue
 				}
 			}
 			e.joinProbes.Add(1)
-			pa, _, err := rv.qs.QueryStamped(v, v)
+			pa, st, err := rv.qs.QueryStamped(v, v)
 			if err != nil {
 				return fmt.Errorf("query: probe %q key %d: %w", rv.name, v, err)
 			}
+			read.add(st.First, st.Epochs...)
 			outs[i].oldest = pa.OldestSigTS
 			if len(pa.Chain.Records) > 0 {
 				outs[i].match = pa.Chain
@@ -465,12 +527,18 @@ func (e *Engine) ServePlan(planBytes []byte, since []wire.RelSince) (body, tails
 		if err != nil {
 			return nil, err
 		}
-		data, err := wire.AppendCompositeCore(wire.GetBuffer(), r.Comp)
+		buf, err := wire.AppendCompositeCore(wire.GetBuffer(), r.Comp)
 		if err != nil {
-			wire.PutBuffer(data)
+			wire.PutBuffer(buf)
 			return nil, err
 		}
-		return &anscache.Entry{Key: key, Value: r.RelOldest, Wire: data, Stamp: stamp, Free: wire.PutBuffer}, nil
+		// The cache charges len(Wire), and a pooled buffer's capacity is
+		// whatever the pool last held: a resident entry keeps an exactly
+		// sized copy, so the byte budget bounds what the cache pins.
+		data := make([]byte, len(buf))
+		copy(data, buf)
+		wire.PutBuffer(buf)
+		return &anscache.Entry{Key: key, Value: r.RelOldest, Wire: data, Stamp: stamp}, nil
 	})
 	if err != nil {
 		return nil, nil, nil, err
@@ -527,6 +595,7 @@ type Stats struct {
 	BFNegatives uint64 // probes answered by a filter negative alone
 	BFFallbacks uint64 // false positives that fell back to boundaries
 	ProjRows    uint64 // projected rows emitted
+	StampShards uint64 // inner data shards stamped, summed over executed join plans
 	Cache       anscache.Stats
 }
 
@@ -539,6 +608,7 @@ func (e *Engine) Stats() Stats {
 		BFNegatives: e.bfNegatives.Load(),
 		BFFallbacks: e.bfFallbacks.Load(),
 		ProjRows:    e.projRows.Load(),
+		StampShards: e.stampShards.Load(),
 	}
 	if e.cache != nil {
 		s.Cache = e.cache.Stats()

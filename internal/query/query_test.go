@@ -2,12 +2,17 @@ package query
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"authdb/internal/anscache"
+	"authdb/internal/chain"
 	"authdb/internal/core"
+	"authdb/internal/freshness"
 	"authdb/internal/join"
 	"authdb/internal/projection"
 	"authdb/internal/sigagg/xortest"
@@ -89,45 +94,74 @@ func (fx *fixture) spec(method join.Method) *Spec {
 }
 
 // verifyComposite checks every section of a composite answer the way a
-// client would: outer chain + freshness, projection aggregate, join
-// coverage with per-key match/non-match proofs.
+// client would, against every summary the servers hold.
 func (fx *fixture) verifyComposite(t *testing.T, comp *wire.Composite, lo, hi int64, now int64) {
 	t.Helper()
-	oans := &core.Answer{Chain: comp.Outer, Summaries: fx.outer.QS.SummariesSince(0)}
-	if _, err := fx.outer.Verifier.VerifyAnswers([]*core.Answer{oans}, []core.Range{{Lo: lo, Hi: hi}}, now); err != nil {
-		t.Fatalf("outer chain: %v", err)
+	if err := fx.checkComposite(comp, lo, hi, now, fx.outer.QS.SummariesSince(0), fx.inner.QS.SummariesSince(0)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkComposite is the client's verification of one composite: outer
+// chain + freshness, projection aggregate, join proofs with per-key
+// coverage, and the freshness of every inner record a join proof
+// discloses — each relation judged against the summaries given for it.
+// It builds its own verifiers, so concurrent callers do not share state.
+func (fx *fixture) checkComposite(comp *wire.Composite, lo, hi, now int64, osums, isums []freshness.Summary) error {
+	ov := core.NewVerifier(fx.outer.Scheme, fx.outer.Pub, core.DefaultConfig())
+	oans := &core.Answer{Chain: comp.Outer, Summaries: osums}
+	if _, err := ov.VerifyAnswers([]*core.Answer{oans}, []core.Range{{Lo: lo, Hi: hi}}, now); err != nil {
+		return fmt.Errorf("outer chain: %w", err)
 	}
 	if comp.Proj != nil {
 		if err := projection.Verify(fx.outer.Scheme, fx.outer.Pub, comp.Proj); err != nil {
-			t.Fatalf("projection: %v", err)
+			return fmt.Errorf("projection: %w", err)
 		}
 		if len(comp.Proj.Rows) != len(comp.Outer.Records) {
-			t.Fatalf("%d projected rows for %d records", len(comp.Proj.Rows), len(comp.Outer.Records))
+			return fmt.Errorf("%d projected rows for %d records", len(comp.Proj.Rows), len(comp.Outer.Records))
 		}
 	}
 	if comp.Join == nil {
-		return
+		return nil
 	}
 	if err := join.Verify(fx.inner.Scheme, fx.inner.Pub, comp.Join); err != nil {
-		t.Fatalf("join: %v", err)
+		return fmt.Errorf("join: %w", err)
 	}
 	// Coverage: every outer key resolved exactly once, nothing extra.
 	resolved := map[int64]int{}
+	var chains []*core.Answer
+	var ranges []core.Range
+	disclose := func(c *chain.Answer) {
+		chains = append(chains, &core.Answer{Chain: c})
+		ranges = append(ranges, core.Range{Lo: c.Lo, Hi: c.Hi})
+	}
 	for _, m := range comp.Join.Matches {
 		resolved[m.Lo]++
+		disclose(m)
 	}
 	for _, up := range comp.Join.Unmatched {
 		resolved[up.RA]++
+		if up.Boundary != nil {
+			disclose(up.Boundary)
+		}
 	}
 	for _, rec := range comp.Outer.Records {
 		if resolved[rec.Key] != 1 {
-			t.Fatalf("outer key %d resolved %d times", rec.Key, resolved[rec.Key])
+			return fmt.Errorf("outer key %d resolved %d times", rec.Key, resolved[rec.Key])
 		}
 		delete(resolved, rec.Key)
 	}
 	if len(resolved) != 0 {
-		t.Fatalf("join proofs for keys outside the outer answer: %v", resolved)
+		return fmt.Errorf("join proofs for keys outside the outer answer: %v", resolved)
 	}
+	if len(chains) > 0 {
+		chains[0].Summaries = isums
+		iv := core.NewVerifier(fx.inner.Scheme, fx.inner.Pub, core.DefaultConfig())
+		if _, err := iv.VerifyAnswers(chains, ranges, now); err != nil {
+			return fmt.Errorf("join against %q: %w", fx.inner.Name, err)
+		}
+	}
+	return nil
 }
 
 func TestSelectProjectJoinBF(t *testing.T) {
@@ -385,6 +419,247 @@ func TestCacheInvalidationOnInnerUpdate(t *testing.T) {
 	fx.verifyComposite(t, &wire.Composite{Outer: after.Outer, Proj: after.Proj, Join: after.Join}, 105, 695, 1_500)
 }
 
+// serve runs one plan through the caching path and decodes what a cold
+// client would receive.
+func (fx *fixture) serve(t *testing.T, plan []byte) *wire.Composite {
+	t.Helper()
+	body, tails, release, err := fx.eng.ServePlan(plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	return decodeServed(t, body, tails)
+}
+
+func (fx *fixture) insertInner(t *testing.T, key, ts int64) {
+	t.Helper()
+	msg, err := fx.inner.DA.Insert(&core.Record{Key: key, Attrs: [][]byte{[]byte("late")}}, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.inner.Deliver(msg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The fixture's inner relation (multiples of 30 up to 990, four shards)
+// splits at 270, 510 and 750. The tests below pin which inner updates a
+// cached join survives and which it does not.
+
+// A plan is stale only where it read: an inner insert into a shard no
+// probe looked into leaves the cached composite serving.
+func TestCacheSurvivesInsertInUnreadShard(t *testing.T) {
+	for _, method := range []join.Method{join.BF, join.BV} {
+		fx := newFixture(t)
+		// Outer keys 110..240 probe inner shard 0; the match proof of 240
+		// reaches its right neighbour 270 in shard 1. Shards 2 and 3 are
+		// never read.
+		spec := &Spec{Rel: "o", Lo: 105, Hi: 245, Attrs: []int{0}, Join: &JoinSpec{Rel: "i", Method: method}}
+		plan := spec.mustPlan(t).Marshal()
+		fx.serve(t, plan)
+		st := fx.eng.Stats()
+		if st.StampShards != 2 {
+			t.Fatalf("%v: plan stamped %d inner shards, want 2 (of 4)", method, st.StampShards)
+		}
+		fx.insertInner(t, 905, 1_500) // neighbours 900 and 930: all shard 3
+		fx.insertInner(t, 605, 1_501) // neighbours 600 and 630: all shard 2
+		fx.serve(t, plan)
+		after := fx.eng.Stats()
+		if after.Cache.Built != st.Cache.Built || after.Cache.Hits != st.Cache.Hits+1 || after.Cache.Invalidations != 0 {
+			t.Fatalf("%v: inserts into unread shards: built %d→%d hits %d→%d invalidations %d; want a pure hit",
+				method, st.Cache.Built, after.Cache.Built, st.Cache.Hits, after.Cache.Hits, after.Cache.Invalidations)
+		}
+	}
+}
+
+// Inserting a key that a cached plan proved absent with a Bloom negative
+// — a proof that read no inner data at all — retires the plan even
+// though the filter has not been re-certified.
+func TestCacheInvalidationOnBloomNegativeKey(t *testing.T) {
+	fx := newFixture(t)
+	fc := fx.eng.Filter("i")
+	var neg int64 = -1
+	for k := int64(10); k <= 1000 && neg < 0; k += 10 {
+		if idx := fc.PF.Find(k); k%30 != 0 && !fc.PF.Partitions[idx].Filter.MayContainUint64(uint64(k)) {
+			neg = k
+		}
+	}
+	if neg < 0 {
+		t.Fatal("fixture filter has no negative outer key")
+	}
+	// A one-key plan: its whole inner stamp is the filter epoch plus the
+	// shard that owns the absent key.
+	spec := &Spec{Rel: "o", Lo: neg - 5, Hi: neg + 5, Join: &JoinSpec{Rel: "i", Method: join.BF}}
+	plan := spec.mustPlan(t).Marshal()
+	first := fx.serve(t, plan)
+	if len(first.Join.Unmatched) != 1 || first.Join.Unmatched[0].Partition == nil {
+		t.Fatalf("key %d was not resolved by a Bloom negative: %+v", neg, first.Join)
+	}
+	if st := fx.eng.Stats(); st.JoinProbes != 0 || st.StampShards != 1 {
+		t.Fatalf("a Bloom negative probed the server (%d probes) or stamped %d shards, want 0 and 1", st.JoinProbes, st.StampShards)
+	}
+	fx.serve(t, plan)
+	fx.insertInner(t, neg, 1_500)
+	fx.serve(t, plan)
+	if st := fx.eng.Stats(); st.Cache.Hits != 1 || st.Cache.Built != 2 {
+		t.Fatalf("hits=%d built=%d after inserting the absent key, want 1/2", st.Cache.Hits, st.Cache.Built)
+	}
+}
+
+// An insert between two probed keys changes a neighbour reference inside
+// a cached proof, so the plan rebuilds and the new proof chains through
+// the new record.
+func TestCacheInvalidationOnInsertBetweenProbes(t *testing.T) {
+	fx := newFixture(t)
+	spec := &Spec{Rel: "o", Lo: 105, Hi: 245, Join: &JoinSpec{Rel: "i", Method: join.BV}}
+	plan := spec.mustPlan(t).Marshal()
+	fx.serve(t, plan)
+	fx.insertInner(t, 125, 1_500) // between the probes of 120 and 130
+	after := fx.serve(t, plan)
+	if st := fx.eng.Stats(); st.Cache.Built != 2 {
+		t.Fatalf("built=%d after an insert between probed keys, want 2", st.Cache.Built)
+	}
+	for _, m := range after.Join.Matches {
+		if m.Lo == 120 && m.Right.Key != 125 {
+			t.Fatalf("match proof of 120 chains right to %d, want the inserted 125", m.Right.Key)
+		}
+	}
+	fx.verifyComposite(t, &wire.Composite{Outer: after.Outer, Join: after.Join}, 105, 245, 1_500)
+}
+
+// Topology changes invalidate everything: the message that first seeds
+// the inner relation's shard bounds remaps every key, and a Restore
+// replaces every shard.
+func TestCacheInvalidationOnSeedAndRestore(t *testing.T) {
+	cat, err := core.NewCatalog(xortest.New(), core.DefaultConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer, err := cat.AddRelation("o", nil, nil, []core.Option{core.WithShards(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := cat.AddRelation("i", nil, nil, []core.Option{core.WithShards(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := &fixture{cat: cat, outer: outer, inner: inner, eng: NewEngine()}
+	var orecs, irecs []*core.Record
+	for k := int64(10); k <= 400; k += 10 {
+		orecs = append(orecs, &core.Record{Key: k, Attrs: [][]byte{[]byte("o")}})
+	}
+	// 15 inner records: one short of the population the server seeds its
+	// four shards at, so everything still lives in shard 0.
+	for k := int64(20); k <= 300; k += 20 {
+		irecs = append(irecs, &core.Record{Key: k, Attrs: [][]byte{[]byte("i")}})
+	}
+	for _, p := range []struct {
+		rel  *core.Relation
+		recs []*core.Record
+	}{{outer, orecs}, {inner, irecs}} {
+		msg, err := p.rel.DA.Load(p.recs, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.rel.Deliver(msg); err != nil {
+			t.Fatal(err)
+		}
+		if err := fx.eng.AddRelation(p.rel.Name, p.rel.QS); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var plans [][]byte
+	for lo := int64(5); lo < 300; lo += 100 {
+		spec := &Spec{Rel: "o", Lo: lo, Hi: lo + 50, Join: &JoinSpec{Rel: "i", Method: join.BV}}
+		plans = append(plans, spec.mustPlan(t).Marshal())
+	}
+	serveAll := func() Stats {
+		for _, plan := range plans {
+			fx.serve(t, plan)
+		}
+		return fx.eng.Stats()
+	}
+	serveAll()
+	if st := serveAll(); st.Cache.Hits != 3 || st.Cache.Built != 3 {
+		t.Fatalf("warm-up: hits=%d built=%d, want 3/3", st.Cache.Hits, st.Cache.Built)
+	}
+	// The sixteenth record seeds the bounds. It lands far right of every
+	// plan's span; the reseed alone must retire all three.
+	fx.insertInner(t, 390, 200)
+	if st := serveAll(); st.Cache.Hits != 3 || st.Cache.Built != 6 {
+		t.Fatalf("after seeding: hits=%d built=%d, want 3/6", st.Cache.Hits, st.Cache.Built)
+	}
+	if st := serveAll(); st.Cache.Hits != 6 {
+		t.Fatalf("seeded relation does not cache: hits=%d, want 6", st.Cache.Hits)
+	}
+	// The bounds are live now (splits at 100, 180, 260): another insert on
+	// the far right retires only the plan whose last probe (250, absent)
+	// anchored on 260 in the last shard.
+	fx.insertInner(t, 395, 201)
+	if st := serveAll(); st.Cache.Hits != 8 || st.Cache.Built != 7 {
+		t.Fatalf("after an insert into the last shard: hits=%d built=%d, want 8/7", st.Cache.Hits, st.Cache.Built)
+	}
+	if err := inner.QS.Restore(inner.QS.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if st := serveAll(); st.Cache.Hits != 8 || st.Cache.Built != 10 {
+		t.Fatalf("after Restore: hits=%d built=%d, want 8/10", st.Cache.Hits, st.Cache.Built)
+	}
+}
+
+// Two probes of one execution can read the same shard either side of an
+// update; the merged stamp must carry the older reading.
+func TestReadSetKeepsLowerEpoch(t *testing.T) {
+	r := newReadSet(6)
+	r.add(2, 5, 7) // a probe whose window spanned shards 2 and 3
+	r.add(3, 6)
+	r.add(3, 9)
+	r.add(5, 1)
+	rs := anscache.RelStamp{Rel: "i", Shards: []int{FilterShard}, Epochs: []uint64{4}}
+	r.appendTo(&rs)
+	if want := []int{FilterShard, 2, 3, 5}; !reflect.DeepEqual(rs.Shards, want) {
+		t.Fatalf("shards %v, want %v", rs.Shards, want)
+	}
+	if want := []uint64{4, 5, 6, 1}; !reflect.DeepEqual(rs.Epochs, want) {
+		t.Fatalf("epochs %v, want %v", rs.Epochs, want)
+	}
+}
+
+// A resident plan pins exactly the bytes the cache charges for it: the
+// builder must not park the composite in a pooled buffer whose capacity
+// is whatever the pool last held.
+func TestPlanCacheEntriesExactlySized(t *testing.T) {
+	// Leave an oversized buffer in the pool for the builder to draw.
+	wire.PutBuffer(make([]byte, 0, 512<<10))
+	fx := newFixture(t)
+	var caps, keys int64
+	var perEntry int64 = -1
+	for n, lo := 0, int64(105); lo < 900; n, lo = n+1, lo+100 {
+		spec := &Spec{Rel: "o", Lo: lo, Hi: lo + 90, Attrs: []int{0}, Join: &JoinSpec{Rel: "i", Method: join.BV}}
+		plan := spec.mustPlan(t).Marshal()
+		body, _, release, err := fx.eng.ServePlan(plan, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(body) != len(body) {
+			t.Fatalf("plan %d: resident entry holds %d bytes in a buffer of %d", n, len(body), cap(body))
+		}
+		caps += int64(cap(body))
+		keys += int64(len(plan))
+		release()
+		st := fx.eng.Stats().Cache
+		if st.Entries != int64(n+1) {
+			t.Fatalf("plan %d not admitted: %d entries", n, st.Entries)
+		}
+		if perEntry < 0 {
+			perEntry = st.Bytes - caps - keys // the cache's fixed bookkeeping charge
+		}
+		if want := caps + keys + st.Entries*perEntry; st.Bytes != want {
+			t.Fatalf("after %d plans the cache accounts %d bytes, its entries pin %d", n+1, st.Bytes, want)
+		}
+	}
+}
+
 // A filter re-certification ALONE (no data change) also invalidates
 // cached BF answers — they embed partition proofs under the old cert.
 func TestCacheInvalidationOnFilterSwap(t *testing.T) {
@@ -422,70 +697,172 @@ func TestCacheInvalidationOnFilterSwap(t *testing.T) {
 }
 
 // Race target: concurrent plan serving against live updates to both
-// relations plus filter swaps. Run under -race in CI.
+// relations, period closes and filter swaps, with verifying clients
+// reading throughout. Run under -race in CI.
+//
+// Beyond the data races, the clients hold the cache to its contract: a
+// composite they accept is never older than an update that had completed
+// before they asked. The writer publishes each update once its delivery
+// returned; a client snapshots that before a request and afterwards
+// requires every outer record to be at least that version and every
+// inner key inserted by then to be resolved by something other than a
+// boundary proof of its absence. A composite whose scan raced the writer
+// can fail freshness against the newer summaries in its (uncached)
+// tails — the client rejects it and asks again, as a real one does; once
+// the writer is done nothing may be stale.
 func TestConcurrentPlansAndUpdates(t *testing.T) {
 	fx := newFixture(t)
-	plans := [][]byte{
-		fx.spec(join.BF).mustPlan(t).Marshal(),
-		fx.spec(join.BV).mustPlan(t).Marshal(),
-		(&Spec{Rel: "o", Lo: 205, Hi: 495, Attrs: []int{0, 1}}).mustPlan(t).Marshal(),
-		(&Spec{Rel: "i", Lo: 0, Hi: 900}).mustPlan(t).Marshal(),
+	specs := []*Spec{
+		fx.spec(join.BF),
+		fx.spec(join.BV),
+		{Rel: "o", Lo: 755, Hi: 995, Attrs: []int{0, 1}},
+		{Rel: "i", Lo: 0, Hi: 900},
+		{Rel: "o", Lo: 105, Hi: 245, Join: &JoinSpec{Rel: "i", Method: join.BV}},
 	}
+	plans := make([][]byte, len(specs))
+	for i, spec := range specs {
+		plans[i] = spec.mustPlan(t).Marshal()
+	}
+
+	// committed[k/10] is the timestamp of the newest outer update of key k
+	// whose delivery has returned; inserted[k/10] says the same of an
+	// inner insert of k.
+	var committed, inserted [101]atomic.Int64
+	var writerDone atomic.Bool
+
+	// verified serves one plan and verifies it as a client, retrying
+	// while the answer is (correctly) rejected as stale.
+	verified := func(p int) error {
+		spec := specs[p]
+		for attempt := 0; ; attempt++ {
+			var wantTS, wantIn [101]int64
+			for i := range wantTS {
+				wantTS[i], wantIn[i] = committed[i].Load(), inserted[i].Load()
+			}
+			settled := writerDone.Load()
+			body, tails, release, err := fx.eng.ServePlan(plans[p], nil)
+			if err != nil {
+				return err
+			}
+			comp, err := wire.DecodeComposite(append(append([]byte(nil), body...), tails...))
+			release()
+			if err != nil {
+				return err
+			}
+			sums := map[string][]freshness.Summary{}
+			for _, tail := range comp.Tails {
+				sums[tail.Rel] = tail.Summaries
+			}
+			if spec.Rel == "i" {
+				// A plain scan of the inner relation: one chain, its own key.
+				iv := core.NewVerifier(fx.inner.Scheme, fx.inner.Pub, core.DefaultConfig())
+				ans := &core.Answer{Chain: comp.Outer, Summaries: sums["i"]}
+				_, err = iv.VerifyAnswers([]*core.Answer{ans}, []core.Range{{Lo: spec.Lo, Hi: spec.Hi}}, 1<<40)
+			} else {
+				err = fx.checkComposite(comp, spec.Lo, spec.Hi, 1<<40, sums["o"], sums["i"])
+			}
+			if errors.Is(err, freshness.ErrStale) && !settled && attempt < 50 {
+				continue
+			}
+			if err != nil {
+				return fmt.Errorf("plan %d: %w", p, err)
+			}
+			if spec.Rel == "i" {
+				return nil
+			}
+			for _, rec := range comp.Outer.Records {
+				if rec.TS < wantTS[rec.Key/10] {
+					return fmt.Errorf("plan %d: accepted outer key %d at ts %d; an update at %d had completed before the request",
+						p, rec.Key, rec.TS, wantTS[rec.Key/10])
+				}
+			}
+			if comp.Join != nil {
+				for _, up := range comp.Join.Unmatched {
+					if up.Boundary != nil && wantIn[up.RA/10] != 0 {
+						return fmt.Errorf("plan %d: accepted a boundary proof that %d is absent; its insert had completed before the request", p, up.RA)
+					}
+				}
+			}
+			return nil
+		}
+	}
+
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				body, tails, release, err := fx.eng.ServePlan(plans[(w+i)%len(plans)], nil)
-				if err != nil {
+			for i := 0; i < 25 || !writerDone.Load(); i++ {
+				if err := verified((w + i) % len(plans)); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := wire.DecodeComposite(append(append([]byte(nil), body...), tails...)); err != nil {
-					t.Error(err)
-				}
-				release()
 			}
 		}(w)
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer writerDone.Store(true)
+		deliver := func(rel *core.Relation, msg *core.UpdateMsg, err error) bool {
+			if err == nil {
+				err = rel.Deliver(msg)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+			return err == nil
+		}
 		ts := int64(2_000)
-		for i := 0; i < 15; i++ {
+		for i := 0; i < 30; i++ {
 			ts += 10
-			msg, err := fx.outer.DA.Update(int64(10*(i%100)+10), [][]byte{[]byte("x"), []byte("y")}, ts)
-			if err != nil {
-				t.Error(err)
+			// Outer updates stay in the outer relation's last shard (keys
+			// from 760), which only the projection plan reads: the join
+			// plans' cached copies live or die by their inner stamps alone.
+			key := int64(760 + 10*(i%24))
+			msg, err := fx.outer.DA.Update(key, [][]byte{[]byte("x"), []byte("y")}, ts)
+			if !deliver(fx.outer, msg, err) {
 				return
 			}
-			if err := fx.outer.Deliver(msg); err != nil {
-				t.Error(err)
-				return
+			committed[key/10].Store(ts)
+			if i%3 == 0 {
+				// An outer key inside every join plan's span that the inner
+				// relation lacks (multiples of 30 are loaded).
+				k := int64(110 + 10*i)
+				msg, err = fx.inner.DA.Insert(&core.Record{Key: k, Attrs: [][]byte{[]byte("n")}}, ts)
+				if !deliver(fx.inner, msg, err) {
+					return
+				}
+				inserted[k/10].Store(1)
 			}
-			if i%5 != 0 {
-				continue
+			// Close the period on both relations, so the next summary marks
+			// what was just superseded and a stale copy of it fails freshness.
+			ts += 10
+			for _, rel := range []*core.Relation{fx.outer, fx.inner} {
+				msg, err := rel.DA.ClosePeriod(ts)
+				if !deliver(rel, msg, err) {
+					return
+				}
 			}
-			if msg, err = fx.inner.DA.Insert(&core.Record{Key: int64(1_000 + 10*i), Attrs: [][]byte{[]byte("n")}}, ts); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := fx.inner.Deliver(msg); err != nil {
-				t.Error(err)
-				return
-			}
-			fc, err := fx.inner.DA.CertifyFilter(8, 4, ts)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := fx.eng.SetFilter("i", fc); err != nil {
-				t.Error(err)
+			if i%6 == 0 {
+				fc, err := fx.inner.DA.CertifyFilter(8, 4, ts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := fx.eng.SetFilter("i", fc); err != nil {
+					t.Error(err)
+				}
 			}
 		}
 	}()
 	wg.Wait()
+	// Quiescent: every plan verifies first time, from the cache or not.
+	for p := range plans {
+		if err := verified(p); err != nil {
+			t.Error(err)
+		}
+	}
 }
 
 func TestServeRelSummaries(t *testing.T) {

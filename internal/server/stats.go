@@ -83,6 +83,7 @@ func QueryMetrics(eng *query.Engine) MetricFn {
 	return func(m *MetricsBuf) {
 		qs := eng.Stats()
 		m.Counter("authdb_query_plans_total", "Plans executed (cache hits excluded).", qs.PlanQueries)
+		m.Counter("authdb_query_stamp_shards_total", "Inner-relation data shards stamped by executed join plans (per plan: what one inner update can invalidate).", qs.StampShards)
 		m.Counter("authdb_query_join_probes_total", "Live point scans against inner relations.", qs.JoinProbes)
 		m.Counter("authdb_query_bf_probes_total", "Outer keys probed through a certified Bloom filter.", qs.BFProbes)
 		m.Counter("authdb_query_bf_negatives_total", "Probes answered by a filter negative alone.", qs.BFNegatives)
