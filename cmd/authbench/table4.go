@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"authdb/internal/chain"
 	"authdb/internal/core"
 	"authdb/internal/digest"
 	"authdb/internal/repro/embtree"
@@ -134,8 +135,15 @@ func (tb *testbed) measureBAS(card int) (opCosts, error) {
 	c.queryIO = time.Duration(pages) * tb.ioTime
 	c.voBytes = lastAns.VOSize(tb.sigSize)
 
+	// The paper's client pays one aggregate verification per answer. A
+	// session's Verifier remembers the claims it has closed, so looping one
+	// answer through it would time the memo from the second iteration on:
+	// time the memo-free chain.Verify plus the freshness check instead.
 	c.verify = timeIt(1, func() {
-		if _, err := tb.sys.Verifier.VerifyAnswer(lastAns, q.Lo, q.Hi, 10); err != nil {
+		if err := chain.Verify(tb.sys.Scheme, tb.sys.Pub, lastAns.Chain); err != nil {
+			panic(err)
+		}
+		if _, err := tb.sys.Verifier.Freshness([]*core.Answer{lastAns}, 10); err != nil {
 			panic(err)
 		}
 	})

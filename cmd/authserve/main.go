@@ -378,6 +378,7 @@ func runQuery(args []string) error {
 	st := cl.Stats()
 	fmt.Printf("authserve query: %d answers verified in %v (%d bytes in, %d summaries held)\n",
 		st.Verified, rtt, st.BytesIn, cl.SummaryCount())
+	printClaims(st)
 	if len(addrs) > 1 {
 		fmt.Printf("authserve query: fleet of %d, finished on %s (%d failovers, %d quarantined)\n",
 			len(addrs), cl.CurrentAddr(), st.Failovers, st.Quarantines)
@@ -438,5 +439,13 @@ func runPlanQuery(cl *client.Client, rel, joinRel, method, attrsFlag string, lo,
 	st := cl.Stats()
 	fmt.Printf("authserve query: %d plans verified in %v (%d join matches, %d Bloom negatives, %d Bloom fallbacks, %d boundary proofs, %d attribute signatures)\n",
 		st.Plans, rtt, st.JoinMatches, st.JoinBFNegs, st.JoinBFFalls, st.JoinBounds, st.AttrSigsVerif)
+	printClaims(st)
 	return nil
+}
+
+// printClaims reports where the session's signature claims were closed:
+// by the scheme, or by the verifier's memory of having closed them.
+func printClaims(st client.Stats) {
+	fmt.Printf("authserve query: %d signature claims verified by the scheme, %d already closed by this session (%d batches without curve arithmetic)\n",
+		st.ClaimMisses, st.ClaimHits, st.BatchesWithoutEC)
 }

@@ -2,10 +2,10 @@
 // signer/verifier separation of the PR 8 BAS fast path honest: signing
 // (Sign, SignBatch) and proof construction (AggregateInto, Add, Remove
 // and the sigagg.Folder methods Prepare, NewSum, Fold, Merge, Reset,
-// Encode) must never reach the verification caches (the digest→point /
-// aggregate-decode cache `cache` and the per-public-key precomputation
-// tables `tables`). If signer-side work warmed or read those caches,
-// the verification benchmarks would be measuring signer state, and —
+// Encode) must never reach the verification caches (the digest→point
+// cache `cache` and the per-public-key precomputation tables `tables`).
+// If signer-side work warmed or read those caches, the verification
+// benchmarks would be measuring signer state, and —
 // worse — proof construction sweeping millions of leaf signatures would
 // thrash a cache sized for the verifier's working set and evict what a
 // verifier sharing the instance wants.

@@ -113,6 +113,16 @@ func TestJobsDigestsMatchPerAnswer(t *testing.T) {
 	}
 }
 
+// verifyBatch is what a verifier does with a batch, minus its memory of
+// earlier ones: Jobs, then the scheme's batched verification.
+func verifyBatch(scheme sigagg.Scheme, pub sigagg.PublicKey, answers []*Answer, par int) error {
+	jobs, err := Jobs(answers, par)
+	if err != nil {
+		return err
+	}
+	return sigagg.NewPool(scheme, par).VerifyAll(pub, jobs)
+}
+
 func TestVerifyBatchAcceptsValidAnswers(t *testing.T) {
 	scheme := bas.New(0)
 	priv, pub, err := scheme.KeyGen(nil)
@@ -125,11 +135,11 @@ func TestVerifyBatchAcceptsValidAnswers(t *testing.T) {
 		signedAnswer(t, scheme, priv, 9000, 40),
 	}
 	for _, par := range []int{1, 4} {
-		if err := VerifyBatch(scheme, pub, answers, par); err != nil {
+		if err := verifyBatch(scheme, pub, answers, par); err != nil {
 			t.Fatalf("par=%d: valid batch rejected: %v", par, err)
 		}
 	}
-	if err := VerifyBatch(scheme, pub, nil, 4); err != nil {
+	if err := verifyBatch(scheme, pub, nil, 4); err != nil {
 		t.Fatalf("empty batch rejected: %v", err)
 	}
 }
@@ -150,71 +160,29 @@ func TestVerifyBatchRejectsTamperedAnswer(t *testing.T) {
 	// Tampered record content.
 	answers := fresh()
 	answers[1].Records[3].Attrs = [][]byte{[]byte("forged")}
-	if err := VerifyBatch(scheme, pub, answers, 4); !errors.Is(err, sigagg.ErrVerify) {
+	if err := verifyBatch(scheme, pub, answers, 4); !errors.Is(err, sigagg.ErrVerify) {
 		t.Fatalf("tampered record: want ErrVerify, got %v", err)
 	}
 
 	// Dropped record (completeness violation caught by the signature).
 	answers = fresh()
 	answers[0].Records = append(answers[0].Records[:2], answers[0].Records[3:]...)
-	if err := VerifyBatch(scheme, pub, answers, 4); !errors.Is(err, sigagg.ErrVerify) {
+	if err := verifyBatch(scheme, pub, answers, 4); !errors.Is(err, sigagg.ErrVerify) {
 		t.Fatalf("dropped record: want ErrVerify, got %v", err)
 	}
 
 	// Structural violation: boundary inside the range.
 	answers = fresh()
 	answers[0].Left.Key = answers[0].Lo
-	if err := VerifyBatch(scheme, pub, answers, 4); !errors.Is(err, sigagg.ErrVerify) {
+	if err := verifyBatch(scheme, pub, answers, 4); !errors.Is(err, sigagg.ErrVerify) {
 		t.Fatalf("bad boundary: want ErrVerify, got %v", err)
 	}
 
 	// Nil member.
 	answers = fresh()
 	answers[1] = nil
-	if err := VerifyBatch(scheme, pub, answers, 4); !errors.Is(err, sigagg.ErrVerify) {
+	if err := verifyBatch(scheme, pub, answers, 4); !errors.Is(err, sigagg.ErrVerify) {
 		t.Fatalf("nil answer: want ErrVerify, got %v", err)
-	}
-}
-
-// countingScheme wraps a scheme and records how many verification jobs
-// reach the scheme layer, to observe VerifyBatch's dedup.
-type countingScheme struct {
-	sigagg.Scheme
-	jobs int
-}
-
-func (c *countingScheme) VerifyJobs(pub sigagg.PublicKey, jobs []sigagg.VerifyJob) error {
-	c.jobs += len(jobs)
-	return c.Scheme.(sigagg.BatchVerifier).VerifyJobs(pub, jobs)
-}
-
-// TestVerifyBatchDedupsIdenticalAnswers: a batch repeating the same
-// answer (hot ranges drawn many times) verifies the claim once, while
-// a tampered copy — no longer the identical statement — is still
-// verified on its own and still fails.
-func TestVerifyBatchDedupsIdenticalAnswers(t *testing.T) {
-	scheme := bas.New(0)
-	priv, pub, err := scheme.KeyGen(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := signedAnswer(t, scheme, priv, 1000, 8)
-	b := signedAnswer(t, scheme, priv, 5000, 4)
-	cs := &countingScheme{Scheme: scheme}
-	batch := []*Answer{a, b, a, a, b, a}
-	if err := VerifyBatch(cs, pub, batch, 1); err != nil {
-		t.Fatalf("duplicated valid batch rejected: %v", err)
-	}
-	if cs.jobs != 2 {
-		t.Fatalf("scheme saw %d jobs for 6 answers with 2 distinct claims", cs.jobs)
-	}
-
-	// A tampered duplicate is a distinct statement: it must be checked
-	// and the batch must fail.
-	forged := signedAnswer(t, scheme, priv, 1000, 8)
-	forged.Records[2].Attrs = [][]byte{[]byte("forged")}
-	if err := VerifyBatch(scheme, pub, []*Answer{a, forged, a}, 1); !errors.Is(err, sigagg.ErrVerify) {
-		t.Fatalf("tampered duplicate: want ErrVerify, got %v", err)
 	}
 }
 
@@ -229,7 +197,7 @@ func TestVerifyBatchMatchesVerify(t *testing.T) {
 	if err := Verify(scheme, pub, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBatch(scheme, pub, []*Answer{a}, 2); err != nil {
+	if err := verifyBatch(scheme, pub, []*Answer{a}, 2); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,8 +11,6 @@
 package chain
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
@@ -281,28 +279,14 @@ func (a *Answer) checkStructure() error {
 	return nil
 }
 
-// VerifyBatch checks authenticity and completeness of many answers in
-// one pass: Jobs runs the structural checks and recomputes the chained
-// digests, and the aggregates are verified through the scheme's batched
-// primitives (one combined number-theoretic check per worker chunk — see
-// sigagg.BatchVerifier) instead of one full verification per answer.
-//
-// An error means at least one answer is invalid; batch verification
-// attests the set without attributing the failure, so callers needing
-// the culprit fall back to Verify answer by answer.
-func VerifyBatch(scheme sigagg.Scheme, pub sigagg.PublicKey, answers []*Answer, par int) error {
-	jobs, err := Jobs(answers, par)
-	if err != nil {
-		return err
-	}
-	return sigagg.NewPool(scheme, par).VerifyAll(pub, jobs)
-}
-
-// Jobs is the part of VerifyBatch that needs no key: the structural
-// checks run per answer, the chained digests are recomputed in parallel
-// on up to par goroutines (0 = GOMAXPROCS), and answers stating the
-// identical claim share one job. A caller holding further claims under
-// the same signer appends them and closes everything with one batch.
+// Jobs is the part of verification that needs no key: the structural
+// checks run per answer and the chained digests are recomputed in
+// parallel on up to par goroutines (0 = GOMAXPROCS). It returns one job
+// per answer, in answer order — jobs[i] is answers[i]'s signature claim,
+// repeats included: a claim's identity is its verifier's business
+// (core.Verifier.VerifyJobs), not this package's. A caller holding
+// further claims under the same signer appends them and closes
+// everything with one batch.
 func Jobs(answers []*Answer, par int) ([]sigagg.VerifyJob, error) {
 	if len(answers) == 0 {
 		return nil, nil
@@ -345,40 +329,5 @@ func Jobs(answers []*Answer, par int) ([]sigagg.VerifyJob, error) {
 		}
 		return nil
 	})
-	return dedupJobs(jobs), nil
-}
-
-// dedupJobs collapses verification jobs that state the exact same claim
-// — the same aggregate covering the same digest list — down to one.
-// Skewed batches (hot ranges drawn many times, fleet re-checks) are full
-// of such repeats, and verifying an identical statement twice proves
-// nothing more than verifying it once: the statement's identity is the
-// collision-resistant hash of aggregate plus digest list, so two jobs
-// with equal keys are byte-for-byte the same claim. Distinct claims —
-// even ones sharing the aggregate or the digests — keep their own job,
-// and the scheme layer still folds *record-level* digest repeats across
-// the surviving jobs (shared range boundaries) by multiplicity.
-func dedupJobs(jobs []sigagg.VerifyJob) []sigagg.VerifyJob {
-	seen := make(map[[32]byte]struct{}, len(jobs))
-	out := jobs[:0]
-	var lenb [8]byte
-	for _, j := range jobs {
-		h := sha256.New()
-		binary.BigEndian.PutUint64(lenb[:], uint64(len(j.Agg)))
-		h.Write(lenb[:])
-		h.Write(j.Agg)
-		for _, d := range j.Digests {
-			binary.BigEndian.PutUint64(lenb[:], uint64(len(d)))
-			h.Write(lenb[:])
-			h.Write(d)
-		}
-		var key [32]byte
-		h.Sum(key[:0])
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		out = append(out, j)
-	}
-	return out
+	return jobs, nil
 }

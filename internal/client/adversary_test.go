@@ -170,56 +170,73 @@ func advance(t *testing.T, sys *core.System, key int64, ts int64) {
 	}
 }
 
+// forgingReplica runs one forging mode against a session twice: cold —
+// the forgery is the first thing the session sees — and warm: the same
+// session has just fetched and verified the honest answer through the
+// same front, so its verifier remembers the honest claim when the forgery
+// of it arrives. Either way nothing forged may be accepted, and the
+// failure must be verification-class evidence.
+func forgingReplica(t *testing.T, mode tamperMode, what string) {
+	for _, warm := range []bool{false, true} {
+		name := "cold"
+		if warm {
+			name = "warm"
+		}
+		t.Run(name, func(t *testing.T) {
+			sys, keys, addr := fixture(t, 200)
+			ts := newTamperSrv(t, addr)
+			cl, err := client.Dial(ts.Addr(), client.Config{Scheme: sys.Scheme, Pub: sys.Pub})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			honest := uint64(0)
+			if warm {
+				if _, _, err := cl.Query(keys[5], keys[40]); err != nil {
+					t.Fatal(err)
+				}
+				honest = 1
+			}
+			ts.SetMode(mode)
+			for i := 0; i < 2; i++ { // a forgery does not become true by repetition
+				_, _, err = cl.Query(keys[5], keys[40])
+				if err == nil {
+					t.Fatalf("%s accepted", what)
+				}
+				if !errors.Is(err, sigagg.ErrVerify) {
+					t.Fatalf("%s surfaced as %v, want sigagg.ErrVerify", what, err)
+				}
+			}
+			if st := cl.Stats(); st.Verified != honest || st.ClaimHits != 0 {
+				t.Fatalf("against a forging replica: %d answers verified (%d honest), %d claims served from memory",
+					st.Verified, honest, st.ClaimHits)
+			}
+		})
+	}
+}
+
 // TestAdversarySigFlipNeverAccepted: a replica that bit-flips the
 // aggregate signature — everything else intact — fails verification,
 // and the flip is recognized as replica misbehavior, not transport
 // noise that retries could wave through.
 func TestAdversarySigFlipNeverAccepted(t *testing.T) {
-	sys, keys, addr := fixture(t, 200)
-	ts := newTamperSrv(t, addr)
-	ts.SetMode(tamperSigFlip)
-	cl, err := client.Dial(ts.Addr(), client.Config{Scheme: sys.Scheme, Pub: sys.Pub})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	_, _, err = cl.Query(keys[5], keys[40])
-	if err == nil {
-		t.Fatal("forged signature accepted")
-	}
-	if !errors.Is(err, sigagg.ErrVerify) {
-		t.Fatalf("sig flip surfaced as %v, want sigagg.ErrVerify", err)
-	}
-	if st := cl.Stats(); st.Verified != 0 {
-		t.Fatalf("%d answers verified against a forging replica", st.Verified)
-	}
+	forgingReplica(t, tamperSigFlip, "forged signature")
 }
 
 // TestAdversaryRowSwapNeverAccepted: reordering two records — a
 // completeness attack leaving every byte individually authentic —
 // breaks the chained digests.
 func TestAdversaryRowSwapNeverAccepted(t *testing.T) {
-	sys, keys, addr := fixture(t, 200)
-	ts := newTamperSrv(t, addr)
-	ts.SetMode(tamperRowSwap)
-	cl, err := client.Dial(ts.Addr(), client.Config{Scheme: sys.Scheme, Pub: sys.Pub})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	_, _, err = cl.Query(keys[5], keys[40])
-	if err == nil {
-		t.Fatal("reordered answer accepted")
-	}
-	if !errors.Is(err, sigagg.ErrVerify) {
-		t.Fatalf("row swap surfaced as %v, want sigagg.ErrVerify", err)
-	}
+	forgingReplica(t, tamperRowSwap, "reordered answer")
 }
 
 // TestAdversaryStaleReplayDetected: a replica that re-serves
 // pre-update cached answers — perfectly signed, just old — is caught
 // by the freshness machinery: the session's held summaries prove a
-// newer version of the answered records exists.
+// newer version of the answered records exists. The session that
+// verified the answer while it was current remembers its signature claim
+// (the replay costs it no curve arithmetic) and rejects it all the same;
+// so does a session that never saw it.
 func TestAdversaryStaleReplayDetected(t *testing.T) {
 	sys, keys, addr := fixture(t, 200)
 	// One closed period so the capture-phase answer carries summaries.
@@ -255,6 +272,25 @@ func TestAdversaryStaleReplayDetected(t *testing.T) {
 	}
 	if !errors.Is(err, freshness.ErrStale) {
 		t.Fatalf("stale replay surfaced as %v, want freshness.ErrStale", err)
+	}
+	if st := cl.Stats(); st.ClaimHits != 1 || st.Verified != 1 {
+		t.Fatalf("the replayed claim was not the remembered one: %+v", st)
+	}
+	// A cold session: the front replays its 'F' page (captured after the
+	// update) and the pre-update answer.
+	cold, err := client.Dial(ts.Addr(), client.Config{Scheme: sys.Scheme, Pub: sys.Pub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	if _, err := cold.SyncSummaries(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cold.Query(keys[5], keys[40]); !errors.Is(err, freshness.ErrStale) {
+		t.Fatalf("stale replay to a cold session surfaced as %v, want freshness.ErrStale", err)
+	}
+	if st := cold.Stats(); st.ClaimHits != 0 || st.ClaimMisses != 1 {
+		t.Fatalf("the cold session's counters: %+v", st)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package client is the user side of the networked serving protocol: a
 // verifying client that speaks the wire format over TCP, pipelines
 // range queries, and checks every verified answer for authenticity,
-// completeness (recomputed chain digests, batch-verified aggregates via
-// chain.VerifyBatch under core.Verifier.VerifyAnswers) and freshness
-// against the certified summary stream it tracks from the server.
+// completeness (chain digests recomputed from the received bytes, the
+// aggregates closed in one batch by core.Verifier.VerifyAnswers — which
+// remembers the claims it has closed) and freshness against the
+// certified summary stream it tracks from the server.
 //
 // The server is untrusted: nothing it sends is believed until the
 // verifier has checked it against the data aggregator's public key.
@@ -105,6 +106,13 @@ type Stats struct {
 	H2CCacheHits   uint64 // hash-to-curve lookups served from cache
 	H2CCacheMisses uint64 // hash-to-curve lookups computed in full
 	TableBuilds    uint64 // per-public-key precomputation tables built
+
+	// Claim-memo counters (core.ClaimStats), summed over this session's
+	// verifiers — one per relation key — at Stats() time. These are the
+	// session's own: a claim is remembered per verifier.
+	ClaimHits        uint64 // signature claims the session had already closed
+	ClaimMisses      uint64 // signature claims sent to the scheme
+	BatchesWithoutEC uint64 // closing batches all of whose claims were known
 }
 
 // Client is one verifying session against a networked query server.
@@ -293,7 +301,7 @@ func (c *Client) reanchor() error {
 
 // Stats snapshots the session counters, overlaying the scheme's
 // verification fast-path counters (see the Stats field comments for
-// their process-wide scope).
+// their process-wide scope) and the session's claim-memo counters.
 func (c *Client) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -302,6 +310,16 @@ func (c *Client) Stats() Stats {
 		st.H2CCacheHits = vs.H2CCacheHits
 		st.H2CCacheMisses = vs.H2CCacheMisses
 		st.TableBuilds = vs.TableBuilds
+	}
+	addClaims := func(v *core.Verifier) {
+		cs := v.ClaimStats()
+		st.ClaimHits += cs.ClaimHits
+		st.ClaimMisses += cs.ClaimMisses
+		st.BatchesWithoutEC += cs.BatchesWithoutEC
+	}
+	addClaims(c.verifier)
+	for _, rs := range c.rels {
+		addClaims(rs.verifier)
 	}
 	return st
 }
@@ -626,10 +644,11 @@ func (c *Client) fetchBatch(ranges []core.Range) ([]*core.Answer, error) {
 }
 
 // Verify checks fetched answers: chain digests are recomputed and the
-// aggregates batch-verified (chain.VerifyBatch via the scheme's batched
-// primitives), attached summaries are ingested, and every record's
-// freshness is bounded against the summaries held. ranges[i] is the
-// selection answer i must cover.
+// aggregates batch-verified (core.Verifier.VerifyAnswers: chain.Jobs,
+// then VerifyJobs through the scheme's batched primitives), attached
+// summaries are ingested, and every record's freshness is bounded
+// against the summaries held. ranges[i] is the selection answer i must
+// cover.
 //
 // An answer attaches only the summaries published since its oldest
 // result signature, so a session that skipped some periods can face a

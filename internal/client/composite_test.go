@@ -137,32 +137,39 @@ func TestAdversaryCompositeUnderBatching(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := newCompTamperSrv(t, fx.addr)
 			var applied atomic.Bool // set on the proxy's goroutine
-			ts.SetMutator(func(comp *wire.Composite) {
+			forge := func(comp *wire.Composite) {
 				if tc.mutate(comp) {
 					applied.Store(true)
 				}
-			})
+			}
 			cl := fx.dial(t, ts.Addr())
-			_, err := cl.QueryPlan(fx.spec(join.BF, tc.attrs))
-			if !applied.Load() {
-				t.Fatal("fixture: the forgery found nothing to tamper with")
-			}
-			if err == nil {
-				t.Fatal("forged composite accepted")
-			}
-			if !errors.Is(err, sigagg.ErrVerify) {
-				t.Fatalf("surfaced as %v, want sigagg.ErrVerify", err)
-			}
-			if !strings.Contains(err.Error(), tc.section) {
-				t.Fatalf("error %q does not name the section %q", err, tc.section)
-			}
-			if st := cl.Stats(); st.Plans != 0 {
-				t.Fatalf("%d plans accepted against a forging replica", st.Plans)
-			}
-			// The honest answer through the same proxy verifies.
-			ts.SetMutator(nil)
-			if _, err := cl.QueryPlan(fx.spec(join.BF, tc.attrs)); err != nil {
-				t.Fatal(err)
+			// Cold: the forgery is the first composite the session sees.
+			// Warm: it has since verified the honest plan, and its
+			// verifiers remember every honest claim the forgery sits among.
+			for plans, memo := range []string{"cold", "warm"} {
+				ts.SetMutator(forge)
+				applied.Store(false)
+				_, err := cl.QueryPlan(fx.spec(join.BF, tc.attrs))
+				if !applied.Load() {
+					t.Fatal("fixture: the forgery found nothing to tamper with")
+				}
+				if err == nil {
+					t.Fatalf("%s session: forged composite accepted", memo)
+				}
+				if !errors.Is(err, sigagg.ErrVerify) {
+					t.Fatalf("%s session: surfaced as %v, want sigagg.ErrVerify", memo, err)
+				}
+				if !strings.Contains(err.Error(), tc.section) {
+					t.Fatalf("%s session: error %q does not name the section %q", memo, err, tc.section)
+				}
+				if st := cl.Stats(); st.Plans != uint64(plans) {
+					t.Fatalf("%s session: %d plans accepted, %d of them honest", memo, st.Plans, plans)
+				}
+				// The honest answer through the same proxy verifies.
+				ts.SetMutator(nil)
+				if _, err := cl.QueryPlan(fx.spec(join.BF, tc.attrs)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}
@@ -170,41 +177,55 @@ func TestAdversaryCompositeUnderBatching(t *testing.T) {
 
 // TestCompositeClosesOncePerKey: a verified BF plan costs one closing
 // verification per signer key — outer and inner — however many sections
-// and Bloom probes it carries. It is also the gate that a session on the
-// default scheme verifies on the fast path, plans and range queries
+// and Bloom probes it carries, and the identical plan asked again costs
+// none: every claim it makes is one the session has closed (the claim
+// memo of core.Verifier.VerifyJobs). It is also the gate that a session on
+// the default scheme verifies on the fast path, plans and range queries
 // alike: fast verifications counted, cached hash-to-curve points reused
-// on a repeat, and not one portable verification.
+// by a new claim over known records, and not one portable verification.
 func TestCompositeClosesOncePerKey(t *testing.T) {
 	fx := newPlanFixtureOn(t, basScheme, server.NetConfig{})
 	scheme := bas.New(0)
 	cl := fx.dialWith(t, fx.addr, scheme, 1)
 	spec := fx.spec(join.BF, []int{0})
-	// The first plan also ingests (and verifies) the summary tails.
-	if _, err := cl.QueryPlan(spec); err != nil {
-		t.Fatal(err)
-	}
-	before := scheme.VerifyStats()
 	comp, err := cl.QueryPlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := scheme.VerifyStats()
 	if n := len(comp.Join.Matches) + len(comp.Join.Unmatched); n < 30 {
 		t.Fatalf("fixture: only %d join proofs", n)
 	}
-	if d := after.FastVerifies - before.FastVerifies; d < 1 || d > 3 {
+	// The first plan also ingests the summary tails, one signature check
+	// each; the rest of its fast verifications are the closes.
+	first, st := scheme.VerifyStats(), cl.Stats()
+	if d := first.FastVerifies - st.Summaries; d < 1 || d > 3 {
 		t.Fatalf("one BF plan cost %d closing verifications, want at most 3", d)
 	}
-	if after.H2CCacheHits == before.H2CCacheHits {
-		t.Fatal("a repeated plan reused no cached hash-to-curve point")
+	if st.ClaimMisses < 3 || st.BatchesWithoutEC != 0 {
+		t.Fatalf("a cold session's first plan: %d claims sent to the scheme, %d batches closed without it", st.ClaimMisses, st.BatchesWithoutEC)
 	}
-	// Range queries share the plan session's connection and its verifier.
+	if _, err := cl.QueryPlan(spec); err != nil {
+		t.Fatal(err)
+	}
+	after, st2 := scheme.VerifyStats(), cl.Stats()
+	if d := after.FastVerifies - first.FastVerifies; d != 0 {
+		t.Fatalf("the identical plan again cost %d verifications, want 0", d)
+	}
+	if st2.ClaimMisses != st.ClaimMisses || st2.ClaimHits-st.ClaimHits < st.ClaimMisses || st2.BatchesWithoutEC < 2 || st2.Plans != 2 {
+		t.Fatalf("the identical plan again: %+v -> %+v", st, st2)
+	}
+	// Range queries share the plan session's connection and its scheme:
+	// the first is a claim no verifier of the session has closed, over
+	// records whose digests the plan's outer chain already hashed.
 	for i := 0; i < 2; i++ {
 		if _, _, err := cl.Query(105, 695); err != nil {
 			t.Fatal(err)
 		}
 	}
-	final := scheme.VerifyStats()
+	final, st3 := scheme.VerifyStats(), cl.Stats()
+	if st3.ClaimMisses != st2.ClaimMisses+1 || st3.ClaimHits != st2.ClaimHits+1 {
+		t.Fatalf("two identical range queries: %+v -> %+v, want one claim verified and one remembered", st2, st3)
+	}
 	if final.FastVerifies == after.FastVerifies || final.H2CCacheHits == after.H2CCacheHits {
 		t.Fatalf("range queries bypassed the fast path: %+v -> %+v", after, final)
 	}
@@ -288,7 +309,9 @@ func TestSummaryBridgingPages(t *testing.T) {
 // BenchmarkVerifyComposite times the client's verification of one
 // delivered BF join plan (59 outer rows × 1 projected attribute, 20
 // matches, 39 non-matches) on the real scheme, single worker, caches
-// warm — the steady state of a session repeating its plans.
+// warm — the steady state of a session repeating its plans: every claim
+// is one the session remembers, so this is everything but the curve
+// arithmetic.
 func BenchmarkVerifyComposite(b *testing.B) {
 	fx := newPlanFixtureOn(b, basScheme, server.NetConfig{})
 	cl := fx.dialWith(b, fx.addr, basScheme(), 1)

@@ -170,6 +170,12 @@ type keyBatch struct {
 	sections []string // sections[i] names the part of the answer jobs[i] proves
 }
 
+// newKeyBatch returns a batch under rs's key with room for claims claims,
+// so that collecting a composite's hundred-odd join proofs grows nothing.
+func newKeyBatch(rs *relSession, claims int) *keyBatch {
+	return &keyBatch{rs: rs, jobs: make([]sigagg.VerifyJob, 0, claims), sections: make([]string, 0, claims)}
+}
+
 func (b *keyBatch) add(section string, jobs ...sigagg.VerifyJob) {
 	for _, j := range jobs {
 		b.jobs = append(b.jobs, j)
@@ -218,10 +224,21 @@ func (c *Client) verifyComposite(spec *query.Spec, comp *wire.Composite, outerRS
 			return err
 		}
 	}
+	// Claims per key, from the section counts: the outer chain and the
+	// projection under the outer key; under the inner, at most one per
+	// match and per non-match proof (Bloom probes of one partition share
+	// its certification).
+	outerClaims, innerClaims := 2, 0
+	if comp.Join != nil {
+		innerClaims = len(comp.Join.Matches) + len(comp.Join.Unmatched)
+	}
+	if innerRS == outerRS {
+		outerClaims += innerClaims
+	}
 	// 2. Outer chain: authenticity + completeness over the selected
 	// range.
 	outerAns := []*core.Answer{{Chain: comp.Outer}}
-	outerBatch := &keyBatch{rs: outerRS}
+	outerBatch := newKeyBatch(outerRS, outerClaims)
 	jobs, err := outerRS.verifier.Jobs(outerAns, []core.Range{{Lo: spec.Lo, Hi: spec.Hi}})
 	if err != nil {
 		return fmt.Errorf("client: outer relation %q: %w", spec.Rel, err)
@@ -236,7 +253,7 @@ func (c *Client) verifyComposite(spec *query.Spec, comp *wire.Composite, outerRS
 	// under the outer key too.
 	innerBatch := outerBatch
 	if innerRS != outerRS {
-		innerBatch = &keyBatch{rs: innerRS}
+		innerBatch = newKeyBatch(innerRS, innerClaims)
 	}
 	proofs, err := c.joinJobs(spec, comp, innerBatch)
 	if err != nil {
@@ -378,7 +395,9 @@ func (c *Client) joinJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatc
 
 	// Chain-backed proofs (matches and boundary non-matches): structure
 	// and completeness for the point range [v, v].
-	var chainRanges []core.Range
+	proofs := len(j.Matches) + len(j.Unmatched)
+	out.chains = make([]*core.Answer, 0, proofs)
+	chainRanges := make([]core.Range, 0, proofs)
 	for _, m := range j.Matches {
 		if m == nil || len(m.Records) == 0 {
 			return out, fmt.Errorf("%w: match proof with no records", ErrComposite)

@@ -11,7 +11,10 @@ import (
 // TestAdversary drives a catalogue of server-side attacks against a
 // single honest answer and requires every one to be rejected. This is
 // the threat model of §1: the query server is untrusted or compromised,
-// while the data aggregator's public key is authentic.
+// while the data aggregator's public key is authentic. Every attack runs
+// twice: against a verifier that has seen nothing, and against the one
+// that has just verified — and remembers the claim of — the honest answer
+// the forgery was made from.
 func TestAdversary(t *testing.T) {
 	attacks := []struct {
 		name   string
@@ -117,9 +120,20 @@ func TestAdversary(t *testing.T) {
 				t.Fatal(err)
 			}
 			atk.mutate(fresh)
-			verifier := NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())
-			if _, err := verifier.VerifyAnswer(fresh, 250, 500, 1_100); err == nil {
+			cold := NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())
+			if _, err := cold.VerifyAnswer(fresh, 250, 500, 1_100); err == nil {
 				t.Fatalf("attack %q went undetected", atk.name)
+			}
+			if atk.name == "truncate summaries to hide an update" {
+				// A verifier that holds summary 1 skips a re-sent copy
+				// unread, forged or not; the records are honest.
+				return
+			}
+			if _, err := sys.Verifier.VerifyAnswer(fresh, 250, 500, 1_100); err == nil {
+				t.Fatalf("attack %q went undetected by a verifier that remembers the honest answer", atk.name)
+			}
+			if st := sys.Verifier.ClaimStats(); st.ClaimMisses == 0 {
+				t.Fatal("fixture: the warm verifier never closed the honest claim")
 			}
 		})
 	}
@@ -139,30 +153,40 @@ func TestAdversaryEmptyAnswer(t *testing.T) {
 	if _, err := sys.Verifier.VerifyAnswer(honest, 105, 109, 200); err != nil {
 		t.Fatalf("honest empty answer rejected: %v", err)
 	}
+	// Both attacks against the verifier that remembers the honest proof's
+	// claim, and against one that has seen nothing.
+	for name, verifier := range map[string]*Verifier{
+		"warm": sys.Verifier,
+		"cold": NewVerifier(sys.Scheme, sys.Pub, DefaultConfig()),
+	} {
+		// Attack 1: claim a populated range [100,110] is empty using the
+		// anchor for the adjacent gap. (The claim is the honest one — same
+		// anchor digest, same aggregate — so the warm verifier's memo holds
+		// it: only the structural check stands in the way.)
+		fake := *honest
+		fakeChain := *honest.Chain
+		fakeChain.Lo, fakeChain.Hi = 95, 115
+		fake.Chain = &fakeChain
+		if _, err := verifier.VerifyAnswer(&fake, 95, 115, 200); err == nil {
+			t.Fatalf("%s verifier: fake empty range accepted", name)
+		}
 
-	// Attack 1: claim a populated range [100,110] is empty using the
-	// anchor for the adjacent gap.
-	fake := *honest
-	fakeChain := *honest.Chain
-	fakeChain.Lo, fakeChain.Hi = 95, 115
-	fake.Chain = &fakeChain
-	if _, err := sys.Verifier.VerifyAnswer(&fake, 95, 115, 200); err == nil {
-		t.Fatal("fake empty range accepted")
-	}
-
-	// Attack 2: widen the anchor's right reference to swallow a record.
-	fake2chain := *honest.Chain
-	fake2chain.Right = chain.Ref{Key: 130, RID: 13}
-	fake2chain.Lo, fake2chain.Hi = 105, 125
-	fake2 := Answer{Chain: &fake2chain, Summaries: honest.Summaries}
-	if _, err := sys.Verifier.VerifyAnswer(&fake2, 105, 125, 200); err == nil {
-		t.Fatal("widened anchor accepted")
+		// Attack 2: widen the anchor's right reference to swallow a record.
+		fake2chain := *honest.Chain
+		fake2chain.Right = chain.Ref{Key: 130, RID: 13}
+		fake2chain.Lo, fake2chain.Hi = 105, 125
+		fake2 := Answer{Chain: &fake2chain, Summaries: honest.Summaries}
+		if _, err := verifier.VerifyAnswer(&fake2, 105, 125, 200); err == nil {
+			t.Fatalf("%s verifier: widened anchor accepted", name)
+		}
 	}
 }
 
 // TestAdversaryReplayOldAnswer covers the full replay path: an answer
 // that was valid before an update must fail freshness once summaries
-// advance past it.
+// advance past it — here for a verifier that never saw it while it was
+// current; TestClaimMemoReplayStillStale is the same replay against the
+// session that verified it then.
 func TestAdversaryReplayOldAnswer(t *testing.T) {
 	sys := newSystem(t, bas.New(0))
 	load(t, sys, 50)

@@ -1,0 +1,577 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"authdb/internal/chain"
+	"authdb/internal/freshness"
+	"authdb/internal/sigagg"
+	"authdb/internal/sigagg/bas"
+	"authdb/internal/sigagg/xortest"
+)
+
+// countingScheme counts the verification jobs that reach the scheme
+// layer — what the claim memo exists to keep small.
+type countingScheme struct {
+	sigagg.Scheme
+	calls, jobs int
+}
+
+func (c *countingScheme) VerifyJobs(pub sigagg.PublicKey, jobs []sigagg.VerifyJob) error {
+	c.calls++
+	c.jobs += len(jobs)
+	if bv, ok := c.Scheme.(sigagg.BatchVerifier); ok {
+		return bv.VerifyJobs(pub, jobs)
+	}
+	for _, j := range jobs {
+		if err := c.Scheme.AggregateVerify(pub, j.Digests, j.Agg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// memoFixture is a loaded system, one closed period (so answers carry a
+// summary), and a counting single-threaded verifier of its own.
+func memoFixture(t *testing.T, n int) (*System, *countingScheme, *Verifier) {
+	t.Helper()
+	sys := newSystem(t, bas.New(0))
+	load(t, sys, n)
+	deliverOp(t, sys)(sys.DA.ClosePeriod(1_000))
+	cs := &countingScheme{Scheme: sys.Scheme}
+	v := NewVerifier(cs, sys.Pub, DefaultConfig())
+	v.SetParallelism(1)
+	return sys, cs, v
+}
+
+func deliverOp(t *testing.T, sys *System) func(*UpdateMsg, error) {
+	return func(m *UpdateMsg, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Deliver(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func query(t *testing.T, sys *System, lo, hi int64) *Answer {
+	t.Helper()
+	ans, err := sys.QS.Query(lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ans
+}
+
+// forgeRecord returns a copy of ans with one attribute byte of its middle
+// record changed; the honest answer is left alone.
+func forgeRecord(ans *Answer) *Answer {
+	c := *ans.Chain
+	c.Records = append([]*Record(nil), c.Records...)
+	r := *c.Records[len(c.Records)/2]
+	r.Attrs = [][]byte{[]byte("forged")}
+	c.Records[len(c.Records)/2] = &r
+	return &Answer{Chain: &c, Summaries: ans.Summaries}
+}
+
+// TestVerifyBatchDedupsIdenticalAnswers: a batch repeating the same
+// answer (hot ranges drawn many times) sends each distinct claim to the
+// scheme once, the same batch again sends nothing, and a tampered copy —
+// no longer the identical statement — is still verified on its own and
+// still fails. (Moved here from internal/chain with the dedupe itself:
+// a claim's identity is computed once, in VerifyJobs.)
+func TestVerifyBatchDedupsIdenticalAnswers(t *testing.T) {
+	sys, cs, v := memoFixture(t, 100)
+	a, b := query(t, sys, 100, 170), query(t, sys, 500, 530)
+	ra, rb := Range{100, 170}, Range{500, 530}
+	batch, ranges := []*Answer{a, b, a, a, b, a}, []Range{ra, rb, ra, ra, rb, ra}
+	if _, err := v.VerifyAnswers(batch, ranges, 1_100); err != nil {
+		t.Fatalf("duplicated valid batch rejected: %v", err)
+	}
+	if cs.jobs != 2 || cs.calls != 1 {
+		t.Fatalf("scheme saw %d jobs in %d calls for 6 answers with 2 distinct claims", cs.jobs, cs.calls)
+	}
+	if st := v.ClaimStats(); st != (ClaimStats{ClaimHits: 4, ClaimMisses: 2}) {
+		t.Fatalf("after the first batch: %+v", st)
+	}
+	if _, err := v.VerifyAnswers(batch, ranges, 1_100); err != nil {
+		t.Fatal(err)
+	}
+	if cs.jobs != 2 || cs.calls != 1 {
+		t.Fatalf("the same batch again reached the scheme: %d jobs in %d calls", cs.jobs, cs.calls)
+	}
+	if st := v.ClaimStats(); st != (ClaimStats{ClaimHits: 10, ClaimMisses: 2, BatchesWithoutEC: 1}) {
+		t.Fatalf("after the second batch: %+v", st)
+	}
+
+	// A tampered duplicate is a distinct statement: it must be checked and
+	// the batch must fail, beside remembered honest copies or without.
+	forged := forgeRecord(a)
+	for _, verifier := range []*Verifier{v, NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())} {
+		if _, err := verifier.VerifyAnswers([]*Answer{a, forged, a}, []Range{ra, ra, ra}, 1_100); !errors.Is(err, sigagg.ErrVerify) {
+			t.Fatalf("tampered duplicate: want ErrVerify, got %v", err)
+		}
+	}
+	if cs.jobs != 3 {
+		t.Fatalf("the forged copy did not reach the scheme alone: %d jobs", cs.jobs)
+	}
+}
+
+// TestClaimMemoFailedBatchAdmitsNothing: the honest members of a batch
+// that failed were never proven — set semantics attest the batch, not its
+// members — so each still reaches the scheme afterwards; once they have
+// passed on their own they are remembered, and the forgery never is.
+func TestClaimMemoFailedBatchAdmitsNothing(t *testing.T) {
+	sys := newSystem(t, bas.New(0))
+	load(t, sys, 100)
+	scheme := sys.Scheme.(*bas.Scheme)
+	v := NewVerifier(scheme, sys.Pub, DefaultConfig())
+	v.SetParallelism(1)
+	a, b := query(t, sys, 100, 170), query(t, sys, 500, 530)
+	ra, rb := Range{100, 170}, Range{500, 530}
+	forged := forgeRecord(a)
+
+	fast := func() uint64 { return scheme.VerifyStats().FastVerifies }
+	before := fast()
+	if _, err := v.VerifyAnswers([]*Answer{a, forged, b}, []Range{ra, ra, rb}, 200); !errors.Is(err, sigagg.ErrVerify) {
+		t.Fatalf("batch with a forgery: want ErrVerify, got %v", err)
+	}
+	if fast() != before+1 {
+		t.Fatalf("the failing batch cost %d verifications, want 1", fast()-before)
+	}
+	if _, err := v.VerifyAnswers([]*Answer{a, b}, []Range{ra, rb}, 200); err != nil {
+		t.Fatal(err)
+	}
+	if fast() != before+2 {
+		t.Fatal("the honest members of a failed batch were remembered: they did not reach the scheme")
+	}
+	if st := v.ClaimStats(); st != (ClaimStats{ClaimMisses: 5}) {
+		t.Fatalf("counters after a failed and a passing batch: %+v", st)
+	}
+	if _, err := v.VerifyAnswers([]*Answer{a, b}, []Range{ra, rb}, 200); err != nil {
+		t.Fatal(err)
+	}
+	if fast() != before+2 {
+		t.Fatal("a passed batch was not remembered")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := v.VerifyAnswer(forged, ra.Lo, ra.Hi, 200); !errors.Is(err, sigagg.ErrVerify) {
+			t.Fatalf("forgery, presentation %d after the failed batch: %v", i+2, err)
+		}
+	}
+	if fast() != before+4 {
+		t.Fatal("a repeated forgery did not reach the scheme every time")
+	}
+}
+
+// TestClaimMemoPerKey: the memo belongs to a verifier and so to one
+// public key. The same records under two owners have the same digests;
+// what one owner's verifier has closed says nothing to the other's.
+func TestClaimMemoPerKey(t *testing.T) {
+	scheme := bas.New(0)
+	var sys [2]*System
+	var cs [2]*countingScheme
+	var v [2]*Verifier
+	var ans [2]*Answer
+	for i := range sys {
+		sys[i] = newSystem(t, scheme)
+		load(t, sys[i], 50)
+		cs[i] = &countingScheme{Scheme: sys[i].Scheme}
+		v[i] = NewVerifier(cs[i], sys[i].Pub, DefaultConfig())
+		ans[i] = query(t, sys[i], 100, 200)
+	}
+	if d0, d1 := ans[0].Chain.Digests(), ans[1].Chain.Digests(); string(d0[0]) != string(d1[0]) {
+		t.Fatal("fixture: the two owners' records digest differently")
+	}
+	if _, err := v[0].VerifyAnswer(ans[0], 100, 200, 200); err != nil {
+		t.Fatal(err)
+	}
+	// The other owner's verifier: its own answer is new to it, and the
+	// first owner's answer — closed next door — is a forgery here.
+	if _, err := v[1].VerifyAnswer(ans[0], 100, 200, 200); !errors.Is(err, sigagg.ErrVerify) {
+		t.Fatalf("an answer signed under another key: %v", err)
+	}
+	if _, err := v[1].VerifyAnswer(ans[1], 100, 200, 200); err != nil {
+		t.Fatal(err)
+	}
+	if st := v[1].ClaimStats(); st.ClaimHits != 0 || st.ClaimMisses != 2 || cs[1].jobs != 2 {
+		t.Fatalf("the second key's verifier: %+v, %d jobs at the scheme", st, cs[1].jobs)
+	}
+	if _, err := v[0].VerifyAnswer(ans[1], 100, 200, 200); !errors.Is(err, sigagg.ErrVerify) {
+		t.Fatalf("the first verifier accepted the second owner's answer: %v", err)
+	}
+}
+
+// TestClaimMemoReplayStillStale: a version the session verified, and the
+// owner has since superseded, is a claim the memo holds — the replay costs
+// no curve arithmetic — and it is still rejected, by the freshness check
+// the memo never touches.
+func TestClaimMemoReplayStillStale(t *testing.T) {
+	sys, cs, v := memoFixture(t, 50)
+	old := query(t, sys, 100, 120)
+	if _, err := v.VerifyAnswer(old, 100, 120, 1_100); err != nil {
+		t.Fatal(err)
+	}
+	deliver := deliverOp(t, sys)
+	deliver(sys.DA.Update(110, [][]byte{[]byte("v2")}, 1_500))
+	deliver(sys.DA.ClosePeriod(2_000))
+	deliver(sys.DA.ClosePeriod(3_000))
+	// The current answer teaches the session the new summaries.
+	if _, err := v.VerifyAnswer(query(t, sys, 100, 120), 100, 120, 3_100); err != nil {
+		t.Fatal(err)
+	}
+	jobs := cs.jobs
+	_, err := v.VerifyAnswer(old, 100, 120, 3_100)
+	if !errors.Is(err, freshness.ErrStale) {
+		t.Fatalf("replay of a verified, superseded version: want ErrStale, got %v", err)
+	}
+	if cs.jobs != jobs || v.ClaimStats().ClaimHits != 1 {
+		t.Fatalf("the replayed claim was not served by the memo (%d jobs, %+v): the test no longer covers the hit path", cs.jobs-jobs, v.ClaimStats())
+	}
+}
+
+// TestClaimMemoConflictEviction: more live claims than a set has ways
+// costs a full verification of whichever was replaced, nothing else — the
+// evicted claim is accepted again when honest, the resident ones still
+// hit, and a forgery aimed at the crowded set is rejected.
+func TestClaimMemoConflictEviction(t *testing.T) {
+	scheme := xortest.New()
+	priv, pub, err := scheme.KeyGen(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := &countingScheme{Scheme: scheme}
+	v := NewVerifier(cs, pub, DefaultConfig())
+	v.SetParallelism(1)
+
+	// memoWays+1 honest one-digest claims whose names share a set.
+	var (
+		sc      claimScratch
+		crowded []sigagg.VerifyJob
+		set     = ^uint32(0)
+	)
+	for i := 0; len(crowded) <= memoWays; i++ {
+		d := []byte(fmt.Sprintf("claim-%d", i))
+		sig, err := scheme.Sign(priv, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := sigagg.VerifyJob{Digests: [][]byte{d}, Agg: sig}
+		sc.nameJobs([]sigagg.VerifyJob{job})
+		if set == ^uint32(0) {
+			set = sc.keys[0].set()
+		}
+		if sc.keys[0].set() == set {
+			crowded = append(crowded, job)
+		}
+	}
+	for i := range crowded {
+		if err := v.VerifyJobs(crowded[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cs.jobs != memoWays+1 {
+		t.Fatalf("%d jobs at the scheme for %d new claims", cs.jobs, memoWays+1)
+	}
+	// Round-robin: the set's first claim made room for its last.
+	if err := v.VerifyJobs(crowded[memoWays:]); err != nil || cs.jobs != memoWays+1 {
+		t.Fatalf("the newest claim of a crowded set is not resident (err %v, %d jobs)", err, cs.jobs)
+	}
+	if err := v.VerifyJobs(crowded[1:2]); err != nil || cs.jobs != memoWays+1 {
+		t.Fatalf("a claim that was not the victim is not resident (err %v, %d jobs)", err, cs.jobs)
+	}
+	if err := v.VerifyJobs(crowded[:1]); err != nil || cs.jobs != memoWays+2 {
+		t.Fatalf("the evicted claim: err %v, %d jobs at the scheme, want a full verification", err, cs.jobs)
+	}
+	forged := sigagg.VerifyJob{Digests: crowded[1].Digests, Agg: crowded[2].Agg}
+	if err := v.VerifyJobs([]sigagg.VerifyJob{forged}); !errors.Is(err, sigagg.ErrVerify) {
+		t.Fatalf("a forgery over a resident claim's digests: %v", err)
+	}
+}
+
+// TestClaimMemoConcurrent: VerifyJobs is safe on one verifier from many
+// goroutines (the table has a lock, the scratch is taken, never shared) —
+// honest batches pass, the forger fails every time and poisons nothing.
+func TestClaimMemoConcurrent(t *testing.T) {
+	sys, _, _ := memoFixture(t, 200)
+	v := NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())
+	var answers []*Answer
+	var ranges []Range
+	for lo := int64(100); lo < 1_900; lo += 150 {
+		answers = append(answers, query(t, sys, lo, lo+140))
+		ranges = append(ranges, Range{lo, lo + 140})
+	}
+	forged := forgeRecord(answers[3])
+	const workers = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				lo := (g + round) % (len(answers) - 4)
+				batch, rs := answers[lo:lo+4], ranges[lo:lo+4]
+				wantErr := g == 0
+				if wantErr {
+					batch = append([]*Answer{forged}, batch[1:]...)
+					rs = append([]Range{ranges[3]}, rs[1:]...)
+				}
+				jobs, err := v.Jobs(batch, rs)
+				if err == nil {
+					err = v.VerifyJobs(jobs)
+				}
+				if (err != nil) != wantErr {
+					errs <- fmt.Errorf("worker %d round %d: %v", g, round, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if _, err := v.VerifyAnswer(forged, ranges[3].Lo, ranges[3].Hi, 1_100); !errors.Is(err, sigagg.ErrVerify) {
+		t.Fatalf("the forgery after the storm: %v", err)
+	}
+}
+
+// The claim-memo oracle. One session's memoising Verifier is run beside
+// the memo-free reference — chain.Verify on the scheme, then the same
+// summary ingestion and freshness check on a checker of its own — over a
+// seeded schedule of owner operations (insert, update, delete, period
+// close) and answers: honest ones over a few hot ranges, so claims
+// repeat, and mutated ones (flipped record byte, flipped aggregate bit —
+// once to another curve point, once off the curve — dropped record,
+// swapped records, moved boundary reference, replay of an older version),
+// each a fixed function of the honest answer, so forged claims repeat
+// too. The two must give the same verdict at every step.
+//
+// Mutation checks (run by hand, both fail it within the first seeds):
+// admitting a batch's names before VerifyAll has returned, and naming a
+// claim without its aggregate.
+const (
+	memoOracleSeeds      = 20
+	memoOracleShortSeeds = 4
+	memoOracleSteps      = 500
+)
+
+type memoOracle struct {
+	t   *testing.T
+	rng *rand.Rand
+	sys *System
+	now int64
+
+	memo *Verifier // the session under test
+	ref  *Verifier // the reference's summary state; its VerifyJobs is never called
+
+	keys    []int64 // the owner's keys, sorted
+	hot     []Range
+	history map[Range][]*Answer // honest answers seen per hot range, oldest first
+
+	accepted, rejected int
+}
+
+func newMemoOracle(t *testing.T, seed int64) *memoOracle {
+	o := &memoOracle{
+		t: t, rng: rand.New(rand.NewSource(seed)), sys: newSystem(t, bas.New(0)), now: 100,
+		history: map[Range][]*Answer{},
+	}
+	load(t, o.sys, 64) // keys 10..640
+	for k := int64(10); k <= 640; k += 10 {
+		o.keys = append(o.keys, k)
+	}
+	o.memo = NewVerifier(o.sys.Scheme, o.sys.Pub, DefaultConfig())
+	o.ref = NewVerifier(o.sys.Scheme, o.sys.Pub, DefaultConfig())
+	for i := 0; i < 6; i++ {
+		lo := int64(10 + o.rng.Intn(520))
+		o.hot = append(o.hot, Range{lo, lo + int64(20+o.rng.Intn(90))})
+	}
+	return o
+}
+
+// reference is the memo-free verdict: what VerifyAnswer did before there
+// was a memo, with chain.Verify in place of Jobs + VerifyJobs.
+func (o *memoOracle) reference(ans *Answer, rg Range) error {
+	if ans.Chain.Lo != rg.Lo || ans.Chain.Hi != rg.Hi {
+		return fmt.Errorf("%w: wrong range", sigagg.ErrVerify)
+	}
+	if err := chain.Verify(o.sys.Scheme, o.sys.Pub, ans.Chain); err != nil {
+		return err
+	}
+	held := uint64(0)
+	if latest, ok := o.ref.LatestSummary(); ok {
+		held = latest.Seq
+	}
+	for _, s := range ans.Summaries {
+		if s.Seq <= held {
+			continue
+		}
+		if err := o.ref.IngestSummary(s); err != nil {
+			return err
+		}
+		held = s.Seq
+	}
+	_, err := o.ref.Freshness([]*Answer{ans}, o.now)
+	return err
+}
+
+func (o *memoOracle) ownerOp() {
+	deliver := deliverOp(o.t, o.sys)
+	o.now += int64(20 + o.rng.Intn(200))
+	switch op := o.rng.Intn(10); {
+	case op < 4:
+		k := o.keys[o.rng.Intn(len(o.keys))]
+		deliver(o.sys.DA.Update(k, [][]byte{[]byte(fmt.Sprintf("v@%d", o.now))}, o.now))
+	case op < 6:
+		k := int64(10+o.rng.Intn(640))/10*10 + 5
+		at, present := slices.BinarySearch(o.keys, k)
+		if present {
+			return
+		}
+		deliver(o.sys.DA.Insert(&Record{Key: k, Attrs: [][]byte{[]byte("ins")}}, o.now))
+		o.keys = slices.Insert(o.keys, at, k)
+	case op < 8:
+		if len(o.keys) < 32 {
+			return
+		}
+		at := o.rng.Intn(len(o.keys))
+		k := o.keys[at]
+		deliver(o.sys.DA.Delete(k, o.now))
+		o.keys = slices.Delete(o.keys, at, at+1)
+	default:
+		deliver(o.sys.DA.ClosePeriod(o.now))
+	}
+}
+
+// mutate returns what a forging server makes of the honest answer, or the
+// answer itself when the mutation does not apply to it.
+func (o *memoOracle) mutate(kind int, ans *Answer, rg Range) (*Answer, string) {
+	c := *ans.Chain
+	c.Records = append([]*Record(nil), c.Records...)
+	out := &Answer{Chain: &c, Summaries: ans.Summaries}
+	n := len(c.Records)
+	switch kind {
+	case 0:
+		target := &c.Anchor
+		if n > 0 {
+			target = &c.Records[n/2]
+		}
+		r := **target
+		r.Attrs = [][]byte{append([]byte(nil), r.Attrs[0]...)}
+		r.Attrs[0][0] ^= 1
+		*target = &r
+		return out, "flipped record byte"
+	case 1:
+		c.Agg = c.Agg.Clone()
+		c.Agg[0] ^= 1 // the same x, the other y: a curve point, the wrong one
+		return out, "negated aggregate"
+	case 2:
+		c.Agg = c.Agg.Clone()
+		c.Agg[len(c.Agg)/2] ^= 0x10
+		return out, "flipped aggregate bit"
+	case 3:
+		if n < 2 {
+			return ans, "honest (nothing to drop)"
+		}
+		c.Records = append(c.Records[:n/2:n/2], c.Records[n/2+1:]...)
+		return out, "dropped record"
+	case 4:
+		if n < 2 {
+			return ans, "honest (nothing to swap)"
+		}
+		c.Records[0], c.Records[1] = c.Records[1], c.Records[0]
+		return out, "swapped records"
+	case 5:
+		c.Left.RID++
+		c.AnchorLeft.RID++
+		return out, "moved boundary reference"
+	default:
+		if h := o.history[rg]; len(h) > 1 {
+			return h[o.rng.Intn(len(h)-1)], "replayed old version"
+		}
+		return ans, "honest (no older version)"
+	}
+}
+
+func (o *memoOracle) step(step int) {
+	if o.rng.Intn(10) == 0 {
+		o.ownerOp()
+		return
+	}
+	rg := o.hot[o.rng.Intn(len(o.hot))]
+	hot := o.rng.Intn(5) != 0
+	if !hot {
+		lo := int64(o.rng.Intn(640))
+		rg = Range{lo, lo + int64(o.rng.Intn(100))}
+	}
+	ans := query(o.t, o.sys, rg.Lo, rg.Hi)
+	what := "honest"
+	if hot {
+		h := o.history[rg]
+		if len(h) == 0 || !bytes.Equal(h[len(h)-1].Chain.Agg, ans.Chain.Agg) {
+			o.history[rg] = append(h, ans)
+		}
+	}
+	honest := o.rng.Intn(2) == 0
+	if !honest {
+		var forged *Answer
+		forged, what = o.mutate(o.rng.Intn(7), ans, rg)
+		honest, ans = forged == ans, forged
+	}
+	_, memoErr := o.memo.VerifyAnswer(ans, rg.Lo, rg.Hi, o.now)
+	refErr := o.reference(ans, rg)
+	if (memoErr == nil) != (refErr == nil) {
+		o.t.Fatalf("step %d, %s answer for [%d,%d]: memoising verifier says %v, chain.Verify + freshness says %v",
+			step, what, rg.Lo, rg.Hi, memoErr, refErr)
+	}
+	if honest && refErr != nil {
+		o.t.Fatalf("step %d: the honest current answer for [%d,%d] was rejected: %v", step, rg.Lo, rg.Hi, refErr)
+	}
+	if refErr == nil {
+		o.accepted++
+	} else {
+		o.rejected++
+	}
+}
+
+func TestClaimMemoOracle(t *testing.T) {
+	seeds := memoOracleSeeds
+	if testing.Short() || raceEnabled {
+		seeds = memoOracleShortSeeds
+	}
+	var total ClaimStats
+	accepted, rejected := 0, 0
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		// A failing seed is named by its subtest: replay it alone with
+		// -run 'TestClaimMemoOracle/seed=N'.
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			o := newMemoOracle(t, seed)
+			for step := 1; step <= memoOracleSteps; step++ {
+				o.step(step)
+			}
+			st := o.memo.ClaimStats()
+			total.ClaimHits += st.ClaimHits
+			total.ClaimMisses += st.ClaimMisses
+			total.BatchesWithoutEC += st.BatchesWithoutEC
+			accepted += o.accepted
+			rejected += o.rejected
+		})
+	}
+	// The oracle is only as good as its mix: without hits the memo goes
+	// untested, without rejected repeats so does what it must not hold.
+	t.Logf("%d seeds × %d steps: %d accepted, %d rejected; %+v", seeds, memoOracleSteps, accepted, rejected, total)
+	if !t.Failed() && (total.ClaimHits < total.ClaimMisses/4 || total.ClaimMisses < total.ClaimHits/50 || rejected < accepted/4) {
+		t.Fatalf("degenerate schedule: %+v, %d accepted, %d rejected", total, accepted, rejected)
+	}
+}

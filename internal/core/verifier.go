@@ -18,6 +18,7 @@ type Verifier struct {
 	cfg     Config
 	par     int
 	checker *freshness.Checker
+	memo    claimMemo // the claims this verifier has closed (claimmemo.go)
 }
 
 // NewVerifier creates a verifier for the DA's public key.
@@ -50,6 +51,15 @@ func (v *Verifier) VerifyStats() (sigagg.VerifyStats, bool) {
 		return sp.VerifyStats(), true
 	}
 	return sigagg.VerifyStats{}, false
+}
+
+// ClaimStats reports this verifier's claim-memo counters.
+func (v *Verifier) ClaimStats() ClaimStats {
+	return ClaimStats{
+		ClaimHits:        v.memo.hits.Load(),
+		ClaimMisses:      v.memo.misses.Load(),
+		BatchesWithoutEC: v.memo.batchesWithoutEC.Load(),
+	}
 }
 
 // IngestSummary validates and stores one certified summary (from log-in
@@ -155,11 +165,11 @@ func (v *Verifier) VerifyAnswers(answers []*Answer, ranges []Range, now int64) (
 
 // Jobs is the keyless half of step 1: it checks that answer i claims
 // ranges[i], runs the structural checks and recomputes the chained
-// digests (chain.Jobs), returning the signature claims still to be
-// verified under this verifier's key. VerifyAnswers closes them on their
-// own; a caller holding more claims under the same key — the sections of
-// a composite answer — appends those and closes the lot with one
-// VerifyJobs. Nothing in the answers is authenticated until that
+// digests (chain.Jobs), returning one signature claim per answer, still
+// to be verified under this verifier's key. VerifyAnswers closes them on
+// their own; a caller holding more claims under the same key — the
+// sections of a composite answer — appends those and closes the lot with
+// one VerifyJobs. Nothing in the answers is authenticated until that
 // returns nil.
 func (v *Verifier) Jobs(answers []*Answer, ranges []Range) ([]sigagg.VerifyJob, error) {
 	if len(answers) != len(ranges) {
@@ -180,11 +190,30 @@ func (v *Verifier) Jobs(answers []*Answer, ranges []Range) ([]sigagg.VerifyJob, 
 }
 
 // VerifyJobs closes a batch of signature claims under the verifier's
-// key through the scheme's batched primitives: one closing operation
-// per worker chunk. Set semantics apply (sigagg.BatchVerifier): an error
-// says some job is invalid, not which.
+// key. It is the one door every claim goes through, and where a claim
+// gets its identity: claims this verifier has already closed, and
+// repeats inside the batch, are dropped (claimmemo.go has the rule and
+// why it is sound); the rest go through the scheme's batched primitives,
+// one closing operation per worker chunk, and are remembered only once
+// that returned nil. A batch whose claims are all known does no curve
+// arithmetic at all. Set semantics apply (sigagg.BatchVerifier): an error
+// says some job is invalid, not which, and nothing of a failed batch is
+// remembered.
 func (v *Verifier) VerifyJobs(jobs []sigagg.VerifyJob) error {
-	return sigagg.NewPool(v.scheme, v.par).VerifyAll(v.pub, jobs)
+	if len(jobs) == 0 {
+		return nil
+	}
+	sc := v.memo.takeScratch()
+	defer v.memo.putScratch(sc)
+	live := v.memo.open(sc, jobs)
+	if len(live) == 0 {
+		return nil
+	}
+	if err := sigagg.NewPool(v.scheme, v.par).VerifyAll(v.pub, live); err != nil {
+		return err
+	}
+	v.memo.admit(sc)
+	return nil
 }
 
 // Freshness bounds every disclosed record of already-authenticated

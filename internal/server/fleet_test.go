@@ -60,6 +60,7 @@ type fleetWindowResult struct {
 	lagMisses    int64 // freshness misses attributed to the held replica
 	detected     int64 // transport faults the clients observed
 	byzDetected  int64 // attributed detections of the Byzantine replica
+	byzWarm      int64 // of those, by a session that remembered the honest claim
 	diverged     int64 // unattributed divergence (must stay 0)
 
 	clientFailovers, clientQuarantines uint64
@@ -375,6 +376,7 @@ type fleetClientResult struct {
 	lagMiss     int64 // freshness misses attributed to the held replica
 	byzStale    int64 // freshness misses attributed to the Byzantine front
 	byzDetected int64 // quarantine-class convictions of the Byzantine front
+	byzWarm     int64 // of those, by a session whose memo held the honest claim
 	detected    int64 // transport faults observed
 	diverged    int64 // unattributed divergence (hard failure)
 	stats       client.Stats
@@ -455,6 +457,7 @@ func (b *fleetBench) runWindow(name, byz string) (*fleetWindowResult, error) {
 		win.detected += r.detected
 		win.diverged += r.diverged
 		win.byzDetected += r.byzDetected + r.byzStale
+		win.byzWarm += r.byzWarm
 		win.clientFailovers += r.stats.Failovers
 		win.clientQuarantines += r.stats.Quarantines
 		for addr, cause := range r.quar {
@@ -575,7 +578,14 @@ func (b *fleetBench) runAuditor(name string, deadline time.Time, res *fleetClien
 		res.detected++
 		return
 	}
-	defer func() { res.stats = cl.Stats(); res.quar = cl.Quarantined(); cl.Close() }()
+	res.quar = map[string]error{}
+	defer func() {
+		res.stats = cl.Stats()
+		for addr, cause := range cl.Quarantined() {
+			res.quar[addr] = cause
+		}
+		cl.Close()
+	}()
 	if _, err := cl.SyncSummaries(0); err != nil {
 		res.err = err
 		return
@@ -583,7 +593,8 @@ func (b *fleetBench) runAuditor(name string, deadline time.Time, res *fleetClien
 	gen := workload.NewHotRangeGen(b.catalog, soakTheta, soakSeed+7777)
 	switch name {
 	case "churn":
-		b.auditTamper(cl, gen, res, deadline)
+		b.auditTamper(cl, gen, res, deadline, false)
+		b.auditTamperWarm(gen, res, deadline)
 	case "partition":
 		b.auditStaleServer(cl, b.byzAddr(), &res.byzStale, res, deadline)
 	case "lag":
@@ -617,20 +628,37 @@ func (b *fleetBench) runAuditor(name string, deadline time.Time, res *fleetClien
 
 // auditTamper probes a signature-forging replica: one query through it
 // must convict it with verification-failure evidence and complete,
-// verified, on an honest replica.
-func (b *fleetBench) auditTamper(cl *client.Client, gen *workload.HotRangeGen, res *fleetClientResult, deadline time.Time) {
+// verified, on an honest replica. Cold, the forgery is the first answer
+// to that query the session sees; warm, the session first fetches and
+// verifies the honest answer from an honest replica, so that its
+// verifier remembers the very claim the forger then flips a bit of.
+func (b *fleetBench) auditTamper(cl *client.Client, gen *workload.HotRangeGen, res *fleetClientResult, deadline time.Time, warm bool) {
 	for time.Now().Before(deadline) {
 		if cause, ok := cl.Quarantined()[b.byzAddr()]; ok {
 			if errors.Is(cause, sigagg.ErrVerify) || errors.Is(cause, wire.ErrCorrupt) {
 				res.byzDetected++
+				if warm {
+					res.byzWarm++
+				}
 			}
 			return
+		}
+		q := gen.Next()
+		if warm {
+			if err := cl.Reconnect(b.honestAddr(0)); err != nil {
+				time.Sleep(2 * time.Millisecond)
+				continue
+			}
+			if _, _, err := cl.Query(q.Lo, q.Hi); err != nil {
+				res.detected++ // the churn window's own faults; try again
+				continue
+			}
+			res.accepted++
 		}
 		if err := cl.Reconnect(b.byzAddr()); err != nil {
 			time.Sleep(2 * time.Millisecond)
 			continue
 		}
-		q := gen.Next()
 		switch _, _, err := cl.Query(q.Lo, q.Hi); {
 		case err == nil:
 			res.accepted++ // hop already landed it on an honest replica
@@ -640,6 +668,28 @@ func (b *fleetBench) auditTamper(cl *client.Client, gen *workload.HotRangeGen, r
 			res.detected++
 		}
 	}
+}
+
+// auditTamperWarm is auditTamper's warm probe, from a session of its own:
+// the cold probe's session has quarantined the forger and cannot visit it
+// again.
+func (b *fleetBench) auditTamperWarm(gen *workload.HotRangeGen, res *fleetClientResult, deadline time.Time) {
+	cl, err := client.DialFleet(b.fleetAddrs(), b.clientCfg(7778))
+	if err != nil {
+		res.detected++
+		return
+	}
+	defer func() {
+		for addr, cause := range cl.Quarantined() {
+			res.quar[addr] = cause
+		}
+		cl.Close()
+	}()
+	if _, err := cl.SyncSummaries(0); err != nil {
+		res.detected++
+		return
+	}
+	b.auditTamper(cl, gen, res, deadline, true)
 }
 
 // auditFork probes a replica serving a forked summary stream: a
@@ -979,6 +1029,9 @@ func TestRunFleetChaosShort(t *testing.T) {
 		}
 		if win.byzDetected == 0 {
 			t.Errorf("window %q: Byzantine mode %q was never detected", win.name, win.byzMode)
+		}
+		if win.name == "churn" && win.byzWarm == 0 {
+			t.Error("churn window: no session that remembered the honest claim convicted the signature forger")
 		}
 		if win.diverged != 0 {
 			t.Errorf("window %q: %d unattributed divergence events", win.name, win.diverged)

@@ -97,8 +97,8 @@ func QueryMetrics(eng *query.Engine) MetricFn {
 }
 
 // VerifyMetrics adapts a scheme's verification fast-path counters for a
-// scrape: hash-to-curve cache traffic, aggregate-decode cache traffic,
-// and precomputation table builds. Emits nothing for schemes without a
+// scrape: hash-to-curve cache traffic, aggregate decodes, and
+// precomputation table builds. Emits nothing for schemes without a
 // fast path. On a serving process the counters reflect its own scheme
 // use (summary signing, proof aggregation); on anything embedding a
 // verifier they are the direct "is the fast path exercised" signal
@@ -112,8 +112,7 @@ func VerifyMetrics(scheme sigagg.Scheme) MetricFn {
 		vs := sp.VerifyStats()
 		m.Counter("authdb_verify_h2c_cache_hits_total", "Hash-to-curve lookups served from the digest point cache.", vs.H2CCacheHits)
 		m.Counter("authdb_verify_h2c_cache_misses_total", "Hash-to-curve lookups computed with the full try-and-increment map.", vs.H2CCacheMisses)
-		m.Counter("authdb_verify_agg_cache_hits_total", "Aggregate-signature decodes served from cache.", vs.AggCacheHits)
-		m.Counter("authdb_verify_agg_cache_misses_total", "Aggregate-signature decodes paid in full.", vs.AggCacheMisses)
+		m.Counter("authdb_verify_agg_cache_misses_total", "Aggregate-signature point decodes (none is cached).", vs.AggCacheMisses)
 		m.Counter("authdb_verify_cache_evictions_total", "Cached curve points dropped by the size bound.", vs.CacheEvictions)
 		m.Counter("authdb_verify_table_builds_total", "Per-public-key precomputation tables built.", vs.TableBuilds)
 		m.Counter("authdb_verify_fast_total", "Verification calls on the precomputed fast path.", vs.FastVerifies)

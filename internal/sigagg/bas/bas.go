@@ -80,19 +80,17 @@ func withPortableVerify() Option {
 	return func(o *options) { o.portable = true }
 }
 
-// WithCacheEntries bounds the digest→point / aggregate-decode cache
-// (default defaultCacheEntries; one entry in aggShare is an aggregate
-// decode's). Values below minCacheEntries are raised to it.
+// WithCacheEntries bounds the digest→point cache (default
+// defaultCacheEntries). Values below minCacheEntries are raised to it.
 func WithCacheEntries(n int) Option {
 	return func(o *options) { o.cacheEntries = n }
 }
 
-// defaultCacheEntries bounds the point cache at 7.4 MB when full
-// (measured: 65,536 slots of 104 bytes — a 64-byte point and its 34-byte
-// key — are 6.8 MB, the two uint32 indexes 0.6 MB, and there is nothing
-// else): enough for the full digest working set of the committed
-// benchmarks with room to spare, small enough to be irrelevant next to
-// the catalog itself.
+// defaultCacheEntries bounds the point cache at 7.3 MB when full
+// (65,536 slots of 104 bytes — a 64-byte point and its 33-byte key — are
+// 6.8 MB, the uint32 index 0.5 MB, and there is nothing else): enough for
+// the full digest working set of the committed benchmarks with room to
+// spare, small enough to be irrelevant next to the catalog itself.
 const defaultCacheEntries = 1 << 16
 
 // New returns a BAS scheme whose emulated pairing burns pairingCost
@@ -420,8 +418,7 @@ func (s *Scheme) VerifyStats() sigagg.VerifyStats {
 	return sigagg.VerifyStats{
 		H2CCacheHits:     s.cache.h2cHits.Load(),
 		H2CCacheMisses:   s.cache.h2cMisses.Load(),
-		AggCacheHits:     s.cache.aggHits.Load(),
-		AggCacheMisses:   s.cache.aggMisses.Load(),
+		AggCacheMisses:   s.cache.aggDecodes.Load(),
 		CacheEvictions:   s.cache.evictions.Load(),
 		TableBuilds:      s.tables.buildCount(),
 		FastVerifies:     s.fastVerifies.Load(),

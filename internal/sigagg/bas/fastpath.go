@@ -12,11 +12,11 @@ import (
 // Σ agg_i == x · Σ_ij H(d_ij) — so a batch reduces to summing points
 // and one closing scalar multiplication. The sums run in Jacobian
 // coordinates on the limb kernel (field.go, point.go) with cached H(d)
-// points and cached aggregate decodes (h2c.go: one flat table per kind,
-// probed a block at a time under one read lock), and digests repeated
-// inside a batch are folded by multiplicity with a Pippenger-style bucket
-// accumulation instead of re-added. With both tables warm the whole
-// summation is table probes and stack arithmetic: it allocates nothing.
+// points (h2c.go: one flat table, probed a block at a time under one read
+// lock), and digests repeated inside a batch are folded by multiplicity
+// with a Pippenger-style bucket accumulation instead of re-added. With
+// the table warm the whole summation is one decompression per aggregate,
+// table probes and stack arithmetic: it allocates nothing.
 // The emulated pairing cost is still charged once per digest plus once
 // per job, exactly as the portable path does, so the simulated Table 3
 // cost shape is unchanged when pairingCost > 0.
@@ -35,24 +35,14 @@ type verifyScratch struct {
 }
 
 // probeEntry is one cache lookup of a batch: a unique digest and how many
-// times the batch references it, or one job's aggregate (count 0). The
-// bytes are borrowed from the caller's jobs and never retained past the
-// call.
+// times the batch references it. The bytes are borrowed from the caller's
+// jobs and never retained past the call.
 type probeEntry struct {
 	key   cacheKey
 	hash  uint64 // pointCache.hash(&key)
 	d     []byte
 	count int32
 	slot  int32 // candidate slot from pointTable.locate, -1 for none
-}
-
-// sumFor is the running sum e's point belongs in: Σ agg for an aggregate,
-// the bucket of its multiplicity for a digest.
-func (sc *verifyScratch) sumFor(e *probeEntry) *jacPoint {
-	if e.count == 0 {
-		return &sc.agg
-	}
-	return &sc.buckets[e.count-1]
 }
 
 // probeBlock is how many entries sumJobs locates before it starts adding
@@ -103,19 +93,18 @@ func (s *Scheme) sumJobs(sc *verifyScratch, jobs []sigagg.VerifyJob) (total int,
 	dedupe := sc.dedupe[:1<<logLen]
 	clear(dedupe)
 
-	// Pass 1, no lock: key and hash every lookup once, count digest
-	// multiplicities, charge the emulated pairings.
+	// Pass 1, no lock: Σ agg_i (one decompression each), then key and hash
+	// every digest lookup once, count multiplicities, charge the emulated
+	// pairings.
 	var pt affPoint
 	aggs, maxCount := 0, int32(0)
 	for _, j := range jobs {
-		if len(j.Agg) != pointLen || s.isIdentity(j.Agg) {
-			// An error or the identity: neither is cached.
-			if _, err := s.decode(&pt, j.Agg); err != nil {
-				return 0, err
-			}
-		} else {
-			k := aggKey(j.Agg)
-			sc.ents = append(sc.ents, probeEntry{key: k, hash: c.hash(&k), d: j.Agg})
+		identity, err := s.decode(&pt, j.Agg)
+		if err != nil {
+			return 0, err
+		}
+		if !identity {
+			sc.agg.mixedAdd(&pt)
 			aggs++
 		}
 	digests:
@@ -142,8 +131,8 @@ func (s *Scheme) sumJobs(sc *verifyScratch, jobs []sigagg.VerifyJob) (total int,
 	}
 	clear(sc.buckets[:maxCount])
 
-	// Pass 2, one read lock: Σ agg_i and Σ count·H(d) over the entries the
-	// cache holds, a block at a time — locate the block's slots, then add
+	// Pass 2, one read lock: Σ count·H(d) over the entries the cache
+	// holds, a block at a time — locate the block's slots, then add
 	// each point straight from its slot. A unique digest goes into the
 	// bucket for its multiplicity; the buckets then combine with the
 	// standard suffix-sum, so a digest shared by c jobs costs one add, not
@@ -154,7 +143,7 @@ func (s *Scheme) sumJobs(sc *verifyScratch, jobs []sigagg.VerifyJob) (total int,
 		sc.sink += c.locateBlock(block)
 		for i := range block {
 			if hit := c.confirm(&block[i]); hit != nil {
-				sc.sumFor(&block[i]).mixedAdd(hit)
+				sc.buckets[block[i].count-1].mixedAdd(hit)
 			} else {
 				sc.miss = append(sc.miss, int32(lo+i))
 			}
@@ -162,20 +151,12 @@ func (s *Scheme) sumJobs(sc *verifyScratch, jobs []sigagg.VerifyJob) (total int,
 	}
 	c.mu.RUnlock()
 
-	// The misses, outside the lock: decode or hash-to-curve, add, and
-	// remember the point for the one write lock that stores them all.
-	aggMisses := 0
+	// The misses, outside the lock: hash-to-curve, add, and remember the
+	// point for the one write lock that stores them all.
 	for _, i := range sc.miss {
 		e := &sc.ents[i]
-		if e.count == 0 {
-			if _, err := s.decode(&pt, e.d); err != nil {
-				return 0, err
-			}
-			aggMisses++
-		} else {
-			hashToCurve(&pt, &sc.msg, e.d)
-		}
-		sc.sumFor(e).mixedAdd(&pt)
+		hashToCurve(&pt, &sc.msg, e.d)
+		sc.buckets[e.count-1].mixedAdd(&pt)
 		sc.missPts = append(sc.missPts, pt)
 	}
 	if len(sc.miss) > 0 {
@@ -185,10 +166,9 @@ func (s *Scheme) sumJobs(sc *verifyScratch, jobs []sigagg.VerifyJob) (total int,
 		}
 		c.mu.Unlock()
 	}
-	c.aggHits.Add(uint64(aggs - aggMisses))
-	c.aggMisses.Add(uint64(aggMisses))
-	c.h2cHits.Add(uint64(len(sc.ents) - aggs - (len(sc.miss) - aggMisses)))
-	c.h2cMisses.Add(uint64(len(sc.miss) - aggMisses))
+	c.aggDecodes.Add(uint64(aggs))
+	c.h2cHits.Add(uint64(len(sc.ents) - len(sc.miss)))
+	c.h2cMisses.Add(uint64(len(sc.miss)))
 
 	sc.hs.setInfinity()
 	var run jacPoint // suffix sum of the buckets

@@ -130,43 +130,40 @@ func FuzzFastVerifyAgreesWithPortable(f *testing.F) {
 }
 
 // FuzzPointTable reads the input as a stream of 3-byte operations — put,
-// get or a batch probe, the kind, and a key number (every fourth digest
-// forced onto a single home position) — and holds the tables to the map
-// oracle of h2c_test.go after every step. The bounds are cut to 160
-// digests (two doublings away) and 24 aggregates, so that inputs of a few
-// hundred bytes reach growth, the bound and eviction.
+// get or a batch probe, and a key number (every fourth key forced onto a
+// single home position) — and holds the table to the map oracle of
+// h2c_test.go after every step. The bound is cut to 160 entries (two
+// doublings away), so that inputs of a few hundred bytes reach growth, the
+// bound and eviction.
 func FuzzPointTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 6<<3 | 6})
 	flood := make([]byte, 0, 3*400)
-	for i := 0; i < 400; i++ { // past both bounds, looking back now and then
+	for i := 0; i < 400; i++ { // past the bound, looking back now and then
 		flood = append(flood, byte(i&1)<<7|byte(i>>8), byte(i), byte(i%7))
 	}
 	f.Add(flood)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		o := newOracle(t, 0, 0x0dd5eed)
-		for kind, bound := range [numTags]int{tagDigest: 160, tagAgg: 24} {
-			o.c.tables[kind] = pointTable{bound: bound}
-			o.c.tables[kind].grow(o.c)
-		}
-		keyOf := func(kind byte, i int) cacheKey {
-			if kind == tagDigest && i%4 == 0 {
+		o.c.table = pointTable{bound: 160}
+		o.c.table.grow(o.c)
+		keyOf := func(i int) cacheKey {
+			if i%4 == 0 {
 				return homedKey(o.c.seed, 0x77<<56|uint64(i))
 			}
-			return testKey(kind, i)
+			return testKey(i)
 		}
 		for ; len(ops) >= 3; ops = ops[3:] {
-			kind := ops[0] >> 7
-			i := int(ops[0]&3)<<8 | int(ops[1])
+			i := int(ops[0]>>7)<<10 | int(ops[0]&3)<<8 | int(ops[1])
 			switch op := ops[2] % 8; {
 			case op < 4:
-				o.doPut(keyOf(kind, i))
+				o.doPut(keyOf(i))
 			case op < 6:
-				o.doGet(keyOf(kind, i))
+				o.doGet(keyOf(i))
 			default:
 				keys := make([]cacheKey, ops[2]>>3)
 				for n := range keys {
-					keys[n] = keyOf(kind, i+n)
+					keys[n] = keyOf(i + n)
 				}
 				o.doProbe(keys)
 			}

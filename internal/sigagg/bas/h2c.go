@@ -39,13 +39,15 @@ func hashToCurve(a *affPoint, msg *[]byte, digest []byte) {
 }
 
 // Point cache. Verification traffic re-hashes the same record digests
-// over and over — overlapping ranges share boundary records, hot ranges
-// are re-verified every freshness window, and fleet clients re-check the
-// same catalog on every replica — so the digest→H(d) map (two square
-// roots on average) and the compressed-aggregate decode (one square
-// root) are both memoized. Both functions are pure, so the cache is
-// correctness-neutral; it only ever stores points that decoded/mapped
-// successfully, and a hit compares the whole 34-byte key.
+// over and over — overlapping ranges share boundary records, and a
+// record's digest outlives every answer it appears in until the owner
+// re-signs it — so the digest→H(d) map (two square roots on average) is
+// memoized. The map is pure, so the cache is correctness-neutral, and a
+// hit compares the whole 33-byte key. Aggregates are not cached: for
+// honest data a repeated aggregate is a repeated claim, which the
+// verifier's claim memo (core.Verifier.VerifyJobs) drops before it gets
+// here, so a table of decoded aggregates would hold only points nobody
+// asks for again.
 //
 // A hit is memory latency, not arithmetic: with 20,000 digests resident
 // the points alone are 2 MB, so every lookup leaves L1 and, beside a
@@ -53,26 +55,22 @@ func hashToCurve(a *affPoint, msg *[]byte, digest []byte) {
 // layout is therefore built to make the misses few and to let the misses
 // of one batch overlap:
 //
-//   - One pointTable per entry kind. Its slots — point and key side by
-//     side, 104 bytes — are a dense array that only ever grows (by
-//     doubling, up to the kind's bound) and whose entries are overwritten
-//     in place, never emptied. A full table is exactly bound slots: there
-//     is no load-factor slack on the 104-byte side.
+//   - One pointTable. Its slots — point and key side by side, 104 bytes —
+//     are a dense array that only ever grows (by doubling, up to the
+//     bound) and whose entries are overwritten in place, never emptied. A
+//     full table is exactly bound slots: there is no load-factor slack on
+//     the 104-byte side.
 //   - Beside it a small open-addressed index of uint32s, at most half
 //     full: 8 bits of fingerprint and 24 of slot number, linear probing
 //     from a home position taken from the top bits of a seeded mix of the
-//     key's first eight payload bytes (already uniform: a digest, or a
-//     signature's x-coordinate). A slot is touched only on a fingerprint
-//     match, so a hit is one index line and the slot's own lines.
-//   - Nothing is evicted before a kind holds bound entries, and putting a
-//     resident key again changes nothing. At the bound a new key
-//     overwrites a randomly chosen slot of its own kind: the victim's
-//     index entry is removed by backward-shift deletion (probe chains stay
-//     intact, no tombstones) and the new key's inserted. An answer brings
-//     one aggregate and many digests, and a stream of never-repeating
-//     aggregates (uniformly placed ranges) therefore only ever evicts
-//     other aggregates, not the digests that every later answer over the
-//     same records hits.
+//     key's first eight bytes (already uniform: a digest). A slot is
+//     touched only on a fingerprint match, so a hit is one index line and
+//     the slot's own lines.
+//   - Nothing is evicted before the table holds bound entries, and putting
+//     a resident key again changes nothing. At the bound a new key
+//     overwrites a randomly chosen slot: the victim's index entry is
+//     removed by backward-shift deletion (probe chains stay intact, no
+//     tombstones) and the new key's inserted.
 //   - The seed is drawn per cache, so a peer who chooses record contents
 //     cannot aim digests at one home position of a cache it cannot see;
 //     digests that do share one cost a longer probe, never a wrong point.
@@ -81,15 +79,15 @@ func hashToCurve(a *affPoint, msg *[]byte, digest []byte) {
 //     keeps the core from overlapping one digest's cache misses with the
 //     next one's. Under the one read lock sumJobs first locates a block of
 //     entries (locateBlock) — index probe, then a load from each candidate
-//     slot's lines, all independent — and only then compares keys and adds. H(d) for the
-//     misses is computed with no lock held and stored under one write
-//     lock; the hit and miss counters are added once per call.
+//     slot's lines, all independent — and only then compares keys and
+//     adds. H(d) for the misses is computed with no lock held and stored
+//     under one write lock; the hit and miss counters are added once per
+//     call.
 
 const (
-	// cacheKeyLen namespaces the two kinds of entries: tag byte + 33
-	// bytes of payload (a digest and its length, or a 33-byte
-	// compressed signature).
-	cacheKeyLen = 34
+	// cacheKeyLen is 32 bytes of digest (or of a longer digest's hash)
+	// and one of length; see digestKey.
+	cacheKeyLen = 33
 
 	// An index entry is fingerprint<<slotBits | slot+1; zero is empty.
 	slotBits = 24
@@ -103,31 +101,16 @@ const (
 	hashMul2 = 0xd6e8feb86659fd93
 )
 
-// Entry kinds, the first byte of a key; each has a pointTable of its own.
-const (
-	tagDigest = iota
-	tagAgg
-	numTags
-)
-
 type cacheKey [cacheKeyLen]byte
 
-// aggShare is the part of the cache's entries reserved for aggregate
-// decodes: one in aggShare, 8,192 by default. Measured on the repo
-// benchmark's plan_join (a few thousand live match and boundary
-// aggregates, re-signed at 100 inserts/s): half of that loses a tenth of
-// the verified plans per second, while all 65,536 entries verify no more
-// and cost the client memory once never-repeating aggregates fill them.
-const aggShare = 8
-
 // tableSlot is one resident entry. No pointers: the collector skips the
-// slot arrays.
+// slot array.
 type tableSlot struct {
 	pt  affPoint
 	key cacheKey
 }
 
-// pointTable holds one kind's entries; see the comment above.
+// pointTable holds the entries; see the comment above.
 type pointTable struct {
 	index []uint32 // len a power of two ≥ 2·cap(slots)
 	shift uint     // 64 − log2(len(index))
@@ -135,27 +118,23 @@ type pointTable struct {
 	bound int
 }
 
-// pointCache is the two tables, their lock, the placement seed and the
-// counters VerifyStats reports.
+// pointCache is the table, its lock, the placement seed and the counters
+// VerifyStats reports.
 type pointCache struct {
-	mu     sync.RWMutex
-	tables [numTags]pointTable
-	seed   uint64
-	rng    uint64 // victim choice; guarded by mu held for writing
+	mu    sync.RWMutex
+	table pointTable
+	seed  uint64
+	rng   uint64 // victim choice; guarded by mu held for writing
 
 	h2cHits, h2cMisses atomic.Uint64
-	aggHits, aggMisses atomic.Uint64
+	aggDecodes         atomic.Uint64
 	evictions          atomic.Uint64
 }
 
 func newPointCache(entries int, seed uint64) *pointCache {
-	entries = min(max(entries, minCacheEntries), slotMask)
 	c := &pointCache{seed: seed, rng: seed | 1}
-	c.tables[tagAgg].bound = entries / aggShare
-	c.tables[tagDigest].bound = entries - entries/aggShare
-	for i := range c.tables {
-		c.tables[i].grow(c)
-	}
+	c.table.bound = min(max(entries, minCacheEntries), slotMask)
+	c.table.grow(c)
 	return c
 }
 
@@ -164,7 +143,7 @@ func newPointCache(entries int, seed uint64) *pointCache {
 // again). Two multiply rounds over the seeded word, so that neither the
 // position nor the fingerprint is a function of a few key bits.
 func (c *pointCache) hash(k *cacheKey) uint64 {
-	x := (binary.LittleEndian.Uint64(k[1:9]) ^ c.seed) * hashMul1
+	x := (binary.LittleEndian.Uint64(k[:8]) ^ c.seed) * hashMul1
 	x ^= x >> 32
 	x *= hashMul2
 	return x ^ x>>32
@@ -199,7 +178,7 @@ func (t *pointTable) locate(h uint64) int32 {
 func (c *pointCache) locateBlock(block []probeEntry) (sink uint64) {
 	for i := range block {
 		e := &block[i]
-		t := &c.tables[e.key[0]]
+		t := &c.table
 		if e.slot = t.locate(e.hash); e.slot >= 0 {
 			sl := &t.slots[e.slot]
 			sink += sl.pt.x[0] + sl.pt.y[3] + uint64(sl.key[cacheKeyLen-1])
@@ -213,7 +192,7 @@ func (c *pointCache) locateBlock(block []probeEntry) (sink uint64) {
 // fingerprint, which costs a second walk down the chain. The point is the
 // table's own, valid while the read lock is held.
 func (c *pointCache) confirm(e *probeEntry) *affPoint {
-	t := &c.tables[e.key[0]]
+	t := &c.table
 	if e.slot >= 0 && t.slots[e.slot].key != e.key {
 		e.slot = t.find(e.hash, &e.key)
 	}
@@ -288,13 +267,13 @@ func (t *pointTable) grow(c *pointCache) {
 	}
 }
 
-// put stores k → a in k's table; h is c.hash(k). The caller holds c.mu
+// put stores k → a; h is c.hash(k). The caller holds c.mu
 // for writing. A resident key is left as it is (two goroutines that
 // missed on the same digest both put it, and the second must not cost the
 // table an entry); a victim is overwritten only once the table holds
 // bound entries.
 func (c *pointCache) put(h uint64, k *cacheKey, a *affPoint) {
-	t := &c.tables[k[0]]
+	t := &c.table
 	if t.find(h, k) >= 0 {
 		return
 	}
@@ -323,22 +302,13 @@ func (c *pointCache) put(h uint64, k *cacheKey, a *affPoint) {
 // with a length no short digest has, so distinct inputs never collide.
 func digestKey(d []byte) cacheKey {
 	var k cacheKey
-	k[0] = tagDigest
 	if len(d) <= 32 {
-		copy(k[1:], d)
+		copy(k[:], d)
 		k[cacheKeyLen-1] = byte(len(d))
 	} else {
 		h := sha256.Sum256(d)
-		copy(k[1:], h[:])
+		copy(k[:], h[:])
 		k[cacheKeyLen-1] = 0xff
 	}
-	return k
-}
-
-// aggKey builds the cache key for a compressed signature point.
-func aggKey(sig []byte) cacheKey {
-	var k cacheKey
-	k[0] = tagAgg
-	copy(k[1:], sig) // compressed points are exactly 33 bytes
 	return k
 }

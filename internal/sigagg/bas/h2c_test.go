@@ -11,22 +11,18 @@ import (
 	"authdb/internal/sigagg"
 )
 
-// The point tables are checked against a plain map. Eviction picks its
+// The point table is checked against a plain map. Eviction picks its
 // victims at random, so the map cannot predict *which* keys are resident
-// once a kind is over its bound; it holds every key ever put and the point
-// put for it, and the oracle checks what must hold whichever victim was
-// taken: a hit returns the point that was put; nothing is evicted before a
-// kind holds its bound; putting a resident key changes nothing; a new key
-// at the bound costs exactly one entry of its own kind; and the index
+// once the table is over its bound; it holds every key ever put and the
+// point put for it, and the oracle checks what must hold whichever victim
+// was taken: a hit returns the point that was put; nothing is evicted
+// before the table holds its bound; putting a resident key changes
+// nothing; a new key at the bound costs exactly one entry; and the index
 // reaches every slot from its key (oracle.audit).
 
-// testKey is key number i of kind: uniform payload bytes, as real digests
-// and signatures have.
-func testKey(kind byte, i int) cacheKey {
-	h := sha256.Sum256([]byte{kind, byte(i), byte(i >> 8), byte(i >> 16), byte(i >> 24)})
-	if kind == tagAgg {
-		return aggKey(append([]byte{2 + byte(i&1)}, h[:]...))
-	}
+// testKey is key number i: uniform payload bytes, as real digests have.
+func testKey(i int) cacheKey {
+	h := sha256.Sum256([]byte{byte(i), byte(i >> 8), byte(i >> 16), byte(i >> 24)})
 	return digestKey(h[:20])
 }
 
@@ -46,8 +42,7 @@ func homedKey(seed, want uint64) cacheKey {
 	x ^= x >> 32
 	x *= inv(hashMul1)
 	var k cacheKey
-	k[0] = tagDigest
-	binary.LittleEndian.PutUint64(k[1:9], x^seed)
+	binary.LittleEndian.PutUint64(k[:8], x^seed)
 	k[cacheKeyLen-1] = 20
 	return k
 }
@@ -68,7 +63,7 @@ type oracle struct {
 	t        testing.TB
 	c        *pointCache
 	put      map[cacheKey]affPoint // every key ever put
-	distinct [numTags]int
+	distinct int
 }
 
 func newOracle(t testing.TB, entries int, seed uint64) *oracle {
@@ -78,19 +73,15 @@ func newOracle(t testing.TB, entries int, seed uint64) *oracle {
 // doPut puts k and checks what the put may and may not have changed.
 func (o *oracle) doPut(k cacheKey) {
 	o.t.Helper()
-	c, t, other := o.c, &o.c.tables[k[0]], &o.c.tables[1-k[0]]
+	c, t := o.c, &o.c.table
 	h := c.hash(&k)
 	resident := t.find(h, &k) >= 0
-	n, nOther, evicted := len(t.slots), len(other.slots), c.evictions.Load()
-	var otherBefore []tableSlot // snapshot when this put must evict
-	if !resident && n == t.bound {
-		otherBefore = append(otherBefore, other.slots...)
-	}
+	n, evicted := len(t.slots), c.evictions.Load()
 	pt := testPoint(&k)
 	c.put(h, &k, &pt)
 	if _, seen := o.put[k]; !seen {
 		o.put[k] = pt
-		o.distinct[k[0]]++
+		o.distinct++
 	}
 	wantLen, wantEvicted := n, evicted
 	switch {
@@ -107,45 +98,34 @@ func (o *oracle) doPut(k cacheKey) {
 	if s := t.find(h, &k); s < 0 || t.slots[s].pt != pt {
 		o.t.Fatalf("a key just put is not resident with its point (slot %d)", s)
 	}
-	if len(other.slots) != nOther {
-		o.t.Fatalf("a put of kind %d changed kind %d's entry count", k[0], 1-k[0])
-	}
-	for s := range otherBefore {
-		if other.slots[s] != otherBefore[s] {
-			o.t.Fatalf("a put of kind %d changed slot %d of kind %d", k[0], s, 1-k[0])
-		}
-	}
 }
 
 // check compares one lookup's outcome with the map.
 func (o *oracle) check(k *cacheKey, slot int32) {
 	o.t.Helper()
-	t := &o.c.tables[k[0]]
+	t := &o.c.table
 	want, seen := o.put[*k]
 	switch {
 	case slot >= 0 && !seen:
 		o.t.Fatalf("hit on a key never put")
 	case slot >= 0 && (t.slots[slot].key != *k || t.slots[slot].pt != want):
 		o.t.Fatalf("hit returned another key's slot or another point")
-	case slot < 0 && seen && o.distinct[k[0]] <= t.bound:
+	case slot < 0 && seen && o.distinct <= t.bound:
 		o.t.Fatalf("miss on a key that was put, with %d distinct keys in a table bounded at %d",
-			o.distinct[k[0]], t.bound)
+			o.distinct, t.bound)
 	}
 }
 
 func (o *oracle) doGet(k cacheKey) {
 	o.t.Helper()
-	o.check(&k, o.c.tables[k[0]].find(o.c.hash(&k), &k))
+	o.check(&k, o.c.table.find(o.c.hash(&k), &k))
 }
 
-// doProbe looks keys (all of one kind) up the way sumJobs does: locate a
-// block, then confirm each candidate.
+// doProbe looks keys up the way sumJobs does: locate a block, then
+// confirm each candidate.
 func (o *oracle) doProbe(keys []cacheKey) {
 	o.t.Helper()
-	if len(keys) == 0 {
-		return
-	}
-	t := &o.c.tables[keys[0][0]]
+	t := &o.c.table
 	block := make([]probeEntry, len(keys))
 	for i := range keys {
 		block[i] = probeEntry{key: keys[i], hash: o.c.hash(&keys[i])}
@@ -160,69 +140,61 @@ func (o *oracle) doProbe(keys []cacheKey) {
 	}
 }
 
-// audit walks both tables: bounds hold, the index has one entry per slot,
-// and every slot is reached from its own key.
+// audit walks the table: the bound holds, the index has one entry per
+// slot, and every slot is reached from its own key.
 func (o *oracle) audit() {
 	o.t.Helper()
-	for kind := range o.c.tables {
-		t := &o.c.tables[kind]
-		if len(t.slots) > t.bound || len(t.index) < 2*cap(t.slots) {
-			o.t.Fatalf("kind %d: %d slots (cap %d) under bound %d with an index of %d",
-				kind, len(t.slots), cap(t.slots), t.bound, len(t.index))
+	t := &o.c.table
+	if len(t.slots) > t.bound || len(t.index) < 2*cap(t.slots) {
+		o.t.Fatalf("%d slots (cap %d) under bound %d with an index of %d",
+			len(t.slots), cap(t.slots), t.bound, len(t.index))
+	}
+	if want := min(o.distinct, t.bound); len(t.slots) != want {
+		o.t.Fatalf("%d entries after %d distinct keys, bound %d", len(t.slots), o.distinct, t.bound)
+	}
+	used := 0
+	for _, e := range t.index {
+		if e != 0 {
+			used++
 		}
-		if want := min(o.distinct[kind], t.bound); len(t.slots) != want {
-			o.t.Fatalf("kind %d holds %d entries after %d distinct keys, bound %d",
-				kind, len(t.slots), o.distinct[kind], t.bound)
-		}
-		used := 0
-		for _, e := range t.index {
-			if e != 0 {
-				used++
-			}
-		}
-		if used != len(t.slots) {
-			o.t.Fatalf("kind %d: %d index entries for %d slots", kind, used, len(t.slots))
-		}
-		for s := range t.slots {
-			k := &t.slots[s].key
-			if int(k[0]) != kind {
-				o.t.Fatalf("kind %d holds a key of kind %d", kind, k[0])
-			}
-			if got := t.find(o.c.hash(k), k); int(got) != s {
-				o.t.Fatalf("kind %d: slot %d's key is found at %d", kind, s, got)
-			}
+	}
+	if used != len(t.slots) {
+		o.t.Fatalf("%d index entries for %d slots", used, len(t.slots))
+	}
+	for s := range t.slots {
+		k := &t.slots[s].key
+		if got := t.find(o.c.hash(k), k); int(got) != s {
+			o.t.Fatalf("slot %d's key is found at %d", s, got)
 		}
 	}
 }
 
 // TestTableMatchesMapOracle drives seeded streams of puts, gets and batch
-// probes over both kinds — four times either bound in distinct keys, an
-// eighth of the digests forced onto one home position — through the
-// oracle.
+// probes — four times the bound in distinct keys, an eighth of them forced
+// onto one home position — through the oracle.
 func TestTableMatchesMapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		o := newOracle(t, minCacheEntries, rng.Uint64())
-		keyOf := func(kind byte, i int) cacheKey {
-			if kind == tagDigest && i%8 == 0 {
+		keyOf := func(i int) cacheKey {
+			if i%8 == 0 {
 				return homedKey(o.c.seed, 0xabcd<<48|uint64(i))
 			}
-			return testKey(kind, i)
+			return testKey(i)
 		}
 		for step := 0; step < 12000; step++ {
-			kind := byte(rng.Intn(numTags))
 			// The key space opens up as the stream runs, so that it passes
 			// through "everything fits" into "four times the bound".
-			space := 1 + 4*o.c.tables[kind].bound*step/12000
+			space := 1 + 4*o.c.table.bound*step/12000
 			switch op := rng.Intn(10); {
 			case op < 4:
-				o.doPut(keyOf(kind, rng.Intn(space)))
+				o.doPut(keyOf(rng.Intn(space)))
 			case op < 8:
-				o.doGet(keyOf(kind, rng.Intn(space+8)))
+				o.doGet(keyOf(rng.Intn(space + 8)))
 			default:
 				keys := make([]cacheKey, rng.Intn(2*probeBlock))
 				for i := range keys {
-					keys[i] = keyOf(kind, rng.Intn(space+8))
+					keys[i] = keyOf(rng.Intn(space + 8))
 				}
 				o.doProbe(keys)
 			}
@@ -231,23 +203,21 @@ func TestTableMatchesMapOracle(t *testing.T) {
 			}
 		}
 		o.audit()
-		for kind, tb := range o.c.tables {
-			if o.distinct[kind] < 2*tb.bound {
-				t.Fatalf("seed %d: only %d distinct keys of kind %d, bound %d", seed, o.distinct[kind], kind, tb.bound)
-			}
+		if o.distinct < 2*o.c.table.bound {
+			t.Fatalf("seed %d: only %d distinct keys, bound %d", seed, o.distinct, o.c.table.bound)
 		}
 	}
 }
 
-// TestCacheEvictionBounded: a working set inside a kind's bound is fully
-// resident — nothing is evicted before the kind is full — and one past it
+// TestCacheEvictionBounded: a working set inside the bound is fully
+// resident — nothing is evicted before the table is full — and one past it
 // is held to the bound while verification stays correct (evicted entries
 // are re-derived, never assumed).
 func TestCacheEvictionBounded(t *testing.T) {
 	s := New(0, WithCacheEntries(1)) // clamps to minCacheEntries
-	dt, at := &s.cache.tables[tagDigest], &s.cache.tables[tagAgg]
-	if dt.bound+at.bound != minCacheEntries || at.bound != minCacheEntries/aggShare {
-		t.Fatalf("clamped bounds are %d digests and %d aggregates", dt.bound, at.bound)
+	dt := &s.cache.table
+	if dt.bound != minCacheEntries {
+		t.Fatalf("clamped bound is %d digests", dt.bound)
 	}
 	priv, pub, err := s.KeyGen(newDetRand(9))
 	if err != nil {
@@ -263,8 +233,8 @@ func TestCacheEvictionBounded(t *testing.T) {
 		jobs[i] = sigagg.VerifyJob{Digests: digests[i : i+1], Agg: sigs[i]}
 	}
 
-	// Exactly the digests' bound in digests, as few aggregates as hold
-	// them: every one of them must still be there afterwards.
+	// Exactly the bound in digests: every one of them must still be there
+	// afterwards.
 	for lo := 0; lo < dt.bound; lo += 8 {
 		agg, err := s.AggregateInto(nil, sigs[lo:lo+8])
 		if err != nil {
@@ -285,7 +255,7 @@ func TestCacheEvictionBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := s.VerifyStats(); st.H2CCacheMisses != before.H2CCacheMisses || st.AggCacheMisses != before.AggCacheMisses {
+	if st := s.VerifyStats(); st.H2CCacheMisses != before.H2CCacheMisses {
 		t.Fatalf("a working set the size of the bound was not fully resident: %+v -> %+v", before, st)
 	}
 
@@ -299,8 +269,8 @@ func TestCacheEvictionBounded(t *testing.T) {
 	if st := s.VerifyStats(); st.CacheEvictions == 0 {
 		t.Fatalf("expected evictions with %d digests in a clamped cache: %+v", len(digests), st)
 	}
-	if len(dt.slots) != dt.bound || len(at.slots) != at.bound {
-		t.Fatalf("%d digests and %d aggregates resident, bounds %d and %d", len(dt.slots), len(at.slots), dt.bound, at.bound)
+	if len(dt.slots) != dt.bound {
+		t.Fatalf("%d digests resident, bound %d", len(dt.slots), dt.bound)
 	}
 }
 
@@ -311,46 +281,19 @@ func TestCacheEvictionBounded(t *testing.T) {
 // property is the table's now.)
 func TestCachePutResidentKeepsShardFull(t *testing.T) {
 	o := newOracle(t, 0, 7)
-	full := o.c.tables[tagDigest].bound
+	full := o.c.table.bound
 	for i := 0; i < full; i++ {
 		o.doPut(digestKey([]byte{byte(i), byte(i >> 8)})) // short digests: little to place by
 	}
 	for i := 0; i < 10; i++ {
 		o.doPut(digestKey([]byte{0, 0}))
 	}
-	if n, ev := len(o.c.tables[tagDigest].slots), o.c.evictions.Load(); n != full || ev != 0 {
+	if n, ev := len(o.c.table.slots), o.c.evictions.Load(); n != full || ev != 0 {
 		t.Fatalf("re-putting a resident key: %d of %d entries, %d evictions", n, full, ev)
 	}
 	o.doPut(digestKey([]byte{0xff, 0xff, 1}))
-	if n, ev := len(o.c.tables[tagDigest].slots), o.c.evictions.Load(); n != full || ev != 1 {
+	if n, ev := len(o.c.table.slots), o.c.evictions.Load(); n != full || ev != 1 {
 		t.Fatalf("a new key in a full table: %d entries, %d evictions; want %d and 1", n, ev, full)
-	}
-	o.audit()
-}
-
-// TestAggFloodEvictsNoDigest: a stream of never-repeating aggregates
-// (cold_scan's shape) fills the aggregates' table and from then on evicts
-// aggregates only, whatever it does to the index it does not share.
-func TestAggFloodEvictsNoDigest(t *testing.T) {
-	o := newOracle(t, 1024, 11)
-	dt, at := &o.c.tables[tagDigest], &o.c.tables[tagAgg]
-	for i := 0; i < dt.bound; i++ {
-		o.doPut(testKey(tagDigest, i))
-	}
-	// The flood: four times the cache's whole capacity in distinct
-	// compressed points.
-	const flood = 4 * 1024
-	for i := 0; i < flood; i++ {
-		o.doPut(testKey(tagAgg, i))
-	}
-	for i := 0; i < dt.bound; i++ {
-		k := testKey(tagDigest, i)
-		if dt.find(o.c.hash(&k), &k) < 0 {
-			t.Fatalf("the aggregate flood evicted digest %d of %d", i, dt.bound)
-		}
-	}
-	if n, ev := len(at.slots), o.c.evictions.Load(); n != at.bound || ev != uint64(flood-at.bound) {
-		t.Fatalf("%d aggregates resident (bound %d) after %d evictions, want %d", n, at.bound, ev, flood-at.bound)
 	}
 	o.audit()
 }
@@ -371,7 +314,7 @@ func TestSeedChangesPlacement(t *testing.T) {
 			o.doPut(keys[i])
 		}
 		o.audit()
-		tb := &o.c.tables[tagDigest]
+		tb := &o.c.table
 		seen := map[uint64]bool{}
 		for i := range keys {
 			h := o.c.hash(&keys[i])
@@ -393,8 +336,8 @@ func TestSeedChangesPlacement(t *testing.T) {
 	// And ordinary keys: the same ones sit at different positions.
 	moved := 0
 	for i := 0; i < 1000; i++ {
-		k := testKey(tagDigest, i)
-		if c0.hash(&k)>>c0.tables[tagDigest].shift != c1.hash(&k)>>c1.tables[tagDigest].shift {
+		k := testKey(i)
+		if c0.hash(&k)>>c0.table.shift != c1.hash(&k)>>c1.table.shift {
 			moved++
 		}
 	}
@@ -461,7 +404,7 @@ func TestSumJobsConcurrentMisses(t *testing.T) {
 	if lookups := uint64(workers * 3 * 2 * slice); st.H2CCacheHits+st.H2CCacheMisses != lookups {
 		t.Errorf("%d hits + %d misses, want %d lookups", st.H2CCacheHits, st.H2CCacheMisses, lookups)
 	}
-	if got := len(s.cache.tables[tagDigest].slots); got != len(digests) || st.CacheEvictions != 0 {
+	if got := len(s.cache.table.slots); got != len(digests) || st.CacheEvictions != 0 {
 		t.Errorf("%d of %d digests resident, %d evictions", got, len(digests), st.CacheEvictions)
 	}
 

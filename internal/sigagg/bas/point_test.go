@@ -411,7 +411,7 @@ func TestKernelAllocatesNothing(t *testing.T) {
 	if n != 0 {
 		t.Errorf("warm sumJobs (8 jobs × 50 digests): %v allocs per run, want 0", n)
 	}
-	if after := s.VerifyStats(); after.H2CCacheMisses != before.H2CCacheMisses || after.AggCacheMisses != before.AggCacheMisses {
+	if after := s.VerifyStats(); after.H2CCacheMisses != before.H2CCacheMisses {
 		t.Errorf("the batch was not warm: %+v -> %+v", before, after)
 	}
 }

@@ -138,9 +138,12 @@ type VerifyStats struct {
 	// digest→point cache vs computed with the full try-and-increment map.
 	H2CCacheHits   uint64 `json:"h2c_cache_hits"`
 	H2CCacheMisses uint64 `json:"h2c_cache_misses"`
-	// AggCacheHits/Misses count aggregate-signature point decodes served
-	// from cache vs paid in full (a compressed-point decode costs a
-	// square root).
+	// AggCacheMisses counts aggregate-signature point decodes (a
+	// compressed-point decode costs a square root). No scheme caches
+	// them any more — a verifier that would see an aggregate twice
+	// remembers the whole claim instead (core.Verifier.VerifyJobs) — so
+	// AggCacheHits stays 0; both fields remain for the readers compiled
+	// against them.
 	AggCacheHits   uint64 `json:"agg_cache_hits"`
 	AggCacheMisses uint64 `json:"agg_cache_misses"`
 	// CacheEvictions counts cached points dropped by the size bound.
