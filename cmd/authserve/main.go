@@ -4,10 +4,10 @@
 // is loaded from the trusted data aggregator under its own key, kept
 // live by a background update/ρ-period writer, and carried from owner to
 // server by one relation runtime (internal/wal.Runtime). The listener
-// serves verifiable range selections on the first relation and
-// select-project-join plans across all of them over TCP
-// (length-prefixed wire frames, pipelined, zero-copy from the answer
-// caches) and streams certified freshness summaries.
+// serves verifiable query plans over the catalog — a range selection on
+// one relation is the plan that is one scan — over TCP (length-prefixed
+// wire frames, pipelined, zero-copy from the answer caches) and streams
+// certified freshness summaries.
 //
 // With -data <dir> the pipeline is durable: every dissemination
 // message is write-ahead logged under <dir>/<relation> (group-committed
@@ -285,11 +285,26 @@ func runFollow(args []string) error {
 		<-runDone
 	}, func() {
 		st, fst := srv.Stats(), fl.Stats()
-		fmt.Printf("authserve follow: served %d queries, %d summary fetches across %d conns; applied %d records, %d bootstraps, %d reconnects, final lag %d\n",
-			st.Queries, st.Summaries, st.Conns, fst.Records, fst.Bootstraps, fst.Reconnects, fst.Lag)
+		fmt.Printf("authserve follow: served %s across %d conns; applied %d records, %d bootstraps, %d reconnects, final lag %d\n",
+			requestCounts(st), st.Conns, fst.Records, fst.Bootstraps, fst.Reconnects, fst.Lag)
 	})
 }
 
+// requestCounts words a listener's per-kind request counters for the
+// closing line, in the protocol table's order.
+func requestCounts(st server.NetStats) string {
+	var parts []string
+	for _, row := range wire.Kinds {
+		if n, ok := st.Requests[row.Kind]; ok {
+			parts = append(parts, fmt.Sprintf("%d '%c' requests", n, row.Kind))
+		}
+	}
+	return strings.Join(parts, ", ")
+}
+
+// runQuery connects as a verifying client and issues -count copies of one
+// plan, pipelined: -lo/-hi alone is the range selection (a bare scan) on
+// the first catalog relation, and -rel, -join and -attrs add to it.
 func runQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7845", "server address(es); comma-separate a replica fleet to fail over across")
@@ -301,10 +316,10 @@ func runQuery(args []string) error {
 	retries := fs.Int("retries", 3, "attempts per request across reconnects/backoff (1 = fail fast)")
 	reqSec := fs.Int("request-timeout", 30, "per-request deadline (seconds; 0 = none)")
 	catalog := fs.String("catalog", core.DefaultRelation, "comma-separated relation names of the server's catalog (must match the server's -catalog)")
-	rel := fs.String("rel", "", "plan query: relation to select from (default: first catalog relation)")
-	joinRel := fs.String("join", "", "plan query: equi-join the selection against this relation")
+	rel := fs.String("rel", "", "relation to select from (default: first catalog relation)")
+	joinRel := fs.String("join", "", "equi-join the selection against this relation")
 	method := fs.String("method", "bf", "join non-match proof method: bf (certified Bloom filter) or bv (boundary values)")
-	attrsFlag := fs.String("attrs", "", "plan query: comma-separated attribute slots to project (empty = the chained records)")
+	attrsFlag := fs.String("attrs", "", "comma-separated attribute slots to project (empty = the chained records)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -318,8 +333,7 @@ func runQuery(args []string) error {
 		return fmt.Errorf("-catalog names no relation")
 	}
 	// Re-derive every relation's demo key pair (only the public halves
-	// are used); the session's base key is the first relation's, which
-	// the plain range protocol serves.
+	// are used); the session's base key is the first relation's.
 	relations := make(map[string]sigagg.PublicKey, len(names))
 	for _, name := range names {
 		_, pub, err := scheme.KeyGen(relKeyRand(*keyseed, *schemeName, name))
@@ -328,6 +342,29 @@ func runQuery(args []string) error {
 		}
 		relations[name] = pub
 	}
+	if *rel == "" {
+		*rel = names[0]
+	}
+	spec := &query.Spec{Rel: *rel, Lo: *lo, Hi: *hi}
+	for _, a := range splitList(*attrsFlag) {
+		slot, err := strconv.Atoi(a)
+		if err != nil || slot < 0 {
+			return fmt.Errorf("bad attribute slot %q", a)
+		}
+		spec.Attrs = append(spec.Attrs, slot)
+	}
+	if *joinRel != "" {
+		spec.Join = &query.JoinSpec{Rel: *joinRel}
+		switch strings.ToLower(strings.TrimSpace(*method)) {
+		case "bf":
+			spec.Join.Method = join.BF
+		case "bv":
+			spec.Join.Method = join.BV
+		default:
+			return fmt.Errorf("unknown join method %q (want bf or bv)", *method)
+		}
+	}
+
 	pub := relations[names[0]]
 	bound, err := sigagg.Bind(scheme, pub)
 	if err != nil {
@@ -349,36 +386,25 @@ func runQuery(args []string) error {
 		return err
 	}
 	defer cl.Close()
-	if *rel != "" || *joinRel != "" || *attrsFlag != "" {
-		if *rel == "" {
-			*rel = names[0]
-		}
-		return runPlanQuery(cl, *rel, *joinRel, *method, *attrsFlag, *lo, *hi, *count)
-	}
 
-	ingested, err := cl.SyncSummaries(0)
-	if err != nil {
-		return fmt.Errorf("summary log-in sync: %w", err)
-	}
-	fmt.Printf("authserve query: synced %d certified summaries from %s\n", ingested, cl.CurrentAddr())
-	ranges := make([]core.Range, *count)
-	for i := range ranges {
-		ranges[i] = core.Range{Lo: *lo, Hi: *hi}
+	specs := make([]*query.Spec, *count)
+	for i := range specs {
+		specs[i] = spec
 	}
 	t0 := time.Now()
-	answers, reports, err := cl.QueryBatch(ranges)
+	comps, err := cl.QueryPlans(specs)
 	if err != nil {
 		return err
 	}
 	rtt := time.Since(t0)
-	if len(answers) > 0 { // the pipelined repeats are identical: report the first
-		fmt.Printf("authserve query: [%d,%d] -> %d records, VO %d bytes, staleness bound %dms — VERIFIED (authenticity, completeness, freshness)\n",
-			*lo, *hi, len(answers[0].Chain.Records), answers[0].VOSize(bound.SignatureSize()), reports[0].MaxStaleness)
-	}
 	st := cl.Stats()
-	fmt.Printf("authserve query: %d answers verified in %v (%d bytes in, %d summaries held)\n",
-		st.Verified, rtt, st.BytesIn, cl.SummaryCount())
-	printClaims(st)
+	if len(comps) > 0 { // the pipelined repeats are identical: report the first
+		report(spec, comps[0], bound.SignatureSize())
+	}
+	fmt.Printf("authserve query: %d answers verified in %v (%d bytes in, %d summaries ingested; %d join matches, %d Bloom negatives, %d Bloom fallbacks, %d boundary proofs, %d attribute signatures)\n",
+		st.Verified, rtt, st.BytesIn, st.Summaries, st.JoinMatches, st.JoinBFNegs, st.JoinBFFalls, st.JoinBounds, st.AttrSigsVerif)
+	fmt.Printf("authserve query: %d signature claims verified by the scheme, %d already closed by this session (%d batches without curve arithmetic)\n",
+		st.ClaimMisses, st.ClaimHits, st.BatchesWithoutEC)
 	if len(addrs) > 1 {
 		fmt.Printf("authserve query: fleet of %d, finished on %s (%d failovers, %d quarantined)\n",
 			len(addrs), cl.CurrentAddr(), st.Failovers, st.Quarantines)
@@ -389,63 +415,25 @@ func runQuery(args []string) error {
 	return nil
 }
 
-// runPlanQuery issues -count select-project-join plan queries and
-// reports the verified composite answers.
-func runPlanQuery(cl *client.Client, rel, joinRel, method, attrsFlag string, lo, hi int64, count int) error {
-	spec := &query.Spec{Rel: rel, Lo: lo, Hi: hi}
-	for _, a := range splitList(attrsFlag) {
-		slot, err := strconv.Atoi(a)
-		if err != nil || slot < 0 {
-			return fmt.Errorf("bad attribute slot %q", a)
-		}
-		spec.Attrs = append(spec.Attrs, slot)
-	}
-	if joinRel != "" {
-		js := &query.JoinSpec{Rel: joinRel}
-		switch strings.ToLower(strings.TrimSpace(method)) {
-		case "bf":
-			js.Method = join.BF
-		case "bv":
-			js.Method = join.BV
-		default:
-			return fmt.Errorf("unknown join method %q (want bf or bv)", method)
-		}
-		spec.Join = js
-	}
-	t0 := time.Now()
-	var comp *wire.Composite
-	var err error
-	for i := 0; i < count; i++ {
-		if comp, err = cl.QueryPlan(spec); err != nil {
-			return err
-		}
-	}
-	rtt := time.Since(t0)
-	line := fmt.Sprintf("authserve query: σ[%d,%d](%s)", lo, hi, rel)
-	if spec.Attrs != nil {
+// report prints one verified answer: the plan, and whichever sections
+// its composite has.
+func report(spec *query.Spec, comp *wire.Composite, sigSize int) {
+	line := fmt.Sprintf("authserve query: σ[%d,%d](%s)", spec.Lo, spec.Hi, spec.Rel)
+	proved := "chain"
+	if comp.Proj != nil {
 		line = fmt.Sprintf("%s π%v", line, spec.Attrs)
+		proved += ", projection aggregate"
 	}
-	if spec.Join != nil {
-		line = fmt.Sprintf("%s ⋈ %s (%s)", line, joinRel, strings.ToLower(method))
+	if comp.Join != nil {
+		line = fmt.Sprintf("%s ⋈ %s (%v)", line, spec.Join.Rel, spec.Join.Method)
+		proved += ", join coverage"
 	}
-	fmt.Printf("%s -> %d records", line, len(comp.Outer.Records))
+	fmt.Printf("%s -> %d records, chain VO %d bytes", line, len(comp.Outer.Records), comp.Outer.VOSize(sigSize))
 	if comp.Proj != nil {
 		fmt.Printf(", %d projected rows", len(comp.Proj.Rows))
 	}
 	if comp.Join != nil {
 		fmt.Printf(", %d matches + %d non-match proofs", len(comp.Join.Matches), len(comp.Join.Unmatched))
 	}
-	fmt.Printf(" — VERIFIED (chain, projection aggregate, join coverage, freshness)\n")
-	st := cl.Stats()
-	fmt.Printf("authserve query: %d plans verified in %v (%d join matches, %d Bloom negatives, %d Bloom fallbacks, %d boundary proofs, %d attribute signatures)\n",
-		st.Plans, rtt, st.JoinMatches, st.JoinBFNegs, st.JoinBFFalls, st.JoinBounds, st.AttrSigsVerif)
-	printClaims(st)
-	return nil
-}
-
-// printClaims reports where the session's signature claims were closed:
-// by the scheme, or by the verifier's memory of having closed them.
-func printClaims(st client.Stats) {
-	fmt.Printf("authserve query: %d signature claims verified by the scheme, %d already closed by this session (%d batches without curve arithmetic)\n",
-		st.ClaimMisses, st.ClaimHits, st.BatchesWithoutEC)
+	fmt.Printf(" — VERIFIED (%s, freshness)\n", proved)
 }

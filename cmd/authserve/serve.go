@@ -42,12 +42,12 @@ func parseServeFlags(args []string) (*serveFlags, error) {
 	fs.StringVar(&f.addr, "addr", "127.0.0.1:7845", "listen address")
 	fs.StringVar(&f.scheme, "scheme", "bas", "scheme (bas, crsa, xortest)")
 	fs.StringVar(&f.keyseed, "keyseed", "demo", "deterministic demo key seed (share with clients); relation rel signs under the key derived from keyseed:scheme:rel")
-	catalog := fs.String("catalog", core.DefaultRelation, "comma-separated relation names (first = outer relation, served by plain range queries; the rest are join inners)")
+	catalog := fs.String("catalog", core.DefaultRelation, "comma-separated relation names (first = outer relation, the one with projectable attributes and an answer cache; the rest are join inners)")
 	fs.IntVar(&f.n, "n", 100_000, "outer relation size (keys 10, 20, …, 10n)")
 	fs.IntVar(&f.joinEvery, "join-every", 3, "inner relations hold every k-th outer key")
 	fs.Float64Var(&f.filterBits, "filter-bits", 8, "Bloom bits per key for the inner relations' certified join filters")
 	fs.IntVar(&f.shards, "shards", 64, "QueryServer key-range shards per relation")
-	fs.Int64Var(&f.cacheMB, "cache-mb", 64, "budget, in MiB, of the range-answer cache and, separately, of the plan-answer cache; each holds nothing until its kind of query is served (0 = uncached)")
+	fs.Int64Var(&f.cacheMB, "cache-mb", 64, "budget, in MiB, of the outer relation's answer cache (bare scans) and, separately, of the plan cache (plans with operators); each holds nothing until such a plan is served (0 = uncached)")
 	fs.Float64Var(&f.updEveryMS, "update-every", 50, "background writer cadence (ms; 0 = static catalog)")
 	fs.IntVar(&f.sumEvery, "summary-every", 20, "close a ρ-period on every relation every k updates (0 = never)")
 	fs.IntVar(&f.net.MaxConns, "max-conns", 1024, "concurrent connection cap (0 = unlimited)")
@@ -320,7 +320,7 @@ func runServe(args []string) error {
 		return err
 	}
 	defer s.close()
-	fmt.Printf("authserve: listening on %s with catalog %v (outer %q: %d records, %d shards; plan queries enabled)\n",
+	fmt.Printf("authserve: listening on %s with catalog %v (outer %q: %d records, %d shards)\n",
 		s.srv.Addr(), f.names, f.names[0], s.rts[0].QS.Len(), s.rts[0].QS.Shards())
 	switch {
 	case s.src != nil:
@@ -371,8 +371,8 @@ func runServe(args []string) error {
 		<-writerDone
 	}, func() {
 		st, es := s.srv.Stats(), s.eng.Stats()
-		fmt.Printf("authserve: served %d queries, %d plans (%d join probes, %d Bloom negatives), %d summary fetches, %d MiB across %d conns\n",
-			st.Queries, st.Plans, es.JoinProbes, es.BFNegatives, st.Summaries, st.BytesOut>>20, st.Conns)
+		fmt.Printf("authserve: served %s (%d join probes, %d Bloom negatives), %d MiB across %d conns\n",
+			requestCounts(st), es.JoinProbes, es.BFNegatives, st.BytesOut>>20, st.Conns)
 	})
 }
 

@@ -60,8 +60,10 @@
 // feed (internal/replica), snapshotting in the background at the cut
 // between two messages. A server is a catalog of 1..k such relations
 // (core.Catalog; core.System is the one-relation case) under one
-// streaming select-project-join planner (internal/query) whose
-// composite answers the client verifies per relation. authserve, the
+// streaming select-project-join planner (internal/query), and every
+// query a client sends is a plan — a range selection the plan that is
+// one scan — answered by one composite the client verifies per relation
+// (one request frame 'P', one answer frame 'C', one client path). authserve, the
 // chaos and fleet soaks (tests of internal/server) and the repo
 // benchmark all run that one pipeline; in memory and unreplicated are its
 // nil-store and nil-feed cases.

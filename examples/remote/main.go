@@ -20,6 +20,7 @@ import (
 	"authdb/internal/freshness"
 	"authdb/internal/server"
 	"authdb/internal/sigagg/bas"
+	"authdb/internal/wire"
 )
 
 func main() {
@@ -139,5 +140,5 @@ func main() {
 	}
 	st := srv.Stats()
 	fmt.Printf("server drained: %d queries, %d summary fetches, %d bytes out\n",
-		st.Queries, st.Summaries, st.BytesOut)
+		st.Requests[wire.KindPlan], st.Requests[wire.KindRelSummaries], st.BytesOut)
 }

@@ -13,33 +13,53 @@ import (
 	"authdb/internal/wire"
 )
 
-// tamperMode selects the adversary's behavior.
-type tamperMode int
+// forgery rewrites one decoded composite answer in place and reports
+// whether it found anything to tamper with. Every forgery is written
+// against the composite, so it applies to whatever plan the frame answers
+// — a range selection's answer is the composite with no operator
+// sections.
+type forgery func(*wire.Composite) bool
 
-const (
-	tamperNone    tamperMode = iota
-	tamperSigFlip            // flip the answer's aggregate signature
-	tamperRowSwap            // reorder the answer's records
-	tamperReplay             // re-serve captured pre-update responses
-)
+// tamperSigFlip flips a bit of the scan's aggregate signature.
+func tamperSigFlip(comp *wire.Composite) bool {
+	if len(comp.Outer.Agg) == 0 {
+		return false
+	}
+	comp.Outer.Agg[0] ^= 0x01
+	return true
+}
+
+// tamperRowSwap reorders the scan's records.
+func tamperRowSwap(comp *wire.Composite) bool {
+	r := comp.Outer.Records
+	if len(r) < 2 {
+		return false
+	}
+	r[0], r[1] = r[1], r[0]
+	return true
+}
 
 // tamperSrv is a Byzantine replica front: a frame-aware
-// man-in-the-middle that decodes real responses from an honest
-// upstream, mutates them per mode, and re-encodes — so everything it
-// sends is syntactically perfect protocol and only the cryptography
-// can catch it. In replay mode it answers from responses captured
-// before an update, without consulting the upstream at all (the
-// paper's stale-publisher attack).
+// man-in-the-middle that decodes real 'C' responses from an honest
+// upstream, applies a forgery, and re-encodes — so everything it sends
+// is syntactically perfect protocol and only the cryptography can catch
+// it. In replay mode it answers from responses captured before an
+// update, without consulting the upstream at all (the paper's
+// stale-publisher attack). It relays in request/response lock-step, which
+// a pipelining client cannot tell from a server.
 type tamperSrv struct {
 	ln       net.Listener
 	upstream string
 
 	mu     sync.Mutex
-	mode   tamperMode
+	forge  forgery         // nil = relay honestly
+	skip   int             // composites still to relay untouched before forge applies…
+	once   bool            // …to one composite only
+	replay bool            // re-serve the first captured response per request kind
 	cached map[byte][]byte // first captured response per request kind
 }
 
-func newTamperSrv(t *testing.T, upstream string) *tamperSrv {
+func newTamperSrv(t testing.TB, upstream string) *tamperSrv {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -53,9 +73,26 @@ func newTamperSrv(t *testing.T, upstream string) *tamperSrv {
 
 func (ts *tamperSrv) Addr() string { return ts.ln.Addr().String() }
 
-func (ts *tamperSrv) SetMode(m tamperMode) {
+// Forge applies fn to every composite relayed from now on (nil restores
+// honest relaying).
+func (ts *tamperSrv) Forge(fn forgery) {
 	ts.mu.Lock()
-	ts.mode = m
+	ts.forge, ts.skip, ts.once = fn, 0, false
+	ts.mu.Unlock()
+}
+
+// ForgeNth applies fn to the n-th composite relayed from now on (counting
+// from 1) and to no other.
+func (ts *tamperSrv) ForgeNth(n int, fn forgery) {
+	ts.mu.Lock()
+	ts.forge, ts.skip, ts.once = fn, n-1, true
+	ts.mu.Unlock()
+}
+
+// Replay re-serves, per request kind, the first response captured.
+func (ts *tamperSrv) Replay() {
+	ts.mu.Lock()
+	ts.replay = true
 	ts.mu.Unlock()
 }
 
@@ -87,10 +124,12 @@ func (ts *tamperSrv) serve(down net.Conn) {
 			return
 		}
 		ts.mu.Lock()
-		mode := ts.mode
-		replayed := ts.cached[reqKind]
+		var replayed []byte
+		if ts.replay {
+			replayed = ts.cached[reqKind]
+		}
 		ts.mu.Unlock()
-		if mode == tamperReplay && replayed != nil {
+		if replayed != nil {
 			// Pure replay: the upstream is never asked; the client gets
 			// yesterday's truth, faithfully signed.
 			if err := wire.WriteFrame(down, replayed); err != nil {
@@ -109,45 +148,40 @@ func (ts *tamperSrv) serve(down net.Conn) {
 			ts.cached[reqKind] = append([]byte(nil), resp...)
 		}
 		ts.mu.Unlock()
-		out := ts.mutate(mode, resp)
-		if err := wire.WriteFrame(down, out); err != nil {
+		if err := wire.WriteFrame(down, ts.mutate(resp)); err != nil {
 			return
 		}
 	}
 }
 
-// mutate applies the mode's forgery to one response frame.
-func (ts *tamperSrv) mutate(mode tamperMode, frame []byte) []byte {
-	kind, err := wire.Kind(frame)
-	if err != nil || kind != 'A' {
+// mutate applies the forgery in force to one response frame.
+func (ts *tamperSrv) mutate(frame []byte) []byte {
+	if kind, err := wire.Kind(frame); err != nil || kind != wire.KindComposite {
 		return frame
 	}
-	switch mode {
-	case tamperSigFlip, tamperRowSwap:
-		ans, err := wire.DecodeAnswer(frame)
-		if err != nil {
-			return frame
-		}
-		if mode == tamperSigFlip {
-			if len(ans.Chain.Agg) == 0 {
-				return frame
-			}
-			ans.Chain.Agg[0] ^= 0x01
-		} else {
-			if len(ans.Chain.Records) < 2 {
-				return frame
-			}
-			r := ans.Chain.Records
-			r[0], r[1] = r[1], r[0]
-		}
-		out, err := wire.AppendAnswer(nil, ans)
-		if err != nil {
-			return frame
-		}
-		return out
-	default:
+	ts.mu.Lock()
+	fn := ts.forge
+	switch {
+	case fn == nil:
+	case ts.skip > 0:
+		ts.skip--
+		fn = nil
+	case ts.once:
+		ts.forge = nil
+	}
+	ts.mu.Unlock()
+	if fn == nil {
 		return frame
 	}
+	comp, err := wire.DecodeComposite(frame)
+	if err != nil || !fn(comp) {
+		return frame
+	}
+	out, err := wire.AppendCompositeCore(nil, comp)
+	if err != nil {
+		return frame
+	}
+	return wire.AppendRelTails(out, comp.Tails)
 }
 
 // advance publishes one update to the queried range plus a certified
@@ -176,7 +210,7 @@ func advance(t *testing.T, sys *core.System, key int64, ts int64) {
 // same front, so its verifier remembers the honest claim when the forgery
 // of it arrives. Either way nothing forged may be accepted, and the
 // failure must be verification-class evidence.
-func forgingReplica(t *testing.T, mode tamperMode, what string) {
+func forgingReplica(t *testing.T, mode forgery, what string) {
 	for _, warm := range []bool{false, true} {
 		name := "cold"
 		if warm {
@@ -197,7 +231,7 @@ func forgingReplica(t *testing.T, mode tamperMode, what string) {
 				}
 				honest = 1
 			}
-			ts.SetMode(mode)
+			ts.Forge(mode)
 			for i := 0; i < 2; i++ { // a forgery does not become true by repetition
 				_, _, err = cl.Query(keys[5], keys[40])
 				if err == nil {
@@ -265,7 +299,7 @@ func TestAdversaryStaleReplayDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Replay phase: the adversary serves the pre-update answer.
-	ts.SetMode(tamperReplay)
+	ts.Replay()
 	_, _, err = cl.Query(keys[5], keys[40])
 	if err == nil {
 		t.Fatal("replayed pre-update answer accepted as fresh")
@@ -314,7 +348,7 @@ func TestAdversaryReplayedSummariesDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	// Capture an 'F' page and an 'A' answer pre-update.
+	// Capture an 'F' page and a 'C' answer pre-update.
 	if _, err := cl.SyncSummaries(0); err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +363,7 @@ func TestAdversaryReplayedSummariesDetected(t *testing.T) {
 	if cl.SummaryCount() <= held {
 		t.Fatal("fixture: session never learned the post-update summary")
 	}
-	ts.SetMode(tamperReplay)
+	ts.Replay()
 	// The replayed 'F' page is the pre-update stream: already held,
 	// ingesting it again is a no-op — the anchor never rolls back.
 	if _, err := cl.SyncSummaries(0); err != nil {

@@ -1,16 +1,25 @@
 // Package client is the user side of the networked serving protocol: a
-// verifying client that speaks the wire format over TCP, pipelines
-// range queries, and checks every verified answer for authenticity,
-// completeness (chain digests recomputed from the received bytes, the
-// aggregates closed in one batch by core.Verifier.VerifyAnswers — which
-// remembers the claims it has closed) and freshness against the
-// certified summary stream it tracks from the server.
+// verifying client that speaks the wire format over TCP, pipelines its
+// queries, and checks every answer for authenticity, completeness (chain
+// digests recomputed from the received bytes, the signature claims closed
+// once per signer key by core.Verifier.VerifyJobs — which remembers the
+// claims it has closed) and freshness against the certified summary
+// streams it tracks from the server.
+//
+// There is one path. Every query is a plan (query.Spec): a range
+// selection is the plan that is one scan leaf, and Fetch, FetchBatch,
+// Verify, Query, QueryBatch and SyncSummaries are wrappers that build
+// leaf plans on core.DefaultRelation and hand back the scan as the
+// core.Answer callers hold. plan.go is that path — one function writes
+// requests ('P'), one decodes answers ('C'), one ingests summaries, one
+// closes signature claims — and this file is the session around it:
+// connection, retry loop, errors, and the wrappers.
 //
 // The server is untrusted: nothing it sends is believed until the
 // verifier has checked it against the data aggregator's public key.
 //
-// Ownership: a Client owns one connection and one verifier state, and
-// every exported method serializes on an internal mutex — concurrent
+// Ownership: a Client owns one connection and one verifier per relation,
+// and every exported method serializes on an internal mutex — concurrent
 // callers are safe but take turns, so a retry loop in one goroutine can
 // never interleave its frames with another's. For parallel query
 // throughput, dial one Client per goroutine.
@@ -18,26 +27,26 @@
 // The network is no more trusted than the server. With a RetryPolicy
 // configured the client survives hostile transports: per-request
 // deadlines, automatic reconnect with capped exponential backoff and
-// jitter, idempotent resend of 'Q'/'S' requests, and backoff on
+// jitter, idempotent resend of 'P'/'T' requests, and backoff on
 // ErrOverloaded shed responses. Every reconnect re-anchors the
-// certified summary stream (the SyncSummaries/ErrDiverged machinery),
-// so flaky networking can never trick a session into trusting a
-// rolled-back or stale server — faults may fail requests, but they can
-// never widen what the client accepts.
+// certified summary stream of every relation the session holds (the
+// ErrDiverged machinery), so flaky networking can never trick a session
+// into trusting a rolled-back or stale server — faults may fail
+// requests, but they can never widen what the client accepts.
 package client
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"sort"
 	"sync"
 	"time"
 
 	"authdb/internal/core"
-	"authdb/internal/freshness"
+	"authdb/internal/query"
 	"authdb/internal/sigagg"
 	"authdb/internal/wire"
 )
@@ -45,7 +54,9 @@ import (
 // Config parameterizes a client session.
 type Config struct {
 	// Scheme and Pub identify the data aggregator whose certifications
-	// the client trusts. Both are required.
+	// the client trusts. Both are required. Pub is the owner's key of
+	// core.DefaultRelation, the relation the range wrappers (Fetch, Query,
+	// SyncSummaries, …) address.
 	Scheme sigagg.Scheme
 	Pub    sigagg.PublicKey
 	// Protocol supplies ρ and ρ' (zero value = core.DefaultConfig()).
@@ -70,17 +81,17 @@ type Config struct {
 	// across (digest recomputation, batched signature checks).
 	// 0 = GOMAXPROCS. Benchmarks pin it to 1 for per-core numbers.
 	VerifyWorkers int
-	// Relations maps relation names to their owners' public keys for a
-	// multi-relation catalog session. Each relation gets its own
-	// verifier (summary stream, freshness state); composite plan
-	// answers (QueryPlan) are checked per relation against these keys.
-	// Single-relation sessions leave it nil.
+	// Relations maps further relation names to their owners' public keys.
+	// A session's relations are these plus core.DefaultRelation under Pub
+	// (unless Relations names that one itself); each gets its own verifier
+	// (summary stream, freshness state, claim memo), and plans may name
+	// any of them. Single-relation sessions leave it nil.
 	Relations map[string]sigagg.PublicKey
 }
 
 // Stats are the client's monotonic counters.
 type Stats struct {
-	Queries     uint64 // answers fetched
+	Queries     uint64 // answers fetched (every plan's, a range selection being one)
 	Verified    uint64 // answers that passed full verification
 	Summaries   uint64 // certified summaries ingested
 	BytesIn     uint64 // response payload bytes received
@@ -90,8 +101,7 @@ type Stats struct {
 	Failovers   uint64 // reconnects that switched to a different replica
 	Quarantines uint64 // replicas condemned for tampered/diverged state
 
-	// Composite plan-query counters (QueryPlan).
-	Plans         uint64 // composite answers fetched and fully verified
+	// What the verified answers' operator sections proved.
 	JoinMatches   uint64 // matched-key proofs verified
 	JoinBFNegs    uint64 // Bloom-negative non-match proofs verified
 	JoinBFFalls   uint64 // Bloom false positives proven by boundary fallback
@@ -125,22 +135,40 @@ type Client struct {
 	conn     net.Conn
 	in       frameSource
 	bw       *bufio.Writer
-	verifier *core.Verifier
 	rng      *rand.Rand
 	sleep    func(time.Duration) // indirection for deterministic tests
+	retrying bool                // inside withRetry: nested calls run under the outer loop's policy
 	stats    Stats
+
+	// The session's relations (see plan.go) and their names, sorted: the
+	// order reanchor walks them in, and the strings decoded tails reuse.
+	rels  map[string]*relSession
+	names []string
 
 	// Fleet state (see fleet.go); empty for a single-server session.
 	addrs []string         // the replica set, in failover order
 	cur   int              // index of the replica currently connected
 	quar  map[string]error // quarantined replicas and their evidence
-
-	// Catalog state (see plan.go); nil without cfg.Relations.
-	rels map[string]*relSession
 }
 
 // Dial connects to a query server at addr.
 func Dial(addr string, cfg Config) (*Client, error) {
+	c, err := newSession(cfg)
+	if err != nil {
+		return nil, err
+	}
+	conn, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
+	}
+	c.addr, c.conn = addr, conn
+	c.resetBuffers()
+	return c, nil
+}
+
+// newSession validates cfg and builds the session's verification state,
+// not yet connected.
+func newSession(cfg Config) (*Client, error) {
 	if cfg.Scheme == nil || cfg.Pub == nil {
 		return nil, fmt.Errorf("%w: scheme and public key are required", ErrConfig)
 	}
@@ -150,47 +178,38 @@ func Dial(addr string, cfg Config) (*Client, error) {
 	if cfg.Now == nil {
 		cfg.Now = func() int64 { return 1 << 62 }
 	}
-	conn, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
-	}
 	seed := cfg.Retry.Seed
 	if seed == 0 {
 		seed = 1
 	}
 	c := &Client{
-		cfg:      cfg,
-		addr:     addr,
-		conn:     conn,
-		verifier: core.NewVerifier(cfg.Scheme, cfg.Pub, cfg.Protocol),
-		rng:      rand.New(rand.NewSource(seed)),
-		sleep:    time.Sleep,
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(seed)),
+		sleep: time.Sleep,
+		rels:  make(map[string]*relSession),
 	}
-	if cfg.VerifyWorkers >= 1 {
-		c.verifier.SetParallelism(cfg.VerifyWorkers)
+	keys := map[string]sigagg.PublicKey{core.DefaultRelation: cfg.Pub}
+	for name, pub := range cfg.Relations {
+		keys[name] = pub // Relations may name the default relation itself
 	}
-	if len(cfg.Relations) > 0 {
-		c.rels = make(map[string]*relSession, len(cfg.Relations))
-		for name, pub := range cfg.Relations {
-			if name == "" || pub == nil {
-				conn.Close()
-				return nil, fmt.Errorf("%w: relation needs a name and a public key", ErrConfig)
-			}
-			// Aggregation parameters live with the signer's key, so each
-			// relation verifies under a scheme bound to its own owner.
-			bound, err := sigagg.Bind(cfg.Scheme, pub)
-			if err != nil {
-				conn.Close()
-				return nil, fmt.Errorf("%w: relation %q: %v", ErrConfig, name, err)
-			}
-			v := core.NewVerifier(bound, pub, cfg.Protocol)
-			if cfg.VerifyWorkers >= 1 {
-				v.SetParallelism(cfg.VerifyWorkers)
-			}
-			c.rels[name] = &relSession{pub: pub, scheme: bound, verifier: v}
+	for name, pub := range keys {
+		if name == "" || pub == nil {
+			return nil, fmt.Errorf("%w: relation needs a name and a public key", ErrConfig)
 		}
+		// Aggregation parameters live with the signer's key, so each
+		// relation verifies under a scheme bound to its own owner.
+		bound, err := sigagg.Bind(cfg.Scheme, pub)
+		if err != nil {
+			return nil, fmt.Errorf("%w: relation %q: %v", ErrConfig, name, err)
+		}
+		v := core.NewVerifier(bound, pub, cfg.Protocol)
+		if cfg.VerifyWorkers >= 1 {
+			v.SetParallelism(cfg.VerifyWorkers)
+		}
+		c.rels[name] = &relSession{name: name, pub: pub, scheme: bound, verifier: v}
+		c.names = append(c.names, name)
 	}
-	c.resetBuffers()
+	sort.Strings(c.names)
 	return c, nil
 }
 
@@ -222,7 +241,7 @@ func (r *frameSource) Read(p []byte) (int, error) {
 }
 
 // Close tears the connection down. The verifier state (ingested
-// summaries) is discarded with the client.
+// summaries, remembered claims) is discarded with the client.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -231,9 +250,10 @@ func (c *Client) Close() error {
 
 // Reconnect dials addr again after a broken connection — typically a
 // server restart — preserving the session's verifier state, then
-// re-anchors the certified summary stream: the newest held summary is
-// re-fetched from the new server and compared byte-for-byte against
-// the held copy, and any newer summaries are ingested. A server that
+// re-anchors the certified summary stream of every relation the session
+// holds summaries of: the newest held summary is re-fetched from the new
+// server and compared byte-for-byte against the held copy, and any newer
+// summaries are ingested. A server that
 // recovered durably bridges seamlessly (its stream continues the held
 // sequence); one that lost state is caught by the divergence check
 // (ErrDiverged) instead of silently rolling the session's freshness
@@ -284,21 +304,6 @@ func (c *Client) redialTo(addr string) error {
 	return nil
 }
 
-// reanchor replays the summary sync from the newest held summary's
-// timestamp (inclusive, so the server must re-send the tip and the
-// held/resent comparison runs), detecting rollback and catching up on
-// anything published while the session was disconnected.
-func (c *Client) reanchor() error {
-	anchor := int64(0)
-	if latest, ok := c.verifier.LatestSummary(); ok {
-		anchor = latest.TS
-	}
-	if _, err := c.syncSummaries(anchor); err != nil {
-		return err
-	}
-	return nil
-}
-
 // Stats snapshots the session counters, overlaying the scheme's
 // verification fast-path counters (see the Stats field comments for
 // their process-wide scope) and the session's claim-memo counters.
@@ -306,29 +311,27 @@ func (c *Client) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
-	if vs, ok := c.verifier.VerifyStats(); ok {
+	if sp, ok := c.cfg.Scheme.(sigagg.VerifyStatsProvider); ok {
+		vs := sp.VerifyStats()
 		st.H2CCacheHits = vs.H2CCacheHits
 		st.H2CCacheMisses = vs.H2CCacheMisses
 		st.TableBuilds = vs.TableBuilds
 	}
-	addClaims := func(v *core.Verifier) {
-		cs := v.ClaimStats()
+	for _, rs := range c.rels {
+		cs := rs.verifier.ClaimStats()
 		st.ClaimHits += cs.ClaimHits
 		st.ClaimMisses += cs.ClaimMisses
 		st.BatchesWithoutEC += cs.BatchesWithoutEC
 	}
-	addClaims(c.verifier)
-	for _, rs := range c.rels {
-		addClaims(rs.verifier)
-	}
 	return st
 }
 
-// SummaryCount reports how many certified summaries the session holds.
+// SummaryCount reports how many certified summaries of
+// core.DefaultRelation the session holds.
 func (c *Client) SummaryCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.verifier.SummaryCount()
+	return c.rels[core.DefaultRelation].verifier.SummaryCount()
 }
 
 // withRetry runs one idempotent operation under the session's retry
@@ -342,7 +345,16 @@ func (c *Client) SummaryCount() int {
 // redialing, and quarantinable evidence (divergence, tampered bytes)
 // condemns the replica first — including divergence discovered by the
 // re-anchor itself, which for a standalone session remains fatal.
+//
+// An operation that itself needs a round trip under retry (a summary
+// fetch inside a re-anchor, inside a sync) calls withRetry again; the
+// nested call runs op once, under the loop already in charge.
 func (c *Client) withRetry(op func() error) error {
+	if c.retrying {
+		return op()
+	}
+	c.retrying = true
+	defer func() { c.retrying = false }()
 	attempts := c.cfg.Retry.attempts()
 	var start time.Time
 	if c.cfg.Retry.MaxElapsed > 0 {
@@ -433,9 +445,9 @@ func (c *Client) clearDeadline() {
 
 // readFrame reads one response frame into a buffer of its own, sized to
 // the payload the header announced (and bounded by MaxFrame before it is
-// allocated). The client never writes to it again: an answer or composite
-// decoded from it aliases it and keeps it alive, and the collector frees
-// the two together.
+// allocated). The client never writes to it again: a composite decoded
+// from it aliases it and keeps it alive, and the collector frees the two
+// together.
 func (c *Client) readFrame() ([]byte, error) {
 	n, err := wire.ReadFrameHeader(c.in.head, c.cfg.MaxFrame)
 	if err != nil {
@@ -478,55 +490,14 @@ var ErrBadFrame = fmt.Errorf("%w: request frame rejected", ErrServer)
 // deciding the rollback is expected.
 var ErrDiverged = fmt.Errorf("%w: certified summary stream diverged (server lost durable state?)", ErrServer)
 
-// checkHeld compares an incoming summary against the same-sequence
-// summary the session already holds, if any. A mismatch is accused as
-// divergence only after the incoming summary's signature verifies:
-// rollback evidence must be authenticated, or in-flight bit flips could
-// forge "divergence" and kill honest sessions (the conflict is then
-// just transport corruption, and retryable).
-func (c *Client) checkHeld(s *freshness.Summary) error {
-	return checkHeldIn(c.verifier, s)
-}
-
-// checkHeldIn is checkHeld against an explicit verifier, shared with the
-// per-relation summary streams of a catalog session.
-func checkHeldIn(v *core.Verifier, s *freshness.Summary) error {
-	held, ok := v.SummaryBySeq(s.Seq)
-	if !ok {
+// serverError is the error a server 'E' response reports — the sentinel
+// its code selects, so callers (and the retry classifier) can react
+// without parsing prose — and nil for a frame of any other kind, which
+// the decoder of the expected kind goes on to read or refuse.
+func serverError(data []byte) error {
+	if kind, err := wire.Kind(data); err != nil || kind != wire.KindError {
 		return nil
 	}
-	if held.TS != s.TS || held.PeriodStart != s.PeriodStart ||
-		!bytes.Equal(held.Compressed, s.Compressed) || !bytes.Equal(held.Sig, s.Sig) {
-		if err := v.VerifySummarySig(s); err != nil {
-			return fmt.Errorf("%w: conflicting summary %d is unauthenticated (%v)",
-				wire.ErrCorrupt, s.Seq, err)
-		}
-		return fmt.Errorf("%w: summary %d", ErrDiverged, s.Seq)
-	}
-	return nil
-}
-
-// decodeAnswerFrame interprets one response frame as an answer or a
-// server-reported error.
-func decodeAnswerFrame(data []byte) (*core.Answer, error) {
-	kind, err := wire.Kind(data)
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case wire.KindAnswer:
-		return wire.DecodeAnswer(data)
-	case wire.KindError:
-		return nil, decodeErrorFrame(data)
-	default:
-		return nil, fmt.Errorf("%w: unexpected response kind %q", wire.ErrCorrupt, kind)
-	}
-}
-
-// decodeErrorFrame maps a server 'E' response to the sentinel its code
-// selects, so callers (and the retry classifier) can react without
-// parsing prose.
-func decodeErrorFrame(data []byte) error {
 	code, msg, err := wire.DecodeErrorCode(data)
 	if err != nil {
 		return err
@@ -541,13 +512,60 @@ func decodeErrorFrame(data []byte) error {
 	}
 }
 
+// ---- range selections: leaf plans on core.DefaultRelation ----
+
+// leafSpecs is the plan each range selection is: one scan leaf on the
+// default relation.
+func leafSpecs(ranges []core.Range) []*query.Spec {
+	specs := make([]query.Spec, len(ranges))
+	ptrs := make([]*query.Spec, len(ranges))
+	for i, r := range ranges {
+		specs[i] = query.Spec{Rel: core.DefaultRelation, Lo: r.Lo, Hi: r.Hi}
+		ptrs[i] = &specs[i]
+	}
+	return ptrs
+}
+
+// asAnswers hands each leaf composite back as the core.Answer range
+// callers hold: its scan, and the default relation's tail.
+func asAnswers(comps []*wire.Composite) []*core.Answer {
+	answers := make([]core.Answer, len(comps))
+	ptrs := make([]*core.Answer, len(comps))
+	for i, comp := range comps {
+		answers[i].Chain = comp.Outer
+		for _, tail := range comp.Tails {
+			if tail.Rel == core.DefaultRelation {
+				answers[i].Summaries = tail.Summaries
+			}
+		}
+		ptrs[i] = &answers[i]
+	}
+	return ptrs
+}
+
+// asComposites is asAnswers backwards, for answers a caller hands to
+// Verify.
+func asComposites(answers []*core.Answer) ([]*wire.Composite, error) {
+	comps := make([]wire.Composite, len(answers))
+	tails := make([]wire.RelTail, len(answers))
+	ptrs := make([]*wire.Composite, len(answers))
+	for i, ans := range answers {
+		if ans == nil {
+			return nil, fmt.Errorf("%w: no answer %d", ErrComposite, i)
+		}
+		tails[i] = wire.RelTail{Rel: core.DefaultRelation, Summaries: ans.Summaries}
+		comps[i] = wire.Composite{Outer: ans.Chain, Tails: tails[i : i+1 : i+1]}
+		ptrs[i] = &comps[i]
+	}
+	return ptrs, nil
+}
+
 // Fetch round-trips one range query and decodes the answer without
 // verifying it. Callers that trust nothing (all of them — the server is
-// untrusted) pass the result through Verify, or use Query.
+// untrusted) pass the result through Verify, or use Query. A range the
+// planner refuses (lo > hi) is an ErrConfig and is never sent.
 func (c *Client) Fetch(lo, hi int64) (*core.Answer, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	answers, err := c.fetchBatchRetry([]core.Range{{Lo: lo, Hi: hi}})
+	answers, err := c.FetchBatch([]core.Range{{Lo: lo, Hi: hi}})
 	if err != nil {
 		return nil, err
 	}
@@ -561,94 +579,25 @@ func (c *Client) Fetch(lo, hi int64) (*core.Answer, error) {
 // (the connection stays usable) and the first error is returned.
 //
 // Each answer owns the frame it arrived in: its records, attribute
-// values and aggregate are views of that frame (wire.DecodeAnswer), so
-// nothing is copied between the socket and the hash, and holding any
+// values and aggregate are views of that frame (wire.DecodeComposite),
+// so nothing is copied between the socket and the hash, and holding any
 // record of an answer holds the whole frame. The certified summaries an
 // answer carries are copies, because the session keeps them.
 func (c *Client) FetchBatch(ranges []core.Range) ([]*core.Answer, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.fetchBatchRetry(ranges)
-}
-
-// fetchBatchRetry is fetchBatch under the retry policy. The whole batch
-// is resent on a retryable failure — queries are idempotent reads, and
-// nothing from a failed attempt is kept.
-func (c *Client) fetchBatchRetry(ranges []core.Range) ([]*core.Answer, error) {
-	var answers []*core.Answer
-	err := c.withRetry(func() error {
-		var oerr error
-		answers, oerr = c.fetchBatch(ranges)
-		return oerr
-	})
+	comps, err := c.fetchRetry(leafSpecs(ranges))
 	if err != nil {
 		return nil, err
 	}
-	return answers, nil
+	return asAnswers(comps), nil
 }
 
-func (c *Client) fetchBatch(ranges []core.Range) ([]*core.Answer, error) {
-	if len(ranges) == 0 {
-		return nil, nil
-	}
-	c.armDeadline()
-	defer c.clearDeadline()
-	// Advertise the highest certified summary we already hold so the
-	// server sends only the delta instead of the full summary history
-	// with every answer.
-	var sinceSeq uint64
-	if latest, ok := c.verifier.LatestSummary(); ok {
-		sinceSeq = latest.Seq
-	}
-	req := wire.GetBuffer()
-	for _, r := range ranges {
-		req = wire.AppendQueryReq(req[:0], r.Lo, r.Hi, sinceSeq)
-		if err := wire.WriteFrame(c.bw, req); err != nil {
-			wire.PutBuffer(req)
-			return nil, err
-		}
-	}
-	wire.PutBuffer(req)
-	if err := c.bw.Flush(); err != nil {
-		return nil, err
-	}
-	answers := make([]*core.Answer, len(ranges))
-	var firstErr error
-	for i := range ranges {
-		data, err := c.readFrame()
-		if err != nil {
-			return nil, err // transport loss: responses can no longer be matched
-		}
-		ans, err := decodeAnswerFrame(data)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("client: query [%d,%d]: %w", ranges[i].Lo, ranges[i].Hi, err)
-			}
-			if !errors.Is(err, ErrServer) {
-				return nil, firstErr // undecodable frame: cannot stay in sync
-			}
-			if errors.Is(err, ErrBadFrame) {
-				// The server closes the connection after a frame it could
-				// not parse; nothing further is coming.
-				return nil, firstErr
-			}
-			continue
-		}
-		answers[i] = ans
-		c.stats.Queries++
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return answers, nil
-}
-
-// Verify checks fetched answers: chain digests are recomputed and the
-// aggregates batch-verified (core.Verifier.VerifyAnswers: chain.Jobs,
-// then VerifyJobs through the scheme's batched primitives), attached
-// summaries are ingested, and every record's freshness is bounded
-// against the summaries held. ranges[i] is the selection answer i must
-// cover.
+// Verify checks fetched answers: attached summaries are ingested, chain
+// digests recomputed, the batch's signature claims closed at once
+// (core.Verifier.Jobs, then VerifyJobs through the scheme's batched
+// primitives), and every record's freshness bounded against the
+// summaries held. ranges[i] is the selection answer i must cover.
 //
 // An answer attaches only the summaries published since its oldest
 // result signature, so a session that skipped some periods can face a
@@ -661,107 +610,19 @@ func (c *Client) fetchBatch(ranges []core.Range) ([]*core.Answer, error) {
 //
 // Verification itself never retries — it runs at most once per fetched
 // answer, on exactly the bytes that attempt delivered. Only the
-// bridging fetches of missing certified summaries (plain idempotent 'S'
+// bridging fetches of missing certified summaries (plain idempotent 'T'
 // reads) go through the retry machinery.
 func (c *Client) Verify(answers []*core.Answer, ranges []core.Range) ([]*core.FreshnessReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.verify(answers, ranges)
-}
-
-func (c *Client) verify(answers []*core.Answer, ranges []core.Range) ([]*core.FreshnessReport, error) {
-	if err := c.bridgeSummaries(answers); err != nil {
-		return nil, err
+	if len(answers) != len(ranges) {
+		return nil, fmt.Errorf("%w: %d answers but %d ranges", ErrConfig, len(answers), len(ranges))
 	}
-	reports, err := c.verifier.VerifyAnswers(answers, ranges, c.cfg.Now())
+	comps, err := asComposites(answers)
 	if err != nil {
 		return nil, err
 	}
-	c.stats.Verified += uint64(len(answers))
-	return reports, nil
-}
-
-// bridgeSummaries ingests every summary attached to the answers, in
-// sequence order, fetching any sequence numbers the attachments skip
-// from the server. Ingestion is capped at the newest attached summary:
-// summaries published after the answers were built are deliberately not
-// pulled in here, so a batch is always judged against the stream as of
-// its own construction.
-func (c *Client) bridgeSummaries(answers []*core.Answer) error {
-	held := uint64(0)
-	if latest, ok := c.verifier.LatestSummary(); ok {
-		held = latest.Seq
-	}
-	var max uint64
-	bySeq := make(map[uint64]*freshness.Summary)
-	for _, ans := range answers {
-		if ans == nil {
-			continue
-		}
-		for i := range ans.Summaries {
-			s := &ans.Summaries[i]
-			if s.Seq > held {
-				bySeq[s.Seq] = s
-			} else if err := c.checkHeld(s); err != nil {
-				// The server re-sent a summary this session already
-				// verified; it must be the same one.
-				return err
-			}
-			if s.Seq > max {
-				max = s.Seq
-			}
-		}
-	}
-	if max <= held {
-		return nil
-	}
-	for seq := held + 1; seq <= max; seq++ {
-		if latest, lok := c.verifier.LatestSummary(); lok && latest.Seq >= seq {
-			// A reconnect re-anchor inside a gap fetch already ingested this
-			// sequence number; just cross-check any attached copy.
-			if s, aok := bySeq[seq]; aok {
-				if err := c.checkHeld(s); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		s, ok := bySeq[seq]
-		if !ok {
-			// Fetch the next page of the gap from the server. Everything
-			// up to seq-1 is ingested, so the cursor is just past the
-			// newest held summary; the server's stream is TS-ordered and
-			// seq-contiguous, so the page starts exactly at seq (capped
-			// responses may need one fetch per page, hence per-seq).
-			sinceTS := int64(0)
-			if latest, lok := c.verifier.LatestSummary(); lok {
-				sinceTS = latest.TS + 1
-			}
-			sums, err := c.fetchSummariesRetry(sinceTS)
-			if err != nil {
-				return err
-			}
-			for i := range sums {
-				if sums[i].Seq >= seq && sums[i].Seq <= max {
-					if _, dup := bySeq[sums[i].Seq]; !dup {
-						bySeq[sums[i].Seq] = &sums[i]
-					}
-				}
-			}
-			if s, ok = bySeq[seq]; !ok {
-				// The server answered the range request but omitted a
-				// summary it is obligated to serve: an incomplete or
-				// garbled response stream. Classified as corruption so
-				// the session reconnects (and, in a fleet, fails over).
-				return fmt.Errorf("%w: summary %d unavailable from answers and server", wire.ErrCorrupt, seq)
-			}
-		}
-		if err := c.verifier.IngestSummary(*s); err != nil {
-			return fmt.Errorf("client: summary %d: %w", seq, err)
-		}
-		c.stats.Summaries++
-	}
-	return nil
+	return c.verify(leafSpecs(ranges), comps)
 }
 
 // Query is Fetch plus full verification of the answer.
@@ -774,158 +635,42 @@ func (c *Client) Query(lo, hi int64) (*core.Answer, *core.FreshnessReport, error
 }
 
 // QueryBatch pipelines the queries and batch-verifies all answers in
-// one pass. The fetch retries under the session policy; verification of
-// each attempt's delivered bytes runs exactly once.
-//
-// A fleet session adds the verify-stage failover: when verification
-// convicts the connected replica of tampering or divergence (evidence
-// transport retries never see, because the fetch succeeded), the
-// replica is quarantined and the batch re-fetched — and re-verified —
-// through the next one, at most once per replica in the set. A
-// freshness miss (ErrStale) is not misbehavior and is surfaced to the
-// caller, who re-queries; with a lagging replica, failing over by hand
-// (Reconnect) or waiting are both sound, because staleness is bounded
-// by the summaries this session already holds, not by anything the
-// replica says.
+// one pass (QueryPlans over leaf plans; see there for retry and fleet
+// failover).
 func (c *Client) QueryBatch(ranges []core.Range) ([]*core.Answer, []*core.FreshnessReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	hops := 1
-	if c.fleet() {
-		hops = len(c.addrs)
+	comps, reports, err := c.queryPlans(leafSpecs(ranges))
+	if err != nil {
+		return nil, nil, err
 	}
-	var lastErr error
-	for hop := 0; hop < hops; hop++ {
-		answers, err := c.fetchBatchRetry(ranges)
-		if err == nil {
-			var reports []*core.FreshnessReport
-			if reports, err = c.verify(answers, ranges); err == nil {
-				return answers, reports, nil
-			}
-		}
-		if !c.fleet() || !quarantinable(err) {
-			return nil, nil, err
-		}
-		lastErr = err
-		if herr := c.hopReplica(err); herr != nil {
-			return nil, nil, fmt.Errorf("%w (dropping replica for: %v)", herr, err)
-		}
-	}
-	return nil, nil, lastErr
+	return asAnswers(comps), reports, nil
 }
 
-// SyncSummaries fetches the certified summaries published at or after
-// since and ingests the ones newer than the session already holds
-// (each is signature-checked and must chain onto the held sequence).
-// It returns how many were ingested. A fresh session syncs from 0 —
-// the log-in back-history fetch of §3.1 — and thereafter picks up new
-// summaries from the answers themselves. The server caps each response
-// frame, so the sync pages with advancing since-timestamps until a
-// response comes back empty.
+// SyncSummaries fetches core.DefaultRelation's certified summaries
+// published at or after since and ingests the ones newer than the
+// session already holds (each is signature-checked and must chain onto
+// the held sequence); the ones it does hold are compared against the
+// held copies. It returns how many were ingested. A fresh session syncs
+// from 0 — the log-in back-history fetch of §3.1 — and thereafter picks
+// up new summaries from the answers themselves. A session's stream has no
+// holes and starts at sequence number 1 (an answer may disclose a record
+// of any age), so for a session that holds nothing since is where the
+// reading starts, not where the stream does: what lies before the first
+// page is fetched too. The server caps each response frame, so the sync
+// pages until a response brings nothing past the last.
+//
+// Re-running it after a mid-sync fault is harmless — already-held
+// sequence numbers are cross-checked and skipped — so the whole sync is
+// retried as one idempotent operation.
 func (c *Client) SyncSummaries(since int64) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := 0
 	err := c.withRetry(func() error {
-		n, oerr := c.syncSummaries(since)
+		n, oerr := c.resync(c.rels[core.DefaultRelation], 0, since)
 		total += n
 		return oerr
 	})
 	return total, err
-}
-
-// syncSummaries is one sync attempt: page through the server's stream
-// from since until a response comes back empty. Re-running it after a
-// mid-sync fault is harmless — already-held sequence numbers are
-// cross-checked and skipped, so the retry wrapper can treat the whole
-// sync as idempotent.
-func (c *Client) syncSummaries(since int64) (int, error) {
-	total := 0
-	cursor := since
-	for {
-		sums, err := c.fetchSummaries(cursor)
-		if err != nil {
-			return total, err
-		}
-		if len(sums) == 0 {
-			return total, nil
-		}
-		n, err := c.ingestSummaries(sums)
-		total += n
-		if err != nil {
-			return total, err
-		}
-		next := sums[len(sums)-1].TS + 1
-		if next <= cursor {
-			return total, nil // defensive: a non-advancing server cannot loop us
-		}
-		cursor = next
-	}
-}
-
-// fetchSummariesRetry is fetchSummaries under the retry policy, for
-// callers outside withRetry (the Verify gap bridge).
-func (c *Client) fetchSummariesRetry(since int64) ([]freshness.Summary, error) {
-	var sums []freshness.Summary
-	err := c.withRetry(func() error {
-		var oerr error
-		sums, oerr = c.fetchSummaries(since)
-		return oerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sums, nil
-}
-
-// fetchSummaries round-trips one summaries-since request.
-func (c *Client) fetchSummaries(since int64) ([]freshness.Summary, error) {
-	c.armDeadline()
-	defer c.clearDeadline()
-	req := wire.AppendSummariesReq(wire.GetBuffer(), since)
-	werr := wire.WriteFrame(c.bw, req)
-	wire.PutBuffer(req)
-	if werr != nil {
-		return nil, werr
-	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, err
-	}
-	data, err := c.readFrame()
-	if err != nil {
-		return nil, err
-	}
-	kind, err := wire.Kind(data)
-	if err != nil {
-		return nil, err
-	}
-	if kind == wire.KindError {
-		return nil, decodeErrorFrame(data)
-	}
-	return wire.DecodeSummaries(data)
-}
-
-// ingestSummaries folds a summary batch into the verifier, skipping
-// sequence numbers already held.
-func (c *Client) ingestSummaries(sums []freshness.Summary) (int, error) {
-	held := uint64(0)
-	if latest, ok := c.verifier.LatestSummary(); ok {
-		held = latest.Seq
-	}
-	n := 0
-	for _, s := range sums {
-		if s.Seq <= held {
-			if err := c.checkHeld(&s); err != nil {
-				return n, err
-			}
-			continue
-		}
-		if err := c.verifier.IngestSummary(s); err != nil {
-			return n, fmt.Errorf("client: summary %d: %w", s.Seq, err)
-		}
-		held = s.Seq
-		n++
-	}
-	c.stats.Summaries += uint64(n)
-	return n, nil
 }

@@ -3,6 +3,7 @@ package client_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -81,6 +82,31 @@ var batchTampers = []struct {
 		},
 	},
 	{
+		// The whole join section replaced: every outer key "proved" absent by
+		// one fabricated empty partition under a signature of something
+		// else, silently dropping every join result. Nothing is left under
+		// the inner key but chain-less certification claims — which must be
+		// closed all the same.
+		name: "join replaced by a forged empty partition", section: `join against "i": partition cert`,
+		mutate: func(comp *wire.Composite) bool {
+			var sig sigagg.Signature
+			for _, up := range comp.Join.Unmatched {
+				if up.Partition != nil {
+					sig = up.PartSig
+				}
+			}
+			if sig == nil {
+				return false
+			}
+			empty := &bloom.Partition{Lo: math.MinInt64, Hi: math.MaxInt64, Filter: bloom.New(64, 1)}
+			comp.Join.Matches, comp.Join.Unmatched = nil, nil
+			for _, rec := range comp.Outer.Records {
+				comp.Join.Unmatched = append(comp.Join.Unmatched, join.UnmatchedProof{RA: rec.Key, Partition: empty, PartSig: sig})
+			}
+			return true
+		},
+	},
+	{
 		name: "wrong FilterTS", section: `join against "i": partition cert`,
 		mutate: func(comp *wire.Composite) bool { comp.Join.FilterTS--; return true },
 	},
@@ -135,20 +161,21 @@ func TestAdversaryCompositeUnderBatching(t *testing.T) {
 	fx := newPlanFixtureOn(t, basScheme, server.NetConfig{})
 	for _, tc := range batchTampers {
 		t.Run(tc.name, func(t *testing.T) {
-			ts := newCompTamperSrv(t, fx.addr)
+			ts := newTamperSrv(t, fx.addr)
 			var applied atomic.Bool // set on the proxy's goroutine
-			forge := func(comp *wire.Composite) {
+			forge := func(comp *wire.Composite) bool {
 				if tc.mutate(comp) {
 					applied.Store(true)
 				}
+				return applied.Load()
 			}
 			cl := fx.dial(t, ts.Addr())
 			// Cold: the forgery is the first composite the session sees.
 			// Warm: it has since verified the honest plan, and its
 			// verifiers remember every honest claim the forgery sits among.
 			for plans, memo := range []string{"cold", "warm"} {
-				ts.SetMutator(forge)
 				applied.Store(false)
+				ts.Forge(forge)
 				_, err := cl.QueryPlan(fx.spec(join.BF, tc.attrs))
 				if !applied.Load() {
 					t.Fatal("fixture: the forgery found nothing to tamper with")
@@ -162,17 +189,76 @@ func TestAdversaryCompositeUnderBatching(t *testing.T) {
 				if !strings.Contains(err.Error(), tc.section) {
 					t.Fatalf("%s session: error %q does not name the section %q", memo, err, tc.section)
 				}
-				if st := cl.Stats(); st.Plans != uint64(plans) {
-					t.Fatalf("%s session: %d plans accepted, %d of them honest", memo, st.Plans, plans)
+				if st := cl.Stats(); st.Verified != uint64(plans) {
+					t.Fatalf("%s session: %d plans accepted, %d of them honest", memo, st.Verified, plans)
 				}
 				// The honest answer through the same proxy verifies.
-				ts.SetMutator(nil)
+				ts.Forge(nil)
 				if _, err := cl.QueryPlan(fx.spec(join.BF, tc.attrs)); err != nil {
 					t.Fatal(err)
 				}
 			}
+			// And as one member of a pipelined batch, whose other members'
+			// claims close under the same two keys.
+			applied.Store(false)
+			pipelinedAmong(t, fx, fx.spec(join.BF, tc.attrs), forge, tc.section)
+			if !applied.Load() {
+				t.Fatal("fixture: the forgery found nothing to tamper with in the batch")
+			}
 		})
 	}
+}
+
+// TestAdversaryAllNegativeJoinRejected: a BF join none of whose outer keys
+// the inner relation's filter admits is answered by Bloom negatives alone,
+// so the inner key's batch holds partition certifications and not one
+// chain. Those claims are closed like any others: a forged certification
+// is refused cold, warm, and as a member of a pipelined batch.
+func TestAdversaryAllNegativeJoinRejected(t *testing.T) {
+	fx := newPlanFixtureOn(t, basScheme, server.NetConfig{})
+	ts := newTamperSrv(t, fx.addr)
+	cl := fx.dial(t, ts.Addr())
+	var spec *query.Spec
+	for k := int64(10); k <= 1000 && spec == nil; k += 10 {
+		s := &query.Spec{Rel: "o", Lo: k - 5, Hi: k + 15, Join: &query.JoinSpec{Rel: "i", Method: join.BF}}
+		comp, err := cl.QueryPlan(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := cl.Stats(); len(comp.Join.Matches) == 0 && st.JoinBFFalls == 0 {
+			spec = s
+		}
+		cl = fx.dial(t, ts.Addr()) // counters from zero for the next candidate
+	}
+	if spec == nil {
+		t.Fatal("fixture: no outer range is all Bloom negatives")
+	}
+	forge := func(comp *wire.Composite) bool {
+		if comp.Join == nil || len(comp.Join.Matches) > 0 {
+			return false
+		}
+		// A well-formed signature of something else, on every probe, so a
+		// partition is still presented with one certification throughout.
+		for i := range comp.Join.Unmatched {
+			comp.Join.Unmatched[i].PartSig = comp.Outer.Agg
+		}
+		return true
+	}
+	for plans, memo := range []string{"cold", "warm"} {
+		ts.Forge(forge)
+		_, err := cl.QueryPlan(spec)
+		if !errors.Is(err, sigagg.ErrVerify) || !strings.Contains(fmt.Sprint(err), `join against "i": partition cert`) {
+			t.Fatalf("%s session: forged certification gave %v, want sigagg.ErrVerify naming the partition cert", memo, err)
+		}
+		if st := cl.Stats(); st.Verified != uint64(plans) {
+			t.Fatalf("%s session: %d plans accepted, %d of them honest", memo, st.Verified, plans)
+		}
+		ts.Forge(nil)
+		if _, err := cl.QueryPlan(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pipelinedAmong(t, fx, spec, forge, `join against "i": partition cert`)
 }
 
 // TestCompositeClosesOncePerKey: a verified BF plan costs one closing
@@ -211,7 +297,7 @@ func TestCompositeClosesOncePerKey(t *testing.T) {
 	if d := after.FastVerifies - first.FastVerifies; d != 0 {
 		t.Fatalf("the identical plan again cost %d verifications, want 0", d)
 	}
-	if st2.ClaimMisses != st.ClaimMisses || st2.ClaimHits-st.ClaimHits < st.ClaimMisses || st2.BatchesWithoutEC < 2 || st2.Plans != 2 {
+	if st2.ClaimMisses != st.ClaimMisses || st2.ClaimHits-st.ClaimHits < st.ClaimMisses || st2.BatchesWithoutEC < 2 || st2.Verified != 2 {
 		t.Fatalf("the identical plan again: %+v -> %+v", st, st2)
 	}
 	// Range queries share the plan session's connection and its scheme:

@@ -15,21 +15,36 @@ func (c *Client) SetSleep(fn func(time.Duration)) {
 	c.sleep = fn
 }
 
-// FetchPlan and VerifyComposite expose QueryPlan's two halves, so a
-// benchmark can time verification of one delivered composite answer
+// FetchPlan and VerifyComposite expose the two halves of the query path,
+// so a benchmark can time verification of one delivered composite answer
 // without the round trip.
 func (c *Client) FetchPlan(spec *query.Spec) (*wire.Composite, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	plan, err := query.Plan(spec, true)
+	comps, err := c.fetchRetry([]*query.Spec{spec})
 	if err != nil {
 		return nil, err
 	}
-	return c.fetchPlan(plan.Marshal(), spec)
+	return comps[0], nil
 }
 
 func (c *Client) VerifyComposite(spec *query.Spec, comp *wire.Composite) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.verifyComposite(spec, comp, c.rels[spec.Rel], c.rels[spec.Join.Rel])
+	_, err := c.verify([]*query.Spec{spec}, []*wire.Composite{comp})
+	return err
+}
+
+// NewSession builds a session's verification state with no connection
+// behind it, and DecodeVerify runs the path one delivered leaf answer
+// takes after the socket read — the frame's one decoder, then
+// verification — for the allocation budget.
+func NewSession(cfg Config) (*Client, error) { return newSession(cfg) }
+
+func (c *Client) DecodeVerify(frame []byte, spec *query.Spec) error {
+	comp, err := c.decodeFrame(frame)
+	if err != nil {
+		return err
+	}
+	return c.VerifyComposite(spec, comp)
 }

@@ -182,7 +182,7 @@ func TestMaxElapsedBoundsRetries(t *testing.T) {
 func TestFleetQuarantineOnTamper(t *testing.T) {
 	sys, keys, addrs, _ := fleetFixture(t, 200, 2)
 	byz := newTamperSrv(t, addrs[0])
-	byz.SetMode(tamperSigFlip)
+	byz.Forge(tamperSigFlip)
 	fleet := []string{byz.Addr(), addrs[1]}
 	cl, err := client.DialFleet(fleet, client.Config{
 		Scheme: sys.Scheme, Pub: sys.Pub, Retry: fleetRetry(),
@@ -228,7 +228,7 @@ func TestFleetQuarantineOnTamper(t *testing.T) {
 func TestFleetReconnectReadmitsQuarantined(t *testing.T) {
 	sys, keys, addrs, _ := fleetFixture(t, 200, 2)
 	byz := newTamperSrv(t, addrs[0])
-	byz.SetMode(tamperSigFlip)
+	byz.Forge(tamperSigFlip)
 	fleet := []string{byz.Addr(), addrs[1]}
 	cl, err := client.DialFleet(fleet, client.Config{
 		Scheme: sys.Scheme, Pub: sys.Pub, Retry: fleetRetry(),
@@ -243,7 +243,7 @@ func TestFleetReconnectReadmitsQuarantined(t *testing.T) {
 	if len(cl.Quarantined()) != 1 {
 		t.Fatal("fixture: tampering replica was not quarantined")
 	}
-	byz.SetMode(tamperNone) // the operator "fixed" it
+	byz.Forge(nil) // the operator "fixed" it
 	if err := cl.Reconnect(byz.Addr()); err != nil {
 		t.Fatalf("reconnect to repaired replica: %v", err)
 	}

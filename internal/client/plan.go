@@ -2,8 +2,10 @@ package client
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
+	"authdb/internal/chain"
 	"authdb/internal/core"
 	"authdb/internal/freshness"
 	"authdb/internal/join"
@@ -12,13 +14,27 @@ import (
 	"authdb/internal/wire"
 )
 
-// relSession is one relation's verification state inside a catalog
-// session: its owner's public key and a dedicated verifier holding that
-// relation's certified summary stream.
+// The one path every query takes: compile the specs to plan bytes, fetch
+// (k 'P' requests written before k 'C' answers are read), ingest each
+// answer's summary tails, reduce every section of every answer to
+// signature claims, close the claims once per signer key, judge
+// freshness.
+
+// relSession is one relation's verification state inside a session: its
+// owner's public key and a dedicated verifier holding that relation's
+// certified summary stream and claim memo.
 type relSession struct {
+	name     string
 	pub      sigagg.PublicKey
 	scheme   sigagg.Scheme // cfg.Scheme bound to this relation's owner
 	verifier *core.Verifier
+	batch    keyBatch // the claims under this key of the batch being verified
+}
+
+// heldSeq is the sequence number of the newest summary held (0 = none).
+func (rs *relSession) heldSeq() uint64 {
+	tip, _ := rs.verifier.LatestSummary()
+	return tip.Seq
 }
 
 // ErrNoRelation reports a plan naming a relation the session holds no
@@ -47,267 +63,401 @@ var ErrComposite = fmt.Errorf("%w: composite answer malformed", sigagg.ErrVerify
 // inner relation's newest certified summary: newer than one ρ behind,
 // or the answer is rejected as stale (freshness.ErrStale) and the
 // caller re-queries — the same contract as record staleness.
-//
-// The fetch retries under the session policy; verification runs exactly
-// once per delivered answer. A fleet session fails over past replicas
-// convicted by verification, like QueryBatch.
 func (c *Client) QueryPlan(spec *query.Spec) (*wire.Composite, error) {
+	comps, err := c.QueryPlans([]*query.Spec{spec})
+	if err != nil {
+		return nil, err
+	}
+	return comps[0], nil
+}
+
+// QueryPlans pipelines the plans — one round trip for the batch — and
+// verifies all the answers in one pass, closing the batch's signature
+// claims once per signer key. The fetch retries under the session
+// policy; verification of each attempt's delivered bytes runs exactly
+// once.
+//
+// A fleet session adds the verify-stage failover: when verification
+// convicts the connected replica of tampering or divergence (evidence
+// transport retries never see, because the fetch succeeded), the
+// replica is quarantined and the batch re-fetched — and re-verified —
+// through the next one, at most once per replica in the set. A
+// freshness miss (ErrStale) is not misbehavior and is surfaced to the
+// caller, who re-queries; with a lagging replica, failing over by hand
+// (Reconnect) or waiting are both sound, because staleness is bounded
+// by the summaries this session already holds, not by anything the
+// replica says.
+func (c *Client) QueryPlans(specs []*query.Spec) ([]*wire.Composite, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.rels == nil {
-		return nil, fmt.Errorf("%w: no catalog relations configured", ErrConfig)
-	}
-	plan, err := query.Plan(spec, true)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
-	}
-	outerRS, ok := c.rels[spec.Rel]
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrNoRelation, spec.Rel)
-	}
-	innerRS := outerRS
-	if spec.Join != nil {
-		if innerRS, ok = c.rels[spec.Join.Rel]; !ok {
-			return nil, fmt.Errorf("%w %q", ErrNoRelation, spec.Join.Rel)
-		}
-	}
-	planBytes := plan.Marshal()
+	comps, _, err := c.queryPlans(specs)
+	return comps, err
+}
 
+func (c *Client) queryPlans(specs []*query.Spec) ([]*wire.Composite, []*core.FreshnessReport, error) {
 	hops := 1
 	if c.fleet() {
 		hops = len(c.addrs)
 	}
 	var lastErr error
 	for hop := 0; hop < hops; hop++ {
-		var comp *wire.Composite
-		err := c.withRetry(func() error {
-			var oerr error
-			comp, oerr = c.fetchPlan(planBytes, spec)
-			return oerr
-		})
+		comps, err := c.fetchRetry(specs)
 		if err == nil {
-			if err = c.verifyComposite(spec, comp, outerRS, innerRS); err == nil {
-				c.stats.Plans++
-				return comp, nil
+			var reports []*core.FreshnessReport
+			if reports, err = c.verify(specs, comps); err == nil {
+				return comps, reports, nil
 			}
 		}
 		if !c.fleet() || !quarantinable(err) {
-			return nil, err
+			return nil, nil, err
 		}
 		lastErr = err
 		if herr := c.hopReplica(err); herr != nil {
-			return nil, fmt.Errorf("%w (dropping replica for: %v)", herr, err)
+			return nil, nil, fmt.Errorf("%w (dropping replica for: %v)", herr, err)
 		}
 	}
-	return nil, lastErr
+	return nil, nil, lastErr
 }
 
-// fetchPlan round-trips one 'J'/'P' request and decodes the composite
-// answer without verifying it.
-func (c *Client) fetchPlan(planBytes []byte, spec *query.Spec) (*wire.Composite, error) {
+// fetchRetry plans every spec, checks the session holds a key for each
+// relation it names, and fetches the answers under the retry policy. The
+// whole batch is resent on a retryable failure — queries are idempotent
+// reads, and nothing from a failed attempt is kept.
+func (c *Client) fetchRetry(specs []*query.Spec) ([]*wire.Composite, error) {
+	plans := make([]*query.Node, len(specs))
+	for i, spec := range specs {
+		plan, err := query.Plan(spec, true)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+		}
+		if c.rels[spec.Rel] == nil {
+			return nil, fmt.Errorf("%w %q", ErrNoRelation, spec.Rel)
+		}
+		if spec.Join != nil && c.rels[spec.Join.Rel] == nil {
+			return nil, fmt.Errorf("%w %q", ErrNoRelation, spec.Join.Rel)
+		}
+		plans[i] = plan
+	}
+	var comps []*wire.Composite
+	err := c.withRetry(func() (err error) {
+		comps, err = c.fetch(specs, plans)
+		return err
+	})
+	return comps, err
+}
+
+// fetch writes one 'P' request per plan, then reads the answers back in
+// order, decoded but not verified. If the server reported errors for
+// some plans, every response is still drained (the connection stays
+// usable) and the first error is returned.
+func (c *Client) fetch(specs []*query.Spec, plans []*query.Node) ([]*wire.Composite, error) {
+	if len(specs) == 0 {
+		return nil, nil
+	}
 	c.armDeadline()
 	defer c.clearDeadline()
-	kind := wire.KindPlanSelect
-	if spec.Join != nil {
-		kind = wire.KindPlanJoin
-	}
-	// Advertise, per touched relation, the newest certified summary this
-	// session holds, so tails carry only deltas.
-	var since []wire.RelSince
-	addSince := func(rel string) {
-		for _, rs := range since {
-			if rs.Name == rel {
-				return
-			}
+	req := wire.GetBuffer()
+	defer func() { wire.PutBuffer(req) }()
+	var plan [128]byte // marshalling scratch: a plan is some tens of bytes
+	for i, spec := range specs {
+		// Advertise, per named relation, the newest certified summary this
+		// session holds, so tails carry only deltas.
+		since := [2]wire.RelSince{{Name: spec.Rel, SinceSeq: c.rels[spec.Rel].heldSeq()}}
+		n := 1
+		if spec.Join != nil && spec.Join.Rel != spec.Rel {
+			since[1] = wire.RelSince{Name: spec.Join.Rel, SinceSeq: c.rels[spec.Join.Rel].heldSeq()}
+			n = 2
 		}
-		var seq uint64
-		if latest, ok := c.rels[rel].verifier.LatestSummary(); ok {
-			seq = latest.Seq
+		req = wire.AppendPlanReq(req[:0], plans[i].AppendTo(plan[:0]), since[:n])
+		if err := wire.WriteFrame(c.bw, req); err != nil {
+			return nil, err
 		}
-		since = append(since, wire.RelSince{Name: rel, SinceSeq: seq})
-	}
-	addSince(spec.Rel)
-	if spec.Join != nil {
-		addSince(spec.Join.Rel)
-	}
-	req, err := wire.AppendPlanReq(wire.GetBuffer(), kind, planBytes, since)
-	if err != nil {
-		wire.PutBuffer(req)
-		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
-	}
-	werr := wire.WriteFrame(c.bw, req)
-	wire.PutBuffer(req)
-	if werr != nil {
-		return nil, werr
 	}
 	if err := c.bw.Flush(); err != nil {
 		return nil, err
 	}
-	data, err := c.readFrame()
-	if err != nil {
-		return nil, err
+	comps := make([]*wire.Composite, len(specs))
+	var firstErr error
+	for i, spec := range specs {
+		data, err := c.readFrame()
+		if err != nil {
+			return nil, err // transport loss: responses can no longer be matched
+		}
+		comp, err := c.decodeFrame(data)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("client: query %d of %d, [%d,%d] on %q: %w", i+1, len(specs), spec.Lo, spec.Hi, spec.Rel, err)
+			}
+			if !errors.Is(err, ErrServer) {
+				return nil, firstErr // undecodable frame: cannot stay in sync
+			}
+			if errors.Is(err, ErrBadFrame) {
+				// The server closes the connection after a frame it could
+				// not parse; nothing further is coming.
+				return nil, firstErr
+			}
+			continue
+		}
+		comps[i] = comp
+		c.stats.Queries++
 	}
-	fk, err := wire.Kind(data)
-	if err != nil {
-		return nil, err
+	if firstErr != nil {
+		return nil, firstErr
 	}
-	switch fk {
-	case wire.KindComposite:
-		return wire.DecodeComposite(data)
-	case wire.KindError:
-		return nil, decodeErrorFrame(data)
-	default:
-		return nil, fmt.Errorf("%w: unexpected response kind %q", wire.ErrCorrupt, fk)
-	}
+	return comps, nil
 }
 
-// keyBatch collects the signature claims of one composite answer that
-// fall under one signer key, each labelled with the section it came
-// from, so the key is closed with a single batch verification.
+// decodeFrame interprets one response frame as a composite answer or a
+// server-reported error.
+func (c *Client) decodeFrame(data []byte) (*wire.Composite, error) {
+	if err := serverError(data); err != nil {
+		return nil, err
+	}
+	return wire.DecodeComposite(data, c.names...)
+}
+
+// ---- verification ----
+
+// claimTag places one signature claim in the batch — which plan's answer,
+// which section of it — and is spelled out only for a claim that fails.
+type claimTag struct {
+	plan    int
+	section string // secOuter, secProj or secJoin, completed by the relation's name
+	rel     string
+	cert    bool  // secJoin: a Bloom partition's certification…
+	key     int64 // …presented for this outer key
+}
+
+const (
+	secOuter = "outer relation"
+	secProj  = "projection over"
+	secJoin  = "join against"
+)
+
+// fail reports err against the tagged section.
+func (t claimTag) fail(specs []*query.Spec, err error) error {
+	if t.cert {
+		return inPlan(specs, t.plan, fmt.Errorf("client: %s %q: partition cert for %d: %w", t.section, t.rel, t.key, err))
+	}
+	return inPlan(specs, t.plan, fmt.Errorf("client: %s %q: %w", t.section, t.rel, err))
+}
+
+// inPlan says which plan of a batch err is about.
+func inPlan(specs []*query.Spec, plan int, err error) error {
+	if len(specs) == 1 {
+		return err
+	}
+	return fmt.Errorf("plan %d of %d: %w", plan+1, len(specs), err)
+}
+
+// keyBatch collects the signature claims of a batch of answers that fall
+// under one signer key, so the key is closed with a single batch
+// verification however many answers and sections named it. It lives in
+// its relSession and is reused from one verification to the next.
 type keyBatch struct {
-	rs       *relSession
-	jobs     []sigagg.VerifyJob
-	sections []string // sections[i] names the part of the answer jobs[i] proves
+	// Chain-backed claims — scans, matches, boundary proofs — are
+	// digested together in one chain.Jobs pass and have their records'
+	// freshness judged once the key has closed.
+	chains []*chain.Answer
+	ctags  []claimTag
+	// Claims with no chain behind them: projection aggregates, partition
+	// certifications.
+	jobs  []sigagg.VerifyJob
+	jtags []claimTag
+	// Set once the key has closed: lets the verifier remember the claims.
+	admit func()
 }
 
-// newKeyBatch returns a batch under rs's key with room for claims claims,
-// so that collecting a composite's hundred-odd join proofs grows nothing.
-func newKeyBatch(rs *relSession, claims int) *keyBatch {
-	return &keyBatch{rs: rs, jobs: make([]sigagg.VerifyJob, 0, claims), sections: make([]string, 0, claims)}
+func (b *keyBatch) addChain(a *chain.Answer, t claimTag) {
+	b.chains, b.ctags = append(b.chains, a), append(b.ctags, t)
 }
 
-func (b *keyBatch) add(section string, jobs ...sigagg.VerifyJob) {
-	for _, j := range jobs {
-		b.jobs = append(b.jobs, j)
-		b.sections = append(b.sections, section)
+func (b *keyBatch) addJob(j sigagg.VerifyJob, t claimTag) {
+	b.jobs, b.jtags = append(b.jobs, j), append(b.jtags, t)
+}
+
+// reset empties the batch and drops what it referenced, keeping the
+// arrays.
+func (b *keyBatch) reset() {
+	clear(b.chains)
+	clear(b.jobs)
+	*b = keyBatch{chains: b.chains[:0], ctags: b.ctags[:0], jobs: b.jobs[:0], jtags: b.jtags[:0]}
+}
+
+// close verifies every claim collected under rs's key with one batch —
+// the chains digested on up to par goroutines — leaving in the batch the
+// function that lets rs's verifier remember them, for the caller to run
+// once the batch has closed under every other key too
+// (core.Verifier.CheckJobs). The batch has set semantics
+// (sigagg.BatchVerifier): a failure says some claim is false, not which,
+// so a failed batch is gone through claim by claim and the error names
+// the first section that does not stand on its own.
+func (rs *relSession) close(specs []*query.Spec, par int) error {
+	b := &rs.batch
+	jobs, err := chain.Jobs(b.chains, par)
+	if err != nil {
+		for i := range b.chains {
+			if _, err := chain.Jobs(b.chains[i:i+1], 1); err != nil {
+				return b.ctags[i].fail(specs, err)
+			}
+		}
+		return err
 	}
-}
-
-// close verifies every collected claim with one batch. The batch has
-// set semantics (sigagg.BatchVerifier): a failure says some claim is
-// false, not which, so the failed batch is re-verified claim by claim
-// and the error names the first section that does not stand on its own.
-func (b *keyBatch) close() error {
-	err := b.rs.verifier.VerifyJobs(b.jobs)
-	if err == nil {
+	jobs = append(jobs, b.jobs...)
+	if b.admit, err = rs.verifier.CheckJobs(jobs); err == nil {
 		return nil
 	}
-	for i, j := range b.jobs {
-		if jerr := b.rs.scheme.AggregateVerify(b.rs.pub, j.Digests, j.Agg); jerr != nil {
-			return fmt.Errorf("client: %s: %w", b.sections[i], jerr)
+	tags := append(b.ctags[:len(b.ctags):len(b.ctags)], b.jtags...)
+	for i, j := range jobs {
+		if jerr := rs.scheme.AggregateVerify(rs.pub, j.Digests, j.Agg); jerr != nil {
+			return tags[i].fail(specs, jerr)
 		}
 	}
-	return fmt.Errorf("client: %s: %w", b.sections[0], err)
+	return tags[0].fail(specs, err)
 }
 
-// verifyComposite checks every section of a composite answer. Nothing
-// in comp is trusted before this returns nil.
+// joinProofs counts what one answer's join section proved, by kind.
+type joinProofs struct {
+	matches, bfNegs, bfFalls, bounds uint64
+}
+
+// verify checks every section of every answer of a batch; comps[i]
+// answers specs[i]. Nothing in comps is trusted before it returns nil.
+// On success report i bounds the staleness of answer i's selected
+// records.
 //
 // Every section is first checked for everything that needs no key and
 // reduced to signature claims; the claims are then closed once per
-// signer key — outer chain and projection under the outer relation's,
-// matches, boundary proofs and each distinct certified Bloom partition
-// under the inner relation's — instead of once per section. Freshness is
-// judged last, on records the closed batches have authenticated.
-func (c *Client) verifyComposite(spec *query.Spec, comp *wire.Composite, outerRS, innerRS *relSession) error {
-	if comp.Outer == nil {
-		return fmt.Errorf("%w: no outer answer", ErrComposite)
-	}
-	// 1. Per-relation summary tails feed each relation's freshness state
-	// (gaps bridged over 'T' requests).
-	for _, tail := range comp.Tails {
-		rs, ok := c.rels[tail.Rel]
-		if !ok {
-			return fmt.Errorf("%w: tail for unknown relation %q", ErrComposite, tail.Rel)
+// signer key across the whole batch — scans and projections under their
+// relation's, matches, boundary proofs and each distinct certified Bloom
+// partition under the inner relation's — instead of once per answer or
+// section. Freshness is judged last, on records the closed batches have
+// authenticated.
+func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.FreshnessReport, error) {
+	// 1. Summary tails feed each relation's freshness state (gaps bridged
+	// over 'T' requests).
+	for _, comp := range comps {
+		if comp == nil || comp.Outer == nil {
+			return nil, fmt.Errorf("%w: no outer answer", ErrComposite)
 		}
-		if err := c.relIngest(tail.Rel, rs, tail.Summaries); err != nil {
-			return err
-		}
-	}
-	// Claims per key, from the section counts: the outer chain and the
-	// projection under the outer key; under the inner, at most one per
-	// match and per non-match proof (Bloom probes of one partition share
-	// its certification).
-	outerClaims, innerClaims := 2, 0
-	if comp.Join != nil {
-		innerClaims = len(comp.Join.Matches) + len(comp.Join.Unmatched)
-	}
-	if innerRS == outerRS {
-		outerClaims += innerClaims
-	}
-	// 2. Outer chain: authenticity + completeness over the selected
-	// range.
-	outerAns := []*core.Answer{{Chain: comp.Outer}}
-	outerBatch := newKeyBatch(outerRS, outerClaims)
-	jobs, err := outerRS.verifier.Jobs(outerAns, []core.Range{{Lo: spec.Lo, Hi: spec.Hi}})
-	if err != nil {
-		return fmt.Errorf("client: outer relation %q: %w", spec.Rel, err)
-	}
-	outerBatch.add(fmt.Sprintf("outer relation %q", spec.Rel), jobs...)
-	// 3. Projection: present exactly when requested, rows 1:1 with the
-	// chained records, aggregate over the owner's attribute signatures.
-	if err := c.projectionJobs(spec, comp, outerBatch); err != nil {
-		return err
-	}
-	// 4. Join: per outer key exactly one proof. A self-join's claims fall
-	// under the outer key too.
-	innerBatch := outerBatch
-	if innerRS != outerRS {
-		innerBatch = newKeyBatch(innerRS, innerClaims)
-	}
-	proofs, err := c.joinJobs(spec, comp, innerBatch)
-	if err != nil {
-		return err
-	}
-	// 5. One closing verification per signer key.
-	if err := outerBatch.close(); err != nil {
-		return err
-	}
-	if innerBatch != outerBatch && len(innerBatch.jobs) > 0 {
-		if err := innerBatch.close(); err != nil {
-			return err
-		}
-	}
-	// 6. Freshness of every disclosed record — boundary anchors included
-	// — against the per-relation summary streams.
-	now := c.cfg.Now()
-	if _, err := outerRS.verifier.Freshness(outerAns, now); err != nil {
-		return fmt.Errorf("client: outer relation %q: %w", spec.Rel, err)
-	}
-	if spec.Join != nil {
-		if _, err := innerRS.verifier.Freshness(proofs.chains, now); err != nil {
-			return fmt.Errorf("client: join against %q: %w", spec.Join.Rel, err)
-		}
-		// Bloom negatives prove absence only as of the filter
-		// certification: bound its age against the inner relation's newest
-		// certified summary, which this answer's tail just delivered. One ρ
-		// is the protocol's staleness unit; an older filter means the
-		// server skipped re-certification past a summary close and its
-		// negatives may hide newer inserts.
-		if proofs.bfNegs > 0 {
-			latest, ok := innerRS.verifier.LatestSummary()
+		for _, tail := range comp.Tails {
+			rs, ok := c.rels[tail.Rel]
 			if !ok {
-				return fmt.Errorf("%w: Bloom negatives without any certified summary for %q", ErrComposite, spec.Join.Rel)
+				return nil, fmt.Errorf("%w: tail for unknown relation %q", ErrComposite, tail.Rel)
 			}
-			if lag := latest.TS - comp.Join.FilterTS; lag > c.cfg.Protocol.Rho {
-				return fmt.Errorf("%w: join filter for %q certified at %d is %d behind the summary stream (ρ=%d)",
-					freshness.ErrStale, spec.Join.Rel, comp.Join.FilterTS, lag, c.cfg.Protocol.Rho)
+			if err := c.relIngest(rs, tail.Summaries); err != nil {
+				return nil, err
 			}
 		}
 	}
-	if comp.Proj != nil {
-		c.stats.AttrSigsVerif += uint64(len(comp.Proj.Rows) * len(comp.Proj.AttrIdxs))
+	defer func() {
+		for _, rs := range c.rels {
+			rs.batch.reset()
+		}
+	}()
+	// 2. Claims, per signer key.
+	var proofs []joinProofs // proofs[i] is what answer i's join section proved; nil while no plan joins
+	for i, spec := range specs {
+		comp := comps[i]
+		scan := claimTag{plan: i, section: secOuter, rel: spec.Rel}
+		if comp.Outer.Lo != spec.Lo || comp.Outer.Hi != spec.Hi {
+			return nil, scan.fail(specs, fmt.Errorf("%w: answer is for range [%d,%d], not [%d,%d]",
+				sigagg.ErrVerify, comp.Outer.Lo, comp.Outer.Hi, spec.Lo, spec.Hi))
+		}
+		outer := &c.rels[spec.Rel].batch
+		outer.addChain(comp.Outer, scan)
+		// Projection: present exactly when requested, rows 1:1 with the
+		// chained records, aggregate over the owner's attribute signatures.
+		if err := projectionJobs(spec, comp, outer, i); err != nil {
+			return nil, inPlan(specs, i, err)
+		}
+		// Join: per outer key exactly one proof. A self-join's claims fall
+		// under the outer key too.
+		if spec.Join == nil {
+			if comp.Join != nil {
+				return nil, inPlan(specs, i, fmt.Errorf("%w: unrequested join section", ErrComposite))
+			}
+			continue
+		}
+		if proofs == nil {
+			proofs = make([]joinProofs, len(specs))
+		}
+		var err error
+		if proofs[i], err = joinJobs(spec, comp, &c.rels[spec.Join.Rel].batch, i); err != nil {
+			return nil, inPlan(specs, i, err)
+		}
 	}
-	c.stats.JoinMatches += proofs.matches
-	c.stats.JoinBFNegs += proofs.bfNegs
-	c.stats.JoinBFFalls += proofs.bfFalls
-	c.stats.JoinBounds += proofs.bounds
-	return nil
+	// 3. One closing verification per signer key that has any claim — a
+	// join answered by Bloom negatives alone puts certifications and no
+	// chain under the inner key. Only a batch that closed under every key
+	// is remembered under any.
+	for _, name := range c.names {
+		if rs := c.rels[name]; len(rs.batch.chains)+len(rs.batch.jobs) > 0 {
+			if err := rs.close(specs, c.cfg.VerifyWorkers); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, rs := range c.rels {
+		if rs.batch.admit != nil {
+			rs.batch.admit()
+		}
+	}
+	// 4. Freshness of every disclosed record — boundary anchors included —
+	// against its relation's summary stream.
+	now := c.cfg.Now()
+	reports := make([]*core.FreshnessReport, len(specs))
+	for _, name := range c.names {
+		rs := c.rels[name]
+		for k, ca := range rs.batch.chains {
+			bound, err := rs.verifier.Staleness(ca, now)
+			if err != nil {
+				return nil, fmt.Errorf("client: relation %q: %w", name, err)
+			}
+			if t := rs.batch.ctags[k]; t.section == secOuter {
+				reports[t.plan] = &core.FreshnessReport{MaxStaleness: bound}
+			}
+		}
+	}
+	// 5. Bloom negatives prove absence only as of the filter
+	// certification: bound its age against the inner relation's newest
+	// certified summary, which this answer's tail just delivered. One ρ
+	// is the protocol's staleness unit; an older filter means the
+	// server skipped re-certification past a summary close and its
+	// negatives may hide newer inserts.
+	for i, p := range proofs {
+		if p.bfNegs == 0 {
+			continue
+		}
+		spec := specs[i]
+		latest, ok := c.rels[spec.Join.Rel].verifier.LatestSummary()
+		if !ok {
+			return nil, fmt.Errorf("%w: Bloom negatives without any certified summary for %q", ErrComposite, spec.Join.Rel)
+		}
+		if lag := latest.TS - comps[i].Join.FilterTS; lag > c.cfg.Protocol.Rho {
+			return nil, fmt.Errorf("%w: join filter for %q certified at %d is %d behind the summary stream (ρ=%d)",
+				freshness.ErrStale, spec.Join.Rel, comps[i].Join.FilterTS, lag, c.cfg.Protocol.Rho)
+		}
+	}
+	for _, comp := range comps {
+		if comp.Proj != nil {
+			c.stats.AttrSigsVerif += uint64(len(comp.Proj.Rows) * len(comp.Proj.AttrIdxs))
+		}
+	}
+	for _, p := range proofs {
+		c.stats.JoinMatches += p.matches
+		c.stats.JoinBFNegs += p.bfNegs
+		c.stats.JoinBFFalls += p.bfFalls
+		c.stats.JoinBounds += p.bounds
+	}
+	c.stats.Verified += uint64(len(comps))
+	return reports, nil
 }
 
-// projectionJobs checks the projection section's shape against the plan
-// and the outer chain and adds its aggregate claim to the outer batch.
-func (c *Client) projectionJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatch) error {
+// projectionJobs checks answer plan's projection section's shape against
+// the plan and the outer chain and adds its aggregate claim to the outer
+// key's batch.
+func projectionJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatch, plan int) error {
 	if spec.Attrs == nil {
 		if comp.Proj != nil {
 			return fmt.Errorf("%w: unrequested projection section", ErrComposite)
@@ -343,28 +493,14 @@ func (c *Client) projectionJobs(spec *query.Spec, comp *wire.Composite, batch *k
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrComposite, err)
 	}
-	batch.add(fmt.Sprintf("projection over %q", spec.Rel), sigagg.VerifyJob{Digests: ds, Agg: p.Agg})
+	batch.addJob(sigagg.VerifyJob{Digests: ds, Agg: p.Agg}, claimTag{plan: plan, section: secProj, rel: spec.Rel})
 	return nil
 }
 
-// joinProofs is what joinJobs found in a join section: the chain-backed
-// proofs, whose records still need their freshness judged once the
-// batch has closed, and the per-kind counts for the session stats.
-type joinProofs struct {
-	chains                           []*core.Answer
-	matches, bfNegs, bfFalls, bounds uint64
-}
-
-// joinJobs checks the join section's shape and coverage and adds its
-// signature claims to the inner batch.
-func (c *Client) joinJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatch) (joinProofs, error) {
+// joinJobs checks answer plan's join section's shape and coverage and
+// adds its signature claims to the inner key's batch.
+func joinJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatch, plan int) (joinProofs, error) {
 	var out joinProofs
-	if spec.Join == nil {
-		if comp.Join != nil {
-			return out, fmt.Errorf("%w: unrequested join section", ErrComposite)
-		}
-		return out, nil
-	}
 	j := comp.Join
 	if j == nil {
 		return out, fmt.Errorf("%w: join section missing", ErrComposite)
@@ -372,7 +508,7 @@ func (c *Client) joinJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatc
 	if j.Method != spec.Join.Method {
 		return out, fmt.Errorf("%w: join used method %v, requested %v", ErrComposite, j.Method, spec.Join.Method)
 	}
-	section := fmt.Sprintf("join against %q", spec.Join.Rel)
+	tag := claimTag{plan: plan, section: secJoin, rel: spec.Join.Rel}
 	// Coverage: each outer key must be resolved exactly once, and no
 	// proof may reference a key outside the outer answer — a server must
 	// not be able to drop a non-match proof (claiming fewer results) or
@@ -395,9 +531,6 @@ func (c *Client) joinJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatc
 
 	// Chain-backed proofs (matches and boundary non-matches): structure
 	// and completeness for the point range [v, v].
-	proofs := len(j.Matches) + len(j.Unmatched)
-	out.chains = make([]*core.Answer, 0, proofs)
-	chainRanges := make([]core.Range, 0, proofs)
 	for _, m := range j.Matches {
 		if m == nil || len(m.Records) == 0 {
 			return out, fmt.Errorf("%w: match proof with no records", ErrComposite)
@@ -408,8 +541,7 @@ func (c *Client) joinJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatc
 		if err := claim(m.Lo); err != nil {
 			return out, err
 		}
-		out.chains = append(out.chains, &core.Answer{Chain: m})
-		chainRanges = append(chainRanges, core.Range{Lo: m.Lo, Hi: m.Hi})
+		batch.addChain(m, tag)
 		out.matches++
 	}
 	// Bloom negatives: every probe is checked against the partition it
@@ -430,8 +562,7 @@ func (c *Client) joinJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatc
 			if up.Boundary.Lo != up.RA || up.Boundary.Hi != up.RA {
 				return out, fmt.Errorf("%w: boundary proof for %d covers [%d,%d]", ErrComposite, up.RA, up.Boundary.Lo, up.Boundary.Hi)
 			}
-			out.chains = append(out.chains, &core.Answer{Chain: up.Boundary})
-			chainRanges = append(chainRanges, core.Range{Lo: up.RA, Hi: up.RA})
+			batch.addChain(up.Boundary, tag)
 			if j.Method == join.BF {
 				out.bfFalls++
 			} else {
@@ -442,7 +573,7 @@ func (c *Client) joinJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatc
 				return out, fmt.Errorf("%w: Bloom proof for %d in a BV join", ErrComposite, up.RA)
 			}
 			if err := join.CheckPartitionProbe(up); err != nil {
-				return out, fmt.Errorf("client: %s: %w", section, err)
+				return out, fmt.Errorf("client: join against %q: %w", spec.Join.Rel, err)
 			}
 			bounds := [2]int64{up.Partition.Lo, up.Partition.Hi}
 			first, seen := certified[bounds]
@@ -452,15 +583,16 @@ func (c *Client) joinJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatc
 				// valid — and under set semantics two proofs trading their
 				// signatures would otherwise cancel out.
 				if !bytes.Equal(first.PartSig, up.PartSig) {
-					return out, fmt.Errorf("%w: %s: partition [%d,%d) presented with two different certifications",
-						ErrComposite, section, bounds[0], bounds[1])
+					return out, fmt.Errorf("%w: join against %q: partition [%d,%d) presented with two different certifications",
+						ErrComposite, spec.Join.Rel, bounds[0], bounds[1])
 				}
 			} else {
 				if !seen {
 					certified[bounds] = up
 				}
-				batch.add(fmt.Sprintf("%s: partition cert for %d", section, up.RA),
-					join.PartitionJob(up.Partition, up.PartSig, j.FilterTS))
+				cert := tag
+				cert.cert, cert.key = true, up.RA
+				batch.addJob(join.PartitionJob(up.Partition, up.PartSig, j.FilterTS), cert)
 			}
 			out.bfNegs++
 		default:
@@ -472,108 +604,150 @@ func (c *Client) joinJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatc
 			return out, fmt.Errorf("%w: outer key %d has no join proof", ErrComposite, v)
 		}
 	}
-	jobs, err := batch.rs.verifier.Jobs(out.chains, chainRanges)
-	if err != nil {
-		return out, fmt.Errorf("client: %s: %w", section, err)
-	}
-	batch.add(section, jobs...)
 	return out, nil
 }
 
-// relIngest folds one relation's summary tail into its verifier,
-// cross-checking re-sent sequence numbers (rollback evidence) and
-// bridging sequence gaps with paged 'T' fetches.
-func (c *Client) relIngest(rel string, rs *relSession, sums []freshness.Summary) error {
-	held := uint64(0)
-	if latest, ok := rs.verifier.LatestSummary(); ok {
-		held = latest.Seq
+// ---- certified summary streams ----
+
+// checkHeld compares an incoming summary against the same-sequence
+// summary the relation's verifier holds. A mismatch is accused as
+// divergence only after the incoming summary's signature verifies:
+// rollback evidence must be authenticated, or in-flight bit flips could
+// forge "divergence" and kill honest sessions (the conflict is then
+// just transport corruption, and retryable).
+func checkHeld(v *core.Verifier, s *freshness.Summary) error {
+	held, ok := v.SummaryBySeq(s.Seq)
+	if !ok {
+		return nil
 	}
-	for i := range sums {
-		s := &sums[i]
-		if s.Seq <= held {
-			if err := checkHeldIn(rs.verifier, s); err != nil {
-				return err
-			}
-			continue
+	if held.TS != s.TS || held.PeriodStart != s.PeriodStart ||
+		!bytes.Equal(held.Compressed, s.Compressed) || !bytes.Equal(held.Sig, s.Sig) {
+		if err := v.VerifySummarySig(s); err != nil {
+			return fmt.Errorf("%w: conflicting summary %d is unauthenticated (%v)",
+				wire.ErrCorrupt, s.Seq, err)
 		}
-		// The tail skipped sequence numbers (a cold session's tail starts
-		// at the answer's oldest signature): fetch the missing stretch
-		// first. The server caps each reply, so page from the newest
-		// summary held until the stretch is contiguous, giving up only
-		// when a reply brings nothing new.
-		for held+1 < s.Seq {
-			fetched, err := c.fetchRelSummariesRetry(rel, held)
-			if err != nil {
-				return err
-			}
-			before := held
-			for k := range fetched {
-				f := &fetched[k]
-				if f.Seq <= held {
-					if err := checkHeldIn(rs.verifier, f); err != nil {
-						return err
-					}
-					continue
-				}
-				if f.Seq >= s.Seq {
-					break
-				}
-				if err := rs.verifier.IngestSummary(*f); err != nil {
-					return fmt.Errorf("client: relation %q summary %d: %w", rel, f.Seq, err)
-				}
-				held = f.Seq
-				c.stats.Summaries++
-			}
-			if held == before {
-				return fmt.Errorf("%w: relation %q summaries %d..%d unavailable", wire.ErrCorrupt, rel, held+1, s.Seq-1)
-			}
-		}
-		if err := rs.verifier.IngestSummary(*s); err != nil {
-			return fmt.Errorf("client: relation %q summary %d: %w", rel, s.Seq, err)
-		}
-		held = s.Seq
-		c.stats.Summaries++
+		return fmt.Errorf("%w: summary %d", ErrDiverged, s.Seq)
 	}
 	return nil
 }
 
-// fetchRelSummariesRetry round-trips one 'T' per-relation summary
-// request under the retry policy.
-func (c *Client) fetchRelSummariesRetry(rel string, sinceSeq uint64) ([]freshness.Summary, error) {
-	var sums []freshness.Summary
-	err := c.withRetry(func() error {
-		var oerr error
-		sums, oerr = c.fetchRelSummaries(rel, sinceSeq)
-		return oerr
-	})
-	if err != nil {
-		return nil, err
+// relIngest folds a run of one relation's summaries — an answer's tail
+// or a 'T' page — into its verifier, in order. A sequence number the
+// session holds is cross-checked against the held copy (rollback
+// evidence); the next one is verified and ingested; and where the run
+// skips ahead (a cold session's tail starts at the answer's oldest
+// signature) the missing stretch is fetched first. The server caps each
+// reply, so that pages from the newest summary held until the stretch is
+// contiguous, giving up only when a reply brings nothing new. Ingestion
+// never runs past the run's own last summary: an answer is judged
+// against the stream as of its own construction.
+func (c *Client) relIngest(rs *relSession, sums []freshness.Summary) error {
+	admit := func(s *freshness.Summary) error {
+		if s.Seq <= rs.heldSeq() {
+			return checkHeld(rs.verifier, s)
+		}
+		if err := rs.verifier.IngestSummary(*s); err != nil {
+			return fmt.Errorf("client: relation %q summary %d: %w", rs.name, s.Seq, err)
+		}
+		c.stats.Summaries++
+		return nil
 	}
-	return sums, nil
+	for i := range sums {
+		s := &sums[i]
+		for held := rs.heldSeq(); held+1 < s.Seq; {
+			page, err := c.fetchSummaries(rs.name, held, 0)
+			if err != nil {
+				return err
+			}
+			for k := range page {
+				if page[k].Seq >= s.Seq {
+					break
+				}
+				if err := admit(&page[k]); err != nil {
+					return err
+				}
+			}
+			// Read again rather than count: a reconnect inside the fetch
+			// re-anchors, which ingests too.
+			now := rs.heldSeq()
+			if now == held {
+				return fmt.Errorf("%w: relation %q summaries %d..%d unavailable", wire.ErrCorrupt, rs.name, held+1, s.Seq-1)
+			}
+			held = now
+		}
+		if err := admit(s); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func (c *Client) fetchRelSummaries(rel string, sinceSeq uint64) ([]freshness.Summary, error) {
-	c.armDeadline()
-	defer c.clearDeadline()
-	req := wire.AppendRelSumsReq(wire.GetBuffer(), rel, sinceSeq, 0)
-	werr := wire.WriteFrame(c.bw, req)
-	wire.PutBuffer(req)
-	if werr != nil {
-		return nil, werr
+// resync reads rs's stream from the server — the summaries after
+// sinceSeq, or since oldestTS when sinceSeq is 0 — folding each page into
+// the session (relIngest: what is held is cross-checked, what is new
+// ingested), and reports how many summaries it ingested. The server caps
+// each page and, asked past its newest summary, sends that one again: the
+// read is over at the page that brings nothing past what was asked for.
+func (c *Client) resync(rs *relSession, sinceSeq uint64, oldestTS int64) (int, error) {
+	start := rs.verifier.SummaryCount()
+	for {
+		page, err := c.fetchSummaries(rs.name, sinceSeq, oldestTS)
+		if err == nil {
+			err = c.relIngest(rs, page)
+		}
+		if err != nil || len(page) == 0 || page[len(page)-1].Seq <= sinceSeq {
+			return rs.verifier.SummaryCount() - start, err
+		}
+		sinceSeq, oldestTS = page[len(page)-1].Seq, 0
 	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, err
+}
+
+// reanchor re-reads every relation's stream from just before the newest
+// summary the session holds, so the server must send that one again and
+// the held/re-sent comparison always runs: a server that lost its
+// certified history is convicted here (ErrDiverged), not silently
+// followed, and anything published while the session was disconnected is
+// caught up on. (Sequence numbers start at 1, so for a tip of 1 this is
+// the request for the whole stream, which begins with the tip.) A
+// relation the session holds nothing of has no anchor to lose: its first
+// answer's tail starts the stream.
+func (c *Client) reanchor() error {
+	for _, name := range c.names {
+		rs := c.rels[name]
+		if tip, ok := rs.verifier.LatestSummary(); ok {
+			if _, err := c.resync(rs, tip.Seq-1, 0); err != nil {
+				return err
+			}
+		}
 	}
-	data, err := c.readFrame()
-	if err != nil {
-		return nil, err
-	}
-	kind, err := wire.Kind(data)
-	if err != nil {
-		return nil, err
-	}
-	if kind == wire.KindError {
-		return nil, decodeErrorFrame(data)
-	}
-	return wire.DecodeSummaries(data)
+	return nil
+}
+
+// fetchSummaries round-trips one 'T' request — rel's summaries after
+// sinceSeq, or since oldestTS when sinceSeq is 0 — under the retry
+// policy.
+func (c *Client) fetchSummaries(rel string, sinceSeq uint64, oldestTS int64) ([]freshness.Summary, error) {
+	var sums []freshness.Summary
+	err := c.withRetry(func() error {
+		c.armDeadline()
+		defer c.clearDeadline()
+		req := wire.AppendRelSumsReq(wire.GetBuffer(), rel, sinceSeq, oldestTS)
+		werr := wire.WriteFrame(c.bw, req)
+		wire.PutBuffer(req)
+		if werr != nil {
+			return werr
+		}
+		if err := c.bw.Flush(); err != nil {
+			return err
+		}
+		data, err := c.readFrame()
+		if err == nil {
+			err = serverError(data)
+		}
+		if err == nil {
+			sums, err = wire.DecodeSummaries(data)
+		}
+		return err
+	})
+	return sums, err
 }

@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
+	"io"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,15 +45,31 @@ func newPlanFixture(t *testing.T) *planFixture {
 // NetServer with the given configuration.
 func newPlanFixtureOn(t testing.TB, newScheme func() sigagg.Scheme, netCfg server.NetConfig) *planFixture {
 	t.Helper()
+	return buildPlanFixture(t, newScheme, netCfg, 0, 1_000)
+}
+
+// buildPlanFixture is newPlanFixtureOn with the owners' keys derived from
+// keySeed (0 = fresh random keys) and the inner relation's first period
+// closed at innerClose: two fixtures of one seed are the same owners, and
+// with different innerClose the inner relation's certified history
+// differs while the outer's is byte for byte the same.
+func buildPlanFixture(t testing.TB, newScheme func() sigagg.Scheme, netCfg server.NetConfig, keySeed, innerClose int64) *planFixture {
+	t.Helper()
 	cat, err := core.NewCatalog(newScheme(), core.DefaultConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outer, err := cat.AddRelation("o", nil, []core.DAOption{core.WithAttrSigning()}, []core.Option{core.WithShards(4)})
+	keyRand := func(rel int64) io.Reader {
+		if keySeed == 0 {
+			return nil
+		}
+		return rand.New(rand.NewSource(keySeed + rel))
+	}
+	outer, err := cat.AddRelation("o", keyRand(1), []core.DAOption{core.WithAttrSigning()}, []core.Option{core.WithShards(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := cat.AddRelation("i", nil, nil, []core.Option{core.WithShards(4)})
+	inner, err := cat.AddRelation("i", keyRand(2), nil, []core.Option{core.WithShards(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +84,10 @@ func newPlanFixtureOn(t testing.TB, newScheme func() sigagg.Scheme, netCfg serve
 		}
 	}
 	for _, p := range []struct {
-		rel  *core.Relation
-		recs []*core.Record
-	}{{outer, orecs}, {inner, irecs}} {
+		rel     *core.Relation
+		recs    []*core.Record
+		closeTS int64
+	}{{outer, orecs, 1_000}, {inner, irecs, innerClose}} {
 		msg, err := p.rel.DA.Load(p.recs, 100)
 		if err != nil {
 			t.Fatal(err)
@@ -77,7 +95,7 @@ func newPlanFixtureOn(t testing.TB, newScheme func() sigagg.Scheme, netCfg serve
 		if err := p.rel.Deliver(msg); err != nil {
 			t.Fatal(err)
 		}
-		if msg, err = p.rel.DA.ClosePeriod(1_000); err != nil {
+		if msg, err = p.rel.DA.ClosePeriod(p.closeTS); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.rel.Deliver(msg); err != nil {
@@ -159,8 +177,8 @@ func TestQueryPlanEndToEnd(t *testing.T) {
 		t.Fatalf("projection missing or wrong size: %+v", comp.Proj)
 	}
 	st := cl.Stats()
-	if st.Plans != 1 {
-		t.Fatalf("Plans = %d, want 1", st.Plans)
+	if st.Verified != 1 {
+		t.Fatalf("Verified = %d, want 1", st.Verified)
 	}
 	if st.JoinMatches != 20 {
 		t.Fatalf("JoinMatches = %d, want 20", st.JoinMatches)
@@ -203,7 +221,7 @@ func TestQueryPlanBVAndSelectOnly(t *testing.T) {
 	if st.AttrSigsVerif != 118 {
 		t.Fatalf("AttrSigsVerif = %d, want 118 (59 rows × 2 attrs)", st.AttrSigsVerif)
 	}
-	// Select-project without a join rides the 'P' frame.
+	// Select-project without a join.
 	comp, err = cl.QueryPlan(&query.Spec{Rel: "o", Lo: 105, Hi: 305, Attrs: []int{1}})
 	if err != nil {
 		t.Fatal(err)
@@ -276,166 +294,112 @@ func TestQueryPlanSeesInnerUpdate(t *testing.T) {
 	}
 }
 
-// compTamperMode selects the composite-answer forgery.
-type compTamperMode int
+// The composite-answer forgeries, beside tamperSigFlip and tamperRowSwap
+// (adversary_test.go) and the batch-aimed ones (composite_test.go).
 
-const (
-	compTamperNone     compTamperMode = iota
-	compTamperRowSwap                 // swap projected values between two records
-	compTamperSlotSwap                // swap a record's projected values between slots
-	compTamperBloomBit                // flip a bit in a certified Bloom partition
-	compTamperDropBV                  // drop one boundary non-match proof
-)
-
-// compTamperSrv is the Byzantine front for the plan path: it decodes
-// real 'C' responses from an honest upstream, applies one forgery, and
-// re-encodes — syntactically perfect protocol, so only the composite
-// VO verification can reject it.
-type compTamperSrv struct {
-	ln       net.Listener
-	upstream string
-
-	mu     sync.Mutex
-	mode   compTamperMode
-	mutate func(*wire.Composite) // when set, replaces mode's forgery
+// compTamperRowSwap swaps projected values between two records.
+func compTamperRowSwap(comp *wire.Composite) bool {
+	if comp.Proj == nil || len(comp.Proj.Rows) < 2 {
+		return false
+	}
+	r := comp.Proj.Rows
+	r[0].Values[0], r[1].Values[0] = r[1].Values[0], r[0].Values[0]
+	return true
 }
 
-func newCompTamperSrv(t *testing.T, upstream string) *compTamperSrv {
+// compTamperSlotSwap swaps a record's projected values between slots.
+func compTamperSlotSwap(comp *wire.Composite) bool {
+	if comp.Proj == nil || len(comp.Proj.Rows) == 0 || len(comp.Proj.AttrIdxs) < 2 {
+		return false
+	}
+	v := comp.Proj.Rows[0].Values
+	v[0], v[1] = v[1], v[0]
+	return true
+}
+
+// compTamperBloomBit flips a bit in a certified Bloom partition.
+func compTamperBloomBit(comp *wire.Composite) bool {
+	if comp.Join == nil {
+		return false
+	}
+	for i := range comp.Join.Unmatched {
+		up := &comp.Join.Unmatched[i]
+		if up.Partition == nil {
+			continue
+		}
+		raw := up.Partition.Filter.Marshal()
+		raw[len(raw)-1] ^= 0x01
+		f, err := bloom.Unmarshal(raw)
+		if err != nil {
+			return false
+		}
+		up.Partition.Filter = f
+		return true
+	}
+	return false
+}
+
+// compTamperDropBV drops one boundary non-match proof.
+func compTamperDropBV(comp *wire.Composite) bool {
+	if comp.Join == nil {
+		return false
+	}
+	for i := range comp.Join.Unmatched {
+		if comp.Join.Unmatched[i].Boundary != nil {
+			comp.Join.Unmatched = append(comp.Join.Unmatched[:i:i], comp.Join.Unmatched[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// pipelinedAmong runs forge as member 3 of a pipelined batch of 5 plans
+// on two relations — the forged plan between bare scans of either
+// relation and honest joins — and checks what a batch owes its members:
+// it fails as a verification failure that names the guilty plan and
+// section, hands back no answer, and leaves the session no wiser —
+// nothing verified, and not one claim of the batch (the four honest
+// answers' included) admitted to a memo.
+func pipelinedAmong(t *testing.T, fx *planFixture, guilty *query.Spec, forge forgery, section string) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	ts := newTamperSrv(t, fx.addr)
+	cl := fx.dial(t, ts.Addr())
+	batch := []*query.Spec{
+		{Rel: "i", Lo: 105, Hi: 695},
+		fx.spec(join.BV, nil),
+		guilty,
+		{Rel: "o", Lo: 205, Hi: 405, Attrs: []int{1}},
+		fx.spec(join.BF, []int{0}),
+	}
+	ts.ForgeNth(3, forge)
+	comps, err := cl.QueryPlans(batch)
+	if err == nil || comps != nil {
+		t.Fatalf("batch with a forged member: %d answers, err %v", len(comps), err)
+	}
+	if !errors.Is(err, sigagg.ErrVerify) {
+		t.Fatalf("batch with a forged member surfaced as %v, want sigagg.ErrVerify", err)
+	}
+	if !strings.Contains(err.Error(), "plan 3 of 5: ") || !strings.Contains(err.Error(), section) {
+		t.Fatalf("error %q does not name plan 3 of 5 and %q", err, section)
+	}
+	failed := cl.Stats()
+	if failed.Verified != 0 {
+		t.Fatalf("after the failed batch: %+v", failed)
+	}
+	// Nothing was admitted: the same batch, honest now, costs this session
+	// exactly the claims it costs a session that never saw the forgery.
+	ref := fx.dial(t, fx.addr)
+	if _, err := ref.QueryPlans(batch); err != nil {
 		t.Fatal(err)
 	}
-	ts := &compTamperSrv{ln: ln, upstream: upstream}
-	go ts.acceptLoop()
-	t.Cleanup(func() { ln.Close() })
-	return ts
-}
-
-func (ts *compTamperSrv) Addr() string { return ts.ln.Addr().String() }
-
-func (ts *compTamperSrv) SetMode(m compTamperMode) {
-	ts.mu.Lock()
-	ts.mode = m
-	ts.mu.Unlock()
-}
-
-// SetMutator installs an arbitrary forgery applied to every decoded
-// composite (nil restores honest relaying).
-func (ts *compTamperSrv) SetMutator(fn func(*wire.Composite)) {
-	ts.mu.Lock()
-	ts.mutate = fn
-	ts.mu.Unlock()
-}
-
-func (ts *compTamperSrv) acceptLoop() {
-	for {
-		down, err := ts.ln.Accept()
-		if err != nil {
-			return
-		}
-		go ts.serve(down)
+	if _, err := cl.QueryPlans(batch); err != nil {
+		t.Fatalf("the honest batch through the same front: %v", err)
 	}
-}
-
-func (ts *compTamperSrv) serve(down net.Conn) {
-	defer down.Close()
-	up, err := net.Dial("tcp", ts.upstream)
-	if err != nil {
-		return
+	want, got := ref.Stats(), cl.Stats()
+	if got.Verified != 5 || got.ClaimMisses-failed.ClaimMisses != want.ClaimMisses || got.ClaimHits-failed.ClaimHits != want.ClaimHits {
+		t.Fatalf("the honest batch after the failed one: %d claims to the scheme and %d hits, a fresh session's %d and %d",
+			got.ClaimMisses-failed.ClaimMisses, got.ClaimHits-failed.ClaimHits, want.ClaimMisses, want.ClaimHits)
 	}
-	defer up.Close()
-	var req, resp []byte
-	for {
-		if req, err = wire.ReadFrame(down, req, 0); err != nil {
-			return
-		}
-		if err := wire.WriteFrame(up, req); err != nil {
-			return
-		}
-		if resp, err = wire.ReadFrame(up, resp, 0); err != nil {
-			return
-		}
-		ts.mu.Lock()
-		mode, fn := ts.mode, ts.mutate
-		ts.mu.Unlock()
-		out := ts.forge(mode, fn, resp)
-		if err := wire.WriteFrame(down, out); err != nil {
-			return
-		}
-	}
-}
-
-func (ts *compTamperSrv) forge(mode compTamperMode, fn func(*wire.Composite), frame []byte) []byte {
-	kind, err := wire.Kind(frame)
-	if err != nil || kind != 'C' || (mode == compTamperNone && fn == nil) {
-		return frame
-	}
-	comp, err := wire.DecodeComposite(frame)
-	if err != nil {
-		return frame
-	}
-	if fn != nil {
-		fn(comp)
-		mode = compTamperNone
-	}
-	switch mode {
-	case compTamperRowSwap:
-		if comp.Proj == nil || len(comp.Proj.Rows) < 2 {
-			return frame
-		}
-		r := comp.Proj.Rows
-		r[0].Values[0], r[1].Values[0] = r[1].Values[0], r[0].Values[0]
-	case compTamperSlotSwap:
-		if comp.Proj == nil || len(comp.Proj.Rows) == 0 || len(comp.Proj.AttrIdxs) < 2 {
-			return frame
-		}
-		v := comp.Proj.Rows[0].Values
-		v[0], v[1] = v[1], v[0]
-	case compTamperBloomBit:
-		if comp.Join == nil {
-			return frame
-		}
-		flipped := false
-		for i := range comp.Join.Unmatched {
-			up := &comp.Join.Unmatched[i]
-			if up.Partition == nil {
-				continue
-			}
-			raw := up.Partition.Filter.Marshal()
-			raw[len(raw)-1] ^= 0x01
-			f, err := bloom.Unmarshal(raw)
-			if err != nil {
-				return frame
-			}
-			up.Partition.Filter = f
-			flipped = true
-			break
-		}
-		if !flipped {
-			return frame
-		}
-	case compTamperDropBV:
-		if comp.Join == nil {
-			return frame
-		}
-		dropped := false
-		for i := range comp.Join.Unmatched {
-			if comp.Join.Unmatched[i].Boundary != nil {
-				comp.Join.Unmatched = append(comp.Join.Unmatched[:i:i], comp.Join.Unmatched[i+1:]...)
-				dropped = true
-				break
-			}
-		}
-		if !dropped {
-			return frame
-		}
-	}
-	out, err := wire.AppendCompositeCore(nil, comp)
-	if err != nil {
-		return frame
-	}
-	return wire.AppendRelTails(out, comp.Tails)
 }
 
 // TestAdversaryProjectedValueSwapRejected: swapping projected values
@@ -444,10 +408,10 @@ func (ts *compTamperSrv) forge(mode compTamperMode, fn func(*wire.Composite), fr
 // as a verification failure.
 func TestAdversaryProjectedValueSwapRejected(t *testing.T) {
 	fx := newPlanFixture(t)
-	ts := newCompTamperSrv(t, fx.addr)
+	ts := newTamperSrv(t, fx.addr)
 	cl := fx.dial(t, ts.Addr())
-	for _, mode := range []compTamperMode{compTamperRowSwap, compTamperSlotSwap} {
-		ts.SetMode(mode)
+	for mode, forge := range []forgery{compTamperRowSwap, compTamperSlotSwap} {
+		ts.Forge(forge)
 		_, err := cl.QueryPlan(fx.spec(join.BF, []int{0, 1}))
 		if err == nil {
 			t.Fatalf("mode %d: swapped projection accepted", mode)
@@ -455,12 +419,13 @@ func TestAdversaryProjectedValueSwapRejected(t *testing.T) {
 		if !errors.Is(err, sigagg.ErrVerify) {
 			t.Fatalf("mode %d: surfaced as %v, want sigagg.ErrVerify", mode, err)
 		}
+		pipelinedAmong(t, fx, fx.spec(join.BF, []int{0, 1}), forge, `projection over "o"`)
 	}
-	if st := cl.Stats(); st.Plans != 0 {
-		t.Fatalf("%d plans accepted against a forging replica", st.Plans)
+	if st := cl.Stats(); st.Verified != 0 {
+		t.Fatalf("%d plans accepted against a forging replica", st.Verified)
 	}
 	// Sanity: the honest path through the same proxy verifies.
-	ts.SetMode(compTamperNone)
+	ts.Forge(nil)
 	if _, err := cl.QueryPlan(fx.spec(join.BF, []int{0, 1})); err != nil {
 		t.Fatal(err)
 	}
@@ -471,8 +436,8 @@ func TestAdversaryProjectedValueSwapRejected(t *testing.T) {
 // matches the owner-certified partition digest and is rejected.
 func TestAdversaryBloomBitFlipRejected(t *testing.T) {
 	fx := newPlanFixture(t)
-	ts := newCompTamperSrv(t, fx.addr)
-	ts.SetMode(compTamperBloomBit)
+	ts := newTamperSrv(t, fx.addr)
+	ts.Forge(compTamperBloomBit)
 	cl := fx.dial(t, ts.Addr())
 	_, err := cl.QueryPlan(fx.spec(join.BF, nil))
 	if err == nil {
@@ -481,6 +446,9 @@ func TestAdversaryBloomBitFlipRejected(t *testing.T) {
 	if !errors.Is(err, sigagg.ErrVerify) {
 		t.Fatalf("bit flip surfaced as %v, want sigagg.ErrVerify", err)
 	}
+	// The flipped bit may turn the probe positive (the probe check names
+	// the join) or leave a filter the certification no longer covers.
+	pipelinedAmong(t, fx, fx.spec(join.BF, nil), compTamperBloomBit, `join against "i"`)
 }
 
 // TestAdversaryDroppedBoundaryRejected: dropping one BV non-match proof
@@ -488,8 +456,8 @@ func TestAdversaryBloomBitFlipRejected(t *testing.T) {
 // unresolved; the coverage check rejects the answer.
 func TestAdversaryDroppedBoundaryRejected(t *testing.T) {
 	fx := newPlanFixture(t)
-	ts := newCompTamperSrv(t, fx.addr)
-	ts.SetMode(compTamperDropBV)
+	ts := newTamperSrv(t, fx.addr)
+	ts.Forge(compTamperDropBV)
 	cl := fx.dial(t, ts.Addr())
 	_, err := cl.QueryPlan(fx.spec(join.BV, nil))
 	if err == nil {
@@ -498,6 +466,7 @@ func TestAdversaryDroppedBoundaryRejected(t *testing.T) {
 	if !errors.Is(err, sigagg.ErrVerify) {
 		t.Fatalf("dropped boundary surfaced as %v, want sigagg.ErrVerify", err)
 	}
+	pipelinedAmong(t, fx, fx.spec(join.BV, nil), compTamperDropBV, "has no join proof")
 }
 
 // TestQueryPlanUnknownRelation: plans touching relations the session
@@ -512,5 +481,42 @@ func TestQueryPlanUnknownRelation(t *testing.T) {
 	_, err = cl.QueryPlan(&query.Spec{Rel: "o", Lo: 1, Hi: 2, Join: &query.JoinSpec{Rel: "nope"}})
 	if !errors.Is(err, client.ErrConfig) {
 		t.Fatalf("unknown join relation surfaced as %v, want ErrConfig", err)
+	}
+}
+
+// TestReconnectReanchorsEveryRelation: a reconnect re-anchors every
+// relation the session holds summaries of, not only the one range
+// queries address. The second server is the same owners' catalog whose
+// inner relation lost its certified history and was certified again,
+// differently; its outer relation's stream is byte for byte the first
+// server's. A session that holds the inner stream is refused at
+// Reconnect — before it could send a plan — and one that only ever
+// scanned the outer relation bridges over.
+func TestReconnectReanchorsEveryRelation(t *testing.T) {
+	scheme := func() sigagg.Scheme { return xortest.New() }
+	first := buildPlanFixture(t, scheme, server.NetConfig{}, 42, 1_000)
+	second := buildPlanFixture(t, scheme, server.NetConfig{}, 42, 1_001)
+
+	joined := first.dial(t, first.addr)
+	if _, err := joined.QueryPlan(first.spec(join.BF, []int{0})); err != nil {
+		t.Fatal(err)
+	}
+	if err := joined.Reconnect(second.addr); !errors.Is(err, client.ErrDiverged) {
+		t.Fatalf("reconnect of a session holding the inner stream: %v, want ErrDiverged", err)
+	}
+	// The session refuses the server on the plan path too.
+	if _, err := joined.QueryPlan(first.spec(join.BF, []int{0})); !errors.Is(err, client.ErrDiverged) {
+		t.Fatalf("plan against the diverged server: %v, want ErrDiverged", err)
+	}
+
+	scanned := first.dial(t, first.addr)
+	if _, err := scanned.QueryPlan(&query.Spec{Rel: "o", Lo: 105, Hi: 305}); err != nil {
+		t.Fatal(err)
+	}
+	if err := scanned.Reconnect(second.addr); err != nil {
+		t.Fatalf("reconnect of a session holding only the outer stream: %v", err)
+	}
+	if _, err := scanned.QueryPlan(&query.Spec{Rel: "o", Lo: 105, Hi: 305}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // RetryPolicy governs automatic recovery from transport faults and
 // overload rejections. The zero value disables retries (one attempt,
 // the pre-hardening behavior). Only idempotent requests are ever
-// retried — 'Q' range queries and 'S' summary fetches are read-only —
+// retried — 'P' plan queries and 'T' summary fetches are read-only —
 // and verification always runs at most once, on the attempt that
 // finally delivered bytes: a retry can never cause an answer to be
 // accepted that was not fully verified.

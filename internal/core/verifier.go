@@ -200,51 +200,78 @@ func (v *Verifier) Jobs(answers []*Answer, ranges []Range) ([]sigagg.VerifyJob, 
 // says some job is invalid, not which, and nothing of a failed batch is
 // remembered.
 func (v *Verifier) VerifyJobs(jobs []sigagg.VerifyJob) error {
-	if len(jobs) == 0 {
-		return nil
-	}
-	sc := v.memo.takeScratch()
-	defer v.memo.putScratch(sc)
-	live := v.memo.open(sc, jobs)
-	if len(live) == 0 {
-		return nil
-	}
-	if err := sigagg.NewPool(v.scheme, v.par).VerifyAll(v.pub, live); err != nil {
+	admit, err := v.CheckJobs(jobs)
+	if err != nil {
 		return err
 	}
-	v.memo.admit(sc)
+	admit()
 	return nil
 }
 
+// CheckJobs is VerifyJobs with the remembering left to the caller: on
+// success it returns the function that admits the batch's claims to the
+// memo. A caller closing one answer batch under several keys calls the
+// admits only after every key has closed, so that a batch with a false
+// claim under any key leaves no verifier remembering any of it; a caller
+// that drops admit merely forgets claims it verified.
+func (v *Verifier) CheckJobs(jobs []sigagg.VerifyJob) (admit func(), err error) {
+	if len(jobs) == 0 {
+		return func() {}, nil
+	}
+	sc := v.memo.takeScratch()
+	live := v.memo.open(sc, jobs)
+	if len(live) > 0 {
+		if err := sigagg.NewPool(v.scheme, v.par).VerifyAll(v.pub, live); err != nil {
+			v.memo.putScratch(sc)
+			return nil, err
+		}
+	}
+	verified := len(live) > 0
+	return func() {
+		if verified {
+			v.memo.admit(sc)
+		}
+		v.memo.putScratch(sc)
+	}, nil
+}
+
 // Freshness bounds every disclosed record of already-authenticated
-// answers against the certified summaries held (§3.1). The anchor of an
-// empty answer is a disclosed record and is checked too. The i-th report
+// answers against the certified summaries held (§3.1). The i-th report
 // corresponds to the i-th answer.
 func (v *Verifier) Freshness(answers []*Answer, now int64) ([]*FreshnessReport, error) {
 	reports := make([]*FreshnessReport, len(answers))
 	for i, ans := range answers {
-		report := &FreshnessReport{}
-		check := func(rec *Record) error {
-			bound, err := v.checker.CheckFresh(slot(rec.RID), rec.TS, now, v.cfg.Rho)
-			if err != nil {
-				return fmt.Errorf("core: rid %d: %w", rec.RID, err)
-			}
-			if bound > report.MaxStaleness {
-				report.MaxStaleness = bound
-			}
-			return nil
+		bound, err := v.Staleness(ans.Chain, now)
+		if err != nil {
+			return nil, err
 		}
-		for _, rec := range ans.Chain.Records {
-			if err := check(rec); err != nil {
-				return nil, err
-			}
-		}
-		if ans.Chain.Anchor != nil {
-			if err := check(ans.Chain.Anchor); err != nil {
-				return nil, err
-			}
-		}
-		reports[i] = report
+		reports[i] = &FreshnessReport{MaxStaleness: bound}
 	}
 	return reports, nil
+}
+
+// Staleness is Freshness for one authenticated chain: the worst staleness
+// bound over its disclosed records. The anchor of an empty answer is a
+// disclosed record and is checked too.
+func (v *Verifier) Staleness(ca *chain.Answer, now int64) (int64, error) {
+	var worst int64
+	check := func(rec *Record) error {
+		bound, err := v.checker.CheckFresh(slot(rec.RID), rec.TS, now, v.cfg.Rho)
+		if err != nil {
+			return fmt.Errorf("core: rid %d: %w", rec.RID, err)
+		}
+		worst = max(worst, bound)
+		return nil
+	}
+	for _, rec := range ca.Records {
+		if err := check(rec); err != nil {
+			return 0, err
+		}
+	}
+	if ca.Anchor != nil {
+		if err := check(ca.Anchor); err != nil {
+			return 0, err
+		}
+	}
+	return worst, nil
 }

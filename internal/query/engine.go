@@ -194,23 +194,37 @@ func (e *Engine) RelDataEpoch(rel string, shard int) uint64 {
 // ---- execution ----
 
 // Result is one executed plan: the composite answer core (no summary
-// tails — those are per-client) and, per touched relation, the oldest
-// proof timestamp a cold client's summary tail must reach back to.
+// tails — those are per-client).
 type Result struct {
-	Comp      *wire.Composite
-	RelOldest map[string]int64
+	Comp *wire.Composite
+	rels []relOldest // the relations the plan touched, in name order
+}
+
+// relOldest is one relation a plan touched and the timestamp of the
+// oldest signature among the proofs it contributed: how far back a cold
+// client's summary tail must reach.
+type relOldest struct {
+	rv *relView
+	ts int64
 }
 
 // Execute runs the plan with the engine's configured parallelism.
 func (e *Engine) Execute(n *Node) (*Result, error) {
-	r, _, err := e.exec(n, e.par)
-	return r, err
+	return e.execute(n, e.par)
 }
 
 // ExecuteSerial runs the plan with join probes strictly serialized —
 // the baseline the parallel executor is benchmarked against.
 func (e *Engine) ExecuteSerial(n *Node) (*Result, error) {
-	r, _, err := e.exec(n, 1)
+	return e.execute(n, 1)
+}
+
+func (e *Engine) execute(n *Node, workers int) (*Result, error) {
+	s, err := analyze(n)
+	if err != nil {
+		return nil, err
+	}
+	r, _, err := e.exec(&s, workers)
 	return r, err
 }
 
@@ -289,12 +303,8 @@ func (r *readSet) appendTo(rs *anscache.RelStamp) (n int) {
 //
 // Nothing else of the inner relation is stamped: an update to a shard no
 // probe read cannot change the composite's bytes, and leaves it serving.
-func (e *Engine) exec(n *Node, workers int) (*Result, anscache.Stamp, error) {
+func (e *Engine) exec(s *shape, workers int) (*Result, anscache.Stamp, error) {
 	var zero anscache.Stamp
-	s, err := analyze(n)
-	if err != nil {
-		return nil, zero, err
-	}
 	outer, err := e.rel(s.scan.Rel)
 	if err != nil {
 		return nil, zero, err
@@ -354,7 +364,7 @@ func (e *Engine) exec(n *Node, workers int) (*Result, anscache.Stamp, error) {
 	}
 
 	comp := &wire.Composite{Outer: outAns.Chain}
-	relOldest := map[string]int64{outer.name: outAns.OldestSigTS}
+	rels := []relOldest{{outer, outAns.OldestSigTS}}
 	relStamps := []anscache.RelStamp{relStampOf(outer.name, stamp)}
 
 	if s.jn != nil {
@@ -364,8 +374,13 @@ func (e *Engine) exec(n *Node, workers int) (*Result, anscache.Stamp, error) {
 			return nil, zero, err
 		}
 		comp.Join = ja
-		if cur, ok := relOldest[inner.name]; !ok || innerOldest < cur {
-			relOldest[inner.name] = innerOldest
+		switch {
+		case inner == outer: // self-join: one relation, one tail
+			rels[0].ts = min(rels[0].ts, innerOldest)
+		case inner.name < outer.name:
+			rels = []relOldest{{inner, innerOldest}, rels[0]}
+		default:
+			rels = append(rels, relOldest{inner, innerOldest})
 		}
 		e.stampShards.Add(uint64(read.appendTo(&innerStamp)))
 		relStamps = append(relStamps, innerStamp)
@@ -379,7 +394,7 @@ func (e *Engine) exec(n *Node, workers int) (*Result, anscache.Stamp, error) {
 		comp.Proj = pans
 	}
 
-	return &Result{Comp: comp, RelOldest: relOldest}, anscache.Stamp{Rels: relStamps}, nil
+	return &Result{Comp: comp, rels: rels}, anscache.Stamp{Rels: relStamps}, nil
 }
 
 // probe resolves each outer key against the inner relation: for BF
@@ -482,48 +497,82 @@ func (e *Engine) project(outer *relView, attrs []int, keep []*chain.Record, rows
 
 // ---- serving ----
 
-// ServePlan decodes, executes and encodes one 'J'/'P' plan request,
-// serving repeated plans from the epoch-validated cache. It returns the
-// pre-encoded composite answer core, the per-client relation summary
-// tails, and a release hook that must be called exactly once after the
-// bytes are written out.
+// Served is one answered plan request: Body then Tails is one 'C' message
+// — the pre-encoded composite answer core, possibly a cache's own bytes,
+// and this client's relation summary tails. Both are valid until Release,
+// which must be called exactly once, after the bytes are written out.
+type Served struct {
+	Body, Tails []byte
+	scan        core.Served     // a bare scan's hold on its relation's answer cache…
+	entry       *anscache.Entry // …an operator plan's on the plan cache
+	own         bool            // Body was encoded for this response alone
+}
+
+// Release drops the holds the served bytes were read under.
+func (sv *Served) Release() {
+	sv.scan.Release()
+	if sv.entry != nil {
+		sv.entry.Release()
+	}
+	if sv.own {
+		wire.PutBuffer(sv.Body)
+	}
+	wire.PutBuffer(sv.Tails)
+}
+
+// ServePlan is Serve for callers that take the release as a function.
 func (e *Engine) ServePlan(planBytes []byte, since []wire.RelSince) (body, tails []byte, release func(), err error) {
-	n, err := UnmarshalPlan(planBytes)
+	sv, err := e.Serve(planBytes, since)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	lo, hi, err := n.Range()
-	if err != nil {
-		return nil, nil, nil, err
+	return sv.Body, sv.Tails, sv.Release, nil
+}
+
+// Serve decodes, executes and encodes one plan request.
+//
+// A bare scan is answered by the scanned relation's own serving layer
+// (QueryServer.Serve): its answer cache, when enabled, holds exactly the
+// leaf composite core (the codec is server.Codec's), so a range
+// selection is cached once, where the relation's updates invalidate it —
+// and, being most of the traffic, is recognised before a tree is built
+// for it. Plans with operators are served from the engine's epoch-stamped
+// plan cache.
+//
+// since is the client's summary position per relation: at most one entry
+// for each relation the plan names, and none for any other.
+func (e *Engine) Serve(planBytes []byte, since []wire.RelSince) (Served, error) {
+	if rel, lo, hi, ok := bareScan(planBytes); ok {
+		rv, err := e.rel(string(rel))
+		if err != nil {
+			return Served{}, err
+		}
+		if err := checkSince(since, rv.name, rv.name); err != nil {
+			return Served{}, err
+		}
+		return serveScan(rv, lo, hi, since)
 	}
-	// Key on the canonical re-encoding, not the received bytes: two
-	// encodings of the same tree share one entry.
+	n, s, err := parsePlan(planBytes)
+	if err != nil {
+		return Served{}, err
+	}
+	inner := s.scan.Rel
+	if s.jn != nil {
+		inner = s.jn.Right.Rel
+	}
+	if err := checkSince(since, s.scan.Rel, inner); err != nil {
+		return Served{}, err
+	}
+	// Key on the canonical re-encoding, not the received bytes: the key
+	// outlives the request frame the bytes arrived in.
+	lo, hi := s.selection()
 	key := anscache.Key{Lo: lo, Hi: hi, Plan: string(n.Marshal())}
-
-	if e.cache == nil {
-		r, _, err := e.exec(n, e.par)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		buf, err := wire.AppendCompositeCore(wire.GetBuffer(), r.Comp)
-		if err != nil {
-			wire.PutBuffer(buf)
-			return nil, nil, nil, err
-		}
-		tailBuf, err := e.tails(r.RelOldest, since)
-		if err != nil {
-			wire.PutBuffer(buf)
-			return nil, nil, nil, err
-		}
-		return buf, tailBuf, func() { wire.PutBuffer(buf); wire.PutBuffer(tailBuf) }, nil
-	}
-
-	// A cached entry keeps the encoded answer and what the tails need —
-	// each touched relation's oldest proof timestamp — not the composite
-	// it was encoded from: that object graph is as large again as the
-	// bytes and nothing reads it back.
-	entry, _, err := e.cache.Do(key, func() (*anscache.Entry, error) {
-		r, stamp, err := e.exec(n, e.par)
+	// An entry keeps the encoded answer and what the tails need — each
+	// touched relation's oldest proof timestamp — not the composite it was
+	// encoded from: that object graph is as large again as the bytes and
+	// nothing reads it back.
+	build := func() (*anscache.Entry, error) {
+		r, stamp, err := e.exec(&s, e.par)
 		if err != nil {
 			return nil, err
 		}
@@ -538,47 +587,78 @@ func (e *Engine) ServePlan(planBytes []byte, since []wire.RelSince) (body, tails
 		data := make([]byte, len(buf))
 		copy(data, buf)
 		wire.PutBuffer(buf)
-		return &anscache.Entry{Key: key, Value: r.RelOldest, Wire: data, Stamp: stamp}, nil
-	})
-	if err != nil {
-		return nil, nil, nil, err
+		return &anscache.Entry{Key: key, Value: r.rels, Wire: data, Stamp: stamp}, nil
 	}
-	tailBuf, err := e.tails(entry.Value.(map[string]int64), since)
-	if err != nil {
-		entry.Release()
-		return nil, nil, nil, err
+	var entry *anscache.Entry
+	if e.cache != nil {
+		entry, _, err = e.cache.Do(key, build)
+	} else {
+		entry, err = build() // resident nowhere: releasing it is a no-op
 	}
-	return entry.Wire, tailBuf, func() { entry.Release(); wire.PutBuffer(tailBuf) }, nil
+	if err != nil {
+		return Served{}, err
+	}
+	return Served{Body: entry.Wire, Tails: relTails(entry.Value.([]relOldest), since), entry: entry}, nil
 }
 
-// tails encodes one summary tail per touched relation, resuming each
-// client from the sequence number it already holds; relOldest is the
-// executed plan's Result.RelOldest.
-func (e *Engine) tails(relOldest map[string]int64, since []wire.RelSince) ([]byte, error) {
-	names := make([]string, 0, len(relOldest))
-	for name := range relOldest {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]wire.RelTail, 0, len(names))
-	for _, name := range names {
-		rv, err := e.rel(name)
-		if err != nil {
-			return nil, err
+// checkSince holds a request's summary positions against the one or two
+// relations its plan names (inner is outer for a plan with no join): at
+// most one position for each, and none for any other.
+func checkSince(since []wire.RelSince, outer, inner string) error {
+	for i, rs := range since {
+		if rs.Name != outer && rs.Name != inner {
+			return fmt.Errorf("query: summary position for relation %q, which the plan does not name", rs.Name)
 		}
+		for _, prev := range since[:i] {
+			if prev.Name == rs.Name {
+				return fmt.Errorf("query: two summary positions for relation %q", rs.Name)
+			}
+		}
+	}
+	return nil
+}
+
+// serveScan answers a bare scan through its relation's serving layer.
+func serveScan(rv *relView, lo, hi int64, since []wire.RelSince) (Served, error) {
+	scan, err := rv.qs.Serve(lo, hi)
+	if err != nil {
+		return Served{}, err
+	}
+	sv := Served{Body: scan.Data, scan: scan}
+	if scan.Data == nil {
+		// No answer cache on this relation: encode for this response only.
+		// (With one, the entry's encoding goes to the socket as it is, held
+		// by scan until the write is done.)
+		if sv.Body, err = wire.AppendCompositeCore(wire.GetBuffer(), &wire.Composite{Outer: scan.Answer.Chain}); err != nil {
+			scan.Release()
+			return Served{}, err
+		}
+		sv.own = true
+	}
+	sv.Tails = relTails([]relOldest{{rv, scan.Answer.OldestSigTS}}, since)
+	return sv, nil
+}
+
+// relTails encodes one summary tail per touched relation, resuming each
+// client from the sequence number it already holds.
+func relTails(rels []relOldest, since []wire.RelSince) []byte {
+	var out [2]wire.RelTail // a plan touches at most two relations
+	for i, ro := range rels {
 		var sinceSeq uint64
 		for _, rs := range since {
-			if rs.Name == name {
+			if rs.Name == ro.rv.name {
 				sinceSeq = rs.SinceSeq
 			}
 		}
-		out = append(out, wire.RelTail{Rel: name, Summaries: rv.qs.SummariesTail(sinceSeq, relOldest[name])})
+		out[i] = wire.RelTail{Rel: ro.rv.name, Summaries: ro.rv.qs.SummariesTail(sinceSeq, ro.ts)}
 	}
-	return wire.AppendRelTails(wire.GetBuffer(), out), nil
+	return wire.AppendRelTails(wire.GetBuffer(), out[:len(rels)])
 }
 
-// ServeRelSummaries answers a 'T' request: one relation's summary tail,
-// for clients resynchronizing a per-relation freshness stream.
+// ServeRelSummaries answers a 'T' request: one relation's certified
+// summaries after sinceSeq, or since oldestTS for a session holding none
+// — the log-in fetch, a gap in a tail, and a reconnecting session's
+// re-anchor all ask through it.
 func (e *Engine) ServeRelSummaries(rel string, sinceSeq uint64, oldestTS int64) ([]freshness.Summary, error) {
 	rv, err := e.rel(rel)
 	if err != nil {

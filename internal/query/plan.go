@@ -12,9 +12,9 @@
 // fan out across the worker pool as independent subplans.
 //
 // The tree has a canonical binary encoding (Marshal/UnmarshalPlan).
-// Those bytes travel verbatim in the 'J'/'P' wire frames and double as
-// the answer-cache key, so two clients issuing the same σ/π/⋈ share one
-// cached composite answer.
+// Those bytes travel verbatim in the 'P' wire frame and double as the
+// plan-cache key, so two clients issuing the same σ/π/⋈ share one cached
+// composite answer. A range selection is the plan that is one scan leaf.
 package query
 
 import (
@@ -129,24 +129,41 @@ func Plan(spec *Spec, pushdown bool) (*Node, error) {
 	return n, nil
 }
 
-// shape decomposes a plan tree back into its (at most one each, in
-// Project→Join→Filter→Scan order) operators, validating the tree an
-// untrusted client sent over the wire.
+// shape is a validated plan tree taken apart into its operators (at most
+// one each, in Project→Join→Filter→Scan order). A plan is analyzed once,
+// where it enters — UnmarshalPlan for one an untrusted client sent,
+// Execute for one built in process — and the shape is what the executor
+// is handed.
 type shape struct {
 	proj, jn, filter, scan *Node
 }
 
-func analyze(n *Node) (*shape, error) {
+// rank orders the operators by the depth they may appear at (0 = not an
+// operator).
+func rank(op Op) int {
+	switch op {
+	case OpProject:
+		return 1
+	case OpJoin:
+		return 2
+	case OpFilter:
+		return 3
+	case OpScan:
+		return 4
+	}
+	return 0
+}
+
+func analyze(n *Node) (shape, error) {
 	var s shape
-	prev := Op(0) // operators must appear in strictly increasing "depth"
-	rank := map[Op]Op{OpProject: 1, OpJoin: 2, OpFilter: 3, OpScan: 4}
+	prev := 0 // operators must appear in strictly increasing depth
 	for cur := n; cur != nil; cur = cur.Child {
-		r, ok := rank[cur.Op]
-		if !ok {
-			return nil, fmt.Errorf("query: unknown operator %d", cur.Op)
+		r := rank(cur.Op)
+		if r == 0 {
+			return s, fmt.Errorf("query: unknown operator %d", cur.Op)
 		}
 		if r <= prev {
-			return nil, fmt.Errorf("query: operator %s misplaced in plan", cur.Op)
+			return s, fmt.Errorf("query: operator %s misplaced in plan", cur.Op)
 		}
 		prev = r
 		switch cur.Op {
@@ -155,45 +172,41 @@ func analyze(n *Node) (*shape, error) {
 		case OpJoin:
 			s.jn = cur
 			if cur.Right == nil || cur.Right.Op != OpScan || cur.Right.Rel == "" {
-				return nil, fmt.Errorf("query: join without an inner scan leaf")
+				return s, fmt.Errorf("query: join without an inner scan leaf")
 			}
 			if cur.Method != join.BV && cur.Method != join.BF {
-				return nil, fmt.Errorf("query: unknown join method %d", cur.Method)
+				return s, fmt.Errorf("query: unknown join method %d", cur.Method)
 			}
 		case OpFilter:
 			if cur.Lo > cur.Hi {
-				return nil, fmt.Errorf("query: inverted filter range [%d, %d]", cur.Lo, cur.Hi)
+				return s, fmt.Errorf("query: inverted filter range [%d, %d]", cur.Lo, cur.Hi)
 			}
 			s.filter = cur
 		case OpScan:
 			if cur.Rel == "" {
-				return nil, fmt.Errorf("query: scan without a relation")
+				return s, fmt.Errorf("query: scan without a relation")
 			}
 			if cur.Lo > cur.Hi {
-				return nil, fmt.Errorf("query: inverted scan range [%d, %d]", cur.Lo, cur.Hi)
+				return s, fmt.Errorf("query: inverted scan range [%d, %d]", cur.Lo, cur.Hi)
 			}
 			s.scan = cur
 		}
 	}
 	if s.scan == nil {
-		return nil, fmt.Errorf("query: plan has no scan leaf")
+		return s, fmt.Errorf("query: plan has no scan leaf")
 	}
-	return &s, nil
+	return s, nil
 }
 
-// Range reports the effective selection range of the plan: the residual
-// filter's if present, else the pushed scan range. This is what the
-// answer cache keys on next to the plan bytes, and what the outer chain
-// proof must cover.
-func (n *Node) Range() (lo, hi int64, err error) {
-	s, err := analyze(n)
-	if err != nil {
-		return 0, 0, err
-	}
+// selection is the plan's effective selection range: the residual
+// filter's if present, else the pushed scan range. This is what the plan
+// cache keys on next to the plan bytes, and what the outer chain proof
+// must cover.
+func (s *shape) selection() (lo, hi int64) {
 	if s.filter != nil {
-		return s.filter.Lo, s.filter.Hi, nil
+		return s.filter.Lo, s.filter.Hi
 	}
-	return s.scan.Lo, s.scan.Hi, nil
+	return s.scan.Lo, s.scan.Hi
 }
 
 // ---- canonical binary plan encoding ----
@@ -211,10 +224,11 @@ const (
 
 // Marshal encodes the tree canonically.
 func (n *Node) Marshal() []byte {
-	return n.appendTo(make([]byte, 0, 64))
+	return n.AppendTo(make([]byte, 0, 64))
 }
 
-func (n *Node) appendTo(buf []byte) []byte {
+// AppendTo appends the tree's canonical encoding to buf.
+func (n *Node) AppendTo(buf []byte) []byte {
 	if n == nil {
 		return append(buf, 0)
 	}
@@ -228,17 +242,17 @@ func (n *Node) appendTo(buf []byte) []byte {
 	case OpFilter:
 		buf = binary.BigEndian.AppendUint64(buf, uint64(n.Lo))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(n.Hi))
-		buf = n.Child.appendTo(buf)
+		buf = n.Child.AppendTo(buf)
 	case OpProject:
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(n.Attrs)))
 		for _, a := range n.Attrs {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(a))
 		}
-		buf = n.Child.appendTo(buf)
+		buf = n.Child.AppendTo(buf)
 	case OpJoin:
 		buf = append(buf, byte(n.Method))
-		buf = n.Child.appendTo(buf)
-		buf = n.Right.appendTo(buf)
+		buf = n.Child.AppendTo(buf)
+		buf = n.Right.AppendTo(buf)
 	}
 	return buf
 }
@@ -275,6 +289,36 @@ func (r *planReader) u64() (int64, error) {
 	return v, nil
 }
 
+// scan reads a scan leaf's fields; rel is a view of the plan bytes.
+func (r *planReader) scan() (rel []byte, lo, hi int64, err error) {
+	ln, err := r.u16()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if ln == 0 || ln > maxRelName || r.pos+ln > len(r.data) {
+		return nil, 0, 0, fmt.Errorf("query: bad relation name length %d", ln)
+	}
+	rel = r.data[r.pos : r.pos+ln]
+	r.pos += ln
+	if lo, err = r.u64(); err != nil {
+		return nil, 0, 0, err
+	}
+	hi, err = r.u64()
+	return rel, lo, hi, err
+}
+
+// bareScan reads a plan that is nothing but a valid scan leaf — a range
+// selection on one relation — without building its tree. Anything else,
+// a malformed leaf included, is for parsePlan to read or refuse.
+func bareScan(data []byte) (rel []byte, lo, hi int64, ok bool) {
+	if len(data) == 0 || len(data) > maxPlanBytes || Op(data[0]) != OpScan {
+		return nil, 0, 0, false
+	}
+	r := planReader{data: data, pos: 1}
+	rel, lo, hi, err := r.scan()
+	return rel, lo, hi, err == nil && r.pos == len(data) && lo <= hi
+}
+
 func (r *planReader) node(depth int) (*Node, error) {
 	if depth > 8 {
 		return nil, fmt.Errorf("query: plan tree too deep")
@@ -289,21 +333,11 @@ func (r *planReader) node(depth int) (*Node, error) {
 	n := &Node{Op: Op(op)}
 	switch n.Op {
 	case OpScan:
-		ln, err := r.u16()
-		if err != nil {
+		var rel []byte
+		if rel, n.Lo, n.Hi, err = r.scan(); err != nil {
 			return nil, err
 		}
-		if ln == 0 || ln > maxRelName || r.pos+ln > len(r.data) {
-			return nil, fmt.Errorf("query: bad relation name length %d", ln)
-		}
-		n.Rel = string(r.data[r.pos : r.pos+ln])
-		r.pos += ln
-		if n.Lo, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if n.Hi, err = r.u64(); err != nil {
-			return nil, err
-		}
+		n.Rel = string(rel)
 	case OpFilter:
 		if n.Lo, err = r.u64(); err != nil {
 			return nil, err
@@ -352,24 +386,33 @@ func (r *planReader) node(depth int) (*Node, error) {
 }
 
 // UnmarshalPlan decodes and structurally validates plan bytes received
-// from an untrusted client.
+// from an untrusted client. The encoding is canonical: bytes it accepts
+// are the bytes the returned tree marshals to.
 func UnmarshalPlan(data []byte) (*Node, error) {
+	n, _, err := parsePlan(data)
+	return n, err
+}
+
+// parsePlan is UnmarshalPlan that also hands back the analysis it
+// validated the tree with.
+func parsePlan(data []byte) (*Node, shape, error) {
 	if len(data) == 0 || len(data) > maxPlanBytes {
-		return nil, fmt.Errorf("query: plan of %d bytes", len(data))
+		return nil, shape{}, fmt.Errorf("query: plan of %d bytes", len(data))
 	}
 	r := planReader{data: data}
 	n, err := r.node(0)
 	if err != nil {
-		return nil, err
+		return nil, shape{}, err
 	}
 	if n == nil {
-		return nil, fmt.Errorf("query: empty plan")
+		return nil, shape{}, fmt.Errorf("query: empty plan")
 	}
 	if r.pos != len(data) {
-		return nil, fmt.Errorf("query: %d trailing plan bytes", len(data)-r.pos)
+		return nil, shape{}, fmt.Errorf("query: %d trailing plan bytes", len(data)-r.pos)
 	}
-	if _, err := analyze(n); err != nil {
-		return nil, err
+	s, err := analyze(n)
+	if err != nil {
+		return nil, shape{}, err
 	}
-	return n, nil
+	return n, s, nil
 }

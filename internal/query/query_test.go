@@ -282,9 +282,9 @@ func TestPlanCodec(t *testing.T) {
 			if !bytes.Equal(got.Marshal(), data) {
 				t.Fatal("re-encoding is not canonical")
 			}
-			lo, hi, err := got.Range()
-			if err != nil || lo != spec.Lo || hi != spec.Hi {
-				t.Fatalf("Range() = [%d,%d] %v, want [%d,%d]", lo, hi, err, spec.Lo, spec.Hi)
+			s, err := analyze(got)
+			if lo, hi := s.selection(); err != nil || lo != spec.Lo || hi != spec.Hi {
+				t.Fatalf("selection = [%d,%d] %v, want [%d,%d]", lo, hi, err, spec.Lo, spec.Hi)
 			}
 		}
 	}

@@ -837,7 +837,7 @@ type byzMode int
 const (
 	byzNone    byzMode = iota
 	byzSigFlip         // flip a bit in each answer's aggregate signature
-	byzReplay          // re-serve captured responses, keyed by exact request bytes
+	byzReplay          // re-serve captured responses, keyed by the request (a query's by its plan)
 	byzForkSum         // serve a validly-signed fork of certified summary #1
 )
 
@@ -931,46 +931,52 @@ func (f *byzFront) serve(down net.Conn) {
 	}
 }
 
-// replayKey canonicalizes a request for the replay cache. Range
-// queries key by the queried range alone: the session's summary-delta
-// cursor (sinceSeq) varies between otherwise-identical probes, and a
-// real replayer answers the same question with yesterday's frame
-// regardless of what the asker claims to hold.
+// replayKey canonicalizes a request for the replay cache. Queries key
+// by the plan alone: the session's summary-delta cursor (sinceSeq)
+// varies between otherwise-identical probes, and a real replayer answers
+// the same question with yesterday's frame regardless of what the asker
+// claims to hold.
 func replayKey(req []byte) string {
-	if lo, hi, _, err := wire.DecodeQueryReq(req); err == nil {
-		return fmt.Sprintf("Q:%d:%d", lo, hi)
+	if plan, _, err := wire.DecodePlanReq(req, nil); err == nil {
+		return "P:" + string(plan)
 	}
 	return string(req)
 }
 
-// mutate applies the mode's forgery to one response frame.
+// mutate applies the mode's forgery to one response frame. The forgeries
+// are written against the composite, so they apply to whatever plan the
+// frame answers: the signature flip lands on the scan's aggregate, the
+// fork on every tail that carries summary #1.
 func (f *byzFront) mutate(mode byzMode, frame []byte) []byte {
 	kind, err := wire.Kind(frame)
 	if err != nil {
 		return frame
 	}
 	switch {
-	case mode == byzSigFlip && kind == wire.KindAnswer:
-		ans, err := wire.DecodeAnswer(frame)
-		if err != nil || len(ans.Chain.Agg) == 0 {
-			return frame
-		}
-		ans.Chain.Agg[0] ^= 0x01
-		out, err := wire.AppendAnswer(nil, ans)
+	case (mode == byzSigFlip || mode == byzForkSum) && kind == wire.KindComposite:
+		comp, err := wire.DecodeComposite(frame)
 		if err != nil {
 			return frame
 		}
-		return out
-	case mode == byzForkSum && kind == wire.KindAnswer:
-		ans, err := wire.DecodeAnswer(frame)
-		if err != nil || !f.forge(ans.Summaries) {
-			return frame
+		if mode == byzSigFlip {
+			if len(comp.Outer.Agg) == 0 {
+				return frame
+			}
+			comp.Outer.Agg[0] ^= 0x01
+		} else {
+			forged := false
+			for i := range comp.Tails {
+				forged = f.forge(comp.Tails[i].Summaries) || forged
+			}
+			if !forged {
+				return frame
+			}
 		}
-		out, err := wire.AppendAnswer(nil, ans)
+		out, err := wire.AppendCompositeCore(nil, comp)
 		if err != nil {
 			return frame
 		}
-		return out
+		return wire.AppendRelTails(out, comp.Tails)
 	case mode == byzForkSum && kind == wire.KindSummaries:
 		sums, err := wire.DecodeSummaries(frame)
 		if err != nil || !f.forge(sums) {

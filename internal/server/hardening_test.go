@@ -243,7 +243,7 @@ func TestNetSlowLorisCutOff(t *testing.T) {
 	}
 	defer loris.Close()
 	// Announce a 17-byte query frame, deliver 2 bytes, stall.
-	loris.Write([]byte{0, 0, 0, 17, wire.Version, 'Q'})
+	loris.Write([]byte{0, 0, 0, 17, wire.Version, wire.KindPlan})
 	loris.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := io.ReadAll(loris); err != nil && !isConnReset(err) {
 		t.Fatalf("read after stall: %v", err)

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"authdb/internal/core"
-	"authdb/internal/freshness"
+	"authdb/internal/query"
 	"authdb/internal/wire"
 )
 
@@ -45,11 +45,11 @@ type NetConfig struct {
 	// shed immediately with an ErrCodeOverloaded 'E' response, telling
 	// the client to back off. Only meaningful with MaxInflight > 0.
 	MaxPending int
-	// MaxSummaries caps the certified summaries returned per 'S'
+	// MaxSummaries caps the certified summaries returned per 'T'
 	// response (0 = DefaultMaxSummaries). A long-lived server's backlog
 	// grows without bound, so log-in syncs page through it: the client
-	// re-requests from the last received timestamp until a response
-	// comes back empty.
+	// asks again from the newest summary it holds until a response
+	// brings nothing new.
 	MaxSummaries int
 	// FairShare caps the fraction of the admission budget (MaxInflight
 	// + MaxPending) one connection may occupy simultaneously, so a
@@ -64,9 +64,10 @@ const DefaultMaxSummaries = 2048
 
 // NetStats are the listener's monotonic counters.
 type NetStats struct {
-	Conns       uint64 // connections accepted
-	Queries     uint64 // 'Q' frames served
-	Summaries   uint64 // 'S' frames served
+	Conns uint64 // connections accepted
+	// Requests counts the request frames served, by frame kind
+	// (wire.KindPlan, wire.KindRelSummaries).
+	Requests    map[byte]uint64
 	Errors      uint64 // 'E' responses sent
 	Shed        uint64 // requests rejected by admission control
 	FairShed    uint64 // requests shed by the per-connection fairness cap
@@ -74,23 +75,6 @@ type NetStats struct {
 	Malformed   uint64 // connections dropped for unparseable frames
 	BytesOut    uint64 // response payload bytes written
 	ReplStreams uint64 // replication subscriptions accepted
-	Plans       uint64 // 'J'/'P' composite plan frames served
-	RelSums     uint64 // 'T' per-relation summary frames served
-}
-
-// PlanEngine serves composite select-project-join requests over a
-// multi-relation catalog; it is implemented by query.Engine and
-// attached via EnablePlans. As with ReplSource, the serving front end
-// depends only on this interface so it stays decoupled from the
-// planner.
-type PlanEngine interface {
-	// ServePlan executes (or serves from cache) one plan, returning the
-	// pre-encoded composite answer core, the per-client relation summary
-	// tails, and a release hook the caller must invoke exactly once
-	// after both buffers are written out.
-	ServePlan(plan []byte, since []wire.RelSince) (body, tails []byte, release func(), err error)
-	// ServeRelSummaries returns one relation's certified summary tail.
-	ServeRelSummaries(rel string, sinceSeq uint64, oldestTS int64) ([]freshness.Summary, error)
 }
 
 // ReplSource streams the replication feed to a follower connection; it
@@ -101,16 +85,17 @@ type ReplSource interface {
 	ServeConn(conn net.Conn, afterLSN uint64, stop <-chan struct{}) error
 }
 
-// NetServer exposes a QueryServer over a byte stream: length-prefixed
-// wire frames, one request per frame, responses in request order so
-// clients can pipeline. Cached answers are written zero-copy — the
-// entry's pooled wire bytes go straight from the answer cache to the
-// socket, held under the entry's reference count for exactly the
-// duration of the write.
+// NetServer exposes a catalog of relations over a byte stream:
+// length-prefixed wire frames, one request per frame, responses in
+// request order so clients can pipeline. Every query is a plan served
+// through a query.Engine; cached answers are written zero-copy — the
+// entry's wire bytes go straight from the relation's answer cache (a
+// bare scan) or the engine's plan cache to the socket, held under the
+// entry's reference count for exactly the duration of the write.
 type NetServer struct {
-	qs    *core.QueryServer
-	cfg   NetConfig
-	codec core.AnswerCodec
+	qs  *core.QueryServer // the default relation, whose cache Metrics reports
+	eng *query.Engine
+	cfg NetConfig
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -122,28 +107,25 @@ type NetServer struct {
 	sem chan struct{} // MaxConns slots, nil when unlimited
 	adm *admission    // nil when MaxInflight is unlimited
 
-	repl  ReplSource    // nil unless EnableReplication
-	plans PlanEngine    // nil unless EnablePlans
-	stop  chan struct{} // closed by Shutdown; terminates replication streams
+	repl ReplSource    // nil unless EnableReplication
+	stop chan struct{} // closed by Shutdown; terminates replication streams
 
 	conNum      atomic.Uint64
-	queries     atomic.Uint64
-	planServed  atomic.Uint64
+	plans       atomic.Uint64
 	relSums     atomic.Uint64
-	summaries   atomic.Uint64
 	errs        atomic.Uint64
 	malformed   atomic.Uint64
 	bytesOut    atomic.Uint64
 	replStreams atomic.Uint64
 }
 
-// NewNetServer wraps qs (whose answer cache, if wanted, the caller
-// enables via EnableCache) for network serving.
+// NewNetServer serves qs (whose answer cache, if wanted, the caller
+// enables via EnableCache) as the one-relation catalog
+// {core.DefaultRelation: qs}.
 func NewNetServer(qs *core.QueryServer, cfg NetConfig) *NetServer {
 	s := &NetServer{
 		qs:    qs,
 		cfg:   cfg,
-		codec: Codec(),
 		conns: make(map[net.Conn]struct{}),
 		adm:   newAdmission(cfg.MaxInflight, cfg.MaxPending, cfg.FairShare),
 		stop:  make(chan struct{}),
@@ -161,11 +143,25 @@ func (s *NetServer) EnableReplication(src ReplSource) {
 	s.repl = src
 }
 
-// EnablePlans attaches the catalog plan engine: 'J'/'P' composite query
-// frames and 'T' per-relation summary syncs are served through it. Call
-// before Serve.
-func (s *NetServer) EnablePlans(pe PlanEngine) {
-	s.plans = pe
+// EnablePlans serves eng's catalog: its relations beside the default
+// one, which Serve registers with eng under core.DefaultRelation unless
+// the engine already has a relation of that name. Call before Serve.
+func (s *NetServer) EnablePlans(eng *query.Engine) {
+	s.eng = eng
+}
+
+// catalog settles what the listener serves: the engine EnablePlans
+// attached, or an empty one, with the default relation in it.
+func (s *NetServer) catalog() error {
+	if s.eng == nil {
+		s.eng = query.NewEngine()
+	}
+	for _, name := range s.eng.Relations() {
+		if name == core.DefaultRelation {
+			return nil
+		}
+	}
+	return s.eng.AddRelation(core.DefaultRelation, s.qs)
 }
 
 // ErrServerClosed is returned by Serve after Shutdown.
@@ -210,10 +206,14 @@ func (s *NetServer) Addr() net.Addr {
 // a non-nil error; after Shutdown it is ErrServerClosed.
 func (s *NetServer) Serve(ln net.Listener) error {
 	s.mu.Lock()
+	err := s.catalog()
 	if s.draining {
+		err = ErrServerClosed
+	}
+	if err != nil {
 		s.mu.Unlock()
 		ln.Close()
-		return ErrServerClosed
+		return err
 	}
 	s.ln = ln
 	s.mu.Unlock()
@@ -310,15 +310,15 @@ func (s *NetServer) Shutdown(ctx context.Context) error {
 // Stats snapshots the listener counters.
 func (s *NetServer) Stats() NetStats {
 	st := NetStats{
-		Conns:       s.conNum.Load(),
-		Queries:     s.queries.Load(),
-		Summaries:   s.summaries.Load(),
+		Conns: s.conNum.Load(),
+		Requests: map[byte]uint64{
+			wire.KindPlan:         s.plans.Load(),
+			wire.KindRelSummaries: s.relSums.Load(),
+		},
 		Errors:      s.errs.Load(),
 		Malformed:   s.malformed.Load(),
 		BytesOut:    s.bytesOut.Load(),
 		ReplStreams: s.replStreams.Load(),
-		Plans:       s.planServed.Load(),
-		RelSums:     s.relSums.Load(),
 	}
 	if s.adm != nil {
 		st.Shed = s.adm.shed.Load()
@@ -348,7 +348,7 @@ func (w *connWriter) frame(payload []byte) error {
 // frame2 appends one length-prefixed frame whose payload is the
 // concatenation of two buffers, without materializing the joined
 // payload anywhere: the cached answer-core bytes and the per-client
-// summary tail go under a single length header.
+// summary tails go under a single length header.
 func (w *connWriter) frame2(a, b []byte) error {
 	n := len(a) + len(b)
 	if len(w.buf) > 0 && len(w.buf)+n+4 > connWriterSize {
@@ -465,11 +465,7 @@ func (s *NetServer) handle(conn net.Conn) {
 			continue
 		}
 		switch kind {
-		case wire.KindQuery:
-			err = s.serveQuery(w, frame)
-		case wire.KindSummariesReq:
-			err = s.serveSummaries(w, frame)
-		case wire.KindPlanJoin, wire.KindPlanSelect:
+		case wire.KindPlan:
 			err = s.servePlan(w, frame)
 		case wire.KindRelSummaries:
 			err = s.serveRelSummaries(w, frame)
@@ -518,83 +514,39 @@ func (s *NetServer) serveReplication(w *connWriter, conn net.Conn, frame []byte)
 	s.repl.ServeConn(conn, after, s.stop)
 }
 
-// serveQuery answers one 'Q' frame. Protocol errors (bad range) are
-// reported to the peer as 'E' responses; only transport errors are
-// returned.
-func (s *NetServer) serveQuery(w *connWriter, frame []byte) error {
-	lo, hi, sinceSeq, err := wire.DecodeQueryReq(frame)
+// servePlan answers one 'P' plan frame. The engine hands back the
+// (possibly cached) answer-core bytes and this client's relation summary
+// tails: everything past the sequence number the session advertised for
+// each relation, or for a cold session the tail reaching back to the
+// answer's oldest signature. Both go under a single length header and
+// form exactly one 'C' message. Protocol errors (an unknown relation, an
+// inverted range) are reported to the peer as 'E' responses; only
+// transport errors are returned.
+func (s *NetServer) servePlan(w *connWriter, frame []byte) error {
+	var rels [2]wire.RelSince // a plan names at most two relations
+	plan, since, err := wire.DecodePlanReq(frame, rels[:0])
 	if err != nil {
 		return s.writeErrorCode(w, wire.ErrCodeBadFrame, err)
 	}
-	sv, err := s.qs.Serve(lo, hi)
+	sv, err := s.eng.Serve(plan, since)
 	if err != nil {
 		return s.writeError(w, err)
 	}
-	s.queries.Add(1)
-	// The cache holds summary-free answer cores; each response carries
-	// only this client's summary delta (everything past sinceSeq, or the
-	// full tail covering the answer's oldest signature for a cold
-	// session). Core bytes + tail bytes form exactly one 'A' message.
-	tail := s.qs.SummariesTail(sinceSeq, sv.Answer.OldestSigTS)
-	tailBuf := wire.AppendSummaryTail(wire.GetBuffer(), tail)
-	if sv.Data != nil {
-		// Zero-copy: the cache entry's pooled encoding goes straight to
-		// the socket; Release after the write returns it to the pool
-		// once the last reader is done.
-		werr := w.frame2(sv.Data, tailBuf)
-		wire.PutBuffer(tailBuf)
-		sv.Release()
-		return werr
-	}
-	// No cache enabled: encode into a pooled buffer for this response
-	// only. codec.Encode owns the pooled buffer until it succeeds, so
-	// this path puts exactly the successful encoding, exactly once.
-	data, err := s.codec.Encode(sv.Answer)
-	if err != nil {
-		wire.PutBuffer(tailBuf)
-		sv.Release()
-		return s.writeError(w, err)
-	}
-	werr := w.frame2(data, tailBuf)
-	s.codec.Free(data)
-	wire.PutBuffer(tailBuf)
+	s.plans.Add(1)
+	werr := w.frame2(sv.Body, sv.Tails)
 	sv.Release()
 	return werr
 }
 
-// servePlan answers one 'J'/'P' composite plan frame. The engine hands
-// back the (possibly cached) answer-core bytes and this client's
-// relation summary tails; both go under a single length header, exactly
-// like the cached 'Q' path.
-func (s *NetServer) servePlan(w *connWriter, frame []byte) error {
-	plan, since, err := wire.DecodePlanReq(frame)
-	if err != nil {
-		return s.writeErrorCode(w, wire.ErrCodeBadFrame, err)
-	}
-	if s.plans == nil {
-		return s.writeError(w, errors.New("server: plan queries not enabled"))
-	}
-	body, tails, release, err := s.plans.ServePlan(plan, since)
-	if err != nil {
-		return s.writeError(w, err)
-	}
-	s.planServed.Add(1)
-	werr := w.frame2(body, tails)
-	release()
-	return werr
-}
-
-// serveRelSummaries answers one 'T' frame — a per-relation summary
-// resync — with a plain 'F' summaries response, capped like 'S'.
+// serveRelSummaries answers one 'T' frame — a log-in sync, a gap in a
+// tail or a reconnecting session's re-anchor — with an 'F' summaries
+// response, capped per response (the client pages).
 func (s *NetServer) serveRelSummaries(w *connWriter, frame []byte) error {
 	rel, sinceSeq, oldestTS, err := wire.DecodeRelSumsReq(frame)
 	if err != nil {
 		return s.writeErrorCode(w, wire.ErrCodeBadFrame, err)
 	}
-	if s.plans == nil {
-		return s.writeError(w, errors.New("server: plan queries not enabled"))
-	}
-	sums, err := s.plans.ServeRelSummaries(rel, sinceSeq, oldestTS)
+	sums, err := s.eng.ServeRelSummaries(rel, sinceSeq, oldestTS)
 	if err != nil {
 		return s.writeError(w, err)
 	}
@@ -610,31 +562,6 @@ func (s *NetServer) serveRelSummaries(w *connWriter, frame []byte) error {
 	wire.PutBuffer(buf)
 	if werr == nil {
 		s.relSums.Add(1)
-	}
-	return werr
-}
-
-// serveSummaries answers one 'S' frame with the certified summaries
-// published at or after the requested time, capped per response (the
-// client pages with advancing since-timestamps).
-func (s *NetServer) serveSummaries(w *connWriter, frame []byte) error {
-	since, err := wire.DecodeSummariesReq(frame)
-	if err != nil {
-		return s.writeErrorCode(w, wire.ErrCodeBadFrame, err)
-	}
-	sums := s.qs.SummariesSince(since)
-	max := s.cfg.MaxSummaries
-	if max <= 0 {
-		max = DefaultMaxSummaries
-	}
-	if len(sums) > max {
-		sums = sums[:max]
-	}
-	buf := wire.AppendSummaries(wire.GetBuffer(), sums)
-	werr := w.frame(buf)
-	wire.PutBuffer(buf)
-	if werr == nil {
-		s.summaries.Add(1)
 	}
 	return werr
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"authdb/internal/client"
 	"authdb/internal/core"
+	"authdb/internal/query"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
 	"authdb/internal/wire"
@@ -159,8 +162,8 @@ func TestNetSummaryStream(t *testing.T) {
 	}
 }
 
-// TestNetSummaryPaging: the server caps summaries per 'S' response and
-// the client pages through the backlog with advancing since-timestamps,
+// TestNetSummaryPaging: the server caps summaries per 'T' response and
+// the client pages through the backlog from the newest summary it holds,
 // so a long-lived server's history never has to fit one frame.
 func TestNetSummaryPaging(t *testing.T) {
 	sys, keys, addr, shutdown := newNetFixture(t, 200, NetConfig{MaxSummaries: 2})
@@ -192,6 +195,12 @@ func TestNetSummaryPaging(t *testing.T) {
 	if n != 7 || cl.SummaryCount() != 7 {
 		t.Fatalf("paged sync ingested %d (holding %d), want 7", n, cl.SummaryCount())
 	}
+	// A session's stream has no holes and starts at its beginning: a cold
+	// session that asks from the middle reads what lies before it too.
+	cold := dialTest(t, sys, addr)
+	if n, err := cold.SyncSummaries(ts - 20); err != nil || n != 7 {
+		t.Fatalf("cold sync from the middle ingested %d (%v), want the whole stream of 7", n, err)
+	}
 }
 
 // TestNetServerErrorResponse checks that protocol errors come back as
@@ -200,9 +209,31 @@ func TestNetServerErrorResponse(t *testing.T) {
 	sys, keys, addr, shutdown := newNetFixture(t, 100, NetConfig{})
 	defer shutdown()
 	cl := dialTest(t, sys, addr)
-	_, err := cl.Fetch(50_000_000, 1) // inverted range
+	// Only the server can know the relation signs no attributes to project.
+	_, err := cl.QueryPlan(&query.Spec{Rel: core.DefaultRelation, Lo: keys[0], Hi: keys[50], Attrs: []int{0}})
 	if !errors.Is(err, client.ErrServer) {
-		t.Fatalf("inverted range: %v, want ErrServer", err)
+		t.Fatalf("projection of an unsigned attribute: %v, want ErrServer", err)
+	}
+	// What the planner can refuse never leaves the client…
+	if _, err := cl.Fetch(50_000_000, 1); !errors.Is(err, client.ErrConfig) {
+		t.Fatalf("inverted range: %v, want ErrConfig", err)
+	}
+	// …and a peer that sends it anyway is told so by the server.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	inverted := (&query.Node{Op: query.OpScan, Rel: core.DefaultRelation, Lo: 50_000_000, Hi: 1}).Marshal()
+	if err := wire.WriteFrame(conn, wire.AppendPlanReq(nil, inverted, nil)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := wire.ReadFrame(conn, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, msg, err := wire.DecodeErrorCode(resp); err != nil || code != wire.ErrCodeGeneric || !strings.Contains(msg, "inverted scan range") {
+		t.Fatalf("inverted range on the wire: code %d, %q, %v; want a generic 'E' naming the range", code, msg, err)
 	}
 	// The connection survives a served error.
 	if _, _, err := cl.Query(keys[0], keys[50]); err != nil {

@@ -1,8 +1,9 @@
 // Package server is the serving layer's front end: the networked
-// server (net.go), its admission control (admission.go) and metrics
-// endpoint (stats.go), and the pairing of the QueryServer's answer
-// cache with the wire codec (internal/wire imports core for the message
-// types, so core cannot call it directly). The chaos and fleet soaks
+// server (net.go), which answers every request through a query.Engine,
+// its admission control (admission.go) and metrics endpoint (stats.go),
+// and the pairing of the QueryServer's answer cache with the wire codec
+// (internal/wire imports core for the message types, so core cannot
+// call it directly). The chaos and fleet soaks
 // that gate its safety are tests of this package.
 package server
 
@@ -19,17 +20,18 @@ import (
 // no error path can leak it or double-put it (callers Free exactly the
 // successful results).
 //
-// The codec encodes the ANSWER CORE only (wire.AppendAnswerCore): the
-// bytes depend on nothing but the answered records, so cached entries
-// survive ρ-period closes. The network front end appends each client's
-// summary delta (wire.AppendSummaryTail) when it writes the response
-// frame; core bytes plus tail bytes form exactly the 'A' message
-// clients decode.
+// The codec encodes the core of the leaf composite (`V 'C' body
+// flags=0`, wire.AppendCompositeCore of a composite with no operator
+// sections): the bytes depend on nothing but the answered records, so
+// cached entries survive ρ-period closes. The plan engine appends each
+// client's summary tails (wire.AppendRelTails) when it answers a bare
+// scan from this cache; core bytes plus tail bytes form exactly the 'C'
+// message clients decode.
 func Codec() core.AnswerCodec {
 	return core.AnswerCodec{
 		Encode: func(a *core.Answer) ([]byte, error) {
 			buf := wire.GetBuffer()
-			out, err := wire.AppendAnswerCore(buf, a)
+			out, err := wire.AppendCompositeCore(buf, &wire.Composite{Outer: a.Chain})
 			if err != nil {
 				wire.PutBuffer(buf)
 				return nil, err

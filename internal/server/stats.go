@@ -14,6 +14,7 @@ import (
 	"authdb/internal/query"
 	"authdb/internal/sigagg"
 	"authdb/internal/wal"
+	"authdb/internal/wire"
 )
 
 // MetricsBuf accumulates metrics in the Prometheus text exposition
@@ -54,8 +55,14 @@ type MetricFn func(*MetricsBuf)
 func (s *NetServer) Metrics(m *MetricsBuf) {
 	st := s.Stats()
 	m.Counter("authdb_net_conns_total", "Connections accepted.", st.Conns)
-	m.Counter("authdb_net_queries_total", "Range-query frames served.", st.Queries)
-	m.Counter("authdb_net_summaries_total", "Summary-sync frames served.", st.Summaries)
+	// One sample per request kind, labelled with its row of the protocol
+	// table.
+	fmt.Fprintf(&m.b, "# HELP authdb_net_requests_total Request frames served, by frame kind.\n# TYPE authdb_net_requests_total counter\n")
+	for _, row := range wire.Kinds {
+		if n, ok := st.Requests[row.Kind]; ok {
+			fmt.Fprintf(&m.b, "authdb_net_requests_total{kind=%q} %d\n", string(row.Kind), n)
+		}
+	}
 	m.Counter("authdb_net_errors_total", "Error responses sent.", st.Errors)
 	m.Counter("authdb_net_shed_total", "Requests rejected by admission control.", st.Shed)
 	m.Counter("authdb_net_fair_shed_total", "Requests shed by the per-connection fairness cap.", st.FairShed)
@@ -63,8 +70,6 @@ func (s *NetServer) Metrics(m *MetricsBuf) {
 	m.Counter("authdb_net_malformed_total", "Connections dropped for unparseable frames.", st.Malformed)
 	m.Counter("authdb_net_bytes_out_total", "Response payload bytes written.", st.BytesOut)
 	m.Counter("authdb_net_repl_streams_total", "Replication subscriptions accepted.", st.ReplStreams)
-	m.Counter("authdb_net_plans_total", "Composite plan frames served.", st.Plans)
-	m.Counter("authdb_net_rel_summaries_total", "Per-relation summary frames served.", st.RelSums)
 
 	sv := s.qs.ServingStats()
 	m.Counter("authdb_anscache_hits_total", "Answer-cache lookups served from a resident entry.", sv.Answers.Hits)

@@ -64,7 +64,7 @@ func TestServeMetricsScrape(t *testing.T) {
 
 	before := scrape(t, maddr)
 	for _, name := range []string{
-		"authdb_net_conns_total", "authdb_net_queries_total",
+		"authdb_net_conns_total", `authdb_net_requests_total{kind="P"}`, `authdb_net_requests_total{kind="T"}`,
 		"authdb_net_shed_total", "authdb_net_fair_shed_total",
 		"authdb_net_repl_streams_total", "authdb_anscache_hits_total",
 		"authdb_test_gauge",
@@ -85,9 +85,19 @@ func TestServeMetricsScrape(t *testing.T) {
 		}
 	}
 	after := scrape(t, maddr)
-	if after["authdb_net_queries_total"] < before["authdb_net_queries_total"]+3 {
-		t.Fatalf("queries_total did not advance: %g -> %g",
-			before["authdb_net_queries_total"], after["authdb_net_queries_total"])
+	const plans = `authdb_net_requests_total{kind="P"}`
+	if after[plans] < before[plans]+3 {
+		t.Fatalf("%s did not advance: %g -> %g", plans, before[plans], after[plans])
+	}
+	// One sample per request kind the listener serves, and no other.
+	requests := 0
+	for name := range after {
+		if strings.HasPrefix(name, "authdb_net_requests_total") {
+			requests++
+		}
+	}
+	if requests != 2 {
+		t.Fatalf("%d request-kind samples, want 'P' and 'T'", requests)
 	}
 	if after["authdb_net_conns_total"] < 1 {
 		t.Fatal("conns_total never counted the client")

@@ -1,12 +1,16 @@
-// Composite-query wire messages: plan requests ('J' join / 'P'
-// select-project), the composite verifiable-object answer ('C'), and the
-// relation-scoped summary request ('T').
+// The query protocol's messages: the plan request ('P'), the composite
+// verifiable-object answer ('C'), and the relation-scoped summary
+// request ('T'). Every query is a plan — a range selection is the plan
+// that is one scan leaf, and its answer the composite with no operator
+// sections — so these are the only request and the only answer a
+// listener speaks.
 //
-// Like plain answers, a 'C' message splits into a cacheable core — the
-// plan's proof objects, whose bytes depend only on the touched data —
-// and per-client relation tails (certified-summary deltas) appended at
-// response time, so the answer cache stays valid across ρ-period closes
-// on every relation the plan touched.
+// A 'C' message splits into a cacheable core — the plan's proof objects,
+// whose bytes depend only on the touched data — and per-client relation
+// tails (certified-summary deltas) appended at response time, so a
+// cached core stays valid across ρ-period closes on every relation the
+// plan touched. The core of a bare scan is `V 'C' body flags=0`: what a
+// relation's own answer cache holds (server.Codec).
 package wire
 
 import (
@@ -20,8 +24,28 @@ import (
 	"authdb/internal/sigagg"
 )
 
-// maxRels bounds the relations one request or answer may reference.
-const maxRels = 1 << 10
+// A plan names at most two relations (the scanned one and a join's
+// inner), so a request carries at most that many summary positions and
+// an answer that many tails; a relation name is as long as the planner
+// allows (query's maxRelName). Both are checked before a hostile peer's
+// counts or lengths size anything.
+const (
+	maxPlanRels = 2
+	maxRelName  = 256
+)
+
+// relName reads a relation name as a view of the message, refusing one
+// no planner would accept before a string is made of it.
+func (r *reader) relName() ([]byte, error) {
+	name, err := r.view()
+	if err != nil {
+		return nil, err
+	}
+	if len(name) > maxRelName {
+		return nil, fmt.Errorf("%w: relation name of %d bytes", ErrCorrupt, len(name))
+	}
+	return name, nil
+}
 
 // RelSince names a relation the client holds certified summaries for,
 // through SinceSeq (0 = cold session).
@@ -30,41 +54,31 @@ type RelSince struct {
 	SinceSeq uint64
 }
 
-// AppendPlanReq appends a plan request: kind 'J' (the plan contains a
-// join) or 'P' (select-project only), the planner's canonical plan
-// encoding, and the client's per-relation summary positions.
-func AppendPlanReq(buf []byte, kind byte, plan []byte, rels []RelSince) ([]byte, error) {
-	if kind != KindPlanJoin && kind != KindPlanSelect {
-		return nil, fmt.Errorf("wire: bad plan request kind %q", kind)
-	}
+// AppendPlanReq appends a plan request: the planner's canonical plan
+// encoding and the client's summary position in each relation the plan
+// names.
+func AppendPlanReq(buf []byte, plan []byte, rels []RelSince) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)
-	w.u8(kind)
+	w.u8(KindPlan)
 	w.bytes(plan)
 	w.u64(uint64(len(rels)))
 	for _, rs := range rels {
 		w.bytes([]byte(rs.Name))
 		w.u64(rs.SinceSeq)
 	}
-	return w.buf, nil
+	return w.buf
 }
 
-// DecodePlanReq parses a 'J' or 'P' plan request.
-func DecodePlanReq(data []byte) (plan []byte, rels []RelSince, err error) {
-	r := &reader{buf: data}
-	v, err := r.u8()
-	if err != nil {
+// DecodePlanReq parses a plan request, appending the summary positions to
+// rels (a server passes a two-entry array of its own: nothing then sizes
+// with the request). The plan bytes alias data; the planner
+// (query.UnmarshalPlan) is what parses them, and the engine what holds the
+// positions against the relations the plan names.
+func DecodePlanReq(data []byte, rels []RelSince) (plan []byte, _ []RelSince, err error) {
+	r := &reader{buf: data, alias: true}
+	if err := header(r, KindPlan); err != nil {
 		return nil, nil, err
-	}
-	if v != Version {
-		return nil, nil, fmt.Errorf("%w: version %d, want %d", ErrCorrupt, v, Version)
-	}
-	k, err := r.u8()
-	if err != nil {
-		return nil, nil, err
-	}
-	if k != KindPlanJoin && k != KindPlanSelect {
-		return nil, nil, fmt.Errorf("%w: message kind %q, want 'J' or 'P'", ErrCorrupt, k)
 	}
 	if plan, err = r.bytes(); err != nil {
 		return nil, nil, err
@@ -73,11 +87,11 @@ func DecodePlanReq(data []byte) (plan []byte, rels []RelSince, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if n > maxRels {
-		return nil, nil, fmt.Errorf("%w: relation count %d", ErrCorrupt, n)
+	if n > maxPlanRels {
+		return nil, nil, fmt.Errorf("%w: summary positions for %d relations", ErrCorrupt, n)
 	}
 	for i := uint64(0); i < n; i++ {
-		name, err := r.bytes()
+		name, err := r.relName()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -160,10 +174,12 @@ func AppendRelTails(buf []byte, tails []RelTail) []byte {
 	return w.buf
 }
 
-// DecodeComposite parses a complete 'C' message (core plus tails). Like
-// DecodeAnswer's, the proof objects alias data and the summaries in the
-// tails are copies.
-func DecodeComposite(data []byte) (*Composite, error) {
+// DecodeComposite parses a complete 'C' message (core plus tails). The
+// proof objects alias data, which belongs to the result from here on;
+// the summaries in the tails are copies, because a session keeps them.
+// names are relation names the caller already holds: a tail named like
+// one of them reuses that string instead of allocating its own.
+func DecodeComposite(data []byte, names ...string) (*Composite, error) {
 	r := &reader{buf: data, alias: true}
 	if err := header(r, KindComposite); err != nil {
 		return nil, err
@@ -172,7 +188,12 @@ func DecodeComposite(data []byte) (*Composite, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Composite{Outer: outer}
+	// The composite and the array its tails live in are one allocation.
+	d := &struct {
+		Composite
+		tails [maxPlanRels]RelTail
+	}{Composite: Composite{Outer: outer}}
+	c := &d.Composite
 	flags, err := r.u8()
 	if err != nil {
 		return nil, err
@@ -194,15 +215,27 @@ func DecodeComposite(data []byte) (*Composite, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nTails > maxRels {
+	if nTails > maxPlanRels {
 		return nil, fmt.Errorf("%w: tail count %d", ErrCorrupt, nTails)
 	}
-	for i := uint64(0); i < nTails; i++ {
-		name, err := r.bytes()
+	if nTails > 0 {
+		c.Tails = d.tails[:nTails:nTails]
+	}
+	for i := range c.Tails {
+		t := &c.Tails[i]
+		name, err := r.relName()
 		if err != nil {
 			return nil, err
 		}
-		t := RelTail{Rel: string(name)}
+		for _, known := range names {
+			if string(name) == known {
+				t.Rel = known
+				break
+			}
+		}
+		if t.Rel == "" {
+			t.Rel = string(name)
+		}
 		nSums, err := r.u64()
 		if err != nil {
 			return nil, err
@@ -217,7 +250,6 @@ func DecodeComposite(data []byte) (*Composite, error) {
 			}
 			t.Summaries = append(t.Summaries, s)
 		}
-		c.Tails = append(c.Tails, t)
 	}
 	if err := r.done(); err != nil {
 		return nil, err
@@ -419,9 +451,11 @@ func getJoin(r *reader) (*join.Answer, error) {
 
 // ---- relation-scoped summaries ('T') ----
 
-// AppendRelSumsReq appends a relation-scoped summary request: the delta
-// a session asks for when its held stream for one relation has a gap
-// (the response is a plain 'F' summaries frame).
+// AppendRelSumsReq appends a request for one relation's certified
+// summaries: those after sequence number sinceSeq, or — when sinceSeq is
+// 0 — those published at or after oldestTS (the log-in back-history
+// fetch of §3.1). The response is an 'F' summaries frame, capped by the
+// server, so a session pages by asking again from the newest it holds.
 func AppendRelSumsReq(buf []byte, rel string, sinceSeq uint64, oldestTS int64) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)
@@ -438,7 +472,7 @@ func DecodeRelSumsReq(data []byte) (rel string, sinceSeq uint64, oldestTS int64,
 	if err = header(r, KindRelSummaries); err != nil {
 		return "", 0, 0, err
 	}
-	name, err := r.bytes()
+	name, err := r.relName()
 	if err != nil {
 		return "", 0, 0, err
 	}

@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"encoding/binary"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"authdb/internal/bloom"
@@ -15,21 +18,67 @@ import (
 
 func TestPlanReqRoundTrip(t *testing.T) {
 	rels := []RelSince{{Name: "outer", SinceSeq: 7}, {Name: "inner"}}
-	for _, kind := range []byte{'J', 'P'} {
-		buf, err := AppendPlanReq(nil, kind, []byte("plan-bytes"), rels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, got, err := DecodePlanReq(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(plan) != "plan-bytes" || !reflect.DeepEqual(got, rels) {
-			t.Fatalf("kind %q: round trip %q %v", kind, plan, got)
-		}
+	buf := AppendPlanReq(nil, []byte("plan-bytes"), rels)
+	plan, got, err := DecodePlanReq(buf, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := AppendPlanReq(nil, 'Q', nil, nil); err == nil {
-		t.Fatal("bad kind accepted")
+	if string(plan) != "plan-bytes" || !reflect.DeepEqual(got, rels) {
+		t.Fatalf("round trip %q %v", plan, got)
+	}
+	// A plan names at most two relations, each by a name the planner would
+	// take: more positions, or a longer name, are refused on their count
+	// and length alone.
+	three := AppendPlanReq(nil, []byte("p"), []RelSince{{Name: "a"}, {Name: "b"}, {Name: "c"}})
+	if _, _, err := DecodePlanReq(three, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("three summary positions: %v, want ErrCorrupt", err)
+	}
+	long := AppendPlanReq(nil, []byte("p"), []RelSince{{Name: strings.Repeat("n", maxRelName+1)}})
+	if _, _, err := DecodePlanReq(long, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a %d-byte relation name: %v, want ErrCorrupt", maxRelName+1, err)
+	}
+	if _, got, err := DecodePlanReq(AppendPlanReq(nil, []byte("p"), []RelSince{{Name: strings.Repeat("n", maxRelName)}}), nil); err != nil || len(got) != 1 {
+		t.Fatalf("a %d-byte relation name: %v", maxRelName, err)
+	}
+	// The count is refused before it sizes anything: a frame claiming 2^60
+	// positions is a few bytes long and must not allocate by them.
+	bomb := AppendPlanReq(nil, []byte("p"), nil)
+	binary.BigEndian.PutUint64(bomb[len(bomb)-8:], 1<<60)
+	if _, _, err := DecodePlanReq(bomb, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("position-count bomb: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestLeafCompositeEnvelope pins what carrying a range answer as a leaf
+// composite costs over the answer body and its summary count: the flags
+// byte, the tail count, and the relation's length-prefixed name — 18
+// bytes for core.DefaultRelation. wire_bytes_per_answer pays it on every
+// range answer, so it may not grow unnoticed.
+func TestLeafCompositeEnvelope(t *testing.T) {
+	sys := system(t, 30)
+	ans, err := sys.QS.Query(50, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := EncodeAnswer(ans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &writer{}
+	w.u8(Version)
+	w.u8(KindComposite)
+	putAnswerBody(w, ans.Chain)
+	w.u64(uint64(len(ans.Summaries)))
+	for i := range ans.Summaries {
+		putSummary(w, &ans.Summaries[i])
+	}
+	if got := len(frame) - len(w.buf); got != 18 {
+		t.Fatalf("a leaf 'C' carries %d bytes beside its body and summaries, want 18", got)
+	}
+	// And it is the frame any composite decoder reads.
+	c, err := DecodeComposite(frame)
+	if err != nil || c.Proj != nil || c.Join != nil || len(c.Tails) != 1 || c.Tails[0].Rel != core.DefaultRelation {
+		t.Fatalf("leaf composite decodes to %+v, %v", c, err)
 	}
 }
 

@@ -10,6 +10,7 @@ package wire
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 
 	"authdb/internal/chain"
@@ -42,23 +43,22 @@ func seedFrames(t testing.TB) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joinReq, err := AppendPlanReq(nil, KindPlanJoin, []byte("plan-bytes"), []RelSince{{Name: "outer", SinceSeq: 7}, {Name: "inner"}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return [][]byte{
 		ansBytes,
 		EncodeUpdateMsg(closeMsg),
 		AppendRelTails(compBytes, comp.Tails),
 		AppendBootstrap(nil, 42, sys.QS.Snapshot()),
 		AppendWalRecord(nil, 11, 15, EncodeUpdateMsg(closeMsg)),
-		joinReq,
+		AppendPlanReq(nil, []byte("plan-bytes"), []RelSince{{Name: "outer", SinceSeq: 7}, {Name: "inner"}}),
 		AppendRelSumsReq(nil, "inner", 42, -1),
 		AppendReplSubReq(nil, 12345),
 		AppendSummaries(nil, sums),
 		AppendSummaries(nil, []freshness.Summary{}),
-		AppendQueryReq(nil, -5, 1<<40, 9),
-		AppendSummariesReq(nil, 123),
+		// Requests the decoder refuses on a count or a length alone: a
+		// third summary position, a relation name no planner accepts.
+		AppendPlanReq(nil, []byte("plan-bytes"), []RelSince{{Name: "a"}, {Name: "b", SinceSeq: 9}, {Name: "c"}}),
+		AppendPlanReq(nil, []byte("p"), []RelSince{{Name: strings.Repeat("n", maxRelName+1), SinceSeq: 1 << 40}}),
+		AppendRelSumsReq(nil, strings.Repeat("n", maxRelName+1), 0, 123),
 		AppendErrorCode(nil, ErrCodeOverloaded, "overloaded"),
 		AppendError(nil, ""),
 	}
@@ -230,12 +230,28 @@ func FuzzDecodeRequests(f *testing.F) {
 	mutate(f, seedFrames(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		Kind(data)
-		DecodeQueryReq(data)
-		DecodeSummariesReq(data)
 		DecodeErrorCode(data)
-		DecodePlanReq(data)
-		DecodeRelSumsReq(data)
 		DecodeReplSubReq(data)
+		if rel, _, _, err := DecodeRelSumsReq(data); err == nil && len(rel) > maxRelName {
+			t.Fatalf("accepted a %d-byte relation name", len(rel))
+		}
+		// A plan request may cost what its bytes cost, never what its counts
+		// claim, and what is accepted names at most two relations the
+		// planner could have named.
+		var rels []RelSince
+		var err error
+		checkDecodeAlloc(t, data, func() { _, rels, err = DecodePlanReq(data, nil) })
+		if err != nil {
+			return
+		}
+		if len(rels) > maxPlanRels {
+			t.Fatalf("accepted %d summary positions", len(rels))
+		}
+		for _, rs := range rels {
+			if len(rs.Name) > maxRelName {
+				t.Fatalf("accepted a %d-byte relation name", len(rs.Name))
+			}
+		}
 	})
 }
 

@@ -3,15 +3,11 @@ package wire
 // Frame kinds: the byte after the version in every message. Senders and
 // dispatchers name them; the values are the protocol and never change.
 const (
-	KindQuery         byte = 'Q'
-	KindSummariesReq  byte = 'S'
-	KindAnswer        byte = 'A'
+	KindPlan          byte = 'P'
+	KindComposite     byte = 'C'
 	KindSummaries     byte = 'F'
 	KindError         byte = 'E'
 	KindUpdate        byte = 'U'
-	KindPlanJoin      byte = 'J'
-	KindPlanSelect    byte = 'P'
-	KindComposite     byte = 'C'
 	KindRelSummaries  byte = 'T'
 	KindReplSubscribe byte = 'R'
 	KindReplBootstrap byte = 'B'
@@ -30,16 +26,12 @@ type KindInfo struct {
 
 // Kinds is the whole protocol surface, one row per frame kind.
 var Kinds = []KindInfo{
-	{KindQuery, "client", "server", "range selection on relation 0, with the session's summary cursor"},
-	{KindSummariesReq, "client", "server", "certified summaries of relation 0 published since a timestamp"},
-	{KindAnswer, "server", "client", "chained range answer plus the session's summary delta"},
-	{KindSummaries, "server", "client", "batch of certified summaries (answers S and T)"},
+	{KindPlan, "client", "server", "query plan over named relations (a bare scan leaf is a range selection), with the session's summary cursor per relation"},
+	{KindComposite, "server", "client", "plan answer: chained scan, optional projection and join sections, per-relation summary tails"},
+	{KindRelSummaries, "client", "server", "certified summaries of one named relation, after a sequence number or since a timestamp"},
+	{KindSummaries, "server", "client", "batch of certified summaries (answers T)"},
 	{KindError, "server", "client", "coded error: generic, bad frame, or overloaded"},
 	{KindUpdate, "owner", "server", "dissemination message (also the WAL and replication record body)"},
-	{KindPlanJoin, "client", "server", "select-project-join plan over named relations"},
-	{KindPlanSelect, "client", "server", "select-project plan over one named relation"},
-	{KindComposite, "server", "client", "composite plan answer plus per-relation summary tails"},
-	{KindRelSummaries, "client", "server", "certified summaries of one named relation"},
 	{KindReplSubscribe, "follower", "primary", "subscribe to the feed after a known LSN"},
 	{KindReplBootstrap, "primary", "follower", "full server image at an LSN"},
 	{KindReplRecord, "primary", "follower", "one dissemination message with its LSN"},

@@ -22,14 +22,10 @@ func TestKindsTable(t *testing.T) {
 		return b
 	}
 	frames := map[byte][]byte{
-		KindQuery:         AppendQueryReq(nil, 1, 2, 0),
-		KindSummariesReq:  AppendSummariesReq(nil, 0),
-		KindAnswer:        must(AppendAnswer(nil, &core.Answer{Chain: ans})),
+		KindPlan:          AppendPlanReq(nil, []byte("p"), nil),
 		KindSummaries:     AppendSummaries(nil, nil),
 		KindError:         AppendError(nil, "x"),
 		KindUpdate:        AppendUpdateMsg(nil, &core.UpdateMsg{TS: 1}),
-		KindPlanJoin:      must(AppendPlanReq(nil, KindPlanJoin, []byte("p"), nil)),
-		KindPlanSelect:    must(AppendPlanReq(nil, KindPlanSelect, []byte("p"), nil)),
 		KindComposite:     must(AppendCompositeCore(nil, &Composite{Outer: ans})),
 		KindRelSummaries:  AppendRelSumsReq(nil, "r", 0, 0),
 		KindReplSubscribe: AppendReplSubReq(nil, 0),
@@ -57,5 +53,19 @@ func TestKindsTable(t *testing.T) {
 	}
 	if len(seen) != len(frames) {
 		t.Errorf("table has %d kinds, encoders cover %d", len(seen), len(frames))
+	}
+	// The protocol is these ten: one query request and one answer, the
+	// summary fetch and its reply, the error, the owner's message, and the
+	// four of the replication feed. A range answer is a composite too.
+	const want = "PCTFEURBWH"
+	var got []byte
+	for _, row := range Kinds {
+		got = append(got, row.Kind)
+	}
+	if string(got) != want {
+		t.Errorf("frame kinds %q, want %q", got, want)
+	}
+	if k, err := Kind(must(AppendAnswer(nil, &core.Answer{Chain: ans}))); err != nil || k != KindComposite {
+		t.Errorf("a range answer is framed %q, %v; want 'C'", k, err)
 	}
 }

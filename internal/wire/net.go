@@ -2,11 +2,11 @@ package wire
 
 // The networked serving protocol: length-prefixed frames over a byte
 // stream, each frame carrying one versioned message. Requests flow user
-// → server ('Q' range query, 'S' summaries-since); responses flow back
-// in request order ('A' answer, 'F' summary batch, 'E' error), so a
-// client may pipeline any number of requests before reading. The answer
-// payload is byte-identical to AppendAnswer's encoding — a server
-// holding a cached entry writes those bytes straight to the socket.
+// → server ('P' query plan, 'T' one relation's summaries); responses
+// flow back in request order ('C' composite answer, 'F' summary batch,
+// 'E' error), so a client may pipeline any number of requests before
+// reading. composite.go has the plan and answer messages; this file the
+// framing, the summary batch and the error.
 
 import (
 	"encoding/binary"
@@ -105,70 +105,10 @@ func Kind(data []byte) (byte, error) {
 	return data[1], nil
 }
 
-// ---- QueryReq (user -> server) ----
-
-// AppendQueryReq appends a range-query request for [lo, hi]. sinceSeq
-// advertises the highest certified summary sequence the session already
-// holds (0 = none): the server attaches only the summaries published
-// after it to the answer, so a long-lived session stops re-downloading
-// the whole summary history with every response.
-func AppendQueryReq(buf []byte, lo, hi int64, sinceSeq uint64) []byte {
-	w := &writer{buf: buf}
-	w.u8(Version)
-	w.u8(KindQuery)
-	w.i64(lo)
-	w.i64(hi)
-	w.u64(sinceSeq)
-	return w.buf
-}
-
-// DecodeQueryReq parses a range-query request.
-func DecodeQueryReq(data []byte) (lo, hi int64, sinceSeq uint64, err error) {
-	r := &reader{buf: data}
-	if err = header(r, KindQuery); err != nil {
-		return 0, 0, 0, err
-	}
-	if lo, err = r.i64(); err != nil {
-		return 0, 0, 0, err
-	}
-	if hi, err = r.i64(); err != nil {
-		return 0, 0, 0, err
-	}
-	if sinceSeq, err = r.u64(); err != nil {
-		return 0, 0, 0, err
-	}
-	return lo, hi, sinceSeq, r.done()
-}
-
-// ---- SummariesReq (user -> server) ----
-
-// AppendSummariesReq appends a request for the certified summaries
-// published at or after since (the log-in back-history fetch of §3.1).
-func AppendSummariesReq(buf []byte, since int64) []byte {
-	w := &writer{buf: buf}
-	w.u8(Version)
-	w.u8(KindSummariesReq)
-	w.i64(since)
-	return w.buf
-}
-
-// DecodeSummariesReq parses a summaries-since request.
-func DecodeSummariesReq(data []byte) (int64, error) {
-	r := &reader{buf: data}
-	if err := header(r, KindSummariesReq); err != nil {
-		return 0, err
-	}
-	since, err := r.i64()
-	if err != nil {
-		return 0, err
-	}
-	return since, r.done()
-}
-
 // ---- Summaries (server -> user) ----
 
 // AppendSummaries appends a batch of certified summaries (the response
-// to a SummariesReq).
+// to a 'T' request).
 func AppendSummaries(buf []byte, sums []freshness.Summary) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)

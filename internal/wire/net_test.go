@@ -51,29 +51,6 @@ func TestFrameLimitsAndTruncation(t *testing.T) {
 	}
 }
 
-func TestQueryReqRoundTrip(t *testing.T) {
-	data := AppendQueryReq(GetBuffer(), -5, 1<<40, 77)
-	defer PutBuffer(data)
-	if k, err := Kind(data); err != nil || k != 'Q' {
-		t.Fatalf("kind=%q err=%v", k, err)
-	}
-	lo, hi, sinceSeq, err := DecodeQueryReq(data)
-	if err != nil || lo != -5 || hi != 1<<40 || sinceSeq != 77 {
-		t.Fatalf("lo=%d hi=%d sinceSeq=%d err=%v", lo, hi, sinceSeq, err)
-	}
-	if _, _, _, err := DecodeQueryReq(data[:len(data)-1]); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncated request: %v", err)
-	}
-}
-
-func TestSummariesReqRoundTrip(t *testing.T) {
-	data := AppendSummariesReq(nil, 42)
-	since, err := DecodeSummariesReq(data)
-	if err != nil || since != 42 {
-		t.Fatalf("since=%d err=%v", since, err)
-	}
-}
-
 func TestSummariesRoundTrip(t *testing.T) {
 	sums := []freshness.Summary{
 		{Seq: 1, PeriodStart: 0, TS: 10, Compressed: []byte{1, 2}, Sig: sigagg.Signature("sig1")},

@@ -408,7 +408,15 @@ func DecodeUpdateMsg(data []byte) (*core.UpdateMsg, error) {
 	return msg, nil
 }
 
-// ---- Answer (query server -> user) ----
+// ---- Answer: a leaf composite held as a core.Answer ----
+//
+// The protocol has one answer message, the composite ('C', composite.go).
+// EncodeAnswer, AppendAnswer, AppendAnswerCore and DecodeAnswer are thin
+// wrappers over its codec for callers that hold a core.Answer — the
+// in-process form of a range answer — rather than a Composite: a
+// composite with no operator sections and exactly one summary tail,
+// under core.DefaultRelation. They add nothing to the format;
+// benchmark/layers.go times encode and decode through them.
 
 // EncodeAnswer serializes a verifiable query answer into a fresh
 // buffer. Hot paths should prefer AppendAnswer with a pooled buffer.
@@ -416,44 +424,33 @@ func EncodeAnswer(ans *core.Answer) ([]byte, error) {
 	return AppendAnswer(make([]byte, 0, 512), ans)
 }
 
-// AppendAnswer appends the encoding of ans to buf (obtained from
-// GetBuffer to avoid per-answer allocations) and returns the extended
+// AppendAnswer appends ans as a leaf composite — AppendAnswerCore, then
+// its summaries as the one tail — to buf and returns the extended
 // buffer. On error nothing has been appended and the caller still owns
 // buf — a pooled buffer must then be recycled by the caller (exactly
 // once; see server.Codec for the canonical error path).
-//
-// The encoding is the answer core followed by the summary tail, so a
-// serving layer can also compose the identical frame from a cached
-// AppendAnswerCore encoding plus a per-client AppendSummaryTail.
 func AppendAnswer(buf []byte, ans *core.Answer) ([]byte, error) {
 	out, err := AppendAnswerCore(buf, ans)
 	if err != nil {
 		return nil, err
 	}
-	return AppendSummaryTail(out, ans.Summaries), nil
+	return AppendRelTails(out, []RelTail{{Rel: core.DefaultRelation, Summaries: ans.Summaries}}), nil
 }
 
-// AppendAnswerCore appends the summary-free prefix of an answer's
-// encoding: everything through the aggregate, with no summary section.
-// The result is NOT a complete 'A' message — DecodeAnswer requires the
-// summary tail — but it is cache-stable: the bytes depend only on the
-// answered records, so the answer cache stores exactly this prefix and
-// the serving layer appends each client's summary delta at response
-// time.
+// AppendAnswerCore appends the core of the leaf composite whose scan is
+// ans.Chain (AppendCompositeCore): cache-stable bytes that depend only
+// on the answered records, to which a serving layer appends each
+// client's tails.
 func AppendAnswerCore(buf []byte, ans *core.Answer) ([]byte, error) {
-	if ans == nil || ans.Chain == nil {
+	if ans == nil {
 		return nil, fmt.Errorf("wire: nil answer")
 	}
-	w := &writer{buf: buf}
-	w.u8(Version)
-	w.u8(KindAnswer)
-	putAnswerBody(w, ans.Chain)
-	return w.buf, nil
+	return AppendCompositeCore(buf, &Composite{Outer: ans.Chain})
 }
 
-// putAnswerBody encodes the chained-answer section shared by 'A'
-// answers and the sub-answers of a composite ('C') message: range,
-// records, boundary references, optional anchor, aggregate.
+// putAnswerBody encodes one chained answer — the scan of a composite
+// ('C') message and each of its join proofs: range, records, boundary
+// references, optional anchor, aggregate.
 func putAnswerBody(w *writer, ca *chain.Answer) {
 	w.i64(ca.Lo)
 	w.i64(ca.Hi)
@@ -534,49 +531,20 @@ func getAnswerBody(r *reader) (*chain.Answer, error) {
 	return ca, nil
 }
 
-// AppendSummaryTail appends an answer encoding's summary section: the
-// count, then each certified summary. AppendAnswerCore bytes followed by
-// AppendSummaryTail bytes form exactly one complete 'A' message.
-func AppendSummaryTail(buf []byte, sums []freshness.Summary) []byte {
-	w := &writer{buf: buf}
-	w.u64(uint64(len(sums)))
-	for i := range sums {
-		putSummary(w, &sums[i])
-	}
-	return w.buf
-}
-
-// DecodeAnswer parses a verifiable query answer. The answer's records,
-// attribute values and aggregate alias data, which belongs to the
-// result from here on; its certified summaries are copies.
+// DecodeAnswer parses what AppendAnswer wrote (DecodeComposite, so the
+// answer's records, attribute values and aggregate alias data, which
+// belongs to the result from here on, and its summaries are copies). A
+// composite with operator sections, or whose tails are not the one of
+// core.DefaultRelation, is not a core.Answer and is refused.
 func DecodeAnswer(data []byte) (*core.Answer, error) {
-	r := &reader{buf: data, alias: true}
-	if err := header(r, KindAnswer); err != nil {
-		return nil, err
-	}
-	ca, err := getAnswerBody(r)
+	c, err := DecodeComposite(data, core.DefaultRelation)
 	if err != nil {
 		return nil, err
 	}
-	ans := &core.Answer{Chain: ca}
-	nSums, err := r.u64()
-	if err != nil {
-		return nil, err
+	if c.Proj != nil || c.Join != nil || len(c.Tails) != 1 || c.Tails[0].Rel != core.DefaultRelation {
+		return nil, fmt.Errorf("%w: not a bare scan of relation %q with its one tail", ErrCorrupt, core.DefaultRelation)
 	}
-	if nSums > maxLen {
-		return nil, fmt.Errorf("%w: summary count %d", ErrCorrupt, nSums)
-	}
-	for i := uint64(0); i < nSums; i++ {
-		s, err := getSummary(r)
-		if err != nil {
-			return nil, err
-		}
-		ans.Summaries = append(ans.Summaries, s)
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return ans, nil
+	return &core.Answer{Chain: c.Outer, Summaries: c.Tails[0].Summaries}, nil
 }
 
 func header(r *reader, kind byte) error {

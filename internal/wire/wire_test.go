@@ -180,7 +180,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 func TestDecodeRejectsLengthBombs(t *testing.T) {
 	// A hostile length prefix must not trigger a huge allocation.
-	w := []byte{Version, 'A'}
+	w := []byte{Version, KindComposite}
 	w = append(w, make([]byte, 16)...) // lo, hi
 	w = append(w, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
 	if _, err := DecodeAnswer(w); !errors.Is(err, ErrCorrupt) {
@@ -199,11 +199,11 @@ func TestDecodeRejectsLengthBombs(t *testing.T) {
 // the global limit but that the bytes present cannot hold must be refused
 // before anything is allocated by it — 2^24 records would be 1 GiB.
 func TestDecodeBoundsCountsByBytesPresent(t *testing.T) {
-	count := []byte{0, 0, 0, 0, 1, 0, 0, 0}                               // 2^24, under maxLen
-	lyingRecs := append([]byte{Version, KindAnswer}, make([]byte, 16)...) // lo, hi
+	count := []byte{0, 0, 0, 0, 1, 0, 0, 0}                                  // 2^24, under maxLen
+	lyingRecs := append([]byte{Version, KindComposite}, make([]byte, 16)...) // lo, hi
 	lyingRecs = append(lyingRecs, count...)
 	lyingRecs = append(lyingRecs, make([]byte, 256)...)
-	lyingAttrs := append([]byte{Version, KindAnswer}, make([]byte, 16)...)
+	lyingAttrs := append([]byte{Version, KindComposite}, make([]byte, 16)...)
 	lyingAttrs = append(lyingAttrs, 0, 0, 0, 0, 0, 0, 0, 1) // one record
 	lyingAttrs = append(lyingAttrs, make([]byte, 24)...)    // rid, key, ts
 	lyingAttrs = append(lyingAttrs, count...)
@@ -217,7 +217,6 @@ func TestDecodeBoundsCountsByBytesPresent(t *testing.T) {
 		if allocated > 64<<10 {
 			t.Fatalf("%s: refusing a %d-byte frame allocated %d bytes", name, len(frame), allocated)
 		}
-		frame[1] = KindComposite
 		if _, err := DecodeComposite(frame); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: lying count accepted in a composite (err %v)", name, err)
 		}
