@@ -3,7 +3,7 @@ GO      ?= go
 # 1M; the default keeps local runs short).
 BENCH_N ?= 100000
 
-.PHONY: all build test race vet lint authlint fence bench serve clean
+.PHONY: all build test race vet lint authlint fence loc bench serve clean
 
 all: build vet lint test
 
@@ -34,6 +34,14 @@ fence:
 	@if $(GO) list -deps ./cmd/authserve ./internal/server ./internal/client | grep internal/repro/; then \
 		echo "the service imports the reproduction (packages above)"; exit 1; \
 	fi
+
+# Non-test go lines outside benchmark/ (its own module), per package and
+# in total: the figure ROADMAP.md and CHANGES.md report for every PR.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
+		| sort -k2
 
 # Full static pass: go vet, the authlint invariant suite, the import
 # fence, and — when installed (CI pins them; nothing is downloaded

@@ -28,7 +28,6 @@ type testbed struct {
 	embSign func([]byte) ([]byte, error)
 	embVer  func(msg, sig []byte) error
 
-	basPool *storage.BufferPool
 	embPool *storage.BufferPool
 
 	crypto cryptoCosts

@@ -567,24 +567,6 @@ func (sh *cshard) age() {
 	}
 }
 
-// Invalidate drops the resident entry for key, if any. Epoch validation
-// makes explicit invalidation unnecessary for correctness; this exists
-// for callers that want to return the bytes to the pool eagerly.
-func (c *Cache) Invalidate(key Key) bool {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	e := sh.entries[key]
-	if e == nil {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.drop(e)
-	c.invalidations.Add(1)
-	sh.mu.Unlock()
-	e.Release()
-	return true
-}
-
 // Clear drops every resident entry, releasing the cache's residency
 // references so entry buffers return to their pools once outstanding
 // readers finish. In-flight builds are unaffected (their publications

@@ -5,9 +5,7 @@
 // a plain B+-tree (no embedded digests), which is what gives the index
 // its height advantage over the EMB-tree (Table 1).
 //
-// Node capacities are derived from the storage.PageConfig page model,
-// and every node visit can be charged to a storage.BufferPool so
-// experiments can account physical I/O.
+// Node capacities are derived from the storage.PageConfig page model.
 package btree
 
 import (
@@ -32,43 +30,29 @@ var ErrDuplicateKey = errors.New("btree: duplicate key")
 
 // Tree is the authenticated B+-tree.
 type Tree struct {
-	cfg       storage.PageConfig
 	leafCap   int
 	fanout    int // max children per internal node
 	root      node
 	firstLeaf *leaf
 	size      int
 	height    int // number of internal levels (0 = root is a leaf)
-	pool      *storage.BufferPool
-	nextPage  storage.PageID
 }
 
-type node interface {
-	page() storage.PageID
-}
+// node is a *leaf or an *inner.
+type node any
 
 type leaf struct {
-	pid        storage.PageID
 	entries    []Entry
 	prev, next *leaf
 }
 
 type inner struct {
-	pid      storage.PageID
 	keys     []int64 // keys[i] separates children[i] (< keys[i]) from children[i+1] (>= keys[i])
 	children []node
 }
 
-func (l *leaf) page() storage.PageID  { return l.pid }
-func (n *inner) page() storage.PageID { return n.pid }
-
 // Option configures a Tree.
 type Option func(*Tree)
-
-// WithBufferPool charges node visits to pool.
-func WithBufferPool(pool *storage.BufferPool) Option {
-	return func(t *Tree) { t.pool = pool }
-}
 
 // WithCapacities overrides the page-derived node capacities (useful in
 // tests to force deep trees with few keys).
@@ -86,28 +70,16 @@ func WithCapacities(leafCap, fanout int) Option {
 // New creates an empty tree under the given page model.
 func New(cfg storage.PageConfig, opts ...Option) *Tree {
 	t := &Tree{
-		cfg:     cfg,
 		leafCap: cfg.LeafCapacityASign(),
 		fanout:  cfg.InternalFanoutASign(),
 	}
 	for _, o := range opts {
 		o(t)
 	}
-	lf := &leaf{pid: t.allocPage()}
+	lf := &leaf{}
 	t.root = lf
 	t.firstLeaf = lf
 	return t
-}
-
-func (t *Tree) allocPage() storage.PageID {
-	t.nextPage++
-	return t.nextPage
-}
-
-func (t *Tree) touch(n node, dirty bool) {
-	if t.pool != nil {
-		t.pool.Touch(n.page(), dirty)
-	}
 }
 
 // Len returns the number of entries.
@@ -117,18 +89,10 @@ func (t *Tree) Len() int { return t.size }
 // leaf), matching the accounting of Table 1.
 func (t *Tree) Height() int { return t.height }
 
-// LeafCapacity returns the max entries per leaf page.
-func (t *Tree) LeafCapacity() int { return t.leafCap }
-
-// Fanout returns the max children per internal node.
-func (t *Tree) Fanout() int { return t.fanout }
-
-// findLeaf descends to the leaf that should hold key, charging one page
-// touch per level.
+// findLeaf descends to the leaf that should hold key.
 func (t *Tree) findLeaf(key int64) *leaf {
 	n := t.root
 	for {
-		t.touch(n, false)
 		switch v := n.(type) {
 		case *leaf:
 			return v
@@ -157,11 +121,9 @@ func (t *Tree) Insert(e Entry) error {
 	}
 	if right != nil {
 		newRoot := &inner{
-			pid:      t.allocPage(),
 			keys:     []int64{sep},
 			children: []node{t.root, right},
 		}
-		t.touch(newRoot, true)
 		t.root = newRoot
 		t.height++
 	}
@@ -179,13 +141,12 @@ func (t *Tree) insert(n node, e Entry) (sep int64, right node, err error) {
 		v.entries = append(v.entries, Entry{})
 		copy(v.entries[i+1:], v.entries[i:])
 		v.entries[i] = e
-		t.touch(v, true)
 		if len(v.entries) <= t.leafCap {
 			return 0, nil, nil
 		}
 		// Split.
 		mid := len(v.entries) / 2
-		rl := &leaf{pid: t.allocPage()}
+		rl := &leaf{}
 		rl.entries = append(rl.entries, v.entries[mid:]...)
 		v.entries = v.entries[:mid]
 		rl.next = v.next
@@ -194,12 +155,10 @@ func (t *Tree) insert(n node, e Entry) (sep int64, right node, err error) {
 			v.next.prev = rl
 		}
 		v.next = rl
-		t.touch(rl, true)
 		return rl.entries[0].Key, rl, nil
 
 	case *inner:
 		idx := sort.Search(len(v.keys), func(i int) bool { return e.Key < v.keys[i] })
-		t.touch(v, false)
 		sep, child, err := t.insert(v.children[idx], e)
 		if err != nil || child == nil {
 			return 0, nil, err
@@ -210,19 +169,17 @@ func (t *Tree) insert(n node, e Entry) (sep int64, right node, err error) {
 		v.children = append(v.children, nil)
 		copy(v.children[idx+2:], v.children[idx+1:])
 		v.children[idx+1] = child
-		t.touch(v, true)
 		if len(v.children) <= t.fanout {
 			return 0, nil, nil
 		}
 		// Split internal node.
 		midKey := len(v.keys) / 2
 		up := v.keys[midKey]
-		rn := &inner{pid: t.allocPage()}
+		rn := &inner{}
 		rn.keys = append(rn.keys, v.keys[midKey+1:]...)
 		rn.children = append(rn.children, v.children[midKey+1:]...)
 		v.keys = v.keys[:midKey]
 		v.children = v.children[:midKey+1]
-		t.touch(rn, true)
 		return up, rn, nil
 	}
 	panic("btree: unknown node type")
@@ -234,7 +191,6 @@ func (t *Tree) Update(key int64, sig []byte) bool {
 	i := sort.Search(len(lf.entries), func(i int) bool { return lf.entries[i].Key >= key })
 	if i < len(lf.entries) && lf.entries[i].Key == key {
 		lf.entries[i].Sig = sig
-		t.touch(lf, true)
 		return true
 	}
 	return false
@@ -270,12 +226,10 @@ func (t *Tree) delete(n node, key int64) (Entry, bool) {
 		}
 		e := v.entries[i]
 		v.entries = append(v.entries[:i], v.entries[i+1:]...)
-		t.touch(v, true)
 		return e, true
 
 	case *inner:
 		idx := sort.Search(len(v.keys), func(i int) bool { return key < v.keys[i] })
-		t.touch(v, false)
 		e, ok := t.delete(v.children[idx], key)
 		if !ok {
 			return Entry{}, false
@@ -296,7 +250,6 @@ func (t *Tree) delete(n node, key int64) (Entry, bool) {
 			} else {
 				v.keys = v.keys[:len(v.keys)-1]
 			}
-			t.touch(v, true)
 		}
 		return e, true
 	}
@@ -325,7 +278,6 @@ func (t *Tree) RangeWithBoundaries(lo, hi int64) (entries []Entry, left, right *
 		left = &e
 	} else {
 		for p := lf.prev; p != nil; p = p.prev {
-			t.touch(p, false)
 			if len(p.entries) > 0 {
 				e := p.entries[len(p.entries)-1]
 				left = &e
@@ -333,8 +285,8 @@ func (t *Tree) RangeWithBoundaries(lo, hi int64) (entries []Entry, left, right *
 			}
 		}
 	}
-	// Size the result once: count the run leaf by leaf (untouched — the
-	// copy below charges each visited page), then copy whole leaf slices.
+	// Size the result once: count the run leaf by leaf, then copy whole
+	// leaf slices.
 	n := 0
 	for c, from := lf, i; c != nil; c, from = c.next, 0 {
 		past := upperBound(c.entries[from:], hi)
@@ -354,9 +306,6 @@ func (t *Tree) RangeWithBoundaries(lo, hi int64) (entries []Entry, left, right *
 			return entries, left, &e
 		}
 		lf = lf.next
-		if lf != nil {
-			t.touch(lf, false)
-		}
 		i = 0
 	}
 	return entries, left, nil
@@ -375,7 +324,6 @@ func (t *Tree) Predecessor(key int64) (Entry, bool) {
 		return lf.entries[i-1], true
 	}
 	for p := lf.prev; p != nil; p = p.prev {
-		t.touch(p, false)
 		if len(p.entries) > 0 {
 			return p.entries[len(p.entries)-1], true
 		}
@@ -392,9 +340,6 @@ func (t *Tree) Successor(key int64) (Entry, bool) {
 			return lf.entries[i], true
 		}
 		lf = lf.next
-		if lf != nil {
-			t.touch(lf, false)
-		}
 		i = 0
 	}
 	return Entry{}, false
@@ -414,7 +359,6 @@ func (t *Tree) Min() (Entry, bool) {
 func (t *Tree) Max() (Entry, bool) {
 	n := t.root
 	for {
-		t.touch(n, false)
 		switch v := n.(type) {
 		case *leaf:
 			if len(v.entries) > 0 {
@@ -437,7 +381,6 @@ func (t *Tree) Max() (Entry, bool) {
 // returns false.
 func (t *Tree) Scan(fn func(Entry) bool) {
 	for lf := t.firstLeaf; lf != nil; lf = lf.next {
-		t.touch(lf, false)
 		for _, e := range lf.entries {
 			if !fn(e) {
 				return
@@ -476,7 +419,7 @@ func BulkLoad(cfg storage.PageConfig, entries []Entry, opts ...Option) (*Tree, e
 		if j > len(entries) {
 			j = len(entries)
 		}
-		lf := &leaf{pid: t.allocPage()}
+		lf := &leaf{}
 		lf.entries = append(lf.entries, entries[i:j]...)
 		lf.prev = prev
 		if prev != nil {
@@ -485,7 +428,6 @@ func BulkLoad(cfg storage.PageConfig, entries []Entry, opts ...Option) (*Tree, e
 		prev = lf
 		leaves = append(leaves, lf)
 		seps = append(seps, lf.entries[0].Key)
-		t.touch(lf, true)
 	}
 	t.firstLeaf = leaves[0].(*leaf)
 
@@ -508,12 +450,11 @@ func BulkLoad(cfg storage.PageConfig, entries []Entry, opts ...Option) (*Tree, e
 				p.children = append(p.children, level[i])
 				break
 			}
-			n := &inner{pid: t.allocPage()}
+			n := &inner{}
 			n.children = append(n.children, level[i:j]...)
 			n.keys = append(n.keys, levelSeps[i+1:j]...)
 			parents = append(parents, n)
 			parentSeps = append(parentSeps, levelSeps[i])
-			t.touch(n, true)
 		}
 		level = parents
 		levelSeps = parentSeps

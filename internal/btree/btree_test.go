@@ -367,26 +367,6 @@ func TestPageCapacities(t *testing.T) {
 	}
 }
 
-func TestIOCounting(t *testing.T) {
-	pool := storage.NewBufferPool(0) // unbounded
-	cfg := storage.DefaultPageConfig()
-	entries := make([]Entry, 100_000)
-	for i := range entries {
-		entries[i] = Entry{Key: int64(i)}
-	}
-	tr, err := BulkLoad(cfg, entries, WithBufferPool(pool))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.ResetStats()
-	tr.Get(50_000)
-	s := pool.Stats()
-	// A point lookup touches height+1 pages.
-	if want := uint64(tr.Height() + 1); s.LogicalReads != want {
-		t.Errorf("point lookup touched %d pages, want %d", s.LogicalReads, want)
-	}
-}
-
 func TestQuickInsertDeleteConsistency(t *testing.T) {
 	prop := func(keys []int16) bool {
 		tr := New(storage.DefaultPageConfig(), WithCapacities(3, 4))

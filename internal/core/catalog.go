@@ -71,7 +71,7 @@ func (c *Catalog) Pool() *sigagg.Pool { return c.pool }
 // key-generation entropy (nil = crypto/rand; a deterministic reader
 // gives reproducible keys, as in NewSystemWithRand). daOpts and qsOpts
 // configure the relation's owner and server; the shared signing pool is
-// installed first, so a caller's WithSignWorkers/WithSigningPool can
+// installed first, so a caller's WithSigningPool can
 // still override it per relation.
 func (c *Catalog) AddRelation(name string, rnd io.Reader, daOpts []DAOption, qsOpts []Option) (*Relation, error) {
 	if name == "" {

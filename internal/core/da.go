@@ -61,16 +61,6 @@ func withSerialSigning() DAOption {
 	return func(da *DataAggregator) { da.serial = true }
 }
 
-// WithSignWorkers caps the signing pool's goroutine fan-out (default
-// GOMAXPROCS; values below 1 are ignored).
-func WithSignWorkers(n int) DAOption {
-	return func(da *DataAggregator) {
-		if n >= 1 {
-			da.pool = sigagg.NewPool(da.scheme, n)
-		}
-	}
-}
-
 // WithSigningPool makes the aggregator sign through a shared pool
 // instead of creating its own — how a multi-relation Catalog keeps one
 // worker set across every relation's owner (the pool takes the private
@@ -128,9 +118,6 @@ func NewDataAggregator(scheme sigagg.Scheme, priv sigagg.PrivateKey, cfg Config,
 
 // Len returns the relation cardinality.
 func (da *DataAggregator) Len() int { return da.index.Len() }
-
-// SignWorkers reports the signing pool's fan-out cap.
-func (da *DataAggregator) SignWorkers() int { return da.pool.Parallelism() }
 
 // keysAscending reports whether recs are already in non-descending key
 // order (duplicate detection happens during the load itself).

@@ -49,7 +49,7 @@ func TestPipelinedLoadMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pipeDA, err := NewDataAggregator(bound, priv, DefaultConfig(), WithSignWorkers(4))
+			pipeDA, err := NewDataAggregator(bound, priv, DefaultConfig(), WithSigningPool(sigagg.NewPool(bound, 4)))
 			if err != nil {
 				t.Fatal(err)
 			}

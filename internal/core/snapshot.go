@@ -36,26 +36,13 @@ type OwnerState struct {
 	Pub          *freshness.PublisherState
 }
 
-// Snapshot extracts the owner's durable state. Like every
-// DataAggregator operation it relies on the caller's single-writer
-// discipline; the returned state shares the (immutable) record bodies
-// but none of the mutable bookkeeping.
-func (da *DataAggregator) Snapshot() (*OwnerState, error) {
-	msg, err := da.SnapshotMsg(0)
-	if err != nil {
-		return nil, err
-	}
-	st := da.SnapshotMeta()
-	st.Records = msg.Upserts
-	return st, nil
-}
-
-// SnapshotMeta extracts only the owner's non-relation bookkeeping —
-// rid allocator, pending re-certifications, publisher period state —
-// leaving Records nil. Snapshot assemblers that already hold the
-// record image from the query server (identical by construction: the
-// owner disseminates every signature it creates) use this to skip the
-// O(n) relation scan on the writer's critical path.
+// SnapshotMeta extracts the owner's bookkeeping — rid allocator, pending
+// re-certifications, publisher period state — leaving Records nil: the
+// snapshot assembler (wal.Capture) takes the record image from the query
+// server, identical by construction since the owner disseminates every
+// signature it creates, and so keeps an O(n) relation scan off the
+// writer's critical path. Like every DataAggregator operation it relies
+// on the caller's single-writer discipline.
 func (da *DataAggregator) SnapshotMeta() *OwnerState {
 	return &OwnerState{
 		NextRID:      da.nextRID,
@@ -164,8 +151,11 @@ func fullRecord(sr *SignedRecord) *Record {
 }
 
 // ServerState is the QueryServer's durable state: the signed records in
-// key order and the certified summary stream. Shard topology, epochs
-// and caches are runtime artifacts rebuilt on restore.
+// key order (each with its §3.4 sideband, for a projection-mode
+// relation) and the certified summary stream — what a relation image
+// (wire.AppendImage: the snapshot file's and the bootstrap frame's)
+// carries. Shard topology, epochs and caches are runtime artifacts
+// rebuilt on restore.
 type ServerState struct {
 	Records   []SignedRecord // key-ascending, current signature each
 	Summaries []freshness.Summary

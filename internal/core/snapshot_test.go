@@ -26,10 +26,12 @@ func TestOwnerSnapshotRestoreRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := sys.DA.Snapshot()
+	image, err := sys.DA.SnapshotMsg(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := sys.DA.SnapshotMeta()
+	st.Records = image.Upserts
 	da2, err := NewDataAggregator(sys.Scheme, sys.DA.priv, sys.DA.cfg)
 	if err != nil {
 		t.Fatal(err)

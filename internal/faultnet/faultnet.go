@@ -83,16 +83,6 @@ func Profiles() []Profile {
 	}
 }
 
-// ProfileByName returns the named built-in profile.
-func ProfileByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("faultnet: unknown profile %q", name)
-}
-
 // Conn wraps a net.Conn with fault injection. Safe for one concurrent
 // reader plus one concurrent writer (the net.Conn contract); fault
 // state is shared across both directions under a mutex that is never
@@ -264,35 +254,6 @@ func (c *Conn) Close() error {
 	c.dead = true
 	c.mu.Unlock()
 	return c.Conn.Close()
-}
-
-// Listener wraps a net.Listener so every accepted connection carries
-// prof's faults, each with its own deterministic decision stream.
-type Listener struct {
-	net.Listener
-	prof Profile
-	seed int64
-
-	mu sync.Mutex
-	n  int64
-}
-
-// WrapListener returns ln with prof injected into every accepted conn.
-func WrapListener(ln net.Listener, prof Profile, seed int64) *Listener {
-	return &Listener{Listener: ln, prof: prof, seed: seed}
-}
-
-// Accept accepts and wraps the next connection.
-func (l *Listener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	i := l.n
-	l.n++
-	l.mu.Unlock()
-	return Wrap(conn, l.prof, connSeed(l.seed, i)), nil
 }
 
 // connSeed derives connection i's decision-stream seed from the

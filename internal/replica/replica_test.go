@@ -4,15 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"authdb/internal/client"
 	"authdb/internal/core"
+	"authdb/internal/query"
 	"authdb/internal/replica"
 	"authdb/internal/server"
 	"authdb/internal/sigagg/xortest"
 	"authdb/internal/wal"
+	"authdb/internal/wire"
 	"authdb/internal/workload"
 )
 
@@ -32,9 +35,13 @@ type primaryFixture struct {
 	keys  []int64
 }
 
-func newPrimary(t *testing.T, n int, withLog bool) (*primaryFixture, func()) {
+func newPrimary(t *testing.T, n int, withLog bool, daOpts ...core.DAOption) (*primaryFixture, func()) {
 	t.Helper()
-	sys, err := core.NewSystem(xortest.New(), core.DefaultConfig(), core.WithShards(4))
+	cat, err := core.NewCatalog(xortest.New(), core.DefaultConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := cat.AddRelation(core.DefaultRelation, nil, daOpts, []core.Option{core.WithShards(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +126,30 @@ func newTestFollower(t *testing.T, f *primaryFixture) *replica.Follower {
 		t.Fatal(err)
 	}
 	return fl
+}
+
+// dialFollower serves the follower's replica of the relation on a
+// loopback listener and opens a verifying session against it; both end
+// with the test.
+func dialFollower(t *testing.T, f *primaryFixture, fl *replica.Follower) *client.Client {
+	t.Helper()
+	fsrv := server.NewNetServer(fl.QS(), server.NetConfig{})
+	ln, err := fsrv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go fsrv.Serve(ln)
+	t.Cleanup(func() {
+		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer scancel()
+		fsrv.Shutdown(sctx)
+	})
+	cl, err := client.Dial(ln.Addr().String(), client.Config{Scheme: f.sys.Scheme, Pub: f.sys.Pub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
 }
 
 func waitUntil(t *testing.T, what string, cond func() bool) {
@@ -239,6 +270,82 @@ func TestFollowerRebootstrapsPastTruncation(t *testing.T) {
 	}
 }
 
+// TestFollowerServesProjectionFromImage: the image a follower is
+// bootstrapped from is the whole relation, the §3.4 attribute sideband
+// included. The primary's relation is projection-mode (as authserve's
+// first relation always is); the follower holds its records only through
+// a 'B' frame — cold from a primary with no log to tail, and again after
+// its resume point fell behind a truncated log — and a verifying client's
+// projection plan against the follower closes each time.
+func TestFollowerServesProjectionFromImage(t *testing.T) {
+	project := func(t *testing.T, f *primaryFixture, fl *replica.Follower, lo, hi int64) *wire.Composite {
+		t.Helper()
+		cl := dialFollower(t, f, fl)
+		comp, err := cl.QueryPlan(&query.Spec{Rel: core.DefaultRelation, Lo: lo, Hi: hi, Attrs: []int{0}})
+		if err != nil {
+			t.Fatalf("verified projection plan against the follower: %v", err)
+		}
+		if comp.Proj == nil || len(comp.Proj.Rows) == 0 || len(comp.Proj.Rows) != len(comp.Outer.Records) {
+			t.Fatalf("projection section: %+v over %d records", comp.Proj, len(comp.Outer.Records))
+		}
+		return comp
+	}
+
+	t.Run("cold", func(t *testing.T) {
+		f, shutdown := newPrimary(t, 300, false, core.WithAttrSigning())
+		defer shutdown()
+		fl := newTestFollower(t, f)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		go fl.Run(ctx, f.addr)
+		waitUntil(t, "bootstrap catch-up", func() bool { return caughtUp(f, fl) })
+		if fl.Stats().Bootstraps != 1 || fl.Stats().Records != 0 {
+			t.Fatalf("follower stats %+v: its records must have come from one image", fl.Stats())
+		}
+		project(t, f, fl, f.keys[0], f.keys[40])
+	})
+
+	t.Run("re-bootstrap past truncation", func(t *testing.T) {
+		f, shutdown := newPrimary(t, 200, true, core.WithAttrSigning())
+		defer shutdown()
+		fl := newTestFollower(t, f)
+		ctx, cancel := context.WithCancel(context.Background())
+		go fl.Run(ctx, f.addr)
+		waitUntil(t, "initial catch-up", func() bool { return caughtUp(f, fl) })
+		cancel()
+
+		// While the follower is away: new attribute values, then a snapshot
+		// that truncates the log past its resume point.
+		for i := 0; i < 3; i++ {
+			f.update(t, f.keys[i])
+		}
+		snap, err := wal.Capture(f.sys.DA, f.sys.QS, f.store.LastLSN(), f.ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.store.WriteSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		f.update(t, f.keys[5]) // the log is not empty, only short
+		if first := f.store.Log().FirstLSN(); first <= fl.AppliedLSN()+1 {
+			t.Fatalf("log not truncated (first=%d, follower at %d): test setup broken", first, fl.AppliedLSN())
+		}
+		records := fl.Stats().Records
+
+		ctx2, cancel2 := context.WithCancel(context.Background())
+		defer cancel2()
+		go fl.Run(ctx2, f.addr)
+		waitUntil(t, "re-bootstrap", func() bool { return caughtUp(f, fl) })
+		if fl.Stats().Bootstraps != 1 || fl.Stats().Records != records {
+			t.Fatalf("follower stats %+v: the updates must have come from an image", fl.Stats())
+		}
+		comp := project(t, f, fl, f.keys[0], f.keys[10])
+		if got := string(comp.Proj.Rows[0].Values[0]); !strings.HasPrefix(got, "u-") {
+			t.Fatalf("row of updated key %d carries %q, want the value written while the follower was away", f.keys[0], got)
+		}
+	})
+}
+
 // TestFollowerPauseResume: Pause freezes the replica (the chaos
 // harness's artificial lag), Resume catches it back up.
 func TestFollowerPauseResume(t *testing.T) {
@@ -276,23 +383,7 @@ func TestFollowerServesVerifyingClient(t *testing.T) {
 	go fl.Run(ctx, f.addr)
 	waitUntil(t, "catch-up", func() bool { return caughtUp(f, fl) })
 
-	fsrv := server.NewNetServer(fl.QS(), server.NetConfig{})
-	ln, err := fsrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go fsrv.Serve(ln)
-	defer func() {
-		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer scancel()
-		fsrv.Shutdown(sctx)
-	}()
-
-	cl, err := client.Dial(ln.Addr().String(), client.Config{Scheme: f.sys.Scheme, Pub: f.sys.Pub})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := dialFollower(t, f, fl)
 	if _, err := cl.SyncSummaries(0); err != nil {
 		t.Fatal(err)
 	}

@@ -15,14 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"authdb/internal/aggtree"
 )
-
-// Node identifies a signature-tree node Ti,j: Level i (0 = leaves,
-// log2(N) = root) and position j within the level. It is an alias of
-// aggtree.Node, the structure that now owns the tree mechanics.
-type Node = aggtree.Node
 
 // Dist is a query-cardinality distribution: Dist(q) is proportional to
 // the probability that a query has cardinality q, for 1 <= q <= N.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"authdb/internal/aggtree"
 	"authdb/internal/sigagg"
 )
 
@@ -28,11 +27,11 @@ func (s Strategy) String() string {
 	return "eager"
 }
 
-func (s Strategy) policy() aggtree.RefreshPolicy {
+func (s Strategy) policy() RefreshPolicy {
 	if s == Lazy {
-		return aggtree.LazyRefresh
+		return LazyRefresh
 	}
-	return aggtree.EagerRefresh
+	return EagerRefresh
 }
 
 // Stats counts the cache's work in aggregation-equivalent operations
@@ -50,13 +49,13 @@ type Stats struct {
 // Cache holds the leaf signatures of a relation (in indexed-attribute
 // position order) plus a set of pinned aggregate signatures, and builds
 // range aggregates using the cheapest available cover. The tree
-// mechanics live in aggtree.Frontier; Cache adds the paper's policies
-// (Algorithm 1 selection via Analyzer, §4.2 admission and revision) and
-// the cost accounting.
+// mechanics live in Frontier (frontier.go); Cache adds the paper's
+// policies (Algorithm 1 selection via Analyzer, §4.2 admission and
+// revision) and the cost accounting.
 type Cache struct {
 	mu       sync.Mutex // serializes all operations: lazy refreshes mutate on the query path
 	scheme   sigagg.Scheme
-	frontier *aggtree.Frontier
+	frontier *Frontier
 	strategy Strategy
 	stats    Stats
 }
@@ -64,7 +63,7 @@ type Cache struct {
 // NewCache creates a cache over the given leaf signatures (length a
 // power of two).
 func NewCache(scheme sigagg.Scheme, leaves []sigagg.Signature, strategy Strategy) (*Cache, error) {
-	f, err := aggtree.NewFrontier(scheme, leaves, strategy.policy())
+	f, err := NewFrontier(scheme, leaves, strategy.policy())
 	if err != nil {
 		return nil, fmt.Errorf("sigcache: %w", err)
 	}

@@ -1,4 +1,4 @@
-package aggtree
+package sigcache
 
 import (
 	"fmt"
@@ -70,8 +70,8 @@ type NodeAccess struct {
 // without pinned cover cost linear work, which is precisely the
 // memory-constrained cost model SigCache's selection optimizes.
 //
-// Frontier performs no locking; sigcache.Cache wraps it with a mutex
-// and layers the selection/admission/revision policies and statistics.
+// Frontier performs no locking; Cache wraps it with a mutex and layers
+// the selection/admission/revision policies and statistics.
 type Frontier struct {
 	scheme     sigagg.Scheme
 	n          int64
@@ -87,7 +87,7 @@ type Frontier struct {
 func NewFrontier(scheme sigagg.Scheme, leaves []sigagg.Signature, policy RefreshPolicy) (*Frontier, error) {
 	n := int64(len(leaves))
 	if n < 2 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("aggtree: leaf count must be a power of two >= 2, got %d", n)
+		return nil, fmt.Errorf("sigcache: leaf count must be a power of two >= 2, got %d", n)
 	}
 	levels := 0
 	for v := n; v > 1; v >>= 1 {
@@ -132,7 +132,7 @@ func (f *Frontier) Valid(n Node) bool {
 // those, how many were refreshes of existing entries.
 func (f *Frontier) Pin(n Node) (ops, refreshOps int, err error) {
 	if !f.Valid(n) {
-		return 0, 0, fmt.Errorf("aggtree: node %v out of range", n)
+		return 0, 0, fmt.Errorf("sigcache: node %v out of range", n)
 	}
 	if _, ok := f.entries[n]; ok {
 		return 0, 0, nil
@@ -179,7 +179,7 @@ func (f *Frontier) ResetAccesses() {
 func (f *Frontier) Cover(lo, hi int64, countAccesses bool) (sigagg.Signature, CoverStats, error) {
 	var st CoverStats
 	if lo < 0 || hi >= f.n || lo > hi {
-		return nil, st, fmt.Errorf("aggtree: bad range [%d,%d] over %d leaves", lo, hi, f.n)
+		return nil, st, fmt.Errorf("sigcache: bad range [%d,%d] over %d leaves", lo, hi, f.n)
 	}
 	sig, err := f.cover(Node{Level: f.levels, Pos: 0}, lo, hi, countAccesses, &st)
 	return sig, st, err
@@ -275,7 +275,7 @@ func (f *Frontier) refresh(e *fentry) (int, error) {
 // forced along the way (policy switches).
 func (f *Frontier) UpdateLeaf(idx int64, sig sigagg.Signature) (ops, staleOps int, err error) {
 	if idx < 0 || idx >= f.n {
-		return 0, 0, fmt.Errorf("aggtree: leaf %d out of range", idx)
+		return 0, 0, fmt.Errorf("sigcache: leaf %d out of range", idx)
 	}
 	old := f.leaves[idx]
 	f.leaves[idx] = sig

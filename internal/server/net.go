@@ -167,17 +167,6 @@ func (s *NetServer) catalog() error {
 // ErrServerClosed is returned by Serve after Shutdown.
 var ErrServerClosed = errors.New("server: closed")
 
-// ListenAndServe listens on addr ("127.0.0.1:0" picks a free loopback
-// port, readable via Addr once this returns or from another goroutine
-// after Listen) and serves until Shutdown.
-func (s *NetServer) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Listen binds addr without serving, so callers can read Addr before
 // starting Serve on another goroutine.
 func (s *NetServer) Listen(addr string) (net.Listener, error) {

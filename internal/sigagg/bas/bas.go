@@ -80,9 +80,10 @@ func withPortableVerify() Option {
 	return func(o *options) { o.portable = true }
 }
 
-// WithCacheEntries bounds the digest→point cache (default
+// withCacheEntries bounds the digest→point cache (default
 // defaultCacheEntries). Values below minCacheEntries are raised to it.
-func WithCacheEntries(n int) Option {
+// Unexported: the eviction test is its only caller.
+func withCacheEntries(n int) Option {
 	return func(o *options) { o.cacheEntries = n }
 }
 
@@ -120,9 +121,6 @@ func (s *Scheme) Name() string { return "bas" }
 
 // SignatureSize implements sigagg.Scheme: a compressed P-256 point.
 func (s *Scheme) SignatureSize() int { return pointLen }
-
-// PairingCost reports the configured per-pairing work factor.
-func (s *Scheme) PairingCost() int { return s.pairingCost }
 
 // PrivateKey is a BAS signing key: a scalar x in [1, n).
 type PrivateKey struct {

@@ -214,7 +214,7 @@ func TestTableMatchesMapOracle(t *testing.T) {
 // is held to the bound while verification stays correct (evicted entries
 // are re-derived, never assumed).
 func TestCacheEvictionBounded(t *testing.T) {
-	s := New(0, WithCacheEntries(1)) // clamps to minCacheEntries
+	s := New(0, withCacheEntries(1)) // clamps to minCacheEntries
 	dt := &s.cache.table
 	if dt.bound != minCacheEntries {
 		t.Fatalf("clamped bound is %d digests", dt.bound)

@@ -67,11 +67,11 @@ func (rt *Runtime) Recover() (RecoveryStats, bool, error) {
 	if err != nil {
 		return st, false, err
 	}
-	for i := range snap.Records {
-		rt.ts = max(rt.ts, snap.Records[i].Rec.TS)
+	for i := range snap.Server.Records {
+		rt.ts = max(rt.ts, snap.Server.Records[i].Rec.TS)
 	}
-	for i := range snap.Summaries {
-		rt.ts = max(rt.ts, snap.Summaries[i].TS)
+	for i := range snap.Server.Summaries {
+		rt.ts = max(rt.ts, snap.Server.Summaries[i].TS)
 	}
 	snap.TS = rt.ts
 	if st.Replayed > 0 || st.Skipped > 0 {

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 
 	"authdb/internal/core"
-	"authdb/internal/freshness"
 	"authdb/internal/wire"
 )
 
@@ -16,18 +15,20 @@ import (
 // point-in-time image plus the LSN watermark of the last log record it
 // folds in:
 //
-//	| magic | u64 LSN | i64 TS | u64 len | wire UpdateMsg (records) |
-//	| u64 len | wire summary batch | u8 hasOwner | owner block | u32 CRC |
+//	| magic | u64 LSN | i64 TS | image | owner block | u32 CRC |
 //
-// The record image and summary stream reuse the wire codecs — the same
-// battle-tested encodings that cross the trust boundary — so a snapshot
-// is readable by anything that can parse the protocol. Replacement is
-// atomic: written to "snapshot.tmp", fsynced, renamed over the old
-// image, directory fsynced. A crash leaves either the old snapshot or
-// the new one, never a blend; the trailing CRC turns any partial write
-// that does surface into a loud error instead of a silent half-state.
+// The image is the relation image of internal/wire — the bytes a
+// follower is bootstrapped from, records through the dissemination codec
+// and summaries through the batch codec — and the owner block is wire's
+// too, so a snapshot is readable by anything that can parse the
+// protocol. Replacement is atomic: written to "snapshot.tmp", fsynced,
+// renamed over the old image, directory fsynced. A crash leaves either
+// the old snapshot or the new one, never a blend; the trailing CRC turns
+// any partial write that does surface into a loud error instead of a
+// silent half-state.
 
-const snapMagic = "ASNP1\n"
+// snapMagic names the layout; a file written under another is refused.
+const snapMagic = "ASNP2\n"
 
 // snapName and snapTmp are the snapshot file names within a store dir.
 const (
@@ -35,293 +36,57 @@ const (
 	snapTmp  = "snapshot.tmp"
 )
 
-// OwnerExtra is the owner-only portion of a snapshot: rid allocation,
-// pending re-certifications, and the publisher's mid-period state. Nil
-// for a server-only store. The publisher history is not duplicated in
-// the file — it is the snapshot's summary stream (trimmed to MaxHist on
-// restore).
-type OwnerExtra struct {
-	NextRID      uint64
-	MultiPending []int
-	PubSeq       uint64
-	PubLastTS    int64
-	PubCur       []byte // compressed current-period bitmap
-	PubTouched   map[int]int
-	PubMaxHist   int
-}
-
-// Snapshot is one durable image of the pipeline's state.
+// Snapshot is one durable image of the pipeline's state, in the forms
+// the two parties restore from. The file stores the records and the
+// summary stream once: Owner.Records is Server.Records, and
+// Owner.Pub.History the summary stream (which RestoreState trims to
+// MaxHist).
 type Snapshot struct {
-	LSN       uint64 // last log record folded into this image
-	TS        int64  // logical time the image was taken
-	Records   []core.SignedRecord
-	Summaries []freshness.Summary
-	Owner     *OwnerExtra
+	LSN    uint64 // last log record folded into this image
+	TS     int64  // logical time the image was taken
+	Server *core.ServerState
+	Owner  *core.OwnerState
 }
 
 // Capture builds a snapshot from live components at the given watermark
-// and logical time. Either party may be nil; when both are present the
-// record image is taken from the server (they are identical by
-// construction — the owner disseminates every signature it creates).
+// and logical time. The record image is the server's — identical to the
+// owner's by construction, since the owner disseminates every signature
+// it creates — which spares the owner an O(n) relation scan on the
+// writer's critical path. The error is always nil: the signature is the
+// one benchmark/ compiles against.
 func Capture(da *core.DataAggregator, qs *core.QueryServer, lsn uint64, ts int64) (*Snapshot, error) {
-	if da == nil && qs == nil {
-		return nil, fmt.Errorf("wal: nothing to snapshot")
-	}
-	snap := &Snapshot{LSN: lsn, TS: ts}
-	if qs != nil {
-		st := qs.Snapshot()
-		snap.Records = st.Records
-		snap.Summaries = st.Summaries
-	}
-	if da != nil {
-		var st *core.OwnerState
-		if qs == nil {
-			full, err := da.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			st = full
-			snap.Records = st.Records
-			snap.Summaries = st.Pub.History
-		} else {
-			// The record image above came from the server; skip the
-			// owner's O(n) relation scan.
-			st = da.SnapshotMeta()
-		}
-		snap.Owner = &OwnerExtra{
-			NextRID:      st.NextRID,
-			MultiPending: st.MultiPending,
-			PubSeq:       st.Pub.Seq,
-			PubLastTS:    st.Pub.LastTS,
-			PubCur:       st.Pub.Cur,
-			PubTouched:   st.Pub.Touched,
-			PubMaxHist:   st.Pub.MaxHist,
-		}
-	}
+	snap := &Snapshot{LSN: lsn, TS: ts, Server: qs.Snapshot(), Owner: da.SnapshotMeta()}
+	snap.Owner.Records = snap.Server.Records
 	return snap, nil
 }
 
-// OwnerState converts the snapshot into the core restore form for the
-// data aggregator. Nil when the snapshot carries no owner block.
-func (s *Snapshot) OwnerState() *core.OwnerState {
-	if s.Owner == nil {
-		return nil
-	}
-	hist := s.Summaries
-	if s.Owner.PubMaxHist > 0 && len(hist) > s.Owner.PubMaxHist {
-		hist = hist[len(hist)-s.Owner.PubMaxHist:]
-	}
-	return &core.OwnerState{
-		NextRID:      s.Owner.NextRID,
-		Records:      s.Records,
-		MultiPending: s.Owner.MultiPending,
-		Pub: &freshness.PublisherState{
-			Seq:     s.Owner.PubSeq,
-			LastTS:  s.Owner.PubLastTS,
-			Cur:     s.Owner.PubCur,
-			Touched: s.Owner.PubTouched,
-			History: hist,
-			MaxHist: s.Owner.PubMaxHist,
-		},
-	}
-}
-
-// ServerState converts the snapshot into the core restore form for the
-// query server.
-func (s *Snapshot) ServerState() *core.ServerState {
-	return &core.ServerState{Records: s.Records, Summaries: s.Summaries}
-}
-
-func encodeSnapshot(s *Snapshot) ([]byte, error) {
+func encodeSnapshot(s *Snapshot) []byte {
 	buf := []byte(snapMagic)
 	buf = binary.BigEndian.AppendUint64(buf, s.LSN)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(s.TS))
-
-	msgBytes := wire.AppendUpdateMsg(wire.GetBuffer(), &core.UpdateMsg{TS: s.TS, Upserts: s.Records})
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(msgBytes)))
-	buf = append(buf, msgBytes...)
-	wire.PutBuffer(msgBytes)
-
-	sumBytes := wire.AppendSummaries(wire.GetBuffer(), s.Summaries)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(sumBytes)))
-	buf = append(buf, sumBytes...)
-	wire.PutBuffer(sumBytes)
-
-	if s.Owner == nil {
-		buf = append(buf, 0)
-	} else {
-		o := s.Owner
-		buf = append(buf, 1)
-		buf = binary.BigEndian.AppendUint64(buf, o.NextRID)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(len(o.MultiPending)))
-		for _, slot := range o.MultiPending {
-			buf = binary.BigEndian.AppendUint64(buf, uint64(slot))
-		}
-		buf = binary.BigEndian.AppendUint64(buf, o.PubSeq)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(o.PubLastTS))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(len(o.PubCur)))
-		buf = append(buf, o.PubCur...)
-		// Touched is emitted slot-ascending so identical states encode
-		// identically (map order would defeat byte-level comparisons).
-		slots := make([]int, 0, len(o.PubTouched))
-		for slot := range o.PubTouched {
-			slots = append(slots, slot)
-		}
-		for i := 1; i < len(slots); i++ { // insertion sort: small maps
-			for j := i; j > 0 && slots[j] < slots[j-1]; j-- {
-				slots[j], slots[j-1] = slots[j-1], slots[j]
-			}
-		}
-		buf = binary.BigEndian.AppendUint64(buf, uint64(len(slots)))
-		for _, slot := range slots {
-			buf = binary.BigEndian.AppendUint64(buf, uint64(slot))
-			buf = binary.BigEndian.AppendUint64(buf, uint64(o.PubTouched[slot]))
-		}
-		buf = binary.BigEndian.AppendUint64(buf, uint64(o.PubMaxHist))
-	}
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[len(snapMagic):]))
-	return buf, nil
-}
-
-// snapReader is a bounds-checked cursor over the snapshot body.
-type snapReader struct {
-	data []byte
-	off  int
-}
-
-func (r *snapReader) u64() (uint64, error) {
-	if r.off+8 > len(r.data) {
-		return 0, fmt.Errorf("%w: truncated snapshot", ErrCorrupt)
-	}
-	v := binary.BigEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *snapReader) u8() (byte, error) {
-	if r.off >= len(r.data) {
-		return 0, fmt.Errorf("%w: truncated snapshot", ErrCorrupt)
-	}
-	v := r.data[r.off]
-	r.off++
-	return v, nil
-}
-
-func (r *snapReader) bytes() ([]byte, error) {
-	n, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.data)-r.off) {
-		return nil, fmt.Errorf("%w: truncated snapshot field (%d bytes)", ErrCorrupt, n)
-	}
-	out := r.data[r.off : r.off+int(n)]
-	r.off += int(n)
-	return out, nil
+	buf = wire.AppendImage(buf, s.Server)
+	buf = wire.AppendOwnerBlock(buf, s.Owner)
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[len(snapMagic):]))
 }
 
 func decodeSnapshot(data []byte) (*Snapshot, error) {
-	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
+	if len(data) < len(snapMagic)+16+4 || string(data[:len(snapMagic)]) != snapMagic {
 		return nil, fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
 	}
 	body, tail := data[len(snapMagic):len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(tail) {
 		return nil, fmt.Errorf("%w: snapshot CRC mismatch", ErrCorrupt)
 	}
-	r := &snapReader{data: body}
-	s := &Snapshot{}
-	lsn, err := r.u64()
-	if err != nil {
-		return nil, err
+	s := &Snapshot{LSN: binary.BigEndian.Uint64(body), TS: int64(binary.BigEndian.Uint64(body[8:]))}
+	var rest []byte
+	var err error
+	if s.Server, rest, err = wire.DecodeImage(body[16:]); err != nil {
+		return nil, fmt.Errorf("%w: snapshot image: %w", ErrCorrupt, err)
 	}
-	ts, err := r.u64()
-	if err != nil {
-		return nil, err
+	if s.Owner, err = wire.DecodeOwnerBlock(rest); err != nil {
+		return nil, fmt.Errorf("%w: snapshot owner block: %w", ErrCorrupt, err)
 	}
-	s.LSN, s.TS = lsn, int64(ts)
-	msgBytes, err := r.bytes()
-	if err != nil {
-		return nil, err
-	}
-	msg, err := wire.DecodeUpdateMsg(msgBytes)
-	if err != nil {
-		return nil, fmt.Errorf("wal: snapshot records: %w", err)
-	}
-	s.Records = msg.Upserts
-	sumBytes, err := r.bytes()
-	if err != nil {
-		return nil, err
-	}
-	if s.Summaries, err = wire.DecodeSummaries(sumBytes); err != nil {
-		return nil, fmt.Errorf("wal: snapshot summaries: %w", err)
-	}
-	hasOwner, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if hasOwner == 1 {
-		o := &OwnerExtra{}
-		if o.NextRID, err = r.u64(); err != nil {
-			return nil, err
-		}
-		nMulti, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		if nMulti > uint64(len(body)) {
-			return nil, fmt.Errorf("%w: multi-pending count %d", ErrCorrupt, nMulti)
-		}
-		for i := uint64(0); i < nMulti; i++ {
-			slot, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			o.MultiPending = append(o.MultiPending, int(slot))
-		}
-		if o.PubSeq, err = r.u64(); err != nil {
-			return nil, err
-		}
-		lastTS, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		o.PubLastTS = int64(lastTS)
-		cur, err := r.bytes()
-		if err != nil {
-			return nil, err
-		}
-		o.PubCur = append([]byte(nil), cur...)
-		nTouched, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		if nTouched > uint64(len(body)) {
-			return nil, fmt.Errorf("%w: touched count %d", ErrCorrupt, nTouched)
-		}
-		o.PubTouched = make(map[int]int, nTouched)
-		for i := uint64(0); i < nTouched; i++ {
-			slot, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			cnt, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			o.PubTouched[int(slot)] = int(cnt)
-		}
-		maxHist, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		o.PubMaxHist = int(maxHist)
-		s.Owner = o
-	} else if hasOwner != 0 {
-		return nil, fmt.Errorf("%w: bad owner flag %d", ErrCorrupt, hasOwner)
-	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, len(body)-r.off)
-	}
+	s.Owner.Records, s.Owner.Pub.History = s.Server.Records, s.Server.Summaries
 	return s, nil
 }
 
@@ -402,10 +167,7 @@ func (s *Store) LoadSnapshot() (*Snapshot, error) {
 // the truncation never touches. Callers serialize WriteSnapshot calls
 // themselves (one background snapshot at a time).
 func (s *Store) WriteSnapshot(snap *Snapshot) error {
-	data, err := encodeSnapshot(snap)
-	if err != nil {
-		return err
-	}
+	data := encodeSnapshot(snap)
 	tmp := filepath.Join(s.dir, snapTmp)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -454,8 +216,7 @@ type RecoveryStats struct {
 // snapshot's watermark are applied. The watermark — not any in-place
 // idempotence — is what makes an overlapping log tail safe: replaying a
 // message the snapshot already folds in would double-count the
-// freshness bookkeeping (see core.DataAggregator.ReplayMsg). Either
-// party may be nil.
+// freshness bookkeeping (see core.DataAggregator.ReplayMsg).
 func (s *Store) Recover(da *core.DataAggregator, qs *core.QueryServer) (RecoveryStats, error) {
 	var st RecoveryStats
 	snap, err := s.LoadSnapshot()
@@ -466,27 +227,19 @@ func (s *Store) Recover(da *core.DataAggregator, qs *core.QueryServer) (Recovery
 	if snap != nil {
 		after = snap.LSN
 		st.SnapshotLSN = snap.LSN
-		st.Records = len(snap.Records)
-		st.Summaries = len(snap.Summaries)
+		st.Records = len(snap.Server.Records)
+		st.Summaries = len(snap.Server.Summaries)
 		// A log sitting below the watermark (segments lost while the
 		// snapshot survived) must not hand out LSNs the replay filter
 		// would skip on the next recovery.
 		if err := s.log.EnsureLSN(snap.LSN); err != nil {
 			return st, err
 		}
-		if da != nil {
-			owner := snap.OwnerState()
-			if owner == nil {
-				return st, fmt.Errorf("wal: snapshot carries no owner state")
-			}
-			if err := da.Restore(owner); err != nil {
-				return st, err
-			}
+		if err := da.Restore(snap.Owner); err != nil {
+			return st, err
 		}
-		if qs != nil {
-			if err := qs.Restore(snap.ServerState()); err != nil {
-				return st, err
-			}
+		if err := qs.Restore(snap.Server); err != nil {
+			return st, err
 		}
 	}
 	err = s.log.Replay(func(lsn uint64, kind byte, body []byte) error {
@@ -501,15 +254,11 @@ func (s *Store) Recover(da *core.DataAggregator, qs *core.QueryServer) (Recovery
 		if err != nil {
 			return fmt.Errorf("wal: replay lsn %d: %w", lsn, err)
 		}
-		if da != nil {
-			if err := da.ReplayMsg(msg); err != nil {
-				return fmt.Errorf("wal: replay lsn %d (owner): %w", lsn, err)
-			}
+		if err := da.ReplayMsg(msg); err != nil {
+			return fmt.Errorf("wal: replay lsn %d (owner): %w", lsn, err)
 		}
-		if qs != nil {
-			if err := qs.Apply(msg); err != nil {
-				return fmt.Errorf("wal: replay lsn %d (server): %w", lsn, err)
-			}
+		if err := qs.Apply(msg); err != nil {
+			return fmt.Errorf("wal: replay lsn %d (server): %w", lsn, err)
 		}
 		st.Replayed++
 		return nil

@@ -2,11 +2,20 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"authdb/internal/chain"
+	"authdb/internal/core"
+	"authdb/internal/freshness"
+	"authdb/internal/sigagg"
 )
 
 // collect replays the log into a slice of (lsn, kind, body) triples.
@@ -249,17 +258,32 @@ func TestSnapshotRoundtripFile(t *testing.T) {
 	if !s.Empty() {
 		t.Fatal("fresh store not empty")
 	}
+	server := &core.ServerState{
+		Records: []core.SignedRecord{
+			{Rec: &chain.Record{RID: 7, Key: 10, TS: 30}, Sig: sigagg.Signature("sig-a"),
+				AttrVals: [][]byte{[]byte("v0"), []byte("v1")},
+				AttrSigs: []sigagg.Signature{sigagg.Signature("a0"), sigagg.Signature("a1")}},
+			{Rec: &chain.Record{RID: 8, Key: 20, Attrs: [][]byte{{1}}, TS: 31}, Sig: sigagg.Signature("sig-b")},
+		},
+		Summaries: []freshness.Summary{
+			{Seq: 1, PeriodStart: 0, TS: 40, Compressed: []byte{0x01}, Sig: sigagg.Signature("sum-sig")},
+		},
+	}
 	snap := &Snapshot{
-		LSN: 7,
-		TS:  42,
-		Owner: &OwnerExtra{
+		LSN:    7,
+		TS:     42,
+		Server: server,
+		Owner: &core.OwnerState{
 			NextRID:      9,
+			Records:      server.Records,
 			MultiPending: []int{3, 5},
-			PubSeq:       2,
-			PubLastTS:    40,
-			PubCur:       []byte{0x04, 0x01, 0x02}, // compressed bitmap: len 4, one bit at 2
-			PubTouched:   map[int]int{2: 2, 7: 1},
-			PubMaxHist:   0,
+			Pub: &freshness.PublisherState{
+				Seq:     2,
+				LastTS:  40,
+				Cur:     []byte{0x04, 0x01, 0x02}, // compressed bitmap: len 4, one bit at 2
+				Touched: map[int]int{2: 2, 7: 1},
+				History: server.Summaries,
+			},
 		},
 	}
 	if err := s.WriteSnapshot(snap); err != nil {
@@ -272,19 +296,15 @@ func TestSnapshotRoundtripFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.LSN != 7 || got.TS != 42 || got.Owner == nil {
-		t.Fatalf("snapshot mismatch: %+v", got)
-	}
-	if got.Owner.NextRID != 9 || len(got.Owner.MultiPending) != 2 ||
-		got.Owner.PubSeq != 2 || got.Owner.PubLastTS != 40 ||
-		got.Owner.PubTouched[2] != 2 || got.Owner.PubTouched[7] != 1 {
-		t.Fatalf("owner block mismatch: %+v", got.Owner)
+	// The file stores records and summaries once; both parties' states
+	// come back whole, the §3.4 sideband included.
+	if !reflect.DeepEqual(got, snap) {
+		t.Fatalf("snapshot mismatch:\n got %+v / %+v / %+v\nwant %+v / %+v / %+v",
+			got, got.Server, got.Owner, snap, snap.Server, snap.Owner)
 	}
 
 	// Deterministic encoding: identical states produce identical bytes.
-	a, _ := encodeSnapshot(snap)
-	b, _ := encodeSnapshot(snap)
-	if !bytes.Equal(a, b) {
+	if !bytes.Equal(encodeSnapshot(snap), encodeSnapshot(snap)) {
 		t.Fatal("snapshot encoding is not deterministic")
 	}
 
@@ -293,8 +313,26 @@ func TestSnapshotRoundtripFile(t *testing.T) {
 	data, _ := os.ReadFile(path)
 	data[len(data)/2] ^= 0x01
 	os.WriteFile(path, data, 0o644)
-	if _, err := s.LoadSnapshot(); err == nil {
-		t.Fatal("corrupted snapshot loaded silently")
+	if _, err := s.LoadSnapshot(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("damaged snapshot: %v, want ErrCorrupt", err)
+	}
+	// So does a truncated one, at any length, and one whose checksum
+	// vouches for bytes that are not an image — or for another layout's.
+	whole := encodeSnapshot(snap)
+	for cut := 0; cut < len(whole); cut++ {
+		if _, err := decodeSnapshot(whole[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("snapshot truncated to %d bytes: %v, want ErrCorrupt", cut, err)
+		}
+	}
+	reseal := func(body []byte) []byte {
+		return binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body[len(snapMagic):]))
+	}
+	if _, err := decodeSnapshot(reseal(bytes.Clone(whole[:len(whole)-12]))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("short owner block under a valid CRC: %v, want ErrCorrupt", err)
+	}
+	old := reseal(append([]byte("ASNP1\n"), whole[len(snapMagic):len(whole)-4]...))
+	if _, err := decodeSnapshot(old); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("previous layout's magic: %v, want ErrCorrupt", err)
 	}
 }
 

@@ -48,6 +48,7 @@ func seedFrames(t testing.TB) [][]byte {
 		EncodeUpdateMsg(closeMsg),
 		AppendRelTails(compBytes, comp.Tails),
 		AppendBootstrap(nil, 42, sys.QS.Snapshot()),
+		AppendBootstrap(nil, 7, imageStates()[1]), // projection-mode: the §3.4 sideband
 		AppendWalRecord(nil, 11, 15, EncodeUpdateMsg(closeMsg)),
 		AppendPlanReq(nil, []byte("plan-bytes"), []RelSince{{Name: "outer", SinceSeq: 7}, {Name: "inner"}}),
 		AppendRelSumsReq(nil, "inner", 42, -1),
@@ -307,9 +308,19 @@ func FuzzDecodeComposite(f *testing.F) {
 func FuzzDecodeBootstrap(f *testing.F) {
 	mutate(f, seedFrames(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, st, err := DecodeBootstrap(data)
-		if err == nil && st == nil {
+		lsn, st, err := DecodeBootstrap(data)
+		if err != nil {
+			return
+		}
+		if st == nil {
 			t.Fatal("nil state without error")
+		}
+		// What decodes is a state the one encoder can carry on: its
+		// encoding decodes, to the same bytes again.
+		enc := AppendBootstrap(nil, lsn, st)
+		lsn2, st2, err := DecodeBootstrap(enc)
+		if err != nil || lsn2 != lsn || !bytes.Equal(AppendBootstrap(nil, lsn2, st2), enc) {
+			t.Fatalf("re-encoded image does not round-trip (err=%v)", err)
 		}
 	})
 }

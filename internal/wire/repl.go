@@ -8,7 +8,7 @@ package wire
 // signatures already inside every record and summary.
 //
 //	'R'  follower -> primary   subscribe, resuming after a known LSN
-//	'B'  primary  -> follower  bootstrap image (full server state + LSN)
+//	'B'  primary  -> follower  bootstrap: LSN + the relation image (image.go)
 //	'W'  primary  -> follower  one WAL record (LSN + UpdateMsg)
 //	'H'  primary  -> follower  heartbeat carrying the primary's LSN
 //
@@ -19,9 +19,7 @@ package wire
 import (
 	"fmt"
 
-	"authdb/internal/chain"
 	"authdb/internal/core"
-	"authdb/internal/sigagg"
 )
 
 // ---- ReplSubReq (follower -> primary) ----
@@ -52,27 +50,18 @@ func DecodeReplSubReq(data []byte) (uint64, error) {
 
 // ---- Bootstrap (primary -> follower) ----
 
-// AppendBootstrap appends a bootstrap image: the full serving state as
-// of lsn. The follower installs it via core.QueryServer.Restore and
-// resumes tailing from lsn.
+// AppendBootstrap appends a bootstrap frame: the relation image
+// (image.go) as of lsn. The follower installs it via
+// core.QueryServer.Restore and resumes tailing from lsn.
 func AppendBootstrap(buf []byte, lsn uint64, st *core.ServerState) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)
 	w.u8(KindReplBootstrap)
 	w.u64(lsn)
-	w.u64(uint64(len(st.Records)))
-	for _, sr := range st.Records {
-		putRecord(w, sr.Rec)
-		w.bytes(sr.Sig)
-	}
-	w.u64(uint64(len(st.Summaries)))
-	for i := range st.Summaries {
-		putSummary(w, &st.Summaries[i])
-	}
-	return w.buf
+	return AppendImage(w.buf, st)
 }
 
-// DecodeBootstrap parses a bootstrap image.
+// DecodeBootstrap parses a bootstrap frame.
 func DecodeBootstrap(data []byte) (uint64, *core.ServerState, error) {
 	r := &reader{buf: data}
 	if err := header(r, KindReplBootstrap); err != nil {
@@ -82,41 +71,12 @@ func DecodeBootstrap(data []byte) (uint64, *core.ServerState, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	nRecs, err := r.u64()
+	st, rest, err := DecodeImage(data[r.off:])
 	if err != nil {
 		return 0, nil, err
 	}
-	if nRecs > maxLen {
-		return 0, nil, fmt.Errorf("%w: record count %d", ErrCorrupt, nRecs)
-	}
-	st := &core.ServerState{}
-	for i := uint64(0); i < nRecs; i++ {
-		rec := &chain.Record{}
-		if err := getRecord(r, rec); err != nil {
-			return 0, nil, err
-		}
-		sig, err := r.bytes()
-		if err != nil {
-			return 0, nil, err
-		}
-		st.Records = append(st.Records, core.SignedRecord{Rec: rec, Sig: sigagg.Signature(sig)})
-	}
-	nSums, err := r.u64()
-	if err != nil {
-		return 0, nil, err
-	}
-	if nSums > maxLen {
-		return 0, nil, fmt.Errorf("%w: summary count %d", ErrCorrupt, nSums)
-	}
-	for i := uint64(0); i < nSums; i++ {
-		s, err := getSummary(r)
-		if err != nil {
-			return 0, nil, err
-		}
-		st.Summaries = append(st.Summaries, s)
-	}
-	if err := r.done(); err != nil {
-		return 0, nil, err
+	if len(rest) != 0 {
+		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
 	}
 	return lsn, st, nil
 }

@@ -26,44 +26,83 @@ func TestReplSubReqRoundTrip(t *testing.T) {
 	}
 }
 
+// imageStates are the bootstrap inputs: an ordinary relation's image, a
+// projection-mode one (§3.4: stripped chained records, attribute values
+// and per-slot signatures in the sideband), and the empty image.
+func imageStates() []*core.ServerState {
+	sums := []freshness.Summary{
+		{Seq: 1, PeriodStart: 0, TS: 50, Compressed: []byte{0x01}, Sig: sigagg.Signature("sum-sig")},
+	}
+	return []*core.ServerState{
+		{
+			Records: []core.SignedRecord{
+				{Rec: &chain.Record{RID: 7, Key: 10, Attrs: [][]byte{{1}, {2}}, TS: 99}, Sig: sigagg.Signature("sig-a")},
+				{Rec: &chain.Record{RID: 8, Key: 20, TS: 100}, Sig: sigagg.Signature("sig-b")},
+			},
+			Summaries: sums,
+		},
+		{
+			Records: []core.SignedRecord{
+				{Rec: &chain.Record{RID: 7, Key: 10, TS: 99}, Sig: sigagg.Signature("sig-a"),
+					AttrVals: [][]byte{[]byte("name"), []byte("payload")},
+					AttrSigs: []sigagg.Signature{sigagg.Signature("as-0"), sigagg.Signature("as-1")}},
+				{Rec: &chain.Record{RID: 8, Key: 20, TS: 100}, Sig: sigagg.Signature("sig-b"),
+					AttrVals: [][]byte{[]byte("n"), {}},
+					AttrSigs: []sigagg.Signature{sigagg.Signature("as-2"), sigagg.Signature("as-3")}},
+			},
+			Summaries: sums,
+		},
+		{},
+	}
+}
+
 func TestBootstrapRoundTrip(t *testing.T) {
-	st := &core.ServerState{
-		Records: []core.SignedRecord{
-			{Rec: &chain.Record{RID: 7, Key: 10, Attrs: [][]byte{{1}, {2}}, TS: 99}, Sig: sigagg.Signature("sig-a")},
-			{Rec: &chain.Record{RID: 8, Key: 20, TS: 100}, Sig: sigagg.Signature("sig-b")},
-		},
-		Summaries: []freshness.Summary{
-			{Seq: 1, PeriodStart: 0, TS: 50, Compressed: []byte{0x01}, Sig: sigagg.Signature("sum-sig")},
-		},
-	}
-	data := AppendBootstrap(GetBuffer(), 42, st)
-	defer PutBuffer(data)
-	if k, err := Kind(data); err != nil || k != 'B' {
-		t.Fatalf("kind=%q err=%v", k, err)
-	}
-	lsn, got, err := DecodeBootstrap(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsn != 42 || len(got.Records) != 2 || len(got.Summaries) != 1 {
-		t.Fatalf("lsn=%d records=%d summaries=%d", lsn, len(got.Records), len(got.Summaries))
-	}
-	if got.Records[0].Rec.Key != 10 || !bytes.Equal(got.Records[0].Sig, st.Records[0].Sig) {
-		t.Fatalf("record 0 mismatch: %+v", got.Records[0])
-	}
-	if got.Summaries[0].Seq != 1 || !bytes.Equal(got.Summaries[0].Sig, st.Summaries[0].Sig) {
-		t.Fatalf("summary mismatch: %+v", got.Summaries[0])
-	}
-	// Decoded state must not alias the frame buffer (a reusable read
-	// buffer outlives the decode).
-	data[len(data)-1] ^= 0xFF
-	if !bytes.Equal(got.Summaries[0].Sig, st.Summaries[0].Sig) {
-		t.Fatal("decoded summary aliases the frame buffer")
-	}
-	for i := 10; i < len(data); i++ {
-		if _, _, err := DecodeBootstrap(data[:i]); err == nil {
-			t.Fatalf("truncation at %d accepted", i)
+	for i, st := range imageStates() {
+		data := AppendBootstrap(nil, 42, st)
+		if k, err := Kind(data); err != nil || k != 'B' {
+			t.Fatalf("state %d: kind=%q err=%v", i, k, err)
 		}
+		lsn, got, err := DecodeBootstrap(data)
+		if err != nil {
+			t.Fatalf("state %d: %v", i, err)
+		}
+		if lsn != 42 || len(got.Records) != len(st.Records) || len(got.Summaries) != len(st.Summaries) {
+			t.Fatalf("state %d: lsn=%d records=%d summaries=%d", i, lsn, len(got.Records), len(got.Summaries))
+		}
+		for j, sr := range st.Records {
+			if len(got.Records[j].AttrVals) != len(sr.AttrVals) || len(got.Records[j].AttrSigs) != len(sr.AttrSigs) {
+				t.Fatalf("state %d record %d: sideband %d values / %d signatures, want %d / %d", i, j,
+					len(got.Records[j].AttrVals), len(got.Records[j].AttrSigs), len(sr.AttrVals), len(sr.AttrSigs))
+			}
+		}
+		// Every other field through the re-encoding — after the frame has
+		// been scribbled over: decoded state must not alias it (a reusable
+		// read buffer outlives the decode).
+		want := bytes.Clone(data)
+		for j := range data {
+			data[j] ^= 0xFF
+		}
+		if again := AppendBootstrap(nil, 42, got); !bytes.Equal(again, want) {
+			t.Fatalf("state %d: decoded state re-encodes differently (or aliases the frame):\n%+v", i, got)
+		}
+		data = want
+		for cut := 0; cut < len(data); cut++ {
+			if _, _, err := DecodeBootstrap(data[:cut]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("state %d: truncation at %d: %v, want ErrCorrupt", i, cut, err)
+			}
+		}
+		if _, _, err := DecodeBootstrap(append(data, 0)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("state %d: trailing byte: %v, want ErrCorrupt", i, err)
+		}
+	}
+	// The image's record message is a state, not a delta.
+	delta := AppendUpdateMsg(nil, &core.UpdateMsg{Deletes: []uint64{9}})
+	w := &writer{buf: AppendReplSubReq(nil, 42)}
+	w.buf[1] = KindReplBootstrap
+	w.bytes(delta)
+	w.bytes(AppendSummaries(nil, nil))
+	if _, _, err := DecodeBootstrap(w.buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("image with deletes: %v, want ErrCorrupt", err)
 	}
 }
 

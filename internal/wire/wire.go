@@ -62,8 +62,9 @@ const Version = 1
 // ErrCorrupt is returned (wrapped) for any malformed input.
 var ErrCorrupt = errors.New("wire: corrupt message")
 
-// maxLen bounds any single length prefix, guarding against allocation
-// bombs from hostile servers.
+// maxLen bounds any element count, guarding against allocation bombs
+// from hostile servers. A length-prefixed field is bounded by the bytes
+// present instead (reader.view).
 const maxLen = 1 << 28
 
 type writer struct{ buf []byte }
@@ -118,10 +119,7 @@ func (r *reader) view() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > maxLen {
-		return nil, fmt.Errorf("%w: length %d exceeds limit", ErrCorrupt, n)
-	}
-	if r.off+int(n) > len(r.buf) {
+	if n > uint64(r.remaining()) {
 		return nil, fmt.Errorf("%w: truncated field (%d bytes)", ErrCorrupt, n)
 	}
 	end := r.off + int(n)
