@@ -401,7 +401,7 @@ func runQuery(args []string) error {
 	if len(comps) > 0 { // the pipelined repeats are identical: report the first
 		report(spec, comps[0], bound.SignatureSize())
 	}
-	fmt.Printf("authserve query: %d answers verified in %v (%d bytes in, %d summaries ingested; %d join matches, %d Bloom negatives, %d Bloom fallbacks, %d boundary proofs, %d attribute signatures)\n",
+	fmt.Printf("authserve query: %d answers verified in %v (%d bytes in, %d summaries ingested; %d join keys matched, %d answered by Bloom negatives alone, %d (BF) + %d (BV) proven absent inside runs, %d attribute signatures)\n",
 		st.Verified, rtt, st.BytesIn, st.Summaries, st.JoinMatches, st.JoinBFNegs, st.JoinBFFalls, st.JoinBounds, st.AttrSigsVerif)
 	fmt.Printf("authserve query: %d signature claims verified by the scheme, %d already closed by this session (%d batches without curve arithmetic)\n",
 		st.ClaimMisses, st.ClaimHits, st.BatchesWithoutEC)
@@ -433,7 +433,11 @@ func report(spec *query.Spec, comp *wire.Composite, sigSize int) {
 		fmt.Printf(", %d projected rows", len(comp.Proj.Rows))
 	}
 	if comp.Join != nil {
-		fmt.Printf(", %d matches + %d non-match proofs", len(comp.Join.Matches), len(comp.Join.Unmatched))
+		negs := 0
+		for _, g := range comp.Join.Negatives {
+			negs += len(g.Keys)
+		}
+		fmt.Printf(", join in %d runs + %d Bloom negatives under %d partitions", len(comp.Join.Runs), negs, len(comp.Join.Negatives))
 	}
 	fmt.Printf(" — VERIFIED (%s, freshness)\n", proved)
 }

@@ -371,7 +371,7 @@ func runServe(args []string) error {
 		<-writerDone
 	}, func() {
 		st, es := s.srv.Stats(), s.eng.Stats()
-		fmt.Printf("authserve: served %s (%d join probes, %d Bloom negatives), %d MiB across %d conns\n",
+		fmt.Printf("authserve: served %s (%d inner scans for join runs, %d Bloom negatives), %d MiB across %d conns\n",
 			requestCounts(st), es.JoinProbes, es.BFNegatives, st.BytesOut>>20, st.Conns)
 	})
 }

@@ -2,12 +2,14 @@
 //
 // R is the 'Security' table and S a 'Holding' subset; the join
 // σ(R) ⋈_{R.A=S.B} S asks "for these securities, list all holdings".
-// Matched securities are proven with chained selections on S; the
-// interesting part is proving the securities with NO holdings. The
-// baseline (BV) ships boundary values for every one of them; the
-// paper's method (BF) ships certified partitioned Bloom filters and
-// falls back to boundaries only on false positives — cutting the proof
-// size by more than half.
+// The S side of the answer is a list of runs — one chained selection on
+// S over each stretch of selected securities between which S holds no
+// other security's holdings — and the interesting part is proving the
+// securities with NO holdings. The baseline (BV) must cover every one of
+// them with a run, whose boundaries enclose it; the paper's method (BF)
+// ships certified partitioned Bloom filters and needs a run only around
+// matches and false positives — cutting the proof size by more than
+// half.
 package main
 
 import (
@@ -58,19 +60,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := join.Verify(scheme, pub, ans); err != nil {
+		res, err := join.Verify(scheme, pub, raValues, ans)
+		if err != nil {
 			log.Fatalf("%v proof rejected: %v", method, err)
 		}
-		fp := 0
-		for _, u := range ans.Unmatched {
-			if method == join.BF && u.Boundary != nil {
-				fp++
-			}
-		}
-		fmt.Printf("%v: %d matched, %d unmatched securities verified", method,
-			len(ans.Matches), len(ans.Unmatched))
+		fmt.Printf("%v: %d matched, %d unmatched securities verified in %d runs", method,
+			res.Matched, res.Absent+res.Negatives, len(ans.Runs))
 		if method == join.BF {
-			fmt.Printf(" (%d Bloom false positives fell back to boundaries)", fp)
+			fmt.Printf(" + %d Bloom negatives under %d partitions (%d securities absent inside a run: false positives, or negatives a run passed over)",
+				res.Negatives, len(ans.Negatives), res.Absent)
 		}
 		fmt.Println()
 	}
@@ -102,10 +100,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if len(forged.Unmatched) == 1 {
-		forged.Unmatched[0].RA = held // lie about which value was probed
-		forged.Unmatched[0].Boundary = nil
-		if err := join.Verify(scheme, pub, forged); err != nil {
+	if len(forged.Negatives) == 1 {
+		forged.Negatives[0].Keys[0] = held // lie about which value was probed
+		if _, err := join.Verify(scheme, pub, []int64{held}, forged); err != nil {
 			fmt.Printf("forged non-match claim rejected: %v\n", err)
 		} else {
 			log.Fatal("BUG: forged non-match accepted")

@@ -311,6 +311,26 @@ func (t *Tree) RangeWithBoundaries(lo, hi int64) (entries []Entry, left, right *
 	return entries, left, nil
 }
 
+// AscendKeys calls fn with each key in [lo, hi], ascending, until fn
+// returns false, and reports whether it reached the end of the range. It
+// copies nothing: a caller that only needs to know which keys exist (the
+// join planner deciding its scan extents) walks the leaves in place.
+func (t *Tree) AscendKeys(lo, hi int64, fn func(key int64) bool) bool {
+	lf := t.findLeaf(lo)
+	i := sort.Search(len(lf.entries), func(i int) bool { return lf.entries[i].Key >= lo })
+	for ; lf != nil; lf, i = lf.next, 0 {
+		for _, e := range lf.entries[i:] {
+			if e.Key > hi {
+				return true
+			}
+			if !fn(e.Key) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // upperBound is the number of leading entries with Key <= hi.
 func upperBound(entries []Entry, hi int64) int {
 	return sort.Search(len(entries), func(i int) bool { return entries[i].Key > hi })

@@ -427,7 +427,18 @@ func TestQuickRangeMatchesNaive(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		// The keys-only walk visits the same keys, and stops where told to.
+		var walked []int64
+		if !tr.AscendKeys(lo, hi, func(k int64) bool { walked = append(walked, k); return true }) || len(walked) != len(got) {
+			return false
+		}
+		for i, e := range got {
+			if walked[i] != e.Key {
+				return false
+			}
+		}
+		visits := 0
+		return len(got) == 0 || !tr.AscendKeys(lo, hi, func(int64) bool { visits++; return false }) && visits == 1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

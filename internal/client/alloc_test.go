@@ -1,10 +1,14 @@
 package client_test
 
 import (
+	"fmt"
 	"testing"
 
 	"authdb/internal/chain"
+	"authdb/internal/client"
 	"authdb/internal/core"
+	"authdb/internal/join"
+	"authdb/internal/query"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/sigagg/xortest"
 	"authdb/internal/wire"
@@ -85,6 +89,115 @@ func TestDecodeVerifyAllocBudget(t *testing.T) {
 	t.Logf("%.0f allocations per 50-record answer", allocs)
 	if allocs > 70 {
 		t.Fatalf("decode + verify of a 50-record answer allocates %.0f objects, budget 70", allocs)
+	}
+}
+
+// planJoinFrame returns one 'C' frame of the repository benchmark's
+// plan_join shape under bas — σ over 201 outer rows, π onto one attribute,
+// ⋈ BF against an inner relation holding every third outer key, filter at
+// two bits per key — with its spec and a single-threaded session that has
+// verified it once.
+func planJoinFrame(tb testing.TB) ([]byte, *query.Spec, *client.Client) {
+	tb.Helper()
+	cat, err := core.NewCatalog(bas.New(0), core.DefaultConfig(), 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	outer, err := cat.AddRelation("o", nil, []core.DAOption{core.WithAttrSigning()}, []core.Option{core.WithShards(4)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	inner, err := cat.AddRelation("i", nil, nil, []core.Option{core.WithShards(4)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var orecs, irecs []*core.Record
+	for i := 1; i <= 260; i++ {
+		k := int64(i) * 10
+		orecs = append(orecs, &core.Record{Key: k, Attrs: [][]byte{
+			[]byte(fmt.Sprintf("name-%d", k)), []byte(fmt.Sprintf("payload-%d", k)),
+		}})
+		if i%3 == 0 {
+			irecs = append(irecs, &core.Record{Key: k, Attrs: [][]byte{[]byte(fmt.Sprintf("i-%d", k))}})
+		}
+	}
+	eng := query.NewEngine(query.WithoutCache())
+	for _, p := range []struct {
+		rel  *core.Relation
+		recs []*core.Record
+	}{{outer, orecs}, {inner, irecs}} {
+		for _, op := range []func() (*core.UpdateMsg, error){
+			func() (*core.UpdateMsg, error) { return p.rel.DA.Load(p.recs, 1) },
+			func() (*core.UpdateMsg, error) { return p.rel.DA.ClosePeriod(2) },
+		} {
+			msg, err := op()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if err := p.rel.Deliver(msg); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := eng.AddRelation(p.rel.Name, p.rel.QS); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	fc, err := inner.DA.CertifyFilter(64, 2, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := eng.SetFilter("i", fc); err != nil {
+		tb.Fatal(err)
+	}
+	spec := &query.Spec{Rel: "o", Lo: 25*10 - 5, Hi: 225*10 + 5, Attrs: []int{0}, Join: &query.JoinSpec{Rel: "i", Method: join.BF}}
+	plan, err := query.Plan(spec, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body, tails, release, err := eng.ServePlan(plan.Marshal(), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frame := append(append([]byte(nil), body...), tails...)
+	release()
+	cl, err := client.NewSession(client.Config{Scheme: bas.New(0), Pub: outer.Pub, Relations: cat.PublicKeys(), VerifyWorkers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := cl.DecodeVerify(append([]byte(nil), frame...), spec); err != nil {
+		tb.Fatal(err)
+	}
+	return frame, spec, cl
+}
+
+// TestVerifyCompositeAllocBudget is TestLeafPathAllocBudget for a plan with
+// every section: what the client allocates to decode and verify one
+// plan_join answer it has seen before. The join side is a handful of
+// objects per run and per listed partition — here one run and a few
+// partitions, 77 objects with the 67 matched records' Attrs headers —
+// where the per-key proofs it replaced cost a chain answer, a record array
+// and two map entries per outer key (1,343 objects for the same plan, in
+// a 43 KB frame where this one is 18 KB). What is left is per projected
+// row — its value slice and, in projection.Digests, a digest and its
+// writer: some 650 of the 725 — plus the outer records' Attrs headers and
+// O(1) per section.
+func TestVerifyCompositeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	frame, spec, cl := planJoinFrame(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		own := append([]byte(nil), frame...) // what readFrame allocates
+		if err := cl.DecodeVerify(own, spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per decoded and verified %d-byte plan_join answer", allocs, len(frame))
+	if allocs > 760 {
+		t.Fatalf("decode + verify of a plan_join answer allocates %.0f objects, budget 760", allocs)
+	}
+	if st := cl.Stats(); st.Verified != 22 || st.ClaimHits < 21*st.ClaimMisses {
+		t.Fatalf("the budget was measured on something other than remembered claims: %+v", st)
 	}
 }
 

@@ -101,11 +101,13 @@ type Stats struct {
 	Failovers   uint64 // reconnects that switched to a different replica
 	Quarantines uint64 // replicas condemned for tampered/diverged state
 
-	// What the verified answers' operator sections proved.
-	JoinMatches   uint64 // matched-key proofs verified
-	JoinBFNegs    uint64 // Bloom-negative non-match proofs verified
-	JoinBFFalls   uint64 // Bloom false positives proven by boundary fallback
-	JoinBounds    uint64 // BV boundary non-match proofs verified
+	// What the verified answers' operator sections proved. A join section
+	// is runs — one chained inner scan each, resolving every outer key
+	// inside it — plus the Bloom negatives no run covers.
+	JoinMatches   uint64 // outer keys a run disclosed inner records for
+	JoinBFNegs    uint64 // outer keys a certified Bloom negative alone answered
+	JoinBFFalls   uint64 // BF joins: outer keys a run proved absent (false positives, and negatives a run passed over)
+	JoinBounds    uint64 // BV joins: outer keys a run proved absent
 	AttrSigsVerif uint64 // attribute-level signatures covered by projection aggregates
 
 	// Verification fast-path counters, snapshotted from the scheme at

@@ -53,10 +53,12 @@ var ErrComposite = fmt.Errorf("%w: composite answer malformed", sigagg.ErrVerify
 // catalog and fully verifies the composite answer before returning it:
 // the outer chain proof (authenticity + completeness over the selected
 // range), the projection aggregate over attribute-level signatures, and
-// per outer key exactly one join proof — a chained match, a certified
-// Bloom-filter negative (bounded-staleness, see below), or an anchored
-// boundary proof — with every chain-backed piece also checked for
-// freshness against the per-relation certified summary streams.
+// the join section's resolution of every outer key exactly once — by the
+// run containing it (one chained scan of the inner relation: its records
+// are the matches, and a key inside it without a record is absent) or by
+// a certified Bloom-filter negative (bounded-staleness, see below) — with
+// every chain-backed piece also checked for freshness against the
+// per-relation certified summary streams.
 //
 // A BF negative proves absence only as of the filter's certification
 // time, so the client additionally bounds the filter's age against the
@@ -255,7 +257,7 @@ func inPlan(specs []*query.Spec, plan int, err error) error {
 // verification however many answers and sections named it. It lives in
 // its relSession and is reused from one verification to the next.
 type keyBatch struct {
-	// Chain-backed claims — scans, matches, boundary proofs — are
+	// Chain-backed claims — scans and a join's runs — are
 	// digested together in one chain.Jobs pass and have their records'
 	// freshness judged once the key has closed.
 	chains []*chain.Answer
@@ -316,11 +318,6 @@ func (rs *relSession) close(specs []*query.Spec, par int) error {
 	return tags[0].fail(specs, err)
 }
 
-// joinProofs counts what one answer's join section proved, by kind.
-type joinProofs struct {
-	matches, bfNegs, bfFalls, bounds uint64
-}
-
 // verify checks every section of every answer of a batch; comps[i]
 // answers specs[i]. Nothing in comps is trusted before it returns nil.
 // On success report i bounds the staleness of answer i's selected
@@ -329,8 +326,8 @@ type joinProofs struct {
 // Every section is first checked for everything that needs no key and
 // reduced to signature claims; the claims are then closed once per
 // signer key across the whole batch — scans and projections under their
-// relation's, matches, boundary proofs and each distinct certified Bloom
-// partition under the inner relation's — instead of once per answer or
+// relation's, runs and each listed certified Bloom partition under the
+// inner relation's — instead of once per answer or
 // section. Freshness is judged last, on records the closed batches have
 // authenticated.
 func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.FreshnessReport, error) {
@@ -356,7 +353,7 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.F
 		}
 	}()
 	// 2. Claims, per signer key.
-	var proofs []joinProofs // proofs[i] is what answer i's join section proved; nil while no plan joins
+	var proofs []join.Resolution // proofs[i] is how answer i's join section resolved its outer keys; nil while no plan joins
 	for i, spec := range specs {
 		comp := comps[i]
 		scan := claimTag{plan: i, section: secOuter, rel: spec.Rel}
@@ -371,8 +368,8 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.F
 		if err := projectionJobs(spec, comp, outer, i); err != nil {
 			return nil, inPlan(specs, i, err)
 		}
-		// Join: per outer key exactly one proof. A self-join's claims fall
-		// under the outer key too.
+		// Join: every outer key resolved exactly once. A self-join's claims
+		// fall under the outer key too.
 		if spec.Join == nil {
 			if comp.Join != nil {
 				return nil, inPlan(specs, i, fmt.Errorf("%w: unrequested join section", ErrComposite))
@@ -380,7 +377,7 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.F
 			continue
 		}
 		if proofs == nil {
-			proofs = make([]joinProofs, len(specs))
+			proofs = make([]join.Resolution, len(specs))
 		}
 		var err error
 		if proofs[i], err = joinJobs(spec, comp, &c.rels[spec.Join.Rel].batch, i); err != nil {
@@ -426,7 +423,7 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.F
 	// server skipped re-certification past a summary close and its
 	// negatives may hide newer inserts.
 	for i, p := range proofs {
-		if p.bfNegs == 0 {
+		if p.Negatives == 0 {
 			continue
 		}
 		spec := specs[i]
@@ -444,11 +441,14 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.F
 			c.stats.AttrSigsVerif += uint64(len(comp.Proj.Rows) * len(comp.Proj.AttrIdxs))
 		}
 	}
-	for _, p := range proofs {
-		c.stats.JoinMatches += p.matches
-		c.stats.JoinBFNegs += p.bfNegs
-		c.stats.JoinBFFalls += p.bfFalls
-		c.stats.JoinBounds += p.bounds
+	for i, p := range proofs {
+		c.stats.JoinMatches += uint64(p.Matched)
+		c.stats.JoinBFNegs += uint64(p.Negatives)
+		if spec := specs[i]; spec.Join != nil && spec.Join.Method == join.BF {
+			c.stats.JoinBFFalls += uint64(p.Absent)
+		} else {
+			c.stats.JoinBounds += uint64(p.Absent)
+		}
 	}
 	c.stats.Verified += uint64(len(comps))
 	return reports, nil
@@ -497,114 +497,40 @@ func projectionJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatch, pla
 	return nil
 }
 
-// joinJobs checks answer plan's join section's shape and coverage and
-// adds its signature claims to the inner key's batch.
-func joinJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatch, plan int) (joinProofs, error) {
-	var out joinProofs
+// joinJobs checks answer plan's join section's shape and its coverage of
+// the outer keys (join.Resolve: a merge walk over the sorted outer
+// records, the runs and the negatives) and adds its signature claims —
+// one per run, one per listed partition — to the inner key's batch.
+func joinJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatch, plan int) (join.Resolution, error) {
 	j := comp.Join
 	if j == nil {
-		return out, fmt.Errorf("%w: join section missing", ErrComposite)
+		return join.Resolution{}, fmt.Errorf("%w: join section missing", ErrComposite)
 	}
 	if j.Method != spec.Join.Method {
-		return out, fmt.Errorf("%w: join used method %v, requested %v", ErrComposite, j.Method, spec.Join.Method)
+		return join.Resolution{}, fmt.Errorf("%w: join used method %v, requested %v", ErrComposite, j.Method, spec.Join.Method)
+	}
+	// Each outer key must be resolved exactly once and nothing else may be
+	// disclosed: a server must not be able to drop a proof (claiming fewer
+	// results) or smuggle in extra matches. Outer records out of order make
+	// this fail here; the outer chain's own check would refuse them next.
+	res, err := j.Resolve(join.OuterKeys(comp.Outer.Records), nil)
+	if err != nil {
+		return res, fmt.Errorf("client: %s %q: %w", secJoin, spec.Join.Rel, err)
 	}
 	tag := claimTag{plan: plan, section: secJoin, rel: spec.Join.Rel}
-	// Coverage: each outer key must be resolved exactly once, and no
-	// proof may reference a key outside the outer answer — a server must
-	// not be able to drop a non-match proof (claiming fewer results) or
-	// smuggle in extra matches.
-	resolved := make(map[int64]bool, len(comp.Outer.Records))
-	for _, rec := range comp.Outer.Records {
-		resolved[rec.Key] = false
+	for _, run := range j.Runs {
+		batch.addChain(run, tag)
 	}
-	claim := func(v int64) error {
-		done, ok := resolved[v]
-		if !ok {
-			return fmt.Errorf("%w: join proof for key %d outside the outer answer", ErrComposite, v)
-		}
-		if done {
-			return fmt.Errorf("%w: key %d resolved twice", ErrComposite, v)
-		}
-		resolved[v] = true
-		return nil
+	// A partition is listed once (Resolve), so it has one certification:
+	// under the batch's set semantics two listings trading signatures
+	// would otherwise cancel out.
+	for i := range j.Negatives {
+		g := &j.Negatives[i]
+		cert := tag
+		cert.cert, cert.key = true, g.Keys[0]
+		batch.addJob(join.PartitionJob(g.Partition, g.PartSig, j.FilterTS), cert)
 	}
-
-	// Chain-backed proofs (matches and boundary non-matches): structure
-	// and completeness for the point range [v, v].
-	for _, m := range j.Matches {
-		if m == nil || len(m.Records) == 0 {
-			return out, fmt.Errorf("%w: match proof with no records", ErrComposite)
-		}
-		if m.Lo != m.Hi {
-			return out, fmt.Errorf("%w: match proof covers [%d,%d], not a point", ErrComposite, m.Lo, m.Hi)
-		}
-		if err := claim(m.Lo); err != nil {
-			return out, err
-		}
-		batch.addChain(m, tag)
-		out.matches++
-	}
-	// Bloom negatives: every probe is checked against the partition it
-	// carries, but the many probes that fall into one partition share its
-	// one certification claim. certified maps a partition's bounds to the
-	// first proof that presented it.
-	certified := make(map[[2]int64]*join.UnmatchedProof)
-	for i := range j.Unmatched {
-		up := &j.Unmatched[i]
-		if err := claim(up.RA); err != nil {
-			return out, err
-		}
-		switch {
-		case up.Boundary != nil:
-			if len(up.Boundary.Records) != 0 {
-				return out, fmt.Errorf("%w: non-match proof for %d contains records", ErrComposite, up.RA)
-			}
-			if up.Boundary.Lo != up.RA || up.Boundary.Hi != up.RA {
-				return out, fmt.Errorf("%w: boundary proof for %d covers [%d,%d]", ErrComposite, up.RA, up.Boundary.Lo, up.Boundary.Hi)
-			}
-			batch.addChain(up.Boundary, tag)
-			if j.Method == join.BF {
-				out.bfFalls++
-			} else {
-				out.bounds++
-			}
-		case up.Partition != nil:
-			if j.Method != join.BF {
-				return out, fmt.Errorf("%w: Bloom proof for %d in a BV join", ErrComposite, up.RA)
-			}
-			if err := join.CheckPartitionProbe(up); err != nil {
-				return out, fmt.Errorf("client: join against %q: %w", spec.Join.Rel, err)
-			}
-			bounds := [2]int64{up.Partition.Lo, up.Partition.Hi}
-			first, seen := certified[bounds]
-			if seen && first.Partition.Filter.Equal(up.Partition.Filter) {
-				// The same partition again. Certification is deterministic,
-				// so a second, different signature for it cannot also be
-				// valid — and under set semantics two proofs trading their
-				// signatures would otherwise cancel out.
-				if !bytes.Equal(first.PartSig, up.PartSig) {
-					return out, fmt.Errorf("%w: join against %q: partition [%d,%d) presented with two different certifications",
-						ErrComposite, spec.Join.Rel, bounds[0], bounds[1])
-				}
-			} else {
-				if !seen {
-					certified[bounds] = up
-				}
-				cert := tag
-				cert.cert, cert.key = true, up.RA
-				batch.addJob(join.PartitionJob(up.Partition, up.PartSig, j.FilterTS), cert)
-			}
-			out.bfNegs++
-		default:
-			return out, fmt.Errorf("%w: key %d unmatched without proof", ErrComposite, up.RA)
-		}
-	}
-	for v, done := range resolved {
-		if !done {
-			return out, fmt.Errorf("%w: outer key %d has no join proof", ErrComposite, v)
-		}
-	}
-	return out, nil
+	return res, nil
 }
 
 // ---- certified summary streams ----

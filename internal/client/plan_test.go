@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"authdb/internal/bloom"
+	"authdb/internal/chain"
 	"authdb/internal/client"
 	"authdb/internal/core"
 	"authdb/internal/join"
@@ -45,15 +46,29 @@ func newPlanFixture(t *testing.T) *planFixture {
 // NetServer with the given configuration.
 func newPlanFixtureOn(t testing.TB, newScheme func() sigagg.Scheme, netCfg server.NetConfig) *planFixture {
 	t.Helper()
-	return buildPlanFixture(t, newScheme, netCfg, 0, 1_000)
+	return buildPlanFixture(t, newScheme, netCfg, 0, 1_000, false)
+}
+
+// newDensePlanFixture is the fixture with an inner relation that also
+// holds records joining nothing — a key ending in 5 after every multiple
+// of 70 and of 90 — and a filter at eight bits per key. Every stranger
+// ends a run, and with few false positives the outer keys between a
+// stretch's edge and its first or last match are answered by Bloom
+// negatives: a BF plan over [105,695] carries a dozen runs and several
+// partitions answering several keys each, a BV plan a run per stretch —
+// [280,280], between 275 and 285, an anchored empty one.
+func newDensePlanFixture(t testing.TB, newScheme func() sigagg.Scheme) *planFixture {
+	t.Helper()
+	return buildPlanFixture(t, newScheme, server.NetConfig{}, 0, 1_000, true)
 }
 
 // buildPlanFixture is newPlanFixtureOn with the owners' keys derived from
 // keySeed (0 = fresh random keys) and the inner relation's first period
 // closed at innerClose: two fixtures of one seed are the same owners, and
 // with different innerClose the inner relation's certified history
-// differs while the outer's is byte for byte the same.
-func buildPlanFixture(t testing.TB, newScheme func() sigagg.Scheme, netCfg server.NetConfig, keySeed, innerClose int64) *planFixture {
+// differs while the outer's is byte for byte the same. dense: see
+// newDensePlanFixture.
+func buildPlanFixture(t testing.TB, newScheme func() sigagg.Scheme, netCfg server.NetConfig, keySeed, innerClose int64, dense bool) *planFixture {
 	t.Helper()
 	cat, err := core.NewCatalog(newScheme(), core.DefaultConfig(), 2)
 	if err != nil {
@@ -82,6 +97,13 @@ func buildPlanFixture(t testing.TB, newScheme func() sigagg.Scheme, netCfg serve
 		if k%30 == 0 {
 			irecs = append(irecs, &core.Record{Key: k, Attrs: [][]byte{[]byte(fmt.Sprintf("inner-%d", k))}})
 		}
+		if dense && (k%70 == 0 || k%90 == 0) {
+			irecs = append(irecs, &core.Record{Key: k + 5, Attrs: [][]byte{[]byte(fmt.Sprintf("stranger-%d", k+5))}})
+		}
+	}
+	bitsPerKey := 1.0
+	if dense {
+		bitsPerKey = 8
 	}
 	for _, p := range []struct {
 		rel     *core.Relation
@@ -102,14 +124,14 @@ func buildPlanFixture(t testing.TB, newScheme func() sigagg.Scheme, netCfg serve
 			t.Fatal(err)
 		}
 	}
-	eng := query.NewEngine(query.WithParallelism(2))
+	eng := query.NewEngine()
 	if err := eng.AddRelation("o", outer.QS); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.AddRelation("i", inner.QS); err != nil {
 		t.Fatal(err)
 	}
-	fc, err := inner.DA.CertifyFilter(8, 1, 1_000)
+	fc, err := inner.DA.CertifyFilter(8, bitsPerKey, 1_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +192,8 @@ func TestQueryPlanEndToEnd(t *testing.T) {
 	if got := len(comp.Outer.Records); got != 59 {
 		t.Fatalf("%d outer records, want 59", got)
 	}
-	if got := len(comp.Join.Matches); got != 20 {
-		t.Fatalf("%d matches, want 20", got)
+	if got := len(comp.Join.Runs); got != 1 {
+		t.Fatalf("%d runs, want 1: every inner key is an outer key", got)
 	}
 	if comp.Proj == nil || len(comp.Proj.Rows) != 59 {
 		t.Fatalf("projection missing or wrong size: %+v", comp.Proj)
@@ -183,7 +205,7 @@ func TestQueryPlanEndToEnd(t *testing.T) {
 	if st.JoinMatches != 20 {
 		t.Fatalf("JoinMatches = %d, want 20", st.JoinMatches)
 	}
-	if st.JoinBFNegs == 0 || st.JoinBFFalls == 0 {
+	if st.JoinBFFalls == 0 {
 		t.Fatalf("BF counters not exercised: negs=%d falls=%d", st.JoinBFNegs, st.JoinBFFalls)
 	}
 	if st.JoinBFNegs+st.JoinBFFalls != 39 {
@@ -211,8 +233,8 @@ func TestQueryPlanBVAndSelectOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(comp.Join.Unmatched); got != 39 {
-		t.Fatalf("%d unmatched proofs, want 39", got)
+	if j := comp.Join; len(j.Runs) != 1 || len(j.Negatives) != 0 || j.FilterTS != 0 {
+		t.Fatalf("BV join section: %d runs, %d partitions, FilterTS %d; want one run and nothing of a filter", len(j.Runs), len(j.Negatives), j.FilterTS)
 	}
 	st := cl.Stats()
 	if st.JoinBounds != 39 || st.JoinBFNegs != 0 {
@@ -254,10 +276,8 @@ func TestQueryPlanSeesInnerUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Key 200 is outer-only before the update.
-	for _, m := range before.Join.Matches {
-		if m.Lo == 200 {
-			t.Fatal("fixture: 200 matched before the insert")
-		}
+	if matchedKeys(t, before)[200] {
+		t.Fatal("fixture: 200 matched before the insert")
 	}
 	msg, err := fx.inner.DA.Insert(&core.Record{Key: 200, Attrs: [][]byte{[]byte("late")}}, 1_500)
 	if err != nil {
@@ -283,15 +303,25 @@ func TestQueryPlanSeesInnerUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, m := range after.Join.Matches {
-		if m.Lo == 200 {
-			found = true
-		}
-	}
-	if !found {
+	if !matchedKeys(t, after)[200] {
 		t.Fatal("post-insert match for 200 missing: stale cached join served and verified")
 	}
+}
+
+// matchedKeys reads the outer keys a (verified) join section disclosed
+// inner records for.
+func matchedKeys(t testing.TB, comp *wire.Composite) map[int64]bool {
+	t.Helper()
+	out := map[int64]bool{}
+	_, err := comp.Join.Resolve(join.OuterKeys(comp.Outer.Records), func(key int64, recs []*chain.Record) {
+		if len(recs) > 0 {
+			out[key] = true
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // The composite-answer forgeries, beside tamperSigFlip and tamperRowSwap
@@ -319,34 +349,29 @@ func compTamperSlotSwap(comp *wire.Composite) bool {
 
 // compTamperBloomBit flips a bit in a certified Bloom partition.
 func compTamperBloomBit(comp *wire.Composite) bool {
-	if comp.Join == nil {
+	if comp.Join == nil || len(comp.Join.Negatives) == 0 {
 		return false
 	}
-	for i := range comp.Join.Unmatched {
-		up := &comp.Join.Unmatched[i]
-		if up.Partition == nil {
-			continue
-		}
-		raw := up.Partition.Filter.Marshal()
-		raw[len(raw)-1] ^= 0x01
-		f, err := bloom.Unmarshal(raw)
-		if err != nil {
-			return false
-		}
-		up.Partition.Filter = f
-		return true
+	g := &comp.Join.Negatives[0]
+	raw := g.Partition.Filter.Marshal()
+	raw[len(raw)-1] ^= 0x01
+	f, err := bloom.Unmarshal(raw)
+	if err != nil {
+		return false
 	}
-	return false
+	g.Partition.Filter = f
+	return true
 }
 
-// compTamperDropBV drops one boundary non-match proof.
+// compTamperDropBV drops the proof of one stretch of non-matching keys: a
+// BV run without records.
 func compTamperDropBV(comp *wire.Composite) bool {
 	if comp.Join == nil {
 		return false
 	}
-	for i := range comp.Join.Unmatched {
-		if comp.Join.Unmatched[i].Boundary != nil {
-			comp.Join.Unmatched = append(comp.Join.Unmatched[:i:i], comp.Join.Unmatched[i+1:]...)
+	for i, run := range comp.Join.Runs {
+		if len(run.Records) == 0 {
+			comp.Join.Runs = append(comp.Join.Runs[:i:i], comp.Join.Runs[i+1:]...)
 			return true
 		}
 	}
@@ -435,7 +460,7 @@ func TestAdversaryProjectedValueSwapRejected(t *testing.T) {
 // partition — forcing a false negative-membership claim — no longer
 // matches the owner-certified partition digest and is rejected.
 func TestAdversaryBloomBitFlipRejected(t *testing.T) {
-	fx := newPlanFixture(t)
+	fx := newDensePlanFixture(t, func() sigagg.Scheme { return xortest.New() })
 	ts := newTamperSrv(t, fx.addr)
 	ts.Forge(compTamperBloomBit)
 	cl := fx.dial(t, ts.Addr())
@@ -451,11 +476,11 @@ func TestAdversaryBloomBitFlipRejected(t *testing.T) {
 	pipelinedAmong(t, fx, fx.spec(join.BF, nil), compTamperBloomBit, `join against "i"`)
 }
 
-// TestAdversaryDroppedBoundaryRejected: dropping one BV non-match proof
-// (claiming fewer join results than exist) leaves an outer key
-// unresolved; the coverage check rejects the answer.
+// TestAdversaryDroppedBoundaryRejected: dropping the BV run over a stretch
+// of non-matching keys (no record to miss, no aggregate to break) leaves
+// outer keys unresolved; the coverage check rejects the answer.
 func TestAdversaryDroppedBoundaryRejected(t *testing.T) {
-	fx := newPlanFixture(t)
+	fx := newDensePlanFixture(t, func() sigagg.Scheme { return xortest.New() })
 	ts := newTamperSrv(t, fx.addr)
 	ts.Forge(compTamperDropBV)
 	cl := fx.dial(t, ts.Addr())
@@ -494,8 +519,8 @@ func TestQueryPlanUnknownRelation(t *testing.T) {
 // scanned the outer relation bridges over.
 func TestReconnectReanchorsEveryRelation(t *testing.T) {
 	scheme := func() sigagg.Scheme { return xortest.New() }
-	first := buildPlanFixture(t, scheme, server.NetConfig{}, 42, 1_000)
-	second := buildPlanFixture(t, scheme, server.NetConfig{}, 42, 1_001)
+	first := buildPlanFixture(t, scheme, server.NetConfig{}, 42, 1_000, false)
+	second := buildPlanFixture(t, scheme, server.NetConfig{}, 42, 1_001, false)
 
 	joined := first.dial(t, first.addr)
 	if _, err := joined.QueryPlan(first.spec(join.BF, []int{0})); err != nil {

@@ -105,6 +105,33 @@ func (qs *QueryServer) QueryProj(lo, hi int64) (*Answer, []AttrRow, anscache.Sta
 	return ans, rows, stamp, nil
 }
 
+// AppendKeys appends to dst the stored keys in [lo, hi], ascending, and
+// stops after max of them. It reads keys only — no record bodies, no
+// aggregation — one shard at a time under that shard's read lock, so the
+// keys are not one snapshot across shards; the stamp lists the shards it
+// read, each at the epoch it had while read. A join executor plans its
+// inner scans from it (which outer keys one scan can answer) and holds
+// every scan it then makes to what that scan returned.
+func (qs *QueryServer) AppendKeys(dst []int64, lo, hi int64, max int) ([]int64, anscache.Stamp) {
+	qs.topo.RLock()
+	defer qs.topo.RUnlock()
+	first, last := qs.shardOf(lo), qs.shardOf(hi)
+	stamp := anscache.Stamp{First: first, Epochs: make([]uint64, 0, last-first+1)}
+	room := max
+	for j := first; j <= last && room > 0; j++ {
+		sh := qs.shards[j]
+		sh.mu.RLock()
+		stamp.Epochs = append(stamp.Epochs, qs.epochs[j].Load())
+		sh.index.AscendKeys(lo, hi, func(k int64) bool {
+			dst = append(dst, k)
+			room--
+			return room > 0
+		})
+		sh.mu.RUnlock()
+	}
+	return dst, stamp
+}
+
 // queryStamped is Query plus, when stamped is set, the epoch stamp the
 // answer cache needs: the version of every shard the proof consulted,
 // read while the shard read locks are still held (so the stamp exactly

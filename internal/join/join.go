@@ -1,24 +1,39 @@
 // Package join implements the equi-join verification of Section 3.5 for
 // σ(R) ⋈_{R.A=S.B} S.
 //
-// Matched R records are proven like selections σ_{B=r.A}(S) via
-// signature chaining. For unmatched R records two mechanisms exist:
+// The S side of a join answer is a list of runs plus the Bloom negatives
+// no run covers. A run is one ordinary chained selection (§3.3) over
+// [first, last] of a maximal stretch of consecutive distinct R.A values
+// between which S holds no record that joins nothing: its records are the
+// matches, and every R.A value inside it without a record is absent by
+// the chain's completeness — so the boundaries consecutive values share
+// are shipped once, under one aggregate signature. Which values must sit
+// inside a run depends on the mechanism for unmatched records:
 //
-//   - BV (the prior art of Narasimha & Tsudik): return the boundary S.B
-//     values enclosing r.A, anchored on a chained S signature. Duplicate
-//     boundaries across consecutive unmatched records are elided.
-//   - BF (this paper's contribution): return certified partitioned Bloom
-//     filters on S.B. A negative probe proves non-membership outright; a
-//     false positive falls back to a BV-style boundary proof. Eq. 3
-//     models the resulting VO size and Eq. 4/Fig. 4 the configurations
-//     where BF beats BV.
+//   - BV (the prior art of Narasimha & Tsudik): every value. A value's
+//     enclosing S.B boundaries are the run's own boundary references or
+//     neighbouring records of the run.
+//   - BF (this paper's contribution): only the values the certified
+//     partitioned Bloom filter on S.B admits. A negative probe proves
+//     non-membership outright and ships the partition once for all the
+//     values it answers; a false positive is a value inside a run with no
+//     record. Eq. 3 models the resulting VO size and Eq. 4/Fig. 4 the
+//     configurations where BF beats BV.
 //
-// The package provides both the fully verifiable protocol (Build/Verify)
-// and a crypto-free size analyzer used to regenerate Figure 11.
+// Where S is dense against R every run is a single value and the section
+// is the per-value proof list; where it is not — any primary-key /
+// foreign-key join — the S side costs what a range answer costs.
+//
+// The package provides both the fully verifiable protocol (Build/Verify,
+// and the pieces a live executor and a batching client assemble it from:
+// Extents, AddNegative, Resolve, PartitionJob) and a crypto-free size
+// analyzer used to regenerate Figure 11.
 package join
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"authdb/internal/bloom"
@@ -100,49 +115,35 @@ func (rel *Relation) Keys() []int64 {
 	return out
 }
 
-// neighbours returns the index range [lo, hi) of records with Key == v.
-func (rel *Relation) equalRange(v int64) (int, int) {
-	lo := sort.Search(len(rel.Recs), func(i int) bool { return rel.Recs[i].Key >= v })
-	hi := sort.Search(len(rel.Recs), func(i int) bool { return rel.Recs[i].Key > v })
-	return lo, hi
-}
-
-// selectEq builds the chained selection answer for σ_{B=v}(S).
-func (rel *Relation) selectEq(scheme sigagg.Scheme, v int64) (*chain.Answer, error) {
-	lo, hi := rel.equalRange(v)
-	a := &chain.Answer{Lo: v, Hi: v, Left: chain.MinRef, Right: chain.MaxRef}
+// selectRange builds the chained selection answer for σ_{lo<=B<=hi}(S).
+func (rel *Relation) selectRange(scheme sigagg.Scheme, lo, hi int64) (*chain.Answer, error) {
+	from := sort.Search(len(rel.Recs), func(i int) bool { return rel.Recs[i].Key >= lo })
+	to := sort.Search(len(rel.Recs), func(i int) bool { return rel.Recs[i].Key > hi })
+	a := &chain.Answer{Lo: lo, Hi: hi, Left: chain.MinRef, Right: chain.MaxRef}
 	var sigs []sigagg.Signature
-	if lo < hi { // matches exist
-		a.Records = rel.Recs[lo:hi]
-		sigs = rel.Sigs[lo:hi]
-		if lo > 0 {
-			a.Left = rel.Recs[lo-1].Ref()
+	switch {
+	case from < to: // records inside the range
+		a.Records = rel.Recs[from:to]
+		sigs = rel.Sigs[from:to]
+		if from > 0 {
+			a.Left = rel.Recs[from-1].Ref()
 		}
-		if hi < len(rel.Recs) {
-			a.Right = rel.Recs[hi].Ref()
+		if to < len(rel.Recs) {
+			a.Right = rel.Recs[to].Ref()
 		}
-	} else if lo > 0 { // empty: anchor on the predecessor
-		a.Anchor = rel.Recs[lo-1]
+	case len(rel.Recs) == 0:
+		return nil, fmt.Errorf("join: empty relation has no anchor for [%d,%d]", lo, hi)
+	default: // empty: anchor on the predecessor, or below the domain on the first record
+		at := max(from-1, 0)
+		a.Anchor = rel.Recs[at]
 		a.AnchorLeft = chain.MinRef
-		if lo-1 > 0 {
-			a.AnchorLeft = rel.Recs[lo-2].Ref()
+		if at > 0 {
+			a.AnchorLeft = rel.Recs[at-1].Ref()
 		}
-		a.Right = chain.MaxRef
-		if lo < len(rel.Recs) {
-			a.Right = rel.Recs[lo].Ref()
+		if at+1 < len(rel.Recs) {
+			a.Right = rel.Recs[at+1].Ref()
 		}
-		sigs = []sigagg.Signature{rel.Sigs[lo-1]}
-	} else { // empty with v below the domain: anchor on the first record
-		if len(rel.Recs) == 0 {
-			return nil, fmt.Errorf("join: empty relation has no anchor for %d", v)
-		}
-		a.Anchor = rel.Recs[0]
-		a.AnchorLeft = chain.MinRef
-		a.Right = chain.MaxRef
-		if len(rel.Recs) > 1 {
-			a.Right = rel.Recs[1].Ref()
-		}
-		sigs = []sigagg.Signature{rel.Sigs[0]}
+		sigs = rel.Sigs[at : at+1]
 	}
 	var err error
 	a.Agg, err = scheme.Aggregate(sigs)
@@ -213,160 +214,306 @@ func CertifyKeys(pool *sigagg.Pool, priv sigagg.PrivateKey, keys []int64,
 	return &FilterCert{PF: pf, TS: ts, Sigs: sigs}, nil
 }
 
-// CheckPartitionProbe runs the keyless checks of one Bloom-negative
-// unmatched proof: a partition is present, it covers the value, and the
-// probe is genuinely negative. What remains is the owner's certification
-// of that partition — PartitionJob.
-func CheckPartitionProbe(up *UnmatchedProof) error {
-	if up.Partition == nil {
-		return fmt.Errorf("%w: unmatched value %d without partition", sigagg.ErrVerify, up.RA)
-	}
-	if up.RA < up.Partition.Lo || up.RA >= up.Partition.Hi {
-		return fmt.Errorf("%w: partition does not cover %d", sigagg.ErrVerify, up.RA)
-	}
-	if up.Partition.Filter.MayContainUint64(uint64(up.RA)) {
-		return fmt.Errorf("%w: filter probe positive for %d without boundary proof",
-			sigagg.ErrVerify, up.RA)
-	}
-	return nil
-}
-
 // PartitionJob states the certification claim of one partition as a
 // verification job: sig is the owner's signature over the partition's
 // boundaries and filter contents at filterTS. Composite-VO verifiers
-// batch one such job per distinct partition with the chain-backed
-// proofs under the same key.
+// batch one such job per listed partition with the chain-backed proofs
+// under the same key.
 func PartitionJob(p *bloom.Partition, sig sigagg.Signature, filterTS int64) sigagg.VerifyJob {
 	d := partitionCertDigest(p, filterTS)
 	return sigagg.VerifyJob{Digests: [][]byte{d[:]}, Agg: sig}
 }
 
-// VerifyPartitionProof checks one Bloom-negative unmatched proof on its
-// own: the probe checks, then the partition's certification.
-func VerifyPartitionProof(scheme sigagg.Scheme, pub sigagg.PublicKey,
-	up *UnmatchedProof, filterTS int64) error {
-
-	if err := CheckPartitionProbe(up); err != nil {
-		return err
-	}
-	job := PartitionJob(up.Partition, up.PartSig, filterTS)
-	if err := scheme.AggregateVerify(pub, job.Digests, job.Agg); err != nil {
-		return fmt.Errorf("partition cert for %d: %w", up.RA, err)
-	}
-	return nil
-}
-
-// UnmatchedProof proves one unmatched R record.
-type UnmatchedProof struct {
-	RA int64 // the unmatched R.A value
-
-	// Bloom path (BF only): the probed partition with its certification.
+// Negatives is one owner-certified partition of the filter on S.B and the
+// R.A values its Bloom filter alone proves absent.
+type Negatives struct {
 	Partition *bloom.Partition
 	PartSig   sigagg.Signature
-
-	// Boundary path (BV always; BF on false positives): an anchored
-	// empty-selection proof on S.
-	Boundary *chain.Answer
+	Keys      []int64 // ascending; each inside the partition and negative in its filter
 }
 
-// Answer is the verifiable equi-join result. The R-side selection proof
-// (RAnswer) is produced by the caller's R relation; this answer covers
-// the S side.
+// Answer is the verifiable S side of an equi-join over a set of distinct
+// R.A values: every value is resolved exactly once, by the run that
+// contains it or by a certified negative. The R-side selection proof is
+// produced by the caller's R relation.
 type Answer struct {
 	Method    Method
-	FilterTS  int64
-	Matches   []*chain.Answer  // one per matched distinct R.A value
-	Unmatched []UnmatchedProof // one per unmatched distinct R.A value
+	Runs      []*chain.Answer // ascending and disjoint; see the package comment
+	Negatives []Negatives     // BF only: one entry per partition, ascending
+	// FilterTS is the certification time of the filter behind Negatives —
+	// what bounds how stale a negative can be. Each listed partition's
+	// certification binds it; a section without negatives states none.
+	FilterTS int64
 }
 
-// Build constructs the S-side join proof for the given distinct R.A
-// values against relation s.
+// Extents applies the run rule. keys are the distinct R.A values,
+// ascending; live[i] says keys[i] needs a live proof (nil: all do — BV);
+// inner are S's join-attribute values inside [first live key, last live
+// key], ascending, complete unless truncated, in which case nothing is
+// known past the last of them. The result lists the runs as index pairs
+// [a, b] into keys: each starts and ends at a live key, and between two
+// of its keys S holds no value that is not itself a key — an unknown
+// stretch counts as holding one, so a truncated walk leaves the keys
+// beyond it one run each.
+func Extents(keys []int64, live []bool, inner []int64, truncated bool) [][2]int {
+	horizon := int64(math.MaxInt64)
+	if truncated {
+		horizon = inner[len(inner)-1]
+	}
+	var out [][2]int
+	a, b, j := -1, -1, 0
+	for i, v := range keys {
+		if i > 0 {
+			for j < len(inner) && inner[j] <= keys[i-1] {
+				j++
+			}
+			if a >= 0 && (v > horizon || j < len(inner) && inner[j] < v) {
+				out = append(out, [2]int{a, b})
+				a = -1
+			}
+		}
+		if live == nil || live[i] {
+			if a < 0 {
+				a = i
+			}
+			b = i
+		}
+	}
+	if a >= 0 {
+		out = append(out, [2]int{a, b})
+	}
+	return out
+}
+
+// Probe looks every key up in the certified filter: part[i] is the
+// partition covering keys[i] and live[i] whether its Bloom filter admits
+// the key — the keys that need a live proof; the others it proves absent.
+func (fc *FilterCert) Probe(keys []int64) (live []bool, part []int, err error) {
+	live, part = make([]bool, len(keys)), make([]int, len(keys))
+	for i, v := range keys {
+		if part[i] = fc.PF.Find(v); part[i] < 0 {
+			return nil, nil, fmt.Errorf("join: empty filter")
+		}
+		live[i] = fc.PF.Partitions[part[i]].Filter.MayContainUint64(uint64(v))
+	}
+	return live, part, nil
+}
+
+// OuterKeys lists the distinct keys of records that are sorted by key: the
+// R.A values a join section over them must resolve.
+func OuterKeys(recs []*chain.Record) []int64 {
+	keys := make([]int64, 0, len(recs))
+	for _, rec := range recs {
+		if n := len(keys); n == 0 || keys[n-1] != rec.Key {
+			keys = append(keys, rec.Key)
+		}
+	}
+	return keys
+}
+
+// distinct returns the distinct values of vs in ascending order.
+func distinct(vs []int64) []int64 {
+	out := slices.Clone(vs)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// AddNegative records that partition part of fc proves key absent. Keys
+// must arrive ascending, so a partition's keys arrive together.
+func (a *Answer) AddNegative(fc *FilterCert, part int, key int64) {
+	a.FilterTS = fc.TS
+	p := &fc.PF.Partitions[part]
+	if n := len(a.Negatives); n == 0 || a.Negatives[n-1].Partition != p {
+		a.Negatives = append(a.Negatives, Negatives{Partition: p, PartSig: fc.Sigs[part]})
+	}
+	g := &a.Negatives[len(a.Negatives)-1]
+	g.Keys = append(g.Keys, key)
+}
+
+// Build constructs the S-side join proof for the given R.A values
+// against relation s.
 func Build(scheme sigagg.Scheme, method Method, raValues []int64, s *Relation, fc *FilterCert) (*Answer, error) {
 	ans := &Answer{Method: method}
-	if fc != nil {
-		ans.FilterTS = fc.TS
+	keys := distinct(raValues)
+	var (
+		live []bool // nil for BV: every key needs a live proof
+		part []int
+	)
+	if method == BF {
+		if fc == nil {
+			return nil, fmt.Errorf("join: BF method without a certified filter")
+		}
+		var err error
+		if live, part, err = fc.Probe(keys); err != nil {
+			return nil, err
+		}
 	}
-	seen := map[int64]bool{}
-	for _, v := range raValues {
-		if seen[v] {
-			continue
+	next := 0 // first key no run has covered
+	for _, ext := range Extents(keys, live, s.Keys(), false) {
+		for ; next < ext[0]; next++ {
+			ans.AddNegative(fc, part[next], keys[next])
 		}
-		seen[v] = true
-		lo, hi := s.equalRange(v)
-		if lo < hi {
-			m, err := s.selectEq(scheme, v)
-			if err != nil {
-				return nil, err
-			}
-			ans.Matches = append(ans.Matches, m)
-			continue
+		run, err := s.selectRange(scheme, keys[ext[0]], keys[ext[1]])
+		if err != nil {
+			return nil, err
 		}
-		up := UnmatchedProof{RA: v}
-		if method == BF {
-			if fc == nil {
-				return nil, fmt.Errorf("join: BF method without a certified filter")
-			}
-			idx := fc.PF.Find(v)
-			if idx < 0 {
-				return nil, fmt.Errorf("join: empty filter")
-			}
-			part := &fc.PF.Partitions[idx]
-			up.Partition = part
-			up.PartSig = fc.Sigs[idx]
-			if part.Filter.MayContainUint64(uint64(v)) {
-				// False positive: fall back to boundaries.
-				b, err := s.selectEq(scheme, v)
-				if err != nil {
-					return nil, err
-				}
-				up.Boundary = b
-			}
-		} else {
-			b, err := s.selectEq(scheme, v)
-			if err != nil {
-				return nil, err
-			}
-			up.Boundary = b
-		}
-		ans.Unmatched = append(ans.Unmatched, up)
+		ans.Runs = append(ans.Runs, run)
+		next = ext[1] + 1
+	}
+	for ; next < len(keys); next++ {
+		ans.AddNegative(fc, part[next], keys[next])
 	}
 	return ans, nil
 }
 
-// Verify checks the S-side join proof: every claimed match is authentic
-// and complete, and every claimed non-match is proven either by a
-// certified Bloom filter negative or by enclosing boundaries.
-func Verify(scheme sigagg.Scheme, pub sigagg.PublicKey, ans *Answer) error {
-	if ans == nil {
-		return fmt.Errorf("%w: nil join answer", sigagg.ErrVerify)
+// Resolution counts how a join section resolved the R.A values.
+type Resolution struct {
+	Matched   int // values with at least one S record, disclosed by the run containing them
+	Absent    int // values inside a run without a record: absent by the chain's completeness
+	Negatives int // values a certified Bloom negative alone answered
+}
+
+func malformed(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{sigagg.ErrVerify}, args...)...)
+}
+
+// Resolve checks everything about the section that needs no key, against
+// keys, the distinct R.A values in ascending order: runs ascending and
+// disjoint, each holding at least one key and only records whose value is
+// a key; partitions ascending and disjoint, each listed with keys it
+// covers and its filter rejects; every key resolved exactly once, by the
+// run containing it or by a negative; a filter time stated only with
+// negatives. visit, if not nil, is called for each key in order with the S
+// records that join it (none: the key is absent from S). What remains is
+// each run's own chain proof and each partition's certification
+// (PartitionJob) — and nothing Resolve reports may be used before those
+// hold.
+func (a *Answer) Resolve(keys []int64, visit func(key int64, matches []*chain.Record)) (Resolution, error) {
+	var res Resolution
+	if len(a.Negatives) == 0 && a.FilterTS != 0 {
+		return res, malformed("filter time %d stated without a Bloom negative it dates", a.FilterTS)
 	}
-	for _, m := range ans.Matches {
-		if len(m.Records) == 0 {
-			return fmt.Errorf("%w: match proof with no records", sigagg.ErrVerify)
+	if a.Method != BF && len(a.Negatives) > 0 {
+		return res, malformed("Bloom negatives in a %v join", a.Method)
+	}
+	for i, run := range a.Runs {
+		if run == nil || run.Lo > run.Hi {
+			return res, malformed("run %d of %d is empty", i+1, len(a.Runs))
 		}
-		if err := chain.Verify(scheme, pub, m); err != nil {
-			return fmt.Errorf("match %d: %w", m.Lo, err)
+		if i > 0 && run.Lo <= a.Runs[i-1].Hi {
+			return res, malformed("runs [%d,%d] and [%d,%d] overlap or are out of order",
+				a.Runs[i-1].Lo, a.Runs[i-1].Hi, run.Lo, run.Hi)
 		}
 	}
-	for _, up := range ans.Unmatched {
+	for i := range a.Negatives {
+		g := &a.Negatives[i]
+		if g.Partition == nil || g.Partition.Filter == nil || len(g.Keys) == 0 {
+			return res, malformed("partition %d of %d listed without a filter or without keys", i+1, len(a.Negatives))
+		}
+		if i > 0 && g.Partition.Lo < a.Negatives[i-1].Partition.Hi {
+			return res, malformed("partition [%d,%d) listed twice or out of order", g.Partition.Lo, g.Partition.Hi)
+		}
+	}
+	var (
+		ri, rec, held int // current run, its next unread record, the keys it has resolved
+		gi, gk        int // next negative: key gk of partition gi
+	)
+	// retire leaves run ri behind: everything in it must have been a key's.
+	retire := func() error {
+		run := a.Runs[ri]
+		if rec < len(run.Records) {
+			return malformed("run [%d,%d] holds a record whose key %d is no outer key", run.Lo, run.Hi, run.Records[rec].Key)
+		}
+		if held == 0 {
+			return malformed("run [%d,%d] contains no outer key", run.Lo, run.Hi)
+		}
+		ri, rec, held = ri+1, 0, 0
+		return nil
+	}
+	for i, v := range keys {
+		if i > 0 && v <= keys[i-1] {
+			return res, malformed("outer keys %d, %d not ascending", keys[i-1], v)
+		}
+		for ri < len(a.Runs) && a.Runs[ri].Hi < v {
+			if err := retire(); err != nil {
+				return res, err
+			}
+		}
+		inRun := ri < len(a.Runs) && a.Runs[ri].Lo <= v
+		negative := gi < len(a.Negatives) && a.Negatives[gi].Keys[gk] == v
 		switch {
-		case up.Boundary != nil:
-			if len(up.Boundary.Records) != 0 {
-				return fmt.Errorf("%w: non-match proof contains records for %d", sigagg.ErrVerify, up.RA)
+		case inRun && negative:
+			return res, malformed("key %d resolved twice, by the run [%d,%d] and by a Bloom negative", v, a.Runs[ri].Lo, a.Runs[ri].Hi)
+		case inRun:
+			recs := a.Runs[ri].Records
+			if rec < len(recs) && recs[rec].Key < v {
+				return res, retire() // fails, naming the record
 			}
-			if up.Boundary.Lo != up.RA || up.Boundary.Hi != up.RA {
-				return fmt.Errorf("%w: boundary proof for wrong value", sigagg.ErrVerify)
+			from := rec
+			for rec < len(recs) && recs[rec].Key == v {
+				rec++
 			}
-			if err := chain.Verify(scheme, pub, up.Boundary); err != nil {
-				return fmt.Errorf("non-match %d: %w", up.RA, err)
+			held++
+			if rec > from {
+				res.Matched++
+			} else {
+				res.Absent++
 			}
-		case up.Partition != nil:
-			if err := VerifyPartitionProof(scheme, pub, &up, ans.FilterTS); err != nil {
-				return err
+			if visit != nil {
+				visit(v, recs[from:rec])
+			}
+		case negative:
+			p := a.Negatives[gi].Partition
+			if v < p.Lo || v >= p.Hi {
+				return res, malformed("partition [%d,%d) does not cover %d", p.Lo, p.Hi, v)
+			}
+			if p.Filter.MayContainUint64(uint64(v)) {
+				return res, malformed("filter probe positive for %d without a run over it", v)
+			}
+			if gk++; gk == len(a.Negatives[gi].Keys) {
+				gi, gk = gi+1, 0
+			}
+			res.Negatives++
+			if visit != nil {
+				visit(v, nil)
 			}
 		default:
-			return fmt.Errorf("%w: unmatched value %d without proof", sigagg.ErrVerify, up.RA)
+			return res, malformed("outer key %d has no join proof", v)
 		}
 	}
-	return nil
+	for ri < len(a.Runs) {
+		if err := retire(); err != nil {
+			return res, err
+		}
+	}
+	if gi < len(a.Negatives) {
+		return res, malformed("Bloom negative for %d, which is no outer key or out of order", a.Negatives[gi].Keys[gk])
+	}
+	return res, nil
+}
+
+// Verify checks the S-side join proof against the R.A values it must
+// resolve: the section's shape and coverage (Resolve), every run authentic
+// and complete, every listed partition certified.
+func Verify(scheme sigagg.Scheme, pub sigagg.PublicKey, raValues []int64, ans *Answer) (Resolution, error) {
+	if ans == nil {
+		return Resolution{}, malformed("nil join answer")
+	}
+	res, err := ans.Resolve(distinct(raValues), nil)
+	if err != nil {
+		return res, err
+	}
+	for _, run := range ans.Runs {
+		if err := chain.Verify(scheme, pub, run); err != nil {
+			return res, fmt.Errorf("run [%d,%d]: %w", run.Lo, run.Hi, err)
+		}
+	}
+	for i := range ans.Negatives {
+		g := &ans.Negatives[i]
+		job := PartitionJob(g.Partition, g.PartSig, ans.FilterTS)
+		if err := scheme.AggregateVerify(pub, job.Digests, job.Agg); err != nil {
+			return res, fmt.Errorf("partition cert for %d: %w", g.Keys[0], err)
+		}
+	}
+	return res, nil
 }

@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,7 +41,6 @@ type Engine struct {
 	mu   sync.RWMutex
 	rels map[string]*relView
 
-	par   int
 	cache *anscache.Cache
 
 	planQueries atomic.Uint64
@@ -58,19 +56,8 @@ type Engine struct {
 type EngineOption func(*engineConfig)
 
 type engineConfig struct {
-	par        int
 	cacheBytes int64
 	cacheOff   bool
-}
-
-// WithParallelism caps the workers fanned over independent join-probe
-// subplans (default GOMAXPROCS).
-func WithParallelism(n int) EngineOption {
-	return func(c *engineConfig) {
-		if n >= 1 {
-			c.par = n
-		}
-	}
 }
 
 // WithCacheBytes bounds the plan cache's resident wire bytes.
@@ -90,11 +77,11 @@ func WithoutCache() EngineOption {
 
 // NewEngine creates an empty executor; add relations before serving.
 func NewEngine(opts ...EngineOption) *Engine {
-	cfg := engineConfig{par: runtime.GOMAXPROCS(0), cacheBytes: anscache.DefaultMaxBytes}
+	cfg := engineConfig{cacheBytes: anscache.DefaultMaxBytes}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	e := &Engine{rels: make(map[string]*relView), par: cfg.par}
+	e := &Engine{rels: make(map[string]*relView)}
 	if !cfg.cacheOff {
 		e.cache = anscache.New(e, anscache.WithMaxBytes(cfg.cacheBytes))
 	}
@@ -208,23 +195,13 @@ type relOldest struct {
 	ts int64
 }
 
-// Execute runs the plan with the engine's configured parallelism.
+// Execute runs the plan.
 func (e *Engine) Execute(n *Node) (*Result, error) {
-	return e.execute(n, e.par)
-}
-
-// ExecuteSerial runs the plan with join probes strictly serialized —
-// the baseline the parallel executor is benchmarked against.
-func (e *Engine) ExecuteSerial(n *Node) (*Result, error) {
-	return e.execute(n, 1)
-}
-
-func (e *Engine) execute(n *Node, workers int) (*Result, error) {
 	s, err := analyze(n)
 	if err != nil {
 		return nil, err
 	}
-	r, _, err := e.exec(&s, workers)
+	r, _, err := e.exec(&s)
 	return r, err
 }
 
@@ -236,14 +213,12 @@ func relStampOf(name string, st anscache.Stamp) anscache.RelStamp {
 	return rs
 }
 
-// readSet merges the shard epochs one execution's join probes read from
+// readSet merges the shard epochs one execution's join scans read from
 // the inner relation into that relation's sparse stamp. A shard seen
 // twice keeps the LOWER epoch: the stamp may never claim a version
-// newer than the oldest data some probe actually read, or an update
-// landing between two probes would be masked. Probes run on several
-// workers, hence the mutex.
+// newer than the oldest data some scan actually read, or an update
+// landing between two scans would be masked.
 type readSet struct {
-	mu     sync.Mutex
 	seen   []bool
 	epochs []uint64
 }
@@ -255,13 +230,11 @@ func newReadSet(shards int) *readSet {
 // add records that shards first, first+1, … were read at the given
 // epochs.
 func (r *readSet) add(first int, epochs ...uint64) {
-	r.mu.Lock()
 	for i, e := range epochs {
 		if s := first + i; !r.seen[s] || e < r.epochs[s] {
 			r.seen[s], r.epochs[s] = true, e
 		}
 	}
-	r.mu.Unlock()
 }
 
 // appendTo appends the merged shards, ascending, to rs and reports how
@@ -285,25 +258,28 @@ func (r *readSet) appendTo(rs *anscache.RelStamp) (n int) {
 //     QueryProj held read locks on, epochs read under those locks;
 //   - inner, BF joins: the filter epoch (FilterShard), read together
 //     with the certificate before any data, so a re-certification during
-//     execution reads as stale. It covers every byte of a Bloom-negative
-//     proof (partition + signature come from the certificate alone);
-//   - inner, every live probe (a match, a BV boundary, a BF false
-//     positive's fallback): the stamp QueryStamped(v, v) returns. Its
-//     window spans every shard the point scan, its predecessor/successor
-//     walk and the anchor's own neighbours looked into — empty shards
-//     crossed on the way to a neighbouring shard's boundary record
-//     included — so any update that can change one byte of that proof
-//     (the record, a neighbour reference, the anchor) write-locks a
-//     shard inside the window and bumps its epoch there (core.Apply);
-//     reseeding, Restore and the bulk load bump every shard;
-//   - inner, every Bloom negative: the epoch of the shard owning the
-//     outer key. The proof itself read no inner data, but inserting a
-//     key a cached plan proved absent must retire that plan without
-//     waiting for the next re-certification.
+//     execution reads as stale. It covers every byte of a Bloom negative
+//     (partition + signature come from the certificate alone) and which
+//     keys needed a run;
+//   - inner, every run: the stamp QueryStamped(first, last) returns. Its
+//     window spans every shard the scan, its predecessor/successor walk
+//     and an anchor's own neighbours looked into — empty shards crossed
+//     on the way to a neighbouring shard's boundary record included — so
+//     any update that can change one byte of that proof (a record, a
+//     neighbour reference, the anchor) write-locks a shard inside the
+//     window and bumps its epoch there (core.Apply); reseeding, Restore
+//     and the bulk load bump every shard;
+//   - inner, the keys-only walk that decided the runs' extents: the
+//     shards it read, like any scan's — where it saw a record that joins
+//     nothing decides which keys share a run;
+//   - inner, every surviving Bloom negative: the epoch of the shard
+//     owning the outer key. The proof itself read no inner data, but
+//     inserting a key a cached plan proved absent must retire that plan
+//     without waiting for the next re-certification.
 //
 // Nothing else of the inner relation is stamped: an update to a shard no
 // probe read cannot change the composite's bytes, and leaves it serving.
-func (e *Engine) exec(s *shape, workers int) (*Result, anscache.Stamp, error) {
+func (e *Engine) exec(s *shape) (*Result, anscache.Stamp, error) {
 	var zero anscache.Stamp
 	outer, err := e.rel(s.scan.Rel)
 	if err != nil {
@@ -369,7 +345,7 @@ func (e *Engine) exec(s *shape, workers int) (*Result, anscache.Stamp, error) {
 
 	if s.jn != nil {
 		read := newReadSet(inner.qs.Shards())
-		ja, innerOldest, err := e.probe(inner, s.jn.Method, fc, keep, workers, read)
+		ja, innerOldest, err := e.probe(inner, s.jn.Method, fc, keep, read)
 		if err != nil {
 			return nil, zero, err
 		}
@@ -397,80 +373,141 @@ func (e *Engine) exec(s *shape, workers int) (*Result, anscache.Stamp, error) {
 	return &Result{Comp: comp, rels: rels}, anscache.Stamp{Rels: relStamps}, nil
 }
 
-// probe resolves each outer key against the inner relation: for BF
-// joins a certified-filter negative proves absence without touching the
-// server's data at all; positives (and every BV probe) run a live point
-// scan whose chained answer is either the match proof or — on a Bloom
-// false positive — the boundary fallback. What each resolution read is
-// recorded in read (see exec).
+// probe resolves the outer keys against the inner relation with as few
+// scans as the inner relation allows (the run rule of package join): a
+// keys-only walk of the inner index between the first and the last key
+// that needs a live proof — every key of a BV join, the certified
+// filter's positives of a BF join — finds the records that join nothing,
+// and each stretch of outer keys between two of them is answered by one
+// range scan from its first live key to its last (scanRuns). The walk
+// gives up after reading twice as many inner keys as there are outer keys
+// (a relation that dense against the outer one has a stranger in nearly
+// every gap), leaving the keys it did not reach one scan each. Outer keys
+// no run covers are filter negatives, answered from the certificate
+// alone. What each shipped piece read is recorded in read (see exec).
 func (e *Engine) probe(rv *relView, method join.Method, fc *join.FilterCert,
-	outer []*chain.Record, workers int, read *readSet) (*join.Answer, int64, error) {
+	outer []*chain.Record, read *readSet) (*join.Answer, int64, error) {
 
-	ja := &join.Answer{Method: method}
+	js := joinScan{rv: rv, fc: fc, keys: join.OuterKeys(outer), ja: &join.Answer{Method: method}, read: read, oldest: math.MaxInt64}
 	if method == join.BF {
-		ja.FilterTS = fc.TS
-	}
-	type probeOut struct {
-		match  *chain.Answer
-		un     *join.UnmatchedProof
-		oldest int64
-	}
-	outs := make([]probeOut, len(outer))
-	err := sigagg.ForChunks(len(outer), workers, 1, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			outs[i].oldest = math.MaxInt64
-			v := outer[i].Key
-			if method == join.BF {
-				e.bfProbes.Add(1)
-				idx := fc.PF.Find(v)
-				if idx < 0 {
-					return fmt.Errorf("query: certified filter for %q is empty", rv.name)
-				}
-				part := &fc.PF.Partitions[idx]
-				if !part.Filter.MayContainUint64(uint64(v)) {
-					e.bfNegatives.Add(1)
-					outs[i].un = &join.UnmatchedProof{RA: v, Partition: part, PartSig: fc.Sigs[idx]}
-					read.add(rv.qs.KeyEpoch(v))
-					continue
-				}
-			}
-			e.joinProbes.Add(1)
-			pa, st, err := rv.qs.QueryStamped(v, v)
-			if err != nil {
-				return fmt.Errorf("query: probe %q key %d: %w", rv.name, v, err)
-			}
-			read.add(st.First, st.Epochs...)
-			outs[i].oldest = pa.OldestSigTS
-			if len(pa.Chain.Records) > 0 {
-				outs[i].match = pa.Chain
-			} else {
-				if method == join.BF {
-					e.bfFallbacks.Add(1)
-				}
-				outs[i].un = &join.UnmatchedProof{RA: v, Boundary: pa.Chain}
-			}
+		js.oldest = fc.TS
+		e.bfProbes.Add(uint64(len(js.keys)))
+		var err error
+		if js.live, js.part, err = fc.Probe(js.keys); err != nil {
+			return nil, 0, fmt.Errorf("query: certified filter for %q: %w", rv.name, err)
 		}
-		return nil
-	})
-	if err != nil {
+	}
+	var extents [][2]int
+	if first, last, ok := liveSpan(js.live, 0, len(js.keys)-1); ok {
+		// Room for every outer key to match and one stranger more than
+		// there are outer keys; sized for an inner relation inside the outer.
+		most := 2*len(js.keys) + 1
+		inner, st := rv.qs.AppendKeys(make([]int64, 0, len(js.keys)), js.keys[first], js.keys[last], most)
+		read.add(st.First, st.Epochs...)
+		extents = join.Extents(js.keys, js.live, inner, len(inner) == most)
+	}
+	if err := e.scanRuns(&js, extents); err != nil {
 		return nil, 0, err
 	}
-	oldest := int64(math.MaxInt64)
-	if method == join.BF {
-		oldest = fc.TS
+	return js.ja, js.oldest, nil
+}
+
+// joinScan is one join section under construction.
+type joinScan struct {
+	rv   *relView
+	fc   *join.FilterCert // BF only
+	keys []int64          // the outer keys, ascending
+	live []bool           // BF: the filter admits the key; nil for BV, where every key is live
+	part []int            // BF: the partition covering the key
+
+	ja     *join.Answer
+	read   *readSet
+	oldest int64 // the oldest signature timestamp among the shipped proofs
+}
+
+// scanRuns ships one scan of the inner relation per extent (index pairs
+// into js.keys, ascending) and a Bloom negative for every key outside
+// them. Every scan is held to the outer keys before it is shipped, and
+// split at a record that matches none — an insert can land between the
+// walk that chose the extents and the scan — so an honest server never
+// emits a run a client must refuse.
+func (e *Engine) scanRuns(js *joinScan, todo [][2]int) error {
+	keys, live := js.keys, js.live
+	next := 0 // the first outer key nothing has resolved yet
+	negatives := func(upto int) {
+		for ; next < upto; next++ {
+			e.bfNegatives.Add(1)
+			js.ja.AddNegative(js.fc, js.part[next], keys[next])
+			js.read.add(js.rv.qs.KeyEpoch(keys[next]))
+		}
 	}
-	for i := range outs {
-		if outs[i].match != nil {
-			ja.Matches = append(ja.Matches, outs[i].match)
+	for len(todo) > 0 {
+		a, b := todo[0][0], todo[0][1]
+		e.joinProbes.Add(1)
+		pa, st, err := js.rv.qs.QueryStamped(keys[a], keys[b])
+		if err != nil {
+			return fmt.Errorf("query: scan %q [%d,%d]: %w", js.rv.name, keys[a], keys[b], err)
 		}
-		if outs[i].un != nil {
-			ja.Unmatched = append(ja.Unmatched, *outs[i].un)
+		// k walks keys[a..b] beside the records, which lie inside
+		// [keys[a], keys[b]].
+		split, hits := -1, 0 // hits: live keys the scan found a record for
+		k := a
+		for _, rec := range pa.Chain.Records {
+			for keys[k] < rec.Key {
+				k++
+			}
+			if keys[k] != rec.Key {
+				split = k
+				break
+			}
+			if live != nil && live[k] {
+				hits++
+			}
 		}
-		if outs[i].oldest < oldest {
-			oldest = outs[i].oldest
+		if split >= 0 {
+			// A record that joins nothing, between keys[split-1] and
+			// keys[split]: scan either side of it instead.
+			pieces := make([][2]int, 0, len(todo)+1)
+			for _, p := range [2][2]int{{a, split - 1}, {split, b}} {
+				if x, y, ok := liveSpan(live, p[0], p[1]); ok {
+					pieces = append(pieces, [2]int{x, y})
+				}
+			}
+			todo = append(pieces, todo[1:]...)
+			continue
+		}
+		todo = todo[1:]
+		negatives(a)
+		next = b + 1
+		js.ja.Runs = append(js.ja.Runs, pa.Chain)
+		js.read.add(st.First, st.Epochs...)
+		js.oldest = min(js.oldest, pa.OldestSigTS)
+		if live != nil {
+			admitted := 0 // keys of the run the filter let through
+			for _, l := range live[a : b+1] {
+				if l {
+					admitted++
+				}
+			}
+			e.bfFallbacks.Add(uint64(admitted - hits))
 		}
 	}
-	return ja, oldest, nil
+	negatives(len(keys))
+	return nil
+}
+
+// liveSpan narrows the keys [a, b] to the first and the last live one
+// among them; ok is false when none is.
+func liveSpan(live []bool, a, b int) (_, _ int, ok bool) {
+	if live != nil {
+		for a <= b && !live[a] {
+			a++
+		}
+		for b >= a && !live[b] {
+			b--
+		}
+	}
+	return a, b, a <= b
 }
 
 // project assembles the §3.4 projection section: per-row selected
@@ -572,7 +609,7 @@ func (e *Engine) Serve(planBytes []byte, since []wire.RelSince) (Served, error) 
 	// encoded from: that object graph is as large again as the bytes and
 	// nothing reads it back.
 	build := func() (*anscache.Entry, error) {
-		r, stamp, err := e.exec(&s, e.par)
+		r, stamp, err := e.exec(&s)
 		if err != nil {
 			return nil, err
 		}
@@ -670,10 +707,10 @@ func (e *Engine) ServeRelSummaries(rel string, sinceSeq uint64, oldestTS int64) 
 // Stats are the executor's monotonic counters.
 type Stats struct {
 	PlanQueries uint64 // plans executed (cache hits not included)
-	JoinProbes  uint64 // live point scans against inner relations
+	JoinProbes  uint64 // range scans issued against inner relations: one per run shipped, plus any rescanned after a split
 	BFProbes    uint64 // outer keys probed through a certified filter
-	BFNegatives uint64 // probes answered by a filter negative alone
-	BFFallbacks uint64 // false positives that fell back to boundaries
+	BFNegatives uint64 // outer keys a filter negative alone answered (negatives inside a run are the run's)
+	BFFallbacks uint64 // false positives: keys the filter admitted that their run holds no record for
 	ProjRows    uint64 // projected rows emitted
 	StampShards uint64 // inner data shards stamped, summed over executed join plans
 	Cache       anscache.Stats

@@ -76,8 +76,8 @@ func newOracle(t *testing.T, seed int64) *oracle {
 		msg, err := p.rel.DA.Load(p.recs, o.ts)
 		o.deliver(p.rel, msg, err)
 	}
-	o.cached = NewEngine(WithParallelism(2))
-	o.bare = NewEngine(WithParallelism(2), WithoutCache())
+	o.cached = NewEngine()
+	o.bare = NewEngine(WithoutCache())
 	for _, e := range []*Engine{o.cached, o.bare} {
 		if err := e.AddRelation("o", o.outer.QS); err != nil {
 			t.Fatal(err)

@@ -70,7 +70,7 @@ func newFixture(t *testing.T, engOpts ...EngineOption) *fixture {
 			t.Fatal(err)
 		}
 	}
-	eng := NewEngine(append([]EngineOption{WithParallelism(4)}, engOpts...)...)
+	eng := NewEngine(engOpts...)
 	if err := eng.AddRelation("o", outer.QS); err != nil {
 		t.Fatal(err)
 	}
@@ -124,35 +124,16 @@ func (fx *fixture) checkComposite(comp *wire.Composite, lo, hi, now int64, osums
 	if comp.Join == nil {
 		return nil
 	}
-	if err := join.Verify(fx.inner.Scheme, fx.inner.Pub, comp.Join); err != nil {
+	// The join section: every outer key resolved exactly once, nothing
+	// extra disclosed, every run and every listed partition authentic.
+	if _, err := join.Verify(fx.inner.Scheme, fx.inner.Pub, join.OuterKeys(comp.Outer.Records), comp.Join); err != nil {
 		return fmt.Errorf("join: %w", err)
 	}
-	// Coverage: every outer key resolved exactly once, nothing extra.
-	resolved := map[int64]int{}
 	var chains []*core.Answer
 	var ranges []core.Range
-	disclose := func(c *chain.Answer) {
-		chains = append(chains, &core.Answer{Chain: c})
-		ranges = append(ranges, core.Range{Lo: c.Lo, Hi: c.Hi})
-	}
-	for _, m := range comp.Join.Matches {
-		resolved[m.Lo]++
-		disclose(m)
-	}
-	for _, up := range comp.Join.Unmatched {
-		resolved[up.RA]++
-		if up.Boundary != nil {
-			disclose(up.Boundary)
-		}
-	}
-	for _, rec := range comp.Outer.Records {
-		if resolved[rec.Key] != 1 {
-			return fmt.Errorf("outer key %d resolved %d times", rec.Key, resolved[rec.Key])
-		}
-		delete(resolved, rec.Key)
-	}
-	if len(resolved) != 0 {
-		return fmt.Errorf("join proofs for keys outside the outer answer: %v", resolved)
+	for _, run := range comp.Join.Runs {
+		chains = append(chains, &core.Answer{Chain: run})
+		ranges = append(ranges, core.Range{Lo: run.Lo, Hi: run.Hi})
 	}
 	if len(chains) > 0 {
 		chains[0].Summaries = isums
@@ -162,6 +143,25 @@ func (fx *fixture) checkComposite(comp *wire.Composite, lo, hi, now int64, osums
 		}
 	}
 	return nil
+}
+
+// joined reads a join section's result: the inner records matching each
+// outer key that has any, and the outer keys proven absent — by a run or
+// by a Bloom negative.
+func joined(t *testing.T, comp *wire.Composite) (matched map[int64][]*chain.Record, absent map[int64]bool) {
+	t.Helper()
+	matched, absent = map[int64][]*chain.Record{}, map[int64]bool{}
+	_, err := comp.Join.Resolve(join.OuterKeys(comp.Outer.Records), func(key int64, recs []*chain.Record) {
+		if len(recs) > 0 {
+			matched[key] = recs
+		} else {
+			absent[key] = true
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return matched, absent
 }
 
 func TestSelectProjectJoinBF(t *testing.T) {
@@ -178,16 +178,24 @@ func TestSelectProjectJoinBF(t *testing.T) {
 	if got := len(res.Comp.Outer.Records); got != 59 { // 110..690 step 10
 		t.Fatalf("%d outer records, want 59", got)
 	}
-	if got := len(res.Comp.Join.Matches); got != 20 { // 120..690 step 30
-		t.Fatalf("%d matches, want 20", got)
+	matched, absent := joined(t, res.Comp)
+	if len(matched) != 20 || len(absent) != 39 { // 120..690 step 30
+		t.Fatalf("%d matches and %d absent keys, want 20 and 39", len(matched), len(absent))
 	}
 	st := fx.eng.Stats()
-	if st.BFProbes != 59 || st.BFNegatives == 0 || st.BFFallbacks == 0 {
-		t.Fatalf("BF counters probes=%d negatives=%d fallbacks=%d; want 59/>0/>0", st.BFProbes, st.BFNegatives, st.BFFallbacks)
+	if st.BFProbes != 59 || st.BFFallbacks == 0 {
+		t.Fatalf("BF counters probes=%d fallbacks=%d; want 59/>0", st.BFProbes, st.BFFallbacks)
 	}
-	// Negatives skip the inner server entirely.
-	if st.JoinProbes != st.BFProbes-st.BFNegatives {
-		t.Fatalf("join probes %d, want %d", st.JoinProbes, st.BFProbes-st.BFNegatives)
+	// Every inner key is an outer key, so everything between the first and
+	// the last key the filter admits is one scan; only negatives outside
+	// it are answered from the certificate.
+	negs := 0
+	for _, g := range res.Comp.Join.Negatives {
+		negs += len(g.Keys)
+	}
+	if st.JoinProbes != 1 || len(res.Comp.Join.Runs) != 1 || uint64(negs) != st.BFNegatives {
+		t.Fatalf("%d scans for %d runs, %d negatives listed for %d counted; want 1 scan, 1 run",
+			st.JoinProbes, len(res.Comp.Join.Runs), negs, st.BFNegatives)
 	}
 	if st.ProjRows != 59 {
 		t.Fatalf("%d projected rows counted", st.ProjRows)
@@ -209,23 +217,49 @@ func TestSelectJoinBVSerialMatchesParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := fx.eng.Execute(n)
+	res, err := fx.eng.Execute(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser, err := fx.eng.ExecuteSerial(n)
+	fx.verifyComposite(t, res.Comp, 105, 695, 1_000)
+	// A BV join ships no negatives, and against an inner relation whose
+	// keys are all outer keys its 59 keys are one run.
+	if j := res.Comp.Join; len(j.Negatives) != 0 || j.FilterTS != 0 || len(j.Runs) != 1 || j.Runs[0].Lo != 110 || j.Runs[0].Hi != 690 {
+		t.Fatalf("BV join section: %d runs, %d partitions, FilterTS %d; want the one run [110,690]", len(j.Runs), len(j.Negatives), j.FilterTS)
+	}
+	if st := fx.eng.Stats(); st.JoinProbes != 1 {
+		t.Fatalf("%d scans, want 1", st.JoinProbes)
+	}
+}
+
+// Where the inner relation is dense against the outer one — here the
+// relations swapped: three inner keys for every outer key — a record that
+// joins nothing sits in every gap, every run is a single key, and the
+// keys-only walk gives up part of the way.
+func TestDenseInnerDegeneratesToPointRuns(t *testing.T) {
+	fx := newFixture(t)
+	spec := &Spec{Rel: "i", Lo: 100, Hi: 700, Join: &JoinSpec{Rel: "o", Method: join.BV}}
+	res, err := fx.eng.Execute(spec.mustPlan(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(par.Comp, ser.Comp) {
-		t.Fatal("parallel and serial executors disagree")
+	if err := fx.swapped().checkComposite(res.Comp, 100, 700, 1_000, fx.inner.QS.SummariesSince(0), fx.outer.QS.SummariesSince(0)); err != nil {
+		t.Fatal(err)
 	}
-	fx.verifyComposite(t, par.Comp, 105, 695, 1_000)
-	for _, up := range par.Comp.Join.Unmatched {
-		if up.Boundary == nil {
-			t.Fatalf("BV non-match %d without boundary", up.RA)
+	keys := join.OuterKeys(res.Comp.Outer.Records)
+	if len(res.Comp.Join.Runs) != len(keys) {
+		t.Fatalf("%d runs for %d outer keys", len(res.Comp.Join.Runs), len(keys))
+	}
+	for i, run := range res.Comp.Join.Runs {
+		if run.Lo != keys[i] || run.Hi != keys[i] || len(run.Records) != 1 {
+			t.Fatalf("run %d is [%d,%d] with %d records, want the point %d", i, run.Lo, run.Hi, len(run.Records), keys[i])
 		}
 	}
+}
+
+// swapped is the fixture seen from a join of "i" against "o".
+func (fx *fixture) swapped() *fixture {
+	return &fixture{cat: fx.cat, outer: fx.inner, inner: fx.outer, eng: fx.eng}
 }
 
 func TestNaivePlanSameJoinAsPushdown(t *testing.T) {
@@ -338,11 +372,8 @@ func TestCacheInvalidationOnInnerUpdate(t *testing.T) {
 	plan := spec.mustPlan(t).Marshal()
 
 	unmatchedKeys := func(comp *wire.Composite) map[int64]bool {
-		out := map[int64]bool{}
-		for _, up := range comp.Join.Unmatched {
-			out[up.RA] = true
-		}
-		return out
+		_, absent := joined(t, comp)
+		return absent
 	}
 
 	body, tails, release, err := fx.eng.ServePlan(plan, nil)
@@ -404,13 +435,7 @@ func TestCacheInvalidationOnInnerUpdate(t *testing.T) {
 	if unmatchedKeys(after)[200] {
 		t.Fatal("stale non-match for key 200 served after inner insert")
 	}
-	found := false
-	for _, m := range after.Join.Matches {
-		if m.Lo == 200 {
-			found = true
-		}
-	}
-	if !found {
+	if matched, _ := joined(t, after); matched[200] == nil {
 		t.Fatal("key 200 not matched after inner insert")
 	}
 	if st = fx.eng.Stats(); st.Cache.Built != 2 {
@@ -492,7 +517,7 @@ func TestCacheInvalidationOnBloomNegativeKey(t *testing.T) {
 	spec := &Spec{Rel: "o", Lo: neg - 5, Hi: neg + 5, Join: &JoinSpec{Rel: "i", Method: join.BF}}
 	plan := spec.mustPlan(t).Marshal()
 	first := fx.serve(t, plan)
-	if len(first.Join.Unmatched) != 1 || first.Join.Unmatched[0].Partition == nil {
+	if len(first.Join.Runs) != 0 || len(first.Join.Negatives) != 1 || len(first.Join.Negatives[0].Keys) != 1 {
 		t.Fatalf("key %d was not resolved by a Bloom negative: %+v", neg, first.Join)
 	}
 	if st := fx.eng.Stats(); st.JoinProbes != 0 || st.StampShards != 1 {
@@ -519,12 +544,54 @@ func TestCacheInvalidationOnInsertBetweenProbes(t *testing.T) {
 	if st := fx.eng.Stats(); st.Cache.Built != 2 {
 		t.Fatalf("built=%d after an insert between probed keys, want 2", st.Cache.Built)
 	}
-	for _, m := range after.Join.Matches {
-		if m.Lo == 120 && m.Right.Key != 125 {
-			t.Fatalf("match proof of 120 chains right to %d, want the inserted 125", m.Right.Key)
-		}
+	// 125 joins nothing, so it ends the run holding 120 and is its right
+	// boundary.
+	if runs := after.Join.Runs; len(runs) != 2 || runs[0].Hi != 120 || runs[0].Right.Key != 125 || runs[1].Lo != 130 || runs[1].Left.Key != 125 {
+		t.Fatalf("runs after inserting 125: %+v", runs)
 	}
 	fx.verifyComposite(t, &wire.Composite{Outer: after.Outer, Join: after.Join}, 105, 245, 1_500)
+}
+
+// An insert can land between the keys-only walk that chose a scan's
+// extent and the scan: here the extent is handed in as the walk would have
+// chosen it before 125 and 305 were inserted. The scan is held to the
+// outer keys and split at each record that joins nothing, so what is
+// shipped is what a client accepts — under BF with the pieces cut back to
+// the keys the filter admits, the rest answered by negatives.
+func TestScanSplitsAtRecordThatJoinsNothing(t *testing.T) {
+	for _, method := range []join.Method{join.BV, join.BF} {
+		fx := newFixture(t)
+		fx.insertInner(t, 125, 1_500)
+		fx.insertInner(t, 305, 1_501)
+		inner, err := fx.eng.rel("i")
+		if err != nil {
+			t.Fatal(err)
+		}
+		js := joinScan{rv: inner, ja: &join.Answer{Method: method}, read: newReadSet(inner.qs.Shards())}
+		for k := int64(110); k <= 400; k += 10 {
+			js.keys = append(js.keys, k)
+		}
+		first, last := 0, len(js.keys)-1
+		if method == join.BF {
+			js.fc = fx.eng.Filter("i")
+			if js.live, js.part, err = js.fc.Probe(js.keys); err != nil {
+				t.Fatal(err)
+			}
+			first, last, _ = liveSpan(js.live, first, last)
+		}
+		if err := fx.eng.scanRuns(&js, [][2]int{{first, last}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := join.Verify(fx.inner.Scheme, fx.inner.Pub, js.keys, js.ja); err != nil {
+			t.Fatalf("%v: the shipped section does not verify: %v", method, err)
+		}
+		if n := len(js.ja.Runs); n != 3 {
+			t.Fatalf("%v: %d runs, want 3: split at 125 and at 305", method, n)
+		}
+		if st := fx.eng.Stats(); st.JoinProbes != 5 {
+			t.Fatalf("%v: %d scans, want 5: the whole extent, its right piece, and the three shipped", method, st.JoinProbes)
+		}
+	}
 }
 
 // Topology changes invalidate everything: the message that first seeds
@@ -688,8 +755,9 @@ func TestCacheInvalidationOnFilterSwap(t *testing.T) {
 	}
 	comp := decodeServed(t, body, tails)
 	release()
-	if comp.Join.FilterTS != 2_000 {
-		t.Fatalf("FilterTS %d after swap, want 2000", comp.Join.FilterTS)
+	// The filter time is stated with the negatives it dates, and only then.
+	if want := map[bool]int64{true: 2_000}[len(comp.Join.Negatives) > 0]; comp.Join.FilterTS != want {
+		t.Fatalf("FilterTS %d after swap with %d partitions listed, want %d", comp.Join.FilterTS, len(comp.Join.Negatives), want)
 	}
 	if st := fx.eng.Stats(); st.Cache.Built != 2 {
 		t.Fatalf("cache built=%d after filter swap, want 2", st.Cache.Built)
@@ -706,7 +774,7 @@ func TestCacheInvalidationOnFilterSwap(t *testing.T) {
 // returned; a client snapshots that before a request and afterwards
 // requires every outer record to be at least that version and every
 // inner key inserted by then to be resolved by something other than a
-// boundary proof of its absence. A composite whose scan raced the writer
+// run proving its absence. A composite whose scan raced the writer
 // can fail freshness against the newer summaries in its (uncached)
 // tails — the client rejects it and asks again, as a real one does; once
 // the writer is done nothing may be stale.
@@ -777,10 +845,18 @@ func TestConcurrentPlansAndUpdates(t *testing.T) {
 				}
 			}
 			if comp.Join != nil {
-				for _, up := range comp.Join.Unmatched {
-					if up.Boundary != nil && wantIn[up.RA/10] != 0 {
-						return fmt.Errorf("plan %d: accepted a boundary proof that %d is absent; its insert had completed before the request", p, up.RA)
+				var raced error
+				comp.Join.Resolve(join.OuterKeys(comp.Outer.Records), func(key int64, recs []*chain.Record) {
+					inRun := false
+					for _, run := range comp.Join.Runs {
+						inRun = inRun || run.Lo <= key && key <= run.Hi
 					}
+					if len(recs) == 0 && inRun && wantIn[key/10] != 0 {
+						raced = fmt.Errorf("plan %d: accepted a run proving %d absent; its insert had completed before the request", p, key)
+					}
+				})
+				if raced != nil {
+					return raced
 				}
 			}
 			return nil

@@ -82,17 +82,17 @@ func (s *NetServer) Metrics(m *MetricsBuf) {
 }
 
 // QueryMetrics adapts the plan engine's execution counters for a
-// scrape: plan executions, join probe traffic (including the Bloom
+// scrape: plan executions, join scan traffic (including the Bloom
 // negative/fallback split §3.5), projected rows, and the plan cache.
 func QueryMetrics(eng *query.Engine) MetricFn {
 	return func(m *MetricsBuf) {
 		qs := eng.Stats()
 		m.Counter("authdb_query_plans_total", "Plans executed (cache hits excluded).", qs.PlanQueries)
 		m.Counter("authdb_query_stamp_shards_total", "Inner-relation data shards stamped by executed join plans (per plan: what one inner update can invalidate).", qs.StampShards)
-		m.Counter("authdb_query_join_probes_total", "Live point scans against inner relations.", qs.JoinProbes)
+		m.Counter("authdb_query_join_probes_total", "Range scans issued against inner relations (one per run of join keys shipped).", qs.JoinProbes)
 		m.Counter("authdb_query_bf_probes_total", "Outer keys probed through a certified Bloom filter.", qs.BFProbes)
-		m.Counter("authdb_query_bf_negatives_total", "Probes answered by a filter negative alone.", qs.BFNegatives)
-		m.Counter("authdb_query_bf_fallbacks_total", "Bloom false positives that fell back to boundary proofs.", qs.BFFallbacks)
+		m.Counter("authdb_query_bf_negatives_total", "Outer keys a filter negative alone answered (no run covers them).", qs.BFNegatives)
+		m.Counter("authdb_query_bf_fallbacks_total", "Bloom false positives: keys the filter admitted that their run holds no record for.", qs.BFFallbacks)
 		m.Counter("authdb_query_proj_rows_total", "Projected rows emitted.", qs.ProjRows)
 		m.Counter("authdb_plancache_hits_total", "Plan-cache lookups served from a resident entry.", qs.Cache.Hits)
 		m.Counter("authdb_plancache_built_total", "Plan-cache build functions executed.", qs.Cache.Built)

@@ -343,34 +343,34 @@ func getProjection(r *reader) (*projection.Answer, error) {
 
 // ---- join section (§3.5) ----
 
-const (
-	unmatchedBoundary = 0
-	unmatchedBloom    = 1
-)
+// The section is the method, the filter's certification time (zero
+// without negatives), the runs — each an ordinary answer body — and the
+// Bloom negatives grouped per partition: bounds, filter and certification
+// once, then the keys that partition answers.
 
 func putJoin(w *writer, j *join.Answer) error {
 	w.u8(byte(j.Method))
 	w.i64(j.FilterTS)
-	w.u64(uint64(len(j.Matches)))
-	for _, m := range j.Matches {
-		putAnswerBody(w, m)
+	w.u64(uint64(len(j.Runs)))
+	for _, run := range j.Runs {
+		if run == nil {
+			return fmt.Errorf("wire: nil run in a join section")
+		}
+		putAnswerBody(w, run)
 	}
-	w.u64(uint64(len(j.Unmatched)))
-	for i := range j.Unmatched {
-		up := &j.Unmatched[i]
-		w.i64(up.RA)
-		switch {
-		case up.Partition != nil:
-			w.u8(unmatchedBloom)
-			w.i64(up.Partition.Lo)
-			w.i64(up.Partition.Hi)
-			w.bytes(up.Partition.Filter.Marshal())
-			w.bytes(up.PartSig)
-		case up.Boundary != nil:
-			w.u8(unmatchedBoundary)
-			putAnswerBody(w, up.Boundary)
-		default:
-			return fmt.Errorf("wire: unmatched proof for %d carries neither partition nor boundary", up.RA)
+	w.u64(uint64(len(j.Negatives)))
+	for i := range j.Negatives {
+		g := &j.Negatives[i]
+		if g.Partition == nil || g.Partition.Filter == nil {
+			return fmt.Errorf("wire: Bloom negatives %d of %d carry no partition", i+1, len(j.Negatives))
+		}
+		w.i64(g.Partition.Lo)
+		w.i64(g.Partition.Hi)
+		w.bytes(g.Partition.Filter.Marshal())
+		w.bytes(g.PartSig)
+		w.u64(uint64(len(g.Keys)))
+		for _, k := range g.Keys {
+			w.i64(k)
 		}
 	}
 	return nil
@@ -386,65 +386,70 @@ func getJoin(r *reader) (*join.Answer, error) {
 	if j.FilterTS, err = r.i64(); err != nil {
 		return nil, err
 	}
-	nMatch, err := r.u64()
+	nRuns, err := r.u64()
 	if err != nil {
 		return nil, err
 	}
-	if nMatch > maxLen {
-		return nil, fmt.Errorf("%w: match count %d", ErrCorrupt, nMatch)
+	// A run is at least an answer body's 65 fixed bytes, a partition its
+	// bounds and three length prefixes, a key its eight bytes: each count
+	// is bounded by the bytes left before it sizes anything.
+	if nRuns > uint64(r.remaining()/65) {
+		return nil, fmt.Errorf("%w: run count %d in %d bytes", ErrCorrupt, nRuns, r.remaining())
 	}
-	for i := uint64(0); i < nMatch; i++ {
-		body, err := getAnswerBody(r)
-		if err != nil {
+	if nRuns > 0 {
+		j.Runs = make([]*chain.Answer, nRuns)
+	}
+	for i := range j.Runs {
+		if j.Runs[i], err = getAnswerBody(r); err != nil {
 			return nil, err
 		}
-		j.Matches = append(j.Matches, body)
 	}
-	nUn, err := r.u64()
+	nParts, err := r.u64()
 	if err != nil {
 		return nil, err
 	}
-	if nUn > maxLen {
-		return nil, fmt.Errorf("%w: unmatched count %d", ErrCorrupt, nUn)
+	if nParts > uint64(r.remaining()/40) {
+		return nil, fmt.Errorf("%w: partition count %d in %d bytes", ErrCorrupt, nParts, r.remaining())
 	}
-	for i := uint64(0); i < nUn; i++ {
-		var up join.UnmatchedProof
-		if up.RA, err = r.i64(); err != nil {
+	if nParts > 0 {
+		j.Negatives = make([]join.Negatives, nParts)
+	}
+	for i := range j.Negatives {
+		g := &j.Negatives[i]
+		part := &bloom.Partition{}
+		if part.Lo, err = r.i64(); err != nil {
 			return nil, err
 		}
-		kind, err := r.u8()
+		if part.Hi, err = r.i64(); err != nil {
+			return nil, err
+		}
+		fb, err := r.bytes()
 		if err != nil {
 			return nil, err
 		}
-		switch kind {
-		case unmatchedBloom:
-			part := &bloom.Partition{}
-			if part.Lo, err = r.i64(); err != nil {
-				return nil, err
-			}
-			if part.Hi, err = r.i64(); err != nil {
-				return nil, err
-			}
-			fb, err := r.bytes()
-			if err != nil {
-				return nil, err
-			}
-			if part.Filter, err = bloom.Unmarshal(fb); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			sig, err := r.bytes()
-			if err != nil {
-				return nil, err
-			}
-			up.Partition, up.PartSig = part, sigagg.Signature(sig)
-		case unmatchedBoundary:
-			if up.Boundary, err = getAnswerBody(r); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("%w: bad unmatched proof kind %d", ErrCorrupt, kind)
+		if part.Filter, err = bloom.Unmarshal(fb); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		j.Unmatched = append(j.Unmatched, up)
+		sig, err := r.bytes()
+		if err != nil {
+			return nil, err
+		}
+		g.Partition, g.PartSig = part, sigagg.Signature(sig)
+		nKeys, err := r.u64()
+		if err != nil {
+			return nil, err
+		}
+		if nKeys > uint64(r.remaining()/8) {
+			return nil, fmt.Errorf("%w: key count %d in %d bytes", ErrCorrupt, nKeys, r.remaining())
+		}
+		if nKeys > 0 {
+			g.Keys = make([]int64, nKeys)
+		}
+		for k := range g.Keys {
+			if g.Keys[k], err = r.i64(); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return j, nil
 }

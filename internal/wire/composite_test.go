@@ -83,8 +83,8 @@ func TestLeafCompositeEnvelope(t *testing.T) {
 }
 
 // testComposite is a composite answer with every section present: a
-// projection, a join carrying a match, a Bloom-partition non-match and a
-// boundary non-match, and two summary tails.
+// projection, a join carrying a run with a record, an anchored empty run
+// and two partitions' Bloom negatives, and two summary tails.
 func testComposite(t testing.TB) *Composite {
 	t.Helper()
 	pf, err := bloom.BuildPartitioned([]int64{5, 10, 15, 20}, 2, 8)
@@ -105,21 +105,21 @@ func testComposite(t testing.TB) *Composite {
 		},
 		Join: &join.Answer{
 			Method: join.BF, FilterTS: 77,
-			Matches: []*chain.Answer{{
-				Lo: 5, Hi: 5,
+			Runs: []*chain.Answer{{
+				Lo: 5, Hi: 6,
 				Records: []*chain.Record{{RID: 9, Key: 5, TS: 1}},
 				Left:    chain.MinRef, Right: chain.MaxRef,
 				Agg: sigagg.Signature("m"),
+			}, {
+				Lo: 7, Hi: 7,
+				Anchor:     &chain.Record{RID: 9, Key: 5, TS: 1},
+				AnchorLeft: chain.MinRef,
+				Left:       chain.MinRef, Right: chain.MaxRef,
+				Agg: sigagg.Signature("b"),
 			}},
-			Unmatched: []join.UnmatchedProof{
-				{RA: 6, Partition: &pf.Partitions[0], PartSig: sigagg.Signature("ps")},
-				{RA: 7, Boundary: &chain.Answer{
-					Lo: 7, Hi: 7,
-					Anchor:     &chain.Record{RID: 9, Key: 5, TS: 1},
-					AnchorLeft: chain.MinRef,
-					Left:       chain.MinRef, Right: chain.MaxRef,
-					Agg: sigagg.Signature("b"),
-				}},
+			Negatives: []join.Negatives{
+				{Partition: &pf.Partitions[0], PartSig: sigagg.Signature("ps"), Keys: []int64{8, 9}},
+				{Partition: &pf.Partitions[1], PartSig: sigagg.Signature("pt"), Keys: []int64{16}},
 			},
 		},
 		Tails: []RelTail{

@@ -16,6 +16,7 @@ import (
 	"authdb/internal/chain"
 	"authdb/internal/core"
 	"authdb/internal/freshness"
+	"authdb/internal/join"
 )
 
 // seedFrames returns valid wire encodings to anchor the corpora.
@@ -38,8 +39,16 @@ func seedFrames(t testing.TB) [][]byte {
 		t.Fatal(err)
 	}
 	sums := sys.QS.SummariesSince(0)
+	// Two join sections: runs and Bloom negatives grouped per partition,
+	// and (a BV join) runs alone, stating no filter time.
 	comp := testComposite(t)
 	compBytes, err := AppendCompositeCore(nil, comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runsOnly := testComposite(t)
+	runsOnly.Proj, runsOnly.Join.Method, runsOnly.Join.FilterTS, runsOnly.Join.Negatives = nil, join.BV, 0, nil
+	runsBytes, err := AppendCompositeCore(nil, runsOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +56,7 @@ func seedFrames(t testing.TB) [][]byte {
 		ansBytes,
 		EncodeUpdateMsg(closeMsg),
 		AppendRelTails(compBytes, comp.Tails),
+		AppendRelTails(runsBytes, runsOnly.Tails),
 		AppendBootstrap(nil, 42, sys.QS.Snapshot()),
 		AppendBootstrap(nil, 7, imageStates()[1]), // projection-mode: the §3.4 sideband
 		AppendWalRecord(nil, 11, 15, EncodeUpdateMsg(closeMsg)),
@@ -284,15 +294,11 @@ func FuzzDecodeComposite(f *testing.F) {
 			views = append(views, c.Proj.Agg)
 		}
 		if c.Join != nil {
-			for _, m := range c.Join.Matches {
-				views = chainViews(views, m)
+			for _, run := range c.Join.Runs {
+				views = chainViews(views, run)
 			}
-			for i := range c.Join.Unmatched {
-				if up := &c.Join.Unmatched[i]; up.Boundary != nil {
-					views = chainViews(views, up.Boundary)
-				} else {
-					views = append(views, up.PartSig)
-				}
+			for i := range c.Join.Negatives {
+				views = append(views, c.Join.Negatives[i].PartSig)
 			}
 		}
 		var sums []freshness.Summary
