@@ -17,13 +17,15 @@
 // exact pre-crash state without re-contacting the owner (see
 // DESIGN.md "Durability & recovery").
 //
-// A one-relation catalog also feeds replication: followers started with
-// `authserve follow -primary <addr>` bootstrap a full image off the
-// primary (snapshot + WAL tail) and then mirror its update stream,
-// serving verifying clients themselves. Replication is an availability
-// mechanism only — a follower holds no keys, and clients verify every
-// answer against the owner's signatures no matter which replica
-// produced it (DESIGN.md "Replication & the untrusted fleet").
+// Every relation feeds replication: a follower started with `authserve
+// follow -primary <addr> -catalog <the same list>` subscribes to each
+// one, bootstraps its image off the primary (records, summaries and
+// certified join filter: snapshot + WAL tail) and then mirrors its update
+// stream, serving verifying clients the same plans — joins and
+// projections included — through the same boot path. Replication is an
+// availability mechanism only — a follower holds no keys, and clients
+// verify every answer against the owner's signatures no matter which
+// replica produced it (DESIGN.md "Replication & the untrusted fleet").
 // `authserve query -addr a,b,c` treats the comma-separated list as a
 // fleet: it fails over on faults and quarantines replicas caught
 // misbehaving.
@@ -50,6 +52,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"authdb/internal/client"
@@ -152,141 +155,128 @@ func relKeyRand(keyseed, schemeName, rel string) *detRand {
 	return newDetRand(keyseed + ":" + schemeName + ":" + rel)
 }
 
-// sourceMetrics adapts the primary's replication-hub counters for a
-// scrape.
-func sourceMetrics(src *replica.Source) server.MetricFn {
-	return func(m *server.MetricsBuf) {
-		st := src.Stats()
-		m.Gauge("authdb_repl_streams_active", "Follower streams currently attached.", float64(st.Active))
-		m.Counter("authdb_repl_streams_total", "Follower streams ever started.", st.Streams)
-		m.Counter("authdb_repl_bootstraps_total", "Full catalog images served to followers.", st.Bootstraps)
-		m.Counter("authdb_repl_fanout_total", "Replicated records fanned out across all followers.", st.Fanout)
-		m.Gauge("authdb_repl_last_lsn", "Last LSN published on the feed.", float64(src.LastLSN()))
-	}
-}
-
-// followerMetrics adapts a replica's feed counters for a scrape. Lag
-// is the headline: how many dissemination messages this replica is
-// behind the primary as of the last feed frame.
-func followerMetrics(fl *replica.Follower) server.MetricFn {
-	return func(m *server.MetricsBuf) {
-		st := fl.Stats()
-		m.Gauge("authdb_replica_applied_lsn", "Last dissemination message applied from the feed.", float64(st.AppliedLSN))
-		m.Gauge("authdb_replica_primary_lsn", "Primary's LSN as last observed on the feed.", float64(st.PrimaryLSN))
-		m.Gauge("authdb_replica_lag", "Dissemination messages behind the primary.", float64(st.Lag))
-		m.Counter("authdb_replica_bootstraps_total", "Full catalog images installed.", st.Bootstraps)
-		m.Counter("authdb_replica_records_total", "Replicated records applied.", st.Records)
-		m.Counter("authdb_replica_reconnects_total", "Feed sessions re-established.", st.Reconnects)
-	}
-}
-
-// runFollow runs an untrusted replica: it bootstraps a catalog image
-// from a primary's replication feed, keeps mirroring its update
-// stream, and serves verifying clients exactly as the primary does.
-// The follower holds no signing keys and verifies nothing it applies —
-// replication buys availability only, and every client independently
-// verifies authenticity, completeness, and freshness against the
-// owner's public key regardless of which replica answered.
-func runFollow(args []string) error {
-	fs := flag.NewFlagSet("follow", flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:7855", "listen address for verifying clients")
-	primary := fs.String("primary", "127.0.0.1:7845", "primary server address (replication feed)")
-	schemeName := fs.String("scheme", "bas", "scheme (must match the primary)")
-	keyseed := fs.String("keyseed", "demo", "deterministic demo key seed (must match the primary)")
-	shards := fs.Int("shards", 64, "QueryServer key-range shards")
-	cacheMB := fs.Int64("cache-mb", 64, "answer-cache budget (MiB; 0 = uncached)")
-	maxConns := fs.Int("max-conns", 1024, "concurrent connection cap (0 = unlimited)")
-	idleSec := fs.Int("idle-timeout", 300, "drop connections idle for this many seconds (0 = never)")
-	readSec := fs.Int("read-timeout", 30, "stalled-peer read cutoff (seconds; 0 = never)")
-	writeSec := fs.Int("write-timeout", 30, "stalled-peer write cutoff (seconds; 0 = never)")
-	feedSec := fs.Int("feed-timeout", 10, "redial the primary when the feed stalls this long (seconds)")
-	statsAddr := fs.String("stats-addr", "", "serve Prometheus text metrics at this address (empty = off)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	scheme, err := schemeByName(*schemeName)
+// relKey re-derives relation rel's demo public key and the scheme bound
+// to it.
+func relKey(scheme sigagg.Scheme, keyseed, rel string) (sigagg.Scheme, sigagg.PublicKey, error) {
+	_, pub, err := scheme.KeyGen(relKeyRand(keyseed, scheme.Name(), rel))
 	if err != nil {
-		return err
-	}
-	// The feed carries the primary's one relation, under the default
-	// name. The replica never signs, but its QueryServer builds
-	// aggregation structures under the bound scheme so answers carry the
-	// exact proofs clients expect.
-	_, pub, err := scheme.KeyGen(relKeyRand(*keyseed, *schemeName, core.DefaultRelation))
-	if err != nil {
-		return err
+		return nil, nil, fmt.Errorf("keygen for relation %q: %w", rel, err)
 	}
 	bound, err := sigagg.Bind(scheme, pub)
-	if err != nil {
-		return err
-	}
-	fl, err := replica.NewFollower(replica.FollowerConfig{
-		Scheme:      bound,
-		QSOpts:      []core.Option{core.WithShards(*shards)},
-		ReadTimeout: time.Duration(*feedSec) * time.Second,
-	})
-	if err != nil {
-		return err
-	}
-	if *cacheMB > 0 {
-		// Safe on a replica: cache entries are stamped with the catalog
-		// version, and both Apply and bootstrap Restore advance it.
-		if err := server.EnableCache(fl.QS(), *cacheMB<<20); err != nil {
-			return err
-		}
-	}
+	return bound, pub, err
+}
 
+// sourceMetrics adapts the primary's replication-hub counters for a
+// scrape, one sample per relation under a rel label.
+func sourceMetrics(names []string, srcs []*replica.Source) server.MetricFn {
+	return func(m *server.MetricsBuf) {
+		m.PerRel("authdb_repl_streams_active", "Follower streams currently attached.", "gauge", names, func(i int) uint64 { return uint64(srcs[i].Stats().Active) })
+		m.PerRel("authdb_repl_streams_total", "Follower streams ever started.", "counter", names, func(i int) uint64 { return srcs[i].Stats().Streams })
+		m.PerRel("authdb_repl_bootstraps_total", "Relation images served to followers.", "counter", names, func(i int) uint64 { return srcs[i].Stats().Bootstraps })
+		m.PerRel("authdb_repl_fanout_total", "Replicated records fanned out across all followers.", "counter", names, func(i int) uint64 { return srcs[i].Stats().Fanout })
+		m.PerRel("authdb_repl_last_lsn", "Last LSN published on the feed.", "gauge", names, func(i int) uint64 { return srcs[i].LastLSN() })
+	}
+}
+
+// followerMetrics adapts a replica's feed counters for a scrape, one
+// sample per relation under a rel label. Lag is the headline: how many
+// dissemination messages this replica is behind the primary as of the
+// last feed frame.
+func followerMetrics(names []string, fls []*replica.Follower) server.MetricFn {
+	return func(m *server.MetricsBuf) {
+		m.PerRel("authdb_replica_applied_lsn", "Last dissemination message applied from the feed.", "gauge", names, func(i int) uint64 { return fls[i].AppliedLSN() })
+		m.PerRel("authdb_replica_primary_lsn", "Primary's LSN as last observed on the feed.", "gauge", names, func(i int) uint64 { return fls[i].PrimaryLSN() })
+		m.PerRel("authdb_replica_lag", "Dissemination messages behind the primary.", "gauge", names, func(i int) uint64 { return fls[i].Lag() })
+		m.PerRel("authdb_replica_bootstraps_total", "Relation images installed.", "counter", names, func(i int) uint64 { return fls[i].Stats().Bootstraps })
+		m.PerRel("authdb_replica_records_total", "Replicated records applied.", "counter", names, func(i int) uint64 { return fls[i].Stats().Records })
+		m.PerRel("authdb_replica_reconnects_total", "Feed sessions re-established.", "counter", names, func(i int) uint64 { return fls[i].Stats().Reconnects })
+	}
+}
+
+// bootFollower boots an untrusted replica of the primary's catalog: each
+// relation's query server is a replica.Follower's, which mirrors that
+// relation's feed once its Run is started.
+func bootFollower(f *flags) (*node, []*replica.Follower, error) {
+	var fls []*replica.Follower
+	n, err := boot(f, func(_ int, name string) (*core.QueryServer, error) {
+		// The replica never signs, but its QueryServer builds aggregation
+		// structures under the bound scheme so answers carry the exact
+		// proofs clients expect.
+		bound, _, err := relKey(f.scheme, f.keyseed, name)
+		if err != nil {
+			return nil, err
+		}
+		fl, err := replica.NewFollower(replica.FollowerConfig{
+			Rel:         name,
+			Scheme:      bound,
+			QSOpts:      []core.Option{core.WithShards(f.shards)},
+			ReadTimeout: f.feedTimeout,
+		})
+		if err != nil {
+			return nil, err
+		}
+		fls = append(fls, fl)
+		return fl.QS(), nil
+	})
+	return n, fls, err
+}
+
+// runFollow runs an untrusted replica: it bootstraps every relation of
+// the catalog from the primary's replication feed, keeps mirroring their
+// update streams, and serves verifying clients exactly as the primary
+// does — joins included, since a relation's certified filter is part of
+// its image and of its feed. The follower holds no signing keys and
+// verifies nothing it applies — replication buys availability only, and
+// every client independently verifies authenticity, completeness, and
+// freshness against the owner's public keys regardless of which replica
+// answered.
+func runFollow(args []string) error {
+	f, err := parseFlags("follow", args)
+	if err != nil {
+		return err
+	}
+	n, fls, err := bootFollower(f)
+	if err != nil {
+		return err
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	runDone := make(chan struct{})
-	go func() {
-		defer close(runDone)
-		fl.Run(ctx, *primary)
-	}()
-
-	srv := server.NewNetServer(fl.QS(), server.NetConfig{
-		MaxConns:     *maxConns,
-		IdleTimeout:  time.Duration(*idleSec) * time.Second,
-		ReadTimeout:  time.Duration(*readSec) * time.Second,
-		WriteTimeout: time.Duration(*writeSec) * time.Second,
-	})
-	ln, err := srv.Listen(*addr)
-	if err != nil {
-		return err
+	var feeds sync.WaitGroup
+	for _, fl := range fls {
+		feeds.Add(1)
+		go func() {
+			defer feeds.Done()
+			fl.Run(ctx, f.primary)
+		}()
 	}
-	if *statsAddr != "" {
-		bound, stopStats, err := server.ServeMetrics(*statsAddr, srv.Metrics, followerMetrics(fl), server.VerifyMetrics(scheme))
-		if err != nil {
-			return fmt.Errorf("stats listener: %w", err)
+	fmt.Printf("authserve follow: listening on %s, replicating %v from %s\n", n.ln.Addr(), f.names, f.primary)
+
+	// Wait (bounded) for every relation's bootstrap image so the ready
+	// line means "serving the catalog", then serve until signalled. The
+	// listener is live throughout either way; early clients just see an
+	// empty-relation error and retry.
+	for i, fl := range fls {
+		for tries := 0; tries < 300 && fl.AppliedLSN() == 0; tries++ {
+			time.Sleep(100 * time.Millisecond)
 		}
-		defer stopMetrics(stopStats)
-		fmt.Printf("authserve follow: metrics on http://%s/metrics\n", bound)
-	}
-	fmt.Printf("authserve follow: listening on %s, replicating from %s\n", ln.Addr(), *primary)
-
-	// Wait (bounded) for the bootstrap image so the ready line means
-	// "serving a catalog", then serve until signalled. The listener is
-	// live throughout either way; early clients just see an empty
-	// catalog error and retry.
-	for i := 0; i < 300 && fl.AppliedLSN() == 0; i++ {
-		time.Sleep(100 * time.Millisecond)
-	}
-	if st := fl.Stats(); st.Bootstraps > 0 || st.AppliedLSN > 0 {
-		fmt.Printf("authserve follow: bootstrapped at lsn %d (lag %d)\n", fl.AppliedLSN(), fl.Lag())
-	} else {
-		fmt.Fprintf(os.Stderr, "authserve follow: primary %s not reachable yet; still retrying\n", *primary)
+		if fl.AppliedLSN() > 0 {
+			fmt.Printf("authserve follow: relation %q bootstrapped at lsn %d (lag %d)\n", f.names[i], fl.AppliedLSN(), fl.Lag())
+		} else {
+			fmt.Fprintf(os.Stderr, "authserve follow: primary %s not reachable yet for relation %q; still retrying\n", f.primary, f.names[i])
+		}
 	}
 
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	return serveUntilSignal("authserve follow", srv, serveErr, func() {
+	return n.run("authserve follow", n.metricFns(followerMetrics(f.names, fls)), func() {
 		cancel()
-		<-runDone
+		feeds.Wait()
 	}, func() {
-		st, fst := srv.Stats(), fl.Stats()
-		fmt.Printf("authserve follow: served %s across %d conns; applied %d records, %d bootstraps, %d reconnects, final lag %d\n",
-			requestCounts(st), st.Conns, fst.Records, fst.Bootstraps, fst.Reconnects, fst.Lag)
+		st := n.srv.Stats()
+		fmt.Printf("authserve follow: served %s across %d conns\n", requestCounts(st), st.Conns)
+		for i, fl := range fls {
+			fst := fl.Stats()
+			fmt.Printf("authserve follow: relation %q: applied %d records, %d bootstraps, %d reconnects, final lag %d\n",
+				f.names[i], fst.Records, fst.Bootstraps, fst.Reconnects, fst.Lag)
+		}
 	})
 }
 
@@ -332,16 +322,20 @@ func runQuery(args []string) error {
 	if len(names) == 0 {
 		return fmt.Errorf("-catalog names no relation")
 	}
-	// Re-derive every relation's demo key pair (only the public halves
-	// are used); the session's base key is the first relation's.
+	// Re-derive every relation's demo public key; the session's base key,
+	// and the scheme it verifies under, are the first relation's.
 	relations := make(map[string]sigagg.PublicKey, len(names))
-	for _, name := range names {
-		_, pub, err := scheme.KeyGen(relKeyRand(*keyseed, *schemeName, name))
+	var bound sigagg.Scheme
+	for i, name := range names {
+		b, pub, err := relKey(scheme, *keyseed, name)
 		if err != nil {
-			return fmt.Errorf("keygen for relation %q: %w", name, err)
+			return err
 		}
-		relations[name] = pub
+		if relations[name] = pub; i == 0 {
+			bound = b
+		}
 	}
+	pub := relations[names[0]]
 	if *rel == "" {
 		*rel = names[0]
 	}
@@ -365,11 +359,6 @@ func runQuery(args []string) error {
 		}
 	}
 
-	pub := relations[names[0]]
-	bound, err := sigagg.Bind(scheme, pub)
-	if err != nil {
-		return err
-	}
 	addrs := splitList(*addr)
 	// A one-element fleet behaves exactly like a plain Dial; with more,
 	// the client fails over on faults and quarantines any replica whose

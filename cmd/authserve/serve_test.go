@@ -21,11 +21,11 @@ import (
 // snapshot).
 func bootTest(t *testing.T, args ...string) (*catalogServer, func()) {
 	t.Helper()
-	f, err := parseServeFlags(append([]string{"-addr", "127.0.0.1:0", "-scheme", "xortest", "-keyseed", "t", "-update-every", "0"}, args...))
+	f, err := parseFlags("serve", append([]string{"-addr", "127.0.0.1:0", "-scheme", "xortest", "-keyseed", "t", "-update-every", "0"}, args...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := boot(f)
+	s, err := bootPrimary(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +55,11 @@ func beats(t *testing.T, s *catalogServer, n int) {
 	}
 }
 
-// clientQuery runs the real `authserve query` against s.
-func clientQuery(s *catalogServer, args ...string) error {
-	return runQuery(append([]string{"-addr", s.srv.Addr().String(), "-scheme", "xortest", "-keyseed", "t",
-		"-catalog", strings.Join(s.f.names, ",")}, args...))
+// clientQuery runs the real `authserve query` against n, a primary's
+// node or a follower's.
+func clientQuery(n *node, args ...string) error {
+	return runQuery(append([]string{"-addr", n.srv.Addr().String(), "-scheme", "xortest", "-keyseed", "t",
+		"-catalog", strings.Join(n.f.names, ",")}, args...))
 }
 
 // TestCatalogRecoversPerRelation: a two-relation catalog comes back
@@ -74,7 +75,7 @@ func TestCatalogRecoversPerRelation(t *testing.T) {
 	if want[1] != 300/3+4 {
 		t.Fatalf("inner relation holds %d records, want the load plus 4 dripped keys", want[1])
 	}
-	ts := s.ts()
+	ts, lsns := s.ts(), [2]uint64{s.rts[0].LSN(), s.rts[1].LSN()}
 	stop()
 
 	s, _ = bootTest(t, args...)
@@ -84,6 +85,15 @@ func TestCatalogRecoversPerRelation(t *testing.T) {
 	if s.ts() != ts {
 		t.Fatalf("recovered at ts %d, want %d", s.ts(), ts)
 	}
+	// The inner relation's certified filter came back with it: boot logged
+	// (so signed) nothing, and a BF join verifies before the writer's next
+	// re-certification.
+	if got := [2]uint64{s.rts[0].LSN(), s.rts[1].LSN()}; got != lsns {
+		t.Fatalf("boot after recovery moved the relations to lsn %v, want %v", got, lsns)
+	}
+	if err := clientQuery(s.node, "-join", "i", "-method", "bf", "-lo", "100", "-hi", "2500"); err != nil {
+		t.Fatalf("BF join on the recovered catalog, before any re-certification: %v", err)
+	}
 	beats(t, s, 7) // the recovered owners keep certifying
 	for _, q := range [][]string{
 		{"-join", "i", "-method", "bf", "-attrs", "0", "-lo", "100", "-hi", "2500", "-count", "2"},
@@ -92,10 +102,92 @@ func TestCatalogRecoversPerRelation(t *testing.T) {
 		{"-rel", "i", "-lo", "0", "-hi", "5000"},
 		{"-lo", "0", "-hi", "5000"},
 	} {
-		if err := clientQuery(s, q...); err != nil {
+		if err := clientQuery(s.node, q...); err != nil {
 			t.Errorf("query %v after recovery: %v", q, err)
 		}
 	}
+}
+
+// TestFollowServesCatalog: `authserve follow -catalog o,i` is the same
+// boot over the same catalog, fed by the primary's per-relation feeds: it
+// answers a BF join, a BV join and a projection — each verified by the
+// real client — from its bootstrap images, and again after the writer's
+// re-certified filter and dripped inner key arrived over the feed.
+func TestFollowServesCatalog(t *testing.T) {
+	s, _ := bootTest(t, "-catalog", "o,i", "-n", "300", "-summary-every", "5")
+	beats(t, s, 12)
+
+	f, err := parseFlags("follow", []string{"-addr", "127.0.0.1:0", "-scheme", "xortest", "-keyseed", "t", "-catalog", "o,i",
+		"-primary", s.srv.Addr().String(), "-feed-timeout", "2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, fls, err := bootFollower(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var feeds sync.WaitGroup
+	for _, fl := range fls {
+		feeds.Add(1)
+		go func() {
+			defer feeds.Done()
+			fl.Run(ctx, f.primary)
+		}()
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- n.srv.Serve(n.ln) }()
+	t.Cleanup(func() {
+		cancel()
+		feeds.Wait()
+		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer scancel()
+		n.srv.Shutdown(sctx)
+		<-serveErr
+	})
+	caughtUp := func() {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for i, fl := range fls {
+			for fl.AppliedLSN() != s.srcs[i].LastLSN() {
+				if time.Now().After(deadline) {
+					t.Fatalf("follower of %q stuck at lsn %d, primary at %d", f.names[i], fl.AppliedLSN(), s.srcs[i].LastLSN())
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
+	}
+	queries := func(when string) {
+		t.Helper()
+		for _, q := range [][]string{
+			{"-join", "i", "-method", "bf", "-attrs", "0", "-lo", "100", "-hi", "2500", "-count", "2"},
+			{"-join", "i", "-method", "bv", "-lo", "100", "-hi", "900"},
+			{"-attrs", "0,1", "-lo", "100", "-hi", "2500"},
+			{"-rel", "i", "-lo", "0", "-hi", "5000"},
+		} {
+			if err := clientQuery(n, q...); err != nil {
+				t.Errorf("query %v against the follower, %s: %v", q, when, err)
+			}
+		}
+	}
+	caughtUp()
+	for i, fl := range fls {
+		if st := fl.Stats(); st.Bootstraps != 1 || st.Records != 0 {
+			t.Fatalf("follower of %q: %+v, want everything from one image", f.names[i], st)
+		}
+	}
+	queries("from its bootstrap images")
+	beats(t, s, 10) // two period closes: two dripped inner keys, two re-certifications
+	caughtUp()
+	if st := fls[1].Stats(); st.Bootstraps != 1 || st.Records == 0 {
+		t.Fatalf("inner follower: %+v, want the re-certifications applied off the feed", st)
+	}
+	if pfc, _ := s.rts[1].QS.Filter(); pfc == nil {
+		t.Fatal("primary holds no filter for the inner relation")
+	} else if ffc, _ := fls[1].QS().Filter(); ffc == nil || ffc.TS != pfc.TS {
+		t.Fatalf("follower's filter %+v, primary's certified at %d", ffc, pfc.TS)
+	}
+	queries("after re-certifications over the feed")
 }
 
 // TestCatalogSnapshotStampedAtItsCut: every relation of a catalog takes
@@ -182,7 +274,7 @@ func TestCatalogNetFlagsTakeEffect(t *testing.T) {
 	}
 
 	// 64 bytes fit a range request but not a plan projecting 100 slots.
-	err = clientQuery(s, "-attrs", strings.TrimSuffix(strings.Repeat("0,", 100), ","), "-lo", "0", "-hi", "10")
+	err = clientQuery(s.node, "-attrs", strings.TrimSuffix(strings.Repeat("0,", 100), ","), "-lo", "0", "-hi", "10")
 	if err == nil || s.srv.Stats().Malformed == 0 {
 		t.Fatalf("a frame over -max-frame was served (err %v, malformed %d)", err, s.srv.Stats().Malformed)
 	}
@@ -201,13 +293,13 @@ func TestCatalogMetricsCoverEveryStore(t *testing.T) {
 	s, _ := bootTest(t, "-catalog", "o,i", "-n", "60", "-data", t.TempDir())
 	beats(t, s, 20)
 	out := scrape(s)
-	for _, want := range []string{`authdb_wal_last_lsn{rel="o"} 22`, `authdb_wal_last_lsn{rel="i"} 3`, `authdb_wal_durable_lsn{rel="i"}`, "authdb_query_plans_total", "authdb_query_stamp_shards_total"} {
+	for _, want := range []string{`authdb_wal_last_lsn{rel="o"} 22`, `authdb_wal_last_lsn{rel="i"} 5`, `authdb_wal_durable_lsn{rel="i"}`, `authdb_repl_last_lsn{rel="o"} 22`, `authdb_repl_last_lsn{rel="i"} 5`, "authdb_query_plans_total", "authdb_query_stamp_shards_total"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape lacks %q:\n%s", want, out)
 		}
 	}
 	mem, _ := bootTest(t, "-n", "60")
-	if out := scrape(mem); strings.Contains(out, "authdb_wal_") || !strings.Contains(out, "authdb_repl_last_lsn 1") {
+	if out := scrape(mem); strings.Contains(out, "authdb_wal_") || !strings.Contains(out, `authdb_repl_last_lsn{rel="r"} 1`) {
 		t.Errorf("in-memory one-relation scrape should carry the feed's gauges and no WAL ones:\n%s", out)
 	}
 }

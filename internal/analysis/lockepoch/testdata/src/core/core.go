@@ -1,5 +1,5 @@
 // Fixtures for the lockepoch analyzer: epoch counters (fields named
-// epochs / sumEpoch) may only Add under a structurally-held write lock,
+// epochs / sumEpoch / filterEpoch) may only Add under a structurally-held write lock,
 // and may never Store. badBump is the historical shape the PR 3 cache
 // design guards against: a bump outside the critical section lets a
 // reader stamp an answer with a stale epoch and revalidate it forever.
@@ -15,6 +15,10 @@ type QS struct {
 	shardMu  []sync.RWMutex
 	epochs   []atomic.Uint64
 	sumEpoch atomic.Uint64
+
+	routing     sync.Mutex
+	filter      atomic.Pointer[int]
+	filterEpoch atomic.Uint64
 }
 
 func (qs *QS) goodBump(i int) {
@@ -76,4 +80,23 @@ func (qs *QS) unlockThenBump() {
 	qs.mu.Lock()
 	qs.mu.Unlock()
 	qs.sumEpoch.Add(1) // want `advanced outside a write-lock critical section`
+}
+
+// goodFilterInstall is the one way a re-certified filter is published:
+// pointer stored, then the epoch advanced, under the lock that serializes
+// updates.
+func (qs *QS) goodFilterInstall(fc *int) {
+	qs.routing.Lock()
+	defer qs.routing.Unlock()
+	qs.filter.Store(fc) // not an epoch: Store is how a pointer is published
+	qs.filterEpoch.Add(1)
+}
+
+// badFilterReset rewinds the epoch with the filter: an answer stamped under
+// an earlier filter at the same count would validate again.
+func (qs *QS) badFilterReset() {
+	qs.routing.Lock()
+	defer qs.routing.Unlock()
+	qs.filter.Store(nil)
+	qs.filterEpoch.Store(0) // want `filterEpoch is a monotonic epoch counter`
 }

@@ -19,6 +19,7 @@ import (
 
 	"authdb/internal/chain"
 	"authdb/internal/freshness"
+	"authdb/internal/join"
 	"authdb/internal/sigagg"
 )
 
@@ -42,13 +43,15 @@ type SignedRecord struct {
 }
 
 // UpdateMsg is one dissemination unit from the DataAggregator: fresh or
-// re-signed records (including chaining neighbours), deletions, and —
-// when a ρ-period closes — the certified summary.
+// re-signed records (including chaining neighbours), deletions, — when a
+// ρ-period closes — the certified summary, and — when the owner
+// re-certifies it — the Bloom filter on the key attribute (§3.5).
 type UpdateMsg struct {
 	TS      int64
 	Upserts []SignedRecord
 	Deletes []uint64 // rids removed from the relation
 	Summary *freshness.Summary
+	Filter  *join.FilterCert
 }
 
 // Config selects the protocol parameters (Table 2 defaults via

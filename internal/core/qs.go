@@ -10,6 +10,7 @@ import (
 	"authdb/internal/btree"
 	"authdb/internal/chain"
 	"authdb/internal/freshness"
+	"authdb/internal/join"
 	"authdb/internal/sigagg"
 	"authdb/internal/storage"
 )
@@ -135,6 +136,14 @@ type QueryServer struct {
 	epochs   []atomic.Uint64
 	sumEpoch atomic.Uint64
 
+	// filter is the owner-certified Bloom filter on the key attribute
+	// (§3.5; nil until one is disseminated) and filterEpoch its version.
+	// Apply and Restore store the pointer and then bump the epoch, under
+	// routing; Filter loads them in the opposite order, so a stamp never
+	// claims a newer filter than the one read beside it.
+	filter      atomic.Pointer[join.FilterCert]
+	filterEpoch atomic.Uint64
+
 	// serving holds the answer-cache state when EnableAnswerCache has
 	// been called (atomic so enabling races nothing).
 	serving atomic.Pointer[servingState]
@@ -204,6 +213,14 @@ func (qs *QueryServer) KeyEpoch(key int64) (shard int, epoch uint64) {
 // SummaryEpoch implements anscache.EpochSource: the version counter of
 // the certified-summary stream.
 func (qs *QueryServer) SummaryEpoch() uint64 { return qs.sumEpoch.Load() }
+
+// Filter returns the relation's certified filter (nil if the owner has
+// disseminated none) and the epoch an answer built from it is stamped
+// with.
+func (qs *QueryServer) Filter() (*join.FilterCert, uint64) {
+	epoch := qs.filterEpoch.Load()
+	return qs.filter.Load(), epoch
+}
 
 func newShard(scheme sigagg.Scheme) *shard {
 	return &shard{
@@ -401,6 +418,9 @@ func (qs *QueryServer) bulkFill(entries []aggtree.Entry, recs map[int64]*Record,
 // Messages from the single-writer DA are serialized; queries touching
 // disjoint shards proceed concurrently.
 func (qs *QueryServer) Apply(msg *UpdateMsg) error {
+	if fc := msg.Filter; fc != nil && (fc.PF == nil || len(fc.Sigs) != fc.PF.P()) {
+		return fmt.Errorf("core: filter certificate with %d signatures does not match its partitions", len(fc.Sigs))
+	}
 	if err := qs.maybeSeed(msg); err != nil {
 		return err
 	}
@@ -495,7 +515,19 @@ func (qs *QueryServer) Apply(msg *UpdateMsg) error {
 		qs.keyOf[rec.RID] = rec.Key
 	}
 	qs.appendSummary(msg.Summary)
+	qs.setFilter(msg.Filter)
 	return nil
+}
+
+// setFilter installs a re-certified filter, retiring every cached answer
+// built from the one before.
+//
+//authlint:locked the caller (Apply) holds routing
+func (qs *QueryServer) setFilter(fc *join.FilterCert) {
+	if fc != nil {
+		qs.filter.Store(fc)
+		qs.filterEpoch.Add(1)
+	}
 }
 
 // appendSummary installs a certified summary if it advances the stream.
@@ -549,5 +581,6 @@ func (qs *QueryServer) applyBulk(msg *UpdateMsg) error {
 		qs.epochs[i].Add(1)
 	}
 	qs.appendSummary(msg.Summary)
+	qs.setFilter(msg.Filter)
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"authdb/internal/btree"
 	"authdb/internal/freshness"
+	"authdb/internal/join"
 	"authdb/internal/storage"
 )
 
@@ -152,13 +153,15 @@ func fullRecord(sr *SignedRecord) *Record {
 
 // ServerState is the QueryServer's durable state: the signed records in
 // key order (each with its §3.4 sideband, for a projection-mode
-// relation) and the certified summary stream — what a relation image
-// (wire.AppendImage: the snapshot file's and the bootstrap frame's)
-// carries. Shard topology, epochs and caches are runtime artifacts
-// rebuilt on restore.
+// relation), the certified summary stream and the certified filter on
+// the key attribute (§3.5; nil if none was disseminated) — what a
+// relation image (wire.AppendImage: the snapshot file's and the bootstrap
+// frame's) carries. Shard topology, epochs and caches are runtime
+// artifacts rebuilt on restore.
 type ServerState struct {
 	Records   []SignedRecord // key-ascending, current signature each
 	Summaries []freshness.Summary
+	Filter    *join.FilterCert
 }
 
 // Snapshot extracts a consistent cut of the server: every shard's read
@@ -189,6 +192,7 @@ func (qs *QueryServer) Snapshot() *ServerState {
 	qs.sumMu.RLock()
 	st.Summaries = append([]freshness.Summary(nil), qs.summaries...)
 	qs.sumMu.RUnlock()
+	st.Filter = qs.filter.Load()
 	for _, sh := range qs.shards {
 		sh.mu.RUnlock()
 	}
@@ -199,9 +203,9 @@ func (qs *QueryServer) Snapshot() *ServerState {
 // the shard topology, B+-trees and aggregation trees bottom-up through
 // the same bulk path an initial load takes. It is safe on a live,
 // non-empty server: the whole swap happens under the exclusive topology
-// lock, every data epoch and the summary epoch are bumped — never reset
-// — so answer-cache entries stamped before the restore can never be
-// served again.
+// lock, every data epoch, the summary epoch and the filter epoch are
+// bumped — never reset — so cache entries stamped before the restore can
+// never be served again.
 func (qs *QueryServer) Restore(st *ServerState) error {
 	for i := 1; i < len(st.Records); i++ {
 		if st.Records[i].Rec.Key <= st.Records[i-1].Rec.Key {
@@ -245,5 +249,7 @@ func (qs *QueryServer) Restore(st *ServerState) error {
 	qs.summaries = append([]freshness.Summary(nil), st.Summaries...)
 	qs.sumEpoch.Add(1)
 	qs.sumMu.Unlock()
+	qs.filter.Store(st.Filter)
+	qs.filterEpoch.Add(1)
 	return nil
 }

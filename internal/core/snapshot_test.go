@@ -144,3 +144,70 @@ func TestApplySummaryIdempotent(t *testing.T) {
 		t.Fatalf("summary stream holds %d entries after re-delivery, want 1", len(sums))
 	}
 }
+
+// TestFilterIsRelationState: the certified Bloom filter reaches a server
+// in a dissemination message and leaves it in a snapshot, like a summary.
+// Each installation — an Apply carrying one, any Restore — advances the
+// filter epoch and nothing else does; a certificate whose signatures do
+// not match its partitions is refused before it can be served.
+func TestFilterIsRelationState(t *testing.T) {
+	sys := newSystem(t, xortest.New())
+	load(t, sys, 64)
+	if fc, _ := sys.QS.Filter(); fc != nil {
+		t.Fatalf("a server nobody disseminated a filter to holds %+v", fc)
+	}
+	epochs := []uint64{}
+	step := func(what string, wantBump bool) {
+		t.Helper()
+		_, e := sys.QS.Filter()
+		if n := len(epochs); n > 0 && (e > epochs[n-1]) != wantBump {
+			t.Fatalf("%s: filter epoch %d → %d", what, epochs[n-1], e)
+		}
+		epochs = append(epochs, e)
+	}
+	step("load", false)
+
+	fc, err := sys.DA.CertifyFilter(8, 8, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.QS.Apply(&UpdateMsg{TS: 50, Filter: fc}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := sys.QS.Filter(); got != fc {
+		t.Fatal("the disseminated filter is not the one served")
+	}
+	step("apply with a filter", true)
+
+	msg, err := sys.DA.Update(10, [][]byte{[]byte("u")}, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.QS.Apply(msg); err != nil {
+		t.Fatal(err)
+	}
+	step("apply without one", false)
+
+	short := *fc
+	short.Sigs = fc.Sigs[1:]
+	if err := sys.QS.Apply(&UpdateMsg{TS: 70, Filter: &short}); err == nil {
+		t.Fatal("a certificate with a signature short of its partitions was installed")
+	}
+	step("refused certificate", false)
+
+	st := sys.QS.Snapshot()
+	if st.Filter != fc {
+		t.Fatal("the snapshot does not carry the filter")
+	}
+	mirror := NewQueryServer(sys.Scheme)
+	if err := mirror.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if got, e := mirror.Filter(); got != fc || e == 0 {
+		t.Fatalf("restored server serves filter %p at epoch %d, want %p past 0", got, e, fc)
+	}
+	if err := sys.QS.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	step("restore", true)
+}

@@ -171,25 +171,11 @@ func partitionCertDigest(p *bloom.Partition, ts int64) digest.Digest {
 	return w.Sum()
 }
 
-// CertifyFilter builds and signs a partitioned Bloom filter over the
-// relation's join attribute.
+// CertifyFilter is CertifyKeys over a materialized relation's join
+// attribute.
 func CertifyFilter(scheme sigagg.Scheme, priv sigagg.PrivateKey, rel *Relation,
 	valuesPerPartition int, bitsPerKey float64, ts int64) (*FilterCert, error) {
-
-	pf, err := bloom.BuildPartitioned(rel.Keys(), valuesPerPartition, bitsPerKey)
-	if err != nil {
-		return nil, err
-	}
-	fc := &FilterCert{PF: pf, TS: ts, Sigs: make([]sigagg.Signature, pf.P())}
-	for i := range pf.Partitions {
-		d := partitionCertDigest(&pf.Partitions[i], ts)
-		sig, err := scheme.Sign(priv, d[:])
-		if err != nil {
-			return nil, fmt.Errorf("join: certify partition %d: %w", i, err)
-		}
-		fc.Sigs[i] = sig
-	}
-	return fc, nil
+	return CertifyKeys(sigagg.NewPool(scheme, 0), priv, rel.Keys(), valuesPerPartition, bitsPerKey, ts)
 }
 
 // CertifyKeys builds and signs a partitioned Bloom filter directly over

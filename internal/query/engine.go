@@ -23,15 +23,13 @@ import (
 // invalidated exactly like answers built against old data.
 const FilterShard = -1
 
-// relView is one relation as the executor sees it: the query server
-// plus the owner-certified Bloom filter on its key attribute.
+// relView is one relation as the executor sees it: its name and its
+// query server, which holds everything the relation serves — the
+// owner-certified Bloom filter on its key attribute (QueryServer.Filter)
+// included.
 type relView struct {
 	name string
 	qs   *core.QueryServer
-
-	mu      sync.RWMutex
-	fc      *join.FilterCert
-	fcEpoch atomic.Uint64
 }
 
 // Engine executes plan trees over a catalog of authenticated relations
@@ -102,22 +100,15 @@ func (e *Engine) AddRelation(name string, qs *core.QueryServer) error {
 	return nil
 }
 
-// SetFilter installs (or replaces) the owner-certified Bloom filter for
-// a relation's key attribute and bumps its filter epoch, invalidating
-// every cached BF join answer built against the previous filter.
+// SetFilter delivers a re-certified filter to the named relation's server
+// as the dissemination message the owner's pipeline would carry it in
+// (wal.Runtime.Deliver logs and replicates it too).
 func (e *Engine) SetFilter(name string, fc *join.FilterCert) error {
-	if fc == nil {
-		return fmt.Errorf("query: nil filter certificate")
-	}
 	rv, err := e.rel(name)
 	if err != nil {
 		return err
 	}
-	rv.mu.Lock()
-	rv.fc = fc
-	rv.fcEpoch.Add(1)
-	rv.mu.Unlock()
-	return nil
+	return rv.qs.Apply(&core.UpdateMsg{Filter: fc})
 }
 
 // Filter returns the relation's current certified filter (nil if none).
@@ -126,9 +117,8 @@ func (e *Engine) Filter(name string) *join.FilterCert {
 	if err != nil {
 		return nil
 	}
-	rv.mu.RLock()
-	defer rv.mu.RUnlock()
-	return rv.fc
+	fc, _ := rv.qs.Filter()
+	return fc
 }
 
 func (e *Engine) rel(name string) (*relView, error) {
@@ -170,7 +160,8 @@ func (e *Engine) RelDataEpoch(rel string, shard int) uint64 {
 		return math.MaxUint64
 	}
 	if shard == FilterShard {
-		return rv.fcEpoch.Load()
+		_, epoch := rv.qs.Filter()
+		return epoch
 	}
 	if shard < 0 || shard >= rv.qs.Shards() {
 		return math.MaxUint64
@@ -296,10 +287,8 @@ func (e *Engine) exec(s *shape) (*Result, anscache.Stamp, error) {
 		if inner, err = e.rel(s.jn.Right.Rel); err != nil {
 			return nil, zero, err
 		}
-		inner.mu.RLock()
-		fc = inner.fc
-		fcEpoch := inner.fcEpoch.Load()
-		inner.mu.RUnlock()
+		var fcEpoch uint64
+		fc, fcEpoch = inner.qs.Filter()
 		if s.jn.Method == join.BF && fc == nil {
 			return nil, zero, fmt.Errorf("query: BF join against %q without a certified filter", inner.name)
 		}

@@ -17,6 +17,9 @@ import (
 
 // FollowerConfig parameterizes a replica follower.
 type FollowerConfig struct {
+	// Rel names the primary's relation to mirror (empty =
+	// core.DefaultRelation).
+	Rel string
 	// Scheme is the (bound) signature scheme of the catalog; required.
 	// The follower never verifies — it inherits the scheme only so its
 	// QueryServer can build aggregation structures.
@@ -74,6 +77,9 @@ type Follower struct {
 func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Scheme == nil {
 		return nil, fmt.Errorf("replica: scheme is required")
+	}
+	if cfg.Rel == "" {
+		cfg.Rel = core.DefaultRelation
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
@@ -232,7 +238,7 @@ func (f *Follower) session(ctx context.Context, addr string) error {
 		conn.Close()
 	}()
 
-	req := wire.AppendReplSubReq(wire.GetBuffer(), f.applied.Load())
+	req := wire.AppendReplSubReq(wire.GetBuffer(), f.cfg.Rel, f.applied.Load())
 	werr := wire.WriteFrame(conn, req)
 	wire.PutBuffer(req)
 	if werr != nil {
@@ -271,8 +277,10 @@ func (f *Follower) apply(frame []byte) error {
 		if err := f.qs.Restore(st); err != nil {
 			return err
 		}
+		// An image restarts the history: both positions are the image's,
+		// even when that is behind where another history had reached.
 		f.applied.Store(lsn)
-		f.observePrimary(lsn)
+		f.primary.Store(lsn)
 		f.bootstraps.Add(1)
 		return nil
 	case wire.KindReplRecord:

@@ -10,9 +10,11 @@ import (
 
 	"authdb/internal/client"
 	"authdb/internal/core"
+	"authdb/internal/join"
 	"authdb/internal/query"
 	"authdb/internal/replica"
 	"authdb/internal/server"
+	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
 	"authdb/internal/wal"
 	"authdb/internal/wire"
@@ -65,7 +67,7 @@ func newPrimary(t *testing.T, n int, withLog bool, daOpts ...core.DAOption) (*pr
 	f.publish(t, msg)
 
 	f.srv = server.NewNetServer(sys.QS, server.NetConfig{})
-	f.srv.EnableReplication(f.src)
+	f.srv.EnableReplication(core.DefaultRelation, f.src)
 	ln, err := f.srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -401,5 +403,244 @@ func TestFollowerServesVerifyingClient(t *testing.T) {
 	waitUntil(t, "catch-up after update", func() bool { return caughtUp(f, fl) })
 	if _, _, err := cl.QueryBatch(ranges); err != nil {
 		t.Fatalf("verified post-update query: %v", err)
+	}
+}
+
+// TestFollowerAheadOfPrimaryRebootstraps: an in-memory primary that
+// restarts begins its LSNs again, so a follower of the previous
+// incarnation subscribes from a position past anything the new one has
+// published. That position names nothing in the new history: the follower
+// must be imaged again — not left unfed until the new LSNs overtake its
+// old one, then fed records of a history it never held.
+func TestFollowerAheadOfPrimaryRebootstraps(t *testing.T) {
+	old, shutdownOld := newPrimary(t, 200, false)
+	fl := newTestFollower(t, old)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); fl.Run(ctx, old.addr) }()
+	waitUntil(t, "catch-up", func() bool { return caughtUp(old, fl) })
+	for i := 0; i < 6; i++ {
+		old.update(t, old.keys[i])
+	}
+	waitUntil(t, "live tail", func() bool { return caughtUp(old, fl) })
+	cancel()
+	<-done
+	shutdownOld()
+
+	f, shutdown := newPrimary(t, 150, false)
+	defer shutdown()
+	if ahead, at := fl.AppliedLSN(), f.src.LastLSN(); ahead <= at {
+		t.Fatalf("follower at lsn %d, restarted primary at %d: test setup broken", ahead, at)
+	}
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	go fl.Run(ctx2, f.addr)
+	waitUntil(t, "re-bootstrap onto the new history", func() bool { return caughtUp(f, fl) })
+	if b := fl.Stats().Bootstraps; b != 2 {
+		t.Fatalf("bootstraps = %d, want one per primary incarnation", b)
+	}
+	f.update(t, f.keys[3])
+	waitUntil(t, "live tail of the new history", func() bool { return caughtUp(f, fl) })
+	if fl.Lag() != 0 || fl.PrimaryLSN() != f.src.LastLSN() {
+		t.Fatalf("lag %d, primary lsn %d observed; the new primary is at %d", fl.Lag(), fl.PrimaryLSN(), f.src.LastLSN())
+	}
+	cl := dialFollower(t, f, fl)
+	if _, _, err := cl.Query(f.keys[0], f.keys[20]); err != nil {
+		t.Fatalf("verified query against the re-imaged follower: %v", err)
+	}
+}
+
+// joinFleet is a two-relation primary — "o" (every key, projection-mode)
+// and "i" (every third key, with a certified filter) — feeding a replica
+// that mirrors both relations behind one caching planner.
+type joinFleet struct {
+	rels [2]*core.Relation // o, i
+	rts  [2]*wal.Runtime
+	srcs [2]*replica.Source
+	fls  [2]*replica.Follower
+	eng  *query.Engine // the replica's
+	cl   *client.Client
+	ts   int64
+}
+
+var joinFleetNames = [2]string{"o", "i"}
+
+func newJoinFleet(t *testing.T, withLog bool) *joinFleet {
+	t.Helper()
+	cat, err := core.NewCatalog(xortest.New(), core.DefaultConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jf := &joinFleet{ts: 1, eng: query.NewEngine()}
+	for i, name := range joinFleetNames {
+		var daOpts []core.DAOption
+		if i == 0 {
+			daOpts = append(daOpts, core.WithAttrSigning())
+		}
+		rel, err := cat.AddRelation(name, nil, daOpts, []core.Option{core.WithShards(4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var store *wal.Store
+		if withLog {
+			if store, err = wal.Open(t.TempDir(), wal.Options{NoSync: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		jf.rels[i], jf.rts[i] = rel, wal.NewRuntime(rel.DA, rel.QS, store, 0)
+		jf.srcs[i] = replica.NewSource(jf.rts[i], replica.SourceConfig{Heartbeat: 20 * time.Millisecond})
+		var recs []*core.Record
+		for k := int64(1); k <= 120; k++ {
+			if i == 0 || k%3 == 0 {
+				recs = append(recs, &core.Record{Key: 10 * k, Attrs: [][]byte{[]byte(fmt.Sprintf("%s-%d", name, k))}})
+			}
+		}
+		// Through Deliver, so a WAL-backed primary's log is its whole history.
+		jf.deliver(t, i)(rel.DA.Load(recs, jf.ts))
+		t.Cleanup(func() { jf.rts[i].Close() })
+	}
+	jf.certify(t)
+	psrv := server.NewNetServer(jf.rels[0].QS, server.NetConfig{})
+	for i, name := range joinFleetNames {
+		psrv.EnableReplication(name, jf.srcs[i])
+	}
+	pln, err := psrv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go psrv.Serve(pln)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	for i, name := range joinFleetNames {
+		fl, err := replica.NewFollower(replica.FollowerConfig{
+			Rel: name, Scheme: jf.rels[i].Scheme, QSOpts: []core.Option{core.WithShards(4)},
+			ReadTimeout: 2 * time.Second, RetryBase: 10 * time.Millisecond, RetryMax: 100 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jf.eng.AddRelation(name, fl.QS()); err != nil {
+			t.Fatal(err)
+		}
+		jf.fls[i] = fl
+		go fl.Run(ctx, pln.Addr().String())
+	}
+	fsrv := server.NewNetServer(jf.fls[0].QS(), server.NetConfig{})
+	fsrv.EnablePlans(jf.eng)
+	fln, err := fsrv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go fsrv.Serve(fln)
+	jf.cl, err = client.Dial(fln.Addr().String(), client.Config{
+		Scheme: jf.rels[0].Scheme, Pub: jf.rels[0].Pub,
+		Relations: map[string]sigagg.PublicKey{"o": jf.rels[0].Pub, "i": jf.rels[1].Pub},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		jf.cl.Close()
+		cancel()
+		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer scancel()
+		fsrv.Shutdown(sctx)
+		psrv.Shutdown(sctx)
+	})
+	return jf
+}
+
+// deliver routes relation i's next message through its runtime.
+func (jf *joinFleet) deliver(t *testing.T, i int) func(*core.UpdateMsg, error) {
+	return func(msg *core.UpdateMsg, err error) {
+		t.Helper()
+		if err == nil {
+			err = jf.rts[i].Deliver(msg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// certify closes a period on both relations and re-certifies the inner
+// relation's filter at the close, as authserve's writer does.
+func (jf *joinFleet) certify(t *testing.T) {
+	t.Helper()
+	jf.ts++
+	for i, rel := range jf.rels {
+		jf.deliver(t, i)(rel.DA.ClosePeriod(jf.ts))
+	}
+	fc, err := jf.rels[1].DA.CertifyFilter(8, 8, jf.ts)
+	jf.deliver(t, 1)(&core.UpdateMsg{TS: jf.ts, Filter: fc}, err)
+}
+
+func (jf *joinFleet) waitCaughtUp(t *testing.T) {
+	t.Helper()
+	waitUntil(t, "both relations caught up", func() bool {
+		return jf.fls[0].AppliedLSN() == jf.srcs[0].LastLSN() && jf.fls[1].AppliedLSN() == jf.srcs[1].LastLSN()
+	})
+}
+
+// TestFollowerServesJoins: a relation's certified filter is part of the
+// relation, so a follower holds it — through its bootstrap image when the
+// primary has no log to tail, through the log's records when it has — and
+// a verifying client's BV and BF joins against the follower close. A
+// re-certification then reaches the follower over 'W' like any message:
+// the next BF answer is dated by it and the cached plan is retired.
+func TestFollowerServesJoins(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		withLog bool
+	}{{"image", false}, {"log tail", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			jf := newJoinFleet(t, tc.withLog)
+			jf.waitCaughtUp(t)
+			for i, fl := range jf.fls {
+				if st := fl.Stats(); (st.Bootstraps == 0) == !tc.withLog || (st.Records == 0) == tc.withLog {
+					t.Fatalf("follower of %q caught up by %+v, want the %s path", joinFleetNames[i], st, tc.name)
+				}
+			}
+			ask := func(method join.Method) *wire.Composite {
+				t.Helper()
+				comp, err := jf.cl.QueryPlan(&query.Spec{Rel: "o", Lo: 100, Hi: 900, Attrs: []int{0}, Join: &query.JoinSpec{Rel: "i", Method: method}})
+				if err != nil {
+					t.Fatalf("verified %v join against the follower: %v", method, err)
+				}
+				if comp.Join == nil || len(comp.Join.Runs) == 0 || comp.Proj == nil {
+					t.Fatalf("%v join answer lacks a section: %+v", method, comp)
+				}
+				return comp
+			}
+			if comp := ask(join.BV); len(comp.Join.Negatives) != 0 {
+				t.Fatalf("BV join carries %d Bloom negatives", len(comp.Join.Negatives))
+			}
+			first := ask(join.BF)
+			if len(first.Join.Negatives) == 0 || first.Join.FilterTS != jf.ts {
+				t.Fatalf("BF join: %d partitions of negatives under a filter dated %d, want some under the one certified at %d",
+					len(first.Join.Negatives), first.Join.FilterTS, jf.ts)
+			}
+			if again := ask(join.BF); jf.eng.Stats().Cache.Hits == 0 || again.Join.FilterTS != first.Join.FilterTS {
+				t.Fatalf("the repeated BF plan was not served from the follower's plan cache (%+v)", jf.eng.Stats().Cache)
+			}
+
+			// A key the cached answer proved absent arrives, then the
+			// re-certification that covers it.
+			jf.ts++
+			jf.deliver(t, 1)(jf.rels[1].DA.Insert(&core.Record{Key: 200, Attrs: [][]byte{[]byte("late")}}, jf.ts))
+			jf.certify(t)
+			jf.waitCaughtUp(t)
+			invalidated := jf.eng.Stats().Cache.Invalidations
+			next := ask(join.BF)
+			if next.Join.FilterTS != jf.ts || next.Join.FilterTS <= first.Join.FilterTS {
+				t.Fatalf("BF join after the re-certification is dated %d, want %d", next.Join.FilterTS, jf.ts)
+			}
+			if jf.eng.Stats().Cache.Invalidations == invalidated {
+				t.Fatal("the plan cached under the old filter was served again")
+			}
+			if st := jf.fls[1].Stats(); (st.Bootstraps == 0) == !tc.withLog {
+				t.Fatalf("inner follower %+v: the re-certification must have come over 'W'", st)
+			}
+		})
 	}
 }

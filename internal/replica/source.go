@@ -11,13 +11,20 @@
 // failures). Replication here is purely an availability/throughput
 // mechanism, never a correctness one.
 //
-// Protocol (wire 'R'/'B'/'W'/'H' frames): a follower subscribes with
-// the last LSN it applied. The primary either tails its WAL from that
-// point or, when the log has been truncated past it (or the follower
-// is fresh), streams a bootstrap image captured from the live
-// QueryServer, then feeds every subsequent dissemination message in
-// LSN order with idle-time heartbeats carrying the primary's LSN so
-// followers can expose their replication lag.
+// The unit of replication is the relation: a primary keeps one Source per
+// relation runtime (each has its own LSN space and log), a replica one
+// Follower per relation, and a catalog is replicated by subscribing to
+// each of its relations. Relations share no commit point on the primary
+// either; a client bounds each one's staleness through its own summaries.
+//
+// Protocol (wire 'R'/'B'/'W'/'H' frames): a follower subscribes to a
+// relation with the last LSN it applied. The primary either tails its
+// WAL from that point or, when the log has been truncated past it (or
+// the follower is fresh, or ahead of a restarted primary), streams a
+// bootstrap image captured from the live QueryServer, then feeds every
+// subsequent dissemination message in LSN order with idle-time
+// heartbeats carrying the primary's LSN so followers can expose their
+// replication lag.
 package replica
 
 import (
@@ -193,9 +200,12 @@ func (s *Source) ServeConn(conn net.Conn, afterLSN uint64, stop <-chan struct{})
 	// Catch the follower up to the subscription point. Everything
 	// published after sub.start arrives on the channel; everything at or
 	// before it must come from the log tail or a bootstrap image.
+	// A follower past the subscription point applied another history (an
+	// in-memory primary restarted, and its LSNs began again): its position
+	// names nothing here, so it is imaged like one too far behind.
 	from := afterLSN
-	canTail := from >= sub.start
-	if !canTail && s.log != nil {
+	canTail := from == sub.start
+	if from < sub.start && s.log != nil {
 		if first := s.log.FirstLSN(); first > 0 && from+1 >= first {
 			canTail = true
 		}

@@ -1,11 +1,14 @@
 package server
 
-// The fleet soak: a primary feeding snapshot-bootstrapped follower
-// replicas over the replication protocol, fleet-aware verifying
-// clients failing over between them, and a deliberately Byzantine
-// replica working through the paper's whole attack menu — while the
-// harness kills and restarts followers mid-traffic, partitions one
-// behind its fault proxy, and holds another artificially lagged.
+// The fleet soak: a two-relation primary — the default relation, which
+// the writer keeps updating, and a join inner with its certified filter —
+// feeding snapshot-bootstrapped follower replicas over one replication
+// feed per relation, fleet-aware verifying clients failing over between
+// them with joins and projections mixed into their range traffic, and a
+// deliberately Byzantine replica working through the paper's whole attack
+// menu — while the harness kills and restarts followers mid-traffic,
+// partitions one behind its fault proxy, and holds another artificially
+// lagged.
 //
 // The invariants are the paper's, extended to a replica set:
 //
@@ -34,6 +37,8 @@ import (
 	"authdb/internal/core"
 	"authdb/internal/faultnet"
 	"authdb/internal/freshness"
+	"authdb/internal/join"
+	"authdb/internal/query"
 	"authdb/internal/replica"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
@@ -41,6 +46,9 @@ import (
 	"authdb/internal/wire"
 	"authdb/internal/workload"
 )
+
+// fleetInner names the join inner relation.
+const fleetInner = "i"
 
 // The soak's size.
 const (
@@ -55,13 +63,15 @@ const (
 type fleetWindowResult struct {
 	name, byzMode string
 
-	accepted     int64 // answers verified before acceptance, by construction
-	staleRetries int64 // honest freshness misses (protocol working)
-	lagMisses    int64 // freshness misses attributed to the held replica
-	detected     int64 // transport faults the clients observed
-	byzDetected  int64 // attributed detections of the Byzantine replica
-	byzWarm      int64 // of those, by a session that remembered the honest claim
-	diverged     int64 // unattributed divergence (must stay 0)
+	accepted     int64    // answers verified before acceptance, by construction
+	staleRetries int64    // honest freshness misses (protocol working)
+	lagMisses    int64    // freshness misses attributed to the held replica
+	detected     int64    // transport faults the clients observed
+	byzDetected  int64    // attributed detections of the Byzantine replica
+	byzWarm      int64    // of those, by a session that remembered the honest claim
+	byzJoin      [2]int64 // forged join sections convicted: cold, warm
+	plans        int64    // accepted answers that were join or projection plans
+	diverged     int64    // unattributed divergence (must stay 0)
 
 	clientFailovers, clientQuarantines uint64
 }
@@ -89,7 +99,7 @@ var fleetWindows = []struct{ name, byz string }{
 // fleetReplica is one honest follower: feed loop, serving front end,
 // and the fault proxy its clients dial through.
 type fleetReplica struct {
-	fl       *replica.Follower
+	fl, ifl  *replica.Follower // the default relation's feed, the inner relation's
 	srv      *NetServer
 	serveErr chan error
 	cancel   context.CancelFunc
@@ -106,6 +116,16 @@ type fleetBench struct {
 
 	rt  *wal.Runtime // the primary's owner → log → server → feed pipeline
 	src *replica.Source
+
+	// The join inner: every third key of the default relation, under its
+	// own key pair, pipeline and feed. The harness moves it once a window.
+	ischeme sigagg.Scheme
+	ipub    sigagg.PublicKey
+	irt     *wal.Runtime
+	isrc    *replica.Source
+	its     int64
+	nextIn  int // index into keys of the next key to drip into it
+	keys    []int64
 
 	srv      *NetServer // primary front end (replication + final sweep)
 	serveErr chan error
@@ -144,8 +164,8 @@ func runFleetChaos(t *testing.T) (*fleetReport, error) {
 			return nil, err
 		}
 		rep.windows = append(rep.windows, *win)
-		t.Logf("fleet: %-9s byz=%-8s accepted=%6d byz-detected=%3d stale=%4d lag-misses=%2d faults=%4d failovers=%3d quarantines=%2d",
-			win.name, win.byzMode, win.accepted, win.byzDetected, win.staleRetries, win.lagMisses,
+		t.Logf("fleet: %-9s byz=%-8s accepted=%6d (plans=%5d) byz-detected=%3d stale=%4d lag-misses=%2d faults=%4d failovers=%3d quarantines=%2d",
+			win.name, win.byzMode, win.accepted, win.plans, win.byzDetected, win.staleRetries, win.lagMisses,
 			win.detected, win.clientFailovers, win.clientQuarantines)
 	}
 	rep.misattributed = b.misattributed
@@ -158,7 +178,7 @@ func runFleetChaos(t *testing.T) (*fleetReport, error) {
 	if rep.sweepVerified, err = sweepRuntime(b.rt, b.scheme, b.pub, b.addr, b.catalog, &b.ts); err != nil {
 		return nil, err
 	}
-	rep.bootstrapsServed = b.src.Stats().Bootstraps
+	rep.bootstrapsServed = b.src.Stats().Bootstraps + b.isrc.Stats().Bootstraps
 	return rep, nil
 }
 
@@ -177,7 +197,9 @@ func (b *fleetBench) setup() error {
 	}
 	b.scheme, b.priv, b.pub = bound, priv, pub
 
-	da, err := core.NewDataAggregator(b.scheme, b.priv, core.DefaultConfig())
+	// Projection-mode, as authserve's first relation is: the cohort's plans
+	// project its attribute.
+	da, err := core.NewDataAggregator(b.scheme, b.priv, core.DefaultConfig(), core.WithAttrSigning())
 	if err != nil {
 		return err
 	}
@@ -207,17 +229,24 @@ func (b *fleetBench) setup() error {
 	}
 	b.catalog = workload.NewHotRangeCatalog(keys, fleetRanges, soakSF, soakSeed+101)
 	b.earlyState = b.rt.QS.Snapshot()
+	if err := b.setupInner(keys); err != nil {
+		return err
+	}
 
-	b.src = replica.NewSource(b.rt, replica.SourceConfig{
-		Heartbeat:    25 * time.Millisecond,
-		WriteTimeout: 2 * time.Second,
-	})
+	srcCfg := replica.SourceConfig{Heartbeat: 25 * time.Millisecond, WriteTimeout: 2 * time.Second}
+	b.src, b.isrc = replica.NewSource(b.rt, srcCfg), replica.NewSource(b.irt, srcCfg)
 	b.srv = NewNetServer(b.rt.QS, NetConfig{
-		MaxConns:    8 * (fleetClients + fleetReplicas + 2),
+		MaxConns:    8 * (fleetClients + 2*fleetReplicas + 4),
 		IdleTimeout: 30 * time.Second,
 		ReadTimeout: 5 * time.Second,
 	})
-	b.srv.EnableReplication(b.src)
+	eng := query.NewEngine()
+	if err := eng.AddRelation(fleetInner, b.irt.QS); err != nil {
+		return err
+	}
+	b.srv.EnablePlans(eng)
+	b.srv.EnableReplication(core.DefaultRelation, b.src)
+	b.srv.EnableReplication(fleetInner, b.isrc)
 	ln, err := b.srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return err
@@ -247,38 +276,128 @@ func (b *fleetBench) setup() error {
 		return err
 	}
 
-	for _, r := range b.honest {
-		if err := b.waitCaughtUp(r.fl, 10*time.Second); err != nil {
+	for _, r := range append(b.honest[:len(b.honest):len(b.honest)], byz) {
+		if err := b.waitCaughtUp(r, 10*time.Second); err != nil {
 			return err
 		}
 	}
-	return b.waitCaughtUp(b.byzFl, 10*time.Second)
+	return nil
 }
 
-// startReplica boots one follower: feed loop against the primary plus
-// a serving front end over its QueryServer.
+// setupInner builds the join inner — every third key of the default
+// relation under a key pair of its own — with its first period closed and
+// its filter certified inside the runtime's first image, so a follower's
+// bootstrap brings all three.
+func (b *fleetBench) setupInner(keys []int64) error {
+	raw := xortest.New()
+	priv, pub, err := raw.KeyGen(nil)
+	if err != nil {
+		return err
+	}
+	if b.ischeme, err = sigagg.Bind(raw, pub); err != nil {
+		return err
+	}
+	b.ipub, b.keys = pub, keys
+	da, err := core.NewDataAggregator(b.ischeme, priv, core.DefaultConfig())
+	if err != nil {
+		return err
+	}
+	store, err := wal.Open(b.t.TempDir(), wal.Options{NoSync: true})
+	if err != nil {
+		return err
+	}
+	b.irt = wal.NewRuntime(da, core.NewQueryServer(b.ischeme, core.WithShards(16)), store, 0)
+	var recs []*core.Record
+	for i := 0; i < len(keys); i += 3 {
+		recs = append(recs, &core.Record{Key: keys[i], Attrs: [][]byte{[]byte("inner")}})
+	}
+	load, err := da.Load(recs, 1)
+	if err != nil {
+		return err
+	}
+	b.its, b.nextIn = 2, 1
+	closed, err := da.ClosePeriod(b.its)
+	if err != nil {
+		return err
+	}
+	fc, err := da.CertifyFilter(64, 8, b.its)
+	if err != nil {
+		return err
+	}
+	return b.irt.Load(load, closed, &core.UpdateMsg{TS: b.its, Filter: fc})
+}
+
+// moveInner is the inner relation's write traffic, once a window: a key
+// the cached joins proved absent arrives, a period closes, and the owner
+// re-certifies the filter over the new key set — three records on its
+// feed, the last retiring every follower's cached BF plans.
+func (b *fleetBench) moveInner() error {
+	da := b.irt.DA
+	b.its++
+	msg, err := da.Insert(&core.Record{Key: b.keys[b.nextIn], Attrs: [][]byte{[]byte("late")}}, b.its)
+	if err != nil {
+		return err
+	}
+	b.nextIn += 3
+	if err := b.irt.Deliver(msg); err != nil {
+		return err
+	}
+	b.its++
+	if msg, err = da.ClosePeriod(b.its); err != nil {
+		return err
+	}
+	if err := b.irt.Deliver(msg); err != nil {
+		return err
+	}
+	fc, err := da.CertifyFilter(64, 8, b.its)
+	if err != nil {
+		return err
+	}
+	return b.irt.Deliver(&core.UpdateMsg{TS: b.its, Filter: fc})
+}
+
+// startReplica boots one replica: a feed loop per relation against the
+// primary, and a serving front end over the planner both followers'
+// QueryServers are registered with.
 func (b *fleetBench) startReplica() (*fleetReplica, error) {
-	fl, err := replica.NewFollower(replica.FollowerConfig{
+	cfg := replica.FollowerConfig{
 		Scheme:      b.scheme,
 		QSOpts:      []core.Option{core.WithShards(8)},
 		ReadTimeout: 2 * time.Second,
 		RetryBase:   5 * time.Millisecond,
 		RetryMax:    100 * time.Millisecond,
-	})
+	}
+	fl, err := replica.NewFollower(cfg)
 	if err != nil {
+		return nil, err
+	}
+	cfg.Rel, cfg.Scheme = fleetInner, b.ischeme
+	ifl, err := replica.NewFollower(cfg)
+	if err != nil {
+		return nil, err
+	}
+	eng := query.NewEngine()
+	if err := eng.AddRelation(fleetInner, ifl.QS()); err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan struct{})
 	go func() {
 		defer close(runDone)
+		innerDone := make(chan struct{})
+		go func() {
+			defer close(innerDone)
+			ifl.Run(ctx, b.addr)
+		}()
 		fl.Run(ctx, b.addr)
+		<-innerDone
 	}()
 	srv := NewNetServer(fl.QS(), NetConfig{
 		MaxConns:    8 * (fleetClients + 2),
 		IdleTimeout: 30 * time.Second,
 		ReadTimeout: 5 * time.Second,
 	})
+	srv.EnablePlans(eng)
 	ln, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		cancel()
@@ -287,7 +406,7 @@ func (b *fleetBench) startReplica() (*fleetReplica, error) {
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	return &fleetReplica{fl: fl, srv: srv, serveErr: serveErr, cancel: cancel, runDone: runDone}, nil
+	return &fleetReplica{fl: fl, ifl: ifl, srv: srv, serveErr: serveErr, cancel: cancel, runDone: runDone}, nil
 }
 
 // killReplica tears an honest follower down the unclean way: feed loop
@@ -312,23 +431,24 @@ func (b *fleetBench) restartReplica(i int) error {
 		return err
 	}
 	r := b.honest[i]
-	r.fl, r.srv, r.serveErr = fresh.fl, fresh.srv, fresh.serveErr
+	r.fl, r.ifl, r.srv, r.serveErr = fresh.fl, fresh.ifl, fresh.srv, fresh.serveErr
 	r.cancel, r.runDone = fresh.cancel, fresh.runDone
 	r.proxy.SetUpstream(fresh.srv.Addr().String())
 	r.proxy.DropAll()
 	return nil
 }
 
-// waitCaughtUp blocks until fl has applied everything the source has
-// published. Only meaningful while the writer is stopped.
-func (b *fleetBench) waitCaughtUp(fl *replica.Follower, d time.Duration) error {
+// waitCaughtUp blocks until r has applied everything both relations'
+// sources have published. Only meaningful while the writers are stopped.
+func (b *fleetBench) waitCaughtUp(r *fleetReplica, d time.Duration) error {
 	deadline := time.Now().Add(d)
 	for {
-		if fl.AppliedLSN() >= b.src.LastLSN() {
+		if r.fl.AppliedLSN() >= b.src.LastLSN() && r.ifl.AppliedLSN() >= b.isrc.LastLSN() {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("server: follower stuck at LSN %d, primary at %d", fl.AppliedLSN(), b.src.LastLSN())
+			return fmt.Errorf("server: replica stuck at LSNs %d / %d, primary at %d / %d",
+				r.fl.AppliedLSN(), r.ifl.AppliedLSN(), b.src.LastLSN(), b.isrc.LastLSN())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -352,6 +472,7 @@ func (b *fleetBench) clientCfg(seed int64) client.Config {
 	return client.Config{
 		Scheme:         b.scheme,
 		Pub:            b.pub,
+		Relations:      map[string]sigagg.PublicKey{fleetInner: b.ipub},
 		DialTimeout:    500 * time.Millisecond,
 		RequestTimeout: 2 * time.Second,
 		Retry: client.RetryPolicy{
@@ -370,15 +491,32 @@ func (b *fleetBench) periodEvery() time.Duration {
 	return soakSummaryEvery * soakUpdateEvery
 }
 
+// fleetSpec is shape i of the cohort's plan mix over one catalog range:
+// the bare range, a BF join with a projection, a BV join, a projection.
+func fleetSpec(i int, lo, hi int64) *query.Spec {
+	spec := &query.Spec{Rel: core.DefaultRelation, Lo: lo, Hi: hi}
+	switch i % 4 {
+	case 1:
+		spec.Attrs, spec.Join = []int{0}, &query.JoinSpec{Rel: fleetInner, Method: join.BF}
+	case 2:
+		spec.Join = &query.JoinSpec{Rel: fleetInner, Method: join.BV}
+	case 3:
+		spec.Attrs = []int{0}
+	}
+	return spec
+}
+
 type fleetClientResult struct {
 	accepted    int64
-	stale       int64 // freshness misses on honest replicas (retried)
-	lagMiss     int64 // freshness misses attributed to the held replica
-	byzStale    int64 // freshness misses attributed to the Byzantine front
-	byzDetected int64 // quarantine-class convictions of the Byzantine front
-	byzWarm     int64 // of those, by a session whose memo held the honest claim
-	detected    int64 // transport faults observed
-	diverged    int64 // unattributed divergence (hard failure)
+	plans       int64    // of those, join or projection plans
+	stale       int64    // freshness misses on honest replicas (retried)
+	lagMiss     int64    // freshness misses attributed to the held replica
+	byzStale    int64    // freshness misses attributed to the Byzantine front
+	byzDetected int64    // quarantine-class convictions of the Byzantine front
+	byzWarm     int64    // of those, by a session whose memo held the honest claim
+	byzJoin     [2]int64 // of those, convictions for a forged join section: cold, warm
+	detected    int64    // transport faults observed
+	diverged    int64    // unattributed divergence (hard failure)
 	stats       client.Stats
 	quar        map[string]error
 	err         error
@@ -402,6 +540,9 @@ func (b *fleetBench) runWindow(name, byz string) (*fleetWindowResult, error) {
 	defer b.front.SetMode(byzNone)
 
 	win := &fleetWindowResult{name: name, byzMode: byz}
+	if err := b.moveInner(); err != nil {
+		return nil, fmt.Errorf("server: inner relation writer: %w", err)
+	}
 	stopWriter := startHotWriter(b.rt, b.catalog, soakSeed+999+int64(len(name)), &b.ts)
 	deadline := time.Now().Add(fleetWindow)
 
@@ -458,6 +599,9 @@ func (b *fleetBench) runWindow(name, byz string) (*fleetWindowResult, error) {
 		win.diverged += r.diverged
 		win.byzDetected += r.byzDetected + r.byzStale
 		win.byzWarm += r.byzWarm
+		win.byzJoin[0] += r.byzJoin[0]
+		win.byzJoin[1] += r.byzJoin[1]
+		win.plans += r.plans
 		win.clientFailovers += r.stats.Failovers
 		win.clientQuarantines += r.stats.Quarantines
 		for addr, cause := range r.quar {
@@ -529,16 +673,28 @@ func (b *fleetBench) runFleetClient(id int, deadline time.Time, res *fleetClient
 	}
 	gen := workload.NewHotRangeGen(b.catalog, soakTheta, soakSeed+1000*int64(id+1))
 	ranges := make([]core.Range, soakPipeline)
+	specs := make([]*query.Spec, soakPipeline)
 	staleStreak, hops := 0, 0
-	for time.Now().Before(deadline) {
+	for batch := 0; time.Now().Before(deadline); batch++ {
 		for i := range ranges {
 			q := gen.Next()
 			ranges[i] = core.Range{Lo: q.Lo, Hi: q.Hi}
+			specs[i] = fleetSpec(batch+i, q.Lo, q.Hi)
 		}
-		_, _, err := cl.QueryBatch(ranges)
+		// Every other batch is the range wrappers' own; the rest pipelines
+		// one plan of each shape.
+		var err error
+		if batch%2 == 0 {
+			_, _, err = cl.QueryBatch(ranges)
+		} else {
+			_, err = cl.QueryPlans(specs)
+		}
 		switch {
 		case err == nil:
 			res.accepted += int64(len(ranges))
+			if batch%2 != 0 {
+				res.plans += int64(len(specs)) - 1 // one shape in four is the bare range
+			}
 			staleStreak = 0
 		case errors.Is(err, client.ErrAllQuarantined):
 			res.err = err
@@ -593,8 +749,13 @@ func (b *fleetBench) runAuditor(name string, deadline time.Time, res *fleetClien
 	gen := workload.NewHotRangeGen(b.catalog, soakTheta, soakSeed+7777)
 	switch name {
 	case "churn":
-		b.auditTamper(cl, gen, res, deadline, false)
-		b.auditTamperWarm(gen, res, deadline)
+		// A forged join section first, then a forged scan aggregate; each
+		// probe but the first from a session of its own, since a session
+		// that convicted the forger cannot visit it again.
+		b.auditTamper(cl, gen, res, deadline, false, 1)
+		b.auditTamperFresh(gen, res, deadline, true, 1)
+		b.auditTamperFresh(gen, res, deadline, false, 0)
+		b.auditTamperFresh(gen, res, deadline, true, 0)
 	case "partition":
 		b.auditStaleServer(cl, b.byzAddr(), &res.byzStale, res, deadline)
 	case "lag":
@@ -626,13 +787,15 @@ func (b *fleetBench) runAuditor(name string, deadline time.Time, res *fleetClien
 	}
 }
 
-// auditTamper probes a signature-forging replica: one query through it
-// must convict it with verification-failure evidence and complete,
-// verified, on an honest replica. Cold, the forgery is the first answer
-// to that query the session sees; warm, the session first fetches and
-// verifies the honest answer from an honest replica, so that its
-// verifier remembers the very claim the forger then flips a bit of.
-func (b *fleetBench) auditTamper(cl *client.Client, gen *workload.HotRangeGen, res *fleetClientResult, deadline time.Time, warm bool) {
+// auditTamper probes a signature-forging replica: one query through it —
+// the plan of the given shape (fleetSpec), so with shape 1 the flipped bit
+// sits in the join section — must convict it with verification-failure
+// evidence and complete, verified, on an honest replica. Cold, the forgery
+// is the first answer to that query the session sees; warm, the session
+// first fetches and verifies the honest answer from an honest replica, so
+// that its verifier remembers the very claims the forger then flips a bit
+// of one of.
+func (b *fleetBench) auditTamper(cl *client.Client, gen *workload.HotRangeGen, res *fleetClientResult, deadline time.Time, warm bool, shape int) {
 	for time.Now().Before(deadline) {
 		if cause, ok := cl.Quarantined()[b.byzAddr()]; ok {
 			if errors.Is(cause, sigagg.ErrVerify) || errors.Is(cause, wire.ErrCorrupt) {
@@ -640,16 +803,22 @@ func (b *fleetBench) auditTamper(cl *client.Client, gen *workload.HotRangeGen, r
 				if warm {
 					res.byzWarm++
 				}
+				if shape != 0 && warm {
+					res.byzJoin[1]++
+				} else if shape != 0 {
+					res.byzJoin[0]++
+				}
 			}
 			return
 		}
 		q := gen.Next()
+		spec := fleetSpec(shape, q.Lo, q.Hi)
 		if warm {
 			if err := cl.Reconnect(b.honestAddr(0)); err != nil {
 				time.Sleep(2 * time.Millisecond)
 				continue
 			}
-			if _, _, err := cl.Query(q.Lo, q.Hi); err != nil {
+			if _, err := cl.QueryPlan(spec); err != nil {
 				res.detected++ // the churn window's own faults; try again
 				continue
 			}
@@ -659,7 +828,7 @@ func (b *fleetBench) auditTamper(cl *client.Client, gen *workload.HotRangeGen, r
 			time.Sleep(2 * time.Millisecond)
 			continue
 		}
-		switch _, _, err := cl.Query(q.Lo, q.Hi); {
+		switch _, err := cl.QueryPlan(spec); {
 		case err == nil:
 			res.accepted++ // hop already landed it on an honest replica
 		case errors.Is(err, freshness.ErrStale):
@@ -670,10 +839,8 @@ func (b *fleetBench) auditTamper(cl *client.Client, gen *workload.HotRangeGen, r
 	}
 }
 
-// auditTamperWarm is auditTamper's warm probe, from a session of its own:
-// the cold probe's session has quarantined the forger and cannot visit it
-// again.
-func (b *fleetBench) auditTamperWarm(gen *workload.HotRangeGen, res *fleetClientResult, deadline time.Time) {
+// auditTamperFresh is auditTamper from a session of its own.
+func (b *fleetBench) auditTamperFresh(gen *workload.HotRangeGen, res *fleetClientResult, deadline time.Time, warm bool, shape int) {
 	cl, err := client.DialFleet(b.fleetAddrs(), b.clientCfg(7778))
 	if err != nil {
 		res.detected++
@@ -689,7 +856,7 @@ func (b *fleetBench) auditTamperWarm(gen *workload.HotRangeGen, res *fleetClient
 		res.detected++
 		return
 	}
-	b.auditTamper(cl, gen, res, deadline, true)
+	b.auditTamper(cl, gen, res, deadline, warm, shape)
 }
 
 // auditFork probes a replica serving a forked summary stream: a
@@ -721,9 +888,12 @@ func (b *fleetBench) auditFork(cl *client.Client, res *fleetClientResult, deadli
 // state (a replayer, a rolled-back rogue, or an honestly lagging
 // follower): it re-anchors through an up-to-date replica, queries the
 // target, counts the freshness miss, and proves the miss is retryable
-// by completing the same query against a current replica.
+// by completing the same query against a current replica. The query is a
+// BF join with a projection, so what a replayer replays is a composite
+// with every section.
 func (b *fleetBench) auditStaleServer(cl *client.Client, target string, miss *int64, res *fleetClientResult, deadline time.Time) {
 	q := b.catalog[0] // the hottest range: re-certified fastest
+	spec := fleetSpec(1, q.Lo, q.Hi)
 	for time.Now().Before(deadline) {
 		// Learn the newest certified summaries from an honest replica.
 		if err := cl.Reconnect(b.honestAddr(0)); err != nil {
@@ -740,13 +910,13 @@ func (b *fleetBench) auditStaleServer(cl *client.Client, target string, miss *in
 			time.Sleep(2 * time.Millisecond)
 			continue
 		}
-		switch _, _, err := cl.Query(q.Lo, q.Hi); {
+		switch _, err := cl.QueryPlan(spec); {
 		case errors.Is(err, freshness.ErrStale) && cl.CurrentAddr() == target:
 			*miss++
 			// The miss is retryable: the same query against a current
 			// replica succeeds and verifies.
 			if rerr := cl.Reconnect(b.honestAddr(0)); rerr == nil {
-				if _, _, qerr := cl.Query(q.Lo, q.Hi); qerr == nil {
+				if _, qerr := cl.QueryPlan(spec); qerr == nil {
 					res.accepted++
 					return
 				}
@@ -770,11 +940,11 @@ func (b *fleetBench) auditStaleServer(cl *client.Client, target string, miss *in
 func (b *fleetBench) verifyFollowers() (int, error) {
 	verified := 0
 	for i, r := range b.honest {
-		if err := b.waitCaughtUp(r.fl, 10*time.Second); err != nil {
+		if err := b.waitCaughtUp(r, 10*time.Second); err != nil {
 			return verified, fmt.Errorf("server: follower %d never caught up: %w", i, err)
 		}
 		cl, err := client.Dial(r.srv.Addr().String(), client.Config{
-			Scheme: b.scheme, Pub: b.pub,
+			Scheme: b.scheme, Pub: b.pub, Relations: map[string]sigagg.PublicKey{fleetInner: b.ipub},
 			DialTimeout: 2 * time.Second, RequestTimeout: 5 * time.Second,
 		})
 		if err != nil {
@@ -787,6 +957,14 @@ func (b *fleetBench) verifyFollowers() (int, error) {
 		if _, err := sweepCatalog(cl, b.catalog); err != nil {
 			cl.Close()
 			return verified, fmt.Errorf("server: follower %d failed verification: %w", i, err)
+		}
+		// And the hottest ranges again as plans of every shape, against
+		// the inner relation this follower mirrored beside the default one.
+		for k, q := range b.catalog[:8] {
+			if _, err := cl.QueryPlan(fleetSpec(k, q.Lo, q.Hi)); err != nil {
+				cl.Close()
+				return verified, fmt.Errorf("server: follower %d failed plan verification: %w", i, err)
+			}
 		}
 		cl.Close()
 		verified++
@@ -822,8 +1000,10 @@ func (b *fleetBench) teardown() {
 			<-b.serveErr
 		}
 	}
-	if b.rt != nil {
-		b.rt.Close()
+	for _, rt := range []*wal.Runtime{b.rt, b.irt} {
+		if rt != nil {
+			rt.Close()
+		}
 	}
 }
 
@@ -850,6 +1030,7 @@ type byzFront struct {
 	mu    sync.Mutex
 	mode  byzMode
 	cache map[string][]byte
+	flips int // signature flips so far: where the next lands rotates with it
 }
 
 func newByzFront(upstream string, scheme sigagg.Scheme, priv sigagg.PrivateKey) (*byzFront, error) {
@@ -945,8 +1126,11 @@ func replayKey(req []byte) string {
 
 // mutate applies the mode's forgery to one response frame. The forgeries
 // are written against the composite, so they apply to whatever plan the
-// frame answers: the signature flip lands on the scan's aggregate, the
-// fork on every tail that carries summary #1.
+// frame answers: the signature flip lands on the scan's aggregate or — in
+// a composite with a join section — inside that: a run's aggregate and a
+// listed partition's certification, in turn; the fork lands on the default
+// relation's tail when it carries summary #1 (the front holds that
+// relation's key only).
 func (f *byzFront) mutate(mode byzMode, frame []byte) []byte {
 	kind, err := wire.Kind(frame)
 	if err != nil {
@@ -1016,8 +1200,10 @@ func (f *byzFront) forge(sums []freshness.Summary) bool {
 // its invariants: every window makes verified progress, every Byzantine
 // mode is detected and attributed, no honest replica is blamed, the
 // availability faults really happened (a failover, a lag-induced
-// freshness miss, measurable lag, every follower bootstrapped from an
-// image), and the final follower and primary sweeps pass.
+// freshness miss, measurable lag, every follower bootstrapped both
+// relations from an image), joins and projections were served by the
+// fleet in every window and a forged join section was convicted cold and
+// warm, and the final follower and primary sweeps pass.
 func TestRunFleetChaosShort(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet soak takes a few seconds")
@@ -1036,8 +1222,14 @@ func TestRunFleetChaosShort(t *testing.T) {
 		if win.byzDetected == 0 {
 			t.Errorf("window %q: Byzantine mode %q was never detected", win.name, win.byzMode)
 		}
+		if win.plans == 0 {
+			t.Errorf("window %q: no join or projection plan was accepted from the fleet", win.name)
+		}
 		if win.name == "churn" && win.byzWarm == 0 {
 			t.Error("churn window: no session that remembered the honest claim convicted the signature forger")
+		}
+		if win.name == "churn" && (win.byzJoin[0] == 0 || win.byzJoin[1] == 0) {
+			t.Errorf("churn window: a forged join section was convicted %d times cold and %d warm, want both", win.byzJoin[0], win.byzJoin[1])
 		}
 		if win.diverged != 0 {
 			t.Errorf("window %q: %d unattributed divergence events", win.name, win.diverged)
@@ -1056,8 +1248,9 @@ func TestRunFleetChaosShort(t *testing.T) {
 		t.Error("the held replica never showed measurable lag")
 	}
 	// every initial follower, the rogue one, and the churn restart must
-	// all have come up through the snapshot-bootstrap path
-	if want := uint64(fleetReplicas + 2); rep.bootstrapsServed < want {
+	// all have come up through the snapshot-bootstrap path, for each of the
+	// two relations
+	if want := uint64(2 * (fleetReplicas + 2)); rep.bootstrapsServed < want {
 		t.Errorf("only %d bootstrap images served, want >= %d", rep.bootstrapsServed, want)
 	}
 	if rep.followersVerified != fleetReplicas || rep.sweepVerified == 0 {

@@ -77,8 +77,9 @@ type NetStats struct {
 	ReplStreams uint64 // replication subscriptions accepted
 }
 
-// ReplSource streams the replication feed to a follower connection; it
-// is implemented by replica.Source and attached via EnableReplication.
+// ReplSource streams one relation's replication feed to a follower
+// connection; it is implemented by replica.Source and attached via
+// EnableReplication.
 // The server package depends only on this interface, so the serving
 // front end stays decoupled from the replication machinery.
 type ReplSource interface {
@@ -107,8 +108,8 @@ type NetServer struct {
 	sem chan struct{} // MaxConns slots, nil when unlimited
 	adm *admission    // nil when MaxInflight is unlimited
 
-	repl ReplSource    // nil unless EnableReplication
-	stop chan struct{} // closed by Shutdown; terminates replication streams
+	repl map[string]ReplSource // the relations with a feed (EnableReplication)
+	stop chan struct{}         // closed by Shutdown; terminates replication streams
 
 	conNum      atomic.Uint64
 	plans       atomic.Uint64
@@ -127,6 +128,7 @@ func NewNetServer(qs *core.QueryServer, cfg NetConfig) *NetServer {
 		qs:    qs,
 		cfg:   cfg,
 		conns: make(map[net.Conn]struct{}),
+		repl:  make(map[string]ReplSource),
 		adm:   newAdmission(cfg.MaxInflight, cfg.MaxPending, cfg.FairShare),
 		stop:  make(chan struct{}),
 	}
@@ -136,11 +138,11 @@ func NewNetServer(qs *core.QueryServer, cfg NetConfig) *NetServer {
 	return s
 }
 
-// EnableReplication attaches the primary-side replication hub: a
-// connection whose request is an 'R' subscription is handed over to
-// src for the rest of its life. Call before Serve.
-func (s *NetServer) EnableReplication(src ReplSource) {
-	s.repl = src
+// EnableReplication attaches relation rel's primary-side replication hub:
+// a connection whose request is an 'R' subscription to rel is handed over
+// to src for the rest of its life. Call before Serve.
+func (s *NetServer) EnableReplication(rel string, src ReplSource) {
+	s.repl[rel] = src
 }
 
 // EnablePlans serves eng's catalog: its relations beside the default
@@ -481,15 +483,16 @@ var errOverloadedResponse = errors.New("server: overloaded, retry with backoff")
 // subscription over to the replication hub. Any pending responses are
 // flushed first so the follower sees a clean stream.
 func (s *NetServer) serveReplication(w *connWriter, conn net.Conn, frame []byte) {
-	after, err := wire.DecodeReplSubReq(frame)
+	rel, after, err := wire.DecodeReplSubReq(frame)
 	if err != nil {
 		s.malformed.Add(1)
 		s.writeErrorCode(w, wire.ErrCodeBadFrame, err)
 		w.flush()
 		return
 	}
-	if s.repl == nil {
-		s.writeError(w, errors.New("server: replication not enabled"))
+	src := s.repl[rel]
+	if src == nil {
+		s.writeError(w, fmt.Errorf("server: no replication feed for relation %q", rel))
 		w.flush()
 		return
 	}
@@ -500,7 +503,7 @@ func (s *NetServer) serveReplication(w *connWriter, conn net.Conn, frame []byte)
 	// longer apply.
 	conn.SetReadDeadline(time.Time{})
 	s.replStreams.Add(1)
-	s.repl.ServeConn(conn, after, s.stop)
+	src.ServeConn(conn, after, s.stop)
 }
 
 // servePlan answers one 'P' plan frame. The engine hands back the

@@ -42,6 +42,15 @@ func (m *MetricsBuf) Gauge(name, help string, v float64) {
 	m.emit(name, help, "gauge", fmt.Sprintf("%g", v))
 }
 
+// PerRel emits one metric of the given type ("counter" or "gauge") with a
+// sample per relation, labelled rel: value(i) is rels[i]'s.
+func (m *MetricsBuf) PerRel(name, help, typ string, rels []string, value func(i int) uint64) {
+	fmt.Fprintf(&m.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for i, rel := range rels {
+		fmt.Fprintf(&m.b, "%s{rel=%q} %d\n", name, rel, value(i))
+	}
+}
+
 // Bytes returns the accumulated exposition payload.
 func (m *MetricsBuf) Bytes() []byte { return m.b.Bytes() }
 
@@ -142,10 +151,7 @@ func WalMetrics(logs map[string]*wal.Log) MetricFn {
 			{"authdb_wal_durable_lsn", "Last fsynced LSN.", (*wal.Log).DurableLSN},
 			{"authdb_wal_first_lsn", "First LSN still held by the log (0 = empty).", (*wal.Log).FirstLSN},
 		} {
-			fmt.Fprintf(&m.b, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name)
-			for _, rel := range rels {
-				fmt.Fprintf(&m.b, "%s{rel=%q} %d\n", g.name, rel, g.lsn(logs[rel]))
-			}
+			m.PerRel(g.name, g.help, "gauge", rels, func(i int) uint64 { return g.lsn(logs[rels[i]]) })
 		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"authdb/internal/core"
+	"authdb/internal/join"
+	"authdb/internal/query"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
 	"authdb/internal/wire"
@@ -553,4 +555,106 @@ func TestRecoverLostSegmentsAdvancesLSN(t *testing.T) {
 	if !bytes.Equal(ownerImage(t, daR), ownerImage(t, daR2)) {
 		t.Fatal("second recovery lost the post-recovery write")
 	}
+}
+
+// TestRecoveredRelationKeepsFilter: the certified Bloom filter (§3.5) is
+// relation state like a summary — logged before it is applied, folded into
+// snapshots — so a server killed between the filter message's append and
+// its apply, or any time after, comes back holding it and answers a BF join
+// under the pre-crash certification. The recovered owner holds a key whose
+// signatures would not verify: nothing it could sign goes into the proof.
+func TestRecoveredRelationKeepsFilter(t *testing.T) {
+	f := newFixture(t)
+	// The outer relation: every multiple of 5 up to 600, so every other key
+	// misses the inner relation's 10, 20, ….
+	outerDA, outerQS := f.newDA(), core.NewQueryServer(f.scheme, core.WithShards(4))
+	var recs []*core.Record
+	for k := int64(5); k <= 600; k += 5 {
+		recs = append(recs, &core.Record{Key: k, Attrs: [][]byte{[]byte("outer")}})
+	}
+	msg, err := outerDA.Load(recs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := outerQS.Apply(msg); err != nil {
+		t.Fatal(err)
+	}
+	impostor := *f
+	if impostor.priv, _, err = xortest.New().KeyGen(nil); err != nil {
+		t.Fatal(err)
+	}
+	// recoverAndJoin boots an impostor-keyed owner over a crash image of dir
+	// and holds a BF join against the recovered server to certifiedAt.
+	recoverAndJoin := func(t *testing.T, dir string, certifiedAt int64, wantReplayed bool) string {
+		t.Helper()
+		dir = crashCopy(t, dir)
+		rt, st := impostor.bootRuntime(dir, Options{}, 0)
+		if (st.Replayed > 0) != wantReplayed {
+			t.Fatalf("recovery replayed %d messages", st.Replayed)
+		}
+		if rt.TS() < certifiedAt {
+			t.Fatalf("recovered at ts %d, behind the filter certified at %d", rt.TS(), certifiedAt)
+		}
+		eng := query.NewEngine()
+		for name, qs := range map[string]*core.QueryServer{"o": outerQS, "i": rt.QS} {
+			if err := eng.AddRelation(name, qs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The selection begins and ends on keys the inner relation lacks:
+		// no run covers those, so Bloom negatives answer them.
+		plan, err := query.Plan(&query.Spec{Rel: "o", Lo: 105, Hi: 495, Join: &query.JoinSpec{Rel: "i", Method: join.BF}}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Execute(plan)
+		if err != nil {
+			t.Fatalf("BF join against the recovered relation: %v", err)
+		}
+		ja := res.Comp.Join
+		if len(ja.Negatives) == 0 || ja.FilterTS != certifiedAt {
+			t.Fatalf("join carries %d partitions of negatives dated %d, want some under the pre-crash certification at %d",
+				len(ja.Negatives), ja.FilterTS, certifiedAt)
+		}
+		if _, err := join.Verify(f.scheme, f.pub, join.OuterKeys(res.Comp.Outer.Records), ja); err != nil {
+			t.Fatalf("join proof from the recovered relation: %v", err)
+		}
+		return dir
+	}
+	certify := func(rt *Runtime) *core.UpdateMsg {
+		t.Helper()
+		fc, err := rt.DA.CertifyFilter(8, 8, rt.TS()+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &core.UpdateMsg{TS: fc.TS, Filter: fc}
+	}
+
+	t.Run("killed after the apply", func(t *testing.T) {
+		dir := t.TempDir()
+		rt, _ := f.bootRuntime(dir, Options{}, 0)
+		f.drive(rt, 7)
+		msg := certify(rt)
+		if err := rt.Deliver(msg); err != nil {
+			t.Fatal(err)
+		}
+		f.drive(rt, 3) // updates only: the key set the filter covers is unchanged
+		// From the log tail, then — the first recovery having folded the tail
+		// into a snapshot — from the image alone.
+		dir = recoverAndJoin(t, dir, msg.TS, true)
+		recoverAndJoin(t, dir, msg.TS, false)
+	})
+	t.Run("killed between the append and the apply", func(t *testing.T) {
+		dir := t.TempDir()
+		rt, _ := f.bootRuntime(dir, Options{}, 0)
+		f.drive(rt, 7)
+		msg := certify(rt)
+		if _, err := rt.store.AppendMsg(msg); err != nil {
+			t.Fatal(err)
+		}
+		if fc, _ := rt.QS.Filter(); fc != nil {
+			t.Fatal("the dying server applied the filter: test setup broken")
+		}
+		recoverAndJoin(t, dir, msg.TS, true)
+	})
 }

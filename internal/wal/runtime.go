@@ -73,6 +73,9 @@ func (rt *Runtime) Recover() (RecoveryStats, bool, error) {
 	for i := range snap.Server.Summaries {
 		rt.ts = max(rt.ts, snap.Server.Summaries[i].TS)
 	}
+	if fc := snap.Server.Filter; fc != nil {
+		rt.ts = max(rt.ts, fc.TS)
+	}
 	snap.TS = rt.ts
 	if st.Replayed > 0 || st.Skipped > 0 {
 		if err := rt.store.WriteSnapshot(snap); err != nil {
@@ -141,9 +144,10 @@ func (rt *Runtime) Log() *Log {
 //
 //  1. append to the log — before the server can serve it, so nothing a
 //     client ever saw is missing after a crash;
-//  2. fsync now if the message certifies a summary — a client may
-//     anchor its freshness on that summary the moment it is served, so
-//     it must not sit in the group-commit window;
+//  2. fsync now if the message certifies a summary or a filter — a
+//     client may anchor its freshness on that summary, or accept a Bloom
+//     negative under that filter, the moment it is served, so it must not
+//     sit in the group-commit window;
 //  3. apply to the server;
 //  4. publish to the feed — after the apply, so a bootstrap image
 //     captured at any instant holds every LSN the feed has announced.
@@ -166,7 +170,7 @@ func (rt *Runtime) Deliver(msg *core.UpdateMsg) error {
 		}
 		rt.lsn = lsn
 		rt.sinceSnap++
-		if msg.Summary != nil {
+		if msg.Summary != nil || msg.Filter != nil {
 			if err := rt.store.Sync(); err != nil {
 				return err
 			}

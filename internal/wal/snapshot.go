@@ -18,8 +18,9 @@ import (
 //	| magic | u64 LSN | i64 TS | image | owner block | u32 CRC |
 //
 // The image is the relation image of internal/wire — the bytes a
-// follower is bootstrapped from, records through the dissemination codec
-// and summaries through the batch codec — and the owner block is wire's
+// follower is bootstrapped from, records and the certified filter through
+// the dissemination codec and summaries through the batch codec — and the
+// owner block is wire's
 // too, so a snapshot is readable by anything that can parse the
 // protocol. Replacement is atomic: written to "snapshot.tmp", fsynced,
 // renamed over the old image, directory fsynced. A crash leaves either
@@ -28,7 +29,7 @@ import (
 // silent half-state.
 
 // snapMagic names the layout; a file written under another is refused.
-const snapMagic = "ASNP2\n"
+const snapMagic = "ASNP3\n"
 
 // snapName and snapTmp are the snapshot file names within a store dir.
 const (

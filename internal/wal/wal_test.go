@@ -330,7 +330,7 @@ func TestSnapshotRoundtripFile(t *testing.T) {
 	if _, err := decodeSnapshot(reseal(bytes.Clone(whole[:len(whole)-12]))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short owner block under a valid CRC: %v, want ErrCorrupt", err)
 	}
-	old := reseal(append([]byte("ASNP1\n"), whole[len(snapMagic):len(whole)-4]...))
+	old := reseal(append([]byte("ASNP2\n"), whole[len(snapMagic):len(whole)-4]...))
 	if _, err := decodeSnapshot(old); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("previous layout's magic: %v, want ErrCorrupt", err)
 	}

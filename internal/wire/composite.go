@@ -41,7 +41,7 @@ func (r *reader) relName() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(name) > maxRelName {
+	if len(name) == 0 || len(name) > maxRelName {
 		return nil, fmt.Errorf("%w: relation name of %d bytes", ErrCorrupt, len(name))
 	}
 	return name, nil
@@ -364,16 +364,45 @@ func putJoin(w *writer, j *join.Answer) error {
 		if g.Partition == nil || g.Partition.Filter == nil {
 			return fmt.Errorf("wire: Bloom negatives %d of %d carry no partition", i+1, len(j.Negatives))
 		}
-		w.i64(g.Partition.Lo)
-		w.i64(g.Partition.Hi)
-		w.bytes(g.Partition.Filter.Marshal())
-		w.bytes(g.PartSig)
+		putPartition(w, g.Partition, g.PartSig)
 		w.u64(uint64(len(g.Keys)))
 		for _, k := range g.Keys {
 			w.i64(k)
 		}
 	}
 	return nil
+}
+
+// putPartition encodes one certified partition of a relation's Bloom
+// filter — bounds, filter, the owner's certification — as a join section
+// lists it beside the keys it answers and a dissemination message
+// (AppendUpdateMsg) carries the whole filter.
+func putPartition(w *writer, p *bloom.Partition, sig sigagg.Signature) {
+	w.i64(p.Lo)
+	w.i64(p.Hi)
+	w.bytes(p.Filter.Marshal())
+	w.bytes(sig)
+}
+
+// getPartition decodes into p what putPartition wrote; the signature
+// follows the reader's custody.
+func getPartition(r *reader, p *bloom.Partition) (sigagg.Signature, error) {
+	var err error
+	if p.Lo, err = r.i64(); err != nil {
+		return nil, err
+	}
+	if p.Hi, err = r.i64(); err != nil {
+		return nil, err
+	}
+	fb, err := r.bytes()
+	if err != nil {
+		return nil, err
+	}
+	if p.Filter, err = bloom.Unmarshal(fb); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	sig, err := r.bytes()
+	return sigagg.Signature(sig), err
 }
 
 func getJoin(r *reader) (*join.Answer, error) {
@@ -416,25 +445,10 @@ func getJoin(r *reader) (*join.Answer, error) {
 	}
 	for i := range j.Negatives {
 		g := &j.Negatives[i]
-		part := &bloom.Partition{}
-		if part.Lo, err = r.i64(); err != nil {
+		g.Partition = &bloom.Partition{}
+		if g.PartSig, err = getPartition(r, g.Partition); err != nil {
 			return nil, err
 		}
-		if part.Hi, err = r.i64(); err != nil {
-			return nil, err
-		}
-		fb, err := r.bytes()
-		if err != nil {
-			return nil, err
-		}
-		if part.Filter, err = bloom.Unmarshal(fb); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		sig, err := r.bytes()
-		if err != nil {
-			return nil, err
-		}
-		g.Partition, g.PartSig = part, sigagg.Signature(sig)
 		nKeys, err := r.u64()
 		if err != nil {
 			return nil, err

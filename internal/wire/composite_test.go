@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"reflect"
@@ -175,6 +176,94 @@ func TestUpdateMsgSidebandRoundTrip(t *testing.T) {
 	}
 	if got.Upserts[0].AttrVals == nil || got.Upserts[1].AttrVals != nil {
 		t.Fatal("sideband presence not preserved")
+	}
+}
+
+// testFilterCert is a certified filter of two partitions, as a decoder
+// yields it: nothing but the partitions and their certifications.
+func testFilterCert(t testing.TB) *join.FilterCert {
+	t.Helper()
+	pf, err := bloom.BuildPartitioned([]int64{5, 10, 15, 20}, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &join.FilterCert{
+		PF:   &bloom.PartitionedFilter{Partitions: pf.Partitions},
+		TS:   77,
+		Sigs: []sigagg.Signature{sigagg.Signature("ps"), sigagg.Signature("pt")},
+	}
+}
+
+// TestUpdateMsgFilterSection: a re-certified filter rides a dissemination
+// message under a spare bit of the byte that was the summary flag, so a
+// message without one is encoded as it always was; what decodes is
+// canonical — no unknown flag, no partition the bytes cannot hold, nothing
+// after the last section.
+func TestUpdateMsgFilterSection(t *testing.T) {
+	sum := &freshness.Summary{Seq: 3, PeriodStart: 60, TS: 70, Compressed: []byte{2}, Sig: sigagg.Signature("z")}
+	rec := core.SignedRecord{Rec: &chain.Record{RID: 1, Key: 5, TS: 9}, Sig: sigagg.Signature("sig")}
+	fc := testFilterCert(t)
+	flagAt := func(msg *core.UpdateMsg) int { // the deletes are the last thing before the flag byte
+		return len(AppendUpdateMsg(nil, &core.UpdateMsg{TS: msg.TS, Upserts: msg.Upserts, Deletes: msg.Deletes})) - 1
+	}
+	for i, msg := range []*core.UpdateMsg{
+		{TS: 9},
+		{TS: 9, Upserts: []core.SignedRecord{rec}, Deletes: []uint64{4}, Summary: sum},
+		{TS: 78, Filter: fc},
+		{TS: 78, Upserts: []core.SignedRecord{rec}, Summary: sum, Filter: fc},
+	} {
+		data := EncodeUpdateMsg(msg)
+		got, err := DecodeUpdateMsg(data)
+		if err != nil || !reflect.DeepEqual(got, msg) {
+			t.Fatalf("message %d round trip: %v\n got %+v\nwant %+v", i, err, got, msg)
+		}
+		at, want := flagAt(msg), byte(0)
+		if msg.Summary != nil {
+			want |= 1
+		}
+		if msg.Filter != nil {
+			want |= 2
+		}
+		if data[at] != want {
+			t.Fatalf("message %d: flag byte %#x, want %#x", i, data[at], want)
+		}
+		if msg.Filter == nil {
+			// Byte for byte what the summary-flag format wrote: the flag, then
+			// the summary or nothing.
+			tail := []byte{want}
+			if msg.Summary != nil {
+				w := &writer{buf: tail}
+				putSummary(w, msg.Summary)
+				tail = w.buf
+			}
+			if !bytes.Equal(data[at:], tail) {
+				t.Fatalf("message %d without a filter grew: tail %x, want %x", i, data[at:], tail)
+			}
+		}
+		for bit := byte(4); bit != 0; bit <<= 1 {
+			bad := bytes.Clone(data)
+			bad[at] |= bit
+			if _, err := DecodeUpdateMsg(bad); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("message %d: flag bit %#x accepted (%v)", i, bit, err)
+			}
+		}
+		if _, err := DecodeUpdateMsg(append(bytes.Clone(data), 0)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("message %d: trailing byte accepted (%v)", i, err)
+		}
+		for cut := at; cut < len(data); cut++ {
+			if _, err := DecodeUpdateMsg(data[:cut]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("message %d: truncation at %d accepted (%v)", i, cut, err)
+			}
+		}
+	}
+	// A partition count the bytes cannot hold is refused before it sizes
+	// anything (the count follows the flag byte and the filter time).
+	data := EncodeUpdateMsg(&core.UpdateMsg{TS: 78, Filter: fc})
+	at := flagAt(&core.UpdateMsg{TS: 78}) + 1 + 8
+	binary.BigEndian.PutUint64(data[at:], 1<<24)
+	var err error
+	if allocated := allocatedBy(func() { _, err = DecodeUpdateMsg(data) }); !errors.Is(err, ErrCorrupt) || allocated > 64<<10 {
+		t.Fatalf("lying partition count: err %v after allocating %d bytes", err, allocated)
 	}
 }
 

@@ -58,11 +58,21 @@ func seedFrames(t testing.TB) [][]byte {
 		AppendRelTails(compBytes, comp.Tails),
 		AppendRelTails(runsBytes, runsOnly.Tails),
 		AppendBootstrap(nil, 42, sys.QS.Snapshot()),
-		AppendBootstrap(nil, 7, imageStates()[1]), // projection-mode: the §3.4 sideband
+		AppendBootstrap(nil, 7, imageStates(t)[1]), // projection-mode: the §3.4 sideband
+		AppendBootstrap(nil, 9, imageStates(t)[2]), // a join inner: the §3.5 certified filter
+		// A re-certification as it is logged and fed, and one whose flag
+		// byte (the message's 26th, after its empty record lists) claims a
+		// section the format does not have.
+		AppendWalRecord(nil, 12, 15, EncodeUpdateMsg(&core.UpdateMsg{TS: 78, Filter: testFilterCert(t)})),
+		func() []byte {
+			bad := EncodeUpdateMsg(&core.UpdateMsg{TS: 78, Filter: testFilterCert(t)})
+			bad[26] |= 0x40
+			return bad
+		}(),
 		AppendWalRecord(nil, 11, 15, EncodeUpdateMsg(closeMsg)),
 		AppendPlanReq(nil, []byte("plan-bytes"), []RelSince{{Name: "outer", SinceSeq: 7}, {Name: "inner"}}),
 		AppendRelSumsReq(nil, "inner", 42, -1),
-		AppendReplSubReq(nil, 12345),
+		AppendReplSubReq(nil, "inner", 12345),
 		AppendSummaries(nil, sums),
 		AppendSummaries(nil, []freshness.Summary{}),
 		// Requests the decoder refuses on a count or a length alone: a
@@ -70,6 +80,8 @@ func seedFrames(t testing.TB) [][]byte {
 		AppendPlanReq(nil, []byte("plan-bytes"), []RelSince{{Name: "a"}, {Name: "b", SinceSeq: 9}, {Name: "c"}}),
 		AppendPlanReq(nil, []byte("p"), []RelSince{{Name: strings.Repeat("n", maxRelName+1), SinceSeq: 1 << 40}}),
 		AppendRelSumsReq(nil, strings.Repeat("n", maxRelName+1), 0, 123),
+		AppendReplSubReq(nil, strings.Repeat("n", maxRelName+1), 7),
+		AppendReplSubReq(nil, "", 7),
 		AppendErrorCode(nil, ErrCodeOverloaded, "overloaded"),
 		AppendError(nil, ""),
 	}
@@ -220,8 +232,15 @@ func FuzzDecodeUpdateMsg(f *testing.F) {
 	mutate(f, seedFrames(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := DecodeUpdateMsg(data)
-		if err == nil && msg == nil {
+		if err != nil {
+			return
+		}
+		if msg == nil {
 			t.Fatal("nil message without error")
+		}
+		// What decodes is canonical: the one encoder writes it back.
+		if !bytes.Equal(EncodeUpdateMsg(msg), data) {
+			t.Fatal("accepted message does not re-encode to itself")
 		}
 	})
 }
@@ -242,7 +261,9 @@ func FuzzDecodeRequests(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		Kind(data)
 		DecodeErrorCode(data)
-		DecodeReplSubReq(data)
+		if rel, _, err := DecodeReplSubReq(data); err == nil && (rel == "" || len(rel) > maxRelName) {
+			t.Fatalf("accepted a subscription to a %d-byte relation name", len(rel))
+		}
 		if rel, _, _, err := DecodeRelSumsReq(data); err == nil && len(rel) > maxRelName {
 			t.Fatalf("accepted a %d-byte relation name", len(rel))
 		}

@@ -2,12 +2,12 @@ package wire
 
 // A relation's durable state has one encoding, the image:
 //
-//	| u64 len | 'U' UpdateMsg{Upserts: records} | u64 len | 'F' summary batch |
+//	| u64 len | 'U' UpdateMsg{Upserts: records, Filter} | u64 len | 'F' summary batch |
 //
-// The signed records ride the dissemination codec — so the §3.4
-// attribute sideband, and every count bound a hostile 'U' or 'W' record
-// meets, are the image's too — and the certified summaries the batch
-// codec. A bootstrap frame is header + LSN + image (repl.go); a snapshot
+// The signed records and the certified filter ride the dissemination
+// codec — so the §3.4 attribute sideband, the §3.5 filter section, and
+// every count bound a hostile 'U' or 'W' record meets, are the image's
+// too — and the certified summaries the batch codec. A bootstrap frame is header + LSN + image (repl.go); a snapshot
 // file is magic + LSN + TS + image + owner block + CRC (internal/wal).
 // Like the dissemination decoder, DecodeImage copies everything it
 // returns.
@@ -33,7 +33,9 @@ func (w *writer) nested(enc func([]byte) []byte) {
 // AppendImage appends the image of st.
 func AppendImage(buf []byte, st *core.ServerState) []byte {
 	w := &writer{buf: buf}
-	w.nested(func(b []byte) []byte { return AppendUpdateMsg(b, &core.UpdateMsg{Upserts: st.Records}) })
+	w.nested(func(b []byte) []byte {
+		return AppendUpdateMsg(b, &core.UpdateMsg{Upserts: st.Records, Filter: st.Filter})
+	})
 	w.nested(func(b []byte) []byte { return AppendSummaries(b, st.Summaries) })
 	return w.buf
 }
@@ -60,7 +62,7 @@ func DecodeImage(data []byte) (*core.ServerState, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &core.ServerState{Records: msg.Upserts, Summaries: sums}, data[r.off:], nil
+	return &core.ServerState{Records: msg.Upserts, Summaries: sums, Filter: msg.Filter}, data[r.off:], nil
 }
 
 // AppendOwnerBlock appends what a snapshot holds of the owner beyond

@@ -31,9 +31,9 @@ var Kinds = []KindInfo{
 	{KindRelSummaries, "client", "server", "certified summaries of one named relation, after a sequence number or since a timestamp"},
 	{KindSummaries, "server", "client", "batch of certified summaries (answers T)"},
 	{KindError, "server", "client", "coded error: generic, bad frame, or overloaded"},
-	{KindUpdate, "owner", "server", "dissemination message (also the WAL and replication record body)"},
-	{KindReplSubscribe, "follower", "primary", "subscribe to the feed after a known LSN"},
-	{KindReplBootstrap, "primary", "follower", "full server image at an LSN"},
+	{KindUpdate, "owner", "server", "dissemination message: records, deletions, a period's summary, a re-certified Bloom filter (also the WAL and replication record body)"},
+	{KindReplSubscribe, "follower", "primary", "subscribe to one named relation's feed after a known LSN"},
+	{KindReplBootstrap, "primary", "follower", "one relation's image at an LSN: records, summaries, certified filter"},
 	{KindReplRecord, "primary", "follower", "one dissemination message with its LSN"},
 	{KindReplHeartbeat, "primary", "follower", "idle beat carrying the primary's LSN"},
 }

@@ -28,7 +28,7 @@ func TestKindsTable(t *testing.T) {
 		KindUpdate:        AppendUpdateMsg(nil, &core.UpdateMsg{TS: 1}),
 		KindComposite:     must(AppendCompositeCore(nil, &Composite{Outer: ans})),
 		KindRelSummaries:  AppendRelSumsReq(nil, "r", 0, 0),
-		KindReplSubscribe: AppendReplSubReq(nil, 0),
+		KindReplSubscribe: AppendReplSubReq(nil, "r", 0),
 		KindReplBootstrap: AppendBootstrap(nil, 0, &core.ServerState{}),
 		KindReplRecord:    AppendWalRecord(nil, 1, 1, AppendUpdateMsg(nil, &core.UpdateMsg{TS: 1})),
 		KindReplHeartbeat: AppendReplHeartbeat(nil, 1),

@@ -7,12 +7,14 @@ package wire
 // feed carries no authentication of its own beyond the owner
 // signatures already inside every record and summary.
 //
-//	'R'  follower -> primary   subscribe, resuming after a known LSN
+//	'R'  follower -> primary   subscribe to one named relation, resuming after a known LSN
 //	'B'  primary  -> follower  bootstrap: LSN + the relation image (image.go)
 //	'W'  primary  -> follower  one WAL record (LSN + UpdateMsg)
 //	'H'  primary  -> follower  heartbeat carrying the primary's LSN
 //
-// A 'W' frame piggybacks the primary's current last LSN so a follower
+// A subscription names one relation and the primary keeps a feed and an
+// LSN space per relation, so nothing after 'R' says which relation it is
+// about (package replica has the why). A 'W' frame piggybacks the primary's current last LSN so a follower
 // can expose its replication lag even while records stream; 'H' keeps
 // the lag observable when the feed is idle.
 
@@ -24,28 +26,32 @@ import (
 
 // ---- ReplSubReq (follower -> primary) ----
 
-// AppendReplSubReq appends a replication subscription resuming after
-// afterLSN (0 = from nothing; the primary decides whether to bootstrap
-// a fresh image or tail its log).
-func AppendReplSubReq(buf []byte, afterLSN uint64) []byte {
+// AppendReplSubReq appends a subscription to relation rel's feed resuming
+// after afterLSN (0 = from nothing; the primary decides whether to
+// bootstrap a fresh image or tail its log).
+func AppendReplSubReq(buf []byte, rel string, afterLSN uint64) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)
 	w.u8(KindReplSubscribe)
+	w.bytes([]byte(rel))
 	w.u64(afterLSN)
 	return w.buf
 }
 
 // DecodeReplSubReq parses a replication subscription request.
-func DecodeReplSubReq(data []byte) (uint64, error) {
+func DecodeReplSubReq(data []byte) (rel string, afterLSN uint64, err error) {
 	r := &reader{buf: data}
 	if err := header(r, KindReplSubscribe); err != nil {
-		return 0, err
+		return "", 0, err
 	}
-	after, err := r.u64()
+	name, err := r.relName()
 	if err != nil {
-		return 0, err
+		return "", 0, err
 	}
-	return after, r.done()
+	if afterLSN, err = r.u64(); err != nil {
+		return "", 0, err
+	}
+	return string(name), afterLSN, r.done()
 }
 
 // ---- Bootstrap (primary -> follower) ----

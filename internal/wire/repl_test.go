@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"authdb/internal/chain"
@@ -12,24 +14,34 @@ import (
 )
 
 func TestReplSubReqRoundTrip(t *testing.T) {
-	data := AppendReplSubReq(GetBuffer(), 12345)
+	data := AppendReplSubReq(GetBuffer(), "items", 12345)
 	defer PutBuffer(data)
 	if k, err := Kind(data); err != nil || k != 'R' {
 		t.Fatalf("kind=%q err=%v", k, err)
 	}
-	after, err := DecodeReplSubReq(data)
-	if err != nil || after != 12345 {
-		t.Fatalf("after=%d err=%v", after, err)
+	rel, after, err := DecodeReplSubReq(data)
+	if err != nil || rel != "items" || after != 12345 {
+		t.Fatalf("rel=%q after=%d err=%v", rel, after, err)
 	}
-	if _, err := DecodeReplSubReq(data[:len(data)-1]); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncated: %v, want ErrCorrupt", err)
+	// A subscription names exactly one relation a planner could have
+	// named, and nothing follows its LSN.
+	for name, bad := range map[string][]byte{
+		"truncated":      data[:len(data)-1],
+		"trailing byte":  append(bytes.Clone(data), 0),
+		"empty name":     AppendReplSubReq(nil, "", 12345),
+		"over-long name": AppendReplSubReq(nil, strings.Repeat("n", maxRelName+1), 12345),
+	} {
+		if _, _, err := DecodeReplSubReq(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
 // imageStates are the bootstrap inputs: an ordinary relation's image, a
 // projection-mode one (§3.4: stripped chained records, attribute values
-// and per-slot signatures in the sideband), and the empty image.
-func imageStates() []*core.ServerState {
+// and per-slot signatures in the sideband), a join inner's with its
+// certified filter (§3.5), and the empty image.
+func imageStates(t testing.TB) []*core.ServerState {
 	sums := []freshness.Summary{
 		{Seq: 1, PeriodStart: 0, TS: 50, Compressed: []byte{0x01}, Sig: sigagg.Signature("sum-sig")},
 	}
@@ -52,12 +64,17 @@ func imageStates() []*core.ServerState {
 			},
 			Summaries: sums,
 		},
+		{
+			Records:   []core.SignedRecord{{Rec: &chain.Record{RID: 8, Key: 20, TS: 100}, Sig: sigagg.Signature("sig-b")}},
+			Summaries: sums,
+			Filter:    testFilterCert(t),
+		},
 		{},
 	}
 }
 
 func TestBootstrapRoundTrip(t *testing.T) {
-	for i, st := range imageStates() {
+	for i, st := range imageStates(t) {
 		data := AppendBootstrap(nil, 42, st)
 		if k, err := Kind(data); err != nil || k != 'B' {
 			t.Fatalf("state %d: kind=%q err=%v", i, k, err)
@@ -66,8 +83,8 @@ func TestBootstrapRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("state %d: %v", i, err)
 		}
-		if lsn != 42 || len(got.Records) != len(st.Records) || len(got.Summaries) != len(st.Summaries) {
-			t.Fatalf("state %d: lsn=%d records=%d summaries=%d", i, lsn, len(got.Records), len(got.Summaries))
+		if lsn != 42 || len(got.Records) != len(st.Records) || len(got.Summaries) != len(st.Summaries) || !reflect.DeepEqual(got.Filter, st.Filter) {
+			t.Fatalf("state %d: lsn=%d records=%d summaries=%d filter=%+v", i, lsn, len(got.Records), len(got.Summaries), got.Filter)
 		}
 		for j, sr := range st.Records {
 			if len(got.Records[j].AttrVals) != len(sr.AttrVals) || len(got.Records[j].AttrSigs) != len(sr.AttrSigs) {
@@ -97,7 +114,7 @@ func TestBootstrapRoundTrip(t *testing.T) {
 	}
 	// The image's record message is a state, not a delta.
 	delta := AppendUpdateMsg(nil, &core.UpdateMsg{Deletes: []uint64{9}})
-	w := &writer{buf: AppendReplSubReq(nil, 42)}
+	w := &writer{buf: AppendReplHeartbeat(nil, 42)} // a header and an LSN
 	w.buf[1] = KindReplBootstrap
 	w.bytes(delta)
 	w.bytes(AppendSummaries(nil, nil))

@@ -23,9 +23,11 @@ import (
 	"fmt"
 	"sync"
 
+	"authdb/internal/bloom"
 	"authdb/internal/chain"
 	"authdb/internal/core"
 	"authdb/internal/freshness"
+	"authdb/internal/join"
 	"authdb/internal/sigagg"
 )
 
@@ -256,6 +258,14 @@ func getSummary(r *reader) (freshness.Summary, error) {
 
 // ---- UpdateMsg (DA -> query server) ----
 
+// The byte after a message's deletes says which optional sections follow,
+// in this order. A message without a filter is encoded as it was when the
+// byte was the summary flag alone.
+const (
+	updFlagSummary = 1 << 0
+	updFlagFilter  = 1 << 1
+)
+
 // EncodeUpdateMsg serializes a dissemination message into a fresh
 // buffer. Hot paths should prefer AppendUpdateMsg with a pooled buffer.
 func EncodeUpdateMsg(msg *core.UpdateMsg) []byte {
@@ -294,11 +304,25 @@ func AppendUpdateMsg(buf []byte, msg *core.UpdateMsg) []byte {
 	for _, rid := range msg.Deletes {
 		w.u64(rid)
 	}
+	var flags byte
 	if msg.Summary != nil {
-		w.u8(1)
+		flags |= updFlagSummary
+	}
+	if msg.Filter != nil {
+		flags |= updFlagFilter
+	}
+	w.u8(flags)
+	if msg.Summary != nil {
 		putSummary(w, msg.Summary)
-	} else {
-		w.u8(0)
+	}
+	if fc := msg.Filter; fc != nil {
+		// The re-certified filter (§3.5): its time, then every partition
+		// with its certification, as a join section lists them.
+		w.i64(fc.TS)
+		w.u64(uint64(len(fc.Sigs)))
+		for i, sig := range fc.Sigs {
+			putPartition(w, &fc.PF.Partitions[i], sig)
+		}
 	}
 	return w.buf
 }
@@ -387,18 +411,38 @@ func DecodeUpdateMsg(data []byte) (*core.UpdateMsg, error) {
 		}
 		msg.Deletes = append(msg.Deletes, rid)
 	}
-	hasSummary, err := r.u8()
+	flags, err := r.u8()
 	if err != nil {
 		return nil, err
 	}
-	if hasSummary == 1 {
+	if flags&^(updFlagSummary|updFlagFilter) != 0 {
+		return nil, fmt.Errorf("%w: bad update flags %#x", ErrCorrupt, flags)
+	}
+	if flags&updFlagSummary != 0 {
 		s, err := getSummary(r)
 		if err != nil {
 			return nil, err
 		}
 		msg.Summary = &s
-	} else if hasSummary != 0 {
-		return nil, fmt.Errorf("%w: bad summary flag %d", ErrCorrupt, hasSummary)
+	}
+	if flags&updFlagFilter != 0 {
+		fc := &join.FilterCert{PF: &bloom.PartitionedFilter{}}
+		if fc.TS, err = r.i64(); err != nil {
+			return nil, err
+		}
+		// A partition is at least its bounds, a filter header and two
+		// length prefixes.
+		n, err := r.count(56)
+		if err != nil {
+			return nil, err
+		}
+		fc.PF.Partitions, fc.Sigs = make([]bloom.Partition, n), make([]sigagg.Signature, n)
+		for i := range fc.Sigs {
+			if fc.Sigs[i], err = getPartition(r, &fc.PF.Partitions[i]); err != nil {
+				return nil, err
+			}
+		}
+		msg.Filter = fc
 	}
 	if err := r.done(); err != nil {
 		return nil, err
