@@ -51,7 +51,7 @@ func parseFlags(role string, args []string) (*flags, error) {
 	fs.StringVar(&f.keyseed, "keyseed", "demo", "deterministic demo key seed (share with followers and clients); relation rel signs under the key derived from keyseed:scheme:rel")
 	catalog := fs.String("catalog", core.DefaultRelation, "comma-separated relation names, the same on serve, follow and query (first = outer relation, the one with projectable attributes and an answer cache; the rest are join inners)")
 	fs.IntVar(&f.shards, "shards", 64, "QueryServer key-range shards per relation")
-	fs.Int64Var(&f.cacheMB, "cache-mb", 64, "budget, in MiB, of the outer relation's answer cache (bare scans) and, separately, of the plan cache (plans with operators); each holds nothing until such a plan is served (0 = uncached)")
+	fs.Int64Var(&f.cacheMB, "cache-mb", 64, "budget, in MiB, of the outer relation's answer cache (bare scans) and, separately, of the plan cache (plans with operators); each keeps an answer only once it has been asked for twice (0 = uncached)")
 	fs.IntVar(&f.net.MaxConns, "max-conns", 1024, "concurrent connection cap (0 = unlimited)")
 	idleSec := fs.Int("idle-timeout", 300, "drop connections idle for this many seconds (0 = never)")
 	readSec := fs.Int("read-timeout", 30, "cut off peers that announce a frame and stall its payload (seconds; 0 = never)")

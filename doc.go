@@ -34,7 +34,8 @@
 // QueryServer.Serve): a sharded, epoch-versioned cache of fully
 // materialized answers — records, aggregate signature and pre-encoded
 // wire bytes — with singleflight coalescing so N concurrent identical
-// cold requests cost one tree walk, and frequency-biased LRU admission.
+// cold requests cost one tree walk, and second-request, frequency-biased
+// LRU admission (an answer asked for once is served, not kept).
 // Updates bump per-shard epoch counters and thereby invalidate exactly
 // the cached ranges they intersect; hot-range hits are O(1) and perform
 // zero aggregation operations. internal/server pairs the cache with the

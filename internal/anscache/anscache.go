@@ -23,15 +23,23 @@
 //     result: if an intersecting update landed while the flight was in
 //     progress, the waiter rebuilds instead of serving stale bytes.
 //
-//   - Frequency-biased, size-bounded admission. Each cache shard keeps
-//     an LRU list with per-entry hit counters. Eviction scans a small
-//     window at the cold tail and removes the least-frequently-hit
-//     entry (aging the survivors); a new entry whose observed demand
-//     (1 + coalesced waiters) is below the victim's kept frequency is
-//     not admitted at all, so a scan of cold ranges cannot wash out the
-//     hot head. Each admission also reclaims the cold-tail entry when
-//     its stamp has gone stale, so invalidated entries nobody requests
-//     again do not sit on their bytes until the budget is reached.
+//   - Second-request, frequency-biased, size-bounded admission. A built
+//     answer becomes resident only once its key has been asked for
+//     twice: coalesced waiters joined its flight, its fingerprint is in
+//     the shard's doorkeeper (a direct-mapped table of recently built
+//     keys, TinyLFU's), or it replaces an entry just dropped as stale. A
+//     once-seen answer serves its callers and returns its buffer on the
+//     last Release, so ranges that never repeat pin nothing. Each cache
+//     shard keeps an LRU list with per-entry hit counters; eviction
+//     scans a small window at the cold tail and removes the
+//     least-frequently-hit entry (aging the survivors), and a newcomer
+//     whose observed demand (1 + coalesced waiters) is below the
+//     victim's kept frequency is not admitted, so a scan of cold ranges
+//     cannot wash out the hot head. Each admission also reclaims the
+//     cold-tail entry when its stamp has gone stale, so invalidated
+//     entries nobody requests again do not sit on their bytes until the
+//     budget is reached. Entries are charged by the capacity of their
+//     wire buffer, which is what they pin.
 //
 // Entries are reference counted: the cache holds one reference while an
 // entry is resident, and every lookup hands the caller another. When
@@ -215,7 +223,7 @@ type Stats struct {
 	Coalesced     uint64 // callers who shared another's flight
 	Invalidations uint64 // entries dropped on a stale stamp
 	Evictions     uint64 // entries dropped by the size bound
-	Rejected      uint64 // entries denied admission by the frequency bias
+	Rejected      uint64 // built entries not made resident: first sightings, the frequency bias, oversize
 	Retries       uint64 // coalesced results discarded as stale, rebuilt
 	Bytes         int64  // resident wire bytes (point-in-time, not monotonic)
 	Entries       int64  // resident entries (point-in-time)
@@ -223,13 +231,15 @@ type Stats struct {
 
 // flight is one in-progress build other callers can latch onto.
 type flight struct {
-	done    chan struct{}
-	entry   *Entry // nil on error; pre-acquired for every waiter
-	err     error
-	waiters int64
+	done     chan struct{}
+	entry    *Entry // nil on error; pre-acquired for every waiter
+	err      error
+	waiters  int64
+	replaces bool // the build replaces a resident entry lookup dropped as stale
 }
 
-// cshard is one lock domain of the cache: its map, flights and LRU.
+// cshard is one lock domain of the cache: its map, flights, LRU and
+// doorkeeper.
 type cshard struct {
 	mu      sync.Mutex
 	entries map[Key]*Entry
@@ -238,6 +248,7 @@ type cshard struct {
 	tail    *Entry // least recently used
 	bytes   int64
 	max     int64
+	door    [doorSlots]uint64 // fingerprints of recently built keys, direct-mapped
 }
 
 // Cache is the concurrent answer cache. See the package comment.
@@ -277,6 +288,12 @@ const victimScan = 4
 // entryOverhead approximates an entry's bookkeeping bytes beyond Wire,
 // so size accounting cannot be gamed by tiny answers.
 const entryOverhead = 160
+
+// doorSlots is the doorkeeper's size per cache shard: 8 KiB of key
+// fingerprints, 128 KiB for the default shard count. A build whose slot
+// another key has since overwritten counts as a first sighting again,
+// which is how old sightings age out.
+const doorSlots = 1024
 
 // WithMaxBytes bounds the total resident wire bytes (default
 // DefaultMaxBytes; minimum one shard's worth).
@@ -322,9 +339,10 @@ func New(src EpochSource, opts ...Option) *Cache {
 	return c
 }
 
-// shardOf hashes a key onto its lock domain (fmix64 of Lo, Hi and the
-// plan bytes).
-func (c *Cache) shardOf(key Key) *cshard {
+// hash is fmix64 of Lo, Hi and the plan bytes: its low bits pick the
+// key's lock domain, its high bits its doorkeeper slot, and the whole
+// word is its fingerprint there.
+func hash(key Key) uint64 {
 	h := uint64(key.Lo)*0x9e3779b97f4a7c15 ^ uint64(key.Hi)
 	for i := 0; i < len(key.Plan); i++ {
 		h = h*0x100000001b3 ^ uint64(key.Plan[i])
@@ -332,7 +350,23 @@ func (c *Cache) shardOf(key Key) *cshard {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	return &c.shards[h&c.mask]
+	return h
+}
+
+// shardOf maps a key onto its lock domain.
+func (c *Cache) shardOf(key Key) *cshard {
+	return &c.shards[hash(key)&c.mask]
+}
+
+// seen records fingerprint h in the doorkeeper and reports whether it
+// was already there. Caller holds sh.mu.
+func (sh *cshard) seen(h uint64) bool {
+	slot := &sh.door[(h>>32)&(doorSlots-1)]
+	if *slot == h {
+		return true
+	}
+	*slot = h
+	return false
 }
 
 // lookup checks the resident entry for key under sh.mu (held by the
@@ -387,8 +421,9 @@ func (c *Cache) Get(key Key) (*Entry, bool) {
 // so Do never returns bytes older than an update that completed before
 // Do was called.
 func (c *Cache) Do(key Key, build func() (*Entry, error)) (*Entry, Outcome, error) {
+	h := hash(key)
+	sh := &c.shards[h&c.mask]
 	for {
-		sh := c.shardOf(key)
 		sh.mu.Lock()
 		e, ok, stale := c.lookup(sh, key)
 		if ok {
@@ -417,7 +452,7 @@ func (c *Cache) Do(key Key, build func() (*Entry, error)) (*Entry, Outcome, erro
 			c.retries.Add(1)
 			continue
 		}
-		f := &flight{done: make(chan struct{})}
+		f := &flight{done: make(chan struct{}), replaces: stale != nil}
 		sh.flights[key] = f
 		sh.mu.Unlock()
 		if stale != nil {
@@ -425,7 +460,7 @@ func (c *Cache) Do(key Key, build func() (*Entry, error)) (*Entry, Outcome, erro
 		}
 
 		c.built.Add(1)
-		built, err := c.runBuild(sh, key, f, build)
+		built, err := c.runBuild(sh, key, h, f, build)
 		if err != nil {
 			return nil, Built, err
 		}
@@ -438,7 +473,7 @@ func (c *Cache) Do(key Key, build func() (*Entry, error)) (*Entry, Outcome, erro
 // build (e.g. a bug in the query pipeline recovered further up the
 // stack) resolves the flight — waiters get an error instead of blocking
 // forever on a dead flight — before the panic is re-raised.
-func (c *Cache) runBuild(sh *cshard, key Key, f *flight, build func() (*Entry, error)) (e *Entry, err error) {
+func (c *Cache) runBuild(sh *cshard, key Key, h uint64, f *flight, build func() (*Entry, error)) (e *Entry, err error) {
 	defer func() {
 		r := recover()
 		if r != nil {
@@ -460,14 +495,23 @@ func (c *Cache) runBuild(sh *cshard, key Key, f *flight, build func() (*Entry, e
 			// reads.
 			demand := uint64(1 + f.waiters)
 			e.hits.Store(demand)
-			e.size = int64(len(e.Wire)) + int64(len(e.Key.Plan)) + entryOverhead
+			// Charged by capacity: a pooled buffer pins all of it.
+			e.size = int64(cap(e.Wire)) + int64(len(e.Key.Plan)) + entryOverhead
 			e.refs.Add(f.waiters + 1)
+			// Only a second request earns residency; a first sighting
+			// serves its caller and frees its buffer on the last Release.
+			// seen goes first: it records this sighting either way.
+			again := sh.seen(h) || demand > 1 || f.replaces
 			// Don't evict warm entries for an entry an intersecting
 			// update already invalidated mid-flight — the next lookup
 			// would just drop it again. The builder and waiters still
 			// get their (consistent-snapshot) result.
 			if e.Stamp.Valid(c.src) {
-				c.admit(sh, e, demand)
+				if again {
+					c.admit(sh, e, demand)
+				} else {
+					c.rejected.Add(1)
+				}
 			}
 		}
 		sh.mu.Unlock()

@@ -31,13 +31,15 @@ func TestGetAfterDo(t *testing.T) {
 	src := &fakeEpochs{}
 	c := New(src)
 	key := Key{Lo: 10, Hi: 20}
-	e, out, err := c.Do(key, func() (*Entry, error) {
-		return entryFor(key, src.stampFor(0, 1), "answer"), nil
-	})
-	if err != nil || out != Built {
-		t.Fatalf("Do: %v outcome %v", err, out)
+	for i := 0; i < 2; i++ { // the second request earns residency
+		e, out, err := c.Do(key, func() (*Entry, error) {
+			return entryFor(key, src.stampFor(0, 1), "answer"), nil
+		})
+		if err != nil || out != Built {
+			t.Fatalf("Do: %v outcome %v", err, out)
+		}
+		e.Release()
 	}
-	e.Release()
 
 	e2, ok := c.Get(key)
 	if !ok {
@@ -56,7 +58,7 @@ func TestGetAfterDo(t *testing.T) {
 		t.Fatalf("Do on hit: %v outcome %v", err, out)
 	}
 	e3.Release()
-	if st := c.Stats(); st.Hits != 2 || st.Built != 1 {
+	if st := c.Stats(); st.Hits != 2 || st.Built != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -69,7 +71,7 @@ func TestEpochInvalidation(t *testing.T) {
 	for _, k := range []struct {
 		key         Key
 		first, last int
-	}{{hot, 0, 1}, {cold, 3, 3}} {
+	}{{hot, 0, 1}, {cold, 3, 3}, {hot, 0, 1}, {cold, 3, 3}} {
 		e, _, err := c.Do(k.key, func() (*Entry, error) {
 			return entryFor(k.key, src.stampFor(k.first, k.last), "v"), nil
 		})
@@ -232,6 +234,7 @@ func TestSizeBoundAndFrequencyBias(t *testing.T) {
 	}
 	for lo := int64(0); lo < 4; lo++ {
 		put(lo * 10)
+		put(lo * 10)
 	}
 	// Make entry 0 hot.
 	for i := 0; i < 32; i++ {
@@ -241,8 +244,10 @@ func TestSizeBoundAndFrequencyBias(t *testing.T) {
 			t.Fatal("hot entry missing")
 		}
 	}
-	// A scan of cold one-shot ranges must not displace the hot entry.
+	// A scan of cold ranges, each asked for twice so it passes the
+	// doorkeeper and meets the size bound, must not displace the hot entry.
 	for lo := int64(100); lo < 140; lo += 10 {
+		put(lo)
 		put(lo)
 	}
 	if _, ok := c.Get(mk(0)); !ok {
@@ -273,16 +278,18 @@ func TestReleaseRecyclesWire(t *testing.T) {
 		}
 		return e
 	}
+	put(0).Release() // first sighting: served, not resident, freed
 	e1 := put(0)
 	e1.Release()
-	if freed.Load() != 0 {
+	if freed.Load() != 1 {
 		t.Fatal("buffer freed while resident")
 	}
 	// Second entry evicts the first (budget holds one); with no readers
 	// left the first buffer must return to the pool.
+	put(100).Release()
 	e2 := put(100)
 	e2.Release()
-	if freed.Load() != 1 {
+	if freed.Load() != 3 {
 		t.Fatalf("evicted buffer not freed (freed=%d)", freed.Load())
 	}
 }
@@ -419,12 +426,14 @@ func TestAdmitReclaimsStaleTail(t *testing.T) {
 	}
 	for lo := int64(0); lo < 8; lo++ {
 		put(lo)
+		put(lo)
 	}
 	if c.Len() != 8 {
 		t.Fatalf("resident %d, want 8", c.Len())
 	}
 	src.data[0].Add(1) // all eight are stale now, and nobody asks for them again
 	for lo := int64(100); lo < 108; lo++ {
+		put(lo)
 		put(lo)
 	}
 	if c.Len() != 8 {
@@ -439,5 +448,198 @@ func TestAdmitReclaimsStaleTail(t *testing.T) {
 			t.Fatalf("live entry %d was reclaimed", lo)
 		}
 		e.Release()
+	}
+}
+
+// do serves key through c with a one-shard-stamped entry and releases it,
+// returning the outcome.
+func do(t *testing.T, c *Cache, src *fakeEpochs, key Key) Outcome {
+	t.Helper()
+	e, out, err := c.Do(key, func() (*Entry, error) {
+		return entryFor(key, src.stampFor(0, 0), "v"), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Release()
+	return out
+}
+
+// TestFirstSightingNotResident: an answer asked for once is served but
+// pins nothing; the second request admits it and the third is a hit.
+func TestFirstSightingNotResident(t *testing.T) {
+	src := &fakeEpochs{}
+	c := New(src)
+	key := Key{Lo: 3, Hi: 9}
+	if out := do(t, c, src, key); out != Built {
+		t.Fatalf("first request: %v, want built", out)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Rejected != 1 {
+		t.Fatalf("first sighting left %+v, want nothing resident and one rejection", st)
+	}
+	if _, ok := c.Get(key); ok {
+		t.Fatal("a first sighting is resident")
+	}
+	if out := do(t, c, src, key); out != Built {
+		t.Fatalf("second request: %v, want built", out)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("second sighting not admitted: %d resident", c.Len())
+	}
+	if out := do(t, c, src, key); out != Hit {
+		t.Fatalf("third request: %v, want hit", out)
+	}
+}
+
+// TestCoalescedFlightAdmitted: a waiter joining the flight is the second
+// request, so the build is resident on its first flight.
+func TestCoalescedFlightAdmitted(t *testing.T) {
+	src := &fakeEpochs{}
+	c := New(src)
+	key := Key{Lo: 1, Hi: 2}
+	inFlight := make(chan struct{})
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, _, err := c.Do(key, func() (*Entry, error) {
+				close(inFlight)
+				<-gate
+				return entryFor(key, src.stampFor(0, 0), "shared"), nil
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			e.Release()
+		}()
+		if i == 0 {
+			<-inFlight
+		}
+	}
+	sh := c.shardOf(key)
+	for {
+		sh.mu.Lock()
+		joined := sh.flights[key] != nil && sh.flights[key].waiters == 1
+		sh.mu.Unlock()
+		if joined {
+			break
+		}
+	}
+	close(gate)
+	wg.Wait()
+	if st := c.Stats(); st.Built != 1 || st.Coalesced != 1 || st.Entries != 1 {
+		t.Fatalf("coalesced flight: %+v, want one build, one waiter, resident", st)
+	}
+}
+
+// TestStaleReplacementReadmitted: a rebuild of a key lookup just dropped
+// as stale is re-admitted on its first flight, even once the doorkeeper
+// has forgotten the key.
+func TestStaleReplacementReadmitted(t *testing.T) {
+	src := &fakeEpochs{}
+	c := New(src)
+	key := Key{Lo: 5, Hi: 6}
+	do(t, c, src, key)
+	do(t, c, src, key)
+	if c.Len() != 1 {
+		t.Fatal("warm key not resident")
+	}
+	c.shardOf(key).door = [doorSlots]uint64{} // the slot was overwritten since
+	src.data[0].Add(1)
+	if out := do(t, c, src, key); out != Built {
+		t.Fatalf("rebuild after invalidation: %v", out)
+	}
+	if st := c.Stats(); st.Invalidations != 1 || st.Entries != 1 {
+		t.Fatalf("stale replacement: %+v, want one invalidation and the rebuild resident", st)
+	}
+	if out := do(t, c, src, key); out != Hit {
+		t.Fatalf("after re-admission: %v, want hit", out)
+	}
+}
+
+// TestColdSweepPinsNothing: 10,000 distinct once-seen keys over a warm
+// 64-key head evict nothing, keep the head resident and add at most a few
+// entries' bytes (doorkeeper fingerprint collisions).
+func TestColdSweepPinsNothing(t *testing.T) {
+	src := &fakeEpochs{}
+	const entrySize = entryOverhead + 8 // "v" lands in an 8-byte size class
+	c := New(src, WithShards(1), WithMaxBytes(80*entrySize))
+	head := func(i int64) Key { return Key{Lo: i, Hi: i + 1} }
+	for i := int64(0); i < 64; i++ {
+		do(t, c, src, head(i))
+		do(t, c, src, head(i))
+	}
+	before := c.Stats()
+	if before.Entries != 64 {
+		t.Fatalf("warm head: %d resident, want 64", before.Entries)
+	}
+	for i := int64(0); i < 10000; i++ {
+		do(t, c, src, Key{Lo: 1000 + i, Hi: 1000 + i})
+	}
+	after := c.Stats()
+	if after.Evictions != 0 {
+		t.Fatalf("cold sweep evicted %d entries", after.Evictions)
+	}
+	if grown := after.Bytes - before.Bytes; grown > 4*entrySize {
+		t.Fatalf("cold sweep grew the cache by %d bytes, want at most a few entries' (%d)", grown, 4*entrySize)
+	}
+	for i := int64(0); i < 64; i++ {
+		if out := do(t, c, src, head(i)); out != Hit {
+			t.Fatalf("head key %d: %v after the sweep, want hit", i, out)
+		}
+	}
+}
+
+// TestRefusedEntryFreedOnce: a first sighting's buffer returns to its
+// pool exactly once, when its reader releases it, and nothing the cache
+// does afterwards frees it again.
+func TestRefusedEntryFreedOnce(t *testing.T) {
+	src := &fakeEpochs{}
+	c := New(src)
+	var freed atomic.Int64
+	key := Key{Lo: 7, Hi: 8}
+	e, _, err := c.Do(key, func() (*Entry, error) {
+		ent := entryFor(key, src.stampFor(0, 0), "payload")
+		ent.Free = func([]byte) { freed.Add(1) }
+		return ent, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if freed.Load() != 0 {
+		t.Fatal("refused buffer freed while its reader holds it")
+	}
+	e.Release()
+	if freed.Load() != 1 {
+		t.Fatalf("refused buffer freed %d times on its last release, want once", freed.Load())
+	}
+	c.Clear()
+	src.data[0].Add(1)
+	do(t, c, src, key)
+	if freed.Load() != 1 {
+		t.Fatalf("refused buffer freed %d times, want once", freed.Load())
+	}
+}
+
+// TestChargedByCapacity: an entry is charged for the capacity of its wire
+// buffer, which is what it pins, not the length of the answer in it.
+func TestChargedByCapacity(t *testing.T) {
+	src := &fakeEpochs{}
+	c := New(src)
+	key := Key{Lo: 1, Hi: 1}
+	for i := 0; i < 2; i++ {
+		e, _, err := c.Do(key, func() (*Entry, error) {
+			return &Entry{Key: key, Wire: make([]byte, 1<<10, 64<<10), Stamp: src.stampFor(0, 0)}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Release()
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 64<<10+entryOverhead {
+		t.Fatalf("1 KiB answer in a 64 KiB buffer: %+v, want charged %d", st, 64<<10+entryOverhead)
 	}
 }

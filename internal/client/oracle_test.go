@@ -73,7 +73,9 @@ func newLeafOracle(t *testing.T, seed int64) *leafOracle {
 		o.keys = append(o.keys, k)
 	}
 	o.deliver(o.sys.DA.Load(recs, o.now))
-	if err := server.EnableCache(o.sys.QS, 1<<20); err != nil {
+	// 4 MiB per cache shard: entries are charged by their pooled buffer's
+	// capacity, up to 1 MiB, and the comparison wants some of them hit.
+	if err := server.EnableCache(o.sys.QS, 64<<20); err != nil {
 		t.Fatal(err)
 	}
 	srv := server.NewNetServer(o.sys.QS, server.NetConfig{MaxSummaries: 3})

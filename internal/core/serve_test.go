@@ -42,6 +42,16 @@ func TestServeSources(t *testing.T) {
 	if err := sys.QS.EnableAnswerCache(testCodec(nil)); err != nil {
 		t.Fatal(err)
 	}
+	// A first sighting is built and served but not kept; the second
+	// request earns the range its place in the cache.
+	warm, err := sys.QS.Serve(10, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Source != ServedBuilt {
+		t.Fatalf("first sighting: %v", warm.Source)
+	}
+	warm.Release()
 	sv1, err := sys.QS.Serve(10, 500)
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +94,10 @@ func TestServeSources(t *testing.T) {
 		got.Release()
 	}
 
+	// Built: [10,500] twice, [9,501] twice (its first sighting was sv3);
+	// hits: sv2 and the sweep's [10,500].
 	st := sys.QS.ServingStats()
-	if st.Answers.Built != 2 || st.Answers.Hits != 3 {
+	if st.Answers.Built != 4 || st.Answers.Hits != 2 {
 		t.Fatalf("serving stats: %+v", st.Answers)
 	}
 }
@@ -100,11 +112,13 @@ func TestServeInvalidationOnUpdate(t *testing.T) {
 	}
 
 	warm := func(lo, hi int64) {
-		sv, err := sys.QS.Serve(lo, hi)
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < 2; i++ { // the second request earns residency
+			sv, err := sys.QS.Serve(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sv.Release()
 		}
-		sv.Release()
 	}
 	sourceOf := func(lo, hi int64) ServeSource {
 		sv, err := sys.QS.Serve(lo, hi)
@@ -180,6 +194,13 @@ func TestServeCoalescing(t *testing.T) {
 	if err := sys.QS.EnableAnswerCache(testCodec(nil)); err != nil {
 		t.Fatal(err)
 	}
+	// One request beforehand, so the burst's build is the range's second
+	// sighting and resident whether or not anyone joined its flight.
+	sv, err = sys.QS.Serve(10, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv.Release()
 	const K = 16
 	scheme.ResetAggOps()
 	var start, wg sync.WaitGroup
@@ -207,8 +228,8 @@ func TestServeCoalescing(t *testing.T) {
 			K, got, oneWalk)
 	}
 	st := sys.QS.ServingStats().Answers
-	if st.Built != 1 { // the one coalesced walk (the reference ran uncached)
-		t.Fatalf("expected exactly 1 build: %+v", st)
+	if st.Built != 2 { // the first sighting and the one coalesced walk (the reference ran uncached)
+		t.Fatalf("expected exactly 2 builds: %+v", st)
 	}
 	if st.Hits+st.Coalesced != K-1 {
 		t.Fatalf("K-1 callers should have shared the one walk: %+v", st)
@@ -226,17 +247,55 @@ func TestServeBufferRecycling(t *testing.T) {
 	if err := sys.QS.EnableAnswerCache(testCodec(&freed), anscache.WithShards(1), anscache.WithMaxBytes(200)); err != nil {
 		t.Fatal(err)
 	}
-	sv1, err := sys.QS.Serve(10, 100)
-	if err != nil {
+	serve := func(lo, hi int64) {
+		for i := 0; i < 2; i++ { // the second request earns residency
+			sv, err := sys.QS.Serve(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sv.Release()
+		}
+	}
+	serve(10, 100)
+	firstSightings := freed
+	serve(200, 300)
+	if freed != firstSightings+2 { // [200,300]'s first sighting, then [10,100] evicted
+		t.Fatalf("evicted entry never returned its buffer (freed %d → %d)", firstSightings, freed)
+	}
+}
+
+// TestColdRangesPinNothing: ranges asked for once are served but never
+// resident, so a scan of distinct cold ranges leaves the cache's bytes
+// where they were, while a range asked for again is still a hit.
+func TestColdRangesPinNothing(t *testing.T) {
+	sys := newSystem(t, xortest.New())
+	load(t, sys, 512)
+	if err := sys.QS.EnableAnswerCache(testCodec(nil), anscache.WithMaxBytes(64<<10)); err != nil {
 		t.Fatal(err)
 	}
-	sv1.Release()
-	sv2, err := sys.QS.Serve(200, 300)
-	if err != nil {
-		t.Fatal(err)
+	const entryBytes = 160 + 32 // bookkeeping plus a testCodec answer
+	for lo := int64(0); lo < 5000; lo++ {
+		sv, err := sys.QS.Serve(lo, lo+50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sv.Source != ServedBuilt {
+			t.Fatalf("cold range [%d,%d]: %v", lo, lo+50, sv.Source)
+		}
+		sv.Release()
 	}
-	sv2.Release()
-	if freed == 0 {
-		t.Fatal("evicted entry never returned its buffer")
+	if st := sys.QS.ServingStats().Answers; st.Bytes > 4*entryBytes || st.Evictions != 0 {
+		t.Fatalf("5,000 once-seen ranges left %d bytes resident and %d evictions, want at most a few entries' worth and none",
+			st.Bytes, st.Evictions)
+	}
+	for i, want := range []ServeSource{ServedBuilt, ServedBuilt, ServedHit} {
+		sv, err := sys.QS.Serve(100, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sv.Source != want {
+			t.Fatalf("request %d of a repeated range: %v, want %v", i+1, sv.Source, want)
+		}
+		sv.Release()
 	}
 }

@@ -607,9 +607,9 @@ func (e *Engine) Serve(planBytes []byte, since []wire.RelSince) (Served, error) 
 			wire.PutBuffer(buf)
 			return nil, err
 		}
-		// The cache charges len(Wire), and a pooled buffer's capacity is
-		// whatever the pool last held: a resident entry keeps an exactly
-		// sized copy, so the byte budget bounds what the cache pins.
+		// A pooled buffer's capacity is whatever the pool last held, and
+		// the cache charges cap(Wire): a resident entry keeps an exactly
+		// sized copy, so it is charged for its answer and nothing more.
 		data := make([]byte, len(buf))
 		copy(data, buf)
 		wire.PutBuffer(buf)

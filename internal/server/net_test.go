@@ -81,7 +81,7 @@ func dialTest(t *testing.T, sys *core.System, addr string) *client.Client {
 func TestNetRoundTrip(t *testing.T) {
 	sys, keys, addr, shutdown := newNetFixture(t, 500, NetConfig{})
 	defer shutdown()
-	if err := EnableCache(sys.QS, 8<<20); err != nil {
+	if err := EnableCache(sys.QS, testCacheBytes); err != nil {
 		t.Fatal(err)
 	}
 	defer sys.QS.DisableAnswerCache()
@@ -91,7 +91,8 @@ func TestNetRoundTrip(t *testing.T) {
 		{Lo: keys[10], Hi: keys[60]},
 		{Lo: keys[0], Hi: keys[5]},
 		{Lo: keys[480], Hi: keys[499] + 100}, // runs off the domain edge
-		{Lo: keys[10], Hi: keys[60]},         // repeat: served from cache
+		{Lo: keys[10], Hi: keys[60]},         // repeat: earns the range residency
+		{Lo: keys[10], Hi: keys[60]},         // and again: served from cache
 	}
 	answers, reports, err := cl.QueryBatch(ranges)
 	if err != nil {
@@ -105,14 +106,17 @@ func TestNetRoundTrip(t *testing.T) {
 	}
 	// Same bytes whether built or cached: both verified above; spot-check
 	// equality of the decoded answers.
-	if answers[0].Chain.Agg == nil || answers[3].Chain.Agg == nil {
+	if answers[0].Chain.Agg == nil || answers[4].Chain.Agg == nil {
 		t.Fatal("missing aggregate")
 	}
-	if fmt.Sprintf("%x", answers[0].Chain.Agg) != fmt.Sprintf("%x", answers[3].Chain.Agg) {
+	if fmt.Sprintf("%x", answers[0].Chain.Agg) != fmt.Sprintf("%x", answers[4].Chain.Agg) {
 		t.Fatal("cached repeat decoded differently")
 	}
+	if sv := sys.QS.ServingStats().Answers; sv.Hits+sv.Coalesced == 0 {
+		t.Fatalf("no repeat was served from the cache: %+v", sv)
+	}
 	st := cl.Stats()
-	if st.Queries != 4 || st.Verified != 4 {
+	if st.Queries != 5 || st.Verified != 5 {
 		t.Fatalf("client stats %+v", st)
 	}
 }
@@ -455,7 +459,7 @@ func TestServeFailingCodec(t *testing.T) {
 		t.Fatal("Serve succeeded through a failing codec")
 	}
 	fc.fail.Store(false)
-	for i := 0; i < 3; i++ { // build once, hit twice
+	for i := 0; i < 4; i++ { // a first sighting, the build that earns residency, two hits
 		sv, err := sys.QS.Serve(keys[0], keys[20])
 		if err != nil {
 			t.Fatalf("Serve after codec recovery: %v", err)
@@ -466,7 +470,9 @@ func TestServeFailingCodec(t *testing.T) {
 		sv.Release()
 	}
 	sys.QS.DisableAnswerCache() // drops residency; last reference frees
-	if e, f := fc.encodes.Load(), fc.frees.Load(); e != 1 || f != 1 {
-		t.Fatalf("encodes=%d frees=%d, want exactly one buffer, freed exactly once", e, f)
+	// The first sighting's buffer went back on its release, the resident
+	// one on DisableAnswerCache.
+	if e, f := fc.encodes.Load(), fc.frees.Load(); e != 2 || f != 2 {
+		t.Fatalf("encodes=%d frees=%d, want exactly two buffers, each freed exactly once", e, f)
 	}
 }

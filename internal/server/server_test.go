@@ -8,6 +8,13 @@ import (
 	"authdb/internal/workload"
 )
 
+// testCacheBytes is the answer-cache budget of tests that expect a hit.
+// Entries are charged by their pooled buffer's capacity, which is
+// whatever the pool last held, up to 1 MiB: a smaller per-shard budget
+// (1/16 of this) would refuse an answer that drew a buffer an earlier
+// test in the binary left large.
+const testCacheBytes = 64 << 20
+
 // TestServeReflectsUpdates drives the real wire codec end to end: a
 // cached range, an intersecting update, and the requirement that the
 // next serve decodes to the fresh record.
@@ -24,13 +31,13 @@ func TestServeReflectsUpdates(t *testing.T) {
 	if err := sys.QS.Apply(msg); err != nil {
 		t.Fatal(err)
 	}
-	if err := EnableCache(sys.QS, 1<<20); err != nil {
+	if err := EnableCache(sys.QS, testCacheBytes); err != nil {
 		t.Fatal(err)
 	}
 	keys := workload.Keys(recs)
 	lo, hi := keys[100], keys[140]
 
-	for i := 0; i < 2; i++ { // build, then hit
+	for i := 0; i < 3; i++ { // a first sighting, the build that earns residency, then a hit
 		sv, err := sys.QS.Serve(lo, hi)
 		if err != nil {
 			t.Fatal(err)
@@ -41,8 +48,8 @@ func TestServeReflectsUpdates(t *testing.T) {
 		sv.Release()
 	}
 	st := sys.QS.ServingStats().Answers
-	if st.Hits != 1 || st.Built != 1 {
-		t.Fatalf("expected one build and one hit: %+v", st)
+	if st.Hits != 1 || st.Built != 2 || st.Entries != 1 {
+		t.Fatalf("expected two builds, one resident, and one hit: %+v", st)
 	}
 
 	up, err := sys.DA.Update(keys[120], [][]byte{[]byte("fresh")}, 777)

@@ -86,6 +86,7 @@ func (s *NetServer) Metrics(m *MetricsBuf) {
 	m.Counter("authdb_anscache_coalesced_total", "Answer-cache callers who shared another's flight.", sv.Answers.Coalesced)
 	m.Counter("authdb_anscache_invalidations_total", "Answer-cache entries dropped on a stale stamp.", sv.Answers.Invalidations)
 	m.Counter("authdb_anscache_evictions_total", "Answer-cache entries dropped by the size bound.", sv.Answers.Evictions)
+	m.Counter("authdb_anscache_rejected_total", "Answer-cache builds served but not made resident: first sightings, the frequency bias, oversize.", sv.Answers.Rejected)
 	m.Gauge("authdb_anscache_bytes", "Resident answer-cache wire bytes.", float64(sv.Answers.Bytes))
 	m.Gauge("authdb_anscache_entries", "Resident answer-cache entries.", float64(sv.Answers.Entries))
 }

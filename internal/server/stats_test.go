@@ -48,6 +48,10 @@ func scrape(t *testing.T, addr string) map[string]float64 {
 func TestServeMetricsScrape(t *testing.T) {
 	sys, keys, addr, srv, shutdown := newNetFixtureSrv(t, 100, NetConfig{})
 	defer shutdown()
+	if err := EnableCache(sys.QS, testCacheBytes); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.QS.DisableAnswerCache()
 
 	extra := func(m *MetricsBuf) {
 		m.Gauge("authdb_test_gauge", "Composed per-process metric.", 42)
@@ -67,7 +71,7 @@ func TestServeMetricsScrape(t *testing.T) {
 		"authdb_net_conns_total", `authdb_net_requests_total{kind="P"}`, `authdb_net_requests_total{kind="T"}`,
 		"authdb_net_shed_total", "authdb_net_fair_shed_total",
 		"authdb_net_repl_streams_total", "authdb_anscache_hits_total",
-		"authdb_test_gauge",
+		"authdb_anscache_rejected_total", "authdb_test_gauge",
 	} {
 		if _, ok := before[name]; !ok {
 			t.Fatalf("scrape missing %s", name)
@@ -77,7 +81,9 @@ func TestServeMetricsScrape(t *testing.T) {
 		t.Fatalf("composed gauge = %g, want 42", before["authdb_test_gauge"])
 	}
 
-	// Serve some traffic; the next scrape must move.
+	// Serve some traffic; the next scrape must move. One range three
+	// times: a first sighting the cache refuses, the request that earns it
+	// residency, a hit.
 	cl := dialTest(t, sys, addr)
 	for i := 0; i < 3; i++ {
 		if _, _, err := cl.Query(keys[0], keys[20]); err != nil {
@@ -88,6 +94,11 @@ func TestServeMetricsScrape(t *testing.T) {
 	const plans = `authdb_net_requests_total{kind="P"}`
 	if after[plans] < before[plans]+3 {
 		t.Fatalf("%s did not advance: %g -> %g", plans, before[plans], after[plans])
+	}
+	for name, want := range map[string]float64{"authdb_anscache_rejected_total": 1, "authdb_anscache_hits_total": 1, "authdb_anscache_entries": 1} {
+		if got := after[name] - before[name]; got != want {
+			t.Fatalf("%s moved by %g over one range asked three times, want %g", name, got, want)
+		}
 	}
 	// One sample per request kind the listener serves, and no other.
 	requests := 0
