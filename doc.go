@@ -15,12 +15,14 @@
 // user-side Verifier checks each answer with nothing but the
 // aggregator's public key.
 //
-// The QueryServer is sharded by key range. Each shard pairs the paper's
-// ASign B+-tree (internal/btree — records, boundaries, neighbours) with
-// an incrementally maintained aggregation tree (internal/aggtree) over
-// the same leaf signatures, so building the aggregate signature for a
-// range proof costs O(log n) Combine operations per overlapped shard
-// instead of one aggregation per result record. The tree holds its
+// The QueryServer is sharded by key range. Each shard is one
+// incrementally maintained aggregation tree (internal/aggtree) whose
+// leaves hold the records with their signatures — it finds the
+// boundaries and neighbours and walks the records in range, as the
+// paper's ASign B+-tree (internal/btree, the owner's index) does — so
+// building the aggregate signature for a range proof costs O(log n)
+// Combine operations per overlapped shard instead of one aggregation per
+// result record. The tree holds its
 // signatures decoded and its subtree aggregates un-normalised
 // (sigagg.Folder), so an operation is one group addition and an answer
 // is normalised and encoded once. The paper's SigCache (§4) is reproduced on its own in

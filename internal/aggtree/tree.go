@@ -2,16 +2,20 @@ package aggtree
 
 import (
 	"fmt"
+	"math"
 
 	"authdb/internal/sigagg"
 )
 
 // Entry is one leaf of the aggregation tree: the indexed key, the record
-// identifier and the record's aggregate-capable signature.
+// identifier, the record's aggregate-capable signature and an opaque
+// payload the tree stores and hands back untouched (the query server
+// keeps the record body and its sideband there).
 type Entry struct {
-	Key int64
-	RID uint64
-	Sig sigagg.Signature
+	Key     int64
+	RID     uint64
+	Sig     sigagg.Signature
+	Payload any
 }
 
 // Tree is a weight-balanced search tree over entries ordered by key,
@@ -28,21 +32,20 @@ type Entry struct {
 // accumulator the range was folded into.
 //
 // Tree performs no locking. Mutations must be externally serialized;
-// read operations (Get, FoldRange, AggRange, Scan, Len, Height) never
-// mutate the tree and may run concurrently with each other.
+// read operations (Get, Predecessor, Successor, Ascend, Scan, FoldRange,
+// AggRange, Len, Height) never mutate the tree and may run concurrently
+// with each other.
 type Tree struct {
 	folder sigagg.Folder
 	root   *node
 }
 
 type node struct {
+	Entry       // as stored: the signature as signed, and the payload
 	left, right *node
 	size        int
-	key         int64
-	rid         uint64
-	sig         sigagg.Signature // the leaf signature as signed, for Get and Scan
-	leaf        sigagg.Operand   // sig, prepared
-	sum         sigagg.Sum       // un-normalised aggregate over the whole subtree
+	leaf        sigagg.Operand // Sig, prepared
+	sum         sigagg.Sum     // un-normalised aggregate over the whole subtree
 }
 
 func (n *node) sz() int {
@@ -90,34 +93,77 @@ func (t *Tree) Get(key int64) (Entry, bool) {
 	n := t.root
 	for n != nil {
 		switch {
-		case key < n.key:
+		case key < n.Key:
 			n = n.left
-		case key > n.key:
+		case key > n.Key:
 			n = n.right
 		default:
-			return Entry{Key: n.key, RID: n.rid, Sig: n.sig}, true
+			return n.Entry, true
 		}
 	}
 	return Entry{}, false
 }
 
-// Scan calls fn for every entry in key order, stopping early when fn
-// returns false.
-func (t *Tree) Scan(fn func(Entry) bool) {
-	scan(t.root, fn)
+// Predecessor returns the entry with the largest key below key.
+func (t *Tree) Predecessor(key int64) (Entry, bool) {
+	var best *node
+	for n := t.root; n != nil; {
+		if n.Key < key {
+			best, n = n, n.right
+		} else {
+			n = n.left
+		}
+	}
+	if best == nil {
+		return Entry{}, false
+	}
+	return best.Entry, true
 }
 
-func scan(n *node, fn func(Entry) bool) bool {
-	if n == nil {
-		return true
+// Successor returns the entry with the smallest key above key.
+func (t *Tree) Successor(key int64) (Entry, bool) {
+	var best *node
+	for n := t.root; n != nil; {
+		if n.Key > key {
+			best, n = n, n.left
+		} else {
+			n = n.right
+		}
 	}
-	if !scan(n.left, fn) {
-		return false
+	if best == nil {
+		return Entry{}, false
 	}
-	if !fn(Entry{Key: n.key, RID: n.rid, Sig: n.sig}) {
-		return false
+	return best.Entry, true
+}
+
+// Ascend calls fn for every entry with lo <= key <= hi in key order,
+// stopping early when fn returns false. It copies nothing and descends
+// only into subtrees that can hold keys in range.
+func (t *Tree) Ascend(lo, hi int64, fn func(Entry) bool) {
+	ascend(t.root, lo, hi, fn)
+}
+
+func ascend(n *node, lo, hi int64, fn func(Entry) bool) bool {
+	for n != nil {
+		switch {
+		case n.Key < lo:
+			n = n.right
+		case n.Key > hi:
+			n = n.left
+		default:
+			if !ascend(n.left, lo, hi, fn) || !fn(n.Entry) {
+				return false
+			}
+			n = n.right
+		}
 	}
-	return scan(n.right, fn)
+	return true
+}
+
+// Scan calls fn for every entry in key order, stopping early when fn
+// returns false: Ascend over the whole key domain.
+func (t *Tree) Scan(fn func(Entry) bool) {
+	t.Ascend(math.MinInt64, math.MaxInt64, fn)
 }
 
 // prepare decodes e's signature — the only step of any mutation that
@@ -133,7 +179,7 @@ func (t *Tree) prepare(e Entry) (sigagg.Operand, error) {
 // newNode returns a node holding e, whose prepared signature is leaf;
 // its size and sum are for the caller's pull to fill.
 func (t *Tree) newNode(e Entry, leaf sigagg.Operand) *node {
-	return &node{key: e.Key, rid: e.RID, sig: e.Sig, leaf: leaf, sum: t.folder.NewSum()}
+	return &node{Entry: e, leaf: leaf, sum: t.folder.NewSum()}
 }
 
 // pull recomputes n's size and subtree sum from its children, in place,
@@ -198,10 +244,10 @@ func balance(n *node) (*node, int) {
 	}
 }
 
-// Upsert inserts the entry or replaces the signature (and rid) stored
-// under its key. It returns whether an existing entry was replaced and
-// the aggregation operations spent on maintenance. A malformed
-// signature is rejected with the tree unchanged.
+// Upsert inserts the entry or replaces the signature, rid and payload
+// stored under its key. It returns whether an existing entry was
+// replaced and the aggregation operations spent on maintenance. A
+// malformed signature is rejected with the tree unchanged.
 func (t *Tree) Upsert(e Entry) (replaced bool, ops int, err error) {
 	leaf, err := t.prepare(e)
 	if err != nil {
@@ -222,12 +268,12 @@ func (t *Tree) upsert(n *node, e Entry, leaf sigagg.Operand) (*node, bool, int) 
 		ops      int
 	)
 	switch {
-	case e.Key < n.key:
+	case e.Key < n.Key:
 		n.left, replaced, ops = t.upsert(n.left, e, leaf)
-	case e.Key > n.key:
+	case e.Key > n.Key:
 		n.right, replaced, ops = t.upsert(n.right, e, leaf)
 	default:
-		n.rid, n.sig, n.leaf = e.RID, e.Sig, leaf
+		n.Entry, n.leaf = e, leaf
 		return n, true, pull(n)
 	}
 	ops += pull(n)
@@ -255,9 +301,9 @@ func del(n *node, key int64) (*node, bool, int) {
 		ops     int
 	)
 	switch {
-	case key < n.key:
+	case key < n.Key:
 		n.left, deleted, ops = del(n.left, key)
-	case key > n.key:
+	case key > n.Key:
 		n.right, deleted, ops = del(n.right, key)
 	default:
 		if n.left == nil {
@@ -269,7 +315,7 @@ func del(n *node, key int64) (*node, bool, int) {
 		// Replace n's payload with the successor (min of right subtree).
 		var min *node
 		min, n.right, ops = deleteMin(n.right)
-		n.key, n.rid, n.sig, n.leaf = min.key, min.rid, min.sig, min.leaf
+		n.Entry, n.leaf = min.Entry, min.leaf
 		deleted = true
 	}
 	if !deleted {
@@ -303,8 +349,8 @@ func (t *Tree) FoldRange(acc sigagg.Sum, lo, hi int64) (pieces int, err error) {
 	// Descend to the topmost node inside [lo, hi], then cover the two
 	// flanks with geometrically growing whole subtrees.
 	n := t.root
-	for n != nil && (n.key < lo || n.key > hi) {
-		if n.key < lo {
+	for n != nil && (n.Key < lo || n.Key > hi) {
+		if n.Key < lo {
 			n = n.right
 		} else {
 			n = n.left
@@ -317,7 +363,7 @@ func (t *Tree) FoldRange(acc sigagg.Sum, lo, hi int64) (pieces int, err error) {
 	pieces = 1
 	// Every entry of the left subtree with key >= lo.
 	for l := n.left; l != nil; {
-		if l.key < lo {
+		if l.Key < lo {
 			l = l.right
 			continue
 		}
@@ -331,7 +377,7 @@ func (t *Tree) FoldRange(acc sigagg.Sum, lo, hi int64) (pieces int, err error) {
 	}
 	// Every entry of the right subtree with key <= hi.
 	for r := n.right; r != nil; {
-		if r.key > hi {
+		if r.Key > hi {
 			r = r.left
 			continue
 		}

@@ -50,6 +50,40 @@ func (o *oracle) delete(key int64) bool {
 	return true
 }
 
+// span is the oracle's entries with lo <= key <= hi (lo <= hi).
+func (o *oracle) span(lo, hi int64) []Entry {
+	i := sort.Search(len(o.entries), func(i int) bool { return o.entries[i].Key >= lo })
+	j := sort.Search(len(o.entries), func(i int) bool { return o.entries[i].Key > hi })
+	return o.entries[i:j]
+}
+
+// around returns the oracle's entry under key and its neighbours below
+// and above, each nil when absent.
+func (o *oracle) around(key int64) (pred, at, succ *Entry) {
+	i := sort.Search(len(o.entries), func(i int) bool { return o.entries[i].Key >= key })
+	if i > 0 {
+		pred = &o.entries[i-1]
+	}
+	if i < len(o.entries) && o.entries[i].Key == key {
+		at = &o.entries[i]
+		i++
+	}
+	if i < len(o.entries) {
+		succ = &o.entries[i]
+	}
+	return pred, at, succ
+}
+
+// sameEntry reports whether a tree read (got, ok) returned exactly the
+// oracle's entry, payload identity included.
+func sameEntry(got Entry, ok bool, want *Entry) bool {
+	if want == nil {
+		return !ok
+	}
+	return ok && got.Key == want.Key && got.RID == want.RID &&
+		string(got.Sig) == string(want.Sig) && got.Payload == want.Payload
+}
+
 func (o *oracle) aggRange(t *testing.T, lo, hi int64) sigagg.Signature {
 	t.Helper()
 	var sigs []sigagg.Signature
@@ -80,22 +114,22 @@ func (tr *Tree) validate(t *testing.T, scheme sigagg.Scheme) {
 			return nil
 		}
 		ls := walk(n.left)
-		if prev != nil && n.key <= *prev {
-			t.Fatalf("order violation: %d after %d", n.key, *prev)
+		if prev != nil && n.Key <= *prev {
+			t.Fatalf("order violation: %d after %d", n.Key, *prev)
 		}
-		k := n.key
+		k := n.Key
 		prev = &k
 		rs := walk(n.right)
 		if n.size != len(ls)+len(rs)+1 {
-			t.Fatalf("size mismatch at key %d: %d != %d", n.key, n.size, len(ls)+len(rs)+1)
+			t.Fatalf("size mismatch at key %d: %d != %d", n.Key, n.size, len(ls)+len(rs)+1)
 		}
 		if len(ls)+len(rs) >= 2 {
 			lw, rw := len(ls)+1, len(rs)+1
 			if lw > wDelta*rw || rw > wDelta*lw {
-				t.Fatalf("weight invariant violated at key %d: %d vs %d", n.key, lw, rw)
+				t.Fatalf("weight invariant violated at key %d: %d vs %d", n.Key, lw, rw)
 			}
 		}
-		sigs := append(append(ls, n.sig), rs...)
+		sigs := append(append(ls, n.Sig), rs...)
 		want, err := scheme.Aggregate(sigs)
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +139,7 @@ func (tr *Tree) validate(t *testing.T, scheme sigagg.Scheme) {
 			t.Fatal(err)
 		}
 		if string(want) != string(got) {
-			t.Fatalf("subtree sum mismatch at key %d", n.key)
+			t.Fatalf("subtree sum mismatch at key %d", n.Key)
 		}
 		return sigs
 	}
@@ -130,8 +164,10 @@ func TestRandomInterleavedOpsVsOracle(t *testing.T) {
 			if gotDel != wantDel {
 				t.Fatalf("step %d: Delete(%d) = %v, oracle %v", i, key, gotDel, wantDel)
 			}
-		default: // upsert
-			e := Entry{Key: key, RID: uint64(i), Sig: sigFor(t, scheme, priv, fmt.Sprintf("s-%d", i))}
+		default: // upsert, with a payload the tree must hand back as is
+			payload := new(int)
+			*payload = i
+			e := Entry{Key: key, RID: uint64(i), Sig: sigFor(t, scheme, priv, fmt.Sprintf("s-%d", i)), Payload: payload}
 			o.upsert(e)
 			if _, _, err := tr.Upsert(e); err != nil {
 				t.Fatal(err)
@@ -153,6 +189,40 @@ func TestRandomInterleavedOpsVsOracle(t *testing.T) {
 		want := o.aggRange(t, lo, hi)
 		if string(got) != string(want) {
 			t.Fatalf("step %d: AggRange(%d,%d) mismatch", i, lo, hi)
+		}
+		// Point and neighbour reads at the op's key and at random probes,
+		// the domain's edges included.
+		for _, probe := range []int64{key, rng.Int63n(keySpace+2) - 1, rng.Int63n(keySpace)} {
+			pred, at, succ := o.around(probe)
+			if e, ok := tr.Get(probe); !sameEntry(e, ok, at) {
+				t.Fatalf("step %d: Get(%d) = %+v, %v; oracle %+v", i, probe, e, ok, at)
+			}
+			if e, ok := tr.Predecessor(probe); !sameEntry(e, ok, pred) {
+				t.Fatalf("step %d: Predecessor(%d) = %+v, %v; oracle %+v", i, probe, e, ok, pred)
+			}
+			if e, ok := tr.Successor(probe); !sameEntry(e, ok, succ) {
+				t.Fatalf("step %d: Successor(%d) = %+v, %v; oracle %+v", i, probe, e, ok, succ)
+			}
+		}
+		// The bounded walk visits exactly the range, in order, and stops
+		// where told to.
+		span := o.span(lo, hi)
+		var walked []Entry
+		tr.Ascend(lo, hi, func(e Entry) bool { walked = append(walked, e); return true })
+		if len(walked) != len(span) {
+			t.Fatalf("step %d: Ascend(%d,%d) visited %d entries, oracle %d", i, lo, hi, len(walked), len(span))
+		}
+		for j := range span {
+			if !sameEntry(walked[j], true, &span[j]) {
+				t.Fatalf("step %d: Ascend(%d,%d) entry %d = %+v, oracle %+v", i, lo, hi, j, walked[j], span[j])
+			}
+		}
+		if len(span) > 0 {
+			stop, visits := 1+rng.Intn(len(span)), 0
+			tr.Ascend(lo, hi, func(Entry) bool { visits++; return visits < stop })
+			if visits != stop {
+				t.Fatalf("step %d: Ascend(%d,%d) told to stop after %d visited %d", i, lo, hi, stop, visits)
+			}
 		}
 	}
 	tr.validate(t, scheme)

@@ -1,6 +1,6 @@
 // Package lockepoch implements the authlint analyzer enforcing the
 // epoch-bump discipline from the PR 3 answer-cache design: the version
-// counters (fields named epochs / sumEpoch / filterEpoch) may only be
+// counters (fields named epochs / filterEpoch) may only be
 // advanced — .Add — inside a critical section that holds a write lock,
 // and may never be .Store'd (a Store can publish a smaller value,
 // breaking the monotonicity the cache's stamp re-validation relies on).
@@ -29,7 +29,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // epochFields are the version-counter fields under protection.
-var epochFields = []string{"epochs", "sumEpoch", "filterEpoch"}
+var epochFields = []string{"epochs", "filterEpoch"}
 
 type checker struct {
 	pass      *analysis.Pass

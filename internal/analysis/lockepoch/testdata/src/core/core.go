@@ -1,5 +1,5 @@
 // Fixtures for the lockepoch analyzer: epoch counters (fields named
-// epochs / sumEpoch / filterEpoch) may only Add under a structurally-held write lock,
+// epochs / filterEpoch) may only Add under a structurally-held write lock,
 // and may never Store. badBump is the historical shape the PR 3 cache
 // design guards against: a bump outside the critical section lets a
 // reader stamp an answer with a stale epoch and revalidate it forever.
@@ -11,10 +11,9 @@ import (
 )
 
 type QS struct {
-	mu       sync.RWMutex
-	shardMu  []sync.RWMutex
-	epochs   []atomic.Uint64
-	sumEpoch atomic.Uint64
+	mu      sync.RWMutex
+	shardMu []sync.RWMutex
+	epochs  []atomic.Uint64
 
 	routing     sync.Mutex
 	filter      atomic.Pointer[int]
@@ -30,7 +29,7 @@ func (qs *QS) goodBump(i int) {
 func (qs *QS) goodDeferredBump() {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	qs.sumEpoch.Add(1)
+	qs.filterEpoch.Add(1)
 }
 
 func (qs *QS) badBump(i int) {
@@ -40,7 +39,7 @@ func (qs *QS) badBump(i int) {
 func (qs *QS) badStore() {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	qs.sumEpoch.Store(42) // want `sumEpoch is a monotonic epoch counter`
+	qs.epochs[0].Store(42) // want `epochs is a monotonic epoch counter`
 }
 
 func (qs *QS) lockAll()   { qs.mu.Lock() }
@@ -50,7 +49,7 @@ func (qs *QS) unlockAll() { qs.mu.Unlock() }
 // applies the helper's net lock effect.
 func (qs *QS) helperBump() {
 	qs.lockAll()
-	qs.sumEpoch.Add(1)
+	qs.filterEpoch.Add(1)
 	qs.unlockAll()
 }
 
@@ -79,7 +78,7 @@ func (qs *QS) annotatedBump(i int) {
 func (qs *QS) unlockThenBump() {
 	qs.mu.Lock()
 	qs.mu.Unlock()
-	qs.sumEpoch.Add(1) // want `advanced outside a write-lock critical section`
+	qs.filterEpoch.Add(1) // want `advanced outside a write-lock critical section`
 }
 
 // goodFilterInstall is the one way a re-certified filter is published:

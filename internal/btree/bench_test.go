@@ -49,16 +49,6 @@ func BenchmarkDelete(b *testing.B) {
 	}
 }
 
-func BenchmarkRange1000(b *testing.B) {
-	tr := benchTree(b, 1_000_000)
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := rng.Int63n(1_998_000)
-		tr.Range(lo, lo+2000) // ~1000 entries
-	}
-}
-
 func BenchmarkRangeWithBoundaries(b *testing.B) {
 	tr := benchTree(b, 1_000_000)
 	rng := rand.New(rand.NewSource(3))

@@ -5,6 +5,11 @@
 // a plain B+-tree (no embedded digests), which is what gives the index
 // its height advantage over the EMB-tree (Table 1).
 //
+// It is the data aggregator's index and the subject of Table 1. The
+// query server does not use it: nothing there is paged, so each server
+// shard indexes its records in an aggregation tree (internal/aggtree)
+// that also folds the range aggregates.
+//
 // Node capacities are derived from the storage.PageConfig page model.
 package btree
 
@@ -256,12 +261,6 @@ func (t *Tree) delete(n node, key int64) (Entry, bool) {
 	panic("btree: unknown node type")
 }
 
-// Range returns all entries with lo <= key <= hi in key order.
-func (t *Tree) Range(lo, hi int64) []Entry {
-	out, _, _ := t.RangeWithBoundaries(lo, hi)
-	return out
-}
-
 // RangeWithBoundaries returns the entries in [lo, hi] plus the boundary
 // entries immediately to the left of lo and to the right of hi (nil at
 // the domain edges). The boundaries are what the server returns to prove
@@ -311,26 +310,6 @@ func (t *Tree) RangeWithBoundaries(lo, hi int64) (entries []Entry, left, right *
 	return entries, left, nil
 }
 
-// AscendKeys calls fn with each key in [lo, hi], ascending, until fn
-// returns false, and reports whether it reached the end of the range. It
-// copies nothing: a caller that only needs to know which keys exist (the
-// join planner deciding its scan extents) walks the leaves in place.
-func (t *Tree) AscendKeys(lo, hi int64, fn func(key int64) bool) bool {
-	lf := t.findLeaf(lo)
-	i := sort.Search(len(lf.entries), func(i int) bool { return lf.entries[i].Key >= lo })
-	for ; lf != nil; lf, i = lf.next, 0 {
-		for _, e := range lf.entries[i:] {
-			if e.Key > hi {
-				return true
-			}
-			if !fn(e.Key) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // upperBound is the number of leading entries with Key <= hi.
 func upperBound(entries []Entry, hi int64) int {
 	return sort.Search(len(entries), func(i int) bool { return entries[i].Key > hi })
@@ -363,38 +342,6 @@ func (t *Tree) Successor(key int64) (Entry, bool) {
 		i = 0
 	}
 	return Entry{}, false
-}
-
-// Min returns the smallest entry.
-func (t *Tree) Min() (Entry, bool) {
-	for lf := t.firstLeaf; lf != nil; lf = lf.next {
-		if len(lf.entries) > 0 {
-			return lf.entries[0], true
-		}
-	}
-	return Entry{}, false
-}
-
-// Max returns the largest entry.
-func (t *Tree) Max() (Entry, bool) {
-	n := t.root
-	for {
-		switch v := n.(type) {
-		case *leaf:
-			if len(v.entries) > 0 {
-				return v.entries[len(v.entries)-1], true
-			}
-			// Empty rightmost leaf: walk back along the chain.
-			for p := v.prev; p != nil; p = p.prev {
-				if len(p.entries) > 0 {
-					return p.entries[len(p.entries)-1], true
-				}
-			}
-			return Entry{}, false
-		case *inner:
-			n = v.children[len(v.children)-1]
-		}
-	}
 }
 
 // Scan calls fn for every entry in key order, stopping early if fn

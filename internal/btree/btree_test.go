@@ -176,8 +176,8 @@ func TestRangeBoundariesAtDomainEdges(t *testing.T) {
 func TestRangeEmptyInterval(t *testing.T) {
 	tr := testTree(t, 4, 4)
 	tr.Insert(Entry{Key: 1})
-	if got := tr.Range(5, 2); got != nil {
-		t.Fatalf("inverted range returned %v", got)
+	if got, left, right := tr.RangeWithBoundaries(5, 2); got != nil || left != nil || right != nil {
+		t.Fatalf("inverted range returned %v between %v and %v", got, left, right)
 	}
 }
 
@@ -240,25 +240,6 @@ func TestPredecessorSuccessor(t *testing.T) {
 	}
 	if _, ok := tr.Successor(40); ok {
 		t.Fatal("Successor of max must not exist")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	tr := testTree(t, 3, 3)
-	if _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree")
-	}
-	if _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty tree")
-	}
-	for _, k := range []int64{5, 1, 9, 3} {
-		tr.Insert(Entry{Key: k})
-	}
-	if m, _ := tr.Min(); m.Key != 1 {
-		t.Fatalf("Min = %d", m.Key)
-	}
-	if m, _ := tr.Max(); m.Key != 9 {
-		t.Fatalf("Max = %d", m.Key)
 	}
 }
 
@@ -413,12 +394,22 @@ func TestQuickRangeMatchesNaive(t *testing.T) {
 			}
 		}
 		want := 0
+		var below, above *int64 // the naive boundaries: nearest keys outside [lo, hi]
 		for k := range seen {
-			if k >= lo && k <= hi {
+			switch {
+			case k < lo:
+				if below == nil || k > *below {
+					below = &k
+				}
+			case k > hi:
+				if above == nil || k < *above {
+					above = &k
+				}
+			default:
 				want++
 			}
 		}
-		got := tr.Range(lo, hi)
+		got, left, right := tr.RangeWithBoundaries(lo, hi)
 		if len(got) != want {
 			return false
 		}
@@ -427,18 +418,10 @@ func TestQuickRangeMatchesNaive(t *testing.T) {
 				return false
 			}
 		}
-		// The keys-only walk visits the same keys, and stops where told to.
-		var walked []int64
-		if !tr.AscendKeys(lo, hi, func(k int64) bool { walked = append(walked, k); return true }) || len(walked) != len(got) {
-			return false
+		sameBoundary := func(e *Entry, k *int64) bool {
+			return (e == nil) == (k == nil) && (e == nil || e.Key == *k)
 		}
-		for i, e := range got {
-			if walked[i] != e.Key {
-				return false
-			}
-		}
-		visits := 0
-		return len(got) == 0 || !tr.AscendKeys(lo, hi, func(int64) bool { visits++; return false }) && visits == 1
+		return sameBoundary(left, below) && sameBoundary(right, above)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

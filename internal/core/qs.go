@@ -2,17 +2,16 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"authdb/internal/aggtree"
-	"authdb/internal/btree"
 	"authdb/internal/chain"
 	"authdb/internal/freshness"
 	"authdb/internal/join"
 	"authdb/internal/sigagg"
-	"authdb/internal/storage"
 )
 
 // Answer is the server's verifiable response to a range selection: the
@@ -60,18 +59,25 @@ const DefaultShards = 8
 // the server splits its keyspace into balanced shard ranges.
 const seedFactor = 4
 
-// shard is one key-range partition of the server: its slice of the
-// authenticated B+-tree, the aggregation tree over the same signatures,
-// and the record bodies, all guarded by one RWMutex. Queries lock the
-// shards they overlap shared; updates lock the shards they touch
-// exclusive — disjoint traffic proceeds in parallel.
+// shard is one key-range partition of the server: one aggregation tree
+// whose leaves hold ⟨key, rid, signature⟩ and, as payload, the record
+// body and its sideband, guarded by one RWMutex. Queries lock the shards
+// they overlap shared; updates lock the shards they touch exclusive —
+// disjoint traffic proceeds in parallel.
 type shard struct {
-	mu    sync.RWMutex
-	index *btree.Tree
-	agg   *aggtree.Tree
-	recs  map[int64]*Record   // key -> current record body
-	side  map[int64]*AttrSide // key -> projection sideband (projection-mode relations only)
+	mu   sync.RWMutex
+	tree *aggtree.Tree
 }
+
+// stored is a shard tree leaf's payload: the record body and, for a
+// projection-mode relation, its sideband.
+type stored struct {
+	rec  *Record
+	side *AttrSide
+}
+
+// payload returns what a shard tree leaf stores for e.
+func payload(e aggtree.Entry) *stored { return e.Payload.(*stored) }
 
 // AttrSide is the projection-mode sideband stored next to a record: the
 // attribute values at the record's certified timestamp and one owner
@@ -84,28 +90,31 @@ type AttrSide struct {
 	ops  []sigagg.Operand // Sigs, prepared
 }
 
-// attrSide builds a disseminated record's sideband, or nil when it
-// carries none.
-func (qs *QueryServer) attrSide(sr *SignedRecord) (*AttrSide, error) {
-	if sr.AttrVals == nil && sr.AttrSigs == nil {
-		return nil, nil
+// leaf turns a disseminated record into its shard tree entry, filling st
+// (the entry's payload) with the record body and its prepared sideband.
+func (qs *QueryServer) leaf(sr *SignedRecord, st *stored) (aggtree.Entry, error) {
+	st.rec = sr.Rec
+	if sr.AttrVals != nil || sr.AttrSigs != nil {
+		ops, err := sigagg.PrepareAll(qs.folder, sr.AttrSigs)
+		if err != nil {
+			return aggtree.Entry{}, fmt.Errorf("core: attribute signatures of rid %d: %w", sr.Rec.RID, err)
+		}
+		st.side = &AttrSide{Vals: sr.AttrVals, Sigs: sr.AttrSigs, ops: ops}
 	}
-	ops, err := sigagg.PrepareAll(qs.folder, sr.AttrSigs)
-	if err != nil {
-		return nil, fmt.Errorf("core: attribute signatures of rid %d: %w", sr.Rec.RID, err)
-	}
-	return &AttrSide{Vals: sr.AttrVals, Sigs: sr.AttrSigs, ops: ops}, nil
+	return aggtree.Entry{Key: sr.Rec.Key, RID: sr.Rec.RID, Sig: sr.Sig, Payload: st}, nil
 }
 
 // QueryServer is the untrusted server: it stores the records,
 // signatures and summaries pushed by the DataAggregator and constructs
 // proofs for range selections.
 //
-// The server is split into key-range shards. Each shard pairs the
-// paper's ASign B+-tree (records, boundaries, neighbours) with an
-// aggtree.Tree over the same leaf signatures, so a range proof costs
-// O(log n) aggregation operations per overlapped shard plus one combine
-// per extra shard — there is no linear-aggregation fallback.
+// The server is split into key-range shards, and each shard is one
+// aggtree.Tree: its leaves carry ⟨key, rid, signature⟩ with the record
+// body and sideband as payload — everything a proof reads, as in the
+// leaves of the paper's §3.2 index. The tree finds the boundary records
+// and walks the records in range, and folds the range aggregate from
+// its subtree sums, so a range proof costs O(log n) aggregation
+// operations per overlapped shard plus one combine per extra shard.
 //
 // Lock order: topo → routing → shards (ascending) → sumMu.
 // The answer cache's own shard mutexes are independent leaves: the
@@ -115,7 +124,7 @@ func (qs *QueryServer) attrSide(sr *SignedRecord) (*AttrSide, error) {
 type QueryServer struct {
 	scheme sigagg.Scheme
 	folder sigagg.Folder // scheme's decoded-operand aggregation (proof construction)
-	linear bool          // baseline mode: aggregate result signatures linearly
+	linear bool          // baseline mode: fold the walked result signatures one by one
 	nset   int           // configured shard count (construction only)
 
 	// topo guards the shard boundaries: shared by every operation,
@@ -126,15 +135,13 @@ type QueryServer struct {
 	seeded bool
 	shards []*shard
 
-	// epochs[i] versions the data of shard i; sumEpoch versions the
-	// summary stream. Updates bump the epochs of exactly the shards
-	// they touch while holding those shards' write locks, so an answer
-	// cache entry stamped under the read locks stays valid until an
-	// intersecting update lands — and no longer. The slices outlive the
-	// one-off reseeding (which replaces qs.shards and bumps every
-	// epoch).
-	epochs   []atomic.Uint64
-	sumEpoch atomic.Uint64
+	// epochs[i] versions the data of shard i. Updates bump the epochs of
+	// exactly the shards they touch while holding those shards' write
+	// locks, so an answer cache entry stamped under the read locks stays
+	// valid until an intersecting update lands — and no longer. The
+	// slice outlives the one-off reseeding (which replaces qs.shards and
+	// bumps every epoch).
+	epochs []atomic.Uint64
 
 	// filter is the owner-certified Bloom filter on the key attribute
 	// (§3.5; nil until one is disseminated) and filterEpoch its version.
@@ -169,9 +176,9 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithLinearAggregation disables the aggregation tree and reverts to
-// linearly aggregating every result signature — the pre-aggtree
-// baseline, kept for benchmarks and ablations.
+// WithLinearAggregation builds each range aggregate by folding every
+// result signature in turn instead of from the tree's subtree sums — the
+// pre-aggtree baseline, kept for benchmarks and ablations.
 func WithLinearAggregation() Option {
 	return func(qs *QueryServer) { qs.linear = true }
 }
@@ -188,9 +195,7 @@ func NewQueryServer(scheme sigagg.Scheme, opts ...Option) *QueryServer {
 		o(qs)
 	}
 	qs.shards = make([]*shard, qs.nset)
-	for i := range qs.shards {
-		qs.shards[i] = newShard(scheme)
-	}
+	qs.clearShards()
 	qs.epochs = make([]atomic.Uint64, qs.nset)
 	return qs
 }
@@ -210,10 +215,6 @@ func (qs *QueryServer) KeyEpoch(key int64) (shard int, epoch uint64) {
 	return shard, qs.epochs[shard].Load()
 }
 
-// SummaryEpoch implements anscache.EpochSource: the version counter of
-// the certified-summary stream.
-func (qs *QueryServer) SummaryEpoch() uint64 { return qs.sumEpoch.Load() }
-
 // Filter returns the relation's certified filter (nil if the owner has
 // disseminated none) and the epoch an answer built from it is stamped
 // with.
@@ -222,12 +223,11 @@ func (qs *QueryServer) Filter() (*join.FilterCert, uint64) {
 	return qs.filter.Load(), epoch
 }
 
-func newShard(scheme sigagg.Scheme) *shard {
-	return &shard{
-		index: btree.New(storage.DefaultPageConfig()),
-		agg:   aggtree.New(scheme),
-		recs:  make(map[int64]*Record),
-		side:  make(map[int64]*AttrSide),
+// clearShards replaces every shard with an empty one. Caller holds topo
+// exclusively (or is constructing the server).
+func (qs *QueryServer) clearShards() {
+	for i := range qs.shards {
+		qs.shards[i] = &shard{tree: aggtree.New(qs.scheme)}
 	}
 }
 
@@ -246,7 +246,7 @@ func (qs *QueryServer) Len() int {
 	total := 0
 	for _, sh := range qs.shards {
 		sh.mu.RLock()
-		total += sh.index.Len()
+		total += sh.tree.Len()
 		sh.mu.RUnlock()
 	}
 	return total
@@ -285,8 +285,10 @@ func (qs *QueryServer) maybeSeed(msg *UpdateMsg) error {
 	if qs.seeded {
 		return nil
 	}
-	keys := make([]int64, 0, len(msg.Upserts)+qs.shards[0].index.Len())
-	qs.shards[0].index.Scan(func(e btree.Entry) bool {
+	entries := make([]aggtree.Entry, 0, qs.shards[0].tree.Len())
+	keys := make([]int64, 0, qs.shards[0].tree.Len()+len(msg.Upserts))
+	qs.shards[0].tree.Scan(func(e aggtree.Entry) bool {
+		entries = append(entries, e)
 		keys = append(keys, e.Key)
 		return true
 	})
@@ -296,17 +298,11 @@ func (qs *QueryServer) maybeSeed(msg *UpdateMsg) error {
 	if len(keys) < seedFactor*len(qs.shards) {
 		return nil
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	// Deduplicate (an update message can re-upsert stored keys) so the
 	// quantiles below never repeat a split key, which would leave a
 	// shard permanently empty.
-	uniq := keys[:1]
-	for _, k := range keys[1:] {
-		if k != uniq[len(uniq)-1] {
-			uniq = append(uniq, k)
-		}
-	}
-	keys = uniq
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
 	if len(keys) < seedFactor*len(qs.shards) {
 		return nil // too few distinct keys to split evenly yet
 	}
@@ -324,57 +320,30 @@ func (qs *QueryServer) maybeSeed(msg *UpdateMsg) error {
 	}
 	// Migrate anything already stored (routing is untouched: keys keep
 	// their rids).
-	old := qs.shards[0]
-	if old.index.Len() == 0 {
-		return nil
-	}
-	entries := make([]aggtree.Entry, 0, old.index.Len())
-	old.index.Scan(func(e btree.Entry) bool {
-		entries = append(entries, aggtree.Entry{Key: e.Key, RID: e.RID, Sig: e.Sig})
-		return true
-	})
-	recs, side := old.recs, old.side
-	for i := range qs.shards {
-		qs.shards[i] = newShard(qs.scheme)
-	}
-	if err := qs.bulkFill(entries, recs, side); err != nil {
-		return err
-	}
-	return nil
+	qs.clearShards()
+	return qs.bulkFill(entries)
 }
 
-// stageBulk turns key-sorted signed records into bulkFill's inputs —
-// aggregation-tree entries, record bodies, prepared sidebands — and
+// stageBulk turns key-sorted signed records into bulkFill's entries and
 // routes their rids. Caller holds routing.
-func (qs *QueryServer) stageBulk(srs []SignedRecord) ([]aggtree.Entry, map[int64]*Record, map[int64]*AttrSide, error) {
+func (qs *QueryServer) stageBulk(srs []SignedRecord) ([]aggtree.Entry, error) {
 	entries := make([]aggtree.Entry, len(srs))
-	recs := make(map[int64]*Record, len(srs))
-	var side map[int64]*AttrSide
+	payloads := make([]stored, len(srs))
 	for i := range srs {
-		sr := &srs[i]
-		rec := sr.Rec
-		entries[i] = aggtree.Entry{Key: rec.Key, RID: rec.RID, Sig: sr.Sig}
-		recs[rec.Key] = rec
-		as, err := qs.attrSide(sr)
+		e, err := qs.leaf(&srs[i], &payloads[i])
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		if as != nil {
-			if side == nil {
-				side = make(map[int64]*AttrSide, len(srs))
-			}
-			side[rec.Key] = as
-		}
-		qs.keyOf[rec.RID] = rec.Key
+		entries[i] = e
+		qs.keyOf[e.RID] = e.Key
 	}
-	return entries, recs, side, nil
+	return entries, nil
 }
 
 // bulkFill distributes sorted entries across the (empty) shards,
-// building each shard's B+-tree and aggregation tree bottom-up. Caller
-// must hold either topo exclusively or all shard write locks.
-func (qs *QueryServer) bulkFill(entries []aggtree.Entry, recs map[int64]*Record, side map[int64]*AttrSide) error {
-	cfg := storage.DefaultPageConfig()
+// building each shard's tree bottom-up. Caller must hold either topo
+// exclusively or all shard write locks.
+func (qs *QueryServer) bulkFill(entries []aggtree.Entry) error {
 	start := 0
 	for i, sh := range qs.shards {
 		end := len(entries)
@@ -388,28 +357,11 @@ func (qs *QueryServer) bulkFill(entries []aggtree.Entry, recs map[int64]*Record,
 		if len(part) == 0 {
 			continue
 		}
-		be := make([]btree.Entry, len(part))
-		for j, e := range part {
-			be[j] = btree.Entry{Key: e.Key, RID: e.RID, Sig: e.Sig}
-			if rec, ok := recs[e.Key]; ok {
-				sh.recs[e.Key] = rec
-			}
-			if as, ok := side[e.Key]; ok {
-				sh.side[e.Key] = as
-			}
-		}
-		idx, err := btree.BulkLoad(cfg, be)
+		tree, _, err := aggtree.BulkLoad(qs.scheme, part)
 		if err != nil {
 			return fmt.Errorf("core: shard %d bulk load: %w", i, err)
 		}
-		sh.index = idx
-		if !qs.linear {
-			agg, _, err := aggtree.BulkLoad(qs.scheme, part)
-			if err != nil {
-				return fmt.Errorf("core: shard %d aggtree: %w", i, err)
-			}
-			sh.agg = agg
-		}
+		sh.tree = tree
 	}
 	return nil
 }
@@ -468,51 +420,23 @@ func (qs *QueryServer) Apply(msg *UpdateMsg) error {
 	}
 
 	for _, rid := range msg.Deletes {
-		key, ok := qs.keyOf[rid]
-		if !ok {
-			continue
+		if key, ok := qs.keyOf[rid]; ok {
+			qs.shards[qs.shardOf(key)].tree.Delete(key)
+			delete(qs.keyOf, rid)
 		}
-		sh := qs.shards[qs.shardOf(key)]
-		sh.index.Delete(key)
-		if !qs.linear {
-			sh.agg.Delete(key)
-		}
-		delete(sh.recs, key)
-		delete(sh.side, key)
-		delete(qs.keyOf, rid)
 	}
 	for i := range msg.Upserts {
-		sr := &msg.Upserts[i]
-		rec := sr.Rec
-		as, err := qs.attrSide(sr)
+		e, err := qs.leaf(&msg.Upserts[i], new(stored))
 		if err != nil {
 			return err
 		}
-		if oldKey, ok := qs.keyOf[rec.RID]; ok && oldKey != rec.Key {
-			oldSh := qs.shards[qs.shardOf(oldKey)]
-			oldSh.index.Delete(oldKey)
-			if !qs.linear {
-				oldSh.agg.Delete(oldKey)
-			}
-			delete(oldSh.recs, oldKey)
-			delete(oldSh.side, oldKey)
+		if _, _, err := qs.shards[qs.shardOf(e.Key)].tree.Upsert(e); err != nil {
+			return fmt.Errorf("core: apply upsert: %w", err)
 		}
-		sh := qs.shards[qs.shardOf(rec.Key)]
-		if !sh.index.Update(rec.Key, sr.Sig) {
-			if err := sh.index.Insert(btree.Entry{Key: rec.Key, RID: rec.RID, Sig: sr.Sig}); err != nil {
-				return fmt.Errorf("core: apply upsert: %w", err)
-			}
+		if oldKey, ok := qs.keyOf[e.RID]; ok && oldKey != e.Key {
+			qs.shards[qs.shardOf(oldKey)].tree.Delete(oldKey) // the rid moved
 		}
-		if !qs.linear {
-			if _, _, err := sh.agg.Upsert(aggtree.Entry{Key: rec.Key, RID: rec.RID, Sig: sr.Sig}); err != nil {
-				return fmt.Errorf("core: apply upsert: %w", err)
-			}
-		}
-		sh.recs[rec.Key] = rec
-		if as != nil {
-			sh.side[rec.Key] = as
-		}
-		qs.keyOf[rec.RID] = rec.Key
+		qs.keyOf[e.RID] = e.Key
 	}
 	qs.appendSummary(msg.Summary)
 	qs.setFilter(msg.Filter)
@@ -535,8 +459,7 @@ func (qs *QueryServer) setFilter(fc *join.FilterCert) {
 // whose log tail overlaps the snapshot, or any at-least-once
 // dissemination channel — are dropped by sequence number: appending one
 // twice would hand every later client a stream that fails the
-// checker's contiguity test and double-bump the summary epoch for
-// nothing.
+// checker's contiguity test.
 func (qs *QueryServer) appendSummary(s *freshness.Summary) {
 	if s == nil {
 		return
@@ -544,7 +467,6 @@ func (qs *QueryServer) appendSummary(s *freshness.Summary) {
 	qs.sumMu.Lock()
 	if n := len(qs.summaries); n == 0 || s.Seq > qs.summaries[n-1].Seq {
 		qs.summaries = append(qs.summaries, *s)
-		qs.sumEpoch.Add(1)
 	}
 	qs.sumMu.Unlock()
 }
@@ -570,11 +492,11 @@ func (qs *QueryServer) bulkApply(msg *UpdateMsg) bool {
 func (qs *QueryServer) applyBulk(msg *UpdateMsg) error {
 	qs.lockAll()
 	defer qs.unlockAll()
-	entries, recs, side, err := qs.stageBulk(msg.Upserts)
+	entries, err := qs.stageBulk(msg.Upserts)
 	if err != nil {
 		return err
 	}
-	if err := qs.bulkFill(entries, recs, side); err != nil {
+	if err := qs.bulkFill(entries); err != nil {
 		return err
 	}
 	for i := range qs.epochs {

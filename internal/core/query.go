@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 
+	"authdb/internal/aggtree"
 	"authdb/internal/anscache"
-	"authdb/internal/btree"
 	"authdb/internal/chain"
 	"authdb/internal/freshness"
 	"authdb/internal/sigagg"
@@ -23,39 +23,39 @@ type window struct {
 	widenHi  bool
 }
 
-func (w *window) pred(key int64) (btree.Entry, bool) {
+func (w *window) pred(key int64) (aggtree.Entry, bool) {
 	j := w.qs.shardOf(key)
 	if j > w.hiS {
 		j = w.hiS
 	}
 	for ; j >= w.loS; j-- {
-		if e, ok := w.qs.shards[j].index.Predecessor(key); ok {
+		if e, ok := w.qs.shards[j].tree.Predecessor(key); ok {
 			return e, true
 		}
 	}
 	if w.loS > 0 {
 		w.widenLo = true
 	}
-	return btree.Entry{}, false
+	return aggtree.Entry{}, false
 }
 
-func (w *window) succ(key int64) (btree.Entry, bool) {
+func (w *window) succ(key int64) (aggtree.Entry, bool) {
 	j := w.qs.shardOf(key)
 	if j < w.loS {
 		j = w.loS
 	}
 	for ; j <= w.hiS; j++ {
-		if e, ok := w.qs.shards[j].index.Successor(key); ok {
+		if e, ok := w.qs.shards[j].tree.Successor(key); ok {
 			return e, true
 		}
 	}
 	if w.hiS < len(w.qs.shards)-1 {
 		w.widenHi = true
 	}
-	return btree.Entry{}, false
+	return aggtree.Entry{}, false
 }
 
-func entryRef(e btree.Entry) chain.Ref { return chain.Ref{Key: e.Key, RID: e.RID} }
+func entryRef(e aggtree.Entry) chain.Ref { return chain.Ref{Key: e.Key, RID: e.RID} }
 
 // Query answers the range selection σ_{lo<=Aind<=hi}, constructing the
 // §3.3 proof and attaching the summaries published since the oldest
@@ -122,8 +122,8 @@ func (qs *QueryServer) AppendKeys(dst []int64, lo, hi int64, max int) ([]int64, 
 		sh := qs.shards[j]
 		sh.mu.RLock()
 		stamp.Epochs = append(stamp.Epochs, qs.epochs[j].Load())
-		sh.index.AscendKeys(lo, hi, func(k int64) bool {
-			dst = append(dst, k)
+		sh.tree.Ascend(lo, hi, func(e aggtree.Entry) bool {
+			dst = append(dst, e.Key)
 			room--
 			return room > 0
 		})
@@ -191,12 +191,6 @@ func (qs *QueryServer) queryStamped(lo, hi int64, stamped bool, attrs *[]AttrRow
 	}
 }
 
-// shardRun is the slice of qualifying entries found in one shard.
-type shardRun struct {
-	shard   int
-	entries []btree.Entry
-}
-
 // queryWindow builds the answer under the currently held shard locks,
 // or reports which direction the lock window must grow. A nil answer
 // with neither widen flag set never happens (domain edges resolve to
@@ -210,13 +204,9 @@ func (qs *QueryServer) queryWindow(loS, hiS, s, t int, lo, hi int64, attachSums 
 	ans := &Answer{Chain: ca}
 	oldestTS := int64(-1)
 
-	runs := make([]shardRun, 0, t-s+1)
 	total := 0
 	for j := s; j <= t; j++ {
-		if es := qs.shards[j].index.Range(lo, hi); len(es) > 0 {
-			runs = append(runs, shardRun{shard: j, entries: es})
-			total += len(es)
-		}
+		qs.shards[j].tree.Ascend(lo, hi, func(aggtree.Entry) bool { total++; return true })
 	}
 
 	if total == 0 {
@@ -226,7 +216,7 @@ func (qs *QueryServer) queryWindow(loS, hiS, s, t int, lo, hi int64, attachSums 
 		if w.widenLo || w.widenHi {
 			return nil, w.widenLo, w.widenHi, nil
 		}
-		var anchorEntry btree.Entry
+		var anchorEntry aggtree.Entry
 		switch {
 		case lok:
 			anchorEntry = leftB
@@ -235,10 +225,7 @@ func (qs *QueryServer) queryWindow(loS, hiS, s, t int, lo, hi int64, attachSums 
 		default:
 			return nil, false, false, fmt.Errorf("core: empty relation cannot prove emptiness")
 		}
-		rec, ok := qs.shards[qs.shardOf(anchorEntry.Key)].recs[anchorEntry.Key]
-		if !ok {
-			return nil, false, false, fmt.Errorf("core: missing record body for key %d", anchorEntry.Key)
-		}
+		rec := payload(anchorEntry).rec
 		la, ra := chain.MinRef, chain.MaxRef
 		if p, ok := w.pred(anchorEntry.Key); ok {
 			la = entryRef(p)
@@ -264,30 +251,38 @@ func (qs *QueryServer) queryWindow(loS, hiS, s, t int, lo, hi int64, attachSums 
 			return nil, w.widenLo, w.widenHi, nil
 		}
 		ca.Records = make([]*Record, 0, total)
-		for _, run := range runs {
-			sh := qs.shards[run.shard]
-			for _, e := range run.entries {
-				rec, ok := sh.recs[e.Key]
-				if !ok {
-					return nil, false, false, fmt.Errorf("core: missing record body for rid %d", e.RID)
+		var sigs []sigagg.Signature // the linear baseline's operands
+		if qs.linear {
+			sigs = make([]sigagg.Signature, 0, total)
+		}
+		var err error
+		for j := s; j <= t && err == nil; j++ {
+			qs.shards[j].tree.Ascend(lo, hi, func(e aggtree.Entry) bool {
+				p := payload(e)
+				ca.Records = append(ca.Records, p.rec)
+				if qs.linear {
+					sigs = append(sigs, e.Sig)
 				}
-				ca.Records = append(ca.Records, rec)
 				if attrs != nil {
 					// Collected under the same shard locks as the scan, so
 					// the sideband can never be torn against the chained
 					// version (AttrDigest binds the record's timestamp).
-					as, ok := sh.side[e.Key]
-					if !ok {
-						return nil, false, false, fmt.Errorf("core: key %d has no attribute sideband (relation is not projection-mode)", e.Key)
+					if p.side == nil {
+						err = fmt.Errorf("core: key %d has no attribute sideband (relation is not projection-mode)", e.Key)
+						return false
 					}
-					*attrs = append(*attrs, AttrRow{RID: rec.RID, TS: rec.TS, Vals: as.Vals, Ops: as.ops})
+					*attrs = append(*attrs, AttrRow{RID: p.rec.RID, TS: p.rec.TS, Vals: p.side.Vals, Ops: p.side.ops})
 				}
-				if oldestTS == -1 || rec.TS < oldestTS {
-					oldestTS = rec.TS
+				if oldestTS == -1 || p.rec.TS < oldestTS {
+					oldestTS = p.rec.TS
 				}
-			}
+				return true
+			})
 		}
-		agg, ops, err := qs.aggregateRuns(runs, lo, hi, total)
+		if err != nil {
+			return nil, false, false, err
+		}
+		agg, ops, err := qs.aggregateRuns(sigs, s, t, lo, hi)
 		if err != nil {
 			return nil, false, false, err
 		}
@@ -312,33 +307,24 @@ func (qs *QueryServer) queryWindow(loS, hiS, s, t int, lo, hi int64, attachSums 
 	return ans, false, false, nil
 }
 
-// aggregateRuns builds the range aggregate by folding each overlapped
-// shard's aggregation-tree cover into one running sum, encoded once —
-// or, in the linear baseline mode, by folding every signature.
-func (qs *QueryServer) aggregateRuns(runs []shardRun, lo, hi int64, total int) (sigagg.Signature, int, error) {
+// aggregateRuns builds the range aggregate by folding the tree covers of
+// shards s..t into one running sum, encoded once — or, in the linear
+// baseline mode, by folding every walked result signature (sigs).
+func (qs *QueryServer) aggregateRuns(sigs []sigagg.Signature, s, t int, lo, hi int64) (sigagg.Signature, int, error) {
 	if qs.linear {
-		sigs := make([]sigagg.Signature, 0, total)
-		for _, run := range runs {
-			for _, e := range run.entries {
-				sigs = append(sigs, e.Sig)
-			}
-		}
 		agg, err := sigagg.AggregateInto(qs.scheme, nil, sigs)
 		if err != nil {
 			return nil, 0, err
 		}
-		return agg, total - 1, nil
+		return agg, len(sigs) - 1, nil
 	}
 
 	acc := qs.folder.NewSum()
 	pieces := 0
-	for _, run := range runs {
-		n, err := qs.shards[run.shard].agg.FoldRange(acc, lo, hi)
+	for j := s; j <= t; j++ {
+		n, err := qs.shards[j].tree.FoldRange(acc, lo, hi)
 		if err != nil {
 			return nil, 0, err
-		}
-		if n == 0 {
-			return nil, 0, fmt.Errorf("core: shard %d aggregation tree out of sync", run.shard)
 		}
 		pieces += n
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"authdb/internal/aggtree"
 	"authdb/internal/btree"
 	"authdb/internal/freshness"
 	"authdb/internal/join"
@@ -176,14 +177,15 @@ func (qs *QueryServer) Snapshot() *ServerState {
 	}
 	n := 0
 	for _, sh := range qs.shards {
-		n += sh.index.Len()
+		n += sh.tree.Len()
 	}
 	st := &ServerState{Records: make([]SignedRecord, 0, n)}
 	for _, sh := range qs.shards {
-		sh.index.Scan(func(e btree.Entry) bool {
-			sr := SignedRecord{Rec: sh.recs[e.Key], Sig: e.Sig}
-			if as, ok := sh.side[e.Key]; ok {
-				sr.AttrVals, sr.AttrSigs = as.Vals, as.Sigs
+		sh.tree.Scan(func(e aggtree.Entry) bool {
+			p := payload(e)
+			sr := SignedRecord{Rec: p.rec, Sig: e.Sig}
+			if p.side != nil {
+				sr.AttrVals, sr.AttrSigs = p.side.Vals, p.side.Sigs
 			}
 			st.Records = append(st.Records, sr)
 			return true
@@ -200,12 +202,11 @@ func (qs *QueryServer) Snapshot() *ServerState {
 }
 
 // Restore replaces the server's contents with a snapshot, rebuilding
-// the shard topology, B+-trees and aggregation trees bottom-up through
-// the same bulk path an initial load takes. It is safe on a live,
-// non-empty server: the whole swap happens under the exclusive topology
-// lock, every data epoch, the summary epoch and the filter epoch are
-// bumped — never reset — so cache entries stamped before the restore can
-// never be served again.
+// the shard topology and each shard's tree bottom-up through the same
+// bulk path an initial load takes. It is safe on a live, non-empty
+// server: the whole swap happens under the exclusive topology lock, and
+// every data epoch and the filter epoch are bumped — never reset — so
+// cache entries stamped before the restore can never be served again.
 func (qs *QueryServer) Restore(st *ServerState) error {
 	for i := 1; i < len(st.Records); i++ {
 		if st.Records[i].Rec.Key <= st.Records[i-1].Rec.Key {
@@ -217,14 +218,12 @@ func (qs *QueryServer) Restore(st *ServerState) error {
 	qs.routing.Lock()
 	defer qs.routing.Unlock()
 
-	for i := range qs.shards {
-		qs.shards[i] = newShard(qs.scheme)
-	}
+	qs.clearShards()
 	qs.bounds = nil
 	qs.seeded = false
 	qs.keyOf = make(map[uint64]int64, len(st.Records))
 
-	entries, recs, side, err := qs.stageBulk(st.Records)
+	entries, err := qs.stageBulk(st.Records)
 	if err != nil {
 		return err
 	}
@@ -239,7 +238,7 @@ func (qs *QueryServer) Restore(st *ServerState) error {
 		qs.bounds = bounds
 		qs.seeded = true
 	}
-	if err := qs.bulkFill(entries, recs, side); err != nil {
+	if err := qs.bulkFill(entries); err != nil {
 		return err
 	}
 	for i := range qs.epochs {
@@ -247,7 +246,6 @@ func (qs *QueryServer) Restore(st *ServerState) error {
 	}
 	qs.sumMu.Lock()
 	qs.summaries = append([]freshness.Summary(nil), st.Summaries...)
-	qs.sumEpoch.Add(1)
 	qs.sumMu.Unlock()
 	qs.filter.Store(st.Filter)
 	qs.filterEpoch.Add(1)

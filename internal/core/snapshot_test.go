@@ -96,7 +96,6 @@ func TestServerRestoreInvalidatesCaches(t *testing.T) {
 	for i := range epochsBefore {
 		epochsBefore[i] = sys.QS.DataEpoch(i)
 	}
-	sumBefore := sys.QS.SummaryEpoch()
 
 	st := sys.QS.Snapshot()
 	if err := sys.QS.Restore(st); err != nil {
@@ -106,9 +105,6 @@ func TestServerRestoreInvalidatesCaches(t *testing.T) {
 		if sys.QS.DataEpoch(i) <= epochsBefore[i] {
 			t.Fatalf("shard %d epoch did not advance across Restore", i)
 		}
-	}
-	if sys.QS.SummaryEpoch() <= sumBefore {
-		t.Fatal("summary epoch did not advance across Restore")
 	}
 	// The cached answer must be rebuilt, not served stale.
 	sv2, err := sys.QS.Serve(10, 500)

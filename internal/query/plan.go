@@ -5,11 +5,11 @@
 // an outer relation, an optional projection onto a subset of attribute
 // slots, and an optional PK equi-join against an inner relation. Plan
 // compiles the spec into a small operator tree whose leaves are
-// authenticated B+-tree range scans. The default plan pushes the
-// selection predicate into the outer scan leaf; the naive tree — kept
-// only as the measured baseline for the pushdown win — scans the full
-// key domain and filters above. Join probes against the inner relation
-// fan out across the worker pool as independent subplans.
+// authenticated range scans. The default plan pushes the selection
+// predicate into the outer scan leaf; the naive tree — kept only as the
+// measured baseline for the pushdown win — scans the full key domain
+// and filters above. Join probes against the inner relation fan out
+// across the worker pool as independent subplans.
 //
 // The tree has a canonical binary encoding (Marshal/UnmarshalPlan).
 // Those bytes travel verbatim in the 'P' wire frame and double as the
@@ -85,7 +85,7 @@ type Node struct {
 
 // Plan compiles spec into an executable tree. With pushdown (the
 // planner default) the selection range lands in the outer scan leaf, so
-// the B+-tree walk touches only the selected window. Without pushdown
+// the tree walk touches only the selected window. Without pushdown
 // the leaf scans the full key domain and an OpFilter discards the rest
 // above it — the baseline an optimizer must beat.
 func Plan(spec *Spec, pushdown bool) (*Node, error) {
