@@ -429,4 +429,7 @@ func report(spec *query.Spec, comp *wire.Composite, sigSize int) {
 		fmt.Printf(", join in %d runs + %d Bloom negatives under %d partitions", len(comp.Join.Runs), negs, len(comp.Join.Negatives))
 	}
 	fmt.Printf(" — VERIFIED (%s, freshness)\n", proved)
+	b := comp.Bytes
+	fmt.Printf("authserve query: bytes per section: outer chain %d, projection %d, join %d, tails %d (of %d)\n",
+		b.Outer, b.Proj, b.Join, b.Tails, b.Outer+b.Proj+b.Join+b.Tails)
 }

@@ -20,6 +20,30 @@ import (
 // sections.
 type forgery func(*wire.Composite) bool
 
+// frameForgery rewrites one encoded 'C' frame and returns the forged
+// frame, or nil when it found nothing to tamper with: for what a decoded
+// composite cannot express, because the decoder refuses it or the
+// encoder cannot write it.
+type frameForgery func(frame []byte) []byte
+
+// onFrame is fn applied to a frame: decode, rewrite, re-encode.
+func onFrame(fn forgery) frameForgery {
+	if fn == nil {
+		return nil
+	}
+	return func(frame []byte) []byte {
+		comp, err := wire.DecodeComposite(frame)
+		if err != nil || !fn(comp) {
+			return nil
+		}
+		out, err := wire.AppendCompositeCore(nil, comp)
+		if err != nil {
+			return nil
+		}
+		return wire.AppendRelTails(out, comp.Tails)
+	}
+}
+
 // tamperSigFlip flips a bit of the scan's aggregate signature.
 func tamperSigFlip(comp *wire.Composite) bool {
 	if len(comp.Outer.Agg) == 0 {
@@ -43,7 +67,8 @@ func tamperRowSwap(comp *wire.Composite) bool {
 // man-in-the-middle that decodes real 'C' responses from an honest
 // upstream, applies a forgery, and re-encodes — so everything it sends
 // is syntactically perfect protocol and only the cryptography can catch
-// it. In replay mode it answers from responses captured before an
+// it — or, given a frame forgery, rewrites the bytes themselves. In
+// replay mode it answers from responses captured before an
 // update, without consulting the upstream at all (the paper's
 // stale-publisher attack). It relays in request/response lock-step, which
 // a pipelining client cannot tell from a server.
@@ -52,7 +77,7 @@ type tamperSrv struct {
 	upstream string
 
 	mu     sync.Mutex
-	forge  forgery         // nil = relay honestly
+	forge  frameForgery    // nil = relay honestly
 	skip   int             // composites still to relay untouched before forge applies…
 	once   bool            // …to one composite only
 	replay bool            // re-serve the first captured response per request kind
@@ -75,15 +100,18 @@ func (ts *tamperSrv) Addr() string { return ts.ln.Addr().String() }
 
 // Forge applies fn to every composite relayed from now on (nil restores
 // honest relaying).
-func (ts *tamperSrv) Forge(fn forgery) {
+func (ts *tamperSrv) Forge(fn forgery) { ts.ForgeFrames(onFrame(fn)) }
+
+// ForgeFrames is Forge for a forgery of the encoded frame.
+func (ts *tamperSrv) ForgeFrames(fn frameForgery) {
 	ts.mu.Lock()
 	ts.forge, ts.skip, ts.once = fn, 0, false
 	ts.mu.Unlock()
 }
 
-// ForgeNth applies fn to the n-th composite relayed from now on (counting
-// from 1) and to no other.
-func (ts *tamperSrv) ForgeNth(n int, fn forgery) {
+// ForgeNth applies fn to the n-th composite frame relayed from now on
+// (counting from 1) and to no other.
+func (ts *tamperSrv) ForgeNth(n int, fn frameForgery) {
 	ts.mu.Lock()
 	ts.forge, ts.skip, ts.once = fn, n-1, true
 	ts.mu.Unlock()
@@ -173,15 +201,10 @@ func (ts *tamperSrv) mutate(frame []byte) []byte {
 	if fn == nil {
 		return frame
 	}
-	comp, err := wire.DecodeComposite(frame)
-	if err != nil || !fn(comp) {
-		return frame
+	if out := fn(frame); out != nil {
+		return out
 	}
-	out, err := wire.AppendCompositeCore(nil, comp)
-	if err != nil {
-		return frame
-	}
-	return wire.AppendRelTails(out, comp.Tails)
+	return frame
 }
 
 // advance publishes one update to the queried range plus a certified

@@ -72,10 +72,11 @@ func decodeVerify(frame []byte, rg core.Range, v *core.Verifier) error {
 }
 
 // TestDecodeVerifyAllocBudget pins what the path allocates instead of how
-// long it takes: O(1) objects per answer plus at most one per record (its
-// Attrs header). A per-record copy, digest or scratch buffer creeping
-// back in costs 50 and fails it; the path before frames were aliased and
-// digests streamed needed over 300.
+// long it takes: O(1) objects per answer, 15 here — the records share one
+// array and their Attrs headers one slab. A per-record copy, header,
+// digest or scratch buffer creeping back in costs 50 and fails it; the
+// path needed 64 while each record's Attrs was a slice of its own, and
+// over 300 before frames were aliased and digests streamed.
 func TestDecodeVerifyAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -87,8 +88,8 @@ func TestDecodeVerifyAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations per 50-record answer", allocs)
-	if allocs > 70 {
-		t.Fatalf("decode + verify of a 50-record answer allocates %.0f objects, budget 70", allocs)
+	if allocs > 24 {
+		t.Fatalf("decode + verify of a 50-record answer allocates %.0f objects, budget 24", allocs)
 	}
 }
 
@@ -172,15 +173,15 @@ func planJoinFrame(tb testing.TB) ([]byte, *query.Spec, *client.Client) {
 
 // TestVerifyCompositeAllocBudget is TestLeafPathAllocBudget for a plan with
 // every section: what the client allocates to decode and verify one
-// plan_join answer it has seen before. The join side is a handful of
-// objects per run and per listed partition — here one run and a few
-// partitions, 77 objects with the 67 matched records' Attrs headers —
-// where the per-key proofs it replaced cost a chain answer, a record array
-// and two map entries per outer key (1,343 objects for the same plan, in
-// a 43 KB frame where this one is 18 KB). What is left is per projected
-// row — its value slice and, in projection.Digests, a digest and its
-// writer: some 650 of the 725 — plus the outer records' Attrs headers and
-// O(1) per section.
+// plan_join answer it has seen before. Nothing is allocated per row or
+// per record any more — 51 objects, all O(1) per section, run and listed
+// partition. The projection is a row array, one flat value array and,
+// in projection.Digests, one digest array, its views and one Writer; a
+// body's records share one Attrs slab. It was 725 objects in an 18.6 KB
+// frame (this one is 13.8 KB) while every projected row repeated its rid,
+// ts and value count and had a value slice, a digest and a Writer of its
+// own, and every record an Attrs slice; 1,343 in a 43 KB frame while the
+// join shipped a proof per outer key.
 func TestVerifyCompositeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -193,8 +194,8 @@ func TestVerifyCompositeAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations per decoded and verified %d-byte plan_join answer", allocs, len(frame))
-	if allocs > 760 {
-		t.Fatalf("decode + verify of a plan_join answer allocates %.0f objects, budget 760", allocs)
+	if allocs > 80 {
+		t.Fatalf("decode + verify of a plan_join answer allocates %.0f objects, budget 80", allocs)
 	}
 	if st := cl.Stats(); st.Verified != 22 || st.ClaimHits < 21*st.ClaimMisses {
 		t.Fatalf("the budget was measured on something other than remembered claims: %+v", st)

@@ -42,8 +42,8 @@ func (rs *relSession) heldSeq() uint64 {
 var ErrNoRelation = fmt.Errorf("%w: no public key for relation", ErrConfig)
 
 // ErrComposite wraps structural defects in a composite answer — a
-// missing section, a join proof for the wrong key set, misaligned
-// projection rows. The bytes decoded but the proof does not hang
+// missing section, a join proof for the wrong key set, a projection onto
+// other slots than requested. The bytes decoded but the proof does not hang
 // together, which from an honest server cannot happen: it is treated as
 // verification failure (sigagg.ErrVerify), so a fleet session
 // quarantines the replica.
@@ -363,8 +363,8 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.F
 		}
 		outer := &c.rels[spec.Rel].batch
 		outer.addChain(comp.Outer, scan)
-		// Projection: present exactly when requested, rows 1:1 with the
-		// chained records, aggregate over the owner's attribute signatures.
+		// Projection: present exactly when requested, aggregate over the
+		// owner's attribute signatures.
 		if err := projectionJobs(spec, comp, outer, i); err != nil {
 			return nil, inPlan(specs, i, err)
 		}
@@ -476,19 +476,10 @@ func projectionJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatch, pla
 			return fmt.Errorf("%w: projection slot %d is attribute %d, requested %d", ErrComposite, i, p.AttrIdxs[i], a)
 		}
 	}
-	if len(p.Rows) != len(comp.Outer.Records) {
-		return fmt.Errorf("%w: %d projected rows for %d records", ErrComposite, len(p.Rows), len(comp.Outer.Records))
-	}
-	// Row identity is pinned to the chain: same RID and same certified
-	// timestamp, in the same order. The chain proof authenticates
+	// Row identity is the chain's by construction: the decoder gave row i
+	// the RID and TS of chained record i. The chain proof authenticates
 	// (RID, key, TS); the projection aggregate binds (RID, slot, value,
 	// TS); together a swapped or stale value cannot survive both.
-	for i, rec := range comp.Outer.Records {
-		if p.Rows[i].RID != rec.RID || p.Rows[i].TS != rec.TS {
-			return fmt.Errorf("%w: projected row %d does not match chained record (rid %d/%d ts %d/%d)",
-				ErrComposite, i, p.Rows[i].RID, rec.RID, p.Rows[i].TS, rec.TS)
-		}
-	}
 	ds, err := p.Digests()
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrComposite, err)

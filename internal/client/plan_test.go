@@ -388,7 +388,7 @@ func compTamperDropBV(comp *wire.Composite) bool {
 // section, hands back no answer, and leaves the session no wiser —
 // nothing verified, and not one claim of the batch (the four honest
 // answers' included) admitted to a memo.
-func pipelinedAmong(t *testing.T, fx *planFixture, guilty *query.Spec, forge forgery, section string) {
+func pipelinedAmong(t *testing.T, fx *planFixture, guilty *query.Spec, forge frameForgery, section string) {
 	t.Helper()
 	ts := newTamperSrv(t, fx.addr)
 	cl := fx.dial(t, ts.Addr())
@@ -447,7 +447,7 @@ func TestAdversaryProjectedValueSwapRejected(t *testing.T) {
 		if !errors.Is(err, sigagg.ErrVerify) {
 			t.Fatalf("mode %d: surfaced as %v, want sigagg.ErrVerify", mode, err)
 		}
-		pipelinedAmong(t, fx, fx.spec(join.BF, []int{0, 1}), forge, `projection over "o"`)
+		pipelinedAmong(t, fx, fx.spec(join.BF, []int{0, 1}), onFrame(forge), `projection over "o"`)
 	}
 	if st := cl.Stats(); st.Verified != 0 {
 		t.Fatalf("%d plans accepted against a forging replica", st.Verified)
@@ -476,7 +476,7 @@ func TestAdversaryBloomBitFlipRejected(t *testing.T) {
 	}
 	// The flipped bit may turn the probe positive (the probe check names
 	// the join) or leave a filter the certification no longer covers.
-	pipelinedAmong(t, fx, fx.spec(join.BF, nil), compTamperBloomBit, `join against "i"`)
+	pipelinedAmong(t, fx, fx.spec(join.BF, nil), onFrame(compTamperBloomBit), `join against "i"`)
 }
 
 // TestAdversaryDroppedBoundaryRejected: dropping the BV run over a stretch
@@ -494,7 +494,7 @@ func TestAdversaryDroppedBoundaryRejected(t *testing.T) {
 	if !errors.Is(err, sigagg.ErrVerify) {
 		t.Fatalf("dropped boundary surfaced as %v, want sigagg.ErrVerify", err)
 	}
-	pipelinedAmong(t, fx, fx.spec(join.BV, nil), compTamperDropBV, "has no join proof")
+	pipelinedAmong(t, fx, fx.spec(join.BV, nil), onFrame(compTamperDropBV), "has no join proof")
 }
 
 // TestQueryPlanUnknownRelation: plans touching relations the session

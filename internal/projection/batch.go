@@ -3,8 +3,14 @@ package projection
 import (
 	"fmt"
 
+	"authdb/internal/digest"
 	"authdb/internal/sigagg"
 )
+
+// digestChunk is the fewest records worth a worker of their own when
+// their attribute digests are fanned out: below it, starting the
+// goroutine costs more than the hashing it takes over.
+const digestChunk = 64
 
 // SignRecords produces the per-attribute signatures of many records in
 // one pass through the signing pool: digest production and signing are
@@ -24,34 +30,31 @@ func SignRecords(pool *sigagg.Pool, priv sigagg.PrivateKey,
 		return nil, fmt.Errorf("projection: %d rids, %d attr sets, %d timestamps",
 			len(rids), len(attrs), len(tss))
 	}
-	total := 0
-	for _, a := range attrs {
-		total += len(a)
-	}
-	// Flat index -> (record, attribute slot), so the digest generator is
-	// a pair of array reads and safe for concurrent distinct indices.
-	recOf := make([]int32, total)
-	slotOf := make([]int32, total)
-	j := 0
+	// Record i's values are flat[offs[i]:offs[i+1]]: one digest array for
+	// the batch, filled a chunk of records per worker through one Writer
+	// each.
+	offs := make([]int, len(rids)+1)
 	for i, a := range attrs {
-		for k := range a {
-			recOf[j], slotOf[j] = int32(i), int32(k)
-			j++
-		}
+		offs[i+1] = offs[i] + len(a)
 	}
-	flat, err := pool.SignIndexed(priv, total, func(i int) []byte {
-		r, k := recOf[i], slotOf[i]
-		d := AttrDigest(rids[r], int(k), attrs[r][k], tss[r])
-		return d[:]
+	total := offs[len(rids)]
+	flat := make([]digest.Digest, total)
+	sigagg.ForChunks(len(rids), pool.Workers(), digestChunk, func(lo, hi int) error {
+		w := digest.NewWriter(preimageHint)
+		for i := lo; i < hi; i++ {
+			for k, v := range attrs[i] {
+				flat[offs[i]+k] = AttrDigest(w, rids[i], k, v, tss[i])
+			}
+		}
+		return nil
 	})
+	sigs, err := pool.SignIndexed(priv, total, func(i int) []byte { return flat[i][:] })
 	if err != nil {
 		return nil, fmt.Errorf("projection: batch attr signing: %w", err)
 	}
 	out := make([][]sigagg.Signature, len(rids))
-	j = 0
-	for i, a := range attrs {
-		out[i] = flat[j : j+len(a) : j+len(a)]
-		j += len(a)
+	for i := range out {
+		out[i] = sigs[offs[i]:offs[i+1]:offs[i+1]]
 	}
 	return out, nil
 }

@@ -16,9 +16,11 @@ import (
 )
 
 // AttrDigest computes h(rid | i | Ai | ts), the signed message for
-// attribute index i of record rid.
-func AttrDigest(rid uint64, attrIdx int, value []byte, ts int64) digest.Digest {
-	w := digest.NewWriter(32 + len(value))
+// attribute index i of record rid, through a caller-owned Writer, which
+// it resets: a run of values shares one buffer instead of allocating one
+// each.
+func AttrDigest(w *digest.Writer, rid uint64, attrIdx int, value []byte, ts int64) digest.Digest {
+	w.Reset()
 	w.PutUint64(rid)
 	w.PutUint64(uint64(attrIdx))
 	w.PutBytes(value)
@@ -26,14 +28,19 @@ func AttrDigest(rid uint64, attrIdx int, value []byte, ts int64) digest.Digest {
 	return w.Sum()
 }
 
+// preimageHint sizes a Writer for the attribute digests of short values;
+// a longer one grows it once.
+const preimageHint = 64
+
 // SignRecord produces the per-attribute signatures for a record. The
 // record-level signature is their aggregate.
 func SignRecord(scheme sigagg.Scheme, priv sigagg.PrivateKey,
 	rid uint64, attrs [][]byte, ts int64) ([]sigagg.Signature, error) {
 
 	sigs := make([]sigagg.Signature, len(attrs))
+	w := digest.NewWriter(preimageHint)
 	for i, a := range attrs {
-		d := AttrDigest(rid, i, a, ts)
+		d := AttrDigest(w, rid, i, a, ts)
 		sig, err := scheme.Sign(priv, d[:])
 		if err != nil {
 			return nil, fmt.Errorf("projection: sign attr %d of rid %d: %w", i, rid, err)
@@ -44,7 +51,9 @@ func SignRecord(scheme sigagg.Scheme, priv sigagg.PrivateKey,
 }
 
 // Row is one projected record in an answer: the record identity plus the
-// values of the projected attributes.
+// values of the projected attributes. Only the values travel; a decoded
+// answer's rows take their identity from the chained records they are
+// listed beside (wire.DecodeComposite).
 type Row struct {
 	RID    uint64
 	TS     int64
@@ -83,16 +92,21 @@ func Build(scheme sigagg.Scheme, attrIdxs []int, rows []Row, attrOps [][]sigagg.
 	return &Answer{AttrIdxs: attrIdxs, Rows: rows, Agg: agg}, nil
 }
 
-// Digests reconstructs the attribute digests the aggregate must cover.
+// Digests reconstructs the attribute digests the aggregate must cover,
+// row by row. The returned slices are views of one flat digest array,
+// hashed through one Writer.
 func (a *Answer) Digests() ([][]byte, error) {
-	var out [][]byte
+	flat := make([]digest.Digest, len(a.Rows)*len(a.AttrIdxs))
+	out := make([][]byte, 0, len(flat))
+	w := digest.NewWriter(preimageHint)
 	for _, row := range a.Rows {
 		if len(row.Values) != len(a.AttrIdxs) {
 			return nil, fmt.Errorf("projection: row rid %d has %d values, want %d",
 				row.RID, len(row.Values), len(a.AttrIdxs))
 		}
 		for k, idx := range a.AttrIdxs {
-			d := AttrDigest(row.RID, idx, row.Values[k], row.TS)
+			d := &flat[len(out)]
+			*d = AttrDigest(w, row.RID, idx, row.Values[k], row.TS)
 			out = append(out, d[:])
 		}
 	}

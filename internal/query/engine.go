@@ -315,17 +315,14 @@ func (e *Engine) exec(s *shape) (*Result, anscache.Stamp, error) {
 		return nil, zero, fmt.Errorf("query: outer scan %q: %w", outer.name, err)
 	}
 
-	// Residual filter (naive plans only): narrow the joined/projected
-	// window; the chain proof still covers the scanned range.
+	// Residual filter (naive plans only): narrow the joined window; the
+	// chain proof, and the projection whose rows are its records, still
+	// cover the scanned range.
 	keep := outAns.Chain.Records
-	keepRows := rows
 	if s.filter != nil {
 		lo := sort.Search(len(keep), func(i int) bool { return keep[i].Key >= s.filter.Lo })
 		hi := sort.Search(len(keep), func(i int) bool { return keep[i].Key > s.filter.Hi })
 		keep = keep[lo:hi]
-		if rows != nil {
-			keepRows = rows[lo:hi]
-		}
 	}
 
 	comp := &wire.Composite{Outer: outAns.Chain}
@@ -352,7 +349,7 @@ func (e *Engine) exec(s *shape) (*Result, anscache.Stamp, error) {
 	}
 
 	if s.proj != nil {
-		pans, err := e.project(outer, s.proj.Attrs, keep, keepRows)
+		pans, err := e.project(outer, s.proj.Attrs, outAns.Chain.Records, rows)
 		if err != nil {
 			return nil, zero, err
 		}
@@ -499,22 +496,24 @@ func liveSpan(live []bool, a, b int) (_, _ int, ok bool) {
 	return a, b, a <= b
 }
 
-// project assembles the §3.4 projection section: per-row selected
-// values with one aggregate over the owner's attribute-level signatures.
-func (e *Engine) project(outer *relView, attrs []int, keep []*chain.Record, rows []core.AttrRow) (*projection.Answer, error) {
-	prows := make([]projection.Row, len(keep))
-	ops := make([][]sigagg.Operand, len(keep))
-	for i := range keep {
-		row := rows[i]
-		vals := make([][]byte, len(attrs))
+// project assembles the §3.4 projection section: the selected values of
+// every chained record, from one flat array, with one aggregate over the
+// owner's attribute-level signatures.
+func (e *Engine) project(outer *relView, attrs []int, recs []*chain.Record, rows []core.AttrRow) (*projection.Answer, error) {
+	prows := make([]projection.Row, len(recs))
+	ops := make([][]sigagg.Operand, len(recs))
+	vals := make([][]byte, len(recs)*len(attrs))
+	for i := range recs {
+		row := &rows[i]
+		v := vals[i*len(attrs) : (i+1)*len(attrs) : (i+1)*len(attrs)]
 		for j, a := range attrs {
 			if a >= len(row.Vals) {
 				return nil, fmt.Errorf("query: attribute slot %d out of range for key %d (%d slots)",
-					a, keep[i].Key, len(row.Vals))
+					a, recs[i].Key, len(row.Vals))
 			}
-			vals[j] = row.Vals[a]
+			v[j] = row.Vals[a]
 		}
-		prows[i] = projection.Row{RID: row.RID, TS: row.TS, Values: vals}
+		prows[i] = projection.Row{RID: row.RID, TS: row.TS, Values: v}
 		ops[i] = row.Ops
 	}
 	e.projRows.Add(uint64(len(prows)))

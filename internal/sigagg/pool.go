@@ -79,6 +79,10 @@ func ForChunks(n, workers, minChunk int, fn func(lo, hi int) error) error {
 // Scheme returns the scheme the pool signs and verifies under.
 func (p *Pool) Scheme() Scheme { return p.scheme }
 
+// Workers returns the pool's bound on concurrent workers, for a caller
+// that fans out its own preparation of the pool's input (ForChunks).
+func (p *Pool) Workers() int { return p.par }
+
 // Sign produces one signature, through the scheme's batch path when it
 // has one (e.g. CRT signing for condensed RSA) so that even single
 // messages — summary certifications, individual record updates — get

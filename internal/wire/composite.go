@@ -123,6 +123,16 @@ type Composite struct {
 	Proj  *projection.Answer
 	Join  *join.Answer
 	Tails []RelTail
+	// Bytes is what each section of a decoded frame took; the encoders
+	// ignore it.
+	Bytes SectionBytes
+}
+
+// SectionBytes is how many bytes of a 'C' frame each section took, as
+// DecodeComposite found them; they add up to the frame. Outer counts the
+// frame's version, kind and flags bytes with the outer chain.
+type SectionBytes struct {
+	Outer, Proj, Join, Tails int
 }
 
 const (
@@ -150,7 +160,9 @@ func AppendCompositeCore(buf []byte, c *Composite) ([]byte, error) {
 	}
 	w.u8(flags)
 	if c.Proj != nil {
-		putProjection(w, c.Proj)
+		if err := putProjection(w, c.Proj, c.Outer); err != nil {
+			return nil, err
+		}
 	}
 	if c.Join != nil {
 		if err := putJoin(w, c.Join); err != nil {
@@ -201,16 +213,20 @@ func DecodeComposite(data []byte, names ...string) (*Composite, error) {
 	if flags&^(compFlagProj|compFlagJoin) != 0 {
 		return nil, fmt.Errorf("%w: bad composite flags %#x", ErrCorrupt, flags)
 	}
+	c.Bytes.Outer = r.off
 	if flags&compFlagProj != 0 {
-		if c.Proj, err = getProjection(r); err != nil {
+		if c.Proj, err = getProjection(r, outer); err != nil {
 			return nil, err
 		}
 	}
+	mark := r.off
+	c.Bytes.Proj = mark - c.Bytes.Outer
 	if flags&compFlagJoin != 0 {
 		if c.Join, err = getJoin(r); err != nil {
 			return nil, err
 		}
 	}
+	c.Bytes.Join, c.Bytes.Tails = r.off-mark, r.remaining()
 	nTails, err := r.u64()
 	if err != nil {
 		return nil, err
@@ -259,74 +275,70 @@ func DecodeComposite(data []byte, names ...string) (*Composite, error) {
 
 // ---- projection section (§3.4) ----
 
-func putProjection(w *writer, p *projection.Answer) {
+// The section is the attribute slots, then for each record of the outer
+// chain, in chain order, exactly one length-prefixed value per slot, then
+// the aggregate. A row names no record: the chain's records already
+// disclose and authenticate every rid and ts an attribute digest binds,
+// so row i is outer.Records[i] by position and a frame cannot express a
+// row that names another record.
+
+func putProjection(w *writer, p *projection.Answer, outer *chain.Answer) error {
+	if len(p.Rows) != len(outer.Records) {
+		return fmt.Errorf("wire: %d projected rows for %d chained records", len(p.Rows), len(outer.Records))
+	}
 	w.u64(uint64(len(p.AttrIdxs)))
 	for _, idx := range p.AttrIdxs {
 		w.u64(uint64(idx))
 	}
-	w.u64(uint64(len(p.Rows)))
-	for i := range p.Rows {
+	for i, rec := range outer.Records {
 		row := &p.Rows[i]
-		w.u64(row.RID)
-		w.i64(row.TS)
-		w.u64(uint64(len(row.Values)))
+		if row.RID != rec.RID || row.TS != rec.TS || len(row.Values) != len(p.AttrIdxs) {
+			return fmt.Errorf("wire: projected row %d (rid %d, ts %d, %d values) is not chained record %d (rid %d, ts %d) over %d slots",
+				i, row.RID, row.TS, len(row.Values), i, rec.RID, rec.TS, len(p.AttrIdxs))
+		}
 		for _, v := range row.Values {
 			w.bytes(v)
 		}
 	}
 	w.bytes(p.Agg)
+	return nil
 }
 
-func getProjection(r *reader) (*projection.Answer, error) {
-	p := &projection.Answer{}
-	nIdx, err := r.u64()
+// getProjection decodes the section whose rows are outer's records.
+func getProjection(r *reader, outer *chain.Answer) (*projection.Answer, error) {
+	// An index and a value's length prefix are eight bytes each, so the
+	// bytes present bound the slots, and rows × slots, before either sizes
+	// anything.
+	nIdx, err := r.count(8)
 	if err != nil {
 		return nil, err
 	}
-	if nIdx > maxLen {
-		return nil, fmt.Errorf("%w: attr index count %d", ErrCorrupt, nIdx)
+	p := &projection.Answer{}
+	if nIdx > 0 {
+		p.AttrIdxs = make([]int, nIdx)
 	}
-	for i := uint64(0); i < nIdx; i++ {
-		idx, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
+	for i := range p.AttrIdxs {
+		idx, _ := r.u64() // present: count checked the bytes
 		if idx > maxLen {
 			return nil, fmt.Errorf("%w: attr index %d", ErrCorrupt, idx)
 		}
-		p.AttrIdxs = append(p.AttrIdxs, int(idx))
+		p.AttrIdxs[i] = int(idx)
 	}
-	nRows, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	// As for records: a row costs at least its 24 fixed bytes and a value
-	// its 8-byte length prefix, which bounds both counts before they size
-	// anything.
-	if nRows > uint64(r.remaining()/24) {
-		return nil, fmt.Errorf("%w: row count %d in %d bytes", ErrCorrupt, nRows, r.remaining())
+	nRows := len(outer.Records)
+	if nIdx > 0 && nRows > r.remaining()/8/nIdx {
+		return nil, fmt.Errorf("%w: %d rows of %d values in %d bytes", ErrCorrupt, nRows, nIdx, r.remaining())
 	}
 	if nRows > 0 {
 		p.Rows = make([]projection.Row, nRows)
 	}
-	for i := range p.Rows {
+	var vals [][]byte // every row's values, row-major
+	if nRows*nIdx > 0 {
+		vals = make([][]byte, nRows*nIdx)
+	}
+	for i, rec := range outer.Records {
 		row := &p.Rows[i]
-		if row.RID, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if row.TS, err = r.i64(); err != nil {
-			return nil, err
-		}
-		nVals, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		if nVals > uint64(r.remaining()/8) {
-			return nil, fmt.Errorf("%w: value count %d in %d bytes", ErrCorrupt, nVals, r.remaining())
-		}
-		if nVals > 0 {
-			row.Values = make([][]byte, nVals)
-		}
+		row.RID, row.TS = rec.RID, rec.TS
+		row.Values = vals[i*nIdx : (i+1)*nIdx : (i+1)*nIdx]
 		for j := range row.Values {
 			if row.Values[j], err = r.bytes(); err != nil {
 				return nil, err

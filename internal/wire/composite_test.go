@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,8 +85,9 @@ func TestLeafCompositeEnvelope(t *testing.T) {
 }
 
 // testComposite is a composite answer with every section present: a
-// projection, a join carrying a run with a record, an anchored empty run
-// and two partitions' Bloom negatives, and two summary tails.
+// projection of both outer records onto two slots (an empty value among
+// them), a join carrying a run with a record, an anchored empty run and
+// two partitions' Bloom negatives, and two summary tails.
 func testComposite(t testing.TB) *Composite {
 	t.Helper()
 	pf, err := bloom.BuildPartitioned([]int64{5, 10, 15, 20}, 2, 8)
@@ -95,14 +97,17 @@ func testComposite(t testing.TB) *Composite {
 	return &Composite{
 		Outer: &chain.Answer{
 			Lo: 1, Hi: 9,
-			Records: []*chain.Record{{RID: 1, Key: 2, TS: 3, Attrs: [][]byte{[]byte("x")}}},
+			Records: []*chain.Record{{RID: 1, Key: 2, TS: 3, Attrs: [][]byte{[]byte("x")}}, {RID: 4, Key: 6, TS: 5}},
 			Left:    chain.MinRef, Right: chain.MaxRef,
 			Agg: sigagg.Signature("agg"),
 		},
 		Proj: &projection.Answer{
-			AttrIdxs: []int{1},
-			Rows:     []projection.Row{{RID: 1, TS: 3, Values: [][]byte{[]byte("v")}}},
-			Agg:      sigagg.Signature("pagg"),
+			AttrIdxs: []int{1, 0},
+			Rows: []projection.Row{
+				{RID: 1, TS: 3, Values: [][]byte{[]byte("v"), []byte("w")}},
+				{RID: 4, TS: 5, Values: [][]byte{[]byte("long value"), {}}},
+			},
+			Agg: sigagg.Signature("pagg"),
 		},
 		Join: &join.Answer{
 			Method: join.BF, FilterTS: 77,
@@ -142,6 +147,27 @@ func TestCompositeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// What each section took, measured by encoding it alone: the header,
+	// the outer chain and the flags; the projection; the join; the tails.
+	sizes := SectionBytes{Outer: 2 + 1, Tails: len(AppendRelTails(nil, c.Tails))}
+	for _, enc := range []struct {
+		n   *int
+		put func(w *writer) error
+	}{
+		{&sizes.Outer, func(w *writer) error { putAnswerBody(w, c.Outer); return nil }},
+		{&sizes.Proj, func(w *writer) error { return putProjection(w, c.Proj, c.Outer) }},
+		{&sizes.Join, func(w *writer) error { return putJoin(w, c.Join) }},
+	} {
+		w := &writer{}
+		if err := enc.put(w); err != nil {
+			t.Fatal(err)
+		}
+		*enc.n += len(w.buf)
+	}
+	if got.Bytes != sizes {
+		t.Fatalf("section bytes %+v, encoded alone %+v", got.Bytes, sizes)
+	}
+	got.Bytes = SectionBytes{}
 	if !reflect.DeepEqual(got, c) {
 		t.Fatalf("composite round trip mismatch:\n got %+v\nwant %+v", got, c)
 	}
@@ -151,6 +177,74 @@ func TestCompositeRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeComposite(append(append([]byte(nil), buf...), 0)); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+}
+
+// compositeFrame encodes c as the one 'C' message a client receives.
+func compositeFrame(t testing.TB, c *Composite) []byte {
+	t.Helper()
+	body, err := AppendCompositeCore(nil, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return AppendRelTails(body, c.Tails)
+}
+
+// TestProjectionSectionIsValues: the projection section is the slots, then
+// for each chained record exactly one length-prefixed value per slot, then
+// the aggregate — no rid, ts or value count per row, and row i is chained
+// record i. A section with one value too few or one too many is refused as
+// corrupt, and rows that are not the chain's records are not encoded.
+func TestProjectionSectionIsValues(t *testing.T) {
+	c := testComposite(t)
+	frame := compositeFrame(t, c)
+	got, err := DecodeComposite(bytes.Clone(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &writer{}
+	want.u64(uint64(len(c.Proj.AttrIdxs)))
+	for _, idx := range c.Proj.AttrIdxs {
+		want.u64(uint64(idx))
+	}
+	for _, row := range c.Proj.Rows {
+		for _, v := range row.Values {
+			want.bytes(v)
+		}
+	}
+	want.bytes(c.Proj.Agg)
+	at := got.Bytes.Outer
+	if sec := frame[at : at+got.Bytes.Proj]; !bytes.Equal(sec, want.buf) {
+		t.Fatalf("projection section %x, want %x", sec, want.buf)
+	}
+	for i, rec := range got.Outer.Records {
+		if row := got.Proj.Rows[i]; row.RID != rec.RID || row.TS != rec.TS {
+			t.Fatalf("row %d decoded as rid %d ts %d, chained record rid %d ts %d", i, row.RID, row.TS, rec.RID, rec.TS)
+		}
+	}
+
+	first := at + 8 + 8*len(c.Proj.AttrIdxs) // the first value's length prefix
+	val := frame[first : first+8+len(c.Proj.Rows[0].Values[0])]
+	for name, bad := range map[string][]byte{
+		"one value too few":  slices.Concat(frame[:first], frame[first+len(val):]),
+		"one value too many": slices.Concat(frame[:first], val, frame[first:]),
+	} {
+		if _, err := DecodeComposite(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: %v, want ErrCorrupt", name, err)
+		}
+	}
+
+	for name, mutate := range map[string]func(p *projection.Answer){
+		"a row missing":        func(p *projection.Answer) { p.Rows = p.Rows[:1] },
+		"a value missing":      func(p *projection.Answer) { p.Rows[1].Values = p.Rows[1].Values[:1] },
+		"another record's rid": func(p *projection.Answer) { p.Rows[0].RID = p.Rows[1].RID },
+		"another version's ts": func(p *projection.Answer) { p.Rows[1].TS-- },
+	} {
+		c := testComposite(t)
+		mutate(c.Proj)
+		if _, err := AppendCompositeCore(nil, c); err == nil {
+			t.Fatalf("%s: encoded", name)
+		}
 	}
 }
 

@@ -17,6 +17,8 @@ import (
 	"authdb/internal/core"
 	"authdb/internal/freshness"
 	"authdb/internal/join"
+	"authdb/internal/projection"
+	"authdb/internal/sigagg"
 )
 
 // seedFrames returns valid wire encodings to anchor the corpora.
@@ -52,11 +54,23 @@ func seedFrames(t testing.TB) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Projection sections beside the one above: with no join after them,
+	// and over an empty scan — slots and an aggregate, not one row.
+	projOnly := testComposite(t)
+	projOnly.Join = nil
+	emptyProj := &Composite{
+		Outer: &chain.Answer{Lo: 3, Hi: 4, Anchor: &chain.Record{RID: 1, Key: 2, TS: 3},
+			AnchorLeft: chain.MinRef, Left: chain.MinRef, Right: chain.MaxRef, Agg: sigagg.Signature("a")},
+		Proj:  &projection.Answer{AttrIdxs: []int{0, 2}, Agg: sigagg.Signature("p")},
+		Tails: []RelTail{{Rel: "outer"}},
+	}
 	return [][]byte{
 		ansBytes,
 		EncodeUpdateMsg(closeMsg),
 		AppendRelTails(compBytes, comp.Tails),
 		AppendRelTails(runsBytes, runsOnly.Tails),
+		compositeFrame(t, projOnly),
+		compositeFrame(t, emptyProj),
 		AppendBootstrap(nil, 42, sys.QS.Snapshot()),
 		AppendBootstrap(nil, 7, imageStates(t)[1]), // projection-mode: the §3.4 sideband
 		AppendBootstrap(nil, 9, imageStates(t)[2]), // a join inner: the §3.5 certified filter

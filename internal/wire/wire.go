@@ -171,37 +171,51 @@ func putRecord(w *writer, rec *chain.Record) {
 }
 
 // getRecord decodes one record into rec; its attribute values follow
-// the reader's custody.
-func getRecord(r *reader, rec *chain.Record) error {
+// the reader's custody. Their slice headers are appended to slab, which
+// is returned, and rec.Attrs is cut from it: the records of one answer
+// body share one array (getAnswerBody), where a record a server stores
+// gets its own (a nil slab). A slab without room is replaced by one with
+// room for this record and left-1 more of its shape; the records already
+// cut from the old one keep it.
+func getRecord(r *reader, rec *chain.Record, slab [][]byte, left int) ([][]byte, error) {
 	var err error
 	if rec.RID, err = r.u64(); err != nil {
-		return err
+		return slab, err
 	}
 	if rec.Key, err = r.i64(); err != nil {
-		return err
+		return slab, err
 	}
 	if rec.TS, err = r.i64(); err != nil {
-		return err
-	}
-	nAttrs, err := r.u64()
-	if err != nil {
-		return err
+		return slab, err
 	}
 	// Every attribute costs at least its 8-byte length prefix: a count the
 	// bytes present cannot hold is refused before anything is sized by it.
-	if nAttrs > uint64(r.remaining()/8) {
-		return fmt.Errorf("%w: attr count %d in %d bytes", ErrCorrupt, nAttrs, r.remaining())
+	n, err := r.count(8)
+	if err != nil {
+		return slab, err
 	}
-	if nAttrs == 0 {
-		return nil // Attrs stays nil, as it encodes
+	if n == 0 {
+		return slab, nil // Attrs stays nil, as it encodes
 	}
-	rec.Attrs = make([][]byte, nAttrs)
-	for i := range rec.Attrs {
-		if rec.Attrs[i], err = r.bytes(); err != nil {
-			return err
+	if cap(slab)-len(slab) < n {
+		// Room for left records of n attributes, but never for more than
+		// the bytes present could hold.
+		room := r.remaining() / 8
+		if left <= room/n {
+			room = n * left
 		}
+		slab = make([][]byte, 0, room)
 	}
-	return nil
+	start := len(slab)
+	for i := 0; i < n; i++ {
+		v, err := r.bytes()
+		if err != nil {
+			return slab, err
+		}
+		slab = append(slab, v)
+	}
+	rec.Attrs = slab[start:len(slab):len(slab)]
+	return slab, nil
 }
 
 func putRef(w *writer, ref chain.Ref) {
@@ -347,7 +361,7 @@ func DecodeUpdateMsg(data []byte) (*core.UpdateMsg, error) {
 	}
 	for i := uint64(0); i < nUp; i++ {
 		rec := &chain.Record{}
-		if err := getRecord(r, rec); err != nil {
+		if _, err := getRecord(r, rec, nil, 1); err != nil {
 			return nil, err
 		}
 		sig, err := r.bytes()
@@ -535,8 +549,9 @@ func getAnswerBody(r *reader) (*chain.Answer, error) {
 	if nRecs > 0 {
 		recs := make([]chain.Record, nRecs)
 		ca.Records = make([]*chain.Record, nRecs)
+		var attrs [][]byte // the slab the records' Attrs are cut from
 		for i := range recs {
-			if err := getRecord(r, &recs[i]); err != nil {
+			if attrs, err = getRecord(r, &recs[i], attrs, len(recs)-i); err != nil {
 				return nil, err
 			}
 			ca.Records[i] = &recs[i]
@@ -555,7 +570,7 @@ func getAnswerBody(r *reader) (*chain.Answer, error) {
 	switch hasAnchor {
 	case 1:
 		ca.Anchor = &chain.Record{}
-		if err = getRecord(r, ca.Anchor); err != nil {
+		if _, err = getRecord(r, ca.Anchor, nil, 1); err != nil {
 			return nil, err
 		}
 		if ca.AnchorLeft, err = getRef(r); err != nil {

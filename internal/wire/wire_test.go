@@ -1,11 +1,14 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
 
+	"authdb/internal/chain"
 	"authdb/internal/core"
 	"authdb/internal/sigagg/bas"
 )
@@ -195,9 +198,10 @@ func TestDecodeRejectsLengthBombs(t *testing.T) {
 }
 
 // TestDecodeBoundsCountsByBytesPresent: the answer decoders size arrays
-// by the record and attribute counts they read, so a count that passes
-// the global limit but that the bytes present cannot hold must be refused
-// before anything is allocated by it — 2^24 records would be 1 GiB.
+// by the record, attribute, slot and row counts they read, so a count
+// that passes the global limit but that the bytes present cannot hold
+// must be refused before anything is allocated by it — 2^24 records
+// would be 1 GiB.
 func TestDecodeBoundsCountsByBytesPresent(t *testing.T) {
 	count := []byte{0, 0, 0, 0, 1, 0, 0, 0}                                  // 2^24, under maxLen
 	lyingRecs := append([]byte{Version, KindComposite}, make([]byte, 16)...) // lo, hi
@@ -208,7 +212,35 @@ func TestDecodeBoundsCountsByBytesPresent(t *testing.T) {
 	lyingAttrs = append(lyingAttrs, make([]byte, 24)...)    // rid, key, ts
 	lyingAttrs = append(lyingAttrs, count...)
 	lyingAttrs = append(lyingAttrs, make([]byte, 256)...)
-	for name, frame := range map[string][]byte{"records": lyingRecs, "attrs": lyingAttrs} {
+	// The projection section: a slot count, and — over 256 chained records,
+	// 256 slots — a rows × slots the bytes present cannot hold (a value
+	// header each would be 1.5 MiB), then a value longer than the frame.
+	recs := make([]*chain.Record, 256)
+	for i := range recs {
+		recs[i] = &chain.Record{RID: uint64(i + 1), Key: int64(i)}
+	}
+	w := &writer{}
+	w.u8(Version)
+	w.u8(KindComposite)
+	putAnswerBody(w, &chain.Answer{Records: recs})
+	w.u8(compFlagProj)
+	at := len(w.buf)
+	w.u64(uint64(len(recs)))
+	w.buf = append(w.buf, make([]byte, 8*len(recs)+256)...)
+	lyingSlots := w.buf
+	lyingIdxs := bytes.Clone(lyingSlots)
+	copy(lyingIdxs[at:], count)
+	c := testComposite(t)
+	lyingValue := compositeFrame(t, c)
+	honest, err := DecodeComposite(bytes.Clone(lyingValue))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint64(lyingValue[honest.Bytes.Outer+8+8*len(c.Proj.AttrIdxs):], 1<<40)
+	for name, frame := range map[string][]byte{
+		"records": lyingRecs, "attrs": lyingAttrs,
+		"attr indexes": lyingIdxs, "rows × slots": lyingSlots, "value length": lyingValue,
+	} {
 		var err error
 		allocated := allocatedBy(func() { _, err = DecodeAnswer(frame) })
 		if !errors.Is(err, ErrCorrupt) {
