@@ -35,17 +35,23 @@
 //     least-frequently-hit entry (aging the survivors), and a newcomer
 //     whose observed demand (1 + coalesced waiters) is below the
 //     victim's kept frequency is not admitted, so a scan of cold ranges
-//     cannot wash out the hot head. Each admission also reclaims the
-//     cold-tail entry when its stamp has gone stale, so invalidated
-//     entries nobody requests again do not sit on their bytes until the
-//     budget is reached. Entries are charged by the capacity of their
-//     wire buffer, which is what they pin.
+//     cannot wash out the hot head. Each admission also reclaims every
+//     entry among the victimScan coldest whose stamp has gone stale, so
+//     invalidated entries nobody requests again do not sit on their
+//     bytes until the budget is reached; a reclaimed key keeps its
+//     doorkeeper ticket, so its next rebuild is admitted at once.
 //
 // Entries are reference counted: the cache holds one reference while an
 // entry is resident, and every lookup hands the caller another. When
 // the last reference drops, the entry's optional Free hook returns the
-// wire buffer to its pool — pre-encoded answers live in pooled buffers
-// without any risk of a reader racing a recycle.
+// wire buffer to its pool. A pooled buffer belongs to the flight that
+// built it — its builder and coalesced waiters — and never becomes
+// resident: admission keeps an exactly sized copy without a Free hook,
+// charged by the answer's length, so what stays resident is only ever
+// a live answer and its bytes, never a pool's slack, and a reader can
+// never race a recycle. An entry built without a Free hook is resident
+// as it is and charged the capacity of its wire buffer, which is what
+// it pins.
 //
 // The package is deliberately ignorant of the answer type (Value is
 // opaque) and of where epochs come from (EpochSource is an interface),
@@ -163,7 +169,8 @@ type Entry struct {
 	Wire  []byte // pre-encoded wire bytes, written once at build time
 	Stamp Stamp
 	// Free, when set, recycles Wire (e.g. wire.PutBuffer) once the last
-	// reference is released.
+	// reference is released. Such an entry serves its flight only; the
+	// resident entry admission makes of it is a copy with no Free.
 	Free func([]byte)
 
 	refs atomic.Int64 // cache residency + outstanding readers
@@ -225,7 +232,7 @@ type Stats struct {
 	Evictions     uint64 // entries dropped by the size bound
 	Rejected      uint64 // built entries not made resident: first sightings, the frequency bias, oversize
 	Retries       uint64 // coalesced results discarded as stale, rebuilt
-	Bytes         int64  // resident wire bytes (point-in-time, not monotonic)
+	Bytes         int64  // resident bytes charged, bookkeeping included (point-in-time, not monotonic)
 	Entries       int64  // resident entries (point-in-time)
 }
 
@@ -495,11 +502,10 @@ func (c *Cache) runBuild(sh *cshard, key Key, h uint64, f *flight, build func() 
 			// reads.
 			demand := uint64(1 + f.waiters)
 			e.hits.Store(demand)
-			// Charged by capacity: a pooled buffer pins all of it.
-			e.size = int64(cap(e.Wire)) + int64(len(e.Key.Plan)) + entryOverhead
 			e.refs.Add(f.waiters + 1)
 			// Only a second request earns residency; a first sighting
-			// serves its caller and frees its buffer on the last Release.
+			// serves its flight and frees its buffer on the last Release,
+			// as every built entry with a Free hook does.
 			// seen goes first: it records this sighting either way.
 			again := sh.seen(h) || demand > 1 || f.replaces
 			// Don't evict warm entries for an entry an intersecting
@@ -529,24 +535,27 @@ func (c *Cache) runBuild(sh *cshard, key Key, h uint64, f *flight, build func() 
 // mutex, and the flight map keeps every other inserter out until this
 // publication completes. The eviction plan is computed in full before
 // any entry is dropped: admission either fully succeeds or leaves the
-// resident set untouched, so a large cold newcomer cannot erode the
-// warm tail and then be rejected anyway. Caller holds sh.mu.
+// live resident set untouched, so a large cold newcomer cannot erode the
+// warm tail and then be rejected anyway.
+//
+// A built entry with a Free hook stays with its flight: what becomes
+// resident is a copy of it sized exactly to its answer, with no Free, and
+// the built buffer goes back to its pool on the flight's last Release.
+// Only admissions pay the copy. Caller holds sh.mu.
 func (c *Cache) admit(sh *cshard, e *Entry, demand uint64) {
-	if e.size > sh.max {
+	// Charged what the resident entry pins: its answer's length when it is
+	// a copy, its buffer's capacity otherwise.
+	size := int64(cap(e.Wire))
+	if e.Free != nil {
+		size = int64(len(e.Wire))
+	}
+	size += int64(len(e.Key.Plan)) + entryOverhead
+	if size > sh.max {
 		c.rejected.Add(1)
 		return
 	}
-	// A cold-tail entry whose stamp has gone stale can never be served
-	// again. Reclaim it now: left alone it holds its bytes until the size
-	// bound is reached, and a once-popular one would out-vote live
-	// newcomers in the bias below. One per admission keeps the dead
-	// residue from growing under update-heavy traffic.
-	if t := sh.tail; t != nil && !t.Stamp.Valid(c.src) {
-		sh.drop(t)
-		c.invalidations.Add(1)
-		t.Release()
-	}
-	need := sh.bytes + e.size - sh.max
+	c.reclaim(sh)
+	need := sh.bytes + size - sh.max
 	var victims []*Entry
 	for need > 0 {
 		v := sh.victim(victims)
@@ -567,10 +576,37 @@ func (c *Cache) admit(sh *cshard, e *Entry, demand uint64) {
 	if len(victims) > 0 {
 		sh.age() // eviction pressure decays ancient popularity
 	}
+	if e.Free != nil {
+		exact := make([]byte, len(e.Wire))
+		copy(exact, e.Wire)
+		e = &Entry{Key: e.Key, Value: e.Value, Wire: exact, Stamp: e.Stamp}
+		e.hits.Store(demand)
+	}
+	e.size = size
 	e.refs.Add(1) // residency reference
 	sh.entries[e.Key] = e
 	sh.pushFront(e)
 	sh.bytes += e.size
+}
+
+// reclaim drops every entry among the victimScan coldest whose stamp has
+// gone stale: it can never be served again, and left alone it would hold
+// its bytes until the size bound is reached and, once popular, out-vote
+// live newcomers in the admission bias. Its key keeps a doorkeeper
+// ticket, so the rebuild that follows an invalidation of a hot range is
+// admitted at once. Caller holds sh.mu.
+func (c *Cache) reclaim(sh *cshard) {
+	scanned := 0
+	for e := sh.tail; e != nil && scanned < victimScan; scanned++ {
+		prev := e.prev
+		if !e.Stamp.Valid(c.src) {
+			sh.drop(e)
+			sh.seen(hash(e.Key))
+			c.invalidations.Add(1)
+			e.Release()
+		}
+		e = prev
+	}
 }
 
 // victim scans up to victimScan cold-tail entries not already chosen
@@ -612,8 +648,8 @@ func (sh *cshard) age() {
 }
 
 // Clear drops every resident entry, releasing the cache's residency
-// references so entry buffers return to their pools once outstanding
-// readers finish. In-flight builds are unaffected (their publications
+// references; a reader still holding an entry keeps its bytes until it
+// releases them. In-flight builds are unaffected (their publications
 // will re-admit). Use when detaching a cache for good.
 func (c *Cache) Clear() {
 	for i := range c.shards {

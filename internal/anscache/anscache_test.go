@@ -269,6 +269,10 @@ func TestSizeBoundAndFrequencyBias(t *testing.T) {
 	}
 }
 
+// TestReleaseRecyclesWire: a pooled build's buffer returns to its pool on
+// its flight's last Release whether or not the cache keeps the answer —
+// what is resident is a copy, so a hit frees nothing and neither does
+// evicting it.
 func TestReleaseRecyclesWire(t *testing.T) {
 	src := &fakeEpochs{}
 	c := New(src, WithShards(1), WithMaxBytes(entryOverhead+16))
@@ -286,18 +290,28 @@ func TestReleaseRecyclesWire(t *testing.T) {
 		return e
 	}
 	put(0).Release() // first sighting: served, not resident, freed
-	e1 := put(0)
-	e1.Release()
+	e1 := put(0)     // second: resident as a copy
 	if freed.Load() != 1 {
-		t.Fatal("buffer freed while resident")
+		t.Fatal("admitted build freed while its reader holds it")
 	}
-	// Second entry evicts the first (budget holds one); with no readers
-	// left the first buffer must return to the pool.
+	e1.Release()
+	if freed.Load() != 2 {
+		t.Fatalf("admitted build's buffer not freed on its last release (freed=%d)", freed.Load())
+	}
+	// The second key's admission evicts the first (the budget holds one):
+	// its two builds are freed, the evicted copy frees nothing.
 	put(100).Release()
-	e2 := put(100)
-	e2.Release()
-	if freed.Load() != 3 {
-		t.Fatalf("evicted buffer not freed (freed=%d)", freed.Load())
+	put(100).Release()
+	if st := c.Stats(); freed.Load() != 4 || st.Evictions != 1 || st.Entries != 1 {
+		t.Fatalf("after an eviction: freed=%d, %+v; want 4 frees and one eviction", freed.Load(), st)
+	}
+	hit := put(100)
+	if hit.Free != nil || string(hit.Wire) != "0123456789abcdef" {
+		t.Fatalf("resident entry: Free set %v, bytes %q", hit.Free != nil, hit.Wire)
+	}
+	hit.Release()
+	if freed.Load() != 4 {
+		t.Fatalf("a hit freed a buffer (freed=%d)", freed.Load())
 	}
 }
 
@@ -333,7 +347,8 @@ func TestConcurrentMixedUse(t *testing.T) {
 }
 
 // TestBuildPanicResolvesFlight: a panicking build must resolve the
-// flight (waiters get an error, the key is not wedged) and re-raise.
+// flight (waiters get an error, the key is not wedged) and re-raise; it
+// handed the cache no buffer, so the cache frees none for it.
 func TestBuildPanicResolvesFlight(t *testing.T) {
 	src := &fakeEpochs{}
 	c := New(src)
@@ -375,14 +390,21 @@ func TestBuildPanicResolvesFlight(t *testing.T) {
 	if err := <-waiterErr; err == nil {
 		t.Fatal("waiter on a panicked flight got no error")
 	}
-	// The key must not be wedged: a fresh Do builds normally.
+	// The key must not be wedged: a fresh Do builds normally, and its
+	// pooled buffer is freed once, on its release.
+	var freed atomic.Int64
 	e, out, err := c.Do(key, func() (*Entry, error) {
-		return entryFor(key, src.stampFor(0, 0), "recovered"), nil
+		ent := entryFor(key, src.stampFor(0, 0), "recovered")
+		ent.Free = func([]byte) { freed.Add(1) }
+		return ent, nil
 	})
 	if err != nil || out != Built || string(e.Wire) != "recovered" {
 		t.Fatalf("key wedged after build panic: %v %v %q", err, out, e.Wire)
 	}
 	e.Release()
+	if freed.Load() != 1 {
+		t.Fatalf("rebuild after a panic freed %d times, want once", freed.Load())
+	}
 }
 
 // TestClearReleasesResidency: detaching drains every resident entry's
@@ -415,8 +437,8 @@ func TestClearReleasesResidency(t *testing.T) {
 
 // TestAdmitReclaimsStaleTail: entries invalidated by an epoch bump and
 // never requested again do not stay resident until the size bound is
-// hit — each later admission reclaims the stale cold-tail entry, so the
-// dead residue shrinks instead of growing.
+// hit — each later admission reclaims the stale entries of the cold
+// window, so the dead residue shrinks instead of growing.
 func TestAdmitReclaimsStaleTail(t *testing.T) {
 	src := &fakeEpochs{}
 	c := New(src, WithShards(1))
@@ -442,6 +464,13 @@ func TestAdmitReclaimsStaleTail(t *testing.T) {
 	for lo := int64(100); lo < 108; lo++ {
 		put(lo)
 		put(lo)
+		if lo == 100 {
+			// One admission reclaims every stale entry among the victimScan
+			// coldest, not just the coldest.
+			if st := c.Stats(); st.Invalidations != victimScan || c.Len() != 8-victimScan+1 {
+				t.Fatalf("first admission over eight stale entries: %+v, want %d reclaimed", st, victimScan)
+			}
+		}
 	}
 	if c.Len() != 8 {
 		t.Fatalf("resident %d after eight admissions over eight stale entries, want 8 live ones", c.Len())
@@ -648,5 +677,194 @@ func TestChargedByCapacity(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 1 || st.Bytes != 64<<10+entryOverhead {
 		t.Fatalf("1 KiB answer in a 64 KiB buffer: %+v, want charged %d", st, 64<<10+entryOverhead)
+	}
+}
+
+// TestReclaimWholeColdWindow: with k stale entries among the victimScan
+// coldest, one admission reclaims all k and no live one — not a stale
+// entry outside the window either — and a reclaimed key keeps its
+// doorkeeper ticket: its next rebuild is admitted, and the request after
+// that is a hit.
+func TestReclaimWholeColdWindow(t *testing.T) {
+	src := &fakeEpochs{}
+	c := New(src, WithShards(1))
+	key := func(lo int64) Key { return Key{Lo: lo, Hi: lo + 1} }
+	// Keys 0..5 resident, 0 coldest; the even ones read shard 0, the odd
+	// ones shard 1.
+	put := func(lo int64) Outcome {
+		t.Helper()
+		e, out, err := c.Do(key(lo), func() (*Entry, error) {
+			return entryFor(key(lo), src.stampFor(int(lo%2), int(lo%2)), "v"), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Release()
+		return out
+	}
+	for lo := int64(0); lo < 6; lo++ {
+		put(lo)
+		put(lo)
+	}
+	src.data[0].Add(1) // 0, 2 and 4 are stale; 0 and 2 are in the cold window
+	// The doorkeeper has since forgotten every key: a reclaimed key's
+	// ticket can only come from its reclaim.
+	c.shards[0].door = [doorSlots]uint64{}
+	put(100) // first sighting: no admission, nothing reclaimed
+	if st := c.Stats(); st.Invalidations != 0 || st.Entries != 6 {
+		t.Fatalf("before the reclaiming admission: %+v, want six resident and nothing reclaimed", st)
+	}
+	put(100)
+	if st := c.Stats(); st.Invalidations != 2 || st.Evictions != 0 || st.Entries != 5 {
+		t.Fatalf("one admission over 2 stale of the %d coldest: %+v, want 2 reclaimed and 5 resident", victimScan, st)
+	}
+	sh := &c.shards[0]
+	for lo, resident := range map[int64]bool{0: false, 2: false, 1: true, 3: true, 4: true, 5: true, 100: true} {
+		if _, ok := sh.entries[key(lo)]; ok != resident {
+			t.Fatalf("key %d resident %v after the reclaim, want %v", lo, ok, resident)
+		}
+	}
+	for _, lo := range []int64{0, 2} {
+		if out := put(lo); out != Built {
+			t.Fatalf("reclaimed key %d: %v, want built", lo, out)
+		}
+		if out := put(lo); out != Hit {
+			t.Fatalf("reclaimed key %d after its rebuild: %v, want hit (its ticket was lost)", lo, out)
+		}
+	}
+}
+
+// pooled is a build's buffer under custody accounting: Free may run only
+// once every caller that was handed the built entry has released it, and
+// it overwrites the buffer, as a pool's next user would.
+type pooled struct {
+	t       *testing.T
+	holders atomic.Int64 // callers still holding the built entry
+	freed   atomic.Int64
+}
+
+const pooledAnswer = "a pooled answer"
+
+func (p *pooled) build(key Key, st Stamp) *Entry {
+	e := entryFor(key, st, pooledAnswer)
+	e.Free = func(b []byte) {
+		if n := p.holders.Load(); n != 0 {
+			p.t.Errorf("buffer freed while %d callers still hold it", n)
+		}
+		for i := range b {
+			b[i] = 'x'
+		}
+		p.freed.Add(1)
+	}
+	return e
+}
+
+// flight serves key to 1+waiters concurrent callers that all share one
+// build: the build waits until every other caller has joined its flight.
+// Each caller checks the bytes it was served before releasing them.
+func (p *pooled) flight(c *Cache, key Key, waiters int, build func() *Entry) {
+	p.t.Helper()
+	sh := c.shardOf(key)
+	gated := func() (*Entry, error) {
+		for joined := int64(0); joined != int64(waiters); runtime.Gosched() {
+			sh.mu.Lock()
+			joined = sh.flights[key].waiters
+			sh.mu.Unlock()
+		}
+		return build(), nil
+	}
+	p.holders.Store(int64(1 + waiters))
+	var wg sync.WaitGroup
+	for i := 0; i <= waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, out, err := c.Do(key, gated)
+			if err != nil || out == Hit {
+				p.t.Errorf("flight: %v, %v", out, err)
+				return
+			}
+			if string(e.Wire) != pooledAnswer {
+				p.t.Errorf("served %q, want %q", e.Wire, pooledAnswer)
+			}
+			p.holders.Add(-1)
+			e.Release()
+		}()
+	}
+	wg.Wait()
+}
+
+// TestBuiltBufferFreedOnceAfterFlight: a build with a Free hook is freed
+// exactly once, after its flight's last Release, whatever the cache does
+// with it; and when the cache keeps the answer, the resident entry is an
+// exactly sized copy with no Free and no shared backing array — it reads
+// the answer after the built buffer has been freed and overwritten.
+func TestBuiltBufferFreedOnceAfterFlight(t *testing.T) {
+	key := Key{Lo: 4, Hi: 8}
+	other := Key{Lo: 40, Hi: 80}
+	for _, tc := range []struct {
+		name     string
+		opts     []Option
+		setup    func(c *Cache, src *fakeEpochs) // before the flight
+		waiters  int
+		midwrite bool // an update lands between the build's stamp and its publication
+		resident bool
+	}{
+		{name: "first sighting"},
+		{name: "admitted", setup: func(c *Cache, src *fakeEpochs) { do(t, c, src, key) }, resident: true},
+		{name: "coalesced waiters", waiters: 3, resident: true},
+		{name: "stale replacement", setup: func(c *Cache, src *fakeEpochs) {
+			do(t, c, src, key)
+			do(t, c, src, key)
+			c.shardOf(key).door = [doorSlots]uint64{}
+			src.data[0].Add(1)
+		}, resident: true},
+		{name: "refused by the frequency bias", opts: []Option{WithShards(1), WithMaxBytes(entryOverhead + 16)},
+			setup: func(c *Cache, src *fakeEpochs) {
+				do(t, c, src, other)
+				do(t, c, src, other)
+				do(t, c, src, other) // a hit: hotter than the newcomer
+				do(t, c, src, key)
+			}},
+		{name: "oversize", opts: []Option{WithShards(1), WithMaxBytes(entryOverhead)},
+			setup: func(c *Cache, src *fakeEpochs) { do(t, c, src, key) }},
+		{name: "invalidated mid-flight", setup: func(c *Cache, src *fakeEpochs) { do(t, c, src, key) }, midwrite: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := &fakeEpochs{}
+			c := New(src, tc.opts...)
+			if tc.setup != nil {
+				tc.setup(c, src)
+			}
+			p := &pooled{t: t}
+			p.flight(c, key, tc.waiters, func() *Entry {
+				st := src.stampFor(0, 0)
+				if tc.midwrite {
+					src.data[0].Add(1)
+				}
+				return p.build(key, st)
+			})
+			if n := p.freed.Load(); n != 1 {
+				t.Fatalf("built buffer freed %d times after its flight, want once", n)
+			}
+			hit, ok := c.Get(key)
+			if ok != tc.resident {
+				t.Fatalf("resident %v, want %v", ok, tc.resident)
+			}
+			if ok {
+				if hit.Free != nil || len(hit.Wire) != cap(hit.Wire) || string(hit.Wire) != pooledAnswer {
+					t.Fatalf("resident entry: Free set %v, %d bytes in %d, %q; want an exact copy of %q",
+						hit.Free != nil, len(hit.Wire), cap(hit.Wire), hit.Wire, pooledAnswer)
+				}
+				if st := c.Stats(); st.Bytes != int64(len(pooledAnswer))+entryOverhead {
+					t.Fatalf("resident entry charged %d, want its length plus bookkeeping (%d)", st.Bytes, len(pooledAnswer)+entryOverhead)
+				}
+				hit.Release()
+			}
+			c.Clear()
+			if n := p.freed.Load(); n != 1 {
+				t.Fatalf("built buffer freed %d times in all, want once", n)
+			}
+		})
 	}
 }

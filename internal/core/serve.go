@@ -103,8 +103,7 @@ func (qs *QueryServer) EnableAnswerCache(codec AnswerCodec, opts ...anscache.Opt
 	return nil
 }
 
-// DisableAnswerCache detaches the cache and drops its resident entries
-// so their pooled wire buffers return once outstanding readers finish;
+// DisableAnswerCache detaches the cache and drops its resident entries;
 // in-flight Serve calls drain against the old state.
 func (qs *QueryServer) DisableAnswerCache() {
 	if st := qs.serving.Swap(nil); st != nil {

@@ -595,7 +595,9 @@ func (e *Engine) Serve(planBytes []byte, since []wire.RelSince) (Served, error) 
 	// An entry keeps the encoded answer and what the tails need — each
 	// touched relation's oldest proof timestamp — not the composite it was
 	// encoded from: that object graph is as large again as the bytes and
-	// nothing reads it back.
+	// nothing reads it back. The answer is encoded into a pooled buffer
+	// that serves this build's flight and returns to the pool on its last
+	// Release; the cache keeps an exactly sized copy of what it admits.
 	build := func() (*anscache.Entry, error) {
 		r, stamp, err := e.exec(&s)
 		if err != nil {
@@ -606,20 +608,17 @@ func (e *Engine) Serve(planBytes []byte, since []wire.RelSince) (Served, error) 
 			wire.PutBuffer(buf)
 			return nil, err
 		}
-		// A pooled buffer's capacity is whatever the pool last held, and
-		// the cache charges cap(Wire): a resident entry keeps an exactly
-		// sized copy, so it is charged for its answer and nothing more.
-		data := make([]byte, len(buf))
-		copy(data, buf)
-		wire.PutBuffer(buf)
-		return &anscache.Entry{Key: key, Value: r.rels, Wire: data, Stamp: stamp}, nil
+		return &anscache.Entry{Key: key, Value: r.rels, Wire: buf, Stamp: stamp, Free: wire.PutBuffer}, nil
 	}
-	var entry *anscache.Entry
-	if e.cache != nil {
-		entry, _, err = e.cache.Do(key, build)
-	} else {
-		entry, err = build() // resident nowhere: releasing it is a no-op
+	if e.cache == nil {
+		// Resident nowhere: the response owns the buffer.
+		entry, err := build()
+		if err != nil {
+			return Served{}, err
+		}
+		return Served{Body: entry.Wire, Tails: relTails(entry.Value.([]relOldest), since), own: true}, nil
 	}
+	entry, _, err := e.cache.Do(key, build)
 	if err != nil {
 		return Served{}, err
 	}

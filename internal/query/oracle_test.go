@@ -7,9 +7,11 @@ import (
 	"slices"
 	"testing"
 
+	"authdb/internal/anscache"
 	"authdb/internal/core"
 	"authdb/internal/join"
 	"authdb/internal/sigagg/xortest"
+	"authdb/internal/wire"
 )
 
 // The plan-cache oracle: a seeded schedule of owner operations is applied
@@ -17,6 +19,11 @@ import (
 // not, and after every step every plan's served bytes must be identical.
 // A cached composite whose stamp misses a shard its execution read shows
 // up as a byte difference at the step whose update it slept through.
+// Bare scans of both relations ride along, answered by each relation's
+// own answer cache and held to QueryServer.Query encoded on the spot.
+// After every step a few of wire's pooled buffers are overwritten: a
+// resident entry still aliasing a recycled build buffer differs at the
+// next check.
 const (
 	oracleSeeds      = 20
 	oracleShortSeeds = 4
@@ -42,6 +49,7 @@ type oracle struct {
 	cached, bare *Engine
 	plans        [][]byte
 	names        []string
+	leaves       []*Spec // a bare scan's range; nil for a plan with operators
 	innerKeys    []int64 // sorted
 	ts           int64
 }
@@ -86,6 +94,24 @@ func newOracle(t *testing.T, seed int64) *oracle {
 			t.Fatal(err)
 		}
 	}
+	// Both relations answer bare scans from their own answer cache.
+	codec := core.AnswerCodec{
+		Encode: func(a *core.Answer) ([]byte, error) {
+			buf := wire.GetBuffer()
+			out, err := wire.AppendAnswerCore(buf, a)
+			if err != nil {
+				wire.PutBuffer(buf)
+				return nil, err
+			}
+			return out, nil
+		},
+		Free: wire.PutBuffer,
+	}
+	for _, rel := range []*core.Relation{o.outer, o.inner} {
+		if err := rel.QS.EnableAnswerCache(codec, anscache.WithMaxBytes(1<<20)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	o.closePeriods()
 	o.certify()
 
@@ -110,6 +136,28 @@ func newOracle(t *testing.T, seed int64) *oracle {
 		}
 		o.plans = append(o.plans, n.Marshal())
 		o.names = append(o.names, fmt.Sprintf("%s[%d,%d]π%v", spec.Join.Method, spec.Lo, spec.Hi, spec.Attrs))
+		o.leaves = append(o.leaves, nil)
+	}
+	// Bare scans of either relation over a few dozen keys; the first two
+	// are asked for twice a step, so they are admitted on one check's
+	// first request and hit on its second.
+	for i := 0; i < 6; i++ {
+		rel := []string{"o", "i"}[i%2]
+		lo := int64(o.rng.Intn(oracleDomain)) - 5
+		spec := &Spec{Rel: rel, Lo: lo, Hi: lo + int64(o.rng.Intn(120))}
+		n, err := Plan(spec, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asks := 1
+		if i < 2 {
+			asks = 2
+		}
+		for ; asks > 0; asks-- {
+			o.plans = append(o.plans, n.Marshal())
+			o.names = append(o.names, fmt.Sprintf("scan %s[%d,%d]", rel, spec.Lo, spec.Hi))
+			o.leaves = append(o.leaves, spec)
+		}
 	}
 	return o
 }
@@ -198,7 +246,9 @@ func (o *oracle) updateInner(i int) string {
 	return fmt.Sprintf("inner update %d", k)
 }
 
-// check serves every plan from both engines and compares the bytes.
+// check serves every plan from both engines and compares the bytes; a
+// bare scan, which both engines answer from its relation's cache, is also
+// held to its reference.
 func (o *oracle) check(step int, did string) {
 	o.t.Helper()
 	for p, plan := range o.plans {
@@ -211,6 +261,10 @@ func (o *oracle) check(step int, did string) {
 			o.t.Fatalf("step %d (%s): uncached engine, plan %s: %v", step, did, o.names[p], err)
 		}
 		same := bytes.Equal(got, want) && bytes.Equal(gotTails, wantTails)
+		if leaf := o.leaves[p]; leaf != nil {
+			refBody, refTails := o.reference(leaf)
+			same = same && bytes.Equal(got, refBody) && bytes.Equal(gotTails, refTails)
+		}
 		release()
 		releaseBare()
 		if !same {
@@ -219,12 +273,46 @@ func (o *oracle) check(step int, did string) {
 	}
 }
 
+// reference answers a bare scan without any cache: QueryServer.Query, its
+// leaf composite, and the tail reaching back to the answer's oldest
+// signature.
+func (o *oracle) reference(leaf *Spec) (body, tails []byte) {
+	o.t.Helper()
+	rv, err := o.bare.rel(leaf.Rel)
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	ans, err := rv.qs.Query(leaf.Lo, leaf.Hi)
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	if body, err = wire.AppendAnswerCore(nil, ans); err != nil {
+		o.t.Fatal(err)
+	}
+	return body, relTails([]relOldest{{rv, ans.OldestSigTS}}, nil)
+}
+
+// scribblePool takes n buffers from wire's pool at once, overwrites every
+// byte of each and puts them back.
+func scribblePool(n int) {
+	if n == 0 {
+		return
+	}
+	buf := wire.GetBuffer()
+	buf = buf[:cap(buf)]
+	for i := range buf {
+		buf[i] = 0xa5
+	}
+	scribblePool(n - 1) // still holding buf, so the next one is another buffer
+	wire.PutBuffer(buf)
+}
+
 func TestPlanCacheOracle(t *testing.T) {
 	seeds := oracleSeeds
 	if testing.Short() || raceEnabled {
 		seeds = oracleShortSeeds
 	}
-	var hits, built uint64
+	var hits, built, scanHits, scanBuilt uint64
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		// A failing seed is named by its subtest: replay it alone with
 		// -run 'TestPlanCacheOracle/seed=N'.
@@ -232,17 +320,25 @@ func TestPlanCacheOracle(t *testing.T) {
 			o := newOracle(t, seed)
 			o.check(0, "load")
 			for step := 1; step <= oracleSteps; step++ {
-				o.check(step, o.step())
+				did := o.step()
+				scribblePool(4)
+				o.check(step, did)
 			}
 			st := o.cached.Stats().Cache
 			hits += st.Hits
 			built += st.Built
+			for _, rel := range []*core.Relation{o.outer, o.inner} {
+				st := rel.QS.ServingStats().Answers
+				scanHits += st.Hits
+				scanBuilt += st.Built
+			}
 		})
 	}
 	// The oracle is only as good as its mix: if nearly every step
 	// invalidated every plan (or none did), stamps would go untested.
-	t.Logf("%d seeds × %d steps: %d hits, %d builds", seeds, oracleSteps, hits, built)
-	if !t.Failed() && (hits < built/4 || built < hits/50) {
-		t.Fatalf("degenerate schedule: %d hits against %d builds", hits, built)
+	t.Logf("%d seeds × %d steps: plans %d hits, %d builds; bare scans %d hits, %d builds",
+		seeds, oracleSteps, hits, built, scanHits, scanBuilt)
+	if !t.Failed() && (hits < built/4 || built < hits/50 || scanHits < scanBuilt/4 || scanBuilt < scanHits/50) {
+		t.Fatalf("degenerate schedule: plans %d hits against %d builds, bare scans %d against %d", hits, built, scanHits, scanBuilt)
 	}
 }

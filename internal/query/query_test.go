@@ -699,39 +699,45 @@ func TestReadSetKeepsLowerEpoch(t *testing.T) {
 }
 
 // A resident plan pins exactly the bytes the cache charges for it: the
-// builder must not park the composite in a pooled buffer whose capacity
-// is whatever the pool last held.
+// builder encodes into a pooled buffer whose capacity is whatever the pool
+// last held, and the cache keeps an exactly sized copy of what it admits,
+// charged by the answer's length.
 func TestPlanCacheEntriesExactlySized(t *testing.T) {
 	// Leave an oversized buffer in the pool for the builder to draw.
 	wire.PutBuffer(make([]byte, 0, 512<<10))
 	fx := newFixture(t)
-	var caps, keys int64
+	var lens, keys int64
 	var perEntry int64 = -1
 	for n, lo := 0, int64(105); lo < 900; n, lo = n+1, lo+100 {
 		spec := &Spec{Rel: "o", Lo: lo, Hi: lo + 90, Attrs: []int{0}, Join: &JoinSpec{Rel: "i", Method: join.BV}}
 		plan := spec.mustPlan(t).Marshal()
-		for i := 0; i < 2; i++ { // the second request earns residency
+		var built []byte
+		for i := 0; i < 3; i++ { // a first sighting, the request that admits it, a hit
 			body, _, release, err := fx.eng.ServePlan(plan, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cap(body) != len(body) {
-				t.Fatalf("plan %d: resident entry holds %d bytes in a buffer of %d", n, len(body), cap(body))
-			}
-			if i == 1 {
-				caps += int64(cap(body))
+			switch i {
+			case 1:
+				built = bytes.Clone(body)
+			case 2:
+				if cap(body) != len(body) || !bytes.Equal(body, built) {
+					t.Fatalf("plan %d: resident entry holds %d bytes in a buffer of %d (equal to the build: %v)",
+						n, len(body), cap(body), bytes.Equal(body, built))
+				}
+				lens += int64(len(body))
 				keys += int64(len(plan))
 			}
 			release()
 		}
 		st := fx.eng.Stats().Cache
-		if st.Entries != int64(n+1) {
-			t.Fatalf("plan %d not admitted: %d entries", n, st.Entries)
+		if st.Entries != int64(n+1) || st.Hits != uint64(n+1) {
+			t.Fatalf("plan %d not admitted and hit: %+v", n, st)
 		}
 		if perEntry < 0 {
-			perEntry = st.Bytes - caps - keys // the cache's fixed bookkeeping charge
+			perEntry = st.Bytes - lens - keys // the cache's fixed bookkeeping charge
 		}
-		if want := caps + keys + st.Entries*perEntry; st.Bytes != want {
+		if want := lens + keys + st.Entries*perEntry; st.Bytes != want {
 			t.Fatalf("after %d plans the cache accounts %d bytes, its entries pin %d", n+1, st.Bytes, want)
 		}
 	}

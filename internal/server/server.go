@@ -14,8 +14,9 @@ import (
 )
 
 // Codec returns the production AnswerCodec: answers encode once into a
-// pooled wire buffer that the cache recycles when the last reader
-// releases the entry. On an encoding error the pooled buffer is
+// pooled wire buffer that returns to the pool when the build's last
+// reader releases it (an answer the cache admits stays resident as an
+// exactly sized copy). On an encoding error the pooled buffer is
 // returned immediately — Encode owns the buffer until it succeeds, so
 // no error path can leak it or double-put it (callers Free exactly the
 // successful results).

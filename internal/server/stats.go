@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"authdb/internal/anscache"
 	"authdb/internal/query"
 	"authdb/internal/sigagg"
 	"authdb/internal/wal"
@@ -80,15 +81,21 @@ func (s *NetServer) Metrics(m *MetricsBuf) {
 	m.Counter("authdb_net_bytes_out_total", "Response payload bytes written.", st.BytesOut)
 	m.Counter("authdb_net_repl_streams_total", "Replication subscriptions accepted.", st.ReplStreams)
 
-	sv := s.qs.ServingStats()
-	m.Counter("authdb_anscache_hits_total", "Answer-cache lookups served from a resident entry.", sv.Answers.Hits)
-	m.Counter("authdb_anscache_built_total", "Answer-cache build functions executed.", sv.Answers.Built)
-	m.Counter("authdb_anscache_coalesced_total", "Answer-cache callers who shared another's flight.", sv.Answers.Coalesced)
-	m.Counter("authdb_anscache_invalidations_total", "Answer-cache entries dropped on a stale stamp.", sv.Answers.Invalidations)
-	m.Counter("authdb_anscache_evictions_total", "Answer-cache entries dropped by the size bound.", sv.Answers.Evictions)
-	m.Counter("authdb_anscache_rejected_total", "Answer-cache builds served but not made resident: first sightings, the frequency bias, oversize.", sv.Answers.Rejected)
-	m.Gauge("authdb_anscache_bytes", "Resident answer-cache wire bytes.", float64(sv.Answers.Bytes))
-	m.Gauge("authdb_anscache_entries", "Resident answer-cache entries.", float64(sv.Answers.Entries))
+	m.cache("authdb_anscache", "Answer-cache", s.qs.ServingStats().Answers)
+}
+
+// cache emits one answer cache's series under prefix — the relation's
+// (authdb_anscache) and the plan engine's (authdb_plancache) are the same
+// eight. what names the cache at the start of each help line.
+func (m *MetricsBuf) cache(prefix, what string, st anscache.Stats) {
+	m.Counter(prefix+"_hits_total", what+" lookups served from a resident entry.", st.Hits)
+	m.Counter(prefix+"_built_total", what+" build functions executed.", st.Built)
+	m.Counter(prefix+"_coalesced_total", what+" callers who shared another's flight.", st.Coalesced)
+	m.Counter(prefix+"_invalidations_total", what+" entries dropped on a stale stamp.", st.Invalidations)
+	m.Counter(prefix+"_evictions_total", what+" entries dropped by the size bound.", st.Evictions)
+	m.Counter(prefix+"_rejected_total", what+" builds served but not made resident: first sightings, the frequency bias, oversize.", st.Rejected)
+	m.Gauge(prefix+"_bytes", "Resident "+strings.ToLower(what)+" bytes: each entry is charged its answer's length plus bookkeeping.", float64(st.Bytes))
+	m.Gauge(prefix+"_entries", "Resident "+strings.ToLower(what)+" entries.", float64(st.Entries))
 }
 
 // QueryMetrics adapts the plan engine's execution counters for a
@@ -104,10 +111,7 @@ func QueryMetrics(eng *query.Engine) MetricFn {
 		m.Counter("authdb_query_bf_negatives_total", "Outer keys a filter negative alone answered (no run covers them).", qs.BFNegatives)
 		m.Counter("authdb_query_bf_fallbacks_total", "Bloom false positives: keys the filter admitted that their run holds no record for.", qs.BFFallbacks)
 		m.Counter("authdb_query_proj_rows_total", "Projected rows emitted.", qs.ProjRows)
-		m.Counter("authdb_plancache_hits_total", "Plan-cache lookups served from a resident entry.", qs.Cache.Hits)
-		m.Counter("authdb_plancache_built_total", "Plan-cache build functions executed.", qs.Cache.Built)
-		m.Counter("authdb_plancache_invalidations_total", "Plan-cache entries dropped on a stale relation stamp.", qs.Cache.Invalidations)
-		m.Gauge("authdb_plancache_bytes", "Resident plan-cache wire bytes.", float64(qs.Cache.Bytes))
+		m.cache("authdb_plancache", "Plan-cache", qs.Cache)
 	}
 }
 

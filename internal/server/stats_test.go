@@ -4,10 +4,13 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"authdb/internal/query"
 )
 
 // scrape fetches the exposition payload and parses it into name→value.
@@ -130,6 +133,31 @@ func TestServeMetricsScrape(t *testing.T) {
 		if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
 			t.Fatalf("GET %s: status %d, err %v, body lacks %q", path, resp.StatusCode, err, want)
 		}
+	}
+}
+
+// TestCacheSeriesMatch: the relation's answer cache and the plan engine's
+// cache are one anscache.Cache each and export the same eight series,
+// suffix for suffix.
+func TestCacheSeriesMatch(t *testing.T) {
+	_, _, _, srv, shutdown := newNetFixtureSrv(t, 10, NetConfig{})
+	defer shutdown()
+	var rel, plan MetricsBuf
+	srv.Metrics(&rel)
+	QueryMetrics(query.NewEngine())(&plan)
+	suffixes := func(m *MetricsBuf, prefix string) []string {
+		var out []string
+		for _, line := range strings.Split(string(m.Bytes()), "\n") {
+			if name, ok := strings.CutPrefix(line, "# TYPE "+prefix); ok {
+				out = append(out, name)
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	relSet, planSet := suffixes(&rel, "authdb_anscache_"), suffixes(&plan, "authdb_plancache_")
+	if len(relSet) != 8 || !slices.Equal(relSet, planSet) {
+		t.Fatalf("relation cache series %v, plan cache series %v; want the same eight", relSet, planSet)
 	}
 }
 
