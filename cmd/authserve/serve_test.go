@@ -182,9 +182,9 @@ func TestFollowServesCatalog(t *testing.T) {
 	if st := fls[1].Stats(); st.Bootstraps != 1 || st.Records == 0 {
 		t.Fatalf("inner follower: %+v, want the re-certifications applied off the feed", st)
 	}
-	if pfc, _ := s.rts[1].QS.Filter(); pfc == nil {
+	if pfc := s.rts[1].QS.Filter(nil); pfc == nil {
 		t.Fatal("primary holds no filter for the inner relation")
-	} else if ffc, _ := fls[1].QS().Filter(); ffc == nil || ffc.TS != pfc.TS {
+	} else if ffc := fls[1].QS().Filter(nil); ffc == nil || ffc.TS != pfc.TS {
 		t.Fatalf("follower's filter %+v, primary's certified at %d", ffc, pfc.TS)
 	}
 	queries("after re-certifications over the feed")

@@ -28,8 +28,8 @@ import (
 // Analyzer is the bufcustody pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "bufcustody",
-	Doc: "check that every wire.GetBuffer reaches exactly one PutBuffer or ownership transfer on all paths",
-	Run: run,
+	Doc:  "check that every wire.GetBuffer reaches exactly one PutBuffer or ownership transfer on all paths",
+	Run:  run,
 }
 
 // status is the custody state of one token along one path.

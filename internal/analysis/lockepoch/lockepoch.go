@@ -11,10 +11,17 @@
 // same-package helper whose body net-acquires locks (lockAll). A
 // function whose caller is documented to hold the lock opts out with a
 // //authlint:locked directive on its doc comment.
+//
+// An answer-cache stamp holds a pointer to each counter it read, so the
+// checks above hold only while no other pointer exists: a counter's
+// address may be taken only as the argument of (*anscache.Stamp).Read,
+// which only loads it. Anywhere else, `p := &qs.epochs[i]; p.Add(1)`
+// would advance the counter out of this analyzer's sight.
 package lockepoch
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"authdb/internal/analysis"
@@ -24,7 +31,7 @@ import (
 // Analyzer is the lockepoch pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockepoch",
-	Doc:  "check that epoch counters only advance (Add, never Store) under a write lock",
+	Doc:  "check that epoch counters only advance (Add, never Store) under a write lock, and that their address reaches only a stamp's Read",
 	Run:  run,
 }
 
@@ -41,6 +48,7 @@ type checker struct {
 func run(pass *analysis.Pass) error {
 	summaries := astutil.LockSummaries(pass.TypesInfo, pass.Files)
 	for _, f := range pass.Files {
+		checkAddresses(pass, f)
 		for _, fn := range astutil.Functions(f) {
 			c := &checker{
 				pass:      pass,
@@ -250,6 +258,26 @@ func (c *checker) checkExpr(e ast.Expr, held map[string]bool) {
 			if len(held) == 0 && !c.annotated {
 				c.pass.Reportf(call.Pos(),
 					"%s advanced outside a write-lock critical section (no .Lock() structurally precedes; annotate the function //authlint:locked if the caller holds it)", field)
+			}
+		}
+		return true
+	})
+}
+
+// checkAddresses reports every &-expression on an epoch counter in f that
+// is not the argument of (*anscache.Stamp).Read, the one Read in anscache.
+// A call is visited before its arguments, so they are allowed in time.
+func checkAddresses(pass *analysis.Pass, f *ast.File) {
+	allowed := map[ast.Expr]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if astutil.IsPkgFunc(astutil.Callee(pass.TypesInfo, n), "anscache", "Read") && len(n.Args) == 1 {
+				allowed[ast.Unparen(n.Args[0])] = true
+			}
+		case *ast.UnaryExpr:
+			if field, ok := astutil.SelectsField(pass.TypesInfo, n.X, epochFields...); ok && n.Op == token.AND && !allowed[n] {
+				pass.Reportf(n.Pos(), "address of %s taken outside (*anscache.Stamp).Read: advanced through the pointer, it escapes the write-lock and Add-only checks", field)
 			}
 		}
 		return true

@@ -8,6 +8,8 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+
+	"anscache"
 )
 
 type QS struct {
@@ -98,4 +100,18 @@ func (qs *QS) badFilterReset() {
 	defer qs.routing.Unlock()
 	qs.filter.Store(nil)
 	qs.filterEpoch.Store(0) // want `filterEpoch is a monotonic epoch counter`
+}
+
+// goodStamp is the one place a counter's address may go: a stamp's Read,
+// which only loads it.
+func (qs *QS) goodStamp(st *anscache.Stamp, i int) {
+	st.Read(&qs.epochs[i])
+	st.Read(&qs.filterEpoch)
+}
+
+// badEscape advances a counter through a pointer, where the Add check
+// cannot see it.
+func (qs *QS) badEscape(i int) {
+	p := &qs.epochs[i] // want `address of epochs taken outside \(\*anscache.Stamp\).Read`
+	p.Add(1)
 }

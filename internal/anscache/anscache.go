@@ -1,16 +1,18 @@
 // Package anscache is the serving layer's answer cache: a sharded,
 // concurrent cache of fully materialized query answers — the decoded
-// answer, its pre-encoded wire bytes, and the epoch stamp recording
-// exactly which data versions it was derived from.
+// answer, its pre-encoded wire bytes, and the stamp recording exactly
+// which data versions it was derived from.
 //
 // Three mechanisms make hot-range serving O(1):
 //
-//   - Epoch validation. Every entry carries a Stamp: the epoch of each
-//     data shard the proof consulted. A lookup compares the stamp
-//     against the live counters (atomic loads, no locks) and serves
-//     only while every component is still current. Updates invalidate
-//     by bumping the epochs of the shards they touch — cached ranges
-//     that do not intersect the update keep serving; there is no global
+//   - Self-validating stamps. Every entry carries a Stamp: the version
+//     counters its producer read — the epoch of each data shard the
+//     proof consulted, of any relation, and of a certified filter — each
+//     with the value it held then. A lookup reloads those counters
+//     (atomic loads, no locks, no lookup by name) and serves only while
+//     every one still holds its recorded value. Updates invalidate by
+//     bumping the epochs of the shards they touch — cached ranges that
+//     do not intersect the update keep serving; there is no global
 //     flush. Freshness summaries are deliberately NOT part of the
 //     stamp: cached entries hold the summary-free answer core, and the
 //     serving layer attaches the per-client summary delta at response
@@ -44,19 +46,17 @@
 // Entries are reference counted: the cache holds one reference while an
 // entry is resident, and every lookup hands the caller another. When
 // the last reference drops, the entry's optional Free hook returns the
-// wire buffer to its pool. A pooled buffer belongs to the flight that
+// wire buffer to its pool. A built entry belongs to the flight that
 // built it — its builder and coalesced waiters — and never becomes
 // resident: admission keeps an exactly sized copy without a Free hook,
 // charged by the answer's length, so what stays resident is only ever
 // a live answer and its bytes, never a pool's slack, and a reader can
-// never race a recycle. An entry built without a Free hook is resident
-// as it is and charged the capacity of its wire buffer, which is what
-// it pins.
+// never race a recycle.
 //
 // The package is deliberately ignorant of the answer type (Value is
-// opaque) and of where epochs come from (EpochSource is an interface),
-// so it has no dependency on the core protocol packages and the
-// QueryServer can plug itself in as the epoch source.
+// opaque) and of what its counters version (a Stamp holds bare
+// *atomic.Uint64s), so it has no dependency on the core protocol
+// packages.
 package anscache
 
 import (
@@ -84,77 +84,60 @@ type Key struct {
 }
 
 // Stamp records the versions of everything an answer was derived from:
-// one epoch per consulted data shard (shards First..First+len(Epochs)-1).
-// The producer must read the epochs while it still holds the read locks
-// under which it built the answer, so the stamp exactly matches the data
-// snapshot. Summary publication does not stamp entries: an update to an
-// answered record always bumps that record's shard epoch before any
-// summary marking it newer can be published, so a data-current entry can
-// never contradict a summary the serving layer attaches alongside it.
+// each version counter its producer read (a data shard's epoch, a
+// certified filter's), with the value it held under the read lock the
+// producer used the versioned data under. Writers bump a counter under
+// the matching write lock, so a stamp whose counters all still hold their
+// values proves its answer current. Summary publication does not stamp
+// entries: an update to an answered record bumps that record's shard
+// epoch before any summary marking it newer can be published, so a
+// data-current entry never contradicts a summary served beside it. The
+// zero Stamp is always valid.
 type Stamp struct {
-	First  int      // index of the first consulted data shard
-	Epochs []uint64 // epoch per consulted shard, in shard order
-
-	// Rels carries the epoch vector of every named relation a composite
-	// (multi-relation) answer consulted. Single-relation answers leave it
-	// nil; when set, validation requires the source to implement
-	// RelEpochSource, and an update to ANY touched relation — either
-	// side of a join — invalidates the entry.
-	Rels []RelStamp
+	reads []reading
 }
 
-// RelStamp is one relation's contribution to a composite stamp: the
-// epochs of exactly the data shards the plan consulted, sparse because
-// join probes touch scattered shards rather than a contiguous window.
-// The producer is query.Engine.exec: the outer scan's window as it
-// stands, and for the inner relation the union of the windows its
-// probes returned (plus the owning shard of each Bloom-negative key and
-// the filter pseudo-shard) — never the whole relation, so an update to
-// a shard no probe read leaves the entry serving. A producer merging
-// probe stamps must keep the LOWER epoch when the same shard is seen
-// twice (query's readSet): the stamp must never claim a version newer
-// than the oldest data actually read, or a concurrent update could be
-// masked.
-type RelStamp struct {
-	Rel    string
-	Shards []int    // consulted shard indexes, ascending
-	Epochs []uint64 // parallel to Shards
+type reading struct {
+	ctr *atomic.Uint64
+	at  uint64
 }
 
-// EpochSource exposes the live version counters stamps are validated
-// against. Implementations must be safe for concurrent use and cheap —
-// the cache calls them on every lookup (atomic loads in practice).
-type EpochSource interface {
-	DataEpoch(shard int) uint64
+// Read records c at its current value. A counter read before keeps the
+// LOWER of its readings (see Merge).
+func (s *Stamp) Read(c *atomic.Uint64) { s.note(c, c.Load()) }
+
+// Merge adds o's readings to s. A counter both read keeps the LOWER value:
+// a stamp must never claim a version newer than the oldest data actually
+// read, or an update landing between the two reads would be masked — so a
+// stamp merged from readings either side of a bump never validates.
+func (s *Stamp) Merge(o Stamp) {
+	for _, r := range o.reads {
+		s.note(r.ctr, r.at)
+	}
 }
 
-// RelEpochSource additionally resolves epochs per named relation, for
-// caches holding composite answers that span a catalog.
-type RelEpochSource interface {
-	EpochSource
-	RelDataEpoch(rel string, shard int) uint64
-}
-
-// Valid reports whether the stamp is still current against src. A stamp
-// carrying relation segments validates only against a RelEpochSource;
-// anything else conservatively reads as stale.
-func (s *Stamp) Valid(src EpochSource) bool {
-	for i, e := range s.Epochs {
-		if src.DataEpoch(s.First+i) != e {
-			return false
+// note records c at value at, keeping the lower of two readings. The
+// search runs from the newest reading: a producer tends to re-read the
+// counter it read last.
+func (s *Stamp) note(c *atomic.Uint64, at uint64) {
+	for i := len(s.reads) - 1; i >= 0; i-- {
+		if r := &s.reads[i]; r.ctr == c {
+			r.at = min(r.at, at)
+			return
 		}
 	}
-	if len(s.Rels) > 0 {
-		rs, ok := src.(RelEpochSource)
-		if !ok {
+	s.reads = append(s.reads, reading{c, at})
+}
+
+// Len reports how many distinct counters the stamp holds.
+func (s *Stamp) Len() int { return len(s.reads) }
+
+// Valid reports whether every counter the stamp read still holds the
+// value it was read at: atomic loads, no lock.
+func (s *Stamp) Valid() bool {
+	for _, r := range s.reads {
+		if r.ctr.Load() != r.at {
 			return false
-		}
-		for _, r := range s.Rels {
-			for i, e := range r.Epochs {
-				if rs.RelDataEpoch(r.Rel, r.Shards[i]) != e {
-					return false
-				}
-			}
 		}
 	}
 	return true
@@ -169,12 +152,12 @@ type Entry struct {
 	Wire  []byte // pre-encoded wire bytes, written once at build time
 	Stamp Stamp
 	// Free, when set, recycles Wire (e.g. wire.PutBuffer) once the last
-	// reference is released. Such an entry serves its flight only; the
+	// reference is released. A built entry serves its flight only; the
 	// resident entry admission makes of it is a copy with no Free.
 	Free func([]byte)
 
-	refs atomic.Int64 // cache residency + outstanding readers
-	hits atomic.Uint64
+	refs atomic.Int64  // cache residency + outstanding readers
+	hits atomic.Uint64 // demand: 1 + waiters at build, +1 per hit, halved by aging
 	size int64
 
 	// LRU links, guarded by the owning cache shard's mutex.
@@ -192,10 +175,6 @@ func (e *Entry) Release() {
 		e.Wire = nil
 	}
 }
-
-// Hits reports how many times the entry has been served (seeded with
-// 1 + the number of coalesced waiters at build time).
-func (e *Entry) Hits() uint64 { return e.hits.Load() }
 
 // Outcome classifies how a Do call was served.
 type Outcome uint8
@@ -260,7 +239,6 @@ type cshard struct {
 
 // Cache is the concurrent answer cache. See the package comment.
 type Cache struct {
-	src    EpochSource
 	shards []cshard
 	mask   uint64
 
@@ -321,8 +299,8 @@ func WithShards(n int) Option {
 	}
 }
 
-// New creates a cache validating against src.
-func New(src EpochSource, opts ...Option) *Cache {
+// New creates a cache.
+func New(opts ...Option) *Cache {
 	cfg := config{maxBytes: DefaultMaxBytes, shards: defaultShards}
 	for _, o := range opts {
 		o(&cfg)
@@ -331,7 +309,7 @@ func New(src EpochSource, opts ...Option) *Cache {
 	for n < cfg.shards {
 		n *= 2
 	}
-	c := &Cache{src: src, shards: make([]cshard, n), mask: uint64(n - 1)}
+	c := &Cache{shards: make([]cshard, n), mask: uint64(n - 1)}
 	per := cfg.maxBytes / int64(n)
 	if per < 1 {
 		per = 1
@@ -347,8 +325,8 @@ func New(src EpochSource, opts ...Option) *Cache {
 }
 
 // hash is fmix64 of Lo, Hi and the plan bytes: its low bits pick the
-// key's lock domain, its high bits its doorkeeper slot, and the whole
-// word is its fingerprint there.
+// key's lock domain, its high bits its doorkeeper slot, and the word with
+// its lowest bit set is its fingerprint there.
 func hash(key Key) uint64 {
 	h := uint64(key.Lo)*0x9e3779b97f4a7c15 ^ uint64(key.Hi)
 	for i := 0; i < len(key.Plan); i++ {
@@ -365,15 +343,16 @@ func (c *Cache) shardOf(key Key) *cshard {
 	return &c.shards[hash(key)&c.mask]
 }
 
-// seen records fingerprint h in the doorkeeper and reports whether it
-// was already there. Caller holds sh.mu.
+// seen records h's fingerprint in the doorkeeper and reports whether it
+// was already there. The fingerprint is never 0, the value of an empty
+// slot (fmix64 maps the range [0,0] to 0). Caller holds sh.mu.
 func (sh *cshard) seen(h uint64) bool {
 	slot := &sh.door[(h>>32)&(doorSlots-1)]
-	if *slot == h {
-		return true
+	if fp := h | 1; *slot != fp {
+		*slot = fp
+		return false
 	}
-	*slot = h
-	return false
+	return true
 }
 
 // lookup checks the resident entry for key under sh.mu (held by the
@@ -387,7 +366,7 @@ func (c *Cache) lookup(sh *cshard, key Key) (e *Entry, ok bool, stale *Entry) {
 	if e == nil {
 		return nil, false, nil
 	}
-	if !e.Stamp.Valid(c.src) {
+	if !e.Stamp.Valid() {
 		sh.drop(e)
 		c.invalidations.Add(1)
 		return nil, false, e
@@ -450,8 +429,8 @@ func (c *Cache) Do(key Key, build func() (*Entry, error)) (*Entry, Outcome, erro
 				return nil, Coalesced, f.err
 			}
 			// The builder pre-acquired a reference for every waiter and
-			// counted the whole flight's demand into the hit counter.
-			if f.entry.Stamp.Valid(c.src) {
+			// counted the whole flight's demand into the resident copy.
+			if f.entry.Stamp.Valid() {
 				c.coalesced.Add(1)
 				return f.entry, Coalesced, nil
 			}
@@ -496,12 +475,11 @@ func (c *Cache) runBuild(sh *cshard, key Key, h uint64, f *flight, build func() 
 		delete(sh.flights, key)
 		f.entry, f.err = e, err
 		if err == nil {
-			// One reference per waiter, one for the builder; residency
-			// (if admitted) adds its own. Demand observed during the
-			// flight seeds the frequency counter the eviction bias
-			// reads.
+			// One reference per waiter, one for the builder; the resident
+			// copy (if admitted) is an entry of its own. Demand observed
+			// during the flight seeds the copy's frequency counter, which
+			// the eviction bias reads.
 			demand := uint64(1 + f.waiters)
-			e.hits.Store(demand)
 			e.refs.Add(f.waiters + 1)
 			// Only a second request earns residency; a first sighting
 			// serves its flight and frees its buffer on the last Release,
@@ -512,7 +490,7 @@ func (c *Cache) runBuild(sh *cshard, key Key, h uint64, f *flight, build func() 
 			// update already invalidated mid-flight — the next lookup
 			// would just drop it again. The builder and waiters still
 			// get their (consistent-snapshot) result.
-			if e.Stamp.Valid(c.src) {
+			if e.Stamp.Valid() {
 				if again {
 					c.admit(sh, e, demand)
 				} else {
@@ -538,18 +516,12 @@ func (c *Cache) runBuild(sh *cshard, key Key, h uint64, f *flight, build func() 
 // live resident set untouched, so a large cold newcomer cannot erode the
 // warm tail and then be rejected anyway.
 //
-// A built entry with a Free hook stays with its flight: what becomes
-// resident is a copy of it sized exactly to its answer, with no Free, and
-// the built buffer goes back to its pool on the flight's last Release.
-// Only admissions pay the copy. Caller holds sh.mu.
+// A built entry stays with its flight: what becomes resident is a copy of
+// it sized exactly to its answer, with no Free, charged by that length,
+// and the built buffer goes back to its pool (if it has one) on the
+// flight's last Release. Only admissions pay the copy. Caller holds sh.mu.
 func (c *Cache) admit(sh *cshard, e *Entry, demand uint64) {
-	// Charged what the resident entry pins: its answer's length when it is
-	// a copy, its buffer's capacity otherwise.
-	size := int64(cap(e.Wire))
-	if e.Free != nil {
-		size = int64(len(e.Wire))
-	}
-	size += int64(len(e.Key.Plan)) + entryOverhead
+	size := int64(len(e.Wire)+len(e.Key.Plan)) + entryOverhead
 	if size > sh.max {
 		c.rejected.Add(1)
 		return
@@ -576,14 +548,11 @@ func (c *Cache) admit(sh *cshard, e *Entry, demand uint64) {
 	if len(victims) > 0 {
 		sh.age() // eviction pressure decays ancient popularity
 	}
-	if e.Free != nil {
-		exact := make([]byte, len(e.Wire))
-		copy(exact, e.Wire)
-		e = &Entry{Key: e.Key, Value: e.Value, Wire: exact, Stamp: e.Stamp}
-		e.hits.Store(demand)
-	}
-	e.size = size
-	e.refs.Add(1) // residency reference
+	exact := make([]byte, len(e.Wire)) // append would round up to a size class
+	copy(exact, e.Wire)
+	e = &Entry{Key: e.Key, Value: e.Value, Wire: exact, Stamp: e.Stamp, size: size}
+	e.hits.Store(demand)
+	e.refs.Store(1) // residency reference
 	sh.entries[e.Key] = e
 	sh.pushFront(e)
 	sh.bytes += e.size
@@ -599,7 +568,7 @@ func (c *Cache) reclaim(sh *cshard) {
 	scanned := 0
 	for e := sh.tail; e != nil && scanned < victimScan; scanned++ {
 		prev := e.prev
-		if !e.Stamp.Valid(c.src) {
+		if !e.Stamp.Valid() {
 			sh.drop(e)
 			sh.seen(hash(e.Key))
 			c.invalidations.Add(1)

@@ -8,18 +8,16 @@ import (
 	"testing"
 )
 
-// fakeEpochs is a test EpochSource with mutable counters.
+// fakeEpochs is a set of version counters standing in for data shards.
 type fakeEpochs struct {
 	data [8]atomic.Uint64
 }
 
-func (f *fakeEpochs) DataEpoch(i int) uint64 { return f.data[i].Load() }
-
-// stampFor snapshots the current epochs over shards [first, last].
+// stampFor reads the counters of shards [first, last].
 func (f *fakeEpochs) stampFor(first, last int) Stamp {
-	st := Stamp{First: first, Epochs: make([]uint64, last-first+1)}
+	var st Stamp
 	for i := first; i <= last; i++ {
-		st.Epochs[i-first] = f.data[i].Load()
+		st.Read(&f.data[i])
 	}
 	return st
 }
@@ -28,9 +26,53 @@ func entryFor(key Key, st Stamp, payload string) *Entry {
 	return &Entry{Key: key, Value: payload, Wire: []byte(payload), Stamp: st}
 }
 
+// TestStampKeepsLowerReading: two probes of one execution can read the
+// same counter either side of an update; the merged stamp carries the
+// older reading, so it never validates, while a counter read twice at one
+// value still does.
+func TestStampKeepsLowerReading(t *testing.T) {
+	src := &fakeEpochs{}
+	src.data[2].Store(5)
+	src.data[3].Store(6)
+	src.data[5].Store(1)
+	probe := src.stampFor(2, 3) // a probe whose window spanned shards 2 and 3
+	again := src.stampFor(3, 3)
+	src.data[3].Add(3)
+	late := src.stampFor(3, 3) // the same shard after an update
+	var st Stamp
+	st.Merge(probe)
+	st.Merge(again)
+	st.Merge(late)
+	st.Read(&src.data[5])
+	want := []reading{{&src.data[2], 5}, {&src.data[3], 6}, {&src.data[5], 1}}
+	if len(st.reads) != len(want) {
+		t.Fatalf("%d readings, want %d", len(st.reads), len(want))
+	}
+	for i, r := range want {
+		if st.reads[i] != r {
+			t.Fatalf("reading %d: %+v, want %+v", i, st.reads[i], r)
+		}
+	}
+	if st.Valid() {
+		t.Fatal("a stamp merged from readings either side of a bump validates")
+	}
+	// Merged in the other order, the later reading still loses.
+	late.Merge(probe)
+	if late.Valid() {
+		t.Fatal("merging an older reading into a current stamp kept the newer one")
+	}
+	// Re-reading counters at the values they still hold keeps the stamp valid.
+	cur := src.stampFor(2, 5)
+	cur.Merge(src.stampFor(3, 3))
+	cur.Read(&src.data[2])
+	if cur.Len() != 4 || !cur.Valid() {
+		t.Fatalf("re-read stamp: %d readings, valid %v; want 4 and valid", cur.Len(), cur.Valid())
+	}
+}
+
 func TestGetAfterDo(t *testing.T) {
 	src := &fakeEpochs{}
-	c := New(src)
+	c := New()
 	key := Key{Lo: 10, Hi: 20}
 	for i := 0; i < 2; i++ { // the second request earns residency
 		e, out, err := c.Do(key, func() (*Entry, error) {
@@ -66,7 +108,7 @@ func TestGetAfterDo(t *testing.T) {
 
 func TestEpochInvalidation(t *testing.T) {
 	src := &fakeEpochs{}
-	c := New(src)
+	c := New()
 	hot := Key{Lo: 0, Hi: 5}    // depends on shards 0..1
 	cold := Key{Lo: 50, Hi: 60} // depends on shard 3
 	for _, k := range []struct {
@@ -103,7 +145,7 @@ func TestEpochInvalidation(t *testing.T) {
 
 func TestSingleflightCoalescing(t *testing.T) {
 	src := &fakeEpochs{}
-	c := New(src)
+	c := New()
 	key := Key{Lo: 1, Hi: 2}
 	const K = 16
 	gate := make(chan struct{})
@@ -164,7 +206,7 @@ func TestSingleflightCoalescing(t *testing.T) {
 // an intersecting update invalidated mid-flight.
 func TestCoalescedStaleRetry(t *testing.T) {
 	src := &fakeEpochs{}
-	c := New(src)
+	c := New()
 	key := Key{Lo: 1, Hi: 2}
 	inFlight := make(chan struct{})
 	gate := make(chan struct{})
@@ -227,7 +269,7 @@ func TestCoalescedStaleRetry(t *testing.T) {
 func TestSizeBoundAndFrequencyBias(t *testing.T) {
 	src := &fakeEpochs{}
 	// One lock domain, budget for ~4 small entries.
-	c := New(src, WithShards(1), WithMaxBytes(4*(entryOverhead+8)))
+	c := New(WithShards(1), WithMaxBytes(4*(entryOverhead+8)))
 	mk := func(lo int64) Key { return Key{Lo: lo, Hi: lo + 1} }
 	put := func(lo int64) {
 		key := mk(lo)
@@ -275,7 +317,7 @@ func TestSizeBoundAndFrequencyBias(t *testing.T) {
 // evicting it.
 func TestReleaseRecyclesWire(t *testing.T) {
 	src := &fakeEpochs{}
-	c := New(src, WithShards(1), WithMaxBytes(entryOverhead+16))
+	c := New(WithShards(1), WithMaxBytes(entryOverhead+16))
 	var freed atomic.Int64
 	put := func(lo int64) *Entry {
 		key := Key{Lo: lo, Hi: lo + 1}
@@ -317,7 +359,7 @@ func TestReleaseRecyclesWire(t *testing.T) {
 
 func TestConcurrentMixedUse(t *testing.T) {
 	src := &fakeEpochs{}
-	c := New(src, WithMaxBytes(1<<16))
+	c := New(WithMaxBytes(1 << 16))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -351,7 +393,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 // handed the cache no buffer, so the cache frees none for it.
 func TestBuildPanicResolvesFlight(t *testing.T) {
 	src := &fakeEpochs{}
-	c := New(src)
+	c := New()
 	key := Key{Lo: 1, Hi: 2}
 	inFlight := make(chan struct{})
 	gate := make(chan struct{})
@@ -411,7 +453,7 @@ func TestBuildPanicResolvesFlight(t *testing.T) {
 // residency reference so buffers recycle once readers finish.
 func TestClearReleasesResidency(t *testing.T) {
 	src := &fakeEpochs{}
-	c := New(src)
+	c := New()
 	var freed atomic.Int64
 	key := Key{Lo: 7, Hi: 9}
 	e, _, err := c.Do(key, func() (*Entry, error) {
@@ -441,7 +483,7 @@ func TestClearReleasesResidency(t *testing.T) {
 // window, so the dead residue shrinks instead of growing.
 func TestAdmitReclaimsStaleTail(t *testing.T) {
 	src := &fakeEpochs{}
-	c := New(src, WithShards(1))
+	c := New(WithShards(1))
 	put := func(lo int64) {
 		t.Helper()
 		key := Key{Lo: lo, Hi: lo}
@@ -505,7 +547,7 @@ func do(t *testing.T, c *Cache, src *fakeEpochs, key Key) Outcome {
 // pins nothing; the second request admits it and the third is a hit.
 func TestFirstSightingNotResident(t *testing.T) {
 	src := &fakeEpochs{}
-	c := New(src)
+	c := New()
 	key := Key{Lo: 3, Hi: 9}
 	if out := do(t, c, src, key); out != Built {
 		t.Fatalf("first request: %v, want built", out)
@@ -527,11 +569,31 @@ func TestFirstSightingNotResident(t *testing.T) {
 	}
 }
 
+// TestFirstSightingOfZeroKeyNotResident: the range [0,0] hashes to 0, the
+// value of an empty doorkeeper slot, and is still refused on its first
+// sighting.
+func TestFirstSightingOfZeroKeyNotResident(t *testing.T) {
+	src := &fakeEpochs{}
+	c := New()
+	key := Key{}
+	if hash(key) != 0 {
+		t.Fatalf("hash of [0,0] is %#x; the test wants the key that hashes to 0", hash(key))
+	}
+	do(t, c, src, key)
+	if st := c.Stats(); st.Entries != 0 || st.Rejected != 1 {
+		t.Fatalf("first sighting of [0,0]: %+v, want nothing resident and one rejection", st)
+	}
+	do(t, c, src, key)
+	if out := do(t, c, src, key); out != Hit {
+		t.Fatalf("third request for [0,0]: %v, want hit", out)
+	}
+}
+
 // TestCoalescedFlightAdmitted: a waiter joining the flight is the second
 // request, so the build is resident on its first flight.
 func TestCoalescedFlightAdmitted(t *testing.T) {
 	src := &fakeEpochs{}
-	c := New(src)
+	c := New()
 	key := Key{Lo: 1, Hi: 2}
 	inFlight := make(chan struct{})
 	gate := make(chan struct{})
@@ -576,7 +638,7 @@ func TestCoalescedFlightAdmitted(t *testing.T) {
 // has forgotten the key.
 func TestStaleReplacementReadmitted(t *testing.T) {
 	src := &fakeEpochs{}
-	c := New(src)
+	c := New()
 	key := Key{Lo: 5, Hi: 6}
 	do(t, c, src, key)
 	do(t, c, src, key)
@@ -601,8 +663,8 @@ func TestStaleReplacementReadmitted(t *testing.T) {
 // entries' bytes (doorkeeper fingerprint collisions).
 func TestColdSweepPinsNothing(t *testing.T) {
 	src := &fakeEpochs{}
-	const entrySize = entryOverhead + 8 // "v" lands in an 8-byte size class
-	c := New(src, WithShards(1), WithMaxBytes(80*entrySize))
+	const entrySize = entryOverhead + 1 // "v", charged by its length
+	c := New(WithShards(1), WithMaxBytes(80*entrySize))
 	head := func(i int64) Key { return Key{Lo: i, Hi: i + 1} }
 	for i := int64(0); i < 64; i++ {
 		do(t, c, src, head(i))
@@ -634,7 +696,7 @@ func TestColdSweepPinsNothing(t *testing.T) {
 // does afterwards frees it again.
 func TestRefusedEntryFreedOnce(t *testing.T) {
 	src := &fakeEpochs{}
-	c := New(src)
+	c := New()
 	var freed atomic.Int64
 	key := Key{Lo: 7, Hi: 8}
 	e, _, err := c.Do(key, func() (*Entry, error) {
@@ -660,26 +722,6 @@ func TestRefusedEntryFreedOnce(t *testing.T) {
 	}
 }
 
-// TestChargedByCapacity: an entry is charged for the capacity of its wire
-// buffer, which is what it pins, not the length of the answer in it.
-func TestChargedByCapacity(t *testing.T) {
-	src := &fakeEpochs{}
-	c := New(src)
-	key := Key{Lo: 1, Hi: 1}
-	for i := 0; i < 2; i++ {
-		e, _, err := c.Do(key, func() (*Entry, error) {
-			return &Entry{Key: key, Wire: make([]byte, 1<<10, 64<<10), Stamp: src.stampFor(0, 0)}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Release()
-	}
-	if st := c.Stats(); st.Entries != 1 || st.Bytes != 64<<10+entryOverhead {
-		t.Fatalf("1 KiB answer in a 64 KiB buffer: %+v, want charged %d", st, 64<<10+entryOverhead)
-	}
-}
-
 // TestReclaimWholeColdWindow: with k stale entries among the victimScan
 // coldest, one admission reclaims all k and no live one — not a stale
 // entry outside the window either — and a reclaimed key keeps its
@@ -687,7 +729,7 @@ func TestChargedByCapacity(t *testing.T) {
 // that is a hit.
 func TestReclaimWholeColdWindow(t *testing.T) {
 	src := &fakeEpochs{}
-	c := New(src, WithShards(1))
+	c := New(WithShards(1))
 	key := func(lo int64) Key { return Key{Lo: lo, Hi: lo + 1} }
 	// Keys 0..5 resident, 0 coldest; the even ones read shard 0, the odd
 	// ones shard 1.
@@ -832,7 +874,7 @@ func TestBuiltBufferFreedOnceAfterFlight(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := &fakeEpochs{}
-			c := New(src, tc.opts...)
+			c := New(tc.opts...)
 			if tc.setup != nil {
 				tc.setup(c, src)
 			}

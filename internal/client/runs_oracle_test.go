@@ -209,7 +209,7 @@ func (o *runOracle) ownerOp() string {
 // key — and the certified negative for every other. It returns that
 // section with what it says about each key.
 func (o *runOracle) pointProofs(method join.Method, keys []int64) (*join.Answer, map[int64][]*chain.Record) {
-	fc := o.eng.Filter("i")
+	fc := o.inner.QS.Filter(nil)
 	live, part, err := fc.Probe(keys)
 	if err != nil {
 		o.t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"authdb/internal/aggtree"
+	"authdb/internal/anscache"
 	"authdb/internal/chain"
 	"authdb/internal/freshness"
 	"authdb/internal/join"
@@ -139,8 +140,9 @@ type QueryServer struct {
 	// exactly the shards they touch while holding those shards' write
 	// locks, so an answer cache entry stamped under the read locks stays
 	// valid until an intersecting update lands — and no longer. The
-	// slice outlives the one-off reseeding (which replaces qs.shards and
-	// bumps every epoch).
+	// slice is allocated once and never reallocated, because stamps hold
+	// pointers into it: it outlives the one-off reseeding (which replaces
+	// qs.shards and bumps every epoch) and every Restore.
 	epochs []atomic.Uint64
 
 	// filter is the owner-certified Bloom filter on the key attribute
@@ -200,27 +202,25 @@ func NewQueryServer(scheme sigagg.Scheme, opts ...Option) *QueryServer {
 	return qs
 }
 
-// DataEpoch implements anscache.EpochSource: the version counter of
-// data shard i.
-func (qs *QueryServer) DataEpoch(i int) uint64 { return qs.epochs[i].Load() }
-
-// KeyEpoch returns the data shard that owns key and that shard's
-// current epoch. A planner executor stamps with it an answer that
-// depends on key's absence without having scanned for it (a certified
-// Bloom negative), so inserting the key invalidates the answer.
-func (qs *QueryServer) KeyEpoch(key int64) (shard int, epoch uint64) {
+// StampKey reads into st the epoch of the data shard that owns key. A
+// planner executor stamps with it an answer that depends on key's absence
+// without having scanned for it (a certified Bloom negative), so
+// inserting the key invalidates the answer.
+func (qs *QueryServer) StampKey(st *anscache.Stamp, key int64) {
 	qs.topo.RLock()
-	defer qs.topo.RUnlock()
-	shard = qs.shardOf(key)
-	return shard, qs.epochs[shard].Load()
+	st.Read(&qs.epochs[qs.shardOf(key)])
+	qs.topo.RUnlock()
 }
 
 // Filter returns the relation's certified filter (nil if the owner has
-// disseminated none) and the epoch an answer built from it is stamped
-// with.
-func (qs *QueryServer) Filter() (*join.FilterCert, uint64) {
-	epoch := qs.filterEpoch.Load()
-	return qs.filter.Load(), epoch
+// disseminated none). When st is not nil the filter's epoch is read into
+// it first, so the stamp never claims a newer filter than the one
+// returned.
+func (qs *QueryServer) Filter(st *anscache.Stamp) *join.FilterCert {
+	if st != nil {
+		st.Read(&qs.filterEpoch)
+	}
+	return qs.filter.Load()
 }
 
 // clearShards replaces every shard with an empty one. Caller holds topo

@@ -115,13 +115,12 @@ func (qs *QueryServer) QueryProj(lo, hi int64) (*Answer, []AttrRow, anscache.Sta
 func (qs *QueryServer) AppendKeys(dst []int64, lo, hi int64, max int) ([]int64, anscache.Stamp) {
 	qs.topo.RLock()
 	defer qs.topo.RUnlock()
-	first, last := qs.shardOf(lo), qs.shardOf(hi)
-	stamp := anscache.Stamp{First: first, Epochs: make([]uint64, 0, last-first+1)}
+	var stamp anscache.Stamp
 	room := max
-	for j := first; j <= last && room > 0; j++ {
+	for j, last := qs.shardOf(lo), qs.shardOf(hi); j <= last && room > 0; j++ {
 		sh := qs.shards[j]
 		sh.mu.RLock()
-		stamp.Epochs = append(stamp.Epochs, qs.epochs[j].Load())
+		stamp.Read(&qs.epochs[j])
 		sh.tree.Ascend(lo, hi, func(e aggtree.Entry) bool {
 			dst = append(dst, e.Key)
 			room--
@@ -165,12 +164,8 @@ func (qs *QueryServer) queryStamped(lo, hi int64, stamped bool, attrs *[]AttrRow
 		ans, widenLo, widenHi, err := qs.queryWindow(loS, hiS, s, t, lo, hi, !stamped, attrs)
 		var stamp anscache.Stamp
 		if stamped && err == nil && ans != nil {
-			stamp = anscache.Stamp{
-				First:  loS,
-				Epochs: make([]uint64, hiS-loS+1),
-			}
 			for j := loS; j <= hiS; j++ {
-				stamp.Epochs[j-loS] = qs.epochs[j].Load()
+				stamp.Read(&qs.epochs[j])
 			}
 		}
 		for j := loS; j <= hiS; j++ {

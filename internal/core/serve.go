@@ -99,7 +99,7 @@ func (qs *QueryServer) EnableAnswerCache(codec AnswerCodec, opts ...anscache.Opt
 	if codec.Encode == nil {
 		return fmt.Errorf("core: answer cache needs an encoder")
 	}
-	qs.serving.Store(&servingState{cache: anscache.New(qs, opts...), codec: codec})
+	qs.serving.Store(&servingState{cache: anscache.New(opts...), codec: codec})
 	return nil
 }
 

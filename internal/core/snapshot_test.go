@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"authdb/internal/anscache"
 	"authdb/internal/sigagg/xortest"
 )
 
@@ -94,7 +95,7 @@ func TestServerRestoreInvalidatesCaches(t *testing.T) {
 	}
 	epochsBefore := make([]uint64, sys.QS.Shards())
 	for i := range epochsBefore {
-		epochsBefore[i] = sys.QS.DataEpoch(i)
+		epochsBefore[i] = sys.QS.epochs[i].Load()
 	}
 
 	st := sys.QS.Snapshot()
@@ -102,7 +103,7 @@ func TestServerRestoreInvalidatesCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range epochsBefore {
-		if sys.QS.DataEpoch(i) <= epochsBefore[i] {
+		if sys.QS.epochs[i].Load() <= epochsBefore[i] {
 			t.Fatalf("shard %d epoch did not advance across Restore", i)
 		}
 	}
@@ -154,17 +155,18 @@ func TestApplySummaryIdempotent(t *testing.T) {
 func TestFilterIsRelationState(t *testing.T) {
 	sys := newSystem(t, xortest.New())
 	load(t, sys, 64)
-	if fc, _ := sys.QS.Filter(); fc != nil {
+	var read anscache.Stamp
+	if fc := sys.QS.Filter(&read); fc != nil {
 		t.Fatalf("a server nobody disseminated a filter to holds %+v", fc)
 	}
-	epochs := []uint64{}
+	// step checks whether the filter epoch moved since the last step read it.
 	step := func(what string, wantBump bool) {
 		t.Helper()
-		_, e := sys.QS.Filter()
-		if n := len(epochs); n > 0 && (e > epochs[n-1]) != wantBump {
-			t.Fatalf("%s: filter epoch %d → %d", what, epochs[n-1], e)
+		if bumped := !read.Valid(); bumped != wantBump {
+			t.Fatalf("%s: filter epoch advanced %v, want %v", what, bumped, wantBump)
 		}
-		epochs = append(epochs, e)
+		read = anscache.Stamp{}
+		sys.QS.Filter(&read)
 	}
 	step("load", false)
 
@@ -175,7 +177,7 @@ func TestFilterIsRelationState(t *testing.T) {
 	if err := sys.QS.Apply(&UpdateMsg{TS: 50, Filter: fc}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := sys.QS.Filter(); got != fc {
+	if got := sys.QS.Filter(nil); got != fc {
 		t.Fatal("the disseminated filter is not the one served")
 	}
 	step("apply with a filter", true)
@@ -204,7 +206,7 @@ func TestFilterIsRelationState(t *testing.T) {
 	if err := mirror.Restore(st); err != nil {
 		t.Fatal(err)
 	}
-	if got, e := mirror.Filter(); got != fc || e == 0 {
+	if got, e := mirror.Filter(nil), mirror.filterEpoch.Load(); got != fc || e == 0 {
 		t.Fatalf("restored server serves filter %p at epoch %d, want %p past 0", got, e, fc)
 	}
 	if err := sys.QS.Restore(st); err != nil {

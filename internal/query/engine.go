@@ -17,12 +17,6 @@ import (
 	"authdb/internal/wire"
 )
 
-// FilterShard is the pseudo-shard index under which a relation's
-// certified-Bloom-filter epoch is stamped. Re-certifying the filter
-// bumps it, so cached BF join answers built against the old filter are
-// invalidated exactly like answers built against old data.
-const FilterShard = -1
-
 // relView is one relation as the executor sees it: its name and its
 // query server, which holds everything the relation serves — the
 // owner-certified Bloom filter on its key attribute (QueryServer.Filter)
@@ -81,7 +75,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 	}
 	e := &Engine{rels: make(map[string]*relView)}
 	if !cfg.cacheOff {
-		e.cache = anscache.New(e, anscache.WithMaxBytes(cfg.cacheBytes))
+		e.cache = anscache.New(anscache.WithMaxBytes(cfg.cacheBytes))
 	}
 	return e
 }
@@ -111,16 +105,6 @@ func (e *Engine) SetFilter(name string, fc *join.FilterCert) error {
 	return rv.qs.Apply(&core.UpdateMsg{Filter: fc})
 }
 
-// Filter returns the relation's current certified filter (nil if none).
-func (e *Engine) Filter(name string) *join.FilterCert {
-	rv, err := e.rel(name)
-	if err != nil {
-		return nil
-	}
-	fc, _ := rv.qs.Filter()
-	return fc
-}
-
 func (e *Engine) rel(name string) (*relView, error) {
 	e.mu.RLock()
 	rv := e.rels[name]
@@ -141,32 +125,6 @@ func (e *Engine) Relations() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// ---- anscache.RelEpochSource ----
-
-// DataEpoch satisfies EpochSource; engine stamps are always relation
-// scoped, so the unscoped epochs are unused.
-func (e *Engine) DataEpoch(int) uint64 { return 0 }
-
-// RelDataEpoch resolves one relation's live shard epoch (or its filter
-// epoch for FilterShard). An unknown relation reads as a sentinel no
-// stamp can carry, so its entries conservatively invalidate.
-func (e *Engine) RelDataEpoch(rel string, shard int) uint64 {
-	e.mu.RLock()
-	rv := e.rels[rel]
-	e.mu.RUnlock()
-	if rv == nil {
-		return math.MaxUint64
-	}
-	if shard == FilterShard {
-		_, epoch := rv.qs.Filter()
-		return epoch
-	}
-	if shard < 0 || shard >= rv.qs.Shards() {
-		return math.MaxUint64
-	}
-	return rv.qs.DataEpoch(shard)
 }
 
 // ---- execution ----
@@ -196,62 +154,17 @@ func (e *Engine) Execute(n *Node) (*Result, error) {
 	return r, err
 }
 
-func relStampOf(name string, st anscache.Stamp) anscache.RelStamp {
-	rs := anscache.RelStamp{Rel: name, Epochs: st.Epochs, Shards: make([]int, len(st.Epochs))}
-	for i := range rs.Shards {
-		rs.Shards[i] = st.First + i
-	}
-	return rs
-}
-
-// readSet merges the shard epochs one execution's join scans read from
-// the inner relation into that relation's sparse stamp. A shard seen
-// twice keeps the LOWER epoch: the stamp may never claim a version
-// newer than the oldest data some scan actually read, or an update
-// landing between two scans would be masked.
-type readSet struct {
-	seen   []bool
-	epochs []uint64
-}
-
-func newReadSet(shards int) *readSet {
-	return &readSet{seen: make([]bool, shards), epochs: make([]uint64, shards)}
-}
-
-// add records that shards first, first+1, … were read at the given
-// epochs.
-func (r *readSet) add(first int, epochs ...uint64) {
-	for i, e := range epochs {
-		if s := first + i; !r.seen[s] || e < r.epochs[s] {
-			r.seen[s], r.epochs[s] = true, e
-		}
-	}
-}
-
-// appendTo appends the merged shards, ascending, to rs and reports how
-// many there were.
-func (r *readSet) appendTo(rs *anscache.RelStamp) (n int) {
-	for s, ok := range r.seen {
-		if ok {
-			rs.Shards = append(rs.Shards, s)
-			rs.Epochs = append(rs.Epochs, r.epochs[s])
-			n++
-		}
-	}
-	return n
-}
-
 // exec runs the plan and returns, beside the result, the stamp a cached
 // copy of it is valid under. The rule: a composite is stale only where
-// its execution read. Per relation the stamp lists
+// its execution read. The stamp holds
 //
 //   - outer: the scan's own stamp — the shard window QueryStamped /
 //     QueryProj held read locks on, epochs read under those locks;
-//   - inner, BF joins: the filter epoch (FilterShard), read together
-//     with the certificate before any data, so a re-certification during
+//   - inner, BF joins: the filter's epoch, read together with the
+//     certificate before any inner data, so a re-certification during
 //     execution reads as stale. It covers every byte of a Bloom negative
 //     (partition + signature come from the certificate alone) and which
-//     keys needed a run;
+//     keys needed a run. A BV join reads no filter and stamps none;
 //   - inner, every run: the stamp QueryStamped(first, last) returns. Its
 //     window spans every shard the scan, its predecessor/successor walk
 //     and an anchor's own neighbours looked into — empty shards crossed
@@ -268,6 +181,7 @@ func (r *readSet) appendTo(rs *anscache.RelStamp) (n int) {
 //     inserting a key a cached plan proved absent must retire that plan
 //     without waiting for the next re-certification.
 //
+// A counter two of these read keeps its older reading (Stamp.Merge).
 // Nothing else of the inner relation is stamped: an update to a shard no
 // probe read cannot change the composite's bytes, and leaves it serving.
 func (e *Engine) exec(s *shape) (*Result, anscache.Stamp, error) {
@@ -277,27 +191,6 @@ func (e *Engine) exec(s *shape) (*Result, anscache.Stamp, error) {
 		return nil, zero, err
 	}
 	e.planQueries.Add(1)
-
-	var (
-		inner      *relView
-		fc         *join.FilterCert
-		innerStamp anscache.RelStamp
-	)
-	if s.jn != nil {
-		if inner, err = e.rel(s.jn.Right.Rel); err != nil {
-			return nil, zero, err
-		}
-		var fcEpoch uint64
-		fc, fcEpoch = inner.qs.Filter()
-		if s.jn.Method == join.BF && fc == nil {
-			return nil, zero, fmt.Errorf("query: BF join against %q without a certified filter", inner.name)
-		}
-		innerStamp = anscache.RelStamp{Rel: inner.name}
-		if s.jn.Method == join.BF {
-			innerStamp.Shards = append(innerStamp.Shards, FilterShard)
-			innerStamp.Epochs = append(innerStamp.Epochs, fcEpoch)
-		}
-	}
 
 	// Outer leaf: one authenticated range scan, with the attribute
 	// sideband when the plan projects.
@@ -327,11 +220,20 @@ func (e *Engine) exec(s *shape) (*Result, anscache.Stamp, error) {
 
 	comp := &wire.Composite{Outer: outAns.Chain}
 	rels := []relOldest{{outer, outAns.OldestSigTS}}
-	relStamps := []anscache.RelStamp{relStampOf(outer.name, stamp)}
 
 	if s.jn != nil {
-		read := newReadSet(inner.qs.Shards())
-		ja, innerOldest, err := e.probe(inner, s.jn.Method, fc, keep, read)
+		inner, err := e.rel(s.jn.Right.Rel)
+		if err != nil {
+			return nil, zero, err
+		}
+		var fc *join.FilterCert
+		if s.jn.Method == join.BF {
+			if fc = inner.qs.Filter(&stamp); fc == nil {
+				return nil, zero, fmt.Errorf("query: BF join against %q without a certified filter", inner.name)
+			}
+		}
+		var read anscache.Stamp // the inner relation's data shards
+		ja, innerOldest, err := e.probe(inner, s.jn.Method, fc, keep, &read)
 		if err != nil {
 			return nil, zero, err
 		}
@@ -344,8 +246,8 @@ func (e *Engine) exec(s *shape) (*Result, anscache.Stamp, error) {
 		default:
 			rels = append(rels, relOldest{inner, innerOldest})
 		}
-		e.stampShards.Add(uint64(read.appendTo(&innerStamp)))
-		relStamps = append(relStamps, innerStamp)
+		e.stampShards.Add(uint64(read.Len()))
+		stamp.Merge(read)
 	}
 
 	if s.proj != nil {
@@ -356,7 +258,7 @@ func (e *Engine) exec(s *shape) (*Result, anscache.Stamp, error) {
 		comp.Proj = pans
 	}
 
-	return &Result{Comp: comp, rels: rels}, anscache.Stamp{Rels: relStamps}, nil
+	return &Result{Comp: comp, rels: rels}, stamp, nil
 }
 
 // probe resolves the outer keys against the inner relation with as few
@@ -372,7 +274,7 @@ func (e *Engine) exec(s *shape) (*Result, anscache.Stamp, error) {
 // no run covers are filter negatives, answered from the certificate
 // alone. What each shipped piece read is recorded in read (see exec).
 func (e *Engine) probe(rv *relView, method join.Method, fc *join.FilterCert,
-	outer []*chain.Record, read *readSet) (*join.Answer, int64, error) {
+	outer []*chain.Record, read *anscache.Stamp) (*join.Answer, int64, error) {
 
 	js := joinScan{rv: rv, fc: fc, keys: join.OuterKeys(outer), ja: &join.Answer{Method: method}, read: read, oldest: math.MaxInt64}
 	if method == join.BF {
@@ -389,7 +291,7 @@ func (e *Engine) probe(rv *relView, method join.Method, fc *join.FilterCert,
 		// there are outer keys; sized for an inner relation inside the outer.
 		most := 2*len(js.keys) + 1
 		inner, st := rv.qs.AppendKeys(make([]int64, 0, len(js.keys)), js.keys[first], js.keys[last], most)
-		read.add(st.First, st.Epochs...)
+		read.Merge(st)
 		extents = join.Extents(js.keys, js.live, inner, len(inner) == most)
 	}
 	if err := e.scanRuns(&js, extents); err != nil {
@@ -407,7 +309,7 @@ type joinScan struct {
 	part []int            // BF: the partition covering the key
 
 	ja     *join.Answer
-	read   *readSet
+	read   *anscache.Stamp
 	oldest int64 // the oldest signature timestamp among the shipped proofs
 }
 
@@ -424,7 +326,7 @@ func (e *Engine) scanRuns(js *joinScan, todo [][2]int) error {
 		for ; next < upto; next++ {
 			e.bfNegatives.Add(1)
 			js.ja.AddNegative(js.fc, js.part[next], keys[next])
-			js.read.add(js.rv.qs.KeyEpoch(keys[next]))
+			js.rv.qs.StampKey(js.read, keys[next])
 		}
 	}
 	for len(todo) > 0 {
@@ -466,7 +368,7 @@ func (e *Engine) scanRuns(js *joinScan, todo [][2]int) error {
 		negatives(a)
 		next = b + 1
 		js.ja.Runs = append(js.ja.Runs, pa.Chain)
-		js.read.add(st.First, st.Epochs...)
+		js.read.Merge(st)
 		js.oldest = min(js.oldest, pa.OldestSigTS)
 		if live != nil {
 			admitted := 0 // keys of the run the filter let through

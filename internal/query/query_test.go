@@ -504,7 +504,7 @@ func TestCacheSurvivesInsertInUnreadShard(t *testing.T) {
 // though the filter has not been re-certified.
 func TestCacheInvalidationOnBloomNegativeKey(t *testing.T) {
 	fx := newFixture(t)
-	fc := fx.eng.Filter("i")
+	fc := fx.inner.QS.Filter(nil)
 	var neg int64 = -1
 	for k := int64(10); k <= 1000 && neg < 0; k += 10 {
 		if idx := fc.PF.Find(k); k%30 != 0 && !fc.PF.Partitions[idx].Filter.MayContainUint64(uint64(k)) {
@@ -572,13 +572,13 @@ func TestScanSplitsAtRecordThatJoinsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		js := joinScan{rv: inner, ja: &join.Answer{Method: method}, read: newReadSet(inner.qs.Shards())}
+		js := joinScan{rv: inner, ja: &join.Answer{Method: method}, read: new(anscache.Stamp)}
 		for k := int64(110); k <= 400; k += 10 {
 			js.keys = append(js.keys, k)
 		}
 		first, last := 0, len(js.keys)-1
 		if method == join.BF {
-			js.fc = fx.eng.Filter("i")
+			js.fc = fx.inner.QS.Filter(nil)
 			if js.live, js.part, err = js.fc.Probe(js.keys); err != nil {
 				t.Fatal(err)
 			}
@@ -677,24 +677,6 @@ func TestCacheInvalidationOnSeedAndRestore(t *testing.T) {
 	}
 	if st := serveAll(); st.Cache.Hits != 8 || st.Cache.Built != 13 {
 		t.Fatalf("after Restore: hits=%d built=%d, want 8/13", st.Cache.Hits, st.Cache.Built)
-	}
-}
-
-// Two probes of one execution can read the same shard either side of an
-// update; the merged stamp must carry the older reading.
-func TestReadSetKeepsLowerEpoch(t *testing.T) {
-	r := newReadSet(6)
-	r.add(2, 5, 7) // a probe whose window spanned shards 2 and 3
-	r.add(3, 6)
-	r.add(3, 9)
-	r.add(5, 1)
-	rs := anscache.RelStamp{Rel: "i", Shards: []int{FilterShard}, Epochs: []uint64{4}}
-	r.appendTo(&rs)
-	if want := []int{FilterShard, 2, 3, 5}; !reflect.DeepEqual(rs.Shards, want) {
-		t.Fatalf("shards %v, want %v", rs.Shards, want)
-	}
-	if want := []uint64{4, 5, 6, 1}; !reflect.DeepEqual(rs.Epochs, want) {
-		t.Fatalf("epochs %v, want %v", rs.Epochs, want)
 	}
 }
 

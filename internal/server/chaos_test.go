@@ -29,7 +29,7 @@ import (
 	"authdb/internal/faultnet"
 	"authdb/internal/freshness"
 	"authdb/internal/sigagg"
-	"authdb/internal/sigagg/xortest"
+	"authdb/internal/sigagg/bas"
 	"authdb/internal/wal"
 	"authdb/internal/workload"
 )
@@ -125,7 +125,7 @@ func runChaos(t *testing.T) (*chaosReport, error) {
 // setup builds the durable world: fixed key pair, WAL-backed owner
 // pipeline, loaded relation, hardened server, and the fault proxy.
 func (b *chaosBench) setup() error {
-	raw := xortest.New()
+	raw := bas.New(0)
 	priv, pub, err := raw.KeyGen(nil)
 	if err != nil {
 		return err

@@ -41,7 +41,7 @@ import (
 	"authdb/internal/query"
 	"authdb/internal/replica"
 	"authdb/internal/sigagg"
-	"authdb/internal/sigagg/xortest"
+	"authdb/internal/sigagg/bas"
 	"authdb/internal/wal"
 	"authdb/internal/wire"
 	"authdb/internal/workload"
@@ -186,7 +186,7 @@ func runFleetChaos(t *testing.T) (*fleetReport, error) {
 // honest follower fleet behind fault proxies, and the Byzantine
 // follower behind its tampering front.
 func (b *fleetBench) setup() error {
-	raw := xortest.New()
+	raw := bas.New(0)
 	priv, pub, err := raw.KeyGen(nil)
 	if err != nil {
 		return err
@@ -289,7 +289,7 @@ func (b *fleetBench) setup() error {
 // its filter certified inside the runtime's first image, so a follower's
 // bootstrap brings all three.
 func (b *fleetBench) setupInner(keys []int64) error {
-	raw := xortest.New()
+	raw := bas.New(0)
 	priv, pub, err := raw.KeyGen(nil)
 	if err != nil {
 		return err

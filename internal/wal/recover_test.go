@@ -652,7 +652,7 @@ func TestRecoveredRelationKeepsFilter(t *testing.T) {
 		if _, err := rt.store.AppendMsg(msg); err != nil {
 			t.Fatal(err)
 		}
-		if fc, _ := rt.QS.Filter(); fc != nil {
+		if fc := rt.QS.Filter(nil); fc != nil {
 			t.Fatal("the dying server applied the filter: test setup broken")
 		}
 		recoverAndJoin(t, dir, msg.TS, true)
