@@ -9,13 +9,18 @@ type certEntry struct {
 	rid uint64
 }
 
-// certHeap is a lazy min-heap over certification times. Re-certifying a
-// record pushes a fresh entry and leaves the superseded one in place;
-// stale entries (whose ts no longer matches certTS, or whose rid was
-// deleted) are discarded when they surface at the top. This keeps every
-// certification O(log n), makes OldestCertTS an O(1) peek (amortizing
-// the stale pops against the pushes that created them), and gives
-// RenewOld an age-ordered iteration that never scans deleted rids.
+// certHeap is a lazy min-heap over certification times — each stored
+// record's TS, the time it was last signed. Certifying a record at a new
+// timestamp pushes a fresh entry and leaves the superseded one in place;
+// stale entries (whose ts no longer matches the stored record's TS, or
+// whose rid was deleted) are discarded when they surface at the top.
+// This keeps every certification O(log n), makes OldestCertTS an O(1)
+// peek (amortizing the stale pops against the pushes that created
+// them), and gives RenewOld an age-ordered iteration that never scans
+// deleted rids. Re-certifying a record at its current TS (a neighbour
+// re-signed twice at one timestamp) pushes nothing: the live entry is
+// still in the heap, and a second copy would make RenewOld renew the
+// record twice in one batch.
 type certHeap []certEntry
 
 func (h certHeap) Len() int { return len(h) }
@@ -36,32 +41,23 @@ func (h *certHeap) Pop() any {
 }
 
 // compactSlack bounds how many stale entries the heap may carry beyond
-// the live population before it is rebuilt from certTS.
+// the live population before it is rebuilt from the stored records.
 const compactSlack = 64
 
-// certify records that rid was (re-)certified at ts: the authoritative
-// map entry plus the heap observation. Re-certifying at the rid's
-// current certTS (e.g. a neighbour re-signed twice at one timestamp)
-// pushes nothing: the live entry for that exact (ts, rid) is still in
-// the heap, and a second copy would also pass the staleness check and
-// make RenewOld renew the record twice in one batch.
-func (da *DataAggregator) certify(rid uint64, ts int64) {
-	if old, ok := da.certTS[rid]; ok && old == ts {
-		return
-	}
-	da.certTS[rid] = ts
+// pushAge records that the stored record rid was certified at ts.
+func (da *DataAggregator) pushAge(rid uint64, ts int64) {
 	heap.Push(&da.ages, certEntry{ts: ts, rid: rid})
-	if len(da.ages) > 2*len(da.certTS)+compactSlack {
+	if len(da.ages) > 2*len(da.byRID)+compactSlack {
 		da.compactAges()
 	}
 }
 
-// compactAges rebuilds the heap from the live certTS entries, shedding
+// compactAges rebuilds the heap from the stored records, shedding
 // accumulated stale observations in O(n).
 func (da *DataAggregator) compactAges() {
 	da.ages = da.ages[:0]
-	for rid, ts := range da.certTS {
-		da.ages = append(da.ages, certEntry{ts: ts, rid: rid})
+	for rid, rec := range da.byRID {
+		da.ages = append(da.ages, certEntry{ts: rec.TS, rid: rid})
 	}
 	heap.Init(&da.ages)
 }
@@ -71,7 +67,7 @@ func (da *DataAggregator) compactAges() {
 func (da *DataAggregator) dropStaleAges() {
 	for len(da.ages) > 0 {
 		top := da.ages[0]
-		if ts, ok := da.certTS[top.rid]; ok && ts == top.ts {
+		if rec, ok := da.byRID[top.rid]; ok && rec.TS == top.ts {
 			return
 		}
 		heap.Pop(&da.ages)

@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"authdb/internal/btree"
@@ -18,27 +19,24 @@ import (
 // chain-signs records, publishes ρ-period summaries, and renews aging
 // signatures (§3.1).
 //
-// Bulk operations — Load, ClosePeriod's re-certifications, RenewOld —
-// run through a signing pipeline: once the sorted order is fixed every
-// chained digest is known, so the digests are computed and signed on a
-// GOMAXPROCS worker pool (using the scheme's batch primitives, see
-// sigagg.BatchSigner) and the results are applied in one pass. The
-// pre-pipeline behaviour — one Sign per record on the calling
-// goroutine, one B+-tree probe per insertion — survives behind
-// withSerialSigning as the reproducible baseline, mirroring
-// WithLinearAggregation on the query side.
+// Every operation that changes a signature runs in two steps. It first
+// plans the record versions to certify — each record at its new
+// timestamp with the neighbours it will be chained between — and then
+// hands the plan to certify, which signs every chained digest in one
+// batch on the signing pool (using the scheme's batch primitives, see
+// sigagg.BatchSigner), installs each version, and emits them in plan
+// order. Summaries and per-attribute signatures go through the same
+// pool.
 type DataAggregator struct {
 	scheme   sigagg.Scheme
 	priv     sigagg.PrivateKey
 	cfg      Config
 	pool     *sigagg.Pool
-	serial   bool // baseline: sign one record at a time, insert per record
 	attrSign bool // projection mode: chain over stripped records, attrs signed per slot
 
 	index   *btree.Tree        // key -> (rid, current signature)
-	byRID   map[uint64]*Record // rid -> record content
-	certTS  map[uint64]int64   // rid -> last certification time
-	ages    certHeap           // lazy min-heap over certTS (see ageheap.go)
+	byRID   map[uint64]*Record // rid -> current version; its TS is the last certification time
+	ages    certHeap           // lazy min-heap over byRID's TS (see ageheap.go)
 	nextRID uint64
 
 	pub *freshness.Publisher
@@ -50,16 +48,6 @@ type DataAggregator struct {
 
 // DAOption configures a DataAggregator.
 type DAOption func(*DataAggregator)
-
-// withSerialSigning reverts to the pre-pipeline baseline: every record
-// is signed one at a time on the calling goroutine with the scheme's
-// one-shot Sign, and loads insert into the B+-tree record by record.
-// Unexported: it is the reference the package's tests hold the
-// pipelined path to (byte-identical signatures), not a deployment
-// choice.
-func withSerialSigning() DAOption {
-	return func(da *DataAggregator) { da.serial = true }
-}
 
 // WithSigningPool makes the aggregator sign through a shared pool
 // instead of creating its own — how a multi-relation Catalog keeps one
@@ -100,19 +88,16 @@ func NewDataAggregator(scheme sigagg.Scheme, priv sigagg.PrivateKey, cfg Config,
 		pool:   sigagg.NewPool(scheme, 0),
 		index:  btree.New(storage.DefaultPageConfig()),
 		byRID:  make(map[uint64]*Record),
-		certTS: make(map[uint64]int64),
 		pub:    freshness.NewPublisher(scheme, priv, 0, 0, 0),
 	}
 	for _, o := range opts {
 		o(da)
 	}
-	if !da.serial {
-		// Summary certification rides the same pool, so it gets the
-		// scheme's batched signing path (e.g. CRT for condensed RSA).
-		da.pub.SetSigner(func(digest []byte) (sigagg.Signature, error) {
-			return da.pool.Sign(da.priv, digest)
-		})
-	}
+	// Summary certification rides the same pool, so it gets the scheme's
+	// batched signing path (e.g. CRT for condensed RSA).
+	da.pub.SetSigner(func(digest []byte) (sigagg.Signature, error) {
+		return da.pool.Sign(da.priv, digest)
+	})
 	return da, nil
 }
 
@@ -149,12 +134,11 @@ func (da *DataAggregator) chainDigest(v *Record, left, right chain.Ref) []byte {
 // sealMsg attaches the projection-mode sideband to every certified
 // record in msg: the emitted record is replaced by an attribute-stripped
 // copy (the chained view the server stores and serves), and the values
-// plus their per-slot signatures at the version's timestamp ride along.
-// Attribute digests fan out through the signing pool like the chain
-// digests do; the serial baseline signs per record. No-op for ordinary
-// relations. The aggregator's own state (byRID) keeps the full records.
+// plus their per-slot signatures at the version's timestamp ride along,
+// signed through the pool. No-op for ordinary relations. The
+// aggregator's own state (byRID) keeps the full records.
 func (da *DataAggregator) sealMsg(msg *UpdateMsg) error {
-	if !da.attrSign || msg == nil || len(msg.Upserts) == 0 {
+	if !da.attrSign || len(msg.Upserts) == 0 {
 		return nil
 	}
 	n := len(msg.Upserts)
@@ -171,18 +155,7 @@ func (da *DataAggregator) sealMsg(msg *UpdateMsg) error {
 		up.Rec = &Record{RID: full.RID, Key: full.Key, TS: full.TS}
 		up.AttrVals = attrs[i]
 	}
-	var sigs [][]sigagg.Signature
-	var err error
-	if da.serial {
-		sigs = make([][]sigagg.Signature, n)
-		for i := range sigs {
-			if sigs[i], err = projection.SignRecord(da.scheme, da.priv, rids[i], attrs[i], tss[i]); err != nil {
-				break
-			}
-		}
-	} else {
-		sigs, err = projection.SignRecords(da.pool, da.priv, rids, attrs, tss)
-	}
+	sigs, err := projection.SignRecords(da.pool, da.priv, rids, attrs, tss)
 	if err != nil {
 		return fmt.Errorf("core: attr signing: %w", err)
 	}
@@ -190,14 +163,6 @@ func (da *DataAggregator) sealMsg(msg *UpdateMsg) error {
 		msg.Upserts[i].AttrSigs = sigs[i]
 	}
 	return nil
-}
-
-// sealed is sealMsg shaped for return statements.
-func (da *DataAggregator) sealed(msg *UpdateMsg) (*UpdateMsg, error) {
-	if err := da.sealMsg(msg); err != nil {
-		return nil, err
-	}
-	return msg, nil
 }
 
 // AttrSigning reports whether the relation runs in projection mode.
@@ -217,29 +182,29 @@ func (da *DataAggregator) CertifyFilter(valuesPerPartition int, bitsPerKey float
 	return join.CertifyKeys(da.pool, da.priv, keys, valuesPerPartition, bitsPerKey, ts)
 }
 
-// signAt certifies a new version of rec chained between left and right
-// at time ts. It never mutates rec: outstanding answers and the query
-// server hold references to earlier versions, so each certification
-// produces a fresh Record value.
-func (da *DataAggregator) signAt(rec *Record, left, right chain.Ref, ts int64, out *[]SignedRecord) error {
-	version := &Record{RID: rec.RID, Key: rec.Key, Attrs: rec.Attrs, TS: ts}
-	sig, err := da.scheme.Sign(da.priv, da.chainDigest(version, left, right))
-	if err != nil {
-		return fmt.Errorf("core: sign rid %d: %w", version.RID, err)
-	}
-	if !da.index.Update(version.Key, sig) {
-		if err := da.index.Insert(btree.Entry{Key: version.Key, RID: version.RID, Sig: sig}); err != nil {
-			return err
-		}
-	}
-	da.byRID[version.RID] = version
-	da.certify(version.RID, ts)
-	da.pub.MarkUpdated(slot(version.RID))
-	*out = append(*out, SignedRecord{Rec: version, Sig: sig})
-	return nil
+// plan lists the record versions one operation certifies, in the order
+// its message emits them: recs[i] is a fresh version (never a stored
+// record mutated — answers and the query server hold earlier ones),
+// chained between refs[i][0] and refs[i][1]. The versions sit in an
+// array of their own, so the stored records pointing into it do not pin
+// the refs.
+type plan struct {
+	recs []Record
+	refs [][2]chain.Ref
 }
 
-// neighbours returns the chain references around key.
+func newPlan(n int) *plan {
+	return &plan{recs: make([]Record, 0, n), refs: make([][2]chain.Ref, 0, n)}
+}
+
+// add plans rec's version at ts between left and right.
+func (p *plan) add(rec *Record, ts int64, left, right chain.Ref) {
+	p.recs = append(p.recs, Record{RID: rec.RID, Key: rec.Key, Attrs: rec.Attrs, TS: ts})
+	p.refs = append(p.refs, [2]chain.Ref{left, right})
+}
+
+// neighbours returns the chain references around key among the stored
+// records.
 func (da *DataAggregator) neighbours(key int64) (left, right chain.Ref) {
 	left, right = chain.MinRef, chain.MaxRef
 	if p, ok := da.index.Predecessor(key); ok {
@@ -251,74 +216,128 @@ func (da *DataAggregator) neighbours(key int64) (left, right chain.Ref) {
 	return left, right
 }
 
-// resign re-signs the existing record with the given key against its
-// current neighbours (used when a neighbour's identity changes and for
-// active renewal).
-func (da *DataAggregator) resign(key int64, ts int64, out *[]SignedRecord) error {
-	e, ok := da.index.Get(key)
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownKey, key)
-	}
-	rec := da.byRID[e.RID]
-	left, right := da.neighbours(key)
-	return da.signAt(rec, left, right, ts, out)
+// planResign plans a re-signature at ts of the stored record rid
+// against its current neighbours: a neighbour's identity changed, or
+// the signature is due for renewal.
+func (da *DataAggregator) planResign(p *plan, rid uint64, ts int64) {
+	rec := da.byRID[rid]
+	left, right := da.neighbours(rec.Key)
+	p.add(rec, ts, left, right)
 }
 
-// resignBatch re-signs the records with the given keys at time ts
-// against their current neighbours. Re-signing never changes a key or
-// rid, so every chained digest is computable up front regardless of how
-// many batch members are neighbours of each other; the digests fan out
-// to the signing pool and the results are applied in one pass. The
-// serial baseline falls back to per-record resign.
-func (da *DataAggregator) resignBatch(keys []int64, ts int64, out *[]SignedRecord) error {
-	if len(keys) == 0 {
-		return nil
+// certify signs every planned version in one pool batch, installs each
+// one, and emits them into msg in plan order with the §3.4 sideband.
+// Signing fails before any state changes. This is the only place a
+// chain signature is made.
+func (da *DataAggregator) certify(msg *UpdateMsg, p *plan) (*UpdateMsg, error) {
+	n := len(p.recs)
+	if n == 0 {
+		return msg, nil
 	}
-	if da.serial || len(keys) == 1 {
-		for _, k := range keys {
-			if err := da.resign(k, ts, out); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	versions := make([]Record, len(keys))
-	lefts := make([]chain.Ref, len(keys))
-	rights := make([]chain.Ref, len(keys))
-	for i, k := range keys {
-		e, ok := da.index.Get(k)
-		if !ok {
-			return fmt.Errorf("%w: %d", ErrUnknownKey, k)
-		}
-		rec := da.byRID[e.RID]
-		versions[i] = Record{RID: rec.RID, Key: rec.Key, Attrs: rec.Attrs, TS: ts}
-		lefts[i], rights[i] = da.neighbours(k)
-	}
-	sigs, err := da.pool.SignIndexed(da.priv, len(keys), func(i int) []byte {
-		return da.chainDigest(&versions[i], lefts[i], rights[i])
+	sigs, err := da.pool.SignIndexed(da.priv, n, func(i int) []byte {
+		return da.chainDigest(&p.recs[i], p.refs[i][0], p.refs[i][1])
 	})
 	if err != nil {
-		return fmt.Errorf("core: batch re-sign: %w", err)
+		return nil, fmt.Errorf("core: sign: %w", err)
 	}
-	for i := range versions {
-		v := &versions[i]
-		da.index.Update(v.Key, sigs[i])
-		da.byRID[v.RID] = v
-		da.certify(v.RID, ts)
-		da.pub.MarkUpdated(slot(v.RID))
-		*out = append(*out, SignedRecord{Rec: v, Sig: sigs[i]})
+	if da.index.Len() == 0 {
+		// Into an empty relation only a load certifies, and its versions
+		// are the whole relation in key order: build the index bottom-up
+		// in one pass (fuller nodes than per-record inserts leave);
+		// install then finds every key in place.
+		entries := make([]btree.Entry, n)
+		for i := range p.recs {
+			entries[i] = btree.Entry{Key: p.recs[i].Key, RID: p.recs[i].RID, Sig: sigs[i]}
+		}
+		idx, err := btree.BulkLoad(storage.DefaultPageConfig(), entries)
+		if err != nil {
+			return nil, fmt.Errorf("core: load: %w", err)
+		}
+		da.index = idx
 	}
+	msg.Upserts = make([]SignedRecord, n)
+	for i := range p.recs {
+		v := &p.recs[i]
+		if err := da.install(v, sigs[i]); err != nil {
+			return nil, err
+		}
+		msg.Upserts[i] = SignedRecord{Rec: v, Sig: sigs[i]}
+	}
+	if err := da.sealMsg(msg); err != nil {
+		return nil, err
+	}
+	return msg, nil
+}
+
+// install makes v the stored version of its record under sig: the index
+// entry (inserted for a new key), the record body, an age-heap entry
+// when the certification time moved, and the record's mark in the
+// period's summary. Replay installs logged versions the same way.
+func (da *DataAggregator) install(v *Record, sig sigagg.Signature) error {
+	if !da.index.Update(v.Key, sig) {
+		if err := da.index.Insert(btree.Entry{Key: v.Key, RID: v.RID, Sig: sig}); err != nil {
+			return err
+		}
+	}
+	old, had := da.byRID[v.RID]
+	da.byRID[v.RID] = v
+	if !had || old.TS != v.TS {
+		da.pushAge(v.RID, v.TS)
+	}
+	da.pub.MarkUpdated(slot(v.RID))
 	return nil
 }
 
-// Load bulk-inserts the records (sorted or not; keys must be unique) at
-// time ts and returns the dissemination message carrying every signed
-// record. Typically called once to seed the query server.
-//
-// The pipelined path fixes the sorted order, computes every chained
-// digest (each record's neighbours are then known), signs them all on
-// the worker pool, and bulk-loads the B+-tree bottom-up in one sorted
-// pass. withSerialSigning restores the per-record sign-and-insert loop.
+// remove drops a stored record; its age-heap entry is discarded lazily.
+func (da *DataAggregator) remove(rec *Record) {
+	da.index.Delete(rec.Key)
+	delete(da.byRID, rec.RID)
+	da.pub.MarkUpdated(slot(rec.RID))
+}
+
+// admit checks a key-sorted batch before anything is signed — keys
+// unique and not stored, explicit rids neither held by a stored record
+// nor repeated — and then numbers the records without a rid past every
+// rid the relation or the batch holds.
+func (da *DataAggregator) admit(sorted []*Record) error {
+	var explicit []uint64
+	next := da.nextRID
+	for i, rec := range sorted {
+		if i > 0 && rec.Key == sorted[i-1].Key {
+			return fmt.Errorf("core: duplicate key %d in load", rec.Key)
+		}
+		if _, exists := da.index.Get(rec.Key); exists {
+			return fmt.Errorf("core: key %d already present", rec.Key)
+		}
+		if rec.RID == 0 {
+			continue
+		}
+		if held, ok := da.byRID[rec.RID]; ok {
+			return fmt.Errorf("core: rid %d of key %d already held by key %d", rec.RID, rec.Key, held.Key)
+		}
+		explicit = append(explicit, rec.RID)
+		next = max(next, rec.RID)
+	}
+	slices.Sort(explicit)
+	for i := 1; i < len(explicit); i++ {
+		if explicit[i] == explicit[i-1] {
+			return fmt.Errorf("core: rid %d repeated in load", explicit[i])
+		}
+	}
+	for _, rec := range sorted {
+		if rec.RID == 0 {
+			next++
+			rec.RID = next
+		}
+	}
+	da.nextRID = next
+	return nil
+}
+
+// Load inserts the records (sorted or not; keys must be unique and new)
+// at time ts and returns the dissemination message carrying every signed
+// record. Records without a rid are numbered; an explicit rid must be
+// free. Typically called once to seed the query server.
 func (da *DataAggregator) Load(recs []*Record, ts int64) (*UpdateMsg, error) {
 	sorted := recs
 	if !keysAscending(recs) {
@@ -328,215 +347,62 @@ func (da *DataAggregator) Load(recs []*Record, ts int64) (*UpdateMsg, error) {
 		copy(sorted, recs)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
 	}
-	msg := &UpdateMsg{TS: ts}
-	for i, rec := range sorted {
-		if i > 0 && rec.Key == sorted[i-1].Key {
-			return nil, fmt.Errorf("core: duplicate key %d in load", rec.Key)
-		}
-		if rec.RID == 0 {
-			da.nextRID++
-			rec.RID = da.nextRID
-		} else if rec.RID > da.nextRID {
-			da.nextRID = rec.RID
-		}
+	if err := da.admit(sorted); err != nil {
+		return nil, err
 	}
-	if da.index.Len() > 0 {
-		return da.mergeLoad(sorted, ts, msg)
-	}
-	if da.serial {
-		for i, rec := range sorted {
-			left, right := chain.MinRef, chain.MaxRef
-			if i > 0 {
-				left = sorted[i-1].Ref()
-			}
-			if i < len(sorted)-1 {
-				right = sorted[i+1].Ref()
-			}
-			if err := da.signAt(rec, left, right, ts, &msg.Upserts); err != nil {
-				return nil, err
-			}
-		}
-		return da.sealed(msg)
-	}
-
-	// Pipelined: versioned copies and their chained digests first …
-	n := len(sorted)
-	versions := make([]Record, n)
-	for i, rec := range sorted {
-		versions[i] = Record{RID: rec.RID, Key: rec.Key, Attrs: rec.Attrs, TS: ts}
-	}
-	sigs, err := da.pool.SignIndexed(da.priv, n, func(i int) []byte {
-		left, right := chain.MinRef, chain.MaxRef
-		if i > 0 {
-			left = sorted[i-1].Ref()
-		}
-		if i < n-1 {
-			right = sorted[i+1].Ref()
-		}
-		return da.chainDigest(&versions[i], left, right)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: pipelined load: %w", err)
-	}
-
-	// … then the index, built bottom-up in one sorted pass.
-	entries := make([]btree.Entry, n)
-	for i := range versions {
-		entries[i] = btree.Entry{Key: versions[i].Key, RID: versions[i].RID, Sig: sigs[i]}
-	}
-	idx, err := btree.BulkLoad(storage.DefaultPageConfig(), entries)
-	if err != nil {
-		return nil, fmt.Errorf("core: pipelined load: %w", err)
-	}
-	da.index = idx
-	msg.Upserts = make([]SignedRecord, n)
-	for i := range versions {
-		v := &versions[i]
-		da.byRID[v.RID] = v
-		da.certify(v.RID, ts)
-		da.pub.MarkUpdated(slot(v.RID))
-		msg.Upserts[i] = SignedRecord{Rec: v, Sig: sigs[i]}
-	}
-	return da.sealed(msg)
+	return da.certify(&UpdateMsg{TS: ts}, da.planLoad(sorted, ts))
 }
 
-// mergeLoad chains a sorted batch into an already-populated relation:
-// every new record is signed against its true neighbours in the merged
-// key order, and the existing records adjacent to a new one are
-// re-signed (their chain references changed) — what Insert does one
-// record at a time, planned and signed as one batch. Keys already
-// present are rejected. Cost is O(b log N) index probes for a batch of
-// b against N stored records; the existing relation is never scanned
-// or materialized. (The seed signed such batches against
-// batch-internal neighbours only, producing chains that could never
-// verify next to pre-existing records.)
-func (da *DataAggregator) mergeLoad(sorted []*Record, ts int64, msg *UpdateMsg) (*UpdateMsg, error) {
+// planLoad plans a sorted batch of new records into the relation: each
+// is chained to its neighbours in the merged key order — the nearer of
+// the adjacent batch members and the stored records around it — and is
+// followed by each stored record it lands next to (a seam), re-signed
+// once against its own merged neighbours. Into an empty relation that
+// is the batch chained to itself; a batch of one is an insert, followed
+// by both its re-signed neighbours. Cost is O(b log N) index probes for
+// b records against N stored ones; the stored relation is never
+// scanned.
+func (da *DataAggregator) planLoad(sorted []*Record, ts int64) *plan {
 	b := len(sorted)
-	// batchNeighbours returns the nearest batch members around key (the
-	// batch is sorted, so two binary searches).
-	batchLeft := func(key int64) (chain.Ref, bool) {
-		i := sort.Search(b, func(j int) bool { return sorted[j].Key >= key })
-		if i == 0 {
-			return chain.Ref{}, false
-		}
-		return sorted[i-1].Ref(), true
-	}
-	batchRight := func(key int64) (chain.Ref, bool) {
-		i := sort.Search(b, func(j int) bool { return sorted[j].Key > key })
-		if i == b {
-			return chain.Ref{}, false
-		}
-		return sorted[i].Ref(), true
-	}
-	inBatch := func(key int64) bool {
-		i := sort.Search(b, func(j int) bool { return sorted[j].Key >= key })
-		return i < b && sorted[i].Key == key
-	}
-	// mergedNeighbours are the final neighbours of key: the nearer of
-	// the existing pred/succ and the adjacent batch members.
-	mergedNeighbours := func(key int64) (left, right chain.Ref) {
+	// merged returns key's neighbours in the merged order, given the
+	// batch members just below and just above it (indexes may fall off
+	// the batch).
+	merged := func(key int64, below, above int) (left, right chain.Ref) {
 		left, right = da.neighbours(key)
-		if l, ok := batchLeft(key); ok && l.Key > left.Key {
-			left = l
+		if below >= 0 && sorted[below].Key > left.Key {
+			left = sorted[below].Ref()
 		}
-		if r, ok := batchRight(key); ok && r.Key < right.Key {
-			right = r
+		if above < b && sorted[above].Key < right.Key {
+			right = sorted[above].Ref()
 		}
 		return left, right
 	}
-
-	versions := make([]Record, 0, 3*b)
-	lefts := make([]chain.Ref, 0, 3*b)
-	rights := make([]chain.Ref, 0, 3*b)
-	fresh := make([]bool, 0, 3*b)
-	plan := func(rec *Record, isNew bool) {
-		left, right := mergedNeighbours(rec.Key)
-		versions = append(versions, Record{RID: rec.RID, Key: rec.Key, Attrs: rec.Attrs, TS: ts})
-		lefts = append(lefts, left)
-		rights = append(rights, right)
-		fresh = append(fresh, isNew)
-	}
-	resigned := make(map[int64]bool)
-	for _, rec := range sorted {
-		if _, exists := da.index.Get(rec.Key); exists {
-			return nil, fmt.Errorf("core: load key %d already present", rec.Key)
-		}
-		plan(rec, true)
-		// Existing records adjacent to this new one in the final order
-		// change their chain references; re-sign each such seam
-		// neighbour once.
-		left, right := lefts[len(lefts)-1], rights[len(rights)-1]
-		for _, nb := range []chain.Ref{left, right} {
-			if nb == chain.MinRef || nb == chain.MaxRef || resigned[nb.Key] || inBatch(nb.Key) {
+	p := newPlan(b + 2)
+	lastSeam := chain.MinRef
+	for i, rec := range sorted {
+		left, right := merged(rec.Key, i-1, i+1)
+		p.add(rec, ts, left, right)
+		for _, nb := range [2]chain.Ref{left, right} {
+			// A stored neighbour is a seam. It sits between two
+			// consecutive batch members at most, so it can only repeat as
+			// the previous seam.
+			stored, ok := da.byRID[nb.RID]
+			if !ok || stored.Key != nb.Key || nb == lastSeam {
 				continue
 			}
-			resigned[nb.Key] = true
-			plan(da.byRID[nb.RID], false)
+			lastSeam = nb
+			above := sort.Search(b, func(j int) bool { return sorted[j].Key > nb.Key })
+			l, r := merged(nb.Key, above-1, above)
+			p.add(stored, ts, l, r)
 		}
 	}
-
-	var sigs []sigagg.Signature
-	var err error
-	if da.serial {
-		sigs = make([]sigagg.Signature, len(versions))
-		for t := range versions {
-			sigs[t], err = da.scheme.Sign(da.priv, da.chainDigest(&versions[t], lefts[t], rights[t]))
-			if err != nil {
-				break
-			}
-		}
-	} else {
-		sigs, err = da.pool.SignIndexed(da.priv, len(versions), func(t int) []byte {
-			return da.chainDigest(&versions[t], lefts[t], rights[t])
-		})
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: merge load: %w", err)
-	}
-	for t := range versions {
-		v := &versions[t]
-		if fresh[t] {
-			if err := da.index.Insert(btree.Entry{Key: v.Key, RID: v.RID, Sig: sigs[t]}); err != nil {
-				return nil, err
-			}
-		} else {
-			da.index.Update(v.Key, sigs[t])
-		}
-		da.byRID[v.RID] = v
-		da.certify(v.RID, ts)
-		da.pub.MarkUpdated(slot(v.RID))
-		msg.Upserts = append(msg.Upserts, SignedRecord{Rec: v, Sig: sigs[t]})
-	}
-	return da.sealed(msg)
+	return p
 }
 
-// Insert adds a new record at time ts. The chaining of both neighbours
-// changes, so they are re-signed in the same message.
+// Insert adds a new record at time ts: a load of one record, so both
+// neighbours, whose chaining changes, are re-signed in the same message.
 func (da *DataAggregator) Insert(rec *Record, ts int64) (*UpdateMsg, error) {
-	if _, exists := da.index.Get(rec.Key); exists {
-		return nil, fmt.Errorf("core: key %d already present", rec.Key)
-	}
-	if rec.RID == 0 {
-		da.nextRID++
-		rec.RID = da.nextRID
-	}
-	da.byRID[rec.RID] = rec
-	msg := &UpdateMsg{TS: ts}
-	left, right := da.neighbours(rec.Key)
-	if err := da.signAt(rec, left, right, ts, &msg.Upserts); err != nil {
-		return nil, err
-	}
-	if left != chain.MinRef {
-		if err := da.resign(left.Key, ts, &msg.Upserts); err != nil {
-			return nil, err
-		}
-	}
-	if right != chain.MaxRef {
-		if err := da.resign(right.Key, ts, &msg.Upserts); err != nil {
-			return nil, err
-		}
-	}
-	return da.sealed(msg)
+	return da.Load([]*Record{rec}, ts)
 }
 
 // Update replaces the record's attribute values at time ts; neighbours
@@ -546,13 +412,10 @@ func (da *DataAggregator) Update(key int64, attrs [][]byte, ts int64) (*UpdateMs
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKey, key)
 	}
-	msg := &UpdateMsg{TS: ts}
 	left, right := da.neighbours(key)
-	newVersion := &Record{RID: e.RID, Key: key, Attrs: attrs}
-	if err := da.signAt(newVersion, left, right, ts, &msg.Upserts); err != nil {
-		return nil, err
-	}
-	return da.sealed(msg)
+	p := newPlan(1)
+	p.add(&Record{RID: e.RID, Key: key, Attrs: attrs}, ts, left, right)
+	return da.certify(&UpdateMsg{TS: ts}, p)
 }
 
 // Delete removes the record at time ts; its former neighbours now chain
@@ -563,42 +426,32 @@ func (da *DataAggregator) Delete(key int64, ts int64) (*UpdateMsg, error) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKey, key)
 	}
 	left, right := da.neighbours(key)
-	da.index.Delete(key)
-	delete(da.byRID, e.RID)
-	delete(da.certTS, e.RID) // its heap entry is discarded lazily
-	da.pub.MarkUpdated(slot(e.RID))
-	msg := &UpdateMsg{TS: ts, Deletes: []uint64{e.RID}}
+	da.remove(da.byRID[e.RID])
+	p := newPlan(2)
 	if left != chain.MinRef {
-		if err := da.resign(left.Key, ts, &msg.Upserts); err != nil {
-			return nil, err
-		}
+		da.planResign(p, left.RID, ts)
 	}
 	if right != chain.MaxRef {
-		if err := da.resign(right.Key, ts, &msg.Upserts); err != nil {
-			return nil, err
-		}
+		da.planResign(p, right.RID, ts)
 	}
-	return da.sealed(msg)
+	return da.certify(&UpdateMsg{TS: ts, Deletes: []uint64{e.RID}}, p)
 }
 
 // ClosePeriod certifies the current ρ-period's summary at time ts and
 // re-certifies the records that were updated multiple times during the
 // previous period (§3.1's multi-update rule). The returned message
-// carries the summary plus those re-signed records, signed as one batch
-// through the pipeline.
+// carries the summary plus those re-signed records.
 func (da *DataAggregator) ClosePeriod(ts int64) (*UpdateMsg, error) {
-	msg := &UpdateMsg{TS: ts}
 	// Re-certify last period's multi-updated records first, so the
 	// summary being published now reflects the re-certification.
-	keys := make([]int64, 0, len(da.multiPending))
+	p := newPlan(len(da.multiPending))
 	for _, sl := range da.multiPending {
-		rec, ok := da.byRID[uint64(sl)]
-		if !ok {
-			continue // deleted meanwhile
+		if _, ok := da.byRID[uint64(sl)]; ok { // else deleted meanwhile
+			da.planResign(p, uint64(sl), ts)
 		}
-		keys = append(keys, rec.Key)
 	}
-	if err := da.resignBatch(keys, ts, &msg.Upserts); err != nil {
+	msg, err := da.certify(&UpdateMsg{TS: ts}, p)
+	if err != nil {
 		return nil, err
 	}
 	summary, multi, err := da.pub.Publish(ts)
@@ -607,7 +460,7 @@ func (da *DataAggregator) ClosePeriod(ts int64) (*UpdateMsg, error) {
 	}
 	da.multiPending = multi
 	msg.Summary = &summary
-	return da.sealed(msg)
+	return msg, nil
 }
 
 // RenewOld re-signs up to budget records whose signatures are older
@@ -617,16 +470,15 @@ func (da *DataAggregator) ClosePeriod(ts int64) (*UpdateMsg, error) {
 //
 // Candidates come off the age heap oldest-first, so each renewal step
 // is O(log n) regardless of how sparse the rid space has become
-// (deleted rids never surface), and the whole batch is signed through
-// the pipeline.
+// (deleted rids never surface).
 func (da *DataAggregator) RenewOld(now int64, budget int) (*UpdateMsg, int, error) {
 	msg := &UpdateMsg{TS: now}
 	if budget <= 0 {
 		return msg, 0, nil
 	}
 	var popped []certEntry
-	keys := make([]int64, 0, budget)
-	for len(keys) < budget {
+	p := newPlan(0)
+	for len(popped) < budget {
 		da.dropStaleAges()
 		if len(da.ages) == 0 {
 			break
@@ -640,12 +492,9 @@ func (da *DataAggregator) RenewOld(now int64, budget int) (*UpdateMsg, int, erro
 		}
 		heap.Pop(&da.ages)
 		popped = append(popped, top)
-		keys = append(keys, da.byRID[top.rid].Key)
+		da.planResign(p, top.rid, now)
 	}
-	if len(keys) == 0 {
-		return msg, 0, nil
-	}
-	if err := da.resignBatch(keys, now, &msg.Upserts); err != nil {
+	if _, err := da.certify(msg, p); err != nil {
 		// Signing failed before any state changed: restore the popped
 		// entries so the records stay renewal candidates.
 		for _, e := range popped {
@@ -653,10 +502,7 @@ func (da *DataAggregator) RenewOld(now int64, budget int) (*UpdateMsg, int, erro
 		}
 		return nil, 0, err
 	}
-	if err := da.sealMsg(msg); err != nil {
-		return nil, 0, err
-	}
-	return msg, len(keys), nil
+	return msg, len(popped), nil
 }
 
 // SnapshotMsg returns a dissemination message carrying every currently
@@ -683,7 +529,10 @@ func (da *DataAggregator) SnapshotMsg(ts int64) (*UpdateMsg, error) {
 	// regenerated at each record's own certification time (deterministic
 	// schemes reproduce the original signatures; verification only needs
 	// validity either way).
-	return da.sealed(msg)
+	if err := da.sealMsg(msg); err != nil {
+		return nil, err
+	}
+	return msg, nil
 }
 
 // SummariesSince returns retained summaries published at or after ts
@@ -695,7 +544,7 @@ func (da *DataAggregator) SummariesSince(ts int64) []freshness.Summary {
 // OldestCertTS reports the oldest live signature's certification time,
 // bounding how much summary history users need. The age heap makes
 // this a peek — O(1) plus stale pops amortized against the pushes that
-// created them — instead of the full certTS scan it used to be.
+// created them — instead of a scan of every record.
 func (da *DataAggregator) OldestCertTS() int64 {
 	da.dropStaleAges()
 	if len(da.ages) == 0 {

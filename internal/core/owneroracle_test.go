@@ -1,0 +1,407 @@
+package core
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"authdb/internal/sigagg"
+	"authdb/internal/sigagg/bas"
+	"authdb/internal/sigagg/xortest"
+)
+
+// The owner's differential: the DataAggregator held to the protocol
+// written the obvious way. A seeded schedule of owner operations — a
+// shuffled load into the empty relation, merge loads, inserts (numbered
+// and with their own rid), updates, deletes, period closes, renewals, a
+// Snapshot → Restore into a fresh owner, and refused operations (a key
+// already stored, a rid already held or repeated, an unknown key) — runs
+// against a DataAggregator and against a key-sorted slice of (rid, key,
+// ts, attrs) with the multi-update rule and the renewal order spelled
+// out. Every message goes to a QueryServer. After every step Len,
+// OldestCertTS, the owner's records and the server's records are
+// compared with the slice, and a whole-domain answer must pass
+// Verifier.VerifyAnswer. Seed 1 runs on bas, the rest on xortest; odd
+// seeds run the relation in projection mode.
+const (
+	ownerOracleSeeds      = 20
+	ownerOracleShortSeeds = 4
+	ownerOracleSteps      = 200
+	ownerOracleKeys       = 600 // keys are drawn from [0, ownerOracleKeys)
+)
+
+// ownerOracleConfig renews after 1.5 s, so a 200-step schedule (each
+// step 1–50 ms) ages records past ρ'.
+var ownerOracleConfig = Config{Rho: 100, RhoPrime: 1_500}
+
+type ownerOracle struct {
+	t      *testing.T
+	rng    *rand.Rand
+	scheme sigagg.Scheme
+	priv   sigagg.PrivateKey
+	opts   []DAOption
+
+	da        *DataAggregator
+	qs        *QueryServer
+	v         *Verifier
+	restoreAt int
+
+	recs    []Record       // the obvious way: key-ascending, attrs in full
+	maxRID  uint64         // highest rid ever admitted
+	freed   []uint64       // rids deleted and not reused
+	touched map[uint64]int // rid -> certifications and deletes this period
+	pending []uint64       // last period's multi-updated rids, ascending
+	now     int64
+}
+
+func newOwnerOracle(t *testing.T, seed int64) *ownerOracle {
+	var raw sigagg.Scheme = xortest.New()
+	if seed == 1 {
+		raw = bas.New(0)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	priv, pub, err := raw.KeyGen(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme, err := sigagg.Bind(raw, pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &ownerOracle{
+		t: t, rng: rng, scheme: scheme, priv: priv,
+		qs:        NewQueryServer(scheme),
+		v:         NewVerifier(scheme, pub, ownerOracleConfig),
+		restoreAt: ownerOracleSteps/3 + rng.Intn(ownerOracleSteps/3),
+		touched:   map[uint64]int{},
+		now:       100,
+	}
+	if seed%2 == 1 {
+		o.opts = append(o.opts, WithAttrSigning())
+	}
+	if o.da, err = NewDataAggregator(scheme, priv, ownerOracleConfig, o.opts...); err != nil {
+		t.Fatal(err)
+	}
+	// A shuffled load into the empty relation.
+	o.load(o.batch(20+rng.Intn(40), false))
+	return o
+}
+
+func (o *ownerOracle) attrs(key int64) [][]byte {
+	return [][]byte{[]byte(fmt.Sprintf("k%d@%d", key, o.now)), []byte(fmt.Sprint(o.rng.Intn(100)))}
+}
+
+// at is the index of key's record in the slice, or where it would go.
+func (o *ownerOracle) at(key int64) (int, bool) {
+	return slices.BinarySearchFunc(o.recs, key, func(r Record, k int64) int { return cmp.Compare(r.Key, k) })
+}
+
+func (o *ownerOracle) byRID(rid uint64) *Record {
+	for i := range o.recs {
+		if o.recs[i].RID == rid {
+			return &o.recs[i]
+		}
+	}
+	return nil
+}
+
+func (o *ownerOracle) pick() *Record { return &o.recs[o.rng.Intn(len(o.recs))] }
+
+// freeKey is a key neither stored nor in batch.
+func (o *ownerOracle) freeKey(batch []*Record) int64 {
+	for {
+		k := o.rng.Int63n(ownerOracleKeys)
+		if _, taken := o.at(k); !taken && !slices.ContainsFunc(batch, func(r *Record) bool { return r.Key == k }) {
+			return k
+		}
+	}
+}
+
+// freeRID is a rid no stored record holds: one deleted earlier, or one
+// past every rid admitted so far.
+func (o *ownerOracle) freeRID(batch []*Record) uint64 {
+	for {
+		rid := o.maxRID + 1 + uint64(o.rng.Intn(5))
+		if len(o.freed) > 0 && o.rng.Intn(2) == 0 {
+			rid = o.freed[o.rng.Intn(len(o.freed))]
+		}
+		if !slices.ContainsFunc(batch, func(r *Record) bool { return r.RID == rid }) {
+			return rid
+		}
+	}
+}
+
+// batch is n new records on free keys, in no particular order; with
+// rids, a third of them carry their own.
+func (o *ownerOracle) batch(n int, rids bool) []*Record {
+	var recs []*Record
+	for ; n > 0; n-- {
+		rec := &Record{Key: o.freeKey(recs)}
+		rec.Attrs = o.attrs(rec.Key)
+		if rids && o.rng.Intn(3) == 0 {
+			rec.RID = o.freeRID(recs)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// deliver hands an accepted operation's message to the server.
+func (o *ownerOracle) deliver(msg *UpdateMsg, err error) {
+	o.t.Helper()
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	if err := o.qs.Apply(msg); err != nil {
+		o.t.Fatalf("Apply: %v", err)
+	}
+}
+
+// refuse checks that a load the slice says is invalid fails.
+func (o *ownerOracle) refuse(what string, batch []*Record) {
+	o.t.Helper()
+	if _, err := o.da.Load(batch, o.now); err == nil {
+		o.t.Fatalf("Load of %s accepted", what)
+	}
+}
+
+// certify is one certification of a stored record at the current time.
+func (o *ownerOracle) certify(r *Record) {
+	r.TS = o.now
+	o.touched[r.RID]++
+}
+
+// load admits a batch the way Load documents it — explicit rids first,
+// then the rest numbered in key order past every rid admitted — chains
+// it in, and re-certifies every stored record it lands next to.
+func (o *ownerOracle) load(batch []*Record) {
+	want := make([]Record, len(batch))
+	for i, r := range batch {
+		want[i] = *r
+		o.maxRID = max(o.maxRID, r.RID)
+	}
+	slices.SortFunc(want, func(a, b Record) int { return cmp.Compare(a.Key, b.Key) })
+	for i := range want {
+		if want[i].RID == 0 {
+			o.maxRID++
+			want[i].RID = o.maxRID
+		}
+		o.freed = slices.DeleteFunc(o.freed, func(rid uint64) bool { return rid == want[i].RID })
+	}
+	o.deliver(o.da.Load(batch, o.now))
+
+	isNew := map[int64]bool{}
+	for _, r := range want {
+		i, _ := o.at(r.Key)
+		o.recs = slices.Insert(o.recs, i, r)
+		o.certify(&o.recs[i])
+		isNew[r.Key] = true
+	}
+	seams := map[int64]bool{}
+	for i, r := range o.recs {
+		if !isNew[r.Key] {
+			continue
+		}
+		for _, j := range []int{i - 1, i + 1} {
+			if j >= 0 && j < len(o.recs) && !isNew[o.recs[j].Key] && !seams[o.recs[j].Key] {
+				seams[o.recs[j].Key] = true
+				o.certify(&o.recs[j])
+			}
+		}
+	}
+}
+
+// update gives a stored record new attribute values.
+func (o *ownerOracle) update(r *Record) {
+	attrs := o.attrs(r.Key)
+	o.deliver(o.da.Update(r.Key, attrs, o.now))
+	r.Attrs = attrs
+	o.certify(r)
+}
+
+// remove deletes the record at index i and re-certifies its former
+// neighbours.
+func (o *ownerOracle) remove(i int) {
+	rid := o.recs[i].RID
+	o.deliver(o.da.Delete(o.recs[i].Key, o.now))
+	o.touched[rid]++
+	o.freed = append(o.freed, rid)
+	o.recs = slices.Delete(o.recs, i, i+1)
+	if i > 0 {
+		o.certify(&o.recs[i-1])
+	}
+	if i < len(o.recs) {
+		o.certify(&o.recs[i])
+	}
+}
+
+// closePeriod re-certifies last period's multi-updated records that are
+// still stored, then starts a new period.
+func (o *ownerOracle) closePeriod() {
+	o.deliver(o.da.ClosePeriod(o.now))
+	for _, rid := range o.pending {
+		if r := o.byRID(rid); r != nil {
+			o.certify(r)
+		}
+	}
+	o.pending = o.pending[:0]
+	for rid, n := range o.touched {
+		if n > 1 {
+			o.pending = append(o.pending, rid)
+		}
+	}
+	slices.Sort(o.pending)
+	o.touched = map[uint64]int{}
+}
+
+// renew re-certifies, oldest (ts, rid) first, up to budget records
+// older than ρ'.
+func (o *ownerOracle) renew(budget int) {
+	var due []*Record
+	for i := range o.recs {
+		if r := &o.recs[i]; o.now-r.TS > ownerOracleConfig.RhoPrime && o.now > r.TS {
+			due = append(due, r)
+		}
+	}
+	slices.SortFunc(due, func(a, b *Record) int {
+		return cmp.Or(cmp.Compare(a.TS, b.TS), cmp.Compare(a.RID, b.RID))
+	})
+	due = due[:min(budget, len(due))]
+	msg, n, err := o.da.RenewOld(o.now, budget)
+	o.deliver(msg, err)
+	if n != len(due) {
+		o.t.Fatalf("RenewOld renewed %d, slice says %d", n, len(due))
+	}
+	for _, r := range due {
+		o.certify(r)
+	}
+}
+
+// restore swaps the owner for a fresh one restored from its bookkeeping
+// and the server's records, as recovery assembles a snapshot.
+func (o *ownerOracle) restore() {
+	st := o.da.SnapshotMeta()
+	st.Records = o.qs.Snapshot().Records
+	fresh, err := NewDataAggregator(o.scheme, o.priv, ownerOracleConfig, o.opts...)
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	if err := fresh.Restore(st); err != nil {
+		o.t.Fatalf("Restore: %v", err)
+	}
+	o.da = fresh
+}
+
+func (o *ownerOracle) step() {
+	o.now += 1 + o.rng.Int63n(50)
+	switch op := o.rng.Intn(30); {
+	case op < 4 || len(o.recs) < 4: // a merge load, some records with their own rid
+		o.load(o.batch(1+o.rng.Intn(8), true))
+	case op < 9: // an insert, numbered or with its own rid
+		o.load(o.batch(1, true))
+	case op < 14:
+		o.update(o.pick())
+	case op == 14: // updated, deleted and re-admitted under its rid at one timestamp
+		i := o.rng.Intn(len(o.recs))
+		o.update(&o.recs[i])
+		r := o.recs[i]
+		o.remove(i)
+		o.load([]*Record{{Key: r.Key, RID: r.RID, Attrs: o.attrs(r.Key)}})
+	case op < 19:
+		o.remove(o.rng.Intn(len(o.recs)))
+	case op < 23:
+		o.closePeriod()
+	case op < 26:
+		o.renew(1 + o.rng.Intn(10))
+	case op == 26: // a key already stored, alone or in a batch
+		batch := o.batch(o.rng.Intn(3), false)
+		batch = append(batch, &Record{Key: o.pick().Key})
+		o.refuse("a stored key", batch)
+	case op == 27: // a rid another key holds
+		batch := o.batch(1+o.rng.Intn(3), false)
+		batch[o.rng.Intn(len(batch))].RID = o.pick().RID
+		o.refuse("a held rid", batch)
+	case op == 28: // one new rid given twice
+		batch := o.batch(2+o.rng.Intn(3), false)
+		rid := o.freeRID(nil)
+		batch[0].RID, batch[len(batch)-1].RID = rid, rid
+		o.refuse("a repeated rid", batch)
+	default: // an unknown key
+		k := o.freeKey(nil)
+		if _, err := o.da.Update(k, nil, o.now); !errors.Is(err, ErrUnknownKey) {
+			o.t.Fatalf("Update of unknown key %d: %v", k, err)
+		}
+		if _, err := o.da.Delete(k, o.now); !errors.Is(err, ErrUnknownKey) {
+			o.t.Fatalf("Delete of unknown key %d: %v", k, err)
+		}
+	}
+}
+
+func (o *ownerOracle) check(step int) {
+	t := o.t
+	if got, want := o.da.Len(), len(o.recs); got != want {
+		t.Fatalf("step %d: Len = %d, slice holds %d", step, got, want)
+	}
+	oldest := int64(-1)
+	for _, r := range o.recs {
+		if oldest == -1 || r.TS < oldest {
+			oldest = r.TS
+		}
+	}
+	if got := o.da.OldestCertTS(); got != oldest {
+		t.Fatalf("step %d: OldestCertTS = %d, slice says %d", step, got, oldest)
+	}
+	if len(o.da.byRID) != len(o.recs) {
+		t.Fatalf("step %d: owner holds %d record bodies for %d records", step, len(o.da.byRID), len(o.recs))
+	}
+	for _, r := range o.recs {
+		if got := o.da.byRID[r.RID]; got == nil || !reflect.DeepEqual(*got, r) {
+			t.Fatalf("step %d: owner holds rid %d as %+v, slice says %+v", step, r.RID, got, r)
+		}
+	}
+	served := o.qs.Snapshot().Records
+	if len(served) != len(o.recs) {
+		t.Fatalf("step %d: server holds %d records, slice %d", step, len(served), len(o.recs))
+	}
+	for i := range served {
+		if got := fullRecord(&served[i]); !reflect.DeepEqual(*got, o.recs[i]) {
+			t.Fatalf("step %d: server record %d = %+v, slice says %+v", step, i, got, o.recs[i])
+		}
+	}
+	if len(o.recs) == 0 {
+		return
+	}
+	ans, err := o.qs.Query(-1, ownerOracleKeys)
+	if err != nil {
+		t.Fatalf("step %d: Query: %v", step, err)
+	}
+	if _, err := o.v.VerifyAnswer(ans, -1, ownerOracleKeys, o.now); err != nil {
+		t.Fatalf("step %d: whole-domain answer: %v", step, err)
+	}
+}
+
+func TestOwnerMatchesSortedSlice(t *testing.T) {
+	seeds := ownerOracleSeeds
+	if testing.Short() || raceEnabled {
+		seeds = ownerOracleShortSeeds
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		// A failing seed is named by its subtest: replay it alone with
+		// -run 'TestOwnerMatchesSortedSlice/seed=N'.
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			o := newOwnerOracle(t, seed)
+			o.check(0)
+			for step := 1; step <= ownerOracleSteps; step++ {
+				if step == o.restoreAt {
+					o.restore()
+				}
+				o.step()
+				o.check(step)
+			}
+		})
+	}
+}

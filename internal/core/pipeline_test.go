@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"authdb/internal/chain"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/sigagg/crsa"
@@ -31,9 +32,10 @@ func newParties(t *testing.T, raw sigagg.Scheme, opts ...DAOption) (*DataAggrega
 	return da, NewQueryServer(bound), NewVerifier(bound, pub, DefaultConfig())
 }
 
-// TestPipelinedLoadMatchesSerial: the pipeline must emit byte-identical
-// messages to the serial baseline on every deterministic scheme — same
-// records, same rids, same signatures, same order.
+// TestPipelinedLoadMatchesSerial: every signature a load emits through
+// the pool is the scheme's one-shot Sign of the record's chained digest,
+// on every deterministic scheme — the load's batch signing changes no
+// byte. (TestOwnerMessagesGolden pins every operation's bytes on bas.)
 func TestPipelinedLoadMatchesSerial(t *testing.T) {
 	for _, raw := range []sigagg.Scheme{bas.New(0), crsa.New(1024), xortest.New()} {
 		t.Run(raw.Name(), func(t *testing.T) {
@@ -45,32 +47,34 @@ func TestPipelinedLoadMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serialDA, err := NewDataAggregator(bound, priv, DefaultConfig(), withSerialSigning())
+			da, err := NewDataAggregator(bound, priv, DefaultConfig(), WithSigningPool(sigagg.NewPool(bound, 4)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			pipeDA, err := NewDataAggregator(bound, priv, DefaultConfig(), WithSigningPool(sigagg.NewPool(bound, 4)))
+			msg, err := da.Load(mkRecords(200, 10), 100)
 			if err != nil {
 				t.Fatal(err)
 			}
-			serialMsg, err := serialDA.Load(mkRecords(200, 10), 100)
-			if err != nil {
-				t.Fatal(err)
+			if len(msg.Upserts) != 200 {
+				t.Fatalf("%d upserts, want 200", len(msg.Upserts))
 			}
-			pipeMsg, err := pipeDA.Load(mkRecords(200, 10), 100)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(serialMsg.Upserts) != len(pipeMsg.Upserts) {
-				t.Fatalf("serial %d upserts, pipelined %d", len(serialMsg.Upserts), len(pipeMsg.Upserts))
-			}
-			for i := range serialMsg.Upserts {
-				s, p := serialMsg.Upserts[i], pipeMsg.Upserts[i]
-				if s.Rec.Key != p.Rec.Key || s.Rec.RID != p.Rec.RID || s.Rec.TS != p.Rec.TS {
-					t.Fatalf("upsert %d: record mismatch: %+v vs %+v", i, s.Rec, p.Rec)
+			for i, up := range msg.Upserts {
+				if up.Rec.Key != int64(i+1)*10 || up.Rec.RID != uint64(i+1) || up.Rec.TS != 100 {
+					t.Fatalf("upsert %d: record %+v", i, up.Rec)
 				}
-				if !bytes.Equal(s.Sig, p.Sig) {
-					t.Fatalf("upsert %d: signature mismatch", i)
+				left, right := chain.MinRef, chain.MaxRef
+				if i > 0 {
+					left = msg.Upserts[i-1].Rec.Ref()
+				}
+				if i+1 < len(msg.Upserts) {
+					right = msg.Upserts[i+1].Rec.Ref()
+				}
+				want, err := bound.Sign(priv, recordDigest(up.Rec, left, right))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(up.Sig, want) {
+					t.Fatalf("upsert %d: signature differs from the one-shot Sign", i)
 				}
 			}
 		})
@@ -106,46 +110,44 @@ func TestPipelinedLoadVerifies(t *testing.T) {
 // spanning the seam verify. (The seed chained such batches against
 // batch-internal sentinels, which could never verify.)
 func TestPipelinedLoadIntoPopulatedRelation(t *testing.T) {
-	for _, opts := range [][]DAOption{nil, {withSerialSigning()}} {
-		da, qs, v := newParties(t, xortest.New(), opts...)
-		msg1, err := da.Load(mkRecords(50, 10), 100) // keys 10..500
+	da, qs, v := newParties(t, xortest.New())
+	msg1, err := da.Load(mkRecords(50, 10), 100) // keys 10..500
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := qs.Apply(msg1); err != nil {
+		t.Fatal(err)
+	}
+	// A batch interleaving with the seam: keys 1010..1300 plus 255
+	// (between existing 250 and 260).
+	recs := []*Record{{Key: 255, Attrs: [][]byte{[]byte("mid")}}}
+	for i := 0; i < 30; i++ {
+		recs = append(recs, &Record{Key: 1000 + int64(i+1)*10, Attrs: [][]byte{[]byte("b")}})
+	}
+	msg2, err := da.Load(recs, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 31 new + 3 re-signed existing neighbours (250, 260, 500).
+	if len(msg2.Upserts) != 34 {
+		t.Fatalf("merge load produced %d upserts, want 34", len(msg2.Upserts))
+	}
+	if err := qs.Apply(msg2); err != nil {
+		t.Fatal(err)
+	}
+	// Ranges spanning every seam must verify.
+	for _, r := range []Range{{Lo: 240, Hi: 270}, {Lo: 450, Hi: 1100}, {Lo: 1010, Hi: 1300}} {
+		ans, err := qs.Query(r.Lo, r.Hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := qs.Apply(msg1); err != nil {
-			t.Fatal(err)
+		if _, err := v.VerifyAnswer(ans, r.Lo, r.Hi, 200); err != nil {
+			t.Fatalf("range [%d,%d]: %v", r.Lo, r.Hi, err)
 		}
-		// A batch interleaving with the seam: keys 1010..1300 plus 255
-		// (between existing 250 and 260).
-		recs := []*Record{{Key: 255, Attrs: [][]byte{[]byte("mid")}}}
-		for i := 0; i < 30; i++ {
-			recs = append(recs, &Record{Key: 1000 + int64(i+1)*10, Attrs: [][]byte{[]byte("b")}})
-		}
-		msg2, err := da.Load(recs, 150)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// 31 new + 3 re-signed existing neighbours (250, 260, 500).
-		if len(msg2.Upserts) != 34 {
-			t.Fatalf("merge load produced %d upserts, want 34", len(msg2.Upserts))
-		}
-		if err := qs.Apply(msg2); err != nil {
-			t.Fatal(err)
-		}
-		// Ranges spanning every seam must verify.
-		for _, r := range []Range{{Lo: 240, Hi: 270}, {Lo: 450, Hi: 1100}, {Lo: 1010, Hi: 1300}} {
-			ans, err := qs.Query(r.Lo, r.Hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := v.VerifyAnswer(ans, r.Lo, r.Hi, 200); err != nil {
-				t.Fatalf("range [%d,%d]: %v", r.Lo, r.Hi, err)
-			}
-		}
-		// Colliding keys are rejected.
-		if _, err := da.Load([]*Record{{Key: 255}}, 200); err == nil {
-			t.Fatal("load of an existing key accepted")
-		}
+	}
+	// Colliding keys are rejected.
+	if _, err := da.Load([]*Record{{Key: 255}}, 200); err == nil {
+		t.Fatal("load of an existing key accepted")
 	}
 }
 
@@ -202,9 +204,9 @@ func TestOldestCertTSIncremental(t *testing.T) {
 	da, qs, _ := newParties(t, xortest.New())
 	bruteForce := func() int64 {
 		oldest := int64(-1)
-		for _, ts := range da.certTS {
-			if oldest == -1 || ts < oldest {
-				oldest = ts
+		for _, rec := range da.byRID {
+			if oldest == -1 || rec.TS < oldest {
+				oldest = rec.TS
 			}
 		}
 		return oldest
@@ -395,5 +397,64 @@ func TestClosePeriodBatchRecertification(t *testing.T) {
 	}
 	if _, err := v.VerifyAnswer(ans, 10, 200, 3100); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInsertExplicitRIDAdvancesNextRID: a record inserted with its own
+// rid moves the allocator past it, so the next numbered record does not
+// take the same rid and overwrite the first one's body.
+func TestInsertExplicitRIDAdvancesNextRID(t *testing.T) {
+	da, qs, v := newParties(t, xortest.New())
+	for _, rec := range []*Record{{Key: 10, RID: 1}, {Key: 20}} {
+		msg, err := da.Insert(rec, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := qs.Apply(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if da.Len() != 2 || len(da.byRID) != 2 {
+		t.Fatalf("index holds %d keys, byRID %d records", da.Len(), len(da.byRID))
+	}
+	if rid := da.byRID[2]; rid == nil || rid.Key != 20 {
+		t.Fatalf("numbered record got rid %+v, want 2", rid)
+	}
+	ans, err := qs.Query(0, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.VerifyAnswer(ans, 0, 30, 100); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadRefusesHeldRID: an explicit rid another key already holds is
+// refused before anything is signed or stored.
+func TestLoadRefusesHeldRID(t *testing.T) {
+	da, _, _ := newParties(t, xortest.New())
+	if _, err := da.Load(mkRecords(5, 10), 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := da.Insert(&Record{Key: 15, RID: 3}, 200); err == nil {
+		t.Fatal("insert with rid 3, held by key 30, accepted")
+	}
+	if _, err := da.Load([]*Record{{Key: 1}, {Key: 2, RID: 5}}, 200); err == nil {
+		t.Fatal("load with rid 5, held by key 50, accepted")
+	}
+	if da.Len() != 5 || da.nextRID != 5 || da.byRID[3].Key != 30 {
+		t.Fatalf("refused loads changed the relation: %d keys, next rid %d", da.Len(), da.nextRID)
+	}
+}
+
+// TestLoadRefusesRepeatedRID: one explicit rid given to two records of a
+// batch is refused.
+func TestLoadRefusesRepeatedRID(t *testing.T) {
+	da, _, _ := newParties(t, xortest.New())
+	if _, err := da.Load([]*Record{{Key: 10, RID: 7}, {Key: 20}, {Key: 30, RID: 7}}, 100); err == nil {
+		t.Fatal("load repeating rid 7 accepted")
+	}
+	if da.Len() != 0 || da.nextRID != 0 {
+		t.Fatalf("refused load changed the relation: %d keys, next rid %d", da.Len(), da.nextRID)
 	}
 }

@@ -54,14 +54,13 @@ func (da *DataAggregator) SnapshotMeta() *OwnerState {
 }
 
 // Restore replaces the owner's state with a snapshot: the B+-tree is
-// bulk-loaded bottom-up, the certification-time map and age heap are
-// rebuilt from the record timestamps (a record's TS is its last
-// certification time), and the publisher resumes mid-period. The
-// scheme, keys, and signing pool are untouched.
+// bulk-loaded bottom-up, the age heap is rebuilt from the record
+// timestamps (a record's TS is its last certification time), and the
+// publisher resumes mid-period. The scheme, keys, and signing pool are
+// untouched.
 func (da *DataAggregator) Restore(st *OwnerState) error {
 	entries := make([]btree.Entry, len(st.Records))
 	byRID := make(map[uint64]*Record, len(st.Records))
-	certTS := make(map[uint64]int64, len(st.Records))
 	nextRID := st.NextRID
 	for i, sr := range st.Records {
 		rec := fullRecord(&sr)
@@ -70,7 +69,6 @@ func (da *DataAggregator) Restore(st *OwnerState) error {
 		}
 		entries[i] = btree.Entry{Key: rec.Key, RID: rec.RID, Sig: sr.Sig}
 		byRID[rec.RID] = rec
-		certTS[rec.RID] = rec.TS
 		if rec.RID > nextRID {
 			nextRID = rec.RID
 		}
@@ -81,7 +79,6 @@ func (da *DataAggregator) Restore(st *OwnerState) error {
 	}
 	da.index = idx
 	da.byRID = byRID
-	da.certTS = certTS
 	da.nextRID = nextRID
 	da.multiPending = append([]int(nil), st.MultiPending...)
 	da.compactAges()
@@ -105,25 +102,15 @@ func (da *DataAggregator) ReplayMsg(msg *UpdateMsg) error {
 		return nil
 	}
 	for _, rid := range msg.Deletes {
-		rec, ok := da.byRID[rid]
-		if !ok {
-			continue // deleted before the snapshot
+		if rec, ok := da.byRID[rid]; ok { // else deleted before the snapshot
+			da.remove(rec)
 		}
-		da.index.Delete(rec.Key)
-		delete(da.byRID, rid)
-		delete(da.certTS, rid) // its heap entry is discarded lazily
-		da.pub.MarkUpdated(slot(rid))
 	}
 	for _, sr := range msg.Upserts {
 		rec := fullRecord(&sr)
-		if !da.index.Update(rec.Key, sr.Sig) {
-			if err := da.index.Insert(btree.Entry{Key: rec.Key, RID: rec.RID, Sig: sr.Sig}); err != nil {
-				return fmt.Errorf("core: replay upsert: %w", err)
-			}
+		if err := da.install(rec, sr.Sig); err != nil {
+			return fmt.Errorf("core: replay upsert: %w", err)
 		}
-		da.byRID[rec.RID] = rec
-		da.certify(rec.RID, rec.TS)
-		da.pub.MarkUpdated(slot(rec.RID))
 		if rec.RID > da.nextRID {
 			da.nextRID = rec.RID
 		}

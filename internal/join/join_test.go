@@ -434,28 +434,6 @@ func TestBFBeatsBVAtLowAlpha(t *testing.T) {
 	}
 }
 
-func TestFormulaBVShape(t *testing.T) {
-	// Eq. 2 decreases linearly in alpha and caps the ratio at 2.
-	if FormulaBV(0, 100, 1000, 4) != 800 { // min(2, 10)=2 -> 100*2*4
-		t.Fatal("FormulaBV cap broken")
-	}
-	if FormulaBV(0.5, 100, 1000, 4) != 400 {
-		t.Fatal("FormulaBV alpha scaling broken")
-	}
-	if FormulaBV(0, 1000, 500, 4) != 2000 { // ratio 0.5
-		t.Fatal("FormulaBV sub-1 ratio broken")
-	}
-}
-
-func TestFormulaBFShape(t *testing.T) {
-	// Filter term dominates at fp=0; boundary term appears with fp.
-	base := FormulaBF(0.5, 1000, 100, 8*3425, 0, 4)
-	withFP := FormulaBF(0.5, 1000, 100, 8*3425, 0.0216, 4)
-	if withFP <= base {
-		t.Fatal("false positives must add boundary bytes")
-	}
-}
-
 func TestZViability(t *testing.T) {
 	// Paper: IB/p >= 2.83 at IA/IB = 1; IB/p >= 6.29 at IA/IB = 10.
 	if Z(1, 2.83) > ZThreshold+0.01 {

@@ -105,24 +105,6 @@ func enclosing(sB []int64, v int64) (lo, hi int64, ok bool) {
 	}
 }
 
-// FormulaBV evaluates Eq. 2: the expected BV proof size in bytes.
-func FormulaBV(alpha float64, iA, iB int, attrSize int) float64 {
-	ratio := float64(iB) / float64(iA)
-	if ratio > 2 {
-		ratio = 2
-	}
-	return (1 - alpha) * float64(iA) * ratio * float64(attrSize)
-}
-
-// FormulaBF evaluates Eq. 3: the expected BF proof size in bytes, for
-// total filter size mBits over p partitions with false-positive rate fp.
-func FormulaBF(alpha float64, iA, p int, mBits int, fp float64, attrSize int) float64 {
-	filter := (1 - alpha) * float64(mBits) / 8
-	partBound := minF(1, 2*(1-alpha)) * float64(p) * float64(attrSize)
-	fpBound := (1 - alpha) * float64(iA) * fp * 2 * float64(attrSize)
-	return filter + partBound + fpBound
-}
-
 // Z evaluates the Fig. 4 configuration surface
 // z = 0.0432·(IA/IB) + 2·(p/IB); BF is viable when z < 0.75 (for the
 // primary-key/foreign-key case with 8 bits per distinct value and
@@ -136,10 +118,3 @@ func Z(iaOverIB, ibOverP float64) float64 {
 
 // ZThreshold is the Fig. 4 viability plane.
 const ZThreshold = 0.75
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}

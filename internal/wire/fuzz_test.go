@@ -97,7 +97,7 @@ func seedFrames(t testing.TB) [][]byte {
 		AppendReplSubReq(nil, strings.Repeat("n", maxRelName+1), 7),
 		AppendReplSubReq(nil, "", 7),
 		AppendErrorCode(nil, ErrCodeOverloaded, "overloaded"),
-		AppendError(nil, ""),
+		AppendErrorCode(nil, ErrCodeGeneric, ""),
 	}
 }
 

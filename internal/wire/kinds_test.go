@@ -24,7 +24,7 @@ func TestKindsTable(t *testing.T) {
 	frames := map[byte][]byte{
 		KindPlan:          AppendPlanReq(nil, []byte("p"), nil),
 		KindSummaries:     AppendSummaries(nil, nil),
-		KindError:         AppendError(nil, "x"),
+		KindError:         AppendErrorCode(nil, ErrCodeGeneric, "x"),
 		KindUpdate:        AppendUpdateMsg(nil, &core.UpdateMsg{TS: 1}),
 		KindComposite:     must(AppendCompositeCore(nil, &Composite{Outer: ans})),
 		KindRelSummaries:  AppendRelSumsReq(nil, "r", 0, 0),

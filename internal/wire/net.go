@@ -166,11 +166,6 @@ const (
 	ErrCodeBadFrame = byte(2)
 )
 
-// AppendError appends a generic error response carrying msg.
-func AppendError(buf []byte, msg string) []byte {
-	return AppendErrorCode(buf, ErrCodeGeneric, msg)
-}
-
 // AppendErrorCode appends an error response with an explicit code.
 func AppendErrorCode(buf []byte, code byte, msg string) []byte {
 	w := &writer{buf: buf}
@@ -179,13 +174,6 @@ func AppendErrorCode(buf []byte, code byte, msg string) []byte {
 	w.u8(code)
 	w.bytes([]byte(msg))
 	return w.buf
-}
-
-// DecodeError parses an error response into its message, discarding
-// the code; callers that react to codes use DecodeErrorCode.
-func DecodeError(data []byte) (string, error) {
-	_, msg, err := DecodeErrorCode(data)
-	return msg, err
 }
 
 // DecodeErrorCode parses an error response into its code and message.

@@ -77,13 +77,13 @@ func TestSummariesRoundTrip(t *testing.T) {
 }
 
 func TestErrorRoundTrip(t *testing.T) {
-	data := AppendError(nil, "core: inverted range [9,3]")
+	data := AppendErrorCode(nil, ErrCodeGeneric, "core: inverted range [9,3]")
 	if k, _ := Kind(data); k != 'E' {
 		t.Fatalf("kind=%q", k)
 	}
-	msg, err := DecodeError(data)
-	if err != nil || msg != "core: inverted range [9,3]" {
-		t.Fatalf("msg=%q err=%v", msg, err)
+	code, msg, err := DecodeErrorCode(data)
+	if err != nil || code != ErrCodeGeneric || msg != "core: inverted range [9,3]" {
+		t.Fatalf("code=%d msg=%q err=%v", code, msg, err)
 	}
 }
 

@@ -1,13 +1,12 @@
 // Package workload generates the synthetic datasets and request streams
 // of Section 5: uniformly generated relations with RecLen-byte records
-// and 4-byte integer keys, Poisson transaction arrivals with a given
-// update ratio, range selections with selectivity uniform in
-// [sf/2, 3sf/2], and the TPC-E-like 'Security'/'Holding' tables used by
-// the equi-join experiments (§5.5).
+// and 4-byte integer keys, update keys drawn from the relation, range
+// selections with selectivity uniform in [sf/2, 3sf/2], and the
+// TPC-E-like 'Security'/'Holding' tables used by the equi-join
+// experiments (§5.5).
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -52,26 +51,6 @@ func Keys(recs []*chain.Record) []int64 {
 		out[i] = r.Key
 	}
 	return out
-}
-
-// Poisson produces exponential interarrival times for a Poisson process
-// at the given rate (events per second).
-type Poisson struct {
-	rate float64
-	rng  *rand.Rand
-}
-
-// NewPoisson creates the arrival process.
-func NewPoisson(rate float64, seed int64) *Poisson {
-	if rate <= 0 {
-		panic(fmt.Sprintf("workload: non-positive rate %f", rate))
-	}
-	return &Poisson{rate: rate, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next returns the next interarrival time in seconds.
-func (p *Poisson) Next() float64 {
-	return p.rng.ExpFloat64() / p.rate
 }
 
 // RangeQuery is a selection request over the key domain.

@@ -41,19 +41,6 @@ func TestRecordsDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestPoissonMeanRate(t *testing.T) {
-	p := NewPoisson(100, 1)
-	var sum float64
-	const n = 100_000
-	for i := 0; i < n; i++ {
-		sum += p.Next()
-	}
-	mean := sum / n
-	if math.Abs(mean-0.01) > 0.001 {
-		t.Fatalf("mean interarrival %f, want ~0.01", mean)
-	}
-}
-
 func TestQueryGenSelectivityRange(t *testing.T) {
 	recs := Records(Config{N: 10_000, RecLen: 64, Seed: 2})
 	keys := Keys(recs)
