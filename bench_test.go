@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -48,10 +49,7 @@ var (
 	embVerify func(msg, sig []byte) error
 
 	onceJoin sync.Once
-	joinTP   *workload.TPCE
 	joinSB   []int64
-	joinPF   *bloom.PartitionedFilter
-	joinUn   []int64
 )
 
 func basFixture(b *testing.B) (*core.System, []int64) {
@@ -109,34 +107,12 @@ func embFixture(b *testing.B) (*embtree.Tree, embtree.RootCert) {
 func joinFixture(b *testing.B) {
 	b.Helper()
 	onceJoin.Do(func() {
-		joinTP = workload.NewTPCE(workload.TPCEConfig{NR: 6850, NS: 89_400, IB: 3425, Seed: 7})
-		seen := map[int64]bool{}
-		for _, s := range joinTP.S {
-			if !seen[s.Key] {
-				seen[s.Key] = true
-				joinSB = append(joinSB, s.Key)
-			}
+		tp := workload.NewTPCE(workload.TPCEConfig{NR: 6850, NS: 89_400, IB: 3425, Seed: 7})
+		for v := range tp.Held {
+			joinSB = append(joinSB, v)
 		}
-		sortInt64s(joinSB)
-		var err error
-		joinPF, err = bloom.BuildPartitioned(joinSB, 4, 8)
-		if err != nil {
-			panic(err)
-		}
-		for _, r := range joinTP.SelectR(0.20, 0.5, 3) {
-			if !joinTP.Held[r.Key] {
-				joinUn = append(joinUn, r.Key)
-			}
-		}
+		slices.Sort(joinSB)
 	})
-}
-
-func sortInt64s(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // ---- Headline: O(log n) proof construction at scale ----
@@ -728,23 +704,7 @@ func benchCacheUpdate(b *testing.B, strat sigcache.Strategy) {
 	}
 }
 
-// ---- Fig. 11: join VO measurement ----
-
-func BenchmarkFig11_MeasureBV(b *testing.B) {
-	joinFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = join.MeasureBV(joinUn, joinSB, 63)
-	}
-}
-
-func BenchmarkFig11_MeasureBF(b *testing.B) {
-	joinFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = join.MeasureBF(joinUn, joinPF, joinSB, 4, 63)
-	}
-}
+// ---- Fig. 11: the certified join filter ----
 
 func BenchmarkFig11_BuildPartitionedFilter(b *testing.B) {
 	joinFixture(b)

@@ -24,10 +24,9 @@
 // is the per-value proof list; where it is not — any primary-key /
 // foreign-key join — the S side costs what a range answer costs.
 //
-// The package provides both the fully verifiable protocol (Build/Verify,
-// and the pieces a live executor and a batching client assemble it from:
-// Extents, AddNegative, Resolve, PartitionJob) and a crypto-free size
-// analyzer used to regenerate Figure 11.
+// The package provides the fully verifiable protocol (Build/Verify) and
+// the pieces a live executor and a batching client assemble it from:
+// Extents, AddNegative, Resolve, PartitionJob.
 package join
 
 import (
@@ -67,7 +66,8 @@ type Relation struct {
 	Sigs []sigagg.Signature // parallel to Recs
 }
 
-// BuildRelation sorts and chain-signs the records.
+// BuildRelation sorts and chain-signs the records through the signing
+// pool, as the owner does.
 func BuildRelation(scheme sigagg.Scheme, priv sigagg.PrivateKey, recs []*chain.Record) (*Relation, error) {
 	// The Relation retains this slice, so always copy; only the sort is
 	// skipped when the refs already arrive in chain order (workload
@@ -77,8 +77,7 @@ func BuildRelation(scheme sigagg.Scheme, priv sigagg.PrivateKey, recs []*chain.R
 	if !refsAscending(sorted) {
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Ref().Less(sorted[j].Ref()) })
 	}
-	rel := &Relation{Recs: sorted, Sigs: make([]sigagg.Signature, len(sorted))}
-	for i, r := range sorted {
+	sigs, err := sigagg.NewPool(scheme, 0).SignIndexed(priv, len(sorted), func(i int) []byte {
 		left, right := chain.MinRef, chain.MaxRef
 		if i > 0 {
 			left = sorted[i-1].Ref()
@@ -86,14 +85,13 @@ func BuildRelation(scheme sigagg.Scheme, priv sigagg.PrivateKey, recs []*chain.R
 		if i < len(sorted)-1 {
 			right = sorted[i+1].Ref()
 		}
-		d := chain.Digest(r, left, right)
-		sig, err := scheme.Sign(priv, d[:])
-		if err != nil {
-			return nil, fmt.Errorf("join: sign rid %d: %w", r.RID, err)
-		}
-		rel.Sigs[i] = sig
+		d := chain.Digest(sorted[i], left, right)
+		return d[:]
+	})
+	if err != nil {
+		return nil, fmt.Errorf("join: sign relation: %w", err)
 	}
-	return rel, nil
+	return &Relation{Recs: sorted, Sigs: sigs}, nil
 }
 
 // refsAscending reports whether recs are already in (Key, RID) order.
@@ -503,3 +501,17 @@ func Verify(scheme sigagg.Scheme, pub sigagg.PublicKey, raValues []int64, ans *A
 	}
 	return res, nil
 }
+
+// Z evaluates the Fig. 4 configuration surface
+// z = 0.0432·(IA/IB) + 2·(p/IB); BF is viable when z < 0.75 (for the
+// primary-key/foreign-key case with 8 bits per distinct value and
+// |S.B| = 4).
+func Z(iaOverIB, ibOverP float64) float64 {
+	if ibOverP == 0 {
+		return 1e18
+	}
+	return 0.0432*iaOverIB + 2/ibOverP
+}
+
+// ZThreshold is the Fig. 4 viability plane.
+const ZThreshold = 0.75

@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	mrand "math/rand"
 	"strings"
 	"testing"
 
@@ -20,7 +19,6 @@ type fixture struct {
 	pub    sigagg.PublicKey
 	s      *Relation
 	fc     *FilterCert
-	sB     []int64 // sorted distinct S.B values
 }
 
 // newFixture builds an S relation whose B values are the even numbers
@@ -34,10 +32,8 @@ func newFixture(t *testing.T, n, dup, valsPerPart int) *fixture {
 	}
 	var recs []*chain.Record
 	rid := uint64(1)
-	var sB []int64
 	for i := 1; i <= n; i++ {
 		v := int64(i * 2)
-		sB = append(sB, v)
 		for d := 0; d < dup; d++ {
 			recs = append(recs, &chain.Record{
 				RID: rid, Key: v, TS: 10,
@@ -54,7 +50,7 @@ func newFixture(t *testing.T, n, dup, valsPerPart int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{scheme: scheme, priv: priv, pub: pub, s: rel, fc: fc, sB: sB}
+	return &fixture{scheme: scheme, priv: priv, pub: pub, s: rel, fc: fc}
 }
 
 func TestBuildVerifyBV(t *testing.T) {
@@ -356,84 +352,6 @@ func TestVerifyRejectsDroppedMatchRecord(t *testing.T) {
 	}
 }
 
-func TestMeasureBVDedup(t *testing.T) {
-	sB := []int64{10, 20, 30, 40}
-	// 21 and 25 share boundaries (20,30): dedup to 2 values.
-	st := MeasureBV([]int64{21, 25}, sB, 4)
-	if st.BoundaryValues != 2 {
-		t.Fatalf("BoundaryValues = %d, want 2", st.BoundaryValues)
-	}
-	if st.TotalBytes() != 8 {
-		t.Fatalf("TotalBytes = %d, want 8", st.TotalBytes())
-	}
-	// 15 adds boundary 10 and shares 20.
-	st = MeasureBV([]int64{21, 25, 15}, sB, 4)
-	if st.BoundaryValues != 3 {
-		t.Fatalf("BoundaryValues = %d, want 3", st.BoundaryValues)
-	}
-}
-
-func TestMeasureBVOutsideDomain(t *testing.T) {
-	sB := []int64{10, 20}
-	st := MeasureBV([]int64{5, 100}, sB, 4)
-	if st.BoundaryValues != 2 {
-		t.Fatalf("BoundaryValues = %d, want 2 (one per edge)", st.BoundaryValues)
-	}
-	st = MeasureBV([]int64{5}, nil, 4)
-	if st.BoundaryValues != 0 {
-		t.Fatal("empty S must need no boundaries")
-	}
-}
-
-func TestMeasureBFCountsProbedPartitionsOnce(t *testing.T) {
-	pf, err := bloom.BuildPartitioned([]int64{10, 20, 30, 40, 50, 60, 70, 80}, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sB := []int64{10, 20, 30, 40, 50, 60, 70, 80}
-	// Two probes into the same partition: filter bytes counted once.
-	st1 := MeasureBF([]int64{21}, pf, sB, 4, 63)
-	st2 := MeasureBF([]int64{21, 25}, pf, sB, 4, 63)
-	if st1.ProbedPartitions != 1 || st2.ProbedPartitions != 1 {
-		t.Fatalf("probed = %d,%d, want 1,1", st1.ProbedPartitions, st2.ProbedPartitions)
-	}
-	if st2.FilterBytes != st1.FilterBytes {
-		t.Fatal("same-partition probes must not double-count filter bytes")
-	}
-}
-
-func TestBFBeatsBVAtLowAlpha(t *testing.T) {
-	// The headline result of Fig. 11(a): with few matches, BV's VO is
-	// near |S| while BF's stays small.
-	rng := mrand.New(mrand.NewSource(1))
-	var sB []int64
-	seen := map[int64]bool{}
-	for len(sB) < 3000 {
-		v := rng.Int63n(1 << 30)
-		if !seen[v] {
-			seen[v] = true
-			sB = append(sB, v)
-		}
-	}
-	sortInt64(sB)
-	pf, err := bloom.BuildPartitioned(sB, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var unmatched []int64
-	for len(unmatched) < 2000 {
-		v := rng.Int63n(1 << 30)
-		if !seen[v] {
-			unmatched = append(unmatched, v)
-		}
-	}
-	bv := MeasureBV(unmatched, sB, 63).TotalBytes()
-	bf := MeasureBF(unmatched, pf, sB, 4, 63).TotalBytes()
-	if bf >= bv {
-		t.Fatalf("BF (%dB) must beat BV (%dB) at low alpha", bf, bv)
-	}
-}
-
 func TestZViability(t *testing.T) {
 	// Paper: IB/p >= 2.83 at IA/IB = 1; IB/p >= 6.29 at IA/IB = 10.
 	if Z(1, 2.83) > ZThreshold+0.01 {
@@ -447,13 +365,5 @@ func TestZViability(t *testing.T) {
 	}
 	if Z(10, 5) < ZThreshold {
 		t.Fatalf("Z(10, 5) = %f, want > 0.75", Z(10, 5))
-	}
-}
-
-func sortInt64(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }

@@ -87,13 +87,6 @@ func (c *Cache) ResetStats() {
 	c.stats = Stats{}
 }
 
-// CachedBytes reports the memory held by pinned aggregates.
-func (c *Cache) CachedBytes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.frontier.PinnedCount() * c.scheme.SignatureSize()
-}
-
 // Len returns the number of pinned aggregates.
 func (c *Cache) Len() int {
 	c.mu.Lock()

@@ -149,13 +149,6 @@ func (f *Frontier) Pin(n Node) (ops, refreshOps int, err error) {
 // Unpin drops a pinned aggregate.
 func (f *Frontier) Unpin(n Node) { delete(f.entries, n) }
 
-// Pinned reports whether node n currently holds a materialized
-// aggregate.
-func (f *Frontier) Pinned(n Node) bool {
-	_, ok := f.entries[n]
-	return ok
-}
-
 // Accesses returns the access counters of all pinned nodes.
 func (f *Frontier) Accesses() []NodeAccess {
 	out := make([]NodeAccess, 0, len(f.entries))

@@ -128,9 +128,6 @@ func (s *Server) start(j job) {
 	})
 }
 
-// QueueLen reports jobs waiting (excluding in service).
-func (s *Server) QueueLen() int { return len(s.waiting) }
-
 // RWLock is a FIFO reader-writer lock in virtual time: the EMB-tree's
 // root lock (updates exclusive, queries shared) and, hashed over record
 // IDs, the record-level locks of the signature-aggregation scheme.

@@ -14,83 +14,42 @@ import (
 // clients (who back off and retry) instead of letting an unbounded
 // queue collapse the server — and, unlike MaxConns alone, it bounds
 // *work*, not connections, so a thousand mostly-idle clients coexist
-// with a strict execution cap.
-//
-// Fairness: with a FairShare configured, one connection may occupy at
-// most perConn of the total budget (slots + queue places) at a time.
-// A flooding connection that pipelines thousands of requests saturates
-// only its own share and is shed beyond it, while a polite connection
-// still finds the rest of the budget free — per-tenant fairness at
-// connection granularity.
+// with a strict execution cap. A connection is served one request at a
+// time, so it never holds more than one slot.
 type admission struct {
 	inflight chan struct{} // execution slots
 	pending  chan struct{} // bounded waiting room
 	done     chan struct{} // closed on shutdown: waiters drain out
 	once     sync.Once
-	perConn  int64 // max budget one connection may hold (0 = uncapped)
 
-	shed     atomic.Uint64
-	fairShed atomic.Uint64
-	queued   atomic.Uint64
-}
-
-// connGate tracks one connection's share of the admission budget.
-type connGate struct {
-	held atomic.Int64
+	shed   atomic.Uint64
+	queued atomic.Uint64
 }
 
 // newAdmission builds a gate with maxInflight execution slots and
 // maxPending queue places. maxInflight <= 0 disables admission control
-// entirely (nil gate). fairShare > 0 additionally caps one
-// connection's simultaneous occupancy at that fraction of the total
-// budget, never rounding below one slot.
-func newAdmission(maxInflight, maxPending int, fairShare float64) *admission {
+// entirely (nil gate).
+func newAdmission(maxInflight, maxPending int) *admission {
 	if maxInflight <= 0 {
 		return nil
 	}
 	if maxPending < 0 {
 		maxPending = 0
 	}
-	a := &admission{
+	return &admission{
 		inflight: make(chan struct{}, maxInflight),
 		pending:  make(chan struct{}, maxPending),
 		done:     make(chan struct{}),
 	}
-	if fairShare > 0 {
-		per := int64(fairShare * float64(maxInflight+maxPending))
-		if per < 1 {
-			per = 1
-		}
-		a.perConn = per
-	}
-	return a
 }
 
-// acquire claims an execution slot for gate's connection, waiting in
-// the bounded queue if necessary. It returns false when the request
-// must be shed — the connection exceeded its fair share, the queue is
-// full, or the server shut down while waiting.
-func (a *admission) acquire(gate *connGate) bool {
+// acquire claims an execution slot, waiting in the bounded queue if
+// necessary. It returns false when the request must be shed — the queue
+// is full, or the server shut down while waiting.
+func (a *admission) acquire() bool {
 	if a == nil {
 		return true
 	}
-	if a.perConn > 0 && gate != nil {
-		if gate.held.Add(1) > a.perConn {
-			gate.held.Add(-1)
-			a.fairShed.Add(1)
-			a.shed.Add(1)
-			return false
-		}
-	}
-	ok := a.acquireSlot()
-	if !ok && a.perConn > 0 && gate != nil {
-		gate.held.Add(-1)
-	}
-	return ok
-}
-
-// acquireSlot is the connection-agnostic slot/queue protocol.
-func (a *admission) acquireSlot() bool {
 	select {
 	case a.inflight <- struct{}{}:
 		return true
@@ -113,14 +72,10 @@ func (a *admission) acquireSlot() bool {
 	}
 }
 
-// release returns an execution slot and the connection's budget share.
-func (a *admission) release(gate *connGate) {
-	if a == nil {
-		return
-	}
-	<-a.inflight
-	if a.perConn > 0 && gate != nil {
-		gate.held.Add(-1)
+// release returns an execution slot.
+func (a *admission) release() {
+	if a != nil {
+		<-a.inflight
 	}
 }
 

@@ -17,42 +17,42 @@ import (
 
 func TestAdmissionDisabled(t *testing.T) {
 	var a *admission // MaxInflight <= 0
-	if !a.acquire(nil) {
+	if !a.acquire() {
 		t.Fatal("nil gate refused")
 	}
-	a.release(nil)
+	a.release()
 	a.close()
 }
 
 func TestAdmissionShedsPastQueue(t *testing.T) {
-	a := newAdmission(1, 1, 0)
-	if !a.acquire(nil) {
+	a := newAdmission(1, 1)
+	if !a.acquire() {
 		t.Fatal("first acquire refused")
 	}
 	// Second request queues; drive it from a goroutine.
 	got := make(chan bool, 1)
-	go func() { got <- a.acquire(nil) }()
+	go func() { got <- a.acquire() }()
 	waitFor(t, func() bool { return a.queued.Load() == 1 })
 	// Third finds slot busy and queue full: shed immediately.
-	if a.acquire(nil) {
+	if a.acquire() {
 		t.Fatal("over-capacity acquire admitted")
 	}
 	if a.shed.Load() != 1 {
 		t.Fatalf("shed = %d, want 1", a.shed.Load())
 	}
-	a.release(nil) // frees the slot; the queued waiter takes it
+	a.release() // frees the slot; the queued waiter takes it
 	if !<-got {
 		t.Fatal("queued acquire was shed despite a freed slot")
 	}
-	a.release(nil)
+	a.release()
 }
 
 func TestAdmissionCloseWakesWaiters(t *testing.T) {
-	a := newAdmission(1, 4, 0)
-	a.acquire(nil)
+	a := newAdmission(1, 4)
+	a.acquire()
 	got := make(chan bool, 3)
 	for i := 0; i < 3; i++ {
-		go func() { got <- a.acquire(nil) }()
+		go func() { got <- a.acquire() }()
 	}
 	waitFor(t, func() bool { return a.queued.Load() == 3 })
 	a.close()
@@ -65,54 +65,6 @@ func TestAdmissionCloseWakesWaiters(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("queued waiter hung through close")
 		}
-	}
-}
-
-// TestAdmissionFairShareCapsOneConnection: with a fairness cap, a
-// flooding connection saturates only its own share of the admission
-// budget, and a polite connection is still admitted — the flood is
-// shed, the polite request only waits.
-func TestAdmissionFairShareCapsOneConnection(t *testing.T) {
-	// Budget: 2 slots + 6 queue places = 8; FairShare 0.25 → 2 per conn.
-	a := newAdmission(2, 6, 0.25)
-	if a.perConn != 2 {
-		t.Fatalf("perConn = %d, want 2", a.perConn)
-	}
-	flooder, polite := &connGate{}, &connGate{}
-	if !a.acquire(flooder) || !a.acquire(flooder) {
-		t.Fatal("flooder refused within its fair share")
-	}
-	// The flooder's third concurrent request is shed by the fairness
-	// cap even though all six queue places are free.
-	for i := 0; i < 5; i++ {
-		if a.acquire(flooder) {
-			t.Fatal("flooder exceeded its fair share")
-		}
-	}
-	if got := a.fairShed.Load(); got != 5 {
-		t.Fatalf("fairShed = %d, want 5", got)
-	}
-	// The polite connection still gets budget: both execution slots are
-	// flooder-held, so it queues, and the next release admits it.
-	got := make(chan bool, 1)
-	go func() { got <- a.acquire(polite) }()
-	waitFor(t, func() bool { return a.queued.Load() == 1 })
-	a.release(flooder)
-	if !<-got {
-		t.Fatal("polite connection shed while the flooder was throttled")
-	}
-	if polite.held.Load() != 1 || flooder.held.Load() != 1 {
-		t.Fatalf("held: polite=%d flooder=%d, want 1/1", polite.held.Load(), flooder.held.Load())
-	}
-	a.release(polite)
-	a.release(flooder)
-	if polite.held.Load() != 0 || flooder.held.Load() != 0 {
-		t.Fatal("budget shares not returned on release")
-	}
-	// The cap never rounds below one slot, or a tiny budget would
-	// starve everyone.
-	if b := newAdmission(1, 0, 0.01); b.perConn != 1 {
-		t.Fatalf("tiny-budget perConn = %d, want 1", b.perConn)
 	}
 }
 
@@ -137,7 +89,7 @@ func TestNetShedAndClientBackoff(t *testing.T) {
 	defer shutdown()
 
 	// Occupy the only execution slot from outside.
-	if !srv.adm.acquire(nil) {
+	if !srv.adm.acquire() {
 		t.Fatal("slot grab refused")
 	}
 
@@ -164,7 +116,7 @@ func TestNetShedAndClientBackoff(t *testing.T) {
 	defer cl.Close()
 	go func() {
 		time.Sleep(30 * time.Millisecond)
-		srv.adm.release(nil)
+		srv.adm.release()
 	}()
 	ans, _, err := cl.Query(keys[0], keys[10])
 	if err != nil {

@@ -51,12 +51,6 @@ type NetConfig struct {
 	// asks again from the newest summary it holds until a response
 	// brings nothing new.
 	MaxSummaries int
-	// FairShare caps the fraction of the admission budget (MaxInflight
-	// + MaxPending) one connection may occupy simultaneously, so a
-	// single flooding client cannot consume the whole queue and starve
-	// polite ones (0 = no per-connection cap; the cap never rounds
-	// below one slot). Only meaningful with MaxInflight > 0.
-	FairShare float64
 }
 
 // DefaultMaxSummaries bounds one summary response frame.
@@ -70,7 +64,6 @@ type NetStats struct {
 	Requests    map[byte]uint64
 	Errors      uint64 // 'E' responses sent
 	Shed        uint64 // requests rejected by admission control
-	FairShed    uint64 // requests shed by the per-connection fairness cap
 	Queued      uint64 // requests that waited in the admission queue
 	Malformed   uint64 // connections dropped for unparseable frames
 	BytesOut    uint64 // response payload bytes written
@@ -129,7 +122,7 @@ func NewNetServer(qs *core.QueryServer, cfg NetConfig) *NetServer {
 		cfg:   cfg,
 		conns: make(map[net.Conn]struct{}),
 		repl:  make(map[string]ReplSource),
-		adm:   newAdmission(cfg.MaxInflight, cfg.MaxPending, cfg.FairShare),
+		adm:   newAdmission(cfg.MaxInflight, cfg.MaxPending),
 		stop:  make(chan struct{}),
 	}
 	if cfg.MaxConns > 0 {
@@ -313,7 +306,6 @@ func (s *NetServer) Stats() NetStats {
 	}
 	if s.adm != nil {
 		st.Shed = s.adm.shed.Load()
-		st.FairShed = s.adm.fairShed.Load()
 		st.Queued = s.adm.queued.Load()
 	}
 	return st
@@ -386,7 +378,6 @@ func (w *connWriter) flush() error {
 func (s *NetServer) handle(conn net.Conn) {
 	rd := bufio.NewReaderSize(conn, 4096)
 	w := &connWriter{conn: conn, s: s}
-	gate := &connGate{}
 	var frame []byte
 	for {
 		if s.drain.Load() && rd.Buffered() == 0 {
@@ -443,7 +434,7 @@ func (s *NetServer) handle(conn net.Conn) {
 			s.serveReplication(w, conn, frame)
 			return
 		}
-		if !s.adm.acquire(gate) {
+		if !s.adm.acquire() {
 			// Shed: reject fast with a machine-readable overload code so
 			// the client backs off; the connection stays healthy.
 			if err := s.writeErrorCode(w, wire.ErrCodeOverloaded,
@@ -463,7 +454,7 @@ func (s *NetServer) handle(conn net.Conn) {
 		default:
 			err = s.writeError(w, fmt.Errorf("server: unsupported request kind %q", kind))
 		}
-		s.adm.release(gate)
+		s.adm.release()
 		if err != nil {
 			return // write-side failure; the conn is done
 		}

@@ -76,7 +76,7 @@ func TestShutdownDuringShedBurst(t *testing.T) {
 	sys, keys, addr, srv, _ := newNetFixtureSrv(t, 200, NetConfig{MaxInflight: 1, MaxPending: 2})
 
 	// Hold the only slot so the burst queues and sheds.
-	if !srv.adm.acquire(nil) {
+	if !srv.adm.acquire() {
 		t.Fatal("slot grab refused")
 	}
 	var wg sync.WaitGroup
@@ -106,7 +106,7 @@ func TestShutdownDuringShedBurst(t *testing.T) {
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("shutdown took %v against a queued burst", d)
 	}
-	srv.adm.release(nil)
+	srv.adm.release()
 	wg.Wait()
 	goroutineLevel(t, base)
 }

@@ -75,7 +75,6 @@ func (s *NetServer) Metrics(m *MetricsBuf) {
 	}
 	m.Counter("authdb_net_errors_total", "Error responses sent.", st.Errors)
 	m.Counter("authdb_net_shed_total", "Requests rejected by admission control.", st.Shed)
-	m.Counter("authdb_net_fair_shed_total", "Requests shed by the per-connection fairness cap.", st.FairShed)
 	m.Counter("authdb_net_queued_total", "Requests that waited in the admission queue.", st.Queued)
 	m.Counter("authdb_net_malformed_total", "Connections dropped for unparseable frames.", st.Malformed)
 	m.Counter("authdb_net_bytes_out_total", "Response payload bytes written.", st.BytesOut)

@@ -72,7 +72,7 @@ func TestServeMetricsScrape(t *testing.T) {
 	before := scrape(t, maddr)
 	for _, name := range []string{
 		"authdb_net_conns_total", `authdb_net_requests_total{kind="P"}`, `authdb_net_requests_total{kind="T"}`,
-		"authdb_net_shed_total", "authdb_net_fair_shed_total",
+		"authdb_net_shed_total",
 		"authdb_net_repl_streams_total", "authdb_anscache_hits_total",
 		"authdb_anscache_rejected_total", "authdb_test_gauge",
 	} {

@@ -112,10 +112,6 @@ func New(pairingCost int, opts ...Option) *Scheme {
 	return s
 }
 
-func init() {
-	sigagg.Register(New(DefaultPairingCost))
-}
-
 // Name implements sigagg.Scheme.
 func (s *Scheme) Name() string { return "bas" }
 

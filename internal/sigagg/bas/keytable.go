@@ -8,8 +8,7 @@ import (
 // Per-public-key state for the closing scalar multiplication of the
 // trapdoor relation agg == x·ΣH(mᵢ): the scalar serialized at the
 // fixed width curve.ScalarMult wants, and the count of distinct keys.
-// One Scheme instance backs the whole process (the registry default, a
-// Pool's workers, every client a DialFleet opens across replicas of the
+// One Scheme instance backs the whole process (a Pool's workers, every client a DialFleet opens across replicas of the
 // same owner), so a key is counted exactly once process-wide.
 //
 // The multiplication itself stays on crypto/elliptic. A width-5 w-NAF

@@ -36,10 +36,6 @@ type Scheme struct {
 // New returns a condensed-RSA scheme with the given modulus size in bits.
 func New(bits int) *Scheme { return &Scheme{bits: bits} }
 
-func init() {
-	sigagg.Register(New(DefaultBits))
-}
-
 // Name implements sigagg.Scheme.
 func (s *Scheme) Name() string { return "crsa" }
 

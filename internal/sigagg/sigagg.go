@@ -1,5 +1,5 @@
 // Package sigagg defines the aggregate-signature abstraction the
-// authentication protocol is built on, and a registry of implementations.
+// authentication protocol is built on.
 //
 // An aggregate signature scheme lets any set of message/signature pairs be
 // condensed, in arbitrary order, into a single signature that is verified
@@ -10,10 +10,7 @@ package sigagg
 
 import (
 	"errors"
-	"fmt"
 	"io"
-	"sort"
-	"sync"
 )
 
 // Signature is an opaque scheme-specific signature or aggregate.
@@ -187,42 +184,3 @@ var ErrVerify = errors.New("sigagg: signature verification failed")
 
 // ErrBadSignature is returned when a signature is malformed.
 var ErrBadSignature = errors.New("sigagg: malformed signature")
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Scheme{}
-)
-
-// Register makes a scheme available by name. It panics on duplicates, as
-// registration happens at init time.
-func Register(s Scheme) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[s.Name()]; dup {
-		panic(fmt.Sprintf("sigagg: duplicate scheme %q", s.Name()))
-	}
-	registry[s.Name()] = s
-}
-
-// Lookup returns the scheme registered under name.
-func Lookup(name string) (Scheme, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	s, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("sigagg: unknown scheme %q", name)
-	}
-	return s, nil
-}
-
-// Names lists the registered scheme names in sorted order.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -55,27 +55,6 @@ func digests(n int, tag string) [][]byte {
 	return out
 }
 
-func TestRegistry(t *testing.T) {
-	names := sigagg.Names()
-	want := map[string]bool{"bas": false, "crsa": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
-	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("scheme %q not registered", n)
-		}
-		if _, err := sigagg.Lookup(n); err != nil {
-			t.Errorf("Lookup(%q): %v", n, err)
-		}
-	}
-	if _, err := sigagg.Lookup("nope"); err == nil {
-		t.Error("Lookup of unknown scheme must fail")
-	}
-}
-
 func TestSignVerify(t *testing.T) {
 	for _, s := range newSuites(t) {
 		t.Run(s.name, func(t *testing.T) {

@@ -38,8 +38,6 @@ func (s *Scheme) AggOps() uint64 { return s.aggOps.Load() }
 // ResetAggOps zeroes the aggregation-operation counter.
 func (s *Scheme) ResetAggOps() { s.aggOps.Store(0) }
 
-func init() { sigagg.Register(New()) }
-
 // Name implements sigagg.Scheme.
 func (*Scheme) Name() string { return "xortest" }
 
