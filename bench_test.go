@@ -648,7 +648,7 @@ func BenchmarkFig9_SimRangeBAS(b *testing.B) { benchSim(b, 100, false) }
 func BenchmarkFig8_PublishSummary(b *testing.B) {
 	scheme := xortest.New()
 	priv, _, _ := scheme.KeyGen(nil)
-	pub := freshness.NewPublisher(scheme, priv, 1_000_000, 0, 4)
+	pub := freshness.NewPublisher(scheme, priv, 1_000_000, 0)
 	rng := rand.New(rand.NewSource(5))
 	ts := int64(0)
 	b.ResetTimer()

@@ -59,7 +59,7 @@ func simulateSummaries(n int, rho float64, rhoPrimeMult int, updRate float64, pe
 	// Time unit: milliseconds.
 	rhoMS := int64(rho * 1000)
 	rhoPrime := int64(rhoPrimeMult) * rhoMS
-	pub := freshness.NewPublisher(scheme, priv, n, 0, 8)
+	pub := freshness.NewPublisher(scheme, priv, n, 0)
 	rng := rand.New(rand.NewSource(3))
 
 	certTS := make([]int64, n) // all certified at t=0

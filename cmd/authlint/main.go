@@ -2,15 +2,9 @@
 // lockepoch, retryclass, nocachesign, lockblock — see DESIGN.md
 // "Invariants & static analysis") over the repository.
 //
-// Standalone:
+// Usage:
 //
 //	authlint [-checkers a,b] [-tests=false] [packages...]   (default ./...)
-//
-// As a vet tool (the go/analysis unitchecker command-line protocol:
-// -V=full and -flags for the build system, a JSON .cfg file per
-// compilation unit):
-//
-//	go vet -vettool=$(which authlint) ./...
 //
 // Exit status: 0 clean, 1 findings, 2 usage/load failure.
 package main
@@ -27,22 +21,8 @@ import (
 )
 
 func main() {
-	// The go vet protocol probes with -V=full (tool identity for build
-	// caching) and -flags (supported flags as JSON) before handing the
-	// tool per-package .cfg files.
-	for _, arg := range os.Args[1:] {
-		if arg == "-V=full" || arg == "--V=full" {
-			fmt.Printf("authlint version v1.0.0\n")
-			return
-		}
-		if arg == "-flags" || arg == "--flags" {
-			fmt.Println("[]")
-			return
-		}
-	}
-
 	checkers := flag.String("checkers", "", "comma-separated analyzer subset (default: all)")
-	tests := flag.Bool("tests", true, "also analyze in-package _test.go files (standalone mode)")
+	tests := flag.Bool("tests", true, "also analyze in-package _test.go files")
 	flag.Parse()
 
 	var names []string
@@ -56,10 +36,6 @@ func main() {
 	}
 
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetUnit(args[0], analyzers))
-	}
-
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}

@@ -7,7 +7,7 @@
 // streams it tracks from the server.
 //
 // There is one path. Every query is a plan (query.Spec): a range
-// selection is the plan that is one scan leaf, and Fetch, FetchBatch,
+// selection is the plan with no projection and no join, and Fetch, FetchBatch,
 // Verify, Query, QueryBatch and SyncSummaries are wrappers that build
 // leaf plans on core.DefaultRelation and hand back the scan as the
 // core.Answer callers hold. plan.go is that path — one function writes
@@ -516,7 +516,7 @@ func serverError(data []byte) error {
 
 // ---- range selections: leaf plans on core.DefaultRelation ----
 
-// leafSpecs is the plan each range selection is: one scan leaf on the
+// leafSpecs is the plan each range selection is: a bare selection on the
 // default relation.
 func leafSpecs(ranges []core.Range) []*query.Spec {
 	specs := make([]query.Spec, len(ranges))

@@ -3,15 +3,19 @@ package client_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"authdb/internal/client"
 	"authdb/internal/core"
 	"authdb/internal/faultnet"
+	"authdb/internal/join"
+	"authdb/internal/query"
 	"authdb/internal/server"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
+	"authdb/internal/wire"
 	"authdb/internal/workload"
 )
 
@@ -255,5 +259,56 @@ func TestFleetReconnectReadmitsQuarantined(t *testing.T) {
 	}
 	if got := cl.CurrentAddr(); got != byz.Addr() {
 		t.Fatalf("session on %s after explicit reconnect to %s", got, byz.Addr())
+	}
+}
+
+// TestFleetRefusesUncarriablePlan: a spec the plan encoding cannot carry
+// exactly — a slot past 2^32 would go out as another slot, a relation name
+// past 256 bytes is one every server refuses — is the caller's mistake.
+// It fails as ErrConfig before anything is sent, so no honest replica is
+// asked, let alone blamed and quarantined for answering what it was sent.
+func TestFleetRefusesUncarriablePlan(t *testing.T) {
+	fx := newPlanFixture(t)
+	srvs := make([]*server.NetServer, 2)
+	addrs := make([]string, 2)
+	for i := range srvs {
+		srvs[i], addrs[i] = fx.listen(t, server.NetConfig{})
+	}
+	cl, err := client.DialFleet(addrs, client.Config{
+		Scheme: fx.newScheme(), Pub: fx.outer.Pub, Relations: fx.cat.PublicKeys(), Retry: fleetRetry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.QueryPlan(fx.spec(join.BF, []int{1})); err != nil {
+		t.Fatal(err)
+	}
+	sent := func() (n [2]uint64) {
+		for i, srv := range srvs {
+			n[i] = srv.Stats().Requests[wire.KindPlan]
+		}
+		return n
+	}
+	before := sent()
+	long := strings.Repeat("o", 257)
+	bad := map[string]*query.Spec{
+		"long relation":       {Rel: long, Lo: 105, Hi: 695},
+		"long inner relation": {Rel: "o", Lo: 105, Hi: 695, Join: &query.JoinSpec{Rel: long, Method: join.BV}},
+	}
+	top := ^uint32(0)
+	if slot := int(top) + 2; slot != 1 { // 2^32 + 1 where int is 64 bits wide
+		bad["slot past 2^32"] = &query.Spec{Rel: "o", Lo: 105, Hi: 695, Attrs: []int{slot}}
+	}
+	for name, spec := range bad {
+		if _, err := cl.QueryPlan(spec); !errors.Is(err, client.ErrConfig) {
+			t.Errorf("%s: %v, want ErrConfig", name, err)
+		}
+	}
+	if after := sent(); after != before {
+		t.Errorf("plan requests per replica %v → %v: a refused spec reached a server", before, after)
+	}
+	if st := cl.Stats(); st.Quarantines != 0 {
+		t.Errorf("%d honest replicas quarantined", st.Quarantines)
 	}
 }

@@ -121,15 +121,14 @@ func (c *Client) queryPlans(specs []*query.Spec) ([]*wire.Composite, []*core.Fre
 	return nil, nil, lastErr
 }
 
-// fetchRetry plans every spec, checks the session holds a key for each
+// fetchRetry plans every spec — a spec the encoding cannot carry exactly
+// never leaves the client — checks the session holds a key for each
 // relation it names, and fetches the answers under the retry policy. The
 // whole batch is resent on a retryable failure — queries are idempotent
 // reads, and nothing from a failed attempt is kept.
 func (c *Client) fetchRetry(specs []*query.Spec) ([]*wire.Composite, error) {
-	plans := make([]*query.Node, len(specs))
-	for i, spec := range specs {
-		plan, err := query.Plan(spec, true)
-		if err != nil {
+	for _, spec := range specs {
+		if _, err := query.Plan(spec, true); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 		}
 		if c.rels[spec.Rel] == nil {
@@ -138,11 +137,10 @@ func (c *Client) fetchRetry(specs []*query.Spec) ([]*wire.Composite, error) {
 		if spec.Join != nil && c.rels[spec.Join.Rel] == nil {
 			return nil, fmt.Errorf("%w %q", ErrNoRelation, spec.Join.Rel)
 		}
-		plans[i] = plan
 	}
 	var comps []*wire.Composite
 	err := c.withRetry(func() (err error) {
-		comps, err = c.fetch(specs, plans)
+		comps, err = c.fetch(specs)
 		return err
 	})
 	return comps, err
@@ -152,7 +150,7 @@ func (c *Client) fetchRetry(specs []*query.Spec) ([]*wire.Composite, error) {
 // order, decoded but not verified. If the server reported errors for
 // some plans, every response is still drained (the connection stays
 // usable) and the first error is returned.
-func (c *Client) fetch(specs []*query.Spec, plans []*query.Node) ([]*wire.Composite, error) {
+func (c *Client) fetch(specs []*query.Spec) ([]*wire.Composite, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
@@ -161,7 +159,7 @@ func (c *Client) fetch(specs []*query.Spec, plans []*query.Node) ([]*wire.Compos
 	req := wire.GetBuffer()
 	defer func() { wire.PutBuffer(req) }()
 	var plan [128]byte // marshalling scratch: a plan is some tens of bytes
-	for i, spec := range specs {
+	for _, spec := range specs {
 		// Advertise, per named relation, the newest certified summary this
 		// session holds, so tails carry only deltas.
 		since := [2]wire.RelSince{{Name: spec.Rel, SinceSeq: c.rels[spec.Rel].heldSeq()}}
@@ -170,7 +168,7 @@ func (c *Client) fetch(specs []*query.Spec, plans []*query.Node) ([]*wire.Compos
 			since[1] = wire.RelSince{Name: spec.Join.Rel, SinceSeq: c.rels[spec.Join.Rel].heldSeq()}
 			n = 2
 		}
-		req = wire.AppendPlanReq(req[:0], plans[i].AppendTo(plan[:0]), since[:n])
+		req = wire.AppendPlanReq(req[:0], spec.AppendTo(plan[:0]), since[:n])
 		if err := wire.WriteFrame(c.bw, req); err != nil {
 			return nil, err
 		}

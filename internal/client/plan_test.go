@@ -138,8 +138,17 @@ func buildPlanFixture(t testing.TB, newScheme func() sigagg.Scheme, netCfg serve
 	if err := eng.SetFilter("i", fc); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.NewNetServer(outer.QS, netCfg)
-	srv.EnablePlans(eng)
+	fx := &planFixture{cat: cat, outer: outer, inner: inner, eng: eng, newScheme: newScheme}
+	_, fx.addr = fx.listen(t, netCfg)
+	return fx
+}
+
+// listen serves the fixture's catalog from one more loopback NetServer —
+// another replica of the same state — until the test ends.
+func (fx *planFixture) listen(t testing.TB, netCfg server.NetConfig) (*server.NetServer, string) {
+	t.Helper()
+	srv := server.NewNetServer(fx.outer.QS, netCfg)
+	srv.EnablePlans(fx.eng)
 	ln, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +159,7 @@ func buildPlanFixture(t testing.TB, newScheme func() sigagg.Scheme, netCfg serve
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	return &planFixture{cat: cat, outer: outer, inner: inner, eng: eng, addr: ln.Addr().String(), newScheme: newScheme}
+	return srv, ln.Addr().String()
 }
 
 func (fx *planFixture) dial(t testing.TB, addr string) *client.Client {

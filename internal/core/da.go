@@ -88,7 +88,7 @@ func NewDataAggregator(scheme sigagg.Scheme, priv sigagg.PrivateKey, cfg Config,
 		pool:   sigagg.NewPool(scheme, 0),
 		index:  btree.New(storage.DefaultPageConfig()),
 		byRID:  make(map[uint64]*Record),
-		pub:    freshness.NewPublisher(scheme, priv, 0, 0, 0),
+		pub:    freshness.NewPublisher(scheme, priv, 0, 0),
 	}
 	for _, o := range opts {
 		o(da)
@@ -533,12 +533,6 @@ func (da *DataAggregator) SnapshotMsg(ts int64) (*UpdateMsg, error) {
 		return nil, err
 	}
 	return msg, nil
-}
-
-// SummariesSince returns retained summaries published at or after ts
-// (what a server hands a user on log-in).
-func (da *DataAggregator) SummariesSince(ts int64) []freshness.Summary {
-	return da.pub.Since(ts)
 }
 
 // OldestCertTS reports the oldest live signature's certification time,

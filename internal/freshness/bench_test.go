@@ -14,7 +14,7 @@ func BenchmarkPublish500Updates(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := NewPublisher(scheme, priv, 1_000_000, 0, 4)
+	p := NewPublisher(scheme, priv, 1_000_000, 0)
 	rng := rand.New(rand.NewSource(1))
 	ts := int64(0)
 	b.ResetTimer()
@@ -35,7 +35,7 @@ func BenchmarkCheckFresh(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := NewPublisher(scheme, priv, 1_000_000, 0, 0)
+	p := NewPublisher(scheme, priv, 1_000_000, 0)
 	c := NewChecker(scheme, pub)
 	rng := rand.New(rand.NewSource(2))
 	ts := int64(0)
@@ -70,7 +70,7 @@ func BenchmarkSummaryIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := NewPublisher(scheme, priv, 1_000_000, 0, 0)
+	p := NewPublisher(scheme, priv, 1_000_000, 0)
 	rng := rand.New(rand.NewSource(3))
 	summaries := make([]Summary, b.N)
 	ts := int64(0)

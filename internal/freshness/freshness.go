@@ -68,10 +68,10 @@ type SignFunc func(digest []byte) (sigagg.Signature, error)
 // Publisher is the data-aggregator side: it accumulates the current
 // period's update bitmap and certifies it on demand.
 //
-// A Publisher is safe for concurrent use: update marking, publication
-// and history reads may race freely — what a network front end does
-// when a writer closes periods while connections stream the back
-// history to logging-in users.
+// A Publisher is safe for concurrent use: update marking and
+// publication may race freely. It keeps no copy of what it published:
+// the summary stream is the query server's (core.QueryServer), which
+// serves it to logging-in users.
 type Publisher struct {
 	mu      sync.Mutex
 	scheme  sigagg.Scheme
@@ -81,21 +81,17 @@ type Publisher struct {
 	lastTS  int64
 	cur     *bitmap.Bitmap
 	touched map[int]int // slot -> updates this period
-	history []Summary
-	maxHist int
 }
 
 // NewPublisher creates a publisher for a relation with numSlots record
-// slots; startTS is the protocol epoch. maxHistory bounds the retained
-// summaries (0 = unbounded).
-func NewPublisher(scheme sigagg.Scheme, priv sigagg.PrivateKey, numSlots int, startTS int64, maxHistory int) *Publisher {
+// slots; startTS is the protocol epoch.
+func NewPublisher(scheme sigagg.Scheme, priv sigagg.PrivateKey, numSlots int, startTS int64) *Publisher {
 	return &Publisher{
 		scheme:  scheme,
 		priv:    priv,
 		lastTS:  startTS,
 		cur:     bitmap.New(numSlots),
 		touched: make(map[int]int),
-		maxHist: maxHistory,
 	}
 }
 
@@ -163,35 +159,7 @@ func (p *Publisher) Publish(ts int64) (Summary, []int, error) {
 	p.lastTS = ts
 	p.cur = bitmap.New(p.cur.Len())
 	p.touched = make(map[int]int)
-	p.history = append(p.history, s)
-	if p.maxHist > 0 && len(p.history) > p.maxHist {
-		p.history = p.history[len(p.history)-p.maxHist:]
-	}
 	return s, multi, nil
-}
-
-// History returns the retained summaries in publication order. The
-// returned slice is the caller's own copy: it used to alias the
-// internal history, whose backing array later Publish calls keep
-// appending into after the maxHistory trim re-slices it, so elements a
-// caller had appended after the returned slice were silently
-// overwritten by the next publication.
-func (p *Publisher) History() []Summary {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]Summary(nil), p.history...)
-}
-
-// Since returns the retained summaries published at or after ts, as a
-// copy the publisher will never write through (see History).
-func (p *Publisher) Since(ts int64) []Summary {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	i := sort.Search(len(p.history), func(i int) bool { return p.history[i].TS >= ts })
-	if i == len(p.history) {
-		return nil
-	}
-	return append([]Summary(nil), p.history[i:]...)
 }
 
 // PublisherState is a Publisher's serializable period state: everything
@@ -204,8 +172,6 @@ type PublisherState struct {
 	LastTS  int64
 	Cur     []byte      // compressed current-period bitmap
 	Touched map[int]int // slot -> updates this period
-	History []Summary
-	MaxHist int
 }
 
 // State snapshots the publisher for durable storage. The returned value
@@ -223,8 +189,6 @@ func (p *Publisher) State() *PublisherState {
 		LastTS:  p.lastTS,
 		Cur:     p.cur.Compress(),
 		Touched: touched,
-		History: append([]Summary(nil), p.history...),
-		MaxHist: p.maxHist,
 	}
 }
 
@@ -244,11 +208,6 @@ func (p *Publisher) RestoreState(st *PublisherState) error {
 	p.touched = make(map[int]int, len(st.Touched))
 	for slot, n := range st.Touched {
 		p.touched[slot] = n
-	}
-	p.maxHist = st.MaxHist
-	p.history = append([]Summary(nil), st.History...)
-	if p.maxHist > 0 && len(p.history) > p.maxHist {
-		p.history = p.history[len(p.history)-p.maxHist:]
 	}
 	return nil
 }
@@ -278,10 +237,6 @@ func (p *Publisher) ReplaySummary(s Summary) (multi []int, applied bool, err err
 	p.lastTS = s.TS
 	p.cur = bitmap.New(p.cur.Len())
 	p.touched = make(map[int]int)
-	p.history = append(p.history, s)
-	if p.maxHist > 0 && len(p.history) > p.maxHist {
-		p.history = p.history[len(p.history)-p.maxHist:]
-	}
 	return multi, true, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"authdb/internal/bitmap"
-	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/sigagg/xortest"
 )
@@ -20,7 +19,7 @@ func newPair(t *testing.T, slots int) (*Publisher, *Checker) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewPublisher(scheme, priv, slots, 0, 0), NewChecker(scheme, pub)
+	return NewPublisher(scheme, priv, slots, 0), NewChecker(scheme, pub)
 }
 
 func feed(t *testing.T, p *Publisher, c *Checker, ts int64) (Summary, []int) {
@@ -213,109 +212,8 @@ func TestTrim(t *testing.T) {
 	}
 }
 
-func TestPublisherSince(t *testing.T) {
-	p, _ := newPair(t, 10)
-	for ts := int64(10); ts <= 50; ts += 10 {
-		if _, _, err := p.Publish(ts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	since := p.Since(30)
-	if len(since) != 3 || since[0].TS != 30 {
-		t.Fatalf("Since(30) = %d summaries starting %d", len(since), since[0].TS)
-	}
-}
-
-func TestHistoryBound(t *testing.T) {
-	scheme := bas.New(0)
-	priv, _, _ := scheme.KeyGen(rand.Reader)
-	p := NewPublisher(scheme, priv, 10, 0, 3)
-	for ts := int64(10); ts <= 100; ts += 10 {
-		if _, _, err := p.Publish(ts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(p.History()) != 3 {
-		t.Fatalf("history = %d, want 3", len(p.History()))
-	}
-}
-
-var _ = sigagg.ErrVerify // keep import
-
-// newTrimmedPublisher builds a publisher whose retained history has
-// been trimmed at least once, so the internal slice is a re-sliced
-// suffix of a backing array with spare capacity — the aliasing setup of
-// the History/Since regression below.
-func newTrimmedPublisher(t *testing.T, maxHist int, periods int) *Publisher {
-	t.Helper()
-	scheme := bas.New(0)
-	priv, _, err := scheme.KeyGen(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPublisher(scheme, priv, 64, 0, maxHist)
-	for i := 1; i <= periods; i++ {
-		p.MarkUpdated(i)
-		if _, _, err := p.Publish(int64(10 * i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return p
-}
-
-// TestHistoryNoAliasingAfterPublish is the mutate-after-publish
-// regression for the shared-backing-array bug: History() and Since()
-// used to return the internal history slice, so a caller that appended
-// to the returned slice (accumulating a summary log, say) had its
-// elements silently overwritten when the next Publish appended into the
-// same backing array after the maxHistory trim re-sliced it.
-func TestHistoryNoAliasingAfterPublish(t *testing.T) {
-	p := newTrimmedPublisher(t, 2, 3) // history = [s2 s3], trimmed once
-	h := p.History()
-	if len(h) != 2 || h[0].Seq != 2 || h[1].Seq != 3 {
-		t.Fatalf("retained history = %+v, want seqs [2 3]", h)
-	}
-	// The caller extends its own slice...
-	h = append(h, Summary{Seq: 999})
-	// ...and the publisher closes another period.
-	p.MarkUpdated(4)
-	if _, _, err := p.Publish(40); err != nil {
-		t.Fatal(err)
-	}
-	if h[2].Seq != 999 {
-		t.Fatalf("caller's appended summary overwritten through shared backing array: seq = %d, want 999", h[2].Seq)
-	}
-	// And the caller mutating returned elements must not corrupt what
-	// the publisher hands out next.
-	h[0].Compressed = []byte("mutated")
-	h[0].Seq = 12345
-	if got := p.History(); got[0].Seq == 12345 {
-		t.Fatalf("caller mutation visible in publisher history: %+v", got[0])
-	}
-}
-
-// TestSinceNoAliasingAfterPublish is the same regression through Since.
-func TestSinceNoAliasingAfterPublish(t *testing.T) {
-	p := newTrimmedPublisher(t, 2, 3)
-	h := p.Since(25) // [s3] — a strict suffix with spare backing capacity
-	if len(h) != 1 || h[0].Seq != 3 {
-		t.Fatalf("Since(25) = %+v, want seq [3]", h)
-	}
-	h = append(h, Summary{Seq: 999})
-	p.MarkUpdated(4)
-	if _, _, err := p.Publish(40); err != nil {
-		t.Fatal(err)
-	}
-	if h[1].Seq != 999 {
-		t.Fatalf("caller's appended summary overwritten through shared backing array: seq = %d, want 999", h[1].Seq)
-	}
-	if got := p.Since(100); got != nil {
-		t.Fatalf("Since past the last summary = %+v, want nil", got)
-	}
-}
-
 // TestPublisherStateRoundtrip: a restored publisher resumes mid-period
-// with the same marks, touch counts and history as the original.
+// with the same marks and touch counts as the original.
 func TestPublisherStateRoundtrip(t *testing.T) {
 	p, c := newPair(t, 32)
 	p.MarkUpdated(3)
@@ -350,9 +248,6 @@ func TestPublisherStateRoundtrip(t *testing.T) {
 	if len(m1) != 1 || len(m2) != 1 || m1[0] != 5 || m2[0] != 5 {
 		t.Fatalf("multi reports diverged: %v vs %v", m1, m2)
 	}
-	if len(p2.History()) != len(p.History()) {
-		t.Fatalf("history length %d, want %d", len(p2.History()), len(p.History()))
-	}
 }
 
 // TestReplaySummaryIdempotent: replay applies a logged summary exactly
@@ -383,8 +278,8 @@ func TestReplaySummaryIdempotent(t *testing.T) {
 	if _, applied, err := r.ReplaySummary(s); err != nil || applied {
 		t.Fatalf("re-replay applied=%v err=%v, want idempotent no-op", applied, err)
 	}
-	if got := len(r.History()); got != 1 {
-		t.Fatalf("history holds %d summaries after re-replay, want 1", got)
+	if st := r.State(); st.Seq != 1 || st.LastTS != s.TS {
+		t.Fatalf("re-replay moved the publisher to seq %d at %d, want 1 at %d", st.Seq, st.LastTS, s.TS)
 	}
 	// A gap is corruption, not data.
 	gap := s
@@ -437,7 +332,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 		}
 		const slots = 48
 		start := int64(rng.Intn(50))
-		p := NewPublisher(scheme, priv, slots, start, 0)
+		p := NewPublisher(scheme, priv, slots, start)
 		c := NewChecker(scheme, pub)
 		var sums []Summary
 		var maps []*bitmap.Bitmap

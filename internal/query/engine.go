@@ -26,7 +26,7 @@ type relView struct {
 	qs   *core.QueryServer
 }
 
-// Engine executes plan trees over a catalog of authenticated relations
+// Engine executes plans over a catalog of authenticated relations
 // and serves the resulting composite answers through an epoch-validated
 // cache. It is safe for concurrent use.
 type Engine struct {
@@ -146,11 +146,10 @@ type relOldest struct {
 
 // Execute runs the plan.
 func (e *Engine) Execute(n *Node) (*Result, error) {
-	s, err := analyze(n)
-	if err != nil {
+	if err := n.validate(); err != nil {
 		return nil, err
 	}
-	r, _, err := e.exec(&s)
+	r, _, err := e.exec(n)
 	return r, err
 }
 
@@ -184,56 +183,46 @@ func (e *Engine) Execute(n *Node) (*Result, error) {
 // A counter two of these read keeps its older reading (Stamp.Merge).
 // Nothing else of the inner relation is stamped: an update to a shard no
 // probe read cannot change the composite's bytes, and leaves it serving.
-func (e *Engine) exec(s *shape) (*Result, anscache.Stamp, error) {
+func (e *Engine) exec(p *Spec) (*Result, anscache.Stamp, error) {
 	var zero anscache.Stamp
-	outer, err := e.rel(s.scan.Rel)
+	outer, err := e.rel(p.Rel)
 	if err != nil {
 		return nil, zero, err
 	}
 	e.planQueries.Add(1)
 
-	// Outer leaf: one authenticated range scan, with the attribute
+	// The selection: one authenticated range scan, with the attribute
 	// sideband when the plan projects.
 	var (
 		outAns *core.Answer
 		rows   []core.AttrRow
 		stamp  anscache.Stamp
 	)
-	if s.proj != nil {
-		outAns, rows, stamp, err = outer.qs.QueryProj(s.scan.Lo, s.scan.Hi)
+	if p.Attrs != nil {
+		outAns, rows, stamp, err = outer.qs.QueryProj(p.Lo, p.Hi)
 	} else {
-		outAns, stamp, err = outer.qs.QueryStamped(s.scan.Lo, s.scan.Hi)
+		outAns, stamp, err = outer.qs.QueryStamped(p.Lo, p.Hi)
 	}
 	if err != nil {
 		return nil, zero, fmt.Errorf("query: outer scan %q: %w", outer.name, err)
 	}
 
-	// Residual filter (naive plans only): narrow the joined window; the
-	// chain proof, and the projection whose rows are its records, still
-	// cover the scanned range.
-	keep := outAns.Chain.Records
-	if s.filter != nil {
-		lo := sort.Search(len(keep), func(i int) bool { return keep[i].Key >= s.filter.Lo })
-		hi := sort.Search(len(keep), func(i int) bool { return keep[i].Key > s.filter.Hi })
-		keep = keep[lo:hi]
-	}
-
 	comp := &wire.Composite{Outer: outAns.Chain}
 	rels := []relOldest{{outer, outAns.OldestSigTS}}
 
-	if s.jn != nil {
-		inner, err := e.rel(s.jn.Right.Rel)
+	if p.Join != nil {
+		inner, err := e.rel(p.Join.Rel)
 		if err != nil {
 			return nil, zero, err
 		}
 		var fc *join.FilterCert
-		if s.jn.Method == join.BF {
+		if p.Join.Method == join.BF {
 			if fc = inner.qs.Filter(&stamp); fc == nil {
 				return nil, zero, fmt.Errorf("query: BF join against %q without a certified filter", inner.name)
 			}
 		}
 		var read anscache.Stamp // the inner relation's data shards
-		ja, innerOldest, err := e.probe(inner, s.jn.Method, fc, keep, &read)
+		ja, innerOldest, err := e.probe(inner, p.Join.Method, fc, outAns.Chain.Records, &read)
 		if err != nil {
 			return nil, zero, err
 		}
@@ -250,8 +239,8 @@ func (e *Engine) exec(s *shape) (*Result, anscache.Stamp, error) {
 		stamp.Merge(read)
 	}
 
-	if s.proj != nil {
-		pans, err := e.project(outer, s.proj.Attrs, outAns.Chain.Records, rows)
+	if p.Attrs != nil {
+		pans, err := e.project(outer, p.Attrs, outAns.Chain.Records, rows)
 		if err != nil {
 			return nil, zero, err
 		}
@@ -462,9 +451,9 @@ func (e *Engine) ServePlan(planBytes []byte, since []wire.RelSince) (body, tails
 // (QueryServer.Serve): its answer cache, when enabled, holds exactly the
 // leaf composite core (the codec is server.Codec's), so a range
 // selection is cached once, where the relation's updates invalidate it —
-// and, being most of the traffic, is recognised before a tree is built
-// for it. Plans with operators are served from the engine's epoch-stamped
-// plan cache.
+// and, being most of the traffic, is recognised before a Spec is decoded
+// for it. Plans that project or join are served from the engine's
+// epoch-stamped plan cache.
 //
 // since is the client's summary position per relation: at most one entry
 // for each relation the plan names, and none for any other.
@@ -479,21 +468,20 @@ func (e *Engine) Serve(planBytes []byte, since []wire.RelSince) (Served, error) 
 		}
 		return serveScan(rv, lo, hi, since)
 	}
-	n, s, err := parsePlan(planBytes)
+	p, err := UnmarshalPlan(planBytes)
 	if err != nil {
 		return Served{}, err
 	}
-	inner := s.scan.Rel
-	if s.jn != nil {
-		inner = s.jn.Right.Rel
+	inner := p.Rel
+	if p.Join != nil {
+		inner = p.Join.Rel
 	}
-	if err := checkSince(since, s.scan.Rel, inner); err != nil {
+	if err := checkSince(since, p.Rel, inner); err != nil {
 		return Served{}, err
 	}
-	// Key on the canonical re-encoding, not the received bytes: the key
-	// outlives the request frame the bytes arrived in.
-	lo, hi := s.selection()
-	key := anscache.Key{Lo: lo, Hi: hi, Plan: string(n.Marshal())}
+	// The received bytes are the canonical encoding (UnmarshalPlan accepts
+	// no other); the key copies them, as it outlives the request frame.
+	key := anscache.Key{Lo: p.Lo, Hi: p.Hi, Plan: string(planBytes)}
 	// An entry keeps the encoded answer and what the tails need — each
 	// touched relation's oldest proof timestamp — not the composite it was
 	// encoded from: that object graph is as large again as the bytes and
@@ -501,7 +489,7 @@ func (e *Engine) Serve(planBytes []byte, since []wire.RelSince) (Served, error) 
 	// that serves this build's flight and returns to the pool on its last
 	// Release; the cache keeps an exactly sized copy of what it admits.
 	build := func() (*anscache.Entry, error) {
-		r, stamp, err := e.exec(&s)
+		r, stamp, err := e.exec(p)
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -262,83 +264,100 @@ func (fx *fixture) swapped() *fixture {
 	return &fixture{cat: fx.cat, outer: fx.inner, inner: fx.outer, eng: fx.eng}
 }
 
-func TestNaivePlanSameJoinAsPushdown(t *testing.T) {
-	fx := newFixture(t)
-	spec := fx.spec(join.BV)
-	spec.Attrs = nil
-	pd, err := Plan(spec, true)
-	if err != nil {
-		t.Fatal(err)
+// planShapes is one valid plan of every shape the encoding has, and each
+// of validate's limits reached exactly.
+func planShapes() []*Spec {
+	slots := make([]int, maxAttrs)
+	for i := range slots {
+		slots[i] = i
 	}
-	nv, err := Plan(spec, false)
-	if err != nil {
-		t.Fatal(err)
+	long := strings.Repeat("n", maxRelName)
+	shapes := []*Spec{
+		{Rel: "r", Lo: 1, Hi: 2},
+		{Rel: "o", Lo: 7, Hi: 7},
+		{Rel: "o", Lo: -5, Hi: 5, Attrs: []int{1, 0}},
+		{Rel: "o", Lo: -5, Hi: 5, Attrs: []int{}},
+		{Rel: "o", Lo: 1, Hi: 9, Join: &JoinSpec{Rel: "i", Method: join.BV}},
+		{Rel: "o", Lo: 1, Hi: 9, Join: &JoinSpec{Rel: "i", Method: join.BF}},
+		{Rel: "o", Lo: 1, Hi: 9, Attrs: []int{0}, Join: &JoinSpec{Rel: "o", Method: join.BV}},
+		{Rel: long, Lo: 0, Hi: 0},
+		{Rel: "o", Lo: -1 << 63, Hi: 1<<63 - 1, Attrs: slots, Join: &JoinSpec{Rel: long, Method: join.BF}},
 	}
-	a, err := fx.eng.Execute(pd)
-	if err != nil {
-		t.Fatal(err)
+	if math.MaxInt >= maxSlot {
+		top := uint32(maxSlot)
+		shapes = append(shapes, &Spec{Rel: "o", Lo: 1, Hi: 9, Attrs: []int{int(top), 0}})
 	}
-	b, err := fx.eng.Execute(nv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The naive plan scans the whole domain, so its outer proof is wider,
-	// but the join must resolve exactly the same filtered key set.
-	if len(b.Comp.Outer.Records) != 100 {
-		t.Fatalf("naive scan returned %d records, want the full 100", len(b.Comp.Outer.Records))
-	}
-	if !reflect.DeepEqual(a.Comp.Join, b.Comp.Join) {
-		t.Fatal("pushdown and naive plans joined different key sets")
-	}
+	return shapes
 }
 
 func TestPlanCodec(t *testing.T) {
-	specs := []*Spec{
-		{Rel: "o", Lo: 1, Hi: 2},
-		{Rel: "o", Lo: -5, Hi: 5, Attrs: []int{1, 0}},
-		{Rel: "o", Lo: 1, Hi: 9, Join: &JoinSpec{Rel: "i", Method: join.BF}},
-		{Rel: "o", Lo: 1, Hi: 9, Attrs: []int{0}, Join: &JoinSpec{Rel: "i", Method: join.BV}},
-	}
-	for _, spec := range specs {
-		for _, pushdown := range []bool{true, false} {
-			n, err := Plan(spec, pushdown)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data := n.Marshal()
-			got, err := UnmarshalPlan(data)
-			if err != nil {
-				t.Fatalf("%+v: %v", spec, err)
-			}
-			if !reflect.DeepEqual(got, n) {
-				t.Fatalf("plan round trip mismatch:\n got %+v\nwant %+v", got, n)
-			}
-			if !bytes.Equal(got.Marshal(), data) {
-				t.Fatal("re-encoding is not canonical")
-			}
-			s, err := analyze(got)
-			if lo, hi := s.selection(); err != nil || lo != spec.Lo || hi != spec.Hi {
-				t.Fatalf("selection = [%d,%d] %v, want [%d,%d]", lo, hi, err, spec.Lo, spec.Hi)
-			}
+	for _, spec := range planShapes() {
+		data := spec.mustPlan(t).Marshal()
+		got, err := UnmarshalPlan(data)
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		if !reflect.DeepEqual(got, spec) {
+			t.Fatalf("plan round trip mismatch:\n got %+v\nwant %+v", got, spec)
+		}
+		if !bytes.Equal(got.Marshal(), data) {
+			t.Fatal("re-encoding is not canonical")
 		}
 	}
-	for _, bad := range [][]byte{
-		nil,
-		{0},
-		{byte(OpScan), 0, 0}, // empty relation name
-		{byte(OpFilter)},     // truncated
-		append(specs[0].mustPlan(t).Marshal(), 7), // trailing bytes
+	scan := (&Spec{Rel: "o", Lo: 1, Hi: 2}).mustPlan(t).Marshal()
+	flags := len(scan) - 1
+	for name, bad := range map[string][]byte{
+		"empty":               nil,
+		"empty relation name": (&Spec{Lo: 1, Hi: 2}).Marshal(),
+		"truncated":           scan[:flags],
+		"trailing bytes":      append(bytes.Clone(scan), 7),
+		"unknown flag":        append(bytes.Clone(scan[:flags]), 4),
+		"projection missing":  append(bytes.Clone(scan[:flags]), flagProject),
+		"join missing":        append(bytes.Clone(scan[:flags]), flagJoin),
 	} {
 		if _, err := UnmarshalPlan(bad); err == nil {
-			t.Fatalf("bad plan %v accepted", bad)
+			t.Fatalf("%s: plan %x accepted", name, bad)
 		}
 	}
-	// A filter above a filter (or any misordered tree) is rejected even
-	// though each node is well formed.
-	twisted := &Node{Op: OpFilter, Lo: 1, Hi: 2, Child: &Node{Op: OpFilter, Lo: 1, Hi: 2,
-		Child: &Node{Op: OpScan, Rel: "o", Lo: 0, Hi: 9}}}
-	if _, err := UnmarshalPlan(twisted.Marshal()); err == nil {
-		t.Fatal("duplicate filter accepted")
+}
+
+// TestPlanAndDecoderAgree: Plan and UnmarshalPlan share one rule book, so
+// a spec Plan refuses is one a server refuses too, and a spec Plan accepts
+// reaches the server as itself — never as another plan the encoding
+// folded it into.
+func TestPlanAndDecoderAgree(t *testing.T) {
+	top := uint32(maxSlot)
+	long := strings.Repeat("n", maxRelName+1)
+	type row struct {
+		name string
+		spec *Spec
+		ok   bool
+	}
+	var rows []row
+	for i, s := range planShapes() {
+		rows = append(rows, row{fmt.Sprintf("shape %d", i), s, true})
+	}
+	rows = append(rows, []row{
+		{"empty relation", &Spec{Lo: 1, Hi: 2}, false},
+		{"long relation", &Spec{Rel: long, Lo: 1, Hi: 2}, false},
+		{"inverted range", &Spec{Rel: "o", Lo: 2, Hi: 1}, false},
+		{"too many slots", &Spec{Rel: "o", Lo: 1, Hi: 2, Attrs: make([]int, maxAttrs+1)}, false},
+		{"negative slot", &Spec{Rel: "o", Lo: 1, Hi: 2, Attrs: []int{-1}}, false},
+		{"slot past 2^32", &Spec{Rel: "o", Lo: 1, Hi: 2, Attrs: []int{int(top) + 2}}, int(top)+2 == 1},
+		{"empty inner relation", &Spec{Rel: "o", Lo: 1, Hi: 2, Join: &JoinSpec{Method: join.BV}}, false},
+		{"long inner relation", &Spec{Rel: "o", Lo: 1, Hi: 2, Join: &JoinSpec{Rel: long, Method: join.BV}}, false},
+		{"unknown join method", &Spec{Rel: "o", Lo: 1, Hi: 2, Join: &JoinSpec{Rel: "i", Method: join.BF + 1}}, false},
+	}...)
+	for _, r := range rows {
+		_, perr := Plan(r.spec, true)
+		got, derr := UnmarshalPlan(r.spec.Marshal())
+		carried := derr == nil && reflect.DeepEqual(got, r.spec)
+		if (perr == nil) != r.ok || carried != r.ok {
+			t.Errorf("%s: Plan: %v; decoded %+v, %v; want accepted = %v", r.name, perr, got, derr, r.ok)
+		}
+	}
+	if _, err := Plan(nil, true); err == nil {
+		t.Error("nil spec planned")
 	}
 }
 

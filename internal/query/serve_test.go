@@ -46,7 +46,7 @@ func TestServePlanRefusesStraySince(t *testing.T) {
 	}
 }
 
-// TestBareScanServedByItsRelation: a plan that is one scan leaf is
+// TestBareScanServedByItsRelation: a plan that is a bare selection is
 // answered by the scanned relation's own serving layer — from its answer
 // cache when it has one, zero-copy, and never from the engine's plan
 // cache — and the frame is the leaf composite either way.
@@ -128,55 +128,50 @@ func TestBareScanServedByItsRelation(t *testing.T) {
 
 // FuzzUnmarshalPlan: the plan decoder is the first thing every request
 // reaches. Whatever the bytes, it must not panic; what it accepts is
-// canonical — the tree marshals back to exactly the input — and parses
-// again to the same tree with the same analysis.
+// canonical — the plan marshals back to exactly the input, which is what
+// lets the plan cache key on received bytes — and passes Plan's rules.
+// bareScan, the serving shortcut, reads exactly the plans the decoder
+// reads as a bare selection, and reads them the same.
 func FuzzUnmarshalPlan(f *testing.F) {
-	for _, spec := range []*Spec{
-		{Rel: "r", Lo: 1, Hi: 2},
-		{Rel: "o", Lo: -5, Hi: 5, Attrs: []int{1, 0}},
-		{Rel: "o", Lo: 1, Hi: 9, Join: &JoinSpec{Rel: "i", Method: join.BF}},
-		{Rel: "o", Lo: 1, Hi: 9, Attrs: []int{0}, Join: &JoinSpec{Rel: "o", Method: join.BV}},
-		{Rel: strings.Repeat("n", maxRelName), Lo: 0, Hi: 0},
-	} {
-		for _, pushdown := range []bool{true, false} {
-			n, err := Plan(spec, pushdown)
-			if err != nil {
-				f.Fatal(err)
-			}
-			data := n.Marshal()
-			f.Add(data)
-			for i := 0; i < len(data); i += 1 + len(data)/12 {
+	for _, spec := range planShapes() {
+		data := spec.Marshal()
+		f.Add(data)
+		for i := 0; i < len(data); i += 1 + len(data)/12 {
+			m := bytes.Clone(data)
+			m[i] ^= 0x81
+			f.Add(m)
+		}
+		f.Add(data[:len(data)/2])
+		f.Add(data[:len(data)-1])
+		f.Add(append(bytes.Clone(data), 0))
+		// The same bytes read under every other combination of flags.
+		at := 2 + len(spec.Rel) + 16
+		for flags := byte(0); flags <= flagProject|flagJoin; flags++ {
+			if flags != data[at] {
 				m := bytes.Clone(data)
-				m[i] ^= 0x81
+				m[at] = flags
 				f.Add(m)
 			}
-			f.Add(data[:len(data)/2])
-			f.Add(append(bytes.Clone(data), 0))
 		}
 	}
-	f.Add([]byte{byte(OpProject), 0xff, 0xff})                             // attribute count past the limit
-	f.Add([]byte{byte(OpScan), 0x01, 0x01})                                // name longer than the bytes present
-	f.Add(bytes.Repeat([]byte{byte(OpFilter), 0, 0, 0, 0, 0, 0, 0, 0}, 9)) // deeper than any plan
+	sel := (&Spec{Rel: "o"}).Marshal()
+	sel = sel[:len(sel)-1]                                      // the selection, without its flags
+	f.Add(append(bytes.Clone(sel), flagProject, 0xff, 0xff))    // slot count past the limit
+	f.Add(append(bytes.Clone(sel), flagJoin, 0, 0xff, 0xff, 0)) // inner name longer than the bytes present
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rel, lo, hi, bare := bareScan(data)
-		n, s, err := parsePlan(data)
-		// The serving shortcut reads exactly the plans the parser reads as
-		// one scan leaf, and reads them the same.
-		if bare != (err == nil && n.Op == OpScan) || bare && (string(rel) != n.Rel || lo != n.Lo || hi != n.Hi) {
-			t.Fatalf("bareScan(%x) = %q [%d,%d] %v; parsePlan: %+v, %v", data, rel, lo, hi, bare, n, err)
+		p, err := UnmarshalPlan(data)
+		if bare != (err == nil && p.Attrs == nil && p.Join == nil) || bare && (string(rel) != p.Rel || lo != p.Lo || hi != p.Hi) {
+			t.Fatalf("bareScan(%x) = %q [%d,%d] %v; UnmarshalPlan: %+v, %v", data, rel, lo, hi, bare, p, err)
 		}
 		if err != nil {
 			return
 		}
-		if n == nil || s.scan == nil {
-			t.Fatal("accepted plan without a tree or a scan leaf")
+		if !bytes.Equal(p.Marshal(), data) {
+			t.Fatalf("accepted %x, which marshals back to %x", data, p.Marshal())
 		}
-		if !bytes.Equal(n.Marshal(), data) {
-			t.Fatalf("accepted %x, which marshals back to %x", data, n.Marshal())
-		}
-		again, err := UnmarshalPlan(n.Marshal())
-		if err != nil || !reflect.DeepEqual(again, n) {
-			t.Fatalf("re-parse of an accepted plan gives another tree (err %v)", err)
+		if _, err := Plan(p, true); err != nil {
+			t.Fatalf("accepted %x, which Plan refuses: %v", data, err)
 		}
 	})
 }

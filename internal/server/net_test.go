@@ -13,6 +13,7 @@ import (
 
 	"authdb/internal/client"
 	"authdb/internal/core"
+	"authdb/internal/freshness"
 	"authdb/internal/query"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
@@ -228,7 +229,7 @@ func TestNetServerErrorResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	inverted := (&query.Node{Op: query.OpScan, Rel: core.DefaultRelation, Lo: 50_000_000, Hi: 1}).Marshal()
+	inverted := (&query.Spec{Rel: core.DefaultRelation, Lo: 50_000_000, Hi: 1}).Marshal()
 	if err := wire.WriteFrame(conn, wire.AppendPlanReq(nil, inverted, nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestNetServerErrorResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code, msg, err := wire.DecodeErrorCode(resp); err != nil || code != wire.ErrCodeGeneric || !strings.Contains(msg, "inverted scan range") {
+	if code, msg, err := wire.DecodeErrorCode(resp); err != nil || code != wire.ErrCodeGeneric || !strings.Contains(msg, "inverted range") {
 		t.Fatalf("inverted range on the wire: code %d, %q, %v; want a generic 'E' naming the range", code, msg, err)
 	}
 	// The connection survives a served error.
@@ -283,9 +284,9 @@ func TestNetServerConnLimit(t *testing.T) {
 
 // TestNetSummaryStreamRace races the publisher's MarkUpdated/Publish
 // (through the DA's single-writer update loop) against concurrent
-// Checker consumption by networked clients and direct History/Since
-// readers — the aliasing and locking regression for the freshness
-// publisher, run under -race in CI.
+// Checker consumption by networked clients and direct readers of the
+// server's summary stream — the aliasing and locking regression for the
+// freshness publisher, run under -race in CI.
 func TestNetSummaryStreamRace(t *testing.T) {
 	sys, keys, addr, shutdown := newNetFixture(t, 400, NetConfig{})
 	defer shutdown()
@@ -326,16 +327,15 @@ func TestNetSummaryStreamRace(t *testing.T) {
 			}
 		}
 	}()
-	// Direct history readers, mutating their returned slices.
+	// Direct stream readers, appending to their returned slices.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				h := sys.DA.SummariesSince(0)
+				h := sys.QS.SummariesSince(0)
 				if len(h) > 0 {
-					h[0].Seq = 1 << 60 // must never corrupt publisher state
-					_ = append(h, h[0])
+					_ = append(h, freshness.Summary{Seq: 1 << 60}) // must never reach the stream
 				}
 			}
 		}()

@@ -29,7 +29,7 @@ import (
 // silent half-state.
 
 // snapMagic names the layout; a file written under another is refused.
-const snapMagic = "ASNP3\n"
+const snapMagic = "ASNP4\n"
 
 // snapName and snapTmp are the snapshot file names within a store dir.
 const (
@@ -38,10 +38,9 @@ const (
 )
 
 // Snapshot is one durable image of the pipeline's state, in the forms
-// the two parties restore from. The file stores the records and the
-// summary stream once: Owner.Records is Server.Records, and
-// Owner.Pub.History the summary stream (which RestoreState trims to
-// MaxHist).
+// the two parties restore from. The file stores the records once:
+// Owner.Records is Server.Records. The summary stream is the server's
+// alone; the owner keeps no copy of it.
 type Snapshot struct {
 	LSN    uint64 // last log record folded into this image
 	TS     int64  // logical time the image was taken
@@ -87,7 +86,7 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	if s.Owner, err = wire.DecodeOwnerBlock(rest); err != nil {
 		return nil, fmt.Errorf("%w: snapshot owner block: %w", ErrCorrupt, err)
 	}
-	s.Owner.Records, s.Owner.Pub.History = s.Server.Records, s.Server.Summaries
+	s.Owner.Records = s.Server.Records
 	return s, nil
 }
 

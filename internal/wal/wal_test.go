@@ -282,7 +282,6 @@ func TestSnapshotRoundtripFile(t *testing.T) {
 				LastTS:  40,
 				Cur:     []byte{0x04, 0x01, 0x02}, // compressed bitmap: len 4, one bit at 2
 				Touched: map[int]int{2: 2, 7: 1},
-				History: server.Summaries,
 			},
 		},
 	}
@@ -330,9 +329,11 @@ func TestSnapshotRoundtripFile(t *testing.T) {
 	if _, err := decodeSnapshot(reseal(bytes.Clone(whole[:len(whole)-12]))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short owner block under a valid CRC: %v, want ErrCorrupt", err)
 	}
-	old := reseal(append([]byte("ASNP2\n"), whole[len(snapMagic):len(whole)-4]...))
-	if _, err := decodeSnapshot(old); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("previous layout's magic: %v, want ErrCorrupt", err)
+	for _, magic := range []string{"ASNP2\n", "ASNP3\n"} {
+		old := reseal(append([]byte(magic), whole[len(snapMagic):len(whole)-4]...))
+		if _, err := decodeSnapshot(old); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("previous layout's magic %q: %v, want ErrCorrupt", magic, err)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // The query protocol's messages: the plan request ('P'), the composite
 // verifiable-object answer ('C'), and the relation-scoped summary
 // request ('T'). Every query is a plan — a range selection is the plan
-// that is one scan leaf, and its answer the composite with no operator
-// sections — so these are the only request and the only answer a
+// with no projection and no join, and its answer the composite with no
+// operator sections — so these are the only request and the only answer a
 // listener speaks.
 //
 // A 'C' message splits into a cacheable core — the plan's proof objects,
@@ -72,9 +72,10 @@ func AppendPlanReq(buf []byte, plan []byte, rels []RelSince) []byte {
 
 // DecodePlanReq parses a plan request, appending the summary positions to
 // rels (a server passes a two-entry array of its own: nothing then sizes
-// with the request). The plan bytes alias data; the planner
-// (query.UnmarshalPlan) is what parses them, and the engine what holds the
-// positions against the relations the plan names.
+// with the request). The plan bytes alias data. The engine
+// (query.Engine.Serve) reads them — a bare selection in place, any other
+// plan through query.UnmarshalPlan — keys its plan cache on a copy of
+// them, and holds the positions against the relations the plan names.
 func DecodePlanReq(data []byte, rels []RelSince) (plan []byte, _ []RelSince, err error) {
 	r := &reader{buf: data, alias: true}
 	if err := header(r, KindPlan); err != nil {

@@ -68,9 +68,8 @@ func DecodeImage(data []byte) (*core.ServerState, []byte, error) {
 // AppendOwnerBlock appends what a snapshot holds of the owner beyond
 // the image: the rid allocator, the pending multi-update
 // re-certifications and the publisher's mid-period state (st.Pub, which
-// DataAggregator.SnapshotMeta always sets). st.Records and
-// st.Pub.History are not written — they are the image's records and
-// summaries.
+// DataAggregator.SnapshotMeta always sets). st.Records is not written —
+// it is the image's records.
 func AppendOwnerBlock(buf []byte, st *core.OwnerState) []byte {
 	w := &writer{buf: buf}
 	w.u64(st.NextRID)
@@ -92,7 +91,6 @@ func AppendOwnerBlock(buf []byte, st *core.OwnerState) []byte {
 		w.u64(uint64(slot))
 		w.u64(uint64(st.Pub.Touched[slot]))
 	}
-	w.u64(uint64(st.Pub.MaxHist))
 	return w.buf
 }
 
@@ -131,11 +129,6 @@ func DecodeOwnerBlock(data []byte) (*core.OwnerState, error) {
 		touches, _ := r.u64()
 		pub.Touched[int(slot)] = int(touches)
 	}
-	maxHist, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	pub.MaxHist = int(maxHist)
 	return st, r.done()
 }
 

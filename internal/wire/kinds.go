@@ -26,7 +26,7 @@ type KindInfo struct {
 
 // Kinds is the whole protocol surface, one row per frame kind.
 var Kinds = []KindInfo{
-	{KindPlan, "client", "server", "query plan over named relations (a bare scan leaf is a range selection), with the session's summary cursor per relation"},
+	{KindPlan, "client", "server", "query plan over named relations (a bare selection is a range query), with the session's summary cursor per relation"},
 	{KindComposite, "server", "client", "plan answer: chained scan, optional projection and join sections, per-relation summary tails"},
 	{KindRelSummaries, "client", "server", "certified summaries of one named relation, after a sequence number or since a timestamp"},
 	{KindSummaries, "server", "client", "batch of certified summaries (answers T)"},
