@@ -392,8 +392,8 @@ func runQuery(args []string) error {
 	}
 	fmt.Printf("authserve query: %d answers verified in %v (%d bytes in, %d summaries ingested; %d join keys matched, %d answered by Bloom negatives alone, %d (BF) + %d (BV) proven absent inside runs, %d attribute signatures)\n",
 		st.Verified, rtt, st.BytesIn, st.Summaries, st.JoinMatches, st.JoinBFNegs, st.JoinBFFalls, st.JoinBounds, st.AttrSigsVerif)
-	fmt.Printf("authserve query: %d signature claims verified by the scheme, %d already closed by this session (%d batches without curve arithmetic)\n",
-		st.ClaimMisses, st.ClaimHits, st.BatchesWithoutEC)
+	fmt.Printf("authserve query: %d signature claims verified by the scheme, %d already closed by this session (%d known by content, no digest computed; %d batches without curve arithmetic)\n",
+		st.ClaimMisses, st.ClaimHits, st.ContentHits, st.BatchesWithoutEC)
 	if len(addrs) > 1 {
 		fmt.Printf("authserve query: fleet of %d, finished on %s (%d failovers, %d quarantined)\n",
 			len(addrs), cl.CurrentAddr(), st.Failovers, st.Quarantines)

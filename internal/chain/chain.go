@@ -11,6 +11,7 @@
 package chain
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
@@ -195,6 +196,58 @@ func (a *Answer) DigestsParallel(par int) [][]byte {
 	return views(flat)
 }
 
+// identityChain opens a chain answer's identity; projection's is 'p'.
+const identityChain = 'c'
+
+// AppendIdentity appends the answer's identity to dst: an injective,
+// length-prefixed serialization of everything its digests and aggregate
+// read — the range, every record's rid, key, ts and attributes, both
+// boundary references, the anchor (flagged present or absent) and its
+// left reference, and the aggregate — tagged as a chain's. Two answers
+// with equal identities have equal Digests and Agg, so a verifier may
+// name the claim by a hash of its identity instead of its digests
+// (core's claim memo).
+func (a *Answer) AppendIdentity(dst []byte) []byte {
+	dst = append(dst, identityChain)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(a.Lo))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(a.Hi))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(a.Records)))
+	for _, r := range a.Records {
+		dst = appendRecord(dst, r)
+	}
+	dst = appendRef(dst, a.Left)
+	dst = appendRef(dst, a.Right)
+	if a.Anchor == nil {
+		dst = append(dst, 0)
+	} else {
+		dst = append(dst, 1)
+		dst = appendRecord(dst, a.Anchor)
+		dst = appendRef(dst, a.AnchorLeft)
+	}
+	return appendBytes(dst, a.Agg)
+}
+
+func appendRecord(dst []byte, r *Record) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, r.RID)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Key))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(r.TS))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(r.Attrs)))
+	for _, v := range r.Attrs {
+		dst = appendBytes(dst, v)
+	}
+	return dst
+}
+
+func appendRef(dst []byte, r Ref) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Key))
+	return binary.BigEndian.AppendUint64(dst, r.RID)
+}
+
+// appendBytes appends len‖b.
+func appendBytes(dst, b []byte) []byte {
+	return append(binary.BigEndian.AppendUint64(dst, uint64(len(b))), b...)
+}
+
 // VOSizeBytes reports the proof size beyond the records themselves: one
 // aggregate signature plus the boundary references, matching the
 // accounting of §3.3 (signature + two boundary values).
@@ -218,17 +271,17 @@ func Verify(scheme sigagg.Scheme, pub sigagg.PublicKey, a *Answer) error {
 	if a == nil {
 		return fmt.Errorf("%w: nil answer", sigagg.ErrVerify)
 	}
-	if err := a.checkStructure(); err != nil {
+	if err := a.CheckStructure(); err != nil {
 		return err
 	}
 	return scheme.AggregateVerify(pub, a.Digests(), a.Agg)
 }
 
-// checkStructure validates everything about the answer that needs no
+// CheckStructure validates everything about the answer that needs no
 // cryptography: record ordering, range membership, boundary enclosure
 // and anchor placement. The aggregate signature then attests that
 // exactly this structure was certified.
-func (a *Answer) checkStructure() error {
+func (a *Answer) CheckStructure() error {
 	lo, hi := a.Lo, a.Hi
 	if len(a.Records) == 0 {
 		// Empty answer: the anchor's chain edge must jump the whole
@@ -284,7 +337,7 @@ func (a *Answer) checkStructure() error {
 // parallel on up to par goroutines (0 = GOMAXPROCS). It returns one job
 // per answer, in answer order — jobs[i] is answers[i]'s signature claim,
 // repeats included: a claim's identity is its verifier's business
-// (core.Verifier.VerifyJobs), not this package's. A caller holding
+// (core.Verifier.CheckClaims), not this package's. A caller holding
 // further claims under the same signer appends them and closes
 // everything with one batch.
 func Jobs(answers []*Answer, par int) ([]sigagg.VerifyJob, error) {
@@ -295,7 +348,7 @@ func Jobs(answers []*Answer, par int) ([]sigagg.VerifyJob, error) {
 		if a == nil {
 			return nil, fmt.Errorf("%w: nil answer", sigagg.ErrVerify)
 		}
-		if err := a.checkStructure(); err != nil {
+		if err := a.CheckStructure(); err != nil {
 			return nil, err
 		}
 	}
@@ -311,7 +364,7 @@ func Jobs(answers []*Answer, par int) ([]sigagg.VerifyJob, error) {
 	// One Writer, one flat digest array and one view array per chunk of
 	// answers, sub-sliced per answer: a composite's hundred-odd
 	// one-record probe proofs cost three allocations, not three each.
-	// (checkStructure passed, so every answer has at least one digest.)
+	// (CheckStructure passed, so every answer has at least one digest.)
 	sigagg.ForChunks(len(answers), par, 1, func(lo, hi int) error {
 		total := 0
 		for _, a := range answers[lo:hi] {

@@ -227,18 +227,21 @@ func advance(t *testing.T, sys *core.System, key int64, ts int64) {
 	}
 }
 
-// forgingReplica runs one forging mode against a session twice: cold —
-// the forgery is the first thing the session sees — and warm: the same
+// memoStates are how much of the honest answer a session remembers when
+// the forgery of it arrives: nothing (cold), its claims by digest name
+// (warm: it verified the honest answer once), or by content name (warm
+// twice: it verified it again, which renamed the memo entries; core's
+// claimmemo.go). Every tamper case runs against all three.
+var memoStates = []string{"cold", "warm", "warm twice"}
+
+// forgingReplica runs one forging mode against a session in each memo
+// state: the forgery is the first thing the session sees, or the same
 // session has just fetched and verified the honest answer through the
-// same front, so its verifier remembers the honest claim when the forgery
-// of it arrives. Either way nothing forged may be accepted, and the
-// failure must be verification-class evidence.
+// same front once or twice, so its verifier remembers the honest claim
+// when the forgery of it arrives. Either way nothing forged may be
+// accepted, and the failure must be verification-class evidence.
 func forgingReplica(t *testing.T, mode forgery, what string) {
-	for _, warm := range []bool{false, true} {
-		name := "cold"
-		if warm {
-			name = "warm"
-		}
+	for honest, name := range memoStates {
 		t.Run(name, func(t *testing.T) {
 			sys, keys, addr := fixture(t, 200)
 			ts := newTamperSrv(t, addr)
@@ -247,13 +250,12 @@ func forgingReplica(t *testing.T, mode forgery, what string) {
 				t.Fatal(err)
 			}
 			defer cl.Close()
-			honest := uint64(0)
-			if warm {
+			for i := 0; i < honest; i++ {
 				if _, _, err := cl.Query(keys[5], keys[40]); err != nil {
 					t.Fatal(err)
 				}
-				honest = 1
 			}
+			warm := cl.Stats()
 			ts.Forge(mode)
 			for i := 0; i < 2; i++ { // a forgery does not become true by repetition
 				_, _, err = cl.Query(keys[5], keys[40])
@@ -264,9 +266,9 @@ func forgingReplica(t *testing.T, mode forgery, what string) {
 					t.Fatalf("%s surfaced as %v, want sigagg.ErrVerify", what, err)
 				}
 			}
-			if st := cl.Stats(); st.Verified != honest || st.ClaimHits != 0 {
-				t.Fatalf("against a forging replica: %d answers verified (%d honest), %d claims served from memory",
-					st.Verified, honest, st.ClaimHits)
+			if st := cl.Stats(); st.Verified != uint64(honest) || st.ClaimHits != warm.ClaimHits || st.ContentHits != 0 {
+				t.Fatalf("against a forging replica: %d answers verified (%d honest), %d claims served from memory (%d before the forgeries)",
+					st.Verified, honest, st.ClaimHits, warm.ClaimHits)
 			}
 		})
 	}
@@ -291,9 +293,10 @@ func TestAdversaryRowSwapNeverAccepted(t *testing.T) {
 // pre-update cached answers — perfectly signed, just old — is caught
 // by the freshness machinery: the session's held summaries prove a
 // newer version of the answered records exists. The session that
-// verified the answer while it was current remembers its signature claim
-// (the replay costs it no curve arithmetic) and rejects it all the same;
-// so does a session that never saw it.
+// verified the answer twice while it was current remembers its signature
+// claim by content (the replay costs it no curve arithmetic and no
+// digest) and rejects it all the same; so does a session that never saw
+// it.
 func TestAdversaryStaleReplayDetected(t *testing.T) {
 	sys, keys, addr := fixture(t, 200)
 	// One closed period so the capture-phase answer carries summaries.
@@ -311,9 +314,11 @@ func TestAdversaryStaleReplayDetected(t *testing.T) {
 	}
 	defer cl.Close()
 	// Capture phase: honest pass-through; the adversary records the
-	// response.
-	if _, _, err := cl.Query(keys[5], keys[40]); err != nil {
-		t.Fatal(err)
+	// response. Twice: the second sighting renames the claim by content.
+	for i := 0; i < 2; i++ {
+		if _, _, err := cl.Query(keys[5], keys[40]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// The world moves on: a record in the range changes, a new period
 	// certifies it, and the session learns the new summary.
@@ -330,8 +335,8 @@ func TestAdversaryStaleReplayDetected(t *testing.T) {
 	if !errors.Is(err, freshness.ErrStale) {
 		t.Fatalf("stale replay surfaced as %v, want freshness.ErrStale", err)
 	}
-	if st := cl.Stats(); st.ClaimHits != 1 || st.Verified != 1 {
-		t.Fatalf("the replayed claim was not the remembered one: %+v", st)
+	if st := cl.Stats(); st.ClaimHits != 2 || st.ContentHits != 1 || st.Verified != 2 {
+		t.Fatalf("the replayed claim was not known by its content: %+v", st)
 	}
 	// A cold session: the front replays its 'F' page (captured after the
 	// update) and the pre-update answer.

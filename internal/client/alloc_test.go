@@ -17,12 +17,13 @@ import (
 
 // answerFrame returns the encoded 'A' frame of a 50-record × 512 B answer
 // under bas, the range it covers, and a single-threaded verifier that has
-// already verified it once: hash-to-curve points and the key's
-// precomputation table are warm, and the verifier remembers the claim, so
-// what the callers below measure is the session's repeat of a known
-// answer — decode, structure, digests, claim name, freshness. (The curve
-// arithmetic a first sighting adds allocates nothing: bas's
-// TestKernelAllocatesNothing.)
+// already verified it twice: hash-to-curve points and the key's
+// precomputation table are warm, and the verifier remembers the claim by
+// its content, so what the callers below measure is the session's repeat
+// of a known answer — decode, structure, content name, freshness. (The
+// digests and claim name a second sighting adds allocate three objects —
+// chain.Jobs' — and the curve arithmetic a first sighting adds allocates
+// nothing: bas's TestKernelAllocatesNothing.)
 func answerFrame(tb testing.TB) ([]byte, core.Range, *core.Verifier) {
 	tb.Helper()
 	sys, err := core.NewSystem(bas.New(0), core.DefaultConfig())
@@ -52,8 +53,10 @@ func answerFrame(tb testing.TB) ([]byte, core.Range, *core.Verifier) {
 	}
 	v := core.NewVerifier(sys.Scheme, sys.Pub, core.DefaultConfig())
 	v.SetParallelism(1)
-	if err := decodeVerify(frame, rg, v); err != nil {
-		tb.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := decodeVerify(frame, rg, v); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	return frame, rg, v
 }
@@ -72,11 +75,13 @@ func decodeVerify(frame []byte, rg core.Range, v *core.Verifier) error {
 }
 
 // TestDecodeVerifyAllocBudget pins what the path allocates instead of how
-// long it takes: O(1) objects per answer, 15 here — the records share one
-// array and their Attrs headers one slab. A per-record copy, header,
-// digest or scratch buffer creeping back in costs 50 and fails it; the
-// path needed 64 while each record's Attrs was a slice of its own, and
-// over 300 before frames were aliased and digests streamed.
+// long it takes: O(1) objects per answer, 11 here — the records share one
+// array and their Attrs headers one slab, and a claim known by content
+// computes no digest. A per-record copy, header, digest or scratch buffer
+// creeping back in costs 50 and fails it, and so does a repeat that
+// recomputes its digests (15 while every answer did); the path needed 64
+// while each record's Attrs was a slice of its own, and over 300 before
+// frames were aliased and digests streamed.
 func TestDecodeVerifyAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -88,8 +93,11 @@ func TestDecodeVerifyAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations per 50-record answer", allocs)
-	if allocs > 24 {
-		t.Fatalf("decode + verify of a 50-record answer allocates %.0f objects, budget 24", allocs)
+	if allocs > 12 {
+		t.Fatalf("decode + verify of a 50-record answer allocates %.0f objects, budget 12", allocs)
+	}
+	if st := v.ClaimStats(); st.ContentHits < 20 {
+		t.Fatalf("the budget was measured on something other than a claim known by content: %+v", st)
 	}
 }
 
@@ -174,14 +182,19 @@ func planJoinFrame(tb testing.TB) ([]byte, *query.Spec, *client.Client) {
 // TestVerifyCompositeAllocBudget is TestLeafPathAllocBudget for a plan with
 // every section: what the client allocates to decode and verify one
 // plan_join answer it has seen before. Nothing is allocated per row or
-// per record any more — 51 objects, all O(1) per section, run and listed
-// partition. The projection is a row array, one flat value array and,
-// in projection.Digests, one digest array, its views and one Writer; a
-// body's records share one Attrs slab. It was 725 objects in an 18.6 KB
-// frame (this one is 13.8 KB) while every projected row repeated its rid,
-// ts and value count and had a value slice, a digest and a Writer of its
-// own, and every record an Attrs slice; 1,343 in a 43 KB frame while the
-// join shipped a proof per outer key.
+// per record any more — 37 objects, all O(1) per section, run and listed
+// partition: 31 in the decode (for the projection a row array and one
+// flat value array; a body's records share one Attrs slab) and 6 in
+// verification (each key's admit, the outer keys the join is resolved
+// against, the per-plan proof and report arrays, the report). Every claim
+// but the partition certifications is known by content, and those are
+// one digest each, computed without allocating. It was 51 while every
+// repeat recomputed its digests (the projection's a digest array, its
+// views and a Writer; chain.Jobs' three per chunk); 725
+// objects in an 18.6 KB frame (this one is 13.8 KB) while every projected
+// row repeated its rid, ts and value count and had a value slice, a
+// digest and a Writer of its own, and every record an Attrs slice; 1,343
+// in a 43 KB frame while the join shipped a proof per outer key.
 func TestVerifyCompositeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -194,10 +207,10 @@ func TestVerifyCompositeAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations per decoded and verified %d-byte plan_join answer", allocs, len(frame))
-	if allocs > 80 {
-		t.Fatalf("decode + verify of a plan_join answer allocates %.0f objects, budget 80", allocs)
+	if allocs > 40 {
+		t.Fatalf("decode + verify of a plan_join answer allocates %.0f objects, budget 40", allocs)
 	}
-	if st := cl.Stats(); st.Verified != 22 || st.ClaimHits < 21*st.ClaimMisses {
+	if st := cl.Stats(); st.Verified != 22 || st.ClaimHits < 21*st.ClaimMisses || st.ContentHits < 20*st.ClaimMisses/2 {
 		t.Fatalf("the budget was measured on something other than remembered claims: %+v", st)
 	}
 }

@@ -1,10 +1,10 @@
 // Package client is the user side of the networked serving protocol: a
 // verifying client that speaks the wire format over TCP, pipelines its
-// queries, and checks every answer for authenticity, completeness (chain
-// digests recomputed from the received bytes, the signature claims closed
-// once per signer key by core.Verifier.VerifyJobs — which remembers the
-// claims it has closed) and freshness against the certified summary
-// streams it tracks from the server.
+// queries, and checks every answer for authenticity, completeness (the
+// signature claims closed once per signer key by core.Verifier.CheckClaims,
+// which recomputes chain digests from the received bytes for the claims
+// it has not closed before and knows the rest by name) and freshness
+// against the certified summary streams it tracks from the server.
 //
 // There is one path. Every query is a plan (query.Spec): a range
 // selection is the plan with no projection and no join, and Fetch, FetchBatch,
@@ -124,6 +124,7 @@ type Stats struct {
 	// session's own: a claim is remembered per verifier.
 	ClaimHits        uint64 // signature claims the session had already closed
 	ClaimMisses      uint64 // signature claims sent to the scheme
+	ContentHits      uint64 // of ClaimHits, those known by content: no digest computed
 	BatchesWithoutEC uint64 // closing batches all of whose claims were known
 }
 
@@ -323,6 +324,7 @@ func (c *Client) Stats() Stats {
 		cs := rs.verifier.ClaimStats()
 		st.ClaimHits += cs.ClaimHits
 		st.ClaimMisses += cs.ClaimMisses
+		st.ContentHits += cs.ContentHits
 		st.BatchesWithoutEC += cs.BatchesWithoutEC
 	}
 	return st
@@ -595,11 +597,11 @@ func (c *Client) FetchBatch(ranges []core.Range) ([]*core.Answer, error) {
 	return asAnswers(comps), nil
 }
 
-// Verify checks fetched answers: attached summaries are ingested, chain
-// digests recomputed, the batch's signature claims closed at once
-// (core.Verifier.Jobs, then VerifyJobs through the scheme's batched
-// primitives), and every record's freshness bounded against the
-// summaries held. ranges[i] is the selection answer i must cover.
+// Verify checks fetched answers: attached summaries are ingested, the
+// batch's signature claims closed at once (core.Verifier.CheckClaims:
+// known claims by name, the rest digested and closed through the
+// scheme's batched primitives), and every record's freshness bounded
+// against the summaries held. ranges[i] is the selection answer i must cover.
 //
 // An answer attaches only the summaries published since its oldest
 // result signature, so a session that skipped some periods can face a

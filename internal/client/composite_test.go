@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"authdb/internal/bloom"
+	"authdb/internal/client"
 	"authdb/internal/core"
 	"authdb/internal/join"
 	"authdb/internal/query"
@@ -408,9 +409,10 @@ func TestAdversaryCompositeUnderBatching(t *testing.T) {
 			}
 			cl := fx.dial(t, ts.Addr())
 			// Cold: the forgery is the first composite the session sees.
-			// Warm: it has since verified the honest plan, and its
-			// verifiers remember every honest claim the forgery sits among.
-			for plans, memo := range []string{"cold", "warm"} {
+			// Warm: it has since verified the honest plan once (twice), and
+			// its verifiers remember every honest claim the forgery sits
+			// among by digest (content) name.
+			for plans, memo := range memoStates {
 				applied.Store(false)
 				ts.ForgeFrames(forge)
 				_, err := cl.QueryPlan(spec)
@@ -454,7 +456,7 @@ func TestAdversaryCompositeUnderBatching(t *testing.T) {
 // the inner relation's filter admits is answered by Bloom negatives alone,
 // so the inner key's batch holds partition certifications and not one
 // chain. Those claims are closed like any others: a forged certification
-// is refused cold, warm, and as a member of a pipelined batch.
+// is refused in every memo state, and as a member of a pipelined batch.
 func TestAdversaryAllNegativeJoinRejected(t *testing.T) {
 	fx := newPlanFixtureOn(t, basScheme, server.NetConfig{})
 	ts := newTamperSrv(t, fx.addr)
@@ -484,7 +486,7 @@ func TestAdversaryAllNegativeJoinRejected(t *testing.T) {
 		}
 		return true
 	}
-	for plans, memo := range []string{"cold", "warm"} {
+	for plans, memo := range memoStates {
 		ts.Forge(forge)
 		_, err := cl.QueryPlan(spec)
 		if !errors.Is(err, sigagg.ErrVerify) || !strings.Contains(fmt.Sprint(err), `join against "i": partition cert`) {
@@ -557,6 +559,50 @@ func TestCompositeClosesOncePerKey(t *testing.T) {
 	}
 	if final.PortableVerifies != 0 {
 		t.Fatalf("%d portable verifications on the fast path", final.PortableVerifies)
+	}
+}
+
+// TestClaimNamedByContentFromThirdSighting: one plan answer verified
+// three times through one session is a miss (its claims go to the scheme
+// and are remembered by digest name), then a digest hit (the digests are
+// recomputed, they match, and the claims are renamed by content), then a
+// content hit (no digest computed). A selection is one claim; a BF plan
+// with a projection is a claim per section, run and listed partition, of
+// which only the partition certifications, one digest each, stay
+// digest-named. The last two sightings do no curve arithmetic.
+func TestClaimNamedByContentFromThirdSighting(t *testing.T) {
+	fx := newPlanFixtureOn(t, basScheme, server.NetConfig{})
+	for _, spec := range []*query.Spec{{Rel: "o", Lo: 105, Hi: 695}, fx.spec(join.BF, []int{0})} {
+		cl := fx.dial(t, fx.addr)
+		var comp *wire.Composite
+		var sightings []client.Stats
+		for i := 0; i < 3; i++ {
+			var err error
+			if comp, err = cl.QueryPlan(spec); err != nil {
+				t.Fatal(err)
+			}
+			sightings = append(sightings, cl.Stats())
+		}
+		claims, certs := uint64(1), uint64(0)
+		if comp.Join != nil {
+			claims += 1 + uint64(len(comp.Join.Runs)+len(comp.Join.Negatives)) // the projection, runs, partitions
+			certs = uint64(len(comp.Join.Negatives))
+		}
+		st := sightings[2]
+		if st.ClaimMisses != claims || st.ClaimHits != 2*claims || st.ContentHits != claims-certs {
+			t.Fatalf("%+v: %d claims, %d of them certifications, verified three times: %d misses, %d hits, %d of them by content",
+				*spec, claims, certs, st.ClaimMisses, st.ClaimHits, st.ContentHits)
+		}
+		if d := sightings[1]; d.ClaimHits != claims || d.ContentHits != 0 {
+			t.Fatalf("%+v: the second sighting: %d hits, %d by content; want %d by digests", *spec, d.ClaimHits, d.ContentHits, claims)
+		}
+		keys := uint64(1)
+		if spec.Join != nil {
+			keys = 2
+		}
+		if st.BatchesWithoutEC != 2*keys {
+			t.Fatalf("%+v: %d batches without curve arithmetic, want %d", *spec, st.BatchesWithoutEC, 2*keys)
+		}
 	}
 }
 
@@ -637,9 +683,11 @@ func TestSummaryBridgingPages(t *testing.T) {
 // side is one run holding the 20 matches plus the Bloom negatives at its
 // edges) on the real scheme, single worker, caches warm — the steady
 // state of a session repeating its plans: every claim is one the session
-// remembers, so this is everything but the curve arithmetic. ≈38 µs,
-// 7.5 KB and 18 allocations per plan with -benchtime 3000x -cpu 1 on
-// the 2-core box (≈40 µs, 12.3 KB and 140 while every projected row had
+// knows, by content but for the partition certifications, so this is
+// everything but the curve arithmetic and the digests. ≈12 µs, 587 B and
+// 6 allocations per plan with -benchtime 3000x -cpu 1 on the 2-core box
+// (≈68 µs, 7.5 KB and 18 while every repeat recomputed its digests to
+// name its claims; ≈40 µs, 12.3 KB and 140 while every projected row had
 // a digest and a Writer of its own; 63 µs, 23.3 KB and 159 when the 59
 // keys were 59 point proofs).
 func BenchmarkVerifyComposite(b *testing.B) {

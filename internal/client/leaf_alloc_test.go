@@ -16,10 +16,11 @@ import (
 // the leaf 'C' frame the server sends, through the client's own frame
 // decoder and its one verification path (tail ingestion, claims collected
 // per key, one close, freshness), on a session that has seen the answer
-// once. A range answer is a one-leaf plan; it may not cost more objects
-// than the bare core.Verifier path does: 16 against its 15, none of them
-// per record (65 against 64 while each record's Attrs was a slice of its
-// own).
+// twice, and so knows its claim by content. A range answer is a one-leaf
+// plan; it may not cost more objects than the bare core.Verifier path
+// does: 12 against its 11, none of them per record (16 against 15 while
+// every repeat recomputed its digests, 65 against 64 while each record's
+// Attrs was a slice of its own).
 func TestLeafPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -65,12 +66,13 @@ func TestLeafPathAllocBudget(t *testing.T) {
 		}
 	}
 	run() // ingests the summary, closes the claim
+	run() // names it by content
 	allocs := testing.AllocsPerRun(20, run)
 	t.Logf("%.0f allocations per 50-record leaf answer", allocs)
-	if allocs > 24 {
-		t.Fatalf("decode + verify of a 50-record leaf answer through the client allocates %.0f objects, budget 24", allocs)
+	if allocs > 13 {
+		t.Fatalf("decode + verify of a 50-record leaf answer through the client allocates %.0f objects, budget 13", allocs)
 	}
-	if st := cl.Stats(); st.Verified != 22 || st.ClaimMisses != 1 || st.ClaimHits != 21 {
+	if st := cl.Stats(); st.Verified != 23 || st.ClaimMisses != 1 || st.ClaimHits != 22 || st.ContentHits != 21 {
 		t.Fatalf("the budget was measured on something other than a remembered claim: %+v", st)
 	}
 }

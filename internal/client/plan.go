@@ -9,6 +9,7 @@ import (
 	"authdb/internal/core"
 	"authdb/internal/freshness"
 	"authdb/internal/join"
+	"authdb/internal/projection"
 	"authdb/internal/query"
 	"authdb/internal/sigagg"
 	"authdb/internal/wire"
@@ -255,13 +256,13 @@ func inPlan(specs []*query.Spec, plan int, err error) error {
 // verification however many answers and sections named it. It lives in
 // its relSession and is reused from one verification to the next.
 type keyBatch struct {
-	// Chain-backed claims — scans and a join's runs — are
-	// digested together in one chain.Jobs pass and have their records'
-	// freshness judged once the key has closed.
+	// Chain-backed claims — scans and a join's runs — have their
+	// records' freshness judged once the key has closed.
 	chains []*chain.Answer
 	ctags  []claimTag
-	// Claims with no chain behind them: projection aggregates, partition
-	// certifications.
+	projs  []*projection.Answer
+	ptags  []claimTag
+	// Claims with no answer behind them: partition certifications.
 	jobs  []sigagg.VerifyJob
 	jtags []claimTag
 	// Set once the key has closed: lets the verifier remember the claims.
@@ -272,48 +273,62 @@ func (b *keyBatch) addChain(a *chain.Answer, t claimTag) {
 	b.chains, b.ctags = append(b.chains, a), append(b.ctags, t)
 }
 
+func (b *keyBatch) addProj(p *projection.Answer, t claimTag) {
+	b.projs, b.ptags = append(b.projs, p), append(b.ptags, t)
+}
+
 func (b *keyBatch) addJob(j sigagg.VerifyJob, t claimTag) {
 	b.jobs, b.jtags = append(b.jobs, j), append(b.jtags, t)
 }
+
+func (b *keyBatch) empty() bool { return len(b.chains)+len(b.projs)+len(b.jobs) == 0 }
 
 // reset empties the batch and drops what it referenced, keeping the
 // arrays.
 func (b *keyBatch) reset() {
 	clear(b.chains)
+	clear(b.projs)
 	clear(b.jobs)
-	*b = keyBatch{chains: b.chains[:0], ctags: b.ctags[:0], jobs: b.jobs[:0], jtags: b.jtags[:0]}
+	*b = keyBatch{chains: b.chains[:0], ctags: b.ctags[:0], projs: b.projs[:0], ptags: b.ptags[:0],
+		jobs: b.jobs[:0], jtags: b.jtags[:0]}
 }
 
-// close verifies every claim collected under rs's key with one batch —
-// the chains digested on up to par goroutines — leaving in the batch the
-// function that lets rs's verifier remember them, for the caller to run
-// once the batch has closed under every other key too
-// (core.Verifier.CheckJobs). The batch has set semantics
-// (sigagg.BatchVerifier): a failure says some claim is false, not which,
-// so a failed batch is gone through claim by claim and the error names
-// the first section that does not stand on its own.
-func (rs *relSession) close(specs []*query.Spec, par int) error {
+// close verifies every claim collected under rs's key with one batch
+// (core.Verifier.CheckClaims: claims the verifier already closed are
+// known by name, the rest digested on up to VerifyWorkers goroutines),
+// leaving in the batch the function that lets rs's verifier remember
+// them, for the caller to run once the batch has closed under every other
+// key too. The batch has set semantics (sigagg.BatchVerifier): a failure
+// says some claim is false, not which, so a failed batch is gone through
+// claim by claim, memo-free, and the error names the first section that
+// does not stand on its own.
+func (rs *relSession) close(specs []*query.Spec) error {
 	b := &rs.batch
-	jobs, err := chain.Jobs(b.chains, par)
-	if err != nil {
-		for i := range b.chains {
-			if _, err := chain.Jobs(b.chains[i:i+1], 1); err != nil {
-				return b.ctags[i].fail(specs, err)
-			}
-		}
-		return err
-	}
-	jobs = append(jobs, b.jobs...)
-	if b.admit, err = rs.verifier.CheckJobs(jobs); err == nil {
+	var err error
+	if b.admit, err = rs.verifier.CheckClaims(b.chains, b.projs, b.jobs); err == nil {
 		return nil
 	}
-	tags := append(b.ctags[:len(b.ctags):len(b.ctags)], b.jtags...)
-	for i, j := range jobs {
-		if jerr := rs.scheme.AggregateVerify(rs.pub, j.Digests, j.Agg); jerr != nil {
-			return tags[i].fail(specs, jerr)
+	for i, a := range b.chains {
+		if cerr := chain.Verify(rs.scheme, rs.pub, a); cerr != nil {
+			return b.ctags[i].fail(specs, cerr)
 		}
 	}
-	return tags[0].fail(specs, err)
+	for i, p := range b.projs {
+		if perr := projection.Verify(rs.scheme, rs.pub, p); perr != nil {
+			return b.ptags[i].fail(specs, perr)
+		}
+	}
+	for i, j := range b.jobs {
+		if jerr := rs.scheme.AggregateVerify(rs.pub, j.Digests, j.Agg); jerr != nil {
+			return b.jtags[i].fail(specs, jerr)
+		}
+	}
+	for _, tags := range [][]claimTag{b.ctags, b.ptags, b.jtags} {
+		if len(tags) > 0 {
+			return tags[0].fail(specs, err)
+		}
+	}
+	return err
 }
 
 // verify checks every section of every answer of a batch; comps[i]
@@ -387,8 +402,8 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.F
 	// chain under the inner key. Only a batch that closed under every key
 	// is remembered under any.
 	for _, name := range c.names {
-		if rs := c.rels[name]; len(rs.batch.chains)+len(rs.batch.jobs) > 0 {
-			if err := rs.close(specs, c.cfg.VerifyWorkers); err != nil {
+		if rs := c.rels[name]; !rs.batch.empty() {
+			if err := rs.close(specs); err != nil {
 				return nil, err
 			}
 		}
@@ -478,11 +493,7 @@ func projectionJobs(spec *query.Spec, comp *wire.Composite, batch *keyBatch, pla
 	// the RID and TS of chained record i. The chain proof authenticates
 	// (RID, key, TS); the projection aggregate binds (RID, slot, value,
 	// TS); together a swapped or stale value cannot survive both.
-	ds, err := p.Digests()
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrComposite, err)
-	}
-	batch.addJob(sigagg.VerifyJob{Digests: ds, Agg: p.Agg}, claimTag{plan: plan, section: secProj, rel: spec.Rel})
+	batch.addProj(p, claimTag{plan: plan, section: secProj, rel: spec.Rel})
 	return nil
 }
 

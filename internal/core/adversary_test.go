@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"authdb/internal/chain"
+	"authdb/internal/freshness"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 )
@@ -12,9 +14,10 @@ import (
 // single honest answer and requires every one to be rejected. This is
 // the threat model of §1: the query server is untrusted or compromised,
 // while the data aggregator's public key is authentic. Every attack runs
-// twice: against a verifier that has seen nothing, and against the one
-// that has just verified — and remembers the claim of — the honest answer
-// the forgery was made from.
+// in each memo state (memoStates): against a verifier that has seen
+// nothing, and against one that has verified the honest answer the
+// forgery was made from once or twice — and so remembers its claim by
+// digest or by content name.
 func TestAdversary(t *testing.T) {
 	attacks := []struct {
 		name   string
@@ -97,45 +100,74 @@ func TestAdversary(t *testing.T) {
 
 	for _, atk := range attacks {
 		t.Run(atk.name, func(t *testing.T) {
-			sys := newSystem(t, bas.New(0))
-			load(t, sys, 100)
-			// Publish a summary so answers carry one.
-			msg, err := sys.DA.ClosePeriod(1_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.Deliver(msg); err != nil {
-				t.Fatal(err)
-			}
-			ans, err := sys.QS.Query(250, 500)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Sanity: the honest answer verifies.
-			if _, err := sys.Verifier.VerifyAnswer(ans, 250, 500, 1_100); err != nil {
-				t.Fatalf("honest answer rejected: %v", err)
-			}
-			fresh, err := sys.QS.Query(250, 500)
-			if err != nil {
-				t.Fatal(err)
-			}
-			atk.mutate(fresh)
-			cold := NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())
-			if _, err := cold.VerifyAnswer(fresh, 250, 500, 1_100); err == nil {
-				t.Fatalf("attack %q went undetected", atk.name)
-			}
-			if atk.name == "truncate summaries to hide an update" {
-				// A verifier that holds summary 1 skips a re-sent copy
-				// unread, forged or not; the records are honest.
-				return
-			}
-			if _, err := sys.Verifier.VerifyAnswer(fresh, 250, 500, 1_100); err == nil {
-				t.Fatalf("attack %q went undetected by a verifier that remembers the honest answer", atk.name)
-			}
-			if st := sys.Verifier.ClaimStats(); st.ClaimMisses == 0 {
-				t.Fatal("fixture: the warm verifier never closed the honest claim")
+			for _, st := range memoStates {
+				t.Run(st.name, func(t *testing.T) {
+					sys := newSystem(t, bas.New(0))
+					load(t, sys, 100)
+					// Publish a summary so answers carry one.
+					msg, err := sys.DA.ClosePeriod(1_000)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sys.Deliver(msg); err != nil {
+						t.Fatal(err)
+					}
+					ans, err := sys.QS.Query(250, 500)
+					if err != nil {
+						t.Fatal(err)
+					}
+					v := NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())
+					st.warm(t, v, func() error {
+						_, err := v.VerifyAnswer(ans, 250, 500, 1_100)
+						return err
+					})
+					fresh, err := sys.QS.Query(250, 500)
+					if err != nil {
+						t.Fatal(err)
+					}
+					atk.mutate(fresh)
+					if atk.name == "truncate summaries to hide an update" && st.honest > 0 {
+						// A verifier that holds summary 1 skips a re-sent copy
+						// unread, forged or not; the records are honest.
+						return
+					}
+					if _, err := v.VerifyAnswer(fresh, 250, 500, 1_100); err == nil {
+						t.Fatalf("attack %q went undetected by a verifier %s", atk.name, st.what)
+					}
+				})
 			}
 		})
+	}
+}
+
+// memoState is how much of the honest answer a verifier remembers when
+// the forgery of it arrives: nothing (cold), its claim by digest name
+// (warm: it closed the honest answer once), or by content name (warm
+// twice: it closed it again, which renamed the memo entry). Every tamper
+// case runs against all three (claimmemo.go).
+type memoState struct {
+	name, what string
+	honest     int // times the honest answer is verified before the forgery
+}
+
+var memoStates = []memoState{
+	{"cold", "that remembers nothing", 0},
+	{"warm", "that remembers the honest claim by its digests", 1},
+	{"warm twice", "that remembers the honest claim by its content", 2},
+}
+
+// warm verifies the honest answer st.honest times through verify and
+// checks v's memo then holds its claim under the state's name.
+func (st memoState) warm(t *testing.T, v *Verifier, verify func() error) {
+	t.Helper()
+	for i := 0; i < st.honest; i++ {
+		if err := verify(); err != nil {
+			t.Fatalf("honest answer rejected (verification %d): %v", i+1, err)
+		}
+	}
+	cs := v.ClaimStats()
+	if st.honest > 0 && (cs.ClaimMisses == 0 || cs.ClaimHits < uint64(st.honest-1) || cs.ContentHits != 0) {
+		t.Fatalf("fixture: %d honest verifications left the memo at %+v", st.honest, cs)
 	}
 }
 
@@ -150,25 +182,22 @@ func TestAdversaryEmptyAnswer(t *testing.T) {
 	if honest.Chain.Anchor == nil {
 		t.Fatal("expected anchored empty answer")
 	}
-	if _, err := sys.Verifier.VerifyAnswer(honest, 105, 109, 200); err != nil {
-		t.Fatalf("honest empty answer rejected: %v", err)
-	}
-	// Both attacks against the verifier that remembers the honest proof's
-	// claim, and against one that has seen nothing.
-	for name, verifier := range map[string]*Verifier{
-		"warm": sys.Verifier,
-		"cold": NewVerifier(sys.Scheme, sys.Pub, DefaultConfig()),
-	} {
+	for _, st := range memoStates {
+		verifier := NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())
+		st.warm(t, verifier, func() error {
+			_, err := verifier.VerifyAnswer(honest, 105, 109, 200)
+			return err
+		})
 		// Attack 1: claim a populated range [100,110] is empty using the
 		// anchor for the adjacent gap. (The claim is the honest one — same
-		// anchor digest, same aggregate — so the warm verifier's memo holds
+		// anchor digest, same aggregate — so a warm verifier's memo holds
 		// it: only the structural check stands in the way.)
 		fake := *honest
 		fakeChain := *honest.Chain
 		fakeChain.Lo, fakeChain.Hi = 95, 115
 		fake.Chain = &fakeChain
 		if _, err := verifier.VerifyAnswer(&fake, 95, 115, 200); err == nil {
-			t.Fatalf("%s verifier: fake empty range accepted", name)
+			t.Fatalf("a verifier %s: fake empty range accepted", st.what)
 		}
 
 		// Attack 2: widen the anchor's right reference to swallow a record.
@@ -177,41 +206,50 @@ func TestAdversaryEmptyAnswer(t *testing.T) {
 		fake2chain.Lo, fake2chain.Hi = 105, 125
 		fake2 := Answer{Chain: &fake2chain, Summaries: honest.Summaries}
 		if _, err := verifier.VerifyAnswer(&fake2, 105, 125, 200); err == nil {
-			t.Fatalf("%s verifier: widened anchor accepted", name)
+			t.Fatalf("a verifier %s: widened anchor accepted", st.what)
 		}
 	}
 }
 
 // TestAdversaryReplayOldAnswer covers the full replay path: an answer
 // that was valid before an update must fail freshness once summaries
-// advance past it — here for a verifier that never saw it while it was
-// current; TestClaimMemoReplayStillStale is the same replay against the
-// session that verified it then.
+// advance past it — for a verifier that never saw it while it was
+// current, and for one that verified it then once or twice, and so
+// remembers its claim by digest or by content name (the replay costs it
+// no curve arithmetic, and no digest either).
 func TestAdversaryReplayOldAnswer(t *testing.T) {
-	sys := newSystem(t, bas.New(0))
-	load(t, sys, 50)
-	old, err := sys.QS.Query(100, 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deliver := func(m *UpdateMsg, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Deliver(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deliver(sys.DA.ClosePeriod(1_000))
-	deliver(sys.DA.Update(110, [][]byte{[]byte("v2")}, 1_500))
-	deliver(sys.DA.ClosePeriod(2_000))
-	for _, s := range sys.QS.SummariesSince(0) {
-		if err := sys.Verifier.IngestSummary(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := sys.Verifier.VerifyAnswer(old, 100, 120, 2_100); err == nil {
-		t.Fatal("replayed pre-update answer accepted")
+	for _, st := range memoStates {
+		t.Run(st.name, func(t *testing.T) {
+			sys := newSystem(t, bas.New(0))
+			load(t, sys, 50)
+			deliver := deliverOp(t, sys)
+			deliver(sys.DA.ClosePeriod(1_000))
+			old, err := sys.QS.Query(100, 120)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())
+			st.warm(t, v, func() error {
+				_, err := v.VerifyAnswer(old, 100, 120, 1_100)
+				return err
+			})
+			deliver(sys.DA.Update(110, [][]byte{[]byte("v2")}, 1_500))
+			deliver(sys.DA.ClosePeriod(2_000))
+			for _, s := range sys.QS.SummariesSince(0) {
+				if held, _ := v.LatestSummary(); s.Seq > held.Seq {
+					if err := v.IngestSummary(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			before := v.ClaimStats()
+			if _, err := v.VerifyAnswer(old, 100, 120, 2_100); !errors.Is(err, freshness.ErrStale) {
+				t.Fatalf("replayed pre-update answer to a verifier %s: want ErrStale, got %v", st.what, err)
+			}
+			after := v.ClaimStats()
+			if st.honest == 2 && after.ContentHits != before.ContentHits+1 {
+				t.Fatalf("the replay was not a content hit: %+v -> %+v", before, after)
+			}
+		})
 	}
 }

@@ -3,10 +3,13 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
+	"fmt"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
+	"authdb/internal/chain"
+	"authdb/internal/projection"
 	"authdb/internal/sigagg"
 )
 
@@ -18,40 +21,67 @@ import (
 // pure function of (key, aggregate, digests), so checking it again proves
 // nothing the first check did not.
 //
-// Rule: VerifyJobs names every claim by SHA-256 over
-// len‖agg‖(len‖digest)*, drops the claims whose name the memo holds (and
-// repeats inside the batch), sends the rest to the scheme, and admits
-// their names only after the scheme returned nil for all of them.
+// Two names. A claim's digest name is SHA-256 over
+// len‖agg‖(len‖digest)*; a chain or projection answer's content name is
+// SHA-256 over its identity (chain.(*Answer).AppendIdentity,
+// projection.(*Answer).AppendIdentity: an injective serialization of
+// everything its digests and aggregate read). The memo is keyed by a
+// seeded fingerprint of the aggregate and holds one name per entry, with
+// a bit saying which kind. Rule, per claim of a CheckClaims batch:
 //
-// Soundness. (1) The name is a collision-resistant hash of everything
-// the equation reads besides the key, and the memo is per Verifier and
-// therefore per key: equal names are the same claim. (2) A name enters
-// only as a member of a batch whose equation held — the same evidence on
-// which the session accepted the claim the first time, under the set
-// semantics sigagg.BatchVerifier documents: the batch proves that the
-// union of its digests is signed by the union of its aggregates, so by
+//   - the entry under the claim's fingerprint holds a content name equal
+//     to the claim's: a content hit, closed without computing one digest;
+//   - otherwise the claim's digests are computed and it is digest-named;
+//     the entry holds that digest name: a digest hit; else a miss (and a
+//     repeat of an earlier miss of the batch is dropped), sent to the
+//     scheme;
+//   - once every key of the batch has closed (admit), each miss's digest
+//     name is stored under its fingerprint, and each digest hit that has a
+//     content form renames its entry — only while the entry still holds
+//     the digest name it matched — by its content name.
+//
+// So a claim is digest-named when it is first closed and content-named
+// from its second sighting on; a claim seen once (cold_scan's) pays what
+// it paid before, plus one fingerprint probe, and a repeated one one
+// SHA-256 over its bytes instead of one per record or attribute and a
+// naming pass. Partition certifications, one small digest each, stay
+// digest-named.
+//
+// Soundness. (1) Both names are collision-resistant hashes of everything
+// the equation reads besides the key — a digest name of it directly, a
+// content name of the bytes the digests are a function of — and the memo
+// is per Verifier and therefore per key: equal names are the same claim.
+// The fingerprint only picks the entry to compare: a fingerprint
+// collision or a replayed aggregate over other digests or content is a
+// name that does not match, a miss, never an acceptance. (2) A digest
+// name enters only as a member of a batch whose equation held — the same
+// evidence on which the session accepted the claim the first time, under
+// the set semantics sigagg.BatchVerifier documents: the batch proves that
+// the union of its digests is signed by the union of its aggregates, so by
 // aggregate unforgeability every digest of every admitted claim was
-// signed by the owner. (3) A hit therefore repeats an acceptance the
-// session already made on full evidence; it can never create one. A
-// failed batch admits nothing, and eviction only forgets: a forgotten
-// claim is verified in full.
+// signed by the owner. A content name enters only in place of a digest
+// name that the same claim's recomputed digests matched, and only once
+// every key of its batch closed. (3) A hit therefore repeats an
+// acceptance the session already made on full evidence; it can never
+// create one. A failed batch admits and renames nothing, and eviction
+// only forgets: a forgotten claim is verified in full.
 //
 // What the memo does not cover: anything but the signature equation. The
-// digests that name a claim are recomputed from the received bytes on
-// every answer, and the structural checks, summary ingestion and the
-// freshness check run on every answer, so a tampered record, aggregate,
-// boundary or ordering is a different name (or fails before it has one),
-// and a replay of a once-verified, since-superseded version still dies in
-// CheckFresh. chain.Verify on the scheme stays the memo-free oracle.
+// structural checks (chain.(*Answer).CheckStructure runs before either
+// name is computed), summary ingestion and the freshness check run on
+// every answer, so a tampered record, aggregate, boundary or ordering is a
+// different name (or fails before it has one), and a replay of a
+// once-verified, since-superseded version still dies in CheckFresh.
+// chain.Verify on the scheme stays the memo-free oracle.
 //
 // The table is flat and pointer-free (the collector never scans it),
 // allocated on the first admit — a verifier that never closes a claim
-// pays nothing — and set-associative: a name lives in one of the
-// memoWays slots of the set its first bytes select, and a full set
-// replaces round-robin. 8,192 names, 258 KB per verifier that uses it:
-// sized from the benchmark's sessions (DESIGN.md, "Claim memo", has the
-// counts per workload and why plan_join's conflict evictions did not buy
-// a doubling).
+// pays nothing — and set-associative: an entry lives in one of the
+// memoWays slots of the set its fingerprint selects, and a full set
+// replaces round-robin. 8,192 entries of 40 bytes, 328 KB per verifier
+// that uses it: sized from the benchmark's sessions (DESIGN.md, "Claim
+// memo", has the counts per workload and why plan_join's conflict
+// evictions did not buy a doubling).
 const (
 	memoSets = 2048 // a power of two
 	memoWays = 4
@@ -59,147 +89,280 @@ const (
 
 type claimKey [sha256.Size]byte
 
-// set is where k lives. The name is a SHA-256, uniform in every byte.
-func (k *claimKey) set() uint32 {
-	return binary.LittleEndian.Uint32(k[:4]) & (memoSets - 1)
+// A memoEntry is one name and its aggregate's fingerprint, whose low bit
+// is replaced by the name's kind.
+type memoEntry struct {
+	tag  uint64
+	name claimKey
 }
 
-// memoTable holds the names. admits[s] counts set s's admissions — below
-// memoWays it is also the number of slots in use, from memoWays on it
-// cycles in [memoWays, 2·memoWays) and its low bits pick the victim — so
-// an empty slot is never compared and no key value is reserved.
+// Name kinds: the low bit of a tag.
+const (
+	digestNamed  = 0
+	contentNamed = 1
+)
+
+func tagOf(fp uint64, kind uint64) uint64 { return fp&^1 | kind }
+
+// set is where fingerprint fp lives: its top bits (maphash: uniform).
+func set(fp uint64) uint32 { return uint32(fp>>32) & (memoSets - 1) }
+
+// memoTable holds the entries. admits[s] counts set s's admissions —
+// below memoWays it is also the number of slots in use, from memoWays on
+// it cycles in [memoWays, 2·memoWays) and its low bits pick the victim —
+// so an empty slot is never compared and no tag value is reserved.
 type memoTable struct {
-	keys   [memoSets][memoWays]claimKey
-	admits [memoSets]uint8
+	entries [memoSets][memoWays]memoEntry
+	admits  [memoSets]uint8
 }
 
-func (t *memoTable) holds(k *claimKey) bool {
-	s := k.set()
+// find returns the entry under fingerprint fp, or nil.
+func (t *memoTable) find(fp uint64) *memoEntry {
+	s := set(fp)
 	for w := range min(int(t.admits[s]), memoWays) {
-		if t.keys[s][w] == *k {
-			return true
+		if e := &t.entries[s][w]; e.tag&^1 == fp&^1 {
+			return e
 		}
 	}
-	return false
+	return nil
 }
 
-func (t *memoTable) admit(k *claimKey) {
-	if t.holds(k) { // two batches closed the same claim concurrently
-		return
+// put stores a digest name under fp: over the entry fp already has, or
+// in the set's next victim.
+func (t *memoTable) put(fp uint64, name *claimKey) {
+	e := t.find(fp)
+	if e == nil {
+		s := set(fp)
+		e = &t.entries[s][t.admits[s]%memoWays]
+		if t.admits[s]++; t.admits[s] == 2*memoWays {
+			t.admits[s] = memoWays
+		}
 	}
-	s := k.set()
-	t.keys[s][t.admits[s]%memoWays] = *k
-	if t.admits[s]++; t.admits[s] == 2*memoWays {
-		t.admits[s] = memoWays
+	*e = memoEntry{tag: tagOf(fp, digestNamed), name: *name}
+}
+
+// rename replaces the digest name dname under fp by the content name
+// cname. An entry that no longer holds dname — evicted, replaced, or
+// renamed already by a concurrent batch — is left as it is.
+func (t *memoTable) rename(fp uint64, dname, cname *claimKey) {
+	if e := t.find(fp); e != nil && e.tag == tagOf(fp, digestNamed) && e.name == *dname {
+		*e = memoEntry{tag: tagOf(fp, contentNamed), name: *cname}
 	}
 }
 
 // ClaimStats are a Verifier's claim-memo counters. Every claim handed to
-// VerifyJobs is either a hit — the memo held it, or an identical claim
+// CheckClaims is either a hit — the memo held it, or an identical claim
 // stands earlier in the same batch: no curve arithmetic is done on its
-// behalf — or a miss, which goes to the scheme. BatchesWithoutEC counts
-// the VerifyJobs calls all of whose claims hit: the client-side
-// counterpart of the server's ServedHit.
+// behalf — or a miss, which goes to the scheme. ContentHits are the hits
+// closed by their content name, with no digest computed. BatchesWithoutEC
+// counts the batches all of whose claims hit: the client-side counterpart
+// of the server's ServedHit.
 type ClaimStats struct {
 	ClaimHits        uint64
 	ClaimMisses      uint64
+	ContentHits      uint64
 	BatchesWithoutEC uint64
 }
 
-// claimMemo is the table, its lock and the counters.
+// claimMemo is the table, its lock, the fingerprint seed and the
+// counters.
 type claimMemo struct {
 	mu    sync.Mutex
 	table *memoTable // nil until the first admit
+	seed  maphash.Seed
 
-	hits, misses, batchesWithoutEC atomic.Uint64
+	hits, misses, contentHits, batchesWithoutEC atomic.Uint64
 
 	// One call's working state, taken by Swap so that concurrent
-	// VerifyJobs calls never share it; the loser allocates its own.
+	// CheckClaims calls never share it; the loser allocates its own.
 	scratch atomic.Pointer[claimScratch]
 }
 
-// claimScratch is VerifyJobs' per-call state, kept across calls so that
-// naming a batch allocates nothing.
+// What became of one claim of a batch.
+const (
+	claimMiss = iota
+	claimRepeat
+	claimDigestHit
+	claimContentHit
+)
+
+// claimState is one claim's progress through CheckClaims.
+type claimState struct {
+	fp      uint64
+	held    memoEntry // what the memo held under fp when the batch looked…
+	found   bool      // …if anything
+	outcome uint8
+	dname   claimKey
+	cname   claimKey // a digest hit's, for admit's rename
+}
+
+// claimScratch is CheckClaims' per-call state, kept across calls so that
+// a batch of repeated claims allocates nothing.
 type claimScratch struct {
-	h    hash.Hash
-	lenb [8]byte
-	keys []claimKey            // keys[i] names jobs[i]
-	miss []int32               // the jobs the memo does not hold, repeats dropped
-	live []sigagg.VerifyJob    // jobs[miss[n]]: what the scheme is handed
-	seen map[claimKey]struct{} // in-batch repeats among the misses
+	buf    []byte                // one claim's identity, or one digest name's preimage
+	claims []claimState          // chains, then projections, then bare jobs
+	jobs   []sigagg.VerifyJob    // jobs[i]: claim i's digests, once computed
+	left   []*chain.Answer       // the chains no content name closed
+	live   []sigagg.VerifyJob    // what the scheme is handed
+	seen   map[claimKey]struct{} // in-batch repeats among the misses
 }
 
-// nameJobs fills sc.keys. No lock is held: this is the hashing.
-func (sc *claimScratch) nameJobs(jobs []sigagg.VerifyJob) {
-	if sc.h == nil {
-		sc.h = sha256.New()
-		sc.seen = make(map[claimKey]struct{})
+// identity is what has a content name: *chain.Answer and
+// *projection.Answer.
+type identity interface{ AppendIdentity([]byte) []byte }
+
+// contentName is SHA-256 over x's identity.
+func (sc *claimScratch) contentName(x identity) claimKey {
+	sc.buf = x.AppendIdentity(sc.buf[:0])
+	return sha256.Sum256(sc.buf)
+}
+
+// digestName is SHA-256 over len‖agg‖(len‖digest)*.
+func (sc *claimScratch) digestName(j *sigagg.VerifyJob) claimKey {
+	b := binary.BigEndian.AppendUint64(sc.buf[:0], uint64(len(j.Agg)))
+	b = append(b, j.Agg...)
+	for _, d := range j.Digests {
+		b = binary.BigEndian.AppendUint64(b, uint64(len(d)))
+		b = append(b, d...)
 	}
-	if cap(sc.keys) < len(jobs) {
-		sc.keys = make([]claimKey, len(jobs))
+	sc.buf = b
+	return sha256.Sum256(b)
+}
+
+// check runs the rule above on one batch up to the scheme: it fills
+// sc.claims and returns what is left for the scheme — the misses, repeats
+// dropped — valid until the scratch is put back.
+func (m *claimMemo) check(sc *claimScratch, chains []*chain.Answer, projs []*projection.Answer,
+	jobs []sigagg.VerifyJob, par int) ([]sigagg.VerifyJob, error) {
+
+	n, np := len(chains), len(chains)+len(projs)
+	total := np + len(jobs)
+	if cap(sc.claims) < total {
+		sc.claims = make([]claimState, total)
+		sc.jobs = make([]sigagg.VerifyJob, total)
 	}
-	sc.keys = sc.keys[:len(jobs)]
+	sc.claims, sc.jobs = sc.claims[:total], sc.jobs[:total]
+	for i, a := range chains {
+		sc.claims[i] = claimState{fp: maphash.Bytes(m.seed, a.Agg)}
+	}
+	for i, p := range projs {
+		sc.claims[n+i] = claimState{fp: maphash.Bytes(m.seed, p.Agg)}
+	}
 	for i := range jobs {
-		sc.h.Reset()
-		sc.write(jobs[i].Agg)
-		for _, d := range jobs[i].Digests {
-			sc.write(d)
-		}
-		sc.h.Sum(sc.keys[i][:0])
+		sc.claims[np+i] = claimState{fp: maphash.Bytes(m.seed, jobs[i].Agg)}
 	}
-}
-
-// write feeds len‖b to the running hash.
-func (sc *claimScratch) write(b []byte) {
-	binary.BigEndian.PutUint64(sc.lenb[:], uint64(len(b)))
-	sc.h.Write(sc.lenb[:])
-	sc.h.Write(b)
-}
-
-// open returns the claims of jobs that still need the scheme: not held by
-// the memo and not a repeat of an earlier claim of the batch. The result
-// and sc.miss are valid until the scratch is put back.
-func (m *claimMemo) open(sc *claimScratch, jobs []sigagg.VerifyJob) []sigagg.VerifyJob {
-	sc.nameJobs(jobs)
-	sc.live, sc.miss = sc.live[:0], sc.miss[:0]
 	m.mu.Lock()
-	for i := range jobs {
-		if t := m.table; t == nil || !t.holds(&sc.keys[i]) {
-			sc.miss = append(sc.miss, int32(i))
+	if t := m.table; t != nil {
+		for i := range sc.claims {
+			if e := t.find(sc.claims[i].fp); e != nil {
+				sc.claims[i].held, sc.claims[i].found = *e, true
+			}
 		}
 	}
 	m.mu.Unlock()
-	if len(sc.miss) > 1 {
-		clear(sc.seen)
-		first := sc.miss[:0]
-		for _, i := range sc.miss {
-			if _, dup := sc.seen[sc.keys[i]]; !dup {
-				sc.seen[sc.keys[i]] = struct{}{}
-				first = append(first, i)
+
+	// Content names first, for the claims whose entry holds one.
+	contentHeld := func(c *claimState) bool { return c.found && c.held.tag&1 == contentNamed }
+	sc.left = sc.left[:0]
+	for i, a := range chains {
+		c := &sc.claims[i]
+		if contentHeld(c) {
+			if err := a.CheckStructure(); err != nil {
+				return nil, err
+			}
+			if sc.contentName(a) == c.held.name {
+				c.outcome = claimContentHit
+				continue
 			}
 		}
-		sc.miss = first
+		sc.left = append(sc.left, a)
 	}
-	for _, i := range sc.miss {
-		sc.live = append(sc.live, jobs[i])
+	for i, p := range projs {
+		if c := &sc.claims[n+i]; contentHeld(c) && sc.contentName(p) == c.held.name {
+			c.outcome = claimContentHit
+		}
 	}
-	m.hits.Add(uint64(len(jobs) - len(sc.live)))
+
+	// Digests for the rest (chain.Jobs runs the structural checks of the
+	// chains not checked above).
+	leftJobs, err := chain.Jobs(sc.left, par)
+	if err != nil {
+		return nil, err
+	}
+	k := 0
+	for i := range chains {
+		if sc.claims[i].outcome != claimContentHit {
+			sc.jobs[i], k = leftJobs[k], k+1
+		}
+	}
+	for i, p := range projs {
+		if sc.claims[n+i].outcome == claimContentHit {
+			continue
+		}
+		ds, err := p.Digests()
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", sigagg.ErrVerify, err)
+		}
+		sc.jobs[n+i] = sigagg.VerifyJob{Digests: ds, Agg: p.Agg}
+	}
+	copy(sc.jobs[np:], jobs)
+
+	// Digest names, hits and misses.
+	sc.live = sc.live[:0]
+	if sc.seen == nil {
+		sc.seen = make(map[claimKey]struct{})
+	}
+	clear(sc.seen)
+	var contentHits uint64
+	for i := range sc.claims {
+		c := &sc.claims[i]
+		if c.outcome == claimContentHit {
+			contentHits++
+			continue
+		}
+		c.dname = sc.digestName(&sc.jobs[i])
+		if c.found && c.held == (memoEntry{tag: tagOf(c.fp, digestNamed), name: c.dname}) {
+			c.outcome = claimDigestHit
+			switch {
+			case i < n:
+				c.cname = sc.contentName(chains[i])
+			case i < np:
+				c.cname = sc.contentName(projs[i-n])
+			}
+			continue
+		}
+		if _, dup := sc.seen[c.dname]; dup {
+			c.outcome = claimRepeat
+			continue
+		}
+		sc.seen[c.dname] = struct{}{}
+		sc.live = append(sc.live, sc.jobs[i])
+	}
+	m.hits.Add(uint64(total - len(sc.live)))
 	m.misses.Add(uint64(len(sc.live)))
+	m.contentHits.Add(contentHits)
 	if len(sc.live) == 0 {
 		m.batchesWithoutEC.Add(1)
 	}
-	return sc.live
+	return sc.live, nil
 }
 
-// admit records that every claim open returned has been closed by the
-// scheme. Callers reach it only after sigagg.Pool.VerifyAll returned nil.
-func (m *claimMemo) admit(sc *claimScratch) {
+// admit stores the batch's misses and renames its digest hits that have
+// a content form (the rule above). Callers reach it only after
+// sigagg.Pool.VerifyAll returned nil for what check returned, and after
+// every other key of the batch closed.
+func (m *claimMemo) admit(sc *claimScratch, np int) {
 	m.mu.Lock()
 	if m.table == nil {
 		m.table = new(memoTable)
 	}
-	for _, i := range sc.miss {
-		m.table.admit(&sc.keys[i])
+	for i := range sc.claims {
+		switch c := &sc.claims[i]; {
+		case c.outcome == claimMiss:
+			m.table.put(c.fp, &c.dname)
+		case c.outcome == claimDigestHit && i < np:
+			m.table.rename(c.fp, &c.dname, &c.cname)
+		}
 	}
 	m.mu.Unlock()
 }
@@ -211,9 +374,11 @@ func (m *claimMemo) takeScratch() *claimScratch {
 	return new(claimScratch)
 }
 
-// putScratch drops the batch's borrowed job slices before the scratch is
+// putScratch drops the batch's borrowed slices before the scratch is
 // kept, so an idle verifier does not pin its last answers.
 func (m *claimMemo) putScratch(sc *claimScratch) {
+	clear(sc.jobs)
+	clear(sc.left)
 	clear(sc.live)
 	m.scratch.Store(sc)
 }

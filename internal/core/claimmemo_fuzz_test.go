@@ -13,10 +13,11 @@ import (
 // FuzzClaimMemoAgreesWithVerify mutates the frame of an honest answer —
 // the bytes a hostile server controls — and gives whatever still decodes
 // to two verifiers: a warm one, which has just verified the honest answer
-// and remembers its claim, and a fresh one, which remembers nothing (both
-// hold the same certified summaries). What the warm one remembers may
-// spare it arithmetic, never change its verdict: the two must agree on
-// every input, and must both accept the unmutated frame.
+// twice and so remembers its claim by content name (claimmemo.go), and a
+// fresh one, which remembers nothing (both hold the same certified
+// summaries). What the warm one remembers may spare it arithmetic and
+// digests, never change its verdict: the two must agree on every input,
+// and must both accept the unmutated frame.
 func FuzzClaimMemoAgreesWithVerify(f *testing.F) {
 	sys, err := core.NewSystem(bas.New(0), core.DefaultConfig())
 	if err != nil {
@@ -56,8 +57,10 @@ func FuzzClaimMemoAgreesWithVerify(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		warm := core.NewVerifier(sys.Scheme, sys.Pub, core.DefaultConfig())
 		fresh := core.NewVerifier(sys.Scheme, sys.Pub, core.DefaultConfig())
-		if _, err := warm.VerifyAnswer(honest, rg.Lo, rg.Hi, now); err != nil {
-			t.Fatalf("the honest answer: %v", err)
+		for i := 0; i < 2; i++ {
+			if _, err := warm.VerifyAnswer(honest, rg.Lo, rg.Hi, now); err != nil {
+				t.Fatalf("the honest answer: %v", err)
+			}
 		}
 		for _, s := range honest.Summaries {
 			if err := fresh.IngestSummary(s); err != nil {
@@ -82,8 +85,8 @@ func FuzzClaimMemoAgreesWithVerify(f *testing.F) {
 			if warmErr != nil {
 				t.Fatalf("the unmutated frame: %v", warmErr)
 			}
-			if st := warm.ClaimStats(); st.ClaimHits != 1 || st.ClaimMisses != 1 {
-				t.Fatalf("the unmutated frame was not served from the memo: %+v", st)
+			if st := warm.ClaimStats(); st.ClaimHits != 2 || st.ContentHits != 1 || st.ClaimMisses != 1 {
+				t.Fatalf("the unmutated frame was not known by its content: %+v", st)
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"slices"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"authdb/internal/chain"
 	"authdb/internal/freshness"
+	"authdb/internal/projection"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/sigagg/xortest"
@@ -84,36 +86,33 @@ func forgeRecord(ans *Answer) *Answer {
 
 // TestVerifyBatchDedupsIdenticalAnswers: a batch repeating the same
 // answer (hot ranges drawn many times) sends each distinct claim to the
-// scheme once, the same batch again sends nothing, and a tampered copy —
-// no longer the identical statement — is still verified on its own and
-// still fails. (Moved here from internal/chain with the dedupe itself:
-// a claim's identity is computed once, in VerifyJobs.)
+// scheme once; the same batch again sends nothing and names every claim
+// by its digests, and the third time by its content alone. A tampered
+// copy — same aggregate, so the same memo entry, but no longer the
+// identical statement — is still verified on its own and still fails,
+// beside content-named honest copies or without, and leaves them
+// content-named.
 func TestVerifyBatchDedupsIdenticalAnswers(t *testing.T) {
 	sys, cs, v := memoFixture(t, 100)
 	a, b := query(t, sys, 100, 170), query(t, sys, 500, 530)
 	ra, rb := Range{100, 170}, Range{500, 530}
 	batch, ranges := []*Answer{a, b, a, a, b, a}, []Range{ra, rb, ra, ra, rb, ra}
-	if _, err := v.VerifyAnswers(batch, ranges, 1_100); err != nil {
-		t.Fatalf("duplicated valid batch rejected: %v", err)
-	}
-	if cs.jobs != 2 || cs.calls != 1 {
-		t.Fatalf("scheme saw %d jobs in %d calls for 6 answers with 2 distinct claims", cs.jobs, cs.calls)
-	}
-	if st := v.ClaimStats(); st != (ClaimStats{ClaimHits: 4, ClaimMisses: 2}) {
-		t.Fatalf("after the first batch: %+v", st)
-	}
-	if _, err := v.VerifyAnswers(batch, ranges, 1_100); err != nil {
-		t.Fatal(err)
-	}
-	if cs.jobs != 2 || cs.calls != 1 {
-		t.Fatalf("the same batch again reached the scheme: %d jobs in %d calls", cs.jobs, cs.calls)
-	}
-	if st := v.ClaimStats(); st != (ClaimStats{ClaimHits: 10, ClaimMisses: 2, BatchesWithoutEC: 1}) {
-		t.Fatalf("after the second batch: %+v", st)
+	for round, want := range []ClaimStats{
+		{ClaimHits: 4, ClaimMisses: 2},
+		{ClaimHits: 10, ClaimMisses: 2, BatchesWithoutEC: 1},
+		{ClaimHits: 16, ClaimMisses: 2, ContentHits: 6, BatchesWithoutEC: 2},
+	} {
+		if _, err := v.VerifyAnswers(batch, ranges, 1_100); err != nil {
+			t.Fatalf("round %d: duplicated valid batch rejected: %v", round+1, err)
+		}
+		if cs.jobs != 2 || cs.calls != 1 {
+			t.Fatalf("round %d: scheme saw %d jobs in %d calls for 6 answers with 2 distinct claims", round+1, cs.jobs, cs.calls)
+		}
+		if st := v.ClaimStats(); st != want {
+			t.Fatalf("after round %d: %+v, want %+v", round+1, st, want)
+		}
 	}
 
-	// A tampered duplicate is a distinct statement: it must be checked and
-	// the batch must fail, beside remembered honest copies or without.
 	forged := forgeRecord(a)
 	for _, verifier := range []*Verifier{v, NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())} {
 		if _, err := verifier.VerifyAnswers([]*Answer{a, forged, a}, []Range{ra, ra, ra}, 1_100); !errors.Is(err, sigagg.ErrVerify) {
@@ -122,6 +121,13 @@ func TestVerifyBatchDedupsIdenticalAnswers(t *testing.T) {
 	}
 	if cs.jobs != 3 {
 		t.Fatalf("the forged copy did not reach the scheme alone: %d jobs", cs.jobs)
+	}
+	before := v.ClaimStats()
+	if _, err := v.VerifyAnswer(a, ra.Lo, ra.Hi, 1_100); err != nil {
+		t.Fatal(err)
+	}
+	if st := v.ClaimStats(); st.ContentHits != before.ContentHits+1 || cs.jobs != 3 {
+		t.Fatalf("the honest answer after its forgery failed: %+v -> %+v, %d jobs", before, st, cs.jobs)
 	}
 }
 
@@ -238,10 +244,21 @@ func TestClaimMemoReplayStillStale(t *testing.T) {
 	}
 }
 
+// closeJobs closes bare claims through the verifier's one door and
+// remembers them.
+func closeJobs(v *Verifier, jobs ...sigagg.VerifyJob) error {
+	admit, err := v.CheckClaims(nil, nil, jobs)
+	if err == nil {
+		admit()
+	}
+	return err
+}
+
 // TestClaimMemoConflictEviction: more live claims than a set has ways
 // costs a full verification of whichever was replaced, nothing else — the
 // evicted claim is accepted again when honest, the resident ones still
-// hit, and a forgery aimed at the crowded set is rejected.
+// hit, and a forgery aimed at the crowded set is rejected. Sets are
+// chosen by the aggregate's fingerprint, under the verifier's own seed.
 func TestClaimMemoConflictEviction(t *testing.T) {
 	scheme := xortest.New()
 	priv, pub, err := scheme.KeyGen(nil)
@@ -252,11 +269,10 @@ func TestClaimMemoConflictEviction(t *testing.T) {
 	v := NewVerifier(cs, pub, DefaultConfig())
 	v.SetParallelism(1)
 
-	// memoWays+1 honest one-digest claims whose names share a set.
+	// memoWays+1 honest one-digest claims whose aggregates share a set.
 	var (
-		sc      claimScratch
 		crowded []sigagg.VerifyJob
-		set     = ^uint32(0)
+		home    = ^uint32(0)
 	)
 	for i := 0; len(crowded) <= memoWays; i++ {
 		d := []byte(fmt.Sprintf("claim-%d", i))
@@ -264,17 +280,16 @@ func TestClaimMemoConflictEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		job := sigagg.VerifyJob{Digests: [][]byte{d}, Agg: sig}
-		sc.nameJobs([]sigagg.VerifyJob{job})
-		if set == ^uint32(0) {
-			set = sc.keys[0].set()
+		s := set(maphash.Bytes(v.memo.seed, sig))
+		if home == ^uint32(0) {
+			home = s
 		}
-		if sc.keys[0].set() == set {
-			crowded = append(crowded, job)
+		if s == home {
+			crowded = append(crowded, sigagg.VerifyJob{Digests: [][]byte{d}, Agg: sig})
 		}
 	}
 	for i := range crowded {
-		if err := v.VerifyJobs(crowded[i : i+1]); err != nil {
+		if err := closeJobs(v, crowded[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,22 +297,27 @@ func TestClaimMemoConflictEviction(t *testing.T) {
 		t.Fatalf("%d jobs at the scheme for %d new claims", cs.jobs, memoWays+1)
 	}
 	// Round-robin: the set's first claim made room for its last.
-	if err := v.VerifyJobs(crowded[memoWays:]); err != nil || cs.jobs != memoWays+1 {
+	if err := closeJobs(v, crowded[memoWays]); err != nil || cs.jobs != memoWays+1 {
 		t.Fatalf("the newest claim of a crowded set is not resident (err %v, %d jobs)", err, cs.jobs)
 	}
-	if err := v.VerifyJobs(crowded[1:2]); err != nil || cs.jobs != memoWays+1 {
+	if err := closeJobs(v, crowded[1]); err != nil || cs.jobs != memoWays+1 {
 		t.Fatalf("a claim that was not the victim is not resident (err %v, %d jobs)", err, cs.jobs)
 	}
-	if err := v.VerifyJobs(crowded[:1]); err != nil || cs.jobs != memoWays+2 {
+	if err := closeJobs(v, crowded[0]); err != nil || cs.jobs != memoWays+2 {
 		t.Fatalf("the evicted claim: err %v, %d jobs at the scheme, want a full verification", err, cs.jobs)
 	}
-	forged := sigagg.VerifyJob{Digests: crowded[1].Digests, Agg: crowded[2].Agg}
-	if err := v.VerifyJobs([]sigagg.VerifyJob{forged}); !errors.Is(err, sigagg.ErrVerify) {
-		t.Fatalf("a forgery over a resident claim's digests: %v", err)
+	// A resident claim's aggregate over other digests: the same entry, a
+	// different name. (The re-admitted first claim took the second's way.)
+	forged := sigagg.VerifyJob{Digests: crowded[3].Digests, Agg: crowded[2].Agg}
+	if err := closeJobs(v, forged); !errors.Is(err, sigagg.ErrVerify) {
+		t.Fatalf("a resident aggregate over another claim's digests: %v", err)
+	}
+	if err := closeJobs(v, crowded[2]); err != nil || cs.jobs != memoWays+3 {
+		t.Fatalf("the forgery disturbed the claim whose aggregate it replayed (err %v, %d jobs)", err, cs.jobs)
 	}
 }
 
-// TestClaimMemoConcurrent: VerifyJobs is safe on one verifier from many
+// TestClaimMemoConcurrent: CheckClaims is safe on one verifier from many
 // goroutines (the table has a lock, the scratch is taken, never shared) —
 // honest batches pass, the forger fails every time and poisons nothing.
 func TestClaimMemoConcurrent(t *testing.T) {
@@ -319,15 +339,17 @@ func TestClaimMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
 				lo := (g + round) % (len(answers) - 4)
-				batch, rs := answers[lo:lo+4], ranges[lo:lo+4]
+				chains := make([]*chain.Answer, 4)
+				for i, ans := range answers[lo : lo+4] {
+					chains[i] = ans.Chain
+				}
 				wantErr := g == 0
 				if wantErr {
-					batch = append([]*Answer{forged}, batch[1:]...)
-					rs = append([]Range{ranges[3]}, rs[1:]...)
+					chains[0] = forged.Chain
 				}
-				jobs, err := v.Jobs(batch, rs)
+				admit, err := v.CheckClaims(chains, nil, nil)
 				if err == nil {
-					err = v.VerifyJobs(jobs)
+					admit()
 				}
 				if (err != nil) != wantErr {
 					errs <- fmt.Errorf("worker %d round %d: %v", g, round, err)
@@ -373,7 +395,7 @@ type memoOracle struct {
 	now int64
 
 	memo *Verifier // the session under test
-	ref  *Verifier // the reference's summary state; its VerifyJobs is never called
+	ref  *Verifier // the reference's summary state; its CheckClaims is never called
 
 	keys    []int64 // the owner's keys, sorted
 	hot     []Range
@@ -401,7 +423,7 @@ func newMemoOracle(t *testing.T, seed int64) *memoOracle {
 }
 
 // reference is the memo-free verdict: what VerifyAnswer did before there
-// was a memo, with chain.Verify in place of Jobs + VerifyJobs.
+// was a memo, with chain.Verify in place of CheckClaims.
 func (o *memoOracle) reference(ans *Answer, rg Range) error {
 	if ans.Chain.Lo != rg.Lo || ans.Chain.Hi != rg.Hi {
 		return fmt.Errorf("%w: wrong range", sigagg.ErrVerify)
@@ -563,15 +585,135 @@ func TestClaimMemoOracle(t *testing.T) {
 			st := o.memo.ClaimStats()
 			total.ClaimHits += st.ClaimHits
 			total.ClaimMisses += st.ClaimMisses
+			total.ContentHits += st.ContentHits
 			total.BatchesWithoutEC += st.BatchesWithoutEC
 			accepted += o.accepted
 			rejected += o.rejected
 		})
 	}
 	// The oracle is only as good as its mix: without hits the memo goes
-	// untested, without rejected repeats so does what it must not hold.
+	// untested — by digest name or by content name — and without rejected
+	// repeats so does what it must not hold.
 	t.Logf("%d seeds × %d steps: %d accepted, %d rejected; %+v", seeds, memoOracleSteps, accepted, rejected, total)
-	if !t.Failed() && (total.ClaimHits < total.ClaimMisses/4 || total.ClaimMisses < total.ClaimHits/50 || rejected < accepted/4) {
+	if !t.Failed() && (total.ClaimHits < total.ClaimMisses/4 || total.ContentHits < total.ClaimHits/4 ||
+		total.ClaimMisses < total.ClaimHits/50 || rejected < accepted/4) {
 		t.Fatalf("degenerate schedule: %+v, %d accepted, %d rejected", total, accepted, rejected)
+	}
+}
+
+// TestContentNameCoversEveryField: a claim's content name changes with
+// every field its digests or aggregate read, one mutation at a time —
+// every record field, a length boundary moved between two attributes, each
+// reference's key and rid, the anchor's presence and fields, the
+// aggregate; and for a projection its slots, a row's rid and ts, a value
+// and a boundary moved between two values. A field the identity left out
+// would let a content hit stand for a claim nobody verified.
+func TestContentNameCoversEveryField(t *testing.T) {
+	rec := func(rid uint64, key int64, attrs ...string) *Record {
+		r := &Record{RID: rid, Key: key, TS: int64(100 + rid)}
+		for _, a := range attrs {
+			r.Attrs = append(r.Attrs, []byte(a))
+		}
+		return r
+	}
+	scan := func() *chain.Answer {
+		return &chain.Answer{
+			Lo: 10, Hi: 40,
+			Records: []*Record{rec(1, 10, "ab", "c"), rec(2, 20, "de", "f"), rec(3, 30, "gh", "i")},
+			Left:    chain.Ref{Key: 5, RID: 9}, Right: chain.Ref{Key: 50, RID: 8},
+			Agg: sigagg.Signature("aggregate"),
+		}
+	}
+	empty := func() *chain.Answer {
+		return &chain.Answer{
+			Lo: 11, Hi: 19, Anchor: rec(1, 10, "ab", "c"),
+			AnchorLeft: chain.Ref{Key: 5, RID: 9}, Right: chain.Ref{Key: 20, RID: 2},
+			Agg: sigagg.Signature("aggregate"),
+		}
+	}
+	proj := func() *projection.Answer {
+		return &projection.Answer{
+			AttrIdxs: []int{0, 2},
+			Rows: []projection.Row{
+				{RID: 1, TS: 101, Values: [][]byte{[]byte("ab"), []byte("c")}},
+				{RID: 2, TS: 102, Values: [][]byte{[]byte("de"), []byte("f")}},
+			},
+			Agg: sigagg.Signature("aggregate"),
+		}
+	}
+	var sc claimScratch
+	name := func(x identity) claimKey { return sc.contentName(x) }
+	chains := []struct {
+		what   string
+		base   func() *chain.Answer
+		mutate func(*chain.Answer)
+	}{
+		{"lo", scan, func(a *chain.Answer) { a.Lo-- }},
+		{"hi", scan, func(a *chain.Answer) { a.Hi++ }},
+		{"a record's rid", scan, func(a *chain.Answer) { a.Records[1].RID++ }},
+		{"a record's key", scan, func(a *chain.Answer) { a.Records[1].Key++ }},
+		{"a record's ts", scan, func(a *chain.Answer) { a.Records[1].TS++ }},
+		{"an attribute byte", scan, func(a *chain.Answer) { a.Records[1].Attrs[0][1] ^= 1 }},
+		{"an attribute boundary", scan, func(a *chain.Answer) {
+			a.Records[1].Attrs = [][]byte{[]byte("d"), []byte("ef")}
+		}},
+		{"the attribute count", scan, func(a *chain.Answer) {
+			a.Records[1].Attrs = append(a.Records[1].Attrs, nil)
+		}},
+		{"the record count", scan, func(a *chain.Answer) { a.Records = a.Records[:2] }},
+		{"the left ref's key", scan, func(a *chain.Answer) { a.Left.Key++ }},
+		{"the left ref's rid", scan, func(a *chain.Answer) { a.Left.RID++ }},
+		{"the right ref's key", scan, func(a *chain.Answer) { a.Right.Key++ }},
+		{"the right ref's rid", scan, func(a *chain.Answer) { a.Right.RID++ }},
+		{"an anchor added", scan, func(a *chain.Answer) { a.Anchor = rec(0, 0) }},
+		{"the anchor removed", empty, func(a *chain.Answer) { a.Anchor = nil }},
+		{"the anchor's rid", empty, func(a *chain.Answer) { a.Anchor.RID++ }},
+		{"the anchor's key", empty, func(a *chain.Answer) { a.Anchor.Key++ }},
+		{"the anchor's ts", empty, func(a *chain.Answer) { a.Anchor.TS++ }},
+		{"an anchor attribute boundary", empty, func(a *chain.Answer) {
+			a.Anchor.Attrs = [][]byte{[]byte("a"), []byte("bc")}
+		}},
+		{"the anchor's left ref's key", empty, func(a *chain.Answer) { a.AnchorLeft.Key++ }},
+		{"the anchor's left ref's rid", empty, func(a *chain.Answer) { a.AnchorLeft.RID++ }},
+		{"the empty answer's right ref", empty, func(a *chain.Answer) { a.Right.RID++ }},
+		{"an aggregate byte", scan, func(a *chain.Answer) { a.Agg[0] ^= 1 }},
+		{"the aggregate's length", scan, func(a *chain.Answer) { a.Agg = a.Agg[:len(a.Agg)-1] }},
+	}
+	for _, tc := range chains {
+		a := tc.base()
+		before := name(a)
+		tc.mutate(a)
+		if name(a) == before {
+			t.Errorf("chain: %s changed, the content name did not", tc.what)
+		}
+	}
+	projs := []struct {
+		what   string
+		mutate func(*projection.Answer)
+	}{
+		{"a slot", func(p *projection.Answer) { p.AttrIdxs[1]++ }},
+		{"the slot count", func(p *projection.Answer) { p.AttrIdxs = p.AttrIdxs[:1] }},
+		{"a row's rid", func(p *projection.Answer) { p.Rows[1].RID++ }},
+		{"a row's ts", func(p *projection.Answer) { p.Rows[1].TS++ }},
+		{"a value byte", func(p *projection.Answer) { p.Rows[1].Values[0][0] ^= 1 }},
+		{"a value boundary", func(p *projection.Answer) {
+			p.Rows[1].Values = [][]byte{[]byte("d"), []byte("ef")}
+		}},
+		{"the value count", func(p *projection.Answer) { p.Rows[1].Values = p.Rows[1].Values[:1] }},
+		{"the row count", func(p *projection.Answer) { p.Rows = p.Rows[:1] }},
+		{"an aggregate byte", func(p *projection.Answer) { p.Agg[0] ^= 1 }},
+	}
+	for _, tc := range projs {
+		p := proj()
+		before := name(p)
+		tc.mutate(p)
+		if name(p) == before {
+			t.Errorf("projection: %s changed, the content name did not", tc.what)
+		}
+	}
+	// The kinds are told apart: each identity opens with its kind's tag,
+	// so no chain answer's bytes read as a projection's.
+	if c, p := scan().AppendIdentity(nil), proj().AppendIdentity(nil); c[0] != 'c' || p[0] != 'p' {
+		t.Errorf("identities open with %q (chain) and %q (projection), want 'c' and 'p'", c[0], p[0])
 	}
 }

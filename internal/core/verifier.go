@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
 	"runtime"
 
 	"authdb/internal/chain"
 	"authdb/internal/freshness"
+	"authdb/internal/projection"
 	"authdb/internal/sigagg"
 )
 
@@ -23,13 +25,15 @@ type Verifier struct {
 
 // NewVerifier creates a verifier for the DA's public key.
 func NewVerifier(scheme sigagg.Scheme, pub sigagg.PublicKey, cfg Config) *Verifier {
-	return &Verifier{
+	v := &Verifier{
 		scheme:  scheme,
 		pub:     pub,
 		cfg:     cfg,
 		par:     runtime.GOMAXPROCS(0),
 		checker: freshness.NewChecker(scheme, pub),
 	}
+	v.memo.seed = maphash.MakeSeed()
+	return v
 }
 
 // SetParallelism caps the goroutines used to recompute record digests
@@ -58,6 +62,7 @@ func (v *Verifier) ClaimStats() ClaimStats {
 	return ClaimStats{
 		ClaimHits:        v.memo.hits.Load(),
 		ClaimMisses:      v.memo.misses.Load(),
+		ContentHits:      v.memo.contentHits.Load(),
 		BatchesWithoutEC: v.memo.batchesWithoutEC.Load(),
 	}
 }
@@ -121,10 +126,11 @@ func (v *Verifier) VerifyAnswer(ans *Answer, lo, hi int64, now int64) (*Freshnes
 
 // VerifyAnswers checks a whole batch of answers in one call — what a
 // verifier session that issued (or subscribed to) many queries does
-// once per round-trip instead of once per answer. The chained record
-// digests of all answers are recomputed in parallel and the aggregates
-// are verified through the scheme's batched primitives (Jobs, then
-// VerifyJobs); freshness is then checked per record as usual.
+// once per round-trip instead of once per answer. The answers' signature
+// claims are closed together (CheckClaims: the claims this verifier has
+// closed before are known by name, the chained record digests of the
+// rest are recomputed in parallel and verified through the scheme's
+// batched primitives); freshness is then checked per record as usual.
 // ranges[i] is the selection answer i must cover. On success the i-th
 // report corresponds to the i-th answer.
 //
@@ -134,13 +140,25 @@ func (v *Verifier) VerifyAnswer(ans *Answer, lo, hi int64, now int64) (*Freshnes
 // per-answer VerifyAnswer calls.
 func (v *Verifier) VerifyAnswers(answers []*Answer, ranges []Range, now int64) ([]*FreshnessReport, error) {
 	// 1. Authenticity and completeness (§3.3), batched.
-	jobs, err := v.Jobs(answers, ranges)
+	if len(answers) != len(ranges) {
+		return nil, fmt.Errorf("core: %d answers but %d ranges", len(answers), len(ranges))
+	}
+	chains := make([]*chain.Answer, len(answers))
+	for i, ans := range answers {
+		if ans == nil || ans.Chain == nil {
+			return nil, fmt.Errorf("%w: empty answer", sigagg.ErrVerify)
+		}
+		if ans.Chain.Lo != ranges[i].Lo || ans.Chain.Hi != ranges[i].Hi {
+			return nil, fmt.Errorf("%w: answer is for range [%d,%d], not [%d,%d]",
+				sigagg.ErrVerify, ans.Chain.Lo, ans.Chain.Hi, ranges[i].Lo, ranges[i].Hi)
+		}
+		chains[i] = ans.Chain
+	}
+	admit, err := v.CheckClaims(chains, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := v.VerifyJobs(jobs); err != nil {
-		return nil, err
-	}
+	admit()
 	// 2. Ingest any new summaries (they are individually certified).
 	held := uint64(0)
 	if v.checker.Len() > 0 {
@@ -163,74 +181,42 @@ func (v *Verifier) VerifyAnswers(answers []*Answer, ranges []Range, now int64) (
 	return v.Freshness(answers, now)
 }
 
-// Jobs is the keyless half of step 1: it checks that answer i claims
-// ranges[i], runs the structural checks and recomputes the chained
-// digests (chain.Jobs), returning one signature claim per answer, still
-// to be verified under this verifier's key. VerifyAnswers closes them on
-// their own; a caller holding more claims under the same key — the
-// sections of a composite answer — appends those and closes the lot with
-// one VerifyJobs. Nothing in the answers is authenticated until that
-// returns nil.
-func (v *Verifier) Jobs(answers []*Answer, ranges []Range) ([]sigagg.VerifyJob, error) {
-	if len(answers) != len(ranges) {
-		return nil, fmt.Errorf("core: %d answers but %d ranges", len(answers), len(ranges))
-	}
-	chains := make([]*chain.Answer, len(answers))
-	for i, ans := range answers {
-		if ans == nil || ans.Chain == nil {
-			return nil, fmt.Errorf("%w: empty answer", sigagg.ErrVerify)
-		}
-		if ans.Chain.Lo != ranges[i].Lo || ans.Chain.Hi != ranges[i].Hi {
-			return nil, fmt.Errorf("%w: answer is for range [%d,%d], not [%d,%d]",
-				sigagg.ErrVerify, ans.Chain.Lo, ans.Chain.Hi, ranges[i].Lo, ranges[i].Hi)
-		}
-		chains[i] = ans.Chain
-	}
-	return chain.Jobs(chains, v.par)
-}
-
-// VerifyJobs closes a batch of signature claims under the verifier's
-// key. It is the one door every claim goes through, and where a claim
-// gets its identity: claims this verifier has already closed, and
-// repeats inside the batch, are dropped (claimmemo.go has the rule and
-// why it is sound); the rest go through the scheme's batched primitives,
-// one closing operation per worker chunk, and are remembered only once
-// that returned nil. A batch whose claims are all known does no curve
-// arithmetic at all. Set semantics apply (sigagg.BatchVerifier): an error
-// says some job is invalid, not which, and nothing of a failed batch is
-// remembered.
-func (v *Verifier) VerifyJobs(jobs []sigagg.VerifyJob) error {
-	admit, err := v.CheckJobs(jobs)
-	if err != nil {
-		return err
-	}
-	admit()
-	return nil
-}
-
-// CheckJobs is VerifyJobs with the remembering left to the caller: on
-// success it returns the function that admits the batch's claims to the
-// memo. A caller closing one answer batch under several keys calls the
-// admits only after every key has closed, so that a batch with a false
-// claim under any key leaves no verifier remembering any of it; a caller
-// that drops admit merely forgets claims it verified.
-func (v *Verifier) CheckJobs(jobs []sigagg.VerifyJob) (admit func(), err error) {
-	if len(jobs) == 0 {
+// CheckClaims closes a batch of signature claims under the verifier's
+// key: one per chain answer, one per projection answer, and the bare
+// jobs (claims with no answer behind them, such as a Bloom partition's
+// certification). It is the one door every claim goes through, and where
+// a claim gets its name (claimmemo.go has the rule and why it is sound):
+// a claim this verifier has closed before is known by its content, or by
+// its digests, and a repeat inside the batch is dropped; the rest go
+// through the scheme's batched primitives, one closing operation per
+// worker chunk. A batch whose claims are all known does no curve
+// arithmetic at all, and one whose claims are all known by content
+// computes no digest either. Every chain's structure is checked
+// (chain.(*Answer).CheckStructure) whatever the memo holds. Set semantics
+// apply (sigagg.BatchVerifier): an error says some claim is false, not
+// which.
+//
+// On success it returns the function that remembers the batch's claims.
+// A caller closing one answer batch under several keys calls the admits
+// only after every key has closed, so that a batch with a false claim
+// under any key leaves no verifier remembering any of it; a caller that
+// drops admit merely forgets claims it verified.
+func (v *Verifier) CheckClaims(chains []*chain.Answer, projs []*projection.Answer, jobs []sigagg.VerifyJob) (admit func(), err error) {
+	np := len(chains) + len(projs)
+	if np+len(jobs) == 0 {
 		return func() {}, nil
 	}
 	sc := v.memo.takeScratch()
-	live := v.memo.open(sc, jobs)
-	if len(live) > 0 {
-		if err := sigagg.NewPool(v.scheme, v.par).VerifyAll(v.pub, live); err != nil {
-			v.memo.putScratch(sc)
-			return nil, err
-		}
+	live, err := v.memo.check(sc, chains, projs, jobs, v.par)
+	if err == nil && len(live) > 0 {
+		err = sigagg.NewPool(v.scheme, v.par).VerifyAll(v.pub, live)
 	}
-	verified := len(live) > 0
+	if err != nil {
+		v.memo.putScratch(sc)
+		return nil, err
+	}
 	return func() {
-		if verified {
-			v.memo.admit(sc)
-		}
+		v.memo.admit(sc, np)
 		v.memo.putScratch(sc)
 	}, nil
 }

@@ -9,6 +9,7 @@
 package projection
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"authdb/internal/digest"
@@ -111,6 +112,40 @@ func (a *Answer) Digests() ([][]byte, error) {
 		}
 	}
 	return out, nil
+}
+
+// identityProjection opens a projection answer's identity; chain's is
+// 'c'.
+const identityProjection = 'p'
+
+// AppendIdentity appends the answer's identity to dst: an injective,
+// length-prefixed serialization of everything its digests and aggregate
+// read — the slots, every row's rid, ts and values, and the aggregate —
+// tagged as a projection's. Two answers with equal identities have equal
+// Digests (or both fail them) and Agg; chain.(*Answer).AppendIdentity is
+// the same for a chained answer.
+func (a *Answer) AppendIdentity(dst []byte) []byte {
+	dst = append(dst, identityProjection)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(a.AttrIdxs)))
+	for _, idx := range a.AttrIdxs {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(idx))
+	}
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(a.Rows)))
+	for i := range a.Rows {
+		row := &a.Rows[i]
+		dst = binary.BigEndian.AppendUint64(dst, row.RID)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(row.TS))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(len(row.Values)))
+		for _, v := range row.Values {
+			dst = appendBytes(dst, v)
+		}
+	}
+	return appendBytes(dst, a.Agg)
+}
+
+// appendBytes appends len‖b.
+func appendBytes(dst, b []byte) []byte {
+	return append(binary.BigEndian.AppendUint64(dst, uint64(len(b))), b...)
 }
 
 // Verify checks that every projected value is authentic and sits in the

@@ -145,8 +145,7 @@ func FuzzPointTable(f *testing.F) {
 	f.Add(flood)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		o := newOracle(t, 0, 0x0dd5eed)
-		o.c.table = pointTable{bound: 160}
-		o.c.table.grow(o.c)
+		o.c.table.bound = 160 // under newPointCache's floor; nothing is allocated before the first put
 		keyOf := func(i int) cacheKey {
 			if i%4 == 0 {
 				return homedKey(o.c.seed, 0x77<<56|uint64(i))

@@ -45,7 +45,7 @@ func hashToCurve(a *affPoint, msg *[]byte, digest []byte) {
 // memoized. The map is pure, so the cache is correctness-neutral, and a
 // hit compares the whole 33-byte key. Aggregates are not cached: for
 // honest data a repeated aggregate is a repeated claim, which the
-// verifier's claim memo (core.Verifier.VerifyJobs) drops before it gets
+// verifier's claim memo (core.Verifier.CheckClaims) drops before it gets
 // here, so a table of decoded aggregates would hold only points nobody
 // asks for again.
 //
@@ -56,10 +56,12 @@ func hashToCurve(a *affPoint, msg *[]byte, digest []byte) {
 // of one batch overlap:
 //
 //   - One pointTable. Its slots — point and key side by side, 104 bytes —
-//     are a dense array that only ever grows (by doubling, up to the
-//     bound) and whose entries are overwritten in place, never emptied. A
-//     full table is exactly bound slots: there is no load-factor slack on
-//     the 104-byte side.
+//     are a dense sequence that only ever grows, a fixed chunk of
+//     chunkSlots at a time up to the bound, and whose entries are
+//     overwritten in place, never emptied. A slot number is a chunk and an
+//     offset. A full table is exactly bound slots: there is no load-factor
+//     slack on the 104-byte side, and a growing one leaves at most one
+//     chunk unused and copies no slot.
 //   - Beside it a small open-addressed index of uint32s, at most half
 //     full: 8 bits of fingerprint and 24 of slot number, linear probing
 //     from a home position taken from the top bits of a seeded mix of the
@@ -96,6 +98,10 @@ const (
 	// minCacheEntries is the smallest cache New builds.
 	minCacheEntries = 512
 
+	// A chunk of the slot sequence is 1<<chunkBits slots, 213 KB.
+	chunkBits  = 11
+	chunkSlots = 1 << chunkBits
+
 	// Odd multipliers of pointCache.hash's two rounds.
 	hashMul1 = 0x9e3779b97f4a7c15
 	hashMul2 = 0xd6e8feb86659fd93
@@ -112,10 +118,17 @@ type tableSlot struct {
 
 // pointTable holds the entries; see the comment above.
 type pointTable struct {
-	index []uint32 // len a power of two ≥ 2·cap(slots)
-	shift uint     // 64 − log2(len(index))
-	slots []tableSlot
-	bound int
+	index    []uint32 // len a power of two ≥ 2·capacity
+	shift    uint     // 64 − log2(len(index))
+	chunks   [][]tableSlot
+	n        int // slots in use: 0..n-1
+	capacity int // slots allocated: every chunk is chunkSlots but a last one cut to the bound
+	bound    int
+}
+
+// slot is slot number s.
+func (t *pointTable) slot(s int32) *tableSlot {
+	return &t.chunks[s>>chunkBits][s&(chunkSlots-1)]
 }
 
 // pointCache is the table, its lock, the placement seed and the counters
@@ -133,8 +146,10 @@ type pointCache struct {
 
 func newPointCache(entries int, seed uint64) *pointCache {
 	c := &pointCache{seed: seed, rng: seed | 1}
+	// No chunk before the first put: the empty table's index is one empty
+	// entry, every key's home (h >> 64 is 0).
+	c.table.index, c.table.shift = make([]uint32, 1), 64
 	c.table.bound = min(max(entries, minCacheEntries), slotMask)
-	c.table.grow(c)
 	return c
 }
 
@@ -180,7 +195,7 @@ func (c *pointCache) locateBlock(block []probeEntry) (sink uint64) {
 		e := &block[i]
 		t := &c.table
 		if e.slot = t.locate(e.hash); e.slot >= 0 {
-			sl := &t.slots[e.slot]
+			sl := t.slot(e.slot)
 			sink += sl.pt.x[0] + sl.pt.y[3] + uint64(sl.key[cacheKeyLen-1])
 		}
 	}
@@ -193,13 +208,13 @@ func (c *pointCache) locateBlock(block []probeEntry) (sink uint64) {
 // table's own, valid while the read lock is held.
 func (c *pointCache) confirm(e *probeEntry) *affPoint {
 	t := &c.table
-	if e.slot >= 0 && t.slots[e.slot].key != e.key {
+	if e.slot >= 0 && t.slot(e.slot).key != e.key {
 		e.slot = t.find(e.hash, &e.key)
 	}
 	if e.slot < 0 {
 		return nil
 	}
-	return &t.slots[e.slot].pt
+	return &t.slot(e.slot).pt
 }
 
 // find returns the slot holding k, or -1.
@@ -212,7 +227,7 @@ func (t *pointTable) find(h uint64, k *cacheKey) int32 {
 			return -1
 		}
 		if e&^slotMask == fp {
-			if s := int32(e&slotMask) - 1; t.slots[s].key == *k {
+			if s := int32(e&slotMask) - 1; t.slot(s).key == *k {
 				return s
 			}
 		}
@@ -243,7 +258,7 @@ func (t *pointTable) leave(c *pointCache, h uint64, s int) {
 		i = (i + 1) & mask
 	}
 	for j := (i + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
-		home := uint32(c.hash(&t.slots[t.index[j]&slotMask-1].key) >> t.shift)
+		home := uint32(c.hash(&t.slot(int32(t.index[j]&slotMask)-1).key) >> t.shift)
 		if (j-home)&mask >= (j-i)&mask {
 			t.index[i] = t.index[j]
 			i = j
@@ -252,18 +267,17 @@ func (t *pointTable) leave(c *pointCache, h uint64, s int) {
 	t.index[i] = 0
 }
 
-// grow doubles the slot array, up to the bound, and rebuilds the index
-// at no more than half full for the new capacity.
+// grow adds a chunk, up to the bound, and rebuilds the index at no more
+// than half full for the new capacity.
 func (t *pointTable) grow(c *pointCache) {
-	n := min(max(2*cap(t.slots), 64), t.bound)
-	slots := make([]tableSlot, len(t.slots), n)
-	copy(slots, t.slots)
-	t.slots = slots
-	logLen := uint(bits.Len(uint(2*n - 1)))
+	chunk := make([]tableSlot, min(chunkSlots, t.bound-t.capacity))
+	t.chunks = append(t.chunks, chunk)
+	t.capacity += len(chunk)
+	logLen := uint(bits.Len(uint(2*t.capacity - 1)))
 	t.index = make([]uint32, 1<<logLen)
 	t.shift = 64 - logLen
-	for s := range t.slots {
-		t.enter(c.hash(&t.slots[s].key), s)
+	for s := range t.n {
+		t.enter(c.hash(&t.slot(int32(s)).key), s)
 	}
 }
 
@@ -277,22 +291,22 @@ func (c *pointCache) put(h uint64, k *cacheKey, a *affPoint) {
 	if t.find(h, k) >= 0 {
 		return
 	}
-	s := len(t.slots)
+	s := t.n
 	if s < t.bound {
-		if s == cap(t.slots) {
+		if s == t.capacity {
 			t.grow(c)
 		}
-		t.slots = t.slots[:s+1]
+		t.n++
 	} else {
 		c.rng ^= c.rng << 13
 		c.rng ^= c.rng >> 7
 		c.rng ^= c.rng << 17
 		hi, _ := bits.Mul64(c.rng, uint64(t.bound))
 		s = int(hi)
-		t.leave(c, c.hash(&t.slots[s].key), s)
+		t.leave(c, c.hash(&t.slot(int32(s)).key), s)
 		c.evictions.Add(1)
 	}
-	t.slots[s] = tableSlot{pt: *a, key: *k}
+	*t.slot(int32(s)) = tableSlot{pt: *a, key: *k}
 	t.enter(h, s)
 }
 

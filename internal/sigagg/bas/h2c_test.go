@@ -76,7 +76,7 @@ func (o *oracle) doPut(k cacheKey) {
 	c, t := o.c, &o.c.table
 	h := c.hash(&k)
 	resident := t.find(h, &k) >= 0
-	n, evicted := len(t.slots), c.evictions.Load()
+	n, evicted := t.n, c.evictions.Load()
 	pt := testPoint(&k)
 	c.put(h, &k, &pt)
 	if _, seen := o.put[k]; !seen {
@@ -91,11 +91,11 @@ func (o *oracle) doPut(k cacheKey) {
 	default:
 		wantEvicted++
 	}
-	if len(t.slots) != wantLen || c.evictions.Load() != wantEvicted {
+	if t.n != wantLen || c.evictions.Load() != wantEvicted {
 		o.t.Fatalf("put (resident=%v, %d of %d slots): %d slots and %d evictions after, want %d and %d",
-			resident, n, t.bound, len(t.slots), c.evictions.Load()-evicted, wantLen, wantEvicted-evicted)
+			resident, n, t.bound, t.n, c.evictions.Load()-evicted, wantLen, wantEvicted-evicted)
 	}
-	if s := t.find(h, &k); s < 0 || t.slots[s].pt != pt {
+	if s := t.find(h, &k); s < 0 || t.slot(s).pt != pt {
 		o.t.Fatalf("a key just put is not resident with its point (slot %d)", s)
 	}
 }
@@ -108,7 +108,7 @@ func (o *oracle) check(k *cacheKey, slot int32) {
 	switch {
 	case slot >= 0 && !seen:
 		o.t.Fatalf("hit on a key never put")
-	case slot >= 0 && (t.slots[slot].key != *k || t.slots[slot].pt != want):
+	case slot >= 0 && (t.slot(slot).key != *k || t.slot(slot).pt != want):
 		o.t.Fatalf("hit returned another key's slot or another point")
 	case slot < 0 && seen && o.distinct <= t.bound:
 		o.t.Fatalf("miss on a key that was put, with %d distinct keys in a table bounded at %d",
@@ -133,24 +133,36 @@ func (o *oracle) doProbe(keys []cacheKey) {
 	o.c.locateBlock(block)
 	for i := range block {
 		hit, slot := o.c.confirm(&block[i]), t.find(block[i].hash, &keys[i])
-		if (hit == nil) != (slot < 0) || hit != nil && hit != &t.slots[slot].pt {
+		if (hit == nil) != (slot < 0) || hit != nil && hit != &t.slot(slot).pt {
 			o.t.Fatalf("batch probe found %p, find slot %d", hit, slot)
 		}
 		o.check(&keys[i], slot)
 	}
 }
 
-// audit walks the table: the bound holds, the index has one entry per
-// slot, and every slot is reached from its own key.
+// audit walks the table: the bound holds, the chunks are whole but for
+// a last one cut to the bound, no more than one chunk is unused, the
+// index has one entry per slot, and every slot is reached from its own
+// key.
 func (o *oracle) audit() {
 	o.t.Helper()
 	t := &o.c.table
-	if len(t.slots) > t.bound || len(t.index) < 2*cap(t.slots) {
-		o.t.Fatalf("%d slots (cap %d) under bound %d with an index of %d",
-			len(t.slots), cap(t.slots), t.bound, len(t.index))
+	if t.n > t.capacity || t.capacity > t.bound || t.capacity-t.n >= chunkSlots || len(t.index) < 2*t.capacity {
+		o.t.Fatalf("%d slots (capacity %d) under bound %d with an index of %d",
+			t.n, t.capacity, t.bound, len(t.index))
 	}
-	if want := min(o.distinct, t.bound); len(t.slots) != want {
-		o.t.Fatalf("%d entries after %d distinct keys, bound %d", len(t.slots), o.distinct, t.bound)
+	allocated := 0
+	for i, chunk := range t.chunks {
+		if len(chunk) != chunkSlots && (i != len(t.chunks)-1 || allocated+len(chunk) != t.bound) {
+			o.t.Fatalf("chunk %d of %d holds %d slots (bound %d)", i, len(t.chunks), len(chunk), t.bound)
+		}
+		allocated += len(chunk)
+	}
+	if allocated != t.capacity {
+		o.t.Fatalf("%d slots in the chunks, capacity %d", allocated, t.capacity)
+	}
+	if want := min(o.distinct, t.bound); t.n != want {
+		o.t.Fatalf("%d entries after %d distinct keys, bound %d", t.n, o.distinct, t.bound)
 	}
 	used := 0
 	for _, e := range t.index {
@@ -158,12 +170,12 @@ func (o *oracle) audit() {
 			used++
 		}
 	}
-	if used != len(t.slots) {
-		o.t.Fatalf("%d index entries for %d slots", used, len(t.slots))
+	if used != t.n {
+		o.t.Fatalf("%d index entries for %d slots", used, t.n)
 	}
-	for s := range t.slots {
-		k := &t.slots[s].key
-		if got := t.find(o.c.hash(k), k); int(got) != s {
+	for s := range int32(t.n) {
+		k := &t.slot(s).key
+		if got := t.find(o.c.hash(k), k); got != s {
 			o.t.Fatalf("slot %d's key is found at %d", s, got)
 		}
 	}
@@ -171,21 +183,28 @@ func (o *oracle) audit() {
 
 // TestTableMatchesMapOracle drives seeded streams of puts, gets and batch
 // probes — four times the bound in distinct keys, an eighth of them forced
-// onto one home position — through the oracle.
+// onto one home position — through the oracle: four seeds on the
+// smallest table, one chunk, and one on a table of a whole chunk and a
+// last one cut to the bound.
 func TestTableMatchesMapOracle(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		o := newOracle(t, minCacheEntries, rng.Uint64())
+		bound := minCacheEntries
+		if seed == 5 {
+			bound = chunkSlots + 300
+		}
+		o := newOracle(t, bound, rng.Uint64())
 		keyOf := func(i int) cacheKey {
 			if i%8 == 0 {
 				return homedKey(o.c.seed, 0xabcd<<48|uint64(i))
 			}
 			return testKey(i)
 		}
-		for step := 0; step < 12000; step++ {
+		steps := 12000 * bound / minCacheEntries
+		for step := 0; step < steps; step++ {
 			// The key space opens up as the stream runs, so that it passes
 			// through "everything fits" into "four times the bound".
-			space := 1 + 4*o.c.table.bound*step/12000
+			space := 1 + 4*bound*step/steps
 			switch op := rng.Intn(10); {
 			case op < 4:
 				o.doPut(keyOf(rng.Intn(space)))
@@ -198,7 +217,7 @@ func TestTableMatchesMapOracle(t *testing.T) {
 				}
 				o.doProbe(keys)
 			}
-			if step%500 == 0 {
+			if step%(steps/24) == 0 {
 				o.audit()
 			}
 		}
@@ -245,9 +264,9 @@ func TestCacheEvictionBounded(t *testing.T) {
 		}
 	}
 	before := s.VerifyStats()
-	if before.CacheEvictions != 0 || len(dt.slots) != dt.bound {
+	if before.CacheEvictions != 0 || dt.n != dt.bound {
 		t.Fatalf("%d evictions and %d of %d digests resident before the bound was passed",
-			before.CacheEvictions, len(dt.slots), dt.bound)
+			before.CacheEvictions, dt.n, dt.bound)
 	}
 	for lo := 0; lo < dt.bound; lo += 8 {
 		agg, _ := s.AggregateInto(nil, sigs[lo:lo+8])
@@ -269,8 +288,8 @@ func TestCacheEvictionBounded(t *testing.T) {
 	if st := s.VerifyStats(); st.CacheEvictions == 0 {
 		t.Fatalf("expected evictions with %d digests in a clamped cache: %+v", len(digests), st)
 	}
-	if len(dt.slots) != dt.bound {
-		t.Fatalf("%d digests resident, bound %d", len(dt.slots), dt.bound)
+	if dt.n != dt.bound {
+		t.Fatalf("%d digests resident, bound %d", dt.n, dt.bound)
 	}
 }
 
@@ -288,11 +307,11 @@ func TestCachePutResidentKeepsShardFull(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		o.doPut(digestKey([]byte{0, 0}))
 	}
-	if n, ev := len(o.c.table.slots), o.c.evictions.Load(); n != full || ev != 0 {
+	if n, ev := o.c.table.n, o.c.evictions.Load(); n != full || ev != 0 {
 		t.Fatalf("re-putting a resident key: %d of %d entries, %d evictions", n, full, ev)
 	}
 	o.doPut(digestKey([]byte{0xff, 0xff, 1}))
-	if n, ev := len(o.c.table.slots), o.c.evictions.Load(); n != full || ev != 1 {
+	if n, ev := o.c.table.n, o.c.evictions.Load(); n != full || ev != 1 {
 		t.Fatalf("a new key in a full table: %d entries, %d evictions; want %d and 1", n, ev, full)
 	}
 	o.audit()
@@ -404,7 +423,7 @@ func TestSumJobsConcurrentMisses(t *testing.T) {
 	if lookups := uint64(workers * 3 * 2 * slice); st.H2CCacheHits+st.H2CCacheMisses != lookups {
 		t.Errorf("%d hits + %d misses, want %d lookups", st.H2CCacheHits, st.H2CCacheMisses, lookups)
 	}
-	if got := len(s.cache.table.slots); got != len(digests) || st.CacheEvictions != 0 {
+	if got := s.cache.table.n; got != len(digests) || st.CacheEvictions != 0 {
 		t.Errorf("%d of %d digests resident, %d evictions", got, len(digests), st.CacheEvictions)
 	}
 
