@@ -74,8 +74,8 @@
 // Aggregate-signature schemes live under internal/sigagg: bilinear
 // aggregate signatures (sigagg/bas), condensed RSA (sigagg/crsa) and a
 // zero-cost counting scheme for experiments (sigagg/xortest), all
-// behind one Scheme interface with a batched, allocation-lean
-// AggregateInto fast path and, for the serving side, Folder: stored
+// behind one Scheme interface whose batch forms (SignBatch, VerifyJobs,
+// AggregateInto) are methods and, for the serving side, Folder: stored
 // signatures prepared once, running sums encoded once. internal/wire carries the DA→server and
 // server→user messages with pooled encode buffers; its frame kinds are
 // named constants in one table (wire.Kinds).

@@ -124,7 +124,7 @@ func TestFoldedRangesMatchScan(t *testing.T) {
 						}
 						continue
 					}
-					want, err := sigagg.AggregateInto(raw, nil, inRange)
+					want, err := raw.AggregateInto(nil, inRange)
 					if err != nil {
 						t.Fatal(err)
 					}

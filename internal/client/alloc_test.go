@@ -9,6 +9,7 @@ import (
 	"authdb/internal/core"
 	"authdb/internal/join"
 	"authdb/internal/query"
+	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/sigagg/xortest"
 	"authdb/internal/wire"
@@ -47,7 +48,7 @@ func answerFrame(tb testing.TB) ([]byte, core.Range, *core.Verifier) {
 	if len(ans.Chain.Records) != 50 {
 		tb.Fatalf("fixture answer has %d records, want 50", len(ans.Chain.Records))
 	}
-	frame, err := wire.EncodeAnswer(ans)
+	frame, err := wire.AppendAnswer(nil, ans)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func planJoinFrame(tb testing.TB) ([]byte, *query.Spec, *client.Client) {
 	}
 	frame := append(append([]byte(nil), body...), tails...)
 	release()
-	cl, err := client.NewSession(client.Config{Scheme: bas.New(0), Pub: outer.Pub, Relations: cat.PublicKeys(), VerifyWorkers: 1})
+	cl, err := client.NewSession(client.Config{Scheme: bas.New(0), Pub: outer.Pub, Relations: map[string]sigagg.PublicKey{"o": outer.Pub, "i": inner.Pub}, VerifyWorkers: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}

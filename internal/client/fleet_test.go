@@ -275,7 +275,7 @@ func TestFleetRefusesUncarriablePlan(t *testing.T) {
 		srvs[i], addrs[i] = fx.listen(t, server.NetConfig{})
 	}
 	cl, err := client.DialFleet(addrs, client.Config{
-		Scheme: fx.newScheme(), Pub: fx.outer.Pub, Relations: fx.cat.PublicKeys(), Retry: fleetRetry(),
+		Scheme: fx.newScheme(), Pub: fx.outer.Pub, Relations: fx.relationKeys(), Retry: fleetRetry(),
 	})
 	if err != nil {
 		t.Fatal(err)

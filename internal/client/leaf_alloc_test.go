@@ -51,7 +51,7 @@ func TestLeafPathAllocBudget(t *testing.T) {
 	if len(ans.Chain.Records) != 50 || len(ans.Summaries) != 1 {
 		t.Fatalf("fixture answer has %d records and %d summaries, want 50 and 1", len(ans.Chain.Records), len(ans.Summaries))
 	}
-	frame, err := wire.EncodeAnswer(ans)
+	frame, err := wire.AppendAnswer(nil, ans)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,7 +298,7 @@ func (b *keyBatch) reset() {
 // known by name, the rest digested on up to VerifyWorkers goroutines),
 // leaving in the batch the function that lets rs's verifier remember
 // them, for the caller to run once the batch has closed under every other
-// key too. The batch has set semantics (sigagg.BatchVerifier): a failure
+// key too. The batch has set semantics (sigagg.Scheme.VerifyJobs): a failure
 // says some claim is false, not which, so a failed batch is gone through
 // claim by claim, memo-free, and the error names the first section that
 // does not stand on its own.

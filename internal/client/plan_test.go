@@ -36,6 +36,11 @@ type planFixture struct {
 	newScheme    func() sigagg.Scheme
 }
 
+// relationKeys is what a client of the fixture's catalog verifies under.
+func (fx *planFixture) relationKeys() map[string]sigagg.PublicKey {
+	return map[string]sigagg.PublicKey{"o": fx.outer.Pub, "i": fx.inner.Pub}
+}
+
 func newPlanFixture(t *testing.T) *planFixture {
 	t.Helper()
 	return newPlanFixtureOn(t, func() sigagg.Scheme { return xortest.New() }, server.NetConfig{})
@@ -175,7 +180,7 @@ func (fx *planFixture) dialWith(t testing.TB, addr string, scheme sigagg.Scheme,
 	cl, err := client.Dial(addr, client.Config{
 		Scheme:        scheme,
 		Pub:           fx.outer.Pub,
-		Relations:     fx.cat.PublicKeys(),
+		Relations:     fx.relationKeys(),
 		VerifyWorkers: workers,
 	})
 	if err != nil {

@@ -113,7 +113,7 @@ func newRunOracle(t *testing.T, seed int64) *runOracle {
 		srv.Shutdown(ctx)
 	})
 	o.cl, err = client.Dial(ln.Addr().String(), client.Config{
-		Scheme: xortest.New(), Pub: o.outer.Pub, Relations: cat.PublicKeys(), VerifyWorkers: 1,
+		Scheme: xortest.New(), Pub: o.outer.Pub, Relations: map[string]sigagg.PublicKey{"o": o.outer.Pub, "i": o.inner.Pub}, VerifyWorkers: 1,
 		Now: func() int64 { return o.now },
 	})
 	if err != nil {

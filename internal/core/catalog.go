@@ -63,10 +63,6 @@ func NewCatalog(scheme sigagg.Scheme, cfg Config, workers int) (*Catalog, error)
 	}, nil
 }
 
-// Pool exposes the shared signing pool (e.g. for planner executors that
-// fan verification out over the same workers).
-func (c *Catalog) Pool() *sigagg.Pool { return c.pool }
-
 // AddRelation keys and wires a new named relation. rnd supplies
 // key-generation entropy (nil = crypto/rand; a deterministic reader
 // gives reproducible keys, as in NewSystemWithRand). daOpts and qsOpts
@@ -112,14 +108,4 @@ func (c *Catalog) Relation(name string) *Relation { return c.byName[name] }
 // Relations lists the relation names in insertion order.
 func (c *Catalog) Relations() []string {
 	return append([]string(nil), c.names...)
-}
-
-// PublicKeys returns every relation's public key by name — what a
-// client needs to verify composite answers spanning the catalog.
-func (c *Catalog) PublicKeys() map[string]sigagg.PublicKey {
-	out := make(map[string]sigagg.PublicKey, len(c.byName))
-	for name, rel := range c.byName {
-		out[name] = rel.Pub
-	}
-	return out
 }

@@ -34,9 +34,6 @@ func TestProjectionModeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rel.DA.AttrSigning() {
-		t.Fatal("projection mode not enabled")
-	}
 	msg, err := rel.DA.Load(projRecords(50), 100)
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ import (
 // name that does not match, a miss, never an acceptance. (2) A digest
 // name enters only as a member of a batch whose equation held — the same
 // evidence on which the session accepted the claim the first time, under
-// the set semantics sigagg.BatchVerifier documents: the batch proves that
+// the set semantics sigagg.Scheme.VerifyJobs documents: the batch proves that
 // the union of its digests is signed by the union of its aggregates, so by
 // aggregate unforgeability every digest of every admitted claim was
 // signed by the owner. A content name enters only in place of a digest

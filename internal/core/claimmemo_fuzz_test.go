@@ -42,7 +42,7 @@ func FuzzClaimMemoAgreesWithVerify(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	frame, err := wire.EncodeAnswer(honest)
+	frame, err := wire.AppendAnswer(nil, honest)
 	if err != nil {
 		f.Fatal(err)
 	}

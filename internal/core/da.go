@@ -24,7 +24,7 @@ import (
 // timestamp with the neighbours it will be chained between — and then
 // hands the plan to certify, which signs every chained digest in one
 // batch on the signing pool (using the scheme's batch primitives, see
-// sigagg.BatchSigner), installs each version, and emits them in plan
+// sigagg.Scheme.SignBatch), installs each version, and emits them in plan
 // order. Summaries and per-attribute signatures go through the same
 // pool.
 type DataAggregator struct {
@@ -164,9 +164,6 @@ func (da *DataAggregator) sealMsg(msg *UpdateMsg) error {
 	}
 	return nil
 }
-
-// AttrSigning reports whether the relation runs in projection mode.
-func (da *DataAggregator) AttrSigning() bool { return da.attrSign }
 
 // CertifyFilter builds and signs a partitioned Bloom filter over the
 // relation's current key set at time ts (§3.5), for servers answering

@@ -125,15 +125,16 @@ func (qs *QueryServer) leaf(sr *SignedRecord, st *stored) (aggtree.Entry, error)
 type QueryServer struct {
 	scheme sigagg.Scheme
 	folder sigagg.Folder // scheme's decoded-operand aggregation (proof construction)
-	linear bool          // baseline mode: fold the walked result signatures one by one
 	nset   int           // configured shard count (construction only)
 
 	// topo guards the shard boundaries: shared by every operation,
 	// exclusive only during the one-off seeding that splits the
-	// keyspace once enough data has arrived.
+	// keyspace once enough data has arrived. seeded is written under
+	// topo exclusively and read before taking it, so an update after
+	// the split never waits on the queries holding topo shared.
 	topo   sync.RWMutex
 	bounds []int64 // ascending split keys; shard i covers keys < bounds[i]; nil = everything in shard 0
-	seeded bool
+	seeded atomic.Bool
 	shards []*shard
 
 	// epochs[i] versions the data of shard i. Updates bump the epochs of
@@ -176,13 +177,6 @@ func WithShards(n int) Option {
 			qs.nset = n
 		}
 	}
-}
-
-// WithLinearAggregation builds each range aggregate by folding every
-// result signature in turn instead of from the tree's subtree sums — the
-// pre-aggtree baseline, kept for benchmarks and ablations.
-func WithLinearAggregation() Option {
-	return func(qs *QueryServer) { qs.linear = true }
 }
 
 // NewQueryServer creates an empty server for the (bound) scheme.
@@ -277,12 +271,12 @@ func (qs *QueryServer) unlockAll() {
 // population (stored plus incoming) is large enough, migrating any
 // existing entries. One-off: afterwards the boundaries are fixed.
 func (qs *QueryServer) maybeSeed(msg *UpdateMsg) error {
-	if len(qs.shards) == 1 {
+	if len(qs.shards) == 1 || qs.seeded.Load() {
 		return nil
 	}
 	qs.topo.Lock()
 	defer qs.topo.Unlock()
-	if qs.seeded {
+	if qs.seeded.Load() {
 		return nil
 	}
 	entries := make([]aggtree.Entry, 0, qs.shards[0].tree.Len())
@@ -312,7 +306,7 @@ func (qs *QueryServer) maybeSeed(msg *UpdateMsg) error {
 		bounds[i] = keys[(i+1)*len(keys)/len(qs.shards)]
 	}
 	qs.bounds = bounds
-	qs.seeded = true
+	qs.seeded.Store(true)
 	// The topology change remaps every shard: bump all epochs (under
 	// the exclusive topo lock, so no query can be stamping).
 	for i := range qs.epochs {

@@ -27,7 +27,7 @@ import (
 // anchor of an empty range and its neighbours, the aggregate, the oldest
 // timestamp and the summaries attached), QueryProj's rows, AppendKeys
 // under a cap, Len and Snapshot. Odd seeds carry a §3.4 sideband on every
-// record; every third seed aggregates linearly.
+// record.
 const (
 	qsOracleSeeds      = 20
 	qsOracleShortSeeds = 4
@@ -40,7 +40,6 @@ type qsOracle struct {
 	rng    *rand.Rand
 	scheme sigagg.Scheme
 	priv   sigagg.PrivateKey
-	opts   []Option
 	proj   bool
 
 	qs        *QueryServer
@@ -62,10 +61,7 @@ func newQSOracle(t *testing.T, seed int64) *qsOracle {
 		t: t, rng: rand.New(rand.NewSource(seed)), scheme: scheme, priv: priv,
 		proj: seed%2 == 1, now: 100,
 	}
-	if seed%3 == 0 {
-		o.opts = append(o.opts, WithLinearAggregation())
-	}
-	o.qs = NewQueryServer(scheme, o.opts...)
+	o.qs = NewQueryServer(scheme)
 	o.restoreAt = qsOracleSteps/3 + o.rng.Intn(qsOracleSteps/3)
 
 	// A sorted initial load, too small to split the keyspace.
@@ -82,7 +78,7 @@ func newQSOracle(t *testing.T, seed int64) *qsOracle {
 		msg.Upserts = append(msg.Upserts, o.signed(o.rid, k))
 	}
 	o.apply(msg)
-	if o.qs.seeded {
+	if o.qs.seeded.Load() {
 		t.Fatalf("a %d-record load split the keyspace", len(keys))
 	}
 	return o
@@ -186,7 +182,7 @@ func (o *qsOracle) step() {
 
 // restore swaps the server for a fresh one restored from its snapshot.
 func (o *qsOracle) restore() {
-	fresh := NewQueryServer(o.scheme, o.opts...)
+	fresh := NewQueryServer(o.scheme)
 	if err := fresh.Restore(o.qs.Snapshot()); err != nil {
 		o.t.Fatalf("Restore: %v", err)
 	}
@@ -345,7 +341,7 @@ func TestQueryServerMatchesSortedSlice(t *testing.T) {
 				o.step()
 				o.check(step)
 			}
-			if !o.qs.seeded {
+			if !o.qs.seeded.Load() {
 				t.Fatalf("the schedule never crossed the reseed (%d records)", len(o.recs))
 			}
 		})

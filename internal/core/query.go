@@ -246,18 +246,11 @@ func (qs *QueryServer) queryWindow(loS, hiS, s, t int, lo, hi int64, attachSums 
 			return nil, w.widenLo, w.widenHi, nil
 		}
 		ca.Records = make([]*Record, 0, total)
-		var sigs []sigagg.Signature // the linear baseline's operands
-		if qs.linear {
-			sigs = make([]sigagg.Signature, 0, total)
-		}
 		var err error
 		for j := s; j <= t && err == nil; j++ {
 			qs.shards[j].tree.Ascend(lo, hi, func(e aggtree.Entry) bool {
 				p := payload(e)
 				ca.Records = append(ca.Records, p.rec)
-				if qs.linear {
-					sigs = append(sigs, e.Sig)
-				}
 				if attrs != nil {
 					// Collected under the same shard locks as the scan, so
 					// the sideband can never be torn against the chained
@@ -277,7 +270,7 @@ func (qs *QueryServer) queryWindow(loS, hiS, s, t int, lo, hi int64, attachSums 
 		if err != nil {
 			return nil, false, false, err
 		}
-		agg, ops, err := qs.aggregateRuns(sigs, s, t, lo, hi)
+		agg, ops, err := qs.aggregateRuns(s, t, lo, hi)
 		if err != nil {
 			return nil, false, false, err
 		}
@@ -303,17 +296,8 @@ func (qs *QueryServer) queryWindow(loS, hiS, s, t int, lo, hi int64, attachSums 
 }
 
 // aggregateRuns builds the range aggregate by folding the tree covers of
-// shards s..t into one running sum, encoded once — or, in the linear
-// baseline mode, by folding every walked result signature (sigs).
-func (qs *QueryServer) aggregateRuns(sigs []sigagg.Signature, s, t int, lo, hi int64) (sigagg.Signature, int, error) {
-	if qs.linear {
-		agg, err := sigagg.AggregateInto(qs.scheme, nil, sigs)
-		if err != nil {
-			return nil, 0, err
-		}
-		return agg, len(sigs) - 1, nil
-	}
-
+// shards s..t into one running sum, encoded once.
+func (qs *QueryServer) aggregateRuns(s, t int, lo, hi int64) (sigagg.Signature, int, error) {
 	acc := qs.folder.NewSum()
 	pieces := 0
 	for j := s; j <= t; j++ {

@@ -67,7 +67,6 @@ type Served struct {
 	Data   []byte
 	Source ServeSource
 	entry  *anscache.Entry
-	free   func([]byte)
 }
 
 // Release drops the caller's hold on the served bytes, returning them
@@ -78,12 +77,6 @@ func (s *Served) Release() {
 	if s.entry != nil {
 		s.entry.Release()
 		s.entry = nil
-		s.Data = nil
-		return
-	}
-	if s.free != nil {
-		s.free(s.Data)
-		s.free = nil
 	}
 	s.Data = nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
@@ -38,6 +39,32 @@ func TestShardedQueriesVerifyAcrossShards(t *testing.T) {
 	}
 }
 
+// Once the keyspace is split, an update takes the topology shared like
+// every query: it neither waits for the queries in flight nor queues new
+// ones behind an exclusive request.
+func TestApplyAfterSeedingSkipsTopologyLock(t *testing.T) {
+	sys := newShardedSystem(t, xortest.New(), 512)
+	if !sys.QS.seeded.Load() || sys.QS.Shards() != DefaultShards {
+		t.Fatalf("the load did not split the keyspace into %d shards", DefaultShards)
+	}
+	msg, err := sys.DA.Update(100, [][]byte{[]byte("v2")}, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.QS.topo.RLock() // a query in flight
+	defer sys.QS.topo.RUnlock()
+	done := make(chan error, 1)
+	go func() { done <- sys.QS.Apply(msg) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Apply waited for a query holding the topology shared")
+	}
+}
+
 func TestProofOpsLogarithmic(t *testing.T) {
 	const n = 1 << 13
 	sys := newShardedSystem(t, xortest.New(), n)
@@ -64,13 +91,10 @@ func TestProofOpsLogarithmic(t *testing.T) {
 
 func TestLinearBaselineMatchesTree(t *testing.T) {
 	sys := newShardedSystem(t, xortest.New(), 400)
-	linQS := NewQueryServer(sys.Scheme, WithLinearAggregation())
-	// Replay the exact signed state into the linear server.
+	// The linear baseline folds every result signature of the exact
+	// signed state, in key order: k-1 operations for k records.
 	replay, err := sys.DA.SnapshotMsg(50)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := linQS.Apply(replay); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range [][2]int64{{10, 400}, {395, 2300}, {1, 4000}} {
@@ -78,22 +102,28 @@ func TestLinearBaselineMatchesTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lin, err := linQS.Query(r[0], r[1])
+		var sigs []sigagg.Signature
+		for _, sr := range replay.Upserts {
+			if sr.Rec.Key >= r[0] && sr.Rec.Key <= r[1] {
+				sigs = append(sigs, sr.Sig)
+			}
+		}
+		lin, err := sys.Scheme.AggregateInto(nil, sigs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(tree.Chain.Agg) != string(lin.Chain.Agg) {
+		if string(tree.Chain.Agg) != string(lin) {
 			t.Fatalf("aggregates differ on [%d,%d]", r[0], r[1])
 		}
-		k := len(lin.Chain.Records)
-		if lin.Ops != k-1 {
-			t.Fatalf("linear ops = %d, want %d", lin.Ops, k-1)
+		k := len(sigs)
+		if len(tree.Chain.Records) != k {
+			t.Fatalf("tree answer has %d records, the replay %d", len(tree.Chain.Records), k)
 		}
-		if k > 50 && tree.Ops >= lin.Ops {
-			t.Fatalf("tree ops %d not below linear %d for k=%d", tree.Ops, lin.Ops, k)
+		if k > 50 && tree.Ops >= k-1 {
+			t.Fatalf("tree ops %d not below linear %d for k=%d", tree.Ops, k-1, k)
 		}
-		if _, err := sys.Verifier.VerifyAnswer(lin, r[0], r[1], 200); err != nil {
-			t.Fatalf("linear answer fails verification: %v", err)
+		if _, err := sys.Verifier.VerifyAnswer(tree, r[0], r[1], 200); err != nil {
+			t.Fatalf("tree answer fails verification: %v", err)
 		}
 	}
 }

@@ -207,7 +207,7 @@ func (qs *QueryServer) Restore(st *ServerState) error {
 
 	qs.clearShards()
 	qs.bounds = nil
-	qs.seeded = false
+	qs.seeded.Store(false)
 	qs.keyOf = make(map[uint64]int64, len(st.Records))
 
 	entries, err := qs.stageBulk(st.Records)
@@ -223,7 +223,7 @@ func (qs *QueryServer) Restore(st *ServerState) error {
 			bounds[i] = entries[(i+1)*len(entries)/len(qs.shards)].Key
 		}
 		qs.bounds = bounds
-		qs.seeded = true
+		qs.seeded.Store(true)
 	}
 	if err := qs.bulkFill(entries); err != nil {
 		return err

@@ -136,7 +136,7 @@ func (v *Verifier) VerifyAnswer(ans *Answer, lo, hi int64, now int64) (*Freshnes
 //
 // An error means at least one answer failed; batched signature
 // verification attests the set without attributing the failure (see
-// sigagg.BatchVerifier), so callers needing the culprit fall back to
+// sigagg.Scheme.VerifyJobs), so callers needing the culprit fall back to
 // per-answer VerifyAnswer calls.
 func (v *Verifier) VerifyAnswers(answers []*Answer, ranges []Range, now int64) ([]*FreshnessReport, error) {
 	// 1. Authenticity and completeness (§3.3), batched.
@@ -193,7 +193,7 @@ func (v *Verifier) VerifyAnswers(answers []*Answer, ranges []Range, now int64) (
 // arithmetic at all, and one whose claims are all known by content
 // computes no digest either. Every chain's structure is checked
 // (chain.(*Answer).CheckStructure) whatever the memo holds. Set semantics
-// apply (sigagg.BatchVerifier): an error says some claim is false, not
+// apply (sigagg.Scheme.VerifyJobs): an error says some claim is false, not
 // which.
 //
 // On success it returns the function that remembers the batch's claims.

@@ -113,13 +113,6 @@ func (p *Publisher) MarkUpdated(slot int) {
 	p.mu.Unlock()
 }
 
-// PendingSlots returns the number of slots marked so far this period.
-func (p *Publisher) PendingSlots() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.touched)
-}
-
 // Publish certifies the current period's bitmap at time ts, resets the
 // period, and returns the summary together with the slots that were
 // updated more than once (which the caller must re-certify during the

@@ -229,8 +229,8 @@ func TestPublisherStateRoundtrip(t *testing.T) {
 	if err := p2.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	if p2.PendingSlots() != 2 {
-		t.Fatalf("restored pending slots %d, want 2", p2.PendingSlots())
+	if n := len(p2.State().Touched); n != 2 {
+		t.Fatalf("restored pending slots %d, want 2", n)
 	}
 	// Publishing from original and restored must report the same multis
 	// and mark the same slots. (Signatures differ: different keys.)
@@ -271,7 +271,7 @@ func TestReplaySummaryIdempotent(t *testing.T) {
 	if !applied || len(multi) != 1 || multi[0] != 2 || len(multiPub) != 1 {
 		t.Fatalf("replay applied=%v multi=%v, want the publish outcome %v", applied, multi, multiPub)
 	}
-	if r.PendingSlots() != 0 {
+	if len(r.State().Touched) != 0 {
 		t.Fatal("replay did not reset the period")
 	}
 	// Second delivery: no-op.

@@ -13,9 +13,8 @@ import (
 
 // TestSignRecordsByteIdentical: routing attribute signing through the
 // pool's batch primitives must produce byte-for-byte the signatures the
-// serial per-record path produces — for a scheme with a BatchSigner
-// (BAS) and one without (xortest), across worker counts, including
-// ragged attribute shapes.
+// serial per-record path produces — on BAS and on xortest, across worker
+// counts, including ragged attribute shapes.
 func TestSignRecordsByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

@@ -238,7 +238,7 @@ func (s *Scheme) Sign(priv sigagg.PrivateKey, digest []byte) (sigagg.Signature, 
 	return sigs[0], nil
 }
 
-// SignBatch implements sigagg.BatchSigner: the signing scalar is
+// SignBatch implements sigagg.Scheme: the signing scalar is
 // serialized once and every signature is encoded into one shared
 // backing array. The per-message curve work is hash-to-curve on the
 // limb kernel plus one scalar multiplication; the multiplication takes
@@ -281,7 +281,7 @@ func (s *Scheme) Aggregate(sigs []sigagg.Signature) (sigagg.Signature, error) {
 	return s.AggregateInto(nil, sigs)
 }
 
-// AggregateInto implements sigagg.BatchAggregator: each input is decoded
+// AggregateInto implements sigagg.Scheme: each input is decoded
 // once, summed in Jacobian coordinates (one inversion for the whole sum
 // instead of an affine round-trip per addition), and the result is
 // encoded once into dst (reused when it has capacity). Inputs are
@@ -367,7 +367,7 @@ func (s *Scheme) AggregateVerify(pub sigagg.PublicKey, digests [][]byte, agg sig
 	return nil
 }
 
-// VerifyJobs implements sigagg.BatchVerifier. The trapdoor relation is
+// VerifyJobs implements sigagg.Scheme. The trapdoor relation is
 // linear, so a whole batch folds into one equation:
 // Σ agg_i == x · Σ_i Σ_j H(digest_ij) — every aggregate and every
 // hashed digest is point-added into a running sum and a single scalar

@@ -54,7 +54,7 @@ const probeBlock = 32
 // verifyJobsFast checks Σ agg_i == x·Σ_ij H(d_ij) for the whole batch.
 // It returns the total digest count and whether the relation held;
 // callers attribute the failure (the relation has set semantics — see
-// BatchVerifier — so per-job blame needs a re-verify).
+// sigagg.Scheme.VerifyJobs — so per-job blame needs a re-verify).
 func (s *Scheme) verifyJobsFast(p *PublicKey, jobs []sigagg.VerifyJob) (total int, ok bool, err error) {
 	scalar, wellFormed := s.tables.scalarFor(p)
 	if !wellFormed {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"testing"
 
 	"authdb/internal/sigagg"
@@ -12,34 +11,6 @@ import (
 	"authdb/internal/sigagg/crsa"
 	"authdb/internal/sigagg/xortest"
 )
-
-// plainScheme hides the optional batch capabilities of the wrapped
-// scheme, forcing the pool's generic worker fallback.
-type plainScheme struct{ s sigagg.Scheme }
-
-func (p plainScheme) Name() string       { return p.s.Name() }
-func (p plainScheme) SignatureSize() int { return p.s.SignatureSize() }
-func (p plainScheme) KeyGen(r io.Reader) (sigagg.PrivateKey, sigagg.PublicKey, error) {
-	return p.s.KeyGen(r)
-}
-func (p plainScheme) Sign(priv sigagg.PrivateKey, d []byte) (sigagg.Signature, error) {
-	return p.s.Sign(priv, d)
-}
-func (p plainScheme) Verify(pub sigagg.PublicKey, d []byte, sig sigagg.Signature) error {
-	return p.s.Verify(pub, d, sig)
-}
-func (p plainScheme) Aggregate(sigs []sigagg.Signature) (sigagg.Signature, error) {
-	return p.s.Aggregate(sigs)
-}
-func (p plainScheme) Add(agg, sig sigagg.Signature) (sigagg.Signature, error) {
-	return p.s.Add(agg, sig)
-}
-func (p plainScheme) Remove(agg, sig sigagg.Signature) (sigagg.Signature, error) {
-	return p.s.Remove(agg, sig)
-}
-func (p plainScheme) AggregateVerify(pub sigagg.PublicKey, digests [][]byte, agg sigagg.Signature) error {
-	return p.s.AggregateVerify(pub, digests, agg)
-}
 
 // boundScheme builds a usable (bound where necessary) scheme plus a key
 // pair for batch testing.
@@ -75,12 +46,8 @@ func TestSignBatchMatchesSign(t *testing.T) {
 	for _, raw := range batchSchemes() {
 		t.Run(raw.Name(), func(t *testing.T) {
 			s, priv, _ := boundScheme(t, raw)
-			bs, ok := s.(sigagg.BatchSigner)
-			if !ok {
-				t.Fatalf("%s does not implement BatchSigner", s.Name())
-			}
 			digests := mkDigests(33)
-			batch, err := bs.SignBatch(priv, digests)
+			batch, err := s.SignBatch(priv, digests)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,8 +65,7 @@ func TestSignBatchMatchesSign(t *testing.T) {
 }
 
 // TestPoolSignAllMatchesSerial checks the worker fan-out returns the
-// same signatures in the same order as a serial loop, for both the
-// batch-capable schemes and the generic fallback.
+// same signatures in the same order as a serial loop.
 func TestPoolSignAllMatchesSerial(t *testing.T) {
 	for _, raw := range batchSchemes() {
 		t.Run(raw.Name(), func(t *testing.T) {
@@ -114,7 +80,7 @@ func TestPoolSignAllMatchesSerial(t *testing.T) {
 				want[i] = sig
 			}
 			for _, par := range []int{1, 4} {
-				got, err := sigagg.NewPool(s, par).SignAll(priv, digests)
+				got, err := sigagg.NewPool(s, par).SignIndexed(priv, len(digests), func(i int) []byte { return digests[i] })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -158,15 +124,11 @@ func TestVerifyJobsAcceptsValid(t *testing.T) {
 	for _, raw := range batchSchemes() {
 		t.Run(raw.Name(), func(t *testing.T) {
 			s, priv, pub := boundScheme(t, raw)
-			bv, ok := s.(sigagg.BatchVerifier)
-			if !ok {
-				t.Fatalf("%s does not implement BatchVerifier", s.Name())
-			}
 			jobs := jobsFor(t, s, priv)
-			if err := bv.VerifyJobs(pub, jobs); err != nil {
+			if err := s.VerifyJobs(pub, jobs); err != nil {
 				t.Fatalf("valid batch rejected: %v", err)
 			}
-			if err := bv.VerifyJobs(pub, nil); err != nil {
+			if err := s.VerifyJobs(pub, nil); err != nil {
 				t.Fatalf("empty batch rejected: %v", err)
 			}
 		})
@@ -179,11 +141,9 @@ func TestVerifyJobsTamperedMemberFailsBatch(t *testing.T) {
 	for _, raw := range batchSchemes() {
 		t.Run(raw.Name(), func(t *testing.T) {
 			s, priv, pub := boundScheme(t, raw)
-			bv := s.(sigagg.BatchVerifier)
-
 			jobs := jobsFor(t, s, priv)
 			jobs[2].Digests[0] = []byte("tampered")
-			if err := bv.VerifyJobs(pub, jobs); !errors.Is(err, sigagg.ErrVerify) {
+			if err := s.VerifyJobs(pub, jobs); !errors.Is(err, sigagg.ErrVerify) {
 				t.Fatalf("tampered digest: want ErrVerify, got %v", err)
 			}
 
@@ -193,46 +153,8 @@ func TestVerifyJobsTamperedMemberFailsBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			jobs[3].Agg = wrong
-			if err := bv.VerifyJobs(pub, jobs); !errors.Is(err, sigagg.ErrVerify) {
+			if err := s.VerifyJobs(pub, jobs); !errors.Is(err, sigagg.ErrVerify) {
 				t.Fatalf("tampered aggregate: want ErrVerify, got %v", err)
-			}
-		})
-	}
-}
-
-// TestPoolVerifyAllFallback forces the generic per-job fallback by
-// hiding the batch interfaces, and checks both accept and reject paths.
-func TestPoolVerifyAllFallback(t *testing.T) {
-	for _, raw := range batchSchemes() {
-		t.Run(raw.Name(), func(t *testing.T) {
-			s, priv, pub := boundScheme(t, raw)
-			plain := plainScheme{s: s}
-			if _, ok := any(plain).(sigagg.BatchVerifier); ok {
-				t.Fatal("wrapper failed to hide BatchVerifier")
-			}
-			if _, ok := any(plain).(sigagg.BatchSigner); ok {
-				t.Fatal("wrapper failed to hide BatchSigner")
-			}
-			for _, par := range []int{1, 3} {
-				pool := sigagg.NewPool(plain, par)
-				jobs := jobsFor(t, s, priv)
-				if err := pool.VerifyAll(pub, jobs); err != nil {
-					t.Fatalf("par=%d: valid batch rejected by fallback: %v", par, err)
-				}
-				jobs[1].Digests[0] = []byte("tampered")
-				if err := pool.VerifyAll(pub, jobs); !errors.Is(err, sigagg.ErrVerify) {
-					t.Fatalf("par=%d: tampered batch accepted by fallback: %v", par, err)
-				}
-				digests := mkDigests(41)
-				sigs, err := pool.SignAll(priv, digests)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range digests {
-					if err := s.Verify(pub, digests[i], sigs[i]); err != nil {
-						t.Fatalf("par=%d: fallback signature %d invalid: %v", par, i, err)
-					}
-				}
 			}
 		})
 	}

@@ -135,7 +135,7 @@ func (s *Scheme) Sign(priv sigagg.PrivateKey, digest []byte) (sigagg.Signature, 
 	return s.encode(sig), nil
 }
 
-// SignBatch implements sigagg.BatchSigner. Each signature is computed
+// SignBatch implements sigagg.Scheme. Each signature is computed
 // with the Chinese Remainder Theorem — two half-size exponentiations
 // mod p and q plus Garner recombination instead of one full-size
 // exponentiation mod n — reusing one set of scratch big.Ints and one
@@ -218,6 +218,11 @@ func (s *Scheme) Remove(agg, sig sigagg.Signature) (sigagg.Signature, error) {
 	return nil, fmt.Errorf("crsa: Remove requires the signer modulus; use SchemeFor(pub)")
 }
 
+// AggregateInto implements sigagg.Scheme. See Aggregate.
+func (s *Scheme) AggregateInto(_ sigagg.Signature, sigs []sigagg.Signature) (sigagg.Signature, error) {
+	return s.Aggregate(sigs)
+}
+
 // AggregateVerify implements sigagg.Scheme:
 // agg^e mod n == prod_i FDH(digest_i) mod n.
 func (s *Scheme) AggregateVerify(pub sigagg.PublicKey, digests [][]byte, agg sigagg.Signature) error {
@@ -245,13 +250,13 @@ func (s *Scheme) AggregateVerify(pub sigagg.PublicKey, digests [][]byte, agg sig
 	return nil
 }
 
-// VerifyJobs implements sigagg.BatchVerifier. Verification is
+// VerifyJobs implements sigagg.Scheme. Verification is
 // multiplicative, so a whole batch folds into one congruence:
 // (Π agg_i)^e == Π_i Π_j FDH(digest_ij) mod n — one modular
 // exponentiation for the batch where job-by-job verification pays one
 // per job. A single tampered member anywhere makes the products differ
 // and fails the whole batch; per-job attribution needs the one-shot
-// AggregateVerify (see sigagg.BatchVerifier).
+// AggregateVerify (see sigagg.Scheme.VerifyJobs).
 func (s *Scheme) VerifyJobs(pub sigagg.PublicKey, jobs []sigagg.VerifyJob) error {
 	p, err := s.pub(pub)
 	if err != nil {
@@ -315,7 +320,7 @@ func (b *Bound) Aggregate(sigs []sigagg.Signature) (sigagg.Signature, error) {
 	return b.encode(acc), nil
 }
 
-// AggregateInto implements sigagg.BatchAggregator: the modular product
+// AggregateInto implements sigagg.Scheme: the modular product
 // is accumulated in one big.Int and written into dst when it has
 // capacity, avoiding the per-pair encode/decode of chained Add calls.
 func (b *Bound) AggregateInto(dst sigagg.Signature, sigs []sigagg.Signature) (sigagg.Signature, error) {

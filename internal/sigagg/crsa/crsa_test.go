@@ -3,6 +3,7 @@ package crsa
 import (
 	"crypto/rand"
 	"math/big"
+	"strings"
 	"testing"
 
 	"authdb/internal/digest"
@@ -73,6 +74,18 @@ func TestUnboundAggregationRejected(t *testing.T) {
 	}
 	if _, err := s.Remove(nil, nil); err == nil {
 		t.Fatal("unbound Remove must fail")
+	}
+}
+
+// TestUnboundAggregateIntoRejected: the batch form of Aggregate needs the
+// modulus just the same, and says so with Aggregate's error.
+func TestUnboundAggregateIntoRejected(t *testing.T) {
+	s := New(1024)
+	sigs := make([]sigagg.Signature, 2)
+	_, want := s.Aggregate(sigs)
+	_, err := s.AggregateInto(make(sigagg.Signature, 0, 128), sigs)
+	if err == nil || want == nil || err.Error() != want.Error() || !strings.Contains(err.Error(), "requires the signer modulus") {
+		t.Fatalf("unbound AggregateInto: %v, want %v", err, want)
 	}
 }
 

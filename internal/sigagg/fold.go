@@ -70,7 +70,7 @@ type aggFolder struct{ s Scheme }
 
 func (f aggFolder) Prepare(sig Signature) (Operand, error) {
 	// A one-input aggregation is the scheme's own well-formedness check.
-	if _, err := AggregateInto(f.s, nil, []Signature{sig}); err != nil {
+	if _, err := f.s.AggregateInto(nil, []Signature{sig}); err != nil {
 		return nil, err
 	}
 	return sig, nil
@@ -105,7 +105,7 @@ func (a *aggSum) add(sig Signature) {
 		a.sum = append(a.sum[:0], sig...)
 		return
 	}
-	next, err := AggregateInto(a.s, a.spare, []Signature{a.sum, sig})
+	next, err := a.s.AggregateInto(a.spare, []Signature{a.sum, sig})
 	if err != nil {
 		a.err = err
 		return
@@ -120,7 +120,7 @@ func (a *aggSum) Encode(dst Signature) (Signature, error) {
 		return nil, a.err
 	}
 	if len(a.sum) == 0 {
-		return AggregateInto(a.s, dst, nil)
+		return a.s.AggregateInto(dst, nil)
 	}
 	return append(dst[:0], a.sum...), nil
 }

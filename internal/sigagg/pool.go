@@ -6,11 +6,9 @@ import (
 )
 
 // Pool fans signing and verification work across a bounded set of
-// goroutines, routing each worker's chunk through the scheme's batch
-// primitives (BatchSigner / BatchVerifier) when the scheme provides
-// them and falling back to the one-shot Sign / AggregateVerify loop
-// otherwise. A Pool is immutable and safe for concurrent use; it holds
-// no goroutines between calls.
+// goroutines, each worker's chunk one call of the scheme's batch
+// primitives (SignBatch / VerifyJobs). A Pool is immutable and safe for
+// concurrent use; it holds no goroutines between calls.
 type Pool struct {
 	scheme Scheme
 	par    int
@@ -83,40 +81,16 @@ func (p *Pool) Scheme() Scheme { return p.scheme }
 // that fans out its own preparation of the pool's input (ForChunks).
 func (p *Pool) Workers() int { return p.par }
 
-// Sign produces one signature, through the scheme's batch path when it
-// has one (e.g. CRT signing for condensed RSA) so that even single
-// messages — summary certifications, individual record updates — get
-// the fast number-theoretic path.
+// Sign produces one signature through the scheme's batch path (e.g.
+// CRT signing for condensed RSA), so that even single messages —
+// summary certifications, individual record updates — get the fast
+// number-theoretic path.
 func (p *Pool) Sign(priv PrivateKey, digest []byte) (Signature, error) {
-	if bs, ok := p.scheme.(BatchSigner); ok {
-		sigs, err := bs.SignBatch(priv, [][]byte{digest})
-		if err != nil {
-			return nil, err
-		}
-		return sigs[0], nil
+	sigs, err := p.scheme.SignBatch(priv, [][]byte{digest})
+	if err != nil {
+		return nil, err
 	}
-	return p.scheme.Sign(priv, digest)
-}
-
-// signChunk signs a contiguous digest slice through the batch primitive
-// or the one-shot fallback.
-func signChunk(s Scheme, priv PrivateKey, digests [][]byte, out []Signature) error {
-	if bs, ok := s.(BatchSigner); ok {
-		sigs, err := bs.SignBatch(priv, digests)
-		if err != nil {
-			return err
-		}
-		copy(out, sigs)
-		return nil
-	}
-	for i, d := range digests {
-		sig, err := s.Sign(priv, d)
-		if err != nil {
-			return err
-		}
-		out[i] = sig
-	}
-	return nil
+	return sigs[0], nil
 }
 
 // SignIndexed signs the n digests produced by digest(0..n-1), fanning
@@ -134,7 +108,9 @@ func (p *Pool) SignIndexed(priv PrivateKey, n int, digest func(i int) []byte) ([
 		for i := range digests {
 			digests[i] = digest(lo + i)
 		}
-		return signChunk(p.scheme, priv, digests, out[lo:hi])
+		sigs, err := p.scheme.SignBatch(priv, digests)
+		copy(out[lo:hi], sigs)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -142,32 +118,13 @@ func (p *Pool) SignIndexed(priv PrivateKey, n int, digest func(i int) []byte) ([
 	return out, nil
 }
 
-// SignAll signs every digest, fanning chunks across the workers.
-func (p *Pool) SignAll(priv PrivateKey, digests [][]byte) ([]Signature, error) {
-	return p.SignIndexed(priv, len(digests), func(i int) []byte { return digests[i] })
-}
-
-// verifyChunk checks a contiguous job slice through the batch primitive
-// or the one-shot fallback.
-func verifyChunk(s Scheme, pub PublicKey, jobs []VerifyJob) error {
-	if bv, ok := s.(BatchVerifier); ok {
-		return bv.VerifyJobs(pub, jobs)
-	}
-	for _, j := range jobs {
-		if err := s.AggregateVerify(pub, j.Digests, j.Agg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // VerifyAll checks every job, fanning chunks across the workers and
 // using the scheme's batched verification per chunk. An error means at
 // least one job failed; batch semantics do not attribute the failure to
-// a specific job (see BatchVerifier), so callers needing the culprit
-// re-verify job by job with AggregateVerify.
+// a specific job (see Scheme.VerifyJobs), so callers needing the
+// culprit re-verify job by job with AggregateVerify.
 func (p *Pool) VerifyAll(pub PublicKey, jobs []VerifyJob) error {
 	return ForChunks(len(jobs), p.par, 1, func(lo, hi int) error {
-		return verifyChunk(p.scheme, pub, jobs[lo:hi])
+		return p.scheme.VerifyJobs(pub, jobs[lo:hi])
 	})
 }

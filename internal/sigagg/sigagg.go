@@ -70,16 +70,34 @@ type Scheme interface {
 	// AggregateVerify checks that agg is the aggregate of valid
 	// signatures over exactly the given digests (in any order).
 	AggregateVerify(pub PublicKey, digests [][]byte, agg Signature) error
-}
 
-// BatchSigner is an optional Scheme capability: SignBatch signs many
-// digests in one call, amortizing per-call setup — key material
-// decoding, scratch big.Int storage, CRT/Montgomery precomputation,
-// one result allocation for the whole batch — across the messages.
-// Implementations must produce exactly the signatures the one-shot Sign
-// would, so the two paths stay interchangeable.
-type BatchSigner interface {
+	// SignBatch signs many digests in one call, amortizing per-call
+	// setup — key material decoding, scratch big.Int storage,
+	// CRT/Montgomery precomputation, one result allocation for the whole
+	// batch — across the messages. It produces exactly the signatures
+	// Sign would.
 	SignBatch(priv PrivateKey, digests [][]byte) ([]Signature, error)
+
+	// VerifyJobs checks many aggregate-verification jobs in one call,
+	// sharing the expensive number-theoretic work (one combined modular
+	// exponentiation, or one scalar multiplication over the summed
+	// points) across the batch. A nil return means every job verified;
+	// an error means at least one job in the batch is invalid.
+	//
+	// Batch verification has set semantics: it proves the union of all
+	// digests is correctly signed by the union of the aggregates, which
+	// is exactly as unforgeable as one aggregate verification over the
+	// union, but does not attribute a failure to a specific job. Callers
+	// that need attribution re-verify the failed batch job by job with
+	// AggregateVerify.
+	VerifyJobs(pub PublicKey, jobs []VerifyJob) error
+
+	// AggregateInto is Aggregate writing its result into dst's storage
+	// when that has the capacity (dst may be nil; pass nil or a scratch
+	// buffer when the result escapes to long-lived state). Compared with
+	// a chain of Add calls it decodes each input exactly once and
+	// encodes exactly once.
+	AggregateInto(dst Signature, sigs []Signature) (Signature, error)
 }
 
 // VerifyJob pairs one aggregate signature with the digests it must
@@ -87,43 +105,6 @@ type BatchSigner interface {
 type VerifyJob struct {
 	Digests [][]byte
 	Agg     Signature
-}
-
-// BatchVerifier is an optional Scheme capability: VerifyJobs checks many
-// aggregate-verification jobs in one call, sharing the expensive
-// number-theoretic work (one combined modular exponentiation, or one
-// scalar multiplication over the summed points) across the batch. A nil
-// return means every job verified; an error means at least one job in
-// the batch is invalid.
-//
-// Batch verification has set semantics: it proves the union of all
-// digests is correctly signed by the union of the aggregates, which is
-// exactly as unforgeable as one aggregate verification over the union,
-// but does not attribute a failure to a specific job. Callers that need
-// attribution re-verify the failed batch job by job (see Pool.VerifyAll).
-type BatchVerifier interface {
-	VerifyJobs(pub PublicKey, jobs []VerifyJob) error
-}
-
-// BatchAggregator is an optional Scheme capability: AggregateInto
-// condenses sigs into one aggregate, reusing dst's storage for the
-// result when it has sufficient capacity. Compared with a chain of Add
-// calls it decodes each input exactly once and encodes exactly once,
-// and compared with Aggregate it avoids the per-call result allocation
-// — the two costs that dominate hot-path proof construction.
-type BatchAggregator interface {
-	AggregateInto(dst Signature, sigs []Signature) (Signature, error)
-}
-
-// AggregateInto condenses sigs through the scheme's batched path when it
-// has one, falling back to Aggregate. dst may be nil; the result may
-// alias dst's storage, so pass nil (or a scratch buffer) when the result
-// escapes to long-lived state.
-func AggregateInto(s Scheme, dst Signature, sigs []Signature) (Signature, error) {
-	if ba, ok := s.(BatchAggregator); ok {
-		return ba.AggregateInto(dst, sigs)
-	}
-	return s.Aggregate(sigs)
 }
 
 // VerifyStats are the monotonic counters of a scheme's verification

@@ -83,7 +83,7 @@ func (s *Scheme) Sign(priv sigagg.PrivateKey, digest []byte) (sigagg.Signature, 
 	return s.mac(p.key, digest), nil
 }
 
-// SignBatch implements sigagg.BatchSigner: one keyed digest per
+// SignBatch implements sigagg.Scheme: one keyed digest per
 // message, sliced out of a single backing array.
 func (s *Scheme) SignBatch(priv sigagg.PrivateKey, digests [][]byte) ([]sigagg.Signature, error) {
 	p, ok := priv.(*PrivateKey)
@@ -122,7 +122,7 @@ func (s *Scheme) Aggregate(sigs []sigagg.Signature) (sigagg.Signature, error) {
 	return acc, nil
 }
 
-// AggregateInto implements sigagg.BatchAggregator: XOR of all
+// AggregateInto implements sigagg.Scheme: XOR of all
 // signatures folded into dst when it has capacity.
 func (s *Scheme) AggregateInto(dst sigagg.Signature, sigs []sigagg.Signature) (sigagg.Signature, error) {
 	s.aggOps.Add(1)
@@ -154,7 +154,7 @@ func (s *Scheme) Remove(agg, sig sigagg.Signature) (sigagg.Signature, error) {
 	return s.Add(agg, sig)
 }
 
-// VerifyJobs implements sigagg.BatchVerifier: XOR aggregation is
+// VerifyJobs implements sigagg.Scheme: XOR aggregation is
 // linear, so the XOR of every job's aggregate must equal the XOR of the
 // recomputed MACs of every digest across the batch. A single tampered
 // member fails the whole batch.

@@ -179,7 +179,7 @@ func ownerImage(t *testing.T, da *core.DataAggregator) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wire.EncodeUpdateMsg(msg)
+	return wire.AppendUpdateMsg(nil, msg)
 }
 
 // fullSweep runs a -check-style verification of the entire catalog on
@@ -299,7 +299,7 @@ func TestRecoverMidLogSnapshotIdempotence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s (recovered): %v", name, err)
 		}
-		if !bytes.Equal(wire.EncodeUpdateMsg(ma), wire.EncodeUpdateMsg(mr)) {
+		if !bytes.Equal(wire.AppendUpdateMsg(nil, ma), wire.AppendUpdateMsg(nil, mr)) {
 			t.Fatalf("%s diverged after recovery", name)
 		}
 		if err := qsA.Apply(ma); err != nil {
@@ -408,7 +408,7 @@ func TestRecoverTornTailPrefix(t *testing.T) {
 	qsB := core.NewQueryServer(f.scheme)
 	var encoded [][]byte // every logged message, for the prefix mirror
 	f.runWorkload(daB, qsB, func(msg *core.UpdateMsg) error {
-		encoded = append(encoded, wire.EncodeUpdateMsg(msg))
+		encoded = append(encoded, wire.AppendUpdateMsg(nil, msg))
 		_, err := store.AppendMsg(msg)
 		return err
 	}, nil)

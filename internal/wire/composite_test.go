@@ -62,7 +62,7 @@ func TestLeafCompositeEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := EncodeAnswer(ans)
+	frame, err := AppendAnswer(nil, ans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestUpdateMsgSidebandRoundTrip(t *testing.T) {
 			{Rec: &chain.Record{RID: 2, Key: 6, TS: 9, Attrs: [][]byte{[]byte("full")}}, Sig: sigagg.Signature("sig2")},
 		},
 	}
-	got, err := DecodeUpdateMsg(EncodeUpdateMsg(msg))
+	got, err := DecodeUpdateMsg(AppendUpdateMsg(nil, msg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestUpdateMsgFilterSection(t *testing.T) {
 		{TS: 78, Filter: fc},
 		{TS: 78, Upserts: []core.SignedRecord{rec}, Summary: sum, Filter: fc},
 	} {
-		data := EncodeUpdateMsg(msg)
+		data := AppendUpdateMsg(nil, msg)
 		got, err := DecodeUpdateMsg(data)
 		if err != nil || !reflect.DeepEqual(got, msg) {
 			t.Fatalf("message %d round trip: %v\n got %+v\nwant %+v", i, err, got, msg)
@@ -352,7 +352,7 @@ func TestUpdateMsgFilterSection(t *testing.T) {
 	}
 	// A partition count the bytes cannot hold is refused before it sizes
 	// anything (the count follows the flag byte and the filter time).
-	data := EncodeUpdateMsg(&core.UpdateMsg{TS: 78, Filter: fc})
+	data := AppendUpdateMsg(nil, &core.UpdateMsg{TS: 78, Filter: fc})
 	at := flagAt(&core.UpdateMsg{TS: 78}) + 1 + 8
 	binary.BigEndian.PutUint64(data[at:], 1<<24)
 	var err error

@@ -36,7 +36,7 @@ func seedFrames(t testing.TB) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ansBytes, err := EncodeAnswer(ans)
+	ansBytes, err := AppendAnswer(nil, ans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func seedFrames(t testing.TB) [][]byte {
 	}
 	return [][]byte{
 		ansBytes,
-		EncodeUpdateMsg(closeMsg),
+		AppendUpdateMsg(nil, closeMsg),
 		AppendRelTails(compBytes, comp.Tails),
 		AppendRelTails(runsBytes, runsOnly.Tails),
 		compositeFrame(t, projOnly),
@@ -77,13 +77,13 @@ func seedFrames(t testing.TB) [][]byte {
 		// A re-certification as it is logged and fed, and one whose flag
 		// byte (the message's 26th, after its empty record lists) claims a
 		// section the format does not have.
-		AppendWalRecord(nil, 12, 15, EncodeUpdateMsg(&core.UpdateMsg{TS: 78, Filter: testFilterCert(t)})),
+		AppendWalRecord(nil, 12, 15, AppendUpdateMsg(nil, &core.UpdateMsg{TS: 78, Filter: testFilterCert(t)})),
 		func() []byte {
-			bad := EncodeUpdateMsg(&core.UpdateMsg{TS: 78, Filter: testFilterCert(t)})
+			bad := AppendUpdateMsg(nil, &core.UpdateMsg{TS: 78, Filter: testFilterCert(t)})
 			bad[26] |= 0x40
 			return bad
 		}(),
-		AppendWalRecord(nil, 11, 15, EncodeUpdateMsg(closeMsg)),
+		AppendWalRecord(nil, 11, 15, AppendUpdateMsg(nil, closeMsg)),
 		AppendPlanReq(nil, []byte("plan-bytes"), []RelSince{{Name: "outer", SinceSeq: 7}, {Name: "inner"}}),
 		AppendRelSumsReq(nil, "inner", 42, -1),
 		AppendReplSubReq(nil, "inner", 12345),
@@ -233,7 +233,7 @@ func FuzzDecodeAnswer(f *testing.F) {
 		if ans == nil {
 			t.Fatal("nil answer without error")
 		}
-		if re, err := EncodeAnswer(ans); err != nil || !bytes.Equal(re, data) {
+		if re, err := AppendAnswer(nil, ans); err != nil || !bytes.Equal(re, data) {
 			t.Fatalf("accepted frame does not re-encode to itself (err %v)", err)
 		}
 		checkCustody(t, data, chainViews(nil, ans.Chain), ans.Summaries)
@@ -253,7 +253,7 @@ func FuzzDecodeUpdateMsg(f *testing.F) {
 			t.Fatal("nil message without error")
 		}
 		// What decodes is canonical: the one encoder writes it back.
-		if !bytes.Equal(EncodeUpdateMsg(msg), data) {
+		if !bytes.Equal(AppendUpdateMsg(nil, msg), data) {
 			t.Fatal("accepted message does not re-encode to itself")
 		}
 	})

@@ -11,11 +11,11 @@ func TestAppendEncodersMatchAndPoolRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := EncodeUpdateMsg(msg)
+	fresh := AppendUpdateMsg(nil, msg)
 	buf := GetBuffer()
 	pooled := AppendUpdateMsg(buf, msg)
 	if !bytes.Equal(fresh, pooled) {
-		t.Fatal("AppendUpdateMsg differs from EncodeUpdateMsg")
+		t.Fatal("pooled AppendUpdateMsg differs from a fresh buffer's")
 	}
 	if _, err := DecodeUpdateMsg(pooled); err != nil {
 		t.Fatalf("decode pooled encoding: %v", err)
@@ -26,7 +26,7 @@ func TestAppendEncodersMatchAndPoolRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshA, err := EncodeAnswer(ans)
+	freshA, err := AppendAnswer(nil, ans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestAppendEncodersMatchAndPoolRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(freshA, pooledA) {
-		t.Fatal("AppendAnswer differs from EncodeAnswer")
+		t.Fatal("pooled AppendAnswer differs from a fresh buffer's")
 	}
 	got, err := DecodeAnswer(pooledA)
 	if err != nil {
@@ -72,7 +72,7 @@ func BenchmarkAppendAnswerPooled(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeAnswerFresh(b *testing.B) {
+func BenchmarkAppendAnswerFresh(b *testing.B) {
 	sys := system(b, 100)
 	ans, err := sys.QS.Query(10, 500)
 	if err != nil {
@@ -81,7 +81,7 @@ func BenchmarkEncodeAnswerFresh(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeAnswer(ans); err != nil {
+		if _, err := AppendAnswer(nil, ans); err != nil {
 			b.Fatal(err)
 		}
 	}

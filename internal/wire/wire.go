@@ -280,12 +280,6 @@ const (
 	updFlagFilter  = 1 << 1
 )
 
-// EncodeUpdateMsg serializes a dissemination message into a fresh
-// buffer. Hot paths should prefer AppendUpdateMsg with a pooled buffer.
-func EncodeUpdateMsg(msg *core.UpdateMsg) []byte {
-	return AppendUpdateMsg(make([]byte, 0, 256), msg)
-}
-
 // AppendUpdateMsg appends the encoding of msg to buf (obtained from
 // GetBuffer to avoid per-message allocations) and returns the extended
 // buffer.
@@ -467,18 +461,12 @@ func DecodeUpdateMsg(data []byte) (*core.UpdateMsg, error) {
 // ---- Answer: a leaf composite held as a core.Answer ----
 //
 // The protocol has one answer message, the composite ('C', composite.go).
-// EncodeAnswer, AppendAnswer, AppendAnswerCore and DecodeAnswer are thin
+// AppendAnswer, AppendAnswerCore and DecodeAnswer are thin
 // wrappers over its codec for callers that hold a core.Answer — the
 // in-process form of a range answer — rather than a Composite: a
 // composite with no operator sections and exactly one summary tail,
 // under core.DefaultRelation. They add nothing to the format;
 // benchmark/layers.go times encode and decode through them.
-
-// EncodeAnswer serializes a verifiable query answer into a fresh
-// buffer. Hot paths should prefer AppendAnswer with a pooled buffer.
-func EncodeAnswer(ans *core.Answer) ([]byte, error) {
-	return AppendAnswer(make([]byte, 0, 512), ans)
-}
 
 // AppendAnswer appends ans as a leaf composite — AppendAnswerCore, then
 // its summaries as the one tail — to buf and returns the extended

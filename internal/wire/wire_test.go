@@ -51,7 +51,7 @@ func TestUpdateMsgRoundTripThroughServer(t *testing.T) {
 		if err := sys.QS.Apply(msg); err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := DecodeUpdateMsg(EncodeUpdateMsg(msg))
+		decoded, err := DecodeUpdateMsg(AppendUpdateMsg(nil, msg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestUpdateMsgRoundTripExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []*core.UpdateMsg{msg, closeMsg} {
-		got, err := DecodeUpdateMsg(EncodeUpdateMsg(m))
+		got, err := DecodeUpdateMsg(AppendUpdateMsg(nil, m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestAnswerRoundTripVerifies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := EncodeAnswer(ans)
+		data, err := AppendAnswer(nil, ans)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := EncodeAnswer(ans)
+	data, err := AppendAnswer(nil, ans)
 	if err != nil {
 		t.Fatal(err)
 	}
