@@ -16,8 +16,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"authdb/internal/bitmap"
 	"authdb/internal/digest"
+	"authdb/internal/freshness"
 	"authdb/internal/repro/sigcache"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
@@ -50,11 +50,19 @@ func BenchmarkAblation_ProbNaive(b *testing.B) {
 // ---- compressed vs raw summary bitmaps ----
 
 func BenchmarkAblation_SummaryCompressed(b *testing.B) {
-	bm := sparse(1_000_000, 500)
+	marked := sparse(1_000_000, 500)
+	pub := freshness.NewPublisher(func([]byte) (sigagg.Signature, error) { return nil, nil }, 1_000_000, 0)
 	b.ResetTimer()
 	var bytes int
 	for i := 0; i < b.N; i++ {
-		bytes = len(bm.Compress())
+		for _, slot := range marked {
+			pub.MarkUpdated(slot)
+		}
+		s, _, err := pub.Publish(int64(i + 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bytes = len(s.Compressed)
 	}
 	b.ReportMetric(float64(bytes), "bytes/summary")
 }
@@ -62,27 +70,28 @@ func BenchmarkAblation_SummaryCompressed(b *testing.B) {
 func BenchmarkAblation_SummaryRaw(b *testing.B) {
 	// The ablated alternative: ship the raw bitmap (N/8 bytes per
 	// period regardless of update count).
-	bm := sparse(1_000_000, 500)
+	marked := sparse(1_000_000, 500)
 	raw := make([]byte, 1_000_000/8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range raw {
 			raw[j] = 0
 		}
-		for _, pos := range bm.Ones() {
+		for _, pos := range marked {
 			raw[pos/8] |= 1 << (pos % 8)
 		}
 	}
 	b.ReportMetric(float64(len(raw)), "bytes/summary")
 }
 
-func sparse(n, marks int) *bitmap.Bitmap {
-	bm := bitmap.New(n)
+// sparse is marks random slots among n (repeats allowed).
+func sparse(n, marks int) []int {
 	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < marks; i++ {
-		bm.Set(rng.Intn(n))
+	slots := make([]int, marks)
+	for i := range slots {
+		slots[i] = rng.Intn(n)
 	}
-	return bm
+	return slots
 }
 
 // ---- eager refresh vs lazy coalescing under repeated updates ----

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"testing"
 
-	"authdb/internal/bitmap"
 	"authdb/internal/bloom"
 	"authdb/internal/btree"
 	"authdb/internal/chain"
@@ -680,7 +679,7 @@ func BenchmarkFig9_SimRangeBAS(b *testing.B) { benchSim(b, 100, false) }
 func BenchmarkFig8_PublishSummary(b *testing.B) {
 	scheme := xortest.New()
 	priv, _, _ := scheme.KeyGen(nil)
-	pub := freshness.NewPublisher(scheme, priv, 1_000_000, 0)
+	pub := freshness.NewPublisher(func(d []byte) (sigagg.Signature, error) { return scheme.Sign(priv, d) }, 1_000_000, 0)
 	rng := rand.New(rand.NewSource(5))
 	ts := int64(0)
 	b.ResetTimer()
@@ -692,14 +691,6 @@ func BenchmarkFig8_PublishSummary(b *testing.B) {
 		if _, _, err := pub.Publish(ts); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkFig8_CompressBitmap(b *testing.B) {
-	bm := newSparseBitmap(1_000_000, 500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = bm.Compress()
 	}
 }
 
@@ -746,14 +737,4 @@ func BenchmarkFig11_BuildPartitionedFilter(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// newSparseBitmap is a tiny helper for the Fig. 8 compression bench.
-func newSparseBitmap(n, marks int) *bitmap.Bitmap {
-	bm := bitmap.New(n)
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < marks; i++ {
-		bm.Set(rng.Intn(n))
-	}
-	return bm
 }

@@ -5,12 +5,13 @@ import (
 	"math/rand"
 
 	"authdb/internal/freshness"
+	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
 )
 
-// runFig8 regenerates Figure 8: per-period compressed bitmap size and
+// runFig8 regenerates Figure 8: per-period compressed summary size and
 // average signature age versus the renewal age ρ', and the total
-// summary volume a user needs for a freshness check (per-bitmap size ×
+// summary volume a user needs for a freshness check (per-summary size ×
 // summaries spanning the average signature age). The crypto scheme is
 // irrelevant to these sizes, so the zero-cost test scheme drives the
 // periods; the update stream follows the Table 2 defaults (10% of 50
@@ -59,17 +60,14 @@ func simulateSummaries(n int, rho float64, rhoPrimeMult int, updRate float64, pe
 	// Time unit: milliseconds.
 	rhoMS := int64(rho * 1000)
 	rhoPrime := int64(rhoPrimeMult) * rhoMS
-	pub := freshness.NewPublisher(scheme, priv, n, 0)
+	pub := freshness.NewPublisher(func(d []byte) (sigagg.Signature, error) { return scheme.Sign(priv, d) }, n, 0)
 	rng := rand.New(rand.NewSource(3))
 
 	certTS := make([]int64, n) // all certified at t=0
 	// The renewal process: to keep every signature younger than ρ', it
 	// must cover N records every ρ' — i.e. N·ρ/ρ' records per period —
 	// walking the relation cyclically (§3.1's low-priority process).
-	renewPerPeriod := int(float64(n) * float64(rhoMS) / float64(rhoPrime))
-	if renewPerPeriod < 1 {
-		renewPerPeriod = 1
-	}
+	renewPerPeriod := max(1, int(float64(n)*float64(rhoMS)/float64(rhoPrime)))
 	updPerPeriod := updRate * rho
 
 	cursor := 0
@@ -89,9 +87,9 @@ func simulateSummaries(n int, rho float64, rhoPrimeMult int, updRate float64, pe
 			certTS[slot] = now
 			pub.MarkUpdated(slot)
 		}
-		// Renewal sweep.
+		// Renewal sweep: back every ρ', so a ρ'-old signature is due.
 		for i := 0; i < renewPerPeriod; i++ {
-			if now-certTS[cursor] > rhoPrime {
+			if now-certTS[cursor] >= rhoPrime {
 				certTS[cursor] = now
 				pub.MarkUpdated(cursor)
 			}

@@ -46,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("query [2500,2600]: %d records, VO = %d bytes (one aggregate signature + 2 boundaries)\n",
-		len(ans.Chain.Records), ans.VOSizeBytes(sys.Scheme))
+		len(ans.Chain.Records), ans.VOSize(sys.Scheme.SignatureSize()))
 
 	// 4. The user verifies authenticity + completeness + freshness.
 	report, err := sys.Verifier.VerifyAnswer(ans, 2500, 2600, 1_500)

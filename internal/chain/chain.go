@@ -248,15 +248,10 @@ func appendBytes(dst, b []byte) []byte {
 	return append(binary.BigEndian.AppendUint64(dst, uint64(len(b))), b...)
 }
 
-// VOSizeBytes reports the proof size beyond the records themselves: one
-// aggregate signature plus the boundary references, matching the
-// accounting of §3.3 (signature + two boundary values).
-func (a *Answer) VOSizeBytes(scheme sigagg.Scheme) int {
-	return a.VOSize(scheme.SignatureSize())
-}
-
-// VOSize is VOSizeBytes with the scheme's signature size pre-resolved,
-// so loops sizing many answers look the size up once.
+// VOSize reports the proof size beyond the records themselves, given the
+// scheme's signature size: one aggregate signature plus the boundary
+// references, matching the accounting of §3.3 (signature + two boundary
+// values).
 func (a *Answer) VOSize(sigSize int) int {
 	size := sigSize + 2*12 // two (key, rid) refs
 	if a.Anchor != nil {

@@ -310,7 +310,7 @@ func TestVOSize(t *testing.T) {
 	a := f.answer(t, 10, 30)
 	// VO = one aggregate signature + two boundary refs, independent of
 	// answer cardinality (§3.3).
-	if got := a.VOSizeBytes(f.scheme); got != f.scheme.SignatureSize()+24 {
+	if got := a.VOSize(f.scheme.SignatureSize()); got != f.scheme.SignatureSize()+24 {
 		t.Fatalf("VO size = %d", got)
 	}
 }

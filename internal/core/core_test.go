@@ -350,8 +350,9 @@ func TestVOSizeIndependentOfCardinality(t *testing.T) {
 	load(t, sys, 200)
 	small, _ := sys.QS.Query(10, 20)
 	large, _ := sys.QS.Query(10, 2000)
-	if small.VOSizeBytes(sys.Scheme) != large.VOSizeBytes(sys.Scheme) {
+	sigSize := sys.Scheme.SignatureSize()
+	if small.VOSize(sigSize) != large.VOSize(sigSize) {
 		t.Fatalf("VO sizes %d vs %d: §3.3 promises cardinality independence",
-			small.VOSizeBytes(sys.Scheme), large.VOSizeBytes(sys.Scheme))
+			small.VOSize(sigSize), large.VOSize(sigSize))
 	}
 }

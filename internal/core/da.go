@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -88,16 +89,15 @@ func NewDataAggregator(scheme sigagg.Scheme, priv sigagg.PrivateKey, cfg Config,
 		pool:   sigagg.NewPool(scheme, 0),
 		index:  btree.New(storage.DefaultPageConfig()),
 		byRID:  make(map[uint64]*Record),
-		pub:    freshness.NewPublisher(scheme, priv, 0, 0),
 	}
 	for _, o := range opts {
 		o(da)
 	}
 	// Summary certification rides the same pool, so it gets the scheme's
 	// batched signing path (e.g. CRT for condensed RSA).
-	da.pub.SetSigner(func(digest []byte) (sigagg.Signature, error) {
+	da.pub = freshness.NewPublisher(func(digest []byte) (sigagg.Signature, error) {
 		return da.pool.Sign(da.priv, digest)
-	})
+	}, 0, 0)
 	return da, nil
 }
 
@@ -115,7 +115,11 @@ func keysAscending(recs []*Record) bool {
 	return true
 }
 
-// slot maps a record to its summary-bitmap position.
+// maxRID is the largest rid a record may hold: a rid is its record's
+// slot in the period summaries, an int on every platform.
+const maxRID = math.MaxInt32
+
+// slot maps a record to its position in the period summaries.
 func slot(rid uint64) int { return int(rid) }
 
 // chainDigest is the signed chain message for one version: the full
@@ -294,8 +298,9 @@ func (da *DataAggregator) remove(rec *Record) {
 
 // admit checks a key-sorted batch before anything is signed — keys
 // unique and not stored, explicit rids neither held by a stored record
-// nor repeated — and then numbers the records without a rid past every
-// rid the relation or the batch holds.
+// nor repeated, and no rid, explicit or numbered, past maxRID — and then
+// numbers the records without a rid past every rid the relation or the
+// batch holds.
 func (da *DataAggregator) admit(sorted []*Record) error {
 	var explicit []uint64
 	next := da.nextRID
@@ -309,6 +314,9 @@ func (da *DataAggregator) admit(sorted []*Record) error {
 		if rec.RID == 0 {
 			continue
 		}
+		if rec.RID > maxRID {
+			return fmt.Errorf("core: rid %d of key %d past %d", rec.RID, rec.Key, maxRID)
+		}
 		if held, ok := da.byRID[rec.RID]; ok {
 			return fmt.Errorf("core: rid %d of key %d already held by key %d", rec.RID, rec.Key, held.Key)
 		}
@@ -320,6 +328,9 @@ func (da *DataAggregator) admit(sorted []*Record) error {
 		if explicit[i] == explicit[i-1] {
 			return fmt.Errorf("core: rid %d repeated in load", explicit[i])
 		}
+	}
+	if numbered := uint64(len(sorted) - len(explicit)); next+numbered > maxRID {
+		return fmt.Errorf("core: numbering %d records past rid %d would pass %d", numbered, next, maxRID)
 	}
 	for _, rec := range sorted {
 		if rec.RID == 0 {

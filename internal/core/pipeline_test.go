@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"authdb/internal/chain"
@@ -456,5 +458,59 @@ func TestLoadRefusesRepeatedRID(t *testing.T) {
 	}
 	if da.Len() != 0 || da.nextRID != 0 {
 		t.Fatalf("refused load changed the relation: %d keys, next rid %d", da.Len(), da.nextRID)
+	}
+}
+
+// TestLoadRefusesRIDPastMaxInt32: a rid is its record's slot in the
+// period summaries, so a batch holding a rid past math.MaxInt32 — given,
+// or numbered past one given — is refused before anything is signed, and
+// the owner goes on exactly as if it had never seen the batch.
+func TestLoadRefusesRIDPastMaxInt32(t *testing.T) {
+	raw := xortest.New()
+	priv, _, err := raw.KeyGen(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := func() *DataAggregator {
+		da, err := NewDataAggregator(raw, priv, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := da.Load(mkRecords(5, 10), 100); err != nil {
+			t.Fatal(err)
+		}
+		return da
+	}
+	da, twin := loaded(), loaded()
+	for _, batch := range [][]*Record{
+		{{Key: 1}, {Key: 2, RID: 1 << 63}},
+		{{Key: 1, RID: math.MaxInt32 + 1}},
+		{{Key: 1, RID: math.MaxInt32}, {Key: 2}},
+	} {
+		if _, err := da.Load(batch, 200); err == nil {
+			t.Fatalf("load of %d records, the last with rid %d, accepted", len(batch), batch[len(batch)-1].RID)
+		}
+	}
+	if da.Len() != twin.Len() || len(da.byRID) != len(twin.byRID) || da.nextRID != twin.nextRID {
+		t.Fatalf("refused loads left %d keys, %d records, next rid %d; want %d, %d, %d",
+			da.Len(), len(da.byRID), da.nextRID, twin.Len(), len(twin.byRID), twin.nextRID)
+	}
+	var sums [2][]byte
+	for i, d := range []*DataAggregator{da, twin} {
+		h := sha256.New()
+		ins, err := d.Insert(&Record{Key: 1}, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashMsg(h, ins)
+		closed, err := d.ClosePeriod(400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashMsg(h, closed)
+		sums[i] = h.Sum(nil)
+	}
+	if !bytes.Equal(sums[0], sums[1]) {
+		t.Fatal("after refused loads the owner's next messages differ from an owner that never saw them")
 	}
 }

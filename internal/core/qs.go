@@ -34,16 +34,8 @@ type Answer struct {
 	OldestSigTS int64
 }
 
-// VOSizeBytes reports the proof overhead shipped with the records. The
-// scheme's signature size is looked up once and reused for the chain
-// overhead and every attached summary; callers sizing many answers
-// should hoist the lookup themselves and use VOSize.
-func (a *Answer) VOSizeBytes(scheme sigagg.Scheme) int {
-	return a.VOSize(scheme.SignatureSize())
-}
-
-// VOSize is VOSizeBytes with the signature size pre-resolved, for loops
-// that size one answer per query against a fixed scheme.
+// VOSize reports the proof overhead shipped with the records, given the
+// scheme's signature size: the chain's and every attached summary's.
 func (a *Answer) VOSize(sigSize int) int {
 	size := a.Chain.VOSize(sigSize)
 	for i := range a.Summaries {

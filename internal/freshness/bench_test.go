@@ -14,7 +14,7 @@ func BenchmarkPublish500Updates(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := NewPublisher(scheme, priv, 1_000_000, 0)
+	p := NewPublisher(signer(scheme, priv), 1_000_000, 0)
 	rng := rand.New(rand.NewSource(1))
 	ts := int64(0)
 	b.ResetTimer()
@@ -35,7 +35,7 @@ func BenchmarkCheckFresh(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := NewPublisher(scheme, priv, 1_000_000, 0)
+	p := NewPublisher(signer(scheme, priv), 1_000_000, 0)
 	c := NewChecker(scheme, pub)
 	rng := rand.New(rand.NewSource(2))
 	ts := int64(0)
@@ -70,7 +70,7 @@ func BenchmarkSummaryIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := NewPublisher(scheme, priv, 1_000_000, 0)
+	p := NewPublisher(signer(scheme, priv), 1_000_000, 0)
 	rng := rand.New(rand.NewSource(3))
 	summaries := make([]Summary, b.N)
 	ts := int64(0)
@@ -89,6 +89,38 @@ func BenchmarkSummaryIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := c.Add(summaries[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// sparseSlots is marks slots among n, ascending, one at random in each
+// of marks equal strides.
+func sparseSlots(n, marks int) []int {
+	rng := rand.New(rand.NewSource(1))
+	stride := n / marks
+	slots := make([]int, marks)
+	for i := range slots {
+		slots[i] = i*stride + rng.Intn(stride)
+	}
+	return slots
+}
+
+func BenchmarkAppendSlotsSparse(b *testing.B) {
+	marked := sparseSlots(1_000_000, 500)
+	b.ResetTimer()
+	var size int
+	for i := 0; i < b.N; i++ {
+		size = len(appendSlots(nil, 1_000_000, marked))
+	}
+	b.ReportMetric(float64(size), "bytes")
+}
+
+func BenchmarkDecodeSlotsSparse(b *testing.B) {
+	data := appendSlots(nil, 1_000_000, sparseSlots(1_000_000, 500))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := decodeSlots(data); err != nil {
 			b.Fatal(err)
 		}
 	}

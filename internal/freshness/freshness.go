@@ -1,10 +1,11 @@
 // Package freshness implements the freshness-verification protocol of
 // Section 3.1: every ρ time units the data aggregator publishes a
-// certified, compressed bitmap of the record slots updated during the
-// period. New records and signatures are disseminated immediately,
-// decoupled from the summaries; a user confirms a record's freshness by
-// checking that no summary published after the record's certification
-// period marks its slot.
+// certified summary of the record slots updated during the period — the
+// paper's update bitmap, sent as the sparse list of its set bits. New
+// records and signatures are disseminated immediately, decoupled from
+// the summaries; a user confirms a record's freshness by checking that
+// no summary published after the record's certification period marks
+// its slot.
 //
 // A record certified several times within one period cannot be pinned to
 // its latest version by that period's summary alone; the publisher
@@ -16,10 +17,10 @@ package freshness
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
-	"authdb/internal/bitmap"
 	"authdb/internal/digest"
 	"authdb/internal/sigagg"
 )
@@ -32,7 +33,7 @@ type Summary struct {
 	Seq         uint64 // period number, starting at 1
 	PeriodStart int64  // timestamp of the previous summary
 	TS          int64  // publication (certification) timestamp
-	Compressed  []byte // compressed update bitmap (see package bitmap)
+	Compressed  []byte // the period's marked slots (see appendSlots)
 	Sig         sigagg.Signature
 }
 
@@ -46,27 +47,21 @@ func (s *Summary) Digest() digest.Digest {
 	return w.Sum()
 }
 
-// SizeBytes is the transmitted summary size: compressed bitmap, header
-// fields and signature.
-func (s *Summary) SizeBytes(scheme sigagg.Scheme) int {
-	return s.Size(scheme.SignatureSize())
-}
-
-// Size is SizeBytes with the scheme's signature size pre-resolved, so
+// Size is the transmitted summary size — marked slots, header fields
+// and signature — with the scheme's signature size pre-resolved, so
 // answer-sizing loops look the size up once per scheme instead of once
 // per summary.
 func (s *Summary) Size(sigSize int) int {
 	return len(s.Compressed) + 24 + sigSize
 }
 
-// SignFunc produces a signature over a summary digest. It lets the
-// publisher route certification through a caller-owned signing path
-// (e.g. a shared sigagg.Pool whose batch primitives also serve record
-// signing) instead of calling the scheme directly.
+// SignFunc produces a signature over a summary digest: the owner's
+// signing pool, whose batch primitives also serve record signing, or a
+// scheme's Sign bound to a key.
 type SignFunc func(digest []byte) (sigagg.Signature, error)
 
-// Publisher is the data-aggregator side: it accumulates the current
-// period's update bitmap and certifies it on demand.
+// Publisher is the data-aggregator side: it accumulates the slots the
+// current period marks and certifies them on demand.
 //
 // A Publisher is safe for concurrent use: update marking and
 // publication may race freely. It keeps no copy of what it published:
@@ -74,73 +69,69 @@ type SignFunc func(digest []byte) (sigagg.Signature, error)
 // serves it to logging-in users.
 type Publisher struct {
 	mu      sync.Mutex
-	scheme  sigagg.Scheme
-	priv    sigagg.PrivateKey
-	signFn  SignFunc
+	sign    SignFunc
 	seq     uint64
 	lastTS  int64
-	cur     *bitmap.Bitmap
-	touched map[int]int // slot -> updates this period
+	slots   uint64      // the summary's length: past every slot ever marked, never lowered
+	touched map[int]int // slot -> updates this period; its keys are the period's summary
 }
 
-// NewPublisher creates a publisher for a relation with numSlots record
-// slots; startTS is the protocol epoch.
-func NewPublisher(scheme sigagg.Scheme, priv sigagg.PrivateKey, numSlots int, startTS int64) *Publisher {
+// NewPublisher creates a publisher certifying through sign for a
+// relation with numSlots record slots; startTS is the protocol epoch.
+func NewPublisher(sign SignFunc, numSlots int, startTS int64) *Publisher {
 	return &Publisher{
-		scheme:  scheme,
-		priv:    priv,
+		sign:    sign,
 		lastTS:  startTS,
-		cur:     bitmap.New(numSlots),
+		slots:   uint64(numSlots),
 		touched: make(map[int]int),
 	}
 }
 
-// SetSigner routes summary certification through fn. A nil fn restores
-// the direct scheme.Sign path.
-func (p *Publisher) SetSigner(fn SignFunc) {
-	p.mu.Lock()
-	p.signFn = fn
-	p.mu.Unlock()
-}
-
 // MarkUpdated records that slot was inserted, deleted, modified or
-// re-certified during the current period. Slots beyond the current
-// bitmap length grow it (appended '1'-bits for inserted records).
+// re-certified during the current period. A slot at or past the
+// summary's length extends it (appended '1'-bits for inserted records,
+// in the paper's bitmap terms).
 func (p *Publisher) MarkUpdated(slot int) {
 	p.mu.Lock()
-	p.cur.Set(slot)
 	p.touched[slot]++
+	p.slots = max(p.slots, uint64(slot)+1)
 	p.mu.Unlock()
 }
 
-// Publish certifies the current period's bitmap at time ts, resets the
-// period, and returns the summary together with the slots that were
-// updated more than once (which the caller must re-certify during the
-// next period).
+// Publish certifies the current period's marked slots at time ts,
+// resets the period, and returns the summary together with the slots
+// that were updated more than once (which the caller must re-certify
+// during the next period).
 func (p *Publisher) Publish(ts int64) (Summary, []int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if ts <= p.lastTS {
 		return Summary{}, nil, fmt.Errorf("freshness: publish time %d not after previous %d", ts, p.lastTS)
 	}
-	p.seq++
+	marked := make([]int, 0, len(p.touched))
+	for slot := range p.touched {
+		marked = append(marked, slot)
+	}
+	sort.Ints(marked)
 	s := Summary{
-		Seq:         p.seq,
+		Seq:         p.seq + 1,
 		PeriodStart: p.lastTS,
 		TS:          ts,
-		Compressed:  p.cur.Compress(),
+		Compressed:  appendSlots(nil, p.slots, marked),
 	}
 	d := s.Digest()
-	sign := p.signFn
-	if sign == nil {
-		sign = func(digest []byte) (sigagg.Signature, error) { return p.scheme.Sign(p.priv, digest) }
-	}
-	sig, err := sign(d[:])
+	sig, err := p.sign(d[:])
 	if err != nil {
 		return Summary{}, nil, fmt.Errorf("freshness: certify summary: %w", err)
 	}
 	s.Sig = sig
+	return s, p.endPeriod(s.Seq, ts), nil
+}
 
+// endPeriod moves the publisher to period seq, closed at ts, and
+// returns the slots the closed period marked more than once, ascending.
+// Caller holds mu.
+func (p *Publisher) endPeriod(seq uint64, ts int64) []int {
 	var multi []int
 	for slot, n := range p.touched {
 		if n > 1 {
@@ -148,22 +139,20 @@ func (p *Publisher) Publish(ts int64) (Summary, []int, error) {
 		}
 	}
 	sort.Ints(multi)
-
+	p.seq = seq
 	p.lastTS = ts
-	p.cur = bitmap.New(p.cur.Len())
 	p.touched = make(map[int]int)
-	return s, multi, nil
+	return multi
 }
 
 // PublisherState is a Publisher's serializable period state: everything
 // a crash-recovered owner needs to resume publishing mid-period without
-// re-contacting anyone. Cur is the current period's bitmap in its
-// compressed wire form (see package bitmap), so the snapshot costs
-// bytes proportional to the slots actually touched.
+// re-contacting anyone. It costs bytes proportional to the slots the
+// open period touched.
 type PublisherState struct {
 	Seq     uint64
 	LastTS  int64
-	Cur     []byte      // compressed current-period bitmap
+	Slots   uint64      // the summary's length
 	Touched map[int]int // slot -> updates this period
 }
 
@@ -173,35 +162,29 @@ type PublisherState struct {
 func (p *Publisher) State() *PublisherState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	touched := make(map[int]int, len(p.touched))
-	for slot, n := range p.touched {
-		touched[slot] = n
-	}
-	return &PublisherState{
-		Seq:     p.seq,
-		LastTS:  p.lastTS,
-		Cur:     p.cur.Compress(),
-		Touched: touched,
-	}
+	return &PublisherState{Seq: p.seq, LastTS: p.lastTS, Slots: p.slots, Touched: maps.Clone(p.touched)}
 }
 
-// RestoreState replaces the publisher's period state with a snapshot.
-// The signing route (SetSigner) is deliberately untouched: keys and
-// signer wiring belong to the live process, not the snapshot.
+// RestoreState replaces the publisher's period state with a snapshot,
+// which must be one State could have returned. The signing route is
+// untouched: keys and signer wiring belong to the live process, not the
+// snapshot.
 func (p *Publisher) RestoreState(st *PublisherState) error {
-	cur, err := bitmap.Decompress(st.Cur)
-	if err != nil {
-		return fmt.Errorf("freshness: restore bitmap: %w", err)
+	if st.Slots > maxSlots {
+		return fmt.Errorf("freshness: restore %d slots, more than %d", st.Slots, uint64(maxSlots))
+	}
+	for slot, n := range st.Touched {
+		if slot < 0 || uint64(slot) >= st.Slots || n < 1 {
+			return fmt.Errorf("freshness: restore slot %d touched %d times in a summary of %d slots", slot, n, st.Slots)
+		}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.seq = st.Seq
 	p.lastTS = st.LastTS
-	p.cur = cur
+	p.slots = st.Slots
 	p.touched = make(map[int]int, len(st.Touched))
-	for slot, n := range st.Touched {
-		p.touched[slot] = n
-	}
+	maps.Copy(p.touched, st.Touched)
 	return nil
 }
 
@@ -220,24 +203,14 @@ func (p *Publisher) ReplaySummary(s Summary) (multi []int, applied bool, err err
 	if s.Seq != p.seq+1 {
 		return nil, false, fmt.Errorf("freshness: replay summary %d onto sequence %d", s.Seq, p.seq)
 	}
-	for slot, n := range p.touched {
-		if n > 1 {
-			multi = append(multi, slot)
-		}
-	}
-	sort.Ints(multi)
-	p.seq = s.Seq
-	p.lastTS = s.TS
-	p.cur = bitmap.New(p.cur.Len())
-	p.touched = make(map[int]int)
-	return multi, true, nil
+	return p.endPeriod(s.Seq, s.TS), true, nil
 }
 
 // Checker is the user side: it validates incoming summaries and answers
 // freshness checks against them.
 //
 // Index invariant: newest[slot] is the sequence number of the newest
-// summary ever ingested whose bitmap marks slot (0 = none). Period
+// summary ever ingested that marks slot (0 = none). Period
 // starts rise with the sequence, so that summary has the latest period
 // start of any that mark the slot, and "some held summary whose period
 // began after recTS marks the slot" is one comparison. Trim leaves the
@@ -278,12 +251,11 @@ func (c *Checker) Add(s Summary) error {
 				s.Seq, s.PeriodStart, last.TS)
 		}
 	}
-	bm, err := bitmap.Decompress(s.Compressed)
+	_, marked, err := decodeSlots(s.Compressed) // ascending
 	if err != nil {
-		return fmt.Errorf("freshness: summary %d bitmap: %w", s.Seq, err)
+		return fmt.Errorf("freshness: summary %d: %w", s.Seq, err)
 	}
 	c.sums = append(c.sums, s)
-	marked := bm.Ones() // ascending
 	if n := len(marked); n > 0 && marked[n-1] >= len(c.newest) {
 		c.newest = append(c.newest, make([]uint64, marked[n-1]+1-len(c.newest))...)
 	}

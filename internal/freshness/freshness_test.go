@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand"
+	"slices"
 	"testing"
 
-	"authdb/internal/bitmap"
+	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/sigagg/xortest"
 )
@@ -19,7 +20,12 @@ func newPair(t *testing.T, slots int) (*Publisher, *Checker) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewPublisher(scheme, priv, slots, 0), NewChecker(scheme, pub)
+	return NewPublisher(signer(scheme, priv), slots, 0), NewChecker(scheme, pub)
+}
+
+// signer certifies summaries with scheme.Sign under priv.
+func signer(scheme sigagg.Scheme, priv sigagg.PrivateKey) SignFunc {
+	return func(d []byte) (sigagg.Signature, error) { return scheme.Sign(priv, d) }
 }
 
 func feed(t *testing.T, p *Publisher, c *Checker, ts int64) (Summary, []int) {
@@ -168,6 +174,14 @@ func TestInsertGrowsBitmap(t *testing.T) {
 	if s.Seq != 1 {
 		t.Fatal("bad seq")
 	}
+	// The summary's length grows past the mark and keeps that length
+	// once the period is over.
+	s2, _ := feed(t, p, c, 20)
+	for _, s := range []Summary{s, s2} {
+		if n, _, err := decodeSlots(s.Compressed); err != nil || n != 26 {
+			t.Fatalf("summary %d has length %d (%v), want 26", s.Seq, n, err)
+		}
+	}
 	// The new record certified at t=5 in its own period: fresh.
 	if _, err := c.CheckFresh(25, 5, 12, 10); err != nil {
 		t.Fatalf("inserted record flagged: %v", err)
@@ -250,6 +264,26 @@ func TestPublisherStateRoundtrip(t *testing.T) {
 	}
 }
 
+// TestRestoreStateRefusesDisagreement: a snapshot whose touched slots
+// do not fit its summary's length, or that counts a touch of none, is
+// not a state State could have returned.
+func TestRestoreStateRefusesDisagreement(t *testing.T) {
+	p, _ := newPair(t, 8)
+	for _, st := range []*PublisherState{
+		{Slots: 8, Touched: map[int]int{8: 1}},
+		{Slots: 8, Touched: map[int]int{-1: 1}},
+		{Slots: 8, Touched: map[int]int{3: 0}},
+		{Slots: maxSlots + 1},
+	} {
+		if err := p.RestoreState(st); err == nil {
+			t.Fatalf("restored %+v", st)
+		}
+	}
+	if st := p.State(); st.Slots != 8 || len(st.Touched) != 0 {
+		t.Fatalf("a refused restore left %+v", st)
+	}
+}
+
 // TestReplaySummaryIdempotent: replay applies a logged summary exactly
 // once, rejects gaps, and reproduces Publish's period reset.
 func TestReplaySummaryIdempotent(t *testing.T) {
@@ -292,7 +326,7 @@ func TestReplaySummaryIdempotent(t *testing.T) {
 // scanFresh is the linear scan CheckFresh ran before the per-slot index:
 // every held summary is consulted for every record. It is the reference
 // the index is held to.
-func scanFresh(sums []Summary, maps []*bitmap.Bitmap, slot int, recTS, rho int64) (int64, error) {
+func scanFresh(sums []Summary, marks [][]int, slot int, recTS, rho int64) (int64, error) {
 	if len(sums) == 0 || recTS > sums[len(sums)-1].TS {
 		return rho, nil
 	}
@@ -304,7 +338,7 @@ func scanFresh(sums []Summary, maps []*bitmap.Bitmap, slot int, recTS, rho int64
 		if s.TS < recTS {
 			continue
 		}
-		if maps[i].Get(slot) && recTS < s.PeriodStart {
+		if slices.Contains(marks[i], slot) && recTS < s.PeriodStart {
 			return 0, fmt.Errorf("%w: slot %d re-certified during period ending %d (record signed %d)",
 				ErrStale, slot, s.TS, recTS)
 		}
@@ -317,8 +351,8 @@ func scanFresh(sums []Summary, maps []*bitmap.Bitmap, slot int, recTS, rho int64
 
 // TestIndexMatchesLinearScan drives the checker and the reference scan
 // with the same seeded summary streams — hot slots marked in many
-// periods, slots never marked, inserts growing the bitmap, a Trim in the
-// middle — and probes every slot (some beyond the bitmap) at every
+// periods, slots never marked, inserts growing the summary, a Trim in the
+// middle — and probes every slot (some past the summary's length) at every
 // period edge ±1, before the history and after it. Outcome, bound and
 // error class must agree on every probe.
 func TestIndexMatchesLinearScan(t *testing.T) {
@@ -332,10 +366,10 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 		}
 		const slots = 48
 		start := int64(rng.Intn(50))
-		p := NewPublisher(scheme, priv, slots, start)
+		p := NewPublisher(signer(scheme, priv), slots, start)
 		c := NewChecker(scheme, pub)
 		var sums []Summary
-		var maps []*bitmap.Bitmap
+		var marks [][]int
 		ts := start
 		periods := 5 + rng.Intn(25)
 		trimAt := rng.Intn(periods)
@@ -345,7 +379,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 				case 0:
 					p.MarkUpdated(rng.Intn(4)) // hot: marked in most periods
 				case 1:
-					p.MarkUpdated(slots + rng.Intn(8)) // an insert past the bitmap
+					p.MarkUpdated(slots + rng.Intn(8)) // an insert past the summary's length
 				default:
 					p.MarkUpdated(4 + rng.Intn(slots-8)) // the last 4 stay unmarked
 				}
@@ -358,16 +392,16 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 			if err := c.Add(s); err != nil {
 				t.Fatal(err)
 			}
-			bm, err := bitmap.Decompress(s.Compressed)
+			_, marked, err := decodeSlots(s.Compressed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sums, maps = append(sums, s), append(maps, bm)
+			sums, marks = append(sums, s), append(marks, marked)
 			if k == trimAt {
 				cut := sums[rng.Intn(len(sums))].TS + int64(rng.Intn(2))
 				c.Trim(cut)
 				for len(sums) > 0 && sums[0].TS < cut {
-					sums, maps = sums[1:], maps[1:]
+					sums, marks = sums[1:], marks[1:]
 				}
 				if c.Len() != len(sums) {
 					t.Fatalf("seed %d: checker holds %d summaries after Trim(%d), reference %d", seed, c.Len(), cut, len(sums))
@@ -379,7 +413,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 			}
 			for slot := 0; slot < slots+12; slot++ {
 				for _, recTS := range probes {
-					want, wantErr := scanFresh(sums, maps, slot, recTS, 10)
+					want, wantErr := scanFresh(sums, marks, slot, recTS, 10)
 					got, gotErr := c.CheckFresh(slot, recTS, ts+1, 10)
 					if got != want || (gotErr == nil) != (wantErr == nil) ||
 						errors.Is(gotErr, ErrStale) != errors.Is(wantErr, ErrStale) {
@@ -419,7 +453,7 @@ func TestAddRejectsNonPeriod(t *testing.T) {
 		{Seq: 1, PeriodStart: 20, TS: 10},
 		{Seq: 0, PeriodStart: 0, TS: 10},
 	} {
-		s.Compressed = bitmap.New(8).Compress()
+		s.Compressed = appendSlots(nil, 8, nil)
 		d := s.Digest()
 		if s.Sig, err = scheme.Sign(priv, d[:]); err != nil {
 			t.Fatal(err)

@@ -161,8 +161,8 @@ func Verify(scheme sigagg.Scheme, pub sigagg.PublicKey, a *Answer) error {
 	return scheme.AggregateVerify(pub, ds, a.Agg)
 }
 
-// VOSizeBytes is the proof overhead: a single aggregate signature,
+// VOSize is the proof overhead: one aggregate signature of sigSize bytes,
 // independent of both the number of projected and dropped attributes.
-func (a *Answer) VOSizeBytes(scheme sigagg.Scheme) int {
-	return scheme.SignatureSize()
+func (a *Answer) VOSize(sigSize int) int {
+	return sigSize
 }

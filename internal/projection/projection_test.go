@@ -94,7 +94,7 @@ func TestNonContiguousAttributes(t *testing.T) {
 		t.Fatalf("Verify: %v", err)
 	}
 	// VO is a single signature regardless of attribute scatter.
-	if a.VOSizeBytes(f.scheme) != f.scheme.SignatureSize() {
+	if a.VOSize(f.scheme.SignatureSize()) != f.scheme.SignatureSize() {
 		t.Fatal("projection VO must be one signature")
 	}
 }

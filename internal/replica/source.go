@@ -227,8 +227,8 @@ func (s *Source) ServeConn(conn net.Conn, afterLSN uint64, stop <-chan struct{})
 	if from < sub.start {
 		// Tail the WAL for (from, sub.start]. The log holds every
 		// record ≤ sub.start: appends happen before publishes.
-		err := s.log.Replay(func(lsn uint64, kind byte, body []byte) error {
-			if kind != wal.KindUpdate || lsn <= from || lsn > sub.start {
+		err := s.log.Replay(func(lsn uint64, body []byte) error {
+			if lsn <= from || lsn > sub.start {
 				return nil
 			}
 			buf = wire.AppendWalRecord(buf[:0], lsn, sub.start, body)

@@ -29,7 +29,7 @@ import (
 // silent half-state.
 
 // snapMagic names the layout; a file written under another is refused.
-const snapMagic = "ASNP4\n"
+const snapMagic = "ASNP5\n"
 
 // snapName and snapTmp are the snapshot file names within a store dir.
 const (
@@ -141,7 +141,7 @@ func (s *Store) Empty() bool {
 // group-commit policy) and returns its LSN.
 func (s *Store) AppendMsg(msg *core.UpdateMsg) (uint64, error) {
 	buf := wire.AppendUpdateMsg(wire.GetBuffer(), msg)
-	lsn, err := s.log.Append(KindUpdate, buf)
+	lsn, err := s.log.Append(buf)
 	wire.PutBuffer(buf)
 	return lsn, err
 }
@@ -242,10 +242,7 @@ func (s *Store) Recover(da *core.DataAggregator, qs *core.QueryServer) (Recovery
 			return st, err
 		}
 	}
-	err = s.log.Replay(func(lsn uint64, kind byte, body []byte) error {
-		if kind != KindUpdate {
-			return nil // unknown record kinds are future extensions
-		}
+	err = s.log.Replay(func(lsn uint64, body []byte) error {
 		if lsn <= after {
 			st.Skipped++
 			return nil

@@ -7,7 +7,11 @@
 // with a magic string and carries length-prefixed frames:
 //
 //	| u32 payload len | u32 CRC32(payload) | payload |
-//	payload = | u64 LSN | u8 kind | body |
+//	payload = | u64 LSN | body |
+//
+// A body is a wire-encoded core.UpdateMsg — the one artifact every owner
+// operation (load, update, delete, period close, renewal) already emits
+// across the trust boundary — which names its own kind.
 //
 // LSNs are assigned contiguously across segments, so replay can verify
 // it saw every record and recovery can skip everything a snapshot
@@ -39,18 +43,13 @@ import (
 )
 
 const (
-	segMagic   = "AWAL1\n"
+	segMagic   = "AWAL2\n"
 	segPrefix  = "wal-"
 	segSuffix  = ".log"
 	frameHdr   = 8 // u32 len + u32 crc
-	framePfx   = 9 // u64 lsn + u8 kind
+	framePfx   = 8 // u64 lsn
 	defaultMax = 64 << 20
 )
-
-// KindUpdate frames carry a wire-encoded core.UpdateMsg — the one
-// artifact every owner operation (load, update, delete, period close,
-// renewal) already emits across the trust boundary.
-const KindUpdate byte = 'U'
 
 // ErrCorrupt wraps any structural damage the log cannot recover from
 // (interior segments with torn tails, sequence gaps, bad magic).
@@ -240,7 +239,7 @@ func (l *Log) newSegment(first uint64) error {
 // segment holds none), and whether the scan consumed the whole file
 // (clean) or stopped at a torn/corrupt tail. fn, when non-nil, receives
 // every valid frame.
-func scanSegment(path string, first uint64, maxRecord int, fn func(lsn uint64, kind byte, body []byte) error) (int64, uint64, bool, error) {
+func scanSegment(path string, first uint64, maxRecord int, fn func(lsn uint64, body []byte) error) (int64, uint64, bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, false, err
@@ -269,7 +268,7 @@ func scanSegment(path string, first uint64, maxRecord int, fn func(lsn uint64, k
 			return off, lsn, false, nil
 		}
 		if fn != nil {
-			if err := fn(recLSN, payload[8], payload[framePfx:]); err != nil {
+			if err := fn(recLSN, payload[framePfx:]); err != nil {
 				return off, lsn, false, err
 			}
 		}
@@ -283,7 +282,7 @@ func scanSegment(path string, first uint64, maxRecord int, fn func(lsn uint64, k
 // fence now follow with Sync. A sticky background fsync failure
 // surfaces here: after it, no append succeeds (the log refuses to
 // acknowledge writes it may not be able to keep).
-func (l *Log) Append(kind byte, body []byte) (uint64, error) {
+func (l *Log) Append(body []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -299,7 +298,6 @@ func (l *Log) Append(kind byte, body []byte) (uint64, error) {
 	var pfx [frameHdr + framePfx]byte
 	binary.BigEndian.PutUint32(pfx[0:], uint32(framePfx+len(body)))
 	binary.BigEndian.PutUint64(pfx[frameHdr:], l.lsn)
-	pfx[frameHdr+8] = kind
 	crc := crc32.ChecksumIEEE(pfx[frameHdr:])
 	crc = crc32.Update(crc, crc32.IEEETable, body)
 	binary.BigEndian.PutUint32(pfx[4:], crc)
@@ -490,7 +488,7 @@ func (l *Log) DropThrough(watermark uint64) error {
 // Intended for recovery (before appends resume); it also works on a
 // live log — buffered frames are flushed first so fn sees everything
 // appended so far.
-func (l *Log) Replay(fn func(lsn uint64, kind byte, body []byte) error) error {
+func (l *Log) Replay(fn func(lsn uint64, body []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {

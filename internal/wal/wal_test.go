@@ -18,13 +18,10 @@ import (
 	"authdb/internal/sigagg"
 )
 
-// collect replays the log into a slice of (lsn, kind, body) triples.
+// collect replays the log into its LSNs and bodies.
 func collect(t *testing.T, l *Log) (lsns []uint64, bodies [][]byte) {
 	t.Helper()
-	err := l.Replay(func(lsn uint64, kind byte, body []byte) error {
-		if kind != KindUpdate {
-			t.Fatalf("unexpected kind %q", kind)
-		}
+	err := l.Replay(func(lsn uint64, body []byte) error {
 		lsns = append(lsns, lsn)
 		bodies = append(bodies, append([]byte(nil), body...))
 		return nil
@@ -45,7 +42,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		body := []byte(fmt.Sprintf("record-%d", i))
 		want = append(want, body)
-		lsn, err := l.Append(KindUpdate, body)
+		lsn, err := l.Append(body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +72,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	if l2.LastLSN() != 10 {
 		t.Fatalf("reopened at lsn %d", l2.LastLSN())
 	}
-	if lsn, err := l2.Append(KindUpdate, []byte("after")); err != nil || lsn != 11 {
+	if lsn, err := l2.Append([]byte("after")); err != nil || lsn != 11 {
 		t.Fatalf("append after reopen: lsn %d err %v", lsn, err)
 	}
 	lsns, _ = collect(t, l2)
@@ -100,7 +97,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 		[]byte("third-and-final-record-payload"),
 	}
 	for _, b := range bodies {
-		if _, err := l.Append(KindUpdate, b); err != nil {
+		if _, err := l.Append(b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +131,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 			}
 		}
 		// The log must continue from the last complete record.
-		if lsn, err := tl.Append(KindUpdate, []byte("resumed")); err != nil || lsn != 3 {
+		if lsn, err := tl.Append([]byte("resumed")); err != nil || lsn != 3 {
 			t.Fatalf("cut %d: resume append lsn %d err %v", cut, lsn, err)
 		}
 		lsns, _ = collect(t, tl)
@@ -154,7 +151,7 @@ func TestCorruptCRCStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := l.Append(KindUpdate, []byte(fmt.Sprintf("rec-%d", i))); err != nil {
+		if _, err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,6 +175,38 @@ func TestCorruptCRCStopsReplay(t *testing.T) {
 	}
 }
 
+// TestOldSegmentMagicRefused: a segment of the previous frame layout
+// (AWAL1, a kind byte after each LSN) is not read as this one's.
+func TestOldSegmentMagicRefused(t *testing.T) {
+	dir := t.TempDir()
+	old := append([]byte("AWAL1\n"), 0, 0, 0, 9)
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLog(dir, Options{NoSync: true}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("AWAL1 segment: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestRecoverRefusesNonUpdateRecord: every log record is an update
+// message; recovery stops at one that is not, rather than leaving the
+// owner and server a message short.
+func TestRecoverRefusesNonUpdateRecord(t *testing.T) {
+	f := newFixture(t)
+	dir := t.TempDir()
+	s, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.log.Append([]byte("not an update message")); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Recover(f.newDA(), core.NewQueryServer(f.scheme)); err == nil {
+		t.Fatal("a record that is not an update message replayed silently")
+	}
+}
+
 func TestRotateAndDropThrough(t *testing.T) {
 	dir := t.TempDir()
 	l, err := OpenLog(dir, Options{NoSync: true})
@@ -186,7 +215,7 @@ func TestRotateAndDropThrough(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 1; i <= 5; i++ {
-		if _, err := l.Append(KindUpdate, []byte(fmt.Sprintf("a-%d", i))); err != nil {
+		if _, err := l.Append([]byte(fmt.Sprintf("a-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +223,7 @@ func TestRotateAndDropThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 6; i <= 8; i++ {
-		if _, err := l.Append(KindUpdate, []byte(fmt.Sprintf("b-%d", i))); err != nil {
+		if _, err := l.Append([]byte(fmt.Sprintf("b-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,7 +254,7 @@ func TestGroupCommitDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append(KindUpdate, []byte("one")); err != nil {
+	if _, err := l.Append([]byte("one")); err != nil {
 		t.Fatal(err)
 	}
 	// The background committer catches up without an explicit Sync.
@@ -237,7 +266,7 @@ func TestGroupCommitDurability(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Sync is an immediate fence.
-	if _, err := l.Append(KindUpdate, []byte("two")); err != nil {
+	if _, err := l.Append([]byte("two")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
@@ -280,7 +309,7 @@ func TestSnapshotRoundtripFile(t *testing.T) {
 			Pub: &freshness.PublisherState{
 				Seq:     2,
 				LastTS:  40,
-				Cur:     []byte{0x04, 0x01, 0x02}, // compressed bitmap: len 4, one bit at 2
+				Slots:   8,
 				Touched: map[int]int{2: 2, 7: 1},
 			},
 		},
@@ -329,7 +358,7 @@ func TestSnapshotRoundtripFile(t *testing.T) {
 	if _, err := decodeSnapshot(reseal(bytes.Clone(whole[:len(whole)-12]))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short owner block under a valid CRC: %v, want ErrCorrupt", err)
 	}
-	for _, magic := range []string{"ASNP2\n", "ASNP3\n"} {
+	for _, magic := range []string{"ASNP2\n", "ASNP3\n", "ASNP4\n"} {
 		old := reseal(append([]byte(magic), whole[len(snapMagic):len(whole)-4]...))
 		if _, err := decodeSnapshot(old); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("previous layout's magic %q: %v, want ErrCorrupt", magic, err)

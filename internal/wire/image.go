@@ -79,7 +79,7 @@ func AppendOwnerBlock(buf []byte, st *core.OwnerState) []byte {
 	}
 	w.u64(st.Pub.Seq)
 	w.i64(st.Pub.LastTS)
-	w.bytes(st.Pub.Cur)
+	w.u64(st.Pub.Slots)
 	// Slot-ascending, so identical states encode identically.
 	slots := make([]int, 0, len(st.Pub.Touched))
 	for slot := range st.Pub.Touched {
@@ -117,7 +117,7 @@ func DecodeOwnerBlock(data []byte) (*core.OwnerState, error) {
 	if pub.LastTS, err = r.i64(); err != nil {
 		return nil, err
 	}
-	if pub.Cur, err = r.bytes(); err != nil {
+	if pub.Slots, err = r.u64(); err != nil {
 		return nil, err
 	}
 	if n, err = r.count(16); err != nil {
