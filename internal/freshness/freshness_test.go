@@ -174,17 +174,42 @@ func TestInsertGrowsBitmap(t *testing.T) {
 	if s.Seq != 1 {
 		t.Fatal("bad seq")
 	}
-	// The summary's length grows past the mark and keeps that length
-	// once the period is over.
-	s2, _ := feed(t, p, c, 20)
-	for _, s := range []Summary{s, s2} {
-		if n, _, err := decodeSlots(s.Compressed); err != nil || n != 26 {
-			t.Fatalf("summary %d has length %d (%v), want 26", s.Seq, n, err)
-		}
-	}
 	// The new record certified at t=5 in its own period: fresh.
 	if _, err := c.CheckFresh(25, 5, 12, 10); err != nil {
 		t.Fatalf("inserted record flagged: %v", err)
+	}
+}
+
+func TestMarkPastLengthGrowsSlots(t *testing.T) {
+	// Marking a slot past the summary's length (a record inserted after
+	// the publisher started) extends the length to that slot + 1, and
+	// the length stays there once the period is over.
+	p, c := newPair(t, 10)
+	p.MarkUpdated(1000)
+	s1, _ := feed(t, p, c, 10)
+	s2, _ := feed(t, p, c, 20)
+	for _, s := range []Summary{s1, s2} {
+		if n, _, err := decodeSlots(s.Compressed); err != nil || n != 1001 {
+			t.Fatalf("summary %d has length %d (%v), want 1001", s.Seq, n, err)
+		}
+	}
+	if _, got, _ := decodeSlots(s1.Compressed); !slices.Equal(got, []int{1000}) {
+		t.Fatalf("grown slot not marked: %v", got)
+	}
+}
+
+func TestPublishListsMarksAscending(t *testing.T) {
+	// A summary lists the period's marked slots in ascending order,
+	// whatever order they were marked in, each once.
+	p, c := newPair(t, 200)
+	want := []int{3, 64, 65, 127, 128, 199}
+	for _, i := range []int{128, 3, 199, 65, 64, 127, 3} {
+		p.MarkUpdated(i)
+	}
+	s, _ := feed(t, p, c, 10)
+	n, got, err := decodeSlots(s.Compressed)
+	if err != nil || n != 200 || !slices.Equal(got, want) {
+		t.Fatalf("summary of %d slots marks %v (%v), want 200 marking %v", n, got, err, want)
 	}
 }
 
