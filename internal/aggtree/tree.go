@@ -245,16 +245,24 @@ func balance(n *node) (*node, int) {
 }
 
 // Upsert inserts the entry or replaces the signature, rid and payload
-// stored under its key. It returns whether an existing entry was
-// replaced and the aggregation operations spent on maintenance. A
+// stored under its key: Put with the signature prepared here. A
 // malformed signature is rejected with the tree unchanged.
 func (t *Tree) Upsert(e Entry) (replaced bool, ops int, err error) {
 	leaf, err := t.prepare(e)
 	if err != nil {
 		return false, 0, err
 	}
-	t.root, replaced, ops = t.upsert(t.root, e, leaf)
+	replaced, ops = t.Put(e, leaf)
 	return replaced, ops, nil
+}
+
+// Put inserts the entry or replaces the one stored under its key, given
+// leaf, e's signature prepared by the tree's scheme, so it cannot fail.
+// It returns whether an existing entry was replaced and the aggregation
+// operations spent on maintenance.
+func (t *Tree) Put(e Entry, leaf sigagg.Operand) (replaced bool, ops int) {
+	t.root, replaced, ops = t.upsert(t.root, e, leaf)
+	return replaced, ops
 }
 
 func (t *Tree) upsert(n *node, e Entry, leaf sigagg.Operand) (*node, bool, int) {

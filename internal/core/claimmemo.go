@@ -26,7 +26,7 @@ import (
 // SHA-256 over its identity (chain.(*Answer).AppendIdentity,
 // projection.(*Answer).AppendIdentity: an injective serialization of
 // everything its digests and aggregate read). The memo is keyed by a
-// seeded fingerprint of the aggregate and holds one name per entry, with
+// salted fingerprint of the aggregate and holds one name per entry, with
 // a bit saying which kind. Rule, per claim of a CheckClaims batch:
 //
 //   - the entry under the claim's fingerprint holds a content name equal

@@ -49,7 +49,7 @@ type SignedRecord struct {
 type UpdateMsg struct {
 	TS      int64
 	Upserts []SignedRecord
-	Deletes []uint64 // rids removed from the relation
+	Deletes []chain.Ref // records removed from the relation, by key and rid
 	Summary *freshness.Summary
 	Filter  *join.FilterCert
 }

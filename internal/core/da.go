@@ -442,7 +442,7 @@ func (da *DataAggregator) Delete(key int64, ts int64) (*UpdateMsg, error) {
 	if right != chain.MaxRef {
 		da.planResign(p, right.RID, ts)
 	}
-	return da.certify(&UpdateMsg{TS: ts, Deletes: []uint64{e.RID}}, p)
+	return da.certify(&UpdateMsg{TS: ts, Deletes: []chain.Ref{{Key: key, RID: e.RID}}}, p)
 }
 
 // ClosePeriod certifies the current ρ-period's summary at time ts and

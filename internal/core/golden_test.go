@@ -140,8 +140,8 @@ func hashMsg(h hash.Hash, msg *UpdateMsg) {
 		}
 	}
 	hashInt(h, int64(len(msg.Deletes)))
-	for _, rid := range msg.Deletes {
-		hashInt(h, int64(rid))
+	for _, del := range msg.Deletes {
+		hashInt(h, int64(del.RID))
 	}
 	if s := msg.Summary; s != nil {
 		hashInt(h, int64(s.Seq))

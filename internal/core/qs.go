@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,8 +47,8 @@ func (a *Answer) VOSize(sigSize int) int {
 // unless overridden with WithShards.
 const DefaultShards = 8
 
-// seedFactor scales the minimum population (seedFactor × shards) before
-// the server splits its keyspace into balanced shard ranges.
+// seedFactor scales the minimum population (seedFactor × shards) of an
+// installed image that the server splits into balanced shard ranges.
 const seedFactor = 4
 
 // shard is one key-range partition of the server: one aggregation tree
@@ -117,16 +116,14 @@ func (qs *QueryServer) leaf(sr *SignedRecord, st *stored) (aggtree.Entry, error)
 type QueryServer struct {
 	scheme sigagg.Scheme
 	folder sigagg.Folder // scheme's decoded-operand aggregation (proof construction)
-	nset   int           // configured shard count (construction only)
+	nset   int           // configured shard count
 
-	// topo guards the shard boundaries: shared by every operation,
-	// exclusive only during the one-off seeding that splits the
-	// keyspace once enough data has arrived. seeded is written under
-	// topo exclusively and read before taking it, so an update after
-	// the split never waits on the queries holding topo shared.
+	// topo guards the shards and their boundaries: shared by every query
+	// and every delta, exclusive only while install swaps a sorted image
+	// in — the one place the keyspace is split — so a delta never waits
+	// on the queries holding topo shared.
 	topo   sync.RWMutex
 	bounds []int64 // ascending split keys; shard i covers keys < bounds[i]; nil = everything in shard 0
-	seeded atomic.Bool
 	shards []*shard
 
 	// epochs[i] versions the data of shard i. Updates bump the epochs of
@@ -134,13 +131,13 @@ type QueryServer struct {
 	// locks, so an answer cache entry stamped under the read locks stays
 	// valid until an intersecting update lands — and no longer. The
 	// slice is allocated once and never reallocated, because stamps hold
-	// pointers into it: it outlives the one-off reseeding (which replaces
-	// qs.shards and bumps every epoch) and every Restore.
+	// pointers into it: it outlives every installed image, which
+	// replaces qs.shards and bumps every epoch.
 	epochs []atomic.Uint64
 
 	// filter is the owner-certified Bloom filter on the key attribute
 	// (§3.5; nil until one is disseminated) and filterEpoch its version.
-	// Apply and Restore store the pointer and then bump the epoch, under
+	// Apply and install store the pointer and then bump the epoch, under
 	// routing; Filter loads them in the opposite order, so a stamp never
 	// claims a newer filter than the one read beside it.
 	filter      atomic.Pointer[join.FilterCert]
@@ -150,10 +147,9 @@ type QueryServer struct {
 	// been called (atomic so enabling races nothing).
 	serving atomic.Pointer[servingState]
 
-	// routing serializes update application and guards rid → key
-	// routing (queries never touch it).
+	// routing serializes the writers: deltas and installs (queries never
+	// touch it).
 	routing sync.Mutex
-	keyOf   map[uint64]int64
 
 	sumMu     sync.RWMutex
 	summaries []freshness.Summary
@@ -177,13 +173,11 @@ func NewQueryServer(scheme sigagg.Scheme, opts ...Option) *QueryServer {
 		scheme: scheme,
 		folder: sigagg.FolderFor(scheme),
 		nset:   DefaultShards,
-		keyOf:  make(map[uint64]int64),
 	}
 	for _, o := range opts {
 		o(qs)
 	}
-	qs.shards = make([]*shard, qs.nset)
-	qs.clearShards()
+	qs.bounds, qs.shards, _ = qs.stage(nil)
 	qs.epochs = make([]atomic.Uint64, qs.nset)
 	return qs
 }
@@ -207,14 +201,6 @@ func (qs *QueryServer) Filter(st *anscache.Stamp) *join.FilterCert {
 		st.Read(&qs.filterEpoch)
 	}
 	return qs.filter.Load()
-}
-
-// clearShards replaces every shard with an empty one. Caller holds topo
-// exclusively (or is constructing the server).
-func (qs *QueryServer) clearShards() {
-	for i := range qs.shards {
-		qs.shards[i] = &shard{tree: aggtree.New(qs.scheme)}
-	}
 }
 
 // shardOf maps a key to its shard index (bounds held under topo).
@@ -246,183 +232,162 @@ func (qs *QueryServer) Shards() int { return len(qs.shards) }
 // sections over this relation's answers.
 func (qs *QueryServer) Scheme() sigagg.Scheme { return qs.scheme }
 
-// lockAll write-locks every shard in ascending order.
-func (qs *QueryServer) lockAll() {
-	for _, sh := range qs.shards {
-		sh.mu.Lock()
+// unsorted returns the first index of srs whose key does not exceed its
+// predecessor's, or 0 when srs is strictly key-ascending.
+func unsorted(srs []SignedRecord) int {
+	for i := 1; i < len(srs); i++ {
+		if srs[i].Rec.Key <= srs[i-1].Rec.Key {
+			return i
+		}
 	}
+	return 0
 }
 
-func (qs *QueryServer) unlockAll() {
-	for _, sh := range qs.shards {
-		sh.mu.Unlock()
+// stage builds, outside every lock, the shards a sorted image installs:
+// every record's leaf with its sideband prepared, the bounds at the key
+// quantiles once there are seedFactor records per shard, and each
+// shard's tree bottom-up — Θ(n) aggregation operations instead of n
+// incremental O(log n) insertions. Nothing of the server changes.
+func (qs *QueryServer) stage(srs []SignedRecord) (bounds []int64, shards []*shard, err error) {
+	if i := unsorted(srs); i > 0 {
+		return nil, nil, fmt.Errorf("core: image records not in strict key order at %d", i)
 	}
-}
-
-// maybeSeed splits the keyspace into balanced shard ranges once the
-// population (stored plus incoming) is large enough, migrating any
-// existing entries. One-off: afterwards the boundaries are fixed.
-func (qs *QueryServer) maybeSeed(msg *UpdateMsg) error {
-	if len(qs.shards) == 1 || qs.seeded.Load() {
-		return nil
-	}
-	qs.topo.Lock()
-	defer qs.topo.Unlock()
-	if qs.seeded.Load() {
-		return nil
-	}
-	entries := make([]aggtree.Entry, 0, qs.shards[0].tree.Len())
-	keys := make([]int64, 0, qs.shards[0].tree.Len()+len(msg.Upserts))
-	qs.shards[0].tree.Scan(func(e aggtree.Entry) bool {
-		entries = append(entries, e)
-		keys = append(keys, e.Key)
-		return true
-	})
-	for _, sr := range msg.Upserts {
-		keys = append(keys, sr.Rec.Key)
-	}
-	if len(keys) < seedFactor*len(qs.shards) {
-		return nil
-	}
-	// Deduplicate (an update message can re-upsert stored keys) so the
-	// quantiles below never repeat a split key, which would leave a
-	// shard permanently empty.
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	if len(keys) < seedFactor*len(qs.shards) {
-		return nil // too few distinct keys to split evenly yet
-	}
-	nb := len(qs.shards) - 1
-	bounds := make([]int64, nb)
-	for i := 0; i < nb; i++ {
-		bounds[i] = keys[(i+1)*len(keys)/len(qs.shards)]
-	}
-	qs.bounds = bounds
-	qs.seeded.Store(true)
-	// The topology change remaps every shard: bump all epochs (under
-	// the exclusive topo lock, so no query can be stamping).
-	for i := range qs.epochs {
-		qs.epochs[i].Add(1)
-	}
-	// Migrate anything already stored (routing is untouched: keys keep
-	// their rids).
-	qs.clearShards()
-	return qs.bulkFill(entries)
-}
-
-// stageBulk turns key-sorted signed records into bulkFill's entries and
-// routes their rids. Caller holds routing.
-func (qs *QueryServer) stageBulk(srs []SignedRecord) ([]aggtree.Entry, error) {
 	entries := make([]aggtree.Entry, len(srs))
 	payloads := make([]stored, len(srs))
 	for i := range srs {
-		e, err := qs.leaf(&srs[i], &payloads[i])
-		if err != nil {
-			return nil, err
+		if entries[i], err = qs.leaf(&srs[i], &payloads[i]); err != nil {
+			return nil, nil, err
 		}
-		entries[i] = e
-		qs.keyOf[e.RID] = e.Key
 	}
-	return entries, nil
+	if n := qs.nset; n > 1 && len(entries) >= seedFactor*n {
+		bounds = make([]int64, n-1)
+		for i := range bounds {
+			bounds[i] = entries[(i+1)*len(entries)/n].Key
+		}
+	}
+	shards = make([]*shard, qs.nset)
+	for i := range shards {
+		end := len(entries)
+		if i < len(bounds) {
+			end = sort.Search(len(entries), func(j int) bool { return entries[j].Key >= bounds[i] })
+		}
+		tree, _, err := aggtree.BulkLoad(qs.scheme, entries[:end])
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: shard %d bulk load: %w", i, err)
+		}
+		shards[i] = &shard{tree: tree}
+		entries = entries[end:]
+	}
+	return bounds, shards, nil
 }
 
-// bulkFill distributes sorted entries across the (empty) shards,
-// building each shard's tree bottom-up. Caller must hold either topo
-// exclusively or all shard write locks.
-func (qs *QueryServer) bulkFill(entries []aggtree.Entry) error {
-	start := 0
-	for i, sh := range qs.shards {
-		end := len(entries)
-		if i < len(qs.bounds) {
-			end = start + sort.Search(len(entries)-start, func(j int) bool {
-				return entries[start+j].Key >= qs.bounds[i]
-			})
-		}
-		part := entries[start:end]
-		start = end
-		if len(part) == 0 {
-			continue
-		}
-		tree, _, err := aggtree.BulkLoad(qs.scheme, part)
-		if err != nil {
-			return fmt.Errorf("core: shard %d bulk load: %w", i, err)
-		}
-		sh.tree = tree
+// install swaps in the sorted image of srs, staged before any lock is
+// taken, and bumps every epoch: the one place the server's keyspace is
+// split. A load (msg, delivered to an empty server) then takes msg's
+// summary and filter; a Restore (st) replaces the summary stream and the
+// filter with st's.
+func (qs *QueryServer) install(srs []SignedRecord, msg *UpdateMsg, st *ServerState) error {
+	bounds, shards, err := qs.stage(srs)
+	if err != nil {
+		return err
 	}
+	qs.topo.Lock()
+	defer qs.topo.Unlock()
+	qs.routing.Lock()
+	defer qs.routing.Unlock()
+	if msg != nil {
+		for _, sh := range qs.shards {
+			if sh.tree.Len() > 0 {
+				return fmt.Errorf("core: load into a non-empty server")
+			}
+		}
+	}
+	qs.bounds, qs.shards = bounds, shards
+	for i := range qs.epochs {
+		qs.epochs[i].Add(1)
+	}
+	if msg != nil {
+		qs.appendSummary(msg.Summary)
+		qs.setFilter(msg.Filter)
+		return nil
+	}
+	qs.sumMu.Lock()
+	qs.summaries = append([]freshness.Summary(nil), st.Summaries...)
+	qs.sumMu.Unlock()
+	qs.filter.Store(st.Filter)
+	qs.filterEpoch.Add(1)
 	return nil
+}
+
+// put is one upsert of a delta, staged: its leaf and the leaf's chain
+// signature prepared.
+type put struct {
+	e  aggtree.Entry
+	op sigagg.Operand
 }
 
 // Apply ingests one dissemination message from the DataAggregator.
 // Messages from the single-writer DA are serialized; queries touching
-// disjoint shards proceed concurrently.
+// disjoint shards proceed concurrently. A load — a key-sorted
+// multi-record message without deletes, delivered to an empty server, as
+// DA.Load produces — is installed as a sorted image. Any other message is
+// a delta: deletes by key, then upserts, every upsert staged before a lock
+// is taken, so a refused message leaves the server as it was.
 func (qs *QueryServer) Apply(msg *UpdateMsg) error {
 	if fc := msg.Filter; fc != nil && (fc.PF == nil || len(fc.Sigs) != fc.PF.P()) {
 		return fmt.Errorf("core: filter certificate with %d signatures does not match its partitions", len(fc.Sigs))
 	}
-	if err := qs.maybeSeed(msg); err != nil {
-		return err
+	if len(msg.Deletes) == 0 && len(msg.Upserts) > 1 && unsorted(msg.Upserts) == 0 && qs.Len() == 0 {
+		return qs.install(msg.Upserts, msg, nil)
+	}
+	puts := make([]put, len(msg.Upserts))
+	for i := range msg.Upserts {
+		e, err := qs.leaf(&msg.Upserts[i], new(stored))
+		if err != nil {
+			return err
+		}
+		op, err := qs.folder.Prepare(e.Sig)
+		if err != nil {
+			return fmt.Errorf("core: apply upsert of key %d: %w", e.Key, err)
+		}
+		puts[i] = put{e, op}
 	}
 	qs.topo.RLock()
 	defer qs.topo.RUnlock()
 	qs.routing.Lock()
 	defer qs.routing.Unlock()
 
-	if qs.bulkApply(msg) {
-		return qs.applyBulk(msg)
+	// Write-lock the touched shards in ascending order, and invalidate
+	// cached answers over exactly those. Bumping inside the write-lock
+	// critical section makes the epoch check exact: any answer stamped
+	// before the lock was granted carries an older epoch and can never be
+	// served again.
+	touched := make([]bool, len(qs.shards))
+	for _, del := range msg.Deletes {
+		touched[qs.shardOf(del.Key)] = true
 	}
-
-	// Plan the shard set, then write-lock it in ascending order.
-	affected := map[int]bool{}
-	for _, rid := range msg.Deletes {
-		if key, ok := qs.keyOf[rid]; ok {
-			affected[qs.shardOf(key)] = true
+	for _, p := range puts {
+		touched[qs.shardOf(p.e.Key)] = true
+	}
+	for id, t := range touched {
+		if t {
+			qs.shards[id].mu.Lock()
+			qs.epochs[id].Add(1)
 		}
-	}
-	for _, sr := range msg.Upserts {
-		affected[qs.shardOf(sr.Rec.Key)] = true
-		if oldKey, ok := qs.keyOf[sr.Rec.RID]; ok && oldKey != sr.Rec.Key {
-			affected[qs.shardOf(oldKey)] = true
-		}
-	}
-	ids := make([]int, 0, len(affected))
-	for id := range affected {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		qs.shards[id].mu.Lock()
 	}
 	defer func() {
-		for _, id := range ids {
-			qs.shards[id].mu.Unlock()
+		for id, t := range touched {
+			if t {
+				qs.shards[id].mu.Unlock()
+			}
 		}
 	}()
-	// Invalidate cached answers over exactly the touched shards. Bumping
-	// inside the write-lock critical section makes the epoch check
-	// exact: any answer stamped before these locks were granted carries
-	// older epochs and can never be served again.
-	for _, id := range ids {
-		qs.epochs[id].Add(1)
-	}
 
-	for _, rid := range msg.Deletes {
-		if key, ok := qs.keyOf[rid]; ok {
-			qs.shards[qs.shardOf(key)].tree.Delete(key)
-			delete(qs.keyOf, rid)
-		}
+	for _, del := range msg.Deletes {
+		qs.shards[qs.shardOf(del.Key)].tree.Delete(del.Key)
 	}
-	for i := range msg.Upserts {
-		e, err := qs.leaf(&msg.Upserts[i], new(stored))
-		if err != nil {
-			return err
-		}
-		if _, _, err := qs.shards[qs.shardOf(e.Key)].tree.Upsert(e); err != nil {
-			return fmt.Errorf("core: apply upsert: %w", err)
-		}
-		if oldKey, ok := qs.keyOf[e.RID]; ok && oldKey != e.Key {
-			qs.shards[qs.shardOf(oldKey)].tree.Delete(oldKey) // the rid moved
-		}
-		qs.keyOf[e.RID] = e.Key
+	for _, p := range puts {
+		qs.shards[qs.shardOf(p.e.Key)].tree.Put(p.e, p.op)
 	}
 	qs.appendSummary(msg.Summary)
 	qs.setFilter(msg.Filter)
@@ -432,7 +397,7 @@ func (qs *QueryServer) Apply(msg *UpdateMsg) error {
 // setFilter installs a re-certified filter, retiring every cached answer
 // built from the one before.
 //
-//authlint:locked the caller (Apply) holds routing
+//authlint:locked the caller (Apply or install) holds routing
 func (qs *QueryServer) setFilter(fc *join.FilterCert) {
 	if fc != nil {
 		qs.filter.Store(fc)
@@ -455,40 +420,4 @@ func (qs *QueryServer) appendSummary(s *freshness.Summary) {
 		qs.summaries = append(qs.summaries, *s)
 	}
 	qs.sumMu.Unlock()
-}
-
-// bulkApply reports whether msg can take the bottom-up build path: the
-// server is empty and the message is a pure, sorted load (what DA.Load
-// produces).
-func (qs *QueryServer) bulkApply(msg *UpdateMsg) bool {
-	if len(msg.Deletes) > 0 || len(msg.Upserts) < 2 || len(qs.keyOf) > 0 {
-		return false
-	}
-	for i := 1; i < len(msg.Upserts); i++ {
-		if msg.Upserts[i].Rec.Key <= msg.Upserts[i-1].Rec.Key {
-			return false
-		}
-	}
-	return true
-}
-
-// applyBulk loads a sorted initial population bottom-up: Θ(n) work and
-// Θ(n) aggregation operations instead of n incremental O(log n)
-// insertions. Caller holds topo (shared) and routing.
-func (qs *QueryServer) applyBulk(msg *UpdateMsg) error {
-	qs.lockAll()
-	defer qs.unlockAll()
-	entries, err := qs.stageBulk(msg.Upserts)
-	if err != nil {
-		return err
-	}
-	if err := qs.bulkFill(entries); err != nil {
-		return err
-	}
-	for i := range qs.epochs {
-		qs.epochs[i].Add(1)
-	}
-	qs.appendSummary(msg.Summary)
-	qs.setFilter(msg.Filter)
-	return nil
 }

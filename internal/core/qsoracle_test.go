@@ -18,16 +18,20 @@ import (
 // The query server's differential: the layer below the engine held to
 // the protocol written the obvious way. A seeded schedule of
 // dissemination messages — a bulk load, inserts, re-signed records with
-// new attribute values, a rid moved to another key, deletes (of live and
-// of unknown rids), certified summaries — is applied to a QueryServer and
-// to a sorted slice of the signed records. The schedule starts below the
-// one-off reseed and crosses it, and once swaps the server for a fresh
-// one restored from its Snapshot. After every step each read the server
-// offers is compared with the slice: Query (records, boundaries, the
-// anchor of an empty range and its neighbours, the aggregate, the oldest
-// timestamp and the summaries attached), QueryProj's rows, AppendKeys
-// under a cap, Len and Snapshot. Odd seeds carry a §3.4 sideband on every
-// record.
+// new attribute values, a record moved to another key (a delete and an
+// upsert at the same rid, as the owner sends it), deletes (of live keys
+// and of keys the server never had), certified summaries — is applied to
+// a QueryServer and to a sorted slice of the signed records. Now and then
+// a message or an image with one corrupted chain or sideband signature is
+// submitted instead, and must be refused with nothing changed. The load
+// is too small to split the keyspace and no delta splits it; once, the
+// server is swapped for a fresh one restored from its Snapshot, whose
+// image has grown past the threshold and is split. After every step each
+// read the server offers is compared with the slice: Query (records,
+// boundaries, the anchor of an empty range and its neighbours, the
+// aggregate, the oldest timestamp and the summaries attached),
+// QueryProj's rows, AppendKeys under a cap, Len and Snapshot. Odd seeds
+// carry a §3.4 sideband on every record.
 const (
 	qsOracleSeeds      = 20
 	qsOracleShortSeeds = 4
@@ -44,6 +48,7 @@ type qsOracle struct {
 
 	qs        *QueryServer
 	restoreAt int
+	restored  bool
 
 	recs []SignedRecord // the obvious way: key-ascending
 	sums []freshness.Summary
@@ -78,9 +83,6 @@ func newQSOracle(t *testing.T, seed int64) *qsOracle {
 		msg.Upserts = append(msg.Upserts, o.signed(o.rid, k))
 	}
 	o.apply(msg)
-	if o.qs.seeded.Load() {
-		t.Fatalf("a %d-record load split the keyspace", len(keys))
-	}
 	return o
 }
 
@@ -126,22 +128,23 @@ func (o *qsOracle) freeKey(msg *UpdateMsg) int64 {
 }
 
 // apply delivers msg to the server and folds it into the slice the way
-// the protocol reads: deletions by rid, then each upsert replacing its
-// rid's previous version wherever that was keyed.
+// the protocol reads: deletions by key, then each upsert replacing
+// whatever its key held.
 func (o *qsOracle) apply(msg *UpdateMsg) {
 	if err := o.qs.Apply(msg); err != nil {
 		o.t.Fatalf("Apply: %v", err)
 	}
-	dropRID := func(rid uint64) {
-		o.recs = slices.DeleteFunc(o.recs, func(sr SignedRecord) bool { return sr.Rec.RID == rid })
-	}
-	for _, rid := range msg.Deletes {
-		dropRID(rid)
+	for _, del := range msg.Deletes {
+		if i, ok := o.at(del.Key); ok {
+			o.recs = slices.Delete(o.recs, i, i+1)
+		}
 	}
 	for _, sr := range msg.Upserts {
-		dropRID(sr.Rec.RID)
-		i, _ := o.at(sr.Rec.Key)
-		o.recs = slices.Insert(o.recs, i, sr)
+		if i, ok := o.at(sr.Rec.Key); ok {
+			o.recs[i] = sr
+		} else {
+			o.recs = slices.Insert(o.recs, i, sr)
+		}
 	}
 	if msg.Summary != nil {
 		o.sums = append(o.sums, *msg.Summary)
@@ -150,6 +153,46 @@ func (o *qsOracle) apply(msg *UpdateMsg) {
 
 func (o *qsOracle) step() {
 	o.now += 1 + o.rng.Int63n(50)
+	if msg := o.next(); o.rng.Intn(10) == 0 {
+		o.refuse(msg)
+	} else {
+		o.apply(msg)
+	}
+}
+
+// corrupt truncates one signature of sr, its chain signature or one of
+// its sideband's, without touching the slices sr shares.
+func (o *qsOracle) corrupt(sr *SignedRecord) {
+	if n := len(sr.AttrSigs); n > 0 && o.rng.Intn(2) == 0 {
+		sr.AttrSigs = slices.Clone(sr.AttrSigs)
+		i := o.rng.Intn(n)
+		sr.AttrSigs[i] = sr.AttrSigs[i][:len(sr.AttrSigs[i])-1]
+		return
+	}
+	sr.Sig = sr.Sig[:len(sr.Sig)-1]
+}
+
+// refuse submits msg, or an image of the server, with one signature
+// corrupted. The server must refuse it, and the slice is left as it was
+// for the next check to hold the server to.
+func (o *qsOracle) refuse(msg *UpdateMsg) {
+	if len(msg.Upserts) > 0 && o.rng.Intn(3) > 0 {
+		msg.Upserts = slices.Clone(msg.Upserts)
+		o.corrupt(&msg.Upserts[o.rng.Intn(len(msg.Upserts))])
+		if err := o.qs.Apply(msg); err == nil {
+			o.t.Fatal("Apply accepted a message with a corrupted signature")
+		}
+		return
+	}
+	st := o.qs.Snapshot()
+	o.corrupt(&st.Records[o.rng.Intn(len(st.Records))])
+	if err := o.qs.Restore(st); err == nil {
+		o.t.Fatal("Restore accepted an image with a corrupted signature")
+	}
+}
+
+// next is the schedule's next message.
+func (o *qsOracle) next() *UpdateMsg {
 	msg := &UpdateMsg{TS: o.now}
 	switch op := o.rng.Intn(20); {
 	case op < 8 || len(o.recs) < 4: // one to three inserts
@@ -160,33 +203,38 @@ func (o *qsOracle) step() {
 	case op < 12: // a record re-signed with new attribute values
 		r := o.pick()
 		msg.Upserts = append(msg.Upserts, o.signed(r.Rec.RID, r.Rec.Key))
-	case op < 14: // a rid moved to another key
+	case op < 14: // a record moved to another key: deleted, and upserted at its rid
 		r := o.pick()
+		msg.Deletes = append(msg.Deletes, r.Rec.Ref())
 		msg.Upserts = append(msg.Upserts, o.signed(r.Rec.RID, o.freeKey(msg)))
-	case op < 17: // a delete, now and then of a rid the server never had
-		rid := o.pick().Rec.RID
+	case op < 17: // a delete, one in four of a key the server never had
+		del := o.pick().Rec.Ref()
 		if o.rng.Intn(4) == 0 {
-			rid = o.rid + 1000
+			del = chain.Ref{Key: o.freeKey(msg), RID: o.rid + 1000}
 		}
-		msg.Deletes = append(msg.Deletes, rid)
+		msg.Deletes = append(msg.Deletes, del)
 	default: // a delete and an insert in one message
-		msg.Deletes = append(msg.Deletes, o.pick().Rec.RID)
+		msg.Deletes = append(msg.Deletes, o.pick().Rec.Ref())
 		o.rid++
 		msg.Upserts = append(msg.Upserts, o.signed(o.rid, o.freeKey(msg)))
 	}
 	if o.rng.Intn(5) == 0 {
 		msg.Summary = &freshness.Summary{Seq: uint64(len(o.sums) + 1), TS: o.now, Sig: o.sign(fmt.Sprintf("sum %d", o.now))}
 	}
-	o.apply(msg)
+	return msg
 }
 
-// restore swaps the server for a fresh one restored from its snapshot.
+// restore swaps the server for a fresh one restored from its snapshot,
+// an image past the threshold, which the restore splits.
 func (o *qsOracle) restore() {
 	fresh := NewQueryServer(o.scheme)
 	if err := fresh.Restore(o.qs.Snapshot()); err != nil {
 		o.t.Fatalf("Restore: %v", err)
 	}
-	o.qs = fresh
+	if len(o.recs) < seedFactor*DefaultShards || fresh.bounds == nil {
+		o.t.Fatalf("the restore of %d records left the keyspace unsplit", len(o.recs))
+	}
+	o.qs, o.restored = fresh, true
 }
 
 // answer is the range selection written the obvious way, with the oldest
@@ -242,6 +290,9 @@ func (o *qsOracle) check(step int) {
 	t := o.t
 	if got, want := o.qs.Len(), len(o.recs); got != want {
 		t.Fatalf("step %d: Len = %d, slice holds %d", step, got, want)
+	}
+	if !o.restored && o.qs.bounds != nil {
+		t.Fatalf("step %d: a delta split the keyspace", step)
 	}
 	for q := 0; q < 4; q++ {
 		lo := o.rng.Int63n(qsOracleKeys+200) - 100
@@ -340,9 +391,6 @@ func TestQueryServerMatchesSortedSlice(t *testing.T) {
 				}
 				o.step()
 				o.check(step)
-			}
-			if !o.qs.seeded.Load() {
-				t.Fatalf("the schedule never crossed the reseed (%d records)", len(o.recs))
 			}
 		})
 	}

@@ -44,7 +44,7 @@ func TestShardedQueriesVerifyAcrossShards(t *testing.T) {
 // ones behind an exclusive request.
 func TestApplyAfterSeedingSkipsTopologyLock(t *testing.T) {
 	sys := newShardedSystem(t, xortest.New(), 512)
-	if !sys.QS.seeded.Load() || sys.QS.Shards() != DefaultShards {
+	if sys.QS.bounds == nil || sys.QS.Shards() != DefaultShards {
 		t.Fatalf("the load did not split the keyspace into %d shards", DefaultShards)
 	}
 	msg, err := sys.DA.Update(100, [][]byte{[]byte("v2")}, 200)

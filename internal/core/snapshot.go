@@ -101,8 +101,8 @@ func (da *DataAggregator) ReplayMsg(msg *UpdateMsg) error {
 	if msg == nil {
 		return nil
 	}
-	for _, rid := range msg.Deletes {
-		if rec, ok := da.byRID[rid]; ok { // else deleted before the snapshot
+	for _, del := range msg.Deletes {
+		if rec, ok := da.byRID[del.RID]; ok { // else deleted before the snapshot
 			da.remove(rec)
 		}
 	}
@@ -188,53 +188,13 @@ func (qs *QueryServer) Snapshot() *ServerState {
 	return st
 }
 
-// Restore replaces the server's contents with a snapshot, rebuilding
-// the shard topology and each shard's tree bottom-up through the same
-// bulk path an initial load takes. It is safe on a live, non-empty
-// server: the whole swap happens under the exclusive topology lock, and
-// every data epoch and the filter epoch are bumped — never reset — so
-// cache entries stamped before the restore can never be served again.
+// Restore replaces the server's contents with a snapshot: install's
+// sorted image, with the summary stream and the filter. It is safe on a
+// live, non-empty server: the image is staged before any lock is taken
+// (a refused image leaves the server as it was), the swap happens under
+// the exclusive topology lock, and every data epoch and the filter epoch
+// are bumped — never reset — so cache entries stamped before the restore
+// can never be served again.
 func (qs *QueryServer) Restore(st *ServerState) error {
-	for i := 1; i < len(st.Records); i++ {
-		if st.Records[i].Rec.Key <= st.Records[i-1].Rec.Key {
-			return fmt.Errorf("core: restore: records not in strict key order at %d", i)
-		}
-	}
-	qs.topo.Lock()
-	defer qs.topo.Unlock()
-	qs.routing.Lock()
-	defer qs.routing.Unlock()
-
-	qs.clearShards()
-	qs.bounds = nil
-	qs.seeded.Store(false)
-	qs.keyOf = make(map[uint64]int64, len(st.Records))
-
-	entries, err := qs.stageBulk(st.Records)
-	if err != nil {
-		return err
-	}
-	// Re-derive balanced shard boundaries exactly as the one-off seeding
-	// would have (keys are already sorted and unique).
-	if len(qs.shards) > 1 && len(entries) >= seedFactor*len(qs.shards) {
-		nb := len(qs.shards) - 1
-		bounds := make([]int64, nb)
-		for i := 0; i < nb; i++ {
-			bounds[i] = entries[(i+1)*len(entries)/len(qs.shards)].Key
-		}
-		qs.bounds = bounds
-		qs.seeded.Store(true)
-	}
-	if err := qs.bulkFill(entries); err != nil {
-		return err
-	}
-	for i := range qs.epochs {
-		qs.epochs[i].Add(1)
-	}
-	qs.sumMu.Lock()
-	qs.summaries = append([]freshness.Summary(nil), st.Summaries...)
-	qs.sumMu.Unlock()
-	qs.filter.Store(st.Filter)
-	qs.filterEpoch.Add(1)
-	return nil
+	return qs.install(st.Records, nil, st)
 }

@@ -9,7 +9,7 @@
 // fleet soaks.
 //
 // Fault decisions are drawn from a per-connection math/rand stream
-// seeded from (profile seed, connection index), so a given topology
+// keyed by (profile seed, connection index), so a given topology
 // replays the same fault schedule run over run; only wall-clock timing
 // (sleeps) is non-deterministic.
 package faultnet
@@ -99,7 +99,7 @@ type Conn struct {
 }
 
 // Wrap returns conn with prof's faults injected, drawing decisions
-// from a stream seeded by seed.
+// from a stream started from seed.
 func Wrap(conn net.Conn, prof Profile, seed int64) *Conn {
 	return &Conn{Conn: conn, prof: prof, rng: rand.New(rand.NewSource(seed))}
 }

@@ -170,8 +170,8 @@ func (e *Engine) Execute(n *Node) (*Result, error) {
 //     on the way to a neighbouring shard's boundary record included — so
 //     any update that can change one byte of that proof (a record, a
 //     neighbour reference, the anchor) write-locks a shard inside the
-//     window and bumps its epoch there (core.Apply); reseeding, Restore
-//     and the bulk load bump every shard;
+//     window and bumps its epoch there (core.Apply); an installed
+//     image (a load or a Restore) bumps every shard;
 //   - inner, the keys-only walk that decided the runs' extents: the
 //     shards it read, like any scan's — where it saw a record that joins
 //     nothing decides which keys share a run;

@@ -618,9 +618,10 @@ func TestScanSplitsAtRecordThatJoinsNothing(t *testing.T) {
 	}
 }
 
-// Topology changes invalidate everything: the message that first seeds
-// the inner relation's shard bounds remaps every key, and a Restore
-// replaces every shard.
+// Topology changes invalidate everything: while the inner relation is
+// one shard, any insert touches the shard every plan read, and the
+// Restore that splits it into shard bounds replaces every shard. Only
+// then does an insert retire just the plans whose shards it touched.
 func TestCacheInvalidationOnSeedAndRestore(t *testing.T) {
 	cat, err := core.NewCatalog(xortest.New(), core.DefaultConfig(), 2)
 	if err != nil {
@@ -639,8 +640,8 @@ func TestCacheInvalidationOnSeedAndRestore(t *testing.T) {
 	for k := int64(10); k <= 400; k += 10 {
 		orecs = append(orecs, &core.Record{Key: k, Attrs: [][]byte{[]byte("o")}})
 	}
-	// 15 inner records: one short of the population the server seeds its
-	// four shards at, so everything still lives in shard 0.
+	// 15 inner records: one short of the population an image splits into
+	// four shards at, so everything lives in shard 0.
 	for k := int64(20); k <= 300; k += 20 {
 		irecs = append(irecs, &core.Record{Key: k, Attrs: [][]byte{[]byte("i")}})
 	}
@@ -675,27 +676,32 @@ func TestCacheInvalidationOnSeedAndRestore(t *testing.T) {
 	if st := serveAll(); st.Cache.Hits != 3 || st.Cache.Built != 6 {
 		t.Fatalf("warm-up: hits=%d built=%d, want 3/6", st.Cache.Hits, st.Cache.Built)
 	}
-	// The sixteenth record seeds the bounds. It lands far right of every
-	// plan's span; the reseed alone must retire all three.
+	// The sixteenth record lands far right of every plan's span, in the
+	// one shard all three read: it retires all three.
 	fx.insertInner(t, 390, 200)
 	if st := serveAll(); st.Cache.Hits != 3 || st.Cache.Built != 9 {
-		t.Fatalf("after seeding: hits=%d built=%d, want 3/9", st.Cache.Hits, st.Cache.Built)
+		t.Fatalf("after an insert into the unsplit relation: hits=%d built=%d, want 3/9", st.Cache.Hits, st.Cache.Built)
 	}
 	if st := serveAll(); st.Cache.Hits != 6 {
-		t.Fatalf("seeded relation does not cache: hits=%d, want 6", st.Cache.Hits)
+		t.Fatalf("unsplit relation does not cache: hits=%d, want 6", st.Cache.Hits)
 	}
-	// The bounds are live now (splits at 100, 180, 260): another insert on
-	// the far right retires only the plan whose last probe (250, absent)
-	// anchored on 260 in the last shard.
-	fx.insertInner(t, 395, 201)
-	if st := serveAll(); st.Cache.Hits != 8 || st.Cache.Built != 10 {
-		t.Fatalf("after an insert into the last shard: hits=%d built=%d, want 8/10", st.Cache.Hits, st.Cache.Built)
-	}
+	// Restored, the sixteen records reach the threshold and the image is
+	// split (at 100, 180, 260): every shard is new, every plan retired.
 	if err := inner.QS.Restore(inner.QS.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if st := serveAll(); st.Cache.Hits != 8 || st.Cache.Built != 13 {
-		t.Fatalf("after Restore: hits=%d built=%d, want 8/13", st.Cache.Hits, st.Cache.Built)
+	if st := serveAll(); st.Cache.Hits != 6 || st.Cache.Built != 12 {
+		t.Fatalf("after Restore: hits=%d built=%d, want 6/12", st.Cache.Hits, st.Cache.Built)
+	}
+	if st := serveAll(); st.Cache.Hits != 9 {
+		t.Fatalf("split relation does not cache: hits=%d, want 9", st.Cache.Hits)
+	}
+	// The bounds are live now: another insert on the far right retires
+	// only the plan whose last probe (250, absent) anchored on 260 in the
+	// last shard.
+	fx.insertInner(t, 395, 201)
+	if st := serveAll(); st.Cache.Hits != 11 || st.Cache.Built != 13 {
+		t.Fatalf("after an insert into the last shard: hits=%d built=%d, want 11/13", st.Cache.Hits, st.Cache.Built)
 	}
 }
 

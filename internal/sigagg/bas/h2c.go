@@ -64,7 +64,7 @@ func hashToCurve(a *affPoint, msg *[]byte, digest []byte) {
 //     chunk unused and copies no slot.
 //   - Beside it a small open-addressed index of uint32s, at most half
 //     full: 8 bits of fingerprint and 24 of slot number, linear probing
-//     from a home position taken from the top bits of a seeded mix of the
+//     from a home position taken from the top bits of a salted mix of the
 //     key's first eight bytes (already uniform: a digest). A slot is
 //     touched only on a fingerprint match, so a hit is one index line and
 //     the slot's own lines.
@@ -155,7 +155,7 @@ func newPointCache(entries int, seed uint64) *pointCache {
 
 // hash is the 64 bits that place k: home position from the top, index
 // fingerprint from the middle (and sumJobs' per-call dedupe from the top
-// again). Two multiply rounds over the seeded word, so that neither the
+// again). Two multiply rounds over the salted word, so that neither the
 // position nor the fingerprint is a function of a few key bits.
 func (c *pointCache) hash(k *cacheKey) uint64 {
 	x := (binary.LittleEndian.Uint64(k[:8]) ^ c.seed) * hashMul1

@@ -43,7 +43,7 @@ import (
 )
 
 const (
-	segMagic   = "AWAL2\n"
+	segMagic   = "AWAL3\n"
 	segPrefix  = "wal-"
 	segSuffix  = ".log"
 	frameHdr   = 8 // u32 len + u32 crc

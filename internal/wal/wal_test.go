@@ -175,16 +175,19 @@ func TestCorruptCRCStopsReplay(t *testing.T) {
 	}
 }
 
-// TestOldSegmentMagicRefused: a segment of the previous frame layout
-// (AWAL1, a kind byte after each LSN) is not read as this one's.
+// TestOldSegmentMagicRefused: a segment of an earlier layout is not read
+// as this one's — AWAL1 (a kind byte after each LSN) or AWAL2 (deletes
+// naming their rid alone).
 func TestOldSegmentMagicRefused(t *testing.T) {
-	dir := t.TempDir()
-	old := append([]byte("AWAL1\n"), 0, 0, 0, 9)
-	if err := os.WriteFile(filepath.Join(dir, segName(1)), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenLog(dir, Options{NoSync: true}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("AWAL1 segment: %v, want ErrCorrupt", err)
+	for _, magic := range []string{"AWAL1", "AWAL2"} {
+		dir := t.TempDir()
+		old := append([]byte(magic+"\n"), 0, 0, 0, 9)
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenLog(dir, Options{NoSync: true}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s segment: %v, want ErrCorrupt", magic, err)
+		}
 	}
 }
 

@@ -302,7 +302,7 @@ func TestUpdateMsgFilterSection(t *testing.T) {
 	}
 	for i, msg := range []*core.UpdateMsg{
 		{TS: 9},
-		{TS: 9, Upserts: []core.SignedRecord{rec}, Deletes: []uint64{4}, Summary: sum},
+		{TS: 9, Upserts: []core.SignedRecord{rec}, Deletes: []chain.Ref{{Key: 4, RID: 4}}, Summary: sum},
 		{TS: 78, Filter: fc},
 		{TS: 78, Upserts: []core.SignedRecord{rec}, Summary: sum, Filter: fc},
 	} {

@@ -113,7 +113,7 @@ func TestBootstrapRoundTrip(t *testing.T) {
 		}
 	}
 	// The image's record message is a state, not a delta.
-	delta := AppendUpdateMsg(nil, &core.UpdateMsg{Deletes: []uint64{9}})
+	delta := AppendUpdateMsg(nil, &core.UpdateMsg{Deletes: []chain.Ref{{Key: 9, RID: 9}}})
 	w := &writer{buf: AppendReplHeartbeat(nil, 42)} // a header and an LSN
 	w.buf[1] = KindReplBootstrap
 	w.bytes(delta)
@@ -129,7 +129,7 @@ func TestWalRecordRoundTrip(t *testing.T) {
 		Upserts: []core.SignedRecord{
 			{Rec: &chain.Record{RID: 1, Key: 5, TS: 77}, Sig: sigagg.Signature("s")},
 		},
-		Deletes: []uint64{9},
+		Deletes: []chain.Ref{{Key: 9, RID: 4}},
 		Summary: &freshness.Summary{Seq: 3, PeriodStart: 60, TS: 70, Compressed: []byte{0x02}, Sig: sigagg.Signature("z")},
 	}
 	msgData := AppendUpdateMsg(GetBuffer(), msg)
@@ -146,7 +146,7 @@ func TestWalRecordRoundTrip(t *testing.T) {
 	if lsn != 11 || primary != 15 {
 		t.Fatalf("lsn=%d primary=%d", lsn, primary)
 	}
-	if got.TS != 77 || len(got.Upserts) != 1 || len(got.Deletes) != 1 || got.Summary == nil || got.Summary.Seq != 3 {
+	if got.TS != 77 || len(got.Upserts) != 1 || len(got.Deletes) != 1 || got.Deletes[0] != msg.Deletes[0] || got.Summary == nil || got.Summary.Seq != 3 {
 		t.Fatalf("decoded msg mismatch: %+v", got)
 	}
 	// A garbled nested message must fail loudly, not decode partially.

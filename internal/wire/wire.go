@@ -309,8 +309,8 @@ func AppendUpdateMsg(buf []byte, msg *core.UpdateMsg) []byte {
 		}
 	}
 	w.u64(uint64(len(msg.Deletes)))
-	for _, rid := range msg.Deletes {
-		w.u64(rid)
+	for _, del := range msg.Deletes {
+		putRef(w, del)
 	}
 	var flags byte
 	if msg.Summary != nil {
@@ -405,19 +405,16 @@ func DecodeUpdateMsg(data []byte) (*core.UpdateMsg, error) {
 		}
 		msg.Upserts = append(msg.Upserts, sr)
 	}
-	nDel, err := r.u64()
+	nDel, err := r.count(16)
 	if err != nil {
 		return nil, err
 	}
-	if nDel > maxLen {
-		return nil, fmt.Errorf("%w: delete count %d", ErrCorrupt, nDel)
-	}
-	for i := uint64(0); i < nDel; i++ {
-		rid, err := r.u64()
+	for i := 0; i < nDel; i++ {
+		del, err := getRef(r)
 		if err != nil {
 			return nil, err
 		}
-		msg.Deletes = append(msg.Deletes, rid)
+		msg.Deletes = append(msg.Deletes, del)
 	}
 	flags, err := r.u8()
 	if err != nil {
