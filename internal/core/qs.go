@@ -177,7 +177,7 @@ func NewQueryServer(scheme sigagg.Scheme, opts ...Option) *QueryServer {
 	for _, o := range opts {
 		o(qs)
 	}
-	qs.bounds, qs.shards, _ = qs.stage(nil)
+	qs.bounds, qs.shards, _ = qs.stage(nil) // an empty image stages without error
 	qs.epochs = make([]atomic.Uint64, qs.nset)
 	return qs
 }
