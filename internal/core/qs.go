@@ -225,7 +225,7 @@ func (qs *QueryServer) Len() int {
 }
 
 // Shards reports the number of key-range shards.
-func (qs *QueryServer) Shards() int { return len(qs.shards) }
+func (qs *QueryServer) Shards() int { return qs.nset }
 
 // Scheme returns the (bound) signature scheme the server proves under —
 // what a planner executor needs to assemble projection and join proof
