@@ -3,7 +3,7 @@ GO      ?= go
 # 1M; the default keeps local runs short).
 BENCH_N ?= 100000
 
-.PHONY: all build test race vet lint authlint fence loc bench serve clean
+.PHONY: all build test race vet lint authlint fence loc bench pairs serve clean
 
 all: build vet lint test
 
@@ -38,7 +38,7 @@ fence:
 # Non-test go lines outside benchmark/ (its own module), per package and
 # in total: the figure ROADMAP.md and CHANGES.md report for every PR.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l \
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_*' | xargs wc -l \
 		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
 		| sort -k2
@@ -64,10 +64,21 @@ lint: vet authlint fence
 bench:
 	AUTHDB_PROOF_N=$(BENCH_N) $(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
+# The working tree against revision REV on N alternating pairs of
+# benchmark/run.sh runs of workload W at seed SEED (tools/benchpairs.sh;
+# SHORT=1 for the smoke sizes): every run, then per gated metric the
+# medians, quartiles and pairs won.
+REV  ?= HEAD
+W    ?= hot_range
+N    ?= 10
+SEED ?= 3
+pairs:
+	bash tools/benchpairs.sh $(if $(SHORT),--short) $(REV) $(W) $(N) $(SEED)
+
 # Run the networked serving daemon (Ctrl-C drains gracefully).
 serve:
 	$(GO) run ./cmd/authserve serve -n $(BENCH_N)
 
 clean:
 	$(GO) clean ./...
-	rm -rf .bench_build benchmark/out
+	rm -rf .bench_build .bench_pairs benchmark/out

@@ -253,3 +253,68 @@ func TestAdversaryReplayOldAnswer(t *testing.T) {
 		})
 	}
 }
+
+// TestAdversaryDeletedInItsOwnPeriod: a record inserted or updated and
+// then deleted within one period is marked only in that period, where a
+// mark reads as the version itself. A server that withholds the delete
+// and forwards only the summaries keeps serving that last version; it
+// must be refused once the next period closes — by a verifier that never
+// saw it while it was current, and by one that closed it then once or
+// twice. Before the owner marked such a slot again a period later, the
+// version passed as fresh forever.
+func TestAdversaryDeletedInItsOwnPeriod(t *testing.T) {
+	for _, sc := range []struct {
+		name string
+		// certify certifies key 255 at 1100, in the period after 1000's close.
+		certify func(sys *System, deliver func(*UpdateMsg, error))
+	}{
+		{"insert then delete", func(sys *System, deliver func(*UpdateMsg, error)) {
+			deliver(sys.DA.ClosePeriod(1_000))
+			deliver(sys.DA.Insert(&Record{Key: 255, Attrs: [][]byte{[]byte("new")}}, 1_100))
+		}},
+		{"update then delete", func(sys *System, deliver func(*UpdateMsg, error)) {
+			deliver(sys.DA.Insert(&Record{Key: 255, Attrs: [][]byte{[]byte("v1")}}, 500))
+			deliver(sys.DA.ClosePeriod(1_000))
+			deliver(sys.DA.Update(255, [][]byte{[]byte("v2")}, 1_100))
+		}},
+	} {
+		for _, st := range memoStates {
+			t.Run(sc.name+"/"+st.name, func(t *testing.T) {
+				sys := newSystem(t, bas.New(0))
+				load(t, sys, 50)
+				deliver := deliverOp(t, sys)
+				sc.certify(sys, deliver)
+				last, err := sys.QS.Query(255, 255)
+				if err != nil || len(last.Chain.Records) != 1 {
+					t.Fatalf("the version to withhold: %v", err)
+				}
+				v := NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())
+				st.warm(t, v, func() error {
+					_, err := v.VerifyAnswer(last, 255, 255, 1_150)
+					return err
+				})
+				deliver(sys.DA.Delete(255, 1_200))
+				verifyAt := func(now int64) error {
+					for _, s := range sys.QS.SummariesSince(0) {
+						if held, _ := v.LatestSummary(); s.Seq > held.Seq {
+							if err := v.IngestSummary(s); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					_, err := v.VerifyAnswer(last, 255, 255, now)
+					return err
+				}
+				deliver(sys.DA.ClosePeriod(2_000))
+				// Inside its 2ρ bound the withheld delete may still pass.
+				if err := verifyAt(2_100); err != nil && !errors.Is(err, freshness.ErrStale) {
+					t.Fatalf("one period after the delete: %v", err)
+				}
+				deliver(sys.DA.ClosePeriod(3_000))
+				if err := verifyAt(3_100); !errors.Is(err, freshness.ErrStale) {
+					t.Fatalf("a deleted version, two periods on, to a verifier %s: want ErrStale, got %v", st.what, err)
+				}
+			})
+		}
+	}
+}

@@ -136,6 +136,38 @@ func TestProjectionModeEndToEnd(t *testing.T) {
 	}
 }
 
+// QueryProj sizes its sideband once, from the scan's record count: its
+// rows cost one allocation beyond the plain scan's, not one per doubling.
+func TestQueryProjSizesSidebandOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	cat, err := NewCatalog(xortest.New(), DefaultConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := cat.AddRelation("r", nil, []DAOption{WithAttrSigning()}, []Option{WithShards(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := rel.DA.Load(projRecords(300), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.Deliver(msg); err != nil {
+		t.Fatal(err)
+	}
+	const lo, hi = 15, 2_015 // 200 records across both shards
+	if _, rows, _, err := rel.QS.QueryProj(lo, hi); err != nil || len(rows) != 200 {
+		t.Fatalf("QueryProj: %d rows, %v", len(rows), err)
+	}
+	plain := testing.AllocsPerRun(20, func() { rel.QS.QueryStamped(lo, hi) })
+	proj := testing.AllocsPerRun(20, func() { rel.QS.QueryProj(lo, hi) })
+	if proj > plain+2 {
+		t.Fatalf("QueryProj allocates %.0f objects, the plain scan %.0f: the sideband is not sized once", proj, plain)
+	}
+}
+
 // Ordinary relations must be byte-for-byte unaffected by the projection
 // machinery: no sideband, full records in the chain.
 func TestOrdinaryRelationHasNoSideband(t *testing.T) {

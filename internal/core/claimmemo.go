@@ -1,7 +1,11 @@
 package core
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/rand"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
@@ -22,15 +26,19 @@ import (
 // nothing the first check did not.
 //
 // Two names. A claim's digest name is SHA-256 over
-// len‖agg‖(len‖digest)*; a chain or projection answer's content name is
-// SHA-256 over its identity (chain.(*Answer).AppendIdentity,
+// len‖agg‖(len‖digest)*. A chain or projection answer's content name is
+// a GMAC tag (NIST SP 800-38D: AES-128-GCM sealing nothing) over its
+// identity (chain.(*Answer).AppendIdentity,
 // projection.(*Answer).AppendIdentity: an injective serialization of
-// everything its digests and aggregate read). The memo is keyed by a
-// salted fingerprint of the aggregate and holds one name per entry, with
-// a bit saying which kind. Rule, per claim of a CheckClaims batch:
+// everything its digests and aggregate read), under a key the verifier
+// draws for itself and a nonce from its counter: the nonce's 8 bytes and
+// the tag's 16. The memo is keyed by a salted fingerprint of the
+// aggregate and holds one name per entry, with a bit saying which kind.
+// Rule, per claim of a CheckClaims batch:
 //
-//   - the entry under the claim's fingerprint holds a content name equal
-//     to the claim's: a content hit, closed without computing one digest;
+//   - the entry under the claim's fingerprint holds a content name, and
+//     the claim's identity tagged under that name's nonce is its tag: a
+//     content hit, closed without computing one digest;
 //   - otherwise the claim's digests are computed and it is digest-named;
 //     the entry holds that digest name: a digest hit; else a miss (and a
 //     repeat of an earlier miss of the batch is dropped), sent to the
@@ -38,39 +46,44 @@ import (
 //   - once every key of the batch has closed (admit), each miss's digest
 //     name is stored under its fingerprint, and each digest hit that has a
 //     content form renames its entry — only while the entry still holds
-//     the digest name it matched — by its content name.
+//     the digest name it matched — by its content name, tagged under a
+//     nonce of its own: no nonce tags two names.
 //
 // So a claim is digest-named when it is first closed and content-named
 // from its second sighting on; a claim seen once (cold_scan's) pays what
 // it paid before, plus one fingerprint probe, and a repeated one one
-// SHA-256 over its bytes instead of one per record or attribute and a
-// naming pass. Partition certifications, one small digest each, stay
+// GMAC over its bytes instead of one SHA-256 per record or attribute and
+// a naming pass. Partition certifications, one small digest each, stay
 // digest-named.
 //
-// Soundness. (1) Both names are collision-resistant hashes of everything
-// the equation reads besides the key — a digest name of it directly, a
-// content name of the bytes the digests are a function of — and the memo
-// is per Verifier and therefore per key: equal names are the same claim.
-// The fingerprint only picks the entry to compare: a fingerprint
-// collision or a replayed aggregate over other digests or content is a
-// name that does not match, a miss, never an acceptance. (2) A digest
-// name enters only as a member of a batch whose equation held — the same
-// evidence on which the session accepted the claim the first time, under
-// the set semantics sigagg.Scheme.VerifyJobs documents: the batch proves that
-// the union of its digests is signed by the union of its aggregates, so by
-// aggregate unforgeability every digest of every admitted claim was
-// signed by the owner. A content name enters only in place of a digest
-// name that the same claim's recomputed digests matched, and only once
-// every key of its batch closed. (3) A hit therefore repeats an
-// acceptance the session already made on full evidence; it can never
-// create one. A failed batch admits and renames nothing, and eviction
+// Soundness. (1) A digest name is a collision-resistant hash of
+// everything the equation reads besides the key, and the memo is per
+// Verifier and therefore per key: equal digest names are the same claim.
+// A content name is a MAC of the bytes the digests are a function of,
+// under a key the server never sees, and a name never leaves the
+// process: an identity other than the one tagged is recognised with
+// probability at most q·(⌈ℓ/16⌉+1)/2¹²⁸ over q attempts of ℓ bytes, plus
+// AES's advantage as a PRP (GMAC's unforgeability). The fingerprint only
+// picks the entry to compare: a fingerprint collision or a replayed
+// aggregate over other digests or content is a name that does not match,
+// a miss, never an acceptance. (2) A digest name enters only as a member
+// of a batch whose equation held — the same evidence on which the session
+// accepted the claim the first time, under the set semantics
+// sigagg.Scheme.VerifyJobs documents: the batch proves that the union of
+// its digests is signed by the union of its aggregates, so by aggregate
+// unforgeability every digest of every admitted claim was signed by the
+// owner. A content name enters only in place of a digest name that the
+// same claim's recomputed digests matched, and only once every key of its
+// batch closed. (3) A hit therefore repeats an acceptance the session
+// already made on full evidence; it can never create one. A failed batch admits and renames nothing, and eviction
 // only forgets: a forgotten claim is verified in full.
 //
 // What the memo does not cover: anything but the signature equation. The
 // structural checks (chain.(*Answer).CheckStructure runs before either
 // name is computed), summary ingestion and the freshness check run on
-// every answer, so a tampered record, aggregate, boundary or ordering is a
-// different name (or fails before it has one), and a replay of a
+// every answer, so a tampered record, aggregate, boundary or ordering is
+// not recognised by the honest claim's name (or fails before it is
+// compared), and a replay of a
 // once-verified, since-superseded version still dies in CheckFresh.
 // chain.Verify on the scheme stays the memo-free oracle.
 //
@@ -87,6 +100,8 @@ const (
 	memoWays = 4
 )
 
+// A claimKey is a name: a digest name fills it; a content name is its
+// nonce (8 bytes, big-endian) and its GMAC tag (16), then zeros.
 type claimKey [sha256.Size]byte
 
 // A memoEntry is one name and its aggregate's fingerprint, whose low bit
@@ -171,6 +186,9 @@ type claimMemo struct {
 	table *memoTable // nil until the first admit
 	seed  maphash.Seed
 
+	gcm    cipher.AEAD   // AES-128-GCM under a key only this verifier holds
+	nonces atomic.Uint64 // the last content name's nonce
+
 	hits, misses, contentHits, batchesWithoutEC atomic.Uint64
 
 	// One call's working state, taken by Swap so that concurrent
@@ -200,6 +218,8 @@ type claimState struct {
 // a batch of repeated claims allocates nothing.
 type claimScratch struct {
 	buf    []byte                // one claim's identity, or one digest name's preimage
+	nonce  [12]byte              // a content tag's GCM nonce: 4 zero bytes, then the counter
+	tag    [16]byte              // a content tag
 	claims []claimState          // chains, then projections, then bare jobs
 	jobs   []sigagg.VerifyJob    // jobs[i]: claim i's digests, once computed
 	left   []*chain.Answer       // the chains no content name closed
@@ -211,10 +231,42 @@ type claimScratch struct {
 // *projection.Answer.
 type identity interface{ AppendIdentity([]byte) []byte }
 
-// contentName is SHA-256 over x's identity.
-func (sc *claimScratch) contentName(x identity) claimKey {
+// newContentKey draws the memo's GMAC key.
+func (m *claimMemo) newContentKey() {
+	var key [16]byte
+	if _, err := rand.Read(key[:]); err != nil {
+		panic("core: no randomness for the claim memo's key: " + err.Error())
+	}
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		panic(err)
+	}
+	if m.gcm, err = cipher.NewGCM(block); err != nil {
+		panic(err)
+	}
+}
+
+// contentTag is the GMAC tag of x's identity under the memo's key and
+// nonce n: AES-GCM sealing nothing, with the identity as additional data.
+func (m *claimMemo) contentTag(sc *claimScratch, x identity, n uint64) []byte {
 	sc.buf = x.AppendIdentity(sc.buf[:0])
-	return sha256.Sum256(sc.buf)
+	binary.BigEndian.PutUint64(sc.nonce[4:], n)
+	return m.gcm.Seal(sc.tag[:0], sc.nonce[:], nil, sc.buf)
+}
+
+// contentName names x under a nonce no name has had: the nonce's 8
+// bytes, then the tag's 16.
+func (m *claimMemo) contentName(sc *claimScratch, x identity) (name claimKey) {
+	n := m.nonces.Add(1)
+	binary.BigEndian.PutUint64(name[:8], n)
+	copy(name[8:], m.contentTag(sc, x, n))
+	return name
+}
+
+// namedBy reports whether the content name held tags x's identity.
+func (m *claimMemo) namedBy(sc *claimScratch, x identity, held *claimKey) bool {
+	tag := m.contentTag(sc, x, binary.BigEndian.Uint64(held[:8]))
+	return subtle.ConstantTimeCompare(tag, held[8:8+len(sc.tag)]) == 1
 }
 
 // digestName is SHA-256 over len‖agg‖(len‖digest)*.
@@ -270,7 +322,7 @@ func (m *claimMemo) check(sc *claimScratch, chains []*chain.Answer, projs []*pro
 			if err := a.CheckStructure(); err != nil {
 				return nil, err
 			}
-			if sc.contentName(a) == c.held.name {
+			if m.namedBy(sc, a, &c.held.name) {
 				c.outcome = claimContentHit
 				continue
 			}
@@ -278,7 +330,7 @@ func (m *claimMemo) check(sc *claimScratch, chains []*chain.Answer, projs []*pro
 		sc.left = append(sc.left, a)
 	}
 	for i, p := range projs {
-		if c := &sc.claims[n+i]; contentHeld(c) && sc.contentName(p) == c.held.name {
+		if c := &sc.claims[n+i]; contentHeld(c) && m.namedBy(sc, p, &c.held.name) {
 			c.outcome = claimContentHit
 		}
 	}
@@ -325,9 +377,9 @@ func (m *claimMemo) check(sc *claimScratch, chains []*chain.Answer, projs []*pro
 			c.outcome = claimDigestHit
 			switch {
 			case i < n:
-				c.cname = sc.contentName(chains[i])
+				c.cname = m.contentName(sc, chains[i])
 			case i < np:
-				c.cname = sc.contentName(projs[i-n])
+				c.cname = m.contentName(sc, projs[i-n])
 			}
 			continue
 		}

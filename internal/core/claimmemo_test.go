@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -593,6 +594,139 @@ func TestClaimMemoOracle(t *testing.T) {
 	}
 }
 
+// held is the memo entry under agg's fingerprint, which the test may
+// read and overwrite (it runs alone on the verifier).
+func held(t *testing.T, v *Verifier, agg sigagg.Signature) *memoEntry {
+	t.Helper()
+	var e *memoEntry
+	if v.memo.table != nil {
+		e = v.memo.table.find(maphash.Bytes(v.memo.seed, agg))
+	}
+	if e == nil {
+		t.Fatal("the claim has no memo entry")
+	}
+	return e
+}
+
+// nameByContent verifies ans until v knows its claim by content.
+func nameByContent(t *testing.T, v *Verifier, ans *Answer, rg Range) *memoEntry {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		if _, err := v.VerifyAnswer(ans, rg.Lo, rg.Hi, 1_100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := held(t, v, ans.Chain.Agg)
+	if e.tag&1 != contentNamed {
+		t.Fatal("fixture: two verifications left the claim digest-named")
+	}
+	return e
+}
+
+// TestContentNameIsKeyed: a content name is a MAC under a key each
+// verifier draws for itself. The same claim gets different names in two
+// verifiers, and a name copied from one memo into the other is a miss
+// there: the claim goes to the scheme, and is accepted on its merits.
+func TestContentNameIsKeyed(t *testing.T) {
+	sys, cs, v1 := memoFixture(t, 100)
+	v2 := NewVerifier(cs, sys.Pub, DefaultConfig())
+	v2.SetParallelism(1)
+	ans, rg := query(t, sys, 100, 170), Range{100, 170}
+	n1, e2 := nameByContent(t, v1, ans, rg).name, nameByContent(t, v2, ans, rg)
+	if n1 == e2.name {
+		t.Fatal("two verifiers gave one claim the same content name")
+	}
+	e2.name = n1
+	before, jobs := v2.ClaimStats(), cs.jobs
+	if _, err := v2.VerifyAnswer(ans, rg.Lo, rg.Hi, 1_100); err != nil {
+		t.Fatal(err)
+	}
+	if st := v2.ClaimStats(); st.ContentHits != before.ContentHits || cs.jobs != jobs+1 {
+		t.Fatalf("another verifier's name was a hit: %+v -> %+v, %d jobs at the scheme", before, st, cs.jobs-jobs)
+	}
+}
+
+// TestRenameDrawsFreshNonce: no nonce tags two names. The same claim,
+// content-named, forgotten and content-named again in a new entry, gets a
+// second name under a later nonce.
+func TestRenameDrawsFreshNonce(t *testing.T) {
+	sys, _, v := memoFixture(t, 100)
+	ans, rg := query(t, sys, 100, 170), Range{100, 170}
+	first := nameByContent(t, v, ans, rg).name
+	// Forgotten: the next sighting is a miss again.
+	v.memo.table = nil
+	if _, err := v.VerifyAnswer(ans, rg.Lo, rg.Hi, 1_100); err != nil {
+		t.Fatal(err)
+	}
+	second := nameByContent(t, v, ans, rg).name
+	if first == second || binary.BigEndian.Uint64(second[:8]) <= binary.BigEndian.Uint64(first[:8]) {
+		t.Fatalf("the claim named again: nonce %x tag %x, then nonce %x tag %x", first[:8], first[8:24], second[:8], second[8:24])
+	}
+}
+
+// TestContentNameEveryByteCounts: a content-named claim is recognised by
+// its whole name. Its entry with any one of the nonce's or the tag's
+// bytes changed does not recognise the honest answer (which then goes to
+// the scheme and passes), and the honest answer with one record byte
+// changed is no content hit either: it reaches the scheme, and fails.
+func TestContentNameEveryByteCounts(t *testing.T) {
+	sys, cs, v := memoFixture(t, 100)
+	ans, rg := query(t, sys, 100, 170), Range{100, 170}
+	e := nameByContent(t, v, ans, rg)
+	named := *e
+	for i := 0; i < 8+16; i++ {
+		*e = named
+		e.name[i] ^= 0x80
+		before, jobs := v.ClaimStats(), cs.jobs
+		if _, err := v.VerifyAnswer(ans, rg.Lo, rg.Hi, 1_100); err != nil {
+			t.Fatal(err)
+		}
+		if st := v.ClaimStats(); st.ContentHits != before.ContentHits || cs.jobs != jobs+1 {
+			t.Fatalf("name byte %d changed, still a content hit: %+v -> %+v", i, before, st)
+		}
+	}
+
+	*e = named
+	c := *ans.Chain
+	c.Records = slices.Clone(c.Records)
+	r := *c.Records[3]
+	r.Attrs = [][]byte{bytes.Clone(r.Attrs[0])}
+	r.Attrs[0][0] ^= 1
+	c.Records[3] = &r
+	forged := &Answer{Chain: &c, Summaries: ans.Summaries}
+	before, jobs := v.ClaimStats(), cs.jobs
+	if _, err := v.VerifyAnswer(forged, rg.Lo, rg.Hi, 1_100); !errors.Is(err, sigagg.ErrVerify) {
+		t.Fatalf("one record byte changed in a content-named answer: want ErrVerify, got %v", err)
+	}
+	if st := v.ClaimStats(); st.ContentHits != before.ContentHits || cs.jobs != jobs+1 {
+		t.Fatalf("the forged copy did not reach the scheme: %+v -> %+v, %d jobs", before, st, cs.jobs-jobs)
+	}
+	if _, err := v.VerifyAnswer(ans, rg.Lo, rg.Hi, 1_100); err != nil || v.ClaimStats().ContentHits != before.ContentHits+1 {
+		t.Fatalf("the honest answer after its forgery: %v, %+v", err, v.ClaimStats())
+	}
+}
+
+// TestStructureCheckedWhateverTheMemoHolds: a chain's structure is
+// checked before its content name is compared, so the structural
+// guarantee does not rest on the MAC. The memo is made to hold the name
+// of a structurally broken answer (records outside its range, the honest
+// aggregate) as if its tag had been forged; the answer is still refused.
+func TestStructureCheckedWhateverTheMemoHolds(t *testing.T) {
+	sys, _, v := memoFixture(t, 100)
+	ans, rg := query(t, sys, 100, 170), Range{100, 170}
+	e := nameByContent(t, v, ans, rg)
+	c := *ans.Chain
+	c.Lo, c.Hi = 120, 130
+	broken := &Answer{Chain: &c, Summaries: ans.Summaries}
+	e.name = v.memo.contentName(new(claimScratch), broken.Chain)
+	if _, err := v.VerifyAnswer(broken, c.Lo, c.Hi, 1_100); !errors.Is(err, sigagg.ErrVerify) {
+		t.Fatalf("records outside the range, under a name the memo holds: want ErrVerify, got %v", err)
+	}
+	if st := v.ClaimStats(); st.ContentHits != 0 {
+		t.Fatalf("the broken answer was a content hit: %+v", st)
+	}
+}
+
 // TestContentNameCoversEveryField: a claim's content name changes with
 // every field its digests or aggregate read, one mutation at a time —
 // every record field, a length boundary moved between two attributes, each
@@ -633,8 +767,17 @@ func TestContentNameCoversEveryField(t *testing.T) {
 			Agg: sigagg.Signature("aggregate"),
 		}
 	}
-	var sc claimScratch
-	name := func(x identity) claimKey { return sc.contentName(x) }
+	// Through the keyed function: a name drawn before the mutation must
+	// recognise the identity before it and not after.
+	m, sc := &NewVerifier(xortest.New(), nil, DefaultConfig()).memo, new(claimScratch)
+	covered := func(x identity, mutate func()) bool {
+		name := m.contentName(sc, x)
+		if !m.namedBy(sc, x, &name) {
+			t.Fatal("an unchanged identity is not recognised by its own content name")
+		}
+		mutate()
+		return !m.namedBy(sc, x, &name)
+	}
 	chains := []struct {
 		what   string
 		base   func() *chain.Answer
@@ -672,11 +815,8 @@ func TestContentNameCoversEveryField(t *testing.T) {
 		{"the aggregate's length", scan, func(a *chain.Answer) { a.Agg = a.Agg[:len(a.Agg)-1] }},
 	}
 	for _, tc := range chains {
-		a := tc.base()
-		before := name(a)
-		tc.mutate(a)
-		if name(a) == before {
-			t.Errorf("chain: %s changed, the content name did not", tc.what)
+		if a := tc.base(); !covered(a, func() { tc.mutate(a) }) {
+			t.Errorf("chain: %s changed, the content name still recognises it", tc.what)
 		}
 	}
 	projs := []struct {
@@ -696,16 +836,61 @@ func TestContentNameCoversEveryField(t *testing.T) {
 		{"an aggregate byte", func(p *projection.Answer) { p.Agg[0] ^= 1 }},
 	}
 	for _, tc := range projs {
-		p := proj()
-		before := name(p)
-		tc.mutate(p)
-		if name(p) == before {
-			t.Errorf("projection: %s changed, the content name did not", tc.what)
+		if p := proj(); !covered(p, func() { tc.mutate(p) }) {
+			t.Errorf("projection: %s changed, the content name still recognises it", tc.what)
 		}
 	}
 	// The kinds are told apart: each identity opens with its kind's tag,
 	// so no chain answer's bytes read as a projection's.
 	if c, p := scan().AppendIdentity(nil), proj().AppendIdentity(nil); c[0] != 'c' || p[0] != 'p' {
 		t.Errorf("identities open with %q (chain) and %q (projection), want 'c' and 'p'", c[0], p[0])
+	}
+}
+
+// BenchmarkContentName times a content hit on a 50 × 512 B chain answer
+// whose claim the verifier already knows by content: the fingerprint
+// probe, the structural check and the content name, no digest and no
+// curve arithmetic. The bytes are the answer's identity.
+func BenchmarkContentName(b *testing.B) {
+	sys, err := NewSystem(bas.New(0), DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := make([]*Record, 50)
+	for i := range recs {
+		recs[i] = &Record{Key: int64(i+1) * 10, Attrs: [][]byte{bytes.Repeat([]byte{byte(i)}, 512)}}
+	}
+	msg, err := sys.DA.Load(recs, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.Deliver(msg); err != nil {
+		b.Fatal(err)
+	}
+	ans, err := sys.QS.Query(10, 500)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())
+	v.SetParallelism(1)
+	chains := []*chain.Answer{ans.Chain}
+	check := func() {
+		admit, err := v.CheckClaims(chains, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		admit()
+	}
+	check() // a miss: digest-named
+	check() // a digest hit: content-named from here on
+	b.SetBytes(int64(len(ans.Chain.AppendIdentity(nil))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		check()
+	}
+	b.StopTimer()
+	if st := v.ClaimStats(); st.ContentHits != uint64(b.N) {
+		b.Fatalf("%d of %d checks were content hits", st.ContentHits, b.N)
 	}
 }

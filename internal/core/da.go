@@ -449,13 +449,22 @@ func (da *DataAggregator) Delete(key int64, ts int64) (*UpdateMsg, error) {
 // re-certifies the records that were updated multiple times during the
 // previous period (§3.1's multi-update rule). The returned message
 // carries the summary plus those re-signed records.
+//
+// A multi-updated slot whose record is gone is marked without re-signing
+// anything: a record deleted in the period of its last certification was
+// marked only in that period, where CheckFresh reads a mark as the
+// version itself, so without this mark its last version would pass as
+// fresh forever. The mark counts as no update (MarkOnce), so replay,
+// which folds the summary in without it, reaches the same state.
 func (da *DataAggregator) ClosePeriod(ts int64) (*UpdateMsg, error) {
 	// Re-certify last period's multi-updated records first, so the
 	// summary being published now reflects the re-certification.
 	p := newPlan(len(da.multiPending))
 	for _, sl := range da.multiPending {
-		if _, ok := da.byRID[uint64(sl)]; ok { // else deleted meanwhile
+		if _, ok := da.byRID[uint64(sl)]; ok {
 			da.planResign(p, uint64(sl), ts)
+		} else {
+			da.pub.MarkOnce(sl)
 		}
 	}
 	msg, err := da.certify(&UpdateMsg{TS: ts}, p)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"authdb/internal/aggtree"
@@ -246,6 +247,9 @@ func (qs *QueryServer) queryWindow(loS, hiS, s, t int, lo, hi int64, attachSums 
 			return nil, w.widenLo, w.widenHi, nil
 		}
 		ca.Records = make([]*Record, 0, total)
+		if attrs != nil {
+			*attrs = slices.Grow(*attrs, total) // one row per record
+		}
 		var err error
 		for j := s; j <= t && err == nil; j++ {
 			qs.shards[j].tree.Ascend(lo, hi, func(e aggtree.Entry) bool {

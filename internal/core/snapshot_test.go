@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 
 	"authdb/internal/anscache"
@@ -71,6 +73,90 @@ func TestOwnerSnapshotRestoreRoundtrip(t *testing.T) {
 	if !bytes.Equal(ma.Upserts[0].Sig, mb.Upserts[0].Sig) {
 		t.Fatal("restored owner signs differently")
 	}
+}
+
+// TestDeletedSlotMarkSurvivesRecovery: the period close that marks a
+// deleted record's slot again, a period after the record's last
+// certification, reaches the same state live, replayed from the log, and
+// after a snapshot restore: the same summary, period marks and pending
+// re-certifications. The schedule holds both kinds of deleted
+// multi-updated slot: one deleted in the period of its certification
+// (marked by the close) and one deleted in the next (marked already).
+func TestDeletedSlotMarkSurvivesRecovery(t *testing.T) {
+	sys := newSystem(t, xortest.New())
+	live := sys.DA
+	var log []*UpdateMsg
+	do := func(msg *UpdateMsg, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, msg)
+	}
+	fresh := func() *DataAggregator {
+		da, err := NewDataAggregator(sys.Scheme, live.priv, live.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return da
+	}
+	replay := func(da *DataAggregator, msgs []*UpdateMsg) {
+		for _, m := range msgs {
+			if err := da.ReplayMsg(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	same := func(what string, a, b *DataAggregator) {
+		t.Helper()
+		if !reflect.DeepEqual(a.pub.State(), b.pub.State()) || !slices.Equal(a.multiPending, b.multiPending) {
+			t.Fatalf("%s: marks %+v pending %v, live %+v pending %v",
+				what, b.pub.State(), b.multiPending, a.pub.State(), a.multiPending)
+		}
+	}
+
+	do(live.Load(mkRecords(20, 10), 100))
+	do(live.ClosePeriod(1_000))
+	do(live.Insert(&Record{Key: 55}, 1_100))
+	do(live.Delete(55, 1_200))
+	do(live.Update(100, [][]byte{[]byte("a")}, 1_300))
+	do(live.Update(100, [][]byte{[]byte("b")}, 1_400))
+	do(live.ClosePeriod(2_000))
+	do(live.Delete(100, 2_100))
+	st := live.SnapshotMeta()
+	image, err := live.SnapshotMsg(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Records = image.Upserts
+	if !slices.Contains(st.MultiPending, slot(log[2].Upserts[0].Rec.RID)) {
+		t.Fatalf("fixture: the deleted record's slot is not pending: %v", st.MultiPending)
+	}
+
+	replayed, restored := fresh(), fresh()
+	replay(replayed, log)
+	if err := restored.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	do(live.ClosePeriod(3_000))
+	closed := log[len(log)-1]
+	for _, rec := range []struct {
+		what string
+		da   *DataAggregator
+	}{{"replayed", replayed}, {"restored", restored}} {
+		msg, err := rec.da.ClosePeriod(3_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(msg.Summary.Compressed, closed.Summary.Compressed) || len(msg.Upserts) != len(closed.Upserts) {
+			t.Fatalf("%s owner's close: %d re-certified, marks %x; live: %d, %x", rec.what,
+				len(msg.Upserts), msg.Summary.Compressed, len(closed.Upserts), closed.Summary.Compressed)
+		}
+		same(rec.what+" owner's close", live, rec.da)
+	}
+	whole := fresh()
+	replay(whole, log)
+	same("the live close replayed", live, whole)
 }
 
 // TestServerRestoreInvalidatesCaches: Restore on a live server must

@@ -33,6 +33,7 @@ func NewVerifier(scheme sigagg.Scheme, pub sigagg.PublicKey, cfg Config) *Verifi
 		checker: freshness.NewChecker(scheme, pub),
 	}
 	v.memo.seed = maphash.MakeSeed()
+	v.memo.newContentKey()
 	return v
 }
 

@@ -98,6 +98,18 @@ func (p *Publisher) MarkUpdated(slot int) {
 	p.mu.Unlock()
 }
 
+// MarkOnce marks slot in the current period unless the period has
+// marked it already. It is no update: it never makes the slot one the
+// period updated more than once.
+func (p *Publisher) MarkOnce(slot int) {
+	p.mu.Lock()
+	if p.touched[slot] == 0 {
+		p.touched[slot] = 1
+		p.slots = max(p.slots, uint64(slot)+1)
+	}
+	p.mu.Unlock()
+}
+
 // Publish certifies the current period's marked slots at time ts,
 // resets the period, and returns the summary together with the slots
 // that were updated more than once (which the caller must re-certify
