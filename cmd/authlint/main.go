@@ -1,5 +1,5 @@
 // Command authlint runs the authdb invariant suite (bufcustody,
-// lockepoch, retryclass, nocachesign, lockblock — see DESIGN.md
+// lockepoch, retryclass, nocachesign, lockblock, benchpin — see DESIGN.md
 // "Invariants & static analysis") over the repository.
 //
 // Usage:

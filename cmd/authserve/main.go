@@ -6,7 +6,7 @@
 // server by one relation runtime (internal/wal.Runtime). The listener
 // serves verifiable query plans over the catalog — a range selection on
 // one relation is the plan that is one scan — over TCP (length-prefixed
-// wire frames, pipelined, zero-copy from the answer caches) and streams
+// wire frames, pipelined, zero-copy from the one answer cache) and streams
 // certified freshness summaries.
 //
 // With -data <dir> the pipeline is durable: every dissemination

@@ -49,9 +49,9 @@ func parseFlags(role string, args []string) (*flags, error) {
 	fs := flag.NewFlagSet(role, flag.ContinueOnError)
 	schemeName := fs.String("scheme", "bas", "scheme (bas, crsa, xortest)")
 	fs.StringVar(&f.keyseed, "keyseed", "demo", "deterministic demo key seed (share with followers and clients); relation rel signs under the key derived from keyseed:scheme:rel")
-	catalog := fs.String("catalog", core.DefaultRelation, "comma-separated relation names, the same on serve, follow and query (first = outer relation, the one with projectable attributes and an answer cache; the rest are join inners)")
+	catalog := fs.String("catalog", core.DefaultRelation, "comma-separated relation names, the same on serve, follow and query (first = outer relation, the one with projectable attributes; the rest are join inners)")
 	fs.IntVar(&f.shards, "shards", 64, "QueryServer key-range shards per relation")
-	fs.Int64Var(&f.cacheMB, "cache-mb", 64, "budget, in MiB, of the outer relation's answer cache (bare scans) and, separately, of the plan cache (plans with operators); each keeps an answer only once it has been asked for twice (0 = uncached)")
+	fs.Int64Var(&f.cacheMB, "cache-mb", 64, "budget, in MiB, of the one answer cache: bare scans and plans of every relation share it, and it keeps an answer only once it has been asked for twice (0 = uncached)")
 	fs.IntVar(&f.net.MaxConns, "max-conns", 1024, "concurrent connection cap (0 = unlimited)")
 	idleSec := fs.Int("idle-timeout", 300, "drop connections idle for this many seconds (0 = never)")
 	readSec := fs.Int("read-timeout", 30, "cut off peers that announce a frame and stall its payload (seconds; 0 = never)")
@@ -108,15 +108,11 @@ type node struct {
 // serving) over f's catalog. The roles differ only in feed, which supplies
 // each relation's query server: on the primary one a relation runtime
 // carries the owner's messages to, on a replica one a replica.Follower
-// mirrors. The first relation's bare scans get the answer cache — safe on
-// a replica too: its entries are stamped with the shard epochs, which Apply
+// mirrors. The engine's one answer cache serves every relation — safe on a
+// replica too: its entries are stamped with the shard epochs, which Apply
 // and a bootstrap's Restore both advance.
 func boot(f *flags, feed func(i int, name string) (*core.QueryServer, error)) (*node, error) {
-	engOpt := query.WithoutCache()
-	if f.cacheMB > 0 {
-		engOpt = query.WithCacheBytes(f.cacheMB << 20)
-	}
-	n := &node{f: f, eng: query.NewEngine(engOpt)}
+	n := &node{f: f, eng: query.NewEngine(query.WithCacheBytes(f.cacheMB << 20))}
 	var outer *core.QueryServer
 	for i, name := range f.names {
 		qs, err := feed(i, name)
@@ -128,11 +124,6 @@ func boot(f *flags, feed func(i int, name string) (*core.QueryServer, error)) (*
 		}
 		if i == 0 {
 			outer = qs
-		}
-	}
-	if f.cacheMB > 0 {
-		if err := server.EnableCache(outer, f.cacheMB<<20); err != nil {
-			return nil, err
 		}
 	}
 	n.srv = server.NewNetServer(outer, f.net)

@@ -57,9 +57,6 @@ func main() {
 	if err := sys.QS.Apply(sum0); err != nil {
 		log.Fatal(err)
 	}
-	if err := server.EnableCache(sys.QS, 16<<20); err != nil {
-		log.Fatal(err)
-	}
 
 	// 2. Expose it on a loopback TCP socket.
 	srv := server.NewNetServer(sys.QS, server.NetConfig{MaxConns: 16})

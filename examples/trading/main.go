@@ -55,7 +55,9 @@ func main() {
 	updates := 0
 	for period := 1; period <= 10; period++ {
 		for tick := 0; tick < 50; tick++ {
-			now += 20 // ms between ticks
+			// 20 ms between ticks, the last one 10 ms before the period
+			// closes: a close must come after every update it covers.
+			now = int64(period-1)*1_000 + int64(tick)*20 + 10
 			key := int64(rng.Intn(nInstruments) + 1)
 			if period == 3 && tick == 0 {
 				key = 42 // make sure the replayed instrument really ticks

@@ -1,8 +1,8 @@
 // Package analysis is a minimal, dependency-free reimplementation of
 // the golang.org/x/tools/go/analysis driver contract: an Analyzer
 // inspects one type-checked package and reports Diagnostics. The repo
-// cannot vendor x/tools, so the five authlint analyzers (bufcustody,
-// lockepoch, retryclass, nocachesign, lockblock) are written against
+// cannot vendor x/tools, so the six authlint analyzers (bufcustody,
+// lockepoch, retryclass, nocachesign, lockblock, benchpin) are written against
 // this shim instead; the API is kept shape-compatible so they could be
 // ported to the real framework by changing imports.
 //

@@ -1,4 +1,4 @@
-// Package authlint assembles the five invariant analyzers into the
+// Package authlint assembles the six invariant analyzers into the
 // suite the cmd/authlint driver and CI run over the repository. See
 // DESIGN.md "Invariants & static analysis" for the invariant →
 // analyzer → historical-incident table.
@@ -6,6 +6,7 @@ package authlint
 
 import (
 	"authdb/internal/analysis"
+	"authdb/internal/analysis/benchpin"
 	"authdb/internal/analysis/bufcustody"
 	"authdb/internal/analysis/lockblock"
 	"authdb/internal/analysis/lockepoch"
@@ -21,6 +22,7 @@ func All() []*analysis.Analyzer {
 		retryclass.Analyzer,
 		nocachesign.Analyzer,
 		lockblock.Analyzer,
+		benchpin.Analyzer,
 	}
 }
 

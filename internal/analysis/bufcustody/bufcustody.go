@@ -3,9 +3,9 @@
 // one wire.PutBuffer (or a documented ownership transfer — being
 // returned, stored into a structure, sent on a channel, or handed to a
 // goroutine/closure that releases it) on every path, including error
-// returns. This is the invariant whose violation was the PR 4
-// server.Codec leak: the codec encoded into a pooled buffer and an
-// error return path dropped it on the floor.
+// returns. This is the invariant whose violation was an early answer
+// codec's leak: the codec encoded into a pooled buffer and an error
+// return path dropped it on the floor.
 //
 // The analyzer runs a structural abstract interpretation of each
 // function body. A custody token is created where GetBuffer is called;

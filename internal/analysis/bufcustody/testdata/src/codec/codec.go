@@ -1,11 +1,11 @@
 // Fixtures for the bufcustody analyzer. encodeLeak is the historical
-// regression: the PR 4 server.Codec shape, where the error return path
+// regression: an early answer codec's shape, where the error return path
 // dropped the pooled buffer.
 package codec
 
 import "wire"
 
-// encodeLeak reproduces the PR 4 server.Codec leak: the buffer is
+// encodeLeak reproduces that codec's leak: the buffer is
 // handed to AppendAnswerCore, but the error path returns without
 // releasing it.
 func encodeLeak(a int) ([]byte, error) {

@@ -73,11 +73,9 @@ import (
 // even when they select the same records. The win comes from exact
 // repetition, which is what a zipfian hot head produces.
 //
-// Plan is the planner's canonical plan encoding in a plan cache, and
-// empty for a bare scan of the cache's own relation (a relation's answer
-// cache is keyed by the range alone). Two requests share an entry only
-// when their plan bytes are identical — the same σ/π/⋈ over the same
-// relations.
+// Plan is the planner's canonical plan encoding, a bare scan's included.
+// Two requests share an entry only when their plan bytes are identical —
+// the same σ/π/⋈ over the same relations.
 type Key struct {
 	Lo, Hi int64
 	Plan   string

@@ -910,3 +910,44 @@ func TestBuiltBufferFreedOnceAfterFlight(t *testing.T) {
 		})
 	}
 }
+
+// TestBuildErrorCachesNothing: a build that fails — an encoder that
+// refuses, a scan that errs — reaches its caller and every waiter on its
+// flight as an error and leaves nothing resident, and the next request
+// builds afresh; once builds succeed again, each built buffer is freed
+// exactly once.
+func TestBuildErrorCachesNothing(t *testing.T) {
+	c := New()
+	src := &fakeEpochs{}
+	key := Key{Lo: 1, Hi: 9}
+	var frees atomic.Int64
+	failing := true
+	build := func() (*Entry, error) {
+		if failing {
+			return nil, fmt.Errorf("encode refused")
+		}
+		e := entryFor(key, src.stampFor(0, 0), "answer")
+		e.Free = func([]byte) { frees.Add(1) }
+		return e, nil
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := c.Do(key, build); err == nil {
+			t.Fatal("a failing build was served")
+		}
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Built != 2 {
+		t.Fatalf("after two failed builds: %+v, want two builds and nothing resident", st)
+	}
+	failing = false
+	for i, want := range []Outcome{Built, Built, Hit} {
+		e, outcome, err := c.Do(key, build)
+		if err != nil || outcome != want || string(e.Wire) != "answer" {
+			t.Fatalf("request %d after recovery: %v, %v, %q; want %v", i, outcome, err, e.Wire, want)
+		}
+		e.Release()
+	}
+	c.Clear()
+	if n := frees.Load(); n != 2 {
+		t.Fatalf("two builds freed %d buffers, want each once", n)
+	}
+}

@@ -48,10 +48,11 @@ func answerFrame(tb testing.TB) ([]byte, core.Range, *core.Verifier) {
 	if len(ans.Chain.Records) != 50 {
 		tb.Fatalf("fixture answer has %d records, want 50", len(ans.Chain.Records))
 	}
-	frame, err := wire.AppendAnswer(nil, ans)
+	frame, err := wire.AppendCompositeCore(nil, &wire.Composite{Outer: ans.Chain})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	frame = wire.AppendRelTails(frame, []wire.RelTail{{Rel: core.DefaultRelation, Summaries: ans.Summaries}})
 	v := core.NewVerifier(sys.Scheme, sys.Pub, core.DefaultConfig())
 	v.SetParallelism(1)
 	for i := 0; i < 2; i++ {
@@ -67,10 +68,11 @@ func answerFrame(tb testing.TB) ([]byte, core.Range, *core.Verifier) {
 // full verification.
 func decodeVerify(frame []byte, rg core.Range, v *core.Verifier) error {
 	own := append([]byte(nil), frame...)
-	ans, err := wire.DecodeAnswer(own)
+	c, err := wire.DecodeComposite(own, core.DefaultRelation)
 	if err != nil {
 		return err
 	}
+	ans := &core.Answer{Chain: c.Outer, Summaries: c.Tails[0].Summaries}
 	_, err = v.VerifyAnswers([]*core.Answer{ans}, []core.Range{rg}, 1<<62)
 	return err
 }
@@ -131,7 +133,7 @@ func planJoinFrame(tb testing.TB) ([]byte, *query.Spec, *client.Client) {
 			irecs = append(irecs, &core.Record{Key: k, Attrs: [][]byte{[]byte(fmt.Sprintf("i-%d", k))}})
 		}
 	}
-	eng := query.NewEngine(query.WithoutCache())
+	eng := query.NewEngine(query.WithCacheBytes(0))
 	for _, p := range []struct {
 		rel  *core.Relation
 		recs []*core.Record

@@ -51,10 +51,11 @@ func TestLeafPathAllocBudget(t *testing.T) {
 	if len(ans.Chain.Records) != 50 || len(ans.Summaries) != 1 {
 		t.Fatalf("fixture answer has %d records and %d summaries, want 50 and 1", len(ans.Chain.Records), len(ans.Summaries))
 	}
-	frame, err := wire.AppendAnswer(nil, ans)
+	frame, err := wire.AppendCompositeCore(nil, &wire.Composite{Outer: ans.Chain})
 	if err != nil {
 		t.Fatal(err)
 	}
+	frame = wire.AppendRelTails(frame, []wire.RelTail{{Rel: core.DefaultRelation, Summaries: ans.Summaries}})
 	cl, err := client.NewSession(client.Config{Scheme: sys.Scheme, Pub: sys.Pub, VerifyWorkers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -59,6 +59,7 @@ type leafOracle struct {
 
 	accepted, stale      int
 	summaries, claimHits uint64 // of the sessions closed so far
+	eng                  *query.Engine
 }
 
 func newLeafOracle(t *testing.T, seed int64) *leafOracle {
@@ -73,12 +74,14 @@ func newLeafOracle(t *testing.T, seed int64) *leafOracle {
 		o.keys = append(o.keys, k)
 	}
 	o.deliver(o.sys.DA.Load(recs, o.now))
-	// 4 MiB per cache shard: entries are charged by their pooled buffer's
-	// capacity, up to 1 MiB, and the comparison wants some of them hit.
-	if err := server.EnableCache(o.sys.QS, 64<<20); err != nil {
+	// The server's answer cache: the comparison wants some of its
+	// answers hit.
+	o.eng = query.NewEngine(query.WithCacheBytes(64 << 20))
+	if err := o.eng.AddRelation(core.DefaultRelation, o.sys.QS); err != nil {
 		t.Fatal(err)
 	}
 	srv := server.NewNetServer(o.sys.QS, server.NetConfig{MaxSummaries: 3})
+	srv.EnablePlans(o.eng)
 	ln, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +258,7 @@ func TestLeafPlanMatchesInProcess(t *testing.T) {
 			total.ClaimHits += o.claimHits
 			accepted += o.accepted
 			stale += o.stale
-			if sv := o.sys.QS.ServingStats().Answers; sv.Hits == 0 || sv.Invalidations == 0 {
+			if sv := o.eng.Stats().Cache; sv.Hits == 0 || sv.Invalidations == 0 {
 				t.Fatalf("the server's answer cache was not under the comparison: %+v", sv)
 			}
 		})

@@ -129,7 +129,7 @@ func (c *Client) queryPlans(specs []*query.Spec) ([]*wire.Composite, []*core.Fre
 // reads, and nothing from a failed attempt is kept.
 func (c *Client) fetchRetry(specs []*query.Spec) ([]*wire.Composite, error) {
 	for _, spec := range specs {
-		if _, err := query.Plan(spec, true); err != nil {
+		if err := spec.Validate(); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 		}
 		if c.rels[spec.Rel] == nil {

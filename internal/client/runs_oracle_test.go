@@ -99,6 +99,7 @@ func newRunOracle(t *testing.T, seed int64) *runOracle {
 			t.Fatal(err)
 		}
 	}
+	o.now++ // a close follows the load
 	o.closePeriods()
 	srv := server.NewNetServer(o.outer.QS, server.NetConfig{})
 	srv.EnablePlans(o.eng)

@@ -318,3 +318,75 @@ func TestAdversaryDeletedInItsOwnPeriod(t *testing.T) {
 		}
 	}
 }
+
+// TestAdversaryRecertifiedThenChanged: a version a period close
+// re-certified, then changed in the period that close opened, must be
+// refused once the change is two closes old — by a verifier that never
+// saw it while it was current, and by one that closed it then once or
+// twice. A server withholds the change and forwards only the summaries.
+// Before a close re-certified after publishing, the re-signature's mark
+// went into the summary that close published while CheckFresh read the
+// version's TS as the next period's, so the change's one mark there read
+// as the version itself and the version passed as fresh forever.
+func TestAdversaryRecertifiedThenChanged(t *testing.T) {
+	for _, sc := range []struct {
+		name   string
+		change func(sys *System, ts int64) (*UpdateMsg, error)
+	}{
+		{"updated", func(sys *System, ts int64) (*UpdateMsg, error) {
+			return sys.DA.Update(250, [][]byte{[]byte("v4")}, ts)
+		}},
+		{"deleted", func(sys *System, ts int64) (*UpdateMsg, error) {
+			return sys.DA.Delete(250, ts)
+		}},
+	} {
+		for _, st := range memoStates {
+			t.Run(sc.name+"/"+st.name, func(t *testing.T) {
+				sys := newSystem(t, bas.New(0))
+				load(t, sys, 50)
+				deliver := deliverOp(t, sys)
+				deliver(sys.DA.ClosePeriod(1_000))
+				deliver(sys.DA.Update(250, [][]byte{[]byte("v2")}, 1_100))
+				deliver(sys.DA.Update(250, [][]byte{[]byte("v3")}, 1_200))
+				// The close that re-certifies key 250, updated twice in one
+				// period.
+				var recert *Answer
+				var closed int64
+				for closed = 2_000; closed <= 3_000 && recert == nil; closed += 1_000 {
+					deliver(sys.DA.ClosePeriod(closed))
+					ans, err := sys.QS.Query(250, 250)
+					if err != nil || len(ans.Chain.Records) != 1 {
+						t.Fatalf("the version to withhold: %v", err)
+					}
+					if ans.Chain.Records[0].TS == closed {
+						recert = ans
+					}
+				}
+				if recert == nil {
+					t.Fatal("fixture: no close re-certified key 250")
+				}
+				closed -= 1_000
+				v := NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())
+				st.warm(t, v, func() error {
+					_, err := v.VerifyAnswer(recert, 250, 250, closed+100)
+					return err
+				})
+				deliver(sc.change(sys, closed+500))
+				for c := closed + 1_000; c <= closed+3_000; c += 1_000 {
+					deliver(sys.DA.ClosePeriod(c))
+				}
+				for _, s := range sys.QS.SummariesSince(0) {
+					if held, _ := v.LatestSummary(); s.Seq > held.Seq {
+						if err := v.IngestSummary(s); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if _, err := v.VerifyAnswer(recert, 250, 250, closed+3_100); !errors.Is(err, freshness.ErrStale) {
+					t.Fatalf("a re-certified version %s in the next period, to a verifier %s: want ErrStale, got %v",
+						sc.name, st.what, err)
+				}
+			})
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"authdb/internal/core"
@@ -42,10 +43,11 @@ func FuzzClaimMemoAgreesWithVerify(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	frame, err := wire.AppendAnswer(nil, honest)
+	frame, err := wire.AppendCompositeCore(nil, &wire.Composite{Outer: honest.Chain})
 	if err != nil {
 		f.Fatal(err)
 	}
+	frame = wire.AppendRelTails(frame, []wire.RelTail{{Rel: core.DefaultRelation, Summaries: honest.Summaries}})
 	const now = 1_100
 
 	f.Add(frame)
@@ -70,11 +72,14 @@ func FuzzClaimMemoAgreesWithVerify(f *testing.F) {
 		// Each verifier decodes a frame of its own: a decoded answer aliases
 		// its frame.
 		verdict := func(v *core.Verifier) error {
-			ans, err := wire.DecodeAnswer(bytes.Clone(in))
+			c, err := wire.DecodeComposite(bytes.Clone(in), core.DefaultRelation)
 			if err != nil {
 				return err
 			}
-			_, err = v.VerifyAnswer(ans, rg.Lo, rg.Hi, now)
+			if c.Proj != nil || c.Join != nil || len(c.Tails) != 1 {
+				return errors.New("not a bare scan's frame")
+			}
+			_, err = v.VerifyAnswer(&core.Answer{Chain: c.Outer, Summaries: c.Tails[0].Summaries}, rg.Lo, rg.Hi, now)
 			return err
 		}
 		warmErr, freshErr := verdict(warm), verdict(fresh)

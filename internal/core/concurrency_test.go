@@ -1,6 +1,7 @@
 package core
 
 import (
+	"authdb/internal/anscache"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -80,10 +81,10 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	}
 }
 
-// TestConcurrentServeWithAnswerCache races Serve (through the answer
-// cache), Apply (invalidating updates), and — the
-// recovery boundary — periodic Snapshot/Restore cycles, asserting the
-// epoch check's core guarantee: no served answer is older than any
+// TestConcurrentServeWithAnswerCache races answers served through an
+// answer cache of QueryStamped results, Apply (invalidating updates), and
+// — the recovery boundary — periodic Snapshot/Restore cycles, asserting
+// the stamp's core guarantee: no served answer is older than any
 // intersecting update that completed before the serve began. A Restore
 // that reset (rather than advanced) the epochs would let entries
 // stamped before it serve again and trip the floor check below. Run
@@ -92,8 +93,15 @@ func TestConcurrentServeWithAnswerCache(t *testing.T) {
 	sys := newSystem(t, xortest.New())
 	const n = 512
 	load(t, sys, n)
-	if err := sys.QS.EnableAnswerCache(testCodec(nil)); err != nil {
-		t.Fatal(err)
+	cache := anscache.New()
+	serve := func(lo, hi int64) (*anscache.Entry, anscache.Outcome, error) {
+		return cache.Do(anscache.Key{Lo: lo, Hi: hi}, func() (*anscache.Entry, error) {
+			ans, stamp, err := sys.QS.QueryStamped(lo, hi)
+			if err != nil {
+				return nil, err
+			}
+			return &anscache.Entry{Value: ans, Stamp: stamp}, nil
+		})
 	}
 
 	// floor[i] is the TS of the last COMPLETED update to key (i+1)*10;
@@ -150,27 +158,28 @@ func TestConcurrentServeWithAnswerCache(t *testing.T) {
 				for s := 0; s < 31; s++ {
 					floors[s] = floor[startSlot+s].Load()
 				}
-				sv, err := sys.QS.Serve(lo, hi)
+				e, outcome, err := serve(lo, hi)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				for _, rec := range sv.Answer.Chain.Records {
+				ans := e.Value.(*Answer)
+				for _, rec := range ans.Chain.Records {
 					s := int(rec.Key/10) - 1 - startSlot
 					if s < 0 || s >= 31 {
 						continue
 					}
 					if rec.TS < floors[s] {
 						t.Errorf("stale answer (%v): key %d served ts=%d, update ts=%d completed before serve",
-							sv.Source, rec.Key, rec.TS, floors[s])
+							outcome, rec.Key, rec.TS, floors[s])
 					}
 				}
 				if i%10 == 0 {
-					if _, err := v.VerifyAnswer(sv.Answer, lo, hi, 100_000); err != nil {
+					if _, err := v.VerifyAnswer(ans, lo, hi, 100_000); err != nil {
 						t.Errorf("served answer failed verification: %v", err)
 					}
 				}
-				sv.Release()
+				e.Release()
 			}
 		}(int64(r))
 	}
@@ -178,18 +187,19 @@ func TestConcurrentServeWithAnswerCache(t *testing.T) {
 
 	// Final state: a full-range serve reflects every completed update
 	// and verifies.
-	sv, err := sys.QS.Serve(10, n*10)
+	e, _, err := serve(10, n*10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sv.Release()
-	for _, rec := range sv.Answer.Chain.Records {
+	defer e.Release()
+	final := e.Value.(*Answer)
+	for _, rec := range final.Chain.Records {
 		slot := int(rec.Key/10) - 1
 		if want := floor[slot].Load(); want != 0 && rec.TS < want {
 			t.Errorf("final state: key %d at ts=%d, want >= %d", rec.Key, rec.TS, want)
 		}
 	}
-	if _, err := sys.Verifier.VerifyAnswer(sv.Answer, 10, n*10, 100_000); err != nil {
+	if _, err := sys.Verifier.VerifyAnswer(final, 10, n*10, 100_000); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -249,9 +249,9 @@ func TestMultiUpdateRecertification(t *testing.T) {
 	// Two updates to key 30 inside period 2.
 	deliver(sys.DA.Update(30, [][]byte{[]byte("v2")}, 1_200))
 	deliver(sys.DA.Update(30, [][]byte{[]byte("v3")}, 1_700))
-	deliver(sys.DA.ClosePeriod(2_000))
-	// Closing period 3 must re-certify key 30.
-	msg, err := sys.DA.ClosePeriod(3_000)
+	// Closing period 2 re-certifies key 30 at the close's TS, which opens
+	// period 3.
+	msg, err := sys.DA.ClosePeriod(2_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,13 +259,13 @@ func TestMultiUpdateRecertification(t *testing.T) {
 	for _, sr := range msg.Upserts {
 		if sr.Rec.Key == 30 {
 			found = true
-			if sr.Rec.TS != 3_000 {
+			if sr.Rec.TS != 2_000 {
 				t.Fatalf("re-certified ts = %d", sr.Rec.TS)
 			}
 		}
 	}
 	if !found {
-		t.Fatal("multi-updated record not re-certified in next period")
+		t.Fatal("multi-updated record not re-certified as the next period opened")
 	}
 }
 

@@ -42,8 +42,13 @@ type DataAggregator struct {
 
 	pub *freshness.Publisher
 
-	// multiPending are slots updated more than once last period, due for
-	// re-certification this period (§3.1).
+	// lastMark is the latest timestamp a slot was marked at — a version
+	// certified or a record deleted. ClosePeriod closes strictly after it.
+	lastMark int64
+
+	// multiPending are multi-updated slots due for re-certification at the
+	// next close. Only a snapshot written before each close re-certified
+	// its own period's slots (OwnerState.MultiPending) leaves any.
 	multiPending []int
 }
 
@@ -285,15 +290,22 @@ func (da *DataAggregator) install(v *Record, sig sigagg.Signature) error {
 	if !had || old.TS != v.TS {
 		da.pushAge(v.RID, v.TS)
 	}
-	da.pub.MarkUpdated(slot(v.RID))
+	da.mark(slot(v.RID), v.TS)
 	return nil
 }
 
-// remove drops a stored record; its age-heap entry is discarded lazily.
-func (da *DataAggregator) remove(rec *Record) {
+// remove drops a stored record at ts; its age-heap entry is discarded
+// lazily.
+func (da *DataAggregator) remove(rec *Record, ts int64) {
 	da.index.Delete(rec.Key)
 	delete(da.byRID, rec.RID)
-	da.pub.MarkUpdated(slot(rec.RID))
+	da.mark(slot(rec.RID), ts)
+}
+
+// mark records in the period's summary that sl changed at ts.
+func (da *DataAggregator) mark(sl int, ts int64) {
+	da.pub.MarkUpdated(sl)
+	da.lastMark = max(da.lastMark, ts)
 }
 
 // admit checks a key-sorted batch before anything is signed — keys
@@ -434,7 +446,7 @@ func (da *DataAggregator) Delete(key int64, ts int64) (*UpdateMsg, error) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKey, key)
 	}
 	left, right := da.neighbours(key)
-	da.remove(da.byRID[e.RID])
+	da.remove(da.byRID[e.RID], ts)
 	p := newPlan(2)
 	if left != chain.MinRef {
 		da.planResign(p, left.RID, ts)
@@ -445,39 +457,58 @@ func (da *DataAggregator) Delete(key int64, ts int64) (*UpdateMsg, error) {
 	return da.certify(&UpdateMsg{TS: ts, Deletes: []chain.Ref{{Key: key, RID: e.RID}}}, p)
 }
 
-// ClosePeriod certifies the current ρ-period's summary at time ts and
-// re-certifies the records that were updated multiple times during the
-// previous period (§3.1's multi-update rule). The returned message
-// carries the summary plus those re-signed records.
+// ClosePeriod certifies the current ρ-period's summary at time ts, then
+// re-certifies at ts the records the closed period updated more than
+// once (§3.1's multi-update rule). The returned message carries the
+// summary plus those re-signed records.
 //
-// A multi-updated slot whose record is gone is marked without re-signing
-// anything: a record deleted in the period of its last certification was
-// marked only in that period, where CheckFresh reads a mark as the
-// version itself, so without this mark its last version would pass as
-// fresh forever. The mark counts as no update (MarkOnce), so replay,
-// which folds the summary in without it, reaches the same state.
+// The re-signatures open the next period. CheckFresh reads a version at
+// TS ts as belonging to the period that starts at ts, and each
+// re-signature is its slot's first mark there, so a change to it later in
+// that period makes the slot multi-updated again, and the next close
+// re-certifies it once more. A version the closed period certified and
+// then replaced is stale once the next summary is out.
+//
+// ts must be later than every operation so far: a version certified at
+// the close's own TS before the close would be read as the next period's
+// while its mark went into this period's summary, and a change to it in
+// the next period would read as the version itself.
 func (da *DataAggregator) ClosePeriod(ts int64) (*UpdateMsg, error) {
-	// Re-certify last period's multi-updated records first, so the
-	// summary being published now reflects the re-certification.
-	p := newPlan(len(da.multiPending))
-	for _, sl := range da.multiPending {
-		if _, ok := da.byRID[uint64(sl)]; ok {
-			da.planResign(p, uint64(sl), ts)
-		} else {
-			da.pub.MarkOnce(sl)
-		}
-	}
-	msg, err := da.certify(&UpdateMsg{TS: ts}, p)
-	if err != nil {
-		return nil, err
+	if ts <= da.lastMark {
+		return nil, fmt.Errorf("core: close at %d not after the last operation, at %d", ts, da.lastMark)
 	}
 	summary, multi, err := da.pub.Publish(ts)
 	if err != nil {
 		return nil, err
 	}
-	da.multiPending = multi
-	msg.Summary = &summary
-	return msg, nil
+	p := newPlan(len(multi))
+	for _, rid := range da.reopen(multi, ts) {
+		da.planResign(p, rid, ts)
+	}
+	return da.certify(&UpdateMsg{TS: ts, Summary: &summary}, p)
+}
+
+// reopen starts the period a close at ts just opened: it marks every
+// multi-updated slot whose record is gone and returns the rids of the
+// others, which the close re-certifies. (A record deleted in the period
+// of its last certification was marked only in that period, where
+// CheckFresh reads a mark as the version itself; without the new mark
+// its last version would pass as fresh forever.) Slots a restored
+// snapshot left pending are due now as well. Replay reopens a period the
+// same way.
+func (da *DataAggregator) reopen(multi []int, ts int64) []uint64 {
+	due := append(da.multiPending, multi...)
+	da.multiPending = nil
+	slices.Sort(due)
+	var live []uint64
+	for _, sl := range slices.Compact(due) {
+		if _, ok := da.byRID[uint64(sl)]; ok {
+			live = append(live, uint64(sl))
+		} else {
+			da.mark(sl, ts)
+		}
+	}
+	return live
 }
 
 // RenewOld re-signs up to budget records whose signatures are older
@@ -520,36 +551,6 @@ func (da *DataAggregator) RenewOld(now int64, budget int) (*UpdateMsg, int, erro
 		return nil, 0, err
 	}
 	return msg, len(popped), nil
-}
-
-// SnapshotMsg returns a dissemination message carrying every currently
-// certified record with its existing signature, sorted by key — what a
-// fresh (replica) query server needs to reach the aggregator's state
-// without any re-signing.
-func (da *DataAggregator) SnapshotMsg(ts int64) (*UpdateMsg, error) {
-	msg := &UpdateMsg{TS: ts}
-	var missing uint64
-	found := true
-	da.index.Scan(func(e btree.Entry) bool {
-		rec, ok := da.byRID[e.RID]
-		if !ok {
-			missing, found = e.RID, false
-			return false
-		}
-		msg.Upserts = append(msg.Upserts, SignedRecord{Rec: rec, Sig: e.Sig})
-		return true
-	})
-	if !found {
-		return nil, fmt.Errorf("core: snapshot: missing record body for rid %d", missing)
-	}
-	// Projection mode: the served records are stripped and the sideband is
-	// regenerated at each record's own certification time (deterministic
-	// schemes reproduce the original signatures; verification only needs
-	// validity either way).
-	if err := da.sealMsg(msg); err != nil {
-		return nil, err
-	}
-	return msg, nil
 }
 
 // OldestCertTS reports the oldest live signature's certification time,

@@ -16,11 +16,14 @@ import (
 
 // servedAggregatesGolden is the SHA-256 over every aggregate the
 // scenario below serves, recorded from the code before aggregation moved
-// onto decoded operands (PR 14, commit 39abe6a). A curve point has one
-// compressed encoding, so however the server groups its additions the
-// proof bytes — and with them the wire format, the answer cache and
-// wire_bytes_per_answer — must not move.
-const servedAggregatesGolden = "13b5e020f8a612e6800923544f8872b1ec641101ddcf836b06946068fccc1654"
+// onto decoded operands (commit 39abe6a), and re-recorded once when a
+// period close began re-certifying the period it closes at its own
+// timestamp (the scenario's one close now re-signs the versions its
+// period certified more than once). A
+// curve point has one compressed encoding, so however the server groups
+// its additions the proof bytes — and with them the wire format, the
+// answer cache and wire_bytes_per_answer — must not move.
+const servedAggregatesGolden = "f2306e1fd61932a85913233ceffd8ea631eabf9564dee57017bfca91b13a8228"
 
 func TestServedAggregatesGolden(t *testing.T) {
 	cat, err := NewCatalog(bas.New(0), DefaultConfig(), 1)
@@ -88,10 +91,12 @@ func TestServedAggregatesGolden(t *testing.T) {
 
 // ownerMessagesGolden is the SHA-256 over every field of every message
 // the owner scenario below emits, and of the filter it certifies,
-// recorded before the owner's operations shared one certification step.
-// The scheme signs deterministically, so the same versions certified
-// against the same neighbours in the same order give the same bytes.
-const ownerMessagesGolden = "23e6b3c7c558af16381c4f421d0075ae40057357bf5a4ba52c51d55a39261ad6"
+// recorded before the owner's operations shared one certification step,
+// and re-recorded when a period close began re-certifying the period it
+// closes at its own timestamp, opening the next. The scheme signs
+// deterministically, so the same versions certified against the same
+// neighbours in the same order give the same bytes.
+const ownerMessagesGolden = "92710f29314df60b60639b6ef11c4cceb4d9639574867112c2b6eca4b5f808de"
 
 // hashInt and hashBytes feed the owner golden: every variable-length
 // field carries its length, and a nil slice hashes apart from an empty
@@ -166,8 +171,8 @@ func boolInt(b bool) int64 {
 // emitted when recorded: a shuffled load into an empty relation, a merge
 // load across seams and past both ends, updates (one key twice in a
 // period), inserts at both ends, in the middle and two at one timestamp,
-// deletes of both ends and the middle, four period closes (the last three
-// re-certifying multi-updated records), two renewals and a certified
+// deletes of both ends and the middle, four period closes (the first
+// three re-certifying multi-updated records), two renewals and a certified
 // filter — on a projection-mode relation and a plain one.
 func TestOwnerMessagesGolden(t *testing.T) {
 	cat, err := NewCatalog(bas.New(0), DefaultConfig(), 2)

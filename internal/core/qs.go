@@ -109,10 +109,10 @@ func (qs *QueryServer) leaf(sr *SignedRecord, st *stored) (aggtree.Entry, error)
 // operations per overlapped shard plus one combine per extra shard.
 //
 // Lock order: topo → routing → shards (ascending) → sumMu.
-// The answer cache's own shard mutexes are independent leaves: the
-// cache is never locked while a core lock is held (Serve's build
-// callback runs outside the cache locks), and epoch stamps are plain
-// atomics that impose no ordering.
+// An answer cache's shard mutexes are independent leaves: no cache is
+// locked while a core lock is held (a cache's build callback runs
+// outside its locks), and epoch stamps are plain atomics that impose no
+// ordering.
 type QueryServer struct {
 	scheme sigagg.Scheme
 	folder sigagg.Folder // scheme's decoded-operand aggregation (proof construction)
@@ -142,10 +142,6 @@ type QueryServer struct {
 	// claims a newer filter than the one read beside it.
 	filter      atomic.Pointer[join.FilterCert]
 	filterEpoch atomic.Uint64
-
-	// serving holds the answer-cache state when EnableAnswerCache has
-	// been called (atomic so enabling races nothing).
-	serving atomic.Pointer[servingState]
 
 	// routing serializes the writers: deltas and installs (queries never
 	// touch it).

@@ -1,161 +1,190 @@
-package core
+package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 
 	"authdb/internal/anscache"
+	"authdb/internal/core"
+	"authdb/internal/query"
+	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
+	"authdb/internal/wire"
 )
 
-// testCodec is a stand-in for the wire codec (core cannot import
-// internal/wire — wire depends on core): a cheap deterministic encoding
-// that exercises the cache's byte plumbing and the Free hook.
-func testCodec(freed *int) AnswerCodec {
-	return AnswerCodec{
-		Encode: func(a *Answer) ([]byte, error) {
-			return []byte(fmt.Sprintf("ans[%d,%d]x%d", a.Chain.Lo, a.Chain.Hi, len(a.Chain.Records))), nil
-		},
-		Free: func([]byte) {
-			if freed != nil {
-				*freed++
-			}
-		},
+// A relation's range answers are served through the plan engine's one
+// answer cache (query.Engine.Serve on a bare scan): these tests hold the
+// cache to the stamps QueryStamped reads, shard by shard.
+
+// scanFixture is a relation of n records, keys 10, 20, …, 10n loaded at
+// TS 100, served by an engine under core.DefaultRelation.
+type scanFixture struct {
+	sys *core.System
+	eng *query.Engine
+}
+
+func newScanFixture(t *testing.T, scheme sigagg.Scheme, n int, opts ...query.EngineOption) *scanFixture {
+	t.Helper()
+	sys, err := core.NewSystem(scheme, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
+	recs := make([]*core.Record, n)
+	for i := range recs {
+		recs[i] = &core.Record{Key: int64(i+1) * 10, Attrs: [][]byte{[]byte(fmt.Sprintf("payload-%d", i))}}
+	}
+	msg, err := sys.DA.Load(recs, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Deliver(msg); err != nil {
+		t.Fatal(err)
+	}
+	eng := query.NewEngine(opts...)
+	if err := eng.AddRelation(core.DefaultRelation, sys.QS); err != nil {
+		t.Fatal(err)
+	}
+	return &scanFixture{sys: sys, eng: eng}
+}
+
+// served is one bare scan's answer: where it came from and what it
+// decodes to. Its bytes stay held until release.
+type served struct {
+	source  string // "built", "hit" or "coalesced", from the cache's counters
+	body    []byte
+	ans     *core.Answer
+	release func()
+}
+
+// serve answers [lo, hi]. Its source is read off the cache's counters,
+// so only a test that serves one request at a time may read it.
+func (fx *scanFixture) serve(t *testing.T, lo, hi int64) served {
+	t.Helper()
+	before := fx.eng.Stats().Cache
+	sv, err := fx.eng.Serve((&query.Spec{Rel: core.DefaultRelation, Lo: lo, Hi: hi}).Marshal(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := fx.eng.Stats().Cache
+	out := served{source: "built", body: sv.Body, release: sv.Release}
+	switch {
+	case after.Hits > before.Hits:
+		out.source = "hit"
+	case after.Coalesced > before.Coalesced:
+		out.source = "coalesced"
+	}
+	c, err := wire.DecodeComposite(append(bytes.Clone(sv.Body), sv.Tails...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.ans = &core.Answer{Chain: c.Outer, Summaries: c.Tails[0].Summaries}
+	return out
+}
+
+func (fx *scanFixture) source(t *testing.T, lo, hi int64) string {
+	t.Helper()
+	sv := fx.serve(t, lo, hi)
+	sv.release()
+	return sv.source
 }
 
 func TestServeSources(t *testing.T) {
-	sys := newSystem(t, xortest.New())
-	load(t, sys, 256)
+	fx := newScanFixture(t, xortest.New(), 256)
 
-	// Without a cache: uncached, no wire bytes.
-	sv, err := sys.QS.Serve(10, 500)
+	// Without a cache every request is encoded for itself.
+	bare := query.NewEngine(query.WithCacheBytes(0))
+	if err := bare.AddRelation("r", fx.sys.QS); err != nil {
+		t.Fatal(err)
+	}
+	sv, err := bare.Serve((&query.Spec{Rel: "r", Lo: 10, Hi: 500}).Marshal(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sv.Source != ServedUncached || sv.Data != nil {
-		t.Fatalf("uncached serve: %v data=%v", sv.Source, sv.Data)
-	}
+	uncached := bytes.Clone(sv.Body)
 	sv.Release()
-
-	if err := sys.QS.EnableAnswerCache(testCodec(nil)); err != nil {
-		t.Fatal(err)
+	if st := bare.Stats().Cache; st != (anscache.Stats{}) {
+		t.Fatalf("uncached serve counted cache traffic: %+v", st)
 	}
+
 	// A first sighting is built and served but not kept; the second
 	// request earns the range its place in the cache.
-	warm, err := sys.QS.Serve(10, 500)
-	if err != nil {
-		t.Fatal(err)
+	if got := fx.source(t, 10, 500); got != "built" {
+		t.Fatalf("first sighting: %v", got)
 	}
-	if warm.Source != ServedBuilt {
-		t.Fatalf("first sighting: %v", warm.Source)
+	sv1 := fx.serve(t, 10, 500)
+	if sv1.source != "built" || len(sv1.ans.Chain.Records) != 50 {
+		t.Fatalf("first serve: %v, %d records", sv1.source, len(sv1.ans.Chain.Records))
 	}
-	warm.Release()
-	sv1, err := sys.QS.Serve(10, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sv1.Source != ServedBuilt || string(sv1.Data) != "ans[10,500]x50" {
-		t.Fatalf("first serve: %v %q", sv1.Source, sv1.Data)
-	}
-	sv2, err := sys.QS.Serve(10, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sv2.Source != ServedHit || string(sv2.Data) != string(sv1.Data) {
-		t.Fatalf("second serve: %v %q", sv2.Source, sv2.Data)
-	}
-	if sv2.Answer != sv1.Answer {
-		t.Fatal("hit did not share the materialized answer")
+	sv2 := fx.serve(t, 10, 500)
+	if sv2.source != "hit" || !bytes.Equal(sv2.body, sv1.body) {
+		t.Fatalf("second serve: %v", sv2.source)
 	}
 	// Distinct requested ranges never share an entry, even when they
 	// select the same records (the verifier checks the literal range).
-	sv3, err := sys.QS.Serve(9, 501)
-	if err != nil {
-		t.Fatal(err)
+	sv3 := fx.serve(t, 9, 501)
+	if sv3.source != "built" {
+		t.Fatalf("normalized-away range shared an entry: %v", sv3.source)
 	}
-	if sv3.Source != ServedBuilt {
-		t.Fatalf("normalized-away range shared an entry: %v", sv3.Source)
-	}
-	sv1.Release()
-	sv2.Release()
-	sv3.Release()
+	sv1.release()
+	sv2.release()
+	sv3.release()
 
-	// Every served answer must verify.
-	for _, sv := range []struct{ lo, hi int64 }{{10, 500}, {9, 501}} {
-		got, err := sys.QS.Serve(sv.lo, sv.hi)
-		if err != nil {
-			t.Fatal(err)
+	// Every served answer must verify, and the cache serves the bytes an
+	// uncached engine encodes.
+	for _, r := range []struct{ lo, hi int64 }{{10, 500}, {9, 501}} {
+		got := fx.serve(t, r.lo, r.hi)
+		if _, err := fx.sys.Verifier.VerifyAnswer(got.ans, r.lo, r.hi, 10_000); err != nil {
+			t.Fatalf("served answer [%d,%d] failed verification: %v", r.lo, r.hi, err)
 		}
-		if _, err := sys.Verifier.VerifyAnswer(got.Answer, sv.lo, sv.hi, 10_000); err != nil {
-			t.Fatalf("served answer [%d,%d] failed verification: %v", sv.lo, sv.hi, err)
+		if r.lo == 10 && !bytes.Equal(got.body, uncached) {
+			t.Fatal("the cached answer's bytes differ from the uncached one's")
 		}
-		got.Release()
+		got.release()
 	}
 
 	// Built: [10,500] twice, [9,501] twice (its first sighting was sv3);
 	// hits: sv2 and the sweep's [10,500].
-	st := sys.QS.ServingStats()
-	if st.Answers.Built != 4 || st.Answers.Hits != 2 {
-		t.Fatalf("serving stats: %+v", st.Answers)
+	if st := fx.eng.Stats().Cache; st.Built != 4 || st.Hits != 2 {
+		t.Fatalf("cache stats: %+v", st)
 	}
 }
 
 // TestServeInvalidationOnUpdate: an Apply that intersects a cached
 // range must invalidate it — and only it.
 func TestServeInvalidationOnUpdate(t *testing.T) {
-	sys := newSystem(t, xortest.New())
-	load(t, sys, 512) // seeds the key-range shards (8 shards over keys 10..5120)
-	if err := sys.QS.EnableAnswerCache(testCodec(nil)); err != nil {
-		t.Fatal(err)
-	}
-
+	fx := newScanFixture(t, xortest.New(), 512) // 8 shards over keys 10..5120
 	warm := func(lo, hi int64) {
 		for i := 0; i < 2; i++ { // the second request earns residency
-			sv, err := sys.QS.Serve(lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sv.Release()
+			fx.source(t, lo, hi)
 		}
 	}
-	sourceOf := func(lo, hi int64) ServeSource {
-		sv, err := sys.QS.Serve(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sv.Release()
-		return sv.Source
-	}
-
 	warm(10, 200)    // low keys
 	warm(4000, 5000) // high keys, disjoint shards
-	if got := sourceOf(10, 200); got != ServedHit {
+	if got := fx.source(t, 10, 200); got != "hit" {
 		t.Fatalf("low range: %v", got)
 	}
 
 	// Update a low key: the low range must rebuild, the high range must
 	// keep serving from cache (no global flush).
-	msg, err := sys.DA.Update(50, [][]byte{[]byte("new")}, 500)
+	msg, err := fx.sys.DA.Update(50, [][]byte{[]byte("new")}, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.QS.Apply(msg); err != nil {
+	if err := fx.sys.QS.Apply(msg); err != nil {
 		t.Fatal(err)
 	}
-	if got := sourceOf(4000, 5000); got != ServedHit {
+	if got := fx.source(t, 4000, 5000); got != "hit" {
 		t.Fatalf("disjoint range was flushed: %v", got)
 	}
-	sv, err := sys.QS.Serve(10, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sv.Source != ServedBuilt {
-		t.Fatalf("intersecting range survived the update: %v", sv.Source)
+	sv := fx.serve(t, 10, 200)
+	defer sv.release()
+	if sv.source != "built" {
+		t.Fatalf("intersecting range survived the update: %v", sv.source)
 	}
 	var seen bool
-	for _, r := range sv.Answer.Chain.Records {
+	for _, r := range sv.ans.Chain.Records {
 		if r.Key == 50 && r.TS == 500 {
 			seen = true
 		}
@@ -163,10 +192,9 @@ func TestServeInvalidationOnUpdate(t *testing.T) {
 	if !seen {
 		t.Fatal("rebuilt answer does not carry the update")
 	}
-	if _, err := sys.Verifier.VerifyAnswer(sv.Answer, 10, 200, 10_000); err != nil {
+	if _, err := fx.sys.Verifier.VerifyAnswer(sv.ans, 10, 200, 10_000); err != nil {
 		t.Fatalf("post-update answer failed verification: %v", err)
 	}
-	sv.Release()
 }
 
 // TestServeCoalescing: K goroutines issue an identical cold range and
@@ -174,33 +202,23 @@ func TestServeInvalidationOnUpdate(t *testing.T) {
 // aggregation-op counters.
 func TestServeCoalescing(t *testing.T) {
 	scheme := xortest.New()
-	sys := newSystem(t, scheme)
-	load(t, sys, 512)
+	fx := newScanFixture(t, scheme, 512)
 
-	// Reference: one uncached walk of the exact range to learn its
-	// aggregation cost (Serve without a cache runs the same pipeline a
-	// cache miss does).
+	// Reference: one walk of the exact range to learn its aggregation
+	// cost (a cache miss runs the same QueryStamped).
 	scheme.ResetAggOps()
-	sv, err := sys.QS.Serve(10, 1500)
-	if err != nil {
+	if _, _, err := fx.sys.QS.QueryStamped(10, 1500); err != nil {
 		t.Fatal(err)
 	}
-	sv.Release()
 	oneWalk := scheme.AggOps()
 	if oneWalk == 0 {
 		t.Fatal("reference walk performed no aggregation")
 	}
 
-	if err := sys.QS.EnableAnswerCache(testCodec(nil)); err != nil {
-		t.Fatal(err)
-	}
 	// One request beforehand, so the burst's build is the range's second
 	// sighting and resident whether or not anyone joined its flight.
-	sv, err = sys.QS.Serve(10, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv.Release()
+	fx.source(t, 10, 1500)
+	plan := (&query.Spec{Rel: core.DefaultRelation, Lo: 10, Hi: 1500}).Marshal()
 	const K = 16
 	scheme.ResetAggOps()
 	var start, wg sync.WaitGroup
@@ -210,14 +228,19 @@ func TestServeCoalescing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			start.Wait()
-			sv, err := sys.QS.Serve(10, 1500)
+			sv, err := fx.eng.Serve(plan, nil)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			defer sv.Release()
-			if len(sv.Answer.Chain.Records) != 150 {
-				t.Errorf("got %d records", len(sv.Answer.Chain.Records))
+			c, err := wire.DecodeComposite(append(bytes.Clone(sv.Body), sv.Tails...))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(c.Outer.Records) != 150 {
+				t.Errorf("got %d records", len(c.Outer.Records))
 			}
 		}()
 	}
@@ -227,8 +250,8 @@ func TestServeCoalescing(t *testing.T) {
 		t.Fatalf("%d identical cold requests cost %d aggregation ops, want exactly one walk (%d)",
 			K, got, oneWalk)
 	}
-	st := sys.QS.ServingStats().Answers
-	if st.Built != 2 { // the first sighting and the one coalesced walk (the reference ran uncached)
+	st := fx.eng.Stats().Cache
+	if st.Built != 2 { // the first sighting and the one coalesced walk
 		t.Fatalf("expected exactly 2 builds: %+v", st)
 	}
 	if st.Hits+st.Coalesced != K-1 {
@@ -236,31 +259,42 @@ func TestServeCoalescing(t *testing.T) {
 	}
 }
 
-// TestServeBufferRecycling: evicted entries return their wire buffers
-// through the codec's Free hook once the last reader releases.
+// TestServeBufferRecycling: a build encodes into a pooled buffer, which
+// goes back to the pool only when its last reader releases it. Under a
+// budget far below the ranges served, a reader holding a built answer
+// keeps its bytes intact while hundreds of builds draw buffers from the
+// pool and evict and invalidate entries, and the resident bytes stay
+// within the budget. (That a released buffer goes back exactly once is
+// anscache's TestReleaseRecyclesWire and
+// TestBuiltBufferFreedOnceAfterFlight.)
 func TestServeBufferRecycling(t *testing.T) {
-	sys := newSystem(t, xortest.New())
-	load(t, sys, 64)
-	freed := 0
-	// A budget that holds roughly one entry forces eviction on the
-	// second distinct range.
-	if err := sys.QS.EnableAnswerCache(testCodec(&freed), anscache.WithShards(1), anscache.WithMaxBytes(200)); err != nil {
-		t.Fatal(err)
-	}
-	serve := func(lo, hi int64) {
-		for i := 0; i < 2; i++ { // the second request earns residency
-			sv, err := sys.QS.Serve(lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sv.Release()
+	const budget = 32 << 10
+	fx := newScanFixture(t, xortest.New(), 512, query.WithCacheBytes(budget))
+	fx.source(t, 10, 1000)
+	held := fx.serve(t, 10, 1000) // the build that earns residency: its pooled buffer, held
+	want := bytes.Clone(held.body)
+	for lo := int64(10); lo < 5000; lo += 10 {
+		for i := 0; i < 2; i++ { // each range earns residency
+			fx.source(t, lo, lo+400)
 		}
 	}
-	serve(10, 100)
-	firstSightings := freed
-	serve(200, 300)
-	if freed != firstSightings+2 { // [200,300]'s first sighting, then [10,100] evicted
-		t.Fatalf("evicted entry never returned its buffer (freed %d → %d)", firstSightings, freed)
+	msg, err := fx.sys.DA.Update(500, [][]byte{[]byte("new")}, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.sys.QS.Apply(msg); err != nil {
+		t.Fatal(err)
+	}
+	for lo := int64(15); lo < 1000; lo += 10 { // builds that draw more buffers
+		fx.source(t, lo, lo+400)
+	}
+	if !bytes.Equal(held.body, want) {
+		t.Fatal("a held answer's bytes changed before its release")
+	}
+	held.release()
+	st := fx.eng.Stats().Cache
+	if st.Evictions == 0 || st.Bytes > budget {
+		t.Fatalf("%d evictions, %d bytes resident under a budget of %d", st.Evictions, st.Bytes, budget)
 	}
 }
 
@@ -268,34 +302,19 @@ func TestServeBufferRecycling(t *testing.T) {
 // resident, so a scan of distinct cold ranges leaves the cache's bytes
 // where they were, while a range asked for again is still a hit.
 func TestColdRangesPinNothing(t *testing.T) {
-	sys := newSystem(t, xortest.New())
-	load(t, sys, 512)
-	if err := sys.QS.EnableAnswerCache(testCodec(nil), anscache.WithMaxBytes(64<<10)); err != nil {
-		t.Fatal(err)
-	}
-	const entryBytes = 160 + 32 // bookkeeping plus a testCodec answer
+	fx := newScanFixture(t, xortest.New(), 512, query.WithCacheBytes(64<<10))
 	for lo := int64(0); lo < 5000; lo++ {
-		sv, err := sys.QS.Serve(lo, lo+50)
-		if err != nil {
-			t.Fatal(err)
+		if got := fx.source(t, lo, lo+50); got != "built" {
+			t.Fatalf("cold range [%d,%d]: %v", lo, lo+50, got)
 		}
-		if sv.Source != ServedBuilt {
-			t.Fatalf("cold range [%d,%d]: %v", lo, lo+50, sv.Source)
-		}
-		sv.Release()
 	}
-	if st := sys.QS.ServingStats().Answers; st.Bytes > 4*entryBytes || st.Evictions != 0 {
-		t.Fatalf("5,000 once-seen ranges left %d bytes resident and %d evictions, want at most a few entries' worth and none",
-			st.Bytes, st.Evictions)
+	if st := fx.eng.Stats().Cache; st.Entries != 0 || st.Evictions != 0 {
+		t.Fatalf("5,000 once-seen ranges left %d entries (%d bytes) resident and %d evictions, want none",
+			st.Entries, st.Bytes, st.Evictions)
 	}
-	for i, want := range []ServeSource{ServedBuilt, ServedBuilt, ServedHit} {
-		sv, err := sys.QS.Serve(100, 300)
-		if err != nil {
-			t.Fatal(err)
+	for i, want := range []string{"built", "built", "hit"} {
+		if got := fx.source(t, 100, 300); got != want {
+			t.Fatalf("request %d of a repeated range: %v, want %v", i+1, got, want)
 		}
-		if sv.Source != want {
-			t.Fatalf("request %d of a repeated range: %v, want %v", i+1, sv.Source, want)
-		}
-		sv.Release()
 	}
 }

@@ -93,17 +93,14 @@ func TestLinearBaselineMatchesTree(t *testing.T) {
 	sys := newShardedSystem(t, xortest.New(), 400)
 	// The linear baseline folds every result signature of the exact
 	// signed state, in key order: k-1 operations for k records.
-	replay, err := sys.DA.SnapshotMsg(50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	image := sys.QS.Snapshot().Records
 	for _, r := range [][2]int64{{10, 400}, {395, 2300}, {1, 4000}} {
 		tree, err := sys.QS.Query(r[0], r[1])
 		if err != nil {
 			t.Fatal(err)
 		}
 		var sigs []sigagg.Signature
-		for _, sr := range replay.Upserts {
+		for _, sr := range image {
 			if sr.Rec.Key >= r[0] && sr.Rec.Key <= r[1] {
 				sigs = append(sigs, sr.Sig)
 			}

@@ -34,7 +34,7 @@ import (
 type OwnerState struct {
 	NextRID      uint64
 	Records      []SignedRecord // key-ascending, current signature each
-	MultiPending []int
+	MultiPending []int          // slots due at the next close: empty unless an older owner wrote it, one that re-certified a period a close late
 	Pub          *freshness.PublisherState
 }
 
@@ -80,12 +80,17 @@ func (da *DataAggregator) Restore(st *OwnerState) error {
 	da.index = idx
 	da.byRID = byRID
 	da.nextRID = nextRID
+	da.lastMark = 0
+	for _, rec := range byRID {
+		da.lastMark = max(da.lastMark, rec.TS)
+	}
 	da.multiPending = append([]int(nil), st.MultiPending...)
 	da.compactAges()
 	if st.Pub != nil {
 		if err := da.pub.RestoreState(st.Pub); err != nil {
 			return err
 		}
+		da.lastMark = max(da.lastMark, st.Pub.LastTS)
 	}
 	return nil
 }
@@ -96,14 +101,24 @@ func (da *DataAggregator) Restore(st *OwnerState) error {
 // to one that never crashed. Messages must be replayed in log order and
 // only past the snapshot's watermark — replaying an already-folded
 // message double-counts the period's update marks (see the file
-// comment).
+// comment). A period close's summary is folded first: its re-signed
+// records open the next period, as in ClosePeriod.
 func (da *DataAggregator) ReplayMsg(msg *UpdateMsg) error {
 	if msg == nil {
 		return nil
 	}
+	if msg.Summary != nil {
+		multi, applied, err := da.pub.ReplaySummary(*msg.Summary)
+		if err != nil {
+			return err
+		}
+		if applied {
+			da.reopen(multi, msg.TS)
+		}
+	}
 	for _, del := range msg.Deletes {
 		if rec, ok := da.byRID[del.RID]; ok { // else deleted before the snapshot
-			da.remove(rec)
+			da.remove(rec, msg.TS)
 		}
 	}
 	for _, sr := range msg.Upserts {
@@ -113,15 +128,6 @@ func (da *DataAggregator) ReplayMsg(msg *UpdateMsg) error {
 		}
 		if rec.RID > da.nextRID {
 			da.nextRID = rec.RID
-		}
-	}
-	if msg.Summary != nil {
-		multi, applied, err := da.pub.ReplaySummary(*msg.Summary)
-		if err != nil {
-			return err
-		}
-		if applied {
-			da.multiPending = multi
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"authdb/internal/anscache"
+	"authdb/internal/btree"
 	"authdb/internal/sigagg/xortest"
 )
 
@@ -25,16 +26,16 @@ func TestOwnerSnapshotRestoreRoundtrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := sys.DA.ClosePeriod(200); err != nil {
-		t.Fatal(err)
-	}
-
-	image, err := sys.DA.SnapshotMsg(0)
+	msg, err := sys.DA.ClosePeriod(200)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := sys.QS.Apply(msg); err != nil {
+		t.Fatal(err)
+	}
+
 	st := sys.DA.SnapshotMeta()
-	st.Records = image.Upserts
+	st.Records = sys.QS.Snapshot().Records
 	da2, err := NewDataAggregator(sys.Scheme, sys.DA.priv, sys.DA.cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -42,20 +43,25 @@ func TestOwnerSnapshotRestoreRoundtrip(t *testing.T) {
 	if err := da2.Restore(st); err != nil {
 		t.Fatal(err)
 	}
-	m1, err := sys.DA.SnapshotMsg(0)
-	if err != nil {
-		t.Fatal(err)
+	var idx1, idx2 []btree.Entry
+	for _, p := range []struct {
+		da  *DataAggregator
+		out *[]btree.Entry
+	}{{sys.DA, &idx1}, {da2, &idx2}} {
+		p.da.index.Scan(func(e btree.Entry) bool {
+			*p.out = append(*p.out, e)
+			return true
+		})
 	}
-	m2, err := da2.SnapshotMsg(0)
-	if err != nil {
-		t.Fatal(err)
+	if len(idx1) != len(idx2) {
+		t.Fatalf("restored %d records, want %d", len(idx2), len(idx1))
 	}
-	if len(m1.Upserts) != len(m2.Upserts) {
-		t.Fatalf("restored %d records, want %d", len(m2.Upserts), len(m1.Upserts))
-	}
-	for i := range m1.Upserts {
-		if !bytes.Equal(m1.Upserts[i].Sig, m2.Upserts[i].Sig) {
-			t.Fatalf("signature %d differs after restore", i)
+	for i := range idx1 {
+		if idx1[i].Key != idx2[i].Key || idx1[i].RID != idx2[i].RID || !bytes.Equal(idx1[i].Sig, idx2[i].Sig) {
+			t.Fatalf("index entry %d differs after restore", i)
+		}
+		if !reflect.DeepEqual(sys.DA.byRID[idx1[i].RID], da2.byRID[idx2[i].RID]) {
+			t.Fatalf("record body %d differs after restore", i)
 		}
 	}
 	if got, want := da2.OldestCertTS(), sys.DA.OldestCertTS(); got != want {
@@ -76,18 +82,22 @@ func TestOwnerSnapshotRestoreRoundtrip(t *testing.T) {
 }
 
 // TestDeletedSlotMarkSurvivesRecovery: the period close that marks a
-// deleted record's slot again, a period after the record's last
-// certification, reaches the same state live, replayed from the log, and
-// after a snapshot restore: the same summary, period marks and pending
-// re-certifications. The schedule holds both kinds of deleted
-// multi-updated slot: one deleted in the period of its certification
-// (marked by the close) and one deleted in the next (marked already).
+// deleted record's slot again, as the first mark of the period after the
+// record's last certification, reaches the same state live, replayed from
+// the log, and after a snapshot restore: the same summary,
+// re-certifications and period marks. The schedule holds both kinds of
+// deleted multi-updated slot: one inserted and deleted in one period
+// (marked by the close that ends it), and one a close re-certified and
+// the next period deleted (marked by the close after).
 func TestDeletedSlotMarkSurvivesRecovery(t *testing.T) {
 	sys := newSystem(t, xortest.New())
 	live := sys.DA
 	var log []*UpdateMsg
 	do := func(msg *UpdateMsg, err error) {
 		t.Helper()
+		if err == nil {
+			err = sys.Deliver(msg)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,13 +134,9 @@ func TestDeletedSlotMarkSurvivesRecovery(t *testing.T) {
 	do(live.ClosePeriod(2_000))
 	do(live.Delete(100, 2_100))
 	st := live.SnapshotMeta()
-	image, err := live.SnapshotMsg(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Records = image.Upserts
-	if !slices.Contains(st.MultiPending, slot(log[2].Upserts[0].Rec.RID)) {
-		t.Fatalf("fixture: the deleted record's slot is not pending: %v", st.MultiPending)
+	st.Records = sys.QS.Snapshot().Records
+	if deleted := slot(log[2].Upserts[0].Rec.RID); st.Pub.Touched[deleted] != 1 {
+		t.Fatalf("fixture: the deleted record's slot %d is not marked once: %v", deleted, st.Pub.Touched)
 	}
 
 	replayed, restored := fresh(), fresh()
@@ -165,19 +171,12 @@ func TestDeletedSlotMarkSurvivesRecovery(t *testing.T) {
 func TestServerRestoreInvalidatesCaches(t *testing.T) {
 	sys := newSystem(t, xortest.New())
 	load(t, sys, 256)
-	if err := sys.QS.EnableAnswerCache(testCodec(nil)); err != nil {
+	_, stamp, err := sys.QS.QueryStamped(10, 500)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	for i := 0; i < 2; i++ { // the second request earns residency
-		sv, err := sys.QS.Serve(10, 500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sv.Release()
-	}
-	if sys.QS.ServingStats().Answers.Entries != 1 {
-		t.Fatal("warmed range not resident")
+	if !stamp.Valid() {
+		t.Fatal("a fresh stamp is not valid")
 	}
 	epochsBefore := make([]uint64, sys.QS.Shards())
 	for i := range epochsBefore {
@@ -193,16 +192,15 @@ func TestServerRestoreInvalidatesCaches(t *testing.T) {
 			t.Fatalf("shard %d epoch did not advance across Restore", i)
 		}
 	}
-	// The cached answer must be rebuilt, not served stale.
-	sv2, err := sys.QS.Serve(10, 500)
+	// An answer cached under the old stamp must be rebuilt, not served.
+	if stamp.Valid() {
+		t.Fatal("a stamp read before Restore is still valid after it")
+	}
+	ans, err := sys.QS.Query(10, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sv2.Release()
-	if sv2.Source == ServedHit {
-		t.Fatal("pre-restore cache entry served after Restore")
-	}
-	if _, err := sys.Verifier.VerifyAnswer(sv2.Answer, 10, 500, 10_000); err != nil {
+	if _, err := sys.Verifier.VerifyAnswer(ans, 10, 500, 10_000); err != nil {
 		t.Fatalf("post-restore answer failed verification: %v", err)
 	}
 	if got, want := sys.QS.Len(), 256; got != want {
@@ -217,7 +215,7 @@ func TestServerRestoreInvalidatesCaches(t *testing.T) {
 func TestApplySummaryIdempotent(t *testing.T) {
 	sys := newSystem(t, xortest.New())
 	load(t, sys, 32)
-	msg, err := sys.DA.ClosePeriod(100)
+	msg, err := sys.DA.ClosePeriod(200)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,22 +98,10 @@ func (p *Publisher) MarkUpdated(slot int) {
 	p.mu.Unlock()
 }
 
-// MarkOnce marks slot in the current period unless the period has
-// marked it already. It is no update: it never makes the slot one the
-// period updated more than once.
-func (p *Publisher) MarkOnce(slot int) {
-	p.mu.Lock()
-	if p.touched[slot] == 0 {
-		p.touched[slot] = 1
-		p.slots = max(p.slots, uint64(slot)+1)
-	}
-	p.mu.Unlock()
-}
-
 // Publish certifies the current period's marked slots at time ts,
 // resets the period, and returns the summary together with the slots
-// that were updated more than once (which the caller must re-certify
-// during the next period).
+// that were updated more than once (which the caller must re-certify at
+// the start of the next period).
 func (p *Publisher) Publish(ts int64) (Summary, []int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -251,7 +239,7 @@ func (c *Checker) Add(s Summary) error {
 	}
 	// What the index invariant rests on; no Publisher emits otherwise.
 	if s.Seq == 0 || s.PeriodStart > s.TS {
-		return fmt.Errorf("freshness: summary %d covers (%d, %d]: not a period", s.Seq, s.PeriodStart, s.TS)
+		return fmt.Errorf("freshness: summary %d covers [%d, %d): not a period", s.Seq, s.PeriodStart, s.TS)
 	}
 	if len(c.sums) > 0 {
 		last := c.sums[len(c.sums)-1]
@@ -321,19 +309,21 @@ func (c *Checker) CheckFresh(slot int, recTS int64, now int64, rho int64) (int64
 		return rho, nil
 	}
 	latest := &c.sums[len(c.sums)-1]
-	if recTS > latest.TS {
-		// Newer than every summary: fresh by construction, worst case
-		// out of date by now - recTS < ρ.
+	if recTS >= latest.TS {
+		// Certified in the open period, after every summary: fresh by
+		// construction, worst case out of date by now - recTS < ρ.
 		return rho, nil
 	}
 	if recTS < c.sums[0].PeriodStart {
 		return 0, fmt.Errorf("freshness: record certified at %d predates available summaries (from %d)",
 			recTS, c.sums[0].PeriodStart)
 	}
-	// The record is stale iff some summary whose period began strictly
-	// after the record's certification marks the slot: the mark then
-	// refers to a strictly newer version. A mark in the record's own
-	// certification period (recTS >= PeriodStart) is the record itself.
+	// A summary covers [PeriodStart, TS): a version certified at a close's
+	// TS belongs to the period that close opens. The record is stale iff
+	// some summary whose period began strictly after the record's
+	// certification marks the slot: the mark then refers to a strictly
+	// newer version. A mark in the record's own certification period
+	// (recTS >= PeriodStart) is the record itself.
 	// The newest summary marking the slot decides for all of them (see
 	// the index invariant).
 	if slot >= 0 && slot < len(c.newest) {
@@ -347,7 +337,7 @@ func (c *Checker) CheckFresh(slot int, recTS int64, now int64, rho int64) (int64
 	// Fresh. Records certified in the most recent closed period could
 	// have been superseded within that same period; the re-certification
 	// rule only surfaces that in the next summary, so the bound is 2ρ.
-	if recTS > latest.PeriodStart {
+	if recTS >= latest.PeriodStart {
 		return 2 * rho, nil
 	}
 	return rho, nil

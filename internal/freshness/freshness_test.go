@@ -352,7 +352,7 @@ func TestReplaySummaryIdempotent(t *testing.T) {
 // every held summary is consulted for every record. It is the reference
 // the index is held to.
 func scanFresh(sums []Summary, marks [][]int, slot int, recTS, rho int64) (int64, error) {
-	if len(sums) == 0 || recTS > sums[len(sums)-1].TS {
+	if len(sums) == 0 || recTS >= sums[len(sums)-1].TS {
 		return rho, nil
 	}
 	if recTS < sums[0].PeriodStart {
@@ -368,7 +368,7 @@ func scanFresh(sums []Summary, marks [][]int, slot int, recTS, rho int64) (int64
 				ErrStale, slot, s.TS, recTS)
 		}
 	}
-	if recTS > sums[len(sums)-1].PeriodStart {
+	if recTS >= sums[len(sums)-1].PeriodStart {
 		return 2 * rho, nil
 	}
 	return rho, nil

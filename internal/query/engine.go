@@ -49,22 +49,12 @@ type EngineOption func(*engineConfig)
 
 type engineConfig struct {
 	cacheBytes int64
-	cacheOff   bool
 }
 
-// WithCacheBytes bounds the plan cache's resident wire bytes.
+// WithCacheBytes bounds the answer cache's resident bytes; 0 (or less)
+// serves every request uncached.
 func WithCacheBytes(n int64) EngineOption {
-	return func(c *engineConfig) {
-		if n > 0 {
-			c.cacheBytes = n
-		}
-	}
-}
-
-// WithoutCache disables the plan answer cache (every ServePlan call
-// executes the plan).
-func WithoutCache() EngineOption {
-	return func(c *engineConfig) { c.cacheOff = true }
+	return func(c *engineConfig) { c.cacheBytes = n }
 }
 
 // NewEngine creates an empty executor; add relations before serving.
@@ -74,7 +64,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 		o(&cfg)
 	}
 	e := &Engine{rels: make(map[string]*relView)}
-	if !cfg.cacheOff {
+	if cfg.cacheBytes > 0 {
 		e.cache = anscache.New(anscache.WithMaxBytes(cfg.cacheBytes))
 	}
 	return e
@@ -145,11 +135,11 @@ type relOldest struct {
 }
 
 // Execute runs the plan.
-func (e *Engine) Execute(n *Node) (*Result, error) {
-	if err := n.validate(); err != nil {
+func (e *Engine) Execute(p *Spec) (*Result, error) {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	r, _, err := e.exec(n)
+	r, _, err := e.exec(p)
 	return r, err
 }
 
@@ -414,23 +404,19 @@ func (e *Engine) project(outer *relView, attrs []int, recs []*chain.Record, rows
 // ---- serving ----
 
 // Served is one answered plan request: Body then Tails is one 'C' message
-// — the pre-encoded composite answer core, possibly a cache's own bytes,
+// — the pre-encoded composite answer core, possibly the cache's own bytes,
 // and this client's relation summary tails. Both are valid until Release,
 // which must be called exactly once, after the bytes are written out.
 type Served struct {
 	Body, Tails []byte
-	scan        core.Served     // a bare scan's hold on its relation's answer cache…
-	entry       *anscache.Entry // …an operator plan's on the plan cache
-	own         bool            // Body was encoded for this response alone
+	entry       *anscache.Entry // the cache's hold on Body; nil when Body was encoded for this response alone
 }
 
 // Release drops the holds the served bytes were read under.
 func (sv *Served) Release() {
-	sv.scan.Release()
 	if sv.entry != nil {
 		sv.entry.Release()
-	}
-	if sv.own {
+	} else {
 		wire.PutBuffer(sv.Body)
 	}
 	wire.PutBuffer(sv.Tails)
@@ -445,32 +431,27 @@ func (e *Engine) ServePlan(planBytes []byte, since []wire.RelSince) (body, tails
 	return sv.Body, sv.Tails, sv.Release, nil
 }
 
-// Serve decodes, executes and encodes one plan request.
-//
-// A bare scan is answered by the scanned relation's own serving layer
-// (QueryServer.Serve): its answer cache, when enabled, holds exactly the
-// leaf composite core (the codec is server.Codec's), so a range
-// selection is cached once, where the relation's updates invalidate it —
-// and, being most of the traffic, is recognised before a Spec is decoded
-// for it. Plans that project or join are served from the engine's
-// epoch-stamped plan cache.
+// Serve decodes, executes and encodes one plan request through the
+// engine's one answer cache. Every plan, a bare scan included, is keyed
+// by its range and its canonical bytes, so the scans and plans of every
+// relation share one key space and one byte budget. A bare scan — most
+// of the traffic — is recognised before a Spec is decoded for it.
 //
 // since is the client's summary position per relation: at most one entry
 // for each relation the plan names, and none for any other.
 func (e *Engine) Serve(planBytes []byte, since []wire.RelSince) (Served, error) {
+	var p *Spec
 	if rel, lo, hi, ok := bareScan(planBytes); ok {
 		rv, err := e.rel(string(rel))
 		if err != nil {
 			return Served{}, err
 		}
-		if err := checkSince(since, rv.name, rv.name); err != nil {
+		p = &Spec{Rel: rv.name, Lo: lo, Hi: hi}
+	} else {
+		var err error
+		if p, err = UnmarshalPlan(planBytes); err != nil {
 			return Served{}, err
 		}
-		return serveScan(rv, lo, hi, since)
-	}
-	p, err := UnmarshalPlan(planBytes)
-	if err != nil {
-		return Served{}, err
 	}
 	inner := p.Rel
 	if p.Join != nil {
@@ -479,8 +460,9 @@ func (e *Engine) Serve(planBytes []byte, since []wire.RelSince) (Served, error) 
 	if err := checkSince(since, p.Rel, inner); err != nil {
 		return Served{}, err
 	}
-	// The received bytes are the canonical encoding (UnmarshalPlan accepts
-	// no other); the key copies them, as it outlives the request frame.
+	// The received bytes are the canonical encoding (bareScan and
+	// UnmarshalPlan accept no other); the key copies them, as it outlives
+	// the request frame.
 	key := anscache.Key{Lo: p.Lo, Hi: p.Hi, Plan: string(planBytes)}
 	// An entry keeps the encoded answer and what the tails need — each
 	// touched relation's oldest proof timestamp — not the composite it was
@@ -506,7 +488,7 @@ func (e *Engine) Serve(planBytes []byte, since []wire.RelSince) (Served, error) 
 		if err != nil {
 			return Served{}, err
 		}
-		return Served{Body: entry.Wire, Tails: relTails(entry.Value.([]relOldest), since), own: true}, nil
+		return Served{Body: entry.Wire, Tails: relTails(entry.Value.([]relOldest), since)}, nil
 	}
 	entry, _, err := e.cache.Do(key, build)
 	if err != nil {
@@ -530,27 +512,6 @@ func checkSince(since []wire.RelSince, outer, inner string) error {
 		}
 	}
 	return nil
-}
-
-// serveScan answers a bare scan through its relation's serving layer.
-func serveScan(rv *relView, lo, hi int64, since []wire.RelSince) (Served, error) {
-	scan, err := rv.qs.Serve(lo, hi)
-	if err != nil {
-		return Served{}, err
-	}
-	sv := Served{Body: scan.Data, scan: scan}
-	if scan.Data == nil {
-		// No answer cache on this relation: encode for this response only.
-		// (With one, the entry's encoding goes to the socket as it is, held
-		// by scan until the write is done.)
-		if sv.Body, err = wire.AppendCompositeCore(wire.GetBuffer(), &wire.Composite{Outer: scan.Answer.Chain}); err != nil {
-			scan.Release()
-			return Served{}, err
-		}
-		sv.own = true
-	}
-	sv.Tails = relTails([]relOldest{{rv, scan.Answer.OldestSigTS}}, since)
-	return sv, nil
 }
 
 // relTails encodes one summary tail per touched relation, resuming each
@@ -583,7 +544,7 @@ func (e *Engine) ServeRelSummaries(rel string, sinceSeq uint64, oldestTS int64) 
 
 // Stats are the executor's monotonic counters.
 type Stats struct {
-	PlanQueries uint64 // plans executed (cache hits not included)
+	PlanQueries uint64 // plans executed, bare scans included (cache hits not included)
 	JoinProbes  uint64 // range scans issued against inner relations: one per run shipped, plus any rescanned after a split
 	BFProbes    uint64 // outer keys probed through a certified filter
 	BFNegatives uint64 // outer keys a filter negative alone answered (negatives inside a run are the run's)

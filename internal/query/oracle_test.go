@@ -7,20 +7,19 @@ import (
 	"slices"
 	"testing"
 
-	"authdb/internal/anscache"
 	"authdb/internal/core"
 	"authdb/internal/join"
 	"authdb/internal/sigagg/xortest"
 	"authdb/internal/wire"
 )
 
-// The plan-cache oracle: a seeded schedule of owner operations is applied
+// The answer-cache oracle: a seeded schedule of owner operations is applied
 // to one pair of relations served by two engines, one caching and one
 // not, and after every step every plan's served bytes must be identical.
 // A cached composite whose stamp misses a shard its execution read shows
 // up as a byte difference at the step whose update it slept through.
-// Bare scans of both relations ride along, answered by each relation's
-// own answer cache and held to QueryServer.Query encoded on the spot.
+// Bare scans of both relations ride along in the same cache, and are held
+// to QueryServer.Query encoded on the spot as well.
 // After every step a few of wire's pooled buffers are overwritten: a
 // resident entry still aliasing a recycled build buffer differs at the
 // next check.
@@ -52,6 +51,8 @@ type oracle struct {
 	leaves       []*Spec // a bare scan's range; nil for a plan with operators
 	innerKeys    []int64 // sorted
 	ts           int64
+
+	scanHits, scanBuilt uint64 // the cached engine's outcomes for bare scans
 }
 
 func newOracle(t *testing.T, seed int64) *oracle {
@@ -85,7 +86,7 @@ func newOracle(t *testing.T, seed int64) *oracle {
 		o.deliver(p.rel, msg, err)
 	}
 	o.cached = NewEngine()
-	o.bare = NewEngine(WithoutCache())
+	o.bare = NewEngine(WithCacheBytes(0))
 	for _, e := range []*Engine{o.cached, o.bare} {
 		if err := e.AddRelation("o", o.outer.QS); err != nil {
 			t.Fatal(err)
@@ -94,24 +95,7 @@ func newOracle(t *testing.T, seed int64) *oracle {
 			t.Fatal(err)
 		}
 	}
-	// Both relations answer bare scans from their own answer cache.
-	codec := core.AnswerCodec{
-		Encode: func(a *core.Answer) ([]byte, error) {
-			buf := wire.GetBuffer()
-			out, err := wire.AppendAnswerCore(buf, a)
-			if err != nil {
-				wire.PutBuffer(buf)
-				return nil, err
-			}
-			return out, nil
-		},
-		Free: wire.PutBuffer,
-	}
-	for _, rel := range []*core.Relation{o.outer, o.inner} {
-		if err := rel.QS.EnableAnswerCache(codec, anscache.WithMaxBytes(1<<20)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	o.ts++ // a close follows the load
 	o.closePeriods()
 	o.certify()
 
@@ -130,11 +114,10 @@ func newOracle(t *testing.T, seed int64) *oracle {
 		case 2:
 			spec.Attrs = []int{1, 0}
 		}
-		n, err := Plan(spec, true)
-		if err != nil {
+		if err := spec.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		o.plans = append(o.plans, n.Marshal())
+		o.plans = append(o.plans, spec.Marshal())
 		o.names = append(o.names, fmt.Sprintf("%s[%d,%d]π%v", spec.Join.Method, spec.Lo, spec.Hi, spec.Attrs))
 		o.leaves = append(o.leaves, nil)
 	}
@@ -145,8 +128,7 @@ func newOracle(t *testing.T, seed int64) *oracle {
 		rel := []string{"o", "i"}[i%2]
 		lo := int64(o.rng.Intn(oracleDomain)) - 5
 		spec := &Spec{Rel: rel, Lo: lo, Hi: lo + int64(o.rng.Intn(120))}
-		n, err := Plan(spec, true)
-		if err != nil {
+		if err := spec.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		asks := 1
@@ -154,7 +136,7 @@ func newOracle(t *testing.T, seed int64) *oracle {
 			asks = 2
 		}
 		for ; asks > 0; asks-- {
-			o.plans = append(o.plans, n.Marshal())
+			o.plans = append(o.plans, spec.Marshal())
 			o.names = append(o.names, fmt.Sprintf("scan %s[%d,%d]", rel, spec.Lo, spec.Hi))
 			o.leaves = append(o.leaves, spec)
 		}
@@ -247,12 +229,17 @@ func (o *oracle) updateInner(i int) string {
 }
 
 // check serves every plan from both engines and compares the bytes; a
-// bare scan, which both engines answer from its relation's cache, is also
-// held to its reference.
+// bare scan is also held to its reference.
 func (o *oracle) check(step int, did string) {
 	o.t.Helper()
 	for p, plan := range o.plans {
+		before := o.cached.Stats().Cache
 		got, gotTails, release, err := o.cached.ServePlan(plan, nil)
+		if o.leaves[p] != nil {
+			after := o.cached.Stats().Cache
+			o.scanHits += after.Hits - before.Hits
+			o.scanBuilt += after.Built - before.Built
+		}
 		if err != nil {
 			o.t.Fatalf("step %d (%s): cached engine, plan %s: %v", step, did, o.names[p], err)
 		}
@@ -286,7 +273,7 @@ func (o *oracle) reference(leaf *Spec) (body, tails []byte) {
 	if err != nil {
 		o.t.Fatal(err)
 	}
-	if body, err = wire.AppendAnswerCore(nil, ans); err != nil {
+	if body, err = wire.AppendCompositeCore(nil, &wire.Composite{Outer: ans.Chain}); err != nil {
 		o.t.Fatal(err)
 	}
 	return body, relTails([]relOldest{{rv, ans.OldestSigTS}}, nil)
@@ -325,13 +312,10 @@ func TestPlanCacheOracle(t *testing.T) {
 				o.check(step, did)
 			}
 			st := o.cached.Stats().Cache
-			hits += st.Hits
-			built += st.Built
-			for _, rel := range []*core.Relation{o.outer, o.inner} {
-				st := rel.QS.ServingStats().Answers
-				scanHits += st.Hits
-				scanBuilt += st.Built
-			}
+			hits += st.Hits - o.scanHits
+			built += st.Built - o.scanBuilt
+			scanHits += o.scanHits
+			scanBuilt += o.scanBuilt
 		})
 	}
 	// The oracle is only as good as its mix: if nearly every step

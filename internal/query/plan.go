@@ -12,8 +12,9 @@
 //
 // A plan has one canonical flat binary encoding (Marshal/UnmarshalPlan).
 // Those bytes travel verbatim in the 'P' wire frame and double as the
-// plan-cache key, so two clients issuing the same σ/π/⋈ share one cached
-// composite answer. A range selection is the plan with no operator flags.
+// answer cache's key, so two clients issuing the same σ/π/⋈ share one
+// cached composite answer. A range selection is the plan with no operator
+// flags.
 package query
 
 import (
@@ -41,9 +42,6 @@ type JoinSpec struct {
 	Method join.Method
 }
 
-// Node is the plan type Plan returns: the spec itself.
-type Node = Spec
-
 const (
 	maxAttrs   = 1024
 	maxRelName = 256
@@ -54,20 +52,10 @@ const (
 	flagJoin    = 1 << 1
 )
 
-// Plan validates spec and returns it as the plan to execute and encode.
-// The selection is always pushed into the outer scan. pushdown is
-// ignored: the signature is the one benchmark/ compiles against.
-func Plan(spec *Spec, pushdown bool) (*Node, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	return spec, nil
-}
-
-// validate is the one rule book for a plan, whether built in process
-// (Plan, Engine.Execute) or received (UnmarshalPlan): everything it
+// Validate is the one rule book for a plan, whether built in process
+// (a client, Engine.Execute) or received (UnmarshalPlan): everything it
 // accepts the encoding carries exactly.
-func (s *Spec) validate() error {
+func (s *Spec) Validate() error {
 	if s == nil {
 		return fmt.Errorf("query: no plan")
 	}
@@ -94,7 +82,7 @@ func (s *Spec) validate() error {
 }
 
 // checkSelection holds the outer relation's name length and the selected
-// range to validate's rules; bareScan applies it to a plan it reads
+// range to Validate's rules; bareScan applies it to a plan it reads
 // without making a Spec.
 func checkSelection(rel int, lo, hi int64) error {
 	if err := checkRel(rel); err != nil {
@@ -131,7 +119,7 @@ func (s *Spec) Marshal() []byte {
 }
 
 // AppendTo appends the plan's canonical encoding to buf. Only a plan
-// validate accepts is encoded faithfully.
+// Validate accepts is encoded faithfully.
 func (s *Spec) AppendTo(buf []byte) []byte {
 	buf = appendName(buf, s.Rel)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(s.Lo))
@@ -211,7 +199,7 @@ func bareScan(data []byte) (rel []byte, lo, hi int64, ok bool) {
 // UnmarshalPlan decodes and validates plan bytes received from an
 // untrusted client. The encoding is canonical: bytes it accepts are the
 // bytes the returned plan marshals to.
-func UnmarshalPlan(data []byte) (*Node, error) {
+func UnmarshalPlan(data []byte) (*Spec, error) {
 	r := planReader{data: data}
 	s := &Spec{Rel: string(r.name()), Lo: r.i64(), Hi: r.i64()}
 	flags := r.u8()
@@ -235,7 +223,7 @@ func UnmarshalPlan(data []byte) (*Node, error) {
 	if err := r.end(); err != nil {
 		return nil, err
 	}
-	if err := s.validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return s, nil

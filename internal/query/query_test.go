@@ -168,11 +168,7 @@ func joined(t *testing.T, comp *wire.Composite) (matched map[int64][]*chain.Reco
 
 func TestSelectProjectJoinBF(t *testing.T) {
 	fx := newFixture(t)
-	n, err := Plan(fx.spec(join.BF), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := fx.eng.Execute(n)
+	res, err := fx.eng.Execute(fx.spec(join.BF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +211,7 @@ func TestSelectJoinBVSerialMatchesParallel(t *testing.T) {
 	fx := newFixture(t)
 	spec := fx.spec(join.BV)
 	spec.Attrs = nil
-	n, err := Plan(spec, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := fx.eng.Execute(n)
+	res, err := fx.eng.Execute(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +257,7 @@ func (fx *fixture) swapped() *fixture {
 }
 
 // planShapes is one valid plan of every shape the encoding has, and each
-// of validate's limits reached exactly.
+// of Validate's limits reached exactly.
 func planShapes() []*Spec {
 	slots := make([]int, maxAttrs)
 	for i := range slots {
@@ -322,7 +314,7 @@ func TestPlanCodec(t *testing.T) {
 }
 
 // TestPlanAndDecoderAgree: Plan and UnmarshalPlan share one rule book, so
-// a spec Plan refuses is one a server refuses too, and a spec Plan accepts
+// a spec Validate refuses is one a server refuses too, and a spec Validate accepts
 // reaches the server as itself — never as another plan the encoding
 // folded it into.
 func TestPlanAndDecoderAgree(t *testing.T) {
@@ -349,25 +341,24 @@ func TestPlanAndDecoderAgree(t *testing.T) {
 		{"unknown join method", &Spec{Rel: "o", Lo: 1, Hi: 2, Join: &JoinSpec{Rel: "i", Method: join.BF + 1}}, false},
 	}...)
 	for _, r := range rows {
-		_, perr := Plan(r.spec, true)
+		perr := r.spec.Validate()
 		got, derr := UnmarshalPlan(r.spec.Marshal())
 		carried := derr == nil && reflect.DeepEqual(got, r.spec)
 		if (perr == nil) != r.ok || carried != r.ok {
-			t.Errorf("%s: Plan: %v; decoded %+v, %v; want accepted = %v", r.name, perr, got, derr, r.ok)
+			t.Errorf("%s: Validate: %v; decoded %+v, %v; want accepted = %v", r.name, perr, got, derr, r.ok)
 		}
 	}
-	if _, err := Plan(nil, true); err == nil {
-		t.Error("nil spec planned")
+	if err := (*Spec)(nil).Validate(); err == nil {
+		t.Error("nil spec validated")
 	}
 }
 
-func (s *Spec) mustPlan(t *testing.T) *Node {
+func (s *Spec) mustPlan(t *testing.T) *Spec {
 	t.Helper()
-	n, err := Plan(s, true)
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return n
+	return s
 }
 
 // decodeServed reassembles what a client receives: the cached core and

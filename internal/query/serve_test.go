@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"authdb/internal/anscache"
-	"authdb/internal/core"
 	"authdb/internal/join"
 	"authdb/internal/wire"
 )
@@ -46,90 +45,106 @@ func TestServePlanRefusesStraySince(t *testing.T) {
 	}
 }
 
-// TestBareScanServedByItsRelation: a plan that is a bare selection is
-// answered by the scanned relation's own serving layer — from its answer
-// cache when it has one, zero-copy, and never from the engine's plan
-// cache — and the frame is the leaf composite either way.
-func TestBareScanServedByItsRelation(t *testing.T) {
+// TestBareScanServedByTheEngineCache: a plan that is a bare selection is
+// answered from the engine's one answer cache, zero-copy, like any other
+// plan, and the frame is the leaf composite an uncached engine encodes.
+func TestBareScanServedByTheEngineCache(t *testing.T) {
 	fx := newFixture(t)
 	plan := (&Spec{Rel: "o", Lo: 105, Hi: 305}).mustPlan(t).Marshal()
-	serve := func() (*wire.Composite, []byte) {
+	uncachedEng := NewEngine(WithCacheBytes(0))
+	if err := uncachedEng.AddRelation("o", fx.outer.QS); err != nil {
+		t.Fatal(err)
+	}
+	serve := func(eng *Engine) (*wire.Composite, []byte) {
 		t.Helper()
-		body, tails, release, err := fx.eng.ServePlan(plan, nil)
+		body, tails, release, err := eng.ServePlan(plan, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer release()
 		return decodeServed(t, body, tails), bytes.Clone(body)
 	}
-	uncached, plain := serve()
+	uncached, plain := serve(uncachedEng)
 	if uncached.Proj != nil || uncached.Join != nil || len(uncached.Outer.Records) != 20 {
 		t.Fatalf("bare scan answered with %+v", uncached)
 	}
 	if len(uncached.Tails) != 1 || uncached.Tails[0].Rel != "o" || len(uncached.Tails[0].Summaries) == 0 {
 		t.Fatalf("bare scan's tails: %+v", uncached.Tails)
 	}
-	// The relation's cache holds what wire.AppendAnswerCore writes — the
-	// codec internal/server pairs it with.
-	codec := core.AnswerCodec{Encode: func(a *core.Answer) ([]byte, error) { return wire.AppendAnswerCore(nil, a) }}
-	if err := fx.outer.QS.EnableAnswerCache(codec, anscache.WithMaxBytes(1<<20)); err != nil {
-		t.Fatal(err)
+	if st := uncachedEng.Stats().Cache; st != (anscache.Stats{}) {
+		t.Fatalf("an uncached engine counted cache traffic: %+v", st)
 	}
-	defer fx.outer.QS.DisableAnswerCache()
 	// The first serve is a first sighting (served, not kept), the second
 	// earns residency, the rest are hits.
 	for i := 0; i < 4; i++ {
-		got, body := serve()
+		got, body := serve(fx.eng)
 		if !bytes.Equal(body, plain) || !reflect.DeepEqual(got, uncached) {
-			t.Fatalf("serve %d through the relation's cache differs from the uncached answer", i)
+			t.Fatalf("serve %d through the cache differs from the uncached answer", i)
 		}
 	}
+	if st := fx.eng.Stats().Cache; st.Built != 2 || st.Hits != 2 || st.Entries != 1 {
+		t.Fatalf("cache built %d, hit %d, holds %d; want 2, 2 and 1", st.Built, st.Hits, st.Entries)
+	}
 	if !raceEnabled {
-		// A cached range selection is most of a server's traffic: beyond the
-		// relation's own serving layer it costs the request no object.
+		// A cached range selection is most of a server's traffic. A hit
+		// costs the request two objects: the cache key's copy of the plan
+		// bytes, and the slice header wire.PutBuffer boxes when the tails'
+		// buffer goes back to its pool.
 		since := []wire.RelSince{{Name: "o", SinceSeq: 1 << 40}} // past the stream: an empty tail
-		viaQS := testing.AllocsPerRun(50, func() {
-			sv, err := fx.outer.QS.Serve(105, 305)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sv.Release()
-		})
-		viaEngine := testing.AllocsPerRun(50, func() {
+		allocs := testing.AllocsPerRun(50, func() {
 			sv, err := fx.eng.Serve(plan, since)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sv.Release()
 		})
-		// (The one object is the slice header wire.PutBuffer boxes when the
-		// tails' buffer goes back to its pool.)
-		if viaEngine > viaQS+1 {
-			t.Fatalf("cached bare scan: %.0f allocations through the engine, %.0f in QueryServer.Serve", viaEngine, viaQS)
+		if allocs > 2 {
+			t.Fatalf("cached bare scan: %.0f allocations per request, want at most 2", allocs)
 		}
 	}
-	if st := fx.outer.QS.ServingStats().Answers; st.Built != 2 || st.Hits < 2 {
-		t.Fatalf("relation cache built %d, hit %d; want 2 and 2", st.Built, st.Hits)
+}
+
+// TestOneCacheServesEveryRelation: on a two-relation engine built the way
+// authserve builds it — one WithCacheBytes budget, no other cache — a bare
+// scan of the inner relation is cached like one of the outer relation,
+// and scans and plans are charged to the one byte budget.
+func TestOneCacheServesEveryRelation(t *testing.T) {
+	fx := newFixture(t, WithCacheBytes(64<<20))
+	serve := func(spec *Spec) (bodyLen, keyLen int) {
+		t.Helper()
+		plan := spec.mustPlan(t).Marshal()
+		body, _, release, err := fx.eng.ServePlan(plan, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodyLen = len(body)
+		release()
+		return bodyLen, len(plan)
 	}
-	if st := fx.eng.Stats(); st.Cache.Built != 0 || st.Cache.Hits != 0 || st.Cache.Entries != 0 {
-		t.Fatalf("a bare scan reached the plan cache: %+v", st.Cache)
+	inner := &Spec{Rel: "i", Lo: 100, Hi: 500}
+	for i := 0; i < 3; i++ { // a first sighting, the build that earns residency, a hit
+		serve(inner)
 	}
-	// One operator on top and it is the engine's.
-	proj := (&Spec{Rel: "o", Lo: 105, Hi: 305, Attrs: []int{0}}).mustPlan(t).Marshal()
-	_, _, release, err := fx.eng.ServePlan(proj, nil)
-	if err != nil {
-		t.Fatal(err)
+	scan := fx.eng.Stats().Cache
+	if scan.Hits != 1 || scan.Built != 2 || scan.Entries != 1 {
+		t.Fatalf("the inner relation's bare scans: %+v, want two builds, one resident entry and one hit", scan)
 	}
-	release()
-	if st := fx.eng.Stats(); st.Cache.Built != 1 {
-		t.Fatalf("a projection did not build a plan-cache entry: %+v", st.Cache)
+	body, key := serve(inner)
+	overhead := scan.Bytes - int64(body+key) // the cache's bookkeeping charge per entry
+	proj := &Spec{Rel: "o", Lo: 105, Hi: 305, Attrs: []int{1}}
+	serve(proj)
+	body, key = serve(proj)
+	both := fx.eng.Stats().Cache
+	if both.Entries != 2 || both.Bytes != scan.Bytes+int64(body+key)+overhead {
+		t.Fatalf("a scan and a plan resident: %d entries, %d bytes; want 2 entries, the scan's %d bytes plus the plan's %d",
+			both.Entries, both.Bytes, scan.Bytes, int64(body+key)+overhead)
 	}
 }
 
 // FuzzUnmarshalPlan: the plan decoder is the first thing every request
 // reaches. Whatever the bytes, it must not panic; what it accepts is
 // canonical — the plan marshals back to exactly the input, which is what
-// lets the plan cache key on received bytes — and passes Plan's rules.
+// lets the plan cache key on received bytes — and passes Validate.
 // bareScan, the serving shortcut, reads exactly the plans the decoder
 // reads as a bare selection, and reads them the same.
 func FuzzUnmarshalPlan(f *testing.F) {
@@ -170,8 +185,8 @@ func FuzzUnmarshalPlan(f *testing.F) {
 		if !bytes.Equal(p.Marshal(), data) {
 			t.Fatalf("accepted %x, which marshals back to %x", data, p.Marshal())
 		}
-		if _, err := Plan(p, true); err != nil {
-			t.Fatalf("accepted %x, which Plan refuses: %v", data, err)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("accepted %x, which Validate refuses: %v", data, err)
 		}
 	})
 }

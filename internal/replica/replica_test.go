@@ -242,9 +242,14 @@ func TestFollowerRebootstrapsPastTruncation(t *testing.T) {
 	defer shutdown()
 	fl := newTestFollower(t, f)
 	ctx, cancel := context.WithCancel(context.Background())
-	go fl.Run(ctx, f.addr)
+	stopped := make(chan struct{})
+	go func() {
+		fl.Run(ctx, f.addr)
+		close(stopped)
+	}()
 	waitUntil(t, "initial catch-up", func() bool { return caughtUp(f, fl) })
 	cancel()
+	<-stopped // the first feed applies nothing more: the follower stays behind the truncation
 
 	for i := 0; i < 3; i++ {
 		f.update(t, f.keys[i])
@@ -622,7 +627,7 @@ func TestFollowerServesJoins(t *testing.T) {
 			}
 			ask(join.BF) // the second request earns residency
 			if again := ask(join.BF); jf.eng.Stats().Cache.Hits == 0 || again.Join.FilterTS != first.Join.FilterTS {
-				t.Fatalf("the repeated BF plan was not served from the follower's plan cache (%+v)", jf.eng.Stats().Cache)
+				t.Fatalf("the repeated BF plan was not served from the follower's answer cache (%+v)", jf.eng.Stats().Cache)
 			}
 
 			// A key the cached answer proved absent arrives, then the

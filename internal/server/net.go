@@ -83,12 +83,12 @@ type ReplSource interface {
 // length-prefixed wire frames, one request per frame, responses in
 // request order so clients can pipeline. Every query is a plan served
 // through a query.Engine; cached answers are written zero-copy — the
-// entry's wire bytes go straight from the relation's answer cache (a
-// bare scan) or the engine's plan cache to the socket, held under the
-// entry's reference count for exactly the duration of the write.
+// entry's wire bytes go straight from the engine's answer cache to the
+// socket, held under the entry's reference count for exactly the
+// duration of the write.
 type NetServer struct {
-	qs  *core.QueryServer // the default relation, whose cache Metrics reports
-	eng *query.Engine
+	qs  *core.QueryServer // the default relation
+	eng *query.Engine     // set by EnablePlans or, failing that, by Serve; guarded by mu
 	cfg NetConfig
 
 	mu       sync.Mutex
@@ -113,9 +113,9 @@ type NetServer struct {
 	replStreams atomic.Uint64
 }
 
-// NewNetServer serves qs (whose answer cache, if wanted, the caller
-// enables via EnableCache) as the one-relation catalog
-// {core.DefaultRelation: qs}.
+// NewNetServer serves qs as the one-relation catalog
+// {core.DefaultRelation: qs}, through a default query.Engine unless
+// EnablePlans attaches one.
 func NewNetServer(qs *core.QueryServer, cfg NetConfig) *NetServer {
 	s := &NetServer{
 		qs:    qs,
@@ -142,7 +142,17 @@ func (s *NetServer) EnableReplication(rel string, src ReplSource) {
 // one, which Serve registers with eng under core.DefaultRelation unless
 // the engine already has a relation of that name. Call before Serve.
 func (s *NetServer) EnablePlans(eng *query.Engine) {
+	s.mu.Lock()
 	s.eng = eng
+	s.mu.Unlock()
+}
+
+// engine returns the engine the listener answers through (nil before
+// EnablePlans or Serve).
+func (s *NetServer) engine() *query.Engine {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.eng
 }
 
 // catalog settles what the listener serves: the engine EnablePlans

@@ -7,7 +7,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,12 +79,8 @@ func dialTest(t *testing.T, sys *core.System, addr string) *client.Client {
 // TestNetRoundTrip exercises the wire path end to end: pipelined
 // verified queries, cached and uncached, plus the summary stream.
 func TestNetRoundTrip(t *testing.T) {
-	sys, keys, addr, shutdown := newNetFixture(t, 500, NetConfig{})
+	sys, keys, addr, srv, shutdown := newNetFixtureSrv(t, 500, NetConfig{})
 	defer shutdown()
-	if err := EnableCache(sys.QS, testCacheBytes); err != nil {
-		t.Fatal(err)
-	}
-	defer sys.QS.DisableAnswerCache()
 
 	cl := dialTest(t, sys, addr)
 	ranges := []core.Range{
@@ -113,7 +108,7 @@ func TestNetRoundTrip(t *testing.T) {
 	if fmt.Sprintf("%x", answers[0].Chain.Agg) != fmt.Sprintf("%x", answers[4].Chain.Agg) {
 		t.Fatal("cached repeat decoded differently")
 	}
-	if sv := sys.QS.ServingStats().Answers; sv.Hits+sv.Coalesced == 0 {
+	if sv := srv.engine().Stats().Cache; sv.Hits+sv.Coalesced == 0 {
 		t.Fatalf("no repeat was served from the cache: %+v", sv)
 	}
 	st := cl.Stats()
@@ -290,10 +285,6 @@ func TestNetServerConnLimit(t *testing.T) {
 func TestNetSummaryStreamRace(t *testing.T) {
 	sys, keys, addr, shutdown := newNetFixture(t, 400, NetConfig{})
 	defer shutdown()
-	if err := EnableCache(sys.QS, 8<<20); err != nil {
-		t.Fatal(err)
-	}
-	defer sys.QS.DisableAnswerCache()
 
 	stop := make(chan struct{})
 	var writerErr error
@@ -398,81 +389,5 @@ func TestNetSummaryStreamRace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("client %d: %v", c, err)
 		}
-	}
-}
-
-// failCodec wraps the production codec, failing the first Encode and
-// counting buffer custody so the pooled-buffer discipline is
-// observable: every successful Encode's buffer must be freed exactly
-// once, and a failed Encode must not leak one to the caller.
-type failCodec struct {
-	encodes atomic.Int64
-	frees   atomic.Int64
-	fail    atomic.Bool
-	inner   core.AnswerCodec
-}
-
-func newFailCodec() *failCodec {
-	fc := &failCodec{inner: Codec()}
-	return fc
-}
-
-func (fc *failCodec) codec() core.AnswerCodec {
-	return core.AnswerCodec{
-		Encode: func(a *core.Answer) ([]byte, error) {
-			if fc.fail.Load() {
-				// The production Codec takes its pooled buffer inside
-				// Encode and returns it on failure; simulate the failure
-				// after the buffer was taken, as a codec bug would.
-				buf := wire.GetBuffer()
-				wire.PutBuffer(buf)
-				return nil, errors.New("codec: injected failure")
-			}
-			out, err := fc.inner.Encode(a)
-			if err == nil {
-				fc.encodes.Add(1)
-			}
-			return out, err
-		},
-		Free: func(b []byte) {
-			fc.frees.Add(1)
-			fc.inner.Free(b)
-		},
-	}
-}
-
-// TestServeFailingCodec drives Serve through a codec that fails, then
-// recovers: the failure must surface as an error without caching a
-// broken entry or double-freeing, and once the codec recovers every
-// built entry's buffer is freed exactly once when the cache drops it.
-func TestServeFailingCodec(t *testing.T) {
-	sys, keys, _, shutdown := newNetFixture(t, 200, NetConfig{})
-	defer shutdown()
-	fc := newFailCodec()
-	if err := sys.QS.EnableAnswerCache(fc.codec()); err != nil {
-		t.Fatal(err)
-	}
-	defer sys.QS.DisableAnswerCache()
-
-	fc.fail.Store(true)
-	if _, err := sys.QS.Serve(keys[0], keys[20]); err == nil {
-		t.Fatal("Serve succeeded through a failing codec")
-	}
-	fc.fail.Store(false)
-	for i := 0; i < 4; i++ { // a first sighting, the build that earns residency, two hits
-		sv, err := sys.QS.Serve(keys[0], keys[20])
-		if err != nil {
-			t.Fatalf("Serve after codec recovery: %v", err)
-		}
-		if len(sv.Data) == 0 {
-			t.Fatal("no wire bytes from recovered codec")
-		}
-		sv.Release()
-	}
-	sys.QS.DisableAnswerCache() // drops residency; last reference frees
-	// The first sighting's buffer went back on its release, the resident
-	// one on DisableAnswerCache.
-	if e, f := fc.encodes.Load(), fc.frees.Load(); e != 2 || f != 2 {
-		t.Fatalf("encodes=%d frees=%d, want exactly two buffers, each freed exactly once", e, f)
 	}
 }

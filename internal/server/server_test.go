@@ -1,23 +1,20 @@
 package server
 
 import (
+	"bytes"
 	"testing"
 
 	"authdb/internal/core"
+	"authdb/internal/query"
 	"authdb/internal/sigagg/xortest"
+	"authdb/internal/wire"
 	"authdb/internal/workload"
 )
 
-// testCacheBytes is the answer-cache budget of tests that expect a hit.
-// Entries are charged by their pooled buffer's capacity, which is
-// whatever the pool last held, up to 1 MiB: a smaller per-shard budget
-// (1/16 of this) would refuse an answer that drew a buffer an earlier
-// test in the binary left large.
-const testCacheBytes = 64 << 20
-
-// TestServeReflectsUpdates drives the real wire codec end to end: a
-// cached range, an intersecting update, and the requirement that the
-// next serve decodes to the fresh record.
+// TestServeReflectsUpdates drives the real wire codec end to end through
+// the engine a NetServer answers with: a cached range, an intersecting
+// update, and the requirement that the next serve decodes to the fresh
+// record.
 func TestServeReflectsUpdates(t *testing.T) {
 	sys, err := core.NewSystem(xortest.New(), core.DefaultConfig())
 	if err != nil {
@@ -31,23 +28,35 @@ func TestServeReflectsUpdates(t *testing.T) {
 	if err := sys.QS.Apply(msg); err != nil {
 		t.Fatal(err)
 	}
-	if err := EnableCache(sys.QS, testCacheBytes); err != nil {
+	eng := query.NewEngine()
+	if err := eng.AddRelation(core.DefaultRelation, sys.QS); err != nil {
 		t.Fatal(err)
 	}
 	keys := workload.Keys(recs)
 	lo, hi := keys[100], keys[140]
-
-	for i := 0; i < 3; i++ { // a first sighting, the build that earns residency, then a hit
-		sv, err := sys.QS.Serve(lo, hi)
+	plan := (&query.Spec{Rel: core.DefaultRelation, Lo: lo, Hi: hi}).Marshal()
+	serve := func(i int) *core.Answer {
+		t.Helper()
+		sv, err := eng.Serve(plan, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Verifier.VerifyAnswer(sv.Answer, lo, hi, 10_000); err != nil {
+		defer sv.Release()
+		c, err := wire.DecodeComposite(append(bytes.Clone(sv.Body), sv.Tails...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans := &core.Answer{Chain: c.Outer, Summaries: c.Tails[0].Summaries}
+		if _, err := sys.Verifier.VerifyAnswer(ans, lo, hi, 10_000); err != nil {
 			t.Fatalf("serve %d failed verification: %v", i, err)
 		}
-		sv.Release()
+		return ans
 	}
-	st := sys.QS.ServingStats().Answers
+
+	for i := 0; i < 3; i++ { // a first sighting, the build that earns residency, then a hit
+		serve(i)
+	}
+	st := eng.Stats().Cache
 	if st.Hits != 1 || st.Built != 2 || st.Entries != 1 {
 		t.Fatalf("expected two builds, one resident, and one hit: %+v", st)
 	}
@@ -59,24 +68,17 @@ func TestServeReflectsUpdates(t *testing.T) {
 	if err := sys.QS.Apply(up); err != nil {
 		t.Fatal(err)
 	}
-	sv, err := sys.QS.Serve(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Release()
-	if sv.Source != core.ServedBuilt {
-		t.Fatalf("post-update serve came from %v, want a rebuild", sv.Source)
+	ans := serve(3)
+	if got := eng.Stats().Cache; got.Built != st.Built+1 || got.Hits != st.Hits {
+		t.Fatalf("post-update serve was not a rebuild: %+v", got)
 	}
 	found := false
-	for _, r := range sv.Answer.Chain.Records {
+	for _, r := range ans.Chain.Records {
 		if r.Key == keys[120] && r.TS == 777 && string(r.Attrs[0]) == "fresh" {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatal("post-update serve does not carry the fresh record")
-	}
-	if _, err := sys.Verifier.VerifyAnswer(sv.Answer, lo, hi, 10_000); err != nil {
-		t.Fatalf("post-update serve failed verification: %v", err)
 	}
 }

@@ -60,8 +60,8 @@ func (m *MetricsBuf) Bytes() []byte { return m.b.Bytes() }
 // are always current — there is no metrics cache to go stale.
 type MetricFn func(*MetricsBuf)
 
-// Metrics emits the server's network counters and the underlying
-// QueryServer's serving-cache counters.
+// Metrics emits the server's network counters and its engine's answer
+// cache, which serves the scans and plans of every relation.
 func (s *NetServer) Metrics(m *MetricsBuf) {
 	st := s.Stats()
 	m.Counter("authdb_net_conns_total", "Connections accepted.", st.Conns)
@@ -80,37 +80,34 @@ func (s *NetServer) Metrics(m *MetricsBuf) {
 	m.Counter("authdb_net_bytes_out_total", "Response payload bytes written.", st.BytesOut)
 	m.Counter("authdb_net_repl_streams_total", "Replication subscriptions accepted.", st.ReplStreams)
 
-	m.cache("authdb_anscache", "Answer-cache", s.qs.ServingStats().Answers)
-}
-
-// cache emits one answer cache's series under prefix — the relation's
-// (authdb_anscache) and the plan engine's (authdb_plancache) are the same
-// eight. what names the cache at the start of each help line.
-func (m *MetricsBuf) cache(prefix, what string, st anscache.Stats) {
-	m.Counter(prefix+"_hits_total", what+" lookups served from a resident entry.", st.Hits)
-	m.Counter(prefix+"_built_total", what+" build functions executed.", st.Built)
-	m.Counter(prefix+"_coalesced_total", what+" callers who shared another's flight.", st.Coalesced)
-	m.Counter(prefix+"_invalidations_total", what+" entries dropped on a stale stamp.", st.Invalidations)
-	m.Counter(prefix+"_evictions_total", what+" entries dropped by the size bound.", st.Evictions)
-	m.Counter(prefix+"_rejected_total", what+" builds served but not made resident: first sightings, the frequency bias, oversize.", st.Rejected)
-	m.Gauge(prefix+"_bytes", "Resident "+strings.ToLower(what)+" bytes: each entry is charged its answer's length plus bookkeeping.", float64(st.Bytes))
-	m.Gauge(prefix+"_entries", "Resident "+strings.ToLower(what)+" entries.", float64(st.Entries))
+	var cs anscache.Stats
+	if eng := s.engine(); eng != nil {
+		cs = eng.Stats().Cache
+	}
+	m.Counter("authdb_anscache_hits_total", "Answer-cache lookups served from a resident entry.", cs.Hits)
+	m.Counter("authdb_anscache_built_total", "Answer-cache build functions executed.", cs.Built)
+	m.Counter("authdb_anscache_coalesced_total", "Answer-cache callers who shared another's flight.", cs.Coalesced)
+	m.Counter("authdb_anscache_invalidations_total", "Answer-cache entries dropped on a stale stamp.", cs.Invalidations)
+	m.Counter("authdb_anscache_evictions_total", "Answer-cache entries dropped by the size bound.", cs.Evictions)
+	m.Counter("authdb_anscache_rejected_total", "Answer-cache builds served but not made resident: first sightings, the frequency bias, oversize.", cs.Rejected)
+	m.Gauge("authdb_anscache_bytes", "Resident answer-cache bytes: each entry is charged its answer's length plus bookkeeping.", float64(cs.Bytes))
+	m.Gauge("authdb_anscache_entries", "Resident answer-cache entries.", float64(cs.Entries))
 }
 
 // QueryMetrics adapts the plan engine's execution counters for a
 // scrape: plan executions, join scan traffic (including the Bloom
-// negative/fallback split §3.5), projected rows, and the plan cache.
+// negative/fallback split §3.5) and projected rows. Its answer cache is
+// NetServer.Metrics'.
 func QueryMetrics(eng *query.Engine) MetricFn {
 	return func(m *MetricsBuf) {
 		qs := eng.Stats()
-		m.Counter("authdb_query_plans_total", "Plans executed (cache hits excluded).", qs.PlanQueries)
+		m.Counter("authdb_query_plans_total", "Plans executed, bare scans included (cache hits excluded).", qs.PlanQueries)
 		m.Counter("authdb_query_stamp_shards_total", "Inner-relation data shards stamped by executed join plans (per plan: what one inner update can invalidate).", qs.StampShards)
 		m.Counter("authdb_query_join_probes_total", "Range scans issued against inner relations (one per run of join keys shipped).", qs.JoinProbes)
 		m.Counter("authdb_query_bf_probes_total", "Outer keys probed through a certified Bloom filter.", qs.BFProbes)
 		m.Counter("authdb_query_bf_negatives_total", "Outer keys a filter negative alone answered (no run covers them).", qs.BFNegatives)
 		m.Counter("authdb_query_bf_fallbacks_total", "Bloom false positives: keys the filter admitted that their run holds no record for.", qs.BFFallbacks)
 		m.Counter("authdb_query_proj_rows_total", "Projected rows emitted.", qs.ProjRows)
-		m.cache("authdb_plancache", "Plan-cache", qs.Cache)
 	}
 }
 

@@ -2,15 +2,16 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"maps"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"authdb/internal/query"
+	"authdb/internal/core"
 )
 
 // scrape fetches the exposition payload and parses it into name→value.
@@ -51,10 +52,6 @@ func scrape(t *testing.T, addr string) map[string]float64 {
 func TestServeMetricsScrape(t *testing.T) {
 	sys, keys, addr, srv, shutdown := newNetFixtureSrv(t, 100, NetConfig{})
 	defer shutdown()
-	if err := EnableCache(sys.QS, testCacheBytes); err != nil {
-		t.Fatal(err)
-	}
-	defer sys.QS.DisableAnswerCache()
 
 	extra := func(m *MetricsBuf) {
 		m.Gauge("authdb_test_gauge", "Composed per-process metric.", 42)
@@ -136,28 +133,48 @@ func TestServeMetricsScrape(t *testing.T) {
 	}
 }
 
-// TestCacheSeriesMatch: the relation's answer cache and the plan engine's
-// cache are one anscache.Cache each and export the same eight series,
-// suffix for suffix.
+// TestCacheSeriesMatch: the engine's one answer cache is exported once,
+// by NetServer.Metrics, as the eight authdb_anscache series, each equal
+// to its counter in Engine.Stats; QueryMetrics exports no cache series.
 func TestCacheSeriesMatch(t *testing.T) {
-	_, _, _, srv, shutdown := newNetFixtureSrv(t, 10, NetConfig{})
+	sys, keys, addr, srv, shutdown := newNetFixtureSrv(t, 100, NetConfig{})
 	defer shutdown()
-	var rel, plan MetricsBuf
-	srv.Metrics(&rel)
-	QueryMetrics(query.NewEngine())(&plan)
-	suffixes := func(m *MetricsBuf, prefix string) []string {
-		var out []string
+	cl := dialTest(t, sys, addr)
+	for i := 0; i < 3; i++ { // a first sighting, the build that earns residency, a hit
+		if _, _, err := cl.QueryBatch([]core.Range{{Lo: keys[10], Hi: keys[40]}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var net, plan MetricsBuf
+	srv.Metrics(&net)
+	QueryMetrics(srv.engine())(&plan)
+	series := func(m *MetricsBuf, prefix string) map[string]string {
+		out := map[string]string{}
 		for _, line := range strings.Split(string(m.Bytes()), "\n") {
-			if name, ok := strings.CutPrefix(line, "# TYPE "+prefix); ok {
-				out = append(out, name)
+			if name, val, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, prefix) {
+				out[strings.TrimPrefix(name, prefix)] = val
 			}
 		}
-		slices.Sort(out)
 		return out
 	}
-	relSet, planSet := suffixes(&rel, "authdb_anscache_"), suffixes(&plan, "authdb_plancache_")
-	if len(relSet) != 8 || !slices.Equal(relSet, planSet) {
-		t.Fatalf("relation cache series %v, plan cache series %v; want the same eight", relSet, planSet)
+	got := series(&plan, "authdb_")
+	for name := range got {
+		if strings.Contains(name, "cache") {
+			t.Fatalf("QueryMetrics exports %s; the answer cache is NetServer.Metrics'", name)
+		}
+	}
+	if len(got) == 0 {
+		t.Fatal("QueryMetrics exports nothing")
+	}
+	st := srv.engine().Stats().Cache
+	want := map[string]string{
+		"hits_total": fmt.Sprint(st.Hits), "built_total": fmt.Sprint(st.Built),
+		"coalesced_total": fmt.Sprint(st.Coalesced), "invalidations_total": fmt.Sprint(st.Invalidations),
+		"evictions_total": fmt.Sprint(st.Evictions), "rejected_total": fmt.Sprint(st.Rejected),
+		"bytes": fmt.Sprint(float64(st.Bytes)), "entries": fmt.Sprint(float64(st.Entries)),
+	}
+	if got := series(&net, "authdb_anscache_"); !maps.Equal(got, want) || st.Hits != 1 {
+		t.Fatalf("answer-cache series %v, engine stats %v", got, want)
 	}
 }
 

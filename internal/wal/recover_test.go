@@ -171,15 +171,11 @@ func TestSnapshotAndBootstrapCarryOneImage(t *testing.T) {
 	}
 }
 
-// ownerImage wire-encodes the owner's full certified state, so two
-// owners compare byte-for-byte (records, timestamps AND signatures).
-func ownerImage(t *testing.T, da *core.DataAggregator) []byte {
-	t.Helper()
-	msg, err := da.SnapshotMsg(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wire.AppendUpdateMsg(nil, msg)
+// image wire-encodes the certified state a query server holds — every
+// record the owner disseminated with its timestamp and signature, and
+// every summary — so two owners' servers compare byte-for-byte.
+func image(qs *core.QueryServer) []byte {
+	return wire.AppendImage(nil, qs.Snapshot())
 }
 
 // fullSweep runs a -check-style verification of the entire catalog on
@@ -280,7 +276,7 @@ func TestRecoverMidLogSnapshotIdempotence(t *testing.T) {
 	}
 
 	// Byte-identical certified state.
-	if !bytes.Equal(ownerImage(t, daA), ownerImage(t, daR)) {
+	if !bytes.Equal(image(qsA), image(qsR)) {
 		t.Fatal("recovered owner state differs from the never-crashed mirror")
 	}
 
@@ -388,7 +384,7 @@ func TestRecoverNoSnapshot(t *testing.T) {
 	if stats.SnapshotLSN != 0 || stats.Skipped != 0 {
 		t.Fatalf("unexpected snapshot involvement: %+v", stats)
 	}
-	if !bytes.Equal(ownerImage(t, daA), ownerImage(t, daR)) {
+	if !bytes.Equal(image(qsA), image(qsR)) {
 		t.Fatal("full-log replay diverged from the mirror")
 	}
 	f.fullSweep(qsR, daA.Len())
@@ -461,7 +457,7 @@ func TestRecoverTornTailPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(ownerImage(t, daM), ownerImage(t, daR)) {
+	if !bytes.Equal(image(qsM), image(qsR)) {
 		t.Fatal("torn-tail recovery does not match the durable prefix")
 	}
 	f.fullSweep(qsR, daR.Len())
@@ -552,7 +548,7 @@ func TestRecoverLostSegmentsAdvancesLSN(t *testing.T) {
 	if stats.Replayed != 1 {
 		t.Fatalf("second recovery replayed %d messages, want the 1 post-recovery write", stats.Replayed)
 	}
-	if !bytes.Equal(ownerImage(t, daR), ownerImage(t, daR2)) {
+	if !bytes.Equal(image(qsR), image(qsR2)) {
 		t.Fatal("second recovery lost the post-recovery write")
 	}
 }
@@ -603,11 +599,7 @@ func TestRecoveredRelationKeepsFilter(t *testing.T) {
 		}
 		// The selection begins and ends on keys the inner relation lacks:
 		// no run covers those, so Bloom negatives answer them.
-		plan, err := query.Plan(&query.Spec{Rel: "o", Lo: 105, Hi: 495, Join: &query.JoinSpec{Rel: "i", Method: join.BF}}, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Execute(plan)
+		res, err := eng.Execute(&query.Spec{Rel: "o", Lo: 105, Hi: 495, Join: &query.JoinSpec{Rel: "i", Method: join.BF}})
 		if err != nil {
 			t.Fatalf("BF join against the recovered relation: %v", err)
 		}

@@ -171,14 +171,14 @@ func TestRuntimeTable(t *testing.T) {
 			if !tc.durable {
 				return
 			}
-			// The durable shapes also come back: same owner image, same
+			// The durable shapes also come back: same certified image, same
 			// answers, and a clock a resumed writer can stamp past.
-			want, ts := ownerImage(t, rt.DA), rt.TS()
+			want, ts := image(rt.QS), rt.TS()
 			if err := rt.Close(); err != nil {
 				t.Fatal(err)
 			}
 			rt2, _ := f.bootRuntime(dir, Options{NoSync: true}, 7)
-			if got := ownerImage(t, rt2.DA); string(got) != string(want) {
+			if got := image(rt2.QS); string(got) != string(want) {
 				t.Fatal("recovered owner differs from the one that was closed")
 			}
 			if rt2.TS() != ts || rt2.LSN() != uint64(1+msgs) {

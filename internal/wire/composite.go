@@ -9,8 +9,7 @@
 // whose bytes depend only on the touched data — and per-client relation
 // tails (certified-summary deltas) appended at response time, so a
 // cached core stays valid across ρ-period closes on every relation the
-// plan touched. The core of a bare scan is `V 'C' body flags=0`: what a
-// relation's own answer cache holds (server.Codec).
+// plan touched. The core of a bare scan is `V 'C' body flags=0`.
 package wire
 
 import (
@@ -74,7 +73,7 @@ func AppendPlanReq(buf []byte, plan []byte, rels []RelSince) []byte {
 // rels (a server passes a two-entry array of its own: nothing then sizes
 // with the request). The plan bytes alias data. The engine
 // (query.Engine.Serve) reads them — a bare selection in place, any other
-// plan through query.UnmarshalPlan — keys its plan cache on a copy of
+// plan through query.UnmarshalPlan — keys its answer cache on a copy of
 // them, and holds the positions against the relations the plan names.
 func DecodePlanReq(data []byte, rels []RelSince) (plan []byte, _ []RelSince, err error) {
 	r := &reader{buf: data, alias: true}

@@ -62,10 +62,7 @@ func TestLeafCompositeEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := AppendAnswer(nil, ans)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := leafFrame(t, ans)
 	w := &writer{}
 	w.u8(Version)
 	w.u8(KindComposite)
@@ -181,6 +178,18 @@ func TestCompositeRoundTrip(t *testing.T) {
 }
 
 // compositeFrame encodes c as the one 'C' message a client receives.
+// leafFrame is the 'C' frame of a bare scan of core.DefaultRelation that
+// ans answers: the composite of its chain, its summaries the one tail.
+func leafFrame(t testing.TB, ans *core.Answer) []byte {
+	t.Helper()
+	return compositeFrame(t, &Composite{Outer: ans.Chain, Tails: []RelTail{{Rel: core.DefaultRelation, Summaries: ans.Summaries}}})
+}
+
+// leafAnswer is the core.Answer a decoded leaf frame carries.
+func leafAnswer(c *Composite) *core.Answer {
+	return &core.Answer{Chain: c.Outer, Summaries: c.Tails[0].Summaries}
+}
+
 func compositeFrame(t testing.TB, c *Composite) []byte {
 	t.Helper()
 	body, err := AppendCompositeCore(nil, c)

@@ -36,10 +36,7 @@ func seedFrames(t testing.TB) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ansBytes, err := AppendAnswer(nil, ans)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ansBytes := leafFrame(t, ans)
 	sums := sys.QS.SummariesSince(0)
 	// Two join sections: runs and Bloom negatives grouped per partition,
 	// and (a BV join) runs alone, stating no filter time.
@@ -216,10 +213,11 @@ func checkCustody(t *testing.T, data []byte, views [][]byte, sums []freshness.Su
 	}
 }
 
-// FuzzDecodeAnswer: the full answer decoder against arbitrary bytes. An
-// accepted frame is canonical (it re-encodes to the input), decoding
-// allocates in proportion to the bytes present, and the result aliases
-// the frame except for its summaries.
+// FuzzDecodeAnswer: the retired answer codec benchmark/ still compiles
+// against (benchpin.go) against arbitrary bytes. An accepted frame is
+// canonical (it re-encodes to the input), decoding allocates in
+// proportion to the bytes present, and the result aliases the frame
+// except for its summaries.
 func FuzzDecodeAnswer(f *testing.F) {
 	mutate(f, seedFrames(f))
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -302,8 +300,9 @@ func FuzzDecodeRequests(f *testing.F) {
 }
 
 // FuzzDecodeComposite: the plan-answer decoder (what a client runs on a
-// replica's 'C' frame) against arbitrary bytes, held to the same three
-// properties as FuzzDecodeAnswer.
+// replica's 'C' frame) against arbitrary bytes: an accepted frame is
+// canonical, decoding allocates in proportion to the bytes present, and
+// the result aliases the frame except for its summaries.
 func FuzzDecodeComposite(f *testing.F) {
 	mutate(f, seedFrames(f))
 	f.Fuzz(func(t *testing.T, in []byte) {

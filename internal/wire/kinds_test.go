@@ -65,7 +65,7 @@ func TestKindsTable(t *testing.T) {
 	if string(got) != want {
 		t.Errorf("frame kinds %q, want %q", got, want)
 	}
-	if k, err := Kind(must(AppendAnswer(nil, &core.Answer{Chain: ans}))); err != nil || k != KindComposite {
+	if k, err := Kind(must(AppendCompositeCore(nil, &Composite{Outer: ans}))); err != nil || k != KindComposite {
 		t.Errorf("a range answer is framed %q, %v; want 'C'", k, err)
 	}
 }

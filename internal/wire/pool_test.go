@@ -26,24 +26,25 @@ func TestAppendEncodersMatchAndPoolRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshA, err := AppendAnswer(nil, ans)
+	leaf := &Composite{Outer: ans.Chain}
+	freshA, err := AppendCompositeCore(nil, leaf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf2 := GetBuffer()
-	pooledA, err := AppendAnswer(buf2, ans)
+	pooledA, err := AppendCompositeCore(buf2, leaf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(freshA, pooledA) {
-		t.Fatal("pooled AppendAnswer differs from a fresh buffer's")
+		t.Fatal("pooled AppendCompositeCore differs from a fresh buffer's")
 	}
-	got, err := DecodeAnswer(pooledA)
+	got, err := DecodeComposite(AppendRelTails(pooledA, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Chain.Records) != len(ans.Chain.Records) {
-		t.Fatalf("round trip lost records: %d vs %d", len(got.Chain.Records), len(ans.Chain.Records))
+	if len(got.Outer.Records) != len(ans.Chain.Records) {
+		t.Fatalf("round trip lost records: %d vs %d", len(got.Outer.Records), len(ans.Chain.Records))
 	}
 	PutBuffer(pooledA)
 
@@ -55,7 +56,7 @@ func TestAppendEncodersMatchAndPoolRoundTrips(t *testing.T) {
 	PutBuffer(again)
 }
 
-func BenchmarkAppendAnswerPooled(b *testing.B) {
+func BenchmarkAppendCompositeCorePooled(b *testing.B) {
 	sys := system(b, 100)
 	ans, err := sys.QS.Query(10, 500)
 	if err != nil {
@@ -64,7 +65,7 @@ func BenchmarkAppendAnswerPooled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err := AppendAnswer(GetBuffer(), ans)
+		buf, err := AppendCompositeCore(GetBuffer(), &Composite{Outer: ans.Chain})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func BenchmarkAppendAnswerPooled(b *testing.B) {
 	}
 }
 
-func BenchmarkAppendAnswerFresh(b *testing.B) {
+func BenchmarkAppendCompositeCoreFresh(b *testing.B) {
 	sys := system(b, 100)
 	ans, err := sys.QS.Query(10, 500)
 	if err != nil {
@@ -81,7 +82,7 @@ func BenchmarkAppendAnswerFresh(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AppendAnswer(nil, ans); err != nil {
+		if _, err := AppendCompositeCore(nil, &Composite{Outer: ans.Chain}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,9 +6,8 @@
 // in any language can parse it, and so corrupted or truncated inputs
 // fail loudly before any cryptographic check.
 //
-// Custody of decoded bytes: DecodeAnswer and DecodeComposite return
-// records, attribute values and aggregates that alias the frame they
-// were given, and the frame belongs to the result from then on — the
+// Custody of decoded bytes: DecodeComposite returns records, attribute
+// values and aggregates that alias the frame it was given, and the frame belongs to the result from then on — the
 // verifying client reads each answer frame into a buffer of its own and
 // never writes to it again. Whatever outlives the answer is copied where
 // it is retained: certified summaries, which a session keeps, are copied
@@ -455,40 +454,6 @@ func DecodeUpdateMsg(data []byte) (*core.UpdateMsg, error) {
 	return msg, nil
 }
 
-// ---- Answer: a leaf composite held as a core.Answer ----
-//
-// The protocol has one answer message, the composite ('C', composite.go).
-// AppendAnswer, AppendAnswerCore and DecodeAnswer are thin
-// wrappers over its codec for callers that hold a core.Answer — the
-// in-process form of a range answer — rather than a Composite: a
-// composite with no operator sections and exactly one summary tail,
-// under core.DefaultRelation. They add nothing to the format;
-// benchmark/layers.go times encode and decode through them.
-
-// AppendAnswer appends ans as a leaf composite — AppendAnswerCore, then
-// its summaries as the one tail — to buf and returns the extended
-// buffer. On error nothing has been appended and the caller still owns
-// buf — a pooled buffer must then be recycled by the caller (exactly
-// once; see server.Codec for the canonical error path).
-func AppendAnswer(buf []byte, ans *core.Answer) ([]byte, error) {
-	out, err := AppendAnswerCore(buf, ans)
-	if err != nil {
-		return nil, err
-	}
-	return AppendRelTails(out, []RelTail{{Rel: core.DefaultRelation, Summaries: ans.Summaries}}), nil
-}
-
-// AppendAnswerCore appends the core of the leaf composite whose scan is
-// ans.Chain (AppendCompositeCore): cache-stable bytes that depend only
-// on the answered records, to which a serving layer appends each
-// client's tails.
-func AppendAnswerCore(buf []byte, ans *core.Answer) ([]byte, error) {
-	if ans == nil {
-		return nil, fmt.Errorf("wire: nil answer")
-	}
-	return AppendCompositeCore(buf, &Composite{Outer: ans.Chain})
-}
-
 // putAnswerBody encodes one chained answer — the scan of a composite
 // ('C') message and each of its join proofs: range, records, boundary
 // references, optional anchor, aggregate.
@@ -571,22 +536,6 @@ func getAnswerBody(r *reader) (*chain.Answer, error) {
 	}
 	ca.Agg = sigagg.Signature(agg)
 	return ca, nil
-}
-
-// DecodeAnswer parses what AppendAnswer wrote (DecodeComposite, so the
-// answer's records, attribute values and aggregate alias data, which
-// belongs to the result from here on, and its summaries are copies). A
-// composite with operator sections, or whose tails are not the one of
-// core.DefaultRelation, is not a core.Answer and is refused.
-func DecodeAnswer(data []byte) (*core.Answer, error) {
-	c, err := DecodeComposite(data, core.DefaultRelation)
-	if err != nil {
-		return nil, err
-	}
-	if c.Proj != nil || c.Join != nil || len(c.Tails) != 1 || c.Tails[0].Rel != core.DefaultRelation {
-		return nil, fmt.Errorf("%w: not a bare scan of relation %q with its one tail", ErrCorrupt, core.DefaultRelation)
-	}
-	return &core.Answer{Chain: c.Outer, Summaries: c.Tails[0].Summaries}, nil
 }
 
 func header(r *reader, kind byte) error {
