@@ -61,6 +61,7 @@ package anscache
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -404,6 +405,10 @@ func (c *Cache) Get(key Key) (*Entry, bool) {
 // waiter retries with a fresh build rather than serve a stale answer,
 // so Do never returns bytes older than an update that completed before
 // Do was called.
+//
+// key.Plan may view memory the caller reuses once Do returns: a lookup
+// reads it in place, and Do keeps only a copy, taken when it registers a
+// flight — the flight's key and the key of any entry the flight admits.
 func (c *Cache) Do(key Key, build func() (*Entry, error)) (*Entry, Outcome, error) {
 	h := hash(key)
 	sh := &c.shards[h&c.mask]
@@ -436,6 +441,7 @@ func (c *Cache) Do(key Key, build func() (*Entry, error)) (*Entry, Outcome, erro
 			c.retries.Add(1)
 			continue
 		}
+		key.Plan = strings.Clone(key.Plan)
 		f := &flight{done: make(chan struct{}), replaces: stale != nil}
 		sh.flights[key] = f
 		sh.mu.Unlock()
@@ -479,6 +485,7 @@ func (c *Cache) runBuild(sh *cshard, key Key, h uint64, f *flight, build func() 
 			// the eviction bias reads.
 			demand := uint64(1 + f.waiters)
 			e.refs.Add(f.waiters + 1)
+			e.Key = key // the owned copy, whatever key build wrote
 			// Only a second request earns residency; a first sighting
 			// serves its flight and frees its buffer on the last Release,
 			// as every built entry with a Free hook does.

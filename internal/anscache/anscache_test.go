@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // fakeEpochs is a set of version counters standing in for data shards.
@@ -103,6 +104,38 @@ func TestGetAfterDo(t *testing.T) {
 	e3.Release()
 	if st := c.Stats(); st.Hits != 2 || st.Built != 2 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestDoCopiesAViewedPlan: a key whose Plan views a reused request
+// buffer is looked up in place, but what the cache keeps — the resident
+// entry's key — is a copy, so overwriting the buffer afterwards neither
+// renames the entry nor loses it.
+func TestDoCopiesAViewedPlan(t *testing.T) {
+	src := &fakeEpochs{}
+	c := New()
+	frame := []byte("plan-a")
+	view := Key{Lo: 1, Hi: 2, Plan: unsafe.String(unsafe.SliceData(frame), len(frame))}
+	for i := 0; i < 2; i++ { // the second request earns residency
+		e, _, err := c.Do(view, func() (*Entry, error) {
+			return entryFor(view, src.stampFor(0, 0), "answer"), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Release()
+	}
+	copy(frame, "plan-b")
+	e, ok := c.Get(Key{Lo: 1, Hi: 2, Plan: "plan-a"})
+	if !ok {
+		t.Fatal("the entry is lost once the viewed buffer is overwritten")
+	}
+	defer e.Release()
+	if e.Key.Plan != "plan-a" {
+		t.Fatalf("the resident key reads %q, want a copy of %q", e.Key.Plan, "plan-a")
+	}
+	if _, ok := c.Get(Key{Lo: 1, Hi: 2, Plan: "plan-b"}); ok {
+		t.Fatal("the overwritten buffer's bytes found an entry")
 	}
 }
 

@@ -45,11 +45,6 @@ type DataAggregator struct {
 	// lastMark is the latest timestamp a slot was marked at — a version
 	// certified or a record deleted. ClosePeriod closes strictly after it.
 	lastMark int64
-
-	// multiPending are multi-updated slots due for re-certification at the
-	// next close. Only a snapshot written before each close re-certified
-	// its own period's slots (OwnerState.MultiPending) leaves any.
-	multiPending []int
 }
 
 // DAOption configures a DataAggregator.
@@ -493,15 +488,11 @@ func (da *DataAggregator) ClosePeriod(ts int64) (*UpdateMsg, error) {
 // others, which the close re-certifies. (A record deleted in the period
 // of its last certification was marked only in that period, where
 // CheckFresh reads a mark as the version itself; without the new mark
-// its last version would pass as fresh forever.) Slots a restored
-// snapshot left pending are due now as well. Replay reopens a period the
-// same way.
+// its last version would pass as fresh forever.) Replay reopens a period
+// the same way.
 func (da *DataAggregator) reopen(multi []int, ts int64) []uint64 {
-	due := append(da.multiPending, multi...)
-	da.multiPending = nil
-	slices.Sort(due)
 	var live []uint64
-	for _, sl := range slices.Compact(due) {
+	for _, sl := range multi {
 		if _, ok := da.byRID[uint64(sl)]; ok {
 			live = append(live, uint64(sl))
 		} else {

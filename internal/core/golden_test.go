@@ -15,15 +15,18 @@ import (
 )
 
 // servedAggregatesGolden is the SHA-256 over every aggregate the
-// scenario below serves, recorded from the code before aggregation moved
-// onto decoded operands (commit 39abe6a), and re-recorded once when a
-// period close began re-certifying the period it closes at its own
-// timestamp (the scenario's one close now re-signs the versions its
-// period certified more than once). A
+// scenario below serves before its period close, recorded from the code
+// before aggregation moved onto decoded operands (commit 39abe6a). A
 // curve point has one compressed encoding, so however the server groups
 // its additions the proof bytes — and with them the wire format, the
 // answer cache and wire_bytes_per_answer — must not move.
-const servedAggregatesGolden = "f2306e1fd61932a85913233ceffd8ea631eabf9564dee57017bfca91b13a8228"
+const servedAggregatesGolden = "13b5e020f8a612e6800923544f8872b1ec641101ddcf836b06946068fccc1654"
+
+// servedAfterCloseGolden is the same digest once the period is closed,
+// recorded when a close began re-certifying, at its own timestamp, the
+// versions its period certified more than once. (Before, the scenario's
+// close re-signed nothing, and this digest was servedAggregatesGolden.)
+const servedAfterCloseGolden = "f2306e1fd61932a85913233ceffd8ea631eabf9564dee57017bfca91b13a8228"
 
 func TestServedAggregatesGolden(t *testing.T) {
 	cat, err := NewCatalog(bas.New(0), DefaultConfig(), 1)
@@ -60,33 +63,38 @@ func TestServedAggregatesGolden(t *testing.T) {
 	}
 	deliver(rel.DA.Delete(500, 400))
 	deliver(rel.DA.Delete(1230, 401))
-	deliver(rel.DA.ClosePeriod(1_000))
 
-	h := sha256.New()
-	for _, r := range [][2]int64{{1, 2000}, {10, 10}, {15, 95}, {480, 1260}, {333, 334}, {1995, 2000}, {5, 1705}} {
-		ans, rows, _, err := rel.QS.QueryProj(r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
+	check := func(when, want string) {
+		t.Helper()
+		h := sha256.New()
+		for _, r := range [][2]int64{{1, 2000}, {10, 10}, {15, 95}, {480, 1260}, {333, 334}, {1995, 2000}, {5, 1705}} {
+			ans, rows, _, err := rel.QS.QueryProj(r[0], r[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(ans.Chain.Agg)
+			if len(rows) == 0 {
+				continue
+			}
+			prows := make([]projection.Row, len(rows))
+			ops := make([][]sigagg.Operand, len(rows))
+			for i, row := range rows {
+				prows[i] = projection.Row{RID: row.RID, TS: row.TS, Values: [][]byte{row.Vals[1]}}
+				ops[i] = row.Ops
+			}
+			pans, err := projection.Build(rel.Scheme, []int{1}, prows, ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(pans.Agg)
 		}
-		h.Write(ans.Chain.Agg)
-		if len(rows) == 0 {
-			continue
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Fatalf("served aggregates %s changed: digest %s, recorded %s", when, got, want)
 		}
-		prows := make([]projection.Row, len(rows))
-		ops := make([][]sigagg.Operand, len(rows))
-		for i, row := range rows {
-			prows[i] = projection.Row{RID: row.RID, TS: row.TS, Values: [][]byte{row.Vals[1]}}
-			ops[i] = row.Ops
-		}
-		pans, err := projection.Build(rel.Scheme, []int{1}, prows, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Write(pans.Agg)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != servedAggregatesGolden {
-		t.Fatalf("served aggregates changed: digest %s, recorded %s", got, servedAggregatesGolden)
-	}
+	check("before the close", servedAggregatesGolden)
+	deliver(rel.DA.ClosePeriod(1_000))
+	check("after the close", servedAfterCloseGolden)
 }
 
 // ownerMessagesGolden is the SHA-256 over every field of every message

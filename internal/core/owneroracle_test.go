@@ -379,9 +379,6 @@ func (o *ownerOracle) check(step int) {
 	if got := o.da.pub.State().Touched; !maps.Equal(got, touched) {
 		t.Fatalf("step %d: the period marks %v, slice says %v", step, got, touched)
 	}
-	if len(o.da.multiPending) != 0 {
-		t.Fatalf("step %d: re-certifications pending past a close: %v", step, o.da.multiPending)
-	}
 	if len(o.da.byRID) != len(o.recs) {
 		t.Fatalf("step %d: owner holds %d record bodies for %d records", step, len(o.da.byRID), len(o.recs))
 	}

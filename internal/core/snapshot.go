@@ -27,19 +27,18 @@ import (
 // ReplayMsg documents the requirement for anyone else.
 
 // OwnerState is the DataAggregator's durable state: the relation with
-// its current chained signatures in key order, the rid allocator, the
-// pending multi-update re-certifications, and the publisher's period
-// state. Private keys are deliberately absent — key material never
+// its current chained signatures in key order, the rid allocator and the
+// publisher's period state. No re-certification is ever pending between
+// operations: a close re-certifies its own period's multi-updated slots. Private keys are deliberately absent — key material never
 // touches a snapshot.
 type OwnerState struct {
-	NextRID      uint64
-	Records      []SignedRecord // key-ascending, current signature each
-	MultiPending []int          // slots due at the next close: empty unless an older owner wrote it, one that re-certified a period a close late
-	Pub          *freshness.PublisherState
+	NextRID uint64
+	Records []SignedRecord // key-ascending, current signature each
+	Pub     *freshness.PublisherState
 }
 
-// SnapshotMeta extracts the owner's bookkeeping — rid allocator, pending
-// re-certifications, publisher period state — leaving Records nil: the
+// SnapshotMeta extracts the owner's bookkeeping — rid allocator and
+// publisher period state — leaving Records nil: the
 // snapshot assembler (wal.Capture) takes the record image from the query
 // server, identical by construction since the owner disseminates every
 // signature it creates, and so keeps an O(n) relation scan off the
@@ -47,9 +46,8 @@ type OwnerState struct {
 // on the caller's single-writer discipline.
 func (da *DataAggregator) SnapshotMeta() *OwnerState {
 	return &OwnerState{
-		NextRID:      da.nextRID,
-		MultiPending: append([]int(nil), da.multiPending...),
-		Pub:          da.pub.State(),
+		NextRID: da.nextRID,
+		Pub:     da.pub.State(),
 	}
 }
 
@@ -84,7 +82,6 @@ func (da *DataAggregator) Restore(st *OwnerState) error {
 	for _, rec := range byRID {
 		da.lastMark = max(da.lastMark, rec.TS)
 	}
-	da.multiPending = append([]int(nil), st.MultiPending...)
 	da.compactAges()
 	if st.Pub != nil {
 		if err := da.pub.RestoreState(st.Pub); err != nil {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"authdb/internal/anscache"
 	"authdb/internal/chain"
@@ -461,9 +462,10 @@ func (e *Engine) Serve(planBytes []byte, since []wire.RelSince) (Served, error) 
 		return Served{}, err
 	}
 	// The received bytes are the canonical encoding (bareScan and
-	// UnmarshalPlan accept no other); the key copies them, as it outlives
-	// the request frame.
-	key := anscache.Key{Lo: p.Lo, Hi: p.Hi, Plan: string(planBytes)}
+	// UnmarshalPlan accept no other). The key views them in place, so a
+	// hit copies nothing; the cache copies them before it keeps a key
+	// past the request frame.
+	key := anscache.Key{Lo: p.Lo, Hi: p.Hi, Plan: unsafe.String(unsafe.SliceData(planBytes), len(planBytes))}
 	// An entry keeps the encoded answer and what the tails need — each
 	// touched relation's oldest proof timestamp — not the composite it was
 	// encoded from: that object graph is as large again as the bytes and

@@ -29,7 +29,7 @@ import (
 // silent half-state.
 
 // snapMagic names the layout; a file written under another is refused.
-const snapMagic = "ASNP5\n"
+const snapMagic = "ASNP6\n"
 
 // snapName and snapTmp are the snapshot file names within a store dir.
 const (

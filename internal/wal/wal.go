@@ -43,7 +43,7 @@ import (
 )
 
 const (
-	segMagic   = "AWAL3\n"
+	segMagic   = "AWAL4\n"
 	segPrefix  = "wal-"
 	segSuffix  = ".log"
 	frameHdr   = 8 // u32 len + u32 crc

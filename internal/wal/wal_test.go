@@ -176,10 +176,13 @@ func TestCorruptCRCStopsReplay(t *testing.T) {
 }
 
 // TestOldSegmentMagicRefused: a segment of an earlier layout is not read
-// as this one's — AWAL1 (a kind byte after each LSN) or AWAL2 (deletes
-// naming their rid alone).
+// as this one's — AWAL1 (a kind byte after each LSN), AWAL2 (deletes
+// naming their rid alone) or AWAL3 (a period close whose re-signatures
+// were last period's pending slots, marked before its summary: replayed
+// as this layout's close, the slots the closed period updated twice would
+// never be re-certified).
 func TestOldSegmentMagicRefused(t *testing.T) {
-	for _, magic := range []string{"AWAL1", "AWAL2"} {
+	for _, magic := range []string{"AWAL1", "AWAL2", "AWAL3"} {
 		dir := t.TempDir()
 		old := append([]byte(magic+"\n"), 0, 0, 0, 9)
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), old, 0o644); err != nil {
@@ -306,9 +309,8 @@ func TestSnapshotRoundtripFile(t *testing.T) {
 		TS:     42,
 		Server: server,
 		Owner: &core.OwnerState{
-			NextRID:      9,
-			Records:      server.Records,
-			MultiPending: []int{3, 5},
+			NextRID: 9,
+			Records: server.Records,
 			Pub: &freshness.PublisherState{
 				Seq:     2,
 				LastTS:  40,
@@ -361,7 +363,7 @@ func TestSnapshotRoundtripFile(t *testing.T) {
 	if _, err := decodeSnapshot(reseal(bytes.Clone(whole[:len(whole)-12]))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short owner block under a valid CRC: %v, want ErrCorrupt", err)
 	}
-	for _, magic := range []string{"ASNP2\n", "ASNP3\n", "ASNP4\n"} {
+	for _, magic := range []string{"ASNP2\n", "ASNP3\n", "ASNP4\n", "ASNP5\n"} {
 		old := reseal(append([]byte(magic), whole[len(snapMagic):len(whole)-4]...))
 		if _, err := decodeSnapshot(old); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("previous layout's magic %q: %v, want ErrCorrupt", magic, err)

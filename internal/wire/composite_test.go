@@ -178,6 +178,15 @@ func TestCompositeRoundTrip(t *testing.T) {
 }
 
 // compositeFrame encodes c as the one 'C' message a client receives.
+func compositeFrame(t testing.TB, c *Composite) []byte {
+	t.Helper()
+	body, err := AppendCompositeCore(nil, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return AppendRelTails(body, c.Tails)
+}
+
 // leafFrame is the 'C' frame of a bare scan of core.DefaultRelation that
 // ans answers: the composite of its chain, its summaries the one tail.
 func leafFrame(t testing.TB, ans *core.Answer) []byte {
@@ -188,15 +197,6 @@ func leafFrame(t testing.TB, ans *core.Answer) []byte {
 // leafAnswer is the core.Answer a decoded leaf frame carries.
 func leafAnswer(c *Composite) *core.Answer {
 	return &core.Answer{Chain: c.Outer, Summaries: c.Tails[0].Summaries}
-}
-
-func compositeFrame(t testing.TB, c *Composite) []byte {
-	t.Helper()
-	body, err := AppendCompositeCore(nil, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return AppendRelTails(body, c.Tails)
 }
 
 // TestProjectionSectionIsValues: the projection section is the slots, then

@@ -66,17 +66,12 @@ func DecodeImage(data []byte) (*core.ServerState, []byte, error) {
 }
 
 // AppendOwnerBlock appends what a snapshot holds of the owner beyond
-// the image: the rid allocator, the pending multi-update
-// re-certifications and the publisher's mid-period state (st.Pub, which
+// the image: the rid allocator and the publisher's mid-period state (st.Pub, which
 // DataAggregator.SnapshotMeta always sets). st.Records is not written —
 // it is the image's records.
 func AppendOwnerBlock(buf []byte, st *core.OwnerState) []byte {
 	w := &writer{buf: buf}
 	w.u64(st.NextRID)
-	w.u64(uint64(len(st.MultiPending)))
-	for _, slot := range st.MultiPending {
-		w.u64(uint64(slot))
-	}
 	w.u64(st.Pub.Seq)
 	w.i64(st.Pub.LastTS)
 	w.u64(st.Pub.Slots)
@@ -103,14 +98,6 @@ func DecodeOwnerBlock(data []byte) (*core.OwnerState, error) {
 	if st.NextRID, err = r.u64(); err != nil {
 		return nil, err
 	}
-	n, err := r.count(8)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		slot, _ := r.u64() // present: count checked the bytes
-		st.MultiPending = append(st.MultiPending, int(slot))
-	}
 	if pub.Seq, err = r.u64(); err != nil {
 		return nil, err
 	}
@@ -120,7 +107,8 @@ func DecodeOwnerBlock(data []byte) (*core.OwnerState, error) {
 	if pub.Slots, err = r.u64(); err != nil {
 		return nil, err
 	}
-	if n, err = r.count(16); err != nil {
+	n, err := r.count(16)
+	if err != nil {
 		return nil, err
 	}
 	pub.Touched = make(map[int]int, n)
