@@ -40,7 +40,7 @@ const benchN = 20_000 // relation size for structure benchmarks
 
 var (
 	onceBAS   sync.Once
-	basSys    *core.System
+	basSys    *core.Relation
 	basKeys   []int64
 	onceEMB   sync.Once
 	embTree   *embtree.Tree
@@ -52,10 +52,14 @@ var (
 	joinSB   []int64
 )
 
-func basFixture(b *testing.B) (*core.System, []int64) {
+func basFixture(b *testing.B) (*core.Relation, []int64) {
 	b.Helper()
 	onceBAS.Do(func() {
-		sys, err := core.NewSystem(bas.New(0), core.DefaultConfig())
+		cat, err := core.NewCatalog(bas.New(0), core.DefaultConfig(), 0)
+		if err != nil {
+			panic(err)
+		}
+		sys, err := cat.AddRelation(core.DefaultRelation, nil, nil, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -240,7 +244,7 @@ func benchProofQueries(b *testing.B) {
 	// that belong to construction, not to proof building.
 	for _, frac := range []int{0, 1, 2, 3} {
 		r := frac * (n - k) / 4
-		if _, err := qs.Query(proofKeys[r], proofKeys[r+k-1]); err != nil {
+		if _, _, err := qs.QueryStamped(proofKeys[r], proofKeys[r+k-1]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -249,7 +253,7 @@ func benchProofQueries(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := rng.Intn(n - k + 1)
 		lo, hi := proofKeys[r], proofKeys[r+k-1]
-		ans, err := qs.Query(lo, hi)
+		ans, _, err := qs.QueryStamped(lo, hi)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +266,7 @@ func benchProofQueries(b *testing.B) {
 			// freshness machinery); checked outside the timed loop cost
 			// would be nicer, but one verification documents it.
 			b.StopTimer()
-			if _, err := proofVerify.VerifyAnswer(ans, lo, hi, 10); err != nil {
+			if _, err := proofVerify.VerifyScan(ans.Chain, lo, hi, 10); err != nil {
 				b.Fatalf("answer failed verification: %v", err)
 			}
 			shards := qs.Shards()
@@ -310,7 +314,7 @@ func benchLinearFold(b *testing.B, k int) {
 		totalOps += k - 1
 		if i == 0 {
 			b.StopTimer()
-			ans, err := proofTreeQS.Query(proofKeys[r], proofKeys[r+k-1])
+			ans, _, err := proofTreeQS.QueryStamped(proofKeys[r], proofKeys[r+k-1])
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -470,7 +474,7 @@ func BenchmarkTable4_BASPointQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := keys[rng.Intn(len(keys))]
-		if _, err := sys.QS.Query(k, k); err != nil {
+		if _, _, err := sys.QS.QueryStamped(k, k); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -482,7 +486,7 @@ func BenchmarkTable4_BASRangeQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qg.Next()
-		if _, err := sys.QS.Query(q.Lo, q.Hi); err != nil {
+		if _, _, err := sys.QS.QueryStamped(q.Lo, q.Hi); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -507,7 +511,7 @@ func BenchmarkTable4_BASVerifyRange(b *testing.B) {
 	sys, keys := basFixture(b)
 	qg := workload.NewQueryGen(keys, 0.001, 5)
 	q := qg.Next()
-	ans, err := sys.QS.Query(q.Lo, q.Hi)
+	ans, _, err := sys.QS.QueryStamped(q.Lo, q.Hi)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -519,7 +523,7 @@ func BenchmarkTable4_BASVerifyRange(b *testing.B) {
 		if err := chain.Verify(sys.Scheme, sys.Pub, ans.Chain); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sys.Verifier.Freshness([]*core.Answer{ans}, 10); err != nil {
+		if _, err := sys.Verifier.Staleness(ans.Chain, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

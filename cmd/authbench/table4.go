@@ -21,7 +21,7 @@ type testbed struct {
 	ioTime  time.Duration // modelled time per page I/O
 	sigSize int           // scheme signature size, resolved once
 
-	sys     *core.System
+	sys     *core.Relation
 	keys    []int64
 	emb     *embtree.Tree
 	embCert embtree.RootCert
@@ -48,7 +48,11 @@ func buildTestbed(n int, ioMS float64) (*testbed, error) {
 	tb := &testbed{n: n, ioTime: time.Duration(ioMS * float64(time.Millisecond))}
 
 	scheme := bas.New(bas.DefaultPairingCost)
-	sys, err := core.NewSystem(scheme, core.DefaultConfig())
+	cat, err := core.NewCatalog(scheme, core.DefaultConfig(), 0)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := cat.AddRelation(core.DefaultRelation, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +127,7 @@ func (tb *testbed) measureBAS(card int) (opCosts, error) {
 	q := qg.Next()
 	var lastAns *core.Answer
 	c.queryCPU = timeIt(3, func() {
-		a, err := tb.sys.QS.Query(q.Lo, q.Hi)
+		a, _, err := tb.sys.QS.QueryStamped(q.Lo, q.Hi)
 		if err != nil {
 			panic(err)
 		}
@@ -132,7 +136,7 @@ func (tb *testbed) measureBAS(card int) (opCosts, error) {
 	cfg := storage.DefaultPageConfig()
 	pages := cfg.HeightASign(int64(tb.n)) + 1 + card/cfg.LeafCapacityASign() + recordPages(card)
 	c.queryIO = time.Duration(pages) * tb.ioTime
-	c.voBytes = lastAns.VOSize(tb.sigSize)
+	c.voBytes = lastAns.Chain.VOSize(tb.sigSize)
 
 	// The paper's client pays one aggregate verification per answer. A
 	// session's Verifier remembers the claims it has closed, so looping one
@@ -142,7 +146,7 @@ func (tb *testbed) measureBAS(card int) (opCosts, error) {
 		if err := chain.Verify(tb.sys.Scheme, tb.sys.Pub, lastAns.Chain); err != nil {
 			panic(err)
 		}
-		if _, err := tb.sys.Verifier.Freshness([]*core.Answer{lastAns}, 10); err != nil {
+		if _, err := tb.sys.Verifier.Staleness(lastAns.Chain, 10); err != nil {
 			panic(err)
 		}
 	})

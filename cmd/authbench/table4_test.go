@@ -30,7 +30,7 @@ func TestMeasureBASVerifyPaysTheAggregate(t *testing.T) {
 	// The query measureBAS drew (same generator, same seed) fixes the
 	// cardinality it actually verified.
 	q := workload.NewQueryGen(tb.keys, float64(card)/float64(tb.n), 11).Next()
-	ans, err := tb.sys.QS.Query(q.Lo, q.Hi)
+	ans, _, err := tb.sys.QS.QueryStamped(q.Lo, q.Hi)
 	if err != nil {
 		t.Fatal(err)
 	}

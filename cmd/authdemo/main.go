@@ -29,6 +29,7 @@ import (
 	"strconv"
 	"strings"
 
+	"authdb/internal/chain"
 	"authdb/internal/core"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
@@ -53,7 +54,11 @@ func main() {
 		log.Fatalf("unknown scheme %q", *schemeName)
 	}
 
-	sys, err := core.NewSystem(scheme, core.DefaultConfig())
+	cat, err := core.NewCatalog(scheme, core.DefaultConfig(), 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, err := cat.AddRelation(core.DefaultRelation, nil, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,21 +92,40 @@ func main() {
 		}
 		return true
 	}
+	// scan answers [lo, hi] and hands the verifier the summaries its
+	// session is owed: those past the newest it holds (the server echoes
+	// that one), or since the answer's oldest signature for a session that
+	// holds none.
+	scan := func(lo, hi int64) (*chain.Answer, error) {
+		ans, _, err := sys.QS.QueryStamped(lo, hi)
+		if err != nil {
+			return nil, err
+		}
+		tip, _ := sys.Verifier.LatestSummary()
+		for _, s := range sys.QS.SummariesTail(tip.Seq, ans.OldestSigTS) {
+			if s.Seq > tip.Seq {
+				if err := sys.Verifier.IngestSummary(s); err != nil {
+					return nil, err
+				}
+			}
+		}
+		return ans.Chain, nil
+	}
 	sigSize := sys.Scheme.SignatureSize() // one lookup for the whole session
 	verifiedQuery := func(lo, hi int64) {
-		ans, err := sys.QS.Query(lo, hi)
+		ca, err := scan(lo, hi)
 		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
-		report, err := sys.Verifier.VerifyAnswer(ans, lo, hi, now)
+		bound, err := sys.Verifier.VerifyScan(ca, lo, hi, now)
 		if err != nil {
 			fmt.Println("VERIFICATION FAILED:", err)
 			return
 		}
 		fmt.Printf("%d records, VO %dB, staleness bound %dms — verified OK\n",
-			len(ans.Chain.Records), ans.VOSize(sigSize), report.MaxStaleness)
-		for _, r := range ans.Chain.Records {
+			len(ca.Records), ca.VOSize(sigSize), bound)
+		for _, r := range ca.Records {
 			fmt.Printf("  key=%-8d rid=%-6d ts=%-8d %s\n", r.Key, r.RID, r.TS, r.Attrs[0])
 		}
 	}
@@ -163,15 +187,15 @@ func main() {
 				fmt.Println("usage: tamper <lo> <hi>")
 				continue
 			}
-			ans, err := sys.QS.Query(atoi(fields[1]), atoi(fields[2]))
-			if err != nil || len(ans.Chain.Records) == 0 {
+			ca, err := scan(atoi(fields[1]), atoi(fields[2]))
+			if err != nil || len(ca.Records) == 0 {
 				fmt.Println("need a non-empty answer to tamper with")
 				continue
 			}
-			forged := *ans.Chain.Records[0]
+			forged := *ca.Records[0]
 			forged.Attrs = [][]byte{[]byte("FORGED")}
-			ans.Chain.Records[0] = &forged
-			if _, err := sys.Verifier.VerifyAnswer(ans, atoi(fields[1]), atoi(fields[2]), now); err != nil {
+			ca.Records[0] = &forged
+			if _, err := sys.Verifier.VerifyScan(ca, atoi(fields[1]), atoi(fields[2]), now); err != nil {
 				fmt.Println("tampering detected:", err)
 			} else {
 				fmt.Println("BUG: tampering went unnoticed!")

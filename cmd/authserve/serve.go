@@ -86,7 +86,7 @@ func bootPrimary(f *flags) (s *catalogServer, err error) {
 		if recovered {
 			// Restart: snapshot + log tail, no owner round trip, no signing.
 			fmt.Printf("authserve: relation %q: recovered %d records, %d summaries (snapshot lsn %d, %d replayed, %d overlap-skipped)\n",
-				name, rel.QS.Len(), len(rel.QS.SummariesSince(0)), st.SnapshotLSN, st.Replayed, st.Skipped)
+				name, rel.QS.Len(), len(rel.QS.SummariesTail(0, 0)), st.SnapshotLSN, st.Replayed, st.Skipped)
 		} else {
 			fmt.Printf("authserve: relation %q: loading under %s (keyseed %q)...\n", name, rel.Scheme.Name(), f.keyseed)
 			load, err := rel.DA.Load(synthRecords(name, i, f.n, f.joinEvery), 1)

@@ -10,6 +10,7 @@ import (
 
 	"authdb/internal/client"
 	"authdb/internal/core"
+	"authdb/internal/query"
 	"authdb/internal/server"
 	"authdb/internal/sigagg"
 	"authdb/internal/wal"
@@ -249,7 +250,7 @@ func TestCatalogNetFlagsTakeEffect(t *testing.T) {
 				return
 			}
 			defer cl.Close()
-			ranges := []core.Range{{Lo: 0, Hi: 20000}, {Lo: 0, Hi: 20000}}
+			specs := []*query.Spec{{Rel: core.DefaultRelation, Lo: 0, Hi: 20000}, {Rel: core.DefaultRelation, Lo: 0, Hi: 20000}}
 			for time.Now().Before(deadline) {
 				mu.Lock()
 				done := shed > 0
@@ -257,7 +258,7 @@ func TestCatalogNetFlagsTakeEffect(t *testing.T) {
 				if done {
 					return
 				}
-				if _, err := cl.FetchBatch(ranges); errors.Is(err, client.ErrOverloaded) {
+				if _, err := cl.QueryPlans(specs); errors.Is(err, client.ErrOverloaded) {
 					mu.Lock()
 					shed++
 					mu.Unlock()

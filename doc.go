@@ -62,7 +62,8 @@
 // message append → fsync-if-summary → apply → publish to the replication
 // feed (internal/replica), snapshotting in the background at the cut
 // between two messages. A server is a catalog of 1..k such relations
-// (core.Catalog; core.System is the one-relation case) under one
+// (core.Catalog; one relation is the catalog of one, named
+// core.DefaultRelation) under one
 // streaming select-project-join planner (internal/query), and every
 // query a client sends is a plan — a range selection the plan that is
 // one scan — answered by one composite the client verifies per relation

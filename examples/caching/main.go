@@ -41,7 +41,11 @@ func main() {
 	// The runtime side, on one signed relation. The xortest scheme stands
 	// in for BAS so the demo is instant; operation counts are
 	// scheme-independent.
-	sys, err := core.NewSystem(xortest.New(), core.DefaultConfig())
+	cat, err := core.NewCatalog(xortest.New(), core.DefaultConfig(), 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, err := cat.AddRelation(core.DefaultRelation, nil, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,7 +96,7 @@ func main() {
 	// baseline) and by the tree ops it reports.
 	viaServer := func(ops func(*core.Answer) int) func(lo, hi int64) int {
 		return func(lo, hi int64) int {
-			ans, err := sys.QS.Query(lo*10, hi*10)
+			ans, _, err := sys.QS.QueryStamped(lo*10, hi*10)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -18,6 +18,7 @@ import (
 	"authdb/internal/client"
 	"authdb/internal/core"
 	"authdb/internal/freshness"
+	"authdb/internal/query"
 	"authdb/internal/server"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/wire"
@@ -26,7 +27,11 @@ import (
 func main() {
 	// 1. The trusted aggregator signs the relation and pushes it to the
 	// untrusted query server, which fronts it with the answer cache.
-	sys, err := core.NewSystem(bas.New(0), core.DefaultConfig())
+	cat, err := core.NewCatalog(bas.New(0), core.DefaultConfig(), 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, err := cat.AddRelation(core.DefaultRelation, nil, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,15 +84,20 @@ func main() {
 	}
 
 	// 4. Pipelined verified queries: one round trip, every answer checked
-	// for authenticity, completeness and freshness.
-	ranges := []core.Range{{Lo: 2500, Hi: 2600}, {Lo: 0, Hi: 90}, {Lo: 19000, Hi: 19990}}
-	answers, reports, err := cl.QueryBatch(ranges)
+	// for authenticity, completeness and freshness. A range selection is
+	// the leaf plan: no projection, no join.
+	specs := []*query.Spec{
+		{Rel: core.DefaultRelation, Lo: 2500, Hi: 2600},
+		{Rel: core.DefaultRelation, Lo: 0, Hi: 90},
+		{Rel: core.DefaultRelation, Lo: 19000, Hi: 19990},
+	}
+	answers, err := cl.QueryPlans(specs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, r := range ranges {
+	for i, spec := range specs {
 		fmt.Printf("verified [%d,%d] over the wire: %d records, staleness bound %dms\n",
-			r.Lo, r.Hi, len(answers[i].Chain.Records), reports[i].MaxStaleness)
+			spec.Lo, spec.Hi, len(answers[i].Outer.Records), answers[i].Staleness)
 	}
 
 	// 5. The aggregator updates a record inside the first range and
@@ -112,17 +122,26 @@ func main() {
 
 	// 6. Re-querying yields the fresh record, still fully verified; the
 	// pre-update answer is now provably stale against the new summary.
-	fresh, _, err := cl.Query(2500, 2600)
+	fresh, err := cl.QueryPlan(specs[0])
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, rec := range fresh.Chain.Records {
+	for _, rec := range fresh.Outer.Records {
 		if rec.Key == 2550 {
 			fmt.Printf("re-query carries the update: key 2550 -> %q (certified t=%d)\n",
 				rec.Attrs[0], rec.TS)
 		}
 	}
-	if _, err := cl.Verify([]*core.Answer{stale}, ranges[:1]); errors.Is(err, freshness.ErrStale) {
+	// The check the client ran on it, VerifyScan, run again against the
+	// certified stream (whoever relays it: every summary is signed) refuses
+	// it now.
+	v := core.NewVerifier(sys.Scheme, sys.Pub, core.DefaultConfig())
+	for _, s := range sys.QS.SummariesTail(0, 0) {
+		if err := v.IngestSummary(s); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if _, err := v.VerifyScan(stale.Outer, specs[0].Lo, specs[0].Hi, ts); errors.Is(err, freshness.ErrStale) {
 		fmt.Printf("pre-update answer proven stale: %v\n", err)
 	} else {
 		log.Fatalf("BUG: stale answer not detected (err=%v)", err)

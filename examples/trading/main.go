@@ -18,7 +18,11 @@ import (
 
 func main() {
 	cfg := core.Config{Rho: 1_000, RhoPrime: 60_000} // ms
-	sys, err := core.NewSystem(bas.New(0), cfg)
+	cat, err := core.NewCatalog(bas.New(0), cfg, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, err := cat.AddRelation(core.DefaultRelation, nil, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +45,7 @@ func main() {
 	}
 
 	// A stale answer the compromised server will replay later.
-	staleAnswer, err := sys.QS.Query(42, 42)
+	staleAnswer, _, err := sys.QS.QueryStamped(42, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,27 +88,28 @@ func main() {
 	}
 	fmt.Printf("streamed %d price updates across 10 summary periods\n\n", updates)
 
-	// A user logs in, fetches the summary history, and queries a band of
-	// instruments.
-	for _, s := range sys.QS.SummariesSince(0) {
+	// A user logs in, fetches the whole summary history, and queries a
+	// band of instruments: it already holds every summary the answer
+	// could need.
+	for _, s := range sys.QS.SummariesTail(0, 0) {
 		if err := sys.Verifier.IngestSummary(s); err != nil {
 			log.Fatal(err)
 		}
 	}
-	ans, err := sys.QS.Query(40, 60)
+	ans, _, err := sys.QS.QueryStamped(40, 60)
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, err := sys.Verifier.VerifyAnswer(ans, 40, 60, now+100)
+	bound, err := sys.Verifier.VerifyScan(ans.Chain, 40, 60, now+100)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("verified %d live quotes; staleness bound %d ms (ρ=%d, 2ρ for last-period signatures)\n",
-		len(ans.Chain.Records), report.MaxStaleness, cfg.Rho)
+		len(ans.Chain.Records), bound, cfg.Rho)
 
 	// The compromised server replays the pre-stream quote for
 	// instrument 42. The certified summaries expose it.
-	_, err = sys.Verifier.VerifyAnswer(staleAnswer, 42, 42, now+100)
+	_, err = sys.Verifier.VerifyScan(staleAnswer.Chain, 42, 42, now+100)
 	if errors.Is(err, freshness.ErrStale) {
 		fmt.Printf("replayed stale quote rejected: %v\n", err)
 	} else {

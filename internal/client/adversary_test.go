@@ -209,7 +209,7 @@ func (ts *tamperSrv) mutate(frame []byte) []byte {
 
 // advance publishes one update to the queried range plus a certified
 // period close, so replayed answers become provably stale.
-func advance(t *testing.T, sys *core.System, key int64, ts int64) {
+func advance(t *testing.T, sys *core.Relation, key int64, ts int64) {
 	t.Helper()
 	msg, err := sys.DA.Update(key, [][]byte{[]byte("post-capture")}, ts)
 	if err != nil {
@@ -251,14 +251,14 @@ func forgingReplica(t *testing.T, mode forgery, what string) {
 			}
 			defer cl.Close()
 			for i := 0; i < honest; i++ {
-				if _, _, err := cl.Query(keys[5], keys[40]); err != nil {
+				if _, err := cl.QueryPlan(leaf(keys[5], keys[40])); err != nil {
 					t.Fatal(err)
 				}
 			}
 			warm := cl.Stats()
 			ts.Forge(mode)
 			for i := 0; i < 2; i++ { // a forgery does not become true by repetition
-				_, _, err = cl.Query(keys[5], keys[40])
+				_, err = cl.QueryPlan(leaf(keys[5], keys[40]))
 				if err == nil {
 					t.Fatalf("%s accepted", what)
 				}
@@ -316,7 +316,7 @@ func TestAdversaryStaleReplayDetected(t *testing.T) {
 	// Capture phase: honest pass-through; the adversary records the
 	// response. Twice: the second sighting renames the claim by content.
 	for i := 0; i < 2; i++ {
-		if _, _, err := cl.Query(keys[5], keys[40]); err != nil {
+		if _, err := cl.QueryPlan(leaf(keys[5], keys[40])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +328,7 @@ func TestAdversaryStaleReplayDetected(t *testing.T) {
 	}
 	// Replay phase: the adversary serves the pre-update answer.
 	ts.Replay()
-	_, _, err = cl.Query(keys[5], keys[40])
+	_, err = cl.QueryPlan(leaf(keys[5], keys[40]))
 	if err == nil {
 		t.Fatal("replayed pre-update answer accepted as fresh")
 	}
@@ -348,7 +348,7 @@ func TestAdversaryStaleReplayDetected(t *testing.T) {
 	if _, err := cold.SyncSummaries(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cold.Query(keys[5], keys[40]); !errors.Is(err, freshness.ErrStale) {
+	if _, err := cold.QueryPlan(leaf(keys[5], keys[40])); !errors.Is(err, freshness.ErrStale) {
 		t.Fatalf("stale replay to a cold session surfaced as %v, want freshness.ErrStale", err)
 	}
 	if st := cold.Stats(); st.ClaimHits != 0 || st.ClaimMisses != 1 {
@@ -380,7 +380,7 @@ func TestAdversaryReplayedSummariesDetected(t *testing.T) {
 	if _, err := cl.SyncSummaries(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cl.Query(keys[5], keys[40]); err != nil {
+	if _, err := cl.QueryPlan(leaf(keys[5], keys[40])); err != nil {
 		t.Fatal(err)
 	}
 	held := cl.SummaryCount()
@@ -401,7 +401,7 @@ func TestAdversaryReplayedSummariesDetected(t *testing.T) {
 		t.Fatalf("summary count moved under replay: %d", cl.SummaryCount())
 	}
 	// And the replayed stale answer is still caught.
-	if _, _, err := cl.Query(keys[5], keys[40]); !errors.Is(err, freshness.ErrStale) {
+	if _, err := cl.QueryPlan(leaf(keys[5], keys[40])); !errors.Is(err, freshness.ErrStale) {
 		t.Fatalf("stale replay surfaced as %v, want freshness.ErrStale", err)
 	}
 }

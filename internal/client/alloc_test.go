@@ -25,12 +25,9 @@ import (
 // digests and claim name a second sighting adds allocate three objects —
 // chain.Jobs' — and the curve arithmetic a first sighting adds allocates
 // nothing: bas's TestKernelAllocatesNothing.)
-func answerFrame(tb testing.TB) ([]byte, core.Range, *core.Verifier) {
+func answerFrame(tb testing.TB) ([]byte, span, *core.Verifier) {
 	tb.Helper()
-	sys, err := core.NewSystem(bas.New(0), core.DefaultConfig())
-	if err != nil {
-		tb.Fatal(err)
-	}
+	sys := newRelation(tb, bas.New(0))
 	recs := workload.Records(workload.Config{N: 120, RecLen: 512, Seed: 3})
 	keys := workload.Keys(recs)
 	msg, err := sys.DA.Load(recs, 1)
@@ -40,8 +37,8 @@ func answerFrame(tb testing.TB) ([]byte, core.Range, *core.Verifier) {
 	if err := sys.QS.Apply(msg); err != nil {
 		tb.Fatal(err)
 	}
-	rg := core.Range{Lo: keys[30], Hi: keys[79]}
-	ans, err := sys.QS.Query(rg.Lo, rg.Hi)
+	rg := span{Lo: keys[30], Hi: keys[79]}
+	ans, _, err := sys.QS.QueryStamped(rg.Lo, rg.Hi)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -52,7 +49,7 @@ func answerFrame(tb testing.TB) ([]byte, core.Range, *core.Verifier) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	frame = wire.AppendRelTails(frame, []wire.RelTail{{Rel: core.DefaultRelation, Summaries: ans.Summaries}})
+	frame = wire.AppendRelTails(frame, []wire.RelTail{{Rel: core.DefaultRelation, Summaries: sys.QS.SummariesTail(0, ans.OldestSigTS)}})
 	v := core.NewVerifier(sys.Scheme, sys.Pub, core.DefaultConfig())
 	v.SetParallelism(1)
 	for i := 0; i < 2; i++ {
@@ -65,20 +62,28 @@ func answerFrame(tb testing.TB) ([]byte, core.Range, *core.Verifier) {
 
 // decodeVerify is the client's per-answer path after the socket read: a
 // frame buffer of its own (what readFrame allocates), the aliasing decode,
-// full verification.
-func decodeVerify(frame []byte, rg core.Range, v *core.Verifier) error {
+// full verification: the tail's summaries past the newest held, then
+// VerifyScan.
+func decodeVerify(frame []byte, rg span, v *core.Verifier) error {
 	own := append([]byte(nil), frame...)
 	c, err := wire.DecodeComposite(own, core.DefaultRelation)
 	if err != nil {
 		return err
 	}
-	ans := &core.Answer{Chain: c.Outer, Summaries: c.Tails[0].Summaries}
-	_, err = v.VerifyAnswers([]*core.Answer{ans}, []core.Range{rg}, 1<<62)
+	for _, s := range c.Tails[0].Summaries {
+		if tip, _ := v.LatestSummary(); s.Seq > tip.Seq {
+			if err := v.IngestSummary(s); err != nil {
+				return err
+			}
+		}
+	}
+	_, err = v.VerifyScan(c.Outer, rg.Lo, rg.Hi, 1<<62)
 	return err
 }
 
 // TestDecodeVerifyAllocBudget pins what the path allocates instead of how
-// long it takes: O(1) objects per answer, 11 here — the records share one
+// long it takes: O(1) objects per answer, 7 here (10 while verification
+// allocated a report per answer) — the records share one
 // array and their Attrs headers one slab, and a claim known by content
 // computes no digest. A per-record copy, header, digest or scratch buffer
 // creeping back in costs 50 and fails it, and so does a repeat that
@@ -158,15 +163,14 @@ func planJoinFrame(tb testing.TB) ([]byte, *query.Spec, *client.Client) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := eng.SetFilter("i", fc); err != nil {
+	if err := inner.QS.Apply(&core.UpdateMsg{Filter: fc}); err != nil {
 		tb.Fatal(err)
 	}
 	spec := &query.Spec{Rel: "o", Lo: 25*10 - 5, Hi: 225*10 + 5, Attrs: []int{0}, Join: &query.JoinSpec{Rel: "i", Method: join.BF}}
-	plan, err := query.Plan(spec, true)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		tb.Fatal(err)
 	}
-	body, tails, release, err := eng.ServePlan(plan.Marshal(), nil)
+	body, tails, release, err := eng.ServePlan(spec.Marshal(), nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -185,11 +189,12 @@ func planJoinFrame(tb testing.TB) ([]byte, *query.Spec, *client.Client) {
 // TestVerifyCompositeAllocBudget is TestLeafPathAllocBudget for a plan with
 // every section: what the client allocates to decode and verify one
 // plan_join answer it has seen before. Nothing is allocated per row or
-// per record any more — 37 objects, all O(1) per section, run and listed
+// per record any more — 35 objects, all O(1) per section, run and listed
 // partition: 31 in the decode (for the projection a row array and one
-// flat value array; a body's records share one Attrs slab) and 6 in
+// flat value array; a body's records share one Attrs slab) and 4 in
 // verification (each key's admit, the outer keys the join is resolved
-// against, the per-plan proof and report arrays, the report). Every claim
+// against, the per-plan proof array; 37 while verification allocated a
+// report array and a report). Every claim
 // but the partition certifications is known by content, and those are
 // one digest each, computed without allocating. It was 51 while every
 // repeat recomputed its digests (the projection's a digest array, its
@@ -239,10 +244,7 @@ func TestJobsBatchAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	sys, err := core.NewSystem(xortest.New(), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newRelation(t, xortest.New())
 	recs := workload.Records(workload.Config{N: 64, RecLen: 64, Seed: 3})
 	msg, err := sys.DA.Load(recs, 1)
 	if err != nil {
@@ -253,7 +255,7 @@ func TestJobsBatchAllocBudget(t *testing.T) {
 	}
 	var answers []*chain.Answer
 	for _, k := range workload.Keys(recs) {
-		hit, err := sys.QS.Query(k, k)
+		hit, _, err := sys.QS.QueryStamped(k, k)
 		if err != nil {
 			t.Fatal(err)
 		}

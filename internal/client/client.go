@@ -6,14 +6,12 @@
 // it has not closed before and knows the rest by name) and freshness
 // against the certified summary streams it tracks from the server.
 //
-// There is one path. Every query is a plan (query.Spec): a range
-// selection is the plan with no projection and no join, and Fetch, FetchBatch,
-// Verify, Query, QueryBatch and SyncSummaries are wrappers that build
-// leaf plans on core.DefaultRelation and hand back the scan as the
-// core.Answer callers hold. plan.go is that path — one function writes
+// There is one path. Every query is a plan (query.Spec), run by
+// QueryPlan or QueryPlans: a range selection is the leaf plan, with no
+// projection and no join. plan.go is that path — one function writes
 // requests ('P'), one decodes answers ('C'), one ingests summaries, one
 // closes signature claims — and this file is the session around it:
-// connection, retry loop, errors, and the wrappers.
+// connection, retry loop, errors, and SyncSummaries.
 //
 // The server is untrusted: nothing it sends is believed until the
 // verifier has checked it against the data aggregator's public key.
@@ -46,7 +44,6 @@ import (
 	"time"
 
 	"authdb/internal/core"
-	"authdb/internal/query"
 	"authdb/internal/sigagg"
 	"authdb/internal/wire"
 )
@@ -55,8 +52,8 @@ import (
 type Config struct {
 	// Scheme and Pub identify the data aggregator whose certifications
 	// the client trusts. Both are required. Pub is the owner's key of
-	// core.DefaultRelation, the relation the range wrappers (Fetch, Query,
-	// SyncSummaries, …) address.
+	// core.DefaultRelation, the relation SyncSummaries and SummaryCount
+	// address.
 	Scheme sigagg.Scheme
 	Pub    sigagg.PublicKey
 	// Protocol supplies ρ and ρ' (zero value = core.DefaultConfig()).
@@ -514,141 +511,6 @@ func serverError(data []byte) error {
 	default:
 		return fmt.Errorf("%w: %s", ErrServer, msg)
 	}
-}
-
-// ---- range selections: leaf plans on core.DefaultRelation ----
-
-// leafSpecs is the plan each range selection is: a bare selection on the
-// default relation.
-func leafSpecs(ranges []core.Range) []*query.Spec {
-	specs := make([]query.Spec, len(ranges))
-	ptrs := make([]*query.Spec, len(ranges))
-	for i, r := range ranges {
-		specs[i] = query.Spec{Rel: core.DefaultRelation, Lo: r.Lo, Hi: r.Hi}
-		ptrs[i] = &specs[i]
-	}
-	return ptrs
-}
-
-// asAnswers hands each leaf composite back as the core.Answer range
-// callers hold: its scan, and the default relation's tail.
-func asAnswers(comps []*wire.Composite) []*core.Answer {
-	answers := make([]core.Answer, len(comps))
-	ptrs := make([]*core.Answer, len(comps))
-	for i, comp := range comps {
-		answers[i].Chain = comp.Outer
-		for _, tail := range comp.Tails {
-			if tail.Rel == core.DefaultRelation {
-				answers[i].Summaries = tail.Summaries
-			}
-		}
-		ptrs[i] = &answers[i]
-	}
-	return ptrs
-}
-
-// asComposites is asAnswers backwards, for answers a caller hands to
-// Verify.
-func asComposites(answers []*core.Answer) ([]*wire.Composite, error) {
-	comps := make([]wire.Composite, len(answers))
-	tails := make([]wire.RelTail, len(answers))
-	ptrs := make([]*wire.Composite, len(answers))
-	for i, ans := range answers {
-		if ans == nil {
-			return nil, fmt.Errorf("%w: no answer %d", ErrComposite, i)
-		}
-		tails[i] = wire.RelTail{Rel: core.DefaultRelation, Summaries: ans.Summaries}
-		comps[i] = wire.Composite{Outer: ans.Chain, Tails: tails[i : i+1 : i+1]}
-		ptrs[i] = &comps[i]
-	}
-	return ptrs, nil
-}
-
-// Fetch round-trips one range query and decodes the answer without
-// verifying it. Callers that trust nothing (all of them — the server is
-// untrusted) pass the result through Verify, or use Query. A range the
-// planner refuses (lo > hi) is an ErrConfig and is never sent.
-func (c *Client) Fetch(lo, hi int64) (*core.Answer, error) {
-	answers, err := c.FetchBatch([]core.Range{{Lo: lo, Hi: hi}})
-	if err != nil {
-		return nil, err
-	}
-	return answers[0], nil
-}
-
-// FetchBatch pipelines the range queries on the connection — all
-// requests are written before any response is read, so the batch costs
-// one round trip — and decodes the in-order answers. If the server
-// reported errors for some queries, every response is still drained
-// (the connection stays usable) and the first error is returned.
-//
-// Each answer owns the frame it arrived in: its records, attribute
-// values and aggregate are views of that frame (wire.DecodeComposite),
-// so nothing is copied between the socket and the hash, and holding any
-// record of an answer holds the whole frame. The certified summaries an
-// answer carries are copies, because the session keeps them.
-func (c *Client) FetchBatch(ranges []core.Range) ([]*core.Answer, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	comps, err := c.fetchRetry(leafSpecs(ranges))
-	if err != nil {
-		return nil, err
-	}
-	return asAnswers(comps), nil
-}
-
-// Verify checks fetched answers: attached summaries are ingested, the
-// batch's signature claims closed at once (core.Verifier.CheckClaims:
-// known claims by name, the rest digested and closed through the
-// scheme's batched primitives), and every record's freshness bounded
-// against the summaries held. ranges[i] is the selection answer i must cover.
-//
-// An answer attaches only the summaries published since its oldest
-// result signature, so a session that skipped some periods can face a
-// sequence gap; Verify bridges it by fetching the missing certified
-// summaries from the server first (each is still signature-checked and
-// chain-checked — the server is trusted for availability only). A
-// freshness.ErrStale from Verify is the protocol working: a summary
-// proves a newer version of an answered record exists, and the caller
-// re-queries.
-//
-// Verification itself never retries — it runs at most once per fetched
-// answer, on exactly the bytes that attempt delivered. Only the
-// bridging fetches of missing certified summaries (plain idempotent 'T'
-// reads) go through the retry machinery.
-func (c *Client) Verify(answers []*core.Answer, ranges []core.Range) ([]*core.FreshnessReport, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(answers) != len(ranges) {
-		return nil, fmt.Errorf("%w: %d answers but %d ranges", ErrConfig, len(answers), len(ranges))
-	}
-	comps, err := asComposites(answers)
-	if err != nil {
-		return nil, err
-	}
-	return c.verify(leafSpecs(ranges), comps)
-}
-
-// Query is Fetch plus full verification of the answer.
-func (c *Client) Query(lo, hi int64) (*core.Answer, *core.FreshnessReport, error) {
-	answers, reports, err := c.QueryBatch([]core.Range{{Lo: lo, Hi: hi}})
-	if err != nil {
-		return nil, nil, err
-	}
-	return answers[0], reports[0], nil
-}
-
-// QueryBatch pipelines the queries and batch-verifies all answers in
-// one pass (QueryPlans over leaf plans; see there for retry and fleet
-// failover).
-func (c *Client) QueryBatch(ranges []core.Range) ([]*core.Answer, []*core.FreshnessReport, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	comps, reports, err := c.queryPlans(leafSpecs(ranges))
-	if err != nil {
-		return nil, nil, err
-	}
-	return asAnswers(comps), reports, nil
 }
 
 // SyncSummaries fetches core.DefaultRelation's certified summaries

@@ -9,19 +9,40 @@ import (
 
 	"authdb/internal/client"
 	"authdb/internal/core"
+	"authdb/internal/query"
 	"authdb/internal/server"
+	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
 	"authdb/internal/wire"
 	"authdb/internal/workload"
 )
 
-// fixture boots a loaded system behind a loopback NetServer.
-func fixture(t *testing.T, n int) (*core.System, []int64, string) {
+// newRelation is a one-relation catalog over scheme.
+func newRelation(t testing.TB, scheme sigagg.Scheme, qsOpts ...core.Option) *core.Relation {
 	t.Helper()
-	sys, err := core.NewSystem(xortest.New(), core.DefaultConfig())
+	cat, err := core.NewCatalog(scheme, core.DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rel, err := cat.AddRelation(core.DefaultRelation, nil, nil, qsOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// leaf is the plan a range selection is.
+func leaf(lo, hi int64) *query.Spec {
+	return &query.Spec{Rel: core.DefaultRelation, Lo: lo, Hi: hi}
+}
+
+// span is a range selection's bounds.
+type span struct{ Lo, Hi int64 }
+
+// fixture boots a loaded relation behind a loopback NetServer.
+func fixture(t *testing.T, n int) (*core.Relation, []int64, string) {
+	t.Helper()
+	sys := newRelation(t, xortest.New())
 	recs := workload.Records(workload.Config{N: n, RecLen: 64, Seed: 3})
 	keys := workload.Keys(recs)
 	msg, err := sys.DA.Load(recs, 1)
@@ -58,21 +79,21 @@ func TestPipelinedOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	ranges := make([]core.Range, 16)
-	for i := range ranges {
-		ranges[i] = core.Range{Lo: keys[i*20], Hi: keys[i*20+10]}
+	specs := make([]*query.Spec, 16)
+	for i := range specs {
+		specs[i] = leaf(keys[i*20], keys[i*20+10])
 	}
-	answers, _, err := cl.QueryBatch(ranges)
+	answers, err := cl.QueryPlans(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, ans := range answers {
-		if ans.Chain.Lo != ranges[i].Lo || ans.Chain.Hi != ranges[i].Hi {
+		if ans.Outer.Lo != specs[i].Lo || ans.Outer.Hi != specs[i].Hi {
 			t.Fatalf("response %d is for [%d,%d], requested [%d,%d]",
-				i, ans.Chain.Lo, ans.Chain.Hi, ranges[i].Lo, ranges[i].Hi)
+				i, ans.Outer.Lo, ans.Outer.Hi, specs[i].Lo, specs[i].Hi)
 		}
-		if len(ans.Chain.Records) != 11 {
-			t.Fatalf("response %d: %d records, want 11", i, len(ans.Chain.Records))
+		if len(ans.Outer.Records) != 11 {
+			t.Fatalf("response %d: %d records, want 11", i, len(ans.Outer.Records))
 		}
 	}
 }
@@ -86,26 +107,26 @@ func TestTamperedAnswerRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	ranges := []core.Range{{Lo: keys[5], Hi: keys[40]}}
-	answers, err := cl.FetchBatch(ranges)
+	spec := leaf(keys[5], keys[40])
+	comp, err := cl.FetchPlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Value forgery.
-	evil := *answers[0].Chain.Records[3]
+	evil := *comp.Outer.Records[3]
 	evil.Attrs = [][]byte{[]byte("forged")}
-	answers[0].Chain.Records[3] = &evil
-	if _, err := cl.Verify(answers, ranges); err == nil {
+	comp.Outer.Records[3] = &evil
+	if err := cl.VerifyComposite(spec, comp); err == nil {
 		t.Fatal("tampered answer verified")
 	}
 	// Record drop (completeness attack).
-	answers, err = cl.FetchBatch(ranges)
+	comp, err = cl.FetchPlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca := answers[0].Chain
+	ca := comp.Outer
 	ca.Records = append(ca.Records[:7:7], ca.Records[8:]...)
-	if _, err := cl.Verify(answers, ranges); err == nil {
+	if err := cl.VerifyComposite(spec, comp); err == nil {
 		t.Fatal("incomplete answer verified")
 	}
 }
@@ -133,20 +154,20 @@ func TestCorruptedConflictingSummaryIsNotDivergence(t *testing.T) {
 	}
 	defer cl.Close()
 	// First round ingests the certified summary stream.
-	if _, _, err := cl.Query(keys[5], keys[40]); err != nil {
+	spec := leaf(keys[5], keys[40])
+	if _, err := cl.QueryPlan(spec); err != nil {
 		t.Fatal(err)
 	}
 	// The next answer re-delivers the held summary; corrupt that copy.
-	ranges := []core.Range{{Lo: keys[5], Hi: keys[40]}}
-	answers, err := cl.FetchBatch(ranges)
+	comp, err := cl.FetchPlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(answers[0].Summaries) == 0 || len(answers[0].Summaries[0].Compressed) == 0 {
+	if len(comp.Tails) != 1 || len(comp.Tails[0].Summaries) == 0 || len(comp.Tails[0].Summaries[0].Compressed) == 0 {
 		t.Fatal("fixture answer carries no re-delivered summary to corrupt")
 	}
-	answers[0].Summaries[0].Compressed[0] ^= 0x40
-	_, err = cl.Verify(answers, ranges)
+	comp.Tails[0].Summaries[0].Compressed[0] ^= 0x40
+	err = cl.VerifyComposite(spec, comp)
 	if !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("corrupted conflicting summary: %v, want wire.ErrCorrupt", err)
 	}
@@ -175,16 +196,13 @@ func TestHostileServer(t *testing.T) {
 		// message.
 		wire.WriteFrame(conn, []byte{wire.Version, 'X', 1, 2, 3})
 	}()
-	sys, err := core.NewSystem(xortest.New(), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newRelation(t, xortest.New())
 	cl, err := client.Dial(ln.Addr().String(), client.Config{Scheme: sys.Scheme, Pub: sys.Pub})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Fetch(1, 2); !errors.Is(err, wire.ErrCorrupt) {
+	if _, err := cl.FetchPlan(leaf(1, 2)); !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("garbage frame: %v, want ErrCorrupt", err)
 	}
 }

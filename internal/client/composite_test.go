@@ -546,7 +546,7 @@ func TestCompositeClosesOncePerKey(t *testing.T) {
 	// the first is a claim no verifier of the session has closed, over
 	// records whose digests the plan's outer chain already hashed.
 	for i := 0; i < 2; i++ {
-		if _, _, err := cl.Query(105, 695); err != nil {
+		if _, err := cl.QueryPlan(leaf(105, 695)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -648,13 +648,13 @@ func TestSummaryBridgingPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fx.eng.SetFilter("i", fc); err != nil {
+	if err := fx.inner.QS.Apply(&core.UpdateMsg{Filter: fc}); err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("range", func(t *testing.T) {
 		cl := fx.dial(t, fx.addr)
-		if _, _, err := cl.Query(2000, 2090); err != nil {
+		if _, err := cl.QueryPlan(leaf(2000, 2090)); err != nil {
 			t.Fatal(err)
 		}
 		if st := cl.Stats(); st.Summaries < 20 {

@@ -31,8 +31,7 @@ func (c *Client) FetchPlan(spec *query.Spec) (*wire.Composite, error) {
 func (c *Client) VerifyComposite(spec *query.Spec, comp *wire.Composite) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, err := c.verify([]*query.Spec{spec}, []*wire.Composite{comp})
-	return err
+	return c.verify([]*query.Spec{spec}, []*wire.Composite{comp})
 }
 
 // NewSession builds a session's verification state with no connection

@@ -21,12 +21,9 @@ import (
 
 // fleetFixture boots one loaded system behind several independent
 // NetServers — the replicas of a fleet, all serving identical state.
-func fleetFixture(t *testing.T, n, replicas int) (*core.System, []int64, []string, []*server.NetServer) {
+func fleetFixture(t *testing.T, n, replicas int) (*core.Relation, []int64, []string, []*server.NetServer) {
 	t.Helper()
-	sys, err := core.NewSystem(xortest.New(), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newRelation(t, xortest.New())
 	recs := workload.Records(workload.Config{N: n, RecLen: 64, Seed: 3})
 	keys := workload.Keys(recs)
 	msg, err := sys.DA.Load(recs, 1)
@@ -72,7 +69,7 @@ func TestFleetFailoverOnDeadReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, _, err := cl.Query(keys[0], keys[30]); err != nil {
+	if _, err := cl.QueryPlan(leaf(keys[0], keys[30])); err != nil {
 		t.Fatal(err)
 	}
 	if got := cl.CurrentAddr(); got != addrs[0] {
@@ -84,7 +81,7 @@ func TestFleetFailoverOnDeadReplica(t *testing.T) {
 	if err := srvs[0].Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cl.Query(keys[0], keys[30]); err != nil {
+	if _, err := cl.QueryPlan(leaf(keys[0], keys[30])); err != nil {
 		t.Fatalf("query after replica death: %v", err)
 	}
 	st := cl.Stats()
@@ -122,7 +119,7 @@ func TestFleetFailoverWithinMaxElapsed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, _, err := cl.Query(keys[0], keys[30]); err != nil {
+	if _, err := cl.QueryPlan(leaf(keys[0], keys[30])); err != nil {
 		t.Fatal(err)
 	}
 	// Partition the primary: sever live pipes and point new ones at a
@@ -130,7 +127,7 @@ func TestFleetFailoverWithinMaxElapsed(t *testing.T) {
 	proxy.SetUpstream("127.0.0.1:1")
 	proxy.DropAll()
 	start := time.Now()
-	if _, _, err := cl.Query(keys[0], keys[30]); err != nil {
+	if _, err := cl.QueryPlan(leaf(keys[0], keys[30])); err != nil {
 		t.Fatalf("query during primary partition: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > budget {
@@ -168,7 +165,7 @@ func TestMaxElapsedBoundsRetries(t *testing.T) {
 	proxy.SetUpstream("127.0.0.1:1")
 	proxy.DropAll()
 	start := time.Now()
-	_, _, err = cl.Query(keys[0], keys[10])
+	_, err = cl.QueryPlan(leaf(keys[0], keys[10]))
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("query against a dead server succeeded")
@@ -195,7 +192,7 @@ func TestFleetQuarantineOnTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, _, err := cl.Query(keys[0], keys[30]); err != nil {
+	if _, err := cl.QueryPlan(leaf(keys[0], keys[30])); err != nil {
 		t.Fatalf("query with one Byzantine replica: %v", err)
 	}
 	st := cl.Stats()
@@ -221,7 +218,7 @@ func TestFleetQuarantineOnTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl2.Close()
-	if _, _, err := cl2.Query(keys[0], keys[30]); err == nil {
+	if _, err := cl2.QueryPlan(leaf(keys[0], keys[30])); err == nil {
 		t.Fatal("lone Byzantine replica's answer accepted")
 	}
 }
@@ -241,7 +238,7 @@ func TestFleetReconnectReadmitsQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, _, err := cl.Query(keys[0], keys[30]); err != nil {
+	if _, err := cl.QueryPlan(leaf(keys[0], keys[30])); err != nil {
 		t.Fatal(err)
 	}
 	if len(cl.Quarantined()) != 1 {
@@ -254,7 +251,7 @@ func TestFleetReconnectReadmitsQuarantined(t *testing.T) {
 	if len(cl.Quarantined()) != 0 {
 		t.Fatal("explicit reconnect did not lift the quarantine")
 	}
-	if _, _, err := cl.Query(keys[0], keys[30]); err != nil {
+	if _, err := cl.QueryPlan(leaf(keys[0], keys[30])); err != nil {
 		t.Fatalf("query after re-admission: %v", err)
 	}
 	if got := cl.CurrentAddr(); got != byz.Addr() {

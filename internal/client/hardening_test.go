@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"authdb/internal/client"
-	"authdb/internal/core"
 	"authdb/internal/faultnet"
 	"authdb/internal/sigagg/xortest"
 )
@@ -34,12 +33,12 @@ func TestConcurrentClientSerialized(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				lo := keys[(w*17+r*3)%300]
 				hi := keys[(w*17+r*3)%300+50]
-				ans, _, err := cl.Query(lo, hi)
+				ans, err := cl.QueryPlan(leaf(lo, hi))
 				if err != nil {
 					errs <- err
 					return
 				}
-				if ans.Chain.Lo != lo || ans.Chain.Hi != hi {
+				if ans.Outer.Lo != lo || ans.Outer.Hi != hi {
 					errs <- errors.New("answer matched to the wrong caller's range")
 					return
 				}
@@ -86,12 +85,12 @@ func TestRetryThroughConnectionResets(t *testing.T) {
 	const queries = 40
 	for i := 0; i < queries; i++ {
 		lo := keys[(i*7)%300]
-		ans, _, err := cl.Query(lo, keys[(i*7)%300+60])
+		ans, err := cl.QueryPlan(leaf(lo, keys[(i*7)%300+60]))
 		if err != nil {
 			t.Fatalf("query %d through resetting proxy: %v", i, err)
 		}
-		if len(ans.Chain.Records) != 61 {
-			t.Fatalf("query %d: %d records, want 61", i, len(ans.Chain.Records))
+		if len(ans.Outer.Records) != 61 {
+			t.Fatalf("query %d: %d records, want 61", i, len(ans.Outer.Records))
 		}
 	}
 	st := cl.Stats()
@@ -142,7 +141,7 @@ func TestRetryGivesUpWhenServerGone(t *testing.T) {
 	}()
 	proxy.SetUpstream(dead.Addr().String())
 	proxy.DropAll()
-	if _, err := cl.Fetch(1, 2); err == nil {
+	if _, err := cl.QueryPlan(leaf(1, 2)); err == nil {
 		t.Fatal("fetch through a dead proxy succeeded")
 	}
 	if st := cl.Stats(); st.Retries != 2 {
@@ -167,10 +166,7 @@ func TestRequestTimeout(t *testing.T) {
 			defer conn.Close() // hold it open, answer nothing
 		}
 	}()
-	sys, err := core.NewSystem(xortest.New(), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newRelation(t, xortest.New())
 	cl, err := client.Dial(ln.Addr().String(), client.Config{
 		Scheme: sys.Scheme, Pub: sys.Pub,
 		RequestTimeout: 100 * time.Millisecond,
@@ -180,7 +176,7 @@ func TestRequestTimeout(t *testing.T) {
 	}
 	defer cl.Close()
 	start := time.Now()
-	_, ferr := cl.Fetch(1, 2)
+	_, ferr := cl.QueryPlan(leaf(1, 2))
 	if ferr == nil {
 		t.Fatal("fetch against a mute server succeeded")
 	}

@@ -20,16 +20,17 @@ import (
 )
 
 // The leaf-plan differential. A range selection has three ways to its
-// verdict: built and checked in process (QueryServer.Query, chain.Verify,
-// the summaries in a list — the paper's protocol written the obvious
-// way), and twice over the socket — QueryPlan with the one-leaf plan, and
-// the Query wrapper that builds that plan itself. After every one of a
+// verdict: built and checked in process (QueryStamped, the summary stream
+// ingested, VerifyScan), and twice over the socket — QueryPlan with the
+// one-leaf plan, and the FetchBatch plus Verify pair the benchmark drives
+// (benchpin.go), which build that plan themselves. After every one of a
 // seeded stream of owner operations (updates, inserts, deletes, period
 // closes) the three must agree on the chain, record for record, on the
 // freshness bound, and on the verdict; and the range's previous version,
 // handed to the session as a replaying server would, must get from the
-// client's Verify the verdict chain.Verify + freshness give it — which,
-// once a period has closed over a change, is "stale". The server answers
+// client's Verify the verdict chain.Verify + freshness give it — the
+// paper's protocol written the obvious way — which, once a period has
+// closed over a change, is "stale". The server answers
 // from its answer cache, so cached cores and per-client tails are under
 // the comparison; and every 40 steps the session is replaced by a cold
 // one whose first query is the point range of the key written last, so
@@ -45,17 +46,17 @@ const (
 type leafOracle struct {
 	t   *testing.T
 	rng *rand.Rand
-	sys *core.System
+	sys *core.Relation
 	now int64
 
 	addr    string
 	cl      *client.Client
-	ref     *core.Verifier // the reference's summary state
+	ref     *core.Verifier // the in-process verifier, holding the whole summary stream
 	written int64          // the key of the owner's last update
 
 	keys []int64 // the owner's keys, sorted
-	hot  []core.Range
-	last map[core.Range]*core.Answer // each hot range's previous in-process answer
+	hot  []span
+	last map[span]*core.Answer // each hot range's previous in-process answer
 
 	accepted, stale      int
 	summaries, claimHits uint64 // of the sessions closed so far
@@ -63,11 +64,8 @@ type leafOracle struct {
 }
 
 func newLeafOracle(t *testing.T, seed int64) *leafOracle {
-	o := &leafOracle{t: t, rng: rand.New(rand.NewSource(seed)), now: 100, last: map[core.Range]*core.Answer{}}
-	var err error
-	if o.sys, err = core.NewSystem(bas.New(0), core.DefaultConfig(), core.WithShards(4)); err != nil {
-		t.Fatal(err)
-	}
+	o := &leafOracle{t: t, rng: rand.New(rand.NewSource(seed)), now: 100, last: map[span]*core.Answer{}}
+	o.sys = newRelation(t, bas.New(0), core.WithShards(4))
 	var recs []*core.Record
 	for k := int64(10); k <= 640; k += 10 {
 		recs = append(recs, &core.Record{Key: k, Attrs: [][]byte{[]byte(fmt.Sprintf("v-%d", k))}})
@@ -98,7 +96,7 @@ func newLeafOracle(t *testing.T, seed int64) *leafOracle {
 	o.ref = core.NewVerifier(o.sys.Scheme, o.sys.Pub, core.DefaultConfig())
 	for i := 0; i < 6; i++ {
 		lo := int64(10 + o.rng.Intn(520))
-		o.hot = append(o.hot, core.Range{Lo: lo, Hi: lo + int64(20+o.rng.Intn(90))})
+		o.hot = append(o.hot, span{Lo: lo, Hi: lo + int64(20+o.rng.Intn(90))})
 	}
 	return o
 }
@@ -158,29 +156,33 @@ func (o *leafOracle) ownerOp() {
 	}
 }
 
-// reference is the obvious verdict on one chain: the range it claims,
-// chain.Verify on the scheme, every summary the server has published, and
-// the freshness of every record against them.
-func (o *leafOracle) reference(ans *core.Answer, rg core.Range) (*core.FreshnessReport, error) {
-	if ans.Chain.Lo != rg.Lo || ans.Chain.Hi != rg.Hi {
-		return nil, errors.New("wrong range")
-	}
-	if err := chain.Verify(o.sys.Scheme, o.sys.Pub, ans.Chain); err != nil {
-		return nil, err
-	}
-	for _, s := range o.sys.QS.SummariesSince(0) {
-		if latest, ok := o.ref.LatestSummary(); ok && s.Seq <= latest.Seq {
+// sync ingests every summary the server has published past the newest
+// the in-process verifier holds.
+func (o *leafOracle) sync() {
+	tip, _ := o.ref.LatestSummary()
+	for _, s := range o.sys.QS.SummariesTail(tip.Seq, 0) {
+		if s.Seq <= tip.Seq {
 			continue
 		}
 		if err := o.ref.IngestSummary(s); err != nil {
-			return nil, err
+			o.t.Fatal(err)
 		}
 	}
-	reports, err := o.ref.Freshness([]*core.Answer{ans}, o.now)
-	if err != nil {
-		return nil, err
+}
+
+// reference is the obvious verdict on one chain: the range it claims,
+// chain.Verify on the scheme, and the freshness of every record against
+// every summary the server has published.
+func (o *leafOracle) reference(ans *core.Answer, rg span) error {
+	if ans.Chain.Lo != rg.Lo || ans.Chain.Hi != rg.Hi {
+		return errors.New("wrong range")
 	}
-	return reports[0], nil
+	if err := chain.Verify(o.sys.Scheme, o.sys.Pub, ans.Chain); err != nil {
+		return err
+	}
+	o.sync()
+	_, err := o.ref.Staleness(ans.Chain, o.now)
+	return err
 }
 
 func (o *leafOracle) step(step int) {
@@ -189,35 +191,41 @@ func (o *leafOracle) step(step int) {
 	hot := o.rng.Intn(4) != 0
 	if !hot {
 		lo := int64(o.rng.Intn(640))
-		rg = core.Range{Lo: lo, Hi: lo + int64(o.rng.Intn(100))}
+		rg = span{Lo: lo, Hi: lo + int64(o.rng.Intn(100))}
 	}
 	if step%40 == 0 {
 		o.dial()
-		hot, rg = false, core.Range{Lo: o.written, Hi: o.written}
+		hot, rg = false, span{Lo: o.written, Hi: o.written}
 	}
-	inproc, err := o.sys.QS.Query(rg.Lo, rg.Hi)
+	inproc, _, err := o.sys.QS.QueryStamped(rg.Lo, rg.Hi)
 	if err != nil {
 		o.t.Fatal(err)
 	}
-	want, refErr := o.reference(inproc, rg)
-	if refErr != nil {
-		o.t.Fatalf("step %d: the current answer for [%d,%d] fails the reference: %v", step, rg.Lo, rg.Hi, refErr)
+	o.sync()
+	want, err := o.ref.VerifyScan(inproc.Chain, rg.Lo, rg.Hi, o.now)
+	if err != nil {
+		o.t.Fatalf("step %d: the current answer for [%d,%d] fails in process: %v", step, rg.Lo, rg.Hi, err)
 	}
 	comp, err := o.cl.QueryPlan(&query.Spec{Rel: core.DefaultRelation, Lo: rg.Lo, Hi: rg.Hi})
 	if err != nil {
 		o.t.Fatalf("step %d: QueryPlan of the leaf [%d,%d] on %q: %v", step, rg.Lo, rg.Hi, core.DefaultRelation, err)
 	}
-	if comp.Proj != nil || comp.Join != nil || !reflect.DeepEqual(comp.Outer, inproc.Chain) {
-		o.t.Fatalf("step %d: the leaf plan's scan of [%d,%d] is not the chain built in process:\n got %+v\nwant %+v",
-			step, rg.Lo, rg.Hi, comp.Outer, inproc.Chain)
+	if comp.Proj != nil || comp.Join != nil || !reflect.DeepEqual(comp.Outer, inproc.Chain) || comp.Staleness != want {
+		o.t.Fatalf("step %d: the leaf plan's scan of [%d,%d] bounded %d is not the chain built in process, bounded %d:\n got %+v\nwant %+v",
+			step, rg.Lo, rg.Hi, comp.Staleness, want, comp.Outer, inproc.Chain)
 	}
-	ans, report, err := o.cl.Query(rg.Lo, rg.Hi)
+	ranges := []core.Range{{Lo: rg.Lo, Hi: rg.Hi}}
+	answers, err := o.cl.FetchBatch(ranges)
 	if err != nil {
-		o.t.Fatalf("step %d: Query(%d, %d): %v", step, rg.Lo, rg.Hi, err)
+		o.t.Fatalf("step %d: FetchBatch(%d, %d): %v", step, rg.Lo, rg.Hi, err)
 	}
-	if !reflect.DeepEqual(ans.Chain, inproc.Chain) || *report != *want {
-		o.t.Fatalf("step %d: Query(%d, %d) returned %d records bounded %+v, in process %d bounded %+v",
-			step, rg.Lo, rg.Hi, len(ans.Chain.Records), report, len(inproc.Chain.Records), want)
+	bounds, err := o.cl.Verify(answers, ranges)
+	if err != nil {
+		o.t.Fatalf("step %d: Verify(%d, %d): %v", step, rg.Lo, rg.Hi, err)
+	}
+	if !reflect.DeepEqual(answers[0].Chain, inproc.Chain) || bounds[0] != want {
+		o.t.Fatalf("step %d: FetchBatch + Verify(%d, %d) returned %d records bounded %d, in process %d bounded %d",
+			step, rg.Lo, rg.Hi, len(answers[0].Chain.Records), bounds[0], len(inproc.Chain.Records), want)
 	}
 	o.accepted += 2
 	if !hot {
@@ -225,8 +233,8 @@ func (o *leafOracle) step(step int) {
 	}
 	// The previous version, replayed.
 	if old := o.last[rg]; old != nil {
-		_, refErr := o.reference(old, rg)
-		_, err := o.cl.Verify([]*core.Answer{old}, []core.Range{rg})
+		refErr := o.reference(old, rg)
+		_, err := o.cl.Verify([]*core.Answer{old}, []core.Range{{Lo: rg.Lo, Hi: rg.Hi}})
 		if (err == nil) != (refErr == nil) || errors.Is(err, freshness.ErrStale) != errors.Is(refErr, freshness.ErrStale) {
 			o.t.Fatalf("step %d: replayed previous answer for [%d,%d]: the session says %v, chain.Verify + freshness say %v",
 				step, rg.Lo, rg.Hi, err, refErr)

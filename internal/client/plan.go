@@ -51,7 +51,8 @@ var ErrNoRelation = fmt.Errorf("%w: no public key for relation", ErrConfig)
 var ErrComposite = fmt.Errorf("%w: composite answer malformed", sigagg.ErrVerify)
 
 // QueryPlan runs one select-project-join query against the server's
-// catalog and fully verifies the composite answer before returning it:
+// catalog and fully verifies the composite answer before returning it,
+// with the outer scan's staleness bound in its Staleness field:
 // the outer chain proof (authenticity + completeness over the selected
 // range), the projection aggregate over attribute-level signatures, and
 // the join section's resolution of every outer key exactly once — by the
@@ -93,11 +94,10 @@ func (c *Client) QueryPlan(spec *query.Spec) (*wire.Composite, error) {
 func (c *Client) QueryPlans(specs []*query.Spec) ([]*wire.Composite, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	comps, _, err := c.queryPlans(specs)
-	return comps, err
+	return c.queryPlans(specs)
 }
 
-func (c *Client) queryPlans(specs []*query.Spec) ([]*wire.Composite, []*core.FreshnessReport, error) {
+func (c *Client) queryPlans(specs []*query.Spec) ([]*wire.Composite, error) {
 	hops := 1
 	if c.fleet() {
 		hops = len(c.addrs)
@@ -106,20 +106,19 @@ func (c *Client) queryPlans(specs []*query.Spec) ([]*wire.Composite, []*core.Fre
 	for hop := 0; hop < hops; hop++ {
 		comps, err := c.fetchRetry(specs)
 		if err == nil {
-			var reports []*core.FreshnessReport
-			if reports, err = c.verify(specs, comps); err == nil {
-				return comps, reports, nil
+			if err = c.verify(specs, comps); err == nil {
+				return comps, nil
 			}
 		}
 		if !c.fleet() || !quarantinable(err) {
-			return nil, nil, err
+			return nil, err
 		}
 		lastErr = err
 		if herr := c.hopReplica(err); herr != nil {
-			return nil, nil, fmt.Errorf("%w (dropping replica for: %v)", herr, err)
+			return nil, fmt.Errorf("%w (dropping replica for: %v)", herr, err)
 		}
 	}
-	return nil, nil, lastErr
+	return nil, lastErr
 }
 
 // fetchRetry plans every spec — a spec the encoding cannot carry exactly
@@ -333,8 +332,8 @@ func (rs *relSession) close(specs []*query.Spec) error {
 
 // verify checks every section of every answer of a batch; comps[i]
 // answers specs[i]. Nothing in comps is trusted before it returns nil.
-// On success report i bounds the staleness of answer i's selected
-// records.
+// On success comps[i].Staleness bounds the staleness of answer i's
+// selected records.
 //
 // Every section is first checked for everything that needs no key and
 // reduced to signature claims; the claims are then closed once per
@@ -343,20 +342,20 @@ func (rs *relSession) close(specs []*query.Spec) error {
 // inner relation's — instead of once per answer or
 // section. Freshness is judged last, on records the closed batches have
 // authenticated.
-func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.FreshnessReport, error) {
+func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) error {
 	// 1. Summary tails feed each relation's freshness state (gaps bridged
 	// over 'T' requests).
 	for _, comp := range comps {
 		if comp == nil || comp.Outer == nil {
-			return nil, fmt.Errorf("%w: no outer answer", ErrComposite)
+			return fmt.Errorf("%w: no outer answer", ErrComposite)
 		}
 		for _, tail := range comp.Tails {
 			rs, ok := c.rels[tail.Rel]
 			if !ok {
-				return nil, fmt.Errorf("%w: tail for unknown relation %q", ErrComposite, tail.Rel)
+				return fmt.Errorf("%w: tail for unknown relation %q", ErrComposite, tail.Rel)
 			}
 			if err := c.relIngest(rs, tail.Summaries); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -371,7 +370,7 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.F
 		comp := comps[i]
 		scan := claimTag{plan: i, section: secOuter, rel: spec.Rel}
 		if comp.Outer.Lo != spec.Lo || comp.Outer.Hi != spec.Hi {
-			return nil, scan.fail(specs, fmt.Errorf("%w: answer is for range [%d,%d], not [%d,%d]",
+			return scan.fail(specs, fmt.Errorf("%w: answer is for range [%d,%d], not [%d,%d]",
 				sigagg.ErrVerify, comp.Outer.Lo, comp.Outer.Hi, spec.Lo, spec.Hi))
 		}
 		outer := &c.rels[spec.Rel].batch
@@ -379,13 +378,13 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.F
 		// Projection: present exactly when requested, aggregate over the
 		// owner's attribute signatures.
 		if err := projectionJobs(spec, comp, outer, i); err != nil {
-			return nil, inPlan(specs, i, err)
+			return inPlan(specs, i, err)
 		}
 		// Join: every outer key resolved exactly once. A self-join's claims
 		// fall under the outer key too.
 		if spec.Join == nil {
 			if comp.Join != nil {
-				return nil, inPlan(specs, i, fmt.Errorf("%w: unrequested join section", ErrComposite))
+				return inPlan(specs, i, fmt.Errorf("%w: unrequested join section", ErrComposite))
 			}
 			continue
 		}
@@ -394,7 +393,7 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.F
 		}
 		var err error
 		if proofs[i], err = joinJobs(spec, comp, &c.rels[spec.Join.Rel].batch, i); err != nil {
-			return nil, inPlan(specs, i, err)
+			return inPlan(specs, i, err)
 		}
 	}
 	// 3. One closing verification per signer key that has any claim — a
@@ -404,7 +403,7 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.F
 	for _, name := range c.names {
 		if rs := c.rels[name]; !rs.batch.empty() {
 			if err := rs.close(specs); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -416,16 +415,15 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.F
 	// 4. Freshness of every disclosed record — boundary anchors included —
 	// against its relation's summary stream.
 	now := c.cfg.Now()
-	reports := make([]*core.FreshnessReport, len(specs))
 	for _, name := range c.names {
 		rs := c.rels[name]
 		for k, ca := range rs.batch.chains {
 			bound, err := rs.verifier.Staleness(ca, now)
 			if err != nil {
-				return nil, fmt.Errorf("client: relation %q: %w", name, err)
+				return fmt.Errorf("client: relation %q: %w", name, err)
 			}
 			if t := rs.batch.ctags[k]; t.section == secOuter {
-				reports[t.plan] = &core.FreshnessReport{MaxStaleness: bound}
+				comps[t.plan].Staleness = bound
 			}
 		}
 	}
@@ -442,10 +440,10 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.F
 		spec := specs[i]
 		latest, ok := c.rels[spec.Join.Rel].verifier.LatestSummary()
 		if !ok {
-			return nil, fmt.Errorf("%w: Bloom negatives without any certified summary for %q", ErrComposite, spec.Join.Rel)
+			return fmt.Errorf("%w: Bloom negatives without any certified summary for %q", ErrComposite, spec.Join.Rel)
 		}
 		if lag := latest.TS - comps[i].Join.FilterTS; lag > c.cfg.Protocol.Rho {
-			return nil, fmt.Errorf("%w: join filter for %q certified at %d is %d behind the summary stream (ρ=%d)",
+			return fmt.Errorf("%w: join filter for %q certified at %d is %d behind the summary stream (ρ=%d)",
 				freshness.ErrStale, spec.Join.Rel, comps[i].Join.FilterTS, lag, c.cfg.Protocol.Rho)
 		}
 	}
@@ -464,7 +462,7 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) ([]*core.F
 		}
 	}
 	c.stats.Verified += uint64(len(comps))
-	return reports, nil
+	return nil
 }
 
 // projectionJobs checks answer plan's projection section's shape against

@@ -140,7 +140,7 @@ func buildPlanFixture(t testing.TB, newScheme func() sigagg.Scheme, netCfg serve
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetFilter("i", fc); err != nil {
+	if err := inner.QS.Apply(&core.UpdateMsg{Filter: fc}); err != nil {
 		t.Fatal(err)
 	}
 	fx := &planFixture{cat: cat, outer: outer, inner: inner, eng: eng, newScheme: newScheme}
@@ -313,7 +313,7 @@ func TestQueryPlanSeesInnerUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fx.eng.SetFilter("i", fc); err != nil {
+	if err := fx.inner.QS.Apply(&core.UpdateMsg{Filter: fc}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := cl.QueryPlan(fx.spec(join.BF, []int{0}))

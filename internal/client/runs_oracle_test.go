@@ -160,7 +160,7 @@ func (o *runOracle) certify() {
 	if err != nil {
 		o.t.Fatal(err)
 	}
-	if err := o.eng.SetFilter("i", fc); err != nil {
+	if err := o.inner.QS.Apply(&core.UpdateMsg{Filter: fc}); err != nil {
 		o.t.Fatal(err)
 	}
 }
@@ -222,7 +222,7 @@ func (o *runOracle) pointProofs(method join.Method, keys []int64) (*join.Answer,
 			matched[v] = nil
 			continue
 		}
-		point, err := o.inner.QS.Query(v, v)
+		point, _, err := o.inner.QS.QueryStamped(v, v)
 		if err != nil {
 			o.t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func (o *runOracle) mutate() {
 		o.t.Fatalf("fixture: %d runs with a stranger in the domain", len(runs))
 	}
 	at := o.rng.Intn(len(runs) - 1)
-	wide, err := o.inner.QS.Query(runs[at].Lo, runs[at+1].Hi)
+	wide, _, err := o.inner.QS.QueryStamped(runs[at].Lo, runs[at+1].Hi)
 	if err != nil {
 		o.t.Fatal(err)
 	}

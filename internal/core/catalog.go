@@ -15,8 +15,8 @@ import (
 // one shared worker pool (the pool takes the private key per call, so
 // distinct keys share it safely; see sigagg.Pool).
 //
-// A single-relation Catalog behaves exactly like the original System —
-// the multi-relation surface is a superset, not a replacement.
+// One relation is a catalog with one member, conventionally named
+// DefaultRelation.
 type Catalog struct {
 	scheme sigagg.Scheme
 	cfg    Config
@@ -65,7 +65,9 @@ func NewCatalog(scheme sigagg.Scheme, cfg Config, workers int) (*Catalog, error)
 
 // AddRelation keys and wires a new named relation. rnd supplies
 // key-generation entropy (nil = crypto/rand; a deterministic reader
-// gives reproducible keys, as in NewSystemWithRand). daOpts and qsOpts
+// gives reproducible keys: how the demo serving binary and its remote
+// clients agree on the owner's public key without a key exchange;
+// production deployments distribute the key out of band). daOpts and qsOpts
 // configure the relation's owner and server; the shared signing pool is
 // installed first, so a caller's WithSigningPool can
 // still override it per relation.

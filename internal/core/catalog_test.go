@@ -64,8 +64,8 @@ func TestProjectionModeEndToEnd(t *testing.T) {
 		t.Fatalf("%d rows for %d records", len(rows), len(ans.Chain.Records))
 	}
 	// The stripped chain must verify under the relation's key…
-	sums := rel.QS.SummariesSince(ans.OldestSigTS)
-	rep, err := rel.Verifier.VerifyAnswers([]*Answer{{Chain: ans.Chain, Summaries: sums, OldestSigTS: ans.OldestSigTS}}, []Range{{Lo: 15, Hi: 85}}, 1_000)
+	sums := rel.QS.SummariesTail(0, ans.OldestSigTS)
+	rep, err := verifyBatch(rel.Verifier, []*Answer{{Chain: ans.Chain, Summaries: sums, OldestSigTS: ans.OldestSigTS}}, []span{{Lo: 15, Hi: 85}}, 1_000)
 	if err != nil {
 		t.Fatalf("chain verify: %v (report %+v)", err, rep)
 	}
@@ -171,10 +171,7 @@ func TestQueryProjSizesSidebandOnce(t *testing.T) {
 // Ordinary relations must be byte-for-byte unaffected by the projection
 // machinery: no sideband, full records in the chain.
 func TestOrdinaryRelationHasNoSideband(t *testing.T) {
-	sys, err := NewSystem(xortest.New(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newSystem(t, xortest.New())
 	msg, err := sys.DA.Load(projRecords(10), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -216,14 +213,14 @@ func TestCatalogDomainSeparation(t *testing.T) {
 	if err := r1.Deliver(msg); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := r1.QS.Query(10, 90)
+	ans, err := scan(r1.QS, 10, 90)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r1.Verifier.VerifyAnswers([]*Answer{ans}, []Range{{Lo: 10, Hi: 90}}, 5); err != nil {
+	if _, err := verifyBatch(r1.Verifier, []*Answer{ans}, []span{{Lo: 10, Hi: 90}}, 5); err != nil {
 		t.Fatalf("own-key verify: %v", err)
 	}
-	if _, err := r2.Verifier.VerifyAnswers([]*Answer{ans}, []Range{{Lo: 10, Hi: 90}}, 5); err == nil {
+	if _, err := verifyBatch(r2.Verifier, []*Answer{ans}, []span{{Lo: 10, Hi: 90}}, 5); err == nil {
 		t.Fatal("foreign relation's answer verified under the wrong key")
 	}
 	if got := cat.Relations(); len(got) != 2 || got[0] != "outer" || got[1] != "inner" {

@@ -20,7 +20,11 @@ import (
 // digests, never change its verdict: the two must agree on every input,
 // and must both accept the unmutated frame.
 func FuzzClaimMemoAgreesWithVerify(f *testing.F) {
-	sys, err := core.NewSystem(bas.New(0), core.DefaultConfig())
+	cat, err := core.NewCatalog(bas.New(0), core.DefaultConfig(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sys, err := cat.AddRelation(core.DefaultRelation, nil, nil, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -38,16 +42,17 @@ func FuzzClaimMemoAgreesWithVerify(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	rg := core.Range{Lo: keys[20], Hi: keys[31]}
-	honest, err := sys.QS.Query(rg.Lo, rg.Hi)
+	lo, hi := keys[20], keys[31]
+	honest, _, err := sys.QS.QueryStamped(lo, hi)
 	if err != nil {
 		f.Fatal(err)
 	}
+	sums := sys.QS.SummariesTail(0, honest.OldestSigTS)
 	frame, err := wire.AppendCompositeCore(nil, &wire.Composite{Outer: honest.Chain})
 	if err != nil {
 		f.Fatal(err)
 	}
-	frame = wire.AppendRelTails(frame, []wire.RelTail{{Rel: core.DefaultRelation, Summaries: honest.Summaries}})
+	frame = wire.AppendRelTails(frame, []wire.RelTail{{Rel: core.DefaultRelation, Summaries: sums}})
 	const now = 1_100
 
 	f.Add(frame)
@@ -59,18 +64,21 @@ func FuzzClaimMemoAgreesWithVerify(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		warm := core.NewVerifier(sys.Scheme, sys.Pub, core.DefaultConfig())
 		fresh := core.NewVerifier(sys.Scheme, sys.Pub, core.DefaultConfig())
+		for _, v := range []*core.Verifier{warm, fresh} {
+			for _, s := range sums {
+				if err := v.IngestSummary(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		for i := 0; i < 2; i++ {
-			if _, err := warm.VerifyAnswer(honest, rg.Lo, rg.Hi, now); err != nil {
+			if _, err := warm.VerifyScan(honest.Chain, lo, hi, now); err != nil {
 				t.Fatalf("the honest answer: %v", err)
 			}
 		}
-		for _, s := range honest.Summaries {
-			if err := fresh.IngestSummary(s); err != nil {
-				t.Fatal(err)
-			}
-		}
 		// Each verifier decodes a frame of its own: a decoded answer aliases
-		// its frame.
+		// its frame. Both hold every summary the tail can name, so the
+		// verdict is the chain's.
 		verdict := func(v *core.Verifier) error {
 			c, err := wire.DecodeComposite(bytes.Clone(in), core.DefaultRelation)
 			if err != nil {
@@ -79,7 +87,7 @@ func FuzzClaimMemoAgreesWithVerify(f *testing.F) {
 			if c.Proj != nil || c.Join != nil || len(c.Tails) != 1 {
 				return errors.New("not a bare scan's frame")
 			}
-			_, err = v.VerifyAnswer(&core.Answer{Chain: c.Outer, Summaries: c.Tails[0].Summaries}, rg.Lo, rg.Hi, now)
+			_, err = v.VerifyScan(c.Outer, lo, hi, now)
 			return err
 		}
 		warmErr, freshErr := verdict(warm), verdict(fresh)

@@ -34,7 +34,7 @@ func (c *countingScheme) VerifyJobs(pub sigagg.PublicKey, jobs []sigagg.VerifyJo
 
 // memoFixture is a loaded system, one closed period (so answers carry a
 // summary), and a counting single-threaded verifier of its own.
-func memoFixture(t *testing.T, n int) (*System, *countingScheme, *Verifier) {
+func memoFixture(t *testing.T, n int) (*Relation, *countingScheme, *Verifier) {
 	t.Helper()
 	sys := newSystem(t, bas.New(0))
 	load(t, sys, n)
@@ -45,7 +45,7 @@ func memoFixture(t *testing.T, n int) (*System, *countingScheme, *Verifier) {
 	return sys, cs, v
 }
 
-func deliverOp(t *testing.T, sys *System) func(*UpdateMsg, error) {
+func deliverOp(t *testing.T, sys *Relation) func(*UpdateMsg, error) {
 	return func(m *UpdateMsg, err error) {
 		t.Helper()
 		if err != nil {
@@ -57,9 +57,9 @@ func deliverOp(t *testing.T, sys *System) func(*UpdateMsg, error) {
 	}
 }
 
-func query(t *testing.T, sys *System, lo, hi int64) *Answer {
+func query(t *testing.T, sys *Relation, lo, hi int64) *Answer {
 	t.Helper()
-	ans, err := sys.QS.Query(lo, hi)
+	ans, err := scan(sys.QS, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +88,14 @@ func forgeRecord(ans *Answer) *Answer {
 func TestVerifyBatchDedupsIdenticalAnswers(t *testing.T) {
 	sys, cs, v := memoFixture(t, 100)
 	a, b := query(t, sys, 100, 170), query(t, sys, 500, 530)
-	ra, rb := Range{100, 170}, Range{500, 530}
-	batch, ranges := []*Answer{a, b, a, a, b, a}, []Range{ra, rb, ra, ra, rb, ra}
+	ra, rb := span{100, 170}, span{500, 530}
+	batch, ranges := []*Answer{a, b, a, a, b, a}, []span{ra, rb, ra, ra, rb, ra}
 	for round, want := range []ClaimStats{
 		{ClaimHits: 4, ClaimMisses: 2},
 		{ClaimHits: 10, ClaimMisses: 2, BatchesWithoutEC: 1},
 		{ClaimHits: 16, ClaimMisses: 2, ContentHits: 6, BatchesWithoutEC: 2},
 	} {
-		if _, err := v.VerifyAnswers(batch, ranges, 1_100); err != nil {
+		if _, err := verifyBatch(v, batch, ranges, 1_100); err != nil {
 			t.Fatalf("round %d: duplicated valid batch rejected: %v", round+1, err)
 		}
 		if cs.jobs != 2 || cs.calls != 1 {
@@ -108,7 +108,7 @@ func TestVerifyBatchDedupsIdenticalAnswers(t *testing.T) {
 
 	forged := forgeRecord(a)
 	for _, verifier := range []*Verifier{v, NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())} {
-		if _, err := verifier.VerifyAnswers([]*Answer{a, forged, a}, []Range{ra, ra, ra}, 1_100); !errors.Is(err, sigagg.ErrVerify) {
+		if _, err := verifyBatch(verifier, []*Answer{a, forged, a}, []span{ra, ra, ra}, 1_100); !errors.Is(err, sigagg.ErrVerify) {
 			t.Fatalf("tampered duplicate: want ErrVerify, got %v", err)
 		}
 	}
@@ -116,7 +116,7 @@ func TestVerifyBatchDedupsIdenticalAnswers(t *testing.T) {
 		t.Fatalf("the forged copy did not reach the scheme alone: %d jobs", cs.jobs)
 	}
 	before := v.ClaimStats()
-	if _, err := v.VerifyAnswer(a, ra.Lo, ra.Hi, 1_100); err != nil {
+	if _, err := verifyScan(v, a, ra.Lo, ra.Hi, 1_100); err != nil {
 		t.Fatal(err)
 	}
 	if st := v.ClaimStats(); st.ContentHits != before.ContentHits+1 || cs.jobs != 3 {
@@ -135,18 +135,18 @@ func TestClaimMemoFailedBatchAdmitsNothing(t *testing.T) {
 	v := NewVerifier(scheme, sys.Pub, DefaultConfig())
 	v.SetParallelism(1)
 	a, b := query(t, sys, 100, 170), query(t, sys, 500, 530)
-	ra, rb := Range{100, 170}, Range{500, 530}
+	ra, rb := span{100, 170}, span{500, 530}
 	forged := forgeRecord(a)
 
 	fast := func() uint64 { return scheme.VerifyStats().FastVerifies }
 	before := fast()
-	if _, err := v.VerifyAnswers([]*Answer{a, forged, b}, []Range{ra, ra, rb}, 200); !errors.Is(err, sigagg.ErrVerify) {
+	if _, err := verifyBatch(v, []*Answer{a, forged, b}, []span{ra, ra, rb}, 200); !errors.Is(err, sigagg.ErrVerify) {
 		t.Fatalf("batch with a forgery: want ErrVerify, got %v", err)
 	}
 	if fast() != before+1 {
 		t.Fatalf("the failing batch cost %d verifications, want 1", fast()-before)
 	}
-	if _, err := v.VerifyAnswers([]*Answer{a, b}, []Range{ra, rb}, 200); err != nil {
+	if _, err := verifyBatch(v, []*Answer{a, b}, []span{ra, rb}, 200); err != nil {
 		t.Fatal(err)
 	}
 	if fast() != before+2 {
@@ -155,14 +155,14 @@ func TestClaimMemoFailedBatchAdmitsNothing(t *testing.T) {
 	if st := v.ClaimStats(); st != (ClaimStats{ClaimMisses: 5}) {
 		t.Fatalf("counters after a failed and a passing batch: %+v", st)
 	}
-	if _, err := v.VerifyAnswers([]*Answer{a, b}, []Range{ra, rb}, 200); err != nil {
+	if _, err := verifyBatch(v, []*Answer{a, b}, []span{ra, rb}, 200); err != nil {
 		t.Fatal(err)
 	}
 	if fast() != before+2 {
 		t.Fatal("a passed batch was not remembered")
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := v.VerifyAnswer(forged, ra.Lo, ra.Hi, 200); !errors.Is(err, sigagg.ErrVerify) {
+		if _, err := verifyScan(v, forged, ra.Lo, ra.Hi, 200); !errors.Is(err, sigagg.ErrVerify) {
 			t.Fatalf("forgery, presentation %d after the failed batch: %v", i+2, err)
 		}
 	}
@@ -176,7 +176,7 @@ func TestClaimMemoFailedBatchAdmitsNothing(t *testing.T) {
 // what one owner's verifier has closed says nothing to the other's.
 func TestClaimMemoPerKey(t *testing.T) {
 	scheme := bas.New(0)
-	var sys [2]*System
+	var sys [2]*Relation
 	var cs [2]*countingScheme
 	var v [2]*Verifier
 	var ans [2]*Answer
@@ -190,21 +190,21 @@ func TestClaimMemoPerKey(t *testing.T) {
 	if d0, d1 := ans[0].Chain.Digests(), ans[1].Chain.Digests(); string(d0[0]) != string(d1[0]) {
 		t.Fatal("fixture: the two owners' records digest differently")
 	}
-	if _, err := v[0].VerifyAnswer(ans[0], 100, 200, 200); err != nil {
+	if _, err := verifyScan(v[0], ans[0], 100, 200, 200); err != nil {
 		t.Fatal(err)
 	}
 	// The other owner's verifier: its own answer is new to it, and the
 	// first owner's answer — closed next door — is a forgery here.
-	if _, err := v[1].VerifyAnswer(ans[0], 100, 200, 200); !errors.Is(err, sigagg.ErrVerify) {
+	if _, err := verifyScan(v[1], ans[0], 100, 200, 200); !errors.Is(err, sigagg.ErrVerify) {
 		t.Fatalf("an answer signed under another key: %v", err)
 	}
-	if _, err := v[1].VerifyAnswer(ans[1], 100, 200, 200); err != nil {
+	if _, err := verifyScan(v[1], ans[1], 100, 200, 200); err != nil {
 		t.Fatal(err)
 	}
 	if st := v[1].ClaimStats(); st.ClaimHits != 0 || st.ClaimMisses != 2 || cs[1].jobs != 2 {
 		t.Fatalf("the second key's verifier: %+v, %d jobs at the scheme", st, cs[1].jobs)
 	}
-	if _, err := v[0].VerifyAnswer(ans[1], 100, 200, 200); !errors.Is(err, sigagg.ErrVerify) {
+	if _, err := verifyScan(v[0], ans[1], 100, 200, 200); !errors.Is(err, sigagg.ErrVerify) {
 		t.Fatalf("the first verifier accepted the second owner's answer: %v", err)
 	}
 }
@@ -216,7 +216,7 @@ func TestClaimMemoPerKey(t *testing.T) {
 func TestClaimMemoReplayStillStale(t *testing.T) {
 	sys, cs, v := memoFixture(t, 50)
 	old := query(t, sys, 100, 120)
-	if _, err := v.VerifyAnswer(old, 100, 120, 1_100); err != nil {
+	if _, err := verifyScan(v, old, 100, 120, 1_100); err != nil {
 		t.Fatal(err)
 	}
 	deliver := deliverOp(t, sys)
@@ -224,11 +224,11 @@ func TestClaimMemoReplayStillStale(t *testing.T) {
 	deliver(sys.DA.ClosePeriod(2_000))
 	deliver(sys.DA.ClosePeriod(3_000))
 	// The current answer teaches the session the new summaries.
-	if _, err := v.VerifyAnswer(query(t, sys, 100, 120), 100, 120, 3_100); err != nil {
+	if _, err := verifyScan(v, query(t, sys, 100, 120), 100, 120, 3_100); err != nil {
 		t.Fatal(err)
 	}
 	jobs := cs.jobs
-	_, err := v.VerifyAnswer(old, 100, 120, 3_100)
+	_, err := verifyScan(v, old, 100, 120, 3_100)
 	if !errors.Is(err, freshness.ErrStale) {
 		t.Fatalf("replay of a verified, superseded version: want ErrStale, got %v", err)
 	}
@@ -317,10 +317,10 @@ func TestClaimMemoConcurrent(t *testing.T) {
 	sys, _, _ := memoFixture(t, 200)
 	v := NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())
 	var answers []*Answer
-	var ranges []Range
+	var ranges []span
 	for lo := int64(100); lo < 1_900; lo += 150 {
 		answers = append(answers, query(t, sys, lo, lo+140))
-		ranges = append(ranges, Range{lo, lo + 140})
+		ranges = append(ranges, span{lo, lo + 140})
 	}
 	forged := forgeRecord(answers[3])
 	const workers = 8
@@ -356,7 +356,7 @@ func TestClaimMemoConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if _, err := v.VerifyAnswer(forged, ranges[3].Lo, ranges[3].Hi, 1_100); !errors.Is(err, sigagg.ErrVerify) {
+	if _, err := verifyScan(v, forged, ranges[3].Lo, ranges[3].Hi, 1_100); !errors.Is(err, sigagg.ErrVerify) {
 		t.Fatalf("the forgery after the storm: %v", err)
 	}
 }
@@ -384,15 +384,15 @@ const (
 type memoOracle struct {
 	t   *testing.T
 	rng *rand.Rand
-	sys *System
+	sys *Relation
 	now int64
 
 	memo *Verifier // the session under test
 	ref  *Verifier // the reference's summary state; its CheckClaims is never called
 
 	keys    []int64 // the owner's keys, sorted
-	hot     []Range
-	history map[Range][]*Answer // honest answers seen per hot range, oldest first
+	hot     []span
+	history map[span][]*Answer // honest answers seen per hot range, oldest first
 
 	accepted, rejected int
 }
@@ -400,7 +400,7 @@ type memoOracle struct {
 func newMemoOracle(t *testing.T, seed int64) *memoOracle {
 	o := &memoOracle{
 		t: t, rng: rand.New(rand.NewSource(seed)), sys: newSystem(t, bas.New(0)), now: 100,
-		history: map[Range][]*Answer{},
+		history: map[span][]*Answer{},
 	}
 	load(t, o.sys, 64) // keys 10..640
 	for k := int64(10); k <= 640; k += 10 {
@@ -410,20 +410,14 @@ func newMemoOracle(t *testing.T, seed int64) *memoOracle {
 	o.ref = NewVerifier(o.sys.Scheme, o.sys.Pub, DefaultConfig())
 	for i := 0; i < 6; i++ {
 		lo := int64(10 + o.rng.Intn(520))
-		o.hot = append(o.hot, Range{lo, lo + int64(20+o.rng.Intn(90))})
+		o.hot = append(o.hot, span{lo, lo + int64(20+o.rng.Intn(90))})
 	}
 	return o
 }
 
-// reference is the memo-free verdict: what VerifyAnswer did before there
-// was a memo, with chain.Verify in place of CheckClaims.
-func (o *memoOracle) reference(ans *Answer, rg Range) error {
-	if ans.Chain.Lo != rg.Lo || ans.Chain.Hi != rg.Hi {
-		return fmt.Errorf("%w: wrong range", sigagg.ErrVerify)
-	}
-	if err := chain.Verify(o.sys.Scheme, o.sys.Pub, ans.Chain); err != nil {
-		return err
-	}
+// reference is the memo-free verdict: what verifyScan does, with
+// chain.Verify in place of CheckClaims.
+func (o *memoOracle) reference(ans *Answer, rg span) error {
 	held := uint64(0)
 	if latest, ok := o.ref.LatestSummary(); ok {
 		held = latest.Seq
@@ -437,7 +431,13 @@ func (o *memoOracle) reference(ans *Answer, rg Range) error {
 		}
 		held = s.Seq
 	}
-	_, err := o.ref.Freshness([]*Answer{ans}, o.now)
+	if ans.Chain.Lo != rg.Lo || ans.Chain.Hi != rg.Hi {
+		return fmt.Errorf("%w: wrong range", sigagg.ErrVerify)
+	}
+	if err := chain.Verify(o.sys.Scheme, o.sys.Pub, ans.Chain); err != nil {
+		return err
+	}
+	_, err := o.ref.Staleness(ans.Chain, o.now)
 	return err
 }
 
@@ -471,7 +471,7 @@ func (o *memoOracle) ownerOp() {
 
 // mutate returns what a forging server makes of the honest answer, or the
 // answer itself when the mutation does not apply to it.
-func (o *memoOracle) mutate(kind int, ans *Answer, rg Range) (*Answer, string) {
+func (o *memoOracle) mutate(kind int, ans *Answer, rg span) (*Answer, string) {
 	c := *ans.Chain
 	c.Records = append([]*Record(nil), c.Records...)
 	out := &Answer{Chain: &c, Summaries: ans.Summaries}
@@ -528,7 +528,7 @@ func (o *memoOracle) step(step int) {
 	hot := o.rng.Intn(5) != 0
 	if !hot {
 		lo := int64(o.rng.Intn(640))
-		rg = Range{lo, lo + int64(o.rng.Intn(100))}
+		rg = span{lo, lo + int64(o.rng.Intn(100))}
 	}
 	ans := query(o.t, o.sys, rg.Lo, rg.Hi)
 	what := "honest"
@@ -544,7 +544,7 @@ func (o *memoOracle) step(step int) {
 		forged, what = o.mutate(o.rng.Intn(7), ans, rg)
 		honest, ans = forged == ans, forged
 	}
-	_, memoErr := o.memo.VerifyAnswer(ans, rg.Lo, rg.Hi, o.now)
+	_, memoErr := verifyScan(o.memo, ans, rg.Lo, rg.Hi, o.now)
 	refErr := o.reference(ans, rg)
 	if (memoErr == nil) != (refErr == nil) {
 		o.t.Fatalf("step %d, %s answer for [%d,%d]: memoising verifier says %v, chain.Verify + freshness says %v",
@@ -609,10 +609,10 @@ func held(t *testing.T, v *Verifier, agg sigagg.Signature) *memoEntry {
 }
 
 // nameByContent verifies ans until v knows its claim by content.
-func nameByContent(t *testing.T, v *Verifier, ans *Answer, rg Range) *memoEntry {
+func nameByContent(t *testing.T, v *Verifier, ans *Answer, rg span) *memoEntry {
 	t.Helper()
 	for i := 0; i < 2; i++ {
-		if _, err := v.VerifyAnswer(ans, rg.Lo, rg.Hi, 1_100); err != nil {
+		if _, err := verifyScan(v, ans, rg.Lo, rg.Hi, 1_100); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -631,14 +631,14 @@ func TestContentNameIsKeyed(t *testing.T) {
 	sys, cs, v1 := memoFixture(t, 100)
 	v2 := NewVerifier(cs, sys.Pub, DefaultConfig())
 	v2.SetParallelism(1)
-	ans, rg := query(t, sys, 100, 170), Range{100, 170}
+	ans, rg := query(t, sys, 100, 170), span{100, 170}
 	n1, e2 := nameByContent(t, v1, ans, rg).name, nameByContent(t, v2, ans, rg)
 	if n1 == e2.name {
 		t.Fatal("two verifiers gave one claim the same content name")
 	}
 	e2.name = n1
 	before, jobs := v2.ClaimStats(), cs.jobs
-	if _, err := v2.VerifyAnswer(ans, rg.Lo, rg.Hi, 1_100); err != nil {
+	if _, err := verifyScan(v2, ans, rg.Lo, rg.Hi, 1_100); err != nil {
 		t.Fatal(err)
 	}
 	if st := v2.ClaimStats(); st.ContentHits != before.ContentHits || cs.jobs != jobs+1 {
@@ -651,11 +651,11 @@ func TestContentNameIsKeyed(t *testing.T) {
 // second name under a later nonce.
 func TestRenameDrawsFreshNonce(t *testing.T) {
 	sys, _, v := memoFixture(t, 100)
-	ans, rg := query(t, sys, 100, 170), Range{100, 170}
+	ans, rg := query(t, sys, 100, 170), span{100, 170}
 	first := nameByContent(t, v, ans, rg).name
 	// Forgotten: the next sighting is a miss again.
 	v.memo.table = nil
-	if _, err := v.VerifyAnswer(ans, rg.Lo, rg.Hi, 1_100); err != nil {
+	if _, err := verifyScan(v, ans, rg.Lo, rg.Hi, 1_100); err != nil {
 		t.Fatal(err)
 	}
 	second := nameByContent(t, v, ans, rg).name
@@ -671,14 +671,14 @@ func TestRenameDrawsFreshNonce(t *testing.T) {
 // changed is no content hit either: it reaches the scheme, and fails.
 func TestContentNameEveryByteCounts(t *testing.T) {
 	sys, cs, v := memoFixture(t, 100)
-	ans, rg := query(t, sys, 100, 170), Range{100, 170}
+	ans, rg := query(t, sys, 100, 170), span{100, 170}
 	e := nameByContent(t, v, ans, rg)
 	named := *e
 	for i := 0; i < 8+16; i++ {
 		*e = named
 		e.name[i] ^= 0x80
 		before, jobs := v.ClaimStats(), cs.jobs
-		if _, err := v.VerifyAnswer(ans, rg.Lo, rg.Hi, 1_100); err != nil {
+		if _, err := verifyScan(v, ans, rg.Lo, rg.Hi, 1_100); err != nil {
 			t.Fatal(err)
 		}
 		if st := v.ClaimStats(); st.ContentHits != before.ContentHits || cs.jobs != jobs+1 {
@@ -695,13 +695,13 @@ func TestContentNameEveryByteCounts(t *testing.T) {
 	c.Records[3] = &r
 	forged := &Answer{Chain: &c, Summaries: ans.Summaries}
 	before, jobs := v.ClaimStats(), cs.jobs
-	if _, err := v.VerifyAnswer(forged, rg.Lo, rg.Hi, 1_100); !errors.Is(err, sigagg.ErrVerify) {
+	if _, err := verifyScan(v, forged, rg.Lo, rg.Hi, 1_100); !errors.Is(err, sigagg.ErrVerify) {
 		t.Fatalf("one record byte changed in a content-named answer: want ErrVerify, got %v", err)
 	}
 	if st := v.ClaimStats(); st.ContentHits != before.ContentHits || cs.jobs != jobs+1 {
 		t.Fatalf("the forged copy did not reach the scheme: %+v -> %+v, %d jobs", before, st, cs.jobs-jobs)
 	}
-	if _, err := v.VerifyAnswer(ans, rg.Lo, rg.Hi, 1_100); err != nil || v.ClaimStats().ContentHits != before.ContentHits+1 {
+	if _, err := verifyScan(v, ans, rg.Lo, rg.Hi, 1_100); err != nil || v.ClaimStats().ContentHits != before.ContentHits+1 {
 		t.Fatalf("the honest answer after its forgery: %v, %+v", err, v.ClaimStats())
 	}
 }
@@ -713,13 +713,13 @@ func TestContentNameEveryByteCounts(t *testing.T) {
 // aggregate) as if its tag had been forged; the answer is still refused.
 func TestStructureCheckedWhateverTheMemoHolds(t *testing.T) {
 	sys, _, v := memoFixture(t, 100)
-	ans, rg := query(t, sys, 100, 170), Range{100, 170}
+	ans, rg := query(t, sys, 100, 170), span{100, 170}
 	e := nameByContent(t, v, ans, rg)
 	c := *ans.Chain
 	c.Lo, c.Hi = 120, 130
 	broken := &Answer{Chain: &c, Summaries: ans.Summaries}
 	e.name = v.memo.contentName(new(claimScratch), broken.Chain)
-	if _, err := v.VerifyAnswer(broken, c.Lo, c.Hi, 1_100); !errors.Is(err, sigagg.ErrVerify) {
+	if _, err := verifyScan(v, broken, c.Lo, c.Hi, 1_100); !errors.Is(err, sigagg.ErrVerify) {
 		t.Fatalf("records outside the range, under a name the memo holds: want ErrVerify, got %v", err)
 	}
 	if st := v.ClaimStats(); st.ContentHits != 0 {
@@ -852,10 +852,7 @@ func TestContentNameCoversEveryField(t *testing.T) {
 // probe, the structural check and the content name, no digest and no
 // curve arithmetic. The bytes are the answer's identity.
 func BenchmarkContentName(b *testing.B) {
-	sys, err := NewSystem(bas.New(0), DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	sys := newSystem(b, bas.New(0))
 	recs := make([]*Record, 50)
 	for i := range recs {
 		recs[i] = &Record{Key: int64(i+1) * 10, Attrs: [][]byte{bytes.Repeat([]byte{byte(i)}, 512)}}
@@ -867,7 +864,7 @@ func BenchmarkContentName(b *testing.B) {
 	if err := sys.Deliver(msg); err != nil {
 		b.Fatal(err)
 	}
-	ans, err := sys.QS.Query(10, 500)
+	ans, err := scan(sys.QS, 10, 500)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				lo := int64((seed*37+int64(i)*11)%4000) + 1
-				ans, err := sys.QS.Query(lo, lo+500)
+				ans, err := scan(sys.QS, lo, lo+500)
 				if err != nil {
 					t.Error(err)
 					return
@@ -61,7 +61,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 				// Every answer must verify even while updates land: the
 				// answer is a consistent snapshot under the server lock.
 				v := NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())
-				if _, err := v.VerifyAnswer(ans, lo, lo+500, 10_000); err != nil {
+				if _, err := verifyScan(v, ans, lo, lo+500, 10_000); err != nil {
 					t.Errorf("concurrent answer failed verification: %v", err)
 					return
 				}
@@ -72,11 +72,11 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	wg.Wait()
 
 	// Final state remains verifiable.
-	ans, err := sys.QS.Query(10, 5120)
+	ans, err := scan(sys.QS, 10, 5120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Verifier.VerifyAnswer(ans, 10, 5120, 10_000); err != nil {
+	if _, err := verifyScan(sys.Verifier, ans, 10, 5120, 10_000); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -175,7 +175,7 @@ func TestConcurrentServeWithAnswerCache(t *testing.T) {
 					}
 				}
 				if i%10 == 0 {
-					if _, err := v.VerifyAnswer(ans, lo, hi, 100_000); err != nil {
+					if _, err := verifyScan(v, ans, lo, hi, 100_000); err != nil {
 						t.Errorf("served answer failed verification: %v", err)
 					}
 				}
@@ -199,7 +199,7 @@ func TestConcurrentServeWithAnswerCache(t *testing.T) {
 			t.Errorf("final state: key %d at ts=%d, want >= %d", rec.Key, rec.TS, want)
 		}
 	}
-	if _, err := sys.Verifier.VerifyAnswer(final, 10, n*10, 100_000); err != nil {
+	if _, err := verifyScan(sys.Verifier, final, 10, n*10, 100_000); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -15,7 +15,6 @@ package core
 
 import (
 	"errors"
-	"io"
 
 	"authdb/internal/chain"
 	"authdb/internal/freshness"
@@ -77,35 +76,7 @@ func recordDigest(rec *Record, left, right chain.Ref) []byte {
 	return d[:]
 }
 
-// System is the one-relation case of a Catalog: a freshly keyed
-// DA/QS/Verifier trio sharing one scheme. It is the Relation that
-// NewSystem's private one-relation catalog holds, so everything that
-// works on a catalog member works on a System.
-type System = Relation
-
-// DefaultRelation names the relation of a one-relation catalog — what
-// NewSystem creates and what `authserve` serves (and derives its demo
-// key for) when no -catalog is given.
+// DefaultRelation names the relation of a one-relation catalog: what
+// `authserve` serves (and derives its demo key for) when no -catalog is
+// given, and the relation a client's Config.Pub verifies.
 const DefaultRelation = "r"
-
-// NewSystem generates a key pair for the scheme and wires the three
-// parties. The scheme is bound to the signer where required (condensed
-// RSA). Options configure the query server (shards, parallelism,
-// baseline aggregation).
-func NewSystem(scheme sigagg.Scheme, cfg Config, qsOpts ...Option) (*System, error) {
-	return NewSystemWithRand(scheme, cfg, nil, qsOpts...)
-}
-
-// NewSystemWithRand is NewSystem with caller-supplied key-generation
-// entropy (nil = crypto/rand). A deterministic reader gives
-// reproducible keys — how the demo serving binary and its remote
-// clients agree on the aggregator's public key without a key-exchange
-// protocol; production deployments distribute the public key out of
-// band instead.
-func NewSystemWithRand(scheme sigagg.Scheme, cfg Config, rnd io.Reader, qsOpts ...Option) (*System, error) {
-	cat, err := NewCatalog(scheme, cfg, 0)
-	if err != nil {
-		return nil, err
-	}
-	return cat.AddRelation(DefaultRelation, rnd, nil, qsOpts)
-}

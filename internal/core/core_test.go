@@ -1,23 +1,97 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 
+	"authdb/internal/chain"
 	"authdb/internal/freshness"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/sigagg/crsa"
 )
 
-func newSystem(t *testing.T, scheme sigagg.Scheme) *System {
+// newSystem is a one-relation catalog over scheme.
+func newSystem(t testing.TB, scheme sigagg.Scheme, opts ...Option) *Relation {
 	t.Helper()
-	sys, err := NewSystem(scheme, DefaultConfig())
+	cat, err := NewCatalog(scheme, DefaultConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := cat.AddRelation(DefaultRelation, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// scan is the server half of the in-process path: the stamped answer,
+// carrying the summary tail a session that holds nothing is sent.
+func scan(qs *QueryServer, lo, hi int64) (*Answer, error) {
+	ans, _, err := qs.QueryStamped(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	ans.Summaries = qs.SummariesTail(0, ans.OldestSigTS)
+	return ans, nil
+}
+
+// verifyScan is the verifier half: the tail's summaries past the newest v
+// holds are ingested, the ones it holds must equal their held copies, and
+// the chain goes through VerifyScan.
+func verifyScan(v *Verifier, ans *Answer, lo, hi, now int64) (int64, error) {
+	if err := ingestTail(v, ans.Summaries); err != nil {
+		return 0, err
+	}
+	return v.VerifyScan(ans.Chain, lo, hi, now)
+}
+
+func ingestTail(v *Verifier, tail []freshness.Summary) error {
+	for _, s := range tail {
+		if tip, _ := v.LatestSummary(); s.Seq > tip.Seq {
+			if err := v.IngestSummary(s); err != nil {
+				return err
+			}
+			continue
+		}
+		if held, ok := v.SummaryBySeq(s.Seq); ok && (held.Digest() != s.Digest() || !bytes.Equal(held.Sig, s.Sig)) {
+			return fmt.Errorf("summary %d differs from the held copy", s.Seq)
+		}
+	}
+	return nil
+}
+
+// span is a range selection's bounds.
+type span struct{ Lo, Hi int64 }
+
+// verifyBatch closes the answers' signature claims in one CheckClaims
+// batch, as a client closes a batch of plans, then bounds each one's
+// freshness; ranges[i] is the selection answer i must cover.
+func verifyBatch(v *Verifier, answers []*Answer, ranges []span, now int64) ([]int64, error) {
+	chains := make([]*chain.Answer, len(answers))
+	for i, ans := range answers {
+		if err := ingestTail(v, ans.Summaries); err != nil {
+			return nil, err
+		}
+		if ans.Chain.Lo != ranges[i].Lo || ans.Chain.Hi != ranges[i].Hi {
+			return nil, fmt.Errorf("%w: answer %d is for another range", sigagg.ErrVerify, i)
+		}
+		chains[i] = ans.Chain
+	}
+	admit, err := v.CheckClaims(chains, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	admit()
+	bounds := make([]int64, len(chains))
+	for i, ca := range chains {
+		if bounds[i], err = v.Staleness(ca, now); err != nil {
+			return nil, err
+		}
+	}
+	return bounds, nil
 }
 
 func mkRecords(n int, step int64) []*Record {
@@ -31,7 +105,7 @@ func mkRecords(n int, step int64) []*Record {
 	return recs
 }
 
-func load(t *testing.T, sys *System, n int) {
+func load(t *testing.T, sys *Relation, n int) {
 	t.Helper()
 	msg, err := sys.DA.Load(mkRecords(n, 10), 100)
 	if err != nil {
@@ -47,15 +121,15 @@ func TestEndToEndQueryVerify(t *testing.T) {
 		t.Run(sc.Name(), func(t *testing.T) {
 			sys := newSystem(t, sc)
 			load(t, sys, 100)
-			ans, err := sys.QS.Query(250, 500)
+			ans, err := scan(sys.QS, 250, 500)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(ans.Chain.Records) != 26 {
 				t.Fatalf("got %d records, want 26", len(ans.Chain.Records))
 			}
-			if _, err := sys.Verifier.VerifyAnswer(ans, 250, 500, 200); err != nil {
-				t.Fatalf("VerifyAnswer: %v", err)
+			if _, err := verifyScan(sys.Verifier, ans, 250, 500, 200); err != nil {
+				t.Fatalf("VerifyScan: %v", err)
 			}
 		})
 	}
@@ -74,14 +148,14 @@ func TestUpdateFlow(t *testing.T) {
 	if err := sys.Deliver(msg); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := sys.QS.Query(200, 200)
+	ans, err := scan(sys.QS, 200, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(ans.Chain.Records[0].Attrs[0]) != "v2" {
 		t.Fatal("server did not store the new version")
 	}
-	if _, err := sys.Verifier.VerifyAnswer(ans, 200, 200, 160); err != nil {
+	if _, err := verifyScan(sys.Verifier, ans, 200, 200, 160); err != nil {
 		t.Fatalf("verify after update: %v", err)
 	}
 }
@@ -100,7 +174,7 @@ func TestInsertResignsNeighbours(t *testing.T) {
 	if err := sys.Deliver(msg); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := sys.QS.Query(40, 70)
+	ans, err := scan(sys.QS, 40, 70)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +183,7 @@ func TestInsertResignsNeighbours(t *testing.T) {
 			t.Fatalf("got %d records", len(ans.Chain.Records))
 		}
 	}
-	if _, err := sys.Verifier.VerifyAnswer(ans, 40, 70, 160); err != nil {
+	if _, err := verifyScan(sys.Verifier, ans, 40, 70, 160); err != nil {
 		t.Fatalf("verify after insert: %v", err)
 	}
 }
@@ -128,14 +202,14 @@ func TestDeleteResignsNeighbours(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The deleted record's range now verifies as empty.
-	ans, err := sys.QS.Query(45, 55)
+	ans, err := scan(sys.QS, 45, 55)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ans.Chain.Records) != 0 || ans.Chain.Anchor == nil {
 		t.Fatal("expected anchored empty answer")
 	}
-	if _, err := sys.Verifier.VerifyAnswer(ans, 45, 55, 160); err != nil {
+	if _, err := verifyScan(sys.Verifier, ans, 45, 55, 160); err != nil {
 		t.Fatalf("verify after delete: %v", err)
 	}
 }
@@ -143,14 +217,14 @@ func TestDeleteResignsNeighbours(t *testing.T) {
 func TestEmptyAnswerBelowDomain(t *testing.T) {
 	sys := newSystem(t, bas.New(0))
 	load(t, sys, 5)
-	ans, err := sys.QS.Query(1, 5)
+	ans, err := scan(sys.QS, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ans.Chain.Anchor == nil || ans.Chain.Anchor.Key != 10 {
 		t.Fatalf("anchor = %+v, want first record", ans.Chain.Anchor)
 	}
-	if _, err := sys.Verifier.VerifyAnswer(ans, 1, 5, 120); err != nil {
+	if _, err := verifyScan(sys.Verifier, ans, 1, 5, 120); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -168,7 +242,7 @@ func TestFreshnessStaleDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Capture a stale answer before the update.
-	staleAns, err := sys.QS.Query(100, 100)
+	staleAns, err := scan(sys.QS, 100, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,21 +262,21 @@ func TestFreshnessStaleDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pre-feed the verifier both summaries (a logged-in user).
-	for _, s := range sys.QS.SummariesSince(0) {
+	for _, s := range sys.QS.SummariesTail(0, 0) {
 		if err := sys.Verifier.IngestSummary(s); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The stale answer must now be rejected.
-	if _, err := sys.Verifier.VerifyAnswer(staleAns, 100, 100, 2_200); !errors.Is(err, freshness.ErrStale) {
+	if _, err := verifyScan(sys.Verifier, staleAns, 100, 100, 2_200); !errors.Is(err, freshness.ErrStale) {
 		t.Fatalf("stale answer: want ErrStale, got %v", err)
 	}
 	// A fresh answer passes.
-	fresh, err := sys.QS.Query(100, 100)
+	fresh, err := scan(sys.QS, 100, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Verifier.VerifyAnswer(fresh, 100, 100, 2_200); err != nil {
+	if _, err := verifyScan(sys.Verifier, fresh, 100, 100, 2_200); err != nil {
 		t.Fatalf("fresh answer rejected: %v", err)
 	}
 }
@@ -219,7 +293,7 @@ func TestAnswerCarriesNeededSummaries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ans, err := sys.QS.Query(10, 50)
+	ans, err := scan(sys.QS, 10, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +302,7 @@ func TestAnswerCarriesNeededSummaries(t *testing.T) {
 		t.Fatalf("answer carries %d summaries, want 4", len(ans.Summaries))
 	}
 	// A fresh verifier can check the answer with no prior state.
-	if _, err := sys.Verifier.VerifyAnswer(ans, 10, 50, 5_200); err != nil {
+	if _, err := verifyScan(sys.Verifier, ans, 10, 50, 5_200); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -301,12 +375,12 @@ func TestActiveRenewal(t *testing.T) {
 func TestTamperedAnswerRejected(t *testing.T) {
 	sys := newSystem(t, bas.New(0))
 	load(t, sys, 30)
-	ans, _ := sys.QS.Query(50, 250)
+	ans, _ := scan(sys.QS, 50, 250)
 	ans.Chain.Records[2] = &Record{
 		RID: ans.Chain.Records[2].RID, Key: ans.Chain.Records[2].Key,
 		Attrs: [][]byte{[]byte("forged")}, TS: ans.Chain.Records[2].TS,
 	}
-	if _, err := sys.Verifier.VerifyAnswer(ans, 50, 250, 200); err == nil {
+	if _, err := verifyScan(sys.Verifier, ans, 50, 250, 200); err == nil {
 		t.Fatal("tampered answer accepted")
 	}
 }
@@ -314,8 +388,8 @@ func TestTamperedAnswerRejected(t *testing.T) {
 func TestWrongRangeRejected(t *testing.T) {
 	sys := newSystem(t, bas.New(0))
 	load(t, sys, 10)
-	ans, _ := sys.QS.Query(10, 30)
-	if _, err := sys.Verifier.VerifyAnswer(ans, 10, 50, 200); err == nil {
+	ans, _ := scan(sys.QS, 10, 30)
+	if _, err := verifyScan(sys.Verifier, ans, 10, 50, 200); err == nil {
 		t.Fatal("answer for a different range accepted")
 	}
 }
@@ -340,7 +414,7 @@ func TestDAErrors(t *testing.T) {
 	if _, err := sys.DA.Insert(&Record{Key: 10}, 10); err == nil {
 		t.Fatal("duplicate insert accepted")
 	}
-	if _, err := sys.QS.Query(5, 1); err == nil {
+	if _, err := scan(sys.QS, 5, 1); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 }
@@ -348,11 +422,11 @@ func TestDAErrors(t *testing.T) {
 func TestVOSizeIndependentOfCardinality(t *testing.T) {
 	sys := newSystem(t, bas.New(0))
 	load(t, sys, 200)
-	small, _ := sys.QS.Query(10, 20)
-	large, _ := sys.QS.Query(10, 2000)
+	small, _ := scan(sys.QS, 10, 20)
+	large, _ := scan(sys.QS, 10, 2000)
 	sigSize := sys.Scheme.SignatureSize()
-	if small.VOSize(sigSize) != large.VOSize(sigSize) {
+	if small.Chain.VOSize(sigSize) != large.Chain.VOSize(sigSize) {
 		t.Fatalf("VO sizes %d vs %d: §3.3 promises cardinality independence",
-			small.VOSize(sigSize), large.VOSize(sigSize))
+			small.Chain.VOSize(sigSize), large.Chain.VOSize(sigSize))
 	}
 }

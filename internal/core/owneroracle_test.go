@@ -27,7 +27,7 @@ import (
 // out. Every message goes to a QueryServer. After every step Len,
 // OldestCertTS, the owner's records, its period marks, and the server's
 // records are compared with the slice, a whole-domain answer must pass
-// Verifier.VerifyAnswer, and every version replaced or deleted two period
+// Verifier.VerifyScan, and every version replaced or deleted two period
 // closes ago or more must be stale to that verifier. Seed 1 runs on bas,
 // the rest on xortest; odd seeds run the relation in projection mode.
 const (
@@ -399,11 +399,11 @@ func (o *ownerOracle) check(step int) {
 	if len(o.recs) == 0 {
 		return
 	}
-	ans, err := o.qs.Query(-1, ownerOracleKeys)
+	ans, err := scan(o.qs, -1, ownerOracleKeys)
 	if err != nil {
 		t.Fatalf("step %d: Query: %v", step, err)
 	}
-	if _, err := o.v.VerifyAnswer(ans, -1, ownerOracleKeys, o.now); err != nil {
+	if _, err := verifyScan(o.v, ans, -1, ownerOracleKeys, o.now); err != nil {
 		t.Fatalf("step %d: whole-domain answer: %v", step, err)
 	}
 	// A replacement or a delete marks its slot in its own period; one in

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -94,14 +93,14 @@ func TestPipelinedLoadVerifies(t *testing.T) {
 	if err := qs.Apply(msg); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := qs.Query(10, 3000)
+	ans, err := scan(qs, 10, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ans.Chain.Records) != 300 {
 		t.Fatalf("got %d records", len(ans.Chain.Records))
 	}
-	if _, err := v.VerifyAnswer(ans, 10, 3000, 200); err != nil {
+	if _, err := verifyScan(v, ans, 10, 3000, 200); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -138,65 +137,18 @@ func TestPipelinedLoadIntoPopulatedRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ranges spanning every seam must verify.
-	for _, r := range []Range{{Lo: 240, Hi: 270}, {Lo: 450, Hi: 1100}, {Lo: 1010, Hi: 1300}} {
-		ans, err := qs.Query(r.Lo, r.Hi)
+	for _, r := range []span{{Lo: 240, Hi: 270}, {Lo: 450, Hi: 1100}, {Lo: 1010, Hi: 1300}} {
+		ans, err := scan(qs, r.Lo, r.Hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := v.VerifyAnswer(ans, r.Lo, r.Hi, 200); err != nil {
+		if _, err := verifyScan(v, ans, r.Lo, r.Hi, 200); err != nil {
 			t.Fatalf("range [%d,%d]: %v", r.Lo, r.Hi, err)
 		}
 	}
 	// Colliding keys are rejected.
 	if _, err := da.Load([]*Record{{Key: 255}}, 200); err == nil {
 		t.Fatal("load of an existing key accepted")
-	}
-}
-
-// TestVerifyAnswersBatch: many answers checked in one call, with a
-// tampered member failing the batch.
-func TestVerifyAnswersBatch(t *testing.T) {
-	for _, raw := range []sigagg.Scheme{bas.New(0), crsa.New(1024)} {
-		t.Run(raw.Name(), func(t *testing.T) {
-			da, qs, v := newParties(t, raw)
-			msg, err := da.Load(mkRecords(120, 10), 100)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := qs.Apply(msg); err != nil {
-				t.Fatal(err)
-			}
-			var answers []*Answer
-			var ranges []Range
-			for i := 0; i < 6; i++ {
-				lo := int64(i*200 + 10)
-				hi := lo + 150
-				ans, err := qs.Query(lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				answers = append(answers, ans)
-				ranges = append(ranges, Range{Lo: lo, Hi: hi})
-			}
-			reports, err := v.VerifyAnswers(answers, ranges, 200)
-			if err != nil {
-				t.Fatalf("valid batch rejected: %v", err)
-			}
-			if len(reports) != len(answers) {
-				t.Fatalf("%d reports for %d answers", len(reports), len(answers))
-			}
-			// Tamper with one record in one answer.
-			r := answers[3].Chain.Records[0]
-			answers[3].Chain.Records[0] = &Record{RID: r.RID, Key: r.Key, Attrs: [][]byte{[]byte("forged")}, TS: r.TS}
-			if _, err := v.VerifyAnswers(answers, ranges, 200); !errors.Is(err, sigagg.ErrVerify) {
-				t.Fatalf("tampered batch: want ErrVerify, got %v", err)
-			}
-			// Range mismatch is caught before crypto.
-			ranges[3] = Range{Lo: 1, Hi: 2}
-			if _, err := v.VerifyAnswers(answers, ranges, 200); !errors.Is(err, sigagg.ErrVerify) {
-				t.Fatalf("range mismatch: want ErrVerify, got %v", err)
-			}
-		})
 	}
 }
 
@@ -392,11 +344,11 @@ func TestClosePeriodBatchRecertification(t *testing.T) {
 		}
 	}
 	deliver(msg, nil)
-	ans, err := qs.Query(10, 200)
+	ans, err := scan(qs, 10, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.VerifyAnswer(ans, 10, 200, 2100); err != nil {
+	if _, err := verifyScan(v, ans, 10, 200, 2100); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -421,11 +373,11 @@ func TestInsertExplicitRIDAdvancesNextRID(t *testing.T) {
 	if rid := da.byRID[2]; rid == nil || rid.Key != 20 {
 		t.Fatalf("numbered record got rid %+v, want 2", rid)
 	}
-	ans, err := qs.Query(0, 30)
+	ans, err := scan(qs, 0, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.VerifyAnswer(ans, 0, 30, 100); err != nil {
+	if _, err := verifyScan(v, ans, 0, 30, 100); err != nil {
 		t.Fatal(err)
 	}
 }

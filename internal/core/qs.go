@@ -18,8 +18,12 @@ import (
 // chained answer of §3.3 plus the certified summaries the user needs
 // for freshness checking.
 type Answer struct {
-	Chain     *chain.Answer
-	Summaries []freshness.Summary // summaries published since the oldest result signature
+	Chain *chain.Answer
+	// Summaries are the summaries published since the oldest result
+	// signature. Only the pinned Query (benchpin.go) fills them: every
+	// other answer is built summary-free, and its sender attaches the
+	// recipient's tail (QueryServer.SummariesTail).
+	Summaries []freshness.Summary
 	// Ops is the number of aggregation operations spent building the
 	// proof (the paper's §4 cost unit). With the aggregation tree this is
 	// O(log n) per shard touched, never linear in the result size.
@@ -31,16 +35,6 @@ type Answer struct {
 	// (QueryServer.SummariesTail), not part of the wire encoding: the
 	// records themselves carry their timestamps.
 	OldestSigTS int64
-}
-
-// VOSize reports the proof overhead shipped with the records, given the
-// scheme's signature size: the chain's and every attached summary's.
-func (a *Answer) VOSize(sigSize int) int {
-	size := a.Chain.VOSize(sigSize)
-	for i := range a.Summaries {
-		size += a.Summaries[i].Size(sigSize)
-	}
-	return size
 }
 
 // DefaultShards is the number of key-range shards a QueryServer uses

@@ -327,7 +327,7 @@ func (o *qsOracle) check(step int) {
 func (o *qsOracle) checkRange(step int, lo, hi int64) {
 	t := o.t
 	want, oldest := o.answer(lo, hi)
-	got, err := o.qs.Query(lo, hi)
+	got, err := scan(o.qs, lo, hi)
 	if err != nil {
 		t.Fatalf("step %d: Query(%d, %d): %v", step, lo, hi, err)
 	}

@@ -58,24 +58,15 @@ func (w *window) succ(key int64) (aggtree.Entry, bool) {
 
 func entryRef(e aggtree.Entry) chain.Ref { return chain.Ref{Key: e.Key, RID: e.RID} }
 
-// Query answers the range selection σ_{lo<=Aind<=hi}, constructing the
-// §3.3 proof and attaching the summaries published since the oldest
-// signature in the answer. The aggregate is folded from the overlapped
+// QueryStamped answers the range selection σ_{lo<=Aind<=hi} with the
+// §3.3 proof, plus the epoch stamp of every shard the proof consulted
+// (see queryStamped). The aggregate is folded from the overlapped
 // shards' aggregation-tree covers — O(log n) additions per shard, one
 // normalisation per answer — and never by linearly folding the result
-// signatures.
-func (qs *QueryServer) Query(lo, hi int64) (*Answer, error) {
-	ans, _, err := qs.queryStamped(lo, hi, false, nil)
-	return ans, err
-}
-
-// QueryStamped answers the range selection like Query but returns the
-// cacheable form: a summary-free answer core plus the epoch stamp of
-// every shard the proof consulted (see queryStamped). Planner executors
-// use it for leaf scans so one composite answer can be invalidated by
-// any touched relation's epochs.
+// signatures. The answer carries no summaries: whoever sends it attaches
+// the recipient's summary tail (SummariesTail).
 func (qs *QueryServer) QueryStamped(lo, hi int64) (*Answer, anscache.Stamp, error) {
-	return qs.queryStamped(lo, hi, true, nil)
+	return qs.queryStamped(lo, hi, nil)
 }
 
 // AttrRow is one answered record's projection sideband: its identity,
@@ -99,7 +90,7 @@ type AttrRow struct {
 // is not projection-mode).
 func (qs *QueryServer) QueryProj(lo, hi int64) (*Answer, []AttrRow, anscache.Stamp, error) {
 	var rows []AttrRow
-	ans, stamp, err := qs.queryStamped(lo, hi, true, &rows)
+	ans, stamp, err := qs.queryStamped(lo, hi, &rows)
 	if err != nil {
 		return nil, nil, anscache.Stamp{}, err
 	}
@@ -132,22 +123,19 @@ func (qs *QueryServer) AppendKeys(dst []int64, lo, hi int64, max int) ([]int64, 
 	return dst, stamp
 }
 
-// queryStamped is Query plus, when stamped is set, the epoch stamp the
-// answer cache needs: the version of every shard the proof consulted,
-// read while the shard read locks are still held (so the stamp exactly
-// matches the data snapshot). Any update that could change this answer
-// must take one of those write locks and bumps the corresponding epoch
-// there, so a stamp that is still current proves the cached answer is
-// too.
+// queryStamped builds the answer and the epoch stamp the answer cache
+// needs: the version of every shard the proof consulted, read while the
+// shard read locks are still held (so the stamp exactly matches the data
+// snapshot). Any update that could change this answer must take one of
+// those write locks and bumps the corresponding epoch there, so a stamp
+// that is still current proves the cached answer is too.
 //
-// A stamped answer carries NO summaries: it is the cacheable answer
-// core, and the serving layer attaches each client's summary delta
-// (SummariesTail) at response time. That keeps cached entries valid
-// across ρ-period closes — a summary can only affect an answered record
-// by way of an update, and updates already bump the shard epochs in the
-// stamp. Plain Query passes stamped=false: it attaches the full
-// summaries-since-oldest-signature list for in-process consumers.
-func (qs *QueryServer) queryStamped(lo, hi int64, stamped bool, attrs *[]AttrRow) (*Answer, anscache.Stamp, error) {
+// The answer carries NO summaries: it is the cacheable answer core, and
+// the serving layer attaches each client's summary delta (SummariesTail)
+// at response time. That keeps cached entries valid across ρ-period
+// closes — a summary can only affect an answered record by way of an
+// update, and updates already bump the shard epochs in the stamp.
+func (qs *QueryServer) queryStamped(lo, hi int64, attrs *[]AttrRow) (*Answer, anscache.Stamp, error) {
 	if lo > hi {
 		return nil, anscache.Stamp{}, fmt.Errorf("core: inverted range [%d,%d]", lo, hi)
 	}
@@ -162,9 +150,9 @@ func (qs *QueryServer) queryStamped(lo, hi int64, stamped bool, attrs *[]AttrRow
 		for j := loS; j <= hiS; j++ {
 			qs.shards[j].mu.RLock()
 		}
-		ans, widenLo, widenHi, err := qs.queryWindow(loS, hiS, s, t, lo, hi, !stamped, attrs)
+		ans, widenLo, widenHi, err := qs.queryWindow(loS, hiS, s, t, lo, hi, attrs)
 		var stamp anscache.Stamp
-		if stamped && err == nil && ans != nil {
+		if err == nil && ans != nil {
 			for j := loS; j <= hiS; j++ {
 				stamp.Read(&qs.epochs[j])
 			}
@@ -190,11 +178,8 @@ func (qs *QueryServer) queryStamped(lo, hi int64, stamped bool, attrs *[]AttrRow
 // queryWindow builds the answer under the currently held shard locks,
 // or reports which direction the lock window must grow. A nil answer
 // with neither widen flag set never happens (domain edges resolve to
-// sentinels, not to widening). attachSums selects the in-process
-// behavior of attaching every summary published since the oldest result
-// signature; the serving layer passes false and delta-syncs summaries
-// per client instead.
-func (qs *QueryServer) queryWindow(loS, hiS, s, t int, lo, hi int64, attachSums bool, attrs *[]AttrRow) (*Answer, bool, bool, error) {
+// sentinels, not to widening).
+func (qs *QueryServer) queryWindow(loS, hiS, s, t int, lo, hi int64, attrs *[]AttrRow) (*Answer, bool, bool, error) {
 	w := &window{qs: qs, loS: loS, hiS: hiS}
 	ca := &chain.Answer{Lo: lo, Hi: hi, Left: chain.MinRef, Right: chain.MaxRef}
 	ans := &Answer{Chain: ca}
@@ -282,20 +267,6 @@ func (qs *QueryServer) queryWindow(loS, hiS, s, t int, lo, hi int64, attachSums 
 		ans.Ops = ops
 	}
 	ans.OldestSigTS = oldestTS
-
-	if attachSums {
-		// Attach every summary published since the oldest result
-		// signature. Read while the shard locks are still held: updates to
-		// any answered record are serialized behind this query, so no
-		// summary marking one of them newer can have been published yet.
-		qs.sumMu.RLock()
-		i := sort.Search(len(qs.summaries), func(i int) bool {
-			return qs.summaries[i].TS >= oldestTS
-		})
-		n := len(qs.summaries)
-		ans.Summaries = qs.summaries[i:n:n]
-		qs.sumMu.RUnlock()
-	}
 	return ans, false, false, nil
 }
 
@@ -318,22 +289,12 @@ func (qs *QueryServer) aggregateRuns(s, t int, lo, hi int64) (sigagg.Signature, 
 	return agg, pieces - 1, nil
 }
 
-// SummariesSince returns the stored summaries published at or after ts
-// (served to users at log-in).
-func (qs *QueryServer) SummariesSince(ts int64) []freshness.Summary {
-	qs.sumMu.RLock()
-	defer qs.sumMu.RUnlock()
-	i := sort.Search(len(qs.summaries), func(i int) bool { return qs.summaries[i].TS >= ts })
-	n := len(qs.summaries)
-	return qs.summaries[i:n:n]
-}
-
 // SummariesTail returns the per-client summary delta the serving layer
 // attaches to an answer: for a session that already holds certified
 // summaries through sinceSeq, exactly the ones published after it (the
 // checker's sequence-contiguity then holds by construction); for a cold
 // session (sinceSeq == 0), every summary published since the answer's
-// oldest result signature — the same list a plain Query attaches. Both
+// oldest result signature (oldestTS 0: the whole stream). Both
 // cuts are over the same sequence-ordered, timestamp-ordered stream, so
 // each is one binary search over an immutable suffix.
 //

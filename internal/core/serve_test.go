@@ -19,15 +19,20 @@ import (
 // cache to the stamps QueryStamped reads, shard by shard.
 
 // scanFixture is a relation of n records, keys 10, 20, …, 10n loaded at
-// TS 100, served by an engine under core.DefaultRelation.
+// TS 100, served by an engine under core.DefaultRelation. No period
+// closes, so every summary tail is empty.
 type scanFixture struct {
-	sys *core.System
+	sys *core.Relation
 	eng *query.Engine
 }
 
 func newScanFixture(t *testing.T, scheme sigagg.Scheme, n int, opts ...query.EngineOption) *scanFixture {
 	t.Helper()
-	sys, err := core.NewSystem(scheme, core.DefaultConfig())
+	cat, err := core.NewCatalog(scheme, core.DefaultConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := cat.AddRelation(core.DefaultRelation, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +140,7 @@ func TestServeSources(t *testing.T) {
 	// uncached engine encodes.
 	for _, r := range []struct{ lo, hi int64 }{{10, 500}, {9, 501}} {
 		got := fx.serve(t, r.lo, r.hi)
-		if _, err := fx.sys.Verifier.VerifyAnswer(got.ans, r.lo, r.hi, 10_000); err != nil {
+		if _, err := fx.sys.Verifier.VerifyScan(got.ans.Chain, r.lo, r.hi, 10_000); err != nil {
 			t.Fatalf("served answer [%d,%d] failed verification: %v", r.lo, r.hi, err)
 		}
 		if r.lo == 10 && !bytes.Equal(got.body, uncached) {
@@ -192,7 +197,7 @@ func TestServeInvalidationOnUpdate(t *testing.T) {
 	if !seen {
 		t.Fatal("rebuilt answer does not carry the update")
 	}
-	if _, err := fx.sys.Verifier.VerifyAnswer(sv.ans, 10, 200, 10_000); err != nil {
+	if _, err := fx.sys.Verifier.VerifyScan(sv.ans.Chain, 10, 200, 10_000); err != nil {
 		t.Fatalf("post-update answer failed verification: %v", err)
 	}
 }

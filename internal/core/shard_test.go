@@ -12,12 +12,9 @@ import (
 	"authdb/internal/sigagg/xortest"
 )
 
-func newShardedSystem(t *testing.T, scheme sigagg.Scheme, n int, opts ...Option) *System {
+func newShardedSystem(t *testing.T, scheme sigagg.Scheme, n int, opts ...Option) *Relation {
 	t.Helper()
-	sys, err := NewSystem(scheme, DefaultConfig(), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newSystem(t, scheme, opts...)
 	load(t, sys, n)
 	return sys
 }
@@ -29,11 +26,11 @@ func TestShardedQueriesVerifyAcrossShards(t *testing.T) {
 	}
 	// Ranges chosen to overlap one, several and all shards.
 	for _, r := range [][2]int64{{10, 50}, {600, 1400}, {1, 5120}, {2500, 2500}, {5121, 9000}} {
-		ans, err := sys.QS.Query(r[0], r[1])
+		ans, err := scan(sys.QS, r[0], r[1])
 		if err != nil {
 			t.Fatalf("Query(%d,%d): %v", r[0], r[1], err)
 		}
-		if _, err := sys.Verifier.VerifyAnswer(ans, r[0], r[1], 200); err != nil {
+		if _, err := verifyScan(sys.Verifier, ans, r[0], r[1], 200); err != nil {
 			t.Fatalf("verify [%d,%d]: %v", r[0], r[1], err)
 		}
 	}
@@ -75,7 +72,7 @@ func TestProofOpsLogarithmic(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		k := rng.Int63n(n/2) + 10
 		lo := rng.Int63n(10*n - 10*k)
-		ans, err := sys.QS.Query(lo, lo+10*k)
+		ans, err := scan(sys.QS, lo, lo+10*k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +92,7 @@ func TestLinearBaselineMatchesTree(t *testing.T) {
 	// signed state, in key order: k-1 operations for k records.
 	image := sys.QS.Snapshot().Records
 	for _, r := range [][2]int64{{10, 400}, {395, 2300}, {1, 4000}} {
-		tree, err := sys.QS.Query(r[0], r[1])
+		tree, err := scan(sys.QS, r[0], r[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +116,7 @@ func TestLinearBaselineMatchesTree(t *testing.T) {
 		if k > 50 && tree.Ops >= k-1 {
 			t.Fatalf("tree ops %d not below linear %d for k=%d", tree.Ops, k-1, k)
 		}
-		if _, err := sys.Verifier.VerifyAnswer(tree, r[0], r[1], 200); err != nil {
+		if _, err := verifyScan(sys.Verifier, tree, r[0], r[1], 200); err != nil {
 			t.Fatalf("tree answer fails verification: %v", err)
 		}
 	}
@@ -142,33 +139,33 @@ func TestWideningAcrossEmptiedShards(t *testing.T) {
 	}
 	// Empty range far above the remaining population: the anchor search
 	// must walk down across several empty shards.
-	ans, err := sys.QS.Query(2000, 2500)
+	ans, err := scan(sys.QS, 2000, 2500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ans.Chain.Records) != 0 || ans.Chain.Anchor == nil {
 		t.Fatal("expected anchored empty answer")
 	}
-	if _, err := sys.Verifier.VerifyAnswer(ans, 2000, 2500, ts+100); err != nil {
+	if _, err := verifyScan(sys.Verifier, ans, 2000, 2500, ts+100); err != nil {
 		t.Fatalf("verify empty range over emptied shards: %v", err)
 	}
 	// Range straddling the populated/empty boundary.
-	ans, err = sys.QS.Query(300, 2560)
+	ans, err = scan(sys.QS, 300, 2560)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(ans.Chain.Records); got != 11 { // keys 300..400
 		t.Fatalf("got %d records, want 11", got)
 	}
-	if _, err := sys.Verifier.VerifyAnswer(ans, 300, 2560, ts+100); err != nil {
+	if _, err := verifyScan(sys.Verifier, ans, 300, 2560, ts+100); err != nil {
 		t.Fatal(err)
 	}
 	// Everything below the population.
-	ans, err = sys.QS.Query(1, 5)
+	ans, err = scan(sys.QS, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Verifier.VerifyAnswer(ans, 1, 5, ts+100); err != nil {
+	if _, err := verifyScan(sys.Verifier, ans, 1, 5, ts+100); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -177,10 +174,7 @@ func TestWideningAcrossEmptiedShards(t *testing.T) {
 // running sum folds several shards' covers while updates land on those
 // shards. Run with -race.
 func TestMultiShardProofUnderUpdates(t *testing.T) {
-	sys, err := NewSystem(xortest.New(), DefaultConfig(), WithShards(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newSystem(t, xortest.New(), WithShards(8))
 	load(t, sys, 512)
 
 	msgs := make(chan *UpdateMsg, 128)
@@ -215,13 +209,13 @@ func TestMultiShardProofUnderUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 80; i++ {
 				lo := int64((seed*41+int64(i)*13)%4000) + 1
-				ans, err := sys.QS.Query(lo, lo+900) // spans several shards
+				ans, err := scan(sys.QS, lo, lo+900) // spans several shards
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				v := NewVerifier(sys.Scheme, sys.Pub, DefaultConfig())
-				if _, err := v.VerifyAnswer(ans, lo, lo+900, 10_000); err != nil {
+				if _, err := verifyScan(v, ans, lo, lo+900, 10_000); err != nil {
 					t.Errorf("multi-shard answer failed verification: %v", err)
 					return
 				}

@@ -194,11 +194,11 @@ func TestServerRestoreInvalidatesCaches(t *testing.T) {
 	if stamp.Valid() {
 		t.Fatal("a stamp read before Restore is still valid after it")
 	}
-	ans, err := sys.QS.Query(10, 500)
+	ans, err := scan(sys.QS, 10, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Verifier.VerifyAnswer(ans, 10, 500, 10_000); err != nil {
+	if _, err := verifyScan(sys.Verifier, ans, 10, 500, 10_000); err != nil {
 		t.Fatalf("post-restore answer failed verification: %v", err)
 	}
 	if got, want := sys.QS.Len(), 256; got != want {
@@ -223,7 +223,7 @@ func TestApplySummaryIdempotent(t *testing.T) {
 	if err := sys.QS.Apply(msg); err != nil { // re-delivery
 		t.Fatal(err)
 	}
-	sums := sys.QS.SummariesSince(0)
+	sums := sys.QS.SummariesTail(0, 0)
 	if len(sums) != 1 {
 		t.Fatalf("summary stream holds %d entries after re-delivery, want 1", len(sums))
 	}

@@ -46,18 +46,6 @@ func (v *Verifier) SetParallelism(n int) {
 	}
 }
 
-// VerifyStats reports the scheme's verification fast-path counters
-// (hash-to-curve cache traffic, precomputation table builds) when the
-// scheme has a fast path, so callers can assert it is being exercised.
-// The counters are process-wide for the scheme instance, not scoped to
-// this Verifier.
-func (v *Verifier) VerifyStats() (sigagg.VerifyStats, bool) {
-	if sp, ok := v.scheme.(sigagg.VerifyStatsProvider); ok {
-		return sp.VerifyStats(), true
-	}
-	return sigagg.VerifyStats{}, false
-}
-
 // ClaimStats reports this verifier's claim-memo counters.
 func (v *Verifier) ClaimStats() ClaimStats {
 	return ClaimStats{
@@ -99,87 +87,27 @@ func (v *Verifier) VerifySummarySig(s *freshness.Summary) error {
 	return nil
 }
 
-// FreshnessReport is the per-record outcome of the freshness check.
-type FreshnessReport struct {
-	// MaxStaleness is the worst-case staleness bound across the answer's
-	// records: ρ normally, 2ρ for records certified in the most recent
-	// closed period (§3.1).
-	MaxStaleness int64
-}
-
-// Range is the [Lo, Hi] selection an answer claims to cover.
-type Range struct {
-	Lo, Hi int64
-}
-
-// VerifyAnswer checks the complete answer for the range [lo, hi] at
-// current time now: the aggregate signature and chaining (authenticity
-// + completeness), then every record's freshness against the certified
-// summaries. Summaries attached to the answer are ingested first;
-// duplicates of already-held summaries are skipped.
-func (v *Verifier) VerifyAnswer(ans *Answer, lo, hi int64, now int64) (*FreshnessReport, error) {
-	reports, err := v.VerifyAnswers([]*Answer{ans}, []Range{{Lo: lo, Hi: hi}}, now)
+// VerifyScan checks one range selection's chain answer for [lo, hi] at
+// current time now, against the summaries the verifier holds: the range
+// it claims, then its signature claim (CheckClaims, remembered once it
+// closes), then every disclosed record's freshness (Staleness). It
+// returns the answer's staleness bound. It is the in-process form of
+// what a client runs on each plan's outer scan; the caller ingests the
+// summary tail the server sent with the answer (IngestSummary) first.
+func (v *Verifier) VerifyScan(ca *chain.Answer, lo, hi, now int64) (int64, error) {
+	if ca == nil {
+		return 0, fmt.Errorf("%w: empty answer", sigagg.ErrVerify)
+	}
+	if ca.Lo != lo || ca.Hi != hi {
+		return 0, fmt.Errorf("%w: answer is for range [%d,%d], not [%d,%d]",
+			sigagg.ErrVerify, ca.Lo, ca.Hi, lo, hi)
+	}
+	admit, err := v.CheckClaims([]*chain.Answer{ca}, nil, nil)
 	if err != nil {
-		return nil, err
-	}
-	return reports[0], nil
-}
-
-// VerifyAnswers checks a whole batch of answers in one call — what a
-// verifier session that issued (or subscribed to) many queries does
-// once per round-trip instead of once per answer. The answers' signature
-// claims are closed together (CheckClaims: the claims this verifier has
-// closed before are known by name, the chained record digests of the
-// rest are recomputed in parallel and verified through the scheme's
-// batched primitives); freshness is then checked per record as usual.
-// ranges[i] is the selection answer i must cover. On success the i-th
-// report corresponds to the i-th answer.
-//
-// An error means at least one answer failed; batched signature
-// verification attests the set without attributing the failure (see
-// sigagg.Scheme.VerifyJobs), so callers needing the culprit fall back to
-// per-answer VerifyAnswer calls.
-func (v *Verifier) VerifyAnswers(answers []*Answer, ranges []Range, now int64) ([]*FreshnessReport, error) {
-	// 1. Authenticity and completeness (§3.3), batched.
-	if len(answers) != len(ranges) {
-		return nil, fmt.Errorf("core: %d answers but %d ranges", len(answers), len(ranges))
-	}
-	chains := make([]*chain.Answer, len(answers))
-	for i, ans := range answers {
-		if ans == nil || ans.Chain == nil {
-			return nil, fmt.Errorf("%w: empty answer", sigagg.ErrVerify)
-		}
-		if ans.Chain.Lo != ranges[i].Lo || ans.Chain.Hi != ranges[i].Hi {
-			return nil, fmt.Errorf("%w: answer is for range [%d,%d], not [%d,%d]",
-				sigagg.ErrVerify, ans.Chain.Lo, ans.Chain.Hi, ranges[i].Lo, ranges[i].Hi)
-		}
-		chains[i] = ans.Chain
-	}
-	admit, err := v.CheckClaims(chains, nil, nil)
-	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	admit()
-	// 2. Ingest any new summaries (they are individually certified).
-	held := uint64(0)
-	if v.checker.Len() > 0 {
-		if latest, ok := v.checker.Latest(); ok {
-			held = latest.Seq
-		}
-	}
-	for _, ans := range answers {
-		for _, s := range ans.Summaries {
-			if s.Seq <= held {
-				continue
-			}
-			if err := v.checker.Add(s); err != nil {
-				return nil, fmt.Errorf("core: summary %d: %w", s.Seq, err)
-			}
-			held = s.Seq
-		}
-	}
-	// 3. Freshness per record (§3.1).
-	return v.Freshness(answers, now)
+	return v.Staleness(ca, now)
 }
 
 // CheckClaims closes a batch of signature claims under the verifier's
@@ -222,24 +150,11 @@ func (v *Verifier) CheckClaims(chains []*chain.Answer, projs []*projection.Answe
 	}, nil
 }
 
-// Freshness bounds every disclosed record of already-authenticated
-// answers against the certified summaries held (§3.1). The i-th report
-// corresponds to the i-th answer.
-func (v *Verifier) Freshness(answers []*Answer, now int64) ([]*FreshnessReport, error) {
-	reports := make([]*FreshnessReport, len(answers))
-	for i, ans := range answers {
-		bound, err := v.Staleness(ans.Chain, now)
-		if err != nil {
-			return nil, err
-		}
-		reports[i] = &FreshnessReport{MaxStaleness: bound}
-	}
-	return reports, nil
-}
-
-// Staleness is Freshness for one authenticated chain: the worst staleness
-// bound over its disclosed records. The anchor of an empty answer is a
-// disclosed record and is checked too.
+// Staleness bounds every disclosed record of one authenticated chain
+// against the certified summaries held (§3.1) and returns the worst
+// bound: ρ normally, 2ρ for a record certified in the most recent closed
+// period. The anchor of an empty answer is a disclosed record and is
+// checked too.
 func (v *Verifier) Staleness(ca *chain.Answer, now int64) (int64, error) {
 	var worst int64
 	check := func(rec *Record) error {

@@ -85,17 +85,6 @@ func (e *Engine) AddRelation(name string, qs *core.QueryServer) error {
 	return nil
 }
 
-// SetFilter delivers a re-certified filter to the named relation's server
-// as the dissemination message the owner's pipeline would carry it in
-// (wal.Runtime.Deliver logs and replicates it too).
-func (e *Engine) SetFilter(name string, fc *join.FilterCert) error {
-	rv, err := e.rel(name)
-	if err != nil {
-		return err
-	}
-	return rv.qs.Apply(&core.UpdateMsg{Filter: fc})
-}
-
 func (e *Engine) rel(name string) (*relView, error) {
 	e.mu.RLock()
 	rv := e.rels[name]

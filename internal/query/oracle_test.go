@@ -19,7 +19,7 @@ import (
 // A cached composite whose stamp misses a shard its execution read shows
 // up as a byte difference at the step whose update it slept through.
 // Bare scans of both relations ride along in the same cache, and are held
-// to QueryServer.Query encoded on the spot as well.
+// to QueryStamped plus its cold tail encoded on the spot as well.
 // After every step a few of wire's pooled buffers are overwritten: a
 // resident entry still aliasing a recycled build buffer differs at the
 // next check.
@@ -166,10 +166,8 @@ func (o *oracle) certify() {
 	if err != nil {
 		o.t.Fatal(err)
 	}
-	for _, e := range []*Engine{o.cached, o.bare} {
-		if err := e.SetFilter("i", fc); err != nil {
-			o.t.Fatal(err)
-		}
+	if err := o.inner.QS.Apply(&core.UpdateMsg{Filter: fc}); err != nil {
+		o.t.Fatal(err)
 	}
 }
 
@@ -260,16 +258,15 @@ func (o *oracle) check(step int, did string) {
 	}
 }
 
-// reference answers a bare scan without any cache: QueryServer.Query, its
-// leaf composite, and the tail reaching back to the answer's oldest
-// signature.
+// reference answers a bare scan without any cache: QueryStamped, its leaf
+// composite, and the tail reaching back to the answer's oldest signature.
 func (o *oracle) reference(leaf *Spec) (body, tails []byte) {
 	o.t.Helper()
 	rv, err := o.bare.rel(leaf.Rel)
 	if err != nil {
 		o.t.Fatal(err)
 	}
-	ans, err := rv.qs.Query(leaf.Lo, leaf.Hi)
+	ans, _, err := rv.qs.QueryStamped(leaf.Lo, leaf.Hi)
 	if err != nil {
 		o.t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func newFixture(t *testing.T, engOpts ...EngineOption) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetFilter("i", fc); err != nil {
+	if err := inner.QS.Apply(&core.UpdateMsg{Filter: fc}); err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{cat: cat, outer: outer, inner: inner, eng: eng}
@@ -99,7 +99,7 @@ func (fx *fixture) spec(method join.Method) *Spec {
 // client would, against every summary the servers hold.
 func (fx *fixture) verifyComposite(t *testing.T, comp *wire.Composite, lo, hi int64, now int64) {
 	t.Helper()
-	if err := fx.checkComposite(comp, lo, hi, now, fx.outer.QS.SummariesSince(0), fx.inner.QS.SummariesSince(0)); err != nil {
+	if err := fx.checkComposite(comp, lo, hi, now, fx.outer.QS.SummariesTail(0, 0), fx.inner.QS.SummariesTail(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -110,9 +110,10 @@ func (fx *fixture) verifyComposite(t *testing.T, comp *wire.Composite, lo, hi in
 // discloses — each relation judged against the summaries given for it.
 // It builds its own verifiers, so concurrent callers do not share state.
 func (fx *fixture) checkComposite(comp *wire.Composite, lo, hi, now int64, osums, isums []freshness.Summary) error {
-	ov := core.NewVerifier(fx.outer.Scheme, fx.outer.Pub, core.DefaultConfig())
-	oans := &core.Answer{Chain: comp.Outer, Summaries: osums}
-	if _, err := ov.VerifyAnswers([]*core.Answer{oans}, []core.Range{{Lo: lo, Hi: hi}}, now); err != nil {
+	if comp.Outer.Lo != lo || comp.Outer.Hi != hi {
+		return fmt.Errorf("outer chain: answer is for [%d,%d], not [%d,%d]", comp.Outer.Lo, comp.Outer.Hi, lo, hi)
+	}
+	if err := verifyScans(fx.outer, osums, now, comp.Outer); err != nil {
 		return fmt.Errorf("outer chain: %w", err)
 	}
 	if comp.Proj != nil {
@@ -131,17 +132,26 @@ func (fx *fixture) checkComposite(comp *wire.Composite, lo, hi, now int64, osums
 	if _, err := join.Verify(fx.inner.Scheme, fx.inner.Pub, join.OuterKeys(comp.Outer.Records), comp.Join); err != nil {
 		return fmt.Errorf("join: %w", err)
 	}
-	var chains []*core.Answer
-	var ranges []core.Range
-	for _, run := range comp.Join.Runs {
-		chains = append(chains, &core.Answer{Chain: run})
-		ranges = append(ranges, core.Range{Lo: run.Lo, Hi: run.Hi})
-	}
-	if len(chains) > 0 {
-		chains[0].Summaries = isums
-		iv := core.NewVerifier(fx.inner.Scheme, fx.inner.Pub, core.DefaultConfig())
-		if _, err := iv.VerifyAnswers(chains, ranges, now); err != nil {
+	if len(comp.Join.Runs) > 0 {
+		if err := verifyScans(fx.inner, isums, now, comp.Join.Runs...); err != nil {
 			return fmt.Errorf("join against %q: %w", fx.inner.Name, err)
+		}
+	}
+	return nil
+}
+
+// verifyScans checks chains under rel's key with a verifier of their own
+// that has ingested sums: VerifyScan over the range each claims.
+func verifyScans(rel *core.Relation, sums []freshness.Summary, now int64, chains ...*chain.Answer) error {
+	v := core.NewVerifier(rel.Scheme, rel.Pub, core.DefaultConfig())
+	for _, s := range sums {
+		if err := v.IngestSummary(s); err != nil {
+			return err
+		}
+	}
+	for _, ca := range chains {
+		if _, err := v.VerifyScan(ca, ca.Lo, ca.Hi, now); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -237,7 +247,7 @@ func TestDenseInnerDegeneratesToPointRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fx.swapped().checkComposite(res.Comp, 100, 700, 1_000, fx.inner.QS.SummariesSince(0), fx.outer.QS.SummariesSince(0)); err != nil {
+	if err := fx.swapped().checkComposite(res.Comp, 100, 700, 1_000, fx.inner.QS.SummariesTail(0, 0), fx.outer.QS.SummariesTail(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	keys := join.OuterKeys(res.Comp.Outer.Records)
@@ -434,7 +444,7 @@ func TestCacheInvalidationOnInnerUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fx.eng.SetFilter("i", fc); err != nil {
+	if err := fx.inner.QS.Apply(&core.UpdateMsg{Filter: fc}); err != nil {
 		t.Fatal(err)
 	}
 	body, tails, release, err = fx.eng.ServePlan(plan, nil)
@@ -760,7 +770,7 @@ func TestCacheInvalidationOnFilterSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fx.eng.SetFilter("i", fc); err != nil {
+	if err := fx.inner.QS.Apply(&core.UpdateMsg{Filter: fc}); err != nil {
 		t.Fatal(err)
 	}
 	body, tails, release, err := fx.eng.ServePlan(plan, nil)
@@ -837,9 +847,10 @@ func TestConcurrentPlansAndUpdates(t *testing.T) {
 			}
 			if spec.Rel == "i" {
 				// A plain scan of the inner relation: one chain, its own key.
-				iv := core.NewVerifier(fx.inner.Scheme, fx.inner.Pub, core.DefaultConfig())
-				ans := &core.Answer{Chain: comp.Outer, Summaries: sums["i"]}
-				_, err = iv.VerifyAnswers([]*core.Answer{ans}, []core.Range{{Lo: spec.Lo, Hi: spec.Hi}}, 1<<40)
+				if comp.Outer.Lo != spec.Lo || comp.Outer.Hi != spec.Hi {
+					return fmt.Errorf("plan %d: scan is for [%d,%d]", p, comp.Outer.Lo, comp.Outer.Hi)
+				}
+				err = verifyScans(fx.inner, sums["i"], 1<<40, comp.Outer)
 			} else {
 				err = fx.checkComposite(comp, spec.Lo, spec.Hi, 1<<40, sums["o"], sums["i"])
 			}
@@ -940,7 +951,7 @@ func TestConcurrentPlansAndUpdates(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := fx.eng.SetFilter("i", fc); err != nil {
+				if err := fx.inner.QS.Apply(&core.UpdateMsg{Filter: fc}); err != nil {
 					t.Error(err)
 				}
 			}

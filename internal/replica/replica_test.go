@@ -27,7 +27,7 @@ import (
 // runtime, which keeps the WAL (optional), QueryServer, and Source in
 // the required append → apply → publish order.
 type primaryFixture struct {
-	sys   *core.System
+	sys   *core.Relation
 	rt    *wal.Runtime
 	store *wal.Store
 	src   *replica.Source
@@ -169,7 +169,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 func caughtUp(f *primaryFixture, fl *replica.Follower) bool {
 	return fl.AppliedLSN() == f.src.LastLSN() &&
 		fl.QS().Len() == f.sys.QS.Len() &&
-		len(fl.QS().SummariesSince(0)) == len(f.sys.QS.SummariesSince(0))
+		len(fl.QS().SummariesTail(0, 0)) == len(f.sys.QS.SummariesTail(0, 0))
 }
 
 // TestFollowerBootstrapImage exercises the 'B' path: a primary without
@@ -394,11 +394,11 @@ func TestFollowerServesVerifyingClient(t *testing.T) {
 	if _, err := cl.SyncSummaries(0); err != nil {
 		t.Fatal(err)
 	}
-	ranges := []core.Range{
-		{Lo: f.keys[0], Hi: f.keys[40]},
-		{Lo: f.keys[100], Hi: f.keys[160]},
+	specs := []*query.Spec{
+		{Rel: core.DefaultRelation, Lo: f.keys[0], Hi: f.keys[40]},
+		{Rel: core.DefaultRelation, Lo: f.keys[100], Hi: f.keys[160]},
 	}
-	if _, _, err := cl.QueryBatch(ranges); err != nil {
+	if _, err := cl.QueryPlans(specs); err != nil {
 		t.Fatalf("verified query against follower: %v", err)
 	}
 
@@ -406,7 +406,7 @@ func TestFollowerServesVerifyingClient(t *testing.T) {
 	// re-anchors and verifies the post-update answer too.
 	f.update(t, f.keys[1])
 	waitUntil(t, "catch-up after update", func() bool { return caughtUp(f, fl) })
-	if _, _, err := cl.QueryBatch(ranges); err != nil {
+	if _, err := cl.QueryPlans(specs); err != nil {
 		t.Fatalf("verified post-update query: %v", err)
 	}
 }
@@ -450,7 +450,7 @@ func TestFollowerAheadOfPrimaryRebootstraps(t *testing.T) {
 		t.Fatalf("lag %d, primary lsn %d observed; the new primary is at %d", fl.Lag(), fl.PrimaryLSN(), f.src.LastLSN())
 	}
 	cl := dialFollower(t, f, fl)
-	if _, _, err := cl.Query(f.keys[0], f.keys[20]); err != nil {
+	if _, err := cl.QueryPlan(&query.Spec{Rel: core.DefaultRelation, Lo: f.keys[0], Hi: f.keys[20]}); err != nil {
 		t.Fatalf("verified query against the re-imaged follower: %v", err)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"authdb/internal/core"
 	"authdb/internal/faultnet"
 	"authdb/internal/freshness"
+	"authdb/internal/query"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/wal"
@@ -350,49 +351,31 @@ func (b *chaosBench) runChaosClient(id int, deadline time.Time) (res chaosClient
 		}
 	}
 	gen := workload.NewHotRangeGen(b.catalog, soakTheta, soakSeed+1000*int64(id+1))
-	ranges := make([]core.Range, soakPipeline)
+	specs := make([]*query.Spec, soakPipeline)
 	for time.Now().Before(deadline) {
-		for i := range ranges {
+		for i := range specs {
 			q := gen.Next()
-			ranges[i] = core.Range{Lo: q.Lo, Hi: q.Hi}
+			specs[i] = leaf(q.Lo, q.Hi)
 		}
-		answers, err := cl.FetchBatch(ranges)
-		if err != nil {
-			if errors.Is(err, client.ErrDiverged) {
-				res.diverged++
-				return res
-			}
-			res.detected++
-			b.recoverSession(cl)
-			continue
-		}
-		verified := false
-		for attempt := 0; attempt < 4 && !verified; attempt++ {
-			_, verr := cl.Verify(answers, ranges)
+		for attempt := 0; attempt < 4; attempt++ {
+			_, err := cl.QueryPlans(specs)
 			switch {
-			case verr == nil:
-				verified = true
-			case errors.Is(verr, client.ErrDiverged):
+			case err == nil:
+				res.accepted += int64(len(specs))
+			case errors.Is(err, client.ErrDiverged):
 				res.diverged++
 				return res
-			case errors.Is(verr, freshness.ErrStale):
+			case errors.Is(err, freshness.ErrStale):
 				// A summary proved a newer version exists: re-query.
-				answers, err = cl.FetchBatch(ranges)
-				if err != nil {
-					res.detected++
-					b.recoverSession(cl)
-					attempt = 4 // give up on this batch
-				}
+				continue
 			default:
-				// Corruption got past framing but not past cryptography —
-				// the fault was detected, the answer rejected.
+				// A transport fault, or corruption that got past framing but
+				// not past cryptography — the fault was detected, the answer
+				// rejected.
 				res.detected++
 				b.recoverSession(cl)
-				attempt = 4
 			}
-		}
-		if verified {
-			res.accepted += int64(len(answers))
+			break
 		}
 	}
 	return res
@@ -455,12 +438,12 @@ func (b *chaosBench) runOverloadPhase() (*chaosPhase, uint64, error) {
 				return
 			}
 			defer cl.Close()
-			ranges := make([]core.Range, soakPipeline)
-			for i := range ranges {
-				ranges[i] = core.Range{Lo: b.domainLo, Hi: b.domainHi}
+			specs := make([]*query.Spec, soakPipeline)
+			for i := range specs {
+				specs[i] = leaf(b.domainLo, b.domainHi)
 			}
 			for time.Now().Before(deadline) {
-				if _, err := cl.FetchBatch(ranges); err != nil {
+				if _, err := cl.QueryPlans(specs); err != nil {
 					if errors.Is(err, client.ErrOverloaded) {
 						res.detected++ // shed, as intended
 						continue
@@ -506,7 +489,7 @@ func (b *chaosBench) runOverloadPhase() (*chaosPhase, uint64, error) {
 			gen := workload.NewHotRangeGen(b.catalog, soakTheta, soakSeed+3000*int64(c+1))
 			for time.Now().Before(deadline) {
 				q := gen.Next()
-				_, _, err := cl.Query(q.Lo, q.Hi)
+				_, err := cl.QueryPlan(leaf(q.Lo, q.Hi))
 				switch {
 				case err == nil:
 					res.accepted++
@@ -531,7 +514,7 @@ func (b *chaosBench) runOverloadPhase() (*chaosPhase, uint64, error) {
 			<-hamDone
 			for attempt := 0; attempt < 4 && res.accepted == 0; attempt++ {
 				q := gen.Next()
-				_, _, err := cl.Query(q.Lo, q.Hi)
+				_, err := cl.QueryPlan(leaf(q.Lo, q.Hi))
 				switch {
 				case err == nil:
 					res.accepted++

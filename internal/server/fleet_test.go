@@ -672,26 +672,23 @@ func (b *fleetBench) runFleetClient(id int, deadline time.Time, res *fleetClient
 		}
 	}
 	gen := workload.NewHotRangeGen(b.catalog, soakTheta, soakSeed+1000*int64(id+1))
-	ranges := make([]core.Range, soakPipeline)
 	specs := make([]*query.Spec, soakPipeline)
 	staleStreak, hops := 0, 0
 	for batch := 0; time.Now().Before(deadline); batch++ {
-		for i := range ranges {
-			q := gen.Next()
-			ranges[i] = core.Range{Lo: q.Lo, Hi: q.Hi}
-			specs[i] = fleetSpec(batch+i, q.Lo, q.Hi)
-		}
-		// Every other batch is the range wrappers' own; the rest pipelines
+		// Every other batch is range selections alone; the rest pipelines
 		// one plan of each shape.
-		var err error
-		if batch%2 == 0 {
-			_, _, err = cl.QueryBatch(ranges)
-		} else {
-			_, err = cl.QueryPlans(specs)
+		for i := range specs {
+			q := gen.Next()
+			if batch%2 == 0 {
+				specs[i] = leaf(q.Lo, q.Hi)
+			} else {
+				specs[i] = fleetSpec(batch+i, q.Lo, q.Hi)
+			}
 		}
+		_, err := cl.QueryPlans(specs)
 		switch {
 		case err == nil:
-			res.accepted += int64(len(ranges))
+			res.accepted += int64(len(specs))
 			if batch%2 != 0 {
 				res.plans += int64(len(specs)) - 1 // one shape in four is the bare range
 			}
@@ -771,7 +768,7 @@ func (b *fleetBench) runAuditor(name string, deadline time.Time, res *fleetClien
 	}
 	for time.Now().Before(deadline) && res.err == nil {
 		q := gen.Next()
-		_, _, err := cl.Query(q.Lo, q.Hi)
+		_, err := cl.QueryPlan(leaf(q.Lo, q.Hi))
 		switch {
 		case err == nil:
 			res.accepted++

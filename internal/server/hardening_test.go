@@ -95,7 +95,7 @@ func TestNetShedAndClientBackoff(t *testing.T) {
 
 	// Without retries the shed surfaces as ErrOverloaded.
 	plain := dialTest(t, sys, addr)
-	if _, err := plain.Fetch(keys[0], keys[10]); !errors.Is(err, client.ErrOverloaded) {
+	if _, err := plain.QueryPlan(leaf(keys[0], keys[10])); !errors.Is(err, client.ErrOverloaded) {
 		t.Fatalf("shed fetch: err=%v, want ErrOverloaded", err)
 	} else if !errors.Is(err, client.ErrServer) {
 		t.Fatal("ErrOverloaded must read as a server error")
@@ -118,12 +118,12 @@ func TestNetShedAndClientBackoff(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		srv.adm.release()
 	}()
-	ans, _, err := cl.Query(keys[0], keys[10])
+	ans, err := cl.QueryPlan(leaf(keys[0], keys[10]))
 	if err != nil {
 		t.Fatalf("query never admitted after slot freed: %v", err)
 	}
-	if len(ans.Chain.Records) != 11 {
-		t.Fatalf("%d records, want 11", len(ans.Chain.Records))
+	if len(ans.Outer.Records) != 11 {
+		t.Fatalf("%d records, want 11", len(ans.Outer.Records))
 	}
 	st := cl.Stats()
 	if st.Shed == 0 || st.Retries == 0 {
@@ -167,7 +167,7 @@ func TestNetIdleTimeoutReapsAndFreesSlot(t *testing.T) {
 			return
 		}
 		defer cl.Close()
-		_, _, err = cl.Query(keys[0], keys[20])
+		_, err = cl.QueryPlan(leaf(keys[0], keys[20]))
 		done <- err
 	}()
 	select {
@@ -204,7 +204,7 @@ func TestNetSlowLorisCutOff(t *testing.T) {
 	// EOF or a reset above — both mean the server cut the peer off).
 
 	cl := dialTest(t, sys, addr)
-	if _, _, err := cl.Query(keys[0], keys[20]); err != nil {
+	if _, err := cl.QueryPlan(leaf(keys[0], keys[20])); err != nil {
 		t.Fatalf("well-behaved client suffered for the loris: %v", err)
 	}
 }
@@ -217,7 +217,7 @@ func TestNetMalformedFrameClosesOnlyThatConn(t *testing.T) {
 	defer shutdown()
 
 	cl := dialTest(t, sys, addr) // healthy bystander
-	if _, _, err := cl.Query(keys[0], keys[10]); err != nil {
+	if _, err := cl.QueryPlan(leaf(keys[0], keys[10])); err != nil {
 		t.Fatal(err)
 	}
 
@@ -243,7 +243,7 @@ func TestNetMalformedFrameClosesOnlyThatConn(t *testing.T) {
 	waitFor(t, func() bool { return srv.Stats().Malformed >= 1 })
 
 	// The bystander is still fine.
-	if _, _, err := cl.Query(keys[0], keys[10]); err != nil {
+	if _, err := cl.QueryPlan(leaf(keys[0], keys[10])); err != nil {
 		t.Fatalf("bystander broken by another conn's garbage: %v", err)
 	}
 }

@@ -22,9 +22,28 @@ import (
 
 func testScheme() sigagg.Scheme { return xortest.New() }
 
-// newNetFixture boots a loaded system behind a loopback NetServer and
+// newRelation is a one-relation catalog over scheme.
+func newRelation(t testing.TB, scheme sigagg.Scheme, qsOpts ...core.Option) *core.Relation {
+	t.Helper()
+	cat, err := core.NewCatalog(scheme, core.DefaultConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := cat.AddRelation(core.DefaultRelation, nil, nil, qsOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// leaf is the plan a range selection is.
+func leaf(lo, hi int64) *query.Spec {
+	return &query.Spec{Rel: core.DefaultRelation, Lo: lo, Hi: hi}
+}
+
+// newNetFixture boots a loaded relation behind a loopback NetServer and
 // returns it with the listen address and a shutdown func.
-func newNetFixture(t *testing.T, n int, cfg NetConfig) (*core.System, []int64, string, func()) {
+func newNetFixture(t *testing.T, n int, cfg NetConfig) (*core.Relation, []int64, string, func()) {
 	t.Helper()
 	sys, keys, addr, _, shutdown := newNetFixtureSrv(t, n, cfg)
 	return sys, keys, addr, shutdown
@@ -32,12 +51,9 @@ func newNetFixture(t *testing.T, n int, cfg NetConfig) (*core.System, []int64, s
 
 // newNetFixtureSrv is newNetFixture plus the server handle, for tests
 // that poke at internals (admission slots, counters).
-func newNetFixtureSrv(t *testing.T, n int, cfg NetConfig) (*core.System, []int64, string, *NetServer, func()) {
+func newNetFixtureSrv(t *testing.T, n int, cfg NetConfig) (*core.Relation, []int64, string, *NetServer, func()) {
 	t.Helper()
-	sys, err := core.NewSystem(testScheme(), core.DefaultConfig(), core.WithShards(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newRelation(t, testScheme(), core.WithShards(8))
 	recs := workload.Records(workload.Config{N: n, RecLen: 64, Seed: 42})
 	keys := workload.Keys(recs)
 	msg, err := sys.DA.Load(recs, 1)
@@ -66,7 +82,7 @@ func newNetFixtureSrv(t *testing.T, n int, cfg NetConfig) (*core.System, []int64
 	}
 }
 
-func dialTest(t *testing.T, sys *core.System, addr string) *client.Client {
+func dialTest(t *testing.T, sys *core.Relation, addr string) *client.Client {
 	t.Helper()
 	cl, err := client.Dial(addr, client.Config{Scheme: sys.Scheme, Pub: sys.Pub, DialTimeout: 5 * time.Second})
 	if err != nil {
@@ -83,29 +99,29 @@ func TestNetRoundTrip(t *testing.T) {
 	defer shutdown()
 
 	cl := dialTest(t, sys, addr)
-	ranges := []core.Range{
-		{Lo: keys[10], Hi: keys[60]},
-		{Lo: keys[0], Hi: keys[5]},
-		{Lo: keys[480], Hi: keys[499] + 100}, // runs off the domain edge
-		{Lo: keys[10], Hi: keys[60]},         // repeat: earns the range residency
-		{Lo: keys[10], Hi: keys[60]},         // and again: served from cache
+	specs := []*query.Spec{
+		leaf(keys[10], keys[60]),
+		leaf(keys[0], keys[5]),
+		leaf(keys[480], keys[499]+100), // runs off the domain edge
+		leaf(keys[10], keys[60]),       // repeat: earns the range residency
+		leaf(keys[10], keys[60]),       // and again: served from cache
 	}
-	answers, reports, err := cl.QueryBatch(ranges)
+	answers, err := cl.QueryPlans(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(answers) != len(ranges) || len(reports) != len(ranges) {
-		t.Fatalf("%d answers, %d reports", len(answers), len(reports))
+	if len(answers) != len(specs) {
+		t.Fatalf("%d answers", len(answers))
 	}
-	if got := len(answers[0].Chain.Records); got != 51 {
+	if got := len(answers[0].Outer.Records); got != 51 {
 		t.Fatalf("[keys[10],keys[60]] returned %d records, want 51", got)
 	}
 	// Same bytes whether built or cached: both verified above; spot-check
 	// equality of the decoded answers.
-	if answers[0].Chain.Agg == nil || answers[4].Chain.Agg == nil {
+	if answers[0].Outer.Agg == nil || answers[4].Outer.Agg == nil {
 		t.Fatal("missing aggregate")
 	}
-	if fmt.Sprintf("%x", answers[0].Chain.Agg) != fmt.Sprintf("%x", answers[4].Chain.Agg) {
+	if fmt.Sprintf("%x", answers[0].Outer.Agg) != fmt.Sprintf("%x", answers[4].Outer.Agg) {
 		t.Fatal("cached repeat decoded differently")
 	}
 	if sv := srv.engine().Stats().Cache; sv.Hits+sv.Coalesced == 0 {
@@ -154,7 +170,7 @@ func TestNetSummaryStream(t *testing.T) {
 	closePeriod()
 	update(keys[7])
 	closePeriod()
-	if _, _, err := cl.Query(keys[7], keys[7]); err != nil {
+	if _, err := cl.QueryPlan(leaf(keys[7], keys[7])); err != nil {
 		t.Fatal(err)
 	}
 	if got := cl.SummaryCount(); got != 3 {
@@ -215,7 +231,7 @@ func TestNetServerErrorResponse(t *testing.T) {
 		t.Fatalf("projection of an unsigned attribute: %v, want ErrServer", err)
 	}
 	// What the planner can refuse never leaves the client…
-	if _, err := cl.Fetch(50_000_000, 1); !errors.Is(err, client.ErrConfig) {
+	if _, err := cl.QueryPlan(leaf(50_000_000, 1)); !errors.Is(err, client.ErrConfig) {
 		t.Fatalf("inverted range: %v, want ErrConfig", err)
 	}
 	// …and a peer that sends it anyway is told so by the server.
@@ -236,7 +252,7 @@ func TestNetServerErrorResponse(t *testing.T) {
 		t.Fatalf("inverted range on the wire: code %d, %q, %v; want a generic 'E' naming the range", code, msg, err)
 	}
 	// The connection survives a served error.
-	if _, _, err := cl.Query(keys[0], keys[50]); err != nil {
+	if _, err := cl.QueryPlan(leaf(keys[0], keys[50])); err != nil {
 		t.Fatalf("query after error: %v", err)
 	}
 }
@@ -247,7 +263,7 @@ func TestNetServerConnLimit(t *testing.T) {
 	sys, keys, addr, shutdown := newNetFixture(t, 100, NetConfig{MaxConns: 1})
 	defer shutdown()
 	cl1 := dialTest(t, sys, addr)
-	if _, _, err := cl1.Query(keys[0], keys[10]); err != nil {
+	if _, err := cl1.QueryPlan(leaf(keys[0], keys[10])); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -258,7 +274,7 @@ func TestNetServerConnLimit(t *testing.T) {
 			return
 		}
 		defer cl2.Close()
-		_, _, err = cl2.Query(keys[0], keys[10])
+		_, err = cl2.QueryPlan(leaf(keys[0], keys[10]))
 		done <- err
 	}()
 	select {
@@ -324,7 +340,7 @@ func TestNetSummaryStreamRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				h := sys.QS.SummariesSince(0)
+				h := sys.QS.SummariesTail(0, 0)
 				if len(h) > 0 {
 					_ = append(h, freshness.Summary{Seq: 1 << 60}) // must never reach the stream
 				}
@@ -350,13 +366,7 @@ func TestNetSummaryStreamRace(t *testing.T) {
 			gen := workload.NewQueryGen(keys, 0.02, int64(c+1))
 			for i := 0; i < 25; i++ {
 				q := gen.Next()
-				ranges := []core.Range{{Lo: q.Lo, Hi: q.Hi}}
-				answers, err := cl.FetchBatch(ranges)
-				if err != nil {
-					clientErrs[c] = err
-					return
-				}
-				if _, stale, err := verifyWithRequery(cl, answers, ranges); err != nil {
+				if _, stale, err := queryWithRequery(cl, []*query.Spec{leaf(q.Lo, q.Hi)}); err != nil {
 					clientErrs[c] = fmt.Errorf("client %d: %w (stale retries %d)", c, err, stale)
 					return
 				}

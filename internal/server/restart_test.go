@@ -140,7 +140,7 @@ func TestNetRestartDurableBridges(t *testing.T) {
 	if preSummaries == 0 {
 		t.Fatal("fixture produced no summaries")
 	}
-	if _, _, err := cl.Query(10, 600); err != nil {
+	if _, err := cl.QueryPlan(leaf(10, 600)); err != nil {
 		t.Fatalf("pre-restart query: %v", err)
 	}
 
@@ -169,12 +169,12 @@ func TestNetRestartDurableBridges(t *testing.T) {
 	// The answer attaches post-restart summaries; Verify bridges the gap
 	// (paging through SyncSummaries under the hood) and the freshness
 	// check runs against the continued stream.
-	ans, _, err := cl.Query(10, 600)
+	ans, err := cl.QueryPlan(leaf(10, 600))
 	if err != nil {
 		t.Fatalf("post-restart query did not bridge: %v", err)
 	}
 	fresh := false
-	for _, rec := range ans.Chain.Records {
+	for _, rec := range ans.Outer.Records {
 		// The update landed at ts-1; the period close may have
 		// re-certified the (multi-updated) record at ts.
 		if rec.Key == 50 && rec.TS >= ts-1 {
@@ -210,7 +210,7 @@ func TestNetRestartRollbackDetected(t *testing.T) {
 	if _, err := cl.SyncSummaries(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cl.Query(10, 600); err != nil {
+	if _, err := cl.QueryPlan(leaf(10, 600)); err != nil {
 		t.Fatal(err)
 	}
 	stop1()
@@ -236,7 +236,7 @@ func TestNetRestartRollbackDetected(t *testing.T) {
 	if _, err := cl.SyncSummaries(0); !errors.Is(err, client.ErrDiverged) {
 		t.Fatalf("explicit sync against rolled-back server: err=%v, want ErrDiverged", err)
 	}
-	if _, _, err := cl.Query(10, 600); err == nil {
+	if _, err := cl.QueryPlan(leaf(10, 600)); err == nil {
 		t.Fatal("query against rolled-back server verified silently")
 	} else if !errors.Is(err, client.ErrDiverged) {
 		t.Fatalf("query against rolled-back server: err=%v, want ErrDiverged", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"authdb/internal/chain"
 	"authdb/internal/core"
 	"authdb/internal/query"
 	"authdb/internal/sigagg/xortest"
@@ -16,10 +17,7 @@ import (
 // update, and the requirement that the next serve decodes to the fresh
 // record.
 func TestServeReflectsUpdates(t *testing.T) {
-	sys, err := core.NewSystem(xortest.New(), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newRelation(t, xortest.New())
 	recs := workload.Records(workload.Config{N: 1_000, RecLen: 64, Seed: 5})
 	msg, err := sys.DA.Load(recs, 1)
 	if err != nil {
@@ -35,7 +33,7 @@ func TestServeReflectsUpdates(t *testing.T) {
 	keys := workload.Keys(recs)
 	lo, hi := keys[100], keys[140]
 	plan := (&query.Spec{Rel: core.DefaultRelation, Lo: lo, Hi: hi}).Marshal()
-	serve := func(i int) *core.Answer {
+	serve := func(i int) *chain.Answer {
 		t.Helper()
 		sv, err := eng.Serve(plan, nil)
 		if err != nil {
@@ -46,11 +44,11 @@ func TestServeReflectsUpdates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ans := &core.Answer{Chain: c.Outer, Summaries: c.Tails[0].Summaries}
-		if _, err := sys.Verifier.VerifyAnswer(ans, lo, hi, 10_000); err != nil {
+		// No period closes here, so the tail carries no summary.
+		if _, err := sys.Verifier.VerifyScan(c.Outer, lo, hi, 10_000); err != nil {
 			t.Fatalf("serve %d failed verification: %v", i, err)
 		}
-		return ans
+		return c.Outer
 	}
 
 	for i := 0; i < 3; i++ { // a first sighting, the build that earns residency, then a hit
@@ -73,7 +71,7 @@ func TestServeReflectsUpdates(t *testing.T) {
 		t.Fatalf("post-update serve was not a rebuild: %+v", got)
 	}
 	found := false
-	for _, r := range ans.Chain.Records {
+	for _, r := range ans.Records {
 		if r.Key == keys[120] && r.TS == 777 && string(r.Attrs[0]) == "fresh" {
 			found = true
 		}

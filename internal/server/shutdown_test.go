@@ -92,7 +92,7 @@ func TestShutdownDuringShedBurst(t *testing.T) {
 			defer cl.Close()
 			// Sheds, queues, or dies mid-shutdown — all acceptable; what is
 			// not acceptable is hanging.
-			cl.Fetch(keys[i%100], keys[i%100+20])
+			cl.QueryPlan(leaf(keys[i%100], keys[i%100+20]))
 		}()
 	}
 	time.Sleep(30 * time.Millisecond) // let the burst pile onto the gate

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"authdb/internal/client"
-	"authdb/internal/core"
 	"authdb/internal/freshness"
+	"authdb/internal/query"
 	"authdb/internal/sigagg"
 	"authdb/internal/wal"
 	"authdb/internal/workload"
@@ -81,25 +81,21 @@ func startHotWriter(rt *wal.Runtime, catalog []workload.RangeQuery, seed int64, 
 	}
 }
 
-// verifyWithRequery fully verifies a fetched batch. A freshness.ErrStale
-// is the protocol succeeding — a certified summary proved an answered
-// record has a newer version — so the client does what the paper's user
-// does: re-query and verify the fresh answer. Bounded retries; any
-// other failure is fatal.
-func verifyWithRequery(cl *client.Client, answers []*core.Answer, ranges []core.Range) (verified, stale int, err error) {
+// queryWithRequery fetches and fully verifies a batch of plans. A
+// freshness.ErrStale is the protocol succeeding — a certified summary
+// proved an answered record has a newer version — so the client does what
+// the paper's user does: re-query and verify the fresh answer. Bounded
+// retries; any other failure is fatal.
+func queryWithRequery(cl *client.Client, specs []*query.Spec) (verified, stale int, err error) {
 	for attempt := 0; ; attempt++ {
-		_, err := cl.Verify(answers, ranges)
+		_, err := cl.QueryPlans(specs)
 		if err == nil {
-			return len(answers), stale, nil
+			return len(specs), stale, nil
 		}
 		if !errors.Is(err, freshness.ErrStale) || attempt >= 3 {
 			return 0, stale, err
 		}
 		stale++
-		answers, err = cl.FetchBatch(ranges)
-		if err != nil {
-			return 0, stale, err
-		}
 	}
 }
 
@@ -109,15 +105,11 @@ func sweepCatalog(cl *client.Client, catalog []workload.RangeQuery) (verified in
 	const sweepBatch = 32
 	for at := 0; at < len(catalog); at += sweepBatch {
 		end := min(at+sweepBatch, len(catalog))
-		ranges := make([]core.Range, 0, end-at)
+		specs := make([]*query.Spec, 0, end-at)
 		for _, q := range catalog[at:end] {
-			ranges = append(ranges, core.Range{Lo: q.Lo, Hi: q.Hi})
+			specs = append(specs, leaf(q.Lo, q.Hi))
 		}
-		answers, err := cl.FetchBatch(ranges)
-		if err != nil {
-			return verified, err
-		}
-		n, _, err := verifyWithRequery(cl, answers, ranges)
+		n, _, err := queryWithRequery(cl, specs)
 		if err != nil {
 			return verified, fmt.Errorf("server: sweep batch at %d: %w", at, err)
 		}
@@ -166,7 +158,7 @@ func sweepRuntime(rt *wal.Runtime, scheme sigagg.Scheme, pub sigagg.PublicKey, a
 		if err := rt.Deliver(msg); err != nil {
 			return verified, err
 		}
-		ans, _, err := cl.Query(q.Lo, q.Hi)
+		ans, err := cl.QueryPlan(leaf(q.Lo, q.Hi))
 		if err != nil {
 			return verified, fmt.Errorf("server: post-update verify [%d,%d]: %w", q.Lo, q.Hi, err)
 		}
@@ -175,7 +167,7 @@ func sweepRuntime(rt *wal.Runtime, scheme sigagg.Scheme, pub sigagg.PublicKey, a
 		// multi-update rule), so accept any certification at or after
 		// the invalidating update.
 		fresh := false
-		for _, r := range ans.Chain.Records {
+		for _, r := range ans.Outer.Records {
 			if r.Key == q.Lo && r.TS >= want {
 				fresh = true
 			}

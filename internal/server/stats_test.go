@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"authdb/internal/core"
+	"authdb/internal/query"
 )
 
 // scrape fetches the exposition payload and parses it into name→value.
@@ -86,7 +86,7 @@ func TestServeMetricsScrape(t *testing.T) {
 	// residency, a hit.
 	cl := dialTest(t, sys, addr)
 	for i := 0; i < 3; i++ {
-		if _, _, err := cl.Query(keys[0], keys[20]); err != nil {
+		if _, err := cl.QueryPlan(leaf(keys[0], keys[20])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +141,7 @@ func TestCacheSeriesMatch(t *testing.T) {
 	defer shutdown()
 	cl := dialTest(t, sys, addr)
 	for i := 0; i < 3; i++ { // a first sighting, the build that earns residency, a hit
-		if _, _, err := cl.QueryBatch([]core.Range{{Lo: keys[10], Hi: keys[40]}}); err != nil {
+		if _, err := cl.QueryPlans([]*query.Spec{leaf(keys[10], keys[40])}); err != nil {
 			t.Fatal(err)
 		}
 	}

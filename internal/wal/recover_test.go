@@ -179,29 +179,31 @@ func image(qs *core.QueryServer) []byte {
 }
 
 // fullSweep runs a -check-style verification of the entire catalog on
-// the server: chunked range queries covering every key, batch-verified
-// for authenticity, completeness and freshness.
+// the server: chunked range queries covering every key, each verified
+// for authenticity, completeness and freshness against the whole
+// certified summary stream.
 func (f *fixture) fullSweep(qs *core.QueryServer, wantRecords int) {
 	f.t.Helper()
 	v := core.NewVerifier(f.scheme, f.pub, f.cfg)
-	var answers []*core.Answer
-	var ranges []core.Range
+	for _, s := range qs.SummariesTail(0, 0) {
+		if err := v.IngestSummary(s); err != nil {
+			f.t.Fatalf("summary %d: %v", s.Seq, err)
+		}
+	}
 	covered := 0
-	for lo := int64(0); lo < 1_000_000; lo += 50_000 {
-		r := core.Range{Lo: lo + 1, Hi: lo + 50_000}
-		ans, err := qs.Query(r.Lo, r.Hi)
+	for lo := int64(1); lo < 1_000_000; lo += 50_000 {
+		hi := lo + 49_999
+		ans, _, err := qs.QueryStamped(lo, hi)
 		if err != nil {
-			f.t.Fatalf("sweep query [%d,%d]: %v", r.Lo, r.Hi, err)
+			f.t.Fatalf("sweep query [%d,%d]: %v", lo, hi, err)
 		}
 		covered += len(ans.Chain.Records)
-		answers = append(answers, ans)
-		ranges = append(ranges, r)
+		if _, err := v.VerifyScan(ans.Chain, lo, hi, 1_000_000); err != nil {
+			f.t.Fatalf("full verification sweep failed on [%d,%d]: %v", lo, hi, err)
+		}
 	}
 	if covered != wantRecords {
 		f.t.Fatalf("sweep covered %d of %d records", covered, wantRecords)
-	}
-	if _, err := v.VerifyAnswers(answers, ranges, 1_000_000); err != nil {
-		f.t.Fatalf("full verification sweep failed: %v", err)
 	}
 }
 
@@ -335,7 +337,7 @@ func TestRecoverMidLogSnapshotIdempotence(t *testing.T) {
 	f.fullSweep(qsR, daA.Len())
 
 	// And the summary streams agree.
-	sa, sr := qsA.SummariesSince(0), qsR.SummariesSince(0)
+	sa, sr := qsA.SummariesTail(0, 0), qsR.SummariesTail(0, 0)
 	if len(sa) != len(sr) {
 		t.Fatalf("summary streams differ: %d vs %d", len(sa), len(sr))
 	}

@@ -246,7 +246,7 @@ func TestRuntimeSummaryDurableOnDeliver(t *testing.T) {
 	if st.Replayed != 2 {
 		t.Fatalf("recovery replayed %d messages, want the update and the summary", st.Replayed)
 	}
-	if sums := rec.QS.SummariesSince(0); len(sums) != 1 || sums[0].Seq != msg.Summary.Seq {
+	if sums := rec.QS.SummariesTail(0, 0); len(sums) != 1 || sums[0].Seq != msg.Summary.Seq {
 		t.Fatalf("summary %d not on disk when Deliver returned: recovered %v", msg.Summary.Seq, sums)
 	}
 }

@@ -126,6 +126,10 @@ type Composite struct {
 	// Bytes is what each section of a decoded frame took; the encoders
 	// ignore it.
 	Bytes SectionBytes
+	// Staleness is the outer scan's staleness bound (ρ, or 2ρ for a
+	// record certified in the most recent closed period), written by the
+	// verifying client once the answer has passed; the encoders ignore it.
+	Staleness int64
 }
 
 // SectionBytes is how many bytes of a 'C' frame each section took, as

@@ -58,7 +58,7 @@ func TestPlanReqRoundTrip(t *testing.T) {
 // range answer, so it may not grow unnoticed.
 func TestLeafCompositeEnvelope(t *testing.T) {
 	sys := system(t, 30)
-	ans, err := sys.QS.Query(50, 200)
+	ans, err := scan(sys.QS, 50, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +194,16 @@ func leafFrame(t testing.TB, ans *core.Answer) []byte {
 	return compositeFrame(t, &Composite{Outer: ans.Chain, Tails: []RelTail{{Rel: core.DefaultRelation, Summaries: ans.Summaries}}})
 }
 
-// leafAnswer is the core.Answer a decoded leaf frame carries.
-func leafAnswer(c *Composite) *core.Answer {
-	return &core.Answer{Chain: c.Outer, Summaries: c.Tails[0].Summaries}
+// verifyLeaf checks a decoded leaf frame with a verifier that holds
+// nothing yet: its tail's summaries, then VerifyScan.
+func verifyLeaf(v *core.Verifier, c *Composite, lo, hi, now int64) error {
+	for _, s := range c.Tails[0].Summaries {
+		if err := v.IngestSummary(s); err != nil {
+			return err
+		}
+	}
+	_, err := v.VerifyScan(c.Outer, lo, hi, now)
+	return err
 }
 
 // TestProjectionSectionIsValues: the projection section is the slots, then

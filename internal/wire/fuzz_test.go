@@ -32,12 +32,12 @@ func seedFrames(t testing.TB) [][]byte {
 	if err := sys.Deliver(closeMsg); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := sys.QS.Query(50, 200)
+	ans, err := scan(sys.QS, 50, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ansBytes := leafFrame(t, ans)
-	sums := sys.QS.SummariesSince(0)
+	sums := sys.QS.SummariesTail(0, 0)
 	// Two join sections: runs and Bloom negatives grouped per partition,
 	// and (a BV join) runs alone, stating no filter time.
 	comp := testComposite(t)
@@ -211,31 +211,6 @@ func checkCustody(t *testing.T, data []byte, views [][]byte, sums []freshness.Su
 			t.Fatalf("summary %d aliases the frame: a session holding it would pin the whole answer", sums[i].Seq)
 		}
 	}
-}
-
-// FuzzDecodeAnswer: the retired answer codec benchmark/ still compiles
-// against (benchpin.go) against arbitrary bytes. An accepted frame is
-// canonical (it re-encodes to the input), decoding allocates in
-// proportion to the bytes present, and the result aliases the frame
-// except for its summaries.
-func FuzzDecodeAnswer(f *testing.F) {
-	mutate(f, seedFrames(f))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		data := bytes.Clone(in) // the decode takes the frame over; in is the fuzzer's
-		var ans *core.Answer
-		var err error
-		checkDecodeAlloc(t, data, func() { ans, err = DecodeAnswer(data) })
-		if err != nil {
-			return
-		}
-		if ans == nil {
-			t.Fatal("nil answer without error")
-		}
-		if re, err := AppendAnswer(nil, ans); err != nil || !bytes.Equal(re, data) {
-			t.Fatalf("accepted frame does not re-encode to itself (err %v)", err)
-		}
-		checkCustody(t, data, chainViews(nil, ans.Chain), ans.Summaries)
-	})
 }
 
 // FuzzDecodeUpdateMsg: the dissemination-stream decoder (what a QS

@@ -22,7 +22,7 @@ func TestAppendEncodersMatchAndPoolRoundTrips(t *testing.T) {
 	}
 	PutBuffer(pooled)
 
-	ans, err := sys.QS.Query(10, 120)
+	ans, err := scan(sys.QS, 10, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestAppendEncodersMatchAndPoolRoundTrips(t *testing.T) {
 
 func BenchmarkAppendCompositeCorePooled(b *testing.B) {
 	sys := system(b, 100)
-	ans, err := sys.QS.Query(10, 500)
+	ans, err := scan(sys.QS, 10, 500)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func BenchmarkAppendCompositeCorePooled(b *testing.B) {
 
 func BenchmarkAppendCompositeCoreFresh(b *testing.B) {
 	sys := system(b, 100)
-	ans, err := sys.QS.Query(10, 500)
+	ans, err := scan(sys.QS, 10, 500)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,10 +13,14 @@ import (
 	"authdb/internal/sigagg/bas"
 )
 
-// system builds a loaded core.System for end-to-end wire tests.
-func system(t testing.TB, n int) *core.System {
+// system builds a loaded one-relation catalog for end-to-end wire tests.
+func system(t testing.TB, n int) *core.Relation {
 	t.Helper()
-	sys, err := core.NewSystem(bas.New(0), core.DefaultConfig())
+	cat, err := core.NewCatalog(bas.New(0), core.DefaultConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := cat.AddRelation(core.DefaultRelation, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,6 +39,17 @@ func system(t testing.TB, n int) *core.System {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// scan answers [lo, hi] with the summary tail a session that holds
+// nothing is sent.
+func scan(qs *core.QueryServer, lo, hi int64) (*core.Answer, error) {
+	ans, _, err := qs.QueryStamped(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	ans.Summaries = qs.SummariesTail(0, ans.OldestSigTS)
+	return ans, nil
 }
 
 func TestUpdateMsgRoundTripThroughServer(t *testing.T) {
@@ -68,7 +83,7 @@ func TestUpdateMsgRoundTripThroughServer(t *testing.T) {
 		t.Fatal("mirror server received nothing")
 	}
 	// The mirrored upserts must verify under the DA's key.
-	ans, err := mirror.Query(55, 55)
+	ans, err := scan(mirror, 55, 55)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +143,7 @@ func TestAnswerRoundTripVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rng := range [][2]int64{{250, 500}, {1, 5} /* empty below domain */, {255, 256} /* empty gap */} {
-		ans, err := sys.QS.Query(rng[0], rng[1])
+		ans, err := scan(sys.QS, rng[0], rng[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +153,7 @@ func TestAnswerRoundTripVerifies(t *testing.T) {
 		}
 		// The decoded answer must verify exactly like the original.
 		v := core.NewVerifier(sys.Scheme, sys.Pub, core.DefaultConfig())
-		if _, err := v.VerifyAnswer(leafAnswer(got), rng[0], rng[1], 1_100); err != nil {
+		if err := verifyLeaf(v, got, rng[0], rng[1], 1_100); err != nil {
 			t.Fatalf("decoded answer for %v failed verification: %v", rng, err)
 		}
 	}
@@ -146,7 +161,7 @@ func TestAnswerRoundTripVerifies(t *testing.T) {
 
 func TestDecodeRejectsCorruption(t *testing.T) {
 	sys := system(t, 20)
-	ans, err := sys.QS.Query(50, 150)
+	ans, err := scan(sys.QS, 50, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
