@@ -82,6 +82,10 @@ type tamperSrv struct {
 	once   bool            // …to one composite only
 	replay bool            // re-serve the first captured response per request kind
 	cached map[byte][]byte // first captured response per request kind
+	// onPlan, when set, rewrites every 'C' reply to a plan request, told
+	// whether the request named a held answer. The upstream is then asked
+	// for the whole answer, so the rewrite has a core and tails to work on.
+	onPlan func(held bool, resp []byte) []byte
 }
 
 func newTamperSrv(t testing.TB, upstream string) *tamperSrv {
@@ -156,7 +160,14 @@ func (ts *tamperSrv) serve(down net.Conn) {
 		if ts.replay {
 			replayed = ts.cached[reqKind]
 		}
+		forging, onPlan := ts.forge != nil, ts.onPlan
 		ts.mu.Unlock()
+		held := false
+		if (forging || onPlan != nil) && reqKind == wire.KindPlan {
+			// A forger needs an answer to forge: it asks the upstream for the
+			// whole one, not whether the session's held answer stands.
+			req, held = stripHeld(req)
+		}
 		if replayed != nil {
 			// Pure replay: the upstream is never asked; the client gets
 			// yesterday's truth, faithfully signed.
@@ -176,10 +187,31 @@ func (ts *tamperSrv) serve(down net.Conn) {
 			ts.cached[reqKind] = append([]byte(nil), resp...)
 		}
 		ts.mu.Unlock()
-		if err := wire.WriteFrame(down, ts.mutate(resp)); err != nil {
+		out := ts.mutate(resp)
+		if kind, err := wire.Kind(resp); onPlan != nil && err == nil && kind == wire.KindComposite {
+			out = onPlan(held, resp)
+		}
+		if err := wire.WriteFrame(down, out); err != nil {
 			return
 		}
 	}
+}
+
+// stripHeld re-encodes a plan request without the held answer's digest,
+// reporting whether it named one.
+func stripHeld(req []byte) ([]byte, bool) {
+	plan, since, held, err := wire.DecodePlanReq(req, nil)
+	if err != nil || held == 0 {
+		return req, false
+	}
+	return wire.AppendPlanReq(nil, plan, since, 0), true
+}
+
+// OnPlan installs a rewrite of plan replies (nil restores relaying).
+func (ts *tamperSrv) OnPlan(fn func(held bool, resp []byte) []byte) {
+	ts.mu.Lock()
+	ts.onPlan = fn
+	ts.mu.Unlock()
 }
 
 // mutate applies the forgery in force to one response frame.

@@ -10,8 +10,10 @@
 // QueryPlan or QueryPlans: a range selection is the leaf plan, with no
 // projection and no join. plan.go is that path — one function writes
 // requests ('P'), one decodes answers ('C'), one ingests summaries, one
-// closes signature claims — and this file is the session around it:
-// connection, retry loop, errors, and SyncSummaries.
+// closes signature claims — held.go keeps the verified answers of the
+// bare scans a session repeats, so the server need only confirm them
+// unchanged, and this file is the session around it: connection, retry
+// loop, errors, and SyncSummaries.
 //
 // The server is untrusted: nothing it sends is believed until the
 // verifier has checked it against the data aggregator's public key.
@@ -70,9 +72,12 @@ type Config struct {
 	// Retry enables automatic recovery from transport faults and
 	// overload shedding; the zero value means one attempt per request.
 	Retry RetryPolicy
-	// Now supplies the protocol clock used for freshness bounds. The
-	// protocol's timestamps are logical; by default every certified
-	// answer is simply checked against all summaries held.
+	// Now supplies the protocol clock used for freshness bounds, in the
+	// owner's timebase. When set, every relation's verifier holds the
+	// newest summary it has to the clock (core.Verifier.UseClock): a
+	// server that stops publishing is refused as stale ρ + δ
+	// (Protocol.Skew) after the last close it delivered. When nil, every
+	// certified answer is simply checked against all summaries held.
 	Now func() int64
 	// VerifyWorkers caps the goroutines answer verification fans out
 	// across (digest recomputation, batched signature checks).
@@ -123,6 +128,13 @@ type Stats struct {
 	ClaimMisses      uint64 // signature claims sent to the scheme
 	ContentHits      uint64 // of ClaimHits, those known by content: no digest computed
 	BatchesWithoutEC uint64 // closing batches all of whose claims were known
+
+	// The held store (held.go): verified bare-scan answers the session
+	// keeps, so a repeat that the server confirms unchanged costs the
+	// summary tails alone.
+	HeldHits      uint64 // answers served from the store: confirmed unchanged, and still fresh on the new tails
+	HeldRefetches uint64 // held answers the new tails proved stale, dropped and fetched again in full
+	HeldBytes     uint64 // bytes the store holds now (its budget is heldBudget)
 }
 
 // Client is one verifying session against a networked query server.
@@ -144,6 +156,8 @@ type Client struct {
 	// order reanchor walks them in, and the strings decoded tails reuse.
 	rels  map[string]*relSession
 	names []string
+
+	held heldStore // verified bare-scan answers (held.go)
 
 	// Fleet state (see fleet.go); empty for a single-server session.
 	addrs []string         // the replica set, in failover order
@@ -175,7 +189,8 @@ func newSession(cfg Config) (*Client, error) {
 	if cfg.Protocol == (core.Config{}) {
 		cfg.Protocol = core.DefaultConfig()
 	}
-	if cfg.Now == nil {
+	clocked := cfg.Now != nil
+	if !clocked {
 		cfg.Now = func() int64 { return 1 << 62 }
 	}
 	seed := cfg.Retry.Seed
@@ -187,6 +202,7 @@ func newSession(cfg Config) (*Client, error) {
 		rng:   rand.New(rand.NewSource(seed)),
 		sleep: time.Sleep,
 		rels:  make(map[string]*relSession),
+		held:  newHeldStore(heldBudget),
 	}
 	keys := map[string]sigagg.PublicKey{core.DefaultRelation: cfg.Pub}
 	for name, pub := range cfg.Relations {
@@ -205,6 +221,9 @@ func newSession(cfg Config) (*Client, error) {
 		v := core.NewVerifier(bound, pub, cfg.Protocol)
 		if cfg.VerifyWorkers >= 1 {
 			v.SetParallelism(cfg.VerifyWorkers)
+		}
+		if clocked {
+			v.UseClock()
 		}
 		c.rels[name] = &relSession{name: name, pub: pub, scheme: bound, verifier: v}
 		c.names = append(c.names, name)
@@ -324,6 +343,7 @@ func (c *Client) Stats() Stats {
 		st.ContentHits += cs.ContentHits
 		st.BatchesWithoutEC += cs.BatchesWithoutEC
 	}
+	st.HeldBytes = uint64(c.held.bytes)
 	return st
 }
 

@@ -569,11 +569,14 @@ func TestCompositeClosesOncePerKey(t *testing.T) {
 // content hit (no digest computed). A selection is one claim; a BF plan
 // with a projection is a claim per section, run and listed partition, of
 // which only the partition certifications, one digest each, stay
-// digest-named. The last two sightings do no curve arithmetic.
+// digest-named. The last two sightings do no curve arithmetic. The
+// session holds no answers: a selection's third sighting would be
+// confirmed unchanged and never reach the memo (TestHeldAnswerConfirmedUnchanged).
 func TestClaimNamedByContentFromThirdSighting(t *testing.T) {
 	fx := newPlanFixtureOn(t, basScheme, server.NetConfig{})
 	for _, spec := range []*query.Spec{{Rel: "o", Lo: 105, Hi: 695}, fx.spec(join.BF, []int{0})} {
 		cl := fx.dial(t, fx.addr)
+		cl.SetHeldBudget(0)
 		var comp *wire.Composite
 		var sightings []client.Stats
 		for i := 0; i < 3; i++ {

@@ -47,3 +47,11 @@ func (c *Client) DecodeVerify(frame []byte, spec *query.Spec) error {
 	}
 	return c.VerifyComposite(spec, comp)
 }
+
+// SetHeldBudget empties the held store and bounds it anew: 0 turns it
+// off, so every repeat is fetched and verified in full.
+func (c *Client) SetHeldBudget(n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.held = newHeldStore(n)
+}

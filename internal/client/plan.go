@@ -91,6 +91,12 @@ func (c *Client) QueryPlan(spec *query.Spec) (*wire.Composite, error) {
 // (Reconnect) or waiting are both sound, because staleness is bounded
 // by the summaries this session already holds, not by anything the
 // replica says.
+//
+// A bare scan's answer may be one the session holds (held.go): asked for
+// again, the server confirmed it unchanged and the session re-checked it
+// against the new summary tails. Its Outer chain is then the held one,
+// shared with every later answer to the same plan, so callers must treat
+// every returned answer as read-only.
 func (c *Client) QueryPlans(specs []*query.Spec) ([]*wire.Composite, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -158,8 +164,9 @@ func (c *Client) fetch(specs []*query.Spec) ([]*wire.Composite, error) {
 	defer c.clearDeadline()
 	req := wire.GetBuffer()
 	defer func() { wire.PutBuffer(req) }()
-	var plan [128]byte // marshalling scratch: a plan is some tens of bytes
-	for _, spec := range specs {
+	var plan [planScratch]byte // marshalling scratch: a plan is some tens of bytes
+	var sent []*heldAnswer        // sent[i]: the held answer request i named by its digest; nil while none did
+	for i, spec := range specs {
 		// Advertise, per named relation, the newest certified summary this
 		// session holds, so tails carry only deltas.
 		since := [2]wire.RelSince{{Name: spec.Rel, SinceSeq: c.rels[spec.Rel].heldSeq()}}
@@ -168,7 +175,17 @@ func (c *Client) fetch(specs []*query.Spec) ([]*wire.Composite, error) {
 			since[1] = wire.RelSince{Name: spec.Join.Rel, SinceSeq: c.rels[spec.Join.Rel].heldSeq()}
 			n = 2
 		}
-		req = wire.AppendPlanReq(req[:0], spec.AppendTo(plan[:0]), since[:n])
+		pb := spec.AppendTo(plan[:0])
+		var digest uint64
+		if bare(spec) {
+			if a := c.held.sight(pb); a != nil {
+				if sent == nil {
+					sent = make([]*heldAnswer, len(specs))
+				}
+				sent[i], digest = a, a.digest
+			}
+		}
+		req = wire.AppendPlanReq(req[:0], pb, since[:n], digest)
 		if err := wire.WriteFrame(c.bw, req); err != nil {
 			return nil, err
 		}
@@ -197,6 +214,12 @@ func (c *Client) fetch(specs []*query.Spec) ([]*wire.Composite, error) {
 				return nil, firstErr
 			}
 			continue
+		}
+		if comp.Unchanged && sent != nil && sent[i] != nil {
+			// The server says the held answer stands; verify holds it to the
+			// tails. An unchanged reply to a request that named no held
+			// answer keeps no sections, and verify refuses it.
+			comp.Outer = sent[i].chain
 		}
 		comps[i] = comp
 		c.stats.Queries++
@@ -335,27 +358,103 @@ func (rs *relSession) close(specs []*query.Spec) error {
 // On success comps[i].Staleness bounds the staleness of answer i's
 // selected records.
 //
+// An answer whose outer chain is the one the session holds for its plan
+// (held.go) — an "unchanged" reply fetch filled in, or the held chain
+// handed back by a caller — closed its claims when it was admitted, and
+// is only held to the freshly ingested tails. One those prove stale is
+// dropped from the store and its plan fetched again in full, within this
+// call. The verified bare scans that were not held are offered to the
+// store.
+func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) error {
+	held, err := c.heldIn(specs, comps)
+	if err != nil {
+		return err
+	}
+	stale, err := c.verifyBatch(specs, comps, held)
+	if err != nil {
+		return err
+	}
+	if len(stale) > 0 {
+		c.stats.HeldRefetches += uint64(len(stale))
+		redo := make([]*query.Spec, len(stale))
+		for k, i := range stale {
+			redo[k] = specs[i]
+		}
+		fresh, err := c.fetchRetry(redo)
+		if err != nil {
+			return err
+		}
+		// Nothing of redo is held any more, so fetch named no digest and
+		// heldIn finds nothing held; it still refuses a missing chain.
+		again, err := c.heldIn(redo, fresh)
+		if err == nil {
+			_, err = c.verifyBatch(redo, fresh, again)
+		}
+		if err != nil {
+			return err
+		}
+		for k, i := range stale {
+			comps[i], held[i] = fresh[k], nil
+		}
+	}
+	var plan [planScratch]byte
+	for i, spec := range specs {
+		if bare(spec) && (held == nil || held[i] == nil) {
+			c.held.offer(spec.AppendTo(plan[:0]), comps[i])
+		}
+	}
+	c.stats.Verified += uint64(len(comps))
+	return nil
+}
+
+// heldIn finds the answers of the batch that are the session's held ones:
+// held[i] is the held answer comps[i] is, and held is nil when none is.
+// Every composite must have an outer chain by now.
+func (c *Client) heldIn(specs []*query.Spec, comps []*wire.Composite) ([]*heldAnswer, error) {
+	var held []*heldAnswer
+	var plan [planScratch]byte
+	for i, comp := range comps {
+		if comp == nil || comp.Outer == nil {
+			if comp != nil && comp.Unchanged {
+				return nil, inPlan(specs, i, fmt.Errorf("%w: an unchanged reply to a request that named no held answer", ErrComposite))
+			}
+			return nil, fmt.Errorf("%w: no outer answer", ErrComposite)
+		}
+		if len(c.held.m) == 0 || !bare(specs[i]) {
+			continue
+		}
+		if a := c.held.m[string(specs[i].AppendTo(plan[:0]))]; a != nil && a.chain == comp.Outer {
+			if held == nil {
+				held = make([]*heldAnswer, len(comps))
+			}
+			held[i] = a
+		}
+	}
+	return held, nil
+}
+
+// verifyBatch is one pass of verify over answers fetched together:
+// held[i] marks answer i as held (held may be nil). It returns the
+// indices of the held answers the tails proved stale, having dropped
+// them from the store.
+//
 // Every section is first checked for everything that needs no key and
 // reduced to signature claims; the claims are then closed once per
 // signer key across the whole batch — scans and projections under their
 // relation's, runs and each listed certified Bloom partition under the
-// inner relation's — instead of once per answer or
-// section. Freshness is judged last, on records the closed batches have
-// authenticated.
-func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) error {
+// inner relation's — instead of once per answer or section. Freshness is
+// judged last, on records the closed batches have authenticated.
+func (c *Client) verifyBatch(specs []*query.Spec, comps []*wire.Composite, held []*heldAnswer) (stale []int, err error) {
 	// 1. Summary tails feed each relation's freshness state (gaps bridged
 	// over 'T' requests).
 	for _, comp := range comps {
-		if comp == nil || comp.Outer == nil {
-			return fmt.Errorf("%w: no outer answer", ErrComposite)
-		}
 		for _, tail := range comp.Tails {
 			rs, ok := c.rels[tail.Rel]
 			if !ok {
-				return fmt.Errorf("%w: tail for unknown relation %q", ErrComposite, tail.Rel)
+				return nil, fmt.Errorf("%w: tail for unknown relation %q", ErrComposite, tail.Rel)
 			}
 			if err := c.relIngest(rs, tail.Summaries); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
@@ -364,13 +463,17 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) error {
 			rs.batch.reset()
 		}
 	}()
-	// 2. Claims, per signer key.
+	// 2. Claims, per signer key. A held answer's closed when it was
+	// admitted.
 	var proofs []join.Resolution // proofs[i] is how answer i's join section resolved its outer keys; nil while no plan joins
 	for i, spec := range specs {
 		comp := comps[i]
+		if held != nil && held[i] != nil {
+			continue
+		}
 		scan := claimTag{plan: i, section: secOuter, rel: spec.Rel}
 		if comp.Outer.Lo != spec.Lo || comp.Outer.Hi != spec.Hi {
-			return scan.fail(specs, fmt.Errorf("%w: answer is for range [%d,%d], not [%d,%d]",
+			return nil, scan.fail(specs, fmt.Errorf("%w: answer is for range [%d,%d], not [%d,%d]",
 				sigagg.ErrVerify, comp.Outer.Lo, comp.Outer.Hi, spec.Lo, spec.Hi))
 		}
 		outer := &c.rels[spec.Rel].batch
@@ -378,22 +481,21 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) error {
 		// Projection: present exactly when requested, aggregate over the
 		// owner's attribute signatures.
 		if err := projectionJobs(spec, comp, outer, i); err != nil {
-			return inPlan(specs, i, err)
+			return nil, inPlan(specs, i, err)
 		}
 		// Join: every outer key resolved exactly once. A self-join's claims
 		// fall under the outer key too.
 		if spec.Join == nil {
 			if comp.Join != nil {
-				return inPlan(specs, i, fmt.Errorf("%w: unrequested join section", ErrComposite))
+				return nil, inPlan(specs, i, fmt.Errorf("%w: unrequested join section", ErrComposite))
 			}
 			continue
 		}
 		if proofs == nil {
 			proofs = make([]join.Resolution, len(specs))
 		}
-		var err error
 		if proofs[i], err = joinJobs(spec, comp, &c.rels[spec.Join.Rel].batch, i); err != nil {
-			return inPlan(specs, i, err)
+			return nil, inPlan(specs, i, err)
 		}
 	}
 	// 3. One closing verification per signer key that has any claim — a
@@ -403,7 +505,7 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) error {
 	for _, name := range c.names {
 		if rs := c.rels[name]; !rs.batch.empty() {
 			if err := rs.close(specs); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
@@ -420,11 +522,29 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) error {
 		for k, ca := range rs.batch.chains {
 			bound, err := rs.verifier.Staleness(ca, now)
 			if err != nil {
-				return fmt.Errorf("client: relation %q: %w", name, err)
+				return nil, fmt.Errorf("client: relation %q: %w", name, err)
 			}
 			if t := rs.batch.ctags[k]; t.section == secOuter {
 				comps[t.plan].Staleness = bound
 			}
+		}
+	}
+	// A held answer is judged exactly as a fresh fetch of its records
+	// would be; what that proves stale is fetched again (verify).
+	for i, a := range held {
+		if a == nil {
+			continue
+		}
+		bound, err := c.rels[specs[i].Rel].verifier.Staleness(a.chain, now)
+		switch {
+		case errors.Is(err, freshness.ErrStale):
+			c.held.drop(a)
+			stale = append(stale, i)
+		case err != nil:
+			return nil, fmt.Errorf("client: relation %q: %w", specs[i].Rel, err)
+		default:
+			comps[i].Staleness = bound
+			c.stats.HeldHits++
 		}
 	}
 	// 5. Bloom negatives prove absence only as of the filter
@@ -440,10 +560,10 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) error {
 		spec := specs[i]
 		latest, ok := c.rels[spec.Join.Rel].verifier.LatestSummary()
 		if !ok {
-			return fmt.Errorf("%w: Bloom negatives without any certified summary for %q", ErrComposite, spec.Join.Rel)
+			return nil, fmt.Errorf("%w: Bloom negatives without any certified summary for %q", ErrComposite, spec.Join.Rel)
 		}
 		if lag := latest.TS - comps[i].Join.FilterTS; lag > c.cfg.Protocol.Rho {
-			return fmt.Errorf("%w: join filter for %q certified at %d is %d behind the summary stream (ρ=%d)",
+			return nil, fmt.Errorf("%w: join filter for %q certified at %d is %d behind the summary stream (ρ=%d)",
 				freshness.ErrStale, spec.Join.Rel, comps[i].Join.FilterTS, lag, c.cfg.Protocol.Rho)
 		}
 	}
@@ -461,8 +581,7 @@ func (c *Client) verify(specs []*query.Spec, comps []*wire.Composite) error {
 			c.stats.JoinBounds += uint64(p.Absent)
 		}
 	}
-	c.stats.Verified += uint64(len(comps))
-	return nil
+	return stale, nil
 }
 
 // projectionJobs checks answer plan's projection section's shape against

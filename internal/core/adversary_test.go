@@ -386,3 +386,77 @@ func TestAdversaryRecertifiedThenChanged(t *testing.T) {
 		}
 	}
 }
+
+// TestAdversaryFrozenServer: a server that stops applying its feed keeps
+// serving the last state it applied, with a summary tail that ends at the
+// last close it was sent. Against the summaries alone that answer is
+// fresh — the newest summary held marks nothing in it — so a verifier
+// without a clock accepts it with a bound of 2ρ however long ago the
+// server froze (here a record of it was replaced about 1,000 ρ earlier).
+// A clocked verifier (UseClock) refuses it once ρ + δ have passed since
+// the newest close it holds: within ρ + δ of the first close the server
+// withheld, whether the verifier never saw the answer before (cold) or
+// closed its claims while the server was live (warm).
+func TestAdversaryFrozenServer(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, st := range memoStates {
+		t.Run(st.name, func(t *testing.T) {
+			sys := newSystem(t, bas.New(0))
+			load(t, sys, 20) // keys 10..200, certified at 100
+			deliver := deliverOp(t, sys)
+			deliver(sys.DA.ClosePeriod(1_100))
+			frozen, err := scan(sys.QS, 50, 150)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := NewVerifier(sys.Scheme, sys.Pub, cfg)
+			v.UseClock()
+			st.warm(t, v, func() error {
+				_, err := verifyScan(v, frozen, 50, 150, 1_200)
+				return err
+			})
+			// The owner goes on; nothing reaches the server any more.
+			if _, err := sys.DA.Update(100, [][]byte{[]byte("v2")}, 1_500); err != nil {
+				t.Fatal(err)
+			}
+			const firstWithheld = 2_100
+			for ts := int64(firstWithheld); ts <= 1_000_100; ts += cfg.Rho {
+				if _, err := sys.DA.ClosePeriod(ts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if bound, err := verifyScan(NewVerifier(sys.Scheme, sys.Pub, cfg), frozen, 50, 150, 1_000_200); err != nil || bound != 2*cfg.Rho {
+				t.Fatalf("without a clock the frozen answer is accepted at 2ρ; got bound %d, %v", bound, err)
+			}
+			// At the first withheld close the newest summary held is ρ old:
+			// still inside ρ + δ, and the bound says how old.
+			bound, err := verifyScan(v, frozen, 50, 150, firstWithheld)
+			if err != nil || bound != cfg.Rho+2*cfg.Rho {
+				t.Fatalf("a verifier %s at the first withheld close: bound %d, %v; want ρ + 2ρ", st.what, bound, err)
+			}
+			for _, now := range []int64{firstWithheld + cfg.Skew + 1, firstWithheld + cfg.Rho + cfg.Skew, 1_000_200} {
+				if _, err := verifyScan(v, frozen, 50, 150, now); !errors.Is(err, freshness.ErrStale) {
+					t.Fatalf("a verifier %s at %d, %d after the first withheld close: want ErrStale, got %v",
+						st.what, now, now-firstWithheld, err)
+				}
+			}
+		})
+	}
+	// A server frozen before the first close sends no summary at all: a
+	// clocked verifier then holds the records' own certification times to
+	// ρ + δ.
+	sys := newSystem(t, bas.New(0))
+	load(t, sys, 20)
+	frozen, err := scan(sys.QS, 50, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewVerifier(sys.Scheme, sys.Pub, cfg)
+	v.UseClock()
+	if bound, err := verifyScan(v, frozen, 50, 150, 100+cfg.Rho); err != nil || bound != 2*cfg.Rho {
+		t.Fatalf("no summary, records certified ρ ago: bound %d, %v; want 2ρ", bound, err)
+	}
+	if _, err := verifyScan(v, frozen, 50, 150, 100+cfg.Rho+cfg.Skew+1); !errors.Is(err, freshness.ErrStale) {
+		t.Fatalf("no summary, records certified past ρ + δ ago: want ErrStale, got %v", err)
+	}
+}

@@ -58,12 +58,16 @@ type UpdateMsg struct {
 type Config struct {
 	Rho      int64 // summary period ρ
 	RhoPrime int64 // signature renewal age ρ'
+	// Skew is δ: the clock skew plus delivery slack a clocked verifier
+	// (Verifier.UseClock) allows past ρ before the newest summary it holds
+	// proves the server has stopped publishing.
+	Skew int64
 }
 
-// DefaultConfig returns ρ = 1s and ρ' = 900s expressed in milliseconds,
-// the paper's defaults.
+// DefaultConfig returns ρ = 1s, ρ' = 900s and δ = 1s expressed in
+// milliseconds, the paper's ρ and ρ'.
 func DefaultConfig() Config {
-	return Config{Rho: 1_000, RhoPrime: 900_000}
+	return Config{Rho: 1_000, RhoPrime: 900_000, Skew: 1_000}
 }
 
 // ErrUnknownKey is returned for operations on absent records.

@@ -68,7 +68,7 @@ type served struct {
 func (fx *scanFixture) serve(t *testing.T, lo, hi int64) served {
 	t.Helper()
 	before := fx.eng.Stats().Cache
-	sv, err := fx.eng.Serve((&query.Spec{Rel: core.DefaultRelation, Lo: lo, Hi: hi}).Marshal(), nil)
+	sv, err := fx.eng.Serve((&query.Spec{Rel: core.DefaultRelation, Lo: lo, Hi: hi}).Marshal(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestServeSources(t *testing.T) {
 	if err := bare.AddRelation("r", fx.sys.QS); err != nil {
 		t.Fatal(err)
 	}
-	sv, err := bare.Serve((&query.Spec{Rel: "r", Lo: 10, Hi: 500}).Marshal(), nil)
+	sv, err := bare.Serve((&query.Spec{Rel: "r", Lo: 10, Hi: 500}).Marshal(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestServeCoalescing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			start.Wait()
-			sv, err := fx.eng.Serve(plan, nil)
+			sv, err := fx.eng.Serve(plan, nil, 0)
 			if err != nil {
 				t.Error(err)
 				return

@@ -21,6 +21,7 @@ type Verifier struct {
 	par     int
 	checker *freshness.Checker
 	memo    claimMemo // the claims this verifier has closed (claimmemo.go)
+	clocked bool      // now is a clock reading (UseClock)
 }
 
 // NewVerifier creates a verifier for the DA's public key.
@@ -45,6 +46,13 @@ func (v *Verifier) SetParallelism(n int) {
 		v.par = n
 	}
 }
+
+// UseClock makes the now of every later Staleness and VerifyScan a
+// reading of a clock in the owner's timebase, held against the newest
+// summary (see Staleness). Without it now is only compared with record
+// timestamps, and a server that stops publishing goes unnoticed until
+// the verifier holds a newer summary from elsewhere.
+func (v *Verifier) UseClock() { v.clocked = true }
 
 // ClaimStats reports this verifier's claim-memo counters.
 func (v *Verifier) ClaimStats() ClaimStats {
@@ -155,14 +163,39 @@ func (v *Verifier) CheckClaims(chains []*chain.Answer, projs []*projection.Answe
 // bound: ρ normally, 2ρ for a record certified in the most recent closed
 // period. The anchor of an empty answer is a disclosed record and is
 // checked too.
+//
+// A clocked verifier (UseClock) also holds the stream to the clock. The
+// owner closes a period every ρ, so the newest summary held must have
+// closed at most ρ + δ before now; with no summary held, every record
+// must have been certified at most ρ + δ before now. Otherwise the answer
+// is refused as stale, whatever the records say. The bound then counts
+// the time since that close (or that certification) on top.
 func (v *Verifier) Staleness(ca *chain.Answer, now int64) (int64, error) {
+	limit := v.cfg.Rho + v.cfg.Skew
+	var lag int64 // since the newest summary held closed; 0 without a clock
+	latest, held := v.checker.Latest()
+	if v.clocked && held {
+		if lag = now - latest.TS; lag > limit {
+			return 0, fmt.Errorf("core: %w: the newest summary held closed at %d, %d before now (ρ+δ = %d): the stream has stopped",
+				freshness.ErrStale, latest.TS, lag, limit)
+		}
+		lag = max(lag, 0)
+	}
 	var worst int64
 	check := func(rec *Record) error {
 		bound, err := v.checker.CheckFresh(slot(rec.RID), rec.TS, now, v.cfg.Rho)
 		if err != nil {
 			return fmt.Errorf("core: rid %d: %w", rec.RID, err)
 		}
-		worst = max(worst, bound)
+		if v.clocked && !held {
+			age := now - rec.TS
+			if age > limit {
+				return fmt.Errorf("core: rid %d: %w: certified at %d, %d before now, and no summary held (ρ+δ = %d)",
+					rec.RID, freshness.ErrStale, rec.TS, age, limit)
+			}
+			bound += max(age, 0)
+		}
+		worst = max(worst, bound+lag)
 		return nil
 	}
 	for _, rec := range ca.Records {

@@ -43,6 +43,7 @@ type Engine struct {
 	bfFallbacks atomic.Uint64
 	projRows    atomic.Uint64
 	stampShards atomic.Uint64
+	unchanged   atomic.Uint64
 }
 
 // EngineOption configures an Engine.
@@ -395,7 +396,8 @@ func (e *Engine) project(outer *relView, attrs []int, recs []*chain.Record, rows
 
 // Served is one answered plan request: Body then Tails is one 'C' message
 // — the pre-encoded composite answer core, possibly the cache's own bytes,
-// and this client's relation summary tails. Both are valid until Release,
+// and this client's relation summary tails; or, for an "unchanged" reply,
+// no Body and the whole message in Tails. Both are valid until Release,
 // which must be called exactly once, after the bytes are written out.
 type Served struct {
 	Body, Tails []byte
@@ -404,21 +406,52 @@ type Served struct {
 
 // Release drops the holds the served bytes were read under.
 func (sv *Served) Release() {
-	if sv.entry != nil {
-		sv.entry.Release()
-	} else {
-		wire.PutBuffer(sv.Body)
-	}
+	sv.releaseBody()
 	wire.PutBuffer(sv.Tails)
 }
 
-// ServePlan is Serve for callers that take the release as a function.
+func (sv *Served) releaseBody() {
+	switch {
+	case sv.entry != nil:
+		sv.entry.Release()
+	case sv.Body != nil:
+		wire.PutBuffer(sv.Body)
+	}
+}
+
+// ServePlan is Serve, for a request that names no held answer, for
+// callers that take the release as a function.
 func (e *Engine) ServePlan(planBytes []byte, since []wire.RelSince) (body, tails []byte, release func(), err error) {
-	sv, err := e.Serve(planBytes, since)
+	sv, err := e.Serve(planBytes, since, 0)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return sv.Body, sv.Tails, sv.Release, nil
+}
+
+// built is what an answer-cache entry keeps beside the encoded core: what
+// the tails need — each touched relation's oldest proof timestamp — and
+// the core's wire.CoreDigest, computed the first time a request names a
+// held answer, and only then.
+type built struct {
+	rels   []relOldest
+	mu     sync.Mutex    // held while the digest is computed
+	digest atomic.Uint64 // 0 until computed (wire.CoreDigest is never 0)
+}
+
+// coreDigest is the digest of the entry's core bytes, which are body.
+func (b *built) coreDigest(body []byte) uint64 {
+	if d := b.digest.Load(); d != 0 {
+		return d
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if d := b.digest.Load(); d != 0 {
+		return d
+	}
+	d := wire.CoreDigest(body)
+	b.digest.Store(d)
+	return d
 }
 
 // Serve decodes, executes and encodes one plan request through the
@@ -428,8 +461,13 @@ func (e *Engine) ServePlan(planBytes []byte, since []wire.RelSince) (body, tails
 // of the traffic — is recognised before a Spec is decoded for it.
 //
 // since is the client's summary position per relation: at most one entry
-// for each relation the plan names, and none for any other.
-func (e *Engine) Serve(planBytes []byte, since []wire.RelSince) (Served, error) {
+// for each relation the plan names, and none for any other. held is the
+// wire.CoreDigest of the answer core the client holds for the plan (0 =
+// none): when the current core has that digest, the reply is the
+// "unchanged" form, the tails alone. The digest is of content, so an
+// entry rebuilt only because an epoch it was stamped with moved still
+// reads as unchanged.
+func (e *Engine) Serve(planBytes []byte, since []wire.RelSince, held uint64) (Served, error) {
 	var p *Spec
 	if rel, lo, hi, ok := bareScan(planBytes); ok {
 		rv, err := e.rel(string(rel))
@@ -455,12 +493,12 @@ func (e *Engine) Serve(planBytes []byte, since []wire.RelSince) (Served, error) 
 	// hit copies nothing; the cache copies them before it keeps a key
 	// past the request frame.
 	key := anscache.Key{Lo: p.Lo, Hi: p.Hi, Plan: unsafe.String(unsafe.SliceData(planBytes), len(planBytes))}
-	// An entry keeps the encoded answer and what the tails need — each
-	// touched relation's oldest proof timestamp — not the composite it was
-	// encoded from: that object graph is as large again as the bytes and
-	// nothing reads it back. The answer is encoded into a pooled buffer
-	// that serves this build's flight and returns to the pool on its last
-	// Release; the cache keeps an exactly sized copy of what it admits.
+	// An entry keeps the encoded answer and what the tails need, not the
+	// composite it was encoded from: that object graph is as large again
+	// as the bytes and nothing reads it back. The answer is encoded into a
+	// pooled buffer that serves this build's flight and returns to the
+	// pool on its last Release; the cache keeps an exactly sized copy of
+	// what it admits.
 	build := func() (*anscache.Entry, error) {
 		r, stamp, err := e.exec(p)
 		if err != nil {
@@ -471,21 +509,34 @@ func (e *Engine) Serve(planBytes []byte, since []wire.RelSince) (Served, error) 
 			wire.PutBuffer(buf)
 			return nil, err
 		}
-		return &anscache.Entry{Key: key, Value: r.rels, Wire: buf, Stamp: stamp, Free: wire.PutBuffer}, nil
+		return &anscache.Entry{Key: key, Value: &built{rels: r.rels}, Wire: buf, Stamp: stamp, Free: wire.PutBuffer}, nil
 	}
+	var sv Served
+	var entry *anscache.Entry
+	var err error
 	if e.cache == nil {
 		// Resident nowhere: the response owns the buffer.
-		entry, err := build()
+		entry, err = build()
 		if err != nil {
 			return Served{}, err
 		}
-		return Served{Body: entry.Wire, Tails: relTails(entry.Value.([]relOldest), since)}, nil
+		sv.Body = entry.Wire
+	} else {
+		if entry, _, err = e.cache.Do(key, build); err != nil {
+			return Served{}, err
+		}
+		sv.Body, sv.entry = entry.Wire, entry
 	}
-	entry, _, err := e.cache.Do(key, build)
-	if err != nil {
-		return Served{}, err
+	b := entry.Value.(*built)
+	tails := wire.GetBuffer()
+	if held != 0 && b.coreDigest(entry.Wire) == held {
+		sv.releaseBody()
+		sv = Served{}
+		e.unchanged.Add(1)
+		tails = wire.AppendUnchanged(tails)
 	}
-	return Served{Body: entry.Wire, Tails: relTails(entry.Value.([]relOldest), since), entry: entry}, nil
+	sv.Tails = relTails(tails, b.rels, since)
+	return sv, nil
 }
 
 // checkSince holds a request's summary positions against the one or two
@@ -505,9 +556,9 @@ func checkSince(since []wire.RelSince, outer, inner string) error {
 	return nil
 }
 
-// relTails encodes one summary tail per touched relation, resuming each
-// client from the sequence number it already holds.
-func relTails(rels []relOldest, since []wire.RelSince) []byte {
+// relTails appends to buf one summary tail per touched relation,
+// resuming each client from the sequence number it already holds.
+func relTails(buf []byte, rels []relOldest, since []wire.RelSince) []byte {
 	var out [2]wire.RelTail // a plan touches at most two relations
 	for i, ro := range rels {
 		var sinceSeq uint64
@@ -518,7 +569,7 @@ func relTails(rels []relOldest, since []wire.RelSince) []byte {
 		}
 		out[i] = wire.RelTail{Rel: ro.rv.name, Summaries: ro.rv.qs.SummariesTail(sinceSeq, ro.ts)}
 	}
-	return wire.AppendRelTails(wire.GetBuffer(), out[:len(rels)])
+	return wire.AppendRelTails(buf, out[:len(rels)])
 }
 
 // ServeRelSummaries answers a 'T' request: one relation's certified
@@ -542,6 +593,7 @@ type Stats struct {
 	BFFallbacks uint64 // false positives: keys the filter admitted that their run holds no record for
 	ProjRows    uint64 // projected rows emitted
 	StampShards uint64 // inner data shards stamped, summed over executed join plans
+	Unchanged   uint64 // requests naming a held answer the current one equals, answered with the tails alone
 	Cache       anscache.Stats
 }
 
@@ -555,6 +607,7 @@ func (e *Engine) Stats() Stats {
 		BFFallbacks: e.bfFallbacks.Load(),
 		ProjRows:    e.projRows.Load(),
 		StampShards: e.stampShards.Load(),
+		Unchanged:   e.unchanged.Load(),
 	}
 	if e.cache != nil {
 		s.Cache = e.cache.Stats()

@@ -273,7 +273,7 @@ func (o *oracle) reference(leaf *Spec) (body, tails []byte) {
 	if body, err = wire.AppendCompositeCore(nil, &wire.Composite{Outer: ans.Chain}); err != nil {
 		o.t.Fatal(err)
 	}
-	return body, relTails([]relOldest{{rv, ans.OldestSigTS}}, nil)
+	return body, relTails(wire.GetBuffer(), []relOldest{{rv, ans.OldestSigTS}}, nil)
 }
 
 // scribblePool takes n buffers from wire's pool at once, overwrites every

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"authdb/internal/anscache"
@@ -92,7 +93,7 @@ func TestBareScanServedByTheEngineCache(t *testing.T) {
 		// key views the request's plan bytes; only a build copies them.
 		since := []wire.RelSince{{Name: "o", SinceSeq: 1 << 40}} // past the stream: an empty tail
 		allocs := testing.AllocsPerRun(50, func() {
-			sv, err := fx.eng.Serve(plan, since)
+			sv, err := fx.eng.Serve(plan, since, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,4 +190,142 @@ func FuzzUnmarshalPlan(f *testing.F) {
 			t.Fatalf("accepted %x, which Validate refuses: %v", data, err)
 		}
 	})
+}
+
+// TestServeConfirmsAHeldAnswer: a request naming the digest of the answer
+// core the engine would send is answered "unchanged" — no core, the tails
+// alone — and one naming any other digest gets the whole answer. The
+// digest is of content: an entry rebuilt because an update elsewhere in
+// its shard moved the epoch still confirms it, and so does an engine with
+// no cache. A hit that confirms costs no more allocations than one that
+// sends the answer.
+func TestServeConfirmsAHeldAnswer(t *testing.T) {
+	fx := newFixture(t)
+	plan := (&Spec{Rel: "o", Lo: 105, Hi: 305}).mustPlan(t).Marshal()
+	uncachedEng := NewEngine(WithCacheBytes(0))
+	if err := uncachedEng.AddRelation("o", fx.outer.QS); err != nil {
+		t.Fatal(err)
+	}
+	full, _, release, err := fx.eng.ServePlan(plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := wire.CoreDigest(full)
+	want := bytes.Clone(full)
+	release()
+	confirm := func(eng *Engine, digest uint64) *wire.Composite {
+		t.Helper()
+		sv, err := eng.Serve(plan, nil, digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sv.Release()
+		comp := decodeServed(t, sv.Body, sv.Tails)
+		if comp.Unchanged != (len(sv.Body) == 0) || (!comp.Unchanged && !bytes.Equal(sv.Body, want)) {
+			t.Fatalf("served a %d-byte core, unchanged = %v", len(sv.Body), comp.Unchanged)
+		}
+		return comp
+	}
+	for i := 0; i < 3; i++ { // a first sighting, the build that earns residency, a hit
+		if comp := confirm(fx.eng, held); !comp.Unchanged || len(comp.Tails) != 1 || len(comp.Tails[0].Summaries) == 0 {
+			t.Fatalf("request %d naming the current answer: %+v", i, comp)
+		}
+	}
+	if comp := confirm(fx.eng, held^1); comp.Unchanged {
+		t.Fatal("a request naming another answer was confirmed")
+	}
+	if comp := confirm(uncachedEng, held); !comp.Unchanged {
+		t.Fatal("the uncached engine sent the whole answer")
+	}
+	// An update outside the range, in the shard it reads: the entry is
+	// rebuilt, to the same bytes.
+	before := fx.eng.Stats()
+	msg, err := fx.outer.DA.Update(30, [][]byte{[]byte("n"), []byte("p")}, 1_100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.outer.Deliver(msg); err != nil {
+		t.Fatal(err)
+	}
+	if comp := confirm(fx.eng, held); !comp.Unchanged {
+		t.Fatal("an entry rebuilt to the same bytes did not confirm the held answer")
+	}
+	after := fx.eng.Stats()
+	if after.Cache.Invalidations == before.Cache.Invalidations || after.Unchanged != before.Unchanged+1 || before.Unchanged != 3 {
+		t.Fatalf("the update did not rebuild the entry, or unchanged replies miscounted: %+v -> %+v", before, after)
+	}
+	// An update inside it: the whole answer again.
+	if msg, err = fx.outer.DA.Update(200, [][]byte{[]byte("n"), []byte("p")}, 1_200); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.outer.Deliver(msg); err != nil {
+		t.Fatal(err)
+	}
+	sv, err := fx.eng.Serve(plan, nil, held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sv.Body) == 0 {
+		t.Fatal("an answer the update changed was confirmed unchanged")
+	}
+	held = wire.CoreDigest(sv.Body)
+	sv.Release()
+	if !raceEnabled {
+		since := []wire.RelSince{{Name: "o", SinceSeq: 1 << 40}} // past the stream: an empty tail
+		for i := 0; i < 2; i++ {
+			confirm(fx.eng, held) // resident again
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			sv, err := fx.eng.Serve(plan, since, held)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sv.Release()
+		})
+		if allocs > 1 {
+			t.Fatalf("a confirmed repeat: %.0f allocations per request, want at most 1", allocs)
+		}
+	}
+}
+
+// TestConfirmationsRace: many requests naming a held answer at once,
+// while updates rebuild the entry, share one lazily computed digest per
+// entry; run under -race.
+func TestConfirmationsRace(t *testing.T) {
+	fx := newFixture(t)
+	plan := (&Spec{Rel: "o", Lo: 105, Hi: 305}).mustPlan(t).Marshal()
+	body, _, release, err := fx.eng.ServePlan(plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := wire.CoreDigest(body)
+	release()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				sv, err := fx.eng.Serve(plan, nil, held)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(sv.Body) != 0 {
+					t.Error("a request naming the current answer got it whole")
+				}
+				sv.Release()
+			}
+		}()
+	}
+	for ts := int64(1_100); ts < 1_120; ts++ { // outside the range, inside its shard
+		msg, err := fx.outer.DA.Update(30, [][]byte{[]byte("n"), []byte("p")}, ts)
+		if err == nil {
+			err = fx.outer.Deliver(msg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
 }

@@ -1090,6 +1090,13 @@ func (f *byzFront) serve(down net.Conn) {
 			}
 			continue
 		}
+		if mode == byzSigFlip {
+			// A forger needs an answer to forge: it asks the upstream for the
+			// whole one, not whether the session's held answer stands.
+			if plan, since, held, err := wire.DecodePlanReq(req, nil); err == nil && held != 0 {
+				req = wire.AppendPlanReq(req[:0:0], plan, since, 0)
+			}
+		}
 		if err := wire.WriteFrame(up, req); err != nil {
 			return
 		}
@@ -1115,7 +1122,7 @@ func (f *byzFront) serve(down net.Conn) {
 // the same question with yesterday's frame regardless of what the asker
 // claims to hold.
 func replayKey(req []byte) string {
-	if plan, _, err := wire.DecodePlanReq(req, nil); err == nil {
+	if plan, _, _, err := wire.DecodePlanReq(req, nil); err == nil {
 		return "P:" + string(plan)
 	}
 	return string(req)
@@ -1140,7 +1147,7 @@ func (f *byzFront) mutate(mode byzMode, frame []byte) []byte {
 			return frame
 		}
 		if mode == byzSigFlip {
-			if len(comp.Outer.Agg) == 0 {
+			if comp.Outer == nil || len(comp.Outer.Agg) == 0 {
 				return frame
 			}
 			comp.Outer.Agg[0] ^= 0x01

@@ -517,11 +517,11 @@ func (s *NetServer) serveReplication(w *connWriter, conn net.Conn, frame []byte)
 // transport errors are returned.
 func (s *NetServer) servePlan(w *connWriter, frame []byte) error {
 	var rels [2]wire.RelSince // a plan names at most two relations
-	plan, since, err := wire.DecodePlanReq(frame, rels[:0])
+	plan, since, held, err := wire.DecodePlanReq(frame, rels[:0])
 	if err != nil {
 		return s.writeErrorCode(w, wire.ErrCodeBadFrame, err)
 	}
-	sv, err := s.eng.Serve(plan, since)
+	sv, err := s.eng.Serve(plan, since, held)
 	if err != nil {
 		return s.writeError(w, err)
 	}

@@ -241,7 +241,7 @@ func TestNetServerErrorResponse(t *testing.T) {
 	}
 	defer conn.Close()
 	inverted := (&query.Spec{Rel: core.DefaultRelation, Lo: 50_000_000, Hi: 1}).Marshal()
-	if err := wire.WriteFrame(conn, wire.AppendPlanReq(nil, inverted, nil)); err != nil {
+	if err := wire.WriteFrame(conn, wire.AppendPlanReq(nil, inverted, nil, 0)); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := wire.ReadFrame(conn, nil, 0)

@@ -35,7 +35,7 @@ func TestServeReflectsUpdates(t *testing.T) {
 	plan := (&query.Spec{Rel: core.DefaultRelation, Lo: lo, Hi: hi}).Marshal()
 	serve := func(i int) *chain.Answer {
 		t.Helper()
-		sv, err := eng.Serve(plan, nil)
+		sv, err := eng.Serve(plan, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

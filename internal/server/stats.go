@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"authdb/internal/anscache"
 	"authdb/internal/query"
 	"authdb/internal/sigagg"
 	"authdb/internal/wal"
@@ -80,10 +79,11 @@ func (s *NetServer) Metrics(m *MetricsBuf) {
 	m.Counter("authdb_net_bytes_out_total", "Response payload bytes written.", st.BytesOut)
 	m.Counter("authdb_net_repl_streams_total", "Replication subscriptions accepted.", st.ReplStreams)
 
-	var cs anscache.Stats
+	var qs query.Stats
 	if eng := s.engine(); eng != nil {
-		cs = eng.Stats().Cache
+		qs = eng.Stats()
 	}
+	cs := qs.Cache
 	m.Counter("authdb_anscache_hits_total", "Answer-cache lookups served from a resident entry.", cs.Hits)
 	m.Counter("authdb_anscache_built_total", "Answer-cache build functions executed.", cs.Built)
 	m.Counter("authdb_anscache_coalesced_total", "Answer-cache callers who shared another's flight.", cs.Coalesced)
@@ -92,6 +92,7 @@ func (s *NetServer) Metrics(m *MetricsBuf) {
 	m.Counter("authdb_anscache_rejected_total", "Answer-cache builds served but not made resident: first sightings, the frequency bias, oversize.", cs.Rejected)
 	m.Gauge("authdb_anscache_bytes", "Resident answer-cache bytes: each entry is charged its answer's length plus bookkeeping.", float64(cs.Bytes))
 	m.Gauge("authdb_anscache_entries", "Resident answer-cache entries.", float64(cs.Entries))
+	m.Counter("authdb_query_unchanged_total", "Plan requests naming a held answer the current one equals, answered with the summary tails alone.", qs.Unchanged)
 }
 
 // QueryMetrics adapts the plan engine's execution counters for a

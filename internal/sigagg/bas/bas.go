@@ -60,6 +60,7 @@ type Scheme struct {
 
 	fastVerifies     atomic.Uint64
 	portableVerifies atomic.Uint64
+	pairings         atomic.Uint64 // pairing evaluations charged pairingCost
 }
 
 // Option configures a Scheme.
@@ -340,6 +341,7 @@ func (s *Scheme) emulatePairing() {
 	if s.pairingCost <= 0 {
 		return
 	}
+	s.pairings.Add(1)
 	k := []byte{0x5a, 0xa5, 0x3c, 0xc3, 0x69, 0x96, 0x0f, 0xf0,
 		0x5a, 0xa5, 0x3c, 0xc3, 0x69, 0x96, 0x0f, 0xf0,
 		0x5a, 0xa5, 0x3c, 0xc3, 0x69, 0x96, 0x0f, 0xf0,
@@ -417,5 +419,6 @@ func (s *Scheme) VerifyStats() sigagg.VerifyStats {
 		TableBuilds:      s.tables.buildCount(),
 		FastVerifies:     s.fastVerifies.Load(),
 		PortableVerifies: s.portableVerifies.Load(),
+		EmulatedPairings: s.pairings.Load(),
 	}
 }

@@ -133,6 +133,10 @@ type VerifyStats struct {
 	// to the precomputed fast path vs the portable slow path.
 	FastVerifies     uint64 `json:"fast_verifies"`
 	PortableVerifies uint64 `json:"portable_verifies"`
+	// EmulatedPairings counts the pairing evaluations a scheme that
+	// emulates them charged at its configured cost (0 when the cost is 0):
+	// t+1 per verified aggregate of t signatures.
+	EmulatedPairings uint64 `json:"emulated_pairings"`
 }
 
 // VerifyStatsProvider is an optional Scheme capability: schemes with a

@@ -10,10 +10,33 @@
 // tails (certified-summary deltas) appended at response time, so a
 // cached core stays valid across ρ-period closes on every relation the
 // plan touched. The core of a bare scan is `V 'C' body flags=0`.
+//
+// Held answers. A 'P' request may end in the 64-bit CoreDigest of an
+// answer core the client already holds and has verified:
+//
+//	V 'P' plan rels [digest]
+//
+// The digest is present exactly when eight bytes follow the summary
+// positions, and it is never 0. A server whose current core for the plan
+// has that digest may answer with the "unchanged" form of 'C', whose core
+// is the header and the inverted full range in place of an answer body —
+// a range no plan can ask for, since a plan's range has Lo ≤ Hi — followed
+// by the usual tails:
+//
+//	V 'C' i64(MaxInt64) i64(MinInt64) tails
+//
+// DecodeComposite reads it as a Composite with Unchanged set and no
+// sections. The client holds the server to nothing it says here: it
+// re-checks the held answer's records against the tails (DESIGN.md,
+// "Held answers"), and a digest collision only means an answer the
+// client holds, still fresh by those checks, is returned in place of an
+// equally fresh one.
 package wire
 
 import (
 	"fmt"
+	"hash/crc32"
+	"math"
 
 	"authdb/internal/bloom"
 	"authdb/internal/chain"
@@ -54,9 +77,10 @@ type RelSince struct {
 }
 
 // AppendPlanReq appends a plan request: the planner's canonical plan
-// encoding and the client's summary position in each relation the plan
-// names.
-func AppendPlanReq(buf []byte, plan []byte, rels []RelSince) []byte {
+// encoding, the client's summary position in each relation the plan
+// names, and — when held is not 0 — the CoreDigest of the answer core the
+// client holds for the plan.
+func AppendPlanReq(buf []byte, plan []byte, rels []RelSince, held uint64) []byte {
 	w := &writer{buf: buf}
 	w.u8(Version)
 	w.u8(KindPlan)
@@ -66,46 +90,81 @@ func AppendPlanReq(buf []byte, plan []byte, rels []RelSince) []byte {
 		w.bytes([]byte(rs.Name))
 		w.u64(rs.SinceSeq)
 	}
+	if held != 0 {
+		w.u64(held)
+	}
 	return w.buf
 }
 
 // DecodePlanReq parses a plan request, appending the summary positions to
 // rels (a server passes a two-entry array of its own: nothing then sizes
-// with the request). The plan bytes alias data. The engine
-// (query.Engine.Serve) reads them — a bare selection in place, any other
-// plan through query.UnmarshalPlan — keys its answer cache on a copy of
-// them, and holds the positions against the relations the plan names.
-func DecodePlanReq(data []byte, rels []RelSince) (plan []byte, _ []RelSince, err error) {
+// with the request), and returns the held answer's digest (0 = none). The
+// plan bytes alias data. The engine (query.Engine.Serve) reads them — a
+// bare selection in place, any other plan through query.UnmarshalPlan —
+// keys its answer cache on a copy of them, holds the positions against
+// the relations the plan names, and compares the digest with its current
+// answer's.
+func DecodePlanReq(data []byte, rels []RelSince) (plan []byte, _ []RelSince, held uint64, err error) {
 	r := &reader{buf: data, alias: true}
 	if err := header(r, KindPlan); err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	if plan, err = r.bytes(); err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	n, err := r.u64()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	if n > maxPlanRels {
-		return nil, nil, fmt.Errorf("%w: summary positions for %d relations", ErrCorrupt, n)
+		return nil, nil, 0, fmt.Errorf("%w: summary positions for %d relations", ErrCorrupt, n)
 	}
 	for i := uint64(0); i < n; i++ {
 		name, err := r.relName()
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 		seq, err := r.u64()
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 		rels = append(rels, RelSince{Name: string(name), SinceSeq: seq})
 	}
-	if err := r.done(); err != nil {
-		return nil, nil, err
+	if r.remaining() > 0 {
+		if held, err = r.u64(); err != nil {
+			return nil, nil, 0, err
+		}
+		if held == 0 {
+			return nil, nil, 0, fmt.Errorf("%w: zero held-answer digest", ErrCorrupt)
+		}
 	}
-	return plan, rels, nil
+	if err := r.done(); err != nil {
+		return nil, nil, 0, err
+	}
+	return plan, rels, held, nil
 }
+
+// CoreDigest names an answer core — the bytes AppendCompositeCore wrote —
+// for a plan request's held-answer field: CRC-32C and CRC-32 (IEEE), both
+// hardware-assisted, side by side, and never 0. It is a change detector,
+// not a commitment: nothing the client accepts rests on it (see the file
+// comment).
+func CoreDigest(core []byte) uint64 {
+	d := uint64(crc32.Checksum(core, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(core))
+	if d == 0 {
+		d = 1
+	}
+	return d
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// The unchanged form's stand-in for an answer body's range (see the file
+// comment).
+const (
+	unchangedLo = math.MaxInt64
+	unchangedHi = math.MinInt64
+)
 
 // RelTail is one relation's certified-summary delta in a composite
 // answer.
@@ -123,6 +182,10 @@ type Composite struct {
 	Proj  *projection.Answer
 	Join  *join.Answer
 	Tails []RelTail
+	// Unchanged marks the "unchanged" form: the server says the answer the
+	// request named by its digest still stands, and sends only the tails.
+	// Such a composite carries no section.
+	Unchanged bool
 	// Bytes is what each section of a decoded frame took; the encoders
 	// ignore it.
 	Bytes SectionBytes
@@ -148,6 +211,9 @@ const (
 // answer: everything except the per-relation summary tails. Core bytes
 // followed by AppendRelTails bytes form one complete 'C' message.
 func AppendCompositeCore(buf []byte, c *Composite) ([]byte, error) {
+	if c != nil && c.Unchanged {
+		return AppendUnchanged(buf), nil
+	}
 	if c == nil || c.Outer == nil {
 		return nil, fmt.Errorf("wire: nil composite answer")
 	}
@@ -176,6 +242,17 @@ func AppendCompositeCore(buf []byte, c *Composite) ([]byte, error) {
 	return w.buf, nil
 }
 
+// AppendUnchanged appends the core of the "unchanged" form of 'C'; the
+// tails follow it as they follow any core.
+func AppendUnchanged(buf []byte) []byte {
+	w := &writer{buf: buf}
+	w.u8(Version)
+	w.u8(KindComposite)
+	w.i64(unchangedLo)
+	w.i64(unchangedHi)
+	return w.buf
+}
+
 // AppendRelTails appends the per-relation summary sections.
 func AppendRelTails(buf []byte, tails []RelTail) []byte {
 	w := &writer{buf: buf}
@@ -190,47 +267,31 @@ func AppendRelTails(buf []byte, tails []RelTail) []byte {
 	return w.buf
 }
 
-// DecodeComposite parses a complete 'C' message (core plus tails). The
-// proof objects alias data, which belongs to the result from here on;
-// the summaries in the tails are copies, because a session keeps them.
-// names are relation names the caller already holds: a tail named like
-// one of them reuses that string instead of allocating its own.
+// DecodeComposite parses a complete 'C' message (core plus tails), the
+// "unchanged" form included. The proof objects alias data, which belongs
+// to the result from here on; the summaries in the tails are copies,
+// because a session keeps them. names are relation names the caller
+// already holds: a tail named like one of them reuses that string instead
+// of allocating its own.
 func DecodeComposite(data []byte, names ...string) (*Composite, error) {
 	r := &reader{buf: data, alias: true}
 	if err := header(r, KindComposite); err != nil {
-		return nil, err
-	}
-	outer, err := getAnswerBody(r)
-	if err != nil {
 		return nil, err
 	}
 	// The composite and the array its tails live in are one allocation.
 	d := &struct {
 		Composite
 		tails [maxPlanRels]RelTail
-	}{Composite: Composite{Outer: outer}}
+	}{}
 	c := &d.Composite
-	flags, err := r.u8()
-	if err != nil {
+	if peek := (reader{buf: r.buf, off: r.off}); isUnchanged(&peek) {
+		r.off = peek.off
+		c.Unchanged = true
+		c.Bytes.Outer = r.off
+	} else if err := getSections(r, c); err != nil {
 		return nil, err
 	}
-	if flags&^(compFlagProj|compFlagJoin) != 0 {
-		return nil, fmt.Errorf("%w: bad composite flags %#x", ErrCorrupt, flags)
-	}
-	c.Bytes.Outer = r.off
-	if flags&compFlagProj != 0 {
-		if c.Proj, err = getProjection(r, outer); err != nil {
-			return nil, err
-		}
-	}
-	mark := r.off
-	c.Bytes.Proj = mark - c.Bytes.Outer
-	if flags&compFlagJoin != 0 {
-		if c.Join, err = getJoin(r); err != nil {
-			return nil, err
-		}
-	}
-	c.Bytes.Join, c.Bytes.Tails = r.off-mark, r.remaining()
+	c.Bytes.Tails = r.remaining()
 	nTails, err := r.u64()
 	if err != nil {
 		return nil, err
@@ -275,6 +336,48 @@ func DecodeComposite(data []byte, names ...string) (*Composite, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// isUnchanged reads the unchanged form's inverted range, reporting
+// whether that is what r held.
+func isUnchanged(r *reader) bool {
+	lo, err := r.i64()
+	if err != nil || lo != unchangedLo {
+		return false
+	}
+	hi, err := r.i64()
+	return err == nil && hi == unchangedHi
+}
+
+// getSections decodes a full core's sections into c: the outer chain,
+// the flags, and the projection and join sections they announce.
+func getSections(r *reader, c *Composite) error {
+	var err error
+	if c.Outer, err = getAnswerBody(r); err != nil {
+		return err
+	}
+	flags, err := r.u8()
+	if err != nil {
+		return err
+	}
+	if flags&^(compFlagProj|compFlagJoin) != 0 {
+		return fmt.Errorf("%w: bad composite flags %#x", ErrCorrupt, flags)
+	}
+	c.Bytes.Outer = r.off
+	if flags&compFlagProj != 0 {
+		if c.Proj, err = getProjection(r, c.Outer); err != nil {
+			return err
+		}
+	}
+	mark := r.off
+	c.Bytes.Proj = mark - c.Bytes.Outer
+	if flags&compFlagJoin != 0 {
+		if c.Join, err = getJoin(r); err != nil {
+			return err
+		}
+	}
+	c.Bytes.Join = r.off - mark
+	return nil
 }
 
 // ---- projection section (§3.4) ----

@@ -20,33 +20,48 @@ import (
 
 func TestPlanReqRoundTrip(t *testing.T) {
 	rels := []RelSince{{Name: "outer", SinceSeq: 7}, {Name: "inner"}}
-	buf := AppendPlanReq(nil, []byte("plan-bytes"), rels)
-	plan, got, err := DecodePlanReq(buf, nil)
+	buf := AppendPlanReq(nil, []byte("plan-bytes"), rels, 0)
+	plan, got, held, err := DecodePlanReq(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(plan) != "plan-bytes" || !reflect.DeepEqual(got, rels) {
-		t.Fatalf("round trip %q %v", plan, got)
+	if string(plan) != "plan-bytes" || !reflect.DeepEqual(got, rels) || held != 0 {
+		t.Fatalf("round trip %q %v %#x", plan, got, held)
+	}
+	// A held answer's digest rides at the end, eight bytes, and is never 0.
+	withHeld := AppendPlanReq(nil, []byte("plan-bytes"), rels, 0xfeed)
+	if len(withHeld) != len(buf)+8 {
+		t.Fatalf("the digest costs %d bytes, want 8", len(withHeld)-len(buf))
+	}
+	if plan, got, held, err = DecodePlanReq(withHeld, nil); err != nil || string(plan) != "plan-bytes" || !reflect.DeepEqual(got, rels) || held != 0xfeed {
+		t.Fatalf("round trip with a digest: %q %v %#x %v", plan, got, held, err)
+	}
+	zero := append(buf[:len(buf):len(buf)], make([]byte, 8)...)
+	if _, _, _, err := DecodePlanReq(zero, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("an explicit zero digest: %v, want ErrCorrupt", err)
+	}
+	if _, _, _, err := DecodePlanReq(withHeld[:len(withHeld)-1], nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a truncated digest: %v, want ErrCorrupt", err)
 	}
 	// A plan names at most two relations, each by a name the planner would
 	// take: more positions, or a longer name, are refused on their count
 	// and length alone.
-	three := AppendPlanReq(nil, []byte("p"), []RelSince{{Name: "a"}, {Name: "b"}, {Name: "c"}})
-	if _, _, err := DecodePlanReq(three, nil); !errors.Is(err, ErrCorrupt) {
+	three := AppendPlanReq(nil, []byte("p"), []RelSince{{Name: "a"}, {Name: "b"}, {Name: "c"}}, 0)
+	if _, _, _, err := DecodePlanReq(three, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("three summary positions: %v, want ErrCorrupt", err)
 	}
-	long := AppendPlanReq(nil, []byte("p"), []RelSince{{Name: strings.Repeat("n", maxRelName+1)}})
-	if _, _, err := DecodePlanReq(long, nil); !errors.Is(err, ErrCorrupt) {
+	long := AppendPlanReq(nil, []byte("p"), []RelSince{{Name: strings.Repeat("n", maxRelName+1)}}, 0)
+	if _, _, _, err := DecodePlanReq(long, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("a %d-byte relation name: %v, want ErrCorrupt", maxRelName+1, err)
 	}
-	if _, got, err := DecodePlanReq(AppendPlanReq(nil, []byte("p"), []RelSince{{Name: strings.Repeat("n", maxRelName)}}), nil); err != nil || len(got) != 1 {
+	if _, got, _, err := DecodePlanReq(AppendPlanReq(nil, []byte("p"), []RelSince{{Name: strings.Repeat("n", maxRelName)}}, 0), nil); err != nil || len(got) != 1 {
 		t.Fatalf("a %d-byte relation name: %v", maxRelName, err)
 	}
 	// The count is refused before it sizes anything: a frame claiming 2^60
 	// positions is a few bytes long and must not allocate by them.
-	bomb := AppendPlanReq(nil, []byte("p"), nil)
+	bomb := AppendPlanReq(nil, []byte("p"), nil, 0)
 	binary.BigEndian.PutUint64(bomb[len(bomb)-8:], 1<<60)
-	if _, _, err := DecodePlanReq(bomb, nil); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := DecodePlanReq(bomb, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("position-count bomb: %v, want ErrCorrupt", err)
 	}
 }

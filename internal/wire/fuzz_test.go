@@ -81,15 +81,21 @@ func seedFrames(t testing.TB) [][]byte {
 			return bad
 		}(),
 		AppendWalRecord(nil, 11, 15, AppendUpdateMsg(nil, closeMsg)),
-		AppendPlanReq(nil, []byte("plan-bytes"), []RelSince{{Name: "outer", SinceSeq: 7}, {Name: "inner"}}),
+		AppendPlanReq(nil, []byte("plan-bytes"), []RelSince{{Name: "outer", SinceSeq: 7}, {Name: "inner"}}, 0),
+		// A repeat of a held answer names it by its core's digest; the
+		// server may answer it with the "unchanged" form, tails and all,
+		// or with none when the session is current.
+		AppendPlanReq(nil, []byte("plan-bytes"), []RelSince{{Name: "outer", SinceSeq: 7}}, CoreDigest(compBytes)),
+		AppendRelTails(AppendUnchanged(nil), comp.Tails),
+		AppendRelTails(AppendUnchanged(nil), []RelTail{{Rel: "outer"}}),
 		AppendRelSumsReq(nil, "inner", 42, -1),
 		AppendReplSubReq(nil, "inner", 12345),
 		AppendSummaries(nil, sums),
 		AppendSummaries(nil, []freshness.Summary{}),
 		// Requests the decoder refuses on a count or a length alone: a
 		// third summary position, a relation name no planner accepts.
-		AppendPlanReq(nil, []byte("plan-bytes"), []RelSince{{Name: "a"}, {Name: "b", SinceSeq: 9}, {Name: "c"}}),
-		AppendPlanReq(nil, []byte("p"), []RelSince{{Name: strings.Repeat("n", maxRelName+1), SinceSeq: 1 << 40}}),
+		AppendPlanReq(nil, []byte("plan-bytes"), []RelSince{{Name: "a"}, {Name: "b", SinceSeq: 9}, {Name: "c"}}, 0),
+		AppendPlanReq(nil, []byte("p"), []RelSince{{Name: strings.Repeat("n", maxRelName+1), SinceSeq: 1 << 40}}, 0),
 		AppendRelSumsReq(nil, strings.Repeat("n", maxRelName+1), 0, 123),
 		AppendReplSubReq(nil, strings.Repeat("n", maxRelName+1), 7),
 		AppendReplSubReq(nil, "", 7),
@@ -173,6 +179,9 @@ func checkDecodeAlloc(t *testing.T, data []byte, decode func()) {
 // chainViews lists the byte slices of a decoded chained answer that must
 // alias its frame.
 func chainViews(views [][]byte, ca *chain.Answer) [][]byte {
+	if ca == nil { // an unchanged reply has no sections
+		return views
+	}
 	recs := ca.Records
 	if ca.Anchor != nil {
 		recs = append(recs[:len(recs):len(recs)], ca.Anchor)
@@ -259,12 +268,19 @@ func FuzzDecodeRequests(f *testing.F) {
 		// planner could have named.
 		var rels []RelSince
 		var err error
-		checkDecodeAlloc(t, data, func() { _, rels, err = DecodePlanReq(data, nil) })
+		var held uint64
+		checkDecodeAlloc(t, data, func() { _, rels, held, err = DecodePlanReq(data, nil) })
 		if err != nil {
 			return
 		}
 		if len(rels) > maxPlanRels {
 			t.Fatalf("accepted %d summary positions", len(rels))
+		}
+		// What is accepted is canonical: a held digest is 0 only when
+		// absent, and the request re-encodes to itself.
+		plan, _, _, _ := DecodePlanReq(data, nil)
+		if !bytes.Equal(AppendPlanReq(nil, plan, rels, held), data) {
+			t.Fatalf("accepted plan request (held %#x) does not re-encode to itself", held)
 		}
 		for _, rs := range rels {
 			if len(rs.Name) > maxRelName {
@@ -290,6 +306,9 @@ func FuzzDecodeComposite(f *testing.F) {
 		}
 		if c == nil {
 			t.Fatal("nil composite without error")
+		}
+		if c.Unchanged && (c.Outer != nil || c.Proj != nil || c.Join != nil) {
+			t.Fatal("an unchanged reply decoded with sections")
 		}
 		re, err := AppendCompositeCore(nil, c)
 		if err != nil || !bytes.Equal(AppendRelTails(re, c.Tails), data) {

@@ -22,7 +22,7 @@ func TestKindsTable(t *testing.T) {
 		return b
 	}
 	frames := map[byte][]byte{
-		KindPlan:          AppendPlanReq(nil, []byte("p"), nil),
+		KindPlan:          AppendPlanReq(nil, []byte("p"), nil, 0),
 		KindSummaries:     AppendSummaries(nil, nil),
 		KindError:         AppendErrorCode(nil, ErrCodeGeneric, "x"),
 		KindUpdate:        AppendUpdateMsg(nil, &core.UpdateMsg{TS: 1}),
