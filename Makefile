@@ -3,7 +3,7 @@ GO      ?= go
 # 1M; the default keeps local runs short).
 BENCH_N ?= 100000
 
-.PHONY: all build test race vet lint authlint fence loc bench pairs serve clean
+.PHONY: all build test race vet lint authlint fence loc deadcode bench pairs serve clean
 
 all: build vet lint test
 
@@ -27,11 +27,16 @@ vet:
 authlint:
 	$(GO) run ./cmd/authlint ./...
 
-# The service must not depend on the paper reproduction: nothing
-# authserve, the server or the client link may live under
+# The service binaries — authserve, authdemo and the quickstart, remote
+# and trading examples — and the server and client packages they are
+# built from: what make deadcode measures.
+SERVICE = ./cmd/authserve ./cmd/authdemo ./examples/quickstart ./examples/remote ./examples/trading
+
+# The service must not depend on the paper reproduction: nothing the
+# service binaries, the server or the client link may live under
 # internal/repro/.
 fence:
-	@if $(GO) list -deps ./cmd/authserve ./internal/server ./internal/client | grep internal/repro/; then \
+	@if $(GO) list -deps $(SERVICE) ./internal/server ./internal/client | grep internal/repro/; then \
 		echo "the service imports the reproduction (packages above)"; exit 1; \
 	fi
 
@@ -42,6 +47,16 @@ loc:
 		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
 		| sort -k2
+
+# Function lines declared in the service's packages (internal/ outside
+# analysis/ and repro/) that none of the service binaries links, per
+# package, with the benchmark pins, faultnet, the renewal code ROADMAP
+# item 10 waits on and the packages the frozen benchmark imports counted
+# apart (tools/deadcode.sh). Fails when the rest exceeds DEADCODE_MAX,
+# the figure the last change reached: it may only fall.
+DEADCODE_MAX ?= 133
+deadcode:
+	@SERVICE="$(SERVICE)" bash tools/deadcode.sh -max $(DEADCODE_MAX)
 
 # Full static pass: go vet, the authlint invariant suite, the import
 # fence, and — when installed (CI pins them; nothing is downloaded

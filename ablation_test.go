@@ -164,7 +164,7 @@ func BenchmarkAblation_ChainAggregateProof(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := scheme.Aggregate(sigs); err != nil {
+		if _, err := scheme.AggregateInto(nil, sigs); err != nil {
 			b.Fatal(err)
 		}
 	}

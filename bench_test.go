@@ -22,8 +22,8 @@ import (
 	"authdb/internal/core"
 	"authdb/internal/digest"
 	"authdb/internal/freshness"
-	"authdb/internal/join"
 	"authdb/internal/repro/embtree"
+	"authdb/internal/repro/joinproof"
 	"authdb/internal/repro/sigcache"
 	"authdb/internal/repro/sim"
 	"authdb/internal/sigagg"
@@ -402,7 +402,7 @@ func benchAggregate(b *testing.B, scheme sigagg.Scheme, priv sigagg.PrivateKey, 
 			b.Fatal(err)
 		}
 	}
-	agg, err := scheme.Aggregate(sigs)
+	agg, err := scheme.AggregateInto(nil, sigs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func benchAggregate(b *testing.B, scheme sigagg.Scheme, priv sigagg.PrivateKey, 
 				b.Fatal(err)
 			}
 		} else {
-			if _, err := scheme.Aggregate(sigs); err != nil {
+			if _, err := scheme.AggregateInto(nil, sigs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -584,7 +584,7 @@ func BenchmarkFig4_ZSurface(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for ia := 1.0; ia <= 10; ia++ {
 			for ibp := 2.0; ibp <= 10; ibp++ {
-				_ = join.Z(ia, ibp)
+				_ = joinproof.Z(ia, ibp)
 			}
 		}
 	}

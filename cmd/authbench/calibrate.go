@@ -63,7 +63,7 @@ func measureScheme(scheme sigagg.Scheme) (cryptoCosts, error) {
 		}
 	})
 	c.AddOp = timeIt(20, func() {
-		if _, err := bound.Add(sig, sig); err != nil {
+		if _, err := bound.AggregateInto(nil, []sigagg.Signature{sig, sig}); err != nil {
 			panic(err)
 		}
 	})
@@ -82,7 +82,7 @@ func measureScheme(scheme sigagg.Scheme) (cryptoCosts, error) {
 			return cryptoCosts{}, err
 		}
 	}
-	agg, err := bound.Aggregate(sigs)
+	agg, err := bound.AggregateInto(nil, sigs)
 	if err != nil {
 		return cryptoCosts{}, err
 	}

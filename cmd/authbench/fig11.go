@@ -8,6 +8,7 @@ import (
 	"authdb/internal/bloom"
 	"authdb/internal/chain"
 	"authdb/internal/join"
+	"authdb/internal/repro/joinproof"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/wire"
@@ -19,7 +20,7 @@ import (
 // the TPC-E-like tables of §5.5 (NR=6850, NS=894000, IB=3425), varying
 // (a) the match ratio α, (b) the Bloom bits per distinct value m/IB,
 // (c) the partition granularity IB/p (with the filter-update time), and
-// (d) the selectivity on R. Every size is a verified join.Build section
+// (d) the selectivity on R. Every size is a verified joinproof.Build section
 // as wire encodes it, less the matched S records it carries.
 func runFig11(args []string) error {
 	fs := newFlags("fig11")
@@ -134,13 +135,13 @@ func runFig11(args []string) error {
 }
 
 // joinEnv is the §5.5 join's server side: Holding (S) chain-signed on the
-// join attribute, which may repeat — the relation join.Build serves.
+// join attribute, which may repeat — the relation joinproof.Build serves.
 type joinEnv struct {
 	tp     *workload.TPCE
 	scheme sigagg.Scheme
 	priv   sigagg.PrivateKey
 	pub    sigagg.PublicKey
-	s      *join.Relation
+	s      *joinproof.Relation
 	sB     []int64 // distinct S.B values, ascending
 }
 
@@ -148,7 +149,7 @@ func newJoinEnv(cfg workload.TPCEConfig) (*joinEnv, error) {
 	e := &joinEnv{tp: workload.NewTPCE(cfg), scheme: bas.New(0)}
 	e.priv, e.pub = mustKeys(e.scheme)
 	var err error
-	if e.s, err = join.BuildRelation(e.scheme, e.priv, e.tp.S); err != nil {
+	if e.s, err = joinproof.BuildRelation(e.scheme, e.priv, e.tp.S); err != nil {
 		return nil, err
 	}
 	e.sB = slices.Compact(e.s.Keys())
@@ -177,11 +178,11 @@ func (e *joinEnv) selectR(sel, alpha float64, seed int64) []int64 {
 // answer, not proof, and the encoder sizes them too, as the outer chain
 // of a frame of their own.
 func (e *joinEnv) proofBytes(method join.Method, raValues []int64, fc *join.FilterCert) (int, error) {
-	ans, err := join.Build(e.scheme, method, raValues, e.s, fc)
+	ans, err := joinproof.Build(e.scheme, method, raValues, e.s, fc)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := join.Verify(e.scheme, e.pub, raValues, ans); err != nil {
+	if _, err := joinproof.Verify(e.scheme, e.pub, raValues, ans); err != nil {
 		return 0, fmt.Errorf("%v proof rejected: %w", method, err)
 	}
 	var matched []*chain.Record

@@ -7,7 +7,7 @@ import (
 	"authdb/internal/workload"
 )
 
-// TestFig11ProofSizes: the sizes Fig. 11 prints are verified join.Build
+// TestFig11ProofSizes: the sizes Fig. 11 prints are verified joinproof.Build
 // sections, and they tell BF from BV where the paper's claim is decided.
 // With no selected key held (α = 0) BF ships Bloom negatives where BV
 // ships a run per key, and must be smaller; with every selected key held

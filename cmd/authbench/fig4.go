@@ -3,7 +3,7 @@ package main
 import (
 	"fmt"
 
-	"authdb/internal/join"
+	"authdb/internal/repro/joinproof"
 )
 
 // runFig4 regenerates Figure 4: the (IA/IB, IB/p) configurations for
@@ -25,9 +25,9 @@ func runFig4(args []string) error {
 	for _, ia := range []float64{1, 2, 4, 6, 8, 10} {
 		fmt.Printf("%8.0f | ", ia)
 		for _, ibp := range ibps {
-			z := join.Z(ia, ibp)
+			z := joinproof.Z(ia, ibp)
 			mark := " "
-			if z < join.ZThreshold {
+			if z < joinproof.ZThreshold {
 				mark = "*"
 			}
 			fmt.Printf("%6.3f%s ", z, mark)
@@ -42,7 +42,7 @@ func runFig4(args []string) error {
 		lo, hi := 1.0, 100.0
 		for i := 0; i < 60; i++ {
 			mid := (lo + hi) / 2
-			if join.Z(ia, mid) < join.ZThreshold {
+			if joinproof.Z(ia, mid) < joinproof.ZThreshold {
 				hi = mid
 			} else {
 				lo = mid

@@ -93,11 +93,11 @@ func measureAggregate(scheme sigagg.Scheme, n int) (agg, aggVerify time.Duration
 		}
 	}
 	agg = timeIt(1, func() {
-		if _, err := bound.Aggregate(sigs); err != nil {
+		if _, err := bound.AggregateInto(nil, sigs); err != nil {
 			panic(err)
 		}
 	})
-	combined, err := bound.Aggregate(sigs)
+	combined, err := bound.AggregateInto(nil, sigs)
 	if err != nil {
 		return 0, 0, err
 	}

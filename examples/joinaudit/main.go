@@ -19,6 +19,7 @@ import (
 
 	"authdb/internal/chain"
 	"authdb/internal/join"
+	"authdb/internal/repro/joinproof"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/wire"
 	"authdb/internal/workload"
@@ -40,11 +41,11 @@ func main() {
 	// The data aggregator chain-signs S on the join attribute and
 	// certifies a partitioned Bloom filter (IB/p = 4 values per
 	// partition, m/IB = 8 bits per value: FP ≈ 2.2%).
-	s, err := join.BuildRelation(scheme, priv, tp.S)
+	s, err := joinproof.BuildRelation(scheme, priv, tp.S)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fc, err := join.CertifyFilter(scheme, priv, s, 4, 8, 1)
+	fc, err := joinproof.CertifyFilter(scheme, priv, s, 4, 8, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,11 +61,11 @@ func main() {
 	// Build, verify and size both proofs.
 	var size [2]int
 	for _, method := range []join.Method{join.BV, join.BF} {
-		ans, err := join.Build(scheme, method, raValues, s, fc)
+		ans, err := joinproof.Build(scheme, method, raValues, s, fc)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := join.Verify(scheme, pub, raValues, ans)
+		res, err := joinproof.Verify(scheme, pub, raValues, ans)
 		if err != nil {
 			log.Fatalf("%v proof rejected: %v", method, err)
 		}
@@ -92,13 +93,13 @@ func main() {
 			break
 		}
 	}
-	forged, err := join.Build(scheme, join.BF, []int64{held + 1}, s, fc)
+	forged, err := joinproof.Build(scheme, join.BF, []int64{held + 1}, s, fc)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if len(forged.Negatives) == 1 {
 		forged.Negatives[0].Keys[0] = held // lie about which value was probed
-		if _, err := join.Verify(scheme, pub, []int64{held}, forged); err != nil {
+		if _, err := joinproof.Verify(scheme, pub, []int64{held}, forged); err != nil {
 			fmt.Printf("forged non-match claim rejected: %v\n", err)
 		} else {
 			log.Fatal("BUG: forged non-match accepted")

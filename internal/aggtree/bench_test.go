@@ -44,7 +44,7 @@ func entriesForBench(b *testing.B) []Entry {
 		benchEntries = make([]Entry, benchN)
 		run := base[0]
 		for i := range benchEntries {
-			if run, err = benchScheme.Add(run, base[(i*7+1)%len(base)]); err != nil {
+			if run, err = benchScheme.AggregateInto(nil, []sigagg.Signature{run, base[(i*7+1)%len(base)]}); err != nil {
 				b.Fatal(err)
 			}
 			benchEntries[i] = Entry{Key: int64(i), RID: uint64(i), Sig: run}

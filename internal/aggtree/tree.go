@@ -73,37 +73,6 @@ func New(scheme sigagg.Scheme) *Tree {
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.root.sz() }
 
-// Height returns the longest root-to-leaf path length (0 for an empty
-// tree), for balance diagnostics.
-func (t *Tree) Height() int { return height(t.root) }
-
-func height(n *node) int {
-	if n == nil {
-		return 0
-	}
-	l, r := height(n.left), height(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
-// Get returns the entry stored under key.
-func (t *Tree) Get(key int64) (Entry, bool) {
-	n := t.root
-	for n != nil {
-		switch {
-		case key < n.Key:
-			n = n.left
-		case key > n.Key:
-			n = n.right
-		default:
-			return n.Entry, true
-		}
-	}
-	return Entry{}, false
-}
-
 // Predecessor returns the entry with the largest key below key.
 func (t *Tree) Predecessor(key int64) (Entry, bool) {
 	var best *node
@@ -242,18 +211,6 @@ func balance(n *node) (*node, int) {
 	default:
 		return n, 0
 	}
-}
-
-// Upsert inserts the entry or replaces the signature, rid and payload
-// stored under its key: Put with the signature prepared here. A
-// malformed signature is rejected with the tree unchanged.
-func (t *Tree) Upsert(e Entry) (replaced bool, ops int, err error) {
-	leaf, err := t.prepare(e)
-	if err != nil {
-		return false, 0, err
-	}
-	replaced, ops = t.Put(e, leaf)
-	return replaced, ops, nil
 }
 
 // Put inserts the entry or replaces the one stored under its key, given
@@ -398,20 +355,6 @@ func (t *Tree) FoldRange(acc sigagg.Sum, lo, hi int64) (pieces int, err error) {
 		r = r.right
 	}
 	return pieces, nil
-}
-
-// AggRange returns the encoded aggregate signature over every entry
-// with lo <= key <= hi and the number of aggregation operations spent.
-// A range containing no entries yields a nil signature. It is FoldRange
-// into a fresh accumulator, encoded.
-func (t *Tree) AggRange(lo, hi int64) (sigagg.Signature, int, error) {
-	acc := t.folder.NewSum()
-	pieces, err := t.FoldRange(acc, lo, hi)
-	if err != nil || pieces == 0 {
-		return nil, 0, err
-	}
-	sig, err := acc.Encode(nil)
-	return sig, pieces - 1, err
 }
 
 // BulkLoad builds a perfectly balanced tree from entries strictly sorted

@@ -95,7 +95,7 @@ func (o *oracle) aggRange(t *testing.T, lo, hi int64) sigagg.Signature {
 	if len(sigs) == 0 {
 		return nil
 	}
-	agg, err := o.scheme.Aggregate(sigs)
+	agg, err := o.scheme.AggregateInto(nil, sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func (tr *Tree) validate(t *testing.T, scheme sigagg.Scheme) {
 			}
 		}
 		sigs := append(append(ls, n.Sig), rs...)
-		want, err := scheme.Aggregate(sigs)
+		want, err := scheme.AggregateInto(nil, sigs)
 		if err != nil {
 			t.Fatal(err)
 		}

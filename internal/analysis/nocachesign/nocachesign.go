@@ -1,7 +1,7 @@
 // Package nocachesign implements the authlint analyzer keeping the
 // signer/verifier separation of the PR 8 BAS fast path honest: signing
-// (Sign, SignBatch) and proof construction (AggregateInto, Add, Remove
-// and the sigagg.Folder methods Prepare, NewSum, Fold, Merge, Reset,
+// (Sign, SignBatch) and proof construction (AggregateInto, Remove and
+// the sigagg.Folder methods Prepare, NewSum, Fold, Merge, Reset,
 // Encode) must never reach the verification caches (the digest→point
 // cache `cache` and the per-public-key precomputation tables `tables`).
 // If signer-side work warmed or read those caches, the verification
@@ -30,7 +30,7 @@ import (
 // Analyzer is the nocachesign pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "nocachesign",
-	Doc:  "check that signing and proof construction (Sign/SignBatch/AggregateInto/Add/Remove and the Folder methods) never reach the verifier caches or per-key tables",
+	Doc:  "check that signing and proof construction (Sign/SignBatch/AggregateInto/Remove and the Folder methods) never reach the verifier caches or per-key tables",
 	Run:  run,
 }
 
@@ -38,7 +38,7 @@ var Analyzer = &analysis.Analyzer{
 // the no-cache contract.
 var entryPoints = map[string]bool{
 	"Sign": true, "SignBatch": true,
-	"AggregateInto": true, "Add": true, "Remove": true,
+	"AggregateInto": true, "Remove": true,
 	"Prepare": true, "NewSum": true, "Fold": true, "Merge": true, "Reset": true, "Encode": true,
 }
 

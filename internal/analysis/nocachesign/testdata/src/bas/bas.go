@@ -1,7 +1,7 @@
 // Fixtures for the nocachesign analyzer: the PR 8 BAS fast path keeps
 // verifier cache state (fields named cache / tables) out of signing
-// (Sign / SignBatch) and proof construction (AggregateInto / Add /
-// Remove and the Folder methods), directly and transitively.
+// (Sign / SignBatch) and proof construction (AggregateInto / Remove and
+// the Folder methods), directly and transitively.
 package bas
 
 type pointCache struct{ m map[string]int }
@@ -21,16 +21,17 @@ func (s *Scheme) decodeCached(x int) int {
 	return x
 }
 
-// Add is proof construction. Reading operands through the cache and
-// caching every intermediate sum is the shape it had until aggtree
-// stopped rebuilding through it: tens of thousands of garbage puts per
-// second on a serving process.
-func (s *Scheme) Add(x int) int { // want `signer entry point reaches verifier cache state: Add → decodeCached touches`
+// Remove is proof construction. Reading operands through the cache and
+// caching every intermediate sum is the shape a two-operand fold had
+// until aggtree stopped rebuilding through it: tens of thousands of
+// garbage puts per second on a serving process.
+func (s *Scheme) Remove(x int) int { // want `signer entry point reaches verifier cache state: Remove → decodeCached touches`
 	return s.decodeCached(x)
 }
 
-// Remove folds without the cache: no finding.
-func (s *Scheme) Remove(x int) int { return hashOnly(x) - x }
+// Add is no entry point (the schemes have no two-operand Add): no
+// finding.
+func (s *Scheme) Add(x int) int { return s.decodeCached(x) }
 
 // sum is the Folder accumulator; its methods are entry points whatever
 // the receiver.

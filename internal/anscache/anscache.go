@@ -188,19 +188,6 @@ const (
 	Coalesced
 )
 
-// String names the outcome.
-func (o Outcome) String() string {
-	switch o {
-	case Hit:
-		return "hit"
-	case Built:
-		return "built"
-	case Coalesced:
-		return "coalesced"
-	}
-	return "unknown"
-}
-
 // Stats are the cache's monotonic counters (read with Stats()).
 type Stats struct {
 	Hits          uint64 // lookups served from a resident entry
@@ -289,15 +276,6 @@ func WithMaxBytes(n int64) Option {
 	}
 }
 
-// WithShards sets the lock-domain count (rounded up to a power of two).
-func WithShards(n int) Option {
-	return func(c *config) {
-		if n >= 1 {
-			c.shards = n
-		}
-	}
-}
-
 // New creates a cache.
 func New(opts ...Option) *Cache {
 	cfg := config{maxBytes: DefaultMaxBytes, shards: defaultShards}
@@ -337,11 +315,6 @@ func hash(key Key) uint64 {
 	return h
 }
 
-// shardOf maps a key onto its lock domain.
-func (c *Cache) shardOf(key Key) *cshard {
-	return &c.shards[hash(key)&c.mask]
-}
-
 // seen records h's fingerprint in the doorkeeper and reports whether it
 // was already there. The fingerprint is never 0, the value of an empty
 // slot (fmix64 maps the range [0,0] to 0). Caller holds sh.mu.
@@ -373,25 +346,6 @@ func (c *Cache) lookup(sh *cshard, key Key) (e *Entry, ok bool, stale *Entry) {
 	sh.touch(e)
 	e.refs.Add(1)
 	return e, true, nil
-}
-
-// Get returns the resident, stamp-current entry for key, acquiring a
-// reference the caller must Release. A resident-but-stale entry is
-// dropped (counted as an invalidation) and reported as a miss.
-func (c *Cache) Get(key Key) (*Entry, bool) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	e, ok, stale := c.lookup(sh, key)
-	sh.mu.Unlock()
-	if stale != nil {
-		stale.Release() // the cache's residency reference
-	}
-	if !ok {
-		return nil, false
-	}
-	e.hits.Add(1)
-	c.hits.Add(1)
-	return e, true
 }
 
 // Do serves key through the full coalescing path: a current resident
@@ -619,40 +573,6 @@ func (sh *cshard) age() {
 		e.hits.Store(e.hits.Load() / 2)
 		scanned++
 	}
-}
-
-// Clear drops every resident entry, releasing the cache's residency
-// references; a reader still holding an entry keeps its bytes until it
-// releases them. In-flight builds are unaffected (their publications
-// will re-admit). Use when detaching a cache for good.
-func (c *Cache) Clear() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		dropped := make([]*Entry, 0, len(sh.entries))
-		for _, e := range sh.entries {
-			dropped = append(dropped, e)
-		}
-		for _, e := range dropped {
-			sh.drop(e)
-		}
-		sh.mu.Unlock()
-		for _, e := range dropped {
-			e.Release()
-		}
-	}
-}
-
-// Len reports the resident entry count.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // Stats snapshots the counters.

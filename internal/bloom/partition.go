@@ -116,15 +116,6 @@ func (pf *PartitionedFilter) Find(v int64) int {
 	return idx
 }
 
-// MayContain probes the partition covering v.
-func (pf *PartitionedFilter) MayContain(v int64) bool {
-	idx := pf.Find(v)
-	if idx < 0 {
-		return false
-	}
-	return pf.Partitions[idx].Filter.MayContainUint64(uint64(v))
-}
-
 // Digests returns the per-partition certification digests, which the data
 // aggregator signs (one signature per partition, aggregatable).
 func (pf *PartitionedFilter) Digests() []digest.Digest {

@@ -38,7 +38,7 @@ func signedAnswer(t *testing.T, scheme sigagg.Scheme, priv sigagg.PrivateKey, ba
 		}
 		sigs[i] = sig
 	}
-	agg, err := scheme.Aggregate(sigs)
+	agg, err := scheme.AggregateInto(nil, sigs)
 	if err != nil {
 		t.Fatal(err)
 	}

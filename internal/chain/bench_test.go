@@ -44,7 +44,7 @@ func BenchmarkVerify100(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	agg, err := scheme.Aggregate(sigs)
+	agg, err := scheme.AggregateInto(nil, sigs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func (f *fixture) answer(t *testing.T, lo, hi int64) *Answer {
 		}
 		sigs = append(sigs, f.sigs[anchorIdx])
 	}
-	agg, err := f.scheme.Aggregate(sigs)
+	agg, err := f.scheme.AggregateInto(nil, sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestVerifyDetectsDroppedInterior(t *testing.T) {
 			sigs = append(sigs, f.sigs[i])
 		}
 	}
-	a.Agg, _ = f.scheme.Aggregate(sigs)
+	a.Agg, _ = f.scheme.AggregateInto(nil, sigs)
 	err := Verify(f.scheme, f.pub, a)
 	if !errors.Is(err, sigagg.ErrVerify) {
 		t.Fatalf("dropped record: want ErrVerify, got %v", err)
@@ -155,7 +155,7 @@ func TestVerifyDetectsDroppedEdgeRecord(t *testing.T) {
 	// Drop the last qualifying record (40) and pretend the boundary is 50.
 	a.Records = a.Records[:2]
 	sigs := []sigagg.Signature{f.sigs[1], f.sigs[2]}
-	a.Agg, _ = f.scheme.Aggregate(sigs)
+	a.Agg, _ = f.scheme.AggregateInto(nil, sigs)
 	// Right boundary still claims 50; record 30's signature chains to 40,
 	// so verification must fail.
 	err := Verify(f.scheme, f.pub, a)
@@ -261,7 +261,7 @@ func TestDuplicateKeysChainByRID(t *testing.T) {
 	}
 	// Drop the middle duplicate.
 	a.Records = append(a.Records[:1:1], a.Records[2:]...)
-	a.Agg, _ = f.scheme.Aggregate([]sigagg.Signature{f.sigs[1], f.sigs[3]})
+	a.Agg, _ = f.scheme.AggregateInto(nil, []sigagg.Signature{f.sigs[1], f.sigs[3]})
 	err := Verify(f.scheme, f.pub, a)
 	if !errors.Is(err, sigagg.ErrVerify) {
 		t.Fatalf("dropped duplicate: want ErrVerify, got %v", err)

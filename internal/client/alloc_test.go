@@ -170,12 +170,12 @@ func planJoinFrame(tb testing.TB) ([]byte, *query.Spec, *client.Client) {
 	if err := spec.Validate(); err != nil {
 		tb.Fatal(err)
 	}
-	body, tails, release, err := eng.ServePlan(spec.Marshal(), nil)
+	sv, err := eng.Serve(spec.AppendTo(nil), nil, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	frame := append(append([]byte(nil), body...), tails...)
-	release()
+	frame := append(append([]byte(nil), sv.Body...), sv.Tails...)
+	sv.Release()
 	cl, err := client.NewSession(client.Config{Scheme: bas.New(0), Pub: outer.Pub, Relations: map[string]sigagg.PublicKey{"o": outer.Pub, "i": inner.Pub}, VerifyWorkers: 1})
 	if err != nil {
 		tb.Fatal(err)

@@ -13,6 +13,8 @@ import (
 	"authdb/internal/client"
 	"authdb/internal/core"
 	"authdb/internal/freshness"
+	"authdb/internal/join"
+	"authdb/internal/query"
 	"authdb/internal/server"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
@@ -376,6 +378,119 @@ func TestFrozenServerRefusedWithinRhoPlusSkew(t *testing.T) {
 				}
 			})
 		}
+	}
+	for _, warm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("negatives/warm=%v", warm), func(t *testing.T) { frozenInnerStream(t, warm) })
+	}
+}
+
+// frozenInnerStream: a BF join whose inner keys the Bloom filter alone
+// proves absent puts no chain under the inner relation, so only its
+// summary stream can date the answer. The server keeps the outer
+// relation current and withholds every inner close; ρ + δ past the first
+// withheld one, a clocked session refuses the negatives as stale.
+func frozenInnerStream(t *testing.T, warm bool) {
+	cat, err := core.NewCatalog(xortest.New(), heldCfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer, err := cat.AddRelation("o", nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := cat.AddRelation("i", nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliver := func(rel *core.Relation) func(*core.UpdateMsg, error) {
+		return func(msg *core.UpdateMsg, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rel.Deliver(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var orecs, irecs []*core.Record
+	for k := int64(10); k <= 600; k += 10 {
+		orecs = append(orecs, &core.Record{Key: k, Attrs: [][]byte{[]byte(fmt.Sprintf("o%d", k))}})
+		irecs = append(irecs, &core.Record{Key: 10_000 + k, Attrs: [][]byte{[]byte(fmt.Sprintf("i%d", k))}})
+	}
+	const now = 100
+	deliver(outer)(outer.DA.Load(orecs, 1))
+	deliver(inner)(inner.DA.Load(irecs, 1))
+	deliver(outer)(outer.DA.ClosePeriod(now))
+	deliver(inner)(inner.DA.ClosePeriod(now))
+	fc, err := inner.DA.CertifyFilter(8, 16, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inner.QS.Apply(&core.UpdateMsg{Filter: fc}); err != nil {
+		t.Fatal(err)
+	}
+	eng := query.NewEngine()
+	for name, rel := range map[string]*core.Relation{"o": outer, "i": inner} {
+		if err := eng.AddRelation(name, rel.QS); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := server.NewNetServer(outer.QS, server.NetConfig{})
+	srv.EnablePlans(eng)
+	ln, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	clock := int64(now)
+	cl, err := client.Dial(ln.Addr().String(), client.Config{
+		Scheme:    xortest.New(),
+		Pub:       outer.Pub,
+		Relations: map[string]sigagg.PublicKey{"o": outer.Pub, "i": inner.Pub},
+		Protocol:  heldCfg,
+		Now:       func() int64 { return clock },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	spec := &query.Spec{Rel: "o", Lo: 100, Hi: 200, Join: &query.JoinSpec{Rel: "i", Method: join.BF}}
+	queries := 1
+	if warm {
+		queries = 3
+	}
+	for i := 0; i < queries; i++ {
+		comp, err := cl.QueryPlan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(comp.Join.Runs) != 0 || len(comp.Join.Negatives) == 0 {
+			t.Fatalf("fixture: join section has %d runs and %d partitions, want Bloom negatives alone",
+				len(comp.Join.Runs), len(comp.Join.Negatives))
+		}
+	}
+	// Both owners close on schedule; only the outer relation's closes
+	// reach the server.
+	firstWithheld := int64(now) + heldCfg.Rho
+	for ts := firstWithheld; ts <= now+5*heldCfg.Rho; ts += heldCfg.Rho {
+		deliver(outer)(outer.DA.ClosePeriod(ts))
+		if _, err := inner.DA.ClosePeriod(ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock = now + heldCfg.Rho + heldCfg.Skew
+	if _, err := cl.QueryPlan(spec); err != nil {
+		t.Fatalf("the inner relation's newest summary is ρ + δ old, not older: %v", err)
+	}
+	clock = firstWithheld + heldCfg.Rho + heldCfg.Skew
+	if _, err := cl.QueryPlan(spec); !errors.Is(err, freshness.ErrStale) {
+		t.Fatalf("ρ + δ past the first withheld inner close: %v, want ErrStale", err)
 	}
 }
 

@@ -165,7 +165,7 @@ func (c *Client) fetch(specs []*query.Spec) ([]*wire.Composite, error) {
 	req := wire.GetBuffer()
 	defer func() { wire.PutBuffer(req) }()
 	var plan [planScratch]byte // marshalling scratch: a plan is some tens of bytes
-	var sent []*heldAnswer        // sent[i]: the held answer request i named by its digest; nil while none did
+	var sent []*heldAnswer     // sent[i]: the held answer request i named by its digest; nil while none did
 	for i, spec := range specs {
 		// Advertise, per named relation, the newest certified summary this
 		// session holds, so tails carry only deltas.
@@ -552,15 +552,21 @@ func (c *Client) verifyBatch(specs []*query.Spec, comps []*wire.Composite, held 
 	// certified summary, which this answer's tail just delivered. One ρ
 	// is the protocol's staleness unit; an older filter means the
 	// server skipped re-certification past a summary close and its
-	// negatives may hide newer inserts.
+	// negatives may hide newer inserts. A join answered by negatives
+	// alone puts no chain under the inner relation, so step 4 never held
+	// its stream to the clock: that is done here, by the same rule.
 	for i, p := range proofs {
 		if p.Negatives == 0 {
 			continue
 		}
 		spec := specs[i]
-		latest, ok := c.rels[spec.Join.Rel].verifier.LatestSummary()
+		v := c.rels[spec.Join.Rel].verifier
+		latest, ok := v.LatestSummary()
 		if !ok {
 			return nil, fmt.Errorf("%w: Bloom negatives without any certified summary for %q", ErrComposite, spec.Join.Rel)
+		}
+		if _, err := v.StreamAge(now); err != nil {
+			return nil, fmt.Errorf("client: relation %q: %w", spec.Join.Rel, err)
 		}
 		if lag := latest.TS - comps[i].Join.FilterTS; lag > c.cfg.Protocol.Rho {
 			return nil, fmt.Errorf("%w: join filter for %q certified at %d is %d behind the summary stream (ρ=%d)",

@@ -22,7 +22,6 @@ type Catalog struct {
 	cfg    Config
 	pool   *sigagg.Pool
 	byName map[string]*Relation
-	names  []string // insertion order
 }
 
 // Relation is one named member of a Catalog. Scheme is bound to this
@@ -100,14 +99,5 @@ func (c *Catalog) AddRelation(name string, rnd io.Reader, daOpts []DAOption, qsO
 		Pub:      pub,
 	}
 	c.byName[name] = rel
-	c.names = append(c.names, name)
 	return rel, nil
-}
-
-// Relation returns the named relation, or nil when absent.
-func (c *Catalog) Relation(name string) *Relation { return c.byName[name] }
-
-// Relations lists the relation names in insertion order.
-func (c *Catalog) Relations() []string {
-	return append([]string(nil), c.names...)
 }

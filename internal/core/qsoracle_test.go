@@ -274,7 +274,7 @@ func (o *qsOracle) answer(lo, hi int64) (*chain.Answer, int64) {
 			oldest = sr.Rec.TS
 		}
 	}
-	agg, err := o.scheme.Aggregate(sigs)
+	agg, err := o.scheme.AggregateInto(nil, sigs)
 	if err != nil {
 		o.t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"authdb/internal/anscache"
@@ -202,20 +203,32 @@ func TestServeInvalidationOnUpdate(t *testing.T) {
 	}
 }
 
+// countingScheme is xortest counting its AggregateInto calls: every
+// aggregation of a scheme without a native Folder goes through it.
+type countingScheme struct {
+	*xortest.Scheme
+	ops atomic.Uint64
+}
+
+func (c *countingScheme) AggregateInto(dst sigagg.Signature, sigs []sigagg.Signature) (sigagg.Signature, error) {
+	c.ops.Add(1)
+	return c.Scheme.AggregateInto(dst, sigs)
+}
+
 // TestServeCoalescing: K goroutines issue an identical cold range and
-// exactly one tree aggregation runs, asserted via xortest's
-// aggregation-op counters.
+// exactly one tree aggregation runs, asserted by counting the scheme's
+// aggregation calls.
 func TestServeCoalescing(t *testing.T) {
-	scheme := xortest.New()
+	scheme := &countingScheme{Scheme: xortest.New()}
 	fx := newScanFixture(t, scheme, 512)
 
 	// Reference: one walk of the exact range to learn its aggregation
 	// cost (a cache miss runs the same QueryStamped).
-	scheme.ResetAggOps()
+	scheme.ops.Store(0)
 	if _, _, err := fx.sys.QS.QueryStamped(10, 1500); err != nil {
 		t.Fatal(err)
 	}
-	oneWalk := scheme.AggOps()
+	oneWalk := scheme.ops.Load()
 	if oneWalk == 0 {
 		t.Fatal("reference walk performed no aggregation")
 	}
@@ -225,7 +238,7 @@ func TestServeCoalescing(t *testing.T) {
 	fx.source(t, 10, 1500)
 	plan := (&query.Spec{Rel: core.DefaultRelation, Lo: 10, Hi: 1500}).Marshal()
 	const K = 16
-	scheme.ResetAggOps()
+	scheme.ops.Store(0)
 	var start, wg sync.WaitGroup
 	start.Add(1)
 	for i := 0; i < K; i++ {
@@ -251,7 +264,7 @@ func TestServeCoalescing(t *testing.T) {
 	}
 	start.Done()
 	wg.Wait()
-	if got := scheme.AggOps(); got != oneWalk {
+	if got := scheme.ops.Load(); got != oneWalk {
 		t.Fatalf("%d identical cold requests cost %d aggregation ops, want exactly one walk (%d)",
 			K, got, oneWalk)
 	}

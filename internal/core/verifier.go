@@ -158,6 +158,25 @@ func (v *Verifier) CheckClaims(chains []*chain.Answer, projs []*projection.Answe
 	}, nil
 }
 
+// StreamAge holds the summary stream to the clock, the rule Staleness
+// applies before it looks at any record: a clocked verifier (UseClock)
+// refuses as stale a stream whose newest summary held closed more than
+// ρ + δ before now. It returns how long before now that close was — 0
+// when the verifier is unclocked or holds no summary.
+func (v *Verifier) StreamAge(now int64) (int64, error) {
+	latest, held := v.checker.Latest()
+	if !v.clocked || !held {
+		return 0, nil
+	}
+	limit := v.cfg.Rho + v.cfg.Skew
+	lag := now - latest.TS
+	if lag > limit {
+		return 0, fmt.Errorf("core: %w: the newest summary held closed at %d, %d before now (ρ+δ = %d): the stream has stopped",
+			freshness.ErrStale, latest.TS, lag, limit)
+	}
+	return max(lag, 0), nil
+}
+
 // Staleness bounds every disclosed record of one authenticated chain
 // against the certified summaries held (§3.1) and returns the worst
 // bound: ρ normally, 2ρ for a record certified in the most recent closed
@@ -171,16 +190,12 @@ func (v *Verifier) CheckClaims(chains []*chain.Answer, projs []*projection.Answe
 // is refused as stale, whatever the records say. The bound then counts
 // the time since that close (or that certification) on top.
 func (v *Verifier) Staleness(ca *chain.Answer, now int64) (int64, error) {
-	limit := v.cfg.Rho + v.cfg.Skew
-	var lag int64 // since the newest summary held closed; 0 without a clock
-	latest, held := v.checker.Latest()
-	if v.clocked && held {
-		if lag = now - latest.TS; lag > limit {
-			return 0, fmt.Errorf("core: %w: the newest summary held closed at %d, %d before now (ρ+δ = %d): the stream has stopped",
-				freshness.ErrStale, latest.TS, lag, limit)
-		}
-		lag = max(lag, 0)
+	lag, err := v.StreamAge(now) // since the newest summary held closed
+	if err != nil {
+		return 0, err
 	}
+	limit := v.cfg.Rho + v.cfg.Skew
+	_, held := v.checker.Latest()
 	var worst int64
 	check := func(rec *Record) error {
 		bound, err := v.checker.CheckFresh(slot(rec.RID), rec.TS, now, v.cfg.Rho)

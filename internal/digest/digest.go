@@ -45,15 +45,6 @@ func SumConcat(parts ...[]byte) Digest {
 	return d
 }
 
-// Combine hashes two child digests into a parent digest, as in a Merkle
-// tree internal node: h(left | right).
-func Combine(left, right Digest) Digest {
-	var buf [2 * Size]byte
-	copy(buf[:Size], left[:])
-	copy(buf[Size:], right[:])
-	return Sum(buf[:])
-}
-
 // A Writer accumulates fields into a canonical byte string for hashing or
 // signing. Every Put* method uses a fixed-width or length-prefixed
 // encoding, so distinct field sequences never serialize identically.

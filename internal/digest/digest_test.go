@@ -45,13 +45,6 @@ func TestSumConcatEmptyParts(t *testing.T) {
 	}
 }
 
-func TestCombineOrderMatters(t *testing.T) {
-	l, r := Sum([]byte("l")), Sum([]byte("r"))
-	if Combine(l, r) == Combine(r, l) {
-		t.Fatal("Combine must be order-sensitive")
-	}
-}
-
 func TestWriterCanonical(t *testing.T) {
 	w1 := NewWriter(0)
 	w1.PutUint64(7)
@@ -106,20 +99,6 @@ func TestQuickSumInjectiveish(t *testing.T) {
 			return Sum(a) == Sum(b)
 		}
 		return Sum(a) != Sum(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickCombineNoCollision(t *testing.T) {
-	f := func(a, b, c, d []byte) bool {
-		l1, r1 := Sum(a), Sum(b)
-		l2, r2 := Sum(c), Sum(d)
-		if l1 == l2 && r1 == r2 {
-			return Combine(l1, r1) == Combine(l2, r2)
-		}
-		return Combine(l1, r1) != Combine(l2, r2)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -17,8 +17,8 @@ const digestChunk = 64
 // fanned across the pool's workers and routed through the scheme's
 // batch primitives (CRT signing for condensed RSA, precomputed tables
 // for BAS), exactly like chained-record signing. The output is
-// byte-identical to calling SignRecord per record — parallelism and
-// batching change the schedule, never the signatures.
+// byte-identical to one scheme.Sign per attribute over its AttrDigest —
+// parallelism and batching change the schedule, never the signatures.
 //
 // attrs[i] are record i's attribute values, tss[i] its version
 // timestamp. Records may have different attribute counts; a record with

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"authdb/internal/digest"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/sigagg/xortest"
@@ -43,7 +44,7 @@ func TestSignRecordsByteIdentical(t *testing.T) {
 			}
 			want := make([][]sigagg.Signature, n)
 			for i := range rids {
-				want[i], err = SignRecord(tc.scheme, priv, rids[i], attrs[i], tss[i])
+				want[i], err = signSerial(tc.scheme, priv, rids[i], attrs[i], tss[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,6 +73,22 @@ func TestSignRecordsByteIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// signSerial is the definition SignRecords batches: one scheme.Sign per
+// attribute, over its AttrDigest.
+func signSerial(scheme sigagg.Scheme, priv sigagg.PrivateKey, rid uint64, attrs [][]byte, ts int64) ([]sigagg.Signature, error) {
+	sigs := make([]sigagg.Signature, len(attrs))
+	w := digest.NewWriter(64)
+	for i, a := range attrs {
+		d := AttrDigest(w, rid, i, a, ts)
+		sig, err := scheme.Sign(priv, d[:])
+		if err != nil {
+			return nil, err
+		}
+		sigs[i] = sig
+	}
+	return sigs, nil
 }
 
 func TestSignRecordsShapeMismatch(t *testing.T) {

@@ -33,24 +33,6 @@ func AttrDigest(w *digest.Writer, rid uint64, attrIdx int, value []byte, ts int6
 // a longer one grows it once.
 const preimageHint = 64
 
-// SignRecord produces the per-attribute signatures for a record. The
-// record-level signature is their aggregate.
-func SignRecord(scheme sigagg.Scheme, priv sigagg.PrivateKey,
-	rid uint64, attrs [][]byte, ts int64) ([]sigagg.Signature, error) {
-
-	sigs := make([]sigagg.Signature, len(attrs))
-	w := digest.NewWriter(preimageHint)
-	for i, a := range attrs {
-		d := AttrDigest(w, rid, i, a, ts)
-		sig, err := scheme.Sign(priv, d[:])
-		if err != nil {
-			return nil, fmt.Errorf("projection: sign attr %d of rid %d: %w", i, rid, err)
-		}
-		sigs[i] = sig
-	}
-	return sigs, nil
-}
-
 // Row is one projected record in an answer: the record identity plus the
 // values of the projected attributes. Only the values travel; a decoded
 // answer's rows take their identity from the chained records they are
@@ -159,10 +141,4 @@ func Verify(scheme sigagg.Scheme, pub sigagg.PublicKey, a *Answer) error {
 		return fmt.Errorf("%w: %v", sigagg.ErrVerify, err)
 	}
 	return scheme.AggregateVerify(pub, ds, a.Agg)
-}
-
-// VOSize is the proof overhead: one aggregate signature of sigSize bytes,
-// independent of both the number of projected and dropped attributes.
-func (a *Answer) VOSize(sigSize int) int {
-	return sigSize
 }

@@ -33,12 +33,12 @@ func newFixture(t *testing.T, nRecords, nAttrs int) *fixture {
 		for i := range attrs {
 			attrs[i] = []byte(fmt.Sprintf("r%d-a%d", r, i))
 		}
-		sigs, err := SignRecord(scheme, priv, rid, attrs, 100)
+		sigs, err := SignRecords(sigagg.NewPool(scheme, 1), priv, []uint64{rid}, [][][]byte{attrs}, []int64{100})
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.attrs[rid] = attrs
-		f.sigs[rid] = sigs
+		f.sigs[rid] = sigs[0]
 	}
 	return f
 }
@@ -94,7 +94,7 @@ func TestNonContiguousAttributes(t *testing.T) {
 		t.Fatalf("Verify: %v", err)
 	}
 	// VO is a single signature regardless of attribute scatter.
-	if a.VOSize(f.scheme.SignatureSize()) != f.scheme.SignatureSize() {
+	if len(a.Agg) != f.scheme.SignatureSize() {
 		t.Fatal("projection VO must be one signature")
 	}
 }
@@ -194,11 +194,11 @@ func BenchmarkProjectionBuild(b *testing.B) {
 	ops := make([][]sigagg.Operand, nRows)
 	for i := range rows {
 		attrs := [][]byte{[]byte(fmt.Sprintf("a-%d", i)), []byte(fmt.Sprintf("b-%d", i))}
-		sigs, err := SignRecord(scheme, priv, uint64(i+1), attrs, 100)
+		sigs, err := SignRecords(sigagg.NewPool(scheme, 1), priv, []uint64{uint64(i + 1)}, [][][]byte{attrs}, []int64{100})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if ops[i], err = sigagg.PrepareAll(sigagg.FolderFor(scheme), sigs); err != nil {
+		if ops[i], err = sigagg.PrepareAll(sigagg.FolderFor(scheme), sigs[0]); err != nil {
 			b.Fatal(err)
 		}
 		rows[i] = Row{RID: uint64(i + 1), TS: 100, Values: attrs[1:]}

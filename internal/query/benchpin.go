@@ -3,6 +3,7 @@ package query
 import (
 	"authdb/internal/core"
 	"authdb/internal/join"
+	"authdb/internal/wire"
 )
 
 // This file holds names benchmark/ compiles against and nothing else
@@ -35,4 +36,34 @@ func (e *Engine) SetFilter(name string, fc *join.FilterCert) error {
 		return err
 	}
 	return rv.qs.Apply(&core.UpdateMsg{Filter: fc})
+}
+
+// Marshal encodes the plan canonically.
+//
+// Compiled by benchmark/ only; ROADMAP item 2 deletes this.
+func (s *Spec) Marshal() []byte {
+	return s.AppendTo(make([]byte, 0, 64))
+}
+
+// Execute runs the plan.
+//
+// Compiled by benchmark/ only; ROADMAP item 2 deletes this.
+func (e *Engine) Execute(p *Spec) (*Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	r, _, err := e.exec(p)
+	return r, err
+}
+
+// ServePlan is Serve, for a request that names no held answer, for
+// callers that take the release as a function.
+//
+// Compiled by benchmark/ only; ROADMAP item 2 deletes this.
+func (e *Engine) ServePlan(planBytes []byte, since []wire.RelSince) (body, tails []byte, release func(), err error) {
+	sv, err := e.Serve(planBytes, since, 0)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return sv.Body, sv.Tails, sv.Release, nil
 }

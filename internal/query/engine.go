@@ -125,15 +125,6 @@ type relOldest struct {
 	ts int64
 }
 
-// Execute runs the plan.
-func (e *Engine) Execute(p *Spec) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	r, _, err := e.exec(p)
-	return r, err
-}
-
 // exec runs the plan and returns, beside the result, the stamp a cached
 // copy of it is valid under. The rule: a composite is stale only where
 // its execution read. The stamp holds
@@ -417,16 +408,6 @@ func (sv *Served) releaseBody() {
 	case sv.Body != nil:
 		wire.PutBuffer(sv.Body)
 	}
-}
-
-// ServePlan is Serve, for a request that names no held answer, for
-// callers that take the release as a function.
-func (e *Engine) ServePlan(planBytes []byte, since []wire.RelSince) (body, tails []byte, release func(), err error) {
-	sv, err := e.Serve(planBytes, since, 0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return sv.Body, sv.Tails, sv.Release, nil
 }
 
 // built is what an answer-cache entry keeps beside the encoded core: what

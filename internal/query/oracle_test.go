@@ -232,7 +232,7 @@ func (o *oracle) check(step int, did string) {
 	o.t.Helper()
 	for p, plan := range o.plans {
 		before := o.cached.Stats().Cache
-		got, gotTails, release, err := o.cached.ServePlan(plan, nil)
+		got, gotTails, release, err := servePlan(o.cached, plan, nil)
 		if o.leaves[p] != nil {
 			after := o.cached.Stats().Cache
 			o.scanHits += after.Hits - before.Hits
@@ -241,7 +241,7 @@ func (o *oracle) check(step int, did string) {
 		if err != nil {
 			o.t.Fatalf("step %d (%s): cached engine, plan %s: %v", step, did, o.names[p], err)
 		}
-		want, wantTails, releaseBare, err := o.bare.ServePlan(plan, nil)
+		want, wantTails, releaseBare, err := servePlan(o.bare, plan, nil)
 		if err != nil {
 			o.t.Fatalf("step %d (%s): uncached engine, plan %s: %v", step, did, o.names[p], err)
 		}

@@ -53,7 +53,7 @@ const (
 )
 
 // Validate is the one rule book for a plan, whether built in process
-// (a client, Engine.Execute) or received (UnmarshalPlan): everything it
+// (a client) or received (UnmarshalPlan): everything it
 // accepts the encoding carries exactly.
 func (s *Spec) Validate() error {
 	if s == nil {
@@ -112,11 +112,6 @@ func checkRel(n int) error {
 // Every field is read back as written and nothing else is accepted, so a
 // plan the decoder accepts re-encodes to its own bytes and those bytes
 // are a valid cache key.
-
-// Marshal encodes the plan canonically.
-func (s *Spec) Marshal() []byte {
-	return s.AppendTo(make([]byte, 0, 64))
-}
 
 // AppendTo appends the plan's canonical encoding to buf. Only a plan
 // Validate accepts is encoded faithfully.

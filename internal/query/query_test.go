@@ -17,6 +17,7 @@ import (
 	"authdb/internal/freshness"
 	"authdb/internal/join"
 	"authdb/internal/projection"
+	"authdb/internal/repro/joinproof"
 	"authdb/internal/sigagg/xortest"
 	"authdb/internal/wire"
 )
@@ -129,7 +130,7 @@ func (fx *fixture) checkComposite(comp *wire.Composite, lo, hi, now int64, osums
 	}
 	// The join section: every outer key resolved exactly once, nothing
 	// extra disclosed, every run and every listed partition authentic.
-	if _, err := join.Verify(fx.inner.Scheme, fx.inner.Pub, join.OuterKeys(comp.Outer.Records), comp.Join); err != nil {
+	if _, err := joinproof.Verify(fx.inner.Scheme, fx.inner.Pub, join.OuterKeys(comp.Outer.Records), comp.Join); err != nil {
 		return fmt.Errorf("join: %w", err)
 	}
 	if len(comp.Join.Runs) > 0 {
@@ -178,15 +179,15 @@ func joined(t *testing.T, comp *wire.Composite) (matched map[int64][]*chain.Reco
 
 func TestSelectProjectJoinBF(t *testing.T) {
 	fx := newFixture(t)
-	res, err := fx.eng.Execute(fx.spec(join.BF))
+	comp, err := serve(fx.eng, fx.spec(join.BF))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.verifyComposite(t, res.Comp, 105, 695, 1_000)
-	if got := len(res.Comp.Outer.Records); got != 59 { // 110..690 step 10
+	fx.verifyComposite(t, comp, 105, 695, 1_000)
+	if got := len(comp.Outer.Records); got != 59 { // 110..690 step 10
 		t.Fatalf("%d outer records, want 59", got)
 	}
-	matched, absent := joined(t, res.Comp)
+	matched, absent := joined(t, comp)
 	if len(matched) != 20 || len(absent) != 39 { // 120..690 step 30
 		t.Fatalf("%d matches and %d absent keys, want 20 and 39", len(matched), len(absent))
 	}
@@ -198,21 +199,21 @@ func TestSelectProjectJoinBF(t *testing.T) {
 	// the last key the filter admits is one scan; only negatives outside
 	// it are answered from the certificate.
 	negs := 0
-	for _, g := range res.Comp.Join.Negatives {
+	for _, g := range comp.Join.Negatives {
 		negs += len(g.Keys)
 	}
-	if st.JoinProbes != 1 || len(res.Comp.Join.Runs) != 1 || uint64(negs) != st.BFNegatives {
+	if st.JoinProbes != 1 || len(comp.Join.Runs) != 1 || uint64(negs) != st.BFNegatives {
 		t.Fatalf("%d scans for %d runs, %d negatives listed for %d counted; want 1 scan, 1 run",
-			st.JoinProbes, len(res.Comp.Join.Runs), negs, st.BFNegatives)
+			st.JoinProbes, len(comp.Join.Runs), negs, st.BFNegatives)
 	}
 	if st.ProjRows != 59 {
 		t.Fatalf("%d projected rows counted", st.ProjRows)
 	}
 	// Projection selected slot 0 of each record.
-	for i, rec := range res.Comp.Outer.Records {
+	for i, rec := range comp.Outer.Records {
 		want := fmt.Sprintf("name-%d", rec.Key)
-		if !bytes.Equal(res.Comp.Proj.Rows[i].Values[0], []byte(want)) {
-			t.Fatalf("row %d: %q, want %q", i, res.Comp.Proj.Rows[i].Values[0], want)
+		if !bytes.Equal(comp.Proj.Rows[i].Values[0], []byte(want)) {
+			t.Fatalf("row %d: %q, want %q", i, comp.Proj.Rows[i].Values[0], want)
 		}
 	}
 }
@@ -221,14 +222,14 @@ func TestSelectJoinBVSerialMatchesParallel(t *testing.T) {
 	fx := newFixture(t)
 	spec := fx.spec(join.BV)
 	spec.Attrs = nil
-	res, err := fx.eng.Execute(spec)
+	comp, err := serve(fx.eng, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.verifyComposite(t, res.Comp, 105, 695, 1_000)
+	fx.verifyComposite(t, comp, 105, 695, 1_000)
 	// A BV join ships no negatives, and against an inner relation whose
 	// keys are all outer keys its 59 keys are one run.
-	if j := res.Comp.Join; len(j.Negatives) != 0 || j.FilterTS != 0 || len(j.Runs) != 1 || j.Runs[0].Lo != 110 || j.Runs[0].Hi != 690 {
+	if j := comp.Join; len(j.Negatives) != 0 || j.FilterTS != 0 || len(j.Runs) != 1 || j.Runs[0].Lo != 110 || j.Runs[0].Hi != 690 {
 		t.Fatalf("BV join section: %d runs, %d partitions, FilterTS %d; want the one run [110,690]", len(j.Runs), len(j.Negatives), j.FilterTS)
 	}
 	if st := fx.eng.Stats(); st.JoinProbes != 1 {
@@ -243,18 +244,18 @@ func TestSelectJoinBVSerialMatchesParallel(t *testing.T) {
 func TestDenseInnerDegeneratesToPointRuns(t *testing.T) {
 	fx := newFixture(t)
 	spec := &Spec{Rel: "i", Lo: 100, Hi: 700, Join: &JoinSpec{Rel: "o", Method: join.BV}}
-	res, err := fx.eng.Execute(spec.mustPlan(t))
+	comp, err := serve(fx.eng, spec.mustPlan(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fx.swapped().checkComposite(res.Comp, 100, 700, 1_000, fx.inner.QS.SummariesTail(0, 0), fx.outer.QS.SummariesTail(0, 0)); err != nil {
+	if err := fx.swapped().checkComposite(comp, 100, 700, 1_000, fx.inner.QS.SummariesTail(0, 0), fx.outer.QS.SummariesTail(0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	keys := join.OuterKeys(res.Comp.Outer.Records)
-	if len(res.Comp.Join.Runs) != len(keys) {
-		t.Fatalf("%d runs for %d outer keys", len(res.Comp.Join.Runs), len(keys))
+	keys := join.OuterKeys(comp.Outer.Records)
+	if len(comp.Join.Runs) != len(keys) {
+		t.Fatalf("%d runs for %d outer keys", len(comp.Join.Runs), len(keys))
 	}
-	for i, run := range res.Comp.Join.Runs {
+	for i, run := range comp.Join.Runs {
 		if run.Lo != keys[i] || run.Hi != keys[i] || len(run.Records) != 1 {
 			t.Fatalf("run %d is [%d,%d] with %d records, want the point %d", i, run.Lo, run.Hi, len(run.Records), keys[i])
 		}
@@ -371,6 +372,27 @@ func (s *Spec) mustPlan(t *testing.T) *Spec {
 	return s
 }
 
+// serve runs spec through the serving path, Engine.Serve, and decodes
+// the reply as a client would.
+func serve(e *Engine, spec *Spec) (*wire.Composite, error) {
+	sv, err := e.Serve(spec.AppendTo(nil), nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer sv.Release()
+	return wire.DecodeComposite(append(bytes.Clone(sv.Body), sv.Tails...))
+}
+
+// servePlan is Serve for a request that names no held answer, with the
+// release as a function.
+func servePlan(e *Engine, plan []byte, since []wire.RelSince) (body, tails []byte, release func(), err error) {
+	sv, err := e.Serve(plan, since, 0)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return sv.Body, sv.Tails, sv.Release, nil
+}
+
 // decodeServed reassembles what a client receives: the cached core and
 // the per-client tails arrive as one frame payload.
 func decodeServed(t *testing.T, body, tails []byte) *wire.Composite {
@@ -397,7 +419,7 @@ func TestCacheInvalidationOnInnerUpdate(t *testing.T) {
 	}
 
 	fx.serve(t, plan) // a first sighting: served, not kept
-	body, tails, release, err := fx.eng.ServePlan(plan, nil)
+	body, tails, release, err := servePlan(fx.eng, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +438,7 @@ func TestCacheInvalidationOnInnerUpdate(t *testing.T) {
 	// Same plan again: a pure cache hit, and a caught-up client's tail
 	// shrinks to the echoed stream tip (rollback evidence).
 	tip := first.Tails[0].Summaries[len(first.Tails[0].Summaries)-1]
-	body, tails, release, err = fx.eng.ServePlan(plan, []wire.RelSince{{Name: "i", SinceSeq: tip.Seq}})
+	body, tails, release, err = servePlan(fx.eng, plan, []wire.RelSince{{Name: "i", SinceSeq: tip.Seq}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +469,7 @@ func TestCacheInvalidationOnInnerUpdate(t *testing.T) {
 	if err := fx.inner.QS.Apply(&core.UpdateMsg{Filter: fc}); err != nil {
 		t.Fatal(err)
 	}
-	body, tails, release, err = fx.eng.ServePlan(plan, nil)
+	body, tails, release, err = servePlan(fx.eng, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +491,7 @@ func TestCacheInvalidationOnInnerUpdate(t *testing.T) {
 // client would receive.
 func (fx *fixture) serve(t *testing.T, plan []byte) *wire.Composite {
 	t.Helper()
-	body, tails, release, err := fx.eng.ServePlan(plan, nil)
+	body, tails, release, err := servePlan(fx.eng, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +629,7 @@ func TestScanSplitsAtRecordThatJoinsNothing(t *testing.T) {
 		if err := fx.eng.scanRuns(&js, [][2]int{{first, last}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := join.Verify(fx.inner.Scheme, fx.inner.Pub, js.keys, js.ja); err != nil {
+		if _, err := joinproof.Verify(fx.inner.Scheme, fx.inner.Pub, js.keys, js.ja); err != nil {
 			t.Fatalf("%v: the shipped section does not verify: %v", method, err)
 		}
 		if n := len(js.ja.Runs); n != 3 {
@@ -721,7 +743,7 @@ func TestPlanCacheEntriesExactlySized(t *testing.T) {
 		plan := spec.mustPlan(t).Marshal()
 		var built []byte
 		for i := 0; i < 3; i++ { // a first sighting, the request that admits it, a hit
-			body, _, release, err := fx.eng.ServePlan(plan, nil)
+			body, _, release, err := servePlan(fx.eng, plan, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -757,7 +779,7 @@ func TestCacheInvalidationOnFilterSwap(t *testing.T) {
 	fx := newFixture(t)
 	plan := fx.spec(join.BF).mustPlan(t).Marshal()
 	for i := 0; i < 3; i++ { // a first sighting, the second request that admits it, a hit
-		_, _, release, err := fx.eng.ServePlan(plan, nil)
+		_, _, release, err := servePlan(fx.eng, plan, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -773,7 +795,7 @@ func TestCacheInvalidationOnFilterSwap(t *testing.T) {
 	if err := fx.inner.QS.Apply(&core.UpdateMsg{Filter: fc}); err != nil {
 		t.Fatal(err)
 	}
-	body, tails, release, err := fx.eng.ServePlan(plan, nil)
+	body, tails, release, err := servePlan(fx.eng, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -832,7 +854,7 @@ func TestConcurrentPlansAndUpdates(t *testing.T) {
 				wantTS[i], wantIn[i] = committed[i].Load(), inserted[i].Load()
 			}
 			settled := writerDone.Load()
-			body, tails, release, err := fx.eng.ServePlan(plans[p], nil)
+			body, tails, release, err := servePlan(fx.eng, plans[p], nil)
 			if err != nil {
 				return err
 			}
@@ -982,11 +1004,11 @@ func TestServeRelSummaries(t *testing.T) {
 
 func TestUnknownRelationAndMissingFilter(t *testing.T) {
 	fx := newFixture(t)
-	if _, err := fx.eng.Execute((&Spec{Rel: "ghost", Lo: 0, Hi: 1}).mustPlan(t)); err == nil {
+	if _, err := serve(fx.eng, (&Spec{Rel: "ghost", Lo: 0, Hi: 1}).mustPlan(t)); err == nil {
 		t.Fatal("unknown outer relation accepted")
 	}
 	spec := &Spec{Rel: "i", Lo: 0, Hi: 900, Join: &JoinSpec{Rel: "o", Method: join.BF}}
-	if _, err := fx.eng.Execute(spec.mustPlan(t)); err == nil {
+	if _, err := serve(fx.eng, spec.mustPlan(t)); err == nil {
 		t.Fatal("BF join without a certified filter accepted")
 	}
 }

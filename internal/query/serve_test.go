@@ -33,7 +33,7 @@ func TestServePlanRefusesStraySince(t *testing.T) {
 		{"join, inner twice", joined, []wire.RelSince{{Name: "i"}, {Name: "i", SinceSeq: 1}}, "two summary positions"},
 		{"join, a third relation", joined, []wire.RelSince{{Name: "o"}, {Name: "x"}}, "does not name"},
 	} {
-		_, _, release, err := fx.eng.ServePlan(tc.plan, tc.since)
+		_, _, release, err := servePlan(fx.eng, tc.plan, tc.since)
 		if err == nil {
 			release()
 		}
@@ -58,7 +58,7 @@ func TestBareScanServedByTheEngineCache(t *testing.T) {
 	}
 	serve := func(eng *Engine) (*wire.Composite, []byte) {
 		t.Helper()
-		body, tails, release, err := eng.ServePlan(plan, nil)
+		body, tails, release, err := servePlan(eng, plan, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestOneCacheServesEveryRelation(t *testing.T) {
 	serve := func(spec *Spec) (bodyLen, keyLen int) {
 		t.Helper()
 		plan := spec.mustPlan(t).Marshal()
-		body, _, release, err := fx.eng.ServePlan(plan, nil)
+		body, _, release, err := servePlan(fx.eng, plan, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestServeConfirmsAHeldAnswer(t *testing.T) {
 	if err := uncachedEng.AddRelation("o", fx.outer.QS); err != nil {
 		t.Fatal(err)
 	}
-	full, _, release, err := fx.eng.ServePlan(plan, nil)
+	full, _, release, err := servePlan(fx.eng, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestServeConfirmsAHeldAnswer(t *testing.T) {
 func TestConfirmationsRace(t *testing.T) {
 	fx := newFixture(t)
 	plan := (&Spec{Rel: "o", Lo: 105, Hi: 305}).mustPlan(t).Marshal()
-	body, _, release, err := fx.eng.ServePlan(plan, nil)
+	body, _, release, err := servePlan(fx.eng, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

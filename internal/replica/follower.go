@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -66,11 +65,6 @@ type Follower struct {
 	bootstraps atomic.Uint64
 	records    atomic.Uint64
 	reconnects atomic.Uint64
-
-	mu      sync.Mutex
-	paused  bool
-	unpause chan struct{}
-	curConn net.Conn
 }
 
 // NewFollower builds a follower with an empty QueryServer.
@@ -133,43 +127,6 @@ func (f *Follower) Stats() FollowerStats {
 	}
 }
 
-// Pause suspends the feed (the current session is torn down and no new
-// one is dialed), freezing the follower's state so it serves an
-// increasingly stale catalog — the chaos harness uses this to hold a
-// replica artificially lagged. Serving continues throughout.
-func (f *Follower) Pause() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.paused {
-		return
-	}
-	f.paused = true
-	f.unpause = make(chan struct{})
-	if f.curConn != nil {
-		f.curConn.Close()
-	}
-}
-
-// Resume lifts a Pause; the feed redials and catches up.
-func (f *Follower) Resume() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.paused {
-		return
-	}
-	f.paused = false
-	close(f.unpause)
-	f.unpause = nil
-}
-
-// pauseGate returns the channel a paused feed waits on (nil when
-// running).
-func (f *Follower) pauseGate() chan struct{} {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.unpause
-}
-
 // Run drives the feed until ctx is done: dial the primary, subscribe
 // after the last applied LSN, apply the stream, and on any failure
 // back off and redial — resubscription is always safe because the
@@ -180,13 +137,6 @@ func (f *Follower) Run(ctx context.Context, primaryAddr string) error {
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
-		}
-		if gate := f.pauseGate(); gate != nil {
-			select {
-			case <-gate:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
 		}
 		beforeApplied, beforeBoot := f.applied.Load(), f.bootstraps.Load()
 		err := f.session(ctx, primaryAddr)
@@ -210,16 +160,13 @@ func (f *Follower) Run(ctx context.Context, primaryAddr string) error {
 	}
 }
 
-// session runs one feed connection until it fails or ctx/Pause tears
-// it down.
+// session runs one feed connection until it fails or ctx tears it
+// down.
 func (f *Follower) session(ctx context.Context, addr string) error {
 	conn, err := net.DialTimeout("tcp", addr, f.cfg.DialTimeout)
 	if err != nil {
 		return err
 	}
-	f.mu.Lock()
-	f.curConn = conn
-	f.mu.Unlock()
 	done := make(chan struct{})
 	defer close(done)
 	go func() {
@@ -229,14 +176,7 @@ func (f *Follower) session(ctx context.Context, addr string) error {
 		case <-done:
 		}
 	}()
-	defer func() {
-		f.mu.Lock()
-		if f.curConn == conn {
-			f.curConn = nil
-		}
-		f.mu.Unlock()
-		conn.Close()
-	}()
+	defer conn.Close()
 
 	req := wire.AppendReplSubReq(wire.GetBuffer(), f.cfg.Rel, f.applied.Load())
 	werr := wire.WriteFrame(conn, req)

@@ -10,6 +10,7 @@ import (
 
 	"authdb/internal/client"
 	"authdb/internal/core"
+	"authdb/internal/faultnet"
 	"authdb/internal/join"
 	"authdb/internal/query"
 	"authdb/internal/replica"
@@ -353,27 +354,34 @@ func TestFollowerServesProjectionFromImage(t *testing.T) {
 	})
 }
 
-// TestFollowerPauseResume: Pause freezes the replica (the chaos
-// harness's artificial lag), Resume catches it back up.
+// TestFollowerPauseResume: a follower whose feed is cut — the fleet
+// harness's artificial lag, a faultnet proxy refusing its redials —
+// freezes; once the feed is back it catches up.
 func TestFollowerPauseResume(t *testing.T) {
 	f, shutdown := newPrimary(t, 200, true)
 	defer shutdown()
 	fl := newTestFollower(t, f)
+	feed, err := faultnet.NewProxy(f.addr, faultnet.Profile{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer feed.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go fl.Run(ctx, f.addr)
+	go fl.Run(ctx, feed.Addr())
 	waitUntil(t, "catch-up", func() bool { return caughtUp(f, fl) })
 
-	fl.Pause()
+	feed.SetUpstream("127.0.0.1:1") // nothing listens: every redial is refused
+	feed.DropAll()
 	frozen := fl.AppliedLSN()
 	for i := 0; i < 5; i++ {
 		f.update(t, f.keys[20+i])
 	}
 	time.Sleep(50 * time.Millisecond) // the feed must NOT advance
 	if fl.AppliedLSN() != frozen {
-		t.Fatalf("paused follower advanced: %d -> %d", frozen, fl.AppliedLSN())
+		t.Fatalf("cut-off follower advanced: %d -> %d", frozen, fl.AppliedLSN())
 	}
-	fl.Resume()
+	feed.SetUpstream(f.addr)
 	waitUntil(t, "post-resume catch-up", func() bool { return caughtUp(f, fl) })
 }
 

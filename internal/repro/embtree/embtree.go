@@ -18,7 +18,7 @@ import (
 	"sort"
 
 	"authdb/internal/digest"
-	"authdb/internal/mht"
+	"authdb/internal/repro/embtree/mht"
 	"authdb/internal/storage"
 )
 

@@ -2,8 +2,8 @@
 // the paper): a binary hash tree over a list of leaf digests, with proofs
 // for single leaves and for contiguous leaf ranges.
 //
-// Range proofs are what the EMB-tree baseline (package embtree) embeds in
-// each B+-tree node: the proof for leaves [a,b] is the minimal set of
+// Range proofs are what the EMB-tree baseline (package embtree, this
+// package's only importer) embeds in each B+-tree node: the proof for leaves [a,b] is the minimal set of
 // sibling digests needed to recompute the root, consumed in a
 // deterministic DFS order so no shape metadata needs to be transmitted.
 package mht
@@ -34,7 +34,16 @@ func subRoot(leaves []digest.Digest, lo, hi int) digest.Digest {
 		return leaves[lo]
 	}
 	mid := (lo + hi) / 2
-	return digest.Combine(subRoot(leaves, lo, mid), subRoot(leaves, mid, hi))
+	return Combine(subRoot(leaves, lo, mid), subRoot(leaves, mid, hi))
+}
+
+// Combine hashes two child digests into a parent digest, as in a Merkle
+// tree internal node: h(left | right).
+func Combine(left, right digest.Digest) digest.Digest {
+	var buf [2 * digest.Size]byte
+	copy(buf[:digest.Size], left[:])
+	copy(buf[digest.Size:], right[:])
+	return digest.Sum(buf[:])
 }
 
 // ProveRange returns the proof for the contiguous leaf range [a, b]
@@ -97,7 +106,7 @@ func VerifyRange(n, a, b int, window []digest.Digest, proof []digest.Digest) (di
 		if err != nil {
 			return digest.Digest{}, err
 		}
-		return digest.Combine(l, r), nil
+		return Combine(l, r), nil
 	}
 	root, err := walk(0, n)
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"authdb/internal/digest"
-	"authdb/internal/mht"
+	"authdb/internal/repro/embtree/mht"
 )
 
 // VO is the verification object for a range query: one VO node per index

@@ -54,20 +54,19 @@ type Stats struct {
 // revision) and the cost accounting.
 type Cache struct {
 	mu       sync.Mutex // serializes all operations: lazy refreshes mutate on the query path
-	scheme   sigagg.Scheme
 	frontier *Frontier
 	strategy Strategy
 	stats    Stats
 }
 
 // NewCache creates a cache over the given leaf signatures (length a
-// power of two).
+// power of two); the scheme must be a Remover.
 func NewCache(scheme sigagg.Scheme, leaves []sigagg.Signature, strategy Strategy) (*Cache, error) {
 	f, err := NewFrontier(scheme, leaves, strategy.policy())
 	if err != nil {
 		return nil, fmt.Errorf("sigcache: %w", err)
 	}
-	return &Cache{scheme: scheme, frontier: f, strategy: strategy}, nil
+	return &Cache{frontier: f, strategy: strategy}, nil
 }
 
 // N returns the number of leaves.

@@ -9,7 +9,16 @@ import (
 	"authdb/internal/digest"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
+	"authdb/internal/sigagg/crsa"
 	"authdb/internal/sigagg/xortest"
+)
+
+// Every scheme the cache is driven with can cancel a signature out of an
+// aggregate; condensed RSA only once it is bound to the signer's modulus.
+var (
+	_ Remover = (*bas.Scheme)(nil)
+	_ Remover = (*xortest.Scheme)(nil)
+	_ Remover = (*crsa.Bound)(nil)
 )
 
 func xorLeaves(t *testing.T, n int) (sigagg.Scheme, sigagg.PrivateKey, sigagg.PublicKey, []sigagg.Signature, [][]byte) {

@@ -23,6 +23,15 @@ func (n Node) Span() (lo, hi int64) {
 	return n.Pos * c, (n.Pos+1)*c - 1
 }
 
+// Remover is the capability SigCache's maintenance needs beyond
+// sigagg.Scheme: cancelling one signature out of an aggregate, so that
+// Remove(AggregateInto(nil, {a, s}), s) == a. The service never removes —
+// it re-aggregates — so the interface lives here, with its only user:
+// bas, xortest and crsa's bound scheme provide it.
+type Remover interface {
+	Remove(agg, sig sigagg.Signature) (sigagg.Signature, error)
+}
+
 // RefreshPolicy selects how pinned aggregates are maintained under leaf
 // updates (§4.3).
 type RefreshPolicy int
@@ -74,6 +83,7 @@ type NodeAccess struct {
 // the selection/admission/revision policies and statistics.
 type Frontier struct {
 	scheme     sigagg.Scheme
+	rm         Remover // scheme's Remove
 	n          int64
 	levels     int
 	leaves     []sigagg.Signature
@@ -83,8 +93,13 @@ type Frontier struct {
 }
 
 // NewFrontier creates a frontier over the given leaf signatures (length
-// a power of two >= 2). The leaves are copied.
+// a power of two >= 2). The leaves are copied. The scheme must be a
+// Remover.
 func NewFrontier(scheme sigagg.Scheme, leaves []sigagg.Signature, policy RefreshPolicy) (*Frontier, error) {
+	rm, ok := scheme.(Remover)
+	if !ok {
+		return nil, fmt.Errorf("sigcache: scheme %s cannot remove a signature from an aggregate", scheme.Name())
+	}
 	n := int64(len(leaves))
 	if n < 2 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("sigcache: leaf count must be a power of two >= 2, got %d", n)
@@ -97,6 +112,7 @@ func NewFrontier(scheme sigagg.Scheme, leaves []sigagg.Signature, policy Refresh
 	copy(own, leaves)
 	return &Frontier{
 		scheme:  scheme,
+		rm:      rm,
 		n:       n,
 		levels:  levels,
 		leaves:  own,
@@ -221,7 +237,7 @@ func (f *Frontier) cover(node Node, lo, hi int64, count bool, st *CoverStats) (s
 	case rsig == nil:
 		return lsig, nil
 	default:
-		sum, err := f.scheme.Add(lsig, rsig)
+		sum, err := f.add(lsig, rsig)
 		if err != nil {
 			return nil, err
 		}
@@ -238,6 +254,11 @@ func (f *Frontier) cover(node Node, lo, hi int64, count bool, st *CoverStats) (s
 	}
 }
 
+// add folds sig into agg.
+func (f *Frontier) add(agg, sig sigagg.Signature) (sigagg.Signature, error) {
+	return f.scheme.AggregateInto(nil, []sigagg.Signature{agg, sig})
+}
+
 // refresh applies any pending lazy deltas to a pinned entry, returning
 // the operations spent.
 func (f *Frontier) refresh(e *fentry) (int, error) {
@@ -247,11 +268,11 @@ func (f *Frontier) refresh(e *fentry) (int, error) {
 	ops := 0
 	for _, d := range e.pending {
 		var err error
-		e.sig, err = f.scheme.Remove(e.sig, d.old)
+		e.sig, err = f.rm.Remove(e.sig, d.old)
 		if err != nil {
 			return ops, err
 		}
-		e.sig, err = f.scheme.Add(e.sig, d.new)
+		e.sig, err = f.add(e.sig, d.new)
 		if err != nil {
 			return ops, err
 		}
@@ -284,10 +305,10 @@ func (f *Frontier) UpdateLeaf(idx int64, sig sigagg.Signature) (ops, staleOps in
 			if err != nil {
 				return ops, staleOps, err
 			}
-			if e.sig, err = f.scheme.Remove(e.sig, old); err != nil {
+			if e.sig, err = f.rm.Remove(e.sig, old); err != nil {
 				return ops, staleOps, err
 			}
-			if e.sig, err = f.scheme.Add(e.sig, sig); err != nil {
+			if e.sig, err = f.add(e.sig, sig); err != nil {
 				return ops, staleOps, err
 			}
 			ops += 2

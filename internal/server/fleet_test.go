@@ -105,6 +105,9 @@ type fleetReplica struct {
 	cancel   context.CancelFunc
 	runDone  chan struct{}
 	proxy    *faultnet.Proxy
+	// feed is the default relation's replication feed: the follower dials
+	// the primary through it, and cutFeed holds the replica lagged.
+	feed *faultnet.Proxy
 }
 
 // fleetBench owns the fleet under test.
@@ -133,6 +136,7 @@ type fleetBench struct {
 
 	honest    []*fleetReplica
 	byzFl     *replica.Follower
+	byzFeed   *faultnet.Proxy
 	byzSrv    *NetServer
 	byzErr    chan error
 	byzCancel context.CancelFunc
@@ -270,7 +274,7 @@ func (b *fleetBench) setup() error {
 	if err != nil {
 		return err
 	}
-	b.byzFl, b.byzSrv, b.byzErr = byz.fl, byz.srv, byz.serveErr
+	b.byzFl, b.byzFeed, b.byzSrv, b.byzErr = byz.fl, byz.feed, byz.srv, byz.serveErr
 	b.byzCancel, b.byzDone = byz.cancel, byz.runDone
 	if b.front, err = newByzFront(byz.srv.Addr().String(), b.scheme, b.priv); err != nil {
 		return err
@@ -380,6 +384,10 @@ func (b *fleetBench) startReplica() (*fleetReplica, error) {
 	if err := eng.AddRelation(fleetInner, ifl.QS()); err != nil {
 		return nil, err
 	}
+	feed, err := faultnet.NewProxy(b.addr, faultnet.Profile{}, soakSeed)
+	if err != nil {
+		return nil, err
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan struct{})
 	go func() {
@@ -389,8 +397,9 @@ func (b *fleetBench) startReplica() (*fleetReplica, error) {
 			defer close(innerDone)
 			ifl.Run(ctx, b.addr)
 		}()
-		fl.Run(ctx, b.addr)
+		fl.Run(ctx, feed.Addr())
 		<-innerDone
+		feed.Close()
 	}()
 	srv := NewNetServer(fl.QS(), NetConfig{
 		MaxConns:    8 * (fleetClients + 2),
@@ -406,7 +415,7 @@ func (b *fleetBench) startReplica() (*fleetReplica, error) {
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	return &fleetReplica{fl: fl, ifl: ifl, srv: srv, serveErr: serveErr, cancel: cancel, runDone: runDone}, nil
+	return &fleetReplica{fl: fl, ifl: ifl, feed: feed, srv: srv, serveErr: serveErr, cancel: cancel, runDone: runDone}, nil
 }
 
 // killReplica tears an honest follower down the unclean way: feed loop
@@ -431,7 +440,7 @@ func (b *fleetBench) restartReplica(i int) error {
 		return err
 	}
 	r := b.honest[i]
-	r.fl, r.ifl, r.srv, r.serveErr = fresh.fl, fresh.ifl, fresh.srv, fresh.serveErr
+	r.fl, r.ifl, r.feed, r.srv, r.serveErr = fresh.fl, fresh.ifl, fresh.feed, fresh.srv, fresh.serveErr
 	r.cancel, r.runDone = fresh.cancel, fresh.runDone
 	r.proxy.SetUpstream(fresh.srv.Addr().String())
 	r.proxy.DropAll()
@@ -579,7 +588,7 @@ func (b *fleetBench) runWindow(name, byz string) (*fleetWindowResult, error) {
 		if lag := b.src.LastLSN() - r.fl.AppliedLSN(); lag > b.maxLag {
 			b.maxLag = lag
 		}
-		r.fl.Resume()
+		r.feed.SetUpstream(b.addr)
 	}
 	if werr != nil {
 		return nil, werr
@@ -634,16 +643,24 @@ func (b *fleetBench) faultScript(name string) error {
 		return nil
 	case "lag":
 		time.Sleep(w / 4)
-		b.honest[2%len(b.honest)].fl.Pause()
+		cutFeed(b.honest[2%len(b.honest)].feed)
 		return nil
 	case "rollback":
 		// The rogue replica freezes its feed and reinstates the
 		// load-time image: a rollback attack, served with a straight
 		// face (the front passes bytes through untouched).
-		b.byzFl.Pause()
+		cutFeed(b.byzFeed)
 		return b.byzFl.QS().Restore(b.earlyState)
 	}
 	return nil
+}
+
+// cutFeed drops a follower's feed and refuses its redials (nothing
+// listens on port 1): the follower keeps serving what it holds, an ever
+// staler catalog, until the feed is re-pointed at the primary.
+func cutFeed(feed *faultnet.Proxy) {
+	feed.SetUpstream("127.0.0.1:1")
+	feed.DropAll()
 }
 
 // runFleetClient is one cohort session: fleet-dialed, spread across

@@ -71,23 +71,6 @@ type options struct {
 	cacheEntries int
 }
 
-// withPortableVerify routes verification through the portable slow
-// path — crypto/elliptic and math/big throughout: affine curve.Add
-// accumulation, per-call hash-to-curve, no caches or precomputation
-// tables, none of the limb kernel. It is the cross-check oracle for the
-// fast path: both produce identical accept/reject decisions. Unexported:
-// the package's tests are its only callers.
-func withPortableVerify() Option {
-	return func(o *options) { o.portable = true }
-}
-
-// withCacheEntries bounds the digest→point cache (default
-// defaultCacheEntries). Values below minCacheEntries are raised to it.
-// Unexported: the eviction test is its only caller.
-func withCacheEntries(n int) Option {
-	return func(o *options) { o.cacheEntries = n }
-}
-
 // defaultCacheEntries bounds the point cache at 7.3 MB when full
 // (65,536 slots of 104 bytes — a 64-byte point and its 33-byte key — are
 // 6.8 MB, the uint32 index 0.5 MB, and there is nothing else): enough for
@@ -277,12 +260,8 @@ func (s *Scheme) Verify(pub sigagg.PublicKey, digest []byte, sig sigagg.Signatur
 	return s.AggregateVerify(pub, [][]byte{digest}, sig)
 }
 
-// Aggregate implements sigagg.Scheme: the sum of signature points.
-func (s *Scheme) Aggregate(sigs []sigagg.Signature) (sigagg.Signature, error) {
-	return s.AggregateInto(nil, sigs)
-}
-
-// AggregateInto implements sigagg.Scheme: each input is decoded
+// AggregateInto implements sigagg.Scheme: the sum of signature
+// points. Each input is decoded
 // once, summed in Jacobian coordinates (one inversion for the whole sum
 // instead of an affine round-trip per addition), and the result is
 // encoded once into dst (reused when it has capacity). Inputs are
@@ -306,14 +285,10 @@ func (s *Scheme) AggregateInto(dst sigagg.Signature, sigs []sigagg.Signature) (s
 	return encodeInto(dst, &sum), nil
 }
 
-// Add implements sigagg.Scheme: a two-operand AggregateInto. Like every
-// aggregation entry point it stays clear of the point cache, which is
-// the verifier's (authlint nocachesign).
-func (s *Scheme) Add(agg, sig sigagg.Signature) (sigagg.Signature, error) {
-	return s.AggregateInto(nil, []sigagg.Signature{agg, sig})
-}
-
-// Remove implements sigagg.Scheme: agg + (-sig).
+// Remove cancels sig out of agg: agg + (−sig). It is the capability
+// repro/sigcache's eager maintenance needs (sigcache.Remover); like every
+// aggregation entry point it stays clear of the point cache, which is the
+// verifier's (authlint nocachesign).
 func (s *Scheme) Remove(agg, sig sigagg.Signature) (sigagg.Signature, error) {
 	var (
 		sum jacPoint

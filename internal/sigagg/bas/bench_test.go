@@ -130,19 +130,6 @@ func BenchmarkScalarMultClose(b *testing.B) {
 	}
 }
 
-func BenchmarkAdd(b *testing.B) {
-	s := New(0)
-	priv, _, _ := s.KeyGen(newDetRand(1))
-	sigs, _ := s.SignBatch(priv, testDigests(64, 1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Add(sigs[i%64], sigs[(i+1)%64]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRemove(b *testing.B) {
 	s := New(0)
 	priv, _, _ := s.KeyGen(newDetRand(1))

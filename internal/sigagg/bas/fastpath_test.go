@@ -173,7 +173,7 @@ func TestSelfTest(t *testing.T) {
 			t.Fatalf("SignBatch and Sign disagree on digest %d", i)
 		}
 	}
-	agg, err := s.Aggregate(sigs)
+	agg, err := s.AggregateInto(nil, sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func fieldAgrees(p, a, b, want *big.Int) error {
 }
 
 func mustAgg(s *Scheme, sigs []sigagg.Signature) sigagg.Signature {
-	a, err := s.Aggregate(sigs)
+	a, err := s.AggregateInto(nil, sigs)
 	if err != nil {
 		panic(err)
 	}
@@ -297,14 +297,14 @@ func TestFastMatchesPortable(t *testing.T) {
 	mkJobs := func() []sigagg.VerifyJob {
 		var jobs []sigagg.VerifyJob
 		for i := 0; i < len(digests); i += 8 {
-			agg, err := fast.Aggregate(sigs[i : i+8])
+			agg, err := fast.AggregateInto(nil, sigs[i:i+8])
 			if err != nil {
 				t.Fatal(err)
 			}
 			jobs = append(jobs, sigagg.VerifyJob{Digests: digests[i : i+8], Agg: agg})
 		}
 		// A job whose digests overlap the first two jobs — multiplicity > 1.
-		agg, err := fast.Aggregate(sigs[4:12])
+		agg, err := fast.AggregateInto(nil, sigs[4:12])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +380,8 @@ func TestAggregateVerifySingleFast(t *testing.T) {
 }
 
 // TestAggregateIntoJacobian checks the Jacobian aggregation path
-// produces byte-identical aggregates to pairwise Add, including
+// produces byte-identical aggregates to a chain of two-operand calls,
+// including
 // cancellation to the identity.
 func TestAggregateIntoJacobian(t *testing.T) {
 	s := New(0)
@@ -395,7 +396,7 @@ func TestAggregateIntoJacobian(t *testing.T) {
 	}
 	want := s.identity()
 	for _, sig := range sigs {
-		if want, err = s.Add(want, sig); err != nil {
+		if want, err = s.AggregateInto(nil, []sigagg.Signature{want, sig}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -404,7 +405,7 @@ func TestAggregateIntoJacobian(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("AggregateInto %x != chained Add %x", got, want)
+		t.Fatalf("AggregateInto %x != chained two-operand AggregateInto %x", got, want)
 	}
 	// Cancellation: agg + remove-all must encode the identity.
 	empty, err := s.AggregateInto(nil, nil)
@@ -513,9 +514,9 @@ func TestSigningDoesNotWarmCache(t *testing.T) {
 	}
 }
 
-// TestAddMatchesDirect: Add is a plain two-operand fold. Its results
-// must be byte-identical to crypto/elliptic's decode + curve.Add +
-// encode across a bottom-up tree rebuild, identity operands must pass
+// TestAddMatchesDirect: a two-operand AggregateInto is a plain fold.
+// Its results must be byte-identical to crypto/elliptic's decode +
+// curve.Add + encode across a bottom-up tree rebuild, identity operands must pass
 // through untouched, and — being proof construction — it must leave the
 // verifier's point cache alone.
 func TestAddMatchesDirect(t *testing.T) {
@@ -548,7 +549,7 @@ func TestAddMatchesDirect(t *testing.T) {
 		for len(level) > 1 {
 			next := make([]sigagg.Signature, 0, (len(level)+1)/2)
 			for i := 0; i+1 < len(level); i += 2 {
-				got, err := fold.Add(level[i], level[i+1])
+				got, err := fold.AggregateInto(nil, []sigagg.Signature{level[i], level[i+1]})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -569,7 +570,7 @@ func TestAddMatchesDirect(t *testing.T) {
 	// Identity operands: Add(0, s) == s and Add(s, 0) == s, bytewise.
 	id := fold.identity()
 	for _, pair := range [][2]sigagg.Signature{{id, leaves[0]}, {leaves[0], id}} {
-		got, err := fold.Add(pair[0], pair[1])
+		got, err := fold.AggregateInto(nil, []sigagg.Signature{pair[0], pair[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -577,7 +578,7 @@ func TestAddMatchesDirect(t *testing.T) {
 			t.Fatal("identity operand changed the sum's encoding")
 		}
 	}
-	if got, err := fold.Add(id, id); err != nil || !bytes.Equal(got, id) {
+	if got, err := fold.AggregateInto(nil, []sigagg.Signature{id, id}); err != nil || !bytes.Equal(got, id) {
 		t.Fatalf("Add(0,0) = %x, err=%v", got, err)
 	}
 }

@@ -350,7 +350,7 @@ func TestGoldenVectors(t *testing.T) {
 			t.Errorf("vector %d: SignBatch = %x, Sign = %x", i, batch[i], sigs[i])
 		}
 	}
-	agg, err := s.Aggregate(sigs)
+	agg, err := s.AggregateInto(nil, sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,12 +359,12 @@ func TestGoldenVectors(t *testing.T) {
 	}
 	chained := s.identity()
 	for _, sig := range sigs {
-		if chained, err = s.Add(chained, sig); err != nil {
+		if chained, err = s.AggregateInto(nil, []sigagg.Signature{chained, sig}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !bytes.Equal(chained, agg) {
-		t.Errorf("chained Add = %x, want %x", chained, agg)
+		t.Errorf("chained two-operand AggregateInto = %x, want %x", chained, agg)
 	}
 	rem, err := s.Remove(agg, sigs[0])
 	if err != nil {

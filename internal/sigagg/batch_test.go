@@ -109,7 +109,7 @@ func jobsFor(t *testing.T, s sigagg.Scheme, priv sigagg.PrivateKey) []sigagg.Ver
 			}
 			sigs[i] = sig
 		}
-		agg, err := s.Aggregate(sigs)
+		agg, err := s.AggregateInto(nil, sigs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -188,39 +188,16 @@ func (s *Scheme) Verify(pub sigagg.PublicKey, digest []byte, sig sigagg.Signatur
 	return s.AggregateVerify(pub, [][]byte{digest}, sig)
 }
 
-// Aggregate implements sigagg.Scheme: the modular product of signatures.
-// The aggregate of zero signatures is the multiplicative identity.
-func (s *Scheme) Aggregate(sigs []sigagg.Signature) (sigagg.Signature, error) {
-	acc := big.NewInt(1)
-	if len(sigs) == 0 {
-		return s.encode(acc), nil
-	}
-	// All signatures share the signer's modulus; recover an upper bound
-	// for the modulus from the signature size and reduce lazily. We do
-	// not know n here, so multiply exactly and reduce at Add time via the
-	// stored width. To keep aggregates canonical we carry n implicitly:
-	// the modular product is computed pairwise with full reduction using
-	// the signer modulus embedded in verification. Since aggregation is
-	// performed by the untrusted server without the public key in
-	// general, we instead compute the product modulo 2^(bits) — which
-	// would break verification. Therefore aggregation requires the
-	// modulus; see AggregatorFor.
-	return nil, fmt.Errorf("crsa: Aggregate requires the signer modulus; use SchemeFor(pub) or Add via an aggregator bound to a public key")
-}
-
-// Add implements sigagg.Scheme. See Aggregate.
-func (s *Scheme) Add(agg, sig sigagg.Signature) (sigagg.Signature, error) {
-	return nil, fmt.Errorf("crsa: Add requires the signer modulus; use SchemeFor(pub)")
-}
-
-// Remove implements sigagg.Scheme. See Aggregate.
-func (s *Scheme) Remove(agg, sig sigagg.Signature) (sigagg.Signature, error) {
-	return nil, fmt.Errorf("crsa: Remove requires the signer modulus; use SchemeFor(pub)")
-}
-
-// AggregateInto implements sigagg.Scheme. See Aggregate.
+// AggregateInto implements sigagg.Scheme: the modular product of
+// signatures, which needs the signer's modulus n — aggregation is done
+// by the untrusted server, so n comes from the owner's public key through
+// Bind. Unbound, only the aggregate of zero signatures, the modulus-free
+// multiplicative identity, is defined.
 func (s *Scheme) AggregateInto(_ sigagg.Signature, sigs []sigagg.Signature) (sigagg.Signature, error) {
-	return s.Aggregate(sigs)
+	if len(sigs) == 0 {
+		return s.encode(big.NewInt(1)), nil
+	}
+	return nil, fmt.Errorf("crsa: aggregation requires the signer modulus; use sigagg.Bind(scheme, pub)")
 }
 
 // AggregateVerify implements sigagg.Scheme:
@@ -306,23 +283,9 @@ func (s *Scheme) Bind(pub sigagg.PublicKey) (sigagg.Scheme, error) {
 	return &Bound{Scheme: s, n: p.N}, nil
 }
 
-// Aggregate computes the modular product of sigs.
-func (b *Bound) Aggregate(sigs []sigagg.Signature) (sigagg.Signature, error) {
-	acc := big.NewInt(1)
-	for _, sig := range sigs {
-		v, err := b.sigInt(sig)
-		if err != nil {
-			return nil, err
-		}
-		acc.Mul(acc, v)
-		acc.Mod(acc, b.n)
-	}
-	return b.encode(acc), nil
-}
-
 // AggregateInto implements sigagg.Scheme: the modular product
 // is accumulated in one big.Int and written into dst when it has
-// capacity, avoiding the per-pair encode/decode of chained Add calls.
+// capacity.
 func (b *Bound) AggregateInto(dst sigagg.Signature, sigs []sigagg.Signature) (sigagg.Signature, error) {
 	acc := big.NewInt(1)
 	tmp := new(big.Int)
@@ -343,22 +306,8 @@ func (b *Bound) AggregateInto(dst sigagg.Signature, sigs []sigagg.Signature) (si
 	return dst, nil
 }
 
-// Add folds sig into agg modulo n.
-func (b *Bound) Add(agg, sig sigagg.Signature) (sigagg.Signature, error) {
-	a, err := b.sigInt(agg)
-	if err != nil {
-		return nil, err
-	}
-	v, err := b.sigInt(sig)
-	if err != nil {
-		return nil, err
-	}
-	a.Mul(a, v)
-	a.Mod(a, b.n)
-	return b.encode(a), nil
-}
-
-// Remove cancels sig out of agg by multiplying with sig^-1 mod n.
+// Remove cancels sig out of agg by multiplying with sig^-1 mod n: the
+// capability repro/sigcache's eager maintenance needs (sigcache.Remover).
 func (b *Bound) Remove(agg, sig sigagg.Signature) (sigagg.Signature, error) {
 	a, err := b.sigInt(agg)
 	if err != nil {

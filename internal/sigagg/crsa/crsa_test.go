@@ -63,26 +63,20 @@ func TestUnboundAggregationRejected(t *testing.T) {
 	s := New(1024)
 	// The empty aggregate is the modulus-independent identity and is
 	// allowed even unbound; anything else needs the signer modulus.
-	if _, err := s.Aggregate(nil); err != nil {
+	if _, err := s.AggregateInto(nil, nil); err != nil {
 		t.Fatalf("empty aggregate: %v", err)
 	}
-	if _, err := s.Aggregate(make([]sigagg.Signature, 2)); err == nil {
-		t.Fatal("unbound non-empty Aggregate must fail")
-	}
-	if _, err := s.Add(nil, nil); err == nil {
-		t.Fatal("unbound Add must fail")
-	}
-	if _, err := s.Remove(nil, nil); err == nil {
-		t.Fatal("unbound Remove must fail")
+	if _, err := s.AggregateInto(nil, make([]sigagg.Signature, 2)); err == nil {
+		t.Fatal("unbound non-empty aggregation must fail")
 	}
 }
 
-// TestUnboundAggregateIntoRejected: the batch form of Aggregate needs the
-// modulus just the same, and says so with Aggregate's error.
+// TestUnboundAggregateIntoRejected: with a destination buffer or
+// without, unbound aggregation fails the same way, naming the modulus.
 func TestUnboundAggregateIntoRejected(t *testing.T) {
 	s := New(1024)
 	sigs := make([]sigagg.Signature, 2)
-	_, want := s.Aggregate(sigs)
+	_, want := s.AggregateInto(nil, sigs)
 	_, err := s.AggregateInto(make(sigagg.Signature, 0, 128), sigs)
 	if err == nil || want == nil || err.Error() != want.Error() || !strings.Contains(err.Error(), "requires the signer modulus") {
 		t.Fatalf("unbound AggregateInto: %v, want %v", err, want)

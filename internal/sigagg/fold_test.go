@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"authdb/internal/repro/sigcache"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
 )
@@ -24,12 +25,13 @@ func foldSuites(t *testing.T) []suite {
 // TestFoldMatchesAggregateAndAdd: over random multisets — with the
 // identity, duplicates and a signature next to its own inverse mixed in
 // — folding prepared operands, folding through intermediate sums,
-// Aggregate and a chain of Add calls all produce the same bytes.
+// AggregateInto over the whole multiset and a chain of two-operand
+// AggregateInto calls all produce the same bytes.
 func TestFoldMatchesAggregateAndAdd(t *testing.T) {
 	for _, s := range foldSuites(t) {
 		t.Run(s.name, func(t *testing.T) {
 			folder := sigagg.FolderFor(s.scheme)
-			identity, err := s.scheme.Aggregate(nil)
+			identity, err := s.scheme.AggregateInto(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +42,7 @@ func TestFoldMatchesAggregateAndAdd(t *testing.T) {
 					t.Fatal(err)
 				}
 				// The inverse of sig: what Remove adds to cancel it.
-				neg, err := s.scheme.Remove(identity, sig)
+				neg, err := s.scheme.(sigcache.Remover).Remove(identity, sig)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,18 +73,18 @@ func TestFoldMatchesAggregateAndAdd(t *testing.T) {
 				for i, p := range picks {
 					sigs[i] = pool[p]
 				}
-				want, err := s.scheme.Aggregate(sigs)
+				want, err := s.scheme.AggregateInto(nil, sigs)
 				if err != nil {
 					t.Fatal(err)
 				}
 				chained := identity
 				for _, sig := range sigs {
-					if chained, err = s.scheme.Add(chained, sig); err != nil {
+					if chained, err = s.scheme.AggregateInto(nil, []sigagg.Signature{chained, sig}); err != nil {
 						t.Fatal(err)
 					}
 				}
 				if !bytes.Equal(chained, want) {
-					t.Fatalf("round %d: chained Add differs from Aggregate", round)
+					t.Fatalf("round %d: chained two-operand AggregateInto differs from one call", round)
 				}
 				flat := folder.NewSum()
 				for _, p := range picks {
@@ -137,7 +139,7 @@ func TestPrepareRejectsMalformed(t *testing.T) {
 			if s.name == "bas" {
 				notOnCurve := sig.Clone()
 				for notOnCurve[len(notOnCurve)-1]++; ; notOnCurve[len(notOnCurve)-1]++ {
-					if _, err := s.scheme.Aggregate([]sigagg.Signature{notOnCurve}); err != nil {
+					if _, err := s.scheme.AggregateInto(nil, []sigagg.Signature{notOnCurve}); err != nil {
 						break
 					}
 				}

@@ -54,19 +54,6 @@ type Scheme interface {
 	// Verify checks a single signature over digest.
 	Verify(pub PublicKey, digest []byte, sig Signature) error
 
-	// Aggregate condenses any number of signatures into one. An empty
-	// input yields the scheme's identity aggregate.
-	Aggregate(sigs []Signature) (Signature, error)
-
-	// Add folds one more signature (or aggregate) into agg: the
-	// two-operand Aggregate. Proof construction that adds the same stored
-	// signatures again and again uses a Folder instead (FolderFor).
-	Add(agg, sig Signature) (Signature, error)
-
-	// Remove cancels sig out of agg, so that
-	// Remove(Add(a, s), s) == a. Used by SigCache eager maintenance.
-	Remove(agg, sig Signature) (Signature, error)
-
 	// AggregateVerify checks that agg is the aggregate of valid
 	// signatures over exactly the given digests (in any order).
 	AggregateVerify(pub PublicKey, digests [][]byte, agg Signature) error
@@ -92,11 +79,14 @@ type Scheme interface {
 	// AggregateVerify.
 	VerifyJobs(pub PublicKey, jobs []VerifyJob) error
 
-	// AggregateInto is Aggregate writing its result into dst's storage
-	// when that has the capacity (dst may be nil; pass nil or a scratch
-	// buffer when the result escapes to long-lived state). Compared with
-	// a chain of Add calls it decodes each input exactly once and
-	// encodes exactly once.
+	// AggregateInto condenses any number of signatures (or aggregates)
+	// into one, in any order; an empty input yields the scheme's identity
+	// aggregate. The result is written into dst's storage when that has
+	// the capacity (dst may be nil; pass nil or a scratch buffer when the
+	// result escapes to long-lived state). Each input is decoded exactly
+	// once and the result encoded once. Proof construction that adds the
+	// same stored signatures again and again uses a Folder instead
+	// (FolderFor).
 	AggregateInto(dst Signature, sigs []Signature) (Signature, error)
 }
 
@@ -149,8 +139,8 @@ type VerifyStatsProvider interface {
 // Binder is implemented by schemes whose aggregation operations need the
 // signer's public parameters (e.g. the RSA modulus for condensed RSA).
 type Binder interface {
-	// Bind returns a Scheme whose Aggregate/Add/Remove operate under
-	// pub's parameters.
+	// Bind returns a Scheme whose AggregateInto operates under pub's
+	// parameters.
 	Bind(pub PublicKey) (Scheme, error)
 }
 

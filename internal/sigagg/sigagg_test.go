@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"authdb/internal/digest"
+	"authdb/internal/repro/sigcache"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/bas"
 	"authdb/internal/sigagg/crsa"
@@ -119,7 +120,7 @@ func TestAggregateVerify(t *testing.T) {
 				}
 				sigs[i] = sig
 			}
-			agg, err := s.scheme.Aggregate(sigs)
+			agg, err := s.scheme.AggregateInto(nil, sigs)
 			if err != nil {
 				t.Fatalf("Aggregate: %v", err)
 			}
@@ -143,7 +144,7 @@ func TestAggregateVerifyRejectsOmission(t *testing.T) {
 			for i, d := range ds {
 				sigs[i], _ = s.scheme.Sign(s.priv, d)
 			}
-			agg, _ := s.scheme.Aggregate(sigs)
+			agg, _ := s.scheme.AggregateInto(nil, sigs)
 			err := s.scheme.AggregateVerify(s.pub, ds[:4], agg)
 			if !errors.Is(err, sigagg.ErrVerify) {
 				t.Fatalf("want ErrVerify on omission, got %v", err)
@@ -160,7 +161,7 @@ func TestAggregateOrderIndependent(t *testing.T) {
 			for i, d := range ds {
 				sigs[i], _ = s.scheme.Sign(s.priv, d)
 			}
-			a1, err := s.scheme.Aggregate(sigs)
+			a1, err := s.scheme.AggregateInto(nil, sigs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +169,7 @@ func TestAggregateOrderIndependent(t *testing.T) {
 			for i := range sigs {
 				rev[i] = sigs[len(sigs)-1-i]
 			}
-			a2, err := s.scheme.Aggregate(rev)
+			a2, err := s.scheme.AggregateInto(nil, rev)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,22 +188,22 @@ func TestAddMatchesAggregate(t *testing.T) {
 			for i, d := range ds {
 				sigs[i], _ = s.scheme.Sign(s.priv, d)
 			}
-			all, err := s.scheme.Aggregate(sigs)
+			all, err := s.scheme.AggregateInto(nil, sigs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc, err := s.scheme.Aggregate(nil)
+			inc, err := s.scheme.AggregateInto(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, sig := range sigs {
-				inc, err = s.scheme.Add(inc, sig)
+				inc, err = s.scheme.AggregateInto(nil, []sigagg.Signature{inc, sig})
 				if err != nil {
 					t.Fatal(err)
 				}
 			}
 			if string(all) != string(inc) {
-				t.Fatal("incremental Add differs from batch Aggregate")
+				t.Fatal("folding one signature at a time differs from one batch AggregateInto")
 			}
 		})
 	}
@@ -211,22 +212,26 @@ func TestAddMatchesAggregate(t *testing.T) {
 func TestRemoveInvertsAdd(t *testing.T) {
 	for _, s := range newSuites(t) {
 		t.Run(s.name, func(t *testing.T) {
+			rm, ok := s.scheme.(sigcache.Remover)
+			if !ok {
+				t.Fatalf("%s is no sigcache.Remover", s.name)
+			}
 			ds := digests(3, "rm")
 			sigs := make([]sigagg.Signature, len(ds))
 			for i, d := range ds {
 				sigs[i], _ = s.scheme.Sign(s.priv, d)
 			}
-			base, _ := s.scheme.Aggregate(sigs[:2])
-			withThird, err := s.scheme.Add(base, sigs[2])
+			base, _ := s.scheme.AggregateInto(nil, sigs[:2])
+			withThird, err := s.scheme.AggregateInto(nil, []sigagg.Signature{base, sigs[2]})
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := s.scheme.Remove(withThird, sigs[2])
+			back, err := rm.Remove(withThird, sigs[2])
 			if err != nil {
 				t.Fatal(err)
 			}
 			if string(back) != string(base) {
-				t.Fatal("Remove(Add(a, s), s) != a")
+				t.Fatal("Remove(AggregateInto(nil, {a, s}), s) != a")
 			}
 			// And the reduced aggregate still verifies over the reduced set.
 			if err := s.scheme.AggregateVerify(s.pub, ds[:2], back); err != nil {
@@ -239,13 +244,13 @@ func TestRemoveInvertsAdd(t *testing.T) {
 func TestEmptyAggregateIsIdentity(t *testing.T) {
 	for _, s := range newSuites(t) {
 		t.Run(s.name, func(t *testing.T) {
-			empty, err := s.scheme.Aggregate(nil)
+			empty, err := s.scheme.AggregateInto(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			d := digest.Sum([]byte("x"))
 			sig, _ := s.scheme.Sign(s.priv, d[:])
-			sum, err := s.scheme.Add(empty, sig)
+			sum, err := s.scheme.AggregateInto(nil, []sigagg.Signature{empty, sig})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,7 +288,7 @@ func TestQuickAggregateSubsetNeverVerifies(t *testing.T) {
 						verifyDs = append(verifyDs, ds[i])
 					}
 				}
-				agg, err := s.scheme.Aggregate(aggSigs)
+				agg, err := s.scheme.AggregateInto(nil, aggSigs)
 				if err != nil {
 					return false
 				}

@@ -12,7 +12,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"authdb/internal/sigagg"
 )
@@ -21,22 +20,11 @@ import (
 // signature's 20 bytes for space accounting).
 const SigSize = 20
 
-// Scheme is the XOR test scheme. Each instance carries its own
-// aggregation-operation counter, so a test can hand a fresh New() to the
-// system under test and assert exactly how many aggregations ran.
-type Scheme struct {
-	aggOps atomic.Uint64 // Aggregate/AggregateInto/Add/Remove calls
-}
+// Scheme is the XOR test scheme.
+type Scheme struct{}
 
 // New returns the scheme.
 func New() *Scheme { return &Scheme{} }
-
-// AggOps reports how many aggregation operations (Aggregate,
-// AggregateInto, Add, Remove calls) this instance has performed.
-func (s *Scheme) AggOps() uint64 { return s.aggOps.Load() }
-
-// ResetAggOps zeroes the aggregation-operation counter.
-func (s *Scheme) ResetAggOps() { s.aggOps.Store(0) }
 
 // Name implements sigagg.Scheme.
 func (*Scheme) Name() string { return "xortest" }
@@ -105,27 +93,9 @@ func (s *Scheme) Verify(pub sigagg.PublicKey, digest []byte, sig sigagg.Signatur
 	return s.AggregateVerify(pub, [][]byte{digest}, sig)
 }
 
-// Aggregate implements sigagg.Scheme: XOR of all signatures. (Add and
-// Remove route through here, so counting in Aggregate and AggregateInto
-// covers every aggregation entry point exactly once.)
-func (s *Scheme) Aggregate(sigs []sigagg.Signature) (sigagg.Signature, error) {
-	s.aggOps.Add(1)
-	acc := make(sigagg.Signature, SigSize)
-	for _, sig := range sigs {
-		if len(sig) != SigSize {
-			return nil, sigagg.ErrBadSignature
-		}
-		for i := range acc {
-			acc[i] ^= sig[i]
-		}
-	}
-	return acc, nil
-}
-
 // AggregateInto implements sigagg.Scheme: XOR of all
 // signatures folded into dst when it has capacity.
 func (s *Scheme) AggregateInto(dst sigagg.Signature, sigs []sigagg.Signature) (sigagg.Signature, error) {
-	s.aggOps.Add(1)
 	if cap(dst) < SigSize {
 		dst = make(sigagg.Signature, SigSize)
 	}
@@ -144,14 +114,10 @@ func (s *Scheme) AggregateInto(dst sigagg.Signature, sigs []sigagg.Signature) (s
 	return dst, nil
 }
 
-// Add implements sigagg.Scheme.
-func (s *Scheme) Add(agg, sig sigagg.Signature) (sigagg.Signature, error) {
-	return s.Aggregate([]sigagg.Signature{agg, sig})
-}
-
-// Remove implements sigagg.Scheme (XOR is self-inverse).
+// Remove cancels sig out of agg (XOR is self-inverse): the capability
+// repro/sigcache's eager maintenance needs (sigcache.Remover).
 func (s *Scheme) Remove(agg, sig sigagg.Signature) (sigagg.Signature, error) {
-	return s.Add(agg, sig)
+	return s.AggregateInto(nil, []sigagg.Signature{agg, sig})
 }
 
 // VerifyJobs implements sigagg.Scheme: XOR aggregation is

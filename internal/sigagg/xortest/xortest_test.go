@@ -25,7 +25,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 		sigs = append(sigs, sig)
 	}
-	agg, err := s.Aggregate(sigs)
+	agg, err := s.AggregateInto(nil, sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestRemoveIsInverse(t *testing.T) {
 	d2 := digest.Sum([]byte("b"))
 	s1, _ := s.Sign(priv, d1[:])
 	s2, _ := s.Sign(priv, d2[:])
-	agg, _ := s.Aggregate([]sigagg.Signature{s1, s2})
+	agg, _ := s.AggregateInto(nil, []sigagg.Signature{s1, s2})
 	back, _ := s.Remove(agg, s2)
 	if string(back) != string(s1) {
 		t.Fatal("Remove is not the inverse of Add")
@@ -53,7 +53,7 @@ func TestRemoveIsInverse(t *testing.T) {
 
 func TestBadInputs(t *testing.T) {
 	s := New()
-	if _, err := s.Aggregate([]sigagg.Signature{make(sigagg.Signature, 3)}); err == nil {
+	if _, err := s.AggregateInto(nil, []sigagg.Signature{make(sigagg.Signature, 3)}); err == nil {
 		t.Fatal("short signature accepted")
 	}
 	if _, err := s.Sign(nil, nil); err == nil {

@@ -10,6 +10,7 @@ import (
 	"authdb/internal/core"
 	"authdb/internal/join"
 	"authdb/internal/query"
+	"authdb/internal/repro/joinproof"
 	"authdb/internal/sigagg"
 	"authdb/internal/sigagg/xortest"
 	"authdb/internal/wire"
@@ -601,16 +602,21 @@ func TestRecoveredRelationKeepsFilter(t *testing.T) {
 		}
 		// The selection begins and ends on keys the inner relation lacks:
 		// no run covers those, so Bloom negatives answer them.
-		res, err := eng.Execute(&query.Spec{Rel: "o", Lo: 105, Hi: 495, Join: &query.JoinSpec{Rel: "i", Method: join.BF}})
+		sv, err := eng.Serve((&query.Spec{Rel: "o", Lo: 105, Hi: 495, Join: &query.JoinSpec{Rel: "i", Method: join.BF}}).AppendTo(nil), nil, 0)
 		if err != nil {
 			t.Fatalf("BF join against the recovered relation: %v", err)
 		}
-		ja := res.Comp.Join
+		comp, err := wire.DecodeComposite(append(bytes.Clone(sv.Body), sv.Tails...))
+		sv.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ja := comp.Join
 		if len(ja.Negatives) == 0 || ja.FilterTS != certifiedAt {
 			t.Fatalf("join carries %d partitions of negatives dated %d, want some under the pre-crash certification at %d",
 				len(ja.Negatives), ja.FilterTS, certifiedAt)
 		}
-		if _, err := join.Verify(f.scheme, f.pub, join.OuterKeys(res.Comp.Outer.Records), ja); err != nil {
+		if _, err := joinproof.Verify(f.scheme, f.pub, join.OuterKeys(comp.Outer.Records), ja); err != nil {
 			t.Fatalf("join proof from the recovered relation: %v", err)
 		}
 		return dir

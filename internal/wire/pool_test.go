@@ -87,3 +87,23 @@ func BenchmarkAppendCompositeCoreFresh(b *testing.B) {
 		}
 	}
 }
+
+// TestPutBufferAllocatesNothing: releasing nothing, or a buffer too
+// large to keep, allocates nothing, and a steady Get/Put round trip
+// reuses both the buffer and the box the pool holds it in.
+func TestPutBufferAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector")
+	}
+	oversized := make([]byte, 0, maxPooled+1)
+	if n := testing.AllocsPerRun(100, func() { PutBuffer(nil) }); n != 0 {
+		t.Errorf("PutBuffer(nil): %.2f allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { PutBuffer(oversized) }); n != 0 {
+		t.Errorf("PutBuffer of an oversized buffer: %.2f allocations, want 0", n)
+	}
+	PutBuffer(GetBuffer())
+	if n := testing.AllocsPerRun(1000, func() { PutBuffer(append(GetBuffer(), 1)) }); n >= 0.1 {
+		t.Errorf("Get/Put round trip: %.2f allocations, want < 0.1", n)
+	}
+}

@@ -40,11 +40,22 @@ var bufPool = sync.Pool{
 	},
 }
 
+// boxes recycles the *[]byte headers bufPool holds buffers in: GetBuffer
+// hands the box it emptied back here and PutBuffer takes one to carry
+// its buffer, so a Get/Put round trip allocates nothing. (Taking the
+// address of PutBuffer's parameter instead would move it to the heap on
+// every call, a dropped buffer's included.)
+var boxes = sync.Pool{New: func() any { return new([]byte) }}
+
 const maxPooled = 1 << 20
 
 // GetBuffer returns an empty pooled buffer for the Append* encoders.
 func GetBuffer() []byte {
-	return (*bufPool.Get().(*[]byte))[:0]
+	box := bufPool.Get().(*[]byte)
+	buf := (*box)[:0]
+	*box = nil
+	boxes.Put(box)
+	return buf
 }
 
 // PutBuffer recycles a buffer previously returned by GetBuffer or an
@@ -53,8 +64,9 @@ func PutBuffer(buf []byte) {
 	if cap(buf) == 0 || cap(buf) > maxPooled {
 		return
 	}
-	buf = buf[:0]
-	bufPool.Put(&buf)
+	box := boxes.Get().(*[]byte)
+	*box = buf[:0]
+	bufPool.Put(box)
 }
 
 // Version is the wire-format version byte.
