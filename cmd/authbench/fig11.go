@@ -218,14 +218,40 @@ func saving(bv, bf int) float64 {
 // given granularity after a deletion (the maintenance cost partitioning
 // bounds).
 func measurePartitionUpdate(sB []int64, vpp int) time.Duration {
-	pf, err := bloom.BuildPartitioned(sB, vpp, 8)
+	const bitsPerKey = 8
+	pf, err := bloom.BuildPartitioned(sB, vpp, bitsPerKey)
 	if err != nil {
 		panic(err)
 	}
 	idx := pf.P() / 2
 	return timeIt(5, func() {
-		if err := pf.RebuildPartition(idx, sB); err != nil {
+		if err := rebuildPartition(pf, idx, sB, bitsPerKey); err != nil {
 			panic(err)
 		}
 	})
+}
+
+// rebuildPartition replaces partition idx's filter with one over the
+// distinct keys left in its range [Lo, Hi), at bitsPerKey bits each: the
+// per-deletion maintenance partitioning bounds, since only one
+// partition's filter is recomputed.
+func rebuildPartition(pf *bloom.PartitionedFilter, idx int, keys []int64, bitsPerKey float64) error {
+	if idx < 0 || idx >= pf.P() {
+		return fmt.Errorf("fig11: partition %d out of range", idx)
+	}
+	part := &pf.Partitions[idx]
+	var in []int64
+	for _, v := range keys {
+		if v >= part.Lo && v < part.Hi {
+			in = append(in, v)
+		}
+	}
+	slices.Sort(in)
+	in = slices.Compact(in)
+	f := bloom.NewForCapacity(max(len(in), 1), bitsPerKey)
+	for _, v := range in {
+		f.AddUint64(uint64(v))
+	}
+	part.Filter = f
+	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"testing"
 
+	"authdb/internal/bloom"
 	"authdb/internal/join"
 	"authdb/internal/workload"
 )
@@ -39,5 +40,29 @@ func TestFig11ProofSizes(t *testing.T) {
 		case alpha == 1 && bf != bv:
 			t.Errorf("α=1: BF proof %d B, BV %d B; with every key held they are the same runs", bf, bv)
 		}
+	}
+}
+
+func TestRebuildPartitionAfterDelete(t *testing.T) {
+	keys := []int64{10, 20, 30, 40}
+	pf, err := bloom.BuildPartitioned(keys, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Delete 20, rebuild its partition from the remaining keys.
+	remaining := []int64{10, 30, 40}
+	idx := pf.Find(20)
+	old := pf.Partitions[idx].Digest()
+	if err := rebuildPartition(pf, idx, remaining, 8); err != nil {
+		t.Fatal(err)
+	}
+	if pf.Partitions[idx].Digest() == old {
+		t.Fatal("rebuild must change the partition digest")
+	}
+	if !pf.Partitions[pf.Find(10)].Filter.MayContainUint64(10) {
+		t.Fatal("false negative after rebuild")
+	}
+	if err := rebuildPartition(pf, 99, remaining, 8); err == nil {
+		t.Fatal("out-of-range partition index must fail")
 	}
 }

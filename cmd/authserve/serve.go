@@ -21,8 +21,17 @@ type catalogServer struct {
 	srcs []*replica.Source // rts[i]'s feed
 
 	// writer state
+	clock   int64 // the last owner timestamp issued (see stamp)
 	updates int64
 	nextIns int // next outer key index to drip into the last inner relation
+}
+
+// stamp issues the next owner timestamp: Unix milliseconds, held
+// strictly above every timestamp issued before — this run's and, through
+// the recovered relations' TS, every earlier run's.
+func (s *catalogServer) stamp() int64 {
+	s.clock = max(s.clock+1, time.Now().UnixMilli())
+	return s.clock
 }
 
 // synthRecords builds relation idx of the synthetic catalog: the outer
@@ -48,7 +57,8 @@ func synthRecords(name string, idx, n, joinEvery int) []*core.Record {
 // bootPrimary brings the catalog up: every relation recovers from its
 // store — records, summaries and certified filter, nothing re-signed — or
 // loads and signs its synthetic records, and the listener serves every
-// relation's feed beside the plans.
+// relation's feed beside the plans. A recovered relation closes a period
+// at boot, so the time it was down does not read as a frozen stream.
 func bootPrimary(f *flags) (s *catalogServer, err error) {
 	s = &catalogServer{nextIns: 1}
 	defer func() {
@@ -84,16 +94,21 @@ func bootPrimary(f *flags) (s *catalogServer, err error) {
 			return nil, fmt.Errorf("recover %q: %w", name, err)
 		}
 		if recovered {
-			// Restart: snapshot + log tail, no owner round trip, no signing.
+			// Restart: snapshot + log tail, no owner round trip, no
+			// signing but the boot close.
 			fmt.Printf("authserve: relation %q: recovered %d records, %d summaries (snapshot lsn %d, %d replayed, %d overlap-skipped)\n",
 				name, rel.QS.Len(), len(rel.QS.SummariesTail(0, 0)), st.SnapshotLSN, st.Replayed, st.Skipped)
+			s.clock = max(s.clock, rt.TS())
+			if err := closePeriod(rt, i > 0, f.filterBits, s.stamp()); err != nil {
+				return nil, fmt.Errorf("close a period of %q at boot: %w", name, err)
+			}
 		} else {
 			fmt.Printf("authserve: relation %q: loading under %s (keyseed %q)...\n", name, rel.Scheme.Name(), f.keyseed)
-			load, err := rel.DA.Load(synthRecords(name, i, f.n, f.joinEvery), 1)
+			load, err := rel.DA.Load(synthRecords(name, i, f.n, f.joinEvery), s.stamp())
 			if err != nil {
 				return nil, fmt.Errorf("load %q: %w", name, err)
 			}
-			closed, err := rel.DA.ClosePeriod(2)
+			closed, err := rel.DA.ClosePeriod(s.stamp())
 			if err != nil {
 				return nil, err
 			}
@@ -101,9 +116,7 @@ func bootPrimary(f *flags) (s *catalogServer, err error) {
 				return nil, err
 			}
 			if i > 0 {
-				// Only a fresh inner relation is certified here: a recovered
-				// one's filter came back with it.
-				if err := certifyFilter(rt, f.filterBits, 2); err != nil {
+				if err := certifyFilter(rt, f.filterBits, closed.TS); err != nil {
 					return nil, fmt.Errorf("certify filter for %q: %w", name, err)
 				}
 			}
@@ -127,7 +140,7 @@ func bootPrimary(f *flags) (s *catalogServer, err error) {
 	return s, nil
 }
 
-// ts is the logical time the catalog has reached across its relations.
+// ts is the owner time the catalog has reached across its relations.
 func (s *catalogServer) ts() int64 {
 	var ts int64
 	for _, rt := range s.rts {
@@ -148,20 +161,38 @@ func certifyFilter(rt *wal.Runtime, bitsPerKey float64, ts int64) error {
 	return rt.Deliver(&core.UpdateMsg{TS: ts, Filter: fc})
 }
 
-// beat is one tick of the background writer at logical time ts: update
-// one outer record; every -summary-every updates, drip one new key into
-// the last inner relation (so join results change and cached composites
-// invalidate), close a ρ-period on every relation and re-certify the
-// inner filters at the close. Every message reaches its server through
-// its relation's runtime.
-func (s *catalogServer) beat(ts int64) error {
+// closePeriod closes a ρ-period of rt's relation at ts and, for a join
+// inner, re-certifies its filter at the close: a filter older than the
+// newest summary by more than ρ proves no negative.
+func closePeriod(rt *wal.Runtime, inner bool, bitsPerKey float64, ts int64) error {
+	msg, err := rt.DA.ClosePeriod(ts)
+	if err != nil {
+		return err
+	}
+	if err := rt.Deliver(msg); err != nil {
+		return err
+	}
+	if !inner {
+		return nil
+	}
+	return certifyFilter(rt, bitsPerKey, ts)
+}
+
+// beat is one tick of the background writer: update one outer record;
+// every -summary-every updates, drip one new key into the last inner
+// relation (so join results change and cached composites invalidate),
+// close a ρ-period on every relation and re-certify the inner filters at
+// the close. Every message reaches its server through its relation's
+// runtime, stamped by the owner clock.
+func (s *catalogServer) beat() error {
 	outer, n := s.rts[0], s.rts[0].QS.Len()
 	key := (s.updates%int64(n) + 1) * 10
+	ts := s.stamp()
 	msg, err := outer.DA.Update(key, [][]byte{
 		[]byte(fmt.Sprintf("name-%d-u%d", key, ts)), []byte(fmt.Sprintf("payload-%d-u%d", key, ts)),
 	}, ts)
 	if err != nil {
-		return nil // non-monotonic ts under a coarse clock: skip the beat
+		return err
 	}
 	if err := outer.Deliver(msg); err != nil {
 		return err
@@ -189,16 +220,10 @@ func (s *catalogServer) beat(ts int64) error {
 			dripped = true
 		}
 	}
+	ts = s.stamp()
 	for i, rt := range s.rts {
-		if msg, err := rt.DA.ClosePeriod(ts + 1); err == nil {
-			if err := rt.Deliver(msg); err != nil {
-				return err
-			}
-		}
-		if i > 0 { // only join inners carry a filter
-			if err := certifyFilter(rt, s.f.filterBits, ts+1); err != nil {
-				return fmt.Errorf("certify filter for %q: %w", s.f.names[i], err)
-			}
+		if err := closePeriod(rt, i > 0, s.f.filterBits, ts); err != nil {
+			return fmt.Errorf("close a period of %q: %w", s.f.names[i], err)
 		}
 	}
 	return nil
@@ -243,8 +268,7 @@ func runServe(args []string) error {
 
 	// Background writer: the trusted aggregator keeps updating records
 	// and closing ρ-periods, so remote clients see a live freshness
-	// stream. Timestamps are logical milliseconds since boot, offset past
-	// whatever the recovered state already reached.
+	// stream. Timestamps are Unix milliseconds (stamp).
 	stopWriter := make(chan struct{})
 	writerDone := make(chan struct{})
 	go func() {
@@ -254,14 +278,13 @@ func runServe(args []string) error {
 		}
 		tick := time.NewTicker(time.Duration(f.updEveryMS * float64(time.Millisecond)))
 		defer tick.Stop()
-		base, start := s.ts(), time.Now()
 		for {
 			select {
 			case <-stopWriter:
 				return
 			case <-tick.C:
 			}
-			if err := s.beat(base + time.Since(start).Milliseconds() + 2); err != nil {
+			if err := s.beat(); err != nil {
 				fmt.Fprintf(os.Stderr, "authserve: writer: %v\n", err)
 				return
 			}

@@ -19,7 +19,7 @@
 // incrementally maintained aggregation tree (internal/aggtree) whose
 // leaves hold the records with their signatures — it finds the
 // boundaries and neighbours and walks the records in range, as the
-// paper's ASign B+-tree (internal/btree, the owner's index) does — so
+// paper's ASign B+-tree (internal/btree, Table 1's subject) does — so
 // building the aggregate signature for a range proof costs O(log n)
 // Combine operations per overlapped shard instead of one aggregation per
 // result record. The tree holds its

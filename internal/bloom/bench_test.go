@@ -55,24 +55,6 @@ func BenchmarkPartitionedProbe(b *testing.B) {
 	}
 }
 
-func BenchmarkRebuildPartition(b *testing.B) {
-	// The per-deletion maintenance cost that partitioning bounds.
-	keys := make([]int64, 3425)
-	for i := range keys {
-		keys[i] = int64(i * 7)
-	}
-	pf, err := BuildPartitioned(keys, 4, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := pf.RebuildPartition(i%pf.P(), keys); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDigest(b *testing.B) {
 	f := NewForCapacity(1000, 8)
 	for i := 0; i < 1000; i++ {

@@ -192,30 +192,6 @@ func TestPartitionBoundariesContiguous(t *testing.T) {
 	}
 }
 
-func TestRebuildPartitionAfterDelete(t *testing.T) {
-	keys := []int64{10, 20, 30, 40}
-	pf, err := BuildPartitioned(keys, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Delete 20, rebuild its partition from the remaining keys.
-	remaining := []int64{10, 30, 40}
-	idx := pf.Find(20)
-	old := pf.Partitions[idx].Digest()
-	if err := pf.RebuildPartition(idx, remaining); err != nil {
-		t.Fatal(err)
-	}
-	if pf.Partitions[idx].Digest() == old {
-		t.Fatal("rebuild must change the partition digest")
-	}
-	if !pf.MayContain(10) {
-		t.Fatal("false negative after rebuild")
-	}
-	if err := pf.RebuildPartition(99, remaining); err == nil {
-		t.Fatal("out-of-range partition index must fail")
-	}
-}
-
 func TestPartitionDigestBindsBoundaries(t *testing.T) {
 	f := New(64, 2)
 	p1 := Partition{Lo: 0, Hi: 10, Filter: f}

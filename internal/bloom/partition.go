@@ -33,7 +33,6 @@ func (p *Partition) Digest() digest.Digest {
 type PartitionedFilter struct {
 	Partitions []Partition
 	distinct   int // IB: number of distinct values covered
-	bitsPerKey float64
 }
 
 // BuildPartitioned constructs a partitioned filter over the distinct
@@ -45,7 +44,7 @@ func BuildPartitioned(keys []int64, valuesPerPartition int, bitsPerKey float64) 
 		return nil, fmt.Errorf("bloom: valuesPerPartition must be >= 1, got %d", valuesPerPartition)
 	}
 	distinct := distinctSorted(keys)
-	pf := &PartitionedFilter{distinct: len(distinct), bitsPerKey: bitsPerKey}
+	pf := &PartitionedFilter{distinct: len(distinct)}
 	if len(distinct) == 0 {
 		return pf, nil
 	}
@@ -124,30 +123,4 @@ func (pf *PartitionedFilter) Digests() []digest.Digest {
 		ds[i] = pf.Partitions[i].Digest()
 	}
 	return ds
-}
-
-// RebuildPartition reconstructs partition idx from the current distinct
-// values in [Lo, Hi). This is the per-deletion maintenance cost the
-// partitioning bounds: only one partition's filter is recomputed.
-func (pf *PartitionedFilter) RebuildPartition(idx int, keys []int64) error {
-	if idx < 0 || idx >= len(pf.Partitions) {
-		return fmt.Errorf("bloom: partition %d out of range", idx)
-	}
-	part := &pf.Partitions[idx]
-	var inRange []int64
-	for _, v := range distinctSorted(keys) {
-		if v >= part.Lo && v < part.Hi {
-			inRange = append(inRange, v)
-		}
-	}
-	n := len(inRange)
-	if n == 0 {
-		n = 1
-	}
-	f := NewForCapacity(n, pf.bitsPerKey)
-	for _, v := range inRange {
-		f.AddUint64(uint64(v))
-	}
-	part.Filter = f
-	return nil
 }

@@ -5,10 +5,12 @@
 // a plain B+-tree (no embedded digests), which is what gives the index
 // its height advantage over the EMB-tree (Table 1).
 //
-// It is the data aggregator's index and the subject of Table 1. The
-// query server does not use it: nothing there is paged, so each server
-// shard indexes its records in an aggregation tree (internal/aggtree)
-// that also folds the range aggregates.
+// It is the subject of Table 1 (authbench table1) and what the frozen
+// benchmark's per-layer timings import; the service links none of it
+// (make fence). The data aggregator keeps its relation in a key-ordered
+// block array (internal/core, keyorder.go), and each query server shard
+// indexes its records in an aggregation tree (internal/aggtree) that
+// also folds the range aggregates: nothing there is paged.
 //
 // Node capacities are derived from the storage.PageConfig page model.
 package btree

@@ -47,7 +47,7 @@ const compactSlack = 64
 // pushAge records that the stored record rid was certified at ts.
 func (da *DataAggregator) pushAge(rid uint64, ts int64) {
 	heap.Push(&da.ages, certEntry{ts: ts, rid: rid})
-	if len(da.ages) > 2*len(da.byRID)+compactSlack {
+	if len(da.ages) > 2*da.order.Len()+compactSlack {
 		da.compactAges()
 	}
 }
@@ -56,8 +56,10 @@ func (da *DataAggregator) pushAge(rid uint64, ts int64) {
 // accumulated stale observations in O(n).
 func (da *DataAggregator) compactAges() {
 	da.ages = da.ages[:0]
-	for rid, rec := range da.byRID {
-		da.ages = append(da.ages, certEntry{ts: rec.TS, rid: rid})
+	for _, rec := range da.bySlot {
+		if rec != nil {
+			da.ages = append(da.ages, certEntry{ts: rec.TS, rid: rec.RID})
+		}
 	}
 	heap.Init(&da.ages)
 }
@@ -67,7 +69,7 @@ func (da *DataAggregator) compactAges() {
 func (da *DataAggregator) dropStaleAges() {
 	for len(da.ages) > 0 {
 		top := da.ages[0]
-		if rec, ok := da.byRID[top.rid]; ok && rec.TS == top.ts {
+		if rec := da.held(top.rid); rec != nil && rec.TS == top.ts {
 			return
 		}
 		heap.Pop(&da.ages)

@@ -131,7 +131,7 @@ func TestProjectionModeEndToEnd(t *testing.T) {
 	}
 	// The restored owner must hold full records again (an attribute update
 	// needs them to re-chain neighbours correctly).
-	if got := da2.byRID[msg.Upserts[0].Rec.RID]; got == nil || len(got.Attrs) != 2 {
+	if got := da2.held(msg.Upserts[0].Rec.RID); got == nil || len(got.Attrs) != 2 {
 		t.Fatalf("restored owner lost attribute values: %+v", got)
 	}
 }

@@ -7,13 +7,11 @@ import (
 	"slices"
 	"sort"
 
-	"authdb/internal/btree"
 	"authdb/internal/chain"
 	"authdb/internal/freshness"
 	"authdb/internal/join"
 	"authdb/internal/projection"
 	"authdb/internal/sigagg"
-	"authdb/internal/storage"
 )
 
 // DataAggregator is the trusted data owner: it maintains the relation,
@@ -35,9 +33,9 @@ type DataAggregator struct {
 	pool     *sigagg.Pool
 	attrSign bool // projection mode: chain over stripped records, attrs signed per slot
 
-	index   *btree.Tree        // key -> (rid, current signature)
-	byRID   map[uint64]*Record // rid -> current version; its TS is the last certification time
-	ages    certHeap           // lazy min-heap over byRID's TS (see ageheap.go)
+	order   keyOrder  // the stored records in key order (keyorder.go)
+	bySlot  []*Record // bySlot[rid]: rid's current version, nil if none; its TS is the last certification time
+	ages    certHeap  // lazy min-heap over the stored records' TS (see ageheap.go)
 	nextRID uint64
 
 	pub *freshness.Publisher
@@ -87,8 +85,6 @@ func NewDataAggregator(scheme sigagg.Scheme, priv sigagg.PrivateKey, cfg Config,
 		priv:   priv,
 		cfg:    cfg,
 		pool:   sigagg.NewPool(scheme, 0),
-		index:  btree.New(storage.DefaultPageConfig()),
-		byRID:  make(map[uint64]*Record),
 	}
 	for _, o := range opts {
 		o(da)
@@ -102,7 +98,15 @@ func NewDataAggregator(scheme sigagg.Scheme, priv sigagg.PrivateKey, cfg Config,
 }
 
 // Len returns the relation cardinality.
-func (da *DataAggregator) Len() int { return da.index.Len() }
+func (da *DataAggregator) Len() int { return da.order.Len() }
+
+// held returns the stored version of the record at rid, or nil.
+func (da *DataAggregator) held(rid uint64) *Record {
+	if rid < uint64(len(da.bySlot)) {
+		return da.bySlot[rid]
+	}
+	return nil
+}
 
 // keysAscending reports whether recs are already in non-descending key
 // order (duplicate detection happens during the load itself).
@@ -140,7 +144,7 @@ func (da *DataAggregator) chainDigest(v *Record, left, right chain.Ref) []byte {
 // copy (the chained view the server stores and serves), and the values
 // plus their per-slot signatures at the version's timestamp ride along,
 // signed through the pool. No-op for ordinary relations. The
-// aggregator's own state (byRID) keeps the full records.
+// aggregator's own state keeps the full records.
 func (da *DataAggregator) sealMsg(msg *UpdateMsg) error {
 	if !da.attrSign || len(msg.Upserts) == 0 {
 		return nil
@@ -175,9 +179,9 @@ func (da *DataAggregator) sealMsg(msg *UpdateMsg) error {
 // after updates that change the key set; verifiers bound the filter's
 // age against the relation's certified summaries.
 func (da *DataAggregator) CertifyFilter(valuesPerPartition int, bitsPerKey float64, ts int64) (*join.FilterCert, error) {
-	keys := make([]int64, 0, da.index.Len())
-	da.index.Scan(func(e btree.Entry) bool {
-		keys = append(keys, e.Key)
+	keys := make([]int64, 0, da.order.Len())
+	da.order.scan(func(rec *Record) bool {
+		keys = append(keys, rec.Key)
 		return true
 	})
 	return join.CertifyKeys(da.pool, da.priv, keys, valuesPerPartition, bitsPerKey, ts)
@@ -208,11 +212,12 @@ func (p *plan) add(rec *Record, ts int64, left, right chain.Ref) {
 // records.
 func (da *DataAggregator) neighbours(key int64) (left, right chain.Ref) {
 	left, right = chain.MinRef, chain.MaxRef
-	if p, ok := da.index.Predecessor(key); ok {
-		left = chain.Ref{Key: p.Key, RID: p.RID}
+	pred, succ := da.order.around(key)
+	if pred != nil {
+		left = pred.Ref()
 	}
-	if s, ok := da.index.Successor(key); ok {
-		right = chain.Ref{Key: s.Key, RID: s.RID}
+	if succ != nil {
+		right = succ.Ref()
 	}
 	return left, right
 }
@@ -221,7 +226,7 @@ func (da *DataAggregator) neighbours(key int64) (left, right chain.Ref) {
 // against its current neighbours: a neighbour's identity changed, or
 // the signature is due for renewal.
 func (da *DataAggregator) planResign(p *plan, rid uint64, ts int64) {
-	rec := da.byRID[rid]
+	rec := da.bySlot[rid]
 	left, right := da.neighbours(rec.Key)
 	p.add(rec, ts, left, right)
 }
@@ -241,27 +246,10 @@ func (da *DataAggregator) certify(msg *UpdateMsg, p *plan) (*UpdateMsg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: sign: %w", err)
 	}
-	if da.index.Len() == 0 {
-		// Into an empty relation only a load certifies, and its versions
-		// are the whole relation in key order: build the index bottom-up
-		// in one pass (fuller nodes than per-record inserts leave);
-		// install then finds every key in place.
-		entries := make([]btree.Entry, n)
-		for i := range p.recs {
-			entries[i] = btree.Entry{Key: p.recs[i].Key, RID: p.recs[i].RID, Sig: sigs[i]}
-		}
-		idx, err := btree.BulkLoad(storage.DefaultPageConfig(), entries)
-		if err != nil {
-			return nil, fmt.Errorf("core: load: %w", err)
-		}
-		da.index = idx
-	}
 	msg.Upserts = make([]SignedRecord, n)
 	for i := range p.recs {
 		v := &p.recs[i]
-		if err := da.install(v, sigs[i]); err != nil {
-			return nil, err
-		}
+		da.install(v)
 		msg.Upserts[i] = SignedRecord{Rec: v, Sig: sigs[i]}
 	}
 	if err := da.sealMsg(msg); err != nil {
@@ -270,30 +258,34 @@ func (da *DataAggregator) certify(msg *UpdateMsg, p *plan) (*UpdateMsg, error) {
 	return msg, nil
 }
 
-// install makes v the stored version of its record under sig: the index
-// entry (inserted for a new key), the record body, an age-heap entry
-// when the certification time moved, and the record's mark in the
+// install makes v the stored version of its record, with an age-heap
+// entry when the certification time moved and the record's mark in the
 // period's summary. Replay installs logged versions the same way.
-func (da *DataAggregator) install(v *Record, sig sigagg.Signature) error {
-	if !da.index.Update(v.Key, sig) {
-		if err := da.index.Insert(btree.Entry{Key: v.Key, RID: v.RID, Sig: sig}); err != nil {
-			return err
-		}
-	}
-	old, had := da.byRID[v.RID]
-	da.byRID[v.RID] = v
-	if !had || old.TS != v.TS {
+func (da *DataAggregator) install(v *Record) {
+	if old := da.store(v); old == nil || old.TS != v.TS {
 		da.pushAge(v.RID, v.TS)
 	}
 	da.mark(slot(v.RID), v.TS)
-	return nil
+}
+
+// store makes v the stored version of its record, in key order (inserted
+// for a new key) and in its slot, and returns the version it replaced, or
+// nil.
+func (da *DataAggregator) store(v *Record) (old *Record) {
+	da.order.put(v)
+	old = da.held(v.RID)
+	if n := slot(v.RID) + 1; n > len(da.bySlot) {
+		da.bySlot = append(da.bySlot, make([]*Record, n-len(da.bySlot))...)
+	}
+	da.bySlot[v.RID] = v
+	return old
 }
 
 // remove drops a stored record at ts; its age-heap entry is discarded
 // lazily.
 func (da *DataAggregator) remove(rec *Record, ts int64) {
-	da.index.Delete(rec.Key)
-	delete(da.byRID, rec.RID)
+	da.order.delete(rec.Key)
+	da.bySlot[rec.RID] = nil
 	da.mark(slot(rec.RID), ts)
 }
 
@@ -315,7 +307,7 @@ func (da *DataAggregator) admit(sorted []*Record) error {
 		if i > 0 && rec.Key == sorted[i-1].Key {
 			return fmt.Errorf("core: duplicate key %d in load", rec.Key)
 		}
-		if _, exists := da.index.Get(rec.Key); exists {
+		if da.order.get(rec.Key) != nil {
 			return fmt.Errorf("core: key %d already present", rec.Key)
 		}
 		if rec.RID == 0 {
@@ -324,7 +316,7 @@ func (da *DataAggregator) admit(sorted []*Record) error {
 		if rec.RID > maxRID {
 			return fmt.Errorf("core: rid %d of key %d past %d", rec.RID, rec.Key, maxRID)
 		}
-		if held, ok := da.byRID[rec.RID]; ok {
+		if held := da.held(rec.RID); held != nil {
 			return fmt.Errorf("core: rid %d of key %d already held by key %d", rec.RID, rec.Key, held.Key)
 		}
 		explicit = append(explicit, rec.RID)
@@ -401,8 +393,8 @@ func (da *DataAggregator) planLoad(sorted []*Record, ts int64) *plan {
 			// A stored neighbour is a seam. It sits between two
 			// consecutive batch members at most, so it can only repeat as
 			// the previous seam.
-			stored, ok := da.byRID[nb.RID]
-			if !ok || stored.Key != nb.Key || nb == lastSeam {
+			stored := da.held(nb.RID)
+			if stored == nil || stored.Key != nb.Key || nb == lastSeam {
 				continue
 			}
 			lastSeam = nb
@@ -423,25 +415,25 @@ func (da *DataAggregator) Insert(rec *Record, ts int64) (*UpdateMsg, error) {
 // Update replaces the record's attribute values at time ts; neighbours
 // are unaffected (the chain references only keys and rids).
 func (da *DataAggregator) Update(key int64, attrs [][]byte, ts int64) (*UpdateMsg, error) {
-	e, ok := da.index.Get(key)
-	if !ok {
+	rec := da.order.get(key)
+	if rec == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKey, key)
 	}
 	left, right := da.neighbours(key)
 	p := newPlan(1)
-	p.add(&Record{RID: e.RID, Key: key, Attrs: attrs}, ts, left, right)
+	p.add(&Record{RID: rec.RID, Key: key, Attrs: attrs}, ts, left, right)
 	return da.certify(&UpdateMsg{TS: ts}, p)
 }
 
 // Delete removes the record at time ts; its former neighbours now chain
 // to each other and are re-signed.
 func (da *DataAggregator) Delete(key int64, ts int64) (*UpdateMsg, error) {
-	e, ok := da.index.Get(key)
-	if !ok {
+	rec := da.order.get(key)
+	if rec == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKey, key)
 	}
 	left, right := da.neighbours(key)
-	da.remove(da.byRID[e.RID], ts)
+	da.remove(rec, ts)
 	p := newPlan(2)
 	if left != chain.MinRef {
 		da.planResign(p, left.RID, ts)
@@ -449,7 +441,7 @@ func (da *DataAggregator) Delete(key int64, ts int64) (*UpdateMsg, error) {
 	if right != chain.MaxRef {
 		da.planResign(p, right.RID, ts)
 	}
-	return da.certify(&UpdateMsg{TS: ts, Deletes: []chain.Ref{{Key: key, RID: e.RID}}}, p)
+	return da.certify(&UpdateMsg{TS: ts, Deletes: []chain.Ref{rec.Ref()}}, p)
 }
 
 // ClosePeriod certifies the current ρ-period's summary at time ts, then
@@ -493,7 +485,7 @@ func (da *DataAggregator) ClosePeriod(ts int64) (*UpdateMsg, error) {
 func (da *DataAggregator) reopen(multi []int, ts int64) []uint64 {
 	var live []uint64
 	for _, sl := range multi {
-		if _, ok := da.byRID[uint64(sl)]; ok {
+		if da.held(uint64(sl)) != nil {
 			live = append(live, uint64(sl))
 		} else {
 			da.mark(sl, ts)

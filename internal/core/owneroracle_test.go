@@ -379,11 +379,11 @@ func (o *ownerOracle) check(step int) {
 	if got := o.da.pub.State().Touched; !maps.Equal(got, touched) {
 		t.Fatalf("step %d: the period marks %v, slice says %v", step, got, touched)
 	}
-	if len(o.da.byRID) != len(o.recs) {
-		t.Fatalf("step %d: owner holds %d record bodies for %d records", step, len(o.da.byRID), len(o.recs))
+	if slotsHeld(o.da) != len(o.recs) {
+		t.Fatalf("step %d: owner holds %d record bodies for %d records", step, slotsHeld(o.da), len(o.recs))
 	}
 	for _, r := range o.recs {
-		if got := o.da.byRID[r.RID]; got == nil || !reflect.DeepEqual(*got, r) {
+		if got := o.da.held(r.RID); got == nil || !reflect.DeepEqual(*got, r) {
 			t.Fatalf("step %d: owner holds rid %d as %+v, slice says %+v", step, r.RID, got, r)
 		}
 	}

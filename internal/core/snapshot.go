@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"authdb/internal/aggtree"
-	"authdb/internal/btree"
 	"authdb/internal/freshness"
 	"authdb/internal/join"
-	"authdb/internal/storage"
 )
 
 // This file is the recovery boundary: point-in-time state extraction
@@ -51,36 +49,25 @@ func (da *DataAggregator) SnapshotMeta() *OwnerState {
 	}
 }
 
-// Restore replaces the owner's state with a snapshot: the B+-tree is
-// bulk-loaded bottom-up, the age heap is rebuilt from the record
-// timestamps (a record's TS is its last certification time), and the
-// publisher resumes mid-period. The scheme, keys, and signing pool are
-// untouched.
+// Restore replaces the owner's state with a snapshot: the key order and
+// the slots are built from the sorted image (it appends block by block),
+// the age heap is rebuilt from the record timestamps (a record's TS is
+// its last certification time), and the publisher resumes mid-period.
+// The scheme, keys, and signing pool are untouched.
 func (da *DataAggregator) Restore(st *OwnerState) error {
-	entries := make([]btree.Entry, len(st.Records))
-	byRID := make(map[uint64]*Record, len(st.Records))
-	nextRID := st.NextRID
 	for i, sr := range st.Records {
-		rec := fullRecord(&sr)
-		if i > 0 && rec.Key <= st.Records[i-1].Rec.Key {
+		if i > 0 && sr.Rec.Key <= st.Records[i-1].Rec.Key {
 			return fmt.Errorf("core: restore: records not in strict key order at %d", i)
 		}
-		entries[i] = btree.Entry{Key: rec.Key, RID: rec.RID, Sig: sr.Sig}
-		byRID[rec.RID] = rec
-		if rec.RID > nextRID {
-			nextRID = rec.RID
+		if sr.Rec.RID > maxRID {
+			return fmt.Errorf("core: restore: rid %d of key %d past %d", sr.Rec.RID, sr.Rec.Key, maxRID)
 		}
 	}
-	idx, err := btree.BulkLoad(storage.DefaultPageConfig(), entries)
-	if err != nil {
-		return fmt.Errorf("core: restore: %w", err)
-	}
-	da.index = idx
-	da.byRID = byRID
-	da.nextRID = nextRID
-	da.lastMark = 0
-	for _, rec := range byRID {
-		da.lastMark = max(da.lastMark, rec.TS)
+	da.order, da.bySlot, da.nextRID, da.lastMark = keyOrder{}, nil, st.NextRID, 0
+	for _, sr := range st.Records {
+		rec := fullRecord(&sr)
+		da.store(rec)
+		da.nextRID, da.lastMark = max(da.nextRID, rec.RID), max(da.lastMark, rec.TS)
 	}
 	da.compactAges()
 	if st.Pub != nil {
@@ -114,18 +101,14 @@ func (da *DataAggregator) ReplayMsg(msg *UpdateMsg) error {
 		}
 	}
 	for _, del := range msg.Deletes {
-		if rec, ok := da.byRID[del.RID]; ok { // else deleted before the snapshot
+		if rec := da.held(del.RID); rec != nil { // else deleted before the snapshot
 			da.remove(rec, msg.TS)
 		}
 	}
 	for _, sr := range msg.Upserts {
 		rec := fullRecord(&sr)
-		if err := da.install(rec, sr.Sig); err != nil {
-			return fmt.Errorf("core: replay upsert: %w", err)
-		}
-		if rec.RID > da.nextRID {
-			da.nextRID = rec.RID
-		}
+		da.install(rec)
+		da.nextRID = max(da.nextRID, rec.RID)
 	}
 	return nil
 }

@@ -6,9 +6,27 @@ import (
 	"testing"
 
 	"authdb/internal/anscache"
-	"authdb/internal/btree"
 	"authdb/internal/sigagg/xortest"
 )
+
+// TestOwnerRestoreRefusesBadImage: an image out of key order, or holding
+// a rid past the last summary slot, is refused before the owner changes.
+func TestOwnerRestoreRefusesBadImage(t *testing.T) {
+	sys := newSystem(t, xortest.New())
+	load(t, sys, 8)
+	good := sys.QS.Snapshot().Records
+	for name, recs := range map[string][]SignedRecord{
+		"unsorted":     {good[1], good[0]},
+		"rid past max": {{Rec: &Record{Key: 1, RID: maxRID + 1}}},
+	} {
+		if err := sys.DA.Restore(&OwnerState{Records: recs}); err == nil {
+			t.Fatalf("%s image restored", name)
+		}
+		if sys.DA.Len() != 8 || slotsHeld(sys.DA) != 8 {
+			t.Fatalf("refused %s image left %d keys, %d slots", name, sys.DA.Len(), slotsHeld(sys.DA))
+		}
+	}
+}
 
 // TestOwnerSnapshotRestoreRoundtrip: a restored owner is operationally
 // identical to the original — same certified image, same follow-on
@@ -42,13 +60,13 @@ func TestOwnerSnapshotRestoreRoundtrip(t *testing.T) {
 	if err := da2.Restore(st); err != nil {
 		t.Fatal(err)
 	}
-	var idx1, idx2 []btree.Entry
+	var idx1, idx2 []*Record
 	for _, p := range []struct {
 		da  *DataAggregator
-		out *[]btree.Entry
+		out *[]*Record
 	}{{sys.DA, &idx1}, {da2, &idx2}} {
-		p.da.index.Scan(func(e btree.Entry) bool {
-			*p.out = append(*p.out, e)
+		p.da.order.scan(func(rec *Record) bool {
+			*p.out = append(*p.out, rec)
 			return true
 		})
 	}
@@ -56,10 +74,10 @@ func TestOwnerSnapshotRestoreRoundtrip(t *testing.T) {
 		t.Fatalf("restored %d records, want %d", len(idx2), len(idx1))
 	}
 	for i := range idx1 {
-		if idx1[i].Key != idx2[i].Key || idx1[i].RID != idx2[i].RID || !bytes.Equal(idx1[i].Sig, idx2[i].Sig) {
+		if idx1[i].Key != idx2[i].Key || idx1[i].RID != idx2[i].RID {
 			t.Fatalf("index entry %d differs after restore", i)
 		}
-		if !reflect.DeepEqual(sys.DA.byRID[idx1[i].RID], da2.byRID[idx2[i].RID]) {
+		if !reflect.DeepEqual(sys.DA.held(idx1[i].RID), da2.held(idx2[i].RID)) {
 			t.Fatalf("record body %d differs after restore", i)
 		}
 	}

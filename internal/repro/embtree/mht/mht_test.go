@@ -1,6 +1,3 @@
-// The Merkle hash tree lives in internal/repro/embtree/mht, beside the
-// EMB-tree baseline that is its only user; its tests keep the names they
-// had while it was a package of its own.
 package mht_test
 
 import (
