@@ -58,7 +58,10 @@ func BenchmarkAblation_SummaryCompressed(b *testing.B) {
 		for _, slot := range marked {
 			pub.MarkUpdated(slot)
 		}
-		s, _, err := pub.Publish(int64(i + 1))
+		s, _, err := pub.Next(int64(i + 1))
+		if err == nil {
+			_, _, err = pub.ReplaySummary(s)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}

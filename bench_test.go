@@ -692,7 +692,11 @@ func BenchmarkFig8_PublishSummary(b *testing.B) {
 			pub.MarkUpdated(rng.Intn(1_000_000))
 		}
 		ts += 1000
-		if _, _, err := pub.Publish(ts); err != nil {
+		s, _, err := pub.Next(ts)
+		if err == nil {
+			_, _, err = pub.ReplaySummary(s)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -95,7 +95,10 @@ func simulateSummaries(n int, rho float64, rhoPrimeMult int, updRate float64, pe
 			}
 			cursor = (cursor + 1) % n
 		}
-		s, _, err := pub.Publish(now)
+		s, _, err := pub.Next(now)
+		if err == nil {
+			_, _, err = pub.ReplaySummary(s)
+		}
 		if err != nil {
 			panic(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
@@ -18,16 +19,15 @@ import (
 // chain-signs records, publishes ρ-period summaries, and renews aging
 // signatures (§3.1).
 //
-// Every operation that changes a signature runs in two steps. It first
-// plans the record versions to certify — each record at its new
-// timestamp with the neighbours it will be chained between — and then
-// hands the plan to certify, which signs every chained digest in one
-// batch on the signing pool (using the scheme's batch primitives, see
-// sigagg.Scheme.SignBatch), installs each version, and emits them in plan
-// order. Summaries and per-attribute signatures go through the same
-// pool.
+// Every operation plans, signs, then commits. It plans the record
+// versions to certify — each at its new timestamp with the neighbours
+// it will be chained between — and certify signs them in one batch on
+// the signing pool (see sigagg.Scheme.SignBatch), with the §3.4
+// attribute signatures and a close's summary (Publisher.Next). Only the
+// signed message changes state, through ReplayMsg, the transition
+// recovery replays logged messages with; a failed signature changes
+// nothing.
 type DataAggregator struct {
-	scheme   sigagg.Scheme
 	priv     sigagg.PrivateKey
 	cfg      Config
 	pool     *sigagg.Pool
@@ -81,10 +81,9 @@ func NewDataAggregator(scheme sigagg.Scheme, priv sigagg.PrivateKey, cfg Config,
 		return nil, fmt.Errorf("core: non-positive ρ")
 	}
 	da := &DataAggregator{
-		scheme: scheme,
-		priv:   priv,
-		cfg:    cfg,
-		pool:   sigagg.NewPool(scheme, 0),
+		priv: priv,
+		cfg:  cfg,
+		pool: sigagg.NewPool(scheme, 0),
 	}
 	for _, o := range opts {
 		o(da)
@@ -106,17 +105,6 @@ func (da *DataAggregator) held(rid uint64) *Record {
 		return da.bySlot[rid]
 	}
 	return nil
-}
-
-// keysAscending reports whether recs are already in non-descending key
-// order (duplicate detection happens during the load itself).
-func keysAscending(recs []*Record) bool {
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Key < recs[i-1].Key {
-			return false
-		}
-	}
-	return true
 }
 
 // maxRID is the largest rid a record may hold: a rid is its record's
@@ -143,8 +131,8 @@ func (da *DataAggregator) chainDigest(v *Record, left, right chain.Ref) []byte {
 // record in msg: the emitted record is replaced by an attribute-stripped
 // copy (the chained view the server stores and serves), and the values
 // plus their per-slot signatures at the version's timestamp ride along,
-// signed through the pool. No-op for ordinary relations. The
-// aggregator's own state keeps the full records.
+// signed through the pool. No-op for ordinary relations. The owner's
+// state keeps full records: ReplayMsg folds the values back in.
 func (da *DataAggregator) sealMsg(msg *UpdateMsg) error {
 	if !da.attrSign || len(msg.Upserts) == 0 {
 		return nil
@@ -222,20 +210,24 @@ func (da *DataAggregator) neighbours(key int64) (left, right chain.Ref) {
 	return left, right
 }
 
-// planResign plans a re-signature at ts of the stored record rid
-// against its current neighbours: a neighbour's identity changed, or
-// the signature is due for renewal.
+// planResign plans a re-signature at ts of the stored record rid, if
+// any, against its current neighbours: a neighbour's identity changed,
+// the record was multi-updated, or its signature is due for renewal.
 func (da *DataAggregator) planResign(p *plan, rid uint64, ts int64) {
-	rec := da.bySlot[rid]
-	left, right := da.neighbours(rec.Key)
-	p.add(rec, ts, left, right)
+	if rec := da.held(rid); rec != nil {
+		left, right := da.neighbours(rec.Key)
+		p.add(rec, ts, left, right)
+	}
 }
 
-// certify signs every planned version in one pool batch, installs each
-// one, and emits them into msg in plan order with the §3.4 sideband.
-// Signing fails before any state changes. This is the only place a
-// chain signature is made.
+// certify signs every planned version in one pool batch and emits them
+// into msg in plan order with the §3.4 sideband; it changes no state. It
+// is the only place a chain signature is made, and refuses a stamp before
+// the open period's start, whose version every client would find stale.
 func (da *DataAggregator) certify(msg *UpdateMsg, p *plan) (*UpdateMsg, error) {
+	if start := da.pub.PeriodStart(); msg.TS < start {
+		return nil, fmt.Errorf("core: stamp %d before the open period's start, %d", msg.TS, start)
+	}
 	n := len(p.recs)
 	if n == 0 {
 		return msg, nil
@@ -248,9 +240,7 @@ func (da *DataAggregator) certify(msg *UpdateMsg, p *plan) (*UpdateMsg, error) {
 	}
 	msg.Upserts = make([]SignedRecord, n)
 	for i := range p.recs {
-		v := &p.recs[i]
-		da.install(v)
-		msg.Upserts[i] = SignedRecord{Rec: v, Sig: sigs[i]}
+		msg.Upserts[i] = SignedRecord{Rec: &p.recs[i], Sig: sigs[i]}
 	}
 	if err := da.sealMsg(msg); err != nil {
 		return nil, err
@@ -258,9 +248,17 @@ func (da *DataAggregator) certify(msg *UpdateMsg, p *plan) (*UpdateMsg, error) {
 	return msg, nil
 }
 
+// commit makes a signed message the owner's state through ReplayMsg.
+func (da *DataAggregator) commit(msg *UpdateMsg, err error) (*UpdateMsg, error) {
+	if err != nil {
+		return nil, err
+	}
+	return msg, da.ReplayMsg(msg)
+}
+
 // install makes v the stored version of its record, with an age-heap
 // entry when the certification time moved and the record's mark in the
-// period's summary. Replay installs logged versions the same way.
+// period's summary.
 func (da *DataAggregator) install(v *Record) {
 	if old := da.store(v); old == nil || old.TS != v.TS {
 		da.pushAge(v.RID, v.TS)
@@ -269,10 +267,11 @@ func (da *DataAggregator) install(v *Record) {
 }
 
 // store makes v the stored version of its record, in key order (inserted
-// for a new key) and in its slot, and returns the version it replaced, or
-// nil.
+// for a new key) and in its slot, moves the rid allocator past it, and
+// returns the version it replaced, or nil.
 func (da *DataAggregator) store(v *Record) (old *Record) {
 	da.order.put(v)
+	da.nextRID = max(da.nextRID, v.RID)
 	old = da.held(v.RID)
 	if n := slot(v.RID) + 1; n > len(da.bySlot) {
 		da.bySlot = append(da.bySlot, make([]*Record, n-len(da.bySlot))...)
@@ -337,7 +336,6 @@ func (da *DataAggregator) admit(sorted []*Record) error {
 			rec.RID = next
 		}
 	}
-	da.nextRID = next
 	return nil
 }
 
@@ -346,18 +344,18 @@ func (da *DataAggregator) admit(sorted []*Record) error {
 // record. Records without a rid are numbered; an explicit rid must be
 // free. Typically called once to seed the query server.
 func (da *DataAggregator) Load(recs []*Record, ts int64) (*UpdateMsg, error) {
+	byKey := func(a, b *Record) int { return cmp.Compare(a.Key, b.Key) }
 	sorted := recs
-	if !keysAscending(recs) {
+	if !slices.IsSortedFunc(recs, byKey) {
 		// Only copy and sort when the caller's order actually needs
 		// fixing; generators and snapshots already deliver key order.
-		sorted = make([]*Record, len(recs))
-		copy(sorted, recs)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+		sorted = slices.Clone(recs)
+		slices.SortFunc(sorted, byKey)
 	}
 	if err := da.admit(sorted); err != nil {
 		return nil, err
 	}
-	return da.certify(&UpdateMsg{TS: ts}, da.planLoad(sorted, ts))
+	return da.commit(da.certify(&UpdateMsg{TS: ts}, da.planLoad(sorted, ts)))
 }
 
 // planLoad plans a sorted batch of new records into the relation: each
@@ -422,26 +420,27 @@ func (da *DataAggregator) Update(key int64, attrs [][]byte, ts int64) (*UpdateMs
 	left, right := da.neighbours(key)
 	p := newPlan(1)
 	p.add(&Record{RID: rec.RID, Key: key, Attrs: attrs}, ts, left, right)
-	return da.certify(&UpdateMsg{TS: ts}, p)
+	return da.commit(da.certify(&UpdateMsg{TS: ts}, p))
 }
 
 // Delete removes the record at time ts; its former neighbours now chain
-// to each other and are re-signed.
+// to each other and are re-signed against the chain the delete leaves.
 func (da *DataAggregator) Delete(key int64, ts int64) (*UpdateMsg, error) {
 	rec := da.order.get(key)
 	if rec == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKey, key)
 	}
 	left, right := da.neighbours(key)
-	da.remove(rec, ts)
 	p := newPlan(2)
 	if left != chain.MinRef {
 		da.planResign(p, left.RID, ts)
+		p.refs[len(p.refs)-1][1] = right // the deleted record's successor
 	}
 	if right != chain.MaxRef {
 		da.planResign(p, right.RID, ts)
+		p.refs[len(p.refs)-1][0] = left // the deleted record's predecessor
 	}
-	return da.certify(&UpdateMsg{TS: ts, Deletes: []chain.Ref{rec.Ref()}}, p)
+	return da.commit(da.certify(&UpdateMsg{TS: ts, Deletes: []chain.Ref{rec.Ref()}}, p))
 }
 
 // ClosePeriod certifies the current ρ-period's summary at time ts, then
@@ -464,34 +463,29 @@ func (da *DataAggregator) ClosePeriod(ts int64) (*UpdateMsg, error) {
 	if ts <= da.lastMark {
 		return nil, fmt.Errorf("core: close at %d not after the last operation, at %d", ts, da.lastMark)
 	}
-	summary, multi, err := da.pub.Publish(ts)
+	summary, multi, err := da.pub.Next(ts)
 	if err != nil {
 		return nil, err
 	}
 	p := newPlan(len(multi))
-	for _, rid := range da.reopen(multi, ts) {
-		da.planResign(p, rid, ts)
+	for _, sl := range multi {
+		da.planResign(p, uint64(sl), ts)
 	}
-	return da.certify(&UpdateMsg{TS: ts, Summary: &summary}, p)
+	return da.commit(da.certify(&UpdateMsg{TS: ts, Summary: &summary}, p))
 }
 
-// reopen starts the period a close at ts just opened: it marks every
-// multi-updated slot whose record is gone and returns the rids of the
-// others, which the close re-certifies. (A record deleted in the period
-// of its last certification was marked only in that period, where
-// CheckFresh reads a mark as the version itself; without the new mark
-// its last version would pass as fresh forever.) Replay reopens a period
-// the same way.
-func (da *DataAggregator) reopen(multi []int, ts int64) []uint64 {
-	var live []uint64
+// reopen starts the period a close at ts opened: it marks every
+// multi-updated slot whose record is gone; the close re-certifies the
+// others. (A record deleted in the period of its last certification was
+// marked only in that period, where CheckFresh reads a mark as the
+// version itself; without the new mark its last version would pass as
+// fresh forever.)
+func (da *DataAggregator) reopen(multi []int, ts int64) {
 	for _, sl := range multi {
-		if da.held(uint64(sl)) != nil {
-			live = append(live, uint64(sl))
-		} else {
+		if da.held(uint64(sl)) == nil {
 			da.mark(sl, ts)
 		}
 	}
-	return live
 }
 
 // RenewOld re-signs up to budget records whose signatures are older
@@ -504,9 +498,6 @@ func (da *DataAggregator) reopen(multi []int, ts int64) []uint64 {
 // (deleted rids never surface).
 func (da *DataAggregator) RenewOld(now int64, budget int) (*UpdateMsg, int, error) {
 	msg := &UpdateMsg{TS: now}
-	if budget <= 0 {
-		return msg, 0, nil
-	}
 	var popped []certEntry
 	p := newPlan(0)
 	for len(popped) < budget {
@@ -525,8 +516,8 @@ func (da *DataAggregator) RenewOld(now int64, budget int) (*UpdateMsg, int, erro
 		popped = append(popped, top)
 		da.planResign(p, top.rid, now)
 	}
-	if _, err := da.certify(msg, p); err != nil {
-		// Signing failed before any state changed: restore the popped
+	if _, err := da.commit(da.certify(msg, p)); err != nil {
+		// Refused or unsigned, so no state changed: restore the popped
 		// entries so the records stay renewal candidates.
 		for _, e := range popped {
 			heap.Push(&da.ages, e)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"authdb/internal/freshness"
@@ -30,6 +32,15 @@ import (
 // Verifier.VerifyScan, and every version replaced or deleted two period
 // closes ago or more must be stale to that verifier. Seed 1 runs on bas,
 // the rest on xortest; odd seeds run the relation in projection mode.
+//
+// Two more owners check that state changes only through ReplayMsg. A
+// replay twin, a DataAggregator that never signs, is handed every
+// accepted message through ReplayMsg and must equal the live owner
+// after every step. And on the short seeds every owner operation first
+// runs with its k-th signing call failing, for k = 1 up to the calls it
+// makes: each failure must return an error and leave the owner as the
+// slice (and the twin) hold it, and the close that follows a failed one
+// must be gapless to the verifier.
 const (
 	ownerOracleSeeds      = 20
 	ownerOracleShortSeeds = 4
@@ -49,6 +60,11 @@ type ownerOracle struct {
 	opts   []DAOption
 
 	da        *DataAggregator
+	twin      *DataAggregator // every accepted message, through ReplayMsg
+	signer    *failingScheme  // the live owner's scheme: fails at an armed call
+	inject    bool            // run each operation with every signing call failing first
+	injected  int             // signing failures injected and refused
+	stepNo    int
 	qs        *QueryServer
 	v         *Verifier
 	restoreAt int
@@ -94,7 +110,12 @@ func newOwnerOracle(t *testing.T, seed int64) *ownerOracle {
 	if seed%2 == 1 {
 		o.opts = append(o.opts, WithAttrSigning())
 	}
-	if o.da, err = NewDataAggregator(scheme, priv, ownerOracleConfig, o.opts...); err != nil {
+	o.signer = &failingScheme{Scheme: scheme}
+	o.inject = seed <= ownerOracleShortSeeds
+	if o.da, err = NewDataAggregator(o.signer, priv, ownerOracleConfig, o.opts...); err != nil {
+		t.Fatal(err)
+	}
+	if o.twin, err = NewDataAggregator(scheme, priv, ownerOracleConfig, o.opts...); err != nil {
 		t.Fatal(err)
 	}
 	// A shuffled load into the empty relation.
@@ -161,7 +182,59 @@ func (o *ownerOracle) batch(n int, rids bool) []*Record {
 	return recs
 }
 
-// deliver hands an accepted operation's message to the server.
+// errInjected is the failingScheme's signing failure.
+var errInjected = errors.New("injected signing failure")
+
+// failingScheme signs through the scheme it wraps, except that the
+// failAt-th SignBatch call since it was armed fails.
+type failingScheme struct {
+	sigagg.Scheme
+	failAt, calls atomic.Int64 // failAt 0: disarmed
+	fired         atomic.Bool
+}
+
+func (s *failingScheme) SignBatch(priv sigagg.PrivateKey, digests [][]byte) ([]sigagg.Signature, error) {
+	if n := s.calls.Add(1); n == s.failAt.Load() {
+		s.fired.Store(true)
+		return nil, errInjected
+	}
+	return s.Scheme.SignBatch(priv, digests)
+}
+
+// arm makes the k-th signing call from now on fail; k = 0 disarms.
+func (s *failingScheme) arm(k int64) {
+	s.calls.Store(0)
+	s.fired.Store(false)
+	s.failAt.Store(k)
+}
+
+// run makes one owner operation. With injection on, the operation first
+// runs with its k-th signing call failing, for k = 1, 2, … while the
+// failure fires: each such run must return the injected error and change
+// nothing, which check and the twin hold. The first run the failure does
+// not reach is the operation itself, and its outcome is returned.
+func (o *ownerOracle) run(op func() (*UpdateMsg, error)) (*UpdateMsg, error) {
+	o.t.Helper()
+	if !o.inject {
+		return op()
+	}
+	defer o.signer.arm(0)
+	for k := int64(1); ; k++ {
+		o.signer.arm(k)
+		msg, err := op()
+		if !o.signer.fired.Load() {
+			return msg, err
+		}
+		if !errors.Is(err, errInjected) {
+			o.t.Fatalf("step %d: signing call %d failed, and the operation returned %v", o.stepNo, k, err)
+		}
+		o.injected++
+		o.check(o.stepNo)
+	}
+}
+
+// deliver hands an accepted operation's message to the server and to the
+// replay twin.
 func (o *ownerOracle) deliver(msg *UpdateMsg, err error) {
 	o.t.Helper()
 	if err != nil {
@@ -169,6 +242,9 @@ func (o *ownerOracle) deliver(msg *UpdateMsg, err error) {
 	}
 	if err := o.qs.Apply(msg); err != nil {
 		o.t.Fatalf("Apply: %v", err)
+	}
+	if err := o.twin.ReplayMsg(msg); err != nil {
+		o.t.Fatalf("twin ReplayMsg: %v", err)
 	}
 }
 
@@ -207,7 +283,7 @@ func (o *ownerOracle) load(batch []*Record) {
 		}
 		o.freed = slices.DeleteFunc(o.freed, func(rid uint64) bool { return rid == want[i].RID })
 	}
-	o.deliver(o.da.Load(batch, o.now))
+	o.deliver(o.run(func() (*UpdateMsg, error) { return o.da.Load(batch, o.now) }))
 
 	isNew := map[int64]bool{}
 	for _, r := range want {
@@ -233,7 +309,7 @@ func (o *ownerOracle) load(batch []*Record) {
 // update gives a stored record new attribute values.
 func (o *ownerOracle) update(r *Record) {
 	attrs := o.attrs(r.Key)
-	o.deliver(o.da.Update(r.Key, attrs, o.now))
+	o.deliver(o.run(func() (*UpdateMsg, error) { return o.da.Update(r.Key, attrs, o.now) }))
 	r.Attrs = attrs
 	o.certify(r)
 }
@@ -242,7 +318,7 @@ func (o *ownerOracle) update(r *Record) {
 // neighbours.
 func (o *ownerOracle) remove(i int) {
 	rid := o.recs[i].RID
-	o.deliver(o.da.Delete(o.recs[i].Key, o.now))
+	o.deliver(o.run(func() (*UpdateMsg, error) { return o.da.Delete(o.recs[i].Key, o.now) }))
 	o.touched[rid]++
 	o.ghosts = append(o.ghosts, ghost{rec: o.recs[i], closes: o.closes})
 	o.freed = append(o.freed, rid)
@@ -259,7 +335,7 @@ func (o *ownerOracle) remove(i int) {
 // period's multi-updated records that are still stored, and marks the
 // others once.
 func (o *ownerOracle) closePeriod() {
-	o.deliver(o.da.ClosePeriod(o.now))
+	o.deliver(o.run(func() (*UpdateMsg, error) { return o.da.ClosePeriod(o.now) }))
 	o.closes++
 	closed := o.touched
 	o.touched = map[uint64]int{}
@@ -288,8 +364,11 @@ func (o *ownerOracle) renew(budget int) {
 		return cmp.Or(cmp.Compare(a.TS, b.TS), cmp.Compare(a.RID, b.RID))
 	})
 	due = due[:min(budget, len(due))]
-	msg, n, err := o.da.RenewOld(o.now, budget)
-	o.deliver(msg, err)
+	var n int
+	o.deliver(o.run(func() (msg *UpdateMsg, err error) {
+		msg, n, err = o.da.RenewOld(o.now, budget)
+		return msg, err
+	}))
 	if n != len(due) {
 		o.t.Fatalf("RenewOld renewed %d, slice says %d", n, len(due))
 	}
@@ -299,18 +378,24 @@ func (o *ownerOracle) renew(budget int) {
 }
 
 // restore swaps the owner for a fresh one restored from its bookkeeping
-// and the server's records, as recovery assembles a snapshot.
+// and the server's records, as recovery assembles a snapshot, and the
+// twin for another restored from the same snapshot: the snapshot keeps
+// no lastMark, so a restored owner's is its records' and period's
+// latest stamp.
 func (o *ownerOracle) restore() {
 	st := o.da.SnapshotMeta()
 	st.Records = o.qs.Snapshot().Records
-	fresh, err := NewDataAggregator(o.scheme, o.priv, ownerOracleConfig, o.opts...)
-	if err != nil {
-		o.t.Fatal(err)
+	restored := func(scheme sigagg.Scheme) *DataAggregator {
+		da, err := NewDataAggregator(scheme, o.priv, ownerOracleConfig, o.opts...)
+		if err != nil {
+			o.t.Fatal(err)
+		}
+		if err := da.Restore(st); err != nil {
+			o.t.Fatalf("Restore: %v", err)
+		}
+		return da
 	}
-	if err := fresh.Restore(st); err != nil {
-		o.t.Fatalf("Restore: %v", err)
-	}
-	o.da = fresh
+	o.da, o.twin = restored(o.signer), restored(o.scheme)
 }
 
 func (o *ownerOracle) step() {
@@ -396,6 +481,9 @@ func (o *ownerOracle) check(step int) {
 			t.Fatalf("step %d: server record %d = %+v, slice says %+v", step, i, got, o.recs[i])
 		}
 	}
+	if field, live, twin := ownerDiff(o.da, o.twin); field != "" {
+		t.Fatalf("step %d: the owner's %s is %+v, the replay twin's %+v", step, field, live, twin)
+	}
 	if len(o.recs) == 0 {
 		return
 	}
@@ -438,9 +526,52 @@ func TestOwnerMatchesSortedSlice(t *testing.T) {
 				if step == o.restoreAt {
 					o.restore()
 				}
+				o.stepNo = step
 				o.step()
 				o.check(step)
 			}
+			if o.inject {
+				t.Logf("%d signing failures injected, each refused with nothing changed", o.injected)
+			}
 		})
 	}
+}
+
+// ownerDiff names the first part of a's state where b differs — the
+// occupied slots, the key-order scan, the rid allocator, the latest
+// mark, the publisher's period or the oldest certification — with both
+// values, or returns "".
+func ownerDiff(a, b *DataAggregator) (field string, av, bv any) {
+	same := func(x, y *Record) bool {
+		return x == y || x != nil && y != nil && x.RID == y.RID && x.Key == y.Key && x.TS == y.TS &&
+			slices.EqualFunc(x.Attrs, y.Attrs, bytes.Equal)
+	}
+	scan := func(da *DataAggregator) (recs []*Record) {
+		da.order.scan(func(rec *Record) bool {
+			recs = append(recs, rec)
+			return true
+		})
+		return recs
+	}
+	for rid := range max(len(a.bySlot), len(b.bySlot)) {
+		if x, y := a.held(uint64(rid)), b.held(uint64(rid)); !same(x, y) {
+			return fmt.Sprintf("slot %d", rid), x, y
+		}
+	}
+	if ka, kb := scan(a), scan(b); !slices.EqualFunc(ka, kb, same) {
+		return "key order", ka, kb
+	}
+	if a.nextRID != b.nextRID {
+		return "nextRID", a.nextRID, b.nextRID
+	}
+	if a.lastMark != b.lastMark {
+		return "lastMark", a.lastMark, b.lastMark
+	}
+	if pa, pb := a.pub.State(), b.pub.State(); !reflect.DeepEqual(pa, pb) {
+		return "publisher state", pa, pb
+	}
+	if oa, ob := a.OldestCertTS(), b.OldestCertTS(); oa != ob {
+		return "OldestCertTS", oa, ob
+	}
+	return "", nil, nil
 }

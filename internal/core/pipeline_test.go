@@ -356,6 +356,55 @@ func TestClosePeriodBatchRecertification(t *testing.T) {
 	}
 }
 
+// TestStampBeforeOpenPeriodRefused: after a close at 1000, a version
+// stamped 500 would belong to the closed period while its slot's mark
+// lands in the open one, and every client would refuse it as stale. A
+// load, an insert, an update, a delete and a renewal stamped before the
+// open period are refused before anything is signed, and the owner goes
+// on as if it had never seen them; a stamp at the close's own TS is the
+// open period's.
+func TestStampBeforeOpenPeriodRefused(t *testing.T) {
+	da, qs, v := newParties(t, xortest.New())
+	twin, _, _ := newParties(t, xortest.New()) // every accepted message, through ReplayMsg
+	deliver := func(msg *UpdateMsg, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := qs.Apply(msg); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.ReplayMsg(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deliver(da.Load(mkRecords(20, 10), 100))
+	deliver(da.ClosePeriod(1000))
+	for name, op := range map[string]func() error{
+		"load":   func() error { _, err := da.Load([]*Record{{Key: 15}, {Key: 25}}, 500); return err },
+		"insert": func() error { _, err := da.Insert(&Record{Key: 35}, 999); return err },
+		"update": func() error { _, err := da.Update(30, [][]byte{[]byte("never-sent")}, 500); return err },
+		"delete": func() error { _, err := da.Delete(30, 500); return err },
+		"renew":  func() error { _, _, err := da.RenewOld(500, 10); return err },
+	} {
+		if err := op(); err == nil {
+			t.Fatalf("%s stamped before the open period's start accepted", name)
+		}
+	}
+	if field, got, want := ownerDiff(da, twin); field != "" {
+		t.Fatalf("refused stamps moved the owner's %s to %+v from %+v", field, got, want)
+	}
+	deliver(da.Update(30, [][]byte{[]byte("v2")}, 1000))
+	deliver(da.ClosePeriod(2000))
+	ans, err := scan(qs, 10, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := verifyScan(v, ans, 10, 200, 2100); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // slotsHeld counts the owner's occupied slots: the record bodies it holds.
 func slotsHeld(da *DataAggregator) int {
 	n := 0

@@ -9,9 +9,9 @@ import (
 )
 
 // This file is the recovery boundary: point-in-time state extraction
-// and injection for both protocol parties, plus the owner-side replay
-// of logged dissemination messages. internal/wal persists these states
-// and drives replay; everything here is storage-agnostic.
+// and injection for both protocol parties, plus ReplayMsg, the owner's
+// one state transition, live and in recovery. internal/wal persists
+// these states and drives replay; everything here is storage-agnostic.
 //
 // The invariant that makes replay safe is a watermark, not in-place
 // idempotence: a snapshot records the log sequence number (LSN) of the
@@ -67,7 +67,7 @@ func (da *DataAggregator) Restore(st *OwnerState) error {
 	for _, sr := range st.Records {
 		rec := fullRecord(&sr)
 		da.store(rec)
-		da.nextRID, da.lastMark = max(da.nextRID, rec.RID), max(da.lastMark, rec.TS)
+		da.lastMark = max(da.lastMark, rec.TS)
 	}
 	da.compactAges()
 	if st.Pub != nil {
@@ -79,14 +79,15 @@ func (da *DataAggregator) Restore(st *OwnerState) error {
 	return nil
 }
 
-// ReplayMsg applies one logged dissemination message to the owner's
-// state without any signing: the signatures were computed before the
-// crash and are adopted verbatim, so a recovered owner is byte-identical
-// to one that never crashed. Messages must be replayed in log order and
-// only past the snapshot's watermark — replaying an already-folded
-// message double-counts the period's update marks (see the file
-// comment). A period close's summary is folded first: its re-signed
-// records open the next period, as in ClosePeriod.
+// ReplayMsg applies one signed dissemination message to the owner's
+// state without any signing: a live operation's, just signed, or a
+// logged one, signed before the crash. It is the only way owner state
+// changes after Restore, so a recovered owner is byte-identical to one
+// that never crashed. Messages must be replayed in log order and only
+// past the snapshot's watermark — replaying an already-folded message
+// double-counts the period's update marks (see the file comment). A
+// close's summary is folded first: its re-signed records open the next
+// period.
 func (da *DataAggregator) ReplayMsg(msg *UpdateMsg) error {
 	if msg == nil {
 		return nil
@@ -106,9 +107,7 @@ func (da *DataAggregator) ReplayMsg(msg *UpdateMsg) error {
 		}
 	}
 	for _, sr := range msg.Upserts {
-		rec := fullRecord(&sr)
-		da.install(rec)
-		da.nextRID = max(da.nextRID, rec.RID)
+		da.install(fullRecord(&sr))
 	}
 	return nil
 }

@@ -23,7 +23,7 @@ func BenchmarkPublish500Updates(b *testing.B) {
 			p.MarkUpdated(rng.Intn(1_000_000))
 		}
 		ts += 1000
-		if _, _, err := p.Publish(ts); err != nil {
+		if _, _, err := publish(p, ts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func BenchmarkCheckFresh(b *testing.B) {
 			p.MarkUpdated(rng.Intn(1_000_000))
 		}
 		ts += 1000
-		s, _, err := p.Publish(ts)
+		s, _, err := publish(p, ts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func BenchmarkSummaryIngest(b *testing.B) {
 			p.MarkUpdated(rng.Intn(1_000_000))
 		}
 		ts += 1000
-		s, _, err := p.Publish(ts)
+		s, _, err := publish(p, ts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -63,10 +63,9 @@ type SignFunc func(digest []byte) (sigagg.Signature, error)
 // Publisher is the data-aggregator side: it accumulates the slots the
 // current period marks and certifies them on demand.
 //
-// A Publisher is safe for concurrent use: update marking and
-// publication may race freely. It keeps no copy of what it published:
-// the summary stream is the query server's (core.QueryServer), which
-// serves it to logging-in users.
+// A Publisher's methods are safe for concurrent use. It keeps no copy
+// of what it published: the summary stream is the query server's
+// (core.QueryServer), which serves it to logging-in users.
 type Publisher struct {
 	mu      sync.Mutex
 	sign    SignFunc
@@ -98,34 +97,47 @@ func (p *Publisher) MarkUpdated(slot int) {
 	p.mu.Unlock()
 }
 
-// Publish certifies the current period's marked slots at time ts,
-// resets the period, and returns the summary together with the slots
-// that were updated more than once (which the caller must re-certify at
-// the start of the next period).
-func (p *Publisher) Publish(ts int64) (Summary, []int, error) {
+// Next certifies the summary that would close the current period at ts
+// and returns it with the slots the period marked more than once, which
+// the caller re-certifies at the start of the next period. It changes
+// nothing: the period ends when ReplaySummary folds the summary in.
+func (p *Publisher) Next(ts int64) (Summary, []int, error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if ts <= p.lastTS {
+		p.mu.Unlock()
 		return Summary{}, nil, fmt.Errorf("freshness: publish time %d not after previous %d", ts, p.lastTS)
 	}
+	var multi []int
 	marked := make([]int, 0, len(p.touched))
-	for slot := range p.touched {
+	for slot, n := range p.touched {
 		marked = append(marked, slot)
+		if n > 1 {
+			multi = append(multi, slot)
+		}
 	}
 	sort.Ints(marked)
+	sort.Ints(multi)
 	s := Summary{
 		Seq:         p.seq + 1,
 		PeriodStart: p.lastTS,
 		TS:          ts,
 		Compressed:  appendSlots(nil, p.slots, marked),
 	}
+	p.mu.Unlock()
 	d := s.Digest()
 	sig, err := p.sign(d[:])
 	if err != nil {
 		return Summary{}, nil, fmt.Errorf("freshness: certify summary: %w", err)
 	}
 	s.Sig = sig
-	return s, p.endPeriod(s.Seq, ts), nil
+	return s, multi, nil
+}
+
+// PeriodStart is the open period's start: the latest summary's TS.
+func (p *Publisher) PeriodStart() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.lastTS
 }
 
 // endPeriod moves the publisher to period seq, closed at ts, and
@@ -188,12 +200,10 @@ func (p *Publisher) RestoreState(st *PublisherState) error {
 	return nil
 }
 
-// ReplaySummary folds an already-certified summary back into the period
-// state during crash recovery: the same period reset and multi-update
-// report Publish performs, minus the signing (the log carries the
-// signature computed before the crash). Replay is idempotent — a
-// summary at or below the current sequence is a no-op (applied=false) —
-// and a sequence gap is corruption, not a summary to adopt.
+// ReplaySummary ends the period a certified summary closes, live or in
+// recovery, and reports the slots it marked more than once. Replay is
+// idempotent — a summary at or below the current sequence is a no-op
+// (applied=false) — and a sequence gap is corruption, not data.
 func (p *Publisher) ReplaySummary(s Summary) (multi []int, applied bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -28,9 +29,22 @@ func signer(scheme sigagg.Scheme, priv sigagg.PrivateKey) SignFunc {
 	return func(d []byte) (sigagg.Signature, error) { return scheme.Sign(priv, d) }
 }
 
+// publish closes p's period at ts: the summary Next certifies, folded in
+// by ReplaySummary, as the owner commits a close.
+func publish(p *Publisher, ts int64) (Summary, []int, error) {
+	s, multi, err := p.Next(ts)
+	if err != nil {
+		return Summary{}, nil, err
+	}
+	if _, _, err := p.ReplaySummary(s); err != nil {
+		return Summary{}, nil, err
+	}
+	return s, multi, nil
+}
+
 func feed(t *testing.T, p *Publisher, c *Checker, ts int64) (Summary, []int) {
 	t.Helper()
-	s, multi, err := p.Publish(ts)
+	s, multi, err := publish(p, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +147,7 @@ func TestMultiUpdateReported(t *testing.T) {
 
 func TestSummarySignatureChecked(t *testing.T) {
 	p, c := newPair(t, 10)
-	s, _, err := p.Publish(10)
+	s, _, err := publish(p, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +160,12 @@ func TestSummarySignatureChecked(t *testing.T) {
 func TestSummaryGapRejected(t *testing.T) {
 	p, c := newPair(t, 10)
 	feed(t, p, c, 10)
-	skipped, _, err := p.Publish(20)
+	skipped, _, err := publish(p, 20)
 	_ = skipped
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3, _, err := p.Publish(30)
+	s3, _, err := publish(p, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +176,46 @@ func TestSummaryGapRejected(t *testing.T) {
 
 func TestPublishMonotoneTime(t *testing.T) {
 	p, _ := newPair(t, 10)
-	if _, _, err := p.Publish(0); err == nil {
+	if _, _, err := p.Next(0); err == nil {
 		t.Fatal("non-monotone publish accepted")
 	}
+}
+
+// TestNextChangesNothing: Next certifies the summary that would close
+// the period and leaves the period open, whether it signs or fails to;
+// only ReplaySummary ends the period, so the sequence has no gap.
+func TestNextChangesNothing(t *testing.T) {
+	p, c := newPair(t, 16)
+	p.MarkUpdated(2)
+	p.MarkUpdated(2)
+	p.MarkUpdated(9)
+	before := p.State()
+	sign := p.sign
+	p.sign = func([]byte) (sigagg.Signature, error) { return nil, errors.New("signer down") }
+	if _, _, err := p.Next(10); err == nil {
+		t.Fatal("a failed signature published a summary")
+	}
+	p.sign = sign
+	s, multi, err := p.Next(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _, _ := p.Next(10); again.Digest() != s.Digest() {
+		t.Fatal("a second Next at one ts certified another summary")
+	}
+	if st := p.State(); !reflect.DeepEqual(st, before) {
+		t.Fatalf("Next moved the publisher from %+v to %+v", before, st)
+	}
+	if s.Seq != 1 || !slices.Equal(multi, []int{2}) {
+		t.Fatalf("Next certified seq %d with multi %v, want 1 and [2]", s.Seq, multi)
+	}
+	if _, applied, err := p.ReplaySummary(s); err != nil || !applied {
+		t.Fatalf("ReplaySummary applied=%v: %v", applied, err)
+	}
+	if err := c.Add(s); err != nil {
+		t.Fatal(err)
+	}
+	feed(t, p, c, 20) // seq 2 follows without a gap
 }
 
 func TestInsertGrowsBitmap(t *testing.T) {
@@ -221,8 +272,8 @@ func TestSummarySizeProportionalToUpdates(t *testing.T) {
 		pSmall.MarkUpdated(i * 7)
 		pBig.MarkUpdated(i * 7000)
 	}
-	sSmall, _, _ := pSmall.Publish(10)
-	sBig, _, _ := pBig.Publish(10)
+	sSmall, _, _ := publish(pSmall, 10)
+	sBig, _, _ := publish(pBig, 10)
 	if len(sBig.Compressed) > 4*len(sSmall.Compressed) {
 		t.Fatalf("summary grows with DB size: %d vs %d bytes",
 			len(sBig.Compressed), len(sSmall.Compressed))
@@ -273,11 +324,11 @@ func TestPublisherStateRoundtrip(t *testing.T) {
 	}
 	// Publishing from original and restored must report the same multis
 	// and mark the same slots. (Signatures differ: different keys.)
-	s1, m1, err := p.Publish(20)
+	s1, m1, err := publish(p, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, m2, err := p2.Publish(20)
+	s2, m2, err := publish(p2, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,12 +361,12 @@ func TestRestoreStateRefusesDisagreement(t *testing.T) {
 }
 
 // TestReplaySummaryIdempotent: replay applies a logged summary exactly
-// once, rejects gaps, and reproduces Publish's period reset.
+// once, rejects gaps, and reproduces the period reset of a live close.
 func TestReplaySummaryIdempotent(t *testing.T) {
 	p, _ := newPair(t, 16)
 	p.MarkUpdated(2)
 	p.MarkUpdated(2)
-	s, multiPub, err := p.Publish(10)
+	s, multiPub, err := publish(p, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +461,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 				}
 			}
 			ts += 1 + int64(rng.Intn(9))
-			s, _, err := p.Publish(ts)
+			s, _, err := publish(p, ts)
 			if err != nil {
 				t.Fatal(err)
 			}

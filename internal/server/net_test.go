@@ -293,7 +293,7 @@ func TestNetServerConnLimit(t *testing.T) {
 	}
 }
 
-// TestNetSummaryStreamRace races the publisher's MarkUpdated/Publish
+// TestNetSummaryStreamRace races the publisher's MarkUpdated/Next/ReplaySummary
 // (through the DA's single-writer update loop) against concurrent
 // Checker consumption by networked clients and direct readers of the
 // server's summary stream — the aliasing and locking regression for the
