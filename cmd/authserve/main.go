@@ -19,13 +19,14 @@
 //
 // Every relation feeds replication: a follower started with `authserve
 // follow -primary <addr> -catalog <the same list>` subscribes to each
-// one, bootstraps its image off the primary (records, summaries and
-// certified join filter: snapshot + WAL tail) and then mirrors its update
-// stream, serving verifying clients the same plans — joins and
+// one, bootstraps its image off the primary (the scheme's binding,
+// records, summaries and certified join filter) and then mirrors its
+// update stream, serving verifying clients the same plans — joins and
 // projections included — through the same boot path. Replication is an
-// availability mechanism only — a follower holds no keys, and clients
-// verify every answer against the owner's signatures no matter which
-// replica produced it (DESIGN.md "Replication & the untrusted fleet").
+// availability mechanism only — a follower holds no keys and takes
+// neither -keyseed nor -scheme, and clients verify every answer against
+// the owner's signatures no matter which replica produced it (DESIGN.md
+// "Replication & the untrusted fleet").
 // `authserve query -addr a,b,c` treats the comma-separated list as a
 // fleet: it fails over on faults and quarantines replicas caught
 // misbehaving.
@@ -37,10 +38,12 @@
 //	authserve query [flags]    connect as a verifying client
 //
 // The demo derives each relation's key pair deterministically from
-// keyseed:scheme:relation, so a remote `authserve query` (or follow)
-// given the same -keyseed, -scheme and -catalog verifies answers without
-// a key-distribution protocol; production deployments distribute the
-// public keys out of band instead.
+// keyseed:scheme:relation, so a remote `authserve query` given the same
+// -keyseed, -scheme and -catalog verifies answers without a
+// key-distribution protocol; production deployments distribute the
+// public keys out of band instead. A follower needs neither: each
+// relation's image carries the scheme's name and the public parameter
+// aggregation needs, and the follower's query servers are built from it.
 package main
 
 import (
@@ -149,8 +152,8 @@ func schemeByName(name string) (sigagg.Scheme, error) {
 
 // relKeyRand derives one relation's deterministic demo key stream:
 // keyseed:scheme:rel. Folding the relation name in gives every relation
-// its own key pair (cryptographic domain separation) that serve, follow
-// and query all re-derive the same way.
+// its own key pair (cryptographic domain separation) that serve and query
+// both re-derive the same way.
 func relKeyRand(keyseed, schemeName, rel string) *detRand {
 	return newDetRand(keyseed + ":" + schemeName + ":" + rel)
 }
@@ -184,41 +187,55 @@ func sourceMetrics(names []string, srcs []*replica.Source) server.MetricFn {
 // last feed frame.
 func followerMetrics(names []string, fls []*replica.Follower) server.MetricFn {
 	return func(m *server.MetricsBuf) {
-		m.PerRel("authdb_replica_applied_lsn", "Last dissemination message applied from the feed.", "gauge", names, func(i int) uint64 { return fls[i].AppliedLSN() })
-		m.PerRel("authdb_replica_primary_lsn", "Primary's LSN as last observed on the feed.", "gauge", names, func(i int) uint64 { return fls[i].PrimaryLSN() })
-		m.PerRel("authdb_replica_lag", "Dissemination messages behind the primary.", "gauge", names, func(i int) uint64 { return fls[i].Lag() })
+		m.PerRel("authdb_replica_applied_lsn", "Last dissemination message applied from the feed.", "gauge", names, func(i int) uint64 { return fls[i].Stats().AppliedLSN })
+		m.PerRel("authdb_replica_primary_lsn", "Primary's LSN as last observed on the feed.", "gauge", names, func(i int) uint64 { return fls[i].Stats().PrimaryLSN })
+		m.PerRel("authdb_replica_lag", "Dissemination messages behind the primary.", "gauge", names, func(i int) uint64 { return fls[i].Stats().Lag })
 		m.PerRel("authdb_replica_bootstraps_total", "Relation images installed.", "counter", names, func(i int) uint64 { return fls[i].Stats().Bootstraps })
 		m.PerRel("authdb_replica_records_total", "Replicated records applied.", "counter", names, func(i int) uint64 { return fls[i].Stats().Records })
 		m.PerRel("authdb_replica_reconnects_total", "Feed sessions re-established.", "counter", names, func(i int) uint64 { return fls[i].Stats().Reconnects })
 	}
 }
 
-// bootFollower boots an untrusted replica of the primary's catalog: each
-// relation's query server is a replica.Follower's, which mirrors that
-// relation's feed once its Run is started.
-func bootFollower(f *flags) (*node, []*replica.Follower, error) {
-	var fls []*replica.Follower
-	n, err := boot(f, func(_ int, name string) (*core.QueryServer, error) {
-		// The replica never signs, but its QueryServer builds aggregation
-		// structures under the bound scheme so answers carry the exact
-		// proofs clients expect.
-		bound, _, err := relKey(f.scheme, f.keyseed, name)
-		if err != nil {
-			return nil, err
-		}
-		fl, err := replica.NewFollower(replica.FollowerConfig{
+// bootFollower boots an untrusted replica of the primary's catalog: it
+// starts a replica.Follower's feed per relation, waits for each
+// relation's first image — which names the scheme and the public
+// parameter its query server is built under, so a replica needs neither
+// a key nor a scheme flag — and boots the node over their query servers.
+// stop ends the feeds.
+func bootFollower(f *flags) (n *node, fls []*replica.Follower, stop func(), err error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var feeds sync.WaitGroup
+	stop = func() {
+		cancel()
+		feeds.Wait()
+	}
+	for _, name := range f.names {
+		fl := replica.NewFollower(replica.FollowerConfig{
 			Rel:         name,
-			Scheme:      bound,
 			QSOpts:      []core.Option{core.WithShards(f.shards)},
 			ReadTimeout: f.feedTimeout,
-		})
-		if err != nil {
-			return nil, err
-		}
+		}, schemeByName)
 		fls = append(fls, fl)
-		return fl.QS(), nil
-	})
-	return n, fls, err
+		feeds.Add(1)
+		go func() {
+			defer feeds.Done()
+			fl.Run(ctx, f.primary)
+		}()
+	}
+	for i, fl := range fls {
+		for ready := false; !ready; {
+			select {
+			case <-fl.Ready():
+				ready = true
+			case <-time.After(5 * time.Second):
+				fmt.Fprintf(os.Stderr, "authserve follow: relation %q: no image from %s yet (last feed error: %v)\n", f.names[i], f.primary, fl.LastErr())
+			}
+		}
+	}
+	if n, err = boot(f, func(i int, _ string) (*core.QueryServer, error) { return fls[i].QS(), nil }); err != nil {
+		stop()
+	}
+	return n, fls, stop, err
 }
 
 // runFollow runs an untrusted replica: it bootstraps every relation of
@@ -235,41 +252,15 @@ func runFollow(args []string) error {
 	if err != nil {
 		return err
 	}
-	n, fls, err := bootFollower(f)
+	n, fls, stop, err := bootFollower(f)
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var feeds sync.WaitGroup
-	for _, fl := range fls {
-		feeds.Add(1)
-		go func() {
-			defer feeds.Done()
-			fl.Run(ctx, f.primary)
-		}()
-	}
 	fmt.Printf("authserve follow: listening on %s, replicating %v from %s\n", n.ln.Addr(), f.names, f.primary)
-
-	// Wait (bounded) for every relation's bootstrap image so the ready
-	// line means "serving the catalog", then serve until signalled. The
-	// listener is live throughout either way; early clients just see an
-	// empty-relation error and retry.
 	for i, fl := range fls {
-		for tries := 0; tries < 300 && fl.AppliedLSN() == 0; tries++ {
-			time.Sleep(100 * time.Millisecond)
-		}
-		if fl.AppliedLSN() > 0 {
-			fmt.Printf("authserve follow: relation %q bootstrapped at lsn %d (lag %d)\n", f.names[i], fl.AppliedLSN(), fl.Lag())
-		} else {
-			fmt.Fprintf(os.Stderr, "authserve follow: primary %s not reachable yet for relation %q; still retrying\n", f.primary, f.names[i])
-		}
+		fmt.Printf("authserve follow: relation %q bootstrapped under %s at lsn %d\n", f.names[i], fl.QS().Scheme().Name(), fl.Stats().AppliedLSN)
 	}
-
-	return n.run("authserve follow", n.metricFns(followerMetrics(f.names, fls)), func() {
-		cancel()
-		feeds.Wait()
-	}, func() {
+	return n.run("authserve follow", n.metricFns(followerMetrics(f.names, fls)), stop, func() {
 		st := n.srv.Stats()
 		fmt.Printf("authserve follow: served %s across %d conns\n", requestCounts(st), st.Conns)
 		for i, fl := range fls {

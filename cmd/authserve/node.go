@@ -18,19 +18,20 @@ import (
 )
 
 // flags is the parsed command line of a serving role. serve and follow
-// take the catalog, its demo keys and the listener verifying clients dial
-// alike; the rest is what only one of them has — the primary its owner,
-// writer and durable stores, a replica the feed it mirrors.
+// take the catalog and the listener verifying clients dial alike; the
+// rest is what only one of them has — the primary its scheme, demo keys,
+// owner, writer and durable stores, a replica the feed it mirrors.
 type flags struct {
-	addr, keyseed string
-	scheme        sigagg.Scheme // -scheme's, unbound
-	names         []string      // relation names; names[0] is the outer relation
-	shards        int
-	cacheMB       int64
-	net           server.NetConfig
-	statsAddr     string
+	addr      string
+	names     []string // relation names; names[0] is the outer relation
+	shards    int
+	cacheMB   int64
+	net       server.NetConfig
+	statsAddr string
 
 	// serve
+	keyseed      string
+	scheme       sigagg.Scheme // -scheme's, unbound
 	n, joinEvery int
 	filterBits   float64
 	updEveryMS   float64
@@ -47,8 +48,6 @@ type flags struct {
 func parseFlags(role string, args []string) (*flags, error) {
 	f := &flags{}
 	fs := flag.NewFlagSet(role, flag.ContinueOnError)
-	schemeName := fs.String("scheme", "bas", "scheme (bas, crsa, xortest)")
-	fs.StringVar(&f.keyseed, "keyseed", "demo", "deterministic demo key seed (share with followers and clients); relation rel signs under the key derived from keyseed:scheme:rel")
 	catalog := fs.String("catalog", core.DefaultRelation, "comma-separated relation names, the same on serve, follow and query (first = outer relation, the one with projectable attributes; the rest are join inners)")
 	fs.IntVar(&f.shards, "shards", 64, "QueryServer key-range shards per relation")
 	fs.Int64Var(&f.cacheMB, "cache-mb", 64, "budget, in MiB, of the one answer cache: bare scans and plans of every relation share it, and it keeps an answer only once it has been asked for twice (0 = uncached)")
@@ -58,7 +57,10 @@ func parseFlags(role string, args []string) (*flags, error) {
 	writeSec := fs.Int("write-timeout", 30, "cut off peers that stop draining responses (seconds; 0 = never)")
 	fs.StringVar(&f.statsAddr, "stats-addr", "", "serve Prometheus text metrics at this address (empty = off)")
 	feedSec := 10
+	schemeName := "bas"
 	if role == "serve" {
+		fs.StringVar(&schemeName, "scheme", schemeName, "scheme (bas, crsa, xortest)")
+		fs.StringVar(&f.keyseed, "keyseed", "demo", "deterministic demo key seed (share with clients); relation rel signs under the key derived from keyseed:scheme:rel")
 		fs.StringVar(&f.addr, "addr", "127.0.0.1:7845", "listen address")
 		fs.IntVar(&f.n, "n", 100_000, "outer relation size (keys 10, 20, …, 10n)")
 		fs.IntVar(&f.joinEvery, "join-every", 3, "inner relations hold every k-th outer key")
@@ -87,11 +89,14 @@ func parseFlags(role string, args []string) (*flags, error) {
 	if f.names = splitList(*catalog); len(f.names) == 0 {
 		return nil, fmt.Errorf("-catalog names no relation")
 	}
-	if role == "serve" && f.joinEvery < 2 {
+	if role != "serve" {
+		return f, nil
+	}
+	if f.joinEvery < 2 {
 		return nil, fmt.Errorf("-join-every must be at least 2")
 	}
 	var err error
-	f.scheme, err = schemeByName(*schemeName)
+	f.scheme, err = schemeByName(schemeName)
 	return f, err
 }
 
@@ -133,10 +138,11 @@ func boot(f *flags, feed func(i int, name string) (*core.QueryServer, error)) (*
 	return n, err
 }
 
-// metricFns is what -stats-addr exports: listener, planner and
-// verification counters, then the role's own.
+// metricFns is what -stats-addr exports: listener and planner counters,
+// then the role's own. A server verifies nothing, so it has no
+// verification counters to export.
 func (n *node) metricFns(role ...server.MetricFn) []server.MetricFn {
-	return append([]server.MetricFn{n.srv.Metrics, server.QueryMetrics(n.eng), server.VerifyMetrics(n.f.scheme)}, role...)
+	return append([]server.MetricFn{n.srv.Metrics, server.QueryMetrics(n.eng)}, role...)
 }
 
 // run serves until SIGINT/SIGTERM (or the listener failing), then stops

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,8 +13,12 @@ import (
 	"authdb/internal/client"
 	"authdb/internal/core"
 	"authdb/internal/query"
+	"authdb/internal/replica"
 	"authdb/internal/server"
 	"authdb/internal/sigagg"
+	"authdb/internal/sigagg/bas"
+	"authdb/internal/sigagg/crsa"
+	"authdb/internal/sigagg/xortest"
 	"authdb/internal/wal"
 )
 
@@ -57,9 +63,14 @@ func beats(t *testing.T, s *catalogServer, n int) {
 }
 
 // clientQuery runs the real `authserve query` against n, a primary's
-// node or a follower's.
+// node or a follower's, under xortest.
 func clientQuery(n *node, args ...string) error {
-	return runQuery(append([]string{"-addr", n.srv.Addr().String(), "-scheme", "xortest", "-keyseed", "t",
+	return clientQueryUnder("xortest", n, args...)
+}
+
+// clientQueryUnder runs the real `authserve query` against n under scheme.
+func clientQueryUnder(scheme string, n *node, args ...string) error {
+	return runQuery(append([]string{"-addr", n.srv.Addr().String(), "-scheme", scheme, "-keyseed", "t",
 		"-catalog", strings.Join(n.f.names, ",")}, args...))
 }
 
@@ -110,55 +121,58 @@ func TestCatalogRecoversPerRelation(t *testing.T) {
 	}
 }
 
-// TestFollowServesCatalog: `authserve follow -catalog o,i` is the same
-// boot over the same catalog, fed by the primary's per-relation feeds: it
-// answers a BF join, a BV join and a projection — each verified by the
-// real client — from its bootstrap images, and again after the writer's
-// re-certified filter and dripped inner key arrived over the feed.
-func TestFollowServesCatalog(t *testing.T) {
-	s, _ := bootTest(t, "-catalog", "o,i", "-n", "300", "-summary-every", "5")
-	beats(t, s, 12)
-
-	f, err := parseFlags("follow", []string{"-addr", "127.0.0.1:0", "-scheme", "xortest", "-keyseed", "t", "-catalog", "o,i",
-		"-primary", s.srv.Addr().String(), "-feed-timeout", "2"})
+// follow boots `authserve follow` over the catalog on an ephemeral port,
+// against s's listener, and serves; the feeds and the listener stop with
+// the test.
+func follow(t *testing.T, s *catalogServer, args ...string) (*node, []*replica.Follower) {
+	t.Helper()
+	f, err := parseFlags("follow", append([]string{"-addr", "127.0.0.1:0", "-catalog", strings.Join(s.f.names, ","),
+		"-primary", s.srv.Addr().String(), "-feed-timeout", "2"}, args...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, fls, err := bootFollower(f)
+	n, fls, stop, err := bootFollower(f)
 	if err != nil {
 		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var feeds sync.WaitGroup
-	for _, fl := range fls {
-		feeds.Add(1)
-		go func() {
-			defer feeds.Done()
-			fl.Run(ctx, f.primary)
-		}()
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- n.srv.Serve(n.ln) }()
 	t.Cleanup(func() {
-		cancel()
-		feeds.Wait()
+		stop()
 		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer scancel()
 		n.srv.Shutdown(sctx)
 		<-serveErr
 	})
-	caughtUp := func() {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for i, fl := range fls {
-			for fl.AppliedLSN() != s.srcs[i].LastLSN() {
-				if time.Now().After(deadline) {
-					t.Fatalf("follower of %q stuck at lsn %d, primary at %d", f.names[i], fl.AppliedLSN(), s.srcs[i].LastLSN())
-				}
-				time.Sleep(2 * time.Millisecond)
+	return n, fls
+}
+
+// caughtUp waits until every follower has applied what s's feeds
+// published.
+func caughtUp(t *testing.T, s *catalogServer, fls []*replica.Follower) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for i, fl := range fls {
+		for fl.Stats().AppliedLSN != s.srcs[i].LastLSN() {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower of %q stuck at lsn %d, primary at %d", s.f.names[i], fl.Stats().AppliedLSN, s.srcs[i].LastLSN())
 			}
+			time.Sleep(2 * time.Millisecond)
 		}
 	}
+}
+
+// TestFollowServesCatalog: `authserve follow -catalog o,i` is the same
+// boot over the same catalog, fed by the primary's per-relation feeds: it
+// answers a BF join, a BV join and a projection — each verified by the
+// real client — from its bootstrap images, and again after the writer's
+// re-certified filter and dripped inner key arrived over the feed. It
+// was given no key and no scheme, and none is reachable from its
+// followers.
+func TestFollowServesCatalog(t *testing.T) {
+	s, _ := bootTest(t, "-catalog", "o,i", "-n", "300", "-summary-every", "5")
+	beats(t, s, 12)
+	n, fls := follow(t, s)
 	queries := func(when string) {
 		t.Helper()
 		for _, q := range [][]string{
@@ -172,15 +186,15 @@ func TestFollowServesCatalog(t *testing.T) {
 			}
 		}
 	}
-	caughtUp()
+	caughtUp(t, s, fls)
 	for i, fl := range fls {
 		if st := fl.Stats(); st.Bootstraps != 1 || st.Records != 0 {
-			t.Fatalf("follower of %q: %+v, want everything from one image", f.names[i], st)
+			t.Fatalf("follower of %q: %+v, want everything from one image", n.f.names[i], st)
 		}
 	}
 	queries("from its bootstrap images")
 	beats(t, s, 10) // two period closes: two dripped inner keys, two re-certifications
-	caughtUp()
+	caughtUp(t, s, fls)
 	if st := fls[1].Stats(); st.Bootstraps != 1 || st.Records == 0 {
 		t.Fatalf("inner follower: %+v, want the re-certifications applied off the feed", st)
 	}
@@ -190,6 +204,131 @@ func TestFollowServesCatalog(t *testing.T) {
 		t.Fatalf("follower's filter %+v, primary's certified at %d", ffc, pfc.TS)
 	}
 	queries("after re-certifications over the feed")
+
+	keys := []reflect.Type{
+		reflect.TypeOf(&xortest.PrivateKey{}), reflect.TypeOf(&xortest.PublicKey{}),
+		reflect.TypeOf(&bas.PrivateKey{}), reflect.TypeOf(&bas.PublicKey{}),
+		reflect.TypeOf(&crsa.PrivateKey{}),
+	}
+	if got := reachable(s.rts[0].DA, keys); len(got) == 0 {
+		t.Fatal("no key reachable from the primary's owner: the walk sees nothing")
+	}
+	for i, fl := range fls {
+		// The follower's server sits behind an atomic pointer, which the
+		// walk cannot follow: it is a root of its own.
+		if got := reachable([]any{fl, fl.QS()}, keys); len(got) != 0 {
+			t.Errorf("follower of %q reaches %v", n.f.names[i], got)
+		}
+	}
+}
+
+// reachable returns the types among want of every value reachable from
+// root — through pointers, interfaces, structs, slices, arrays and maps,
+// unexported fields included.
+func reachable(root any, want []reflect.Type) []reflect.Type {
+	type visit struct {
+		p uintptr
+		t reflect.Type
+	}
+	seen := map[visit]bool{}
+	var found []reflect.Type
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		if !v.IsValid() {
+			return
+		}
+		if slices.Contains(want, v.Type()) && !slices.Contains(found, v.Type()) {
+			found = append(found, v.Type())
+		}
+		switch v.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map:
+			if v.IsNil() || seen[visit{v.Pointer(), v.Type()}] {
+				return
+			}
+			seen[visit{v.Pointer(), v.Type()}] = true
+		}
+		switch v.Kind() {
+		case reflect.Pointer, reflect.Interface:
+			walk(v.Elem())
+		case reflect.Struct:
+			for i := range v.NumField() {
+				walk(v.Field(i))
+			}
+		case reflect.Slice, reflect.Array:
+			if k := v.Type().Elem().Kind(); k <= reflect.Complex128 || k == reflect.String {
+				return // no pointer inside
+			}
+			for i := range v.Len() {
+				walk(v.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Key())
+				walk(it.Value())
+			}
+		}
+	}
+	walk(reflect.ValueOf(root))
+	return found
+}
+
+// TestFollowTakesNoKeyOrScheme: the replica's command line has no key
+// material and no scheme to give.
+func TestFollowTakesNoKeyOrScheme(t *testing.T) {
+	for _, args := range [][]string{{"-keyseed", "t"}, {"-scheme", "xortest"}} {
+		if _, err := parseFlags("follow", args); err == nil {
+			t.Errorf("follow accepted %v", args)
+		}
+	}
+}
+
+// TestCRSAFleet: under condensed RSA — whose aggregation needs the
+// signer's modulus — the real client verifies the primary's answers
+// with the key it derives from -keyseed, and a follower given no key and
+// no scheme serves a BF join with a projection that verifies too: its
+// servers aggregate under the modulus their images carry.
+func TestCRSAFleet(t *testing.T) {
+	s, _ := bootTest(t, "-scheme", "crsa", "-catalog", "o,i", "-n", "90", "-summary-every", "3")
+	beats(t, s, 4)
+	bf := []string{"-join", "i", "-method", "bf", "-attrs", "0", "-lo", "100", "-hi", "700"}
+	if err := clientQueryUnder("crsa", s.node, "-lo", "0", "-hi", "900"); err != nil {
+		t.Fatalf("range on the crsa primary: %v", err)
+	}
+	if err := clientQueryUnder("crsa", s.node, bf...); err != nil {
+		t.Fatalf("BF join on the crsa primary: %v", err)
+	}
+	n, fls := follow(t, s)
+	caughtUp(t, s, fls)
+	if err := clientQueryUnder("crsa", n, bf...); err != nil {
+		t.Fatalf("BF join with a projection on the keyless crsa follower: %v", err)
+	}
+	beats(t, s, 3) // a period close and a re-certified filter over the feed
+	caughtUp(t, s, fls)
+	if err := clientQueryUnder("crsa", n, bf...); err != nil {
+		t.Fatalf("BF join on the crsa follower after the feed moved: %v", err)
+	}
+}
+
+// TestRecoverRefusesAnotherScheme: a durable relation's snapshot is bound
+// to the scheme it was written under; booting the directory under
+// another scheme is refused, not served.
+func TestRecoverRefusesAnotherScheme(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-n", "60", "-data", dir, "-snap-every", "0"}
+	_, stop := bootTest(t, args...) // the boot writes each relation's first snapshot
+	stop()
+	f, err := parseFlags("serve", append([]string{"-addr", "127.0.0.1:0", "-scheme", "bas", "-update-every", "0"}, args...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := bootPrimary(f)
+	if err == nil {
+		s.close()
+		t.Fatal("a snapshot written under xortest was recovered under bas")
+	}
+	if !strings.Contains(err.Error(), "bound to") {
+		t.Fatalf("refused with %v, want the binding named", err)
+	}
 }
 
 // TestCatalogSnapshotStampedAtItsCut: every relation of a catalog takes

@@ -378,24 +378,19 @@ func (o *ownerOracle) renew(budget int) {
 }
 
 // restore swaps the owner for a fresh one restored from its bookkeeping
-// and the server's records, as recovery assembles a snapshot, and the
-// twin for another restored from the same snapshot: the snapshot keeps
-// no lastMark, so a restored owner's is its records' and period's
-// latest stamp.
+// and the server's records, as recovery assembles a snapshot. The twin
+// is not restored: fed messages only, it must equal the restored owner.
 func (o *ownerOracle) restore() {
 	st := o.da.SnapshotMeta()
 	st.Records = o.qs.Snapshot().Records
-	restored := func(scheme sigagg.Scheme) *DataAggregator {
-		da, err := NewDataAggregator(scheme, o.priv, ownerOracleConfig, o.opts...)
-		if err != nil {
-			o.t.Fatal(err)
-		}
-		if err := da.Restore(st); err != nil {
-			o.t.Fatalf("Restore: %v", err)
-		}
-		return da
+	da, err := NewDataAggregator(o.signer, o.priv, ownerOracleConfig, o.opts...)
+	if err != nil {
+		o.t.Fatal(err)
 	}
-	o.da, o.twin = restored(o.signer), restored(o.scheme)
+	if err := da.Restore(st); err != nil {
+		o.t.Fatalf("Restore: %v", err)
+	}
+	o.da = da
 }
 
 func (o *ownerOracle) step() {

@@ -6,6 +6,7 @@ import (
 	"authdb/internal/aggtree"
 	"authdb/internal/freshness"
 	"authdb/internal/join"
+	"authdb/internal/sigagg"
 )
 
 // This file is the recovery boundary: point-in-time state extraction
@@ -25,18 +26,20 @@ import (
 // ReplayMsg documents the requirement for anyone else.
 
 // OwnerState is the DataAggregator's durable state: the relation with
-// its current chained signatures in key order, the rid allocator and the
-// publisher's period state. No re-certification is ever pending between
-// operations: a close re-certifies its own period's multi-updated slots. Private keys are deliberately absent — key material never
-// touches a snapshot.
+// its current chained signatures in key order, the rid allocator, the
+// latest mark and the publisher's period state. No re-certification is
+// ever pending between operations: a close re-certifies its own period's
+// multi-updated slots. Private keys are deliberately absent — key
+// material never touches a snapshot.
 type OwnerState struct {
-	NextRID uint64
-	Records []SignedRecord // key-ascending, current signature each
-	Pub     *freshness.PublisherState
+	NextRID  uint64
+	LastMark int64          // the latest timestamp a slot was marked at
+	Records  []SignedRecord // key-ascending, current signature each
+	Pub      *freshness.PublisherState
 }
 
-// SnapshotMeta extracts the owner's bookkeeping — rid allocator and
-// publisher period state — leaving Records nil: the
+// SnapshotMeta extracts the owner's bookkeeping — rid allocator, latest
+// mark and publisher period state — leaving Records nil: the
 // snapshot assembler (wal.Capture) takes the record image from the query
 // server, identical by construction since the owner disseminates every
 // signature it creates, and so keeps an O(n) relation scan off the
@@ -44,8 +47,9 @@ type OwnerState struct {
 // on the caller's single-writer discipline.
 func (da *DataAggregator) SnapshotMeta() *OwnerState {
 	return &OwnerState{
-		NextRID: da.nextRID,
-		Pub:     da.pub.State(),
+		NextRID:  da.nextRID,
+		LastMark: da.lastMark,
+		Pub:      da.pub.State(),
 	}
 }
 
@@ -53,6 +57,7 @@ func (da *DataAggregator) SnapshotMeta() *OwnerState {
 // the slots are built from the sorted image (it appends block by block),
 // the age heap is rebuilt from the record timestamps (a record's TS is
 // its last certification time), and the publisher resumes mid-period.
+// The whole state is checked first, so a refused one changes nothing.
 // The scheme, keys, and signing pool are untouched.
 func (da *DataAggregator) Restore(st *OwnerState) error {
 	for i, sr := range st.Records {
@@ -62,21 +67,22 @@ func (da *DataAggregator) Restore(st *OwnerState) error {
 		if sr.Rec.RID > maxRID {
 			return fmt.Errorf("core: restore: rid %d of key %d past %d", sr.Rec.RID, sr.Rec.Key, maxRID)
 		}
+		if sr.Rec.TS > st.LastMark {
+			return fmt.Errorf("core: restore: key %d certified at %d, after the last mark at %d", sr.Rec.Key, sr.Rec.TS, st.LastMark)
+		}
 	}
-	da.order, da.bySlot, da.nextRID, da.lastMark = keyOrder{}, nil, st.NextRID, 0
+	if st.Pub == nil {
+		return fmt.Errorf("core: restore: no publisher state")
+	}
+	if err := st.Pub.Check(); err != nil {
+		return err
+	}
+	da.order, da.bySlot, da.nextRID, da.lastMark = keyOrder{}, nil, st.NextRID, st.LastMark
 	for _, sr := range st.Records {
-		rec := fullRecord(&sr)
-		da.store(rec)
-		da.lastMark = max(da.lastMark, rec.TS)
+		da.store(fullRecord(&sr))
 	}
 	da.compactAges()
-	if st.Pub != nil {
-		if err := da.pub.RestoreState(st.Pub); err != nil {
-			return err
-		}
-		da.lastMark = max(da.lastMark, st.Pub.LastTS)
-	}
-	return nil
+	return da.pub.RestoreState(st.Pub)
 }
 
 // ReplayMsg applies one signed dissemination message to the owner's
@@ -129,9 +135,10 @@ func fullRecord(sr *SignedRecord) *Record {
 // relation), the certified summary stream and the certified filter on
 // the key attribute (§3.5; nil if none was disseminated) — what a
 // relation image (wire.AppendImage: the snapshot file's and the bootstrap
-// frame's) carries. Shard topology, epochs and caches are runtime
-// artifacts rebuilt on restore.
+// frame's) carries, with the binding a server is built under. Shard
+// topology, epochs and caches are runtime artifacts rebuilt on restore.
 type ServerState struct {
+	Binding   sigagg.Binding // the scheme and public parameter the records aggregate under
 	Records   []SignedRecord // key-ascending, current signature each
 	Summaries []freshness.Summary
 	Filter    *join.FilterCert
@@ -151,7 +158,7 @@ func (qs *QueryServer) Snapshot() *ServerState {
 	for _, sh := range qs.shards {
 		n += sh.tree.Len()
 	}
-	st := &ServerState{Records: make([]SignedRecord, 0, n)}
+	st := &ServerState{Binding: sigagg.BindingOf(qs.scheme), Records: make([]SignedRecord, 0, n)}
 	for _, sh := range qs.shards {
 		sh.tree.Scan(func(e aggtree.Entry) bool {
 			p := payload(e)
@@ -174,12 +181,17 @@ func (qs *QueryServer) Snapshot() *ServerState {
 }
 
 // Restore replaces the server's contents with a snapshot: install's
-// sorted image, with the summary stream and the filter. It is safe on a
-// live, non-empty server: the image is staged before any lock is taken
-// (a refused image leaves the server as it was), the swap happens under
-// the exclusive topology lock, and every data epoch and the filter epoch
-// are bumped — never reset — so cache entries stamped before the restore
-// can never be served again.
+// sorted image, with the summary stream and the filter. A snapshot taken
+// under another binding — another scheme, or another signer's modulus —
+// is refused: its records do not aggregate under this server's scheme.
+// It is safe on a live, non-empty server: the image is staged before any
+// lock is taken (a refused image leaves the server as it was), the swap
+// happens under the exclusive topology lock, and every data epoch and
+// the filter epoch are bumped — never reset — so cache entries stamped
+// before the restore can never be served again.
 func (qs *QueryServer) Restore(st *ServerState) error {
+	if own := sigagg.BindingOf(qs.scheme); !own.Equal(st.Binding) {
+		return fmt.Errorf("core: restore: image bound to %s, server to %s", st.Binding, own)
+	}
 	return qs.install(st.Records, nil, st)
 }

@@ -6,24 +6,31 @@ import (
 	"testing"
 
 	"authdb/internal/anscache"
+	"authdb/internal/freshness"
 	"authdb/internal/sigagg/xortest"
 )
 
-// TestOwnerRestoreRefusesBadImage: an image out of key order, or holding
-// a rid past the last summary slot, is refused before the owner changes.
+// TestOwnerRestoreRefusesBadImage: an image out of key order, holding a
+// rid past the last summary slot or a record certified after the last
+// mark, or a publisher state State could not have returned, is refused
+// before the owner changes.
 func TestOwnerRestoreRefusesBadImage(t *testing.T) {
 	sys := newSystem(t, xortest.New())
-	load(t, sys, 8)
+	load(t, sys, 5)
+	meta := sys.DA.SnapshotMeta()
 	good := sys.QS.Snapshot().Records
-	for name, recs := range map[string][]SignedRecord{
-		"unsorted":     {good[1], good[0]},
-		"rid past max": {{Rec: &Record{Key: 1, RID: maxRID + 1}}},
+	for name, st := range map[string]*OwnerState{
+		"unsorted":              {Records: []SignedRecord{good[1], good[0]}, LastMark: meta.LastMark, Pub: meta.Pub},
+		"rid past max":          {Records: []SignedRecord{{Rec: &Record{Key: 1, RID: maxRID + 1}}}, Pub: meta.Pub},
+		"certified after mark":  {Records: good, LastMark: meta.LastMark - 1, Pub: meta.Pub},
+		"no publisher":          {Records: good[:1], LastMark: meta.LastMark},
+		"slot past the summary": {Records: good[:1], LastMark: meta.LastMark, Pub: &freshness.PublisherState{Slots: 1, Touched: map[int]int{5: 1}}},
 	} {
-		if err := sys.DA.Restore(&OwnerState{Records: recs}); err == nil {
+		if err := sys.DA.Restore(st); err == nil {
 			t.Fatalf("%s image restored", name)
 		}
-		if sys.DA.Len() != 8 || slotsHeld(sys.DA) != 8 {
-			t.Fatalf("refused %s image left %d keys, %d slots", name, sys.DA.Len(), slotsHeld(sys.DA))
+		if sys.DA.Len() != 5 || slotsHeld(sys.DA) != 5 || !reflect.DeepEqual(sys.DA.SnapshotMeta(), meta) {
+			t.Fatalf("refused %s image left %d keys, %d slots, bookkeeping %+v (was %+v)", name, sys.DA.Len(), slotsHeld(sys.DA), sys.DA.SnapshotMeta(), meta)
 		}
 	}
 }

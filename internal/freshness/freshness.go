@@ -177,11 +177,10 @@ func (p *Publisher) State() *PublisherState {
 	return &PublisherState{Seq: p.seq, LastTS: p.lastTS, Slots: p.slots, Touched: maps.Clone(p.touched)}
 }
 
-// RestoreState replaces the publisher's period state with a snapshot,
-// which must be one State could have returned. The signing route is
-// untouched: keys and signer wiring belong to the live process, not the
-// snapshot.
-func (p *Publisher) RestoreState(st *PublisherState) error {
+// Check reports whether st is a state State could have returned: a
+// summary length within bounds, and every touched slot inside it and
+// touched at least once.
+func (st *PublisherState) Check() error {
 	if st.Slots > maxSlots {
 		return fmt.Errorf("freshness: restore %d slots, more than %d", st.Slots, uint64(maxSlots))
 	}
@@ -189,6 +188,17 @@ func (p *Publisher) RestoreState(st *PublisherState) error {
 		if slot < 0 || uint64(slot) >= st.Slots || n < 1 {
 			return fmt.Errorf("freshness: restore slot %d touched %d times in a summary of %d slots", slot, n, st.Slots)
 		}
+	}
+	return nil
+}
+
+// RestoreState replaces the publisher's period state with a snapshot,
+// which must be one State could have returned. The signing route is
+// untouched: keys and signer wiring belong to the live process, not the
+// snapshot.
+func (p *Publisher) RestoreState(st *PublisherState) error {
+	if err := st.Check(); err != nil {
+		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()

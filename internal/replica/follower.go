@@ -2,9 +2,11 @@ package replica
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync/atomic"
 	"time"
@@ -19,16 +21,8 @@ type FollowerConfig struct {
 	// Rel names the primary's relation to mirror (empty =
 	// core.DefaultRelation).
 	Rel string
-	// Scheme is the (bound) signature scheme of the catalog; required.
-	// The follower never verifies — it inherits the scheme only so its
-	// QueryServer can build aggregation structures.
-	Scheme sigagg.Scheme
 	// QSOpts configure the follower's QueryServer (shards, parallelism).
 	QSOpts []core.Option
-	// MaxFrame caps a feed frame's payload (0 = wire.DefaultMaxFrame).
-	// Bootstrap images of the whole catalog arrive as one frame; size
-	// accordingly.
-	MaxFrame int
 	// DialTimeout bounds connecting to the primary (0 = 2s).
 	DialTimeout time.Duration
 	// ReadTimeout bounds the wait for each feed frame (0 = 10s). It
@@ -44,7 +38,9 @@ type FollowerConfig struct {
 type FollowerStats struct {
 	AppliedLSN uint64 // last dissemination message applied
 	PrimaryLSN uint64 // primary's LSN as last reported on the feed
-	Lag        uint64 // PrimaryLSN - AppliedLSN (0 when caught up)
+	// Lag is PrimaryLSN - AppliedLSN (0 when caught up); a partitioned
+	// follower's freezes, while Reconnects climbs.
+	Lag        uint64
 	Bootstraps uint64 // full images installed
 	Records    uint64 // 'W' records applied
 	Reconnects uint64 // feed sessions re-established
@@ -53,12 +49,15 @@ type FollowerStats struct {
 // Follower mirrors a primary's serving state into its own QueryServer
 // by consuming the replication feed. It holds no keys and verifies
 // nothing — it is itself an untrusted publisher, and the clients it
-// serves verify everything. Run the feed loop on one goroutine; the
-// QueryServer is concurrently readable throughout (bootstrap installs
-// use the live-swap Restore path).
+// serves verify everything. Its QueryServer is built from the relation's
+// first image, under the binding the image carries. Run the feed loop on
+// one goroutine; the QueryServer is concurrently readable throughout.
 type Follower struct {
-	cfg FollowerConfig
-	qs  *core.QueryServer
+	cfg     FollowerConfig
+	schemes func(name string) (sigagg.Scheme, error)
+	qs      atomic.Pointer[core.QueryServer]
+	ready   chan struct{} // closed once qs is set
+	lastErr atomic.Pointer[error]
 
 	applied    atomic.Uint64
 	primary    atomic.Uint64
@@ -67,64 +66,46 @@ type Follower struct {
 	reconnects atomic.Uint64
 }
 
-// NewFollower builds a follower with an empty QueryServer.
-func NewFollower(cfg FollowerConfig) (*Follower, error) {
-	if cfg.Scheme == nil {
-		return nil, fmt.Errorf("replica: scheme is required")
-	}
-	if cfg.Rel == "" {
-		cfg.Rel = core.DefaultRelation
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = 10 * time.Second
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 50 * time.Millisecond
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 2 * time.Second
-	}
-	return &Follower{
-		cfg: cfg,
-		qs:  core.NewQueryServer(cfg.Scheme, cfg.QSOpts...),
-	}, nil
+// NewFollower builds a follower with no QueryServer yet. schemes returns
+// a fresh, unbound scheme by name, which the follower binds as the
+// relation's first image says.
+func NewFollower(cfg FollowerConfig, schemes func(name string) (sigagg.Scheme, error)) *Follower {
+	cfg.Rel = cmp.Or(cfg.Rel, core.DefaultRelation)
+	cfg.DialTimeout = cmp.Or(cfg.DialTimeout, 2*time.Second)
+	cfg.ReadTimeout = cmp.Or(cfg.ReadTimeout, 10*time.Second)
+	cfg.RetryBase = cmp.Or(cfg.RetryBase, 50*time.Millisecond)
+	cfg.RetryMax = cmp.Or(cfg.RetryMax, 2*time.Second)
+	return &Follower{cfg: cfg, schemes: schemes, ready: make(chan struct{})}
 }
 
 // QS exposes the follower's QueryServer for serving (wrap it in a
-// server.NetServer, enable caches, etc.).
-func (f *Follower) QS() *core.QueryServer { return f.qs }
+// server.NetServer, enable caches, etc.): nil until Ready is closed.
+func (f *Follower) QS() *core.QueryServer { return f.qs.Load() }
 
-// AppliedLSN reports the last LSN applied locally.
-func (f *Follower) AppliedLSN() uint64 { return f.applied.Load() }
+// Ready is closed once the relation's first image is installed.
+func (f *Follower) Ready() <-chan struct{} { return f.ready }
 
-// PrimaryLSN reports the primary's LSN as last observed on the feed.
-func (f *Follower) PrimaryLSN() uint64 { return f.primary.Load() }
-
-// Lag reports how many records the follower is behind the primary, as
-// of the last feed frame. A partitioned follower's lag freezes at its
-// last observation — pair it with feed liveness (Reconnects climbing
-// means the primary is unreachable).
-func (f *Follower) Lag() uint64 {
-	p, a := f.primary.Load(), f.applied.Load()
-	if p > a {
-		return p - a
+// LastErr reports why the last feed session ended (nil before any has).
+func (f *Follower) LastErr() error {
+	if p := f.lastErr.Load(); p != nil {
+		return *p
 	}
-	return 0
+	return nil
 }
 
 // Stats snapshots the follower counters.
 func (f *Follower) Stats() FollowerStats {
-	return FollowerStats{
+	st := FollowerStats{
 		AppliedLSN: f.applied.Load(),
 		PrimaryLSN: f.primary.Load(),
-		Lag:        f.Lag(),
 		Bootstraps: f.bootstraps.Load(),
 		Records:    f.records.Load(),
 		Reconnects: f.reconnects.Load(),
 	}
+	if st.PrimaryLSN > st.AppliedLSN {
+		st.Lag = st.PrimaryLSN - st.AppliedLSN
+	}
+	return st
 }
 
 // Run drives the feed until ctx is done: dial the primary, subscribe
@@ -143,7 +124,7 @@ func (f *Follower) Run(ctx context.Context, primaryAddr string) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		_ = err // every session error has the same reaction: redial
+		f.lastErr.Store(&err) // every session error has the same reaction: redial
 		f.reconnects.Add(1)
 		if f.applied.Load() != beforeApplied || f.bootstraps.Load() != beforeBoot {
 			// Progress this session: restart the backoff ladder.
@@ -167,15 +148,7 @@ func (f *Follower) session(ctx context.Context, addr string) error {
 	if err != nil {
 		return err
 	}
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
 	defer conn.Close()
 
 	req := wire.AppendReplSubReq(wire.GetBuffer(), f.cfg.Rel, f.applied.Load())
@@ -188,7 +161,7 @@ func (f *Follower) session(ctx context.Context, addr string) error {
 	var frame []byte
 	for {
 		conn.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout))
-		frame, err = wire.ReadFrame(br, frame, f.cfg.MaxFrame)
+		frame, err = wire.ReadFrame(br, frame, math.MaxInt)
 		if err != nil {
 			return err
 		}
@@ -214,7 +187,7 @@ func (f *Follower) apply(frame []byte) error {
 		if err != nil {
 			return err
 		}
-		if err := f.qs.Restore(st); err != nil {
+		if err := f.install(st); err != nil {
 			return err
 		}
 		// An image restarts the history: both positions are the image's,
@@ -233,10 +206,11 @@ func (f *Follower) apply(frame []byte) error {
 		if lsn <= a {
 			return nil // overlap with a bootstrap image: idempotent skip
 		}
-		if lsn != a+1 {
+		qs := f.QS()
+		if lsn != a+1 || qs == nil { // a record before the first image is a gap too
 			return fmt.Errorf("%w: applied %d, got %d", errFeedGap, a, lsn)
 		}
-		if err := f.qs.Apply(msg); err != nil {
+		if err := qs.Apply(msg); err != nil {
 			return err
 		}
 		f.applied.Store(lsn)
@@ -258,6 +232,29 @@ func (f *Follower) apply(frame []byte) error {
 	default:
 		return fmt.Errorf("%w: unexpected feed frame %q", wire.ErrCorrupt, kind)
 	}
+}
+
+// install restores an image into the QueryServer, or builds the
+// QueryServer from the first one, under the binding it carries.
+func (f *Follower) install(st *core.ServerState) error {
+	if qs := f.QS(); qs != nil {
+		return qs.Restore(st)
+	}
+	raw, err := f.schemes(st.Binding.Scheme)
+	if err != nil {
+		return err
+	}
+	scheme, err := sigagg.BindTo(raw, st.Binding)
+	if err != nil {
+		return err
+	}
+	qs := core.NewQueryServer(scheme, f.cfg.QSOpts...)
+	if err := qs.Restore(st); err != nil {
+		return err
+	}
+	f.qs.Store(qs)
+	close(f.ready)
+	return nil
 }
 
 // observePrimary advances the primary-LSN high-water mark.

@@ -200,12 +200,14 @@ func (s *Source) ServeConn(conn net.Conn, afterLSN uint64, stop <-chan struct{})
 	// Catch the follower up to the subscription point. Everything
 	// published after sub.start arrives on the channel; everything at or
 	// before it must come from the log tail or a bootstrap image.
-	// A follower past the subscription point applied another history (an
-	// in-memory primary restarted, and its LSNs began again): its position
-	// names nothing here, so it is imaged like one too far behind.
+	// A fresh follower (afterLSN 0) is imaged: it learns its binding from
+	// the image. A follower past the subscription point applied another
+	// history (an in-memory primary restarted, and its LSNs began again):
+	// its position names nothing here, so it is imaged like one too far
+	// behind.
 	from := afterLSN
-	canTail := from == sub.start
-	if from < sub.start && s.log != nil {
+	canTail := from > 0 && from == sub.start
+	if from > 0 && from < sub.start && s.log != nil {
 		if first := s.log.FirstLSN(); first > 0 && from+1 >= first {
 			canTail = true
 		}

@@ -360,30 +360,27 @@ func (b *fleetBench) moveInner() error {
 	return b.irt.Deliver(&core.UpdateMsg{TS: b.its, Filter: fc})
 }
 
+// basByName is the replicas' scheme lookup: the fleet signs under bas.
+func basByName(name string) (sigagg.Scheme, error) {
+	if name != "bas" {
+		return nil, fmt.Errorf("the fleet signs under bas, not %q", name)
+	}
+	return bas.New(0), nil
+}
+
 // startReplica boots one replica: a feed loop per relation against the
-// primary, and a serving front end over the planner both followers'
-// QueryServers are registered with.
+// primary and, once both relations' first images are in, a serving front
+// end over the planner both followers' QueryServers are registered with.
 func (b *fleetBench) startReplica() (*fleetReplica, error) {
 	cfg := replica.FollowerConfig{
-		Scheme:      b.scheme,
 		QSOpts:      []core.Option{core.WithShards(8)},
 		ReadTimeout: 2 * time.Second,
 		RetryBase:   5 * time.Millisecond,
 		RetryMax:    100 * time.Millisecond,
 	}
-	fl, err := replica.NewFollower(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Rel, cfg.Scheme = fleetInner, b.ischeme
-	ifl, err := replica.NewFollower(cfg)
-	if err != nil {
-		return nil, err
-	}
-	eng := query.NewEngine()
-	if err := eng.AddRelation(fleetInner, ifl.QS()); err != nil {
-		return nil, err
-	}
+	fl := replica.NewFollower(cfg, basByName)
+	cfg.Rel = fleetInner
+	ifl := replica.NewFollower(cfg, basByName)
 	feed, err := faultnet.NewProxy(b.addr, faultnet.Profile{}, soakSeed)
 	if err != nil {
 		return nil, err
@@ -401,6 +398,22 @@ func (b *fleetBench) startReplica() (*fleetReplica, error) {
 		<-innerDone
 		feed.Close()
 	}()
+	fail := func(err error) (*fleetReplica, error) {
+		cancel()
+		<-runDone
+		return nil, err
+	}
+	for _, f := range []*replica.Follower{fl, ifl} {
+		select {
+		case <-f.Ready():
+		case <-time.After(10 * time.Second):
+			return fail(fmt.Errorf("no first image: %v", f.LastErr()))
+		}
+	}
+	eng := query.NewEngine()
+	if err := eng.AddRelation(fleetInner, ifl.QS()); err != nil {
+		return fail(err)
+	}
 	srv := NewNetServer(fl.QS(), NetConfig{
 		MaxConns:    8 * (fleetClients + 2),
 		IdleTimeout: 30 * time.Second,
@@ -409,9 +422,7 @@ func (b *fleetBench) startReplica() (*fleetReplica, error) {
 	srv.EnablePlans(eng)
 	ln, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
-		cancel()
-		<-runDone
-		return nil, err
+		return fail(err)
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
@@ -452,12 +463,12 @@ func (b *fleetBench) restartReplica(i int) error {
 func (b *fleetBench) waitCaughtUp(r *fleetReplica, d time.Duration) error {
 	deadline := time.Now().Add(d)
 	for {
-		if r.fl.AppliedLSN() >= b.src.LastLSN() && r.ifl.AppliedLSN() >= b.isrc.LastLSN() {
+		if r.fl.Stats().AppliedLSN >= b.src.LastLSN() && r.ifl.Stats().AppliedLSN >= b.isrc.LastLSN() {
 			return nil
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("server: replica stuck at LSNs %d / %d, primary at %d / %d",
-				r.fl.AppliedLSN(), r.ifl.AppliedLSN(), b.src.LastLSN(), b.isrc.LastLSN())
+				r.fl.Stats().AppliedLSN, r.ifl.Stats().AppliedLSN, b.src.LastLSN(), b.isrc.LastLSN())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -585,7 +596,7 @@ func (b *fleetBench) runWindow(name, byz string) (*fleetWindowResult, error) {
 		// Writer stopped: the held replica's distance to the primary is
 		// now stable. Record it, then let it catch back up.
 		r := b.honest[2%len(b.honest)]
-		if lag := b.src.LastLSN() - r.fl.AppliedLSN(); lag > b.maxLag {
+		if lag := b.src.LastLSN() - r.fl.Stats().AppliedLSN; lag > b.maxLag {
 			b.maxLag = lag
 		}
 		r.feed.SetUpstream(b.addr)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"authdb/internal/query"
-	"authdb/internal/sigagg"
 	"authdb/internal/wal"
 	"authdb/internal/wire"
 )
@@ -109,30 +108,6 @@ func QueryMetrics(eng *query.Engine) MetricFn {
 		m.Counter("authdb_query_bf_negatives_total", "Outer keys a filter negative alone answered (no run covers them).", qs.BFNegatives)
 		m.Counter("authdb_query_bf_fallbacks_total", "Bloom false positives: keys the filter admitted that their run holds no record for.", qs.BFFallbacks)
 		m.Counter("authdb_query_proj_rows_total", "Projected rows emitted.", qs.ProjRows)
-	}
-}
-
-// VerifyMetrics adapts a scheme's verification fast-path counters for a
-// scrape: hash-to-curve cache traffic, aggregate decodes, and
-// precomputation table builds. Emits nothing for schemes without a
-// fast path. On a serving process the counters reflect its own scheme
-// use (summary signing, proof aggregation); on anything embedding a
-// verifier they are the direct "is the fast path exercised" signal
-// fleet soaks assert on.
-func VerifyMetrics(scheme sigagg.Scheme) MetricFn {
-	return func(m *MetricsBuf) {
-		sp, ok := scheme.(sigagg.VerifyStatsProvider)
-		if !ok {
-			return
-		}
-		vs := sp.VerifyStats()
-		m.Counter("authdb_verify_h2c_cache_hits_total", "Hash-to-curve lookups served from the digest point cache.", vs.H2CCacheHits)
-		m.Counter("authdb_verify_h2c_cache_misses_total", "Hash-to-curve lookups computed with the full try-and-increment map.", vs.H2CCacheMisses)
-		m.Counter("authdb_verify_agg_cache_misses_total", "Aggregate-signature point decodes (none is cached).", vs.AggCacheMisses)
-		m.Counter("authdb_verify_cache_evictions_total", "Cached curve points dropped by the size bound.", vs.CacheEvictions)
-		m.Counter("authdb_verify_table_builds_total", "Per-public-key precomputation tables built.", vs.TableBuilds)
-		m.Counter("authdb_verify_fast_total", "Verification calls on the precomputed fast path.", vs.FastVerifies)
-		m.Counter("authdb_verify_portable_total", "Verification calls on the portable slow path.", vs.PortableVerifies)
 	}
 }
 

@@ -59,16 +59,61 @@ type PublicKey struct {
 // SchemeName implements sigagg.PublicKey.
 func (*PublicKey) SchemeName() string { return "crsa" }
 
-// KeyGen implements sigagg.Scheme.
+// publicExponent is e of every key KeyGen makes.
+const publicExponent = 65537
+
+// KeyGen implements sigagg.Scheme. Both primes are drawn from rnd alone,
+// so a deterministic reader gives the same key every time — which
+// rsa.GenerateKey does not promise: it may read a varying number of bytes.
 func (s *Scheme) KeyGen(rnd io.Reader) (sigagg.PrivateKey, sigagg.PublicKey, error) {
 	if rnd == nil {
 		rnd = rand.Reader
 	}
-	key, err := rsa.GenerateKey(rnd, s.bits)
-	if err != nil {
-		return nil, nil, fmt.Errorf("crsa: keygen: %w", err)
+	e := big.NewInt(publicExponent)
+	one := big.NewInt(1)
+	for {
+		p, err := prime(rnd, s.bits-s.bits/2)
+		if err != nil {
+			return nil, nil, err
+		}
+		q, err := prime(rnd, s.bits/2)
+		if err != nil {
+			return nil, nil, err
+		}
+		phi := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))
+		d := new(big.Int).ModInverse(e, phi)
+		if p.Cmp(q) == 0 || d == nil {
+			continue
+		}
+		key := &rsa.PrivateKey{
+			PublicKey: rsa.PublicKey{N: new(big.Int).Mul(p, q), E: publicExponent},
+			D:         d,
+			Primes:    []*big.Int{p, q},
+		}
+		key.Precompute()
+		return &PrivateKey{key: key}, &PublicKey{N: key.N, E: key.E}, nil
 	}
-	return &PrivateKey{key: key}, &PublicKey{N: key.N, E: key.E}, nil
+}
+
+// prime draws bits-bit odd candidates from rnd until one is probably
+// prime. Each has its top two bits set, so the product of two primes has
+// exactly their summed length.
+func prime(rnd io.Reader, bits int) (*big.Int, error) {
+	buf := make([]byte, (bits+7)/8)
+	p := new(big.Int)
+	for {
+		if _, err := io.ReadFull(rnd, buf); err != nil {
+			return nil, fmt.Errorf("crsa: keygen: %w", err)
+		}
+		p.SetBytes(buf)
+		p.Rsh(p, uint(len(buf)*8-bits))
+		p.SetBit(p, bits-1, 1)
+		p.SetBit(p, bits-2, 1)
+		p.SetBit(p, 0, 1)
+		if p.ProbablyPrime(20) {
+			return p, nil
+		}
+	}
 }
 
 // fdh expands a message digest to a full-domain element of Z_n* using
@@ -268,19 +313,36 @@ func (s *Scheme) VerifyJobs(pub sigagg.PublicKey, jobs []sigagg.VerifyJob) error
 
 // Bound is a condensed-RSA scheme bound to one signer's modulus, enabling
 // aggregation (the modular product needs n). The query server learns n
-// from the data aggregator's public key, which is public information.
+// from the relation's image (sigagg.Binding), which is public information.
 type Bound struct {
 	*Scheme
-	n *big.Int
+	n     *big.Int
+	param []byte // n, big-endian in exactly SignatureSize bytes
 }
 
-// Bind implements sigagg.Binder.
-func (s *Scheme) Bind(pub sigagg.PublicKey) (sigagg.Scheme, error) {
+// Param implements sigagg.Binder: the signer's modulus.
+func (s *Scheme) Param(pub sigagg.PublicKey) ([]byte, error) {
 	p, err := s.pub(pub)
 	if err != nil {
 		return nil, err
 	}
-	return &Bound{Scheme: s, n: p.N}, nil
+	return p.N.Bytes(), nil
+}
+
+// Bind implements sigagg.Binder: param is a modulus of the scheme's
+// size, big-endian with no leading zero, as Param returns it.
+func (s *Scheme) Bind(param []byte) (sigagg.Scheme, error) {
+	n := new(big.Int).SetBytes(param)
+	if len(param) != s.SignatureSize() || n.BitLen() != s.bits || n.Bit(0) == 0 {
+		return nil, fmt.Errorf("crsa: %d-byte binding parameter is not an odd %d-bit modulus", len(param), s.bits)
+	}
+	return &Bound{Scheme: s, n: n, param: n.Bytes()}, nil
+}
+
+// Binding reports the modulus the scheme is bound to (see
+// sigagg.BindingOf). Its Param is shared: callers must not modify it.
+func (b *Bound) Binding() sigagg.Binding {
+	return sigagg.Binding{Scheme: b.Name(), Param: b.param}
 }
 
 // AggregateInto implements sigagg.Scheme: the modular product

@@ -1,8 +1,10 @@
 package crsa
 
 import (
+	"bytes"
 	"crypto/rand"
 	"math/big"
+	mrand "math/rand"
 	"strings"
 	"testing"
 
@@ -17,7 +19,7 @@ func keyed(t *testing.T) (*Scheme, sigagg.Scheme, sigagg.PrivateKey, sigagg.Publ
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, err := s.Bind(pub)
+	bound, err := sigagg.Bind(s, pub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +110,72 @@ func TestAggregateVerifyRejectsOutOfRange(t *testing.T) {
 
 func TestBindRejectsForeignKey(t *testing.T) {
 	s := New(1024)
-	if _, err := s.Bind(fakePub{}); err == nil {
+	if _, err := sigagg.Bind(s, fakePub{}); err == nil {
 		t.Fatal("foreign public key accepted")
+	}
+}
+
+// TestBindingRoundTrip: a scheme bound from a key reports the modulus as
+// its binding, BindTo rebuilds an equal scheme from that binding alone,
+// and a parameter that is not a modulus of the scheme's size is refused.
+func TestBindingRoundTrip(t *testing.T) {
+	s, bound, priv, pub := keyed(t)
+	bd := sigagg.BindingOf(bound)
+	if bd.Scheme != "crsa" || !bytes.Equal(bd.Param, pub.(*PublicKey).N.Bytes()) {
+		t.Fatalf("binding %q with a %d-byte parameter, want the modulus", bd.Scheme, len(bd.Param))
+	}
+	rebound, err := sigagg.BindTo(New(1024), bd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sigagg.BindingOf(rebound).Equal(bd) {
+		t.Fatal("a scheme bound from a binding reports another")
+	}
+	d1, d2 := digest.Sum([]byte("a")), digest.Sum([]byte("b"))
+	sigs, err := s.SignBatch(priv, [][]byte{d1[:], d2[:]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := bound.AggregateInto(nil, sigs)
+	if got, err := rebound.AggregateInto(nil, sigs); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("aggregate under the rebuilt binding differs (err %v)", err)
+	}
+	for name, param := range map[string][]byte{
+		"empty":        nil,
+		"leading zero": append([]byte{0}, bd.Param[1:]...),
+		"even":         append(append([]byte(nil), bd.Param[:len(bd.Param)-1]...), bd.Param[len(bd.Param)-1]&^1),
+		"other size":   bd.Param[1:],
+	} {
+		if _, err := s.Bind(param); err == nil {
+			t.Errorf("%s binding parameter accepted", name)
+		}
+	}
+	if _, err := sigagg.BindTo(s, sigagg.Binding{Scheme: "bas", Param: bd.Param}); err == nil {
+		t.Error("a binding naming another scheme accepted")
+	}
+}
+
+// TestKeyGenReproducible: two readers with the same seed give the same
+// key pair, so the demo's deterministic keys are the same in every
+// process that derives them.
+func TestKeyGenReproducible(t *testing.T) {
+	s := New(1024)
+	keyFrom := func(seed int64) *PublicKey {
+		priv, pub, err := s.KeyGen(mrand.New(mrand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := priv.(*PrivateKey).key; k.Validate() != nil || k.Precomputed.Dp == nil {
+			t.Fatalf("key invalid (%v) or without its CRT values", k.Validate())
+		}
+		return pub.(*PublicKey)
+	}
+	a, b, c := keyFrom(7), keyFrom(7), keyFrom(8)
+	if a.N.Cmp(b.N) != 0 || a.E != b.E {
+		t.Fatal("the same seed gave two moduli")
+	}
+	if a.N.Cmp(c.N) == 0 {
+		t.Fatal("two seeds gave one modulus")
 	}
 }
 

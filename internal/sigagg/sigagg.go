@@ -9,7 +9,9 @@
 package sigagg
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 )
 
@@ -136,21 +138,77 @@ type VerifyStatsProvider interface {
 	VerifyStats() VerifyStats
 }
 
-// Binder is implemented by schemes whose aggregation operations need the
-// signer's public parameters (e.g. the RSA modulus for condensed RSA).
-type Binder interface {
-	// Bind returns a Scheme whose AggregateInto operates under pub's
-	// parameters.
-	Bind(pub PublicKey) (Scheme, error)
+// Binding is what a query server holds of a relation's signer: the
+// scheme's name and the public parameter its aggregation is bound to (the
+// modulus under condensed RSA; nil for a scheme that needs none). All of
+// it is public, and a relation's image carries it, so a server is built
+// from what the data aggregator disseminates and never from a key.
+type Binding struct {
+	Scheme string
+	Param  []byte
 }
 
-// Bind returns a fully-usable scheme for the signer pub: s.Bind(pub) when
-// s needs binding, s itself otherwise.
-func Bind(s Scheme, pub PublicKey) (Scheme, error) {
-	if b, ok := s.(Binder); ok {
-		return b.Bind(pub)
+// Equal reports whether b and o bind the same scheme to the same
+// parameter.
+func (b Binding) Equal(o Binding) bool {
+	return b.Scheme == o.Scheme && bytes.Equal(b.Param, o.Param)
+}
+
+// String names the scheme and the head of its parameter.
+func (b Binding) String() string {
+	if len(b.Param) == 0 {
+		return b.Scheme
 	}
-	return s, nil
+	return fmt.Sprintf("%s parameter %x…", b.Scheme, b.Param[:min(len(b.Param), 8)])
+}
+
+// Binder is implemented by schemes whose aggregation operations need the
+// signer's public parameter (e.g. the RSA modulus for condensed RSA).
+type Binder interface {
+	// Param returns the public parameter of pub that aggregation needs.
+	Param(pub PublicKey) ([]byte, error)
+	// Bind returns a Scheme whose AggregateInto operates under param, and
+	// whose Binding reports it.
+	Bind(param []byte) (Scheme, error)
+}
+
+// Bind returns a fully-usable scheme for the signer pub: s bound to
+// pub's parameter when s needs binding, s itself otherwise.
+func Bind(s Scheme, pub PublicKey) (Scheme, error) {
+	b, ok := s.(Binder)
+	if !ok {
+		return s, nil
+	}
+	param, err := b.Param(pub)
+	if err != nil {
+		return nil, err
+	}
+	return b.Bind(param)
+}
+
+// BindTo returns s bound as bd says: s must be the scheme bd names, and
+// a scheme that needs no binding takes no parameter.
+func BindTo(s Scheme, bd Binding) (Scheme, error) {
+	if s.Name() != bd.Scheme {
+		return nil, fmt.Errorf("sigagg: binding names scheme %q, not %q", bd.Scheme, s.Name())
+	}
+	b, ok := s.(Binder)
+	if !ok {
+		if len(bd.Param) != 0 {
+			return nil, fmt.Errorf("sigagg: scheme %q takes no binding parameter", bd.Scheme)
+		}
+		return s, nil
+	}
+	return b.Bind(bd.Param)
+}
+
+// BindingOf reports the binding a scheme aggregates under: its name, and
+// the parameter of a scheme that Binder.Bind returned.
+func BindingOf(s Scheme) Binding {
+	if b, ok := s.(interface{ Binding() Binding }); ok {
+		return b.Binding()
+	}
+	return Binding{Scheme: s.Name()}
 }
 
 // ErrVerify is returned (possibly wrapped) when signature verification

@@ -18,7 +18,8 @@ import (
 //	| magic | u64 LSN | i64 TS | image | owner block | u32 CRC |
 //
 // The image is the relation image of internal/wire — the bytes a
-// follower is bootstrapped from, records and the certified filter through
+// follower is bootstrapped from, the scheme's binding, records and the
+// certified filter through
 // the dissemination codec and summaries through the batch codec — and the
 // owner block is wire's
 // too, so a snapshot is readable by anything that can parse the
@@ -29,7 +30,7 @@ import (
 // silent half-state.
 
 // snapMagic names the layout; a file written under another is refused.
-const snapMagic = "ASNP6\n"
+const snapMagic = "ASNP7\n"
 
 // snapName and snapTmp are the snapshot file names within a store dir.
 const (

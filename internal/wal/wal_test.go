@@ -294,6 +294,7 @@ func TestSnapshotRoundtripFile(t *testing.T) {
 		t.Fatal("fresh store not empty")
 	}
 	server := &core.ServerState{
+		Binding: sigagg.Binding{Scheme: "crsa", Param: []byte{0xC5, 0x03}},
 		Records: []core.SignedRecord{
 			{Rec: &chain.Record{RID: 7, Key: 10, TS: 30}, Sig: sigagg.Signature("sig-a"),
 				AttrVals: [][]byte{[]byte("v0"), []byte("v1")},
@@ -309,8 +310,9 @@ func TestSnapshotRoundtripFile(t *testing.T) {
 		TS:     42,
 		Server: server,
 		Owner: &core.OwnerState{
-			NextRID: 9,
-			Records: server.Records,
+			NextRID:  9,
+			LastMark: 41,
+			Records:  server.Records,
 			Pub: &freshness.PublisherState{
 				Seq:     2,
 				LastTS:  40,
@@ -363,7 +365,7 @@ func TestSnapshotRoundtripFile(t *testing.T) {
 	if _, err := decodeSnapshot(reseal(bytes.Clone(whole[:len(whole)-12]))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short owner block under a valid CRC: %v, want ErrCorrupt", err)
 	}
-	for _, magic := range []string{"ASNP2\n", "ASNP3\n", "ASNP4\n", "ASNP5\n"} {
+	for _, magic := range []string{"ASNP2\n", "ASNP3\n", "ASNP4\n", "ASNP5\n", "ASNP6\n"} {
 		old := reseal(append([]byte(magic), whole[len(snapMagic):len(whole)-4]...))
 		if _, err := decodeSnapshot(old); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("previous layout's magic %q: %v, want ErrCorrupt", magic, err)

@@ -2,12 +2,16 @@ package wire
 
 // A relation's durable state has one encoding, the image:
 //
+//	| u64 len | scheme name | u64 len | binding parameter |
 //	| u64 len | 'U' UpdateMsg{Upserts: records, Filter} | u64 len | 'F' summary batch |
 //
-// The signed records and the certified filter ride the dissemination
-// codec — so the §3.4 attribute sideband, the §3.5 filter section, and
-// every count bound a hostile 'U' or 'W' record meets, are the image's
-// too — and the certified summaries the batch codec. A bootstrap frame is header + LSN + image (repl.go); a snapshot
+// The binding (sigagg.Binding) is what a server is built under: the
+// scheme's name and the public parameter its aggregation needs, empty for
+// a scheme that needs none. The signed records and the certified filter
+// ride the dissemination codec — so the §3.4 attribute sideband, the
+// §3.5 filter section, and every count bound a hostile 'U' or 'W' record
+// meets, are the image's too — and the certified summaries the batch
+// codec. A bootstrap frame is header + LSN + image (repl.go); a snapshot
 // file is magic + LSN + TS + image + owner block + CRC (internal/wal).
 // Like the dissemination decoder, DecodeImage copies everything it
 // returns.
@@ -19,6 +23,7 @@ import (
 
 	"authdb/internal/core"
 	"authdb/internal/freshness"
+	"authdb/internal/sigagg"
 )
 
 // nested appends what enc appends as one length-prefixed field, in
@@ -30,9 +35,14 @@ func (w *writer) nested(enc func([]byte) []byte) {
 	binary.BigEndian.PutUint64(w.buf[at:], uint64(len(w.buf)-at-8))
 }
 
+// maxSchemeName bounds a binding's scheme name.
+const maxSchemeName = 64
+
 // AppendImage appends the image of st.
 func AppendImage(buf []byte, st *core.ServerState) []byte {
 	w := &writer{buf: buf}
+	w.bytes([]byte(st.Binding.Scheme))
+	w.bytes(st.Binding.Param)
 	w.nested(func(b []byte) []byte {
 		return AppendUpdateMsg(b, &core.UpdateMsg{Upserts: st.Records, Filter: st.Filter})
 	})
@@ -44,6 +54,21 @@ func AppendImage(buf []byte, st *core.ServerState) []byte {
 // bytes that follow it.
 func DecodeImage(data []byte) (*core.ServerState, []byte, error) {
 	r := &reader{buf: data}
+	var bd sigagg.Binding
+	name, err := r.view()
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(name) == 0 || len(name) > maxSchemeName {
+		return nil, nil, fmt.Errorf("%w: image names a %d-byte scheme", ErrCorrupt, len(name))
+	}
+	bd.Scheme = string(name)
+	if bd.Param, err = r.owned(); err != nil {
+		return nil, nil, err
+	}
+	if len(bd.Param) == 0 {
+		bd.Param = nil
+	}
 	body, err := r.view()
 	if err != nil {
 		return nil, nil, err
@@ -62,16 +87,17 @@ func DecodeImage(data []byte) (*core.ServerState, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &core.ServerState{Records: msg.Upserts, Summaries: sums, Filter: msg.Filter}, data[r.off:], nil
+	return &core.ServerState{Binding: bd, Records: msg.Upserts, Summaries: sums, Filter: msg.Filter}, data[r.off:], nil
 }
 
 // AppendOwnerBlock appends what a snapshot holds of the owner beyond
-// the image: the rid allocator and the publisher's mid-period state (st.Pub, which
-// DataAggregator.SnapshotMeta always sets). st.Records is not written —
-// it is the image's records.
+// the image: the rid allocator, the latest mark and the publisher's
+// mid-period state (st.Pub, which DataAggregator.SnapshotMeta always
+// sets). st.Records is not written — it is the image's records.
 func AppendOwnerBlock(buf []byte, st *core.OwnerState) []byte {
 	w := &writer{buf: buf}
 	w.u64(st.NextRID)
+	w.i64(st.LastMark)
 	w.u64(st.Pub.Seq)
 	w.i64(st.Pub.LastTS)
 	w.u64(st.Pub.Slots)
@@ -96,6 +122,9 @@ func DecodeOwnerBlock(data []byte) (*core.OwnerState, error) {
 	st := &core.OwnerState{Pub: pub}
 	var err error
 	if st.NextRID, err = r.u64(); err != nil {
+		return nil, err
+	}
+	if st.LastMark, err = r.i64(); err != nil {
 		return nil, err
 	}
 	if pub.Seq, err = r.u64(); err != nil {

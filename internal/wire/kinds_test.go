@@ -29,7 +29,7 @@ func TestKindsTable(t *testing.T) {
 		KindComposite:     must(AppendCompositeCore(nil, &Composite{Outer: ans})),
 		KindRelSummaries:  AppendRelSumsReq(nil, "r", 0, 0),
 		KindReplSubscribe: AppendReplSubReq(nil, "r", 0),
-		KindReplBootstrap: AppendBootstrap(nil, 0, &core.ServerState{}),
+		KindReplBootstrap: AppendBootstrap(nil, 0, &core.ServerState{Binding: sigagg.Binding{Scheme: "xortest"}}),
 		KindReplRecord:    AppendWalRecord(nil, 1, 1, AppendUpdateMsg(nil, &core.UpdateMsg{TS: 1})),
 		KindReplHeartbeat: AppendReplHeartbeat(nil, 1),
 	}

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"authdb/internal/freshness"
 )
@@ -38,7 +39,8 @@ func WriteFrame(w io.Writer, payload []byte) error {
 
 // ReadFrame reads one frame, reusing buf's storage when it is large
 // enough, and returns the payload (valid until the next ReadFrame with
-// the same buffer). max bounds the payload size (0 = DefaultMaxFrame).
+// the same buffer). max bounds the payload size (0 = DefaultMaxFrame;
+// math.MaxInt = the 32-bit length limit).
 // A connection closed cleanly between frames returns io.EOF; a close
 // mid-frame returns io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, error) {
@@ -75,20 +77,34 @@ func ReadFrameHeader(r io.Reader, max int) (int, error) {
 	return int(binary.BigEndian.Uint32(hdr[:])), nil
 }
 
+// readStep is the most a frame read allocates ahead of the bytes
+// received: a payload past it is read in steps, its buffer growing with
+// what has arrived.
+const readStep = 1 << 20
+
 // ReadFramePayload reads the n payload bytes a validated header
-// announced, reusing buf's storage when it is large enough. n must come
-// from ReadFrameHeader: allocation is bounded by the header check, so a
-// hostile length can never allocate past the configured cap.
+// announced, reusing buf's storage when it is large enough. Past buf's
+// capacity, memory follows the bytes actually received — at most
+// readStep ahead of them, and at most twice them — so a hostile length
+// that is never delivered allocates almost nothing, whatever cap its
+// header was checked against.
 func ReadFramePayload(r io.Reader, buf []byte, n int) ([]byte, error) {
 	if cap(buf) < n {
-		buf = make([]byte, n)
+		buf = make([]byte, 0, min(n, readStep))
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: truncated frame (%d bytes)", ErrCorrupt, n)
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), readStep)))
 		}
-		return nil, err
+		got, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return nil, fmt.Errorf("%w: truncated frame (%d of %d bytes)", ErrCorrupt, len(buf), n)
+			}
+			return nil, err
+		}
 	}
 	return buf, nil
 }

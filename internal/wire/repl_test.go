@@ -39,14 +39,15 @@ func TestReplSubReqRoundTrip(t *testing.T) {
 
 // imageStates are the bootstrap inputs: an ordinary relation's image, a
 // projection-mode one (§3.4: stripped chained records, attribute values
-// and per-slot signatures in the sideband), a join inner's with its
-// certified filter (§3.5), and the empty image.
+// and per-slot signatures in the sideband) bound to a parameter, a join
+// inner's with its certified filter (§3.5), and the empty image.
 func imageStates(t testing.TB) []*core.ServerState {
 	sums := []freshness.Summary{
 		{Seq: 1, PeriodStart: 0, TS: 50, Compressed: []byte{0x01}, Sig: sigagg.Signature("sum-sig")},
 	}
 	return []*core.ServerState{
 		{
+			Binding: sigagg.Binding{Scheme: "xortest"},
 			Records: []core.SignedRecord{
 				{Rec: &chain.Record{RID: 7, Key: 10, Attrs: [][]byte{{1}, {2}}, TS: 99}, Sig: sigagg.Signature("sig-a")},
 				{Rec: &chain.Record{RID: 8, Key: 20, TS: 100}, Sig: sigagg.Signature("sig-b")},
@@ -54,6 +55,7 @@ func imageStates(t testing.TB) []*core.ServerState {
 			Summaries: sums,
 		},
 		{
+			Binding: sigagg.Binding{Scheme: "crsa", Param: []byte{0xC3, 0x01, 0x07}},
 			Records: []core.SignedRecord{
 				{Rec: &chain.Record{RID: 7, Key: 10, TS: 99}, Sig: sigagg.Signature("sig-a"),
 					AttrVals: [][]byte{[]byte("name"), []byte("payload")},
@@ -65,11 +67,12 @@ func imageStates(t testing.TB) []*core.ServerState {
 			Summaries: sums,
 		},
 		{
+			Binding:   sigagg.Binding{Scheme: "bas"},
 			Records:   []core.SignedRecord{{Rec: &chain.Record{RID: 8, Key: 20, TS: 100}, Sig: sigagg.Signature("sig-b")}},
 			Summaries: sums,
 			Filter:    testFilterCert(t),
 		},
-		{},
+		{Binding: sigagg.Binding{Scheme: "xortest"}},
 	}
 }
 
@@ -83,7 +86,7 @@ func TestBootstrapRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("state %d: %v", i, err)
 		}
-		if lsn != 42 || len(got.Records) != len(st.Records) || len(got.Summaries) != len(st.Summaries) || !reflect.DeepEqual(got.Filter, st.Filter) {
+		if lsn != 42 || !got.Binding.Equal(st.Binding) || len(got.Records) != len(st.Records) || len(got.Summaries) != len(st.Summaries) || !reflect.DeepEqual(got.Filter, st.Filter) {
 			t.Fatalf("state %d: lsn=%d records=%d summaries=%d filter=%+v", i, lsn, len(got.Records), len(got.Summaries), got.Filter)
 		}
 		for j, sr := range st.Records {
@@ -116,10 +119,19 @@ func TestBootstrapRoundTrip(t *testing.T) {
 	delta := AppendUpdateMsg(nil, &core.UpdateMsg{Deletes: []chain.Ref{{Key: 9, RID: 9}}})
 	w := &writer{buf: AppendReplHeartbeat(nil, 42)} // a header and an LSN
 	w.buf[1] = KindReplBootstrap
+	w.bytes([]byte("xortest"))
+	w.bytes(nil)
 	w.bytes(delta)
 	w.bytes(AppendSummaries(nil, nil))
 	if _, _, err := DecodeBootstrap(w.buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("image with deletes: %v, want ErrCorrupt", err)
+	}
+	// An image binds a named scheme.
+	for name, scheme := range map[string]string{"no scheme": "", "over-long scheme": strings.Repeat("s", maxSchemeName+1)} {
+		data := AppendBootstrap(nil, 42, &core.ServerState{Binding: sigagg.Binding{Scheme: scheme}})
+		if _, _, err := DecodeBootstrap(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("image with %s: %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
